@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
+use rpcv_core::frontier::{PullFrontier, RetryPolicy};
 use rpcv_core::msg::Msg;
 use rpcv_detect::HeartbeatMonitor;
 use rpcv_log::{GcPolicy, LogStrategy, SenderLog};
@@ -193,6 +194,124 @@ fn bench_store_scale(c: &mut Criterion) {
     g.finish();
 }
 
+/// One job's whole life on the store — register → dispatch → complete →
+/// collect → GC → prune — in batches of 100 on top of 10 k resident rows
+/// (so the trees have their working depth), and a replica applying the
+/// same rows from the delta feed.  This is the path the row-per-job layout
+/// exists for: every step probes the job's one row.
+fn bench_store_lifecycle(c: &mut Criterion) {
+    const RESIDENT: u64 = 10_000;
+    const BATCH: u64 = 100;
+    let client = ClientKey::new(1, 1);
+    let spec = |seq: u64| JobSpec::new(JobKey::new(client, seq), "svc", Blob::synthetic(300, seq));
+    let mut resident = CoordinatorDb::new(CoordId(1));
+    for seq in 1..=RESIDENT {
+        resident.register_job(spec(seq));
+    }
+    // The batch runs *below* the resident prefix in dispatch order, so
+    // drain the resident queue first: the lifecycle's `next_pending` then
+    // pops exactly the batch.
+    while let (Some(_), _) = resident.next_pending(ServerId(9), rpcv_simnet::SimTime::ZERO) {}
+    // Runs seqs `first..first + BATCH` through their whole life; returns
+    // how many retired (none while an uncollected prefix sits below them).
+    let lifecycle = |db: &mut CoordinatorDb, first: u64| -> u64 {
+        let seqs: Vec<u64> = (first..first + BATCH).collect();
+        for &seq in &seqs {
+            db.register_job(spec(seq));
+        }
+        while let (Some(d), _) = db.next_pending(ServerId(1), rpcv_simnet::SimTime::ZERO) {
+            db.complete_task(d.id, d.job, Blob::synthetic(64, d.job.seq), ServerId(1));
+        }
+        db.mark_collected(client, &seqs);
+        db.gc_collected();
+        let head = db.version();
+        let retired = db.prune_retired(head);
+        db.prune_catalog_acked(client, head);
+        retired
+    };
+    let mut g = c.benchmark_group("store_lifecycle");
+    g.throughput(Throughput::Elements(BATCH));
+    g.bench_function("register_to_gc_100_jobs_on_10k", |b| {
+        b.iter_batched(
+            || resident.clone(),
+            |mut db| {
+                lifecycle(&mut db, RESIDENT + 1);
+                db
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    // Retention needs a contiguous collected prefix: a fresh database.
+    g.bench_function("register_to_prune_100_jobs", |b| {
+        b.iter_batched(
+            || CoordinatorDb::new(CoordId(1)),
+            |mut db| {
+                assert_eq!(lifecycle(&mut db, 1), BATCH);
+                db
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // The replica side: the same 100 jobs' job/task/collected rows applied
+    // from the feed onto a replica that already holds the resident rows.
+    let mut replica = CoordinatorDb::new(CoordId(2));
+    replica.apply_delta(&resident.delta_since(0));
+    let base = resident.version();
+    let mut primary = resident.clone();
+    lifecycle(&mut primary, RESIDENT + 1);
+    let delta = primary.delta_since(base);
+    g.bench_function("apply_delta_same_100_jobs_on_10k", |b| {
+        b.iter_batched(
+            || replica.clone(),
+            |mut db| {
+                db.apply_delta(&delta);
+                db
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+}
+
+/// The client's pull window with a backlog of requested-but-unanswered
+/// seqs in backoff (what a plan dump looks like from the client): the
+/// due-time index touches the 64-entry window only (and, unlike the
+/// pure-function walk, also records the 64 requests it returns); the
+/// retained walk visits every outstanding entry on every pull.
+fn bench_pull_frontier(c: &mut Criterion) {
+    use rpcv_simnet::{SimDuration, SimTime};
+    let policy = RetryPolicy { base: SimDuration::from_secs(10), bw: 12.5e6 };
+    let mut g = c.benchmark_group("pull_window");
+    for in_backoff in [64u64, 4_000] {
+        let mut f = PullFrontier::new();
+        let t0 = SimTime::from_secs(1);
+        for seq in 1..=in_backoff {
+            f.announce(seq, 256, policy);
+        }
+        while !f.window(t0, policy).is_empty() {}
+        // One fresh window's worth of requestable results behind them.
+        for seq in in_backoff + 1..=in_backoff + 64 {
+            f.announce(seq, 256, policy);
+        }
+        let now = t0 + SimDuration::from_secs(1);
+        assert_eq!(f.window_scan(now, policy).len(), 64);
+        g.bench_function(format!("{in_backoff}_in_backoff_indexed_select_and_record"), |b| {
+            b.iter_batched(
+                || f.clone(),
+                |mut f| {
+                    let want = f.window(now, policy);
+                    (want, f)
+                },
+                BatchSize::SmallInput,
+            )
+        });
+        g.bench_function(format!("{in_backoff}_in_backoff_scan_select_only"), |b| {
+            b.iter(|| f.window_scan(now, policy))
+        });
+    }
+    g.finish();
+}
+
 fn bench_detect(c: &mut Criterion) {
     c.bench_function("detect/observe_and_scan_1000", |b| {
         b.iter_batched(
@@ -256,6 +375,55 @@ fn bench_simnet(c: &mut Criterion) {
     });
 }
 
+/// Kernel queue push + pop at a standing backlog, carrying real `Msg`
+/// values (the payload size the arena exists for).  Hold model: every
+/// iteration injects one message — cycling through the `cur`, ring and
+/// overflow levels — and dispatches the earliest queued one into a sink
+/// actor, so the depth stays put.  The reference heap sifts whole events
+/// through `log2(depth)` levels; the calendar queue moves 24-byte handles
+/// and its cost should stay flat as the backlog grows.
+fn bench_queue_depth(c: &mut Criterion) {
+    use rpcv_simnet::*;
+    struct Sink;
+    impl Actor<Msg> for Sink {
+        fn on_start(&mut self, _ctx: &mut Ctx<'_, Msg>) {}
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, _msg: Msg) {}
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _id: TimerId, _k: u64) {}
+    }
+    let mut g = c.benchmark_group("queue_push_pop");
+    for depth in [1_000u64, 50_000, 200_000] {
+        for reference in [false, true] {
+            let mut w = World::<Msg>::new(1);
+            if reference {
+                w.use_reference_queue();
+            }
+            let sink = w.add_host(HostSpec::named("sink"));
+            w.install(sink, |_| Box::new(Sink));
+            // Standing backlog spread over 20 s: all three levels hold some.
+            for i in 0..depth {
+                let at = SimTime(1 + i * (20_000_000_000 / depth));
+                w.inject(at, sink, Msg::StatusRequest { nonce: i });
+            }
+            let delays = [
+                SimDuration::from_micros(100),
+                SimDuration::from_millis(300),
+                SimDuration::from_secs(5),
+            ];
+            let mut i = 0usize;
+            let kernel = if reference { "reference_heap" } else { "calendar" };
+            g.bench_function(format!("depth_{depth}_{kernel}"), |b| {
+                b.iter(|| {
+                    i += 1;
+                    w.inject(w.now() + delays[i % 3], sink, Msg::StatusRequest { nonce: 0 });
+                    w.step()
+                })
+            });
+            assert!(w.queue_len() as u64 >= depth, "hold model keeps the backlog");
+        }
+    }
+    g.finish();
+}
+
 fn bench_alcatel(c: &mut Criterion) {
     let mut rng = DetRng::new(5);
     let config = NetworkConfig::generate(&mut rng, 100);
@@ -271,8 +439,11 @@ criterion_group!(
     bench_logging,
     bench_store,
     bench_store_scale,
+    bench_store_lifecycle,
+    bench_pull_frontier,
     bench_detect,
     bench_simnet,
+    bench_queue_depth,
     bench_alcatel
 );
 criterion_main!(benches);

@@ -24,6 +24,7 @@ use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec};
 
 use crate::calibration::MARSHAL_BW;
 use crate::config::ProtocolConfig;
+use crate::frontier::{PullFrontier, RetryPolicy};
 use crate::msg::Msg;
 use crate::util::{CallSpec, Deferred, Directory};
 
@@ -143,10 +144,6 @@ pub struct ClientActor {
     /// whole result history (the client-side mirror of `PeerLog`'s
     /// unacked index).
     unacked_results: std::collections::BTreeSet<u64>,
-    /// Seqs whose payloads were requested but not yet received:
-    /// `(last request, attempts)` — re-requests back off exponentially so
-    /// large archives in flight are not requested again every beat.
-    requested: BTreeMap<u64, (SimTime, u32)>,
     /// When each submission last left this client (replay throttle).
     sent_at: BTreeMap<u64, SimTime>,
     /// Highest seq ever sent to the current coordinator incarnation.
@@ -163,12 +160,13 @@ pub struct ClientActor {
     /// Merged result catalog: seq → size.  Built incrementally from
     /// per-beat catalog deltas (never re-shipped in full).
     catalog: BTreeMap<u64, u64>,
-    /// Catalogued seqs whose payloads are not held yet — the pull
-    /// frontier.  Maintained alongside the catalog so each pull round
-    /// walks only what is actually outstanding, never the whole catalog
-    /// (which holds every collected-but-unreclaimed result and grows with
-    /// the backlog between coordinator GC rounds).
-    unfetched: std::collections::BTreeSet<u64>,
+    /// Catalogued seqs whose payloads are not held yet, with their request
+    /// state (re-requests back off exponentially so large archives in
+    /// flight are not requested again every beat).  Maintained alongside
+    /// the catalog and indexed by due time, so a pull round touches only
+    /// its window — never the whole catalog (which holds every
+    /// collected-but-unreclaimed result), nor the in-backoff backlog.
+    frontier: PullFrontier,
     /// The shard group this client restricted itself to after a pushed
     /// [`Msg::ShardMap`] (`None` until one arrives — the bootstrap list is
     /// flat).  Kept to make repeated pushes of the same map idempotent:
@@ -229,14 +227,13 @@ impl ClientActor {
             next_plan_idx: 0,
             results: BTreeMap::new(),
             unacked_results: std::collections::BTreeSet::new(),
-            requested: BTreeMap::new(),
             sent_at: BTreeMap::new(),
             sent_hw: 0,
             coord_epoch: None,
             acked_max: 0,
             progress_at: SimTime::ZERO,
             catalog: BTreeMap::new(),
-            unfetched: std::collections::BTreeSet::new(),
+            frontier: PullFrontier::new(),
             shard_members: None,
             catalog_hw: 0,
             last_pull: None,
@@ -415,8 +412,7 @@ impl ClientActor {
         let now = ctx.now();
         for r in results {
             let seq = r.job.seq;
-            self.requested.remove(&seq);
-            self.unfetched.remove(&seq);
+            self.frontier.remove(seq);
             if self.results.contains_key(&seq) {
                 continue;
             }
@@ -454,7 +450,7 @@ impl ClientActor {
             if self.coord_epoch.is_some() {
                 self.sent_at.clear();
                 self.sent_hw = 0;
-                self.requested.clear();
+                self.frontier.forget_requests();
                 // Re-announce every durably held result as collected: a
                 // promoted successor (or a restarted primary whose last GC
                 // predates our acks) may have missed the collection
@@ -536,16 +532,16 @@ impl ClientActor {
         // wholesale: its additions are already here and replaying its
         // removals could undo a newer addition.
         if !rebased && catalog_base <= self.catalog_hw && catalog_head >= self.catalog_hw {
+            let policy = self.retry_policy(ctx);
             for &(seq, size) in &available {
                 self.catalog.insert(seq, size);
                 if !self.results.contains_key(&seq) {
-                    self.unfetched.insert(seq);
+                    self.frontier.announce(seq, size, policy);
                 }
             }
             for &seq in &removed {
                 self.catalog.remove(&seq);
-                self.unfetched.remove(&seq);
-                self.requested.remove(&seq);
+                self.frontier.remove(seq);
             }
             self.catalog_hw = catalog_head;
         }
@@ -662,45 +658,24 @@ impl ClientActor {
                 }
             }
         }
-        let base = self.params.cfg.heartbeat * 2;
-        let bw = ctx.spec().nic_bw_in.max(1.0);
-        let mut budget: i64 = 32 * 1024 * 1024;
-        let mut want: Vec<u64> = Vec::new();
-        // The frontier index keeps this O(outstanding + in-backoff), not
-        // O(catalog): held results never re-enter it, so the walk skips
-        // the (much larger) collected-but-unreclaimed span entirely.
-        for &seq in &self.unfetched {
-            if want.len() >= 64 || budget < 0 {
-                break;
-            }
-            debug_assert!(!self.results.contains_key(&seq), "held result left on pull frontier");
-            let size = self.catalog.get(&seq).copied().unwrap_or(0);
-            let allowed = match self.requested.get(&seq) {
-                None => true,
-                Some(&(at, attempts)) => {
-                    // Cap the backoff: an unreachable coordinator must not
-                    // push the retry horizon into hours (it may restart any
-                    // moment — volatility is the norm here).
-                    let transfer = rpcv_simnet::SimDuration::from_secs_f64(size as f64 / bw);
-                    let horizon = base * 2u64.saturating_pow(attempts.min(5)) + transfer * 4;
-                    now.since(at) > horizon
-                }
-            };
-            if allowed {
-                budget -= size as i64;
-                want.push(seq);
-            }
-        }
+        // O(window): the frontier is indexed by due time, so the (much
+        // larger) set of requested seqs still inside their re-request
+        // horizon is never walked.
+        let want = self.frontier.window(now, self.retry_policy(ctx));
         if !want.is_empty() {
+            debug_assert!(want.iter().all(|s| !self.results.contains_key(s)), "held result pulled");
             self.last_pull = Some(now);
-            for &s in &want {
-                let e = self.requested.entry(s).or_insert((now, 0));
-                *e = (now, e.1 + 1);
-            }
             if let Some((_, node)) = self.coordinator(now) {
                 ctx.send(node, Msg::ResultsRequest { client: self.params.key, want });
             }
         }
+    }
+
+    /// The re-request horizon parameters: size-aware — a multi-megabyte
+    /// archive legitimately spends transfer-time in flight — on top of an
+    /// exponential backoff from two heartbeats.
+    fn retry_policy(&self, ctx: &Ctx<'_, Msg>) -> RetryPolicy {
+        RetryPolicy { base: self.params.cfg.heartbeat * 2, bw: ctx.spec().nic_bw_in.max(1.0) }
     }
 
     /// Applies a pushed shard map: computes this client's shard from the

@@ -20,6 +20,8 @@
 //! * [`client`], [`coordinator`], [`server`] — the three actors, written
 //!   once and runnable on the deterministic simulator (`rpcv-simnet`) and
 //!   under the wall-clock runtime ([`runtime`]);
+//! * [`frontier`] — the client's due-time-indexed pull frontier (which
+//!   catalogued results to request next, O(window) per pull);
 //! * [`grid`] — one-call assembly of complete deployments (confined
 //!   cluster / real-life Internet presets);
 //! * [`api`] — the GridRPC-compliant client API ("The RPC-V API is
@@ -56,6 +58,7 @@ pub mod chaos;
 pub mod client;
 pub mod config;
 pub mod coordinator;
+pub mod frontier;
 pub mod grid;
 pub mod msg;
 pub mod runtime;

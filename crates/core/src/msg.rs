@@ -11,7 +11,7 @@ use rpcv_ckpt::CheckpointFrame;
 use rpcv_simnet::WireSized;
 use rpcv_store::ReplicationDelta;
 use rpcv_wire::{Blob, Reader, WireDecode, WireEncode, WireError, WireWrite};
-use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, TaskDesc, TaskId};
+use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, ServiceName, TaskDesc, TaskId};
 
 /// A finished RPC's result as shipped to the client.
 #[derive(Debug, Clone, PartialEq)]
@@ -308,7 +308,7 @@ pub enum Msg {
     /// job through the client actor.
     ApiSubmit {
         /// Service name.
-        service: String,
+        service: ServiceName,
         /// Parameters.
         params: Blob,
         /// Declared execution cost (work-units).
@@ -555,7 +555,7 @@ impl WireEncode for Msg {
                 w.put_uvarint(*head_version);
             }
             Msg::ApiSubmit { service, params, exec_cost, result_size, replication, work_units } => {
-                w.put_str(service);
+                service.encode(w);
                 params.encode(w);
                 w.put_f64(*exec_cost);
                 w.put_uvarint(*result_size);
@@ -641,7 +641,7 @@ impl WireDecode for Msg {
             },
             14 => Msg::ReplAck { from: CoordId::decode(r)?, head_version: r.get_uvarint()? },
             15 => Msg::ApiSubmit {
-                service: r.get_string()?,
+                service: ServiceName::decode(r)?,
                 params: Blob::decode(r)?,
                 exec_cost: r.get_f64()?,
                 result_size: r.get_uvarint()?,

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use rpcv_simnet::{Ctx, NodeId, SimTime, TimerId};
 use rpcv_wire::Blob;
-use rpcv_xw::{ClientKey, CoordId};
+use rpcv_xw::{ClientKey, CoordId, ServiceName};
 
 use crate::msg::Msg;
 
@@ -97,12 +97,22 @@ impl Directory {
     }
 }
 
+/// One deferred send: destination, message, token, known wire size.
+type Pending = (NodeId, Msg, u64, Option<u64>);
+
 /// Messages scheduled for a future instant (e.g. a reply that may only
 /// leave once the database operation backing it completed).
+///
+/// A backlogged coordinator holds thousands of these, so — like the kernel
+/// event queue — the message is written once into a slab and the ordered
+/// index moves 12-byte `timer id → slot` pairs, not whole `Msg` values.
 #[derive(Debug, Default)]
 pub struct Deferred {
-    /// timer id → (destination, message, token, known wire size).
-    items: BTreeMap<u64, (NodeId, Msg, u64, Option<u64>)>,
+    slab: Vec<Option<Pending>>,
+    /// Vacant slab positions, reused LIFO.
+    free: Vec<u32>,
+    /// timer id → slab position.
+    index: BTreeMap<u64, u32>,
 }
 
 impl Deferred {
@@ -164,7 +174,18 @@ impl Deferred {
             })
         } else {
             let id = ctx.set_timer_at(at, kind);
-            self.items.insert(id.0, (to, msg, token, size));
+            let item = Some((to, msg, token, size));
+            let slot = match self.free.pop() {
+                Some(slot) => {
+                    self.slab[slot as usize] = item;
+                    slot
+                }
+                None => {
+                    self.slab.push(item);
+                    (self.slab.len() - 1) as u32
+                }
+            };
+            self.index.insert(id.0, slot);
             None
         }
     }
@@ -172,7 +193,10 @@ impl Deferred {
     /// Fires a deferred send; returns `(comm_end, token)` if `id` belonged
     /// to this queue.
     pub fn fire(&mut self, ctx: &mut Ctx<'_, Msg>, id: TimerId) -> Option<(SimTime, u64)> {
-        let (to, msg, token, size) = self.items.remove(&id.0)?;
+        let slot = self.index.remove(&id.0)?;
+        let (to, msg, token, size) =
+            self.slab[slot as usize].take().expect("indexed slots hold a message");
+        self.free.push(slot);
         let comm_end = match size {
             Some(s) => ctx.send_sized(to, msg, s),
             None => ctx.send(to, msg),
@@ -182,12 +206,12 @@ impl Deferred {
 
     /// Number of queued sends.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.index.len()
     }
 
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.index.is_empty()
     }
 }
 
@@ -195,7 +219,7 @@ impl Deferred {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CallSpec {
     /// Service to invoke.
-    pub service: String,
+    pub service: ServiceName,
     /// Parameters.
     pub params: Blob,
     /// Declared execution cost (work-units ≈ seconds on a 1.0-speed host).
@@ -212,7 +236,12 @@ pub struct CallSpec {
 
 impl CallSpec {
     /// A call with the given service/cost/sizes.
-    pub fn new(service: impl Into<String>, params: Blob, exec_cost: f64, result_size: u64) -> Self {
+    pub fn new(
+        service: impl Into<ServiceName>,
+        params: Blob,
+        exec_cost: f64,
+        result_size: u64,
+    ) -> Self {
         CallSpec {
             service: service.into(),
             params,

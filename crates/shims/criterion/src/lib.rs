@@ -85,8 +85,9 @@ impl Bencher {
         let input = setup();
         let setup_once = t0.elapsed();
         let t1 = Instant::now();
-        hint::black_box(routine(input));
+        let out = hint::black_box(routine(input));
         let routine_once = t1.elapsed();
+        drop(out);
 
         let per_iter = (setup_once + routine_once).max(Duration::from_nanos(1));
         let iters = (self.measure_for.as_nanos() / per_iter.as_nanos()).clamp(1, 1_000_000) as u64;
@@ -98,8 +99,12 @@ impl Bencher {
             let input = setup();
             setup_total += t.elapsed();
             let t = Instant::now();
-            hint::black_box(routine(input));
+            let out = hint::black_box(routine(input));
             routine_total += t.elapsed();
+            // Like the real crate, drop the product outside the timed
+            // window: a routine that hands its (large) input back is not
+            // charged for tearing it down.
+            drop(out);
         }
         let _ = setup_total; // excluded from the reported figure
         self.measured = Some(Measurement { total: routine_total, iters });

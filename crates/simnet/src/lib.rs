@@ -86,6 +86,8 @@ pub use disk::{Disk, DiskSpec, WriteOutcome};
 pub use net::{LinkParams, NetModel};
 pub use node::{HostResources, HostSpec, NodeId};
 pub use profile::{ClassProfile, KernelProfile, ProfiledEvent};
+#[doc(hidden)]
+pub use queue::QueueAudit;
 pub use realtime::{spawn_realtime, Command, RealtimeHandle};
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

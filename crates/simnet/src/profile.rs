@@ -9,8 +9,6 @@
 //! node's [`crate::resource::Resource`] occupancy totals and is read lazily
 //! via [`crate::World::class_busy_time`], making the off-cost provably zero.
 
-use std::collections::BTreeMap;
-
 /// Number of log2 queue-depth buckets (bucket = bit length of the depth).
 pub const DEPTH_BUCKETS: usize = 65;
 
@@ -55,9 +53,14 @@ pub enum ProfiledEvent {
 }
 
 /// The kernel's opt-in profile: queue-depth samples plus per-class counts.
+///
+/// Classes are addressed by a dense index (handed out by
+/// [`Self::add_class`], resolved by the world once per host), so the
+/// per-event path is two array increments — no string compare, no map.
 #[derive(Debug, Clone)]
 pub struct KernelProfile {
-    classes: BTreeMap<String, ClassProfile>,
+    names: Vec<String>,
+    counts: Vec<ClassProfile>,
     depth: [u64; DEPTH_BUCKETS],
     samples: u64,
     controls: u64,
@@ -66,7 +69,8 @@ pub struct KernelProfile {
 impl Default for KernelProfile {
     fn default() -> Self {
         KernelProfile {
-            classes: BTreeMap::new(),
+            names: Vec::new(),
+            counts: Vec::new(),
             depth: [0; DEPTH_BUCKETS],
             samples: 0,
             controls: 0,
@@ -88,9 +92,34 @@ impl KernelProfile {
         Self::default()
     }
 
+    /// Empty profile over the given class names: class `i` of
+    /// [`Self::observe`] is `names[i]`.
+    pub fn for_classes(names: &[String]) -> Self {
+        KernelProfile {
+            names: names.to_vec(),
+            counts: vec![ClassProfile::default(); names.len()],
+            ..Self::default()
+        }
+    }
+
+    /// Registers a class name and returns its index (the existing index if
+    /// the name is already known).
+    pub fn add_class(&mut self, name: &str) -> usize {
+        if let Some(i) = self.names.iter().position(|n| n == name) {
+            return i;
+        }
+        self.names.push(name.to_owned());
+        self.counts.push(ClassProfile::default());
+        self.names.len() - 1
+    }
+
     /// Records one dispatched event: samples the queue depth and attributes
-    /// the event to `class` (the destination node's host-spec name).
-    pub fn observe(&mut self, queue_depth: usize, class: Option<&str>, ev: ProfiledEvent) {
+    /// the event to `class` (the destination node's class index, from
+    /// [`Self::add_class`]).
+    ///
+    /// # Panics
+    /// If `class` was not handed out by this profile.
+    pub fn observe(&mut self, queue_depth: usize, class: Option<usize>, ev: ProfiledEvent) {
         self.depth[bucket_of(queue_depth as u64)] += 1;
         self.samples += 1;
         let Some(class) = class else {
@@ -99,11 +128,7 @@ impl KernelProfile {
             }
             return;
         };
-        let slot = if let Some(slot) = self.classes.get_mut(class) {
-            slot
-        } else {
-            self.classes.entry(class.to_owned()).or_default()
-        };
+        let slot = &mut self.counts[class];
         match ev {
             ProfiledEvent::Start => slot.starts += 1,
             ProfiledEvent::Deliver => slot.delivers += 1,
@@ -125,12 +150,21 @@ impl KernelProfile {
 
     /// The profile of `class`, if any event was attributed to it.
     pub fn class(&self, class: &str) -> Option<&ClassProfile> {
-        self.classes.get(class)
+        let i = self.names.iter().position(|n| n == class)?;
+        Some(&self.counts[i]).filter(|p| p.total() > 0)
     }
 
-    /// Iterates class profiles in name order.
+    /// Iterates the profiles of classes that saw events, in name order.
     pub fn classes(&self) -> impl Iterator<Item = (&str, &ClassProfile)> {
-        self.classes.iter().map(|(k, v)| (k.as_str(), v))
+        let mut seen: Vec<(&str, &ClassProfile)> = self
+            .names
+            .iter()
+            .map(String::as_str)
+            .zip(&self.counts)
+            .filter(|(_, p)| p.total() > 0)
+            .collect();
+        seen.sort_unstable_by_key(|&(name, _)| name);
+        seen.into_iter()
     }
 
     /// Non-zero queue-depth log2 buckets as `(bucket, samples)`, ascending.
@@ -146,17 +180,24 @@ mod tests {
 
     #[test]
     fn events_attribute_to_classes() {
-        let mut p = KernelProfile::new();
-        p.observe(0, Some("server"), ProfiledEvent::Handle);
-        p.observe(3, Some("server"), ProfiledEvent::Timer);
-        p.observe(5, Some("coordinator"), ProfiledEvent::Deliver);
+        let mut p = KernelProfile::for_classes(&["server".to_owned(), "client".to_owned()]);
+        let server = p.add_class("server");
+        let coordinator = p.add_class("coordinator");
+        assert_eq!((server, coordinator), (0, 2));
+        p.observe(0, Some(server), ProfiledEvent::Handle);
+        p.observe(3, Some(server), ProfiledEvent::Timer);
+        p.observe(5, Some(coordinator), ProfiledEvent::Deliver);
         p.observe(9, None, ProfiledEvent::Control);
         assert_eq!(p.samples(), 4);
         assert_eq!(p.controls(), 1);
         let s = p.class("server").unwrap();
         assert_eq!((s.handles, s.timers, s.total()), (1, 1, 2));
         assert_eq!(p.class("coordinator").unwrap().delivers, 1);
+        // Registered but never observed: absent, exactly as if unknown.
         assert!(p.class("client").is_none());
+        assert!(p.class("nobody").is_none());
+        let names: Vec<&str> = p.classes().map(|(n, _)| n).collect();
+        assert_eq!(names, ["coordinator", "server"], "name order, observed classes only");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::actor::{Actor, Ctx, DurableImage, Effect, FrameOps, TimerId, WireSize
 use crate::net::{LinkParams, NetModel};
 use crate::node::{HostResources, HostSpec, NodeId};
 use crate::profile::{KernelProfile, ProfiledEvent};
-use crate::queue::EventQueue;
+use crate::queue::{EventQueue, QueueAudit};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{NetStats, Trace, TraceKind};
@@ -75,6 +75,9 @@ type Factory<M> = Box<dyn FnMut(DurableImage) -> Box<dyn Actor<M> + Send> + Send
 
 struct NodeSlot<M> {
     spec: HostSpec,
+    /// Index of `spec.name` in [`World::class_names`], resolved once at
+    /// [`World::add_host`] so per-event profiling never compares strings.
+    class: usize,
     up: bool,
     inc: u32,
     actor: Option<Box<dyn Actor<M> + Send>>,
@@ -95,6 +98,8 @@ pub struct World<M> {
     seq: u64,
     queue: EventQueue<EventKind<M>>,
     nodes: Vec<NodeSlot<M>>,
+    /// Distinct host-spec names (actor classes), in first-seen order.
+    class_names: Vec<String>,
     net: NetModel,
     trace: Trace,
     stats: NetStats,
@@ -114,6 +119,7 @@ impl<M: WireSized + 'static> World<M> {
             seq: 0,
             queue: EventQueue::new(),
             nodes: Vec::new(),
+            class_names: Vec::new(),
             net: NetModel::default(),
             trace: Trace::new(),
             stats: NetStats::default(),
@@ -195,12 +201,20 @@ impl<M: WireSized + 'static> World<M> {
         self.queue.len()
     }
 
+    /// Internal-consistency readout of the calendar queue's arena and
+    /// handle levels (`None` on the reference heap) — for the queue
+    /// equivalence property tests.
+    #[doc(hidden)]
+    pub fn queue_audit(&self) -> Option<QueueAudit> {
+        self.queue.audit()
+    }
+
     /// Enables (or disables) opt-in kernel profiling.  Enabling starts a
     /// fresh [`KernelProfile`]; disabling discards it.  The profile is
     /// strictly observational: it never touches the trace, the queue, or
     /// any RNG, so the reference trace hash is identical either way.
     pub fn set_profiling(&mut self, on: bool) {
-        self.profile = if on { Some(Box::default()) } else { None };
+        self.profile = on.then(|| Box::new(KernelProfile::for_classes(&self.class_names)));
     }
 
     /// True when kernel profiling is enabled.
@@ -239,8 +253,21 @@ impl<M: WireSized + 'static> World<M> {
         let id = NodeId(self.nodes.len() as u32);
         let rng = self.master_rng.derive(id.0 as u64);
         let res = HostResources::new(&spec);
+        let class = match self.class_names.iter().position(|n| *n == spec.name) {
+            Some(i) => i,
+            None => {
+                self.class_names.push(spec.name.clone());
+                let class = self.class_names.len() - 1;
+                if let Some(p) = self.profile.as_deref_mut() {
+                    let in_profile = p.add_class(&spec.name);
+                    debug_assert_eq!(in_profile, class, "profile and world number classes alike");
+                }
+                class
+            }
+        };
         self.nodes.push(NodeSlot {
             spec,
+            class,
             up: true,
             inc: 0,
             actor: None,
@@ -392,8 +419,7 @@ impl<M: WireSized + 'static> World<M> {
                 EventKind::Timer { node, .. } => (Some(*node), ProfiledEvent::Timer),
                 EventKind::Control(_) => (None, ProfiledEvent::Control),
             };
-            let class =
-                node.and_then(|n| self.nodes.get(n.0 as usize)).map(|s| s.spec.name.as_str());
+            let class = node.and_then(|n| self.nodes.get(n.0 as usize)).map(|s| s.class);
             let depth = self.queue.len();
             self.profile.as_deref_mut().unwrap().observe(depth, class, ev);
         }
@@ -567,8 +593,10 @@ impl<M: WireSized + 'static> World<M> {
         // Controls are only appliable via the queue, so the slot is intact.
         self.nodes[node.0 as usize].actor = Some(actor);
         let inc = self.nodes[node.0 as usize].inc;
-        let effects = std::mem::take(&mut self.effects);
-        for eff in effects {
+        // Drain and put the buffer back: its capacity is reused by every
+        // later handler instead of being reallocated per event.
+        let mut effects = std::mem::take(&mut self.effects);
+        for eff in effects.drain(..) {
             match eff {
                 Effect::Deliver { to, from, msg, arrival, size } => {
                     self.push_event(arrival, EventKind::Deliver { to, from, msg, size });
@@ -588,6 +616,7 @@ impl<M: WireSized + 'static> World<M> {
                 }
             }
         }
+        self.effects = effects;
     }
 }
 

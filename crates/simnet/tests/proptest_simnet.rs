@@ -91,8 +91,11 @@ fn build_chaos(
 
 /// Actor for the queue-equivalence property: every message arms a fresh
 /// timer and pseudo-randomly cancels an older one, so the schedule mixes
-/// pushes, pops and cancellations at overlapping instants.  Chains are
-/// bounded: a firing timer relays at most one hop.
+/// pushes, pops and cancellations at overlapping instants.  Every fourth
+/// message value arms its timer ~5 s out — past the calendar ring's
+/// `NSLOTS` horizon (≈ 4.1 s) — so far timers wait in the overflow level
+/// and get promoted (or cancelled) from there.  Chains are bounded: a
+/// firing timer relays at most one hop.
 struct CancelMix {
     peer: NodeId,
     pending: Vec<TimerId>,
@@ -102,7 +105,8 @@ impl Actor<M> for CancelMix {
         self.pending.push(ctx.set_timer(SimDuration::from_millis(300), 1));
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_, M>, _from: NodeId, msg: M) {
-        let id = ctx.set_timer(SimDuration::from_millis(100 + msg.0 % 900), msg.0);
+        let far = if msg.0.is_multiple_of(4) { 5000 } else { 0 };
+        let id = ctx.set_timer(SimDuration::from_millis(100 + msg.0 % 900 + far), msg.0);
         self.pending.push(id);
         if msg.0 % 2 == 1 && !self.pending.is_empty() {
             let idx = (msg.0 as usize) % self.pending.len();
@@ -326,7 +330,16 @@ proptest! {
             prop_assert_eq!(cal.now(), heap.now());
             prop_assert_eq!(cal.events_processed(), heap.events_processed());
             prop_assert_eq!(cal.trace().hash(), heap.trace().hash());
+            prop_assert_eq!(cal.queue_len(), heap.queue_len());
+            // Arena audit: every queued event owns exactly one live slot
+            // and one handle; every other slot of an allocated chunk is on
+            // a free list.
+            let a = cal.queue_audit().expect("calendar kernel");
+            prop_assert_eq!(a.live_slots, cal.queue_len());
+            prop_assert_eq!(a.handles, cal.queue_len());
+            prop_assert_eq!(a.live_slots + a.free_slots, a.chunks * a.chunk_slots);
         }
+        prop_assert!(heap.queue_audit().is_none());
         // Drain both to quiescence: full equivalence must persist.
         cal.run_until_idle(SimTime::from_secs(120));
         heap.run_until_idle(SimTime::from_secs(120));
@@ -335,5 +348,11 @@ proptest! {
         prop_assert_eq!(*cal.stats(), *heap.stats());
         prop_assert_eq!(cal.queue_len(), 0);
         prop_assert_eq!(heap.queue_len(), 0);
+        // After the drain everything is back on the free lists, and the
+        // chunks that drained empty were returned (one spare is kept).
+        let a = cal.queue_audit().expect("calendar kernel");
+        prop_assert_eq!((a.live_slots, a.handles), (0, 0));
+        prop_assert_eq!(a.free_slots, a.chunks * a.chunk_slots);
+        prop_assert!(a.chunks <= 1, "drained chunks must be returned: {:?}", a);
     }
 }

@@ -26,10 +26,99 @@ pub struct TaskRow {
     pub version: u64,
 }
 
-#[derive(Debug, Clone)]
+/// A job's task-instance ids.  Nearly every job has exactly one instance
+/// (no redundancy, no re-execution), so the first id sits inline and only
+/// further instances touch the heap.
+#[derive(Debug, Clone, Default)]
+struct TaskIds {
+    first: Option<TaskId>,
+    rest: Vec<TaskId>,
+}
+
+impl TaskIds {
+    fn push(&mut self, id: TaskId) {
+        match self.first {
+            None => self.first = Some(id),
+            Some(_) => self.rest.push(id),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = TaskId> + '_ {
+        self.first.into_iter().chain(self.rest.iter().copied())
+    }
+}
+
+/// Everything the database holds about one job, in one B-tree entry: a
+/// job's life (register → dispatch → complete → collect → GC → prune)
+/// probes this one row where it used to probe a side table per attribute.
+///
+/// A row normally starts at registration (`spec` set).  Two attributes can
+/// exist *without* a registered job, and then live in a **stub** row
+/// (`spec == None`):
+///
+/// * an archive (with its finished flag, catalog entry and collected
+///   knowledge) stored by [`CoordinatorDb::complete_task`] for a known
+///   task whose reported job key is not registered here, or left behind
+///   when a snapshot's retired watermark prunes a lagging replica's
+///   not-yet-collected job;
+/// * a catalog tombstone (`catalog_pos`) that outlives
+///   [`CoordinatorDb::prune_retired`] until the client acknowledges it
+///   ([`CoordinatorDb::prune_catalog_acked`]).
+///
+/// A stub that lost its last attribute is removed, so the table holds
+/// live jobs plus the unacknowledged tombstone window — never lifetime
+/// jobs.
+#[derive(Debug, Clone, Default)]
 struct JobRow {
-    spec: JobSpec,
+    /// The registered description (`None` = stub, see above).
+    spec: Option<JobSpec>,
+    /// Change-index version of the job row (0 while a stub).
     version: u64,
+    /// Next attempt number (folded with replicated attempt numbers on
+    /// delta application).
+    next_attempt: u32,
+    /// Live FCFS-queue entries (instances still `Pending`), to adjust
+    /// [`CoordinatorDb::pending_count`] in O(1) when the whole job flips
+    /// (un)finished.
+    pending: u32,
+    /// A result exists somewhere (archive stored here, or replicated
+    /// finished-knowledge).
+    finished: bool,
+    /// `Collected` terminal state: the client durably pulled the result
+    /// and no archive is retained.  Terminal means the job is exempt from
+    /// missing-archive re-execution and from archive re-acquisition — the
+    /// result was *delivered*; nothing is missing.
+    collected: bool,
+    /// Change-index version of the collected-knowledge row (0 = no
+    /// collection acknowledged yet); moved, never duplicated, on re-stamp.
+    collected_pos: u64,
+    /// Version of the job's single catalog-index entry (0 = none): in
+    /// `catalog` while the archive is held, in `catalog_removed` after.
+    catalog_pos: u64,
+    /// Task instances, so retention prunes them without a table scan.
+    tasks: TaskIds,
+    /// The result archive, while retained.
+    archive: Option<ArchiveRow>,
+    /// Checkpoint row (boxed: only checkpointing workloads have one).
+    ckpt: Option<Box<CkptRow>>,
+}
+
+impl JobRow {
+    /// Known, not held, and not already delivered to the client: an
+    /// archive for this job would be news.
+    fn wants_archive(&self) -> bool {
+        self.spec.is_some() && self.archive.is_none() && !self.collected
+    }
+
+    /// True when a stub holds nothing any more and can leave the table.
+    fn is_vacant(&self) -> bool {
+        self.spec.is_none()
+            && self.archive.is_none()
+            && self.catalog_pos == 0
+            && self.collected_pos == 0
+            && !self.finished
+            && !self.collected
+    }
 }
 
 /// Per-client registration high-water mark, versioned so replication
@@ -45,7 +134,7 @@ struct MarkRow {
 /// re-stamps its row with a fresh version and moves the row's single
 /// index entry, so `changed` always holds exactly one entry per live
 /// row and `delta_since(base)` is a range read over `(base, head]`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Changed {
     Job(JobKey),
     Task(TaskId),
@@ -70,7 +159,7 @@ struct CkptRow {
 #[derive(Debug, Clone)]
 struct ArchiveRow {
     payload: Blob,
-    size: u64,
+    /// The client acknowledged collection: GC-eligible.
     collected: bool,
 }
 
@@ -130,23 +219,22 @@ pub struct DbStats {
 pub struct CoordinatorDb {
     me: CoordId,
     version: u64,
+    /// One row per job: description, flags, counters, archive, checkpoint
+    /// (see [`JobRow`] for what lives here and what a stub row is).
     jobs: BTreeMap<JobKey, JobRow>,
     tasks: BTreeMap<TaskId, TaskRow>,
     pending: VecDeque<TaskId>,
     by_server: BTreeMap<ServerId, BTreeSet<TaskId>>,
-    archives: BTreeMap<JobKey, ArchiveRow>,
-    finished_jobs: BTreeSet<JobKey>,
     client_max: BTreeMap<ClientKey, MarkRow>,
     task_counter: u64,
     duplicate_results: u64,
     /// Version-ordered change index: one entry per live row, keyed by the
     /// row's current version.  Backs O(changed) [`Self::delta_since`].
     changed: BTreeMap<u64, Changed>,
-    /// Next attempt number per job (replaces the per-creation full task
-    /// scan; folded with replicated attempt numbers on delta application).
-    attempts: BTreeMap<JobKey, u32>,
     /// Finished jobs whose archive is not held here — maintained at every
     /// archive/finished transition so the periodic refresh never scans.
+    /// A worklist, not an attribute: membership ≡ the row is finished,
+    /// holds no archive and is not `Collected`.
     missing: BTreeSet<JobKey>,
     /// Append-only journal of additions to `missing` since the last
     /// [`Self::drain_missing_added`]: the owner's watch list updates from
@@ -154,29 +242,14 @@ pub struct CoordinatorDb {
     /// after every applied delta.  (Entries may have left `missing` again
     /// by drain time; consumers tolerate stale keys.)
     missing_added: Vec<JobKey>,
-    /// `Collected` terminal state: the client durably pulled the result and
-    /// the archive was garbage-collected.  Terminal means the job is exempt
-    /// from missing-archive re-execution and from archive re-acquisition —
-    /// the result was *delivered*; nothing is missing.
-    collected_jobs: BTreeSet<JobKey>,
-    /// Current change-index version of each job's collected-knowledge row
-    /// (absent = no collection acknowledged yet).  One entry per job that
-    /// ever reached collected knowledge, moved (never duplicated) on
-    /// re-stamp, so `delta_since` carries collection acks O(changed).
-    collected_pos: BTreeMap<JobKey, u64>,
     /// Retained archives whose client acknowledged collection (the
-    /// GC-eligible set).  Maintained at flag/reclaim transitions so
-    /// explicit GC is O(flagged), never an archive-table scan; scan
-    /// reference: [`Self::collected_flagged_scan`].
+    /// GC-eligible worklist).  Maintained at flag/reclaim transitions so
+    /// explicit GC is O(flagged), never a table scan; scan reference:
+    /// [`Self::collected_flagged_scan`].
     collected_flagged: BTreeSet<JobKey>,
-    /// Checkpoint rows: per job, the highest durable unit mark and resume
-    /// state.  Versioned into the change index (`Changed::Ckpt`) so
-    /// resume points ride the replication delta O(changed); merges are
-    /// monotone (a lower mark never overwrites a higher one).
-    ckpts: BTreeMap<JobKey, CkptRow>,
     /// Per-client catalog change index: `(client, version) → seq`, one
-    /// entry per *live* archive row, re-stamped with a fresh version on
-    /// every catalog transition.  Backs O(changed)
+    /// entry per *live* archive, re-stamped with a fresh version on every
+    /// catalog transition.  Backs O(changed)
     /// [`Self::results_catalog_since`].
     catalog: BTreeMap<(ClientKey, u64), u64>,
     /// Removal tombstones: `(client, version) → seq` for archives
@@ -184,19 +257,22 @@ pub struct CoordinatorDb {
     /// index so acknowledged tombstones can be pruned in O(pruned)
     /// ([`Self::prune_catalog_acked`]) without walking live entries.
     catalog_removed: BTreeMap<(ClientKey, u64), u64>,
-    /// Current catalog-index version per job (0 = no entry yet); lets a
-    /// transition move the job's single entry instead of accumulating one
-    /// per event.
-    catalog_pos: BTreeMap<JobKey, u64>,
     /// Queue entries whose task is still in the `Pending` state (dead
     /// entries — popped-state rows — are what compaction drops).
     queued_live: usize,
-    /// Live queue entries per job, to adjust [`Self::pending_count`] in
-    /// O(log n) when a whole job flips (un)finished.
-    pending_by_job: BTreeMap<JobKey, u32>,
     /// Dispatchable queue entries: live entries of unfinished jobs.  This
     /// *is* `pending_count()`, maintained instead of recomputed.
     pending_live: usize,
+    /// Registered jobs resident (rows with a description).
+    registered_rows: u64,
+    /// Rows carrying the finished flag.
+    finished_rows: u64,
+    /// Rows in the `Collected` terminal state.
+    collected_rows: u64,
+    /// Rows holding an archive.
+    archived_rows: u64,
+    /// Rows holding a checkpoint.
+    ckpt_rows: u64,
     /// Per-client contiguous-collected watermark: the largest `w` such
     /// that every seq `1..=w` reached the `Collected` terminal state.
     /// Collection knowledge at or below the watermark is summarized here,
@@ -209,9 +285,6 @@ pub struct CoordinatorDb {
     /// retired-job count (seqs are 1-based and contiguous), so the
     /// cumulative stats need no separate counter for jobs.
     retired_below: BTreeMap<ClientKey, u64>,
-    /// Task instances per job, so retention prunes a retired job's task
-    /// rows without scanning the task table.
-    tasks_by_job: BTreeMap<JobKey, Vec<TaskId>>,
     /// Task rows pruned by retention (lifetime), folded back into
     /// [`Self::stats`] so observers see monotone counts across pruning.
     retired_tasks: u64,
@@ -231,28 +304,24 @@ impl CoordinatorDb {
             tasks: BTreeMap::new(),
             pending: VecDeque::new(),
             by_server: BTreeMap::new(),
-            archives: BTreeMap::new(),
-            finished_jobs: BTreeSet::new(),
             client_max: BTreeMap::new(),
             task_counter: 0,
             duplicate_results: 0,
             changed: BTreeMap::new(),
-            attempts: BTreeMap::new(),
             missing: BTreeSet::new(),
             missing_added: Vec::new(),
-            collected_jobs: BTreeSet::new(),
-            collected_pos: BTreeMap::new(),
             collected_flagged: BTreeSet::new(),
-            ckpts: BTreeMap::new(),
             catalog: BTreeMap::new(),
             catalog_removed: BTreeMap::new(),
-            catalog_pos: BTreeMap::new(),
             queued_live: 0,
-            pending_by_job: BTreeMap::new(),
             pending_live: 0,
+            registered_rows: 0,
+            finished_rows: 0,
+            collected_rows: 0,
+            archived_rows: 0,
+            ckpt_rows: 0,
             collected_contig: BTreeMap::new(),
             retired_below: BTreeMap::new(),
-            tasks_by_job: BTreeMap::new(),
             retired_tasks: 0,
             delta_floor: 0,
         }
@@ -308,30 +377,47 @@ impl CoordinatorDb {
         }
     }
 
-    /// Re-stamps `job`'s single catalog-index entry with a fresh version,
-    /// placing it in the live index or the tombstone index according to
-    /// whether the archive is (still) held.
-    fn touch_catalog(&mut self, job: JobKey) {
-        let old = self.catalog_pos.get(&job).copied().unwrap_or(0);
-        if old != 0 {
-            self.catalog.remove(&(job.client, old));
-            self.catalog_removed.remove(&(job.client, old));
-        }
-        self.version += 1;
-        if self.archives.contains_key(&job) {
-            self.catalog.insert((job.client, self.version), job.seq);
+    /// The registered description of `job`, if any (stub rows have none).
+    fn spec(&self, job: &JobKey) -> Option<&JobSpec> {
+        self.jobs.get(job)?.spec.as_ref()
+    }
+
+    /// Re-stamps `job`'s single catalog-index entry with a fresh version
+    /// after an archive transition, moving it between the live index and
+    /// the tombstone index.  Every call follows a flip of
+    /// `row.archive` (stored ↔ reclaimed), so the previous entry — if one
+    /// exists — sits in the index the new one does *not* go to.
+    fn touch_catalog(
+        catalog: &mut BTreeMap<(ClientKey, u64), u64>,
+        catalog_removed: &mut BTreeMap<(ClientKey, u64), u64>,
+        version: &mut u64,
+        row: &mut JobRow,
+        job: JobKey,
+    ) {
+        let (to, from) = if row.archive.is_some() {
+            (catalog, catalog_removed)
         } else {
-            self.catalog_removed.insert((job.client, self.version), job.seq);
+            (catalog_removed, catalog)
+        };
+        if row.catalog_pos != 0 {
+            let moved = from.remove(&(job.client, row.catalog_pos));
+            debug_assert!(moved.is_some(), "catalog entry sits opposite its new index");
         }
-        self.catalog_pos.insert(job, self.version);
+        *version += 1;
+        to.insert((job.client, *version), job.seq);
+        row.catalog_pos = *version;
     }
 
     /// Re-stamps `job`'s single collected-knowledge row in the change
     /// index (0 = first acknowledgement), so replication deltas carry it.
-    fn touch_collected(&mut self, job: JobKey) {
-        let old = self.collected_pos.get(&job).copied().unwrap_or(0);
-        let v = Self::touch(&mut self.changed, &mut self.version, old, Changed::Collected(job));
-        self.collected_pos.insert(job, v);
+    fn touch_collected(
+        changed: &mut BTreeMap<u64, Changed>,
+        version: &mut u64,
+        row: &mut JobRow,
+        job: JobKey,
+    ) {
+        row.collected_pos =
+            Self::touch(changed, version, row.collected_pos, Changed::Collected(job));
     }
 
     /// True when this coordinator knows `job`'s result was delivered to
@@ -341,8 +427,10 @@ impl CoordinatorDb {
     /// `Collected` terminal state (archive reclaimed).
     pub fn has_collected_knowledge(&self, job: &JobKey) -> bool {
         job.seq <= self.contig_watermark(job.client)
-            || self.collected_jobs.contains(job)
-            || self.archives.get(job).is_some_and(|r| r.collected)
+            || self
+                .jobs
+                .get(job)
+                .is_some_and(|r| r.collected || r.archive.as_ref().is_some_and(|a| a.collected))
     }
 
     /// `client`'s contiguous-collected watermark: the largest `w` with
@@ -363,7 +451,7 @@ impl CoordinatorDb {
     fn advance_collected_contig(&mut self, client: ClientKey) {
         let mut w = self.contig_watermark(client);
         let start = w;
-        while self.collected_jobs.contains(&JobKey { client, seq: w + 1 }) {
+        while self.is_collected(&JobKey { client, seq: w + 1 }) {
             w += 1;
         }
         if w > start {
@@ -380,82 +468,95 @@ impl CoordinatorDb {
         if job.seq <= self.contig_watermark(job.client) {
             return false; // summarized by the watermark already
         }
-        if self.collected_jobs.contains(&job) {
+        let Some(row) = self.jobs.get_mut(&job) else { return false };
+        if row.collected {
             return false;
         }
-        if let Some(row) = self.archives.get_mut(&job) {
-            if row.collected {
+        if let Some(archive) = row.archive.as_mut() {
+            if archive.collected {
                 return false;
             }
             // Archive retained here: flag it GC-eligible and replicate the
             // acknowledgement.  The flag set keeps explicit GC O(flagged).
-            row.collected = true;
+            archive.collected = true;
             self.collected_flagged.insert(job);
-            self.touch_collected(job);
+            Self::touch_collected(&mut self.changed, &mut self.version, row, job);
             return true;
         }
-        if !self.jobs.contains_key(&job) {
+        if row.spec.is_none() {
             return false;
         }
         // No archive held: delivered knowledge is terminal — the job must
         // never be re-executed or re-acquired just because the archive is
         // elsewhere (or gone).
-        self.collected_jobs.insert(job);
-        self.mark_job_finished(job);
+        row.collected = true;
+        self.collected_rows += 1;
+        Self::mark_finished(
+            row,
+            job,
+            &mut self.finished_rows,
+            &mut self.pending_live,
+            &mut self.missing,
+            &mut self.missing_added,
+        );
         self.missing.remove(&job);
-        self.touch_collected(job);
+        Self::touch_collected(&mut self.changed, &mut self.version, row, job);
         self.advance_collected_contig(job.client);
         true
     }
 
-    /// A queue entry's task left the `Pending` state without being popped:
-    /// the entry is now dead and stops counting.
-    fn entry_died(
-        queued_live: &mut usize,
-        pending_by_job: &mut BTreeMap<JobKey, u32>,
-        pending_live: &mut usize,
-        finished_jobs: &BTreeSet<JobKey>,
-        job: JobKey,
-    ) {
+    /// A queue entry of `job` left the `Pending` state without being
+    /// popped: the entry is now dead and stops counting.
+    fn entry_died(queued_live: &mut usize, pending_live: &mut usize, row: &mut JobRow) {
         *queued_live = queued_live.saturating_sub(1);
-        if let Some(n) = pending_by_job.get_mut(&job) {
-            *n -= 1;
-            if *n == 0 {
-                pending_by_job.remove(&job);
-            }
-        }
-        if !finished_jobs.contains(&job) {
+        row.pending = row.pending.saturating_sub(1);
+        if !row.finished {
             *pending_live = pending_live.saturating_sub(1);
         }
     }
 
-    /// Enqueues a freshly inserted `Pending` task.
-    fn push_pending(&mut self, id: TaskId, job: JobKey) {
-        self.pending.push_back(id);
-        self.queued_live += 1;
-        *self.pending_by_job.entry(job).or_insert(0) += 1;
-        if !self.finished_jobs.contains(&job) {
-            self.pending_live += 1;
+    /// Enqueues a freshly inserted `Pending` task of `row`'s job.
+    fn push_pending(
+        pending: &mut VecDeque<TaskId>,
+        queued_live: &mut usize,
+        pending_live: &mut usize,
+        row: &mut JobRow,
+        id: TaskId,
+    ) {
+        pending.push_back(id);
+        *queued_live += 1;
+        row.pending += 1;
+        if !row.finished {
+            *pending_live += 1;
         }
     }
 
     /// Records `job` as finished, retiring its still-queued live instances
     /// from the dispatchable count and flagging the archive as missing when
     /// it is not held here.
-    fn mark_job_finished(&mut self, job: JobKey) {
-        if self.finished_jobs.insert(job) {
-            let stale = self.pending_by_job.get(&job).copied().unwrap_or(0) as usize;
-            self.pending_live = self.pending_live.saturating_sub(stale);
-            if !self.archives.contains_key(&job) && self.missing.insert(job) {
-                self.missing_added.push(job);
-            }
-            // The result exists, so the resume state is dead weight: drop
-            // the blob in place.  The varint mark and the row's version
-            // stay — the monotone merge and `ckpt_scan` still see the
-            // mark; only the payload bytes are reclaimed.
-            if let Some(row) = self.ckpts.get_mut(&job) {
-                row.blob = Blob::empty();
-            }
+    fn mark_finished(
+        row: &mut JobRow,
+        job: JobKey,
+        finished_rows: &mut u64,
+        pending_live: &mut usize,
+        missing: &mut BTreeSet<JobKey>,
+        missing_added: &mut Vec<JobKey>,
+    ) {
+        if row.finished {
+            return;
+        }
+        row.finished = true;
+        *finished_rows += 1;
+        *pending_live = pending_live.saturating_sub(row.pending as usize);
+        if row.archive.is_none() && missing.insert(job) {
+            missing_added.push(job);
+        }
+        // The result exists, so the resume state is dead weight: drop
+        // the blob in place.  The varint mark and the row's version
+        // stay — the monotone merge and `ckpt_scan` still see the
+        // mark; only the payload bytes are reclaimed.
+        if let Some(ckpt) = row.ckpt.as_mut() {
+            ckpt.blob = Blob::empty();
         }
     }
 
@@ -475,29 +576,40 @@ impl CoordinatorDb {
 
     // --- job registration -------------------------------------------------
 
+    /// Inserts `spec` as a new registered job (upgrading a stub row if one
+    /// exists) and creates its `spec.replication` task instances.  The
+    /// caller checked the job is neither registered nor retired.
+    fn insert_job(&mut self, spec: JobSpec) {
+        let key = spec.key;
+        let replication = spec.replication.max(1);
+        let v = Self::touch(&mut self.changed, &mut self.version, 0, Changed::Job(key));
+        self.note_mark(key.client, key.seq);
+        let row = self.jobs.entry(key).or_default();
+        row.spec = Some(spec);
+        row.version = v;
+        self.registered_rows += 1;
+        for _ in 0..replication {
+            self.create_instance(key);
+        }
+    }
+
+    /// True when `key` may not be registered (again): it is registered, or
+    /// it is retired — a retired seq was delivered and pruned, and
+    /// re-registering would resurrect a zombie row set.
+    fn refuses_registration(&self, key: &JobKey) -> bool {
+        self.knows_job(key) || key.seq <= self.retired_watermark(key.client)
+    }
+
     /// Registers a job submitted by a client; translates it into
     /// `spec.replication` task instances (paper: "jobs ... are translated
     /// as tasks (instances of jobs)").  Duplicate registrations (client
     /// resend after sync) are recognized and ignored.
     pub fn register_job(&mut self, spec: JobSpec) -> (bool, Charge) {
-        if self.jobs.contains_key(&spec.key)
-            || spec.key.seq <= self.retired_watermark(spec.key.client)
-        {
-            // Known, or retired: a retired seq was delivered and pruned —
-            // re-registering would resurrect a zombie row set.
+        if self.refuses_registration(&spec.key) {
             return (false, Charge::ops(1));
         }
-        let params_len = spec.params.len();
-        let key = spec.key;
-        let replication = spec.replication.max(1);
-        let v = Self::touch(&mut self.changed, &mut self.version, 0, Changed::Job(key));
-        self.note_mark(key.client, key.seq);
-        self.jobs.insert(key, JobRow { spec, version: v });
-        let mut charge = Charge::db(1, params_len);
-        for _ in 0..replication {
-            self.create_instance(key);
-            charge += Charge::ops(1);
-        }
+        let charge = Charge::db(1, spec.params.len()) + Charge::ops(spec.replication.max(1) as u64);
+        self.insert_job(spec);
         (true, charge)
     }
 
@@ -511,29 +623,20 @@ impl CoordinatorDb {
         let mut new_count: u64 = 0;
         let mut bytes = 0;
         for spec in specs {
-            if self.jobs.contains_key(&spec.key)
-                || spec.key.seq <= self.retired_watermark(spec.key.client)
-            {
+            if self.refuses_registration(&spec.key) {
                 continue;
             }
             bytes += spec.params.len();
-            let key = spec.key;
-            let replication = spec.replication.max(1);
-            let v = Self::touch(&mut self.changed, &mut self.version, 0, Changed::Job(key));
-            self.note_mark(key.client, key.seq);
-            self.jobs.insert(key, JobRow { spec, version: v });
-            for _ in 0..replication {
-                self.create_instance(key);
-            }
+            self.insert_job(spec);
             new_count += 1;
         }
         let charge = Charge::db(1 + new_count.div_ceil(4), bytes);
         (new_count, charge)
     }
 
-    /// True if the job is known.
+    /// True if the job is known (registered — a stub row does not count).
     pub fn knows_job(&self, key: &JobKey) -> bool {
-        self.jobs.contains_key(key)
+        self.spec(key).is_some()
     }
 
     /// Highest registered submission timestamp for `client` (0 if none) —
@@ -542,20 +645,13 @@ impl CoordinatorDb {
         self.client_max.get(&client).map(|r| r.mark).unwrap_or(0)
     }
 
-    fn create_instance(&mut self, job: JobKey) -> Option<TaskId> {
-        let spec = self.jobs.get(&job)?.spec.clone();
-        let attempt = {
-            let next = self.attempts.entry(job).or_insert(0);
-            let a = *next;
-            *next += 1;
-            a
-        };
-        self.task_counter += 1;
-        let id = TaskId::compose(self.me, self.task_counter);
-        let v = Self::touch(&mut self.changed, &mut self.version, 0, Changed::Task(id));
-        let desc = TaskDesc {
+    /// Builds the task description of instance `id` (attempt `attempt`) of
+    /// `spec`'s job: each payload field is cloned exactly once, straight
+    /// from the stored row.
+    fn describe(spec: &JobSpec, id: TaskId, attempt: u32) -> TaskDesc {
+        TaskDesc {
             id,
-            job,
+            job: spec.key,
             attempt,
             service: spec.service.clone(),
             cmdline: spec.cmdline.clone(),
@@ -563,19 +659,35 @@ impl CoordinatorDb {
             exec_cost: spec.exec_cost,
             result_size_hint: spec.result_size_hint,
             work_units: spec.work_units,
-        };
+        }
+    }
+
+    fn create_instance(&mut self, job: JobKey) -> Option<TaskId> {
+        let row = self.jobs.get_mut(&job)?;
+        let spec = row.spec.as_ref()?;
+        let attempt = row.next_attempt;
+        row.next_attempt += 1;
+        self.task_counter += 1;
+        let id = TaskId::compose(self.me, self.task_counter);
+        let v = Self::touch(&mut self.changed, &mut self.version, 0, Changed::Task(id));
         self.tasks.insert(
             id,
             TaskRow {
-                desc,
+                desc: Self::describe(spec, id, attempt),
                 state: TaskState::Pending,
                 origin: self.me,
                 locally_dispatched: false,
                 version: v,
             },
         );
-        self.tasks_by_job.entry(job).or_default().push(id);
-        self.push_pending(id, job);
+        row.tasks.push(id);
+        Self::push_pending(
+            &mut self.pending,
+            &mut self.queued_live,
+            &mut self.pending_live,
+            row,
+            id,
+        );
         Some(id)
     }
 
@@ -595,15 +707,12 @@ impl CoordinatorDb {
                 continue; // dead entry: stopped counting when its state moved
             }
             // A live entry leaves the queue here, dispatched or skipped.
-            let job = row.desc.job;
             self.queued_live = self.queued_live.saturating_sub(1);
-            if let Some(n) = self.pending_by_job.get_mut(&job) {
-                *n -= 1;
-                if *n == 0 {
-                    self.pending_by_job.remove(&job);
-                }
-            }
-            if self.finished_jobs.contains(&job) {
+            let finished = self.jobs.get_mut(&row.desc.job).is_some_and(|job| {
+                job.pending = job.pending.saturating_sub(1);
+                job.finished
+            });
+            if finished {
                 // Sibling instance already produced the result: retire the
                 // instance outright.  Its queue entry is gone, so the row
                 // must leave the `Pending` state too — a later transition
@@ -649,15 +758,45 @@ impl CoordinatorDb {
                 self.tasks
                     .get(id)
                     .map(|r| {
-                        matches!(r.state, TaskState::Pending)
-                            && !self.finished_jobs.contains(&r.desc.job)
+                        matches!(r.state, TaskState::Pending) && !self.is_finished(&r.desc.job)
                     })
                     .unwrap_or(false)
             })
             .count()
     }
 
+    /// True when `job` carries the finished flag.
+    fn is_finished(&self, job: &JobKey) -> bool {
+        self.jobs.get(job).is_some_and(|r| r.finished)
+    }
+
     // --- completion ---------------------------------------------------------
+
+    /// Stores `archive` in `row` (which holds none and is not `Collected`):
+    /// catalog entry, missing-set exit, finished flag.
+    fn put_archive(&mut self, job: JobKey, archive: Blob) {
+        let row = self.jobs.entry(job).or_default();
+        row.archive = Some(ArchiveRow { payload: archive, collected: false });
+        self.archived_rows += 1;
+        Self::touch_catalog(
+            &mut self.catalog,
+            &mut self.catalog_removed,
+            &mut self.version,
+            row,
+            job,
+        );
+        if row.finished {
+            self.missing.remove(&job);
+        }
+        Self::mark_finished(
+            row,
+            job,
+            &mut self.finished_rows,
+            &mut self.pending_live,
+            &mut self.missing,
+            &mut self.missing_added,
+        );
+    }
 
     /// Registers a task result arriving from `server`.
     ///
@@ -681,13 +820,9 @@ impl CoordinatorDb {
                 }
                 TaskState::Pending => {
                     // Its queue entry dies in place (never popped).
-                    Self::entry_died(
-                        &mut self.queued_live,
-                        &mut self.pending_by_job,
-                        &mut self.pending_live,
-                        &self.finished_jobs,
-                        row.desc.job,
-                    );
+                    if let Some(owner) = self.jobs.get_mut(&row.desc.job) {
+                        Self::entry_died(&mut self.queued_live, &mut self.pending_live, owner);
+                    }
                 }
                 TaskState::Finished { .. } => {}
             }
@@ -695,17 +830,17 @@ impl CoordinatorDb {
             let v =
                 Self::touch(&mut self.changed, &mut self.version, row.version, Changed::Task(task));
             row.version = v;
-        } else if !self.jobs.contains_key(&job) {
+        } else if !self.knows_job(&job) {
             return (CompleteOutcome::UnknownJob, Charge::ops(1));
         }
-        if self.archives.contains_key(&job) || self.collected_jobs.contains(&job) {
+        // A known task may report a job key that is not registered here
+        // (mismatched pair): the archive is stored all the same, in a stub
+        // row.
+        if self.jobs.get(&job).is_some_and(|r| r.archive.is_some() || r.collected) {
             self.duplicate_results += 1;
             return (CompleteOutcome::Duplicate, Charge::ops(2));
         }
-        self.archives.insert(job, ArchiveRow { payload: archive, size, collected: false });
-        self.touch_catalog(job);
-        self.missing.remove(&job);
-        self.mark_job_finished(job);
+        self.put_archive(job, archive);
         self.maybe_compact_pending();
         let _ = server;
         // 2 db ops (task + job rows) plus the archive write to the
@@ -748,10 +883,10 @@ impl CoordinatorDb {
     /// delivered-then-GC'd result is not missing.
     #[doc(hidden)]
     pub fn missing_archives_scan(&self) -> Vec<JobKey> {
-        self.finished_jobs
+        self.jobs
             .iter()
-            .filter(|j| !self.archives.contains_key(*j) && !self.collected_jobs.contains(*j))
-            .copied()
+            .filter(|(_, r)| r.finished && r.archive.is_none() && !r.collected)
+            .map(|(&k, _)| k)
             .collect()
     }
 
@@ -763,31 +898,23 @@ impl CoordinatorDb {
     /// hand-off (and an archive row without its job row would break the
     /// job-before-collected ordering of the replication feed).
     pub fn store_archive(&mut self, job: JobKey, archive: Blob) -> Charge {
-        let size = archive.len();
-        if self.archives.contains_key(&job)
-            || self.collected_jobs.contains(&job)
-            || !self.jobs.contains_key(&job)
-        {
+        if !self.wants_archive(&job) {
             return Charge::ops(1);
         }
-        self.archives.insert(job, ArchiveRow { payload: archive, size, collected: false });
-        self.touch_catalog(job);
-        self.missing.remove(&job);
-        self.mark_job_finished(job);
+        let size = archive.len();
+        self.put_archive(job, archive);
         Charge::db(1, 0) + Charge::disk(size)
     }
 
     /// True when this coordinator would benefit from receiving `job`'s
     /// archive (known, not held, and not already delivered to the client).
     pub fn wants_archive(&self, job: &JobKey) -> bool {
-        self.jobs.contains_key(job)
-            && !self.archives.contains_key(job)
-            && !self.collected_jobs.contains(job)
+        self.jobs.get(job).is_some_and(JobRow::wants_archive)
     }
 
     /// True when `job` reached the `Collected` terminal state.
     pub fn is_collected(&self, job: &JobKey) -> bool {
-        self.collected_jobs.contains(job)
+        self.jobs.get(job).is_some_and(|r| r.collected)
     }
 
     /// Reverts a job to pending execution because its result archive is
@@ -795,16 +922,15 @@ impl CoordinatorDb {
     /// Refused for `Collected` jobs — the client already holds the result,
     /// so there is nothing to recover (the post-GC re-execution leak).
     pub fn reexecute_job(&mut self, job: JobKey) -> (Option<TaskId>, Charge) {
-        if self.archives.contains_key(&job)
-            || self.collected_jobs.contains(&job)
-            || !self.jobs.contains_key(&job)
-        {
+        let Some(row) = self.jobs.get_mut(&job).filter(|r| r.wants_archive()) else {
             return (None, Charge::ops(1));
-        }
-        if self.finished_jobs.remove(&job) {
+        };
+        if row.finished {
+            row.finished = false;
+            self.finished_rows -= 1;
             // Still-queued live instances of the job become dispatchable
             // again, exactly as the scan-based count would see them.
-            self.pending_live += self.pending_by_job.get(&job).copied().unwrap_or(0) as usize;
+            self.pending_live += row.pending as usize;
             self.missing.remove(&job);
         }
         let id = self.create_instance(job);
@@ -818,7 +944,7 @@ impl CoordinatorDb {
     /// release) can all conclude the same job needs a new instance in the
     /// same failover window; one queued instance is recovery enough.
     fn has_live_pending(&self, job: &JobKey) -> bool {
-        !self.finished_jobs.contains(job) && self.pending_by_job.get(job).copied().unwrap_or(0) > 0
+        self.jobs.get(job).is_some_and(|r| !r.finished && r.pending > 0)
     }
 
     /// Server suspected: schedule new instances of all its ongoing tasks
@@ -833,7 +959,7 @@ impl CoordinatorDb {
             .map(|set| {
                 set.iter()
                     .filter_map(|id| self.tasks.get(id))
-                    .filter(|r| !self.finished_jobs.contains(&r.desc.job))
+                    .filter(|r| !self.is_finished(&r.desc.job))
                     .map(|r| r.desc.job)
                     .collect()
             })
@@ -893,7 +1019,7 @@ impl CoordinatorDb {
                         TaskState::Ongoing { since, .. } => now.since(since) > grace,
                         _ => false,
                     })
-                    .filter(|r| !self.finished_jobs.contains(&r.desc.job))
+                    .filter(|r| !self.is_finished(&r.desc.job))
                     .map(|r| (r.desc.id, r.desc.job))
                     .collect()
             })
@@ -927,7 +1053,7 @@ impl CoordinatorDb {
                 r.origin == origin
                     && !r.locally_dispatched
                     && matches!(r.state, TaskState::Ongoing { .. })
-                    && !self.finished_jobs.contains(&r.desc.job)
+                    && !self.is_finished(&r.desc.job)
             })
             .map(|r| r.desc.job)
             .collect::<BTreeSet<_>>()
@@ -949,20 +1075,21 @@ impl CoordinatorDb {
 
     // --- client result collection --------------------------------------------
 
-    /// All `JobKey`s of one client, as an index range (`JobKey` orders by
-    /// client first, so a client's rows are contiguous in every map).
-    fn client_range(client: ClientKey) -> std::ops::RangeInclusive<JobKey> {
-        JobKey { client, seq: 0 }..=JobKey { client, seq: u64::MAX }
+    /// `client`'s retained archives as `(seq, row)`, in seq order: a range
+    /// read over the client's contiguous key range (`JobKey` orders by
+    /// client first) — cost follows the client's own resident rows, not
+    /// the whole table.
+    fn client_archives(&self, client: ClientKey) -> impl Iterator<Item = (u64, &ArchiveRow)> + '_ {
+        self.jobs
+            .range(JobKey { client, seq: 0 }..=JobKey { client, seq: u64::MAX })
+            .filter_map(|(job, row)| Some((job.seq, row.archive.as_ref()?)))
     }
 
     /// Results for `client` not yet collected: `(seq, size)` pairs.
-    /// Indexed range scan over the client's contiguous key range — cost
-    /// follows the client's own rows, not the whole archive table.
     pub fn uncollected_results(&self, client: ClientKey) -> Vec<(u64, u64)> {
-        self.archives
-            .range(Self::client_range(client))
-            .filter(|(_, row)| !row.collected)
-            .map(|(job, row)| (job.seq, row.size))
+        self.client_archives(client)
+            .filter(|(_, a)| !a.collected)
+            .map(|(seq, a)| (seq, a.payload.len()))
             .collect()
     }
 
@@ -982,10 +1109,7 @@ impl CoordinatorDb {
     /// exactly this).
     #[doc(hidden)]
     pub fn results_catalog_scan(&self, client: ClientKey) -> Vec<(u64, u64)> {
-        self.archives
-            .range(Self::client_range(client))
-            .map(|(job, row)| (job.seq, row.size))
-            .collect()
+        self.client_archives(client).map(|(seq, a)| (seq, a.payload.len())).collect()
     }
 
     /// Incremental result catalog: everything that changed in `client`'s
@@ -1002,8 +1126,8 @@ impl CoordinatorDb {
         let lo = (client, since + 1);
         let hi = (client, u64::MAX);
         for (&(_, _), &seq) in self.catalog.range(lo..=hi) {
-            if let Some(row) = self.archives.get(&JobKey { client, seq }) {
-                delta.added.push((seq, row.size));
+            if let Some(payload) = self.archive(&JobKey { client, seq }) {
+                delta.added.push((seq, payload.len()));
             }
         }
         for (&(_, _), &seq) in self.catalog_removed.range(lo..=hi) {
@@ -1024,21 +1148,27 @@ impl CoordinatorDb {
         if upto == 0 {
             return 0;
         }
-        let dead: Vec<(u64, u64)> = self
-            .catalog_removed
-            .range((client, 1)..=(client, upto))
-            .map(|(&(_, v), &seq)| (v, seq))
-            .collect();
-        for &(v, seq) in &dead {
-            self.catalog_removed.remove(&(client, v));
-            self.catalog_pos.remove(&JobKey { client, seq });
+        let mut dropped = 0;
+        while let Some(entry) = self.catalog_removed.range((client, 1)..=(client, upto)).next() {
+            let (&at, &seq) = entry;
+            self.catalog_removed.remove(&at);
+            dropped += 1;
+            // The tombstone was the last thing a pruned job's stub row
+            // held: the row leaves with it.
+            let job = JobKey { client, seq };
+            if let Some(row) = self.jobs.get_mut(&job) {
+                row.catalog_pos = 0;
+                if row.is_vacant() {
+                    self.jobs.remove(&job);
+                }
+            }
         }
-        dead.len() as u64
+        dropped
     }
 
     /// The archive payload for one job.
     pub fn archive(&self, job: &JobKey) -> Option<&Blob> {
-        self.archives.get(job).map(|r| &r.payload)
+        self.jobs.get(job)?.archive.as_ref().map(|a| &a.payload)
     }
 
     /// Marks results as collected by the client (GC eligibility), recording
@@ -1067,18 +1197,26 @@ impl CoordinatorDb {
     /// Served from the maintained collected-flag set: O(flagged), never an
     /// archive-table scan (reference: [`Self::collected_flagged_scan`]).
     pub fn gc_collected(&mut self) -> (u64, Charge) {
-        let victims: Vec<JobKey> =
-            std::mem::take(&mut self.collected_flagged).into_iter().collect();
+        let victims = std::mem::take(&mut self.collected_flagged);
         let mut freed = 0;
-        for k in &victims {
-            if let Some(row) = self.archives.remove(k) {
-                freed += row.size;
-                self.collected_jobs.insert(*k);
-                self.missing.remove(k);
-                // The entry flips to a removal record for catalog deltas.
-                self.touch_catalog(*k);
-                self.advance_collected_contig(k.client);
+        for &k in &victims {
+            let Some(row) = self.jobs.get_mut(&k) else { continue };
+            let Some(archive) = row.archive.take() else { continue };
+            freed += archive.payload.len();
+            self.archived_rows -= 1;
+            if !row.collected {
+                row.collected = true;
+                self.collected_rows += 1;
             }
+            // The entry flips to a removal record for catalog deltas.
+            Self::touch_catalog(
+                &mut self.catalog,
+                &mut self.catalog_removed,
+                &mut self.version,
+                row,
+                k,
+            );
+            self.advance_collected_contig(k.client);
         }
         (freed, Charge::ops(victims.len() as u64 + 1))
     }
@@ -1094,7 +1232,11 @@ impl CoordinatorDb {
     /// find by walking the archive table.
     #[doc(hidden)]
     pub fn collected_flagged_scan(&self) -> Vec<JobKey> {
-        self.archives.iter().filter(|(_, r)| r.collected).map(|(k, _)| *k).collect()
+        self.jobs
+            .iter()
+            .filter(|(_, r)| r.archive.as_ref().is_some_and(|a| a.collected))
+            .map(|(k, _)| *k)
+            .collect()
     }
 
     // --- task checkpoints (extension) -------------------------------------------
@@ -1105,26 +1247,39 @@ impl CoordinatorDb {
     /// any order, therefore yields a non-decreasing resume mark).  Returns
     /// true when the row moved (and was re-stamped into the change index).
     fn note_ckpt(&mut self, job: JobKey, unit_hw: u32, blob: Blob) -> bool {
-        if !self.jobs.contains_key(&job) {
+        let Some(row) = self.jobs.get_mut(&job).filter(|r| r.spec.is_some()) else {
             return false; // a job row always precedes its ckpt rows
-        }
-        let old = match self.ckpts.get(&job) {
-            Some(row) if row.unit_hw >= unit_hw => return false,
-            Some(row) => row.version,
+        };
+        let old = match row.ckpt.as_ref() {
+            Some(ckpt) if ckpt.unit_hw >= unit_hw => return false,
+            Some(ckpt) => ckpt.version,
             None => 0,
         };
         // Finished ⇒ no resume-state payload is ever retained (mirrors
-        // the in-place clearing of `mark_job_finished` on the apply path).
-        let blob = if self.finished_jobs.contains(&job) { Blob::empty() } else { blob };
-        let v = Self::touch(&mut self.changed, &mut self.version, old, Changed::Ckpt(job));
-        self.ckpts.insert(job, CkptRow { unit_hw, blob, version: v });
+        // the in-place clearing of `mark_finished` on the apply path).
+        let blob = if row.finished { Blob::empty() } else { blob };
+        let version = Self::touch(&mut self.changed, &mut self.version, old, Changed::Ckpt(job));
+        match row.ckpt.as_mut() {
+            Some(ckpt) => **ckpt = CkptRow { unit_hw, blob, version },
+            None => {
+                row.ckpt = Some(Box::new(CkptRow { unit_hw, blob, version }));
+                self.ckpt_rows += 1;
+            }
+        }
         true
     }
 
     /// The registered work-unit count of `job` (the authority a checkpoint
     /// upload's self-declared progress is checked against).
     pub fn job_work_units(&self, job: &JobKey) -> Option<u32> {
-        self.jobs.get(job).map(|r| r.spec.work_units.max(1))
+        self.spec(job).map(|s| s.work_units.max(1))
+    }
+
+    /// True when `job` already has its result (finished or `Collected`):
+    /// nothing of it will be dispatched again, so a resume point is dead
+    /// weight.
+    fn has_result(&self, job: &JobKey) -> bool {
+        self.jobs.get(job).is_some_and(|r| r.finished || r.collected)
     }
 
     /// Records a checkpoint uploaded by a server.  Refused (beyond the
@@ -1136,7 +1291,7 @@ impl CoordinatorDb {
     /// successor a near-complete bank for work never computed.  Returns
     /// whether the mark advanced, plus the storage cost.
     pub fn record_checkpoint(&mut self, job: JobKey, unit_hw: u32, blob: Blob) -> (bool, Charge) {
-        if self.finished_jobs.contains(&job) || self.collected_jobs.contains(&job) {
+        if self.has_result(&job) {
             return (false, Charge::ops(1));
         }
         match self.job_work_units(&job) {
@@ -1157,18 +1312,19 @@ impl CoordinatorDb {
     /// point — no checkpoint recorded, or the job already has its result
     /// (finished/collected), so nothing will be dispatched anyway.
     pub fn resume_point(&self, job: &JobKey) -> Option<(u32, &Blob)> {
-        if self.finished_jobs.contains(job) || self.collected_jobs.contains(job) {
+        let row = self.jobs.get(job)?;
+        if row.finished || row.collected {
             return None;
         }
-        let row = self.ckpts.get(job)?;
-        (row.unit_hw > 0).then_some((row.unit_hw, &row.blob))
+        let ckpt = row.ckpt.as_ref()?;
+        (ckpt.unit_hw > 0).then_some((ckpt.unit_hw, &ckpt.blob))
     }
 
     /// Raw checkpoint high-water mark for `job`, finished or not
     /// (introspection/harness use; dispatch goes through
     /// [`Self::resume_point`]).
     pub fn ckpt_high_water(&self, job: &JobKey) -> Option<u32> {
-        self.ckpts.get(job).map(|r| r.unit_hw)
+        self.jobs.get(job)?.ckpt.as_ref().map(|c| c.unit_hw)
     }
 
     /// Scan-based reference view of every checkpoint row, kept for the
@@ -1176,7 +1332,7 @@ impl CoordinatorDb {
     /// order.
     #[doc(hidden)]
     pub fn ckpt_scan(&self) -> Vec<(JobKey, u32)> {
-        self.ckpts.iter().map(|(&j, r)| (j, r.unit_hw)).collect()
+        self.jobs.iter().filter_map(|(&j, r)| Some((j, r.ckpt.as_ref()?.unit_hw))).collect()
     }
 
     // --- replication -----------------------------------------------------------
@@ -1198,8 +1354,8 @@ impl CoordinatorDb {
         {
             match *r {
                 Changed::Job(key) => {
-                    if let Some(row) = self.jobs.get(&key) {
-                        rows.push(DeltaRow::Job(row.spec.clone()));
+                    if let Some(spec) = self.spec(&key) {
+                        rows.push(DeltaRow::Job(spec.clone()));
                     }
                 }
                 Changed::Task(id) => {
@@ -1224,11 +1380,11 @@ impl CoordinatorDb {
                     }
                 }
                 Changed::Ckpt(job) => {
-                    if let Some(row) = self.ckpts.get(&job) {
+                    if let Some(ckpt) = self.jobs.get(&job).and_then(|r| r.ckpt.as_ref()) {
                         rows.push(DeltaRow::Ckpt {
                             job,
-                            unit_hw: row.unit_hw,
-                            blob: row.blob.clone(),
+                            unit_hw: ckpt.unit_hw,
+                            blob: ckpt.blob.clone(),
                         });
                     }
                 }
@@ -1245,8 +1401,12 @@ impl CoordinatorDb {
     /// pre-index implementation would.)
     #[doc(hidden)]
     pub fn delta_since_scan(&self, base: u64) -> ReplicationDelta {
-        let jobs =
-            self.jobs.values().filter(|r| r.version > base).map(|r| DeltaRow::Job(r.spec.clone()));
+        let jobs = self
+            .jobs
+            .values()
+            .filter(|r| r.version > base)
+            .filter_map(|r| r.spec.clone())
+            .map(DeltaRow::Job);
         let tasks = self.tasks.values().filter(|r| r.version > base).map(|r| {
             DeltaRow::Task(TaskRecord {
                 id: r.desc.id,
@@ -1258,16 +1418,13 @@ impl CoordinatorDb {
         });
         let marks =
             self.client_max.iter().map(|(&c, r)| DeltaRow::Mark { client: c, mark: r.mark });
-        let collected = self
-            .collected_jobs
-            .iter()
-            .copied()
-            .chain(self.archives.iter().filter(|(_, r)| r.collected).map(|(&k, _)| k))
-            .map(|job| DeltaRow::Collected { job });
-        let ckpts = self.ckpts.iter().map(|(&job, r)| DeltaRow::Ckpt {
-            job,
-            unit_hw: r.unit_hw,
-            blob: r.blob.clone(),
+        let terminal = self.jobs.iter().filter(|(_, r)| r.collected);
+        let flagged =
+            self.jobs.iter().filter(|(_, r)| r.archive.as_ref().is_some_and(|a| a.collected));
+        let collected = terminal.chain(flagged).map(|(&job, _)| DeltaRow::Collected { job });
+        let ckpts = self.jobs.iter().filter_map(|(&job, r)| {
+            let ckpt = r.ckpt.as_ref()?;
+            Some(DeltaRow::Ckpt { job, unit_hw: ckpt.unit_hw, blob: ckpt.blob.clone() })
         });
         ReplicationDelta {
             from: self.me,
@@ -1286,10 +1443,13 @@ impl CoordinatorDb {
             self.note_mark(key.client, key.seq);
             return Charge::ops(1);
         }
-        let charge = if !self.jobs.contains_key(&key) {
+        let charge = if !self.knows_job(&key) {
             let params_len = spec.params.len();
             let v = Self::touch(&mut self.changed, &mut self.version, 0, Changed::Job(key));
-            self.jobs.insert(key, JobRow { spec: spec.clone(), version: v });
+            let row = self.jobs.entry(key).or_default();
+            row.spec = Some(spec.clone());
+            row.version = v;
+            self.registered_rows += 1;
             Charge::db(1, params_len)
         } else {
             Charge::ops(1)
@@ -1300,32 +1460,18 @@ impl CoordinatorDb {
 
     /// Applies one replicated task row under the paper's merge rules.
     fn apply_task_row(&mut self, rec: &TaskRecord) {
-        if !self.jobs.contains_key(&rec.job) {
-            return; // task for an unknown job: ignore (will come later)
-        }
-        // Deferred past the row borrow: finished-job bookkeeping needs
-        // `&mut self` as a whole.
+        let Some(job) = self.jobs.get_mut(&rec.job) else { return };
+        // Task for an unknown job: ignore (will come later).
+        let Some(spec) = job.spec.as_ref() else { return };
         let mut newly_finished = false;
         match self.tasks.get_mut(&rec.id) {
             None => {
-                // The spec clone (service/cmdline/params strings) is only
+                // The payload clones (service/cmdline/params) are only
                 // needed to mint a new row — the far more common
                 // state-update path below stays allocation-free.
-                let spec = self.jobs[&rec.job].spec.clone();
+                let desc = Self::describe(spec, rec.id, rec.attempt);
                 let v = Self::touch(&mut self.changed, &mut self.version, 0, Changed::Task(rec.id));
-                let next = self.attempts.entry(rec.job).or_insert(0);
-                *next = (*next).max(rec.attempt + 1);
-                let desc = TaskDesc {
-                    id: rec.id,
-                    job: rec.job,
-                    attempt: rec.attempt,
-                    service: spec.service,
-                    cmdline: spec.cmdline,
-                    params: spec.params,
-                    exec_cost: spec.exec_cost,
-                    result_size_hint: spec.result_size_hint,
-                    work_units: spec.work_units,
-                };
+                job.next_attempt = job.next_attempt.max(rec.attempt + 1);
                 self.tasks.insert(
                     rec.id,
                     TaskRow {
@@ -1336,9 +1482,15 @@ impl CoordinatorDb {
                         version: v,
                     },
                 );
-                self.tasks_by_job.entry(rec.job).or_default().push(rec.id);
+                job.tasks.push(rec.id);
                 match rec.state {
-                    TaskState::Pending => self.push_pending(rec.id, rec.job),
+                    TaskState::Pending => Self::push_pending(
+                        &mut self.pending,
+                        &mut self.queued_live,
+                        &mut self.pending_live,
+                        job,
+                        rec.id,
+                    ),
                     TaskState::Ongoing { server, .. } => {
                         // Held until release_origin — but indexed by server,
                         // so the beat-driven reconciliation can reclaim it if
@@ -1350,22 +1502,13 @@ impl CoordinatorDb {
                         // live peer.
                         self.by_server.entry(server).or_default().insert(rec.id);
                     }
-                    TaskState::Finished { result_size } => {
-                        let _ = result_size;
-                        newly_finished = true;
-                    }
+                    TaskState::Finished { .. } => newly_finished = true,
                 }
             }
             Some(row) => {
                 if state_rank(&rec.state) > state_rank(&row.state) {
                     if matches!(row.state, TaskState::Pending) {
-                        Self::entry_died(
-                            &mut self.queued_live,
-                            &mut self.pending_by_job,
-                            &mut self.pending_live,
-                            &self.finished_jobs,
-                            rec.job,
-                        );
+                        Self::entry_died(&mut self.queued_live, &mut self.pending_live, job);
                     }
                     // Keep the per-server index in step with the state
                     // transition (Pending→Ongoing indexes, Ongoing→Finished
@@ -1403,7 +1546,14 @@ impl CoordinatorDb {
         // relearns the job is done — so it never lists the archive as
         // missing and never pulls it from the peer that has it.
         if newly_finished {
-            self.mark_job_finished(rec.job);
+            Self::mark_finished(
+                job,
+                rec.job,
+                &mut self.finished_rows,
+                &mut self.pending_live,
+                &mut self.missing,
+                &mut self.missing_added,
+            );
         }
     }
 
@@ -1504,75 +1654,77 @@ impl CoordinatorDb {
     /// version at or below `min_acked`, i.e. the feed consumer already
     /// holds all of them and the rows can be dropped from the feed.
     fn job_prunable(&self, k: &JobKey, min_acked: u64) -> bool {
-        if !self.collected_jobs.contains(k) {
-            return false; // only delivered work retires
-        }
-        if self.jobs.get(k).is_none_or(|r| r.version > min_acked) {
-            return false;
-        }
-        if self.collected_pos.get(k).is_some_and(|&v| v > min_acked) {
-            return false;
-        }
-        if self.ckpts.get(k).is_some_and(|r| r.version > min_acked) {
-            return false;
-        }
-        if let Some(ids) = self.tasks_by_job.get(k) {
-            if ids.iter().filter_map(|id| self.tasks.get(id)).any(|t| t.version > min_acked) {
-                return false;
-            }
-        }
-        true
+        let Some(row) = self.jobs.get(k) else { return false };
+        // Only delivered, registered work retires.
+        row.collected
+            && row.spec.is_some()
+            && row.version <= min_acked
+            && row.collected_pos <= min_acked
+            && row.ckpt.as_ref().is_none_or(|c| c.version <= min_acked)
+            && row.tasks.iter().filter_map(|id| self.tasks.get(&id)).all(|t| t.version <= min_acked)
     }
 
     /// Removes every row of retired job `k` from the tables and the
     /// change index, maintaining the secondary indexes and the pending
     /// accounting, and raises the delta floor past the pruned versions.
+    ///
+    /// Two attributes are *not* a retired job's to take along and stay
+    /// behind in a stub row: its catalog tombstone (the client has not
+    /// acknowledged the removal yet) and — when a snapshot's watermark
+    /// retires a lagging replica's job that was never collected here — a
+    /// still-retained archive with its catalog entry and GC flag.
     fn prune_job(&mut self, k: &JobKey) {
-        // Tasks first: the pending-entry accounting consults
-        // `finished_jobs`, which must still hold the job at that point.
-        if let Some(ids) = self.tasks_by_job.remove(k) {
-            for id in ids {
-                let Some(row) = self.tasks.remove(&id) else { continue };
-                self.changed.remove(&row.version);
-                self.delta_floor = self.delta_floor.max(row.version);
-                self.retired_tasks += 1;
-                match row.state {
-                    TaskState::Ongoing { server, .. } => {
-                        if let Some(set) = self.by_server.get_mut(&server) {
-                            set.remove(&id);
-                        }
+        let Some(row) = self.jobs.get_mut(k) else { return };
+        let gone = std::mem::take(row);
+        row.archive = gone.archive;
+        row.catalog_pos = gone.catalog_pos;
+        let vacant = row.is_vacant();
+        for id in gone.tasks.iter() {
+            let Some(task) = self.tasks.remove(&id) else { continue };
+            self.changed.remove(&task.version);
+            self.delta_floor = self.delta_floor.max(task.version);
+            self.retired_tasks += 1;
+            match task.state {
+                TaskState::Ongoing { server, .. } => {
+                    if let Some(set) = self.by_server.get_mut(&server) {
+                        set.remove(&id);
                     }
-                    TaskState::Pending => {
-                        // Its queue entry dies in place exactly like a
-                        // popped-state row's; compaction drops it later.
-                        Self::entry_died(
-                            &mut self.queued_live,
-                            &mut self.pending_by_job,
-                            &mut self.pending_live,
-                            &self.finished_jobs,
-                            *k,
-                        );
-                    }
-                    TaskState::Finished { .. } => {}
                 }
+                TaskState::Pending => {
+                    // Its queue entry dies in place exactly like a
+                    // popped-state row's; compaction drops it later.
+                    self.queued_live = self.queued_live.saturating_sub(1);
+                    if !gone.finished {
+                        self.pending_live = self.pending_live.saturating_sub(1);
+                    }
+                }
+                TaskState::Finished { .. } => {}
             }
         }
-        if let Some(v) = self.collected_pos.remove(k) {
-            self.changed.remove(&v);
-            self.delta_floor = self.delta_floor.max(v);
+        if gone.collected_pos != 0 {
+            self.changed.remove(&gone.collected_pos);
+            self.delta_floor = self.delta_floor.max(gone.collected_pos);
         }
-        self.collected_jobs.remove(k);
-        if let Some(row) = self.ckpts.remove(k) {
-            self.changed.remove(&row.version);
-            self.delta_floor = self.delta_floor.max(row.version);
+        if gone.collected {
+            self.collected_rows -= 1;
         }
-        if let Some(row) = self.jobs.remove(k) {
-            self.changed.remove(&row.version);
-            self.delta_floor = self.delta_floor.max(row.version);
+        if let Some(ckpt) = gone.ckpt {
+            self.changed.remove(&ckpt.version);
+            self.delta_floor = self.delta_floor.max(ckpt.version);
+            self.ckpt_rows -= 1;
         }
-        self.attempts.remove(k);
-        self.finished_jobs.remove(k);
-        self.missing.remove(k);
+        if gone.spec.is_some() {
+            self.changed.remove(&gone.version);
+            self.delta_floor = self.delta_floor.max(gone.version);
+            self.registered_rows -= 1;
+        }
+        if gone.finished {
+            self.finished_rows -= 1;
+            self.missing.remove(k);
+        }
+        if vacant {
+            self.jobs.remove(k);
+        }
     }
 
     /// Raises `client`'s retired prefix to `w` on the authority of a
@@ -1586,7 +1738,7 @@ impl CoordinatorDb {
         let mut ops = 1;
         for seq in start + 1..=w {
             let k = JobKey { client, seq };
-            if self.jobs.contains_key(&k) {
+            if self.knows_job(&k) {
                 self.prune_job(&k);
                 ops += 1;
             }
@@ -1674,26 +1826,121 @@ impl CoordinatorDb {
         // the rows of delivered jobs, and observers (completion
         // timelines, safety oracles) rely on these never dipping.
         DbStats {
-            jobs: self.jobs.len() as u64 + self.retired_count(),
+            jobs: self.registered_rows + self.retired_count(),
             tasks: self.tasks.len() as u64 + self.retired_tasks,
             pending,
             ongoing,
-            archived: self.archives.len() as u64,
+            archived: self.archived_rows,
             duplicate_results: self.duplicate_results,
-            collected: self.collected_jobs.len() as u64 + self.retired_count(),
-            ckpts: self.ckpts.len() as u64,
+            collected: self.collected_rows + self.retired_count(),
+            ckpts: self.ckpt_rows,
         }
     }
 
     /// Jobs finished (archive present, replicated-finished, or retired
     /// after delivery) — a lifetime count, monotone across retention.
     pub fn finished_count(&self) -> u64 {
-        self.finished_jobs.len() as u64 + self.retired_count()
+        self.finished_rows + self.retired_count()
     }
 
     /// Jobs with an archive actually present here.
     pub fn archived_count(&self) -> u64 {
-        self.archives.len() as u64
+        self.archived_rows
+    }
+
+    /// Recount-based audit of everything [`JobRow`] maintains
+    /// incrementally — per-row flags and counters against the task table,
+    /// the table-wide counters (what `stats()`, `finished_count()` and
+    /// `archived_count()` report) against a walk of the rows, and every
+    /// side index against the row attribute it mirrors.  For the
+    /// equivalence property tests; panics on the first violation.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        let mut by_job: BTreeMap<JobKey, Vec<&TaskRow>> = BTreeMap::new();
+        for t in self.tasks.values() {
+            by_job.entry(t.desc.job).or_default().push(t);
+        }
+        let (mut registered, mut finished, mut collected, mut archived, mut ckpts) =
+            (0, 0, 0, 0, 0);
+        let (mut queued_live, mut pending_live, mut versioned) = (0, 0, 0);
+        for (k, row) in &self.jobs {
+            assert!(!row.is_vacant(), "{k:?}: vacant stub left in the table");
+            let tasks = by_job.remove(k).unwrap_or_default();
+            let mut ids: Vec<TaskId> = row.tasks.iter().collect();
+            ids.sort_unstable();
+            assert_eq!(ids, tasks.iter().map(|t| t.desc.id).collect::<Vec<_>>(), "{k:?}: tasks");
+            let live = tasks.iter().filter(|t| matches!(t.state, TaskState::Pending)).count();
+            assert_eq!(row.pending as usize, live, "{k:?}: live queue entries");
+            assert!(tasks.iter().all(|t| t.desc.attempt < row.next_attempt), "{k:?}: attempts");
+            queued_live += live;
+            if !row.finished {
+                pending_live += live;
+            }
+            let stamped = |v: u64, what: Changed| {
+                assert_eq!(self.changed.get(&v), Some(&what), "{k:?}: change-index entry");
+                1
+            };
+            match &row.spec {
+                Some(spec) => {
+                    assert_eq!(spec.key, *k);
+                    registered += 1;
+                    versioned += stamped(row.version, Changed::Job(*k));
+                }
+                None => {
+                    assert!(tasks.is_empty() && row.ckpt.is_none(), "{k:?}: stub owns rows");
+                    assert_eq!((row.version, row.next_attempt), (0, 0), "{k:?}: stub state");
+                }
+            }
+            if row.collected_pos != 0 {
+                versioned += stamped(row.collected_pos, Changed::Collected(*k));
+            }
+            if let Some(ckpt) = &row.ckpt {
+                ckpts += 1;
+                versioned += stamped(ckpt.version, Changed::Ckpt(*k));
+                assert!(!row.finished || ckpt.blob.is_empty(), "{k:?}: finished job kept state");
+            }
+            finished += row.finished as u64;
+            collected += row.collected as u64;
+            archived += row.archive.is_some() as u64;
+            assert!(!(row.collected && row.archive.is_some()), "{k:?}: collected yet retained");
+            let flagged = row.archive.as_ref().is_some_and(|a| a.collected);
+            assert_eq!(self.collected_flagged.contains(k), flagged, "{k:?}: GC worklist");
+            let missing = row.finished && row.archive.is_none() && !row.collected;
+            assert_eq!(self.missing.contains(k), missing, "{k:?}: missing worklist");
+            if row.catalog_pos != 0 {
+                let (here, other) = if row.archive.is_some() {
+                    (&self.catalog, &self.catalog_removed)
+                } else {
+                    (&self.catalog_removed, &self.catalog)
+                };
+                let at = (k.client, row.catalog_pos);
+                assert_eq!(here.get(&at), Some(&k.seq), "{k:?}: catalog entry");
+                assert!(!other.contains_key(&at), "{k:?}: catalog entry in both indexes");
+            } else {
+                assert!(row.archive.is_none(), "{k:?}: archive without a catalog entry");
+            }
+        }
+        assert!(by_job.is_empty(), "task rows without a job row: {:?}", by_job.keys());
+        let catalogued = self.jobs.values().filter(|r| r.catalog_pos != 0).count();
+        assert_eq!(self.catalog.len() + self.catalog_removed.len(), catalogued, "catalog size");
+        assert_eq!(self.registered_rows, registered, "registered counter");
+        assert_eq!(self.finished_rows, finished, "finished counter");
+        assert_eq!(self.collected_rows, collected, "collected counter");
+        assert_eq!(self.archived_rows, archived, "archived counter");
+        assert_eq!(self.ckpt_rows, ckpts, "checkpoint counter");
+        assert_eq!(self.queued_live, queued_live, "live queue entries");
+        assert_eq!(self.pending_live, pending_live, "dispatchable queue entries");
+        assert_eq!(
+            self.changed.len(),
+            versioned + self.tasks.len() + self.client_max.len(),
+            "one change-index entry per live row"
+        );
+        let stats = self.stats();
+        let retired = self.retired_count();
+        assert_eq!((stats.jobs, stats.collected), (registered + retired, collected + retired));
+        assert_eq!((stats.archived, stats.ckpts), (archived, ckpts));
+        assert_eq!(self.finished_count(), finished + retired);
+        assert_eq!(self.archived_count(), archived);
     }
 }
 
@@ -2550,5 +2797,81 @@ mod tests {
         let (none, _) = d.next_pending(ServerId(2), T0);
         assert!(none.is_none());
         assert_eq!(d.pending_count(), d.pending_count_scan());
+    }
+    #[test]
+    fn mismatched_task_job_pair_archives_into_a_stub_row() {
+        // A known task reporting a job key that is not registered here:
+        // the archive is stored all the same (it precedes its job row),
+        // lives through flag → GC like any other, and a later
+        // registration adopts what the stub already knows.
+        let client = ClientKey::new(1, 1);
+        let stray = JobKey::new(client, 7);
+        let mut d = db();
+        d.register_job(job(1));
+        let (t, _) = d.next_pending(ServerId(1), T0);
+        let (o, _) = d.complete_task(t.unwrap().id, stray, Blob::synthetic(48, 7), ServerId(1));
+        assert_eq!(o, CompleteOutcome::NewResult);
+        d.check_invariants();
+        assert!(!d.knows_job(&stray));
+        assert_eq!(d.archive(&stray).map(Blob::len), Some(48));
+        assert_eq!(d.results_catalog(client), vec![(7, 48)]);
+        assert_eq!((d.finished_count(), d.archived_count(), d.stats().jobs), (1, 1, 1));
+        assert!(!d.wants_archive(&stray), "unregistered: nothing to want");
+        d.mark_collected(client, &[7]);
+        assert_eq!(d.collected_flagged(), vec![stray]);
+        assert_eq!(d.gc_collected().0, 48);
+        assert!(d.is_collected(&stray));
+        d.check_invariants();
+        // Never prunable (no job row to retire), and a registration of
+        // the same key inherits the delivered state.
+        assert_eq!(d.prune_retired(u64::MAX), 0);
+        let (new, _) = d.register_job(job(7));
+        assert!(new);
+        assert!(d.knows_job(&stray) && d.is_collected(&stray));
+        assert_eq!(d.store_archive(stray, Blob::synthetic(48, 7)), Charge::ops(1));
+        d.check_invariants();
+    }
+
+    #[test]
+    fn catalog_tombstone_outlives_the_pruned_job_until_acked() {
+        let client = ClientKey::new(1, 1);
+        let mut d = db();
+        run_to_collected(&mut d, 2);
+        let head = d.version();
+        assert_eq!(d.prune_retired(head), 2);
+        d.check_invariants();
+        assert_eq!(d.resident_rows(), 1, "only the mark row is versioned");
+        // The client has not merged the removals yet: they must still be
+        // served, although every row of both jobs is gone.
+        assert_eq!(d.results_catalog_since(client, 0).removed, vec![1, 2]);
+        assert!(!d.knows_job(&JobKey::new(client, 1)));
+        assert_eq!(d.prune_catalog_acked(client, head), 2);
+        assert!(d.results_catalog_since(client, 0).removed.is_empty());
+        d.check_invariants();
+    }
+
+    #[test]
+    fn snapshot_watermark_leaves_an_uncollected_archive_behind() {
+        // The receiver stored job 1's archive but never learned it was
+        // collected; the sender retired it.  The watermark prunes the
+        // job's rows here — the retained archive stays servable and
+        // GC-able, as it always did.
+        let client = ClientKey::new(1, 1);
+        let mut a = db();
+        run_to_collected(&mut a, 1);
+        a.prune_retired(a.version());
+        let mut b = CoordinatorDb::new(CoordId(2));
+        b.register_job(job(1));
+        let (t, _) = b.next_pending(ServerId(1), T0);
+        let t = t.unwrap();
+        b.complete_task(t.id, t.job, Blob::synthetic(64, 1), ServerId(1));
+        b.apply_snapshot(&a.snapshot());
+        b.check_invariants();
+        let k = JobKey::new(client, 1);
+        assert!(!b.knows_job(&k));
+        assert_eq!(b.archive(&k).map(Blob::len), Some(64));
+        assert_eq!(b.results_catalog(client), vec![(1, 64)]);
+        assert!(b.has_collected_knowledge(&k), "summarized by the watermark");
+        assert_eq!((b.archived_count(), b.finished_count()), (1, 1));
     }
 }

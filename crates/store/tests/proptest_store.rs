@@ -198,6 +198,12 @@ proptest! {
                     a.apply_delta(&b.delta_since((aux as u64) * 5));
                 }
             }
+            // Row flags/counters and side indexes against a full recount
+            // (the peer and the delta-fed mirror get audited too — apply
+            // paths maintain the same rows).
+            a.check_invariants();
+            b.check_invariants();
+            mirror.check_invariants();
             // Continuous equivalence of the maintained structures.
             prop_assert_eq!(a.pending_count(), a.pending_count_scan());
             prop_assert_eq!(a.missing_archives(), a.missing_archives_scan());
@@ -324,6 +330,9 @@ proptest! {
         mirror.prune_retired(u64::MAX);
         boot.prune_retired(u64::MAX);
         full.prune_retired(u64::MAX);
+        for replica in [&mirror, &boot, &full] {
+            replica.check_invariants();
+        }
         let rows = |d: &CoordinatorDb| {
             let delta = d.delta_since(0);
             let mut jobs: Vec<_> = delta.jobs().map(|s| s.key).collect();

@@ -53,6 +53,85 @@ id_u64! {
     CoordId
 }
 
+/// Name of a stateless service (the function identifier of an RPC).
+///
+/// An immutable, reference-counted string: one job's life copies its
+/// service name into the job row, every task instance, every `Assign` and
+/// every replication row, and a grid typically runs a handful of distinct
+/// services — so a clone is a refcount bump, never a heap copy.  Builds
+/// from `&str`/`String`, derefs to `str`, and travels on the wire as a
+/// plain length-prefixed string.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ServiceName(std::sync::Arc<str>);
+
+impl ServiceName {
+    /// The name as a string slice.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Default for ServiceName {
+    fn default() -> Self {
+        ServiceName::from("")
+    }
+}
+
+impl From<&str> for ServiceName {
+    fn from(s: &str) -> Self {
+        ServiceName(s.into())
+    }
+}
+
+impl From<String> for ServiceName {
+    fn from(s: String) -> Self {
+        ServiceName(s.into())
+    }
+}
+
+impl std::ops::Deref for ServiceName {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl PartialEq<str> for ServiceName {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for ServiceName {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl std::fmt::Debug for ServiceName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl std::fmt::Display for ServiceName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self)
+    }
+}
+
+impl WireEncode for ServiceName {
+    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
+        w.put_str(self);
+    }
+}
+
+impl WireDecode for ServiceName {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(r.get_str()?.into())
+    }
+}
+
 /// A client instance: `(user, session)`.
 ///
 /// Different client program instances (possibly on different IPs) with the
@@ -204,6 +283,21 @@ mod tests {
         let t = TaskId::compose(CoordId(5), 1234);
         let back: TaskId = from_bytes(&to_bytes(&t)).unwrap();
         assert_eq!(back, t);
+    }
+
+    #[test]
+    fn service_name_is_a_shared_string() {
+        let a = ServiceName::from("netsim/eval");
+        let b = a.clone();
+        assert!(std::ptr::eq(a.as_str(), b.as_str()), "clone shares the allocation");
+        assert_eq!(a, ServiceName::from(String::from("netsim/eval")));
+        assert_eq!(a, "netsim/eval");
+        assert_eq!(format!("{a} {a:?}"), "netsim/eval \"netsim/eval\"");
+        assert!(ServiceName::default().is_empty());
+        // On the wire it is a plain length-prefixed string.
+        assert_eq!(to_bytes(&a), to_bytes(&String::from("netsim/eval")));
+        let back: ServiceName = from_bytes(&to_bytes(&a)).unwrap();
+        assert_eq!(back, a);
     }
 
     #[test]

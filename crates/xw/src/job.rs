@@ -6,7 +6,7 @@
 
 use rpcv_wire::{Blob, Reader, WireDecode, WireEncode, WireError, WireWrite};
 
-use crate::ids::JobKey;
+use crate::ids::{JobKey, ServiceName};
 
 /// A submitted RPC call / remote execution job.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,7 +14,7 @@ pub struct JobSpec {
     /// Full identity: `(user, session, seq)`.
     pub key: JobKey,
     /// Stateless service to invoke (function identifier).
-    pub service: String,
+    pub service: ServiceName,
     /// XtremWeb-style command line for remote-execution jobs.
     pub cmdline: String,
     /// Marshalled parameters, or a compressed directory archive.
@@ -41,7 +41,7 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// A plain single-instance job.
-    pub fn new(key: JobKey, service: impl Into<String>, params: Blob) -> Self {
+    pub fn new(key: JobKey, service: impl Into<ServiceName>, params: Blob) -> Self {
         JobSpec {
             key,
             service: service.into(),
@@ -93,7 +93,7 @@ impl JobSpec {
 impl WireEncode for JobSpec {
     fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
         self.key.encode(w);
-        w.put_str(&self.service);
+        self.service.encode(w);
         w.put_str(&self.cmdline);
         self.params.encode(w);
         w.put_f64(self.exec_cost);
@@ -107,7 +107,7 @@ impl WireDecode for JobSpec {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(JobSpec {
             key: JobKey::decode(r)?,
-            service: r.get_string()?,
+            service: ServiceName::decode(r)?,
             cmdline: r.get_string()?,
             params: Blob::decode(r)?,
             exec_cost: r.get_f64()?,

@@ -31,7 +31,7 @@ pub mod task;
 pub mod worker;
 
 pub use archive::{Archive, ArchiveEntry};
-pub use ids::{ClientKey, CoordId, JobKey, ServerId, SessionId, TaskId, UserId};
+pub use ids::{ClientKey, CoordId, JobKey, ServerId, ServiceName, SessionId, TaskId, UserId};
 pub use job::JobSpec;
 pub use service::{SandboxLimits, ServiceCtx, ServiceError, ServiceRegistry};
 pub use task::{TaskDesc, TaskState};

@@ -10,7 +10,7 @@
 use rpcv_simnet::SimTime;
 use rpcv_wire::{Blob, Reader, WireDecode, WireEncode, WireError, WireWrite};
 
-use crate::ids::{JobKey, ServerId, TaskId};
+use crate::ids::{JobKey, ServerId, ServiceName, TaskId};
 
 /// Scheduling state of a task instance.
 ///
@@ -96,7 +96,7 @@ pub struct TaskDesc {
     /// Instance number for this job (0 = first attempt).
     pub attempt: u32,
     /// Service to invoke.
-    pub service: String,
+    pub service: ServiceName,
     /// Command line.
     pub cmdline: String,
     /// Parameters / input archive.
@@ -130,7 +130,7 @@ impl WireEncode for TaskDesc {
         self.id.encode(w);
         self.job.encode(w);
         w.put_uvarint(self.attempt as u64);
-        w.put_str(&self.service);
+        self.service.encode(w);
         w.put_str(&self.cmdline);
         self.params.encode(w);
         w.put_f64(self.exec_cost);
@@ -145,7 +145,7 @@ impl WireDecode for TaskDesc {
             id: TaskId::decode(r)?,
             job: JobKey::decode(r)?,
             attempt: u32::decode(r)?,
-            service: r.get_string()?,
+            service: ServiceName::decode(r)?,
             cmdline: r.get_string()?,
             params: Blob::decode(r)?,
             exec_cost: r.get_f64()?,

@@ -72,9 +72,12 @@ Dispatches on the artifact's "bench" tag:
 
 With --committed, additionally reject smoke artifacts: only full sweeps
 may be committed (a local `--smoke` run overwrites the same file).  For
-chaos, --committed also requires the full 64-plan ladder.
+chaos, --committed also requires the full 64-plan ladder.  With
+--regenerated (CI, right after a `--smoke` bench run), require a smoke
+artifact instead: validation must see the run CI just executed, not the
+committed file the bench failed to overwrite.
 
-Usage: check_bench_flatness.py [--committed] BENCH_scale.json|BENCH_ckpt.json|BENCH_chaos.json
+Usage: check_bench_flatness.py [--committed|--regenerated] BENCH_scale.json|BENCH_ckpt.json|BENCH_chaos.json
 """
 
 import json
@@ -104,6 +107,13 @@ def check_scale(doc: dict, path: str) -> None:
                 f"{path}: cell {label} lacks the {col} column — " \
                 f"regenerate the artifact; its gate cannot be checked"
         assert cell["shards"] >= 1, f"{path}: cell {label} has a bad shards count"
+        assert cell["clients"] >= 1, f"{path}: cell {label} has a bad clients count"
+        assert cell["completed"] is True, f"{path}: cell {label} did not complete"
+        assert cell["sim_events_per_sec"] > 0, f"{path}: cell {label} has no sim-time throughput"
+        assert cell["repl_rounds"] > 0, f"{path}: cell {label} ran no replication rounds"
+        assert cell["delta_bytes_per_round"] > 0, f"{path}: cell {label} replicated nothing"
+        assert cell["catalog_bytes_per_beat"] >= 0, f"{path}: cell {label} has bad catalog bytes"
+        assert cell["resident_rows"] >= 1, f"{path}: cell {label} has bad residency"
         assert cell["events_per_sec"] >= floor, \
             f"{path}: cell {label} ran at {cell['events_per_sec']:.0f} events/sec, " \
             f"below the {floor} floor — kernel throughput regressed"
@@ -113,6 +123,9 @@ def check_scale(doc: dict, path: str) -> None:
         assert cell["job_p99_ms"] >= cell["job_p50_ms"], \
             f"{path}: cell {label} has p99 {cell['job_p99_ms']} ms below " \
             f"p50 {cell['job_p50_ms']} ms — quantiles are broken"
+    assert len(grid) >= 3, f"{path}: need at least three grid cells"
+    assert len({c["clients"] for c in grid}) >= 2, \
+        f"{path}: sweep must exercise the clients axis"
     pairs = 0
     for a in grid:
         for b in grid:
@@ -228,14 +241,19 @@ def check_chaos(doc: dict, path: str, committed: bool) -> None:
 
 
 def main() -> None:
-    args = [a for a in sys.argv[1:] if a != "--committed"]
+    flags = ("--committed", "--regenerated")
+    args = [a for a in sys.argv[1:] if a not in flags]
     committed = "--committed" in sys.argv[1:]
+    regenerated = "--regenerated" in sys.argv[1:]
     path = args[0] if args else "BENCH_scale.json"
     with open(path) as f:
         doc = json.load(f)
     if committed:
         assert doc["smoke"] is False, \
             f"committed {path} is a smoke run — regenerate with the full sweep"
+    if regenerated:
+        assert doc["smoke"] is True, \
+            f"{path} is not the smoke run CI just executed — the bench did not overwrite it"
     if doc["bench"] == "scale":
         check_scale(doc, path)
     elif doc["bench"] == "ckpt":
