@@ -180,7 +180,35 @@ fn bench_store_scale(c: &mut Criterion) {
         }
     }
 
+    // Echo-free feed case: a replica whose ~10k change-index entries (5k
+    // jobs, their tasks, the client mark) were all learned from one peer.
+    // Its round back to that peer skips every entry straight off the
+    // index; the unfiltered build looks up, clones and ships each one.
+    // (One local row first, so the rounds have a base above 0 — a
+    // from-zero feed skips nothing.)
+    let teacher_id = CoordId(5);
+    let mut teacher = CoordinatorDb::new(teacher_id);
+    for i in 1..=5_000u64 {
+        teacher.register_job(JobSpec::new(JobKey::new(client, i), "svc", Blob::synthetic(64, i)));
+    }
+    let mut learned = CoordinatorDb::new(CoordId(4));
+    learned.register_job(JobSpec::new(
+        JobKey::new(ClientKey::new(2, 1), 1),
+        "svc",
+        Blob::synthetic(64, 0),
+    ));
+    let learned_base = learned.version();
+    learned.apply_delta_owned(teacher.delta_since(0));
+    assert!(learned.feed_for(teacher_id, learned_base).is_empty(), "setup: all learned");
+    assert_eq!(learned.delta_since(learned_base).len(), 10_001, "setup: ~10k entries");
+
     let mut g = c.benchmark_group("store_scale");
+    g.bench_function("feed_10k_learned_suppressed", |b| {
+        b.iter(|| learned.feed_for(teacher_id, learned_base))
+    });
+    g.bench_function("feed_10k_learned_unfiltered", |b| {
+        b.iter(|| learned.delta_since(learned_base))
+    });
     g.bench_function("delta_since_50k_small_indexed", |b| b.iter(|| db.delta_since(base)));
     g.bench_function("delta_since_50k_small_scan", |b| b.iter(|| db.delta_since_scan(base)));
     g.bench_function("pending_count_50k_indexed", |b| b.iter(|| db.pending_count()));

@@ -709,6 +709,16 @@ impl CoordinatorActor {
         self.deferred.send_at(ctx, done, from, Msg::ResultsReply { results }, K_SEND, 0);
     }
 
+    /// Collection acknowledgements an applied frame taught us: the jobs
+    /// leave the missing-archive watch list for good — delivered work must
+    /// not sit in the re-execution pipeline.
+    fn note_newly_collected(&mut self, jobs: &[JobKey]) {
+        for job in jobs {
+            self.unwatch_missing(job);
+        }
+        self.metrics.collected_marks_applied += jobs.len() as u64;
+    }
+
     fn handle_repl_delta(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -735,19 +745,11 @@ impl CoordinatorActor {
             return;
         }
         let head = delta.head_version;
-        // Collection acknowledgements that are news here: once applied,
-        // the jobs leave the missing-archive watch list for good —
-        // delivered work must not sit in the re-execution pipeline.
-        let newly_collected: Vec<JobKey> =
-            delta.collected().filter(|j| !self.db.has_collected_knowledge(j)).collect();
-        let charge = self.db.apply_delta(&delta);
-        for job in newly_collected.iter() {
-            self.unwatch_missing(job);
-        }
-        self.metrics.collected_marks_applied += newly_collected.len() as u64;
+        let applied = self.db.apply_delta_owned(delta);
+        self.note_newly_collected(&applied.newly_collected);
         let e = self.applied_head.entry(peer).or_insert(0);
         *e = (*e).max(head);
-        let done = self.pay(ctx, charge);
+        let done = self.pay(ctx, applied.charge);
         self.refresh_missing_new(now);
         self.record_completion(now);
         self.deferred.send_at(
@@ -816,9 +818,12 @@ impl CoordinatorActor {
             self.send_snapshot(ctx, succ, node);
             return;
         }
-        let delta = self.db.delta_since(base);
-        // Building the delta reads every changed row (and only those: the
-        // version index makes this O(changed), not O(tables)).
+        // The successor's own rows stay home: what it taught us it holds,
+        // so the feed skips those entries straight off the change index.
+        let delta = self.db.feed_for(succ, base);
+        // Building the delta reads every shipped row (and only those: the
+        // version index makes this O(changed), not O(tables), and a
+        // skipped entry is never looked up).
         let read_ops = 1 + delta.len() as u64;
         let records = delta.len() as u64;
         let done = ctx.db(read_ops, 0);
@@ -896,13 +901,9 @@ impl CoordinatorActor {
                 return;
             }
         };
-        let newly_collected: Vec<JobKey> =
-            snap.collected().filter(|j| !self.db.has_collected_knowledge(j)).collect();
-        let charge = self.db.apply_snapshot(&snap);
-        for job in newly_collected.iter() {
-            self.unwatch_missing(job);
-        }
-        self.metrics.collected_marks_applied += newly_collected.len() as u64;
+        let version = snap.version;
+        let applied = self.db.apply_snapshot_owned(snap);
+        self.note_newly_collected(&applied.newly_collected);
         // The watermarks may have retired jobs we were watching for
         // archives: delivered work leaves the re-execution pipeline.
         let stale: Vec<JobKey> = self
@@ -916,16 +917,16 @@ impl CoordinatorActor {
             self.unwatch_missing(&job);
         }
         let e = self.applied_head.entry(peer).or_insert(0);
-        *e = (*e).max(snap.version);
+        *e = (*e).max(version);
         self.metrics.snapshots_applied += 1;
-        let done = self.pay(ctx, charge);
+        let done = self.pay(ctx, applied.charge);
         self.refresh_missing_new(now);
         self.record_completion(now);
         self.deferred.send_at(
             ctx,
             done,
             from,
-            Msg::ReplAck { from: self.params.me, head_version: snap.version },
+            Msg::ReplAck { from: self.params.me, head_version: version },
             K_SEND,
             0,
         );

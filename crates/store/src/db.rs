@@ -147,6 +147,35 @@ enum Changed {
     Ckpt(JobKey),
 }
 
+/// Where a change-index entry's current contents came from.  A row learned
+/// from a ring peer is one that peer already holds (at an equal or higher
+/// state), so the incremental feed *to that same peer* skips it — a wave is
+/// never forwarded on the edge it arrived on.  Any local mutation re-stamps
+/// the row as [`Provenance::LOCAL`], which puts it back on every feed.
+///
+/// One word per index entry: the teaching peer's id, or [`Self::LOCAL`].
+/// (A coordinator whose id *is* the sentinel would read as local and merely
+/// get its echoes back — the safe direction.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Provenance(u64);
+
+impl Provenance {
+    /// Written by this coordinator's own operation.
+    const LOCAL: Provenance = Provenance(u64::MAX);
+
+    /// Last written while applying a delta or snapshot from `peer`.
+    fn peer(peer: CoordId) -> Self {
+        Provenance(peer.0)
+    }
+}
+
+/// One change-index entry: the row it points at, and who wrote it last.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ChangeEntry {
+    row: Changed,
+    from: Provenance,
+}
+
 /// One stored checkpoint: the highest durable work-unit mark a successor
 /// instance of the job may resume from, plus the opaque resume state.
 #[derive(Debug, Clone)]
@@ -190,6 +219,16 @@ pub enum CompleteOutcome {
     UnknownJob,
 }
 
+/// What applying one replication frame (delta or snapshot) did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Applied {
+    /// Storage cost of the merge.
+    pub charge: Charge,
+    /// Collection acknowledgements that were news here, in frame order:
+    /// delivered work the owner takes out of its re-execution pipeline.
+    pub newly_collected: Vec<JobKey>,
+}
+
 /// Aggregate counters for reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DbStats {
@@ -229,8 +268,9 @@ pub struct CoordinatorDb {
     task_counter: u64,
     duplicate_results: u64,
     /// Version-ordered change index: one entry per live row, keyed by the
-    /// row's current version.  Backs O(changed) [`Self::delta_since`].
-    changed: BTreeMap<u64, Changed>,
+    /// row's current version, carrying the row's [`Provenance`].  Backs
+    /// O(changed) [`Self::delta_since`] and the echo-free [`Self::feed_for`].
+    changed: BTreeMap<u64, ChangeEntry>,
     /// Finished jobs whose archive is not held here — maintained at every
     /// archive/finished transition so the periodic refresh never scans.
     /// A worklist, not an attribute: membership ≡ the row is finished,
@@ -338,42 +378,37 @@ impl CoordinatorDb {
     }
 
     /// Advances the version counter and moves a row's single change-index
-    /// entry from `old_version` (0 = new row) to the fresh version.  Takes
-    /// the two fields explicitly so callers holding a `&mut` row borrow
-    /// can still re-stamp it.
+    /// entry from `old_version` (0 = new row) to the fresh version, stamped
+    /// with who wrote the row (`from`).  Takes the two fields explicitly so
+    /// callers holding a `&mut` row borrow can still re-stamp it.
     fn touch(
-        changed: &mut BTreeMap<u64, Changed>,
+        changed: &mut BTreeMap<u64, ChangeEntry>,
         version: &mut u64,
         old_version: u64,
-        r: Changed,
+        row: Changed,
+        from: Provenance,
     ) -> u64 {
         if old_version != 0 {
             changed.remove(&old_version);
         }
         *version += 1;
-        changed.insert(*version, r);
+        changed.insert(*version, ChangeEntry { row, from });
         *version
     }
 
     /// Raises `client`'s registration high-water mark to `mark` (no-op if
     /// not higher), versioning the change so deltas carry only moved marks.
-    fn note_mark(&mut self, client: ClientKey, mark: u64) {
-        match self.client_max.get_mut(&client) {
-            Some(row) => {
-                if mark > row.mark {
-                    row.mark = mark;
-                    row.version = Self::touch(
-                        &mut self.changed,
-                        &mut self.version,
-                        row.version,
-                        Changed::Mark(client),
-                    );
-                }
-            }
-            None => {
-                let v = Self::touch(&mut self.changed, &mut self.version, 0, Changed::Mark(client));
-                self.client_max.insert(client, MarkRow { mark, version: v });
-            }
+    fn note_mark(&mut self, client: ClientKey, mark: u64, from: Provenance) {
+        let row = self.client_max.entry(client).or_insert(MarkRow { mark: 0, version: 0 });
+        if mark > row.mark || row.version == 0 {
+            row.mark = mark;
+            row.version = Self::touch(
+                &mut self.changed,
+                &mut self.version,
+                row.version,
+                Changed::Mark(client),
+                from,
+            );
         }
     }
 
@@ -411,13 +446,14 @@ impl CoordinatorDb {
     /// Re-stamps `job`'s single collected-knowledge row in the change
     /// index (0 = first acknowledgement), so replication deltas carry it.
     fn touch_collected(
-        changed: &mut BTreeMap<u64, Changed>,
+        changed: &mut BTreeMap<u64, ChangeEntry>,
         version: &mut u64,
         row: &mut JobRow,
         job: JobKey,
+        from: Provenance,
     ) {
         row.collected_pos =
-            Self::touch(changed, version, row.collected_pos, Changed::Collected(job));
+            Self::touch(changed, version, row.collected_pos, Changed::Collected(job), from);
     }
 
     /// True when this coordinator knows `job`'s result was delivered to
@@ -464,7 +500,7 @@ impl CoordinatorDb {
     /// (the job row always precedes its collected row in a version-ordered
     /// delta, so this only drops acks for jobs we never heard of at all).
     /// Returns true when the knowledge is news.
-    fn note_collected(&mut self, job: JobKey) -> bool {
+    fn note_collected(&mut self, job: JobKey, from: Provenance) -> bool {
         if job.seq <= self.contig_watermark(job.client) {
             return false; // summarized by the watermark already
         }
@@ -480,7 +516,7 @@ impl CoordinatorDb {
             // acknowledgement.  The flag set keeps explicit GC O(flagged).
             archive.collected = true;
             self.collected_flagged.insert(job);
-            Self::touch_collected(&mut self.changed, &mut self.version, row, job);
+            Self::touch_collected(&mut self.changed, &mut self.version, row, job, from);
             return true;
         }
         if row.spec.is_none() {
@@ -500,7 +536,7 @@ impl CoordinatorDb {
             &mut self.missing_added,
         );
         self.missing.remove(&job);
-        Self::touch_collected(&mut self.changed, &mut self.version, row, job);
+        Self::touch_collected(&mut self.changed, &mut self.version, row, job, from);
         self.advance_collected_contig(job.client);
         true
     }
@@ -582,8 +618,14 @@ impl CoordinatorDb {
     fn insert_job(&mut self, spec: JobSpec) {
         let key = spec.key;
         let replication = spec.replication.max(1);
-        let v = Self::touch(&mut self.changed, &mut self.version, 0, Changed::Job(key));
-        self.note_mark(key.client, key.seq);
+        let v = Self::touch(
+            &mut self.changed,
+            &mut self.version,
+            0,
+            Changed::Job(key),
+            Provenance::LOCAL,
+        );
+        self.note_mark(key.client, key.seq, Provenance::LOCAL);
         let row = self.jobs.entry(key).or_default();
         row.spec = Some(spec);
         row.version = v;
@@ -669,7 +711,13 @@ impl CoordinatorDb {
         row.next_attempt += 1;
         self.task_counter += 1;
         let id = TaskId::compose(self.me, self.task_counter);
-        let v = Self::touch(&mut self.changed, &mut self.version, 0, Changed::Task(id));
+        let v = Self::touch(
+            &mut self.changed,
+            &mut self.version,
+            0,
+            Changed::Task(id),
+            Provenance::LOCAL,
+        );
         self.tasks.insert(
             id,
             TaskRow {
@@ -725,6 +773,7 @@ impl CoordinatorDb {
                     &mut self.version,
                     row.version,
                     Changed::Task(id),
+                    Provenance::LOCAL,
                 );
                 row.version = v;
                 continue;
@@ -734,8 +783,13 @@ impl CoordinatorDb {
             row.locally_dispatched = true;
             let desc = row.desc.clone();
             let params = desc_params(&desc);
-            let v =
-                Self::touch(&mut self.changed, &mut self.version, row.version, Changed::Task(id));
+            let v = Self::touch(
+                &mut self.changed,
+                &mut self.version,
+                row.version,
+                Changed::Task(id),
+                Provenance::LOCAL,
+            );
             row.version = v;
             self.by_server.entry(server).or_default().insert(id);
             return (Some(desc), Charge::db(ops, params));
@@ -827,8 +881,13 @@ impl CoordinatorDb {
                 TaskState::Finished { .. } => {}
             }
             row.state = TaskState::Finished { result_size: size };
-            let v =
-                Self::touch(&mut self.changed, &mut self.version, row.version, Changed::Task(task));
+            let v = Self::touch(
+                &mut self.changed,
+                &mut self.version,
+                row.version,
+                Changed::Task(task),
+                Provenance::LOCAL,
+            );
             row.version = v;
         } else if !self.knows_job(&job) {
             return (CompleteOutcome::UnknownJob, Charge::ops(1));
@@ -1180,7 +1239,7 @@ impl CoordinatorDb {
     pub fn mark_collected(&mut self, client: ClientKey, seqs: &[u64]) -> Charge {
         let mut ops = 0;
         for &seq in seqs {
-            if self.note_collected(JobKey { client, seq }) {
+            if self.note_collected(JobKey { client, seq }, Provenance::LOCAL) {
                 ops += 1;
             }
         }
@@ -1246,7 +1305,7 @@ impl CoordinatorDb {
     /// higher mark is already held (replaying any prefix of uploads, in
     /// any order, therefore yields a non-decreasing resume mark).  Returns
     /// true when the row moved (and was re-stamped into the change index).
-    fn note_ckpt(&mut self, job: JobKey, unit_hw: u32, blob: Blob) -> bool {
+    fn note_ckpt(&mut self, job: JobKey, unit_hw: u32, blob: Blob, from: Provenance) -> bool {
         let Some(row) = self.jobs.get_mut(&job).filter(|r| r.spec.is_some()) else {
             return false; // a job row always precedes its ckpt rows
         };
@@ -1258,7 +1317,8 @@ impl CoordinatorDb {
         // Finished ⇒ no resume-state payload is ever retained (mirrors
         // the in-place clearing of `mark_finished` on the apply path).
         let blob = if row.finished { Blob::empty() } else { blob };
-        let version = Self::touch(&mut self.changed, &mut self.version, old, Changed::Ckpt(job));
+        let version =
+            Self::touch(&mut self.changed, &mut self.version, old, Changed::Ckpt(job), from);
         match row.ckpt.as_mut() {
             Some(ckpt) => **ckpt = CkptRow { unit_hw, blob, version },
             None => {
@@ -1299,7 +1359,7 @@ impl CoordinatorDb {
             _ => return (false, Charge::ops(1)),
         }
         let size = blob.len();
-        if self.note_ckpt(job, unit_hw, blob) {
+        if self.note_ckpt(job, unit_hw, blob, Provenance::LOCAL) {
             // One row update plus the state blob to the archive filesystem.
             (true, Charge::db(1, 0) + Charge::disk(size))
         } else {
@@ -1347,12 +1407,42 @@ impl CoordinatorDb {
     /// since the last round (the full-table predecessor re-sent every
     /// known client each round).  Rows come out in version order, which
     /// guarantees a job row precedes its task and collected rows.
+    ///
+    /// This is the *complete* feed — snapshots, bootstraps and the scan
+    /// references are all defined by it.  The steady-state round to a ring
+    /// peer is [`Self::feed_for`], the same builder with that peer's own
+    /// rows left out.
     pub fn delta_since(&self, base: u64) -> ReplicationDelta {
+        self.build_delta(base, None)
+    }
+
+    /// The incremental feed for ring peer `to`: [`Self::delta_since`]`(base)`
+    /// minus the entries last written by a delta or snapshot *from* `to` —
+    /// a row is never sent back to the peer it was learned from (that peer
+    /// holds it at an equal or higher state, so re-applying it there is a
+    /// no-op the sender would still pay to read, size and ship).  Skipped
+    /// entries cost one index step each: no row lookup, no clone.
+    ///
+    /// A bootstrap feed is complete: from `base == 0` nothing is skipped.
+    /// That is what keeps a disk wipe safe — a wiped peer lost its
+    /// applied-head record along with its rows, so it refuses every
+    /// `base > 0` feed as a gap and the reseed it asks for (from-zero
+    /// delta or [`Self::snapshot`]) carries every row, its own included.
+    pub fn feed_for(&self, to: CoordId, base: u64) -> ReplicationDelta {
+        self.build_delta(base, (base > 0).then_some(Provenance::peer(to)))
+    }
+
+    /// The one feed builder: rows changed since `base`, in version order,
+    /// leaving out entries whose provenance is `skip`.
+    fn build_delta(&self, base: u64, skip: Option<Provenance>) -> ReplicationDelta {
         let mut rows = Vec::new();
-        for (_, r) in
+        for (_, entry) in
             self.changed.range((std::ops::Bound::Excluded(base), std::ops::Bound::Unbounded))
         {
-            match *r {
+            if Some(entry.from) == skip {
+                continue;
+            }
+            match entry.row {
                 Changed::Job(key) => {
                     if let Some(spec) = self.spec(&key) {
                         rows.push(DeltaRow::Job(spec.clone()));
@@ -1434,32 +1524,32 @@ impl CoordinatorDb {
         }
     }
 
-    /// Applies one replicated job description.
-    fn apply_job_row(&mut self, spec: &JobSpec) -> Charge {
+    /// Applies one replicated job description learned from `from`.
+    fn apply_job_row(&mut self, spec: JobSpec, from: Provenance) -> Charge {
         let key = spec.key;
         if key.seq <= self.retired_watermark(key.client) {
             // A stale feed must not resurrect a retired job's rows; the
             // mark still merges (marks are never pruned).
-            self.note_mark(key.client, key.seq);
+            self.note_mark(key.client, key.seq, from);
             return Charge::ops(1);
         }
         let charge = if !self.knows_job(&key) {
             let params_len = spec.params.len();
-            let v = Self::touch(&mut self.changed, &mut self.version, 0, Changed::Job(key));
+            let v = Self::touch(&mut self.changed, &mut self.version, 0, Changed::Job(key), from);
             let row = self.jobs.entry(key).or_default();
-            row.spec = Some(spec.clone());
+            row.spec = Some(spec);
             row.version = v;
             self.registered_rows += 1;
             Charge::db(1, params_len)
         } else {
             Charge::ops(1)
         };
-        self.note_mark(key.client, key.seq);
+        self.note_mark(key.client, key.seq, from);
         charge
     }
 
     /// Applies one replicated task row under the paper's merge rules.
-    fn apply_task_row(&mut self, rec: &TaskRecord) {
+    fn apply_task_row(&mut self, rec: &TaskRecord, from: Provenance) {
         let Some(job) = self.jobs.get_mut(&rec.job) else { return };
         // Task for an unknown job: ignore (will come later).
         let Some(spec) = job.spec.as_ref() else { return };
@@ -1470,7 +1560,13 @@ impl CoordinatorDb {
                 // needed to mint a new row — the far more common
                 // state-update path below stays allocation-free.
                 let desc = Self::describe(spec, rec.id, rec.attempt);
-                let v = Self::touch(&mut self.changed, &mut self.version, 0, Changed::Task(rec.id));
+                let v = Self::touch(
+                    &mut self.changed,
+                    &mut self.version,
+                    0,
+                    Changed::Task(rec.id),
+                    from,
+                );
                 job.next_attempt = job.next_attempt.max(rec.attempt + 1);
                 self.tasks.insert(
                     rec.id,
@@ -1528,6 +1624,7 @@ impl CoordinatorDb {
                         &mut self.version,
                         row.version,
                         Changed::Task(rec.id),
+                        from,
                     );
                     row.version = v;
                     if matches!(rec.state, TaskState::Finished { .. }) {
@@ -1569,40 +1666,55 @@ impl CoordinatorDb {
     /// order, which places every job before the task/collected rows that
     /// reference it.
     pub fn apply_delta(&mut self, delta: &ReplicationDelta) -> Charge {
-        self.apply_rows(&delta.rows)
+        self.apply_rows(delta.from, delta.rows.iter().cloned()).charge
     }
 
-    /// Shared row-application loop behind [`Self::apply_delta`] and
-    /// [`Self::apply_snapshot`]: rows are merged under the receiver's own
-    /// version counter.
-    fn apply_rows(&mut self, rows: &[DeltaRow]) -> Charge {
-        let mut charge = Charge::ops(1);
+    /// [`Self::apply_delta`] for a caller that owns the frame: job
+    /// descriptions and checkpoint state move into the tables instead of
+    /// being cloned, and the collection acknowledgements that were news
+    /// come back with the cost.
+    pub fn apply_delta_owned(&mut self, delta: ReplicationDelta) -> Applied {
+        self.apply_rows(delta.from, delta.rows.into_iter())
+    }
+
+    /// Shared row-application loop behind the delta and snapshot apply
+    /// paths: rows are merged under the receiver's own version counter,
+    /// and every row the merge writes is stamped as learned from `peer`.
+    fn apply_rows(&mut self, peer: CoordId, rows: impl Iterator<Item = DeltaRow>) -> Applied {
+        let from = Provenance::peer(peer);
+        let mut applied = Applied { charge: Charge::ops(1), newly_collected: Vec::new() };
         for row in rows {
-            match row {
-                DeltaRow::Job(spec) => charge += self.apply_job_row(spec),
+            applied.charge += match row {
+                DeltaRow::Job(spec) => self.apply_job_row(spec, from),
                 DeltaRow::Task(rec) => {
-                    charge += Charge::ops(1);
-                    self.apply_task_row(rec);
+                    self.apply_task_row(&rec, from);
+                    Charge::ops(1)
                 }
-                DeltaRow::Mark { client, mark } => self.note_mark(*client, *mark),
+                DeltaRow::Mark { client, mark } => {
+                    self.note_mark(client, mark, from);
+                    Charge::ZERO
+                }
                 DeltaRow::Collected { job } => {
-                    charge += Charge::ops(1);
-                    self.note_collected(*job);
+                    if self.note_collected(job, from) {
+                        applied.newly_collected.push(job);
+                    }
+                    Charge::ops(1)
                 }
                 DeltaRow::Ckpt { job, unit_hw, blob } => {
                     // Knowledge merge (not an upload gate): monotone on the
                     // mark, accepted even for locally finished jobs so a
                     // delta-fed replica holds exactly the sender's rows.
-                    if self.note_ckpt(*job, *unit_hw, blob.clone()) {
-                        charge += Charge::db(1, 0) + Charge::disk(blob.len());
+                    let size = blob.len();
+                    if self.note_ckpt(job, unit_hw, blob, from) {
+                        Charge::db(1, 0) + Charge::disk(size)
                     } else {
-                        charge += Charge::ops(1);
+                        Charge::ops(1)
                     }
                 }
-            }
+            };
         }
         self.maybe_compact_pending();
-        charge
+        applied
     }
 
     // --- retention and snapshots -------------------------------------------
@@ -1612,7 +1724,9 @@ impl CoordinatorDb {
     /// watermark and prunes each job's rows (job, tasks, collected, ckpt)
     /// from the tables and the change index, provided no row's version
     /// exceeds `min_acked` (the feed consumer's acknowledged version — a
-    /// replica with `acked ≥ v` already holds every row stamped ≤ `v`).
+    /// replica with `acked ≥ v` already holds every row stamped ≤ `v`:
+    /// it was sent the row, or [`Self::feed_for`] skipped it because the
+    /// replica is the one that taught it).
     /// Client marks are never pruned: the retained mark keeps
     /// `client_max ≥ seq` for every retired job, so the owning client's
     /// log GC/replay protocol (replay only above `coord_max`) can never
@@ -1730,7 +1844,7 @@ impl CoordinatorDb {
     /// Raises `client`'s retired prefix to `w` on the authority of a
     /// snapshot sender, pruning any still-resident rows of the retired
     /// jobs (a lagging replica may hold rows the sender already pruned).
-    fn retire_through(&mut self, client: ClientKey, w: u64) -> Charge {
+    fn retire_through(&mut self, client: ClientKey, w: u64, from: Provenance) -> Charge {
         let start = self.retired_watermark(client);
         if w <= start {
             return Charge::ops(1);
@@ -1749,7 +1863,7 @@ impl CoordinatorDb {
         // Terminal-collected rows just above the new prefix may have
         // become contiguous with it.
         self.advance_collected_contig(client);
-        self.note_mark(client, w);
+        self.note_mark(client, w, from);
         Charge::ops(ops)
     }
 
@@ -1774,13 +1888,30 @@ impl CoordinatorDb {
     /// safe to apply over existing state — versions are re-stamped under
     /// this receiver's own counter.
     pub fn apply_snapshot(&mut self, snap: &Snapshot) -> Charge {
+        self.apply_image(snap.from, &snap.retired, snap.rows.iter().cloned()).charge
+    }
+
+    /// [`Self::apply_snapshot`] for a caller that owns the image (see
+    /// [`Self::apply_delta_owned`]).
+    pub fn apply_snapshot_owned(&mut self, snap: Snapshot) -> Applied {
+        self.apply_image(snap.from, &snap.retired, snap.rows.into_iter())
+    }
+
+    /// The snapshot merge: the retired watermarks first (so rows the
+    /// sender pruned cannot linger here as zombies), then the live rows.
+    fn apply_image(
+        &mut self,
+        peer: CoordId,
+        retired: &[(ClientKey, u64)],
+        rows: impl Iterator<Item = DeltaRow>,
+    ) -> Applied {
         let mut charge = Charge::ops(1);
-        let retired = snap.retired.clone();
-        for (client, w) in retired {
-            charge += self.retire_through(client, w);
+        for &(client, w) in retired {
+            charge += self.retire_through(client, w, Provenance::peer(peer));
         }
-        charge += self.apply_rows(&snap.rows);
-        charge
+        let mut applied = self.apply_rows(peer, rows);
+        applied.charge += charge;
+        applied
     }
 
     /// Highest change-index version ever pruned (0 = nothing pruned).
@@ -1877,7 +2008,8 @@ impl CoordinatorDb {
                 pending_live += live;
             }
             let stamped = |v: u64, what: Changed| {
-                assert_eq!(self.changed.get(&v), Some(&what), "{k:?}: change-index entry");
+                let entry = self.changed.get(&v).map(|e| e.row);
+                assert_eq!(entry, Some(what), "{k:?}: change-index entry");
                 1
             };
             match &row.spec {
@@ -1921,6 +2053,23 @@ impl CoordinatorDb {
             }
         }
         assert!(by_job.is_empty(), "task rows without a job row: {:?}", by_job.keys());
+        // Provenance: an entry is local or names a *peer*, and a row whose
+        // last mutation can only have been this coordinator's own keeps no
+        // peer stamp — a task still in the `Ongoing` state this node
+        // dispatched it into was last written by that dispatch (the merge
+        // only ever moves an ongoing row to finished).
+        for (v, entry) in &self.changed {
+            assert_ne!(entry.from, Provenance::peer(self.me), "v{v}: learned from itself");
+            if let Changed::Task(id) = entry.row {
+                let own_dispatch = self.tasks.get(&id).is_some_and(|t| {
+                    t.locally_dispatched && matches!(t.state, TaskState::Ongoing { .. })
+                });
+                assert!(
+                    !own_dispatch || entry.from == Provenance::LOCAL,
+                    "{id:?}: locally dispatched row kept a peer provenance"
+                );
+            }
+        }
         let catalogued = self.jobs.values().filter(|r| r.catalog_pos != 0).count();
         assert_eq!(self.catalog.len() + self.catalog_removed.len(), catalogued, "catalog size");
         assert_eq!(self.registered_rows, registered, "registered counter");
@@ -2124,6 +2273,33 @@ mod tests {
         let delta2 = d.delta_since(v1);
         assert_eq!(delta2.jobs().count(), 1, "only the new job since v1");
         assert_eq!(delta2.jobs().next().unwrap().key.seq, 2);
+    }
+
+    #[test]
+    fn feed_never_returns_a_row_to_the_peer_that_taught_it() {
+        let (peer, other) = (CoordId(1), CoordId(3));
+        let mut primary = db();
+        primary.register_job(job(1));
+        let mut replica = CoordinatorDb::new(CoordId(2));
+        replica.register_job(job(9)); // one row of its own
+        let base = replica.version();
+        replica.apply_delta_owned(primary.delta_since(0));
+        // Job, task and mark all came from `peer`: nothing goes back there,
+        // everything goes on to a third member, and a from-zero feed —
+        // what a wiped `peer` would be reseeded from — is complete.
+        assert!(replica.feed_for(peer, base).is_empty());
+        assert_eq!(replica.feed_for(peer, base).head_version, replica.version());
+        assert_eq!(replica.feed_for(other, base), replica.delta_since(base));
+        assert_eq!(replica.feed_for(peer, 0), replica.delta_since(0));
+        // A local mutation re-stamps a learned row as the replica's own:
+        // dispatching the peer's task (after job 9's) puts it on the feed.
+        let _ = replica.next_pending(ServerId(1), T0);
+        let learned = replica.next_pending(ServerId(1), T0).0.expect("the peer's task");
+        assert_eq!(learned.job.seq, 1);
+        let feed = replica.feed_for(peer, base);
+        assert_eq!(feed.tasks().last().map(|r| r.id), Some(learned.id));
+        assert_eq!(feed.jobs().count(), 0, "the job row is still the peer's");
+        replica.check_invariants();
     }
 
     #[test]

@@ -32,6 +32,6 @@ pub mod delta;
 pub mod snapshot;
 
 pub use charge::Charge;
-pub use db::{CatalogDelta, CompleteOutcome, CoordinatorDb, TaskRow};
+pub use db::{Applied, CatalogDelta, CompleteOutcome, CoordinatorDb, TaskRow};
 pub use delta::{DeltaRow, ReplicationDelta, TaskRecord};
 pub use snapshot::Snapshot;

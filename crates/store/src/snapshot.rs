@@ -21,7 +21,7 @@ use rpcv_wire::{
     from_bytes, open_frame, seal_frame, to_bytes, Reader, WireDecode, WireEncode, WireError,
     WireWrite,
 };
-use rpcv_xw::{ClientKey, CoordId, JobKey};
+use rpcv_xw::{ClientKey, CoordId};
 
 use crate::delta::DeltaRow;
 
@@ -59,15 +59,6 @@ impl Snapshot {
     /// Number of live rows carried.
     pub fn len(&self) -> usize {
         self.rows.len()
-    }
-
-    /// Collection acknowledgements carried (still-live `Collected` rows;
-    /// the retired watermarks cover the pruned ones).
-    pub fn collected(&self) -> impl Iterator<Item = JobKey> + '_ {
-        self.rows.iter().filter_map(|r| match r {
-            DeltaRow::Collected { job } => Some(*job),
-            _ => None,
-        })
     }
 
     /// Modelled payload bytes: frame plus the parameter payloads of the
@@ -123,7 +114,7 @@ impl WireDecode for Snapshot {
 mod tests {
     use super::*;
     use rpcv_wire::Blob;
-    use rpcv_xw::JobSpec;
+    use rpcv_xw::{JobKey, JobSpec};
 
     fn snap() -> Snapshot {
         let client = ClientKey::new(1, 1);
@@ -155,7 +146,6 @@ mod tests {
         assert_eq!(back, s);
         assert!(!s.is_empty());
         assert_eq!(s.len(), 4);
-        assert_eq!(s.collected().collect::<Vec<_>>(), vec![JobKey::new(ClientKey::new(1, 1), 8)]);
     }
 
     #[test]

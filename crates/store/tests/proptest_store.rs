@@ -3,9 +3,9 @@
 
 use proptest::prelude::*;
 use rpcv_simnet::SimTime;
-use rpcv_store::{CoordinatorDb, Snapshot};
+use rpcv_store::{CoordinatorDb, DeltaRow, Snapshot};
 use rpcv_wire::Blob;
-use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId};
+use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, TaskState};
 
 fn job(seq: u64, size: u64) -> JobSpec {
     JobSpec::new(JobKey::new(ClientKey::new(1, 1), seq), "svc", Blob::synthetic(size, seq))
@@ -14,7 +14,258 @@ fn job(seq: u64, size: u64) -> JobSpec {
         .with_work_units(100)
 }
 
+/// One local (non-replication) operation of the op generator shared by
+/// `indexed_views_match_scan_definitions` and the ring twins: actions
+/// 0–3 and 5–9 of its `(seq, action, aux)` tuples.
+fn local_op(db: &mut CoordinatorDb, seq: u64, action: u8, aux: u8) {
+    let client = ClientKey::new(1, 1);
+    let now = SimTime::ZERO;
+    match action {
+        0 | 1 => {
+            db.register_job(job(seq, 50).with_replication(1 + (aux % 2) as u32));
+        }
+        2 => {
+            let _ = db.next_pending(ServerId((aux % 3) as u64 + 1), now);
+        }
+        3 => {
+            if let (Some(d), _) = db.next_pending(ServerId(9), now) {
+                db.complete_task(d.id, d.job, Blob::synthetic(16, seq), ServerId(9));
+            }
+        }
+        5 => {
+            let first_missing = db.missing_archives_iter().next();
+            if let Some(j) = first_missing {
+                db.reexecute_job(j);
+            }
+        }
+        6 => {
+            // Sometimes ack-without-GC: the flagged-but-retained
+            // archive state must also surface as a collected row.
+            db.mark_collected(client, &[seq]);
+            if aux.is_multiple_of(2) {
+                let _ = db.gc_collected();
+            }
+        }
+        7 => {
+            db.store_archive(JobKey::new(client, seq), Blob::synthetic(8, seq));
+        }
+        8 => {
+            db.server_suspected(ServerId((aux % 3) as u64 + 1));
+        }
+        _ => {
+            // Checkpoint upload for a (possibly finished, possibly
+            // unknown) job: the monotone merge and the finished-job
+            // gate both get exercised.
+            db.record_checkpoint(
+                JobKey::new(client, seq),
+                (aux as u32 % 6) + 1,
+                Blob::synthetic(32, seq ^ 0xCC),
+            );
+        }
+    }
+}
+
+/// A ring of coordinator databases replicating the way `CoordinatorActor`
+/// does — successor feed from the acked base, snapshot below the retention
+/// floor, gap refusal above the consumer's applied head, ack records
+/// dropped on suspicion — with the feed either echo-free
+/// ([`CoordinatorDb::feed_for`]) or the complete reference
+/// ([`CoordinatorDb::delta_since`]).
+struct Ring {
+    filtered: bool,
+    members: Vec<CoordinatorDb>,
+    /// `acked[i][j]`: the version of `i`'s feed that `j` acknowledged.
+    acked: Vec<Vec<u64>>,
+    /// `applied[j][i]`: the highest head of `i`'s feed applied at `j`.
+    applied: Vec<Vec<u64>>,
+    /// A crashed member: skipped by the ring until it returns.
+    down: Option<usize>,
+    /// Members that lost their disk.  A wiped database restarts its task
+    /// counter, and instance ids minted again would alias the first
+    /// incarnation's rows at the peers — a hazard of wiping the id
+    /// authority that is not this property's subject — so a wiped member
+    /// stops minting (no registration, re-execution or suspicion).
+    wiped: Vec<bool>,
+}
+
+impl Ring {
+    fn new(k: usize, filtered: bool) -> Self {
+        Ring {
+            filtered,
+            members: (0..k).map(|i| CoordinatorDb::new(Self::id(i))).collect(),
+            acked: vec![vec![0; k]; k],
+            applied: vec![vec![0; k]; k],
+            down: None,
+            wiped: vec![false; k],
+        }
+    }
+
+    fn id(i: usize) -> CoordId {
+        CoordId(i as u64 + 1)
+    }
+
+    /// `i`'s live ring successor.
+    fn successor(&self, i: usize) -> Option<usize> {
+        let k = self.members.len();
+        (1..k).map(|d| (i + d) % k).find(|&j| Some(j) != self.down)
+    }
+
+    /// The version retention at `i` may prune up to.
+    fn min_acked(&self, i: usize) -> u64 {
+        self.successor(i).map_or(u64::MAX, |j| self.acked[i][j])
+    }
+
+    /// One replication round from `i` to its successor; `ack` says whether
+    /// the acknowledgement makes it back.
+    fn exchange(&mut self, i: usize, ack: bool) {
+        if Some(i) == self.down {
+            return;
+        }
+        let Some(j) = self.successor(i) else { return };
+        let base = self.acked[i][j];
+        let sender = &self.members[i];
+        let head = if base < sender.delta_floor() {
+            let snap = Snapshot::open(&sender.snapshot().seal()).unwrap();
+            let version = snap.version;
+            self.members[j].apply_snapshot_owned(snap);
+            version
+        } else if base > self.applied[j][i] {
+            // Gap: the consumer refuses the feed and asks for a reseed.
+            self.acked[i][j] = 0;
+            return;
+        } else {
+            let feed = if self.filtered {
+                sender.feed_for(Self::id(j), base)
+            } else {
+                sender.delta_since(base)
+            };
+            let head = feed.head_version;
+            self.members[j].apply_delta_owned(feed);
+            head
+        };
+        self.applied[j][i] = self.applied[j][i].max(head);
+        if ack {
+            self.acked[i][j] = self.acked[i][j].max(head);
+        }
+    }
+
+    /// `d` crashes (its peers suspect it and drop its ack records), or the
+    /// crashed member returns with its durable state.
+    fn toggle_down(&mut self, d: usize) {
+        if self.down.take().is_none() {
+            self.down = Some(d);
+            for row in &mut self.acked {
+                row[d] = 0;
+            }
+        }
+    }
+
+    /// `d` loses its disk: database, ack records and applied heads go
+    /// together; its peers are not told.
+    fn wipe(&mut self, d: usize) {
+        self.members[d] = CoordinatorDb::new(Self::id(d));
+        self.acked[d].fill(0);
+        self.applied[d].fill(0);
+        self.wiped[d] = true;
+    }
+
+    /// One step of the `indexed_views_match_scan_definitions` generator.
+    fn step(&mut self, seq: u64, action: u8, aux: u8) {
+        let k = self.members.len();
+        let i = (seq as usize + aux as usize) % k;
+        match action {
+            4 => (0..k).for_each(|m| self.exchange(m, true)),
+            11 => match aux {
+                0..=3 => self.exchange(i, aux < 2),
+                4 | 5 => self.toggle_down(i),
+                _ => self.wipe(i),
+            },
+            _ if Some(i) == self.down => {}
+            0 | 1 | 5 | 8 if self.wiped[i] => {}
+            10 => {
+                let min_acked = self.min_acked(i);
+                self.members[i].prune_retired(min_acked);
+            }
+            _ => local_op(&mut self.members[i], seq, action, aux),
+        }
+    }
+}
+
+fn state_rank(s: &TaskState) -> u8 {
+    match s {
+        TaskState::Pending => 0,
+        TaskState::Ongoing { .. } => 1,
+        TaskState::Finished { .. } => 2,
+    }
+}
+
+/// True when `peer` holds `row` at an equal or higher state (or retired the
+/// job it belongs to): what makes leaving `row` out of its feed safe.
+fn holds(peer: &CoordinatorDb, row: &DeltaRow) -> bool {
+    let retired = |j: &JobKey| j.seq <= peer.retired_watermark(j.client);
+    match row {
+        DeltaRow::Job(spec) => peer.knows_job(&spec.key) || retired(&spec.key),
+        DeltaRow::Task(rec) => {
+            retired(&rec.job)
+                || peer.task(rec.id).is_some_and(|t| state_rank(&t.state) >= state_rank(&rec.state))
+        }
+        DeltaRow::Mark { client, mark } => peer.client_max(*client) >= *mark,
+        DeltaRow::Collected { job } => peer.has_collected_knowledge(job),
+        DeltaRow::Ckpt { job, unit_hw, .. } => {
+            retired(job) || peer.ckpt_high_water(job).is_some_and(|hw| hw >= *unit_hw)
+        }
+    }
+}
+
 proptest! {
+    /// Echo-free replication is invisible to the replicated state: a
+    /// 2-ring and a 3-ring exchanging *filtered* feeds hold, member for
+    /// member and row for row, exactly what twin rings exchanging the
+    /// complete reference feed hold — after every step of an arbitrary
+    /// run of local operations, replication rounds (acked or not),
+    /// retention, crashes that reshape the ring, and disk wipes.  Along
+    /// the way the rules themselves are pinned: a from-zero feed is
+    /// complete; whatever a local operation stamps is on every peer's
+    /// feed again; and an entry a feed skips is never the only copy.
+    #[test]
+    fn filtered_feeds_match_unfiltered_twins(
+        ops in proptest::collection::vec((1u64..25, 0u8..12, 0u8..8), 1..60),
+    ) {
+        for k in [2usize, 3] {
+            let mut ring = Ring::new(k, true);
+            let mut twin = Ring::new(k, false);
+            for &(seq, action, aux) in &ops {
+                let before: Vec<u64> = ring.members.iter().map(CoordinatorDb::version).collect();
+                ring.step(seq, action, aux);
+                twin.step(seq, action, aux);
+                let local_op = !matches!(action, 4 | 11);
+                for (i, m) in ring.members.iter().enumerate() {
+                    m.check_invariants();
+                    prop_assert_eq!(m.delta_since(0), twin.members[i].delta_since(0));
+                    for p in (0..k).filter(|&p| p != i) {
+                        let to = Ring::id(p);
+                        prop_assert_eq!(m.feed_for(to, 0), m.delta_since(0));
+                        if local_op {
+                            prop_assert_eq!(m.feed_for(to, before[i]), m.delta_since(before[i]));
+                        }
+                        // A feed `p` would accept leaves out only rows `p` holds.
+                        let base = ring.acked[i][p];
+                        if base > 0 && base <= ring.applied[p][i] {
+                            let sent = m.feed_for(to, base);
+                            for row in m.delta_since(base).rows {
+                                prop_assert!(
+                                    sent.rows.contains(&row) || holds(&ring.members[p], &row),
+                                    "{:?} skipped toward {:?}, which does not hold it", row, to
+                                );
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(&ring.acked, &twin.acked);
+            }
+        }
+    }
+
     /// Replication convergence: after exchanging deltas in both directions,
     /// both databases agree on jobs, finished jobs, and client marks —
     /// regardless of how work was interleaved on the primary.
@@ -127,17 +378,6 @@ proptest! {
         let mut snap: Option<Snapshot> = None;
         for (step, (seq, action, aux)) in ops.into_iter().enumerate() {
             match action {
-                0 | 1 => {
-                    a.register_job(job(seq, 50).with_replication(1 + (aux % 2) as u32));
-                }
-                2 => {
-                    let _ = a.next_pending(ServerId((aux % 3) as u64 + 1), now);
-                }
-                3 => {
-                    if let (Some(d), _) = a.next_pending(ServerId(9), now) {
-                        a.complete_task(d.id, d.job, Blob::synthetic(16, seq), ServerId(9));
-                    }
-                }
                 4 => {
                     // Peer work replicated in: held ongoing tasks, foreign
                     // origins, finished-without-archive rows, and the
@@ -154,36 +394,6 @@ proptest! {
                     }
                     a.apply_delta(&b.delta_since(0));
                 }
-                5 => {
-                    let first_missing = a.missing_archives_iter().next();
-                    if let Some(j) = first_missing {
-                        a.reexecute_job(j);
-                    }
-                }
-                6 => {
-                    // Sometimes ack-without-GC: the flagged-but-retained
-                    // archive state must also surface as a collected row.
-                    a.mark_collected(client, &[seq]);
-                    if aux % 2 == 0 {
-                        let _ = a.gc_collected();
-                    }
-                }
-                7 => {
-                    a.store_archive(JobKey::new(client, seq), Blob::synthetic(8, seq));
-                }
-                8 => {
-                    a.server_suspected(ServerId((aux % 3) as u64 + 1));
-                }
-                9 => {
-                    // Checkpoint upload for a (possibly finished, possibly
-                    // unknown) job: the monotone merge and the finished-job
-                    // gate both get exercised.
-                    a.record_checkpoint(
-                        JobKey::new(client, seq),
-                        (aux as u32 % 6) + 1,
-                        Blob::synthetic(32, seq ^ 0xCC),
-                    );
-                }
                 10 => {
                     // Retention, gated exactly as the coordinator gates
                     // it: never past what the slowest feed consumer (the
@@ -193,10 +403,11 @@ proptest! {
                     a.prune_retired(min_acked);
                     prop_assert!(a.delta_floor() <= min_acked, "floor never passes the gate");
                 }
-                _ => {
+                11 => {
                     let (_, _) = a.next_pending(ServerId(2), now);
                     a.apply_delta(&b.delta_since((aux as u64) * 5));
                 }
+                _ => local_op(&mut a, seq, action, aux),
             }
             // Row flags/counters and side indexes against a full recount
             // (the peer and the delta-fed mirror get audited too — apply

@@ -582,3 +582,93 @@ fn blocking_pessimistic_never_loses_completed_submissions() {
         assert_eq!(g.coordinator(0).unwrap().db().stats().jobs, 8);
     }
 }
+
+/// The primary loses its disk while every row it ever wrote lives on only
+/// at the replica — which learned all of them *from* the primary, so its
+/// incremental feed back skips every one.  Bootstrap feeds are complete:
+/// a from-zero delta skips nothing, and a wiped consumer's applied head
+/// went with its rows, so it refuses any `base > 0` round as a gap and is
+/// reseeded.  Both reseed shapes: the from-zero delta while the replica's
+/// feed has no floor, the snapshot once the replica's retention pruned
+/// the delivered prefix.  Either way no job is lost and no collected work
+/// runs again.
+#[test]
+fn wiped_primary_relearns_its_own_rows_from_the_replica() {
+    for pruned_replica in [false, true] {
+        // One long period: the replica learns the whole workload from the
+        // t=20 round and its own first round (built empty) acked head 0 —
+        // nothing to prune behind, the feed has no floor.  Short periods:
+        // acks flow and the replica retires what it learned.
+        let (period, wipe_at) = if pruned_replica { (4, 45) } else { (20, 35) };
+        let mut cfg = ProtocolConfig::confined()
+            .with_heartbeat(SimDuration::from_secs(1))
+            .with_suspicion(SimDuration::from_secs(5))
+            .with_replication_period(SimDuration::from_secs(period));
+        cfg.missing_archive_timeout = SimDuration::from_secs(10);
+        let plan: Vec<CallSpec> =
+            (0..8).map(|i| CallSpec::new("b", Blob::synthetic(10_000, i), 2.0, 128)).collect();
+        let mut g = SimGrid::build(GridSpec::confined(2, 4).with_cfg(cfg).with_plan(plan));
+        let c0 = g.coords[0].1;
+        let jobs: Vec<_> = (1..=8u64).map(|seq| rpcv::xw::JobKey::new(g.client_key, seq)).collect();
+        let executed = |g: &SimGrid| -> u64 {
+            (0..4).map(|i| g.server(i).map_or(0, |s| s.metrics.executed)).sum()
+        };
+
+        let done = g.run_until_done(SimTime::from_secs(1800)).expect("workload completes");
+        assert!(done < SimTime::from_secs(18), "done at {done:?}");
+        g.world.run_until(SimTime::from_secs(wipe_at));
+        {
+            let replica = g.coordinator(1).expect("replica up");
+            assert_eq!(replica.db().delta_floor() > 0, pruned_replica, "replica feed floor");
+            assert_eq!(replica.db().stats().jobs, 8, "the replica holds the primary's rows");
+            // Its first round was built empty and its second still had base
+            // 0 (complete by definition); every round since skipped it all.
+            let rounds = &replica.metrics.repl_rounds;
+            assert!(rounds.iter().skip(2).all(|r| r.records == 0), "the replica echoes nothing");
+        }
+        assert_eq!(executed(&g), 8);
+
+        // The client is down too, so the replica's feed is the only place
+        // the wiped primary can relearn anything from.
+        let client = g.client_node;
+        g.world.crash_now(client);
+        g.world.crash_now(c0);
+        g.world.wipe_durable(c0);
+        g.world.restart_now(c0);
+        g.world.run_until(SimTime::from_secs(wipe_at + 60));
+        {
+            let primary = g.coordinator(0).expect("primary up");
+            let replica = g.coordinator(1).expect("replica up");
+            assert!(!primary.rx_counts.contains_key("SubmitBatch"), "no client replay");
+            let reseeds = replica.rx_counts.get("SnapshotRequest").copied().unwrap_or(0);
+            if pruned_replica {
+                assert!(reseeds >= 1, "the wiped primary must refuse the gapped feed");
+                assert!(replica.metrics.snapshots_sent >= 1, "floor > 0 reseeds by snapshot");
+                assert!(primary.metrics.snapshots_applied >= 1);
+                assert_eq!(primary.db().retired_count(), 8, "the delivered prefix came back");
+            } else {
+                assert_eq!((reseeds, replica.metrics.snapshots_sent), (0, 0), "from-zero delta");
+                assert_eq!(primary.metrics.collected_marks_applied, 8, "acks came off the feed");
+                assert_eq!(primary.db().stats().tasks, 8, "task rows came off the feed");
+            }
+            assert_eq!(primary.db().stats().jobs, 8, "zero lost jobs");
+            assert_eq!(primary.db().client_max(g.client_key), 8, "replay fence relearned");
+            for job in &jobs {
+                assert!(primary.db().has_collected_knowledge(job), "delivered {job:?} relearned");
+                assert!(!primary.db().wants_archive(job), "no re-acquisition of {job:?}");
+            }
+        }
+
+        // The client returns to a primary that knows everything again:
+        // nothing to replay, nothing to run.
+        g.world.restart_now(client);
+        g.world.run_until(SimTime::from_secs(200)); // far past the re-execution horizon
+        let primary = g.coordinator(0).expect("primary up");
+        let replica = g.coordinator(1).expect("replica up");
+        let stats = primary.db().stats();
+        assert_eq!((stats.jobs, stats.pending, stats.ongoing), (8, 0, 0));
+        assert_eq!(primary.metrics.reexecutions + replica.metrics.reexecutions, 0);
+        assert_eq!(executed(&g), 8, "collected work must not run again");
+        assert_eq!(g.client_results(), 8);
+    }
+}

@@ -3,6 +3,7 @@
 
 use rpcv::core::config::ProtocolConfig;
 use rpcv::core::grid::{GridSpec, SimGrid};
+use rpcv::core::msg::Msg;
 use rpcv::core::util::CallSpec;
 use rpcv::simnet::{Control, SimDuration, SimTime};
 use rpcv::wire::Blob;
@@ -152,6 +153,48 @@ fn replica_never_reexecutes_while_primary_serves() {
         let c = grid.coordinator(i).unwrap();
         assert_eq!(c.metrics.reexecutions, 0, "coordinator {i} re-executed without any fault");
     }
+}
+
+#[test]
+fn replica_feed_carries_no_echo_while_primary_serves() {
+    // A row is never sent to the peer it was learned from.  In a
+    // fault-free 2-coordinator run the replica does no work of its own:
+    // every row it holds the primary taught it, so its rounds back — which
+    // still leave every period, for liveness and for the acked head its
+    // own retention waits on — must be all but empty.  (Not exactly empty:
+    // its first non-empty round still has base 0, and a from-zero feed is
+    // complete by definition — hence arrivals spread over many periods.)
+    // Before provenance the replica mirrored the primary's feed row for
+    // row.
+    let jobs = 400;
+    let mut grid = SimGrid::build(GridSpec::confined(2, 4).with_seed(7));
+    for i in 0..jobs {
+        grid.world.inject(
+            SimTime::from_millis(250 * i),
+            grid.client_node,
+            Msg::ApiSubmit {
+                service: "b".into(),
+                params: Blob::synthetic(100, i),
+                exec_cost: 0.5,
+                result_size: 64,
+                replication: 1,
+                work_units: 1,
+            },
+        );
+    }
+    grid.world.run_until(SimTime::from_secs(150));
+    assert_eq!(grid.client_results() as u64, jobs);
+    let rounds = |i: usize| {
+        let rounds = &grid.coordinator(i).unwrap().metrics.repl_rounds;
+        (rounds.len(), rounds.iter().map(|r| r.records).sum::<u64>())
+    };
+    let ((primary_rounds, primary_rows), (replica_rounds, replica_rows)) = (rounds(0), rounds(1));
+    assert!(primary_rows >= 3 * jobs, "job, task and ack rows replicate: {primary_rows}");
+    assert_eq!(primary_rounds, replica_rounds, "both members keep the ring's cadence");
+    assert!(
+        replica_rows * 20 <= primary_rows,
+        "the replica echoed {replica_rows} rows against the primary's {primary_rows} ({replica_rounds} rounds)"
+    );
 }
 
 #[test]
