@@ -410,19 +410,25 @@ impl ClientActor {
 
     fn ingest_results(&mut self, ctx: &mut Ctx<'_, Msg>, results: Vec<crate::msg::RpcResult>) {
         let now = ctx.now();
+        // Results are made durable locally (cached write) so a crash after
+        // acking cannot lose them.  The result store is an append-only
+        // log: one reply is one write (a 32-byte record header per
+        // archive), not a seek per result on the disk the submission log
+        // shares — and the collected ack of every result in it waits for
+        // that one write's durability.
+        let bytes: u64 = results
+            .iter()
+            .filter(|r| !self.results.contains_key(&r.job.seq))
+            .map(|r| r.archive.len() + 32)
+            .sum();
+        let durable_at = if bytes > 0 { ctx.disk_write(bytes, false).durable_at } else { now };
         for r in results {
             let seq = r.job.seq;
             self.frontier.remove(seq);
             if self.results.contains_key(&seq) {
                 continue;
             }
-            // Results are made durable locally (cached write) so a crash
-            // after acking cannot lose them.
-            let out = ctx.disk_write(r.archive.len() + 32, false);
-            self.results.insert(
-                seq,
-                ResultRec { archive: r.archive, durable_at: out.durable_at, acked: false },
-            );
+            self.results.insert(seq, ResultRec { archive: r.archive, durable_at, acked: false });
             self.unacked_results.insert(seq);
             self.metrics.results_received.insert(seq, now);
         }

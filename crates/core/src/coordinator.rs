@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use rpcv_detect::{CoordinatorList, HeartbeatMonitor};
-use rpcv_obs::{ExportTelemetry, Registry, SpanBook, SpanEdge, TelemetrySnapshot};
+use rpcv_obs::{ExportTelemetry, Histogram, Registry, SpanBook, SpanEdge, TelemetrySnapshot};
 use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimTime, TimerId, WireSized};
 use rpcv_store::{Charge, CoordinatorDb, ReplicationDelta, Snapshot};
 use rpcv_wire::WireEncode;
@@ -88,6 +88,17 @@ pub struct CoordMetrics {
     pub shard_redirects: u64,
     /// Live-introspection requests answered with a sealed snapshot.
     pub status_replies: u64,
+    /// Writes issued to the archive store (result archives, checkpoint
+    /// blobs, replicated archive rows — every [`Charge`] with disk bytes).
+    pub archive_writes: u64,
+    /// Disk ops those writes opened.  The archive store is a single-writer
+    /// segment log whose disk group-commits, so under backlog this grows
+    /// with ops, not archives: `archive_writes / archive_write_ops` is the
+    /// batching factor (1 on an idle disk).
+    pub archive_write_ops: u64,
+    /// Issue → return of each archive write: what a deferred reply (e.g.
+    /// `TaskDoneAck`) waited on the disk for.
+    pub archive_write_wait: Histogram,
 }
 
 impl ExportTelemetry for CoordMetrics {
@@ -107,6 +118,8 @@ impl ExportTelemetry for CoordMetrics {
         c("snapshots_applied", self.snapshots_applied);
         c("shard_redirects", self.shard_redirects);
         c("status_replies", self.status_replies);
+        c("archive_writes", self.archive_writes);
+        c("archive_write_ops", self.archive_write_ops);
         c("repl_rounds", self.repl_rounds.len() as u64);
         c("repl_bytes", self.repl_rounds.iter().map(|r| r.bytes).sum());
         c("repl_records", self.repl_rounds.iter().map(|r| r.records).sum());
@@ -116,6 +129,7 @@ impl ExportTelemetry for CoordMetrics {
                 h.record_gap(acked.since(r.started));
             }
         }
+        reg.merge_hist(&format!("{prefix}.archive_write_wait"), &self.archive_write_wait);
     }
 }
 
@@ -341,15 +355,46 @@ impl CoordinatorActor {
     }
 
     /// Charges a storage [`Charge`] to this node's resources; returns when
-    /// everything lands.
+    /// everything lands.  Disk bytes are one append to the archive store's
+    /// segment log: the write rides whatever op the disk's group-commit
+    /// queue puts it in, and the caller's reply is deferred to *this*
+    /// write's return — never to an earlier member of its batch.
     fn pay(&mut self, ctx: &mut Ctx<'_, Msg>, charge: Charge) -> SimTime {
         let db_done = ctx.db(charge.db_ops, charge.db_bytes);
-        if charge.disk_bytes > 0 {
-            let disk = ctx.disk_write(charge.disk_bytes, false);
-            db_done.max(disk.returned_at)
-        } else {
-            db_done
+        if charge.disk_bytes == 0 {
+            return db_done;
         }
+        let ops_before = ctx.disk_mut().ops();
+        let disk = ctx.disk_write(charge.disk_bytes, false);
+        self.metrics.archive_writes += 1;
+        self.metrics.archive_write_ops += ctx.disk_mut().ops() - ops_before;
+        self.metrics.archive_write_wait.record_gap(disk.returned_at.since(ctx.now()));
+        db_done.max(disk.returned_at)
+    }
+
+    /// Reads `jobs`' archives back from the store and sends them to `to`
+    /// once fetched: 2 db ops per archive (index + row) after one for the
+    /// request, plus the payload read from the archive filesystem.  Jobs
+    /// without a stored archive are skipped.
+    fn serve_archives(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        to: NodeId,
+        jobs: impl Iterator<Item = JobKey>,
+        reply: impl FnOnce(Vec<RpcResult>) -> Option<Msg>,
+    ) {
+        let mut results = Vec::new();
+        let mut payload = 0;
+        for job in jobs {
+            if let Some(blob) = self.db.archive(&job) {
+                payload += blob.len();
+                results.push(RpcResult { job, archive: blob.clone() });
+            }
+        }
+        let ops = 1 + 2 * results.len() as u64;
+        let Some(msg) = reply(results) else { return };
+        let done = ctx.db(ops, 0).max(ctx.disk_read(payload));
+        self.deferred.send_at(ctx, done, to, msg, K_SEND, 0);
     }
 
     fn record_completion(&mut self, now: SimTime) {
@@ -656,7 +701,7 @@ impl CoordinatorActor {
         // read over the per-client catalog change index, so a steady-state
         // beat pays for the results that actually changed, never for the
         // client's whole backlog.  The per-archive *fetch* in
-        // `handle_results_request` still pays per row — that asymmetry
+        // `serve_archives` still pays per row — that asymmetry
         // plus the extra round trip is Fig. 6's "additional overhead" of
         // coordinator-side logs.
         let delta = self.db.results_catalog_since(client, catalog_seq);
@@ -682,31 +727,6 @@ impl CoordinatorActor {
             K_SEND,
             0,
         );
-    }
-
-    fn handle_results_request(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: NodeId,
-        client: ClientKey,
-        want: Vec<u64>,
-    ) {
-        // Fetch each archive: 2 ops (index + row) plus the payload read
-        // from the archive filesystem.
-        let mut results = Vec::new();
-        let mut payload = 0;
-        for seq in want {
-            let job = JobKey { client, seq };
-            if let Some(blob) = self.db.archive(&job) {
-                payload += blob.len();
-                results.push(RpcResult { job, archive: blob.clone() });
-            }
-        }
-        let ops = 1 + 2 * results.len() as u64;
-        let db_done = ctx.db(ops, 0);
-        let disk_done = ctx.disk_read(payload);
-        let done = db_done.max(disk_done);
-        self.deferred.send_at(ctx, done, from, Msg::ResultsReply { results }, K_SEND, 0);
     }
 
     /// Collection acknowledgements an applied frame taught us: the jobs
@@ -760,31 +780,12 @@ impl CoordinatorActor {
             K_SEND,
             0,
         );
-        // Serve requested archives from our store (capped per round).
-        if !want_archives.is_empty() {
-            let mut results = Vec::new();
-            let mut payload = 0;
-            for job in want_archives.into_iter().take(64) {
-                if let Some(blob) = self.db.archive(&job) {
-                    payload += blob.len();
-                    results.push(RpcResult { job, archive: blob.clone() });
-                }
-            }
-            if !results.is_empty() {
-                let ops = 1 + 2 * results.len() as u64;
-                let db_done = ctx.db(ops, 0);
-                let disk_done = ctx.disk_read(payload);
-                let ready = db_done.max(disk_done);
-                self.deferred.send_at(
-                    ctx,
-                    ready,
-                    from,
-                    Msg::ReplArchives { from: self.params.me, results },
-                    K_SEND,
-                    0,
-                );
-            }
-        }
+        // Serve requested archives from our store (capped per round); a
+        // round that finds none sends nothing.
+        let me = self.params.me;
+        self.serve_archives(ctx, from, want_archives.into_iter().take(64), |results| {
+            (!results.is_empty()).then_some(Msg::ReplArchives { from: me, results })
+        });
     }
 
     fn replicate(&mut self, ctx: &mut Ctx<'_, Msg>) {
@@ -1163,7 +1164,8 @@ impl Actor<Msg> for CoordinatorActor {
                     self.redirect(ctx, from);
                     return;
                 }
-                self.handle_results_request(ctx, from, client, want);
+                let jobs = want.into_iter().map(|seq| JobKey { client, seq });
+                self.serve_archives(ctx, from, jobs, |results| Some(Msg::ResultsReply { results }));
             }
             Msg::ServerBeat { server, want_work, running, offered } => {
                 self.handle_server_beat(ctx, from, server, want_work, running, offered);

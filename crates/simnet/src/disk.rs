@@ -18,6 +18,28 @@
 //! reached when the write has fully drained.  A blocking write (fsync)
 //! returns at its durability point; a cached write returns at cache-insert
 //! completion while also reporting its durability point.
+//!
+//! # Group commit
+//!
+//! The write queue is a group-commit queue: the disk takes everything that
+//! queued up while it was busy in **one** operation.  The join rule, stated
+//! once:
+//!
+//! > A write joins the latest op iff that op has not started yet
+//! > (`op_start > now`); otherwise it opens a new op at
+//! > `max(now, write_frontier)`.
+//!
+//! An op pays `per_op` (seek + syscall) once; its writes append their bytes
+//! in arrival order, and each write's `returned_at`/`durable_at` is its own
+//! position in that batch.  A write to an idle disk opens an op that starts
+//! at `now`, so nothing can ever join it — not even a write issued at the
+//! same instant — and it costs exactly one `per_op` plus its transfer.  At
+//! most one op is ever pending (every write issued while it waits joins
+//! it), so the batch is whatever arrived during the previous op: there is
+//! no batch size, no flush timer and no knob, and the frontier is never
+//! further from `now` than the executing op's remainder plus that one
+//! pending op, however fast writes arrive.  Everything is computed at issue
+//! time; the kernel sees no extra event.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -71,12 +93,20 @@ pub struct Disk {
     drain_done: SimTime,
     /// Total bytes ever written (accounting).
     bytes_written: u64,
+    /// Operations started: write batches plus reads.
     ops: u64,
+    /// Write requests issued (each rides exactly one op).
+    writes: u64,
+    /// Total service time of every op (per-op cost plus transfer).
+    busy_total: SimDuration,
     /// Deterministic jitter stream.
     jitter_state: u64,
     /// Completion frontier of the last write issued (writes from the same
     /// caller serialize even when issued at the same instant).
     write_frontier: SimTime,
+    /// When the latest write op starts (or started) executing — the join
+    /// rule's only state.
+    op_start: SimTime,
 }
 
 impl Disk {
@@ -89,8 +119,11 @@ impl Disk {
             drain_done: SimTime::ZERO,
             bytes_written: 0,
             ops: 0,
+            writes: 0,
+            busy_total: SimDuration::ZERO,
             jitter_state: 0x9E37_79B9_7F4A_7C15,
             write_frontier: SimTime::ZERO,
+            op_start: SimTime::ZERO,
         }
     }
 
@@ -120,9 +153,22 @@ impl Disk {
         self.bytes_written
     }
 
-    /// Total write operations since creation/reset.
+    /// Total operations since creation: write ops (batches — one per
+    /// group commit, however many writes rode it) plus reads.
     pub fn ops(&self) -> u64 {
         self.ops
+    }
+
+    /// Total write requests since creation; `writes() / ops()` on a
+    /// write-only disk is the batching factor.
+    pub fn writes(&self) -> u64 {
+        self.writes
+    }
+
+    /// Total time the disk spent servicing ops (per-op cost plus transfer,
+    /// reads included) — the utilization numerator.
+    pub fn busy_total(&self) -> SimDuration {
+        self.busy_total
     }
 
     fn advance(&mut self, now: SimTime) {
@@ -137,20 +183,33 @@ impl Disk {
     /// durable.  Insertion is pipelined with draining: bytes that fit in
     /// the free cache space go in at memcpy speed; the remainder proceeds
     /// at platter speed (steady state of a full write-back cache).
+    ///
+    /// Writes group-commit (see the module docs for the join rule): a
+    /// write issued while an op executes rides the one op that starts when
+    /// it ends, appended behind the writes already waiting there.
     pub fn write_cached(&mut self, now: SimTime, bytes: u64) -> WriteOutcome {
-        // Writes serialize: a write issued while a previous one is still
-        // inserting starts after it (single-caller discipline).
-        let now = now.max(self.write_frontier);
-        self.advance(now);
-        self.ops += 1;
+        // The join rule.  Either way the bytes go in at the frontier:
+        // behind the batch's earlier writes, or after the executing op.
+        let joins = self.op_start > now;
+        let start = now.max(self.write_frontier);
+        self.advance(start);
+        self.writes += 1;
         self.bytes_written += bytes;
+        let op_cost = if joins {
+            SimDuration::ZERO
+        } else {
+            self.ops += 1;
+            self.op_start = start;
+            self.op_cost()
+        };
 
         let free = (self.spec.cache_bytes as f64 - self.cache_fill).max(0.0);
         let fast_bytes = (bytes as f64).min(free);
         let slow_bytes = bytes as f64 - fast_bytes;
         let t_fast = SimDuration::from_secs_f64(fast_bytes / self.spec.cache_bw);
         let t_slow = SimDuration::from_secs_f64(slow_bytes / self.spec.platter_bw);
-        let insert_done = now + self.op_cost() + t_fast + t_slow;
+        let insert_done = start + op_cost + t_fast + t_slow;
+        self.busy_total += insert_done.since(start);
         // While inserting, the platter drained concurrently.
         self.advance(insert_done);
         self.cache_fill = (self.cache_fill + fast_bytes).min(self.spec.cache_bytes as f64);
@@ -176,9 +235,9 @@ impl Disk {
     pub fn read(&mut self, now: SimTime, bytes: u64) -> SimTime {
         self.advance(now);
         self.ops += 1;
-        let op = self.op_cost();
-        let start = self.drain_done.max(now) + op;
-        let end = start + SimDuration::for_bytes(bytes, self.spec.platter_bw);
+        let service = self.op_cost() + SimDuration::for_bytes(bytes, self.spec.platter_bw);
+        self.busy_total += service;
+        let end = self.drain_done.max(now) + service;
         self.drain_done = end;
         end
     }
@@ -191,6 +250,7 @@ impl Disk {
         self.as_of = now;
         self.drain_done = now;
         self.write_frontier = now;
+        self.op_start = now;
     }
 }
 
@@ -281,5 +341,64 @@ mod tests {
         let out = d.write_cached(SimTime::from_secs(1), 100);
         assert!(out.returned_at < SimTime::from_secs(1) + SimDuration::from_millis(5));
         assert_eq!(d.ops(), 2);
+    }
+
+    const MS: fn(u64) -> SimTime = SimTime::from_millis;
+
+    #[test]
+    fn writes_issued_during_an_op_share_the_next_one() {
+        let mut d = Disk::new(spec());
+        let a = d.write_cached(MS(0), 1000);
+        // Three writes while `a` executes: one op, bytes in arrival order.
+        let b = d.write_cached(MS(1), 1000);
+        let c = d.write_cached(MS(2), 1000);
+        let e = d.write_cached(MS(3), 1000);
+        assert_eq!((d.ops(), d.writes()), (2, 4));
+        let copy = SimDuration::for_bytes(1000, 500.0e6);
+        // The opener pays the seek after `a` returns; joiners only append.
+        assert_eq!(b.returned_at, a.returned_at + SimDuration::from_millis(4) + copy);
+        assert_eq!(c.returned_at, b.returned_at + copy);
+        assert_eq!(e.returned_at, c.returned_at + copy);
+        assert!(b.durable_at <= c.durable_at && c.durable_at <= e.durable_at);
+        assert_eq!(d.busy_total(), SimDuration::from_millis(8) + copy * 4);
+    }
+
+    #[test]
+    fn an_op_issued_this_instant_cannot_be_joined() {
+        let mut d = Disk::new(spec());
+        // Idle disk: the first write's op starts now, so the second write
+        // of the same instant opens the next op — which the third joins.
+        d.write_cached(MS(0), 100);
+        assert_eq!(d.ops(), 1);
+        d.write_cached(MS(0), 100);
+        assert_eq!(d.ops(), 2);
+        d.write_cached(MS(0), 100);
+        assert_eq!((d.ops(), d.writes()), (2, 3));
+    }
+
+    #[test]
+    fn a_started_op_takes_no_more_writes() {
+        let mut d = Disk::new(spec());
+        let a = d.write_cached(MS(0), 100);
+        let b = d.write_cached(MS(1), 100); // pending behind `a`
+        assert_eq!(d.ops(), 2);
+        // `b`'s op started when `a` returned: a write at that very instant
+        // (or later) opens a third op behind it.
+        let c = d.write_cached(a.returned_at, 100);
+        assert_eq!(d.ops(), 3);
+        assert!(c.returned_at >= b.returned_at + SimDuration::from_millis(4));
+    }
+
+    #[test]
+    fn reset_forgets_the_pending_batch() {
+        let mut d = Disk::new(spec());
+        d.write_cached(MS(0), 100);
+        d.write_cached(MS(1), 100); // pending op, starts at ~4 ms
+        d.reset(MS(2));
+        // The pending op died with the cache: this write opens its own.
+        let out = d.write_cached(MS(2), 100);
+        assert_eq!(d.ops(), 3);
+        let cost = SimDuration::from_millis(4) + SimDuration::for_bytes(100, 500.0e6);
+        assert_eq!(out.returned_at, MS(2) + cost);
     }
 }

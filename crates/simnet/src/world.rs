@@ -229,21 +229,33 @@ impl<M: WireSized + 'static> World<M> {
     }
 
     /// Virtual busy-time per actor class (host-spec name), summed over each
-    /// node's NIC/db/CPU resource occupancy.  Computed lazily from the
-    /// resource accounting the kernel already keeps, so reading it costs
-    /// nothing during the run; note that a crash resets a node's occupancy
-    /// totals (the process is gone), so this reports busy-time of current
-    /// incarnations.
+    /// node's NIC/db/CPU resource occupancy — the disk is **excluded**; it
+    /// has its own readout, [`Self::class_disk_busy_time`].  Computed lazily
+    /// from the resource accounting the kernel already keeps, so reading it
+    /// costs nothing during the run; the totals are lifetime sums (a crash
+    /// drops queued work, not the accounting).
     pub fn class_busy_time(&self) -> std::collections::BTreeMap<String, SimDuration> {
+        self.sum_by_class(|r| {
+            r.cpu.busy_total() + r.db.busy_total() + r.nic_in.busy_total() + r.nic_out.busy_total()
+        })
+    }
+
+    /// Virtual disk busy-time per actor class: each node's
+    /// [`crate::Disk::busy_total`] (write ops and reads, per-op cost plus
+    /// transfer), summed by host-spec name.  Kept apart from
+    /// [`Self::class_busy_time`] because a disk-bound class reads nearly
+    /// idle there.
+    pub fn class_disk_busy_time(&self) -> std::collections::BTreeMap<String, SimDuration> {
+        self.sum_by_class(|r| r.disk.busy_total())
+    }
+
+    fn sum_by_class(
+        &self,
+        busy: impl Fn(&HostResources) -> SimDuration,
+    ) -> std::collections::BTreeMap<String, SimDuration> {
         let mut out = std::collections::BTreeMap::new();
         for slot in &self.nodes {
-            let r = &slot.res;
-            let busy = r.cpu.busy_total()
-                + r.db.busy_total()
-                + r.nic_in.busy_total()
-                + r.nic_out.busy_total();
-            let e = out.entry(slot.spec.name.clone()).or_insert(SimDuration::ZERO);
-            *e += busy;
+            *out.entry(slot.spec.name.clone()).or_insert(SimDuration::ZERO) += busy(&slot.res);
         }
         out
     }

@@ -57,6 +57,69 @@ impl FrameOps<M> for MOps {
     }
 }
 
+/// The op-per-write disk this crate shipped before group commit — the
+/// parent's `Disk::write_cached` body, kept here as the reference the
+/// group-commit queue is compared against: every write pays its own
+/// `per_op`, serialized behind the previous write's return.
+struct OpPerWriteDisk {
+    spec: DiskSpec,
+    cache_fill: f64,
+    as_of: SimTime,
+    jitter_state: u64,
+    write_frontier: SimTime,
+    busy_total: SimDuration,
+}
+
+impl OpPerWriteDisk {
+    fn new(spec: DiskSpec) -> Self {
+        OpPerWriteDisk {
+            spec,
+            cache_fill: 0.0,
+            as_of: SimTime::ZERO,
+            jitter_state: 0x9E37_79B9_7F4A_7C15,
+            write_frontier: SimTime::ZERO,
+            busy_total: SimDuration::ZERO,
+        }
+    }
+
+    fn op_cost(&mut self) -> SimDuration {
+        if self.spec.per_op_jitter <= 0.0 {
+            return self.spec.per_op;
+        }
+        self.jitter_state ^= self.jitter_state >> 12;
+        self.jitter_state ^= self.jitter_state << 25;
+        self.jitter_state ^= self.jitter_state >> 27;
+        let u = (self.jitter_state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64
+            / (1u64 << 53) as f64;
+        SimDuration::from_secs_f64(
+            self.spec.per_op.as_secs_f64() * (1.0 + self.spec.per_op_jitter * u),
+        )
+    }
+
+    fn advance(&mut self, now: SimTime) {
+        let elapsed = now.since(self.as_of).as_secs_f64();
+        self.cache_fill = (self.cache_fill - elapsed * self.spec.platter_bw).max(0.0);
+        self.as_of = now;
+    }
+
+    fn write_cached(&mut self, now: SimTime, bytes: u64) -> WriteOutcome {
+        let now = now.max(self.write_frontier);
+        self.advance(now);
+        let free = (self.spec.cache_bytes as f64 - self.cache_fill).max(0.0);
+        let fast_bytes = (bytes as f64).min(free);
+        let slow_bytes = bytes as f64 - fast_bytes;
+        let t_fast = SimDuration::from_secs_f64(fast_bytes / self.spec.cache_bw);
+        let t_slow = SimDuration::from_secs_f64(slow_bytes / self.spec.platter_bw);
+        let insert_done = now + self.op_cost() + t_fast + t_slow;
+        self.busy_total += insert_done.since(now);
+        self.advance(insert_done);
+        self.cache_fill = (self.cache_fill + fast_bytes).min(self.spec.cache_bytes as f64);
+        let drain = SimDuration::from_secs_f64(self.cache_fill / self.spec.platter_bw);
+        self.write_frontier = insert_done;
+        WriteOutcome { returned_at: insert_done, durable_at: insert_done + drain }
+    }
+}
+
 fn build(seed: u64, n: usize, loss: f64, faults: &[(u64, usize)]) -> World<M> {
     build_chaos(seed, n, (loss, 0.0, 0.0, 0.0), faults)
 }
@@ -213,20 +276,76 @@ proptest! {
         }
     }
 
-    /// Disk durability never precedes the write's return, and successive
-    /// writes drain in order.
+    /// Group commit against the op-per-write reference ([`OpPerWriteDisk`]).
+    /// No-overlap arm: when every write is issued after the previous one
+    /// returned, nothing is ever pending or executing at issue time and the
+    /// two disks are bit-identical (jitter stream included).  Overlap arm:
+    /// arbitrary issue times keep every ordering and conservation law, open
+    /// no more ops than writes, and never keep the disk busy longer than the
+    /// reference did.
     #[test]
-    fn disk_durability_ordered(writes in proptest::collection::vec((0u64..5000, 1u64..2_000_000), 1..40)) {
-        let mut d = Disk::new(DiskSpec::default());
+    fn disk_group_commit_matches_reference(
+        jitter in 0u64..2,
+        writes in proptest::collection::vec((0u64..5000, 1u64..2_000_000), 1..40),
+    ) {
+        let spec = DiskSpec { per_op_jitter: jitter as f64 * 0.5, ..DiskSpec::default() };
+
+        let (mut d, mut r) = (Disk::new(spec.clone()), OpPerWriteDisk::new(spec.clone()));
+        let mut at = SimTime::ZERO;
+        for &(gap, bytes) in &writes {
+            at += SimDuration::from_micros(gap);
+            let out = d.write_cached(at, bytes);
+            prop_assert_eq!(out, r.write_cached(at, bytes));
+            at = out.returned_at;
+        }
+        prop_assert_eq!(d.ops(), d.writes());
+        prop_assert_eq!(d.busy_total(), r.busy_total);
+
+        let (mut d, mut r) = (Disk::new(spec.clone()), OpPerWriteDisk::new(spec));
         let mut sorted = writes.clone();
         sorted.sort_by_key(|&(at, _)| at);
-        let mut last_durable = SimTime::ZERO;
-        for (at, bytes) in sorted {
-            let out = d.write_cached(SimTime::from_millis(at), bytes);
+        let (mut last_returned, mut last_durable) = (SimTime::ZERO, SimTime::ZERO);
+        for &(at, bytes) in &sorted {
+            let at = SimTime::from_millis(at);
+            let out = d.write_cached(at, bytes);
+            r.write_cached(at, bytes);
+            prop_assert!(out.returned_at >= at);
             prop_assert!(out.durable_at >= out.returned_at);
+            prop_assert!(out.returned_at >= last_returned, "returns must be FIFO");
             prop_assert!(out.durable_at >= last_durable, "durability must be FIFO");
-            last_durable = out.durable_at;
+            (last_returned, last_durable) = (out.returned_at, out.durable_at);
         }
+        prop_assert_eq!(d.writes(), sorted.len() as u64);
+        prop_assert_eq!(d.bytes_written(), sorted.iter().map(|&(_, b)| b).sum::<u64>());
+        prop_assert!(d.ops() <= d.writes());
+        prop_assert!(d.busy_total() <= r.busy_total, "{} > {}", d.busy_total(), r.busy_total);
+    }
+
+    /// Back-to-back arrivals, every gap shorter than one op: the
+    /// reference's frontier runs away linearly; group commit's never gets
+    /// further from the clock than the executing op's remainder plus the one
+    /// pending op.  (At ≥ 200 µs between ≤ 4 KiB writes the cache never
+    /// fills, so an op is its seek — ≤ 6 ms with jitter — plus ≤ 30 memcpys
+    /// of 8 µs.)
+    #[test]
+    fn disk_group_commit_queue_cannot_run_away(
+        jitter in 0u64..2,
+        writes in proptest::collection::vec((200u64..2000, 1u64..4096), 50..400),
+    ) {
+        let spec = DiskSpec { per_op_jitter: jitter as f64 * 0.5, ..DiskSpec::default() };
+        let op_max = SimDuration::from_micros(6_500);
+        let (mut d, mut r) = (Disk::new(spec.clone()), OpPerWriteDisk::new(spec));
+        let mut at = SimTime::ZERO;
+        let mut lag_ref = SimDuration::ZERO;
+        for &(gap, bytes) in &writes {
+            at += SimDuration::from_micros(gap);
+            let out = d.write_cached(at, bytes);
+            prop_assert!(out.returned_at.since(at) <= op_max * 2, "lag {}", out.returned_at.since(at));
+            lag_ref = r.write_cached(at, bytes).returned_at.since(at);
+        }
+        let n = writes.len() as u64;
+        prop_assert!(lag_ref >= SimDuration::from_millis(2) * n, "reference lag {lag_ref}");
+        prop_assert!(d.ops() * 2 <= n, "{} ops for {n} writes", d.ops());
     }
 
     /// Messages are conserved: sent == delivered + dropped + still-queued;

@@ -420,6 +420,34 @@ fn profile_attributes_events_per_class() {
     assert!(busy["left"].0 > 0 && busy["right"].0 > 0);
 }
 
+/// The disk has its own per-class readout: `class_busy_time` sums NIC, db
+/// and CPU only, so a disk-bound class reads idle there.
+#[test]
+fn disk_busy_time_is_reported_apart_from_the_other_resources() {
+    struct Scribe;
+    impl Actor<Msg> for Scribe {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            // Three writes in one instant: the first's op, then one op the
+            // other two share.
+            for _ in 0..3 {
+                ctx.disk_write(1000, false);
+            }
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, Msg>, _: NodeId, _: Msg) {}
+        fn on_timer(&mut self, _: &mut Ctx<'_, Msg>, _: TimerId, _: u64) {}
+    }
+    let mut w = World::<Msg>::new(5);
+    let a = w.add_host(HostSpec::named("scribe"));
+    w.add_host(HostSpec::named("idle"));
+    w.install(a, |_| Box::new(Scribe));
+    w.run_until_idle(SimTime::from_secs(1));
+    let disk = w.class_disk_busy_time();
+    let two_ops = SimDuration::from_millis(8) + SimDuration::for_bytes(1000, 500.0e6) * 3;
+    assert_eq!(disk["scribe"], two_ops);
+    assert_eq!(disk["idle"], SimDuration::ZERO);
+    assert_eq!(w.class_busy_time()["scribe"], SimDuration::ZERO);
+}
+
 #[test]
 fn run_until_advances_clock_even_when_idle() {
     let mut w = World::<Msg>::new(29);

@@ -75,12 +75,17 @@ may be committed (a local `--smoke` run overwrites the same file).  For
 chaos, --committed also requires the full 64-plan ladder.  With
 --regenerated (CI, right after a `--smoke` bench run), require a smoke
 artifact instead: validation must see the run CI just executed, not the
-committed file the bench failed to overwrite.
+committed file the bench failed to overwrite.  Either way a file named
+BENCH_<tag>.json must carry that bench tag — a harness writing to the
+wrong path cannot pass as the artifact it overwrote.  This script is the
+only gate CI runs on any of the three artifacts.
 
 Usage: check_bench_flatness.py [--committed|--regenerated] BENCH_scale.json|BENCH_ckpt.json|BENCH_chaos.json
 """
 
 import json
+import os
+import re
 import sys
 
 
@@ -248,6 +253,10 @@ def main() -> None:
     path = args[0] if args else "BENCH_scale.json"
     with open(path) as f:
         doc = json.load(f)
+    named = re.fullmatch(r"BENCH_(\w+)\.json", os.path.basename(path))
+    if named:
+        assert doc["bench"] == named.group(1), \
+            f"{path} carries the bench tag {doc['bench']!r}"
     if committed:
         assert doc["smoke"] is False, \
             f"committed {path} is a smoke run — regenerate with the full sweep"

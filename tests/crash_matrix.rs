@@ -672,3 +672,79 @@ fn wiped_primary_relearns_its_own_rows_from_the_replica() {
         assert_eq!(g.client_results(), 8);
     }
 }
+
+/// Group commit must not widen the ack window: a `TaskDoneAck` leaves at
+/// its *own* write's return, so when the primary dies while a batch of
+/// archives rides an op that has not even started, no server of that
+/// batch holds an ack.  Every one of them keeps its log entry, re-offers
+/// it to the restarted primary, and the run ends with each seq delivered
+/// exactly once and nothing executed twice.
+#[test]
+fn coordinator_crash_with_archives_riding_a_pending_op_loses_no_result() {
+    const SERVERS: usize = 64;
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: usize = 150;
+    let cfg = ProtocolConfig::confined().with_heartbeat(SimDuration::from_secs(1));
+    let plans = (0..CLIENTS)
+        .map(|c| {
+            (0..PER_CLIENT)
+                .map(|i| {
+                    CallSpec::new("b", Blob::synthetic(256, (c * PER_CLIENT + i) as u64), 0.05, 64)
+                })
+                .collect()
+        })
+        .collect();
+    let mut spec = GridSpec::confined(2, SERVERS).with_cfg(cfg).with_client_plans(plans);
+    spec.coord_host = spec.coord_host.with_db_per_op(SimDuration::from_micros(100));
+    let mut g = SimGrid::build(spec);
+    let c0 = g.coords[0].1;
+    let sum = |g: &SimGrid, f: fn(&rpcv::core::server::ServerActor) -> u64| -> u64 {
+        (0..SERVERS).map(|i| g.server(i).map_or(0, f)).sum()
+    };
+
+    // Step event by event until ≥ 8 archives have joined the op opened
+    // behind an executing one.  By the join rule that op has not started
+    // at the instant its latest joiner was issued — which is now.
+    let (mut ops, mut writes_at_open) = (0, 0);
+    let riding = loop {
+        assert!(g.world.step() && g.world.now() < SimTime::from_secs(60), "no batch of 8 formed");
+        let m = &g.coordinator(0).expect("primary up").metrics;
+        if m.archive_write_ops != ops {
+            (ops, writes_at_open) = (m.archive_write_ops, m.archive_writes);
+        }
+        if m.archive_writes - writes_at_open >= 8 {
+            break m.archive_writes - writes_at_open + 1;
+        }
+    };
+    // None of the batch was acknowledged: each rider's server still holds
+    // its log entry (so does every server whose ack was merely in flight).
+    let (unacked, executed) =
+        (sum(&g, |s| s.unacked_results() as u64), sum(&g, |s| s.metrics.executed));
+    assert!(riding >= 9 && unacked >= riding, "{riding} riding, {unacked} unacked");
+    assert!(executed < (CLIENTS * PER_CLIENT) as u64 / 2, "crash lands mid-run ({executed} done)");
+
+    g.world.crash_now(c0);
+    g.world.run_for(SimDuration::from_secs(3));
+    g.world.restart_now(c0);
+    g.run_until_done(SimTime::from_secs(1800)).expect("completes");
+    g.world.run_for(SimDuration::from_secs(30));
+
+    // Re-offered and settled (or re-requested and resent): no log entry is
+    // stranded, no result is missing or doubled, no call ran twice.
+    assert_eq!(sum(&g, |s| s.unacked_results() as u64), 0, "every offer settled");
+    assert!(sum(&g, |s| s.metrics.archives_resent) > 0, "archives lost to the outage were resent");
+    for c in 0..CLIENTS {
+        let client = g.client_at(c).expect("client up");
+        let held: Vec<u64> = client.metrics.results_received.keys().copied().collect();
+        assert_eq!(held, (1..=PER_CLIENT as u64).collect::<Vec<_>>(), "client {c}");
+        assert_eq!(client.results_count(), PER_CLIENT, "client {c}");
+    }
+    assert_eq!(
+        sum(&g, |s| s.metrics.executed),
+        (CLIENTS * PER_CLIENT) as u64,
+        "executed must not grow"
+    );
+    for i in 0..2 {
+        assert_eq!(g.coordinator(i).expect("up").metrics.reexecutions, 0, "coordinator {i}");
+    }
+}

@@ -197,6 +197,80 @@ fn replica_feed_carries_no_echo_while_primary_serves() {
     );
 }
 
+/// An open-loop cell for the archive-path gates: 2 coordinators (100 µs
+/// database, as the scale bench runs them, so the archive disk — not the
+/// modelled MySQL — is the resource under test), `servers` servers, 16
+/// clients, `rate` jobs/s of 0.2 s calls offered for 10 s on a fixed
+/// schedule.  Runs until every result is held.
+fn offered_cell(servers: usize, rate: u64) -> (SimGrid, u64) {
+    let mut spec = GridSpec::confined(2, servers).with_seed(15).with_clients(16);
+    spec.coord_host = spec.coord_host.with_db_per_op(SimDuration::from_micros(100));
+    let mut grid = SimGrid::build(spec);
+    let jobs = rate * 10;
+    for i in 0..jobs {
+        grid.world.inject(
+            SimTime::from_secs(2) + SimDuration::from_micros(i * 1_000_000 / rate),
+            grid.clients[i as usize % 16].1,
+            Msg::ApiSubmit {
+                service: "b".into(),
+                params: Blob::synthetic(256, i),
+                exec_cost: 0.2,
+                result_size: 64,
+                replication: 1,
+                work_units: 1,
+            },
+        );
+    }
+    let held = |g: &SimGrid| (0..16).map(|c| g.client_results_at(c) as u64).sum::<u64>();
+    while held(&grid) < jobs && grid.world.now() < SimTime::from_secs(120) {
+        grid.world.run_for(SimDuration::from_millis(500));
+    }
+    assert_eq!(held(&grid), jobs, "every offered job is delivered");
+    (grid, jobs)
+}
+
+#[test]
+fn archive_writes_coalesce_past_the_old_knee() {
+    // The archive store is a segment log on a group-committing disk.  At
+    // twice the rate one op per archive could sustain (1 / 5 ms = 200/s)
+    // archives share ops, every ack still waits for its own write, and
+    // collection keeps up.
+    let (grid, jobs) = offered_cell(400, 400);
+    let primary = grid.coordinator(0).unwrap();
+    let m = &primary.metrics;
+    assert_eq!((m.archive_writes, primary.db().archived_count()), (jobs, jobs));
+    assert!(
+        m.archive_write_ops * 2 < jobs,
+        "{} disk ops for {jobs} archives: the write queue did not coalesce",
+        m.archive_write_ops
+    );
+    // A `TaskDoneAck` is deferred to its own write's return, and no write
+    // returns before the seek of the op it rode (4 ms ∈ [2^21, 2^22) ns) —
+    // joining a batch never lets an ack out early.
+    assert_eq!(m.archive_write_wait.count(), jobs);
+    assert!(m.archive_write_wait.quantile_nanos(0.0) >= 1 << 21);
+    // Submit → held is two beats (dispatch, catalog) plus service; an
+    // archive backlog would add its drain time (21 s before group commit).
+    for c in 0..16 {
+        let cm = &grid.client_at(c).unwrap().metrics;
+        for (seq, &held) in &cm.results_received {
+            let latency = held.since(cm.submissions[seq].requested_at);
+            assert!(latency < SimDuration::from_secs(12), "client {c} seq {seq} took {latency}");
+        }
+    }
+    for i in 0..2 {
+        let c = grid.coordinator(i).unwrap();
+        assert_eq!(c.metrics.reexecutions, 0, "coordinator {i} re-executed");
+        assert_eq!(c.db().stats().tasks, jobs, "one instance per job at coordinator {i}");
+    }
+
+    // The idle path is unchanged: one server finishes a call every 0.2 s
+    // at best, so every archive finds the disk idle and opens its own op.
+    let (grid, jobs) = offered_cell(1, 4);
+    let m = &grid.coordinator(0).unwrap().metrics;
+    assert_eq!((m.archive_writes, m.archive_write_ops), (jobs, jobs));
+}
+
 #[test]
 fn wrong_suspicion_is_survivable() {
     // §2.2: wrong negatives (alive components suspected) cannot be

@@ -175,6 +175,9 @@ fn pull_status_exposes_live_telemetry() {
     assert!(snap.counter("db.jobs") >= 1, "the completed call is visible in the snapshot");
     assert!(snap.counter("coord.status_replies") >= 1, "the pull itself is metered");
     assert!(snap.counter("span.jobs") >= 1, "the job's lifecycle span was folded in");
+    // The archive disk's batching factor is readable live: writes / ops.
+    assert!(snap.counter("coord.archive_writes") >= snap.counter("coord.archive_write_ops"));
+    assert!(snap.counter("coord.archive_write_ops") >= 1, "the call's archive cost a disk op");
     // The snapshot round-trips through its own sealed encoding.
     assert_eq!(TelemetrySnapshot::open(&snap.seal()).as_ref(), Ok(&snap));
 

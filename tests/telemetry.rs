@@ -46,6 +46,15 @@ fn same_seed_runs_serialize_byte_identically() {
             a.hist("client.job_latency").is_some_and(|h| h.count() == 12),
             "seed {seed:#x}: every job's latency recorded"
         );
+        // The archive path's series: every archive is one write, ops never
+        // outnumber writes, each write's issue → return wait is sampled.
+        let (writes, ops) =
+            (a.counter("coord.archive_writes"), a.counter("coord.archive_write_ops"));
+        assert!(writes >= 12 && (1..=writes).contains(&ops), "seed {seed:#x}: {writes} / {ops}");
+        assert!(
+            a.hist("coord.archive_write_wait").is_some_and(|h| h.count() == writes),
+            "seed {seed:#x}: every archive write's wait recorded"
+        );
         assert_eq!(a, b, "seed {seed:#x}: snapshots diverge");
         assert_eq!(a.to_json(), b.to_json(), "seed {seed:#x}: JSON bytes diverge");
         assert_eq!(a.seal(), b.seal(), "seed {seed:#x}: sealed frames diverge");
@@ -87,4 +96,7 @@ fn profiling_adds_kernel_series_without_touching_the_model() {
         hists: s.hists.iter().filter(|(k, _)| !k.starts_with("kernel.")).cloned().collect(),
     };
     assert_eq!(strip(&on), strip(&off), "the profiler must not perturb modelled series");
+    // The disk series are modelled ones: present either way, equal above.
+    assert!(off.counter("coord.archive_write_ops") > 0);
+    assert_eq!(off.hist("coord.archive_write_wait"), on.hist("coord.archive_write_wait"));
 }
