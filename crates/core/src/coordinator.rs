@@ -75,6 +75,10 @@ pub struct CoordMetrics {
     pub ckpt_rejected: u64,
     /// Assignments dispatched with a resume point attached.
     pub resumes_dispatched: u64,
+    /// Assignments of a task another coordinator minted (learned through
+    /// replication and relayed from here): the work its server will carry
+    /// home.  Zero on a grid whose servers and clients share a coordinator.
+    pub relayed_dispatches: u64,
     /// Frames that arrived unreadable (wire corruption) and were dropped
     /// without touching protocol state.
     pub bad_frames: u64,
@@ -113,6 +117,7 @@ impl ExportTelemetry for CoordMetrics {
         c("ckpt_records", self.ckpt_records);
         c("ckpt_rejected", self.ckpt_rejected);
         c("resumes_dispatched", self.resumes_dispatched);
+        c("relayed_dispatches", self.relayed_dispatches);
         c("bad_frames", self.bad_frames);
         c("snapshots_sent", self.snapshots_sent);
         c("snapshots_applied", self.snapshots_applied);
@@ -548,6 +553,9 @@ impl CoordinatorActor {
                     self.spans.mark(desc.job, SpanEdge::Dispatched, now);
                     if desc.attempt > 0 {
                         self.spans.note_recovered(desc.job, now);
+                    }
+                    if desc.id.coord() != self.params.me {
+                        self.metrics.relayed_dispatches += 1;
                     }
                     // A durable checkpoint for the job rides along: the
                     // (successor) instance resumes from the recorded unit

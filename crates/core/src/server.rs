@@ -60,8 +60,12 @@ pub struct ServerMetrics {
     pub resumed: u64,
     /// Archives re-sent from the local log during synchronization.
     pub archives_resent: u64,
-    /// Coordinator switches.
+    /// Coordinator switches: moved on by suspicion.
     pub coordinator_switches: u64,
+    /// Re-homes: a finished relayed task attached this server to the
+    /// coordinator that minted it (never a suspicion — kept apart from
+    /// `coordinator_switches`).
+    pub rehomes: u64,
     /// Work units actually computed here: completions count the units each
     /// execution ran (total minus its resume bank), crashes count the
     /// partial progress thrown away.  `Σ units_spent − Σ job units` across
@@ -90,6 +94,7 @@ impl ExportTelemetry for ServerMetrics {
         c("resumed", self.resumed);
         c("archives_resent", self.archives_resent);
         c("coordinator_switches", self.coordinator_switches);
+        c("rehomes", self.rehomes);
         c("units_spent", self.units_spent);
         c("units_resumed", self.units_resumed);
         c("ckpt_uploads", self.ckpt_uploads);
@@ -151,6 +156,9 @@ struct ServerDurable {
     checkpoints: BTreeMap<TaskId, Checkpoint>,
     metrics: ServerMetrics,
     volatility: VolatilityObserver,
+    /// Each shard link's current coordinator: a restart resumes talking
+    /// to it instead of re-attaching to the first-listed one.
+    homes: Vec<Option<CoordId>>,
 }
 
 /// Construction parameters.
@@ -268,6 +276,13 @@ impl ServerActor {
                 actor.checkpoints = d.checkpoints;
                 actor.metrics = d.metrics;
                 actor.volatility = d.volatility;
+                // Home is remembered, trust is not: the reply stamp stays
+                // empty (the quiet-link re-arm opens a fresh suspicion
+                // window at the first beat) and ordinary suspicion moves
+                // the link on if home died in the meantime.
+                for (link, home) in actor.links.iter_mut().zip(d.homes) {
+                    link.current = home;
+                }
                 // `result_sent_at` is volatile: every surviving unacked
                 // archive is eligible for (re)offer immediately.
                 let jobs: Vec<JobKey> = actor.plog.iter_unacked().map(|e| e.value.job).collect();
@@ -339,28 +354,24 @@ impl ServerActor {
         self.params.directory.shard_of(job.client)
     }
 
-    /// Attributes a coordinator reply to its shard link: 0 on a 1-shard
-    /// grid (no lookup), else resolved through the directory.  Updates the
-    /// suspicion window and — for replies that prove the coordinator is
-    /// serving us, not just draining a backlog — re-trusts the link's
-    /// current pick.
-    fn note_reply(&mut self, from: NodeId, now: SimTime, trust: bool) -> usize {
-        let s = if self.links.len() == 1 {
-            0
-        } else {
-            self.params
-                .directory
-                .coord_at(from)
-                .and_then(|c| self.params.directory.shard_of_coord(c))
-                .unwrap_or(0)
-        };
-        self.links[s].last_reply = Some(now);
-        if trust {
-            if let Some(c) = self.links[s].current {
-                self.links[s].coords.trust(c.0);
+    /// Credits a coordinator reply to the shard link whose *current*
+    /// coordinator sent it: the suspicion window moves and — when the reply
+    /// proves the coordinator is serving us, not just draining a backlog —
+    /// the pick is re-trusted.  A late reply from a coordinator its link
+    /// has left is proof of life of nobody we are judging: it credits
+    /// nothing (the caller still acks whatever log entry it carries).
+    fn note_reply(&mut self, from: NodeId, now: SimTime, trust: bool) {
+        let directory = &self.params.directory;
+        for link in &mut self.links {
+            let Some(c) = link.current.filter(|&c| directory.node_of(c) == Some(from)) else {
+                continue;
+            };
+            link.last_reply = Some(now);
+            if trust {
+                link.coords.trust(c.0);
             }
+            return;
         }
-        s
     }
 
     fn coordinator_for(&mut self, s: usize, now: SimTime) -> Option<(CoordId, NodeId)> {
@@ -375,6 +386,31 @@ impl ServerActor {
             }
         };
         self.params.directory.node_of(id).map(|n| (id, n))
+    }
+
+    /// Results go home.  A finished task minted by a coordinator of shard
+    /// `s`'s group other than the link's current one reached us through a
+    /// relay: its job's client talks to the minting coordinator, and so
+    /// should we — the result, the want-work beat that follows and every
+    /// later beat then land where the client is, instead of replication
+    /// carrying the job out and the archive back.  Only with idle hands
+    /// (another task running or queued here is monitored by the current
+    /// coordinator, which would suspect us) and only toward a coordinator
+    /// we do not ourselves hold suspected.  A wrong guess — the owner died
+    /// while the task ran — costs one suspicion timeout: the unacknowledged
+    /// archive stays in the log and is re-offered to whoever answers next.
+    fn carry_home(&mut self, s: usize, task: TaskId, now: SimTime) {
+        let owner = task.coord();
+        let link = &mut self.links[s];
+        if link.current == Some(owner)
+            || !(self.running.is_empty() && self.backlog.is_empty())
+            || !link.coords.is_eligible(owner.0, now)
+        {
+            return;
+        }
+        link.current = Some(owner);
+        link.last_reply = Some(now);
+        self.metrics.rehomes += 1;
     }
 
     /// A link we have not beaten within the suspicion window was quiet by
@@ -670,6 +706,7 @@ impl ServerActor {
         // (see the `completing` field).
         self.completing.insert(exec.desc.id, exec.desc.job);
         let shard = self.shard_of(&exec.desc.job);
+        self.carry_home(shard, exec.desc.id, now);
         if let Some((_, node)) = self.coordinator_for(shard, now) {
             self.mark_result_sent(now, exec.desc.job);
             self.deferred.send_at(
@@ -971,6 +1008,7 @@ impl Actor<Msg> for ServerActor {
             checkpoints: self.checkpoints.clone(),
             metrics,
             volatility,
+            homes: self.links.iter().map(|l| l.current).collect(),
         })
     }
 }

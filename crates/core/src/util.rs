@@ -49,12 +49,6 @@ impl Directory {
         self.coords.get(&c).copied()
     }
 
-    /// The coordinator listening on `node`, if any (reverse lookup — a
-    /// linear scan, used off the hot path to attribute replies to shards).
-    pub fn coord_at(&self, node: NodeId) -> Option<CoordId> {
-        self.coords.iter().find(|&(_, &n)| n == node).map(|(&c, _)| c)
-    }
-
     /// All coordinator ids (the common order base set).
     pub fn coord_ids(&self) -> Vec<u64> {
         self.coords.keys().map(|c| c.0).collect()
@@ -286,7 +280,7 @@ mod tests {
         assert_eq!(d.shard_of(ClientKey::new(7, 3)), 0);
         assert_eq!(d.group(0), &[CoordId(1), CoordId(2)]);
         assert_eq!(d.shard_of_coord(CoordId(2)), Some(0));
-        assert_eq!(d.coord_at(NodeId(5)), Some(CoordId(2)));
+        assert_eq!(d.node_of(CoordId(2)), Some(NodeId(5)));
     }
 
     #[test]

@@ -264,6 +264,11 @@ pub struct CoordinatorDb {
     tasks: BTreeMap<TaskId, TaskRow>,
     pending: VecDeque<TaskId>,
     by_server: BTreeMap<ServerId, BTreeSet<TaskId>>,
+    /// When each server last spoke *here* (stamped by
+    /// [`Self::reconcile_server`], i.e. on every beat): what this
+    /// coordinator's suspicion of the server can testify about.  One entry
+    /// per server ever heard — fleet-sized, not lifetime.
+    server_heard: BTreeMap<ServerId, SimTime>,
     client_max: BTreeMap<ClientKey, MarkRow>,
     task_counter: u64,
     duplicate_results: u64,
@@ -344,6 +349,7 @@ impl CoordinatorDb {
             tasks: BTreeMap::new(),
             pending: VecDeque::new(),
             by_server: BTreeMap::new(),
+            server_heard: BTreeMap::new(),
             client_max: BTreeMap::new(),
             task_counter: 0,
             duplicate_results: 0,
@@ -1006,24 +1012,49 @@ impl CoordinatorDb {
         self.jobs.get(job).is_some_and(|r| !r.finished && r.pending > 0)
     }
 
-    /// Server suspected: schedule new instances of all its ongoing tasks
+    /// Whether this coordinator's silence from a server says anything about
+    /// `row`, an instance indexed on it: yes for a row dispatched from here
+    /// (the server answered *us* to get it), and for a replicated row whose
+    /// dispatch predates the server's last word here (it held the task
+    /// while it was still talking to us).  A task some other coordinator
+    /// gave the server after it stopped talking to us is that
+    /// coordinator's to watch — silence testifies only about what came
+    /// before it.
+    fn silence_covers(row: &TaskRow, heard: Option<SimTime>) -> bool {
+        row.locally_dispatched
+            || match row.state {
+                TaskState::Ongoing { since, .. } => heard.is_some_and(|at| since < at),
+                _ => true,
+            }
+    }
+
+    /// Server suspected: schedule new instances of its ongoing tasks
     /// ("when a coordinator suspects a server failure, it schedules new
-    /// instances of all RPC calls forwarded to the suspect").  The old
-    /// instances stay ongoing — off-line computing means the server may
-    /// still deliver them later; duplicates are dropped at completion.
+    /// instances of all RPC calls forwarded to the suspect") — of those the
+    /// suspicion covers (dispatched from here, or dispatched anywhere before
+    /// the server last spoke here — `silence_covers`); the rest stay indexed
+    /// for the beat-driven [`Self::reconcile_server`].  The old instances
+    /// stay ongoing — off-line computing means the server may still
+    /// deliver them later; duplicates are dropped at completion.
     pub fn server_suspected(&mut self, server: ServerId) -> (Vec<TaskId>, Charge) {
-        let victims: Vec<JobKey> = self
-            .by_server
-            .get(&server)
-            .map(|set| {
-                set.iter()
-                    .filter_map(|id| self.tasks.get(id))
-                    .filter(|r| !self.is_finished(&r.desc.job))
-                    .map(|r| r.desc.job)
-                    .collect()
-            })
-            .unwrap_or_default();
-        self.by_server.remove(&server);
+        let heard = self.server_heard.get(&server).copied();
+        let (tasks, jobs) = (&self.tasks, &self.jobs);
+        let mut victims: Vec<JobKey> = Vec::new();
+        if let Some(set) = self.by_server.get_mut(&server) {
+            set.retain(|id| {
+                let Some(row) = tasks.get(id) else { return false };
+                if !Self::silence_covers(row, heard) {
+                    return true;
+                }
+                if !jobs.get(&row.desc.job).is_some_and(|j| j.finished) {
+                    victims.push(row.desc.job);
+                }
+                false
+            });
+            if set.is_empty() {
+                self.by_server.remove(&server);
+            }
+        }
         let mut created = Vec::new();
         let mut charge = Charge::ops(1);
         for job in victims {
@@ -1036,6 +1067,19 @@ impl CoordinatorDb {
             }
         }
         (created, charge)
+    }
+
+    /// The instances indexed on `server` (ongoing there as far as this
+    /// coordinator knows, and not yet given up on), in id order.
+    #[doc(hidden)]
+    pub fn indexed_on(&self, server: ServerId) -> Vec<TaskId> {
+        self.by_server.get(&server).map(|set| set.iter().copied().collect()).unwrap_or_default()
+    }
+
+    /// When `server` last spoke to this coordinator, if ever.
+    #[doc(hidden)]
+    pub fn server_heard(&self, server: ServerId) -> Option<SimTime> {
+        self.server_heard.get(&server).copied()
     }
 
     /// Re-stamps an ongoing task's dispatch instant (the `Assign` message
@@ -1063,6 +1107,7 @@ impl CoordinatorDb {
         now: SimTime,
         grace: rpcv_simnet::SimDuration,
     ) -> (Vec<TaskId>, Charge) {
+        self.server_heard.insert(server, now);
         // Sorted copy + binary search: same membership test as a set, no
         // per-node allocations on this per-beat hot path.
         let mut running: Vec<TaskId> = running.to_vec();
@@ -2053,6 +2098,19 @@ impl CoordinatorDb {
             }
         }
         assert!(by_job.is_empty(), "task rows without a job row: {:?}", by_job.keys());
+        // The per-server index holds only instances still ongoing on that
+        // server: suspicion and reconciliation un-index the rows they gave
+        // up on, and a row suspicion left behind must still be there for
+        // the reconcile to find.
+        for (server, set) in &self.by_server {
+            for id in set {
+                let state = self.tasks.get(id).map(|t| t.state);
+                assert!(
+                    matches!(state, Some(TaskState::Ongoing { server: s, .. }) if s == *server),
+                    "{id:?} indexed on {server:?} in state {state:?}"
+                );
+            }
+        }
         // Provenance: an entry is local or names a *peer*, and a row whose
         // last mutation can only have been this coordinator's own keeps no
         // peer stamp — a task still in the `Ongoing` state this node
@@ -2222,6 +2280,37 @@ mod tests {
             dispatched.push(t.job.seq);
         }
         assert_eq!(dispatched, vec![2], "job 1's redundant instance skipped");
+    }
+
+    #[test]
+    fn silence_testifies_only_about_what_came_before_it() {
+        let at = SimTime::from_secs;
+        let (server, grace) = (ServerId(5), rpcv_simnet::SimDuration::from_secs(5));
+        let mut here = db();
+        let mut there = CoordinatorDb::new(CoordId(2));
+        for seq in 1..=3 {
+            there.register_job(job(seq));
+        }
+        // The server took job 1 from the peer, spoke here at t = 10 (while
+        // holding it), left, and took job 2 from the peer at t = 12.
+        let (held, _) = there.next_pending(server, at(8));
+        here.apply_delta(&there.delta_since(0));
+        here.reconcile_server(server, &[held.unwrap().id], at(10), grace);
+        let (later, _) = there.next_pending(server, at(12));
+        here.apply_delta(&there.delta_since(0));
+        assert_eq!(here.indexed_on(server).len(), 2);
+        // Suspicion here covers job 1 only; job 2 stays indexed for the
+        // beat-driven reconcile and gets no replacement.
+        let (created, _) = here.server_suspected(server);
+        assert_eq!(created.len(), 1);
+        assert_eq!(here.task(created[0]).unwrap().desc.job.seq, 1);
+        assert_eq!(here.indexed_on(server), vec![later.unwrap().id]);
+        // The peer, which the server beats now, recovers both.
+        there.reconcile_server(server, &there.indexed_on(server), at(13), grace);
+        assert_eq!(there.server_suspected(server).0.len(), 2);
+        assert!(there.indexed_on(server).is_empty());
+        here.check_invariants();
+        there.check_invariants();
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! scheduling safety, at-least-once accounting.
 
 use proptest::prelude::*;
-use rpcv_simnet::SimTime;
+use rpcv_simnet::{SimDuration, SimTime};
 use rpcv_store::{CoordinatorDb, DeltaRow, Snapshot};
 use rpcv_wire::Blob;
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, TaskState};
@@ -16,10 +16,13 @@ fn job(seq: u64, size: u64) -> JobSpec {
 
 /// One local (non-replication) operation of the op generator shared by
 /// `indexed_views_match_scan_definitions` and the ring twins: actions
-/// 0–3 and 5–9 of its `(seq, action, aux)` tuples.
+/// 0–3 and 5–9 of its `(seq, action, aux)` tuples.  The op's instant is
+/// drawn with it (not monotone): dispatch stamps and "heard here" stamps
+/// fall on either side of each other, which is what the suspicion rule
+/// reads.
 fn local_op(db: &mut CoordinatorDb, seq: u64, action: u8, aux: u8) {
     let client = ClientKey::new(1, 1);
-    let now = SimTime::ZERO;
+    let now = SimTime::from_secs(seq);
     match action {
         0 | 1 => {
             db.register_job(job(seq, 50).with_replication(1 + (aux % 2) as u32));
@@ -50,7 +53,17 @@ fn local_op(db: &mut CoordinatorDb, seq: u64, action: u8, aux: u8) {
             db.store_archive(JobKey::new(client, seq), Blob::synthetic(8, seq));
         }
         8 => {
-            db.server_suspected(ServerId((aux % 3) as u64 + 1));
+            let server = ServerId((aux % 3) as u64 + 1);
+            match aux {
+                0..=3 => suspect_checked(db, server),
+                // The server speaks here: a beat reporting everything
+                // indexed on it — or, after a restart, nothing.
+                7 => drop(db.reconcile_server(server, &[], now, SimDuration::ZERO)),
+                _ => {
+                    let running = db.indexed_on(server);
+                    db.reconcile_server(server, &running, now, SimDuration::ZERO);
+                }
+            }
         }
         _ => {
             // Checkpoint upload for a (possibly finished, possibly
@@ -62,6 +75,42 @@ fn local_op(db: &mut CoordinatorDb, seq: u64, action: u8, aux: u8) {
                 Blob::synthetic(32, seq ^ 0xCC),
             );
         }
+    }
+}
+
+/// [`CoordinatorDb::server_suspected`] against the definition of its rule,
+/// read off the rows: of the instances indexed on the server, this
+/// coordinator's silence covers those it dispatched itself and those
+/// dispatched — by anyone — before the server last spoke *here*.  Exactly
+/// those leave the index, the rest stay for the beat-driven reconcile,
+/// and every instance minted replaces a covered one (one per job).
+fn suspect_checked(db: &mut CoordinatorDb, server: ServerId) {
+    let heard = db.server_heard(server);
+    let (mut covered_jobs, mut skipped) = (Vec::new(), Vec::new());
+    for id in db.indexed_on(server) {
+        let row = db.task(id).expect("indexed rows are live");
+        let TaskState::Ongoing { server: on, since } = row.state else {
+            panic!("{id:?} indexed on {server:?} in state {:?}", row.state)
+        };
+        assert_eq!(on, server);
+        if row.locally_dispatched || heard.is_some_and(|at| since < at) {
+            covered_jobs.push(row.desc.job);
+        } else {
+            skipped.push(id);
+        }
+    }
+    let (created, _) = db.server_suspected(server);
+    assert_eq!(db.indexed_on(server), skipped, "silence un-indexes what it covers, nothing else");
+    let minted_for: Vec<JobKey> = created.iter().map(|id| db.task(*id).unwrap().desc.job).collect();
+    let mut distinct = minted_for.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), minted_for.len(), "one replacement per job");
+    for job in &minted_for {
+        assert!(
+            covered_jobs.contains(job),
+            "{job:?} re-instanced on silence that does not cover it"
+        );
     }
 }
 
@@ -346,11 +395,13 @@ proptest! {
 
     /// Index/scan equivalence: for arbitrary op sequences (registration,
     /// dispatch, completion, replication from a peer, archive hand-off,
-    /// GC, re-execution, server suspicion, checkpoint upload, retention
-    /// pruning), the incremental structures must agree with their
-    /// full-scan reference definitions at every step — `pending_count`/
-    /// `missing_archives`/`collected_flagged` continuously, and
-    /// `delta_since(base)` for every base version the run passed through.
+    /// GC, re-execution, server beats and suspicion, checkpoint upload,
+    /// retention pruning), the incremental structures must agree with
+    /// their full-scan reference definitions at every step —
+    /// `pending_count`/`missing_archives`/`collected_flagged` and the
+    /// per-server index continuously, every suspicion against the rule's
+    /// definition (`suspect_checked`), and `delta_since(base)` for every
+    /// base version the run passed through.
     /// A mid-run sealed snapshot plus the tail of the feed must bootstrap
     /// a replica that matches a from-scratch application row-for-row.
     #[test]
@@ -388,7 +439,9 @@ proptest! {
                         (aux as u32 % 5) + 1,
                         Blob::synthetic(24, seq),
                     );
-                    let _ = b.next_pending(ServerId(5), now);
+                    // (Held on a server this coordinator also hears from,
+                    // stamped on either side of its last word here.)
+                    let _ = b.next_pending(ServerId((aux % 3) as u64 + 1), SimTime::from_secs(seq));
                     if let (Some(d), _) = b.next_pending(ServerId(5), now) {
                         b.complete_task(d.id, d.job, Blob::synthetic(16, seq), ServerId(5));
                     }

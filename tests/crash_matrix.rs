@@ -748,3 +748,169 @@ fn coordinator_crash_with_archives_riding_a_pending_op_loses_no_result() {
         assert_eq!(g.coordinator(i).expect("up").metrics.reexecutions, 0, "coordinator {i}");
     }
 }
+
+/// Fast timers for the attachment tests below: 1 s beats and replication
+/// rounds, 5 s suspicion.
+fn fast_cfg() -> ProtocolConfig {
+    ProtocolConfig::confined()
+        .with_heartbeat(SimDuration::from_secs(1))
+        .with_suspicion(SimDuration::from_secs(5))
+        .with_replication_period(SimDuration::from_secs(1))
+}
+
+/// A 3-coordinator grid with a split fleet: the boot primary is cut off
+/// from the client (only) from the start, so the client settles on
+/// coordinator 2 after one suspicion timeout and replays its plan there,
+/// while the servers never lose coordinator 1 — every task they get is one
+/// coordinator 2 minted and coordinator 1 relayed.
+fn split_fleet(servers: usize, plan: Vec<CallSpec>) -> SimGrid {
+    let mut g = SimGrid::build(GridSpec::confined(3, servers).with_cfg(fast_cfg()).with_plan(plan));
+    let (boot, client) = (g.coords[0].1, g.client_node);
+    g.world.schedule_control(
+        SimTime::ZERO,
+        rpcv::simnet::Control::Block { from: client, to: boot, bidir: true },
+    );
+    g
+}
+
+fn call(seed: u64, secs: f64) -> CallSpec {
+    CallSpec::new("b", Blob::synthetic(1_000, seed), secs, 128)
+}
+
+/// A server carries a relayed task's result to the coordinator that minted
+/// it — and that coordinator died while the task ran.  The guess is wrong
+/// and costs one suspicion timeout, nothing else: the unacknowledged
+/// archive stays in the server's log and is re-offered to whoever answers
+/// next, and the client (which failed over too) still collects every
+/// result exactly once.
+#[test]
+fn owner_dies_while_a_relayed_task_runs_and_no_result_is_lost() {
+    let mut g = split_fleet(2, vec![call(1, 10.0), call(2, 10.0)]);
+    let owner = g.coords[1].1;
+    // Both calls are running, relayed (minted by 2, dispatched by 1), when
+    // the owner dies.
+    let running = |g: &SimGrid| (0..2).map(|i| g.server(i).unwrap().running_count()).sum::<usize>();
+    while running(&g) < 2 {
+        assert!(g.world.now() < SimTime::from_secs(30), "the relay never dispatched both calls");
+        g.world.run_for(SimDuration::from_millis(500));
+    }
+    assert_eq!(g.coordinator(0).unwrap().metrics.relayed_dispatches, 2);
+    g.world.run_for(SimDuration::from_secs(2));
+    assert_eq!(running(&g), 2, "still mid-execution");
+    g.world.crash_now(owner);
+
+    g.run_until_done(SimTime::from_secs(600)).expect("no result is lost with the owner");
+    g.world.run_for(SimDuration::from_secs(30));
+    let client = g.client().expect("client up");
+    let seqs: Vec<u64> = client.metrics.results_received.keys().copied().collect();
+    assert_eq!((seqs, client.results_count()), (vec![1, 2], 2), "each result exactly once");
+    for i in 0..2 {
+        let s = g.server(i).unwrap();
+        assert!(s.metrics.rehomes >= 1, "server {i} carried its result to the owner");
+        assert!(s.metrics.coordinator_switches >= 1, "server {i} then moved on by suspicion");
+        assert_eq!(s.unacked_results(), 0, "server {i}'s log entry was re-offered and settled");
+    }
+}
+
+/// A restart remembers home: a server that had settled on the second
+/// coordinator resumes talking to it after a crash instead of
+/// re-attaching to the first-listed one — and when home is dead, ordinary
+/// suspicion moves it on.
+#[test]
+fn restarted_server_returns_home_and_moves_on_when_home_is_dead() {
+    let plan = (0..4).map(|i| call(i, 1.0)).collect();
+    let mut g = SimGrid::build(GridSpec::confined(3, 2).with_cfg(fast_cfg()).with_plan(plan));
+    let (first, home) = (g.coords[0].1, g.coords[1].1);
+    let (victim_id, victim) = g.servers[0];
+    // The first-listed coordinator is away long enough for everyone to
+    // settle on the second, then returns.
+    g.world.schedule_control(SimTime::from_secs(1), rpcv::simnet::Control::Crash(first));
+    g.world.schedule_control(SimTime::from_secs(15), rpcv::simnet::Control::Restart(first));
+    g.run_until_done(SimTime::from_secs(600)).expect("completes on the second coordinator");
+    g.world.run_until(SimTime::from_secs(30));
+    let heard = |g: &SimGrid, c: usize| g.coordinator(c).unwrap().db().server_heard(victim_id);
+    let left_first_at = heard(&g, 0).expect("the victim booted on the first coordinator");
+    assert!(left_first_at < SimTime::from_secs(2));
+    assert_eq!(g.server(0).unwrap().metrics.coordinator_switches, 1);
+
+    g.world.crash_now(victim);
+    g.world.run_for(SimDuration::from_secs(2));
+    g.world.restart_now(victim);
+    g.world.run_until(SimTime::from_secs(40));
+    assert_eq!(heard(&g, 0), Some(left_first_at), "the restart did not re-attach to the first");
+    assert!(heard(&g, 1) >= Some(SimTime::from_secs(39)), "it resumed beating home");
+    assert_eq!(g.server(0).unwrap().metrics.coordinator_switches, 1, "without any suspicion");
+
+    // Home dies; the next restart still tries it first, and moves on
+    // after one suspicion timeout.
+    g.world.crash_now(home);
+    g.world.crash_now(victim);
+    g.world.run_for(SimDuration::from_secs(1));
+    g.world.restart_now(victim);
+    g.world.run_until(SimTime::from_secs(44));
+    assert_eq!(heard(&g, 0), Some(left_first_at), "still loyal inside the suspicion window");
+    g.world.run_until(SimTime::from_secs(60));
+    assert_eq!(g.server(0).unwrap().metrics.coordinator_switches, 2, "moved on by suspicion");
+    assert!(heard(&g, 0) >= Some(SimTime::from_secs(59)), "and is served again");
+}
+
+/// Silence testifies only about what came before it.  Servers that carried
+/// relayed work home are suspected by the coordinator they left one
+/// timeout later; the tasks their *new* coordinator has since given them
+/// reach the old one as replicated `Ongoing` rows — and it must not mint
+/// replacement instances for work it never saw the server take.
+#[test]
+fn left_behind_coordinator_mints_nothing_for_a_departed_servers_new_tasks() {
+    // Two short calls ride the relay, two long ones are dispatched at home
+    // and still run when the old coordinator's suspicion fires.
+    let plan = vec![call(1, 2.0), call(2, 2.0), call(3, 20.0), call(4, 20.0)];
+    let mut g = split_fleet(2, plan);
+    g.run_until_done(SimTime::from_secs(600)).expect("completes");
+    g.world.run_for(SimDuration::from_secs(10));
+    assert_eq!(g.client_results(), 4);
+    let left = g.coordinator(0).unwrap();
+    assert_eq!(left.metrics.relayed_dispatches, 2, "the short calls were relayed");
+    assert_eq!(left.metrics.server_suspicions, 2, "both departed servers were suspected");
+    for i in 0..3 {
+        let c = g.coordinator(i).unwrap();
+        assert_eq!(c.db().stats().tasks, 4, "coordinator {i} holds one instance per call");
+        assert_eq!(c.metrics.reexecutions, 0, "coordinator {i}");
+    }
+    let executed: u64 = (0..2).map(|i| g.server(i).unwrap().metrics.executed).sum();
+    assert_eq!(executed, 4, "nothing ran twice");
+}
+
+/// The other half of the rule: the coordinator a server *currently* beats
+/// recovers everything on it, including a task it only knows through
+/// replication — here one whose dispatcher crashed, restarted with a fresh
+/// monitor and never heard the server again, so nobody else ever will.
+#[test]
+fn current_coordinator_recovers_a_task_whose_dispatcher_never_heard_the_server_again() {
+    // 10 s rounds put the peer-suspicion horizon at 30 s: the dispatcher is
+    // back before its successor writes it off, so `release_origin` never
+    // fires and server suspicion is the only recovery path left.
+    let cfg = fast_cfg().with_replication_period(SimDuration::from_secs(10));
+    let mut g =
+        SimGrid::build(GridSpec::confined(2, 2).with_cfg(cfg).with_plan(vec![call(1, 60.0)]));
+    let dispatcher = g.coords[0].1;
+    // Dispatched by 1, replicated to 2 by the t = 10 s round.
+    g.world.run_until(SimTime::from_secs(12));
+    let victim = (0..2).find(|&i| g.server(i).unwrap().running_count() == 1).expect("dispatched");
+    let (victim_id, victim_node) = g.servers[victim];
+    g.world.crash_now(dispatcher);
+    g.world.run_until(SimTime::from_secs(25));
+    g.world.restart_now(dispatcher);
+    // The server moved to 2 and keeps running; now it dies for good.
+    g.world.run_until(SimTime::from_secs(40));
+    assert_eq!(g.server(victim).unwrap().running_count(), 1);
+    g.world.crash_now(victim_node);
+
+    g.run_until_done(SimTime::from_secs(600)).expect("the current coordinator recovers the call");
+    assert_eq!(g.client_results(), 1);
+    let (old, current) = (g.coordinator(0).unwrap(), g.coordinator(1).unwrap());
+    assert!(old.db().server_heard(victim_id) < Some(SimTime::from_secs(12)));
+    assert_eq!(old.metrics.server_suspicions, 0, "the restarted dispatcher monitors nobody");
+    assert_eq!(old.metrics.coordinator_suspicions + current.metrics.coordinator_suspicions, 0);
+    assert_eq!(current.metrics.server_suspicions, 1);
+    assert_eq!(current.db().stats().tasks, 2, "one replacement instance, minted where it beat");
+}

@@ -306,3 +306,115 @@ fn wrong_suspicion_is_survivable() {
     grid.run_until_done(SimTime::from_secs(3600)).expect("survives wrong suspicion");
     assert_eq!(grid.client_results(), 8);
 }
+
+#[test]
+fn servers_follow_relayed_work_to_the_clients_coordinator() {
+    // The split fleet: the boot primary is cut off from the *clients* only,
+    // long enough for them to suspect it and settle on the next coordinator;
+    // the servers never lose it and stay.  From then on every job is
+    // registered at the clients' coordinator, replicated two ring hops to
+    // the servers' one, dispatched and finished there and pulled back —
+    // until the servers carry the relayed work home: a finished task
+    // attaches its server to the coordinator that minted it.
+    const JOB: u64 = 4; // seconds per call
+    let cfg = ProtocolConfig::confined()
+        .with_heartbeat(SimDuration::from_secs(1))
+        .with_suspicion(SimDuration::from_secs(5))
+        .with_replication_period(SimDuration::from_secs(1));
+    let (n_servers, n_clients) = (12, 4);
+    let spec = GridSpec::confined(3, n_servers).with_seed(16).with_cfg(cfg).with_clients(n_clients);
+    let mut grid = SimGrid::build(spec);
+    let boot = grid.coords[0].1;
+    for &(_, client) in &grid.clients.clone() {
+        let cut = Control::Block { from: client, to: boot, bidir: true };
+        let heal = Control::Unblock { from: client, to: boot, bidir: true };
+        grid.world.schedule_control(SimTime::from_millis(500), cut);
+        grid.world.schedule_control(SimTime::from_secs(20), heal);
+    }
+    let mut submitted = 0u64;
+    let mut submit = |grid: &mut SimGrid, at: SimTime| {
+        grid.world.inject(
+            at,
+            grid.clients[submitted as usize % n_clients].1,
+            Msg::ApiSubmit {
+                service: "b".into(),
+                params: Blob::synthetic(256, submitted),
+                exec_cost: JOB as f64,
+                result_size: 64,
+                replication: 1,
+                work_units: 1,
+            },
+        );
+        submitted += 1;
+    };
+    // One relayed task per server, a second wave queued behind it.
+    let burst = SimTime::from_secs(10);
+    for i in 0..2 * n_servers as u64 {
+        submit(&mut grid, burst + SimDuration::from_millis(40 * i));
+    }
+    let beats = |g: &SimGrid| -> Vec<u64> {
+        (0..3)
+            .map(|i| g.coordinator(i).unwrap().rx_counts.get("ServerBeat").copied().unwrap_or(0))
+            .collect()
+    };
+    let executed = |g: &SimGrid| -> u64 {
+        (0..n_servers).map(|i| g.server(i).unwrap().metrics.executed).sum()
+    };
+    let held = |g: &SimGrid| -> u64 { (0..n_clients).map(|c| g.client_results_at(c) as u64).sum() };
+
+    // The clients sit on coordinator 2 and every server still on 1.
+    grid.world.run_until(burst);
+    let at_burst = beats(&grid);
+    assert_eq!((at_burst[1], at_burst[2]), (0, 0), "no server has left the boot primary yet");
+
+    // Three job lengths later the fleet is home.
+    let settled = burst + SimDuration::from_secs(3 * JOB);
+    grid.world.run_until(settled);
+    let at_settled = beats(&grid);
+    let executed_at_settled = executed(&grid);
+    let relayed: Vec<u64> =
+        (0..3).map(|i| grid.coordinator(i).unwrap().metrics.relayed_dispatches).collect();
+    assert!(relayed[0] > 0, "the boot primary relayed the first wave");
+
+    // A steady second phase on the settled grid.
+    let phase2 = 60;
+    for i in 0..phase2 {
+        submit(&mut grid, settled + SimDuration::from_millis(500 * i));
+    }
+    let end = settled + SimDuration::from_secs(30 + 4 * JOB);
+    grid.world.run_until(end);
+    assert_eq!(held(&grid), submitted, "every call is delivered");
+    let at_end = beats(&grid);
+    let on_home = at_end[1] - at_settled[1];
+    let total: u64 = (0..3).map(|i| at_end[i] - at_settled[i]).sum();
+    assert!(
+        on_home * 10 >= total * 9,
+        "{on_home} of {total} server beats reached the clients' coordinator ({at_settled:?} → {at_end:?})"
+    );
+    // Nothing is dispatched twice once the fleet is together: one
+    // execution per call, and no relay.
+    let in_flight_at_settled = (2 * n_servers as u64) - executed_at_settled;
+    assert_eq!(executed(&grid) - executed_at_settled, phase2 + in_flight_at_settled);
+    for (i, &relayed_at_settled) in relayed.iter().enumerate() {
+        let c = grid.coordinator(i).unwrap();
+        assert_eq!(c.metrics.reexecutions, 0, "coordinator {i} re-executed");
+        assert_eq!(
+            c.metrics.relayed_dispatches, relayed_at_settled,
+            "coordinator {i} relayed after settling"
+        );
+        assert_eq!(c.db().stats().tasks, submitted, "one instance per call at coordinator {i}");
+    }
+    let rehomes: u64 = (0..n_servers).map(|i| grid.server(i).unwrap().metrics.rehomes).sum();
+    let switches: u64 =
+        (0..n_servers).map(|i| grid.server(i).unwrap().metrics.coordinator_switches).sum();
+    assert_eq!(
+        (rehomes, switches),
+        (n_servers as u64, 0),
+        "each server moved once, none by suspicion"
+    );
+    // The split is visible live: both counters ride the telemetry export.
+    let snap = grid.telemetry();
+    assert_eq!(snap.counter("server.rehomes"), rehomes);
+    assert_eq!(snap.counter("server.coordinator_switches"), 0);
+    assert_eq!(snap.counter("coord.relayed_dispatches"), relayed.iter().sum::<u64>());
+}
