@@ -20,10 +20,8 @@
 //! a behavior change.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::PathBuf;
 
-use rpcv_bench::Figure;
+use rpcv_bench::{write_bench_json, Figure};
 use rpcv_core::chaos::{ChaosOracle, ChaosReport};
 
 /// Intensity ladder the sweep cycles through: from light background
@@ -34,10 +32,6 @@ const LADDER: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
 /// well-spread without a runtime RNG (the sweep must be reproducible).
 fn seed_of(i: u64) -> u64 {
     0xC4A0_5EED_u64.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-fn bench_json_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_chaos.json")
 }
 
 /// The per-plan post-heal recovery-gap histogram (suspicion →
@@ -61,66 +55,45 @@ fn hist_json(h: &rpcv_obs::Histogram) -> String {
 }
 
 fn write_json(reports: &[ChaosReport], smoke: bool) {
-    let survived = reports.iter().filter(|r| r.survived()).count();
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"chaos\",");
-    let _ = writeln!(out, "  \"schema_version\": 2,");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"plans\": [");
-    for (i, r) in reports.iter().enumerate() {
-        let comma = if i + 1 < reports.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"seed\": {}, \"intensity\": {:.2}, \"survived\": {}, \
-             \"crashes\": {}, \"wipes\": {}, \"partitions\": {}, \"bursts\": {}, \
-             \"corrupt_frames\": {}, \"dup_frames\": {}, \"reordered_frames\": {}, \
-             \"lost_frames\": {}, \"bad_frames\": {}, \"jobs\": {}, \"results\": {}, \
-             \"recovery_makespan_s\": {:.3}, \"recovery_gap_hist\": {}}}{comma}",
-            r.seed,
-            r.intensity,
-            r.survived(),
-            r.counts.crashes,
-            r.counts.wipes,
-            r.counts.partitions,
-            r.counts.bursts,
-            r.stats.corrupted,
-            r.stats.duplicated,
-            r.stats.reordered,
-            r.stats.dropped_loss,
-            r.bad_frames,
-            r.jobs,
-            r.results,
-            r.recovery_makespan.as_secs_f64(),
-            hist_json(&r.recovery_gaps),
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"totals\": {{");
-    let _ = writeln!(out, "    \"plans\": {},", reports.len());
-    let _ = writeln!(out, "    \"survived\": {survived},");
-    let _ = writeln!(
-        out,
-        "    \"corrupt_frames\": {},",
-        reports.iter().map(|r| r.stats.corrupted).sum::<u64>()
-    );
-    let _ = writeln!(
-        out,
-        "    \"dup_frames\": {},",
-        reports.iter().map(|r| r.stats.duplicated).sum::<u64>()
-    );
-    let _ =
-        writeln!(out, "    \"bad_frames\": {}", reports.iter().map(|r| r.bad_frames).sum::<u64>());
-    let _ = writeln!(out, "  }}");
-    let _ = writeln!(out, "}}");
-    let path = bench_json_path();
-    match fs::write(&path, out) {
-        Ok(()) => println!("# wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("# FATAL: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    let rows: Vec<String> = reports
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"seed\": {}, \"intensity\": {:.2}, \"survived\": {}, \
+                 \"crashes\": {}, \"wipes\": {}, \"partitions\": {}, \"bursts\": {}, \
+                 \"corrupt_frames\": {}, \"dup_frames\": {}, \"reordered_frames\": {}, \
+                 \"lost_frames\": {}, \"bad_frames\": {}, \"jobs\": {}, \"results\": {}, \
+                 \"recovery_makespan_s\": {:.3}, \"recovery_gap_hist\": {}}}",
+                r.seed,
+                r.intensity,
+                r.survived(),
+                r.counts.crashes,
+                r.counts.wipes,
+                r.counts.partitions,
+                r.counts.bursts,
+                r.stats.corrupted,
+                r.stats.duplicated,
+                r.stats.reordered,
+                r.stats.dropped_loss,
+                r.bad_frames,
+                r.jobs,
+                r.results,
+                r.recovery_makespan.as_secs_f64(),
+                hist_json(&r.recovery_gaps),
+            )
+        })
+        .collect();
+    let sum = |f: fn(&ChaosReport) -> u64| reports.iter().map(f).sum::<u64>();
+    let totals = [
+        "\"totals\": {".to_owned(),
+        format!("  \"plans\": {},", reports.len()),
+        format!("  \"survived\": {},", reports.iter().filter(|r| r.survived()).count()),
+        format!("  \"corrupt_frames\": {},", sum(|r| r.stats.corrupted)),
+        format!("  \"dup_frames\": {},", sum(|r| r.stats.duplicated)),
+        format!("  \"bad_frames\": {}", sum(|r| r.bad_frames)),
+        "}".to_owned(),
+    ];
+    write_bench_json("chaos", 2, smoke, "plans", &rows, &totals);
 }
 
 fn main() {

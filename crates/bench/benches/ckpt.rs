@@ -27,11 +27,7 @@
 //! `scripts/check_bench_flatness.py`; run with `-- --smoke` for the tiny
 //! CI variant — smoke artifacts must not be committed).
 
-use std::fmt::Write as _;
-use std::fs;
-use std::path::PathBuf;
-
-use rpcv_bench::Figure;
+use rpcv_bench::{write_bench_json, Figure};
 use rpcv_ckpt::{AdaptiveCheckpoint, CheckpointPolicy};
 use rpcv_core::config::ProtocolConfig;
 use rpcv_core::grid::{GridSpec, SimGrid};
@@ -140,48 +136,30 @@ fn run_cell(shape: Shape, policy: CheckpointPolicy, label: &'static str) -> Cell
     }
 }
 
-fn bench_json_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_ckpt.json")
-}
-
 fn write_json(cells: &[Cell], smoke: bool) {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"ckpt\",");
-    let _ = writeln!(out, "  \"schema_version\": 1,");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"policy\": \"{}\", \"interval_s\": {:.3}, \"faults_per_min\": {:.1}, \
-             \"required_units\": {}, \"spent_units\": {}, \"wasted_units\": {}, \
-             \"ckpt_uploads\": {}, \"ckpt_bytes\": {}, \"crashes\": {}, \
-             \"makespan_s\": {:.1}, \"completed\": {}}}{comma}",
-            c.policy,
-            c.interval_s,
-            c.faults_per_min,
-            c.required_units,
-            c.spent_units,
-            c.wasted_units,
-            c.ckpt_uploads,
-            c.ckpt_bytes,
-            c.crashes,
-            c.makespan_s,
-            c.completed,
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    let path = bench_json_path();
-    match fs::write(&path, out) {
-        Ok(()) => println!("# wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("# FATAL: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    let rows: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"policy\": \"{}\", \"interval_s\": {:.3}, \"faults_per_min\": {:.1}, \
+                 \"required_units\": {}, \"spent_units\": {}, \"wasted_units\": {}, \
+                 \"ckpt_uploads\": {}, \"ckpt_bytes\": {}, \"crashes\": {}, \
+                 \"makespan_s\": {:.1}, \"completed\": {}}}",
+                c.policy,
+                c.interval_s,
+                c.faults_per_min,
+                c.required_units,
+                c.spent_units,
+                c.wasted_units,
+                c.ckpt_uploads,
+                c.ckpt_bytes,
+                c.crashes,
+                c.makespan_s,
+                c.completed,
+            )
+        })
+        .collect();
+    write_bench_json("ckpt", 1, smoke, "cells", &rows, &[]);
 }
 
 /// The headline acceptance, asserted on the sweep itself (and re-checked

@@ -1,120 +1,19 @@
-//! Criterion microbenchmarks for the substrates: marshalling, logging,
-//! storage, detection, the simulator kernel, and the Alcatel evaluator.
+//! Criterion microbenchmarks for what `benchmark/`'s layer drivers do not
+//! measure: the machine-independent *ratios* between each index and the
+//! full-scan or heap reference retained beside it (`store_scale`,
+//! `pull_window`, `queue_push_pop`), and the Alcatel evaluator.  Absolute
+//! ns per wire, log, store, detect and kernel primitive — at the workloads'
+//! own shapes — are `benchmark/src/drivers.rs`' job.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use rpcv_core::frontier::{PullFrontier, RetryPolicy};
 use rpcv_core::msg::Msg;
-use rpcv_detect::HeartbeatMonitor;
-use rpcv_log::{GcPolicy, LogStrategy, SenderLog};
 use rpcv_simnet::DetRng;
 use rpcv_store::CoordinatorDb;
-use rpcv_wire::{crc64, from_bytes, to_bytes, Blob};
+use rpcv_wire::Blob;
 use rpcv_workload::{AlcatelApp, NetworkConfig};
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId};
-
-fn bench_wire(c: &mut Criterion) {
-    let msg = Msg::Submit {
-        spec: JobSpec::new(
-            JobKey::new(ClientKey::new(1, 2), 3),
-            "alcatel/netsim",
-            Blob::from_vec(vec![7u8; 1024]),
-        ),
-    };
-    let bytes = to_bytes(&msg);
-    let mut g = c.benchmark_group("wire");
-    g.throughput(Throughput::Bytes(bytes.len() as u64));
-    g.bench_function("encode_submit_1k", |b| b.iter(|| to_bytes(&msg)));
-    g.bench_function("decode_submit_1k", |b| b.iter(|| from_bytes::<Msg>(&bytes).unwrap()));
-    let payload = vec![0xA5u8; 64 * 1024];
-    g.throughput(Throughput::Bytes(payload.len() as u64));
-    g.bench_function("crc64_64k", |b| b.iter(|| crc64(&payload)));
-    g.finish();
-}
-
-fn bench_logging(c: &mut Criterion) {
-    let mut g = c.benchmark_group("logging");
-    for strategy in LogStrategy::ALL {
-        g.bench_function(format!("append_{}", strategy.name()), |b| {
-            b.iter_batched(
-                || {
-                    (
-                        SenderLog::<u64>::new(strategy, GcPolicy::unbounded()),
-                        rpcv_simnet::Disk::new(rpcv_simnet::DiskSpec::default()),
-                    )
-                },
-                |(mut log, mut disk)| {
-                    for i in 0..100 {
-                        log.append(i, 1000, rpcv_simnet::SimTime::ZERO, &mut disk);
-                    }
-                    log
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    g.finish();
-}
-
-fn bench_store(c: &mut Criterion) {
-    let mut g = c.benchmark_group("store");
-    g.bench_function("register_100_jobs", |b| {
-        b.iter_batched(
-            || CoordinatorDb::new(CoordId(1)),
-            |mut db| {
-                for i in 1..=100u64 {
-                    db.register_job(JobSpec::new(
-                        JobKey::new(ClientKey::new(1, 1), i),
-                        "svc",
-                        Blob::synthetic(300, i),
-                    ));
-                }
-                db
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("delta_roundtrip_100_jobs", |b| {
-        let mut db = CoordinatorDb::new(CoordId(1));
-        for i in 1..=100u64 {
-            db.register_job(JobSpec::new(
-                JobKey::new(ClientKey::new(1, 1), i),
-                "svc",
-                Blob::synthetic(300, i),
-            ));
-        }
-        b.iter_batched(
-            || CoordinatorDb::new(CoordId(2)),
-            |mut backup| {
-                let delta = db.delta_since(0);
-                backup.apply_delta(&delta);
-                backup
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("schedule_drain_100_tasks", |b| {
-        b.iter_batched(
-            || {
-                let mut db = CoordinatorDb::new(CoordId(1));
-                for i in 1..=100u64 {
-                    db.register_job(JobSpec::new(
-                        JobKey::new(ClientKey::new(1, 1), i),
-                        "svc",
-                        Blob::synthetic(300, i),
-                    ));
-                }
-                db
-            },
-            |mut db| {
-                while let (Some(_), _) = db.next_pending(ServerId(1), rpcv_simnet::SimTime::ZERO) {}
-                db
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
 
 /// The perf target of the incremental-index work: a replication round on a
 /// large, mostly-quiescent database must cost O(changed), not O(tables).
@@ -222,85 +121,6 @@ fn bench_store_scale(c: &mut Criterion) {
     g.finish();
 }
 
-/// One job's whole life on the store — register → dispatch → complete →
-/// collect → GC → prune — in batches of 100 on top of 10 k resident rows
-/// (so the trees have their working depth), and a replica applying the
-/// same rows from the delta feed.  This is the path the row-per-job layout
-/// exists for: every step probes the job's one row.
-fn bench_store_lifecycle(c: &mut Criterion) {
-    const RESIDENT: u64 = 10_000;
-    const BATCH: u64 = 100;
-    let client = ClientKey::new(1, 1);
-    let spec = |seq: u64| JobSpec::new(JobKey::new(client, seq), "svc", Blob::synthetic(300, seq));
-    let mut resident = CoordinatorDb::new(CoordId(1));
-    for seq in 1..=RESIDENT {
-        resident.register_job(spec(seq));
-    }
-    // The batch runs *below* the resident prefix in dispatch order, so
-    // drain the resident queue first: the lifecycle's `next_pending` then
-    // pops exactly the batch.
-    while let (Some(_), _) = resident.next_pending(ServerId(9), rpcv_simnet::SimTime::ZERO) {}
-    // Runs seqs `first..first + BATCH` through their whole life; returns
-    // how many retired (none while an uncollected prefix sits below them).
-    let lifecycle = |db: &mut CoordinatorDb, first: u64| -> u64 {
-        let seqs: Vec<u64> = (first..first + BATCH).collect();
-        for &seq in &seqs {
-            db.register_job(spec(seq));
-        }
-        while let (Some(d), _) = db.next_pending(ServerId(1), rpcv_simnet::SimTime::ZERO) {
-            db.complete_task(d.id, d.job, Blob::synthetic(64, d.job.seq), ServerId(1));
-        }
-        db.mark_collected(client, &seqs);
-        db.gc_collected();
-        let head = db.version();
-        let retired = db.prune_retired(head);
-        db.prune_catalog_acked(client, head);
-        retired
-    };
-    let mut g = c.benchmark_group("store_lifecycle");
-    g.throughput(Throughput::Elements(BATCH));
-    g.bench_function("register_to_gc_100_jobs_on_10k", |b| {
-        b.iter_batched(
-            || resident.clone(),
-            |mut db| {
-                lifecycle(&mut db, RESIDENT + 1);
-                db
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    // Retention needs a contiguous collected prefix: a fresh database.
-    g.bench_function("register_to_prune_100_jobs", |b| {
-        b.iter_batched(
-            || CoordinatorDb::new(CoordId(1)),
-            |mut db| {
-                assert_eq!(lifecycle(&mut db, 1), BATCH);
-                db
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    // The replica side: the same 100 jobs' job/task/collected rows applied
-    // from the feed onto a replica that already holds the resident rows.
-    let mut replica = CoordinatorDb::new(CoordId(2));
-    replica.apply_delta(&resident.delta_since(0));
-    let base = resident.version();
-    let mut primary = resident.clone();
-    lifecycle(&mut primary, RESIDENT + 1);
-    let delta = primary.delta_since(base);
-    g.bench_function("apply_delta_same_100_jobs_on_10k", |b| {
-        b.iter_batched(
-            || replica.clone(),
-            |mut db| {
-                db.apply_delta(&delta);
-                db
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.finish();
-}
-
 /// The client's pull window with a backlog of requested-but-unanswered
 /// seqs in backoff (what a plan dump looks like from the client): the
 /// due-time index touches the 64-entry window only (and, unlike the
@@ -338,69 +158,6 @@ fn bench_pull_frontier(c: &mut Criterion) {
         });
     }
     g.finish();
-}
-
-fn bench_detect(c: &mut Criterion) {
-    c.bench_function("detect/observe_and_scan_1000", |b| {
-        b.iter_batched(
-            HeartbeatMonitor::<u64>::paper_default,
-            |mut mon| {
-                for i in 0..1000 {
-                    mon.observe(i, rpcv_simnet::SimTime::from_secs(i % 40));
-                }
-                mon.suspects(rpcv_simnet::SimTime::from_secs(60)).len()
-            },
-            BatchSize::SmallInput,
-        )
-    });
-}
-
-fn bench_simnet(c: &mut Criterion) {
-    use rpcv_simnet::*;
-    struct Bouncer;
-    #[derive(Debug)]
-    struct B(u64);
-    impl WireSized for B {
-        fn wire_size(&self) -> u64 {
-            32
-        }
-    }
-    impl Actor<B> for Bouncer {
-        fn on_start(&mut self, _ctx: &mut Ctx<'_, B>) {}
-        fn on_message(&mut self, ctx: &mut Ctx<'_, B>, from: NodeId, msg: B) {
-            if from != NodeId::EXTERNAL && msg.0 > 0 {
-                ctx.send(from, B(msg.0 - 1));
-            }
-        }
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_, B>, _id: TimerId, _k: u64) {}
-    }
-    c.bench_function("simnet/10k_message_hops", |b| {
-        b.iter(|| {
-            let mut w = World::<B>::new(1);
-            let a = w.add_host(HostSpec::named("a"));
-            let bn = w.add_host(HostSpec::named("b"));
-            w.install(a, |_| Box::new(Bouncer));
-            w.install(bn, |_| Box::new(Bouncer));
-            struct Kick {
-                peer: NodeId,
-            }
-            impl Actor<B> for Kick {
-                fn on_start(&mut self, ctx: &mut Ctx<'_, B>) {
-                    ctx.send(self.peer, B(10_000));
-                }
-                fn on_message(&mut self, ctx: &mut Ctx<'_, B>, from: NodeId, msg: B) {
-                    if msg.0 > 0 {
-                        ctx.send(from, B(msg.0 - 1));
-                    }
-                }
-                fn on_timer(&mut self, _ctx: &mut Ctx<'_, B>, _id: TimerId, _k: u64) {}
-            }
-            let c0 = w.add_host(HostSpec::named("c"));
-            w.install(c0, move |_| Box::new(Kick { peer: bn }));
-            w.run_until_idle(SimTime::from_secs(100_000));
-            w.events_processed()
-        })
-    });
 }
 
 /// Kernel queue push + pop at a standing backlog, carrying real `Msg`
@@ -461,17 +218,5 @@ fn bench_alcatel(c: &mut Criterion) {
     c.bench_function("alcatel/generate_plan_50", |b| b.iter(|| AlcatelApp::with_tasks(50).plan()));
 }
 
-criterion_group!(
-    benches,
-    bench_wire,
-    bench_logging,
-    bench_store,
-    bench_store_scale,
-    bench_store_lifecycle,
-    bench_pull_frontier,
-    bench_detect,
-    bench_simnet,
-    bench_queue_depth,
-    bench_alcatel
-);
+criterion_group!(benches, bench_store_scale, bench_pull_frontier, bench_queue_depth, bench_alcatel);
 criterion_main!(benches);

@@ -69,12 +69,9 @@
 //! (`schema_version: 5`) is documented in ROADMAP.md ("Performance
 //! notes").
 
-use std::fmt::Write as _;
-use std::fs;
-use std::path::PathBuf;
 use std::time::Instant;
 
-use rpcv_bench::Figure;
+use rpcv_bench::{write_bench_json, Figure};
 use rpcv_core::coordinator::CoordinatorActor;
 use rpcv_core::grid::{GridSpec, SimGrid};
 use rpcv_simnet::{SimDuration, SimTime};
@@ -262,69 +259,48 @@ fn run_cell(servers: usize, jobs: usize, clients: usize, shards: usize) -> Cell 
 
 /// Where `BENCH_scale.json` lives: the repo root, so the trajectory is
 /// versioned alongside the code it measures.
-fn bench_json_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_scale.json")
-}
-
 fn write_json(cells: &[Cell], smoke: bool) {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"scale\",");
-    let _ = writeln!(out, "  \"schema_version\": 5,");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    let _ = writeln!(out, "  \"grid\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"servers\": {}, \"jobs\": {}, \"clients\": {}, \"shards\": {}, \
-             \"events_processed\": {}, \
-             \"wall_seconds\": {:.3}, \"events_per_sec\": {:.0}, \"sim_seconds\": {:.1}, \
-             \"sim_events_per_sec\": {:.0}, \
-             \"jobs_completed\": {}, \"repl_rounds\": {}, \"delta_bytes_per_round\": {:.1}, \
-             \"catalog_bytes_per_beat\": {:.1}, \"resident_rows\": {}, \
-             \"job_p50_ms\": {:.3}, \"job_p99_ms\": {:.3}, \"completed\": {}}}{comma}",
-            c.servers,
-            c.jobs,
-            c.clients,
-            c.shards,
-            c.events,
-            c.wall_seconds,
-            c.events_per_sec,
-            c.sim_seconds,
-            c.sim_events_per_sec,
-            c.completed,
-            c.repl_rounds,
-            c.delta_bytes_per_round,
-            c.catalog_bytes_per_beat,
-            c.resident_rows,
-            c.job_p50_ms,
-            c.job_p99_ms,
-            c.done,
-        );
-    }
-    let _ = writeln!(out, "  ],");
+    let rows: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"servers\": {}, \"jobs\": {}, \"clients\": {}, \"shards\": {}, \
+                 \"events_processed\": {}, \
+                 \"wall_seconds\": {:.3}, \"events_per_sec\": {:.0}, \"sim_seconds\": {:.1}, \
+                 \"sim_events_per_sec\": {:.0}, \
+                 \"jobs_completed\": {}, \"repl_rounds\": {}, \"delta_bytes_per_round\": {:.1}, \
+                 \"catalog_bytes_per_beat\": {:.1}, \"resident_rows\": {}, \
+                 \"job_p50_ms\": {:.3}, \"job_p99_ms\": {:.3}, \"completed\": {}}}",
+                c.servers,
+                c.jobs,
+                c.clients,
+                c.shards,
+                c.events,
+                c.wall_seconds,
+                c.events_per_sec,
+                c.sim_seconds,
+                c.sim_events_per_sec,
+                c.completed,
+                c.repl_rounds,
+                c.delta_bytes_per_round,
+                c.catalog_bytes_per_beat,
+                c.resident_rows,
+                c.job_p50_ms,
+                c.job_p99_ms,
+                c.done,
+            )
+        })
+        .collect();
     let total_events: u64 = cells.iter().map(|c| c.events).sum();
     let total_wall: f64 = cells.iter().map(|c| c.wall_seconds).sum();
-    let _ = writeln!(
-        out,
-        "  \"totals\": {{\"events_processed\": {}, \"wall_seconds\": {:.3}, \
+    let totals = format!(
+        "\"totals\": {{\"events_processed\": {}, \"wall_seconds\": {:.3}, \
          \"events_per_sec\": {:.0}}}",
         total_events,
         total_wall,
         total_events as f64 / total_wall.max(1e-9),
     );
-    let _ = writeln!(out, "}}");
-    let path = bench_json_path();
-    // A trajectory point that silently fails to land would let CI validate
-    // a stale committed file — failing loudly is the whole point.
-    match fs::write(&path, out) {
-        Ok(()) => println!("# wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("# FATAL: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    write_bench_json("scale", 5, smoke, "grid", &rows, &[totals]);
 }
 
 /// The incremental-catalog invariant, asserted on the sweep itself: for

@@ -6,13 +6,16 @@
 //! the rows to stdout and writes a CSV under `target/figures/`.
 //! EXPERIMENTS.md records the paper-vs-measured comparison.
 //!
-//! Beyond the figures, `--bench scale` sweeps grid sizes and records the
-//! repo's perf trajectory in `BENCH_scale.json` at the repo root (schema
-//! in ROADMAP.md "Performance notes"), `--bench ckpt` sweeps checkpoint
-//! policies against heterogeneous volatility into `BENCH_ckpt.json`
-//! (wasted work vs checkpoint bytes paid), and `--bench micro` includes
-//! the `store_scale` group comparing the incremental coordinator indexes
-//! against their retained full-scan reference implementations.
+//! Beyond the figures, three invariant benches write a `BENCH_*.json`
+//! artifact at the repo root through [`write_bench_json`]: `--bench scale`
+//! sweeps grid sizes (schema in ROADMAP.md "Performance notes"), `--bench
+//! ckpt` sweeps checkpoint policies against heterogeneous volatility
+//! (wasted work vs checkpoint bytes paid) and `--bench chaos` runs the
+//! seeded fault-plan safety sweep.  `--bench micro` keeps the
+//! machine-independent ratio groups (`store_scale`, `pull_window`,
+//! `queue_push_pop`: each index against its retained full-scan or heap
+//! reference) and the Alcatel evaluator; absolute per-primitive costs are
+//! measured by `benchmark/`'s layer drivers.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -70,6 +73,41 @@ impl Figure {
         match fs::write(&path, csv) {
             Ok(()) => println!("# wrote {}\n", path.display()),
             Err(e) => println!("# could not write {}: {e}\n", path.display()),
+        }
+    }
+}
+
+/// Writes `BENCH_<name>.json` at the repo root — the one emitter behind
+/// the three invariant artifacts (`scale`, `ckpt`, `chaos`): the
+/// `bench` / `schema_version` / `smoke` prologue, `rows` (pre-formatted
+/// JSON objects, one per line) under `rows_key`, then `totals`
+/// (pre-formatted lines; may be empty).  Exits non-zero when the file
+/// cannot be written: a point that silently fails to land would let CI
+/// validate a stale committed file.
+pub fn write_bench_json(
+    name: &str,
+    schema_version: u32,
+    smoke: bool,
+    rows_key: &str,
+    rows: &[String],
+    totals: &[String],
+) {
+    let mut out = format!(
+        "{{\n  \"bench\": \"{name}\",\n  \"schema_version\": {schema_version},\n  \
+         \"smoke\": {smoke},\n  \"{rows_key}\": [\n"
+    );
+    out += &rows.iter().map(|r| format!("    {r}")).collect::<Vec<_>>().join(",\n");
+    out += if totals.is_empty() { "\n  ]\n" } else { "\n  ],\n" };
+    for line in totals {
+        let _ = writeln!(out, "  {line}");
+    }
+    out += "}\n";
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../BENCH_{name}.json"));
+    match fs::write(&path, out) {
+        Ok(()) => println!("# wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("# FATAL: could not write {}: {e}", path.display());
+            std::process::exit(1);
         }
     }
 }

@@ -87,11 +87,6 @@ pub enum CheckpointPolicy {
 }
 
 impl CheckpointPolicy {
-    /// True when checkpointing is on in any form.
-    pub fn is_enabled(&self) -> bool {
-        !matches!(self, CheckpointPolicy::Disabled)
-    }
-
     /// The interval to arm next, given the node's volatility history and
     /// current uptime; `None` when checkpointing is off.
     pub fn next_interval(
@@ -126,7 +121,6 @@ mod tests {
     fn disabled_never_schedules() {
         let v = VolatilityObserver::new();
         assert_eq!(CheckpointPolicy::Disabled.next_interval(&v, S(10)), None);
-        assert!(!CheckpointPolicy::Disabled.is_enabled());
     }
 
     #[test]
@@ -136,7 +130,6 @@ mod tests {
         assert_eq!(p.next_interval(&v, S(0)), Some(S(10)));
         v.record_crash(S(1));
         assert_eq!(p.next_interval(&v, S(500)), Some(S(10)));
-        assert!(p.is_enabled());
     }
 
     #[test]

@@ -196,11 +196,6 @@ impl<'g> GridClient<'g> {
         }
     }
 
-    /// Calls submitted through this client.
-    pub fn submitted(&self) -> u64 {
-        self.submitted
-    }
-
     /// Live grid introspection: asks the client's preferred coordinator
     /// for its sealed [`TelemetrySnapshot`] and blocks until a *fresh*
     /// reply lands (nonce-matched — a cached snapshot from an earlier pull

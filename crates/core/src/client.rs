@@ -15,8 +15,8 @@
 
 use std::collections::BTreeMap;
 
-use rpcv_detect::CoordinatorList;
-use rpcv_log::SenderLog;
+use rpcv_detect::CoordLink;
+use rpcv_log::{GcPolicy, SenderLog};
 use rpcv_obs::{ExportTelemetry, Histogram, Registry, TelemetrySnapshot};
 use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimTime, TimerId};
 use rpcv_wire::Blob;
@@ -133,8 +133,8 @@ pub struct ClientParams {
 /// The client state machine.
 pub struct ClientActor {
     params: ClientParams,
-    coords: CoordinatorList<u64>,
-    current_coord: Option<CoordId>,
+    /// The preferred coordinator and the list it was picked from.
+    link: CoordLink<CoordId>,
     log: SenderLog<JobSpec>,
     next_plan_idx: usize,
     results: BTreeMap<u64, ResultRec>,
@@ -171,7 +171,7 @@ pub struct ClientActor {
     /// [`Msg::ShardMap`] (`None` until one arrives — the bootstrap list is
     /// flat).  Kept to make repeated pushes of the same map idempotent:
     /// rebuilding the coordinator list would discard suspicion state.
-    shard_members: Option<Vec<u64>>,
+    shard_members: Option<Vec<CoordId>>,
     /// Catalog high-water mark at the current coordinator incarnation: the
     /// highest catalog version already merged.  Echoed in every beat so
     /// the sync reply carries only what changed since.
@@ -181,7 +181,6 @@ pub struct ClientActor {
     /// Submissions whose interaction has not completed yet (keeps the
     /// sequential submission pump alive across API-driven plan growth).
     in_flight_submissions: usize,
-    last_reply: Option<SimTime>,
     deferred: Deferred,
     /// Submission metadata for deferred sends: token (seq) → barrier time.
     barriers: BTreeMap<u64, SimTime>,
@@ -217,12 +216,12 @@ impl ClientActor {
     }
 
     fn fresh(params: ClientParams) -> Self {
-        let coords = CoordinatorList::new(params.directory.coord_ids(), params.cfg.coord_retry);
-        let log = SenderLog::new(params.cfg.log_strategy, params.cfg.log_gc);
+        let coords = params.directory.coord_ids().into_iter().map(CoordId);
+        let link = CoordLink::new(coords, params.cfg.coord_retry);
+        let log = SenderLog::new(params.cfg.log_strategy, GcPolicy::unbounded());
         ClientActor {
             params,
-            coords,
-            current_coord: None,
+            link,
             log,
             next_plan_idx: 0,
             results: BTreeMap::new(),
@@ -238,23 +237,12 @@ impl ClientActor {
             catalog_hw: 0,
             last_pull: None,
             in_flight_submissions: 0,
-            last_reply: None,
             deferred: Deferred::new(),
             barriers: BTreeMap::new(),
             snapshots: BTreeMap::new(),
             status_nonce_hw: 0,
             metrics: ClientMetrics::default(),
         }
-    }
-
-    /// Identity.
-    pub fn key(&self) -> ClientKey {
-        self.params.key
-    }
-
-    /// Number of planned calls.
-    pub fn plan_len(&self) -> usize {
-        self.params.plan.len()
     }
 
     /// Results received so far.
@@ -264,52 +252,12 @@ impl ClientActor {
 
     /// The coordinator currently preferred, if any.
     pub fn current_coordinator(&self) -> Option<CoordId> {
-        self.current_coord
+        self.link.current()
     }
 
-    /// Result seqs currently advertised by the coordinator's catalog but
-    /// not yet held here — the client's outstanding pull set.  Test/oracle
-    /// introspection: a live grid must drain this to empty.
-    pub fn unfetched_catalog_seqs(&self) -> Vec<u64> {
-        self.catalog.keys().filter(|s| !self.results.contains_key(s)).copied().collect()
-    }
-
-    /// The catalog high-water mark acknowledged to the coordinator
-    /// (version in its per-client change index).
-    pub fn catalog_watermark(&self) -> u64 {
-        self.catalog_hw
-    }
-
-    /// Appends extra calls to the plan (used by the API layer's
-    /// `ApiSubmit` injection path and by scripted scenarios).
-    pub fn extend_plan(&mut self, calls: impl IntoIterator<Item = CallSpec>) {
-        self.params.plan.extend(calls);
-    }
-
-    fn coordinator(&mut self, now: SimTime) -> Option<(CoordId, NodeId)> {
-        let id = match self.current_coord {
-            Some(c) if self.coords.is_eligible(c.0, now) => c,
-            _ => {
-                let picked = CoordId(self.coords.preferred(now)?);
-                self.current_coord = Some(picked);
-                // Fresh coordinator gets a fresh suspicion window.
-                self.last_reply = Some(now);
-                picked
-            }
-        };
-        self.params.directory.node_of(id).map(|n| (id, n))
-    }
-
-    fn check_coordinator_liveness(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let now = ctx.now();
-        if let (Some(c), Some(last)) = (self.current_coord, self.last_reply) {
-            if now.since(last) > self.params.cfg.suspicion {
-                ctx.note("client suspects coordinator");
-                self.coords.suspect(c.0, now);
-                self.current_coord = None;
-                self.metrics.coordinator_switches += 1;
-            }
-        }
+    /// Address of the preferred coordinator (picking one if need be).
+    fn coordinator(&mut self, now: SimTime) -> Option<NodeId> {
+        self.params.directory.node_of(self.link.pick(now)?)
     }
 
     fn submit_next(&mut self, ctx: &mut Ctx<'_, Msg>) {
@@ -345,7 +293,7 @@ impl ClientActor {
         if out.timing.barrier {
             self.barriers.insert(seq, out.timing.durable_at);
         }
-        if let Some((_, node)) = self.coordinator(now) {
+        if let Some(node) = self.coordinator(now) {
             if let Some(comm_end) =
                 self.deferred.send_at(ctx, comm_start, node, Msg::Submit { spec }, K_SEND, seq)
             {
@@ -374,9 +322,12 @@ impl ClientActor {
     }
 
     fn beat(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        self.check_coordinator_liveness(ctx);
         let now = ctx.now();
-        let Some((_, node)) = self.coordinator(now) else { return };
+        if self.link.give_up_if_silent(now, self.params.cfg.suspicion).is_some() {
+            ctx.note("client suspects coordinator");
+            self.metrics.coordinator_switches += 1;
+        }
+        let Some(node) = self.coordinator(now) else { return };
         // Ack results that are durable locally and not yet acked — served
         // from the unacked index, O(unacked) per beat.  Windowed: after an
         // incarnation change every held result is re-announced, and a
@@ -446,7 +397,7 @@ impl ClientActor {
     /// is a stale reordering (same epoch, lower high-water mark) whose sync
     /// content must be ignored.
     fn reconcile_epoch(&mut self, now: SimTime, epoch: u64, coord_max: u64) -> bool {
-        let current = self.current_coord.map(|c| (c, epoch));
+        let current = self.link.current().map(|c| (c, epoch));
         if self.coord_epoch != current {
             // A *different* incarnation than the one previously observed:
             // everything acknowledged is up for re-verification and the
@@ -500,10 +451,7 @@ impl ClientActor {
         removed: Vec<u64>,
     ) {
         let now = ctx.now();
-        self.last_reply = Some(now);
-        if let Some(c) = self.current_coord {
-            self.coords.trust(c.0);
-        }
+        self.link.heard(now, true);
         let prev_incarnation = self.coord_epoch;
         if !self.reconcile_epoch(now, epoch, coord_max) {
             return;
@@ -551,7 +499,7 @@ impl ClientActor {
             }
             self.catalog_hw = catalog_head;
         }
-        self.pull_missing(ctx);
+        self.pull_missing(ctx, false);
     }
 
     /// Replays the log suffix the coordinator is missing (it failed over,
@@ -617,7 +565,7 @@ impl ClientActor {
             // a local disc access").
             let bytes: u64 = specs.iter().map(|s| s.params.len() + 64).sum();
             let read_done = ctx.disk_read(bytes);
-            if let Some((_, node)) = self.coordinator(now) {
+            if let Some(node) = self.coordinator(now) {
                 self.deferred.send_at(ctx, read_done, node, Msg::SubmitBatch { specs }, K_SEND, 0);
             }
         }
@@ -630,23 +578,15 @@ impl ClientActor {
     /// The re-request horizon is size-aware — a multi-megabyte archive
     /// legitimately spends transfer-time in flight — and backs off
     /// exponentially on top.  The pull is windowed (≤ 64 archives, ≤
-    /// ~32 MB per request) and continues from [`Self::ingest_results`]
-    /// without waiting for the next heartbeat.
-    fn pull_missing(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        self.pull_missing_inner(ctx, false);
-    }
-
-    /// The continuation variant: chained to a just-completed
+    /// ~32 MB per request).
+    ///
+    /// A `continuation` is chained to a just-completed
     /// [`Msg::ResultsReply`] round trip, so the pacing floor does not
     /// apply — a windowed transfer must run at line rate, one request in
     /// flight at a time, or a backlogged client drains at 64 results per
     /// heartbeat and the collection tail dominates the whole run's
     /// makespan (identically at every shard count).
-    fn pull_missing_continuation(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        self.pull_missing_inner(ctx, true);
-    }
-
-    fn pull_missing_inner(&mut self, ctx: &mut Ctx<'_, Msg>, continuation: bool) {
+    fn pull_missing(&mut self, ctx: &mut Ctx<'_, Msg>, continuation: bool) {
         let now = ctx.now();
         // Pace the fresh pulls: without a floor on the request interval,
         // each freshly finished task triggers a full fetch round trip,
@@ -657,12 +597,8 @@ impl ClientActor {
         // A continuation rides an answered request, so it keeps exactly
         // one round trip in flight and skips the floor.
         let pacing = rpcv_simnet::SimDuration::from_millis(250).max(self.params.cfg.heartbeat / 8);
-        if !continuation {
-            if let Some(last) = self.last_pull {
-                if now.since(last) < pacing {
-                    return; // the next beat or reply re-triggers the pull
-                }
-            }
+        if !continuation && self.last_pull.is_some_and(|last| now.since(last) < pacing) {
+            return; // the next beat or reply re-triggers the pull
         }
         // O(window): the frontier is indexed by due time, so the (much
         // larger) set of requested seqs still inside their re-request
@@ -671,7 +607,7 @@ impl ClientActor {
         if !want.is_empty() {
             debug_assert!(want.iter().all(|s| !self.results.contains_key(s)), "held result pulled");
             self.last_pull = Some(now);
-            if let Some((_, node)) = self.coordinator(now) {
+            if let Some(node) = self.coordinator(now) {
                 ctx.send(node, Msg::ResultsRequest { client: self.params.key, want });
             }
         }
@@ -697,15 +633,13 @@ impl ClientActor {
             return;
         }
         let shard = self.params.key.shard_of(groups.len());
-        let members: Vec<u64> = groups[shard].iter().map(|c| c.0).collect();
-        if self.shard_members.as_deref() == Some(members.as_slice()) {
+        let members = &groups[shard];
+        if self.shard_members.as_ref() == Some(members) {
             return;
         }
-        self.coords = CoordinatorList::new(members.iter().copied(), self.params.cfg.coord_retry);
-        let in_group = self.current_coord.is_some_and(|c| members.contains(&c.0));
-        self.shard_members = Some(members);
-        if !in_group {
-            self.current_coord = None;
+        self.link.restrict(members.iter().copied());
+        self.shard_members = Some(members.clone());
+        if self.link.current().is_none() {
             self.sent_at.clear();
             self.sent_hw = 0;
             // Contact the owning group right away: the beat doubles as the
@@ -713,10 +647,10 @@ impl ClientActor {
             self.beat(ctx);
             // Replay the unacked prefix in the same turn, *ahead* of
             // whatever the submission pump sends next: the wrong shard
-            // consumed (and dropped) these entries, and only a batch that
-            // reaches the owning coordinator before any later submission
-            // keeps its registration gap-free (FIFO per link).  Anything
-            // beyond the window rides the normal stall-driven replay.
+            // consumed (and dropped) these entries, and a later submission
+            // that reached the owning coordinator first would be refused
+            // as a gap.  Anything beyond the window rides the replay that
+            // continues on each acknowledgement.
             let now = ctx.now();
             let specs: Vec<JobSpec> = self
                 .log
@@ -730,7 +664,7 @@ impl ClientActor {
                     self.sent_hw = self.sent_hw.max(spec.key.seq);
                 }
                 self.metrics.log_replays += 1;
-                if let Some((_, node)) = self.coordinator(now) {
+                if let Some(node) = self.coordinator(now) {
                     ctx.send(node, Msg::SubmitBatch { specs });
                 }
             }
@@ -772,12 +706,25 @@ impl Actor<Msg> for ClientActor {
         match msg {
             Msg::SubmitAck { job, coord_max, epoch } => {
                 if job.client == self.params.key {
-                    self.last_reply = Some(ctx.now());
-                    if let Some(c) = self.current_coord {
-                        self.coords.trust(c.0);
-                    }
+                    self.link.heard(ctx.now(), true);
                     if self.reconcile_epoch(ctx.now(), epoch, coord_max) {
                         self.log.ack_up_to(coord_max);
+                        // A refusal: `job` reached the coordinator behind a
+                        // hole (a frame lost, or overtaken within the link's
+                        // jitter), so nothing we believed in flight above
+                        // the mark is registered.  Forget those stamps: the
+                        // replay below refills the hole now, not after a
+                        // stall during which every later submission would
+                        // be refused too.  Once, per hole: a refusal says
+                        // the hole's copy is lost or late only if that copy
+                        // left before the refused frame did — everything a
+                        // refill re-sent shares one stamp, so the refusals
+                        // still in flight behind the first one are spent.
+                        let hole_sent = self.sent_at.get(&(coord_max + 1));
+                        if coord_max < job.seq && hole_sent < self.sent_at.get(&job.seq) {
+                            self.sent_at.split_off(&(coord_max + 1));
+                            self.sent_hw = coord_max;
+                        }
                         // Continuation replay: the acknowledged batch may
                         // have been one window of a longer resync.
                         if coord_max < self.log.max_seq() {
@@ -805,10 +752,10 @@ impl Actor<Msg> for ClientActor {
                 );
             }
             Msg::ResultsReply { results } => {
-                self.last_reply = Some(ctx.now());
+                self.link.heard(ctx.now(), false);
                 self.ingest_results(ctx, results);
                 // Continuation pull: fetch the next window right away.
-                self.pull_missing_continuation(ctx);
+                self.pull_missing(ctx, true);
             }
             Msg::ApiSubmit { service, params, exec_cost, result_size, replication, work_units } => {
                 self.params.plan.push(
@@ -829,12 +776,12 @@ impl Actor<Msg> for ClientActor {
                 // Introspection trigger (injected by a harness or the API
                 // layer): forward to the preferred coordinator, which
                 // replies with its sealed snapshot addressed back here.
-                if let Some((_, node)) = self.coordinator(ctx.now()) {
+                if let Some(node) = self.coordinator(ctx.now()) {
                     ctx.send(node, Msg::StatusRequest { nonce });
                 }
             }
             Msg::StatusReply { coord, nonce, sealed } => {
-                self.last_reply = Some(ctx.now());
+                self.link.heard(ctx.now(), false);
                 // The seal (CRC-64 tail) plus the strict histogram decoder
                 // reject anything corrupted in flight; a bad frame is
                 // counted and dropped without touching the cache.

@@ -1,7 +1,7 @@
 //! Protocol configuration knobs.
 
 use rpcv_ckpt::CheckpointPolicy;
-use rpcv_log::{GcPolicy, LogStrategy};
+use rpcv_log::LogStrategy;
 use rpcv_simnet::SimDuration;
 
 /// How servers execute tasks.
@@ -32,8 +32,6 @@ pub struct ProtocolConfig {
     pub coord_retry: SimDuration,
     /// Client logging strategy (Fig. 4).
     pub log_strategy: LogStrategy,
-    /// Client/server log capacity policy.
-    pub log_gc: GcPolicy,
     /// Server execution mode.
     pub exec_mode: ExecMode,
     /// Concurrent tasks per server (paper: effectively 1).
@@ -58,7 +56,6 @@ impl Default for ProtocolConfig {
             replication_period: SimDuration::from_secs(5),
             coord_retry: SimDuration::from_secs(60),
             log_strategy: LogStrategy::NonBlockingPessimistic,
-            log_gc: GcPolicy::unbounded(),
             exec_mode: ExecMode::Simulated,
             server_capacity: 1,
             missing_archive_timeout: SimDuration::from_secs(60),

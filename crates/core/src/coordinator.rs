@@ -13,9 +13,9 @@ use std::collections::BTreeMap;
 use rpcv_detect::{CoordinatorList, HeartbeatMonitor};
 use rpcv_obs::{ExportTelemetry, Histogram, Registry, SpanBook, SpanEdge, TelemetrySnapshot};
 use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimTime, TimerId, WireSized};
-use rpcv_store::{Charge, CoordinatorDb, ReplicationDelta, Snapshot};
+use rpcv_store::{Applied, Charge, CoordinatorDb, ReplicationDelta, Snapshot};
 use rpcv_wire::WireEncode;
-use rpcv_xw::{ClientKey, CoordId, JobKey, ServerId};
+use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId};
 
 use crate::config::ProtocolConfig;
 use crate::msg::{Msg, RpcResult};
@@ -212,10 +212,6 @@ pub struct CoordinatorActor {
     /// Per-job lifecycle spans (durable with the database: spans survive a
     /// crash exactly as far as the state they describe does).
     spans: SpanBook,
-    /// Last heartbeat-equivalent contact per server (volatile, like the
-    /// suspicion monitor it shadows): lets a suspicion compute the real
-    /// detect gap `now − last_seen` for the failover span annotation.
-    server_last_seen: BTreeMap<u64, SimTime>,
     /// Virtual instant of the latest handled event — gives harness-invoked
     /// methods (e.g. [`Self::gc_now`]) a clock without a `Ctx`.
     clock: SimTime,
@@ -281,14 +277,8 @@ impl CoordinatorActor {
             metrics: CoordMetrics::default(),
             rx_counts: BTreeMap::new(),
             spans: SpanBook::new(),
-            server_last_seen: BTreeMap::new(),
             clock: SimTime::ZERO,
         }
-    }
-
-    /// Identity.
-    pub fn me(&self) -> CoordId {
-        self.params.me
     }
 
     /// The shard this coordinator's group serves (0 on a 1-shard plane).
@@ -298,8 +288,7 @@ impl CoordinatorActor {
 
     /// True when this coordinator's shard owns `client`'s job space.
     fn owns(&self, client: ClientKey) -> bool {
-        self.params.directory.shard_count() == 1
-            || self.params.directory.shard_of(client) == self.my_shard
+        self.params.directory.shard_of(client) == self.my_shard
     }
 
     /// Answers a mis-routed client with the shard map; the client
@@ -313,10 +302,39 @@ impl CoordinatorActor {
     /// sharded plane a client's first contact here is answered with the
     /// map, so its beats, submissions, and collection pulls settle on this
     /// group (and its failover list never wanders into foreign shards).
+    /// A 1-group map says what the bootstrap list already said; sending it
+    /// would only move the golden trace.
     fn greet_client(&mut self, ctx: &mut Ctx<'_, Msg>, client: ClientKey, from: NodeId) {
         if self.note_client(client, from) && self.params.directory.shard_count() > 1 {
             ctx.send(from, Msg::ShardMap { groups: self.params.directory.shard_groups() });
         }
+    }
+
+    /// How many leading entries of `specs` — one client's submissions in
+    /// seq order — extend its contiguous registration `1..=client_max`
+    /// (duplicates below the mark count: re-registering is idempotent).
+    /// A hole ends the prefix on every plane: links lose frames and a
+    /// wrong-shard coordinator consumes submissions without registering
+    /// them, and registering past the hole would let the high-water
+    /// acknowledgement (`coord_max`) talk the client into dropping the
+    /// missing entries from its log.  The caller registers the prefix
+    /// only; its ack reports the true contiguous mark and the client's
+    /// replay refills the hole in order.
+    fn contiguous_prefix(&self, client: ClientKey, specs: &[JobSpec]) -> usize {
+        let mut next = self.db.client_max(client) + 1;
+        let extends = |s: &&JobSpec| {
+            let ok = s.key.seq <= next;
+            next = next.max(s.key.seq + 1);
+            ok
+        };
+        specs.iter().take_while(extends).count()
+    }
+
+    /// Acknowledges a submission frame once its registration landed.
+    fn ack_submission(&mut self, ctx: &mut Ctx<'_, Msg>, to: NodeId, job: JobKey, done: SimTime) {
+        let coord_max = self.db.client_max(job.client);
+        let ack = Msg::SubmitAck { job, coord_max, epoch: self.epoch };
+        self.deferred.send_at(ctx, done, to, ack, K_SEND, 0);
     }
 
     /// Read access to the database (harness inspection).
@@ -489,7 +507,6 @@ impl CoordinatorActor {
     ) {
         let now = ctx.now();
         self.server_mon.observe(server.0, now);
-        self.server_last_seen.insert(server.0, now);
         self.server_addr.insert(server, from);
         // Intermittent-crash reconciliation: tasks this server should be
         // running but does not report were lost in a restart too quick for
@@ -603,7 +620,6 @@ impl CoordinatorActor {
     ) {
         let now = ctx.now();
         self.server_mon.observe(server.0, now);
-        self.server_last_seen.insert(server.0, now);
         self.server_addr.insert(server, from);
         let (_outcome, charge) = self.db.complete_task(task, job, archive, server);
         let done = self.pay(ctx, charge);
@@ -625,7 +641,6 @@ impl CoordinatorActor {
     ) {
         let now = ctx.now();
         self.server_mon.observe(server.0, now);
-        self.server_last_seen.insert(server.0, now);
         self.server_addr.insert(server, from);
         // Integrity gate (shared digest discipline with result archives):
         // a frame whose digest or unit range fails verification is
@@ -737,14 +752,31 @@ impl CoordinatorActor {
         );
     }
 
-    /// Collection acknowledgements an applied frame taught us: the jobs
-    /// leave the missing-archive watch list for good — delivered work must
-    /// not sit in the re-execution pipeline.
-    fn note_newly_collected(&mut self, jobs: &[JobKey]) {
-        for job in jobs {
+    /// The common tail of applying a delta or a snapshot from `peer`
+    /// (head `head` in the peer's version space): jobs the frame taught us
+    /// were collected leave the missing-archive watch list for good —
+    /// delivered work must not sit in the re-execution pipeline — the
+    /// applied head moves, the store's charge is paid, and the head is
+    /// acknowledged once the write lands.
+    fn finish_apply(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        from: NodeId,
+        peer: CoordId,
+        head: u64,
+        applied: Applied,
+    ) {
+        for job in &applied.newly_collected {
             self.unwatch_missing(job);
         }
-        self.metrics.collected_marks_applied += jobs.len() as u64;
+        self.metrics.collected_marks_applied += applied.newly_collected.len() as u64;
+        let e = self.applied_head.entry(peer).or_insert(0);
+        *e = (*e).max(head);
+        let done = self.pay(ctx, applied.charge);
+        self.refresh_missing_new(ctx.now());
+        self.record_completion(ctx.now());
+        let ack = Msg::ReplAck { from: self.params.me, head_version: head };
+        self.deferred.send_at(ctx, done, from, ack, K_SEND, 0);
     }
 
     fn handle_repl_delta(
@@ -774,20 +806,7 @@ impl CoordinatorActor {
         }
         let head = delta.head_version;
         let applied = self.db.apply_delta_owned(delta);
-        self.note_newly_collected(&applied.newly_collected);
-        let e = self.applied_head.entry(peer).or_insert(0);
-        *e = (*e).max(head);
-        let done = self.pay(ctx, applied.charge);
-        self.refresh_missing_new(now);
-        self.record_completion(now);
-        self.deferred.send_at(
-            ctx,
-            done,
-            from,
-            Msg::ReplAck { from: self.params.me, head_version: head },
-            K_SEND,
-            0,
-        );
+        self.finish_apply(ctx, from, peer, head, applied);
         // Serve requested archives from our store (capped per round); a
         // round that finds none sends nothing.
         let me = self.params.me;
@@ -899,7 +918,6 @@ impl CoordinatorActor {
         peer: CoordId,
         frame: &[u8],
     ) {
-        let now = ctx.now();
         let snap = match Snapshot::open(frame) {
             Ok(snap) => snap,
             Err(e) => {
@@ -912,7 +930,6 @@ impl CoordinatorActor {
         };
         let version = snap.version;
         let applied = self.db.apply_snapshot_owned(snap);
-        self.note_newly_collected(&applied.newly_collected);
         // The watermarks may have retired jobs we were watching for
         // archives: delivered work leaves the re-execution pipeline.
         let stale: Vec<JobKey> = self
@@ -925,20 +942,8 @@ impl CoordinatorActor {
         for job in stale {
             self.unwatch_missing(&job);
         }
-        let e = self.applied_head.entry(peer).or_insert(0);
-        *e = (*e).max(version);
         self.metrics.snapshots_applied += 1;
-        let done = self.pay(ctx, applied.charge);
-        self.refresh_missing_new(now);
-        self.record_completion(now);
-        self.deferred.send_at(
-            ctx,
-            done,
-            from,
-            Msg::ReplAck { from: self.params.me, head_version: version },
-            K_SEND,
-            0,
-        );
+        self.finish_apply(ctx, from, peer, version, applied);
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the wire fields of `Msg::SnapshotChunk`
@@ -987,10 +992,9 @@ impl CoordinatorActor {
             // bounded by the suspicion timeout plus one scan period) and
             // is stamped recovered when its replacement dispatches.
             let detect_gap = self
-                .server_last_seen
-                .get(&s)
-                .map(|&seen| now.since(seen))
-                .unwrap_or(self.params.cfg.suspicion);
+                .server_mon
+                .last_seen(s)
+                .map_or(self.params.cfg.suspicion, |seen| now.since(seen));
             for id in created {
                 if let Some(row) = self.db.task(id) {
                     self.spans.note_failover(row.desc.job, now, detect_gap);
@@ -998,7 +1002,6 @@ impl CoordinatorActor {
             }
             self.pay(ctx, charge);
             self.server_mon.forget(s);
-            self.server_last_seen.remove(&s);
         }
         // Predecessor suspicion ⇒ release its held ongoing tasks.
         for c in self.peer_mon.suspects(now) {
@@ -1086,17 +1089,7 @@ impl Actor<Msg> for CoordinatorActor {
                 }
                 self.greet_client(ctx, spec.key.client, from);
                 let job = spec.key;
-                // The flat plane guarantees in-order registration
-                // structurally (FIFO links, sequential pump).  A sharded
-                // plane does not: a wrong-shard coordinator consumes
-                // earlier submissions without registering them, and a
-                // gapped registration here would poison the client's
-                // prefix acknowledgement (`coord_max`) into dropping the
-                // missing entries from its log.  Refuse the gap — the ack
-                // below reports the true contiguous prefix and the
-                // client's replay fills the hole in order.
-                let gap = self.params.directory.shard_count() > 1
-                    && job.seq > self.db.client_max(job.client) + 1;
+                let gap = self.contiguous_prefix(job.client, std::slice::from_ref(&spec)) == 0;
                 let done = if gap {
                     ctx.now()
                 } else {
@@ -1104,42 +1097,16 @@ impl Actor<Msg> for CoordinatorActor {
                     let (_new, charge) = self.db.register_job(spec);
                     self.pay(ctx, charge)
                 };
-                let coord_max = self.db.client_max(job.client);
-                let epoch = self.epoch;
-                self.deferred.send_at(
-                    ctx,
-                    done,
-                    from,
-                    Msg::SubmitAck { job, coord_max, epoch },
-                    K_SEND,
-                    0,
-                );
+                self.ack_submission(ctx, from, job, done);
             }
-            Msg::SubmitBatch { specs } => {
-                let Some(last) = specs.last() else { return };
-                let client = last.key.client;
-                let job = last.key;
-                if !self.owns(client) {
+            Msg::SubmitBatch { mut specs } => {
+                let Some(job) = specs.last().map(|s| s.key) else { return };
+                if !self.owns(job.client) {
                     self.redirect(ctx, from);
                     return;
                 }
-                self.greet_client(ctx, client, from);
-                // Same gap refusal as the single-submit path: keep only
-                // the prefix of the batch that extends the contiguous
-                // registration (duplicates below it are idempotent).
-                let mut specs = specs;
-                if self.params.directory.shard_count() > 1 {
-                    let mut next = self.db.client_max(client) + 1;
-                    let keep = specs
-                        .iter()
-                        .take_while(|s| {
-                            let ok = s.key.seq <= next;
-                            next = next.max(s.key.seq + 1);
-                            ok
-                        })
-                        .count();
-                    specs.truncate(keep);
-                }
+                self.greet_client(ctx, job.client, from);
+                specs.truncate(self.contiguous_prefix(job.client, &specs));
                 let done = if specs.is_empty() {
                     ctx.now()
                 } else {
@@ -1149,16 +1116,7 @@ impl Actor<Msg> for CoordinatorActor {
                     let (_n, charge) = self.db.register_jobs_bulk(specs);
                     self.pay(ctx, charge)
                 };
-                let coord_max = self.db.client_max(client);
-                let epoch = self.epoch;
-                self.deferred.send_at(
-                    ctx,
-                    done,
-                    from,
-                    Msg::SubmitAck { job, coord_max, epoch },
-                    K_SEND,
-                    0,
-                );
+                self.ack_submission(ctx, from, job, done);
             }
             Msg::ClientBeat { client, max_seq, collected, catalog_seq } => {
                 if !self.owns(client) {

@@ -18,13 +18,13 @@ use rpcv_obs::{ExportTelemetry, Registry, TelemetrySnapshot};
 use rpcv_simnet::{HostSpec, LinkParams, NodeId, SimDuration, SimTime, World};
 use rpcv_xw::{ClientKey, CoordId, SandboxLimits, ServerId, ServiceRegistry};
 
+use crate::calibration;
 use crate::client::{ClientActor, ClientParams};
 use crate::config::ProtocolConfig;
 use crate::coordinator::{CoordParams, CoordinatorActor};
 use crate::msg::Msg;
 use crate::server::{ServerActor, ServerParams};
 use crate::util::{CallSpec, Directory};
-use crate::{calibration, msg};
 
 /// Everything needed to assemble a grid.
 #[derive(Clone)]
@@ -88,20 +88,13 @@ impl GridSpec {
     /// The real-life Internet topology of §5.2 (2 coordinators by default).
     pub fn real_life(n_coordinators: usize, n_servers: usize) -> Self {
         GridSpec {
-            seed: 0xC0FFEE,
             cfg: ProtocolConfig::real_life(),
-            n_coordinators,
-            shards: 1,
-            n_servers,
             coord_host: calibration::reallife_coordinator(),
             server_host: calibration::internet_desktop(),
             client_host: calibration::internet_desktop(),
             link: calibration::wan_link(),
             coord_link: Some(calibration::wan_link()),
-            registry: ServiceRegistry::new(),
-            limits: SandboxLimits::default(),
-            clients: 1,
-            plans: Vec::new(),
+            ..Self::confined(n_coordinators, n_servers)
         }
     }
 
@@ -175,7 +168,6 @@ impl SimGrid {
     /// Assembles and installs every actor.
     pub fn build(spec: GridSpec) -> SimGrid {
         let mut world = World::<Msg>::new(spec.seed);
-        world.net_mut().set_link_bidir(NodeId(0), NodeId(0), spec.link); // no-op, keeps net non-empty
         *world.net_mut() = rpcv_simnet::NetModel::new(spec.link);
 
         // Shard-major coordinator layout: shard `s` owns members
@@ -263,12 +255,6 @@ impl SimGrid {
     /// Client actor `i` (when its node is up).
     pub fn client_at(&self, i: usize) -> Option<&ClientActor> {
         self.world.actor::<ClientActor>(self.clients[i].1)
-    }
-
-    /// The client actor with identity `key` (when up).
-    pub fn client_of(&self, key: ClientKey) -> Option<&ClientActor> {
-        let (_, node) = *self.clients.iter().find(|&&(k, _)| k == key)?;
-        self.world.actor::<ClientActor>(node)
     }
 
     /// The first client actor (single-client shorthand, when up).
@@ -361,10 +347,5 @@ impl SimGrid {
             p.export_telemetry("kernel", &mut reg);
         }
         reg.snapshot()
-    }
-
-    /// Convenience: a no-op message type hint for generic code.
-    pub fn msg_hint() -> std::marker::PhantomData<msg::Msg> {
-        std::marker::PhantomData
     }
 }

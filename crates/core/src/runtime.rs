@@ -17,7 +17,6 @@ use crate::client::ClientActor;
 use crate::coordinator::CoordinatorActor;
 use crate::grid::{GridSpec, SimGrid};
 use crate::msg::Msg;
-use crate::server::ServerActor;
 
 /// A deployment running against the wall clock.
 pub struct LiveGrid {
@@ -96,16 +95,6 @@ impl LiveGrid {
         self.handle.with(move |w| w.actor::<CoordinatorActor>(node).map(f)).flatten()
     }
 
-    /// Reads server `i` (None when crashed).
-    pub fn with_server<R, F>(&self, i: usize, f: F) -> Option<R>
-    where
-        R: Send + 'static,
-        F: FnOnce(&ServerActor) -> R + Send + 'static,
-    {
-        let node = self.servers[i].1;
-        self.handle.with(move |w| w.actor::<ServerActor>(node).map(f)).flatten()
-    }
-
     /// Kills coordinator `i` abruptly (the paper's fault generator).
     pub fn crash_coordinator(&self, i: usize) {
         self.handle.control(Control::Crash(self.coords[i].1));
@@ -114,26 +103,6 @@ impl LiveGrid {
     /// Restarts coordinator `i` from its durable state.
     pub fn restart_coordinator(&self, i: usize) {
         self.handle.control(Control::Restart(self.coords[i].1));
-    }
-
-    /// Kills server `i`.
-    pub fn crash_server(&self, i: usize) {
-        self.handle.control(Control::Crash(self.servers[i].1));
-    }
-
-    /// Restarts server `i`.
-    pub fn restart_server(&self, i: usize) {
-        self.handle.control(Control::Restart(self.servers[i].1));
-    }
-
-    /// Blocks traffic between two nodes (partition injection).
-    pub fn partition(&self, a: NodeId, b: NodeId) {
-        self.handle.control(Control::Block { from: a, to: b, bidir: true });
-    }
-
-    /// Restores traffic between two nodes.
-    pub fn heal(&self, a: NodeId, b: NodeId) {
-        self.handle.control(Control::Unblock { from: a, to: b, bidir: true });
     }
 
     /// Stops the driver and returns the final world for inspection.

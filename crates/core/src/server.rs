@@ -27,7 +27,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use rpcv_ckpt::{CheckpointFrame, VolatilityObserver};
-use rpcv_detect::CoordinatorList;
+use rpcv_detect::CoordLink;
 use rpcv_log::{GcPolicy, PeerLog};
 use rpcv_obs::{ExportTelemetry, Registry};
 use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimTime, TimerId};
@@ -176,29 +176,18 @@ pub struct ServerParams {
     pub limits: SandboxLimits,
 }
 
-/// One shard's coordinator-selection state: a server talks to every shard
-/// it holds work from, and each shard fails over independently — suspicion
-/// of one shard's primary must not re-target (or re-announce state to) the
-/// others.  On a 1-shard grid the single link is exactly the historical
-/// `coords`/`current_coord`/`last_reply` triple.
-struct ShardLink {
-    /// This shard's coordinator group, in shared preference order.
-    coords: CoordinatorList<u64>,
-    /// The group member currently served by this server's requests.
-    current: Option<CoordId>,
-    /// Last reply from this shard (suspicion window).
-    last_reply: Option<SimTime>,
-    /// Last beat sent to this shard: a link quiet by *our* choice must
-    /// re-arm its suspicion window before being judged again.
-    last_sent: Option<SimTime>,
-}
-
 /// The server state machine.
 pub struct ServerActor {
     params: ServerParams,
     executor: WorkerExecutor,
-    /// Per-shard coordinator links, indexed by shard.
-    links: Vec<ShardLink>,
+    /// Per-shard coordinator links, indexed by shard: a server talks to
+    /// every shard it holds work from, and each shard fails over
+    /// independently — suspicion of one shard's primary must not re-target
+    /// (or re-announce state to) the others.
+    links: Vec<CoordLink<CoordId>>,
+    /// Last beat sent per shard: a link quiet by *our* choice must re-arm
+    /// its suspicion window before being judged again.
+    last_sent: Vec<Option<SimTime>>,
     /// Rotating work-request target: each beat asks exactly one shard for
     /// new work (over-asking every shard would systematically over-assign),
     /// advancing per request; servers start offset by id so an idle fleet
@@ -276,12 +265,12 @@ impl ServerActor {
                 actor.checkpoints = d.checkpoints;
                 actor.metrics = d.metrics;
                 actor.volatility = d.volatility;
-                // Home is remembered, trust is not: the reply stamp stays
-                // empty (the quiet-link re-arm opens a fresh suspicion
-                // window at the first beat) and ordinary suspicion moves
-                // the link on if home died in the meantime.
+                // Home is remembered, trust is not: the pick stays unjudged
+                // (the quiet-link re-arm opens a fresh suspicion window at
+                // the first beat) and ordinary suspicion moves the link on
+                // if home died in the meantime.
                 for (link, home) in actor.links.iter_mut().zip(d.homes) {
-                    link.current = home;
+                    link.set_current(home);
                 }
                 // `result_sent_at` is volatile: every surviving unacked
                 // archive is eligible for (re)offer immediately.
@@ -297,14 +286,8 @@ impl ServerActor {
     fn fresh(params: ServerParams) -> Self {
         let shards = params.directory.shard_count();
         let links = (0..shards)
-            .map(|s| ShardLink {
-                coords: CoordinatorList::new(
-                    params.directory.group(s).iter().map(|c| c.0),
-                    params.cfg.coord_retry,
-                ),
-                current: None,
-                last_reply: None,
-                last_sent: None,
+            .map(|s| {
+                CoordLink::new(params.directory.group(s).iter().copied(), params.cfg.coord_retry)
             })
             .collect();
         let work_shard = (params.id.0 as usize) % shards;
@@ -313,6 +296,7 @@ impl ServerActor {
             params,
             executor,
             links,
+            last_sent: vec![None; shards],
             work_shard,
             nowork_streak: 0,
             plog: PeerLog::new(GcPolicy::unbounded()),
@@ -331,11 +315,6 @@ impl ServerActor {
             deferred: Deferred::new(),
             metrics: ServerMetrics::default(),
         }
-    }
-
-    /// Identity.
-    pub fn id(&self) -> ServerId {
-        self.params.id
     }
 
     /// Number of currently running tasks.
@@ -362,30 +341,17 @@ impl ServerActor {
     /// nothing (the caller still acks whatever log entry it carries).
     fn note_reply(&mut self, from: NodeId, now: SimTime, trust: bool) {
         let directory = &self.params.directory;
-        for link in &mut self.links {
-            let Some(c) = link.current.filter(|&c| directory.node_of(c) == Some(from)) else {
-                continue;
-            };
-            link.last_reply = Some(now);
-            if trust {
-                link.coords.trust(c.0);
-            }
-            return;
+        let sender = |l: &&mut CoordLink<CoordId>| {
+            l.current().is_some_and(|c| directory.node_of(c) == Some(from))
+        };
+        if let Some(link) = self.links.iter_mut().find(sender) {
+            link.heard(now, trust);
         }
     }
 
-    fn coordinator_for(&mut self, s: usize, now: SimTime) -> Option<(CoordId, NodeId)> {
-        let link = &mut self.links[s];
-        let id = match link.current {
-            Some(c) if link.coords.is_eligible(c.0, now) => c,
-            _ => {
-                let picked = CoordId(link.coords.preferred(now)?);
-                link.current = Some(picked);
-                link.last_reply = Some(now);
-                picked
-            }
-        };
-        self.params.directory.node_of(id).map(|n| (id, n))
+    /// Address of shard `s`'s current coordinator (picking one if need be).
+    fn coordinator_for(&mut self, s: usize, now: SimTime) -> Option<NodeId> {
+        self.params.directory.node_of(self.links[s].pick(now)?)
     }
 
     /// Results go home.  A finished task minted by a coordinator of shard
@@ -402,41 +368,22 @@ impl ServerActor {
     fn carry_home(&mut self, s: usize, task: TaskId, now: SimTime) {
         let owner = task.coord();
         let link = &mut self.links[s];
-        if link.current == Some(owner)
+        if link.current() == Some(owner)
             || !(self.running.is_empty() && self.backlog.is_empty())
-            || !link.coords.is_eligible(owner.0, now)
+            || !link.is_eligible(owner, now)
         {
             return;
         }
-        link.current = Some(owner);
-        link.last_reply = Some(now);
+        link.set_current(Some(owner));
+        link.heard(now, false);
         self.metrics.rehomes += 1;
     }
 
-    /// A link we have not beaten within the suspicion window was quiet by
-    /// *our* choice (no state held there, rotation elsewhere) — judging its
-    /// stale reply stamp would condemn a healthy coordinator.  Re-arm the
-    /// window before re-engaging.  On a 1-shard grid beats land every
-    /// heartbeat, so this never fires.
-    fn refresh_quiet_link(&mut self, s: usize, now: SimTime) {
-        let quiet =
-            self.links[s].last_sent.is_none_or(|at| now.since(at) > self.params.cfg.suspicion);
-        if quiet && self.links[s].current.is_some() {
-            self.links[s].last_reply = Some(now);
-        }
-    }
-
     fn check_shard_liveness(&mut self, ctx: &mut Ctx<'_, Msg>, s: usize) {
-        let now = ctx.now();
-        let (Some(c), Some(last)) = (self.links[s].current, self.links[s].last_reply) else {
-            return;
-        };
-        if now.since(last) <= self.params.cfg.suspicion {
+        if self.links[s].give_up_if_silent(ctx.now(), self.params.cfg.suspicion).is_none() {
             return;
         }
         ctx.note("server suspects coordinator");
-        self.links[s].coords.suspect(c.0, now);
-        self.links[s].current = None;
         self.metrics.coordinator_switches += 1;
         // The successor may lack the dead coordinator's checkpoint rows:
         // re-announce the running marks of *this shard's* tasks to whoever
@@ -455,30 +402,15 @@ impl ServerActor {
         }
     }
 
-    /// Whether this archive may be (re)offered/(re)sent now, given the
-    /// size-aware exponential-backoff horizon.
-    fn may_send_result(&self, ctx: &Ctx<'_, Msg>, job: &JobKey, size: u64) -> bool {
-        match self.result_sent_at.get(job) {
-            None => true,
-            Some(&(at, attempts)) => {
-                let base = self.params.cfg.heartbeat * 2;
-                let bw = ctx.spec().nic_bw_out.max(1.0);
-                let transfer = rpcv_simnet::SimDuration::from_secs_f64(size as f64 / bw);
-                // Capped backoff: coordinators flap, and a stranded result
-                // blocks the client forever if the horizon runs away.
-                let horizon = base * 2u64.saturating_pow(attempts.min(5)) + transfer * 4;
-                ctx.now().since(at) > horizon
-            }
-        }
-    }
-
     fn mark_result_sent(&mut self, now: SimTime, job: JobKey) {
         let e = self.result_sent_at.entry(job).or_insert((now, 0));
         *e = (now, e.1 + 1);
     }
 
-    /// The instant after which [`Self::may_send_result`] turns true for
-    /// this archive — the key `offer_after` files it under.
+    /// The instant after which this archive may be (re)offered/(re)sent —
+    /// the key `offer_after` files it under: its last send plus a
+    /// size-aware, exponentially backed-off horizon (`SimTime::ZERO` for an
+    /// archive never sent).
     fn next_offer_at(&self, ctx: &Ctx<'_, Msg>, job: &JobKey, size: u64) -> SimTime {
         match self.result_sent_at.get(job) {
             None => SimTime::ZERO,
@@ -486,8 +418,9 @@ impl ServerActor {
                 let base = self.params.cfg.heartbeat * 2;
                 let bw = ctx.spec().nic_bw_out.max(1.0);
                 let transfer = rpcv_simnet::SimDuration::from_secs_f64(size as f64 / bw);
-                let horizon = base * 2u64.saturating_pow(attempts.min(5)) + transfer * 4;
-                at + horizon
+                // Capped backoff: coordinators flap, and a stranded result
+                // blocks the client forever if the horizon runs away.
+                at + base * 2u64.saturating_pow(attempts.min(5)) + transfer * 4
             }
         }
     }
@@ -508,65 +441,83 @@ impl ServerActor {
         }
     }
 
+    /// Task slots free for new work.
+    fn spare_capacity(&self) -> u32 {
+        let capacity = self.params.cfg.server_capacity as usize;
+        capacity.saturating_sub(self.running.len() + self.backlog.len()) as u32
+    }
+
+    /// Every task this server answers for — running, queued, or finished
+    /// but not yet acknowledged — with its owning shard, in beat order.
+    fn held_tasks(&self) -> impl Iterator<Item = (usize, TaskId)> + '_ {
+        let running = self.running.iter().map(|(id, e)| (e.desc.job.client, *id));
+        let backlog = self.backlog.iter().map(|(t, _)| (t.job.client, t.id));
+        let completing = self.completing.iter().map(|(id, job)| (job.client, *id));
+        (running.chain(backlog).chain(completing))
+            .map(|(client, id)| (self.params.directory.shard_of(client), id))
+    }
+
+    /// One beat to shard `s`'s coordinator, after judging the link.
+    fn beat_shard(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        s: usize,
+        want_work: u32,
+        running: Vec<TaskId>,
+        mut offered: Vec<JobKey>,
+    ) {
+        let now = ctx.now();
+        // Log-key order: the window is byte-identical to a filter over the
+        // unacked log whenever at most 64 entries are eligible.
+        offered.sort_unstable_by_key(|j| (j.client.as_peer(), j.seq));
+        // A link we have not beaten within the suspicion window was quiet
+        // by *our* choice (no state held there, rotation elsewhere) —
+        // judging its stale reply stamp would condemn a healthy
+        // coordinator.  Re-arm the window before re-engaging.  (On a
+        // 1-shard grid beats land every heartbeat, so this never fires.)
+        if self.last_sent[s].is_none_or(|at| now.since(at) > self.params.cfg.suspicion) {
+            self.links[s].heard(now, false);
+        }
+        self.check_shard_liveness(ctx, s);
+        let Some(node) = self.coordinator_for(s, now) else { return };
+        ctx.send(node, Msg::ServerBeat { server: self.params.id, want_work, running, offered });
+        self.last_sent[s] = Some(now);
+    }
+
     fn beat(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let now = ctx.now();
         let shards = self.links.len();
-        let capacity = self.params.cfg.server_capacity as usize;
-        let want = capacity.saturating_sub(self.running.len() + self.backlog.len()) as u32;
+        let want = self.spare_capacity();
         // Partition held state by owning shard: each shard's coordinator
-        // sees exactly the tasks and offers it is responsible for.  On a
-        // 1-shard grid the single partition is byte-identical to the old
-        // flat beat (same traversal order, same 64-offer window).
+        // sees exactly the tasks and offers it is responsible for.
         let mut running: Vec<Vec<TaskId>> = vec![Vec::new(); shards];
-        let mut offered: Vec<Vec<JobKey>> = vec![Vec::new(); shards];
-        for (id, e) in &self.running {
-            running[self.params.directory.shard_of(e.desc.job.client)].push(*id);
-        }
-        for (t, _) in &self.backlog {
-            running[self.params.directory.shard_of(t.job.client)].push(t.id);
-        }
-        for (id, job) in &self.completing {
-            running[self.params.directory.shard_of(job.client)].push(*id);
+        for (s, id) in self.held_tasks() {
+            running[s].push(id);
         }
         // Offer unacknowledged archives (the peer-wise comparison half),
         // excluding those whose delivery is plausibly still in flight.
         // Served from the time-indexed offer queue: the beat pays only for
         // entries whose backoff horizon has expired, not an O(unacked)
-        // filter scan rejecting every in-flight archive.  Sorted back to
-        // log-key order so the window is byte-identical to the old filter
-        // whenever at most 64 entries are eligible.
+        // filter scan rejecting every in-flight archive.
+        let mut offered: Vec<Vec<JobKey>> = vec![Vec::new(); shards];
         for &(at, job) in self.offer_after.iter().take(64) {
             if at >= now {
                 break;
             }
-            offered[self.params.directory.shard_of(job.client)].push(job);
-        }
-        for list in &mut offered {
-            list.sort_unstable_by_key(|j| (j.client.as_peer(), j.seq));
+            offered[self.shard_of(&job)].push(job);
         }
         // One beat per shard holding state here, plus — when capacity is
         // spare — the rotating work-request target (asking every shard at
         // once would systematically over-assign S instances per slot).
-        let want_target = if want > 0 { Some(self.work_shard % shards) } else { None };
+        let want_target = (want > 0).then_some(self.work_shard % shards);
         for s in 0..shards {
-            let has_state = !running[s].is_empty() || !offered[s].is_empty();
             let is_target = want_target == Some(s);
-            if !has_state && !is_target {
+            if running[s].is_empty() && offered[s].is_empty() && !is_target {
                 continue;
             }
-            self.refresh_quiet_link(s, now);
-            self.check_shard_liveness(ctx, s);
-            let Some((_, node)) = self.coordinator_for(s, now) else { continue };
-            ctx.send(
-                node,
-                Msg::ServerBeat {
-                    server: self.params.id,
-                    want_work: if is_target { want } else { 0 },
-                    running: std::mem::take(&mut running[s]),
-                    offered: std::mem::take(&mut offered[s]),
-                },
-            );
-            self.links[s].last_sent = Some(now);
+            let (running, offered) =
+                (std::mem::take(&mut running[s]), std::mem::take(&mut offered[s]));
+            self.beat_shard(ctx, s, if is_target { want } else { 0 }, running, offered);
         }
         if want_target.is_some() && shards > 1 {
             self.work_shard = (self.work_shard + 1) % shards;
@@ -582,50 +533,22 @@ impl ServerActor {
     /// an idle sharded grid.  Unreachable on a 1-shard grid (the streak
     /// cap is 0 retries there).
     fn request_work(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let now = ctx.now();
-        let shards = self.links.len();
-        let capacity = self.params.cfg.server_capacity as usize;
-        let want = capacity.saturating_sub(self.running.len() + self.backlog.len()) as u32;
+        let want = self.spare_capacity();
         if want == 0 {
             return;
         }
-        let s = self.work_shard % shards;
-        let mut running = Vec::new();
-        for (id, e) in &self.running {
-            if self.params.directory.shard_of(e.desc.job.client) == s {
-                running.push(*id);
-            }
-        }
-        for (t, _) in &self.backlog {
-            if self.params.directory.shard_of(t.job.client) == s {
-                running.push(t.id);
-            }
-        }
-        for (id, job) in &self.completing {
-            if self.params.directory.shard_of(job.client) == s {
-                running.push(*id);
-            }
-        }
-        let mut offered = Vec::new();
-        for &(at, job) in self.offer_after.iter() {
-            if at >= now || offered.len() == 64 {
-                break;
-            }
-            if self.params.directory.shard_of(job.client) == s {
-                offered.push(job);
-            }
-        }
-        offered.sort_unstable_by_key(|j| (j.client.as_peer(), j.seq));
-        self.refresh_quiet_link(s, now);
-        self.check_shard_liveness(ctx, s);
-        if let Some((_, node)) = self.coordinator_for(s, now) {
-            ctx.send(
-                node,
-                Msg::ServerBeat { server: self.params.id, want_work: want, running, offered },
-            );
-            self.links[s].last_sent = Some(now);
-        }
-        self.work_shard = (self.work_shard + 1) % shards;
+        let now = ctx.now();
+        let s = self.work_shard % self.links.len();
+        let running =
+            self.held_tasks().filter(|&(shard, _)| shard == s).map(|(_, id)| id).collect();
+        let offered = (self.offer_after.iter())
+            .take_while(|&&(at, _)| at < now)
+            .map(|&(_, job)| job)
+            .filter(|job| self.shard_of(job) == s)
+            .take(64)
+            .collect();
+        self.beat_shard(ctx, s, want, running, offered);
+        self.work_shard = (self.work_shard + 1) % self.links.len();
     }
 
     fn start_task(&mut self, ctx: &mut Ctx<'_, Msg>, desc: TaskDesc, banked_units: u32) {
@@ -707,7 +630,7 @@ impl ServerActor {
         self.completing.insert(exec.desc.id, exec.desc.job);
         let shard = self.shard_of(&exec.desc.job);
         self.carry_home(shard, exec.desc.id, now);
-        if let Some((_, node)) = self.coordinator_for(shard, now) {
+        if let Some(node) = self.coordinator_for(shard, now) {
             self.mark_result_sent(now, exec.desc.job);
             self.deferred.send_at(
                 ctx,
@@ -740,10 +663,10 @@ impl ServerActor {
             // is still routed by its own shard — the authoritative home for
             // the archive even if a mis-addressed request slipped in.
             let shard = self.shard_of(&job);
-            let Some((_, node)) = self.coordinator_for(shard, now) else { continue };
+            let Some(node) = self.coordinator_for(shard, now) else { continue };
             let key = (job.client.as_peer(), job.seq);
             if let Some(entry) = self.plog.get(key) {
-                if !self.may_send_result(ctx, &job, entry.value.archive.len()) {
+                if now <= self.next_offer_at(ctx, &job, entry.value.archive.len()) {
                     continue; // still in flight; the coordinator asked on stale info
                 }
                 let stored = entry.value.clone();
@@ -848,7 +771,7 @@ impl ServerActor {
             // Each frame goes to its job's shard: a resume point is only
             // useful on the coordinator group that can re-dispatch the task.
             let shard = self.shard_of(&frame.job);
-            let Some((_, node)) = self.coordinator_for(shard, now) else { continue };
+            let Some(node) = self.coordinator_for(shard, now) else { continue };
             self.ckpt_inflight.insert(frame.task, (frame.unit_hw, now));
             self.metrics.ckpt_uploads += 1;
             self.metrics.ckpt_bytes += frame.blob.len();
@@ -908,10 +831,7 @@ impl Actor<Msg> for ServerActor {
                 // empty grid is not a beat storm.  On a 1-shard grid the
                 // streak cap is 0 retries — exactly the historical "wait
                 // for the next heartbeat".
-                let shards = self.links.len();
-                let spare = self.running.len() + self.backlog.len()
-                    < self.params.cfg.server_capacity as usize;
-                if spare && self.nowork_streak + 1 < shards {
+                if self.spare_capacity() > 0 && self.nowork_streak + 1 < self.links.len() {
                     self.nowork_streak += 1;
                     self.request_work(ctx);
                 } else {
@@ -1008,7 +928,7 @@ impl Actor<Msg> for ServerActor {
             checkpoints: self.checkpoints.clone(),
             metrics,
             volatility,
-            homes: self.links.iter().map(|l| l.current).collect(),
+            homes: self.links.iter().map(|l| l.current()).collect(),
         })
     }
 }

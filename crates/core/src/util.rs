@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use rpcv_simnet::{Ctx, NodeId, SimTime, TimerId};
+use rpcv_simnet::{Ctx, NodeId, SimTime, TimerId, WireSized};
 use rpcv_wire::Blob;
 use rpcv_xw::{ClientKey, CoordId, ServiceName};
 
@@ -91,8 +91,8 @@ impl Directory {
     }
 }
 
-/// One deferred send: destination, message, token, known wire size.
-type Pending = (NodeId, Msg, u64, Option<u64>);
+/// One deferred send: destination, message, token, wire size.
+type Pending = (NodeId, Msg, u64, u64);
 
 /// Messages scheduled for a future instant (e.g. a reply that may only
 /// leave once the database operation backing it completed).
@@ -130,7 +130,8 @@ impl Deferred {
         kind: u64,
         token: u64,
     ) -> Option<SimTime> {
-        self.send_at_inner(ctx, at, to, msg, None, kind, token)
+        let size = msg.wire_size();
+        self.send_at_sized(ctx, at, to, msg, size, kind, token)
     }
 
     /// [`Self::send_at`] with a caller-computed wire size, so a message
@@ -147,41 +148,23 @@ impl Deferred {
         kind: u64,
         token: u64,
     ) -> Option<SimTime> {
-        self.send_at_inner(ctx, at, to, msg, Some(size), kind, token)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn send_at_inner(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        at: SimTime,
-        to: NodeId,
-        msg: Msg,
-        size: Option<u64>,
-        kind: u64,
-        token: u64,
-    ) -> Option<SimTime> {
         if at <= ctx.now() {
-            Some(match size {
-                Some(s) => ctx.send_sized(to, msg, s),
-                None => ctx.send(to, msg),
-            })
-        } else {
-            let id = ctx.set_timer_at(at, kind);
-            let item = Some((to, msg, token, size));
-            let slot = match self.free.pop() {
-                Some(slot) => {
-                    self.slab[slot as usize] = item;
-                    slot
-                }
-                None => {
-                    self.slab.push(item);
-                    (self.slab.len() - 1) as u32
-                }
-            };
-            self.index.insert(id.0, slot);
-            None
+            return Some(ctx.send_sized(to, msg, size));
         }
+        let id = ctx.set_timer_at(at, kind);
+        let item = Some((to, msg, token, size));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = item;
+                slot
+            }
+            None => {
+                self.slab.push(item);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.index.insert(id.0, slot);
+        None
     }
 
     /// Fires a deferred send; returns `(comm_end, token)` if `id` belonged
@@ -191,11 +174,7 @@ impl Deferred {
         let (to, msg, token, size) =
             self.slab[slot as usize].take().expect("indexed slots hold a message");
         self.free.push(slot);
-        let comm_end = match size {
-            Some(s) => ctx.send_sized(to, msg, s),
-            None => ctx.send(to, msg),
-        };
-        Some((comm_end, token))
+        Some((ctx.send_sized(to, msg, size), token))
     }
 
     /// Number of queued sends.

@@ -134,25 +134,98 @@ impl<K: Ord + Copy> CoordinatorList<K> {
         // Wrap around the common order; skip ineligible entries.
         after.chain(before).find(|&c| self.is_eligible(c, now))
     }
+}
 
-    /// Merges another component's list into ours (union; our suspicion
-    /// state wins for already-known entries).  Performed "periodically, at
-    /// 'heart beat' signal receptions".
-    pub fn merge(&mut self, other: &[K]) {
-        for &k in other {
-            self.entries.entry(k).or_insert(Standing::Trusted);
+/// Which coordinator of a group a component is talking to, and whether it
+/// still believes in it.
+///
+/// Paper §4.1: every component talks to its *preferred* coordinator and
+/// moves to the next one of the known list on suspicion.  A link is a
+/// [`CoordinatorList`] plus the current pick and the instant it was last
+/// heard from; a client holds one, a server one per shard.  Giving up on
+/// a coordinator happens here and nowhere else.
+#[derive(Debug, Clone)]
+pub struct CoordLink<K: Ord + Copy> {
+    coords: CoordinatorList<K>,
+    current: Option<K>,
+    /// Start of the current pick's suspicion window: its last reply, or
+    /// the instant it was picked.  `None` = not judged yet.
+    last_heard: Option<SimTime>,
+}
+
+impl<K: Ord + Copy> CoordLink<K> {
+    /// Link over `members`, nobody picked yet.
+    pub fn new(members: impl IntoIterator<Item = K>, retry_after: SimDuration) -> Self {
+        CoordLink {
+            coords: CoordinatorList::new(members, retry_after),
+            current: None,
+            last_heard: None,
         }
     }
 
-    /// Replaces the membership with a fresh repository snapshot, keeping
-    /// suspicion state for coordinators that remain.
-    pub fn refresh_from_repository(&mut self, snapshot: &[K]) {
-        let mut fresh = BTreeMap::new();
-        for &k in snapshot {
-            let standing = self.entries.get(&k).copied().unwrap_or(Standing::Trusted);
-            fresh.insert(k, standing);
+    /// The coordinator to address at `now`: the current pick while it is
+    /// eligible, else the list's preferred one — which becomes current
+    /// with a fresh suspicion window.
+    pub fn pick(&mut self, now: SimTime) -> Option<K> {
+        match self.current {
+            Some(c) if self.coords.is_eligible(c, now) => Some(c),
+            _ => {
+                let picked = self.coords.preferred(now)?;
+                self.current = Some(picked);
+                self.last_heard = Some(now);
+                Some(picked)
+            }
         }
-        self.entries = fresh;
+    }
+
+    /// Restarts the current pick's suspicion window at `now` (a reply
+    /// arrived — or the caller kept the link quiet by its own choice and
+    /// is re-engaging); with `trust`, the sign of life also clears any
+    /// suspicion of it.  No-op while nobody is picked.
+    pub fn heard(&mut self, now: SimTime, trust: bool) {
+        let Some(c) = self.current else { return };
+        self.last_heard = Some(now);
+        if trust {
+            self.coords.trust(c);
+        }
+    }
+
+    /// Suspects and drops the current pick if it has been silent for more
+    /// than `suspicion`; returns it.  The next [`Self::pick`] moves on.
+    pub fn give_up_if_silent(&mut self, now: SimTime, suspicion: SimDuration) -> Option<K> {
+        let (c, last) = (self.current?, self.last_heard?);
+        if now.since(last) <= suspicion {
+            return None;
+        }
+        self.coords.suspect(c, now);
+        self.current = None;
+        Some(c)
+    }
+
+    /// The current pick.
+    pub fn current(&self) -> Option<K> {
+        self.current
+    }
+
+    /// Overrides the pick (a server following its work home, or resuming
+    /// its pre-crash home).  The suspicion window is left alone: open one
+    /// with [`Self::heard`], or leave the pick unjudged.
+    pub fn set_current(&mut self, k: Option<K>) {
+        self.current = k;
+    }
+
+    /// Whether `k` is a member this link does not hold suspected.
+    pub fn is_eligible(&self, k: K, now: SimTime) -> bool {
+        self.coords.is_eligible(k, now)
+    }
+
+    /// Replaces the membership with `members`, all trusted (a pushed shard
+    /// map).  The current pick and its window survive iff it is a member.
+    pub fn restrict(&mut self, members: impl IntoIterator<Item = K>) {
+        self.coords = CoordinatorList::new(members, self.coords.retry_after);
+        if self.current.is_some_and(|c| !self.coords.entries.contains_key(&c)) {
+            self.current = None;
+        }
     }
 }
 
@@ -229,25 +302,54 @@ mod tests {
         assert_eq!(l.preferred(S(1)), Some(1));
     }
 
-    #[test]
-    fn merge_unions_without_clobbering() {
-        let mut l = list();
-        l.suspect(2, S(0));
-        l.merge(&[2, 4, 5]);
-        assert_eq!(l.all(), vec![1, 2, 3, 4, 5]);
-        assert!(!l.is_eligible(2, S(1)), "merge must not clear suspicion");
-        assert!(l.is_eligible(4, S(1)));
+    fn link() -> CoordLink<u32> {
+        CoordLink::new([3, 1, 2], SimDuration::from_secs(60))
     }
 
     #[test]
-    fn refresh_replaces_membership() {
-        let mut l = list();
-        l.suspect(2, S(0));
-        l.refresh_from_repository(&[2, 9]);
-        assert_eq!(l.all(), vec![2, 9]);
-        assert!(!l.is_eligible(2, S(1)), "suspicion survives refresh");
-        assert!(l.is_eligible(9, S(1)));
-        assert!(!l.is_eligible(1, S(1)), "dropped from repository");
+    fn link_sticks_to_its_pick_until_silence_outlasts_the_window() {
+        let mut l = link();
+        assert_eq!(l.current(), None);
+        assert_eq!(l.pick(S(0)), Some(1));
+        let window = SimDuration::from_secs(30);
+        assert_eq!(l.give_up_if_silent(S(30), window), None, "exactly at the timeout: not yet");
+        l.heard(S(20), false);
+        assert_eq!(l.give_up_if_silent(S(50), window), None);
+        assert_eq!(l.give_up_if_silent(S(51), window), Some(1));
+        assert_eq!(l.current(), None);
+        assert!(!l.is_eligible(1, S(52)));
+        // Moving on opens a fresh window for the new pick.
+        assert_eq!(l.pick(S(52)), Some(2));
+        assert_eq!(l.give_up_if_silent(S(82), window), None);
+        // A trusted reply rehabilitates only the *current* pick.
+        l.heard(S(60), true);
+        assert!(!l.is_eligible(1, S(61)));
+    }
+
+    #[test]
+    fn overridden_pick_is_unjudged_until_a_window_opens() {
+        let mut l = link();
+        l.set_current(Some(3));
+        let window = SimDuration::from_secs(5);
+        assert_eq!(l.give_up_if_silent(S(1000), window), None, "no window, no verdict");
+        assert_eq!(l.pick(S(1000)), Some(3), "an eligible override is kept");
+        l.heard(S(1000), false);
+        assert_eq!(l.give_up_if_silent(S(1006), window), Some(3));
+    }
+
+    #[test]
+    fn restrict_keeps_a_member_pick_and_drops_a_foreign_one() {
+        let mut l = link();
+        assert_eq!(l.pick(S(0)), Some(1));
+        l.restrict([1, 2]);
+        assert_eq!(l.current(), Some(1));
+        assert_eq!(l.give_up_if_silent(S(31), SimDuration::from_secs(30)), Some(1), "window kept");
+        let mut l = link();
+        assert_eq!(l.pick(S(0)), Some(1));
+        l.restrict([2, 3]);
+        assert_eq!(l.current(), None);
+        assert_eq!(l.pick(S(1)), Some(2));
+        assert!(!l.is_eligible(1, S(1)), "dropped from the membership");
     }
 
     #[test]

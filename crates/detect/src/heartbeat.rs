@@ -1,38 +1,9 @@
-//! Heartbeat emission schedules and timeout-based suspicion.
+//! Timeout-based suspicion over observed heartbeats.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use rpcv_simnet::{SimDuration, SimTime};
-
-/// Decides when a component emits its next heartbeat.
-///
-/// Paper §4.2: "we implement the fault detector for coordinators and
-/// servers by a 'heart beat' signal sent periodically ... The 'heart beat'
-/// frequency is adjusted considering the trade-off between Coordinator
-/// reactivity and congestion."
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BeatSchedule {
-    /// Beat period.
-    pub period: SimDuration,
-}
-
-impl BeatSchedule {
-    /// Schedule with the given period.
-    pub fn new(period: SimDuration) -> Self {
-        BeatSchedule { period }
-    }
-
-    /// The paper's confined-experiment setting: one beat every 5 s.
-    pub fn paper_default() -> Self {
-        BeatSchedule::new(SimDuration::from_secs(5))
-    }
-
-    /// Next emission after a beat sent at `last`.
-    pub fn next_after(&self, last: SimTime) -> SimTime {
-        last + self.period
-    }
-}
 
 /// Timeout-based suspicion over observed heartbeats, keyed by `K`.
 ///
@@ -69,11 +40,6 @@ impl<K: Ord + Copy> HeartbeatMonitor<K> {
     /// The paper's confined-experiment setting: suspect after 30 s.
     pub fn paper_default() -> Self {
         HeartbeatMonitor::new(SimDuration::from_secs(30))
-    }
-
-    /// The configured timeout.
-    pub fn timeout(&self) -> SimDuration {
-        self.timeout
     }
 
     /// Records any sign of life from `k` at `now` (heartbeats, but also any
@@ -128,13 +94,6 @@ impl<K: Ord + Copy> HeartbeatMonitor<K> {
         }
     }
 
-    /// O(1) in the common all-alive case: true iff some tracked component
-    /// is currently suspected at `now`.
-    pub fn has_suspects(&mut self, now: SimTime) -> bool {
-        self.advance(now);
-        self.suspected.iter().any(|&k| self.is_suspect(k, now))
-    }
-
     /// All currently suspected components, in key order.
     pub fn suspects(&mut self, now: SimTime) -> Vec<K> {
         self.advance(now);
@@ -144,11 +103,6 @@ impl<K: Ord + Copy> HeartbeatMonitor<K> {
         // The filter guards against a caller probing an earlier `now`
         // than a previous scan (set membership only advances).
         self.suspected.iter().copied().filter(|&k| self.is_suspect(k, now)).collect()
-    }
-
-    /// All components being tracked.
-    pub fn tracked(&self) -> impl Iterator<Item = K> + '_ {
-        self.last_seen.keys().copied()
     }
 
     /// Number of tracked components.
@@ -169,17 +123,10 @@ mod tests {
     const S: fn(u64) -> SimTime = SimTime::from_secs;
 
     #[test]
-    fn beat_schedule_advances() {
-        let b = BeatSchedule::paper_default();
-        assert_eq!(b.next_after(S(10)), S(15));
-    }
-
-    #[test]
     fn fresh_component_not_suspected() {
         let mut m: HeartbeatMonitor<u32> = HeartbeatMonitor::paper_default();
         assert!(!m.is_suspect(1, S(1000)));
         assert!(m.suspects(S(1000)).is_empty());
-        assert!(!m.has_suspects(S(1000)));
         assert!(m.is_empty());
     }
 
@@ -236,10 +183,8 @@ mod tests {
         m.observe(5u32, S(0));
         assert_eq!(m.suspects(S(40)), vec![5]);
         assert_eq!(m.suspects(S(41)), vec![5], "still suspect on the next scan");
-        assert!(m.has_suspects(S(42)));
         m.observe(5, S(42));
         assert!(m.suspects(S(43)).is_empty());
-        assert!(!m.has_suspects(S(43)));
         // Silence again: the new deadline expires anew.
         assert_eq!(m.suspects(S(80)), vec![5]);
     }

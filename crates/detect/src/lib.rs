@@ -8,21 +8,20 @@
 //!
 //! * [`HeartbeatMonitor`] — timeout-based suspicion over periodic "heart
 //!   beat" signals (§4.2: a beat every 5 s, suspicion after 30 s of
-//!   silence, in the confined experiments);
-//! * [`BeatSchedule`] — when a component should emit its next beat;
+//!   silence, in the confined experiments): how a coordinator judges its
+//!   servers and its ring peers;
 //! * [`CoordinatorList`] — the "finite list of known coordinators" every
-//!   component carries, with local suspicion updates, periodic merging at
-//!   beat reception, and the common-order successor relationship used by
-//!   the passive-replication ring;
-//! * [`AdaptiveMonitor`] — per-component adaptive timeouts (the paper's
-//!   "known techniques ... to limit the wrong positives on the
-//!   Internet"): suspect beyond `mean + k·σ` of the learned heartbeat
-//!   inter-arrival distribution.
+//!   component carries, with local suspicion updates and the common-order
+//!   successor relationship used by the passive-replication ring;
+//! * [`CoordLink`] — a list plus the current pick and when it was last
+//!   heard from: how a client (one link) and a server (one per shard)
+//!   choose, keep and give up on the coordinator they talk to.
+//!
+//! That is the whole suspicion plane: one fixed-timeout rule in both
+//! directions.
 
-pub mod adaptive;
 pub mod coordlist;
 pub mod heartbeat;
 
-pub use adaptive::AdaptiveMonitor;
-pub use coordlist::CoordinatorList;
-pub use heartbeat::{BeatSchedule, HeartbeatMonitor};
+pub use coordlist::{CoordLink, CoordinatorList};
+pub use heartbeat::HeartbeatMonitor;

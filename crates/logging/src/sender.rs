@@ -65,16 +65,6 @@ impl<T: Clone> SenderLog<T> {
         }
     }
 
-    /// The strategy in use.
-    pub fn strategy(&self) -> LogStrategy {
-        self.strategy
-    }
-
-    /// Changes the strategy (takes effect for subsequent appends).
-    pub fn set_strategy(&mut self, strategy: LogStrategy) {
-        self.strategy = strategy;
-    }
-
     /// Number of retained entries.
     pub fn len(&self) -> usize {
         self.entries.len()

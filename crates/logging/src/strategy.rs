@@ -48,12 +48,6 @@ impl LogStrategy {
         }
     }
 
-    /// Whether log entries written with this strategy are guaranteed
-    /// durable once the interaction completes.
-    pub fn is_pessimistic(&self) -> bool {
-        !matches!(self, LogStrategy::Optimistic)
-    }
-
     /// Performs the disk write for one log append at `now` and resolves
     /// the strategy's timing semantics.
     pub fn write(&self, disk: &mut Disk, now: SimTime, bytes: u64) -> StrategyOutcome {
@@ -162,9 +156,6 @@ mod tests {
     #[test]
     fn names_and_classes() {
         assert_eq!(LogStrategy::Optimistic.name(), "optimistic");
-        assert!(!LogStrategy::Optimistic.is_pessimistic());
-        assert!(LogStrategy::BlockingPessimistic.is_pessimistic());
-        assert!(LogStrategy::NonBlockingPessimistic.is_pessimistic());
         assert_eq!(LogStrategy::ALL.len(), 3);
         assert_eq!(LogStrategy::default(), LogStrategy::NonBlockingPessimistic);
     }

@@ -1,14 +1,22 @@
-//! The chaos plane: seeded, replayable fault-schedule generation.
+//! The chaos plane: seeded, replayable fault schedules — the one
+//! [`FaultPlan`] every harness, bench and oracle in the workspace uses.
 //!
-//! The paper's fault generator kills components "upon order, or from its
-//! own initiative"; Fig. 11 adds partition scenarios.  This module turns
-//! that adversary into a *deterministic* one: from a single `u64` seed,
-//! [`FaultPlan::generate`] emits a timed schedule of crash-restart storms,
-//! partition churn (including splits through the coordinator group), disk
-//! wipes and link-degradation bursts (loss/dup/corrupt/reorder), all
-//! delivered through the ordinary [`Control`] channel — and guarantees the
-//! schedule fully *heals* before its end, so safety oracles can assert
-//! invariants over the quiesced system.
+//! The paper's fault generator (§5.1) "kills abruptly the RPC-V component
+//! of the hosting machine ... upon order, or from its own initiative",
+//! independently across nodes; Fig. 11 adds partition scenarios.  A plan
+//! is a timed list of [`Control`] actions built one of two ways:
+//!
+//! * **scripted / Poisson** — [`FaultPlan::new`] then
+//!   [`crash_at`](FaultPlan::crash_at) / [`restart_at`](FaultPlan::restart_at)
+//!   ("upon order") and [`poisson`](FaultPlan::poisson) ("from its own
+//!   initiative": independent crash/restart churn at an aggregate rate, the
+//!   Fig. 7 x-axis);
+//! * **generated** — from a single `u64` seed, [`FaultPlan::generate`] emits
+//!   crash-restart storms, partition churn (including splits through the
+//!   coordinator group), disk wipes and link-degradation bursts
+//!   (loss/dup/corrupt/reorder), and guarantees the schedule fully *heals*
+//!   before its end, so safety oracles can assert invariants over the
+//!   quiesced system.
 //!
 //! Schedule grammar (every episode is open/close paired):
 //!
@@ -124,17 +132,77 @@ pub struct FaultCounts {
     pub bursts: u32,
 }
 
-/// A timed, fully-healing schedule of [`Control`] actions, replayable from
-/// its seed.
-#[derive(Debug)]
+/// A timed schedule of [`Control`] actions, replayable from its seed(s).
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    seed: u64,
     schedule: Vec<(SimTime, Control)>,
     counts: FaultCounts,
     heal_by: SimTime,
 }
 
 impl FaultPlan {
+    /// Empty plan, to be scripted or filled by [`Self::poisson`].
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn push(&mut self, at: SimTime, ctl: Control) {
+        match ctl {
+            Control::Crash(_) => self.counts.crashes += 1,
+            Control::Restart(_) => self.counts.restarts += 1,
+            _ => {}
+        }
+        self.heal_by = self.heal_by.max(at);
+        self.schedule.push((at, ctl));
+    }
+
+    /// Scripted crash at `at`.
+    pub fn crash_at(mut self, at: SimTime, node: NodeId) -> Self {
+        self.push(at, Control::Crash(node));
+        self
+    }
+
+    /// Scripted restart at `at`.
+    pub fn restart_at(mut self, at: SimTime, node: NodeId) -> Self {
+        self.push(at, Control::Restart(node));
+        self
+    }
+
+    /// Poisson fault storm: across `targets`, faults arrive independently
+    /// with an *aggregate* rate of `faults_per_minute`, each followed by a
+    /// restart after `downtime`.  Runs from `from` to `until`.
+    ///
+    /// This is the Fig. 7 x-axis: "A consequence of this fault generation
+    /// is the increase of the number of faults in a system for a given
+    /// time with the number of nodes subject to failure."
+    pub fn poisson(
+        mut self,
+        targets: &[NodeId],
+        faults_per_minute: f64,
+        downtime: SimDuration,
+        from: SimTime,
+        until: SimTime,
+        seed: u64,
+    ) -> Self {
+        if targets.is_empty() || faults_per_minute <= 0.0 {
+            return self;
+        }
+        let mut rng = DetRng::new(seed ^ 0xFA017);
+        let mean_gap_secs = 60.0 / faults_per_minute;
+        let mut t = from;
+        loop {
+            let gap = SimDuration::from_secs_f64(rng.exp(mean_gap_secs));
+            t += gap;
+            if t >= until {
+                break;
+            }
+            let victim = targets[rng.below(targets.len() as u64) as usize];
+            self.push(t, Control::Crash(victim));
+            self.push(t + downtime, Control::Restart(victim));
+        }
+        self
+    }
+
     /// Generates a plan from `seed` over the window `[from, until]`.
     ///
     /// Every episode opened is closed strictly before `until`: crashed
@@ -150,8 +218,7 @@ impl FaultPlan {
         until: SimTime,
     ) -> FaultPlan {
         let mut rng = DetRng::new(seed ^ 0xFA17_5EED_0C4A_0500);
-        let mut schedule: Vec<(SimTime, Control)> = Vec::new();
-        let mut counts = FaultCounts::default();
+        let mut plan = FaultPlan { heal_by: from, ..FaultPlan::default() };
         let span = until.since(from);
         debug_assert!(span > profile.max_downtime * 2, "window too small for the profile");
         // Episodes must close before `until`: sample opens from a window
@@ -192,12 +259,10 @@ impl FaultPlan {
                 if !reserve(&mut reserved, node, at, at + down) {
                     continue;
                 }
-                schedule.push((at, Control::Crash(node)));
-                schedule.push((at + SimDuration::from_millis(1), Control::WipeDurable(node)));
-                schedule.push((at + down, Control::Restart(node)));
-                counts.crashes += 1;
-                counts.wipes += 1;
-                counts.restarts += 1;
+                plan.push(at, Control::Crash(node));
+                plan.push(at + SimDuration::from_millis(1), Control::WipeDurable(node));
+                plan.push(at + down, Control::Restart(node));
+                plan.counts.wipes += 1;
                 break;
             }
         }
@@ -220,10 +285,8 @@ impl FaultPlan {
                 if !reserve(&mut reserved, node, start, start + down) {
                     continue;
                 }
-                schedule.push((start, Control::Crash(node)));
-                schedule.push((start + down, Control::Restart(node)));
-                counts.crashes += 1;
-                counts.restarts += 1;
+                plan.push(start, Control::Crash(node));
+                plan.push(start + down, Control::Restart(node));
             }
         }
 
@@ -252,12 +315,12 @@ impl FaultPlan {
                 all.iter().copied().filter(|n| !minority.contains(n)).collect();
             for &a in &minority {
                 for &b in &majority {
-                    schedule.push((at, Control::Block { from: a, to: b, bidir: true }));
-                    schedule.push((at + dur, Control::Unblock { from: a, to: b, bidir: true }));
+                    plan.push(at, Control::Block { from: a, to: b, bidir: true });
+                    plan.push(at + dur, Control::Unblock { from: a, to: b, bidir: true });
                 }
             }
-            counts.partitions += 1;
-            counts.heals += 1;
+            plan.counts.partitions += 1;
+            plan.counts.heals += 1;
         }
 
         // Link-degradation bursts: the fabric-wide default degrades, pair
@@ -275,26 +338,37 @@ impl FaultPlan {
                 reorder_window: profile.reorder_window,
                 ..base_link
             };
-            schedule.push((at, Control::SetDefaultLink { params: degraded }));
-            schedule.push((at + dur, Control::SetDefaultLink { params: base_link }));
-            counts.bursts += 1;
+            plan.push(at, Control::SetDefaultLink { params: degraded });
+            plan.push(at + dur, Control::SetDefaultLink { params: base_link });
+            plan.counts.bursts += 1;
         }
 
         // Deterministic total order; ties break by insertion order, which
         // is itself seed-deterministic.
-        schedule.sort_by_key(|&(at, _)| at);
-        let heal_by = schedule.last().map_or(from, |&(at, _)| at);
-        FaultPlan { seed, schedule, counts, heal_by }
+        plan.schedule.sort_by_key(|&(at, _)| at);
+        plan
     }
 
-    /// The generating seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The schedule, in time order.
+    /// The schedule: time-sorted for a generated plan, in push order for
+    /// a scripted one ([`Self::apply`] keeps that order, which breaks ties
+    /// between controls due at the same instant).
     pub fn schedule(&self) -> &[(SimTime, Control)] {
         &self.schedule
+    }
+
+    /// Number of scheduled controls.
+    pub fn len(&self) -> usize {
+        self.schedule.len()
+    }
+
+    /// True when nothing is scheduled.
+    pub fn is_empty(&self) -> bool {
+        self.schedule.is_empty()
+    }
+
+    /// Number of crashes scheduled (the paper's fault count).
+    pub fn crash_count(&self) -> usize {
+        self.counts.crashes as usize
     }
 
     /// Scheduled fault events by family.
@@ -302,8 +376,9 @@ impl FaultPlan {
         self.counts
     }
 
-    /// Instant of the last scheduled control: every crash has restarted,
-    /// every partition healed and the default link is `base_link` again.
+    /// Instant of the last scheduled control: in a generated plan every
+    /// crash has restarted, every partition healed and the default link is
+    /// `base_link` again.
     pub fn heal_by(&self) -> SimTime {
         self.heal_by
     }
@@ -415,6 +490,61 @@ mod tests {
                 if (from == primary && to == peer) || (from == peer && to == primary))
         });
         assert!(split, "no coordinator-group split scheduled");
+    }
+
+    const S: fn(u64) -> SimTime = SimTime::from_secs;
+
+    #[test]
+    fn scripted_plan_counts_and_heals() {
+        let plan = FaultPlan::new().crash_at(S(10), NodeId(1)).restart_at(S(20), NodeId(1));
+        assert_eq!(plan.len(), 2);
+        assert_eq!(plan.crash_count(), 1);
+        assert_eq!(plan.counts(), FaultCounts { crashes: 1, restarts: 1, ..Default::default() });
+        assert_eq!(plan.heal_by(), S(20));
+    }
+
+    #[test]
+    fn poisson_rate_is_respected() {
+        let targets: Vec<NodeId> = (0..16).map(NodeId).collect();
+        let plan = FaultPlan::new().poisson(
+            &targets,
+            6.0, // 6 faults/minute
+            SimDuration::from_secs(10),
+            SimTime::ZERO,
+            S(600), // 10 minutes ⇒ ~60 faults expected
+            42,
+        );
+        let crashes = plan.crash_count();
+        assert!((35..=90).contains(&crashes), "got {crashes}");
+        // Every crash has a matching restart.
+        assert_eq!(plan.len(), crashes * 2);
+        assert_eq!(plan.counts().restarts as usize, crashes);
+    }
+
+    #[test]
+    fn poisson_is_deterministic() {
+        let targets: Vec<NodeId> = (0..4).map(NodeId).collect();
+        let mk = || {
+            FaultPlan::new().poisson(
+                &targets,
+                2.0,
+                SimDuration::from_secs(5),
+                SimTime::ZERO,
+                S(300),
+                7,
+            )
+        };
+        assert_eq!(mk().schedule(), mk().schedule());
+    }
+
+    #[test]
+    fn zero_rate_or_no_targets_is_empty() {
+        assert!(FaultPlan::new()
+            .poisson(&[], 5.0, SimDuration::ZERO, SimTime::ZERO, S(100), 1)
+            .is_empty());
+        assert!(FaultPlan::new()
+            .poisson(&[NodeId(0)], 0.0, SimDuration::ZERO, SimTime::ZERO, S(100), 1)
+            .is_empty());
     }
 
     #[test]

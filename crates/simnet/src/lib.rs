@@ -24,9 +24,11 @@
 //! * **Faults** ([`Control`]): abrupt crash (losing volatile state but
 //!   keeping the [`DurableImage`] the actor returns), restart, partition,
 //!   disk wipe, fabric-wide link degradation — the paper's fault generator
-//!   as schedulable events.  The [`chaos`] module generates whole seeded
-//!   fault schedules ([`FaultPlan`]) mixing crash storms, partition churn,
-//!   wipes and loss/dup/corrupt/reorder bursts, all fully healing.
+//!   as schedulable events.  The [`chaos`] module holds the workspace's
+//!   one fault schedule ([`FaultPlan`]): scripted crashes, Poisson
+//!   crash/restart churn, or whole seeded plans mixing crash storms,
+//!   partition churn, wipes and loss/dup/corrupt/reorder bursts, all fully
+//!   healing.
 //!
 //! ## Determinism
 //!

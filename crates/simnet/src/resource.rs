@@ -40,11 +40,6 @@ impl Resource {
         Occupancy { start, end }
     }
 
-    /// Next instant at which the resource is free.
-    pub fn available_at(&self) -> SimTime {
-        self.available_at
-    }
-
     /// Whether an operation issued at `now` would start immediately.
     pub fn idle_at(&self, now: SimTime) -> bool {
         self.available_at <= now

@@ -153,11 +153,6 @@ impl Trace {
         self.record = on;
     }
 
-    /// Whether events are being stored.
-    pub fn is_recording(&self) -> bool {
-        self.record
-    }
-
     /// Adds an event (always folded into the hash; stored only if
     /// recording).
     pub fn push(&mut self, at: SimTime, node: NodeId, kind: TraceKind, detail: impl AsRef<str>) {
@@ -183,11 +178,6 @@ impl Trace {
     /// Recorded events (empty unless recording was enabled).
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// Recorded events of a given kind.
-    pub fn events_of(&self, kind: TraceKind) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.kind == kind)
     }
 }
 
@@ -272,8 +262,6 @@ mod tests {
         t.push(SimTime::ZERO, NodeId(0), TraceKind::Note, "kept");
         assert_eq!(t.events().len(), 1);
         assert_eq!(t.events()[0].detail, "kept");
-        assert_eq!(t.events_of(TraceKind::Note).count(), 1);
-        assert_eq!(t.events_of(TraceKind::Crash).count(), 0);
     }
 
     #[test]

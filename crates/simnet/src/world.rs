@@ -217,11 +217,6 @@ impl<M: WireSized + 'static> World<M> {
         self.profile = on.then(|| Box::new(KernelProfile::for_classes(&self.class_names)));
     }
 
-    /// True when kernel profiling is enabled.
-    pub fn profiling(&self) -> bool {
-        self.profile.is_some()
-    }
-
     /// The kernel profile accumulated since [`Self::set_profiling`], if
     /// profiling is on.
     pub fn profile(&self) -> Option<&KernelProfile> {
@@ -340,11 +335,6 @@ impl<M: WireSized + 'static> World<M> {
     /// models disk loss / reinstallation.
     pub fn wipe_durable(&mut self, node: NodeId) {
         self.nodes[node.0 as usize].durable = DurableImage::none();
-    }
-
-    /// Read access to a node's resources (utilization accounting).
-    pub fn resources(&self, node: NodeId) -> &HostResources {
-        &self.nodes[node.0 as usize].res
     }
 
     /// Downcast read access to an installed actor.

@@ -1,162 +1,6 @@
-//! The fault generator: Poisson crash storms and scripted fault scenarios.
-//!
-//! Paper §5.1: "To generate faults in a controllable and reproducible
-//! manner, we have built a fault generator, running as a remotely
-//! controllable daemon.  Upon order, or from its own initiative with
-//! respect to its configuration, the fault generator kills abruptly the
-//! RPC-V component of the hosting machine. ... all nodes of the same kind
-//! are running a fault generator, simulating a varying mean time between
-//! failures.  We considered that faults occur independently across the
-//! nodes."
+//! The fault generator of §5.1 ("running as a remotely controllable
+//! daemon ... kills abruptly the RPC-V component of the hosting machine"):
+//! the workspace's one fault schedule, defined next to the `Control`
+//! channel it drives and re-exported here for the workload harnesses.
 
-use rpcv_core::msg::Msg;
-use rpcv_simnet::{Control, DetRng, NodeId, SimDuration, SimTime, World};
-
-/// A schedule of crash/restart events for a set of nodes.
-#[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
-    events: Vec<(SimTime, FaultEvent)>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum FaultEvent {
-    Crash(NodeId),
-    Restart(NodeId),
-}
-
-impl FaultPlan {
-    /// Empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Scripted crash at `at`.
-    pub fn crash_at(mut self, at: SimTime, node: NodeId) -> Self {
-        self.events.push((at, FaultEvent::Crash(node)));
-        self
-    }
-
-    /// Scripted restart at `at`.
-    pub fn restart_at(mut self, at: SimTime, node: NodeId) -> Self {
-        self.events.push((at, FaultEvent::Restart(node)));
-        self
-    }
-
-    /// Poisson fault storm: across `targets`, faults arrive independently
-    /// with an *aggregate* rate of `faults_per_minute`, each followed by a
-    /// restart after `downtime`.  Runs from `from` to `until`.
-    ///
-    /// This is the Fig. 7 x-axis: "A consequence of this fault generation
-    /// is the increase of the number of faults in a system for a given
-    /// time with the number of nodes subject to failure."
-    pub fn poisson(
-        mut self,
-        targets: &[NodeId],
-        faults_per_minute: f64,
-        downtime: SimDuration,
-        from: SimTime,
-        until: SimTime,
-        seed: u64,
-    ) -> Self {
-        if targets.is_empty() || faults_per_minute <= 0.0 {
-            return self;
-        }
-        let mut rng = DetRng::new(seed ^ 0xFA017);
-        let mean_gap_secs = 60.0 / faults_per_minute;
-        let mut t = from;
-        loop {
-            let gap = SimDuration::from_secs_f64(rng.exp(mean_gap_secs));
-            t += gap;
-            if t >= until {
-                break;
-            }
-            let victim = targets[rng.below(targets.len() as u64) as usize];
-            self.events.push((t, FaultEvent::Crash(victim)));
-            self.events.push((t + downtime, FaultEvent::Restart(victim)));
-        }
-        self
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of crash events (the paper's fault count).
-    pub fn crash_count(&self) -> usize {
-        self.events.iter().filter(|(_, e)| matches!(e, FaultEvent::Crash(_))).count()
-    }
-
-    /// Installs every event into the world.
-    pub fn apply(&self, world: &mut World<Msg>) {
-        for &(at, ev) in &self.events {
-            let ctl = match ev {
-                FaultEvent::Crash(n) => Control::Crash(n),
-                FaultEvent::Restart(n) => Control::Restart(n),
-            };
-            world.schedule_control(at, ctl);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const S: fn(u64) -> SimTime = SimTime::from_secs;
-
-    #[test]
-    fn scripted_plan_orders_events() {
-        let plan = FaultPlan::new().crash_at(S(10), NodeId(1)).restart_at(S(20), NodeId(1));
-        assert_eq!(plan.len(), 2);
-        assert_eq!(plan.crash_count(), 1);
-    }
-
-    #[test]
-    fn poisson_rate_is_respected() {
-        let targets: Vec<NodeId> = (0..16).map(NodeId).collect();
-        let plan = FaultPlan::new().poisson(
-            &targets,
-            6.0, // 6 faults/minute
-            SimDuration::from_secs(10),
-            SimTime::ZERO,
-            S(600), // 10 minutes ⇒ ~60 faults expected
-            42,
-        );
-        let crashes = plan.crash_count();
-        assert!((35..=90).contains(&crashes), "got {crashes}");
-        // Every crash has a matching restart.
-        assert_eq!(plan.len(), crashes * 2);
-    }
-
-    #[test]
-    fn poisson_is_deterministic() {
-        let targets: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let mk = || {
-            FaultPlan::new().poisson(
-                &targets,
-                2.0,
-                SimDuration::from_secs(5),
-                SimTime::ZERO,
-                S(300),
-                7,
-            )
-        };
-        assert_eq!(mk().crash_count(), mk().crash_count());
-    }
-
-    #[test]
-    fn zero_rate_or_no_targets_is_empty() {
-        assert!(FaultPlan::new()
-            .poisson(&[], 5.0, SimDuration::ZERO, SimTime::ZERO, S(100), 1)
-            .is_empty());
-        assert!(FaultPlan::new()
-            .poisson(&[NodeId(0)], 0.0, SimDuration::ZERO, SimTime::ZERO, S(100), 1)
-            .is_empty());
-    }
-}
+pub use rpcv_simnet::FaultPlan;

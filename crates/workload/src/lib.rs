@@ -11,11 +11,11 @@
 //!   switch-network configurations and evaluates per-terminal-pair signal
 //!   attenuation (shortest path) and bottleneck bandwidth (widest path).
 //!   Task durations form the wide distribution of Fig. 8;
-//! * [`faults`] — the fault generator ("running as a remotely controllable
-//!   daemon.  Upon order, or from its own initiative with respect to its
-//!   configuration, the fault generator kills abruptly the RPC-V component
-//!   of the hosting machine", §5.1): Poisson crash/restart schedules and
-//!   scripted scenarios.
+//! * [`faults`] — the fault generator of §5.1, which is not defined here:
+//!   [`FaultPlan`] *is* `rpcv_simnet::FaultPlan` (scripted crashes, Poisson
+//!   crash/restart churn and the seeded storm/partition/burst generator on
+//!   one type), re-exported so a harness imports its workload and its
+//!   faults from one crate.
 
 pub mod alcatel;
 pub mod faults;

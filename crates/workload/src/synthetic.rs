@@ -107,19 +107,6 @@ impl SyntheticBench {
         rounds as f64 * self.exec_secs
     }
 
-    /// Per-client plans for a multi-tenant grid: every client submits the
-    /// full `calls` workload, with payload seeds disjoint across clients
-    /// (aggregate offered load scales with the client count).
-    pub fn plans_per_client(&self, clients: usize) -> Vec<Vec<CallSpec>> {
-        (0..clients.max(1))
-            .map(|c| {
-                let mut b = self.clone();
-                b.seed = self.seed.wrapping_add((c as u64) << 32);
-                b.plan()
-            })
-            .collect()
-    }
-
     /// Splits the single-client workload across `clients` concurrent
     /// submitters (round-robin, so total offered load stays equal to
     /// [`Self::plan`] — the shape the scale bench sweeps to isolate the
@@ -153,16 +140,6 @@ mod tests {
         assert!(plan.iter().all(|c| c.params.len() == 1024));
         // Payload seeds differ call to call.
         assert!(!plan[0].params.content_eq(&plan[1].params));
-    }
-
-    #[test]
-    fn per_client_plans_are_disjoint_and_full_size() {
-        let b = SyntheticBench::small_calls(10);
-        let plans = b.plans_per_client(3);
-        assert_eq!(plans.len(), 3);
-        assert!(plans.iter().all(|p| p.len() == 10));
-        // Different clients get different payloads for the same call index.
-        assert!(!plans[0][0].params.content_eq(&plans[1][0].params));
     }
 
     #[test]

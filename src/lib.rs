@@ -12,11 +12,11 @@
 //! | [`simnet`] | `rpcv-simnet` | deterministic discrete-event grid simulator |
 //! | [`wire`] | `rpcv-wire` | binary marshalling (varints, blobs, CRC-64) |
 //! | [`log`] | `rpcv-log` | sender-based message logging (3 strategies) |
-//! | [`detect`] | `rpcv-detect` | heartbeat fault suspicion + coordinator lists |
+//! | [`detect`] | `rpcv-detect` | heartbeat fault suspicion, coordinator lists and links |
 //! | [`store`] | `rpcv-store` | coordinator job/task/archive/checkpoint database |
 //! | [`ckpt`] | `rpcv-ckpt` | adaptive task checkpointing: policies, volatility estimation, checkpoint frames |
 //! | [`xw`] | `rpcv-xw` | XtremWeb-like middleware substrate |
-//! | [`workload`] | `rpcv-workload` | synthetic + Alcatel-like workloads, fault plans |
+//! | [`workload`] | `rpcv-workload` | synthetic + Alcatel-like workloads (re-exports the fault plan) |
 //! | [`obs`] | `rpcv-obs` | telemetry plane: metrics registry, virtual-time histograms, job lifecycle spans, sealed snapshots |
 //!
 //! ## Two ways to run a grid

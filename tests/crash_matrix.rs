@@ -914,3 +914,74 @@ fn current_coordinator_recovers_a_task_whose_dispatcher_never_heard_the_server_a
     assert_eq!(current.metrics.server_suspicions, 1);
     assert_eq!(current.db().stats().tasks, 2, "one replacement instance, minted where it beat");
 }
+
+/// A `Submit` lost on the way to a coordinator that keeps serving — no
+/// crash, no suspicion, nothing a failover would repair: three calls, the
+/// client→coordinator direction cut for 0.5 s around the second.  Had the
+/// coordinator registered seq 3 over the hole, its ack (`coord_max = 3`)
+/// would talk the client out of ever replaying seq 2 and the client would
+/// hold `[1, 3]` for good.  It refuses the gap on a 1-shard grid like on
+/// any other and acks the contiguous prefix; the client reads the refusal
+/// off that ack and refills the hole from its log at once (paper-default
+/// 5 s beats here: a stall-driven replay could not land before t = 21 s).
+#[test]
+fn submit_lost_while_the_coordinator_keeps_serving_is_replayed() {
+    use rpcv::simnet::Control;
+    let mut g = SimGrid::build(GridSpec::confined(1, 2));
+    let (client, coord) = (g.client_node, g.coords[0].1);
+    for (i, at_ms) in [10_000, 11_000, 12_000].into_iter().enumerate() {
+        let call = rpcv::core::msg::Msg::ApiSubmit {
+            service: "b".into(),
+            params: Blob::synthetic(512, i as u64),
+            exec_cost: 1.0,
+            result_size: 64,
+            replication: 1,
+            work_units: 1,
+        };
+        g.world.inject(SimTime::from_millis(at_ms), client, call);
+    }
+    let (cut, heal) = (SimTime::from_millis(10_750), SimTime::from_millis(11_250));
+    g.world.schedule_control(cut, Control::Block { from: client, to: coord, bidir: false });
+    g.world.schedule_control(heal, Control::Unblock { from: client, to: coord, bidir: false });
+    g.world.run_until(SimTime::from_secs(13));
+    let registered = g.coordinator(0).expect("up").db().client_max(g.client_key);
+    assert_eq!(registered, 3, "the refusal's ack triggers the refill, no stall wait");
+    g.world.run_until(SimTime::from_secs(600));
+
+    let c = g.client().expect("client up");
+    let held: Vec<u64> = c.metrics.results_received.keys().copied().collect();
+    assert_eq!(held, [1, 2, 3], "every call is delivered");
+    assert_eq!(c.metrics.coordinator_switches, 0, "the coordinator never looked dead");
+    assert!(c.metrics.log_replays >= 1, "the hole is refilled from the client's log");
+    assert_eq!(g.coordinator(0).expect("up").db().stats().jobs, 3);
+}
+
+/// The `SubmitBatch` twin, frame by frame on a 1-shard grid: a replay
+/// window that starts above the contiguous registration registers
+/// nothing, one with a hole inside registers only what precedes it — so
+/// `client_max`, which every ack reports, never passes a hole.
+#[test]
+fn gapped_submit_batch_registers_only_the_contiguous_prefix() {
+    use rpcv::xw::{ClientKey, JobKey, JobSpec};
+    let mut g = SimGrid::build(GridSpec::confined(1, 1).with_cfg(fast_cfg()));
+    let (key, coord) = (ClientKey::new(9, 1), g.coords[0].1);
+    let batch = |seqs: &[u64]| rpcv::core::msg::Msg::SubmitBatch {
+        specs: seqs
+            .iter()
+            .map(|&s| JobSpec::new(JobKey::new(key, s), "b", Blob::synthetic(64, s)))
+            .collect(),
+    };
+    let registered = |g: &SimGrid| {
+        let db = g.coordinator(0).expect("up").db();
+        (db.client_max(key), (1..=6).filter(|&s| db.knows_job(&JobKey::new(key, s))).count())
+    };
+    g.world.inject(SimTime::from_secs(1), coord, batch(&[1, 2]));
+    g.world.inject(SimTime::from_secs(2), coord, batch(&[4, 5]));
+    g.world.run_until(SimTime::from_secs(3));
+    assert_eq!(registered(&g), (2, 2), "a batch starting above client_max + 1 registers nothing");
+    // A duplicate, an extension, then a hole: 2 is idempotent, 3 extends
+    // the prefix, 5 and 6 sit behind the missing 4.
+    g.world.inject(SimTime::from_secs(3), coord, batch(&[2, 3, 5, 6]));
+    g.world.run_until(SimTime::from_secs(4));
+    assert_eq!(registered(&g), (3, 3), "only the entries before the hole register");
+}
