@@ -9,11 +9,14 @@
 //! exactly-once delivery, no re-execution of collected work, monotone
 //! metrics, every corrupted frame accounted as a typed drop.
 //!
-//! The artifact (`BENCH_chaos.json`, validated in CI by
-//! `scripts/check_bench_flatness.py`) commits to **100% survival** over
+//! The artifact (`BENCH_chaos.json`) commits to **100% survival** over
 //! the full sweep: ≥ 64 seeded plans cycling the intensity ladder, every
-//! plan mixing all fault families.  Run with `-- --smoke` for the tiny CI
-//! variant — smoke artifacts must not be committed.
+//! plan mixing all fault families.  The bench only records verdicts; the
+//! gate is `scripts/check_bench_flatness.py`, which `Artifact::finish`
+//! runs on the file just written (and CI on the committed one) and whose
+//! status this bench exits with — one `"survived": false` fails it.  Run
+//! with `-- --smoke` for the tiny CI variant — smoke artifacts must not be
+//! committed.
 //!
 //! Every field in the artifact is virtual-time deterministic: the same
 //! toolchain regenerates it byte-identically, so a diff in review *is*
@@ -21,8 +24,8 @@
 
 use std::fmt::Write as _;
 
-use rpcv_bench::{write_bench_json, Figure};
-use rpcv_core::chaos::{ChaosOracle, ChaosReport};
+use rpcv_bench::{Artifact, Value};
+use rpcv_core::chaos::ChaosOracle;
 
 /// Intensity ladder the sweep cycles through: from light background
 /// noise to every-family-at-maximum mayhem.
@@ -54,105 +57,52 @@ fn hist_json(h: &rpcv_obs::Histogram) -> String {
     s
 }
 
-fn write_json(reports: &[ChaosReport], smoke: bool) {
-    let rows: Vec<String> = reports
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"seed\": {}, \"intensity\": {:.2}, \"survived\": {}, \
-                 \"crashes\": {}, \"wipes\": {}, \"partitions\": {}, \"bursts\": {}, \
-                 \"corrupt_frames\": {}, \"dup_frames\": {}, \"reordered_frames\": {}, \
-                 \"lost_frames\": {}, \"bad_frames\": {}, \"jobs\": {}, \"results\": {}, \
-                 \"recovery_makespan_s\": {:.3}, \"recovery_gap_hist\": {}}}",
-                r.seed,
-                r.intensity,
-                r.survived(),
-                r.counts.crashes,
-                r.counts.wipes,
-                r.counts.partitions,
-                r.counts.bursts,
-                r.stats.corrupted,
-                r.stats.duplicated,
-                r.stats.reordered,
-                r.stats.dropped_loss,
-                r.bad_frames,
-                r.jobs,
-                r.results,
-                r.recovery_makespan.as_secs_f64(),
-                hist_json(&r.recovery_gaps),
-            )
-        })
-        .collect();
-    let sum = |f: fn(&ChaosReport) -> u64| reports.iter().map(f).sum::<u64>();
-    let totals = [
-        "\"totals\": {".to_owned(),
-        format!("  \"plans\": {},", reports.len()),
-        format!("  \"survived\": {},", reports.iter().filter(|r| r.survived()).count()),
-        format!("  \"corrupt_frames\": {},", sum(|r| r.stats.corrupted)),
-        format!("  \"dup_frames\": {},", sum(|r| r.stats.duplicated)),
-        format!("  \"bad_frames\": {}", sum(|r| r.bad_frames)),
-        "}".to_owned(),
-    ];
-    write_bench_json("chaos", 2, smoke, "plans", &rows, &totals);
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let plans = if smoke { 6 } else { 64 };
-    let mut fig = Figure::new(
-        "chaos_sweep",
-        &[
-            "seed",
-            "intensity",
-            "crashes",
-            "wipes",
-            "partitions",
-            "bursts",
-            "corrupt_frames",
-            "dup_frames",
-            "bad_frames",
-            "recovery_makespan_s",
-        ],
-    );
-    let mut reports = Vec::with_capacity(plans);
-    let mut failed = 0usize;
+    let mut art = Artifact::new("chaos", "chaos_sweep", 2, smoke, "plans");
+    let (mut survived, mut corrupt, mut dup, mut bad) = (0u64, 0u64, 0u64, 0u64);
     for i in 0..plans {
         let seed = seed_of(i as u64);
         let intensity = LADDER[i % LADDER.len()];
         let r = ChaosOracle::seeded(seed, intensity).run();
         if !r.survived() {
-            failed += 1;
             eprintln!("# FAIL seed {seed:#x} intensity {intensity}: {:?}", r.violations);
         }
-        fig.row_labelled(
-            if r.survived() { "ok" } else { "FAIL" },
-            &[
-                seed as f64,
-                intensity,
-                r.counts.crashes as f64,
-                r.counts.wipes as f64,
-                r.counts.partitions as f64,
-                r.counts.bursts as f64,
-                r.stats.corrupted as f64,
-                r.stats.duplicated as f64,
-                r.bad_frames as f64,
-                r.recovery_makespan.as_secs_f64(),
-            ],
-        );
-        reports.push(r);
+        art.row(&[
+            ("seed", Value::U64(r.seed)),
+            ("intensity", Value::F64(r.intensity, 2)),
+            ("survived", Value::Bool(r.survived())),
+            ("crashes", Value::U64(r.counts.crashes.into())),
+            ("wipes", Value::U64(r.counts.wipes.into())),
+            ("partitions", Value::U64(r.counts.partitions.into())),
+            ("bursts", Value::U64(r.counts.bursts.into())),
+            ("corrupt_frames", Value::U64(r.stats.corrupted)),
+            ("dup_frames", Value::U64(r.stats.duplicated)),
+            ("reordered_frames", Value::U64(r.stats.reordered)),
+            ("lost_frames", Value::U64(r.stats.dropped_loss)),
+            ("bad_frames", Value::U64(r.bad_frames)),
+            ("jobs", Value::U64(r.jobs)),
+            ("results", Value::U64(r.results)),
+            ("recovery_makespan_s", Value::F64(r.recovery_makespan.as_secs_f64(), 3)),
+            ("recovery_gap_hist", Value::Json(hist_json(&r.recovery_gaps))),
+        ]);
+        survived += u64::from(r.survived());
+        corrupt += r.stats.corrupted;
+        dup += r.stats.duplicated;
+        bad += r.bad_frames;
     }
-    fig.finish();
-    write_json(&reports, smoke);
     println!(
-        "# chaos sweep: {}/{} plans survived ({} corrupt, {} dup, {} poison frames absorbed)",
-        reports.len() - failed,
-        reports.len(),
-        reports.iter().map(|r| r.stats.corrupted).sum::<u64>(),
-        reports.iter().map(|r| r.stats.duplicated).sum::<u64>(),
-        reports.iter().map(|r| r.bad_frames).sum::<u64>(),
+        "# chaos sweep: {survived}/{plans} plans survived \
+         ({corrupt} corrupt, {dup} dup, {bad} poison frames absorbed)"
     );
-    if failed > 0 {
-        eprintln!("# FATAL: {failed} plan(s) violated a safety invariant");
-        std::process::exit(1);
-    }
+    art.finish(&[
+        "\"totals\": {".to_owned(),
+        format!("  \"plans\": {plans},"),
+        format!("  \"survived\": {survived},"),
+        format!("  \"corrupt_frames\": {corrupt},"),
+        format!("  \"dup_frames\": {dup},"),
+        format!("  \"bad_frames\": {bad}"),
+        "}".to_owned(),
+    ]);
 }

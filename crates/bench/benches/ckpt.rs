@@ -19,15 +19,21 @@
 //!
 //! The headline comparison is **budget-matched**: after the adaptive cell
 //! runs, a `fixed-matched` cell is constructed whose interval spends the
-//! *same* checkpoint budget spread uniformly over all servers; the sweep
-//! asserts the adaptive policy wastes less work at that equal budget (and
-//! that every checkpointing policy wastes less than the from-scratch
-//! baseline).  Results go to stdout, `target/figures/ckpt_policies.csv`,
-//! and the repo-root `BENCH_ckpt.json` (validated in CI by
-//! `scripts/check_bench_flatness.py`; run with `-- --smoke` for the tiny
-//! CI variant — smoke artifacts must not be committed).
+//! *same* checkpoint budget spread uniformly over all servers.  The gate
+//! (`scripts/check_bench_flatness.py`, run by `Artifact::finish` on the
+//! file just written and by CI on the committed one — nothing is asserted
+//! here) holds the headline: within each volatility group the adaptive
+//! policy wastes less than the from-scratch baseline, and wherever churn is
+//! frequent enough for per-node crash history to accumulate within the run
+//! (≥ 4 faults/min) no more than the budget-matched fixed interval — equal
+//! checkpoint bytes, spent where the crashes are instead of uniformly.
+//! (Below that, adaptation is dominated by the one-off cost of *learning*
+//! each node's regime; the sweep still reports those cells.)  Results go to
+//! stdout, `target/figures/ckpt_policies.csv` and the repo-root
+//! `BENCH_ckpt.json`; run with `-- --smoke` for the tiny CI variant — smoke
+//! artifacts must not be committed.
 
-use rpcv_bench::{write_bench_json, Figure};
+use rpcv_bench::{Artifact, Value};
 use rpcv_ckpt::{AdaptiveCheckpoint, CheckpointPolicy};
 use rpcv_core::config::ProtocolConfig;
 use rpcv_core::grid::{GridSpec, SimGrid};
@@ -46,23 +52,15 @@ struct Shape {
     faults_per_min: f64,
 }
 
-/// One measured cell.
-struct Cell {
-    policy: &'static str,
-    /// Fixed interval in seconds (0 for off/adaptive).
-    interval_s: f64,
-    faults_per_min: f64,
-    required_units: u64,
-    spent_units: u64,
-    wasted_units: u64,
-    ckpt_uploads: u64,
-    ckpt_bytes: u64,
-    crashes: usize,
-    makespan_s: f64,
-    completed: bool,
-}
-
-fn run_cell(shape: Shape, policy: CheckpointPolicy, label: &'static str) -> Cell {
+/// Runs one cell; returns its row — `BENCH_ckpt.json`'s keys and the CSV
+/// header, named here once (`interval_s` is 0 for off/adaptive) — and the
+/// `(units spent, checkpoint uploads)` a budget-matched interval is derived
+/// from.
+fn run_cell(
+    shape: Shape,
+    policy: CheckpointPolicy,
+    label: &'static str,
+) -> (Vec<(&'static str, Value<'static>)>, u64, u64) {
     let cfg = ProtocolConfig::confined()
         .with_heartbeat(SimDuration::from_secs(1))
         .with_suspicion(SimDuration::from_secs(5))
@@ -118,94 +116,24 @@ fn run_cell(shape: Shape, policy: CheckpointPolicy, label: &'static str) -> Cell
             (crashes_scheduled as f64 * (horizon / 3599.0).min(1.0)) as usize
         })
         .unwrap_or(crashes_scheduled);
-    Cell {
-        policy: label,
-        interval_s: match policy {
-            CheckpointPolicy::Fixed(d) => d.as_secs_f64(),
-            _ => 0.0,
-        },
-        faults_per_min: shape.faults_per_min,
-        required_units: required,
-        spent_units: spent,
-        wasted_units: spent.saturating_sub(required),
-        ckpt_uploads: uploads,
-        ckpt_bytes: bytes,
-        crashes: crashes_before_done,
-        makespan_s: done.map(|d| d.as_secs_f64()).unwrap_or(f64::NAN),
-        completed: done.is_some() && grid.client_results() == shape.jobs,
-    }
-}
-
-fn write_json(cells: &[Cell], smoke: bool) {
-    let rows: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"policy\": \"{}\", \"interval_s\": {:.3}, \"faults_per_min\": {:.1}, \
-                 \"required_units\": {}, \"spent_units\": {}, \"wasted_units\": {}, \
-                 \"ckpt_uploads\": {}, \"ckpt_bytes\": {}, \"crashes\": {}, \
-                 \"makespan_s\": {:.1}, \"completed\": {}}}",
-                c.policy,
-                c.interval_s,
-                c.faults_per_min,
-                c.required_units,
-                c.spent_units,
-                c.wasted_units,
-                c.ckpt_uploads,
-                c.ckpt_bytes,
-                c.crashes,
-                c.makespan_s,
-                c.completed,
-            )
-        })
-        .collect();
-    write_bench_json("ckpt", 1, smoke, "cells", &rows, &[]);
-}
-
-/// The headline acceptance, asserted on the sweep itself (and re-checked
-/// on the artifact by CI): within each volatility group, the adaptive
-/// policy beats the from-scratch baseline on wasted work; and wherever
-/// churn is frequent enough for per-node crash history to accumulate
-/// within the run (≥ 4 faults/min here), it also beats the
-/// budget-matched fixed interval — equal checkpoint bytes, spent where
-/// the crashes are instead of uniformly.  (Below that, adaptation is
-/// dominated by the one-off cost of *learning* each node's regime; the
-/// sweep still reports those cells.)
-fn check_adaptive_wins(cells: &[Cell]) {
-    let mut groups: Vec<f64> = cells.iter().map(|c| c.faults_per_min).collect();
-    groups.dedup();
-    for g in groups {
-        let get = |p: &str| cells.iter().find(|c| c.faults_per_min == g && c.policy == p);
-        let off = get("off").expect("baseline cell");
-        let adaptive = get("adaptive").expect("adaptive cell");
-        let matched = get("fixed-matched").expect("budget-matched cell");
-        assert!(
-            adaptive.wasted_units < off.wasted_units,
-            "@{g}/min: adaptive must waste less than from-scratch \
-             ({} vs {})",
-            adaptive.wasted_units,
-            off.wasted_units
-        );
-        if g < 4.0 {
-            continue;
-        }
-        assert!(
-            adaptive.wasted_units <= matched.wasted_units,
-            "@{g}/min: adaptive must not waste more than the budget-matched fixed interval \
-             ({} vs {} wasted at {} vs {} ckpt bytes)",
-            adaptive.wasted_units,
-            matched.wasted_units,
-            adaptive.ckpt_bytes,
-            matched.ckpt_bytes
-        );
-        assert!(
-            adaptive.ckpt_bytes <= matched.ckpt_bytes * 13 / 10,
-            "@{g}/min: the comparison must really be budget-matched \
-             ({} vs {} ckpt bytes)",
-            adaptive.ckpt_bytes,
-            matched.ckpt_bytes
-        );
-    }
+    let interval_s = match policy {
+        CheckpointPolicy::Fixed(d) => d.as_secs_f64(),
+        _ => 0.0,
+    };
+    let row = vec![
+        ("policy", Value::Str(label)),
+        ("interval_s", Value::F64(interval_s, 3)),
+        ("faults_per_min", Value::F64(shape.faults_per_min, 1)),
+        ("required_units", Value::U64(required)),
+        ("spent_units", Value::U64(spent)),
+        ("wasted_units", Value::U64(spent.saturating_sub(required))),
+        ("ckpt_uploads", Value::U64(uploads)),
+        ("ckpt_bytes", Value::U64(bytes)),
+        ("crashes", Value::U64(crashes_before_done as u64)),
+        ("makespan_s", Value::F64(done.map(|d| d.as_secs_f64()).unwrap_or(f64::NAN), 1)),
+        ("completed", Value::Bool(done.is_some() && grid.client_results() == shape.jobs)),
+    ];
+    (row, spent, uploads)
 }
 
 fn main() {
@@ -245,61 +173,24 @@ fn main() {
         prior: SimDuration::from_secs(30),
         lifetime_divisor: 6,
     });
-    let mut fig = Figure::new(
-        "ckpt_policies",
-        &[
-            "faults_per_min",
-            "interval_s",
-            "required_units",
-            "spent_units",
-            "wasted_units",
-            "ckpt_uploads",
-            "ckpt_bytes",
-            "crashes",
-            "makespan_s",
-        ],
-    );
-    let mut cells = Vec::new();
+    let mut art = Artifact::new("ckpt", "ckpt_policies", 1, smoke, "cells");
     for shape in shapes {
-        let mut group = vec![
-            run_cell(shape, CheckpointPolicy::Disabled, "off"),
-            run_cell(shape, CheckpointPolicy::Fixed(SimDuration::from_secs(10)), "fixed-10"),
-            run_cell(shape, CheckpointPolicy::Fixed(SimDuration::from_secs(30)), "fixed-30"),
-            run_cell(shape, adaptive, "adaptive"),
-        ];
+        for (policy, label) in [
+            (CheckpointPolicy::Disabled, "off"),
+            (CheckpointPolicy::Fixed(SimDuration::from_secs(10)), "fixed-10"),
+            (CheckpointPolicy::Fixed(SimDuration::from_secs(30)), "fixed-30"),
+        ] {
+            art.row(&run_cell(shape, policy, label).0);
+        }
+        let (row, spent, uploads) = run_cell(shape, adaptive, "adaptive");
+        art.row(&row);
         // Budget-matched fixed interval: spend the adaptive cell's realized
         // checkpoint budget uniformly — same expected upload count, spread
         // over every server alike instead of concentrated where the churn
         // is.  (1 unit ≈ 1 s of busy time in this sweep.)
-        let a = group.last().expect("adaptive cell just ran");
-        let matched_ms =
-            (a.spent_units as f64 / a.ckpt_uploads.max(1) as f64 * 1000.0).round() as u64;
+        let matched_ms = (spent as f64 / uploads.max(1) as f64 * 1000.0).round() as u64;
         let matched = CheckpointPolicy::Fixed(SimDuration::from_millis(matched_ms.max(1000)));
-        group.push(run_cell(shape, matched, "fixed-matched"));
-        for c in &group {
-            assert!(
-                c.completed,
-                "cell {}@{}/min must run to completion",
-                c.policy, c.faults_per_min
-            );
-            fig.row_labelled(
-                c.policy,
-                &[
-                    c.faults_per_min,
-                    c.interval_s,
-                    c.required_units as f64,
-                    c.spent_units as f64,
-                    c.wasted_units as f64,
-                    c.ckpt_uploads as f64,
-                    c.ckpt_bytes as f64,
-                    c.crashes as f64,
-                    c.makespan_s,
-                ],
-            );
-        }
-        cells.extend(group);
+        art.row(&run_cell(shape, matched, "fixed-matched").0);
     }
-    fig.finish();
-    check_adaptive_wins(&cells);
-    write_json(&cells, smoke);
+    art.finish(&[]);
 }

@@ -18,8 +18,8 @@
 //!   replicator makes this grow linearly with run length).  The delta now
 //!   carries collection acknowledgements too, and the sweep is
 //!   collected-heavy (clients collect everything, the harness GCs), so
-//!   the sweep itself asserts this stays flat across cells that differ
-//!   only in job count,
+//!   the gate holds this flat across cells that differ only in job
+//!   count,
 //! * `catalog_bytes_per_beat` — mean result-catalog payload per client
 //!   sync reply: the observable of the incremental catalog (the old
 //!   full-catalog reply grows with the job count; the delta form tracks
@@ -53,8 +53,8 @@
 //! servers×jobs×clients cell, gated on `sim_events_per_sec` — the
 //! grid's event throughput in *simulated* time (events / sim second):
 //! the S-shard cell must process >= 0.7·S× the 1-shard cell's events
-//! per sim-second, asserted by `check_shard_scaling` below and by
-//! `scripts/check_bench_flatness.py` on the artifact.  Simulated time
+//! per sim-second, gated on the artifact by
+//! `scripts/check_bench_flatness.py`.  Simulated time
 //! is the right axis for the scale-out claim: the kernel interleaves
 //! every shard on one host thread, so partitioning the plane shows up
 //! as the same workload compressing into ~1/S the simulated seconds —
@@ -64,6 +64,9 @@
 //!
 //! Results go to stdout, `target/figures/scale_trajectory.csv`, and —
 //! the part future PRs consume — `BENCH_scale.json` at the repo root.
+//! Nothing is asserted here: every gate named above is written once, in
+//! `scripts/check_bench_flatness.py`, which `Artifact::finish` runs on the
+//! file it just wrote and whose status this bench exits with.
 //! Run `cargo bench -p rpcv-bench --bench scale` for the full sweep or
 //! `-- --smoke` for the tiny CI variant.  The JSON schema
 //! (`schema_version: 5`) is documented in ROADMAP.md ("Performance
@@ -71,37 +74,24 @@
 
 use std::time::Instant;
 
-use rpcv_bench::{write_bench_json, Figure};
+use rpcv_bench::{Artifact, Value};
 use rpcv_core::coordinator::CoordinatorActor;
 use rpcv_core::grid::{GridSpec, SimGrid};
 use rpcv_simnet::{SimDuration, SimTime};
 use rpcv_workload::SyntheticBench;
 
-/// One measured grid cell.  On a sharded cell the payload/residency
-/// metrics are per busiest shard: each shard's value is computed from its
-/// own members and the worst shard is reported, so a single overloaded
-/// group cannot hide behind S-1 idle ones.
-struct Cell {
+/// Runs one grid cell; returns its row — `BENCH_scale.json`'s keys and the
+/// CSV header, named here once — and the `(events, wall seconds)` the totals
+/// line sums.  On a sharded cell the payload/residency metrics are per
+/// busiest shard: each shard's value is computed from its own members and
+/// the worst shard is reported, so a single overloaded group cannot hide
+/// behind S-1 idle ones.
+fn run_cell(
     servers: usize,
     jobs: usize,
     clients: usize,
     shards: usize,
-    events: u64,
-    wall_seconds: f64,
-    events_per_sec: f64,
-    sim_seconds: f64,
-    sim_events_per_sec: f64,
-    completed: usize,
-    repl_rounds: usize,
-    delta_bytes_per_round: f64,
-    catalog_bytes_per_beat: f64,
-    resident_rows: u64,
-    job_p50_ms: f64,
-    job_p99_ms: f64,
-    done: bool,
-}
-
-fn run_cell(servers: usize, jobs: usize, clients: usize, shards: usize) -> Cell {
+) -> (Vec<(&'static str, Value<'static>)>, u64, f64) {
     let bench = SyntheticBench {
         calls: jobs,
         param_bytes: 256,
@@ -167,13 +157,13 @@ fn run_cell(servers: usize, jobs: usize, clients: usize, shards: usize) -> Cell 
         // merge across the shard's members), rendered as stable JSON.
         let members = grid.coords.len() / shards.max(1);
         for s in 0..shards {
-            let mut reg = rpcv_obs::Registry::new();
+            let mut reg = rpcv_obs::TelemetrySnapshot::new();
             for i in s * members..(s + 1) * members {
                 if let Some(c) = grid.coordinator(i) {
-                    reg.absorb(&c.telemetry_snapshot());
+                    reg.merge(&c.telemetry_snapshot());
                 }
             }
-            eprintln!("# telemetry shard {s}: {}", reg.snapshot().to_json());
+            eprintln!("# telemetry shard {s}: {}", reg.to_json());
         }
     }
     // Replication and catalog traffic are snapshotted *here*, before the
@@ -184,18 +174,18 @@ fn run_cell(servers: usize, jobs: usize, clients: usize, shards: usize) -> Cell 
     // s·members in the shard-major layout) and the busiest shard's
     // per-round figure is reported.
     let members = grid.coords.len() / shards.max(1);
-    let delta_bytes_per_round = (0..shards)
+    let delta = (0..shards)
         .filter_map(|s| grid.coordinator(s * members))
         .map(|c| {
             let rounds = &c.metrics.repl_rounds;
             rounds.iter().map(|r| r.bytes).sum::<u64>() as f64 / rounds.len().max(1) as f64
         })
         .fold(0.0f64, f64::max);
-    let repl_rounds = grid.coordinator(0).map(|c| c.metrics.repl_rounds.len()).unwrap_or(0);
+    let rounds = grid.coordinator(0).map(|c| c.metrics.repl_rounds.len()).unwrap_or(0);
     // Catalog traffic aggregates over a shard's members — beats land
     // wherever each client's preference currently points inside its own
     // group — and the busiest shard's per-beat figure is reported.
-    let catalog_bytes_per_beat = (0..shards)
+    let catalog = (0..shards)
         .map(|s| {
             let (n, b) = (s * members..(s + 1) * members)
                 .filter_map(|i| grid.coordinator(i))
@@ -221,12 +211,12 @@ fn run_cell(servers: usize, jobs: usize, clients: usize, shards: usize) -> Cell 
         }
     }
     grid.world.run_for(settle);
-    let resident_rows = (0..grid.coords.len())
+    let resident = (0..grid.coords.len())
         .filter_map(|i| grid.coordinator(i))
         .map(|c| c.db().resident_rows())
         .max()
         .unwrap_or(0);
-    let completed = (0..grid.client_count()).map(|i| grid.client_results_at(i)).sum();
+    let results: usize = (0..grid.client_count()).map(|i| grid.client_results_at(i)).sum();
     // End-to-end job latency in virtual time, aggregated across clients.
     let mut job_hist = rpcv_obs::Histogram::new();
     for i in 0..grid.client_count() {
@@ -234,196 +224,26 @@ fn run_cell(servers: usize, jobs: usize, clients: usize, shards: usize) -> Cell 
             job_hist.merge(&c.metrics.job_latency());
         }
     }
-    let job_p50_ms = job_hist.p50_nanos() as f64 / 1e6;
-    let job_p99_ms = job_hist.p99_nanos() as f64 / 1e6;
-    Cell {
-        servers,
-        jobs,
-        clients,
-        shards,
-        events,
-        wall_seconds,
-        events_per_sec: events as f64 / wall_seconds.max(1e-9),
-        sim_seconds,
-        sim_events_per_sec: events as f64 / sim_seconds.max(1e-9),
-        completed,
-        repl_rounds,
-        delta_bytes_per_round,
-        catalog_bytes_per_beat,
-        resident_rows,
-        job_p50_ms,
-        job_p99_ms,
-        done,
-    }
-}
-
-/// Where `BENCH_scale.json` lives: the repo root, so the trajectory is
-/// versioned alongside the code it measures.
-fn write_json(cells: &[Cell], smoke: bool) {
-    let rows: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"servers\": {}, \"jobs\": {}, \"clients\": {}, \"shards\": {}, \
-                 \"events_processed\": {}, \
-                 \"wall_seconds\": {:.3}, \"events_per_sec\": {:.0}, \"sim_seconds\": {:.1}, \
-                 \"sim_events_per_sec\": {:.0}, \
-                 \"jobs_completed\": {}, \"repl_rounds\": {}, \"delta_bytes_per_round\": {:.1}, \
-                 \"catalog_bytes_per_beat\": {:.1}, \"resident_rows\": {}, \
-                 \"job_p50_ms\": {:.3}, \"job_p99_ms\": {:.3}, \"completed\": {}}}",
-                c.servers,
-                c.jobs,
-                c.clients,
-                c.shards,
-                c.events,
-                c.wall_seconds,
-                c.events_per_sec,
-                c.sim_seconds,
-                c.sim_events_per_sec,
-                c.completed,
-                c.repl_rounds,
-                c.delta_bytes_per_round,
-                c.catalog_bytes_per_beat,
-                c.resident_rows,
-                c.job_p50_ms,
-                c.job_p99_ms,
-                c.done,
-            )
-        })
-        .collect();
-    let total_events: u64 = cells.iter().map(|c| c.events).sum();
-    let total_wall: f64 = cells.iter().map(|c| c.wall_seconds).sum();
-    let totals = format!(
-        "\"totals\": {{\"events_processed\": {}, \"wall_seconds\": {:.3}, \
-         \"events_per_sec\": {:.0}}}",
-        total_events,
-        total_wall,
-        total_events as f64 / total_wall.max(1e-9),
-    );
-    write_bench_json("scale", 5, smoke, "grid", &rows, &[totals]);
-}
-
-/// The incremental-catalog invariant, asserted on the sweep itself: for
-/// cell pairs that differ *only* in job count, the per-beat catalog
-/// payload must not grow with the jobs (within 2× — it tracks the
-/// completion rate, not the backlog).
-fn check_catalog_flatness(cells: &[Cell]) {
-    for a in cells {
-        for b in cells {
-            if (a.servers, a.clients, a.shards) == (b.servers, b.clients, b.shards)
-                && a.jobs < b.jobs
-            {
-                let (lo, hi) = (a.catalog_bytes_per_beat, b.catalog_bytes_per_beat);
-                assert!(
-                    hi <= (lo * 2.0).max(64.0),
-                    "catalog bytes/beat must stay flat as jobs grow: \
-                     {}x{}c at {} jobs = {lo:.1} B, at {} jobs = {hi:.1} B",
-                    a.servers,
-                    a.clients,
-                    a.jobs,
-                    b.jobs,
-                );
-            }
-        }
-    }
-}
-
-/// The O(changed) replication invariant, asserted on the sweep itself.
-/// Every cell is collected-heavy — clients collect all results and the
-/// harness GCs periodically — so collection acknowledgements now flow
-/// through the delta too.  For cell pairs that differ *only* in job count,
-/// the per-round replication payload must not grow with run length
-/// (within 2×): it tracks the offered load per round, never the
-/// accumulated history.  A regression that re-sends collected knowledge
-/// (or any table) each round makes the longer run's rounds fatter and
-/// trips this.
-fn check_delta_flatness(cells: &[Cell]) {
-    for a in cells {
-        for b in cells {
-            if (a.servers, a.clients, a.shards) == (b.servers, b.clients, b.shards)
-                && a.jobs < b.jobs
-            {
-                let (lo, hi) = (a.delta_bytes_per_round, b.delta_bytes_per_round);
-                assert!(
-                    hi <= (lo * 2.0).max(4096.0),
-                    "delta bytes/round must stay flat as jobs grow: \
-                     {}x{}c at {} jobs = {lo:.1} B, at {} jobs = {hi:.1} B",
-                    a.servers,
-                    a.clients,
-                    a.jobs,
-                    b.jobs,
-                );
-            }
-        }
-    }
-}
-
-/// The bounded-memory invariant, asserted on the sweep itself: for cell
-/// pairs that differ *only* in job count, steady-state resident rows must
-/// not grow with the lifetime job count (within 2×, floor 256 — residency
-/// tracks live work plus per-client watermarks).  Without retention the
-/// 10×-jobs cell holds ~10× the rows and trips this immediately.
-fn check_residency_flatness(cells: &[Cell]) {
-    for a in cells {
-        for b in cells {
-            if (a.servers, a.clients, a.shards) == (b.servers, b.clients, b.shards)
-                && a.jobs < b.jobs
-            {
-                let (lo, hi) = (a.resident_rows, b.resident_rows);
-                assert!(
-                    hi as f64 <= (lo as f64 * 2.0).max(256.0),
-                    "resident rows must stay flat as jobs grow: \
-                     {}x{}c at {} jobs = {lo} rows, at {} jobs = {hi} rows",
-                    a.servers,
-                    a.clients,
-                    a.jobs,
-                    b.jobs,
-                );
-            }
-        }
-    }
-}
-
-/// The scale-out headline, asserted on the sweep itself: for cell pairs
-/// matched on servers×jobs×clients where only the shard count differs
-/// from 1, the grid's event throughput in *simulated* time must grow
-/// near-linearly in S — the S-shard cell processes >= 0.7·S× the
-/// 1-shard cell's events per sim-second.  (Wall-clock events/sec cannot
-/// carry this gate: the serial kernel interleaves all shards on one
-/// host thread, so S shards never cut the host's per-event cost — they
-/// cut the *simulated seconds* the same workload occupies.)  Smoke
-/// cells are too small to saturate a coordinator group, so smoke only
-/// asserts sharding is not a regression (>= 0.8× the 1-shard cell).
-fn check_shard_scaling(cells: &[Cell], smoke: bool) {
-    let mut pairs = 0;
-    for a in cells {
-        for b in cells {
-            if (a.servers, a.jobs, a.clients) == (b.servers, b.jobs, b.clients)
-                && a.shards == 1
-                && b.shards > 1
-            {
-                pairs += 1;
-                let need = if smoke {
-                    a.sim_events_per_sec * 0.8
-                } else {
-                    a.sim_events_per_sec * 0.7 * b.shards as f64
-                };
-                assert!(
-                    b.sim_events_per_sec >= need,
-                    "shard scale-out below the near-linear floor: \
-                     {}x{}x{} runs {:.0} ev/sim-s at 1 shard but {:.0} ev/sim-s \
-                     at {} shards (need >= {need:.0})",
-                    a.servers,
-                    a.jobs,
-                    a.clients,
-                    a.sim_events_per_sec,
-                    b.sim_events_per_sec,
-                    b.shards,
-                );
-            }
-        }
-    }
-    assert!(pairs >= 1, "sweep must include a shards ladder over a fixed cell");
+    let row = vec![
+        ("servers", Value::U64(servers as u64)),
+        ("jobs", Value::U64(jobs as u64)),
+        ("clients", Value::U64(clients as u64)),
+        ("shards", Value::U64(shards as u64)),
+        ("events_processed", Value::U64(events)),
+        ("wall_seconds", Value::F64(wall_seconds, 3)),
+        ("events_per_sec", Value::F64(events as f64 / wall_seconds.max(1e-9), 0)),
+        ("sim_seconds", Value::F64(sim_seconds, 1)),
+        ("sim_events_per_sec", Value::F64(events as f64 / sim_seconds.max(1e-9), 0)),
+        ("jobs_completed", Value::U64(results as u64)),
+        ("repl_rounds", Value::U64(rounds as u64)),
+        ("delta_bytes_per_round", Value::F64(delta, 1)),
+        ("catalog_bytes_per_beat", Value::F64(catalog, 1)),
+        ("resident_rows", Value::U64(resident)),
+        ("job_p50_ms", Value::F64(job_hist.p50_nanos() as f64 / 1e6, 3)),
+        ("job_p99_ms", Value::F64(job_hist.p99_nanos() as f64 / 1e6, 3)),
+        ("completed", Value::Bool(done)),
+    ];
+    (row, events, wall_seconds)
 }
 
 fn main() {
@@ -451,9 +271,9 @@ fn main() {
     // 4.3, and per delta row, 106 vs 88, are flat).  At 30 000 jobs both
     // twins are steady-state runs and sit inside the 2× bound unedited.
     // RPCV_SCALE_CELLS="200x20000x16;50x10000x1x4" overrides the sweep
-    // for ad-hoc probing — SxJxC or SxJxCxH, shards defaulting to 1 (no
-    // JSON is written for an override run; the committed artifact only
-    // ever reflects the canonical sweeps).
+    // for ad-hoc probing — SxJxC or SxJxCxH, shards defaulting to 1 (an
+    // override run prints its rows, writes nothing and is not gated; the
+    // committed artifact only ever reflects the canonical sweeps).
     let override_cells: Option<Vec<(usize, usize, usize, usize)>> =
         std::env::var("RPCV_SCALE_CELLS").ok().map(|s| {
             s.split(';')
@@ -487,70 +307,19 @@ fn main() {
             (200, 30_000, 192, 4),
         ]
     };
-    let mut fig = Figure::new(
-        "scale_trajectory",
-        &[
-            "servers",
-            "jobs",
-            "clients",
-            "shards",
-            "events",
-            "wall_s",
-            "events_per_s",
-            "sim_s",
-            "sim_events_per_s",
-            "completed",
-            "repl_rounds",
-            "delta_bytes_per_round",
-            "catalog_bytes_per_beat",
-            "resident_rows",
-            "job_p50_ms",
-            "job_p99_ms",
-        ],
-    );
-    let mut cells = Vec::new();
+    let mut art = Artifact::new("scale", "scale_trajectory", 5, smoke, "grid");
+    let (mut events, mut wall) = (0u64, 0.0f64);
     for &(servers, jobs, clients, shards) in cells_spec {
-        let c = run_cell(servers, jobs, clients, shards);
-        assert!(
-            c.done && c.completed == c.jobs,
-            "cell {servers}x{jobs}x{clients}x{shards} must run to completion \
-             ({}/{} results, done={})",
-            c.completed,
-            c.jobs,
-            c.done
-        );
-        assert!(
-            c.job_p99_ms >= c.job_p50_ms && c.job_p50_ms > 0.0,
-            "cell {servers}x{jobs}x{clients}x{shards} latency quantiles are degenerate \
-             (p50={} ms, p99={} ms)",
-            c.job_p50_ms,
-            c.job_p99_ms
-        );
-        fig.row(&[
-            c.servers as f64,
-            c.jobs as f64,
-            c.clients as f64,
-            c.shards as f64,
-            c.events as f64,
-            c.wall_seconds,
-            c.events_per_sec,
-            c.sim_seconds,
-            c.sim_events_per_sec,
-            c.completed as f64,
-            c.repl_rounds as f64,
-            c.delta_bytes_per_round,
-            c.catalog_bytes_per_beat,
-            c.resident_rows as f64,
-            c.job_p50_ms,
-            c.job_p99_ms,
-        ]);
-        cells.push(c);
+        let (row, cell_events, cell_wall) = run_cell(servers, jobs, clients, shards);
+        art.row(&row);
+        events += cell_events;
+        wall += cell_wall;
     }
-    check_catalog_flatness(&cells);
-    check_delta_flatness(&cells);
-    check_residency_flatness(&cells);
     if override_cells.is_none() {
-        check_shard_scaling(&cells, smoke);
-        write_json(&cells, smoke);
+        art.finish(&[format!(
+            "\"totals\": {{\"events_processed\": {events}, \"wall_seconds\": {wall:.3}, \
+             \"events_per_sec\": {:.0}}}",
+            events as f64 / wall.max(1e-9),
+        )]);
     }
 }

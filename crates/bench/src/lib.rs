@@ -4,14 +4,16 @@
 //! `cargo bench -p rpcv-bench --bench fig<N>_...`, or all of them via
 //! `cargo bench`).  Each harness regenerates the figure's series: it prints
 //! the rows to stdout and writes a CSV under `target/figures/`.
-//! EXPERIMENTS.md records the paper-vs-measured comparison.
 //!
-//! Beyond the figures, three invariant benches write a `BENCH_*.json`
-//! artifact at the repo root through [`write_bench_json`]: `--bench scale`
+//! Beyond the figures, three invariant benches publish a `BENCH_*.json`
+//! artifact at the repo root through one [`Artifact`] each: `--bench scale`
 //! sweeps grid sizes (schema in ROADMAP.md "Performance notes"), `--bench
 //! ckpt` sweeps checkpoint policies against heterogeneous volatility
 //! (wasted work vs checkpoint bytes paid) and `--bench chaos` runs the
-//! seeded fault-plan safety sweep.  `--bench micro` keeps the
+//! seeded fault-plan safety sweep.  None of them asserts anything about its
+//! own numbers: [`Artifact::finish`] hands the file it wrote to
+//! `scripts/check_bench_flatness.py`, the one place a gate is written (CI
+//! runs the same script on the committed files).  `--bench micro` keeps the
 //! machine-independent ratio groups (`store_scale`, `pull_window`,
 //! `queue_push_pop`: each index against its retained full-scan or heap
 //! reference) and the Alcatel evaluator; absolute per-primitive costs are
@@ -19,7 +21,9 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 /// Where figure CSVs are written.
 pub fn out_dir() -> PathBuf {
@@ -77,37 +81,131 @@ impl Figure {
     }
 }
 
-/// Writes `BENCH_<name>.json` at the repo root — the one emitter behind
-/// the three invariant artifacts (`scale`, `ckpt`, `chaos`): the
-/// `bench` / `schema_version` / `smoke` prologue, `rows` (pre-formatted
-/// JSON objects, one per line) under `rows_key`, then `totals`
-/// (pre-formatted lines; may be empty).  Exits non-zero when the file
-/// cannot be written: a point that silently fails to land would let CI
-/// validate a stale committed file.
-pub fn write_bench_json(
-    name: &str,
-    schema_version: u32,
-    smoke: bool,
-    rows_key: &str,
-    rows: &[String],
-    totals: &[String],
-) {
-    let mut out = format!(
-        "{{\n  \"bench\": \"{name}\",\n  \"schema_version\": {schema_version},\n  \
-         \"smoke\": {smoke},\n  \"{rows_key}\": [\n"
-    );
-    out += &rows.iter().map(|r| format!("    {r}")).collect::<Vec<_>>().join(",\n");
-    out += if totals.is_empty() { "\n  ]\n" } else { "\n  ],\n" };
-    for line in totals {
-        let _ = writeln!(out, "  {line}");
+/// One typed cell of an [`Artifact`] row.
+#[derive(Debug)]
+pub enum Value<'a> {
+    /// An integer (counts, seeds): printed exactly, never through `f64`.
+    U64(u64),
+    /// A float and the number of decimals it is published with.
+    F64(f64, usize),
+    /// A flag.
+    Bool(bool),
+    /// A label (quoted in the JSON, bare in the table).
+    Str(&'a str),
+    /// A pre-rendered nested JSON value: published in the JSON only, it has
+    /// no cell in the TSV/CSV table.
+    Json(String),
+}
+
+impl Value<'_> {
+    fn json(&self) -> String {
+        match self {
+            Value::U64(v) => v.to_string(),
+            Value::F64(v, decimals) => format!("{v:.decimals$}"),
+            Value::Bool(v) => v.to_string(),
+            Value::Str(v) => format!("\"{v}\""),
+            Value::Json(v) => v.clone(),
+        }
     }
-    out += "}\n";
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../BENCH_{name}.json"));
-    match fs::write(&path, out) {
-        Ok(()) => println!("# wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("# FATAL: could not write {}: {e}", path.display());
-            std::process::exit(1);
+
+    /// The table cell: the JSON token, a label bare; nested JSON has none.
+    fn cell(&self) -> Option<String> {
+        match self {
+            Value::Json(_) => None,
+            Value::Str(label) => Some((*label).to_owned()),
+            scalar => Some(scalar.json()),
+        }
+    }
+}
+
+/// One invariant bench's published rows.  A row is `(column, value)` pairs,
+/// so each column is named once — where it is filled — and lands, from the
+/// same typed value, on stdout (TSV), in `target/figures/<figure>.csv` and
+/// in the repo-root `BENCH_<bench>.json`.
+pub struct Artifact {
+    bench: &'static str,
+    figure: &'static str,
+    smoke: bool,
+    csv: String,
+    /// The document so far: the prologue, then one row object per line.
+    json: String,
+}
+
+impl Artifact {
+    /// New artifact `BENCH_<bench>.json` (rows under `rows_key`) with its
+    /// CSV twin `<figure>.csv`.
+    pub fn new(
+        bench: &'static str,
+        figure: &'static str,
+        schema_version: u32,
+        smoke: bool,
+        rows_key: &str,
+    ) -> Self {
+        println!("# {figure}");
+        let json = format!(
+            "{{\n  \"bench\": \"{bench}\",\n  \"schema_version\": {schema_version},\n  \
+             \"smoke\": {smoke},\n  \"{rows_key}\": ["
+        );
+        Artifact { bench, figure, smoke, csv: String::new(), json }
+    }
+
+    /// Adds a row and prints it; the first row's column names are the header.
+    ///
+    /// # Panics
+    /// If a later row names different columns.
+    pub fn row(&mut self, cells: &[(&str, Value<'_>)]) {
+        let (names, text): (Vec<&str>, Vec<String>) =
+            cells.iter().filter_map(|(column, v)| Some((*column, v.cell()?))).unzip();
+        let header = names.join(",") + "\n";
+        if self.csv.is_empty() {
+            print!("# {}", header.replace(',', ", "));
+            self.csv.push_str(&header);
+        }
+        assert!(self.csv.starts_with(&header), "{}: columns differ from the header", self.figure);
+        println!("{}", text.join("\t"));
+        self.csv += &(text.join(",") + "\n");
+        let fields: Vec<String> =
+            cells.iter().map(|(column, v)| format!("\"{column}\": {}", v.json())).collect();
+        self.json += if self.json.ends_with('[') { "\n    " } else { ",\n    " };
+        self.json += &format!("{{{}}}", fields.join(", "));
+    }
+
+    /// Writes `<figures>/<figure>.csv` and `<root>/BENCH_<bench>.json` — the
+    /// `bench` / `schema_version` / `smoke` prologue, one row object per
+    /// line, then `totals` (pre-formatted lines; may be empty) — and returns
+    /// the JSON's path.
+    fn render(&self, totals: &[String], figures: &Path, root: &Path) -> io::Result<PathBuf> {
+        fs::write(figures.join(format!("{}.csv", self.figure)), &self.csv)?;
+        let mut out = self.json.clone() + if totals.is_empty() { "\n  ]\n" } else { "\n  ],\n" };
+        for line in totals {
+            let _ = writeln!(out, "  {line}");
+        }
+        out += "}\n";
+        let path = root.join(format!("BENCH_{}.json", self.bench));
+        fs::write(&path, out)?;
+        Ok(path)
+    }
+
+    /// Publishes the artifact, then gates it: runs
+    /// `scripts/check_bench_flatness.py` on the JSON just written
+    /// (`--regenerated` for a smoke run, `--committed` otherwise) and exits
+    /// with its status.  A file that cannot be written, or a gate that cannot
+    /// be run (no `python3`), is a failure: a point that silently fails to
+    /// land would let CI validate a stale committed file.
+    pub fn finish(self, totals: &[String]) -> ! {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let gated = self.render(totals, &out_dir(), &root).and_then(|json| {
+            println!("# wrote {} and {}.csv; gating", json.display(), self.figure);
+            let mode = if self.smoke { "--regenerated" } else { "--committed" };
+            let script = root.join("scripts/check_bench_flatness.py");
+            Command::new("python3").arg(script).arg(mode).arg(json).status()
+        });
+        match gated {
+            Ok(status) => std::process::exit(status.code().unwrap_or(1)),
+            Err(e) => {
+                eprintln!("# FATAL: BENCH_{}.json was not published and gated: {e}", self.bench);
+                std::process::exit(1)
+            }
         }
     }
 }
@@ -136,5 +234,39 @@ mod tests {
         assert!(content.contains("1,2.5000"));
         assert!(content.contains("ev,3"));
         let _ = fs::remove_file(path);
+
+        // An artifact: one value of each type, both files byte for byte.
+        let mut a = Artifact::new("selftest", "selftest_rows", 7, true, "cells");
+        for (seed, intensity, survived, policy, hist) in [
+            (11400714822622042882, 0.5, true, "adaptive", "{\"count\": 1, \"buckets\": [[27, 1]]}"),
+            (3, 12.8484, false, "off", "{}"),
+        ] {
+            a.row(&[
+                ("seed", Value::U64(seed)),
+                ("intensity", Value::F64(intensity, 2)),
+                ("survived", Value::Bool(survived)),
+                ("policy", Value::Str(policy)),
+                ("hist", Value::Json(hist.to_owned())),
+            ]);
+        }
+        let dir = out_dir().join("selftest_artifact");
+        fs::create_dir_all(&dir).unwrap();
+        let json = a.render(&["\"totals\": {\"plans\": 2}".to_owned()], &dir, &dir).unwrap();
+        assert_eq!(json, dir.join("BENCH_selftest.json"));
+        assert_eq!(
+            fs::read_to_string(dir.join("selftest_rows.csv")).unwrap(),
+            "seed,intensity,survived,policy\n\
+             11400714822622042882,0.50,true,adaptive\n\
+             3,12.85,false,off\n"
+        );
+        assert_eq!(
+            fs::read_to_string(&json).unwrap(),
+            "{\n  \"bench\": \"selftest\",\n  \"schema_version\": 7,\n  \"smoke\": true,\n  \"cells\": [\n    \
+             {\"seed\": 11400714822622042882, \"intensity\": 0.50, \"survived\": true, \
+             \"policy\": \"adaptive\", \"hist\": {\"count\": 1, \"buckets\": [[27, 1]]}},\n    \
+             {\"seed\": 3, \"intensity\": 12.85, \"survived\": false, \"policy\": \"off\", \
+             \"hist\": {}}\n  ],\n  \"totals\": {\"plans\": 2}\n}\n"
+        );
+        let _ = fs::remove_dir_all(dir);
     }
 }

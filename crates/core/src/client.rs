@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use rpcv_detect::CoordLink;
 use rpcv_log::{GcPolicy, SenderLog};
-use rpcv_obs::{ExportTelemetry, Histogram, Registry, TelemetrySnapshot};
+use rpcv_obs::{Histogram, TelemetrySnapshot};
 use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimTime, TimerId};
 use rpcv_wire::Blob;
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec};
@@ -43,22 +43,26 @@ pub struct SubmitTiming {
     pub interaction_end: Option<SimTime>,
 }
 
-/// Client-side observations read by experiment harnesses.
-#[derive(Debug, Clone, Default)]
-pub struct ClientMetrics {
-    /// Per-seq submission timings.
-    pub submissions: BTreeMap<u64, SubmitTiming>,
-    /// Result arrival times per seq.
-    pub results_received: BTreeMap<u64, SimTime>,
-    /// When every planned call had its result.
-    pub done_at: Option<SimTime>,
-    /// Coordinator switches performed.
-    pub coordinator_switches: u64,
-    /// Synchronizations that had to resend log entries.
-    pub log_replays: u64,
-    /// Frames that arrived unreadable (wire corruption) and were dropped
-    /// without touching protocol state.
-    pub bad_frames: u64,
+rpcv_simnet::counters! {
+    /// Client-side observations read by experiment harnesses.
+    #[derive(Debug, Clone, Default)]
+    pub struct ClientMetrics {
+        /// Coordinator switches performed.
+        pub coordinator_switches,
+        /// Synchronizations that had to resend log entries.
+        pub log_replays,
+        /// Frames that arrived unreadable (wire corruption) and were dropped
+        /// without touching protocol state.
+        pub bad_frames,
+    }
+    + {
+        /// Per-seq submission timings.
+        pub submissions: BTreeMap<u64, SubmitTiming>,
+        /// Result arrival times per seq.
+        pub results_received: BTreeMap<u64, SimTime>,
+        /// When every planned call had its result.
+        pub done_at: Option<SimTime>,
+    }
 }
 
 impl ClientMetrics {
@@ -86,18 +90,17 @@ impl ClientMetrics {
         }
         h
     }
-}
 
-impl ExportTelemetry for ClientMetrics {
-    fn export_telemetry(&self, prefix: &str, reg: &mut Registry) {
-        let mut c = |field: &str, v: u64| reg.set_counter(&format!("{prefix}.{field}"), v);
-        c("submissions", self.submissions.len() as u64);
-        c("results_received", self.results_received.len() as u64);
-        c("coordinator_switches", self.coordinator_switches);
-        c("log_replays", self.log_replays);
-        c("bad_frames", self.bad_frames);
-        reg.merge_hist(&format!("{prefix}.job_latency"), &self.job_latency());
-        reg.merge_hist(&format!("{prefix}.interaction_latency"), &self.interaction_latency());
+    /// Pours the counters, the map sizes and both latency histograms into
+    /// `reg` under `client.`; poured from every client, the fleet's totals.
+    pub(crate) fn fold_into(&self, reg: &mut TelemetrySnapshot) {
+        let sizes = [
+            ("submissions", self.submissions.len() as u64),
+            ("results_received", self.results_received.len() as u64),
+        ];
+        reg.add_counters("client", self.counters().chain(sizes));
+        reg.hist_mut("client.job_latency").merge(&self.job_latency());
+        reg.hist_mut("client.interaction_latency").merge(&self.interaction_latency());
     }
 }
 

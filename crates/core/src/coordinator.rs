@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use rpcv_detect::{CoordinatorList, HeartbeatMonitor};
-use rpcv_obs::{ExportTelemetry, Histogram, Registry, SpanBook, SpanEdge, TelemetrySnapshot};
+use rpcv_obs::{Histogram, SpanBook, SpanEdge, TelemetrySnapshot};
 use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimTime, TimerId, WireSized};
 use rpcv_store::{Applied, Charge, CoordinatorDb, ReplicationDelta, Snapshot};
 use rpcv_wire::WireEncode;
@@ -44,97 +44,89 @@ pub struct ReplRound {
     pub bytes: u64,
 }
 
-/// Coordinator-side observations.
-#[derive(Debug, Clone, Default)]
-pub struct CoordMetrics {
-    /// Replication rounds in start order.
-    pub repl_rounds: Vec<ReplRound>,
-    /// Completed-task count over time: `(time, total-finished)` staircase,
-    /// the series Figs. 9–11 plot.
-    pub completion_timeline: Vec<(SimTime, u64)>,
-    /// Client sync replies sent (one per handled beat).
-    pub sync_replies: u64,
-    /// Total wire bytes of the catalog delta portions (available +
-    /// removed) across all sync replies — divide by `sync_replies` for the
-    /// per-beat catalog cost the scale bench watches.
-    pub catalog_bytes: u64,
-    /// Server suspicions raised.
-    pub server_suspicions: u64,
-    /// Coordinator (predecessor) suspicions raised.
-    pub coordinator_suspicions: u64,
-    /// Jobs re-executed because their archive was unrecoverable.
-    pub reexecutions: u64,
-    /// Collection acknowledgements learned through replication deltas —
-    /// jobs this coordinator, once promoted, will neither re-execute nor
-    /// re-acquire because the old primary's client already collected them.
-    pub collected_marks_applied: u64,
-    /// Checkpoint uploads recorded (the mark advanced and is durable).
-    pub ckpt_records: u64,
-    /// Checkpoint uploads rejected for a digest/range failure — counted,
-    /// never silently dropped.
-    pub ckpt_rejected: u64,
-    /// Assignments dispatched with a resume point attached.
-    pub resumes_dispatched: u64,
-    /// Assignments of a task another coordinator minted (learned through
-    /// replication and relayed from here): the work its server will carry
-    /// home.  Zero on a grid whose servers and clients share a coordinator.
-    pub relayed_dispatches: u64,
-    /// Frames that arrived unreadable (wire corruption) and were dropped
-    /// without touching protocol state.
-    pub bad_frames: u64,
-    /// Snapshot transfers sent (successor's base fell below the retention
-    /// floor, or it explicitly requested a reseed).
-    pub snapshots_sent: u64,
-    /// Snapshots reassembled, verified and applied here.
-    pub snapshots_applied: u64,
-    /// Client messages answered with the shard map because this
-    /// coordinator's shard does not own the sender's job space.
-    pub shard_redirects: u64,
-    /// Live-introspection requests answered with a sealed snapshot.
-    pub status_replies: u64,
-    /// Writes issued to the archive store (result archives, checkpoint
-    /// blobs, replicated archive rows — every [`Charge`] with disk bytes).
-    pub archive_writes: u64,
-    /// Disk ops those writes opened.  The archive store is a single-writer
-    /// segment log whose disk group-commits, so under backlog this grows
-    /// with ops, not archives: `archive_writes / archive_write_ops` is the
-    /// batching factor (1 on an idle disk).
-    pub archive_write_ops: u64,
-    /// Issue → return of each archive write: what a deferred reply (e.g.
-    /// `TaskDoneAck`) waited on the disk for.
-    pub archive_write_wait: Histogram,
+rpcv_simnet::counters! {
+    /// Coordinator-side observations.
+    #[derive(Debug, Clone, Default)]
+    pub struct CoordMetrics {
+        /// Client sync replies sent (one per handled beat).
+        pub sync_replies,
+        /// Total wire bytes of the catalog delta portions (available +
+        /// removed) across all sync replies — divide by `sync_replies` for the
+        /// per-beat catalog cost the scale bench watches.
+        pub catalog_bytes,
+        /// Server suspicions raised.
+        pub server_suspicions,
+        /// Coordinator (predecessor) suspicions raised.
+        pub coordinator_suspicions,
+        /// Jobs re-executed because their archive was unrecoverable.
+        pub reexecutions,
+        /// Collection acknowledgements learned through replication deltas —
+        /// jobs this coordinator, once promoted, will neither re-execute nor
+        /// re-acquire because the old primary's client already collected them.
+        pub collected_marks_applied,
+        /// Checkpoint uploads recorded (the mark advanced and is durable).
+        pub ckpt_records,
+        /// Checkpoint uploads rejected for a digest/range failure — counted,
+        /// never silently dropped.
+        pub ckpt_rejected,
+        /// Assignments dispatched with a resume point attached.
+        pub resumes_dispatched,
+        /// Assignments of a task another coordinator minted (learned through
+        /// replication and relayed from here): the work its server will carry
+        /// home.  Zero on a grid whose servers and clients share a coordinator.
+        pub relayed_dispatches,
+        /// Frames that arrived unreadable (wire corruption) and were dropped
+        /// without touching protocol state.
+        pub bad_frames,
+        /// Snapshot transfers sent (successor's base fell below the retention
+        /// floor, or it explicitly requested a reseed).
+        pub snapshots_sent,
+        /// Snapshots reassembled, verified and applied here.
+        pub snapshots_applied,
+        /// Client messages answered with the shard map because this
+        /// coordinator's shard does not own the sender's job space.
+        pub shard_redirects,
+        /// Live-introspection requests answered with a sealed snapshot.
+        pub status_replies,
+        /// Writes issued to the archive store (result archives, checkpoint
+        /// blobs, replicated archive rows — every [`Charge`] with disk bytes).
+        pub archive_writes,
+        /// Disk ops those writes opened.  The archive store is a single-writer
+        /// segment log whose disk group-commits, so under backlog this grows
+        /// with ops, not archives: `archive_writes / archive_write_ops` is the
+        /// batching factor (1 on an idle disk).
+        pub archive_write_ops,
+    }
+    + {
+        /// Replication rounds in start order.
+        pub repl_rounds: Vec<ReplRound>,
+        /// Completed-task count over time: `(time, total-finished)` staircase,
+        /// the series Figs. 9–11 plot.
+        pub completion_timeline: Vec<(SimTime, u64)>,
+        /// Issue → return of each archive write: what a deferred reply (e.g.
+        /// `TaskDoneAck`) waited on the disk for.
+        pub archive_write_wait: Histogram,
+    }
 }
 
-impl ExportTelemetry for CoordMetrics {
-    fn export_telemetry(&self, prefix: &str, reg: &mut Registry) {
-        let mut c = |field: &str, v: u64| reg.set_counter(&format!("{prefix}.{field}"), v);
-        c("sync_replies", self.sync_replies);
-        c("catalog_bytes", self.catalog_bytes);
-        c("server_suspicions", self.server_suspicions);
-        c("coordinator_suspicions", self.coordinator_suspicions);
-        c("reexecutions", self.reexecutions);
-        c("collected_marks_applied", self.collected_marks_applied);
-        c("ckpt_records", self.ckpt_records);
-        c("ckpt_rejected", self.ckpt_rejected);
-        c("resumes_dispatched", self.resumes_dispatched);
-        c("relayed_dispatches", self.relayed_dispatches);
-        c("bad_frames", self.bad_frames);
-        c("snapshots_sent", self.snapshots_sent);
-        c("snapshots_applied", self.snapshots_applied);
-        c("shard_redirects", self.shard_redirects);
-        c("status_replies", self.status_replies);
-        c("archive_writes", self.archive_writes);
-        c("archive_write_ops", self.archive_write_ops);
-        c("repl_rounds", self.repl_rounds.len() as u64);
-        c("repl_bytes", self.repl_rounds.iter().map(|r| r.bytes).sum());
-        c("repl_records", self.repl_rounds.iter().map(|r| r.records).sum());
-        let h = reg.hist_mut(&format!("{prefix}.repl_ack_latency"));
-        for r in &self.repl_rounds {
+impl CoordMetrics {
+    /// Pours the counters and the series derived from the round log into
+    /// `reg` under `coord.`.
+    fn fold_into(&self, reg: &mut TelemetrySnapshot) {
+        let rounds = &self.repl_rounds;
+        let derived = [
+            ("repl_rounds", rounds.len() as u64),
+            ("repl_bytes", rounds.iter().map(|r| r.bytes).sum()),
+            ("repl_records", rounds.iter().map(|r| r.records).sum()),
+        ];
+        reg.add_counters("coord", self.counters().chain(derived));
+        let h = reg.hist_mut("coord.repl_ack_latency");
+        for r in rounds {
             if let Some(acked) = r.acked_at {
                 h.record_gap(acked.since(r.started));
             }
         }
-        reg.merge_hist(&format!("{prefix}.archive_write_wait"), &self.archive_write_wait);
+        reg.hist_mut("coord.archive_write_wait").merge(&self.archive_write_wait);
     }
 }
 
@@ -360,21 +352,19 @@ impl CoordinatorActor {
         &self.spans
     }
 
-    /// Freezes this coordinator's full telemetry into a deterministic
-    /// snapshot: the typed metrics structs exported under `coord.` / `db.`,
+    /// This coordinator's full telemetry as a deterministic snapshot: the
+    /// typed metrics structs' counters under `coord.` / `db.`,
     /// received-message counts under `rx.`, and every job span folded into
     /// per-edge latency histograms under `span.`.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let mut reg = Registry::new();
-        self.metrics.export_telemetry("coord", &mut reg);
-        self.db.stats().export_telemetry("db", &mut reg);
+        let mut reg = TelemetrySnapshot::new();
+        self.metrics.fold_into(&mut reg);
+        reg.add_counters("db", self.db.stats().counters());
         reg.set_gauge("db.resident_rows", self.db.resident_rows() as i64);
         reg.set_gauge("coord.shard", self.my_shard as i64);
-        for (kind, n) in &self.rx_counts {
-            reg.set_counter(&format!("rx.{kind}"), *n);
-        }
+        reg.add_counters("rx", self.rx_counts.iter().map(|(kind, n)| (*kind, *n)));
         self.spans.fold_into(&mut reg);
-        reg.snapshot()
+        reg
     }
 
     /// Charges a storage [`Charge`] to this node's resources; returns when
@@ -1199,7 +1189,7 @@ impl Actor<Msg> for CoordinatorActor {
                 self.handle_snapshot_chunk(ctx, from, peer, version, seq, total, payload);
             }
             Msg::StatusRequest { nonce } => {
-                // Live introspection: freeze the registry, seal it (same
+                // Live introspection: fill a snapshot, seal it (same
                 // CRC-64 frame discipline as checkpoints and snapshots),
                 // and reply.  Building the snapshot reads the stats tables
                 // — charged as one indexed read.

@@ -14,7 +14,7 @@
 //! working as aliases for client 0.  On a live grid each tenant gets its
 //! own API handle (`GridClient::at(&grid, i)`), bound to client actor `i`.
 
-use rpcv_obs::{ExportTelemetry, Registry, TelemetrySnapshot};
+use rpcv_obs::TelemetrySnapshot;
 use rpcv_simnet::{HostSpec, LinkParams, NodeId, SimDuration, SimTime, World};
 use rpcv_xw::{ClientKey, CoordId, SandboxLimits, ServerId, ServiceRegistry};
 
@@ -320,32 +320,34 @@ impl SimGrid {
     /// Deterministic: two same-seed runs produce byte-identical snapshots
     /// (and therefore byte-identical [`TelemetrySnapshot::to_json`]).
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        let mut reg = Registry::new();
+        let mut reg = TelemetrySnapshot::new();
         for i in 0..self.coords.len() {
             if let Some(c) = self.coordinator(i) {
-                reg.absorb(&c.telemetry_snapshot());
+                reg.merge(&c.telemetry_snapshot());
             }
         }
-        // Per-actor exports set absolute values; folding each through its
-        // own registry turns the merge into summation across the fleet.
         for i in 0..self.servers.len() {
             if let Some(s) = self.server(i) {
-                let mut one = Registry::new();
-                s.metrics.export_telemetry("server", &mut one);
-                reg.merge(&one);
+                reg.add_counters("server", s.metrics.counters());
             }
         }
         for i in 0..self.clients.len() {
             if let Some(c) = self.client_at(i) {
-                let mut one = Registry::new();
-                c.metrics.export_telemetry("client", &mut one);
-                reg.merge(&one);
+                c.metrics.fold_into(&mut reg);
             }
         }
-        self.world.stats().export_telemetry("net", &mut reg);
+        reg.add_counters("net", self.world.stats().counters());
         if let Some(p) = self.world.profile() {
-            p.export_telemetry("kernel", &mut reg);
+            let totals = [("samples", p.samples()), ("controls", p.controls())];
+            reg.add_counters("kernel", totals);
+            for (class, counts) in p.classes() {
+                reg.add_counters(&format!("kernel.{class}"), counts.counters());
+            }
+            let depth = reg.hist_mut("kernel.queue_depth");
+            for (b, n) in p.depth_buckets() {
+                depth.merge_bucket(b, n);
+            }
         }
-        reg.snapshot()
+        reg
     }
 }

@@ -29,7 +29,6 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use rpcv_ckpt::{CheckpointFrame, VolatilityObserver};
 use rpcv_detect::CoordLink;
 use rpcv_log::{GcPolicy, PeerLog};
-use rpcv_obs::{ExportTelemetry, Registry};
 use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimTime, TimerId};
 use rpcv_wire::Blob;
 use rpcv_xw::{
@@ -49,58 +48,42 @@ const K_CKPT: u64 = 4;
 /// heartbeat chains without bound.
 const K_NUDGE: u64 = 5;
 
-/// Server-side observations.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServerMetrics {
-    /// Tasks whose execution completed here.
-    pub executed: u64,
-    /// Executions lost to crashes (no checkpoint).
-    pub lost_executions: u64,
-    /// Executions resumed from a checkpoint after a restart.
-    pub resumed: u64,
-    /// Archives re-sent from the local log during synchronization.
-    pub archives_resent: u64,
-    /// Coordinator switches: moved on by suspicion.
-    pub coordinator_switches: u64,
-    /// Re-homes: a finished relayed task attached this server to the
-    /// coordinator that minted it (never a suspicion — kept apart from
-    /// `coordinator_switches`).
-    pub rehomes: u64,
-    /// Work units actually computed here: completions count the units each
-    /// execution ran (total minus its resume bank), crashes count the
-    /// partial progress thrown away.  `Σ units_spent − Σ job units` across
-    /// the grid is exactly the wasted work the checkpoint bench reports.
-    pub units_spent: u64,
-    /// Work units skipped thanks to a resume point (local or shipped by
-    /// the coordinator with the assignment).
-    pub units_resumed: u64,
-    /// Checkpoint frames uploaded to a coordinator.
-    pub ckpt_uploads: u64,
-    /// Checkpoint uploads acknowledged as durable by a coordinator.
-    pub ckpt_acks: u64,
-    /// Modelled checkpoint state bytes shipped (the byte budget the
-    /// adaptive policy is judged against).
-    pub ckpt_bytes: u64,
-    /// Frames that arrived unreadable (wire corruption) and were dropped
-    /// without touching protocol state.
-    pub bad_frames: u64,
-}
-
-impl ExportTelemetry for ServerMetrics {
-    fn export_telemetry(&self, prefix: &str, reg: &mut Registry) {
-        let mut c = |field: &str, v: u64| reg.set_counter(&format!("{prefix}.{field}"), v);
-        c("executed", self.executed);
-        c("lost_executions", self.lost_executions);
-        c("resumed", self.resumed);
-        c("archives_resent", self.archives_resent);
-        c("coordinator_switches", self.coordinator_switches);
-        c("rehomes", self.rehomes);
-        c("units_spent", self.units_spent);
-        c("units_resumed", self.units_resumed);
-        c("ckpt_uploads", self.ckpt_uploads);
-        c("ckpt_acks", self.ckpt_acks);
-        c("ckpt_bytes", self.ckpt_bytes);
-        c("bad_frames", self.bad_frames);
+rpcv_simnet::counters! {
+    /// Server-side observations.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct ServerMetrics {
+        /// Tasks whose execution completed here.
+        pub executed,
+        /// Executions lost to crashes (no checkpoint).
+        pub lost_executions,
+        /// Executions resumed from a checkpoint after a restart.
+        pub resumed,
+        /// Archives re-sent from the local log during synchronization.
+        pub archives_resent,
+        /// Coordinator switches: moved on by suspicion.
+        pub coordinator_switches,
+        /// Re-homes: a finished relayed task attached this server to the
+        /// coordinator that minted it (never a suspicion — kept apart from
+        /// `coordinator_switches`).
+        pub rehomes,
+        /// Work units actually computed here: completions count the units each
+        /// execution ran (total minus its resume bank), crashes count the
+        /// partial progress thrown away.  `Σ units_spent − Σ job units` across
+        /// the grid is exactly the wasted work the checkpoint bench reports.
+        pub units_spent,
+        /// Work units skipped thanks to a resume point (local or shipped by
+        /// the coordinator with the assignment).
+        pub units_resumed,
+        /// Checkpoint frames uploaded to a coordinator.
+        pub ckpt_uploads,
+        /// Checkpoint uploads acknowledged as durable by a coordinator.
+        pub ckpt_acks,
+        /// Modelled checkpoint state bytes shipped (the byte budget the
+        /// adaptive policy is judged against).
+        pub ckpt_bytes,
+        /// Frames that arrived unreadable (wire corruption) and were dropped
+        /// without touching protocol state.
+        pub bad_frames,
     }
 }
 

@@ -6,31 +6,27 @@
 //! is the answer, built with the same determinism discipline as the rest of
 //! the workspace:
 //!
-//! - [`Registry`] — named counters, gauges and log2 [`Histogram`]s over
-//!   **virtual** time, stored in `BTreeMap`s so traversal order (and hence
-//!   every serialized byte) is machine-independent.
-//! - [`TelemetrySnapshot`] — a frozen registry: stable JSON for humans and
-//!   the flatness gate, the wire codec plus a CRC-64 seal for
-//!   `Msg::StatusReply` frames.  Same seed ⇒ byte-identical snapshot.
+//! - [`TelemetrySnapshot`] — the one bag: named counters, gauges and log2
+//!   [`Histogram`]s over **virtual** time, stored in `BTreeMap`s so
+//!   traversal order (and hence every serialized byte) is
+//!   machine-independent.  It is filled by name and published as stable
+//!   JSON for humans and tooling, or through the wire codec plus a CRC-64
+//!   seal for `Msg::StatusReply` frames.  Same seed ⇒ byte-identical bytes.
 //! - [`SpanBook`] — per-job lifecycle spans (submitted → dispatched →
 //!   first-unit → checkpointed×N → finished → archive-stored → collected →
 //!   gc'd) with failover annotations, folded into per-edge histograms.
-//! - [`ExportTelemetry`] — the bridge trait: existing typed metrics structs
-//!   (`CoordMetrics`, `DbStats`, `NetStats`, …) export into a registry under
-//!   a dotted prefix without giving up their field accessors.
 //!
-//! The simnet kernel's profiling hooks live in `rpcv-simnet` itself (the
-//! kernel depends on nothing), but their output is folded into the same
-//! registry by the actors that own a [`Registry`].
+//! The typed metrics structs stay with the code that counts (the three
+//! actors, the store, the network); each is declared once through
+//! `rpcv_simnet::counters!`, whose `counters()` pours into the bag via
+//! [`TelemetrySnapshot::add_counters`], so this crate names none of them.
 
 #![warn(missing_docs)]
 
 pub mod hist;
-pub mod registry;
 pub mod snapshot;
 pub mod span;
 
 pub use hist::{Histogram, BUCKETS};
-pub use registry::{ExportTelemetry, Registry};
 pub use snapshot::TelemetrySnapshot;
 pub use span::{FailoverNote, JobSpan, SpanBook, SpanEdge};

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use rpcv_simnet::{SimDuration, SimTime};
 use rpcv_xw::JobKey;
 
-use crate::registry::Registry;
+use crate::snapshot::TelemetrySnapshot;
 
 /// A lifecycle edge in a job's span timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -168,7 +168,7 @@ impl SpanBook {
     /// `span.failover_detect_gap` / `span.failover_recovery_gap`, and the
     /// totals in `span.jobs` / `span.failovers` / `span.reexecutions` /
     /// `span.checkpoints` counters.
-    pub fn fold_into(&self, reg: &mut Registry) {
+    pub fn fold_into(&self, reg: &mut TelemetrySnapshot) {
         reg.add_counter("span.jobs", self.spans.len() as u64);
         for span in self.spans.values() {
             for pair in span.marks.windows(2) {
@@ -240,9 +240,8 @@ mod tests {
         book.mark(k, SpanEdge::Dispatched, SimTime::from_millis(10));
         book.mark(k, SpanEdge::Finished, SimTime::from_millis(250));
         book.mark(k, SpanEdge::Collected, SimTime::from_millis(400));
-        let mut reg = Registry::new();
-        book.fold_into(&mut reg);
-        let snap = reg.snapshot();
+        let mut snap = TelemetrySnapshot::new();
+        book.fold_into(&mut snap);
         assert_eq!(snap.counter("span.jobs"), 1);
         let h = snap.hist("span.submit_to_collect").unwrap();
         assert_eq!(h.count(), 1);

@@ -12,21 +12,23 @@
 /// Number of log2 queue-depth buckets (bucket = bit length of the depth).
 pub const DEPTH_BUCKETS: usize = 65;
 
-/// Per-actor-class kernel event counts.
-///
-/// The "class" is the node's [`crate::node::HostSpec`] name (`"coordinator"`,
-/// `"server"`, `"client"`, …), so heterogeneous grids profile per role
-/// without the kernel knowing anything about actors.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassProfile {
-    /// `on_start` dispatches.
-    pub starts: u64,
-    /// NIC-level deliveries scheduled toward the class.
-    pub delivers: u64,
-    /// `on_message` handler dispatches.
-    pub handles: u64,
-    /// `on_timer` handler dispatches.
-    pub timers: u64,
+crate::counters! {
+    /// Per-actor-class kernel event counts.
+    ///
+    /// The "class" is the node's [`crate::node::HostSpec`] name (`"coordinator"`,
+    /// `"server"`, `"client"`, …), so heterogeneous grids profile per role
+    /// without the kernel knowing anything about actors.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ClassProfile {
+        /// `on_start` dispatches.
+        pub starts,
+        /// NIC-level deliveries scheduled toward the class.
+        pub delivers,
+        /// `on_message` handler dispatches.
+        pub handles,
+        /// `on_timer` handler dispatches.
+        pub timers,
+    }
 }
 
 impl ClassProfile {

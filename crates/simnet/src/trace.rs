@@ -187,34 +187,62 @@ impl Default for Trace {
     }
 }
 
-/// Aggregate message-plane statistics.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct NetStats {
-    /// Messages handed to the network.
-    pub sent: u64,
-    /// Messages delivered to actors.
-    pub delivered: u64,
-    /// Dropped because the pair was blocked.
-    pub dropped_partition: u64,
-    /// Dropped by random loss.
-    pub dropped_loss: u64,
-    /// Dropped because the destination was down.
-    pub dropped_down: u64,
-    /// Total payload bytes handed to the network.
-    pub bytes_sent: u64,
-    /// Crashes injected.
-    pub crashes: u64,
-    /// Restarts performed.
-    pub restarts: u64,
-    /// Messages duplicated by a link (extra copies scheduled, on top of
-    /// `sent`: conservation reads `sent + duplicated == delivered +
-    /// dropped_total()` after a drain).
-    pub duplicated: u64,
-    /// Messages corrupted in flight (still delivered — and therefore also
-    /// counted under `delivered` or a drop, never subtracted).
-    pub corrupted: u64,
-    /// Messages held back by a reorder delay (still delivered).
-    pub reordered: u64,
+/// Declares a counter struct once: each `pub name,` line becomes a
+/// `pub name: u64` field *and* one `(name, value)` pair of the inherent
+/// `counters()` that `rpcv_obs::TelemetrySnapshot::add_counters` publishes,
+/// so a counter cannot be added without being exported.  Fields that are not
+/// plain counters follow in a `+ { pub name: Type, }` block.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident { $($(#[$cmeta:meta])* pub $counter:ident,)* }
+        $(+ { $($(#[$fmeta:meta])* pub $field:ident: $fty:ty,)* })?
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$cmeta])* pub $counter: u64,)*
+            $($($(#[$fmeta])* pub $field: $fty,)*)?
+        }
+        impl $name {
+            /// Every counter as `(field name, value)`, in declaration order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($counter), self.$counter)),*].into_iter()
+            }
+        }
+    };
+}
+
+counters! {
+    /// Aggregate message-plane statistics.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct NetStats {
+        /// Messages handed to the network.
+        pub sent,
+        /// Messages delivered to actors.
+        pub delivered,
+        /// Dropped because the pair was blocked.
+        pub dropped_partition,
+        /// Dropped by random loss.
+        pub dropped_loss,
+        /// Dropped because the destination was down.
+        pub dropped_down,
+        /// Total payload bytes handed to the network.
+        pub bytes_sent,
+        /// Crashes injected.
+        pub crashes,
+        /// Restarts performed.
+        pub restarts,
+        /// Messages duplicated by a link (extra copies scheduled, on top of
+        /// `sent`: conservation reads `sent + duplicated == delivered +
+        /// dropped_total()` after a drain).
+        pub duplicated,
+        /// Messages corrupted in flight (still delivered — and therefore also
+        /// counted under `delivered` or a drop, never subtracted).
+        pub corrupted,
+        /// Messages held back by a reorder delay (still delivered).
+        pub reordered,
+    }
 }
 
 impl NetStats {
@@ -346,5 +374,12 @@ mod tests {
         assert_eq!(TraceKind::Timer.stat_of(&s), None);
         assert_eq!(TraceKind::Note.stat_of(&s), None);
         assert_eq!(s.dropped_total(), 12);
+        // `counters!` lists every field once, under its own name, in order.
+        let listed: Vec<(&str, u64)> = s.counters().collect();
+        assert_eq!(listed.len(), 11);
+        assert_eq!(
+            (listed[0], listed[5], listed[10]),
+            (("sent", 1), ("bytes_sent", 999), ("reordered", 10))
+        );
     }
 }

@@ -229,27 +229,29 @@ pub struct Applied {
     pub newly_collected: Vec<JobKey>,
 }
 
-/// Aggregate counters for reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DbStats {
-    /// Registered jobs — lifetime count (live rows plus jobs retired
-    /// after delivery), monotone across retention.
-    pub jobs: u64,
-    /// Task instances — lifetime count, monotone across retention.
-    pub tasks: u64,
-    /// Tasks pending dispatch.
-    pub pending: u64,
-    /// Tasks ongoing on servers.
-    pub ongoing: u64,
-    /// Jobs with a stored result archive.
-    pub archived: u64,
-    /// Duplicate results dropped (at-least-once re-executions).
-    pub duplicate_results: u64,
-    /// Jobs in the `Collected` terminal state (client pulled the result,
-    /// archive garbage-collected) — lifetime count, including retired.
-    pub collected: u64,
-    /// Jobs with a stored checkpoint (resume point).
-    pub ckpts: u64,
+rpcv_simnet::counters! {
+    /// Aggregate counters for reporting.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DbStats {
+        /// Registered jobs — lifetime count (live rows plus jobs retired
+        /// after delivery), monotone across retention.
+        pub jobs,
+        /// Task instances — lifetime count, monotone across retention.
+        pub tasks,
+        /// Tasks pending dispatch.
+        pub pending,
+        /// Tasks ongoing on servers.
+        pub ongoing,
+        /// Jobs with a stored result archive.
+        pub archived,
+        /// Duplicate results dropped (at-least-once re-executions).
+        pub duplicate_results,
+        /// Jobs in the `Collected` terminal state (client pulled the result,
+        /// archive garbage-collected) — lifetime count, including retired.
+        pub collected,
+        /// Jobs with a stored checkpoint (resume point).
+        pub ckpts,
+    }
 }
 
 /// The coordinator's durable state: job/task tables, FCFS queue, archive

@@ -8,7 +8,7 @@
 
 use rpcv::core::grid::{GridSpec, SimGrid};
 use rpcv::core::msg::{Msg, RpcResult};
-use rpcv::obs::{Registry, TelemetrySnapshot};
+use rpcv::obs::TelemetrySnapshot;
 use rpcv::simnet::{SimDuration, SimTime};
 use rpcv::wire::{from_bytes, open_frame, seal_frame, to_bytes, Blob, WireError};
 use rpcv::xw::{ClientKey, CoordId, JobKey, ServerId, TaskId};
@@ -151,11 +151,10 @@ fn actors_absorb_every_mutant_without_panicking() {
 /// snapshot, never a panic.
 #[test]
 fn sealed_status_frames_absorb_every_byte_flip() {
-    let mut reg = Registry::new();
-    reg.add_counter("coord.jobs", 7);
-    reg.set_gauge("coord.shard", 3);
-    reg.hist_mut("span.submit_to_collect").record_gap(SimDuration::from_millis(1234));
-    let snap = reg.snapshot();
+    let mut snap = TelemetrySnapshot::new();
+    snap.add_counter("coord.jobs", 7);
+    snap.set_gauge("coord.shard", 3);
+    snap.hist_mut("span.submit_to_collect").record_gap(SimDuration::from_millis(1234));
     let sealed_snap = snap.seal();
 
     // Inner envelope: every flip of the sealed snapshot fails typed.

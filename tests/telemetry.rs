@@ -1,7 +1,7 @@
 //! Telemetry determinism, end to end.
 //!
 //! The observability plane is part of the modelled state: histograms are
-//! recorded over *virtual* time, registries flatten into sorted vectors,
+//! recorded over *virtual* time, the bag iterates its maps in key order,
 //! and the whole snapshot serializes without a single wall-clock or
 //! platform dependence.  So the plane inherits the model's headline
 //! guarantee — two same-seed runs produce byte-identical telemetry —
@@ -90,10 +90,12 @@ fn profiling_adds_kernel_series_without_touching_the_model() {
             && !off.hists.iter().any(|(k, _)| k.starts_with("kernel.")),
         "profiling off must export no kernel series"
     );
-    let strip = |s: &TelemetrySnapshot| TelemetrySnapshot {
-        counters: s.counters.iter().filter(|(k, _)| !k.starts_with("kernel.")).cloned().collect(),
-        gauges: s.gauges.iter().filter(|(k, _)| !k.starts_with("kernel.")).cloned().collect(),
-        hists: s.hists.iter().filter(|(k, _)| !k.starts_with("kernel.")).cloned().collect(),
+    let strip = |s: &TelemetrySnapshot| {
+        let mut s = s.clone();
+        s.counters.retain(|k, _| !k.starts_with("kernel."));
+        s.gauges.retain(|k, _| !k.starts_with("kernel."));
+        s.hists.retain(|k, _| !k.starts_with("kernel."));
+        s
     };
     assert_eq!(strip(&on), strip(&off), "the profiler must not perturb modelled series");
     // The disk series are modelled ones: present either way, equal above.
