@@ -418,3 +418,96 @@ fn servers_follow_relayed_work_to_the_clients_coordinator() {
     assert_eq!(snap.counter("server.coordinator_switches"), 0);
     assert_eq!(snap.counter("coord.relayed_dispatches"), relayed.iter().sum::<u64>());
 }
+
+/// What a protocol pin compares: the trace hash, the kernel's event count
+/// and the frames handed to the network.
+fn pin(grid: &SimGrid) -> (u64, u64, u64) {
+    (grid.world.trace().hash(), grid.world.events_processed(), grid.world.stats().sent)
+}
+
+#[test]
+fn protocol_traces_are_pinned() {
+    // The kernel's golden trace (`world_tests.rs`) drives two toy actors;
+    // every other hash in the suite is compared run-vs-run.  These three
+    // cells pin what the *protocol* does — every send, timer and note of
+    // the three actors, in order — against constants, so a refactor of
+    // client/coordinator/server state that moves any of it fails here.  A
+    // constant that has to move is re-captured in the change that moves it,
+    // with the reason in CHANGES.md.
+
+    // (a) Confined cluster, one server lost for good mid-run (the
+    // `grid_runs_are_deterministic` cell of `protocol_tests.rs`).
+    let calls = |n: u64, secs: f64| -> Vec<CallSpec> {
+        (0..n).map(|i| CallSpec::new("bench", Blob::synthetic(1000, i), secs, 100)).collect()
+    };
+    let mut grid = SimGrid::build(GridSpec::confined(2, 4).with_seed(7).with_plan(calls(10, 2.0)));
+    let victim = grid.servers[1].1;
+    grid.world.schedule_control(SimTime::from_secs(5), Control::Crash(victim));
+    grid.run_until_done(SimTime::from_secs(2000)).expect("(a) completes");
+    assert_eq!(pin(&grid), (0x9db9_17bf_3bc7_cb3d, 354, 111), "(a) confined + server crash");
+
+    // (b) Internet deployment running the Alcatel application under
+    // Poisson server churn, the primary coordinator down for ten minutes.
+    let app = AlcatelApp { tasks: 40, seed: 5 };
+    let mut grid = SimGrid::build(GridSpec::real_life(2, 16).with_seed(3).with_plan(app.plan()));
+    let servers: Vec<_> = grid.servers.iter().map(|&(_, n)| n).collect();
+    let primary = grid.coords[0].1;
+    FaultPlan::new()
+        .poisson(
+            &servers,
+            2.0,
+            SimDuration::from_secs(45),
+            SimTime::ZERO,
+            SimTime::from_secs(3600 * 4),
+            11,
+        )
+        .crash_at(SimTime::from_secs(600), primary)
+        .restart_at(SimTime::from_secs(1200), primary)
+        .apply(&mut grid.world);
+    grid.run_until_done(SimTime::from_secs(3600 * 8)).expect("(b) completes");
+    assert_eq!(grid.client_results(), 40);
+    assert_eq!(
+        pin(&grid),
+        (0x0f79_f78c_e6c1_88de, 310_087, 118_209),
+        "(b) real-life + churn + coordinator restart"
+    );
+
+    // (c) Sharded plane (2 shards × 2 coordinators, 8 servers, 6 clients),
+    // multi-unit calls checkpointed every 5 s, one server's disk wiped
+    // while it is down (its task resumes elsewhere from the uploaded mark),
+    // another restarted with its disk (it resumes its own snapshot).
+    let cfg = ProtocolConfig::confined()
+        .with_heartbeat(SimDuration::from_secs(1))
+        .with_checkpointing(SimDuration::from_secs(5));
+    let plans = (0..6u64)
+        .map(|c| {
+            (0..4u64)
+                .map(|i| {
+                    CallSpec::new("b", Blob::synthetic(2000, c * 10 + i), 20.0, 256)
+                        .with_work_units(10)
+                })
+                .collect()
+        })
+        .collect();
+    let spec = GridSpec::confined(2, 8)
+        .with_shards(2)
+        .with_cfg(cfg)
+        .with_client_plans(plans)
+        .with_seed(19);
+    let mut grid = SimGrid::build(spec);
+    let wiped = grid.servers[2].1;
+    grid.world.run_until(SimTime::from_secs(12));
+    grid.world.crash_now(wiped);
+    grid.world.wipe_durable(wiped);
+    grid.world.schedule_control(SimTime::from_secs(20), Control::Restart(wiped));
+    let bounced = grid.servers[5].1;
+    grid.world.schedule_control(SimTime::from_secs(14), Control::Crash(bounced));
+    grid.world.schedule_control(SimTime::from_secs(16), Control::Restart(bounced));
+    grid.run_until_done(SimTime::from_secs(3600)).expect("(c) completes");
+    assert_eq!((0..6).map(|c| grid.client_results_at(c)).sum::<usize>(), 24);
+    assert_eq!(
+        pin(&grid),
+        (0x69bf_9edb_55be_7f43, 8_028, 2_878),
+        "(c) sharded + checkpoints + wiped server"
+    );
+}
