@@ -109,7 +109,6 @@ impl ClientMetrics {
 struct ResultRec {
     archive: Blob,
     durable_at: SimTime,
-    acked: bool,
 }
 
 /// State that survives a client crash (its disk).
@@ -147,7 +146,8 @@ pub struct ClientActor {
     /// whole result history (the client-side mirror of `PeerLog`'s
     /// unacked index).
     unacked_results: std::collections::BTreeSet<u64>,
-    /// When each submission last left this client (replay throttle).
+    /// When each submission above the acknowledged mark last left this
+    /// client (replay throttle); [`Self::ack_up_to`] drops the rest.
     sent_at: BTreeMap<u64, SimTime>,
     /// Highest seq ever sent to the current coordinator incarnation.
     /// Submission is sequential, so every logged entry at or below this
@@ -160,15 +160,13 @@ pub struct ClientActor {
     acked_max: u64,
     /// When `acked_max` last advanced (registration progress watermark).
     progress_at: SimTime,
-    /// Merged result catalog: seq → size.  Built incrementally from
-    /// per-beat catalog deltas (never re-shipped in full).
-    catalog: BTreeMap<u64, u64>,
     /// Catalogued seqs whose payloads are not held yet, with their request
     /// state (re-requests back off exponentially so large archives in
-    /// flight are not requested again every beat).  Maintained alongside
-    /// the catalog and indexed by due time, so a pull round touches only
-    /// its window — never the whole catalog (which holds every
-    /// collected-but-unreclaimed result), nor the in-backoff backlog.
+    /// flight are not requested again every beat).  Built incrementally
+    /// from per-beat catalog deltas and indexed by due time, so a pull
+    /// round touches only its window — never everything the coordinator
+    /// advertises (every collected-but-unreclaimed result), nor the
+    /// in-backoff backlog.
     frontier: PullFrontier,
     /// The shard group this client restricted itself to after a pushed
     /// [`Msg::ShardMap`] (`None` until one arrives — the bootstrap list is
@@ -209,9 +207,10 @@ impl ClientActor {
             if let Some(d) = image.take::<ClientDurable>() {
                 actor.next_plan_idx = d.log.max_seq() as usize;
                 actor.log = d.log;
+                // Acknowledgements are volatile: every held result is
+                // re-announced to whoever answers the restart.
+                actor.unacked_results = d.results.keys().copied().collect();
                 actor.results = d.results;
-                actor.unacked_results =
-                    actor.results.iter().filter(|(_, r)| !r.acked).map(|(&s, _)| s).collect();
                 actor.metrics = d.metrics;
             }
             Box::new(actor)
@@ -219,8 +218,7 @@ impl ClientActor {
     }
 
     fn fresh(params: ClientParams) -> Self {
-        let coords = params.directory.coord_ids().into_iter().map(CoordId);
-        let link = CoordLink::new(coords, params.cfg.coord_retry);
+        let link = CoordLink::new(params.directory.coord_ids(), params.cfg.coord_retry);
         let log = SenderLog::new(params.cfg.log_strategy, GcPolicy::unbounded());
         ClientActor {
             params,
@@ -234,7 +232,6 @@ impl ClientActor {
             coord_epoch: None,
             acked_max: 0,
             progress_at: SimTime::ZERO,
-            catalog: BTreeMap::new(),
             frontier: PullFrontier::new(),
             shard_members: None,
             catalog_hw: 0,
@@ -346,9 +343,6 @@ impl ClientActor {
             .take(MAX_COLLECTED_PER_BEAT)
             .collect();
         for s in &collected {
-            if let Some(r) = self.results.get_mut(s) {
-                r.acked = true;
-            }
             self.unacked_results.remove(s);
         }
         ctx.send(
@@ -382,7 +376,7 @@ impl ClientActor {
             if self.results.contains_key(&seq) {
                 continue;
             }
-            self.results.insert(seq, ResultRec { archive: r.archive, durable_at, acked: false });
+            self.results.insert(seq, ResultRec { archive: r.archive, durable_at });
             self.unacked_results.insert(seq);
             self.metrics.results_received.insert(seq, now);
         }
@@ -393,6 +387,17 @@ impl ClientActor {
         {
             self.metrics.done_at = Some(now);
             ctx.note("client workload complete");
+        }
+    }
+
+    /// The coordinator registered everything up to `coord_max`: the log may
+    /// reclaim it, and its send stamps have no reader left (the replay scans
+    /// above the mark, the refusal test reads `coord_max + 1` and beyond).
+    /// Popped from the front — `split_off` would allocate a root per ack.
+    fn ack_up_to(&mut self, coord_max: u64) {
+        self.log.ack_up_to(coord_max);
+        while self.sent_at.first_key_value().is_some_and(|(&seq, _)| seq <= coord_max) {
+            self.sent_at.pop_first();
         }
     }
 
@@ -417,15 +422,12 @@ impl ClientActor {
                 // acknowledgements, and without them it would queue the
                 // delivered jobs for pointless re-execution.  Re-acking is
                 // idempotent on the coordinator side.
-                for r in self.results.values_mut() {
-                    r.acked = false;
-                }
                 self.unacked_results = self.results.keys().copied().collect();
             }
             self.coord_epoch = current;
             self.acked_max = 0;
             // Catalog versions are meaningless across incarnations: start
-            // from scratch (the merged catalog itself stays — seqs are
+            // from scratch (the frontier itself stays — seqs are
             // incarnation-independent identities).
             self.catalog_hw = 0;
             self.progress_at = now;
@@ -475,7 +477,7 @@ impl ClientActor {
         }
         // Ack first: the replay's backlog estimate reads the maintained
         // unacked counter, which is exact once the mark is applied.
-        self.log.ack_up_to(coord_max);
+        self.ack_up_to(coord_max);
         if coord_max < local_max {
             self.replay_missing(ctx, coord_max);
         }
@@ -491,13 +493,11 @@ impl ClientActor {
         if !rebased && catalog_base <= self.catalog_hw && catalog_head >= self.catalog_hw {
             let policy = self.retry_policy(ctx);
             for &(seq, size) in &available {
-                self.catalog.insert(seq, size);
                 if !self.results.contains_key(&seq) {
                     self.frontier.announce(seq, size, policy);
                 }
             }
             for &seq in &removed {
-                self.catalog.remove(&seq);
                 self.frontier.remove(seq);
             }
             self.catalog_hw = catalog_head;
@@ -516,8 +516,7 @@ impl ClientActor {
     /// continues it without waiting for a heartbeat.
     fn replay_missing(&mut self, ctx: &mut Ctx<'_, Msg>, coord_max: u64) {
         let now = ctx.now();
-        let base_horizon = self.params.cfg.heartbeat * 2;
-        let bw = ctx.spec().nic_bw_out.max(1.0);
+        let policy = RetryPolicy::of(self.params.cfg.heartbeat, ctx.spec().nic_bw_out);
         // Registration can lag by the whole in-flight volume (NIC queues on
         // both sides plus the coordinator's database).  Entries never sent
         // to the *current* coordinator incarnation (an epoch change wiped
@@ -533,8 +532,7 @@ impl ClientActor {
         } else {
             self.log.entries_after(coord_max).map(|e| e.size).sum()
         };
-        let drain_estimate = rpcv_simnet::SimDuration::from_secs_f64(pending_bytes as f64 / bw) * 4;
-        let stalled = now.since(self.progress_at) > base_horizon + drain_estimate;
+        let stalled = now.since(self.progress_at) > policy.horizon(0, pending_bytes);
         let mut budget: i64 = 32 * 1024 * 1024;
         let mut specs: Vec<JobSpec> = Vec::new();
         // Without a stall, an entry already sent to this incarnation is
@@ -546,10 +544,7 @@ impl ClientActor {
                 break;
             }
             let replayable = match self.sent_at.get(&e.seq) {
-                Some(&sent) => {
-                    let transfer = rpcv_simnet::SimDuration::from_secs_f64(e.size as f64 / bw);
-                    stalled && now.since(sent) > base_horizon + transfer * 4
-                }
+                Some(&sent) => stalled && now.since(sent) > policy.horizon(0, e.size),
                 None => true,
             };
             if replayable {
@@ -620,7 +615,7 @@ impl ClientActor {
     /// archive legitimately spends transfer-time in flight — on top of an
     /// exponential backoff from two heartbeats.
     fn retry_policy(&self, ctx: &Ctx<'_, Msg>) -> RetryPolicy {
-        RetryPolicy { base: self.params.cfg.heartbeat * 2, bw: ctx.spec().nic_bw_in.max(1.0) }
+        RetryPolicy::of(self.params.cfg.heartbeat, ctx.spec().nic_bw_in)
     }
 
     /// Applies a pushed shard map: computes this client's shard from the
@@ -711,7 +706,7 @@ impl Actor<Msg> for ClientActor {
                 if job.client == self.params.key {
                     self.link.heard(ctx.now(), true);
                     if self.reconcile_epoch(ctx.now(), epoch, coord_max) {
-                        self.log.ack_up_to(coord_max);
+                        self.ack_up_to(coord_max);
                         // A refusal: `job` reached the coordinator behind a
                         // hole (a frame lost, or overtaken within the link's
                         // jitter), so nothing we believed in flight above
@@ -827,15 +822,10 @@ impl Actor<Msg> for ClientActor {
         }
     }
 
-    fn on_crash(&mut self, now: SimTime) -> DurableImage {
-        let mut log = self.log.clone();
+    fn on_crash(self: Box<Self>, now: SimTime) -> DurableImage {
+        let ClientActor { mut log, mut results, metrics, .. } = *self;
         log.survive_crash(now);
-        let results: BTreeMap<u64, ResultRec> = self
-            .results
-            .iter()
-            .filter(|(_, r)| r.durable_at <= now)
-            .map(|(&s, r)| (s, ResultRec { acked: false, ..r.clone() }))
-            .collect();
-        DurableImage::of(ClientDurable { log, results, metrics: self.metrics.clone() })
+        results.retain(|_, r| r.durable_at <= now);
+        DurableImage::of(ClientDurable { log, results, metrics })
     }
 }

@@ -8,7 +8,7 @@
 //! deferred until the database operation backing it completed (which is
 //! how database cost shows up in every latency the paper measures).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rpcv_detect::{CoordinatorList, HeartbeatMonitor};
 use rpcv_obs::{Histogram, SpanBook, SpanEdge, TelemetrySnapshot};
@@ -130,6 +130,21 @@ impl CoordMetrics {
     }
 }
 
+/// One watched missing archive: a job this coordinator knows finished
+/// whose archive it neither holds nor knows delivered.
+#[derive(Debug, Clone, Copy)]
+struct Missing {
+    /// First noticed; the re-execution horizon counts from here.
+    since: SimTime,
+    /// Overdue, but its client is *not* served here (no traffic from it
+    /// yet): a replica must not re-execute work the live primary is already
+    /// recovering — delivery is the primary's job until the client's
+    /// traffic actually lands here.  A parked entry keeps its stamp and
+    /// re-arms the moment the client's first message arrives (failover),
+    /// so promotion pays no fresh horizon.
+    parked: bool,
+}
+
 /// State surviving a coordinator crash: the database (MySQL + archive
 /// filesystem are durable); volatile suspicion state is rebuilt.
 struct CoordDurable {
@@ -159,12 +174,13 @@ pub struct CoordinatorActor {
     /// The replication ring, successor choice, and release scope below are
     /// all restricted to this shard's group — shards never exchange state.
     my_shard: usize,
-    coords: CoordinatorList<u64>,
-    server_mon: HeartbeatMonitor<u64>,
+    coords: CoordinatorList<CoordId>,
+    server_mon: HeartbeatMonitor<ServerId>,
     /// Last delta received per peer coordinator (predecessor liveness).
-    peer_mon: HeartbeatMonitor<u64>,
-    client_addr: BTreeMap<ClientKey, NodeId>,
-    server_addr: BTreeMap<ServerId, NodeId>,
+    peer_mon: HeartbeatMonitor<CoordId>,
+    /// Clients whose traffic lands here (replies go to the sender of the
+    /// message at hand, so no address is kept).
+    clients: BTreeSet<ClientKey>,
     /// Per-successor acknowledged replication version.
     acked_version: BTreeMap<CoordId, u64>,
     /// Highest delta head applied *from* each predecessor (the peer's own
@@ -176,22 +192,15 @@ pub struct CoordinatorActor {
     snap_rx: BTreeMap<CoordId, SnapReassembly>,
     /// Outstanding replication round: `(successor, head, started)`.
     inflight_repl: Option<(CoordId, u64, SimTime)>,
-    /// Missing-archive watch list: job → first-noticed.
-    missing_since: BTreeMap<JobKey, SimTime>,
-    /// Overdue missing-archive entries for clients this coordinator is
-    /// *not* serving (no traffic from them yet): a replica must not
-    /// re-execute work the live primary is already recovering — delivery
-    /// is the primary's job until the client's traffic actually lands
-    /// here.  Parked entries keep their original stamp and re-arm the
-    /// moment the client's first message arrives (failover), so promotion
-    /// pays no fresh horizon.
-    parked_missing: BTreeMap<JobKey, SimTime>,
-    /// `missing_since` mirrored in stamp order, so the periodic scan reads
-    /// only entries whose re-execution horizon could have passed instead
-    /// of filtering the whole watch list every heartbeat.
-    missing_order: std::collections::BTreeSet<(SimTime, JobKey)>,
+    /// Missing-archive watch list, mirroring the database's missing set:
+    /// created by [`Self::watch_missing`], destroyed by [`Self::settle`].
+    missing: BTreeMap<JobKey, Missing>,
+    /// The un-parked entries of `missing` in stamp order, so the periodic
+    /// scan reads only entries whose re-execution horizon could have passed
+    /// instead of filtering the whole watch list every heartbeat.
+    missing_order: BTreeSet<(SimTime, JobKey)>,
     /// Origins already released after predecessor suspicion.
-    released: std::collections::BTreeSet<CoordId>,
+    released: BTreeSet<CoordId>,
     deferred: Deferred,
     /// Boot epoch: regenerated on every (re)start so clients can tell
     /// state-losing restarts from reordered stale replies.
@@ -233,12 +242,12 @@ impl CoordinatorActor {
         // floor, and snapshot path.  On a flat (1-shard) directory the
         // group is the whole plane — the historical ring, unchanged.
         let my_shard = params.directory.shard_of_coord(params.me).unwrap_or(0);
-        let ring: Vec<u64> = match params.directory.shard_of_coord(params.me) {
-            Some(s) => params.directory.group(s).iter().map(|c| c.0).collect(),
+        let ring = match params.directory.shard_of_coord(params.me) {
+            Some(s) => params.directory.group(s).to_vec(),
             None => params.directory.coord_ids(),
         };
         let coords = CoordinatorList::new(
-            ring.into_iter().filter(|&c| c != params.me.0),
+            ring.into_iter().filter(|&c| c != params.me),
             params.cfg.coord_retry,
         );
         let db = CoordinatorDb::new(params.me);
@@ -254,16 +263,14 @@ impl CoordinatorActor {
             server_mon: HeartbeatMonitor::new(suspicion),
             peer_mon: HeartbeatMonitor::new(peer_suspicion),
             params,
-            client_addr: BTreeMap::new(),
-            server_addr: BTreeMap::new(),
+            clients: BTreeSet::new(),
             acked_version: BTreeMap::new(),
             applied_head: BTreeMap::new(),
             snap_rx: BTreeMap::new(),
             inflight_repl: None,
-            missing_since: BTreeMap::new(),
-            parked_missing: BTreeMap::new(),
-            missing_order: std::collections::BTreeSet::new(),
-            released: std::collections::BTreeSet::new(),
+            missing: BTreeMap::new(),
+            missing_order: BTreeSet::new(),
+            released: BTreeSet::new(),
             deferred: Deferred::new(),
             epoch: 0,
             metrics: CoordMetrics::default(),
@@ -297,7 +304,7 @@ impl CoordinatorActor {
     /// A 1-group map says what the bootstrap list already said; sending it
     /// would only move the golden trace.
     fn greet_client(&mut self, ctx: &mut Ctx<'_, Msg>, client: ClientKey, from: NodeId) {
-        if self.note_client(client, from) && self.params.directory.shard_count() > 1 {
+        if self.note_client(client) && self.params.directory.shard_count() > 1 {
             ctx.send(from, Msg::ShardMap { groups: self.params.directory.shard_groups() });
         }
     }
@@ -415,44 +422,38 @@ impl CoordinatorActor {
         self.metrics.completion_timeline.push((now, finished));
     }
 
-    /// Stamps `job` as missing-since-`now` unless already watched (or
-    /// parked — a parked entry keeps its older stamp).
+    /// Stamps `job` as missing-since-`now` unless already watched (parked
+    /// or not — an entry keeps its older stamp).
     fn watch_missing(&mut self, job: JobKey, now: SimTime) {
-        if self.parked_missing.contains_key(&job) {
-            return;
-        }
-        if let std::collections::btree_map::Entry::Vacant(e) = self.missing_since.entry(job) {
-            e.insert(now);
+        if let std::collections::btree_map::Entry::Vacant(e) = self.missing.entry(job) {
+            e.insert(Missing { since: now, parked: false });
             self.missing_order.insert((now, job));
         }
     }
 
-    /// Drops `job` from the watch list (archive recovered or delivered).
-    fn unwatch_missing(&mut self, job: &JobKey) {
-        self.parked_missing.remove(job);
-        if let Some(at) = self.missing_since.remove(job) {
-            self.missing_order.remove(&(at, *job));
+    /// `job` leaves the watch list for good: its archive was recovered, its
+    /// result delivered, or its re-execution is about to be queued.
+    fn settle(&mut self, job: &JobKey) {
+        if let Some(m) = self.missing.remove(job) {
+            self.missing_order.remove(&(m.since, *job));
         }
     }
 
-    /// Records where `client` talks to us from, and on first contact
-    /// re-arms any parked missing-archive watches for their jobs: their
-    /// traffic arriving here means this coordinator now serves them, so
-    /// their unrecovered work enters the re-execution pipeline (with the
-    /// original stamps — a failover pays no fresh horizon).  Returns
-    /// `true` on first contact.
-    fn note_client(&mut self, client: ClientKey, from: NodeId) -> bool {
-        if self.client_addr.insert(client, from).is_some() {
+    /// Records that `client`'s traffic lands here, and on first contact
+    /// re-arms any parked missing-archive watches for their jobs: this
+    /// coordinator now serves them, so their unrecovered work enters the
+    /// re-execution pipeline (with the original stamps — a failover pays
+    /// no fresh horizon).  Returns `true` on first contact.
+    fn note_client(&mut self, client: ClientKey) -> bool {
+        if !self.clients.insert(client) {
             return false;
         }
         let lo = JobKey { client, seq: 0 };
         let hi = JobKey { client, seq: u64::MAX };
-        let parked: Vec<(JobKey, SimTime)> =
-            self.parked_missing.range(lo..=hi).map(|(j, at)| (*j, *at)).collect();
-        for (job, at) in parked {
-            self.parked_missing.remove(&job);
-            self.missing_since.insert(job, at);
-            self.missing_order.insert((at, job));
+        for (job, m) in self.missing.range_mut(lo..=hi) {
+            if std::mem::take(&mut m.parked) {
+                self.missing_order.insert((m.since, *job));
+            }
         }
         true
     }
@@ -496,8 +497,7 @@ impl CoordinatorActor {
         offered: Vec<JobKey>,
     ) {
         let now = ctx.now();
-        self.server_mon.observe(server.0, now);
-        self.server_addr.insert(server, from);
+        self.server_mon.observe(server, now);
         // Intermittent-crash reconciliation: tasks this server should be
         // running but does not report were lost in a restart too quick for
         // the suspicion timeout.  The grace period covers assignments
@@ -609,11 +609,10 @@ impl CoordinatorActor {
         archive: rpcv_wire::Blob,
     ) {
         let now = ctx.now();
-        self.server_mon.observe(server.0, now);
-        self.server_addr.insert(server, from);
+        self.server_mon.observe(server, now);
         let (_outcome, charge) = self.db.complete_task(task, job, archive, server);
         let done = self.pay(ctx, charge);
-        self.unwatch_missing(&job);
+        self.settle(&job);
         self.spans.mark(job, SpanEdge::Finished, now);
         if self.db.archive(&job).is_some() {
             self.spans.mark(job, SpanEdge::ArchiveStored, now);
@@ -630,8 +629,7 @@ impl CoordinatorActor {
         frame: rpcv_ckpt::CheckpointFrame,
     ) {
         let now = ctx.now();
-        self.server_mon.observe(server.0, now);
-        self.server_addr.insert(server, from);
+        self.server_mon.observe(server, now);
         // Integrity gate (shared digest discipline with result archives):
         // a frame whose digest or unit range fails verification is
         // rejected with the typed error — counted, logged, never recorded
@@ -757,7 +755,7 @@ impl CoordinatorActor {
         applied: Applied,
     ) {
         for job in &applied.newly_collected {
-            self.unwatch_missing(job);
+            self.settle(job);
         }
         self.metrics.collected_marks_applied += applied.newly_collected.len() as u64;
         let e = self.applied_head.entry(peer).or_insert(0);
@@ -778,8 +776,8 @@ impl CoordinatorActor {
     ) {
         let now = ctx.now();
         let peer = delta.from;
-        self.peer_mon.observe(peer.0, now);
-        self.coords.trust(peer.0);
+        self.peer_mon.observe(peer, now);
+        self.coords.trust(peer);
         // A peer we had written off is alive again: future ongoing tasks of
         // its origin are held once more.
         self.released.remove(&peer);
@@ -814,7 +812,7 @@ impl CoordinatorActor {
         if let Some((succ, _, started)) = self.inflight_repl {
             if now.since(started) > ack_horizon {
                 ctx.note("coordinator suspects ring successor");
-                self.coords.suspect(succ.0, now);
+                self.coords.suspect(succ, now);
                 // Its ack record is stale the moment it's suspected: if it
                 // ever becomes our successor again, reseed via snapshot
                 // rather than assume it still holds everything it acked.
@@ -824,7 +822,7 @@ impl CoordinatorActor {
                 return; // one round in flight at a time
             }
         }
-        let Some(succ) = self.coords.successor_of(self.params.me.0, now).map(CoordId) else {
+        let Some(succ) = self.coords.successor_of(self.params.me, now) else {
             return;
         };
         let Some(node) = self.params.directory.node_of(succ) else { return };
@@ -922,15 +920,10 @@ impl CoordinatorActor {
         let applied = self.db.apply_snapshot_owned(snap);
         // The watermarks may have retired jobs we were watching for
         // archives: delivered work leaves the re-execution pipeline.
-        let stale: Vec<JobKey> = self
-            .missing_since
-            .keys()
-            .chain(self.parked_missing.keys())
-            .filter(|j| !self.db.wants_archive(j))
-            .copied()
-            .collect();
+        let stale: Vec<JobKey> =
+            self.missing.keys().filter(|j| !self.db.wants_archive(j)).copied().collect();
         for job in stale {
-            self.unwatch_missing(&job);
+            self.settle(&job);
         }
         self.metrics.snapshots_applied += 1;
         self.finish_apply(ctx, from, peer, version, applied);
@@ -948,8 +941,8 @@ impl CoordinatorActor {
         payload: rpcv_wire::Blob,
     ) {
         let now = ctx.now();
-        self.peer_mon.observe(peer.0, now);
-        self.coords.trust(peer.0);
+        self.peer_mon.observe(peer, now);
+        self.coords.trust(peer);
         self.released.remove(&peer);
         if total == 0 || seq >= total {
             self.metrics.bad_frames += 1;
@@ -976,7 +969,7 @@ impl CoordinatorActor {
         for s in self.server_mon.suspects(now) {
             ctx.note("coordinator suspects server");
             self.metrics.server_suspicions += 1;
-            let (created, charge) = self.db.server_suspected(ServerId(s));
+            let (created, charge) = self.db.server_suspected(s);
             // Failover annotation: each re-queued job's span records the
             // true detection gap (silence observed at suspicion time —
             // bounded by the suspicion timeout plus one scan period) and
@@ -994,12 +987,11 @@ impl CoordinatorActor {
             self.server_mon.forget(s);
         }
         // Predecessor suspicion ⇒ release its held ongoing tasks.
-        for c in self.peer_mon.suspects(now) {
-            let peer = CoordId(c);
+        for peer in self.peer_mon.suspects(now) {
             if self.released.insert(peer) {
                 ctx.note("coordinator suspects predecessor; releasing its tasks");
                 self.metrics.coordinator_suspicions += 1;
-                self.coords.suspect(c, now);
+                self.coords.suspect(peer, now);
                 let (_created, charge) = self.db.release_origin(peer);
                 self.pay(ctx, charge);
             }
@@ -1008,7 +1000,7 @@ impl CoordinatorActor {
         // successor has acknowledged.  With no successor there is nothing
         // to keep a feed complete for — any future joiner bootstraps via
         // snapshot — so everything delivered is prunable.
-        let min_acked = match self.coords.successor_of(self.params.me.0, now).map(CoordId) {
+        let min_acked = match self.coords.successor_of(self.params.me, now) {
             Some(succ) => self.acked_version.get(&succ).copied().unwrap_or(0),
             None => u64::MAX,
         };
@@ -1022,7 +1014,7 @@ impl CoordinatorActor {
         // recovery it is meant to back up.  The stamp-ordered mirror makes
         // this a prefix read of entries whose horizon passed — O(overdue),
         // not a filter over the whole watch list every heartbeat.
-        if self.missing_since.is_empty() {
+        if self.missing_order.is_empty() {
             return;
         }
         let reexec_horizon =
@@ -1037,19 +1029,19 @@ impl CoordinatorActor {
         // re-execution order assigns task ids, so it must not change).
         overdue.sort_unstable();
         for job in overdue {
-            if !self.client_addr.contains_key(&job.client) {
+            if !self.clients.contains(&job.client) {
                 // Not serving this job's client: the coordinator that is
                 // owns recovery, and re-executing here would duplicate
                 // work grid-wide every horizon.  Park the watch; it
                 // re-arms (original stamp) when the client's traffic
                 // lands here after a failover.
-                if let Some(at) = self.missing_since.remove(&job) {
-                    self.missing_order.remove(&(at, job));
-                    self.parked_missing.insert(job, at);
+                if let Some(m) = self.missing.get_mut(&job) {
+                    m.parked = true;
+                    self.missing_order.remove(&(m.since, job));
                 }
                 continue;
             }
-            self.unwatch_missing(&job);
+            self.settle(&job);
             let (created, charge) = self.db.reexecute_job(job);
             if created.is_some() {
                 self.metrics.reexecutions += 1;
@@ -1136,10 +1128,10 @@ impl Actor<Msg> for CoordinatorActor {
                 self.handle_repl_delta(ctx, from, delta, want_archives)
             }
             Msg::ReplArchives { from: peer, results } => {
-                self.peer_mon.observe(peer.0, ctx.now());
+                self.peer_mon.observe(peer, ctx.now());
                 let mut charge = Charge::ZERO;
                 for r in results {
-                    self.unwatch_missing(&r.job);
+                    self.settle(&r.job);
                     self.spans.mark(r.job, SpanEdge::ArchiveStored, ctx.now());
                     charge += self.db.store_archive(r.job, r.archive);
                 }
@@ -1147,8 +1139,8 @@ impl Actor<Msg> for CoordinatorActor {
                 self.record_completion(ctx.now());
             }
             Msg::ReplAck { from: peer, head_version } => {
-                self.peer_mon.observe(peer.0, ctx.now());
-                self.coords.trust(peer.0);
+                self.peer_mon.observe(peer, ctx.now());
+                self.coords.trust(peer);
                 let e = self.acked_version.entry(peer).or_insert(0);
                 *e = (*e).max(head_version);
                 if let Some((succ, head, started)) = self.inflight_repl {
@@ -1173,7 +1165,7 @@ impl Actor<Msg> for CoordinatorActor {
                 }
             }
             Msg::SnapshotRequest { from: peer } => {
-                self.peer_mon.observe(peer.0, ctx.now());
+                self.peer_mon.observe(peer, ctx.now());
                 // Forget what we believed the requester held; the next
                 // round to it starts from base 0, which the retention
                 // floor immediately routes down the snapshot path.
@@ -1233,13 +1225,8 @@ impl Actor<Msg> for CoordinatorActor {
         }
     }
 
-    fn on_crash(&mut self, _now: SimTime) -> DurableImage {
-        DurableImage::of(CoordDurable {
-            db: self.db.clone(),
-            acked_version: self.acked_version.clone(),
-            applied_head: self.applied_head.clone(),
-            metrics: self.metrics.clone(),
-            spans: self.spans.clone(),
-        })
+    fn on_crash(self: Box<Self>, _now: SimTime) -> DurableImage {
+        let CoordinatorActor { db, acked_version, applied_head, metrics, spans, .. } = *self;
+        DurableImage::of(CoordDurable { db, acked_version, applied_head, metrics, spans })
     }
 }

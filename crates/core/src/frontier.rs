@@ -34,22 +34,28 @@ const WINDOW: usize = 64;
 /// budget is still included).
 const WINDOW_BYTES: i64 = 32 * 1024 * 1024;
 
-/// How long a requested result may stay in flight before it is asked for
-/// again.
+/// How long a transfer may stay in flight before it is attempted again:
+/// the one backoff formula behind the client's result pulls and log
+/// replays and the server's archive offers.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
-    /// Horizon of a first request for a zero-byte result.
+    /// Horizon of attempt 0 for a zero-byte transfer.
     pub base: SimDuration,
-    /// The client's inbound bandwidth, bytes/sec.
+    /// Bandwidth of the link direction the transfer crosses, bytes/sec.
     pub bw: f64,
 }
 
 impl RetryPolicy {
-    /// Re-request horizon after `attempts` requests of a `size`-byte
-    /// result: exponential in the attempts — capped, since an unreachable
+    /// The protocol's policy on a `bw`-bytes/sec NIC: two heartbeats.
+    pub(crate) fn of(heartbeat: SimDuration, bw: f64) -> Self {
+        RetryPolicy { base: heartbeat * 2, bw: bw.max(1.0) }
+    }
+
+    /// Retry horizon after `attempts` tries of a `size`-byte transfer:
+    /// exponential in the attempts — capped, since an unreachable
     /// coordinator may restart any moment (volatility is the norm here) —
     /// plus four transfer times.
-    fn horizon(&self, attempts: u32, size: u64) -> SimDuration {
+    pub(crate) fn horizon(&self, attempts: u32, size: u64) -> SimDuration {
         let transfer = SimDuration::from_secs_f64(size as f64 / self.bw);
         self.base * 2u64.saturating_pow(attempts.min(5)) + transfer * 4
     }

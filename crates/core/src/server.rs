@@ -36,6 +36,7 @@ use rpcv_xw::{
 };
 
 use crate::config::{ExecMode, ProtocolConfig};
+use crate::frontier::RetryPolicy;
 use crate::msg::Msg;
 use crate::util::{Deferred, Directory};
 
@@ -109,6 +110,22 @@ struct Exec {
     started: SimTime,
     /// Result archive if the service really ran (ExecMode::Real).
     real_archive: Option<Blob>,
+    /// Unit mark of the locally durable snapshot (same-node resume after a
+    /// restart); `None` until the first checkpoint tick.
+    local_mark: Option<u32>,
+    /// Unit mark the coordinator *acknowledged* as durable: the upload
+    /// path offers only snapshots that moved past this, so a
+    /// steady-interval snapshot of an idle-progress task costs nothing on
+    /// the wire.  Zeroed on a coordinator switch — the successor may not
+    /// have the predecessor's rows yet, and re-uploading is idempotent
+    /// (monotone merge), exactly like the client's collected re-announce.
+    acked_mark: u32,
+    /// Upload in flight: `(mark, sent at)`.  Dedups re-sends while an
+    /// acknowledgement is plausibly still travelling, but — unlike an
+    /// optimistic "shipped" mark — an offer lost to a coordinator crash is
+    /// retried once the horizon passes, even when the mark can no longer
+    /// move (e.g. the last unit boundary of the task).
+    in_flight: Option<(u32, SimTime)>,
 }
 
 impl Exec {
@@ -126,17 +143,29 @@ impl Exec {
     }
 }
 
-/// Checkpoint image of one running task (extension).
-#[derive(Debug, Clone)]
-struct Checkpoint {
-    desc: TaskDesc,
-    banked_units: u32,
+/// Delivery state of one unacknowledged result archive.
+#[derive(Debug, Clone, Copy, Default)]
+struct Offer {
+    /// Times the archive left for a coordinator (0 = never sent).
+    attempts: u32,
+    /// The instant after which it may be (re)offered/(re)sent — its key in
+    /// `offer_after`: the last send plus a size-aware, exponentially
+    /// backed-off horizon, so a multi-second archive transfer is not
+    /// re-sent on every beat (`SimTime::ZERO` for an archive never sent).
+    eligible_at: SimTime,
+}
+
+/// The sender-log key of `job`'s archive.
+fn log_key(job: &JobKey) -> (u64, u64) {
+    (job.client.as_peer(), job.seq)
 }
 
 /// State that survives a server crash.
 struct ServerDurable {
     plog: PeerLog<StoredResult>,
-    checkpoints: BTreeMap<TaskId, Checkpoint>,
+    /// The locally durable snapshots of the tasks that were running (the
+    /// checkpoint extension), each with its banked unit mark, in id order.
+    checkpoints: Vec<(TaskDesc, u32)>,
     metrics: ServerMetrics,
     volatility: VolatilityObserver,
     /// Each shard link's current coordinator: a restart resumes talking
@@ -187,22 +216,10 @@ pub struct ServerActor {
     /// dropping work that the coordinator believes is ongoing here), each
     /// with the resume bank it arrived with.
     backlog: VecDeque<(TaskDesc, u32)>,
-    /// Locally durable checkpoints of running tasks (same-node resume
-    /// after a restart).
-    checkpoints: BTreeMap<TaskId, Checkpoint>,
-    /// Unit marks the coordinator *acknowledged* as durable, per task: the
-    /// upload path offers only checkpoints that moved past this, so a
-    /// steady-interval snapshot of an idle-progress task costs nothing on
-    /// the wire.  Cleared on a coordinator switch — the successor may not
-    /// have the predecessor's rows yet, and re-uploading is idempotent
-    /// (monotone merge), exactly like the client's collected re-announce.
-    ckpt_acked: BTreeMap<TaskId, u32>,
-    /// Uploads in flight: `task → (mark, sent at)`.  Dedups re-sends while
-    /// an acknowledgement is plausibly still travelling, but — unlike an
-    /// optimistic "shipped" mark — an offer lost to a coordinator crash is
-    /// retried once the horizon passes, even when the mark can no longer
-    /// move (e.g. the last unit boundary of the task).
-    ckpt_inflight: BTreeMap<TaskId, (u32, SimTime)>,
+    /// Snapshots restored from the durable image, resumed (and drained) by
+    /// `on_start`: a restart on the *same* node continues from its own
+    /// checkpoints without waiting for the coordinator.
+    restored: Vec<(TaskDesc, u32)>,
     /// Tasks whose execution finished here but whose result delivery is
     /// not acknowledged yet.  Beats keep reporting them as running: a
     /// periodic beat in the durability/transfer window would otherwise
@@ -217,20 +234,16 @@ pub struct ServerActor {
     volatility: VolatilityObserver,
     /// When this incarnation started (uptime accounting for volatility).
     boot_at: SimTime,
-    /// When each result archive last left for a coordinator (and how many
-    /// times): offers and resends back off by size-aware horizons so a
-    /// multi-second archive transfer is not re-sent on every beat.
-    result_sent_at: BTreeMap<JobKey, (SimTime, u32)>,
-    /// Time-indexed view of `result_sent_at` over the unacked log: each
-    /// unacked archive appears exactly once, keyed by the instant its
-    /// backoff horizon expires (`SimTime::ZERO` = never sent, eligible
-    /// immediately).  Beats read eligible offers with a bounded prefix
-    /// scan instead of filtering the whole unacked set — at completion
-    /// bursts nearly every entry is in backoff, so the filter scan was
-    /// O(unacked) of rejections on every beat and nudge.
+    /// One record per unacknowledged archive in the log, created by
+    /// [`Self::file_offer`] / [`Self::sent`], destroyed by [`Self::acked`].
+    /// Volatile: after a restart every surviving archive is eligible for
+    /// (re)offer immediately.
+    offers: BTreeMap<JobKey, Offer>,
+    /// `offers` in `eligible_at` order.  Beats read eligible offers with a
+    /// bounded prefix scan instead of filtering the whole unacked set — at
+    /// completion bursts nearly every entry is in backoff, so the filter
+    /// scan was O(unacked) of rejections on every beat and nudge.
     offer_after: BTreeSet<(SimTime, JobKey)>,
-    /// Reverse index for `offer_after`: job → its scheduled key time.
-    offer_slot: BTreeMap<JobKey, SimTime>,
     deferred: Deferred,
     /// Public observations.
     pub metrics: ServerMetrics,
@@ -245,7 +258,7 @@ impl ServerActor {
             let mut actor = ServerActor::fresh(params.clone());
             if let Some(d) = image.take::<ServerDurable>() {
                 actor.plog = d.plog;
-                actor.checkpoints = d.checkpoints;
+                actor.restored = d.checkpoints;
                 actor.metrics = d.metrics;
                 actor.volatility = d.volatility;
                 // Home is remembered, trust is not: the pick stays unjudged
@@ -255,11 +268,9 @@ impl ServerActor {
                 for (link, home) in actor.links.iter_mut().zip(d.homes) {
                     link.set_current(home);
                 }
-                // `result_sent_at` is volatile: every surviving unacked
-                // archive is eligible for (re)offer immediately.
                 let jobs: Vec<JobKey> = actor.plog.iter_unacked().map(|e| e.value.job).collect();
                 for job in jobs {
-                    actor.offer_enqueue(job, SimTime::ZERO);
+                    actor.file_offer(job);
                 }
             }
             Box::new(actor)
@@ -285,16 +296,13 @@ impl ServerActor {
             plog: PeerLog::new(GcPolicy::unbounded()),
             running: BTreeMap::new(),
             backlog: VecDeque::new(),
-            checkpoints: BTreeMap::new(),
-            ckpt_acked: BTreeMap::new(),
-            ckpt_inflight: BTreeMap::new(),
+            restored: Vec::new(),
             completing: BTreeMap::new(),
             ckpt_armed: false,
             volatility: VolatilityObserver::new(),
             boot_at: SimTime::ZERO,
-            result_sent_at: BTreeMap::new(),
+            offers: BTreeMap::new(),
             offer_after: BTreeSet::new(),
-            offer_slot: BTreeMap::new(),
             deferred: Deferred::new(),
             metrics: ServerMetrics::default(),
         }
@@ -372,55 +380,41 @@ impl ServerActor {
         // re-announce the running marks of *this shard's* tasks to whoever
         // answers next (idempotent — the merge is monotone).  Other shards'
         // marks stay acknowledged: their coordinators are not in question.
-        let doomed: Vec<TaskId> = self
-            .ckpt_acked
-            .keys()
-            .chain(self.ckpt_inflight.keys())
-            .filter(|id| self.running.get(id).is_none_or(|e| self.shard_of(&e.desc.job) == s))
-            .copied()
-            .collect();
-        for id in doomed {
-            self.ckpt_acked.remove(&id);
-            self.ckpt_inflight.remove(&id);
-        }
-    }
-
-    fn mark_result_sent(&mut self, now: SimTime, job: JobKey) {
-        let e = self.result_sent_at.entry(job).or_insert((now, 0));
-        *e = (now, e.1 + 1);
-    }
-
-    /// The instant after which this archive may be (re)offered/(re)sent —
-    /// the key `offer_after` files it under: its last send plus a
-    /// size-aware, exponentially backed-off horizon (`SimTime::ZERO` for an
-    /// archive never sent).
-    fn next_offer_at(&self, ctx: &Ctx<'_, Msg>, job: &JobKey, size: u64) -> SimTime {
-        match self.result_sent_at.get(job) {
-            None => SimTime::ZERO,
-            Some(&(at, attempts)) => {
-                let base = self.params.cfg.heartbeat * 2;
-                let bw = ctx.spec().nic_bw_out.max(1.0);
-                let transfer = rpcv_simnet::SimDuration::from_secs_f64(size as f64 / bw);
-                // Capped backoff: coordinators flap, and a stranded result
-                // blocks the client forever if the horizon runs away.
-                at + base * 2u64.saturating_pow(attempts.min(5)) + transfer * 4
+        let directory = &self.params.directory;
+        for e in self.running.values_mut() {
+            if directory.shard_of(e.desc.job.client) == s {
+                (e.acked_mark, e.in_flight) = (0, None);
             }
         }
     }
 
-    /// (Re)files `job` in the offer index at key time `at`, displacing any
-    /// previous slot so the entry stays unique.
-    fn offer_enqueue(&mut self, job: JobKey, at: SimTime) {
-        if let Some(old) = self.offer_slot.insert(job, at) {
-            self.offer_after.remove(&(old, job));
-        }
-        self.offer_after.insert((at, job));
+    /// `job`'s archive sits unacknowledged in the log: files its offer
+    /// where its record says (eligible at once if it was never sent).
+    fn file_offer(&mut self, job: JobKey) {
+        let offer = self.offers.entry(job).or_default();
+        self.offer_after.insert((offer.eligible_at, job));
     }
 
-    /// Drops `job` from the offer index (archive acknowledged).
-    fn offer_dequeue(&mut self, job: &JobKey) {
-        if let Some(old) = self.offer_slot.remove(job) {
-            self.offer_after.remove(&(old, *job));
+    /// `job`'s `size`-byte archive just left for a coordinator: counts the
+    /// attempt and re-files the offer behind the backed-off horizon
+    /// (capped: coordinators flap, and a stranded result blocks the client
+    /// forever if the horizon runs away).
+    fn sent(&mut self, ctx: &Ctx<'_, Msg>, job: JobKey, size: u64) {
+        let policy = RetryPolicy::of(self.params.cfg.heartbeat, ctx.spec().nic_bw_out);
+        let offer = self.offers.entry(job).or_default();
+        self.offer_after.remove(&(offer.eligible_at, job));
+        offer.attempts += 1;
+        offer.eligible_at = ctx.now() + policy.horizon(offer.attempts, size);
+        self.offer_after.insert((offer.eligible_at, job));
+    }
+
+    /// A coordinator acknowledged `job`'s archive (stored it, or said it
+    /// never will need it): the log entry is reclaimable and its delivery
+    /// record and offer slot go with it.
+    fn acked(&mut self, job: &JobKey) {
+        self.plog.ack(log_key(job));
+        if let Some(offer) = self.offers.remove(job) {
+            self.offer_after.remove(&(offer.eligible_at, *job));
         }
     }
 
@@ -452,7 +446,7 @@ impl ServerActor {
         let now = ctx.now();
         // Log-key order: the window is byte-identical to a filter over the
         // unacked log whenever at most 64 entries are eligible.
-        offered.sort_unstable_by_key(|j| (j.client.as_peer(), j.seq));
+        offered.sort_unstable_by_key(log_key);
         // A link we have not beaten within the suspicion window was quiet
         // by *our* choice (no state held there, rotation elsewhere) —
         // judging its stale reply stamp would condemn a healthy
@@ -576,7 +570,17 @@ impl ServerActor {
         self.arm_checkpoint_timer(ctx);
         self.running.insert(
             desc.id,
-            Exec { desc, units_total, banked_units, secs_per_unit, started: now, real_archive },
+            Exec {
+                desc,
+                units_total,
+                banked_units,
+                secs_per_unit,
+                started: now,
+                real_archive,
+                local_mark: None,
+                acked_mark: 0,
+                in_flight: None,
+            },
         );
     }
 
@@ -589,48 +593,35 @@ impl ServerActor {
             .filter(|(_, e)| e.progress_units(now) >= e.units_total)
             .map(|(&id, _)| id)
             .next()?;
-        self.running.remove(&id).inspect(|e| {
-            self.metrics.units_spent += (e.units_total - e.banked_units) as u64;
-            self.checkpoints.remove(&id);
-            self.ckpt_acked.remove(&id);
-            self.ckpt_inflight.remove(&id);
-        })
+        self.running
+            .remove(&id)
+            .inspect(|e| self.metrics.units_spent += (e.units_total - e.banked_units) as u64)
     }
 
     fn complete(&mut self, ctx: &mut Ctx<'_, Msg>, exec: Exec) {
         let now = ctx.now();
         let archive =
             exec.real_archive.unwrap_or_else(|| self.executor.simulate_result(&exec.desc));
-        let key = (exec.desc.job.client.as_peer(), exec.desc.job.seq);
-        let stored =
-            StoredResult { task: exec.desc.id, job: exec.desc.job, archive: archive.clone() };
+        let job = exec.desc.job;
+        let stored = StoredResult { task: exec.desc.id, job, archive: archive.clone() };
         // Necessarily pessimistic: the archive only counts once durable.
         let size = archive.len();
-        let durable_at = self.plog.append(key, stored, archive.len() + 64, now, ctx.disk_mut());
+        let durable_at = self.plog.append(log_key(&job), stored, size + 64, now, ctx.disk_mut());
         self.metrics.executed += 1;
         // Reported as running until the coordinator acknowledges delivery
         // (see the `completing` field).
-        self.completing.insert(exec.desc.id, exec.desc.job);
-        let shard = self.shard_of(&exec.desc.job);
+        self.completing.insert(exec.desc.id, job);
+        let shard = self.shard_of(&job);
         self.carry_home(shard, exec.desc.id, now);
-        if let Some(node) = self.coordinator_for(shard, now) {
-            self.mark_result_sent(now, exec.desc.job);
-            self.deferred.send_at(
-                ctx,
-                durable_at,
-                node,
-                Msg::TaskDone {
-                    server: self.params.id,
-                    task: exec.desc.id,
-                    job: exec.desc.job,
-                    archive,
-                },
-                K_SEND,
-                exec.desc.id.0,
-            );
+        match self.coordinator_for(shard, now) {
+            Some(node) => {
+                self.sent(ctx, job, size);
+                let done =
+                    Msg::TaskDone { server: self.params.id, task: exec.desc.id, job, archive };
+                self.deferred.send_at(ctx, durable_at, node, done, K_SEND, exec.desc.id.0);
+            }
+            None => self.file_offer(job),
         }
-        let eligible = self.next_offer_at(ctx, &exec.desc.job, size);
-        self.offer_enqueue(exec.desc.job, eligible);
         // Drain the local backlog before asking for more work.
         if let Some((desc, banked)) = self.backlog.pop_front() {
             self.start_task(ctx, desc, banked);
@@ -647,15 +638,12 @@ impl ServerActor {
             // the archive even if a mis-addressed request slipped in.
             let shard = self.shard_of(&job);
             let Some(node) = self.coordinator_for(shard, now) else { continue };
-            let key = (job.client.as_peer(), job.seq);
-            if let Some(entry) = self.plog.get(key) {
-                if now <= self.next_offer_at(ctx, &job, entry.value.archive.len()) {
+            if let Some(entry) = self.plog.get(log_key(&job)) {
+                if self.offers.get(&job).is_some_and(|o| now <= o.eligible_at) {
                     continue; // still in flight; the coordinator asked on stale info
                 }
                 let stored = entry.value.clone();
-                self.mark_result_sent(ctx.now(), job);
-                let eligible = self.next_offer_at(ctx, &job, stored.archive.len());
-                self.offer_enqueue(job, eligible);
+                self.sent(ctx, job, stored.archive.len());
                 // Reading the archive back from the local log.
                 let read_done = ctx.disk_read(stored.archive.len() + 64);
                 self.metrics.archives_resent += 1;
@@ -707,15 +695,14 @@ impl ServerActor {
         let now = ctx.now();
         let mut bytes = 0;
         let mut frames: Vec<CheckpointFrame> = Vec::new();
-        for (id, exec) in &self.running {
+        let retry_horizon = self.params.cfg.heartbeat * 4;
+        for (id, exec) in &mut self.running {
             let progress = exec.progress_units(now).min(exec.units_total.saturating_sub(1));
-            let prev = self.checkpoints.get(id).map(|c| c.banked_units).unwrap_or(0);
-            let hw = progress.max(prev);
+            let hw = progress.max(exec.local_mark.unwrap_or(0));
             // Local snapshot (and its disk write) only when a whole unit
             // finished since the last one.
-            if hw > prev || !self.checkpoints.contains_key(id) {
-                self.checkpoints
-                    .insert(*id, Checkpoint { desc: exec.desc.clone(), banked_units: hw });
+            if exec.local_mark != Some(hw) {
+                exec.local_mark = Some(hw);
                 bytes += Self::ckpt_state_bytes(&exec.desc);
             }
             // The upload decision runs for *every* task, moved or not:
@@ -724,12 +711,11 @@ impl ServerActor {
             // re-sent; one lost to a coordinator crash is retried once the
             // horizon passes — even when the mark itself can never move
             // again (the task's last unit boundary) — and a coordinator
-            // switch (which clears `ckpt_acked`) re-announces it here.
-            let acked = self.ckpt_acked.get(id).copied().unwrap_or(0);
-            let retry_horizon = self.params.cfg.heartbeat * 4;
-            let in_flight = matches!(self.ckpt_inflight.get(id),
-                Some(&(sent_hw, at)) if sent_hw >= hw && now.since(at) <= retry_horizon);
-            if hw > acked && hw > 0 && !in_flight {
+            // switch (which zeroes the acked mark) re-announces it here.
+            let in_flight = exec
+                .in_flight
+                .is_some_and(|(sent_hw, at)| sent_hw >= hw && now.since(at) <= retry_horizon);
+            if hw > exec.acked_mark && hw > 0 && !in_flight {
                 let state_bytes = Self::ckpt_state_bytes(&exec.desc);
                 let blob =
                     Blob::synthetic(state_bytes, Blob::derive_seed(exec.desc.id.0, hw as u64));
@@ -755,7 +741,9 @@ impl ServerActor {
             // useful on the coordinator group that can re-dispatch the task.
             let shard = self.shard_of(&frame.job);
             let Some(node) = self.coordinator_for(shard, now) else { continue };
-            self.ckpt_inflight.insert(frame.task, (frame.unit_hw, now));
+            if let Some(exec) = self.running.get_mut(&frame.task) {
+                exec.in_flight = Some((frame.unit_hw, now));
+            }
             self.metrics.ckpt_uploads += 1;
             self.metrics.ckpt_bytes += frame.blob.len();
             ctx.send(node, Msg::CkptOffer { server: self.params.id, frame });
@@ -766,14 +754,9 @@ impl ServerActor {
 impl Actor<Msg> for ServerActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         self.boot_at = ctx.now();
-        // Resume locally checkpointed executions (extension): a restart on
-        // the *same* node continues from its own durable snapshots without
-        // waiting for the coordinator.
-        let resumable: Vec<Checkpoint> = self.checkpoints.values().cloned().collect();
-        self.checkpoints.clear();
-        for c in resumable {
+        for (desc, banked_units) in std::mem::take(&mut self.restored) {
             self.metrics.resumed += 1;
-            self.start_task(ctx, c.desc, c.banked_units);
+            self.start_task(ctx, desc, banked_units);
         }
         self.beat(ctx);
         ctx.set_timer(self.params.cfg.heartbeat, K_BEAT);
@@ -794,16 +777,12 @@ impl Actor<Msg> for ServerActor {
             Msg::CkptAck { task, job: _, unit_hw } => {
                 self.note_reply(_from, ctx.now(), true);
                 self.metrics.ckpt_acks += 1;
-                if let Some(&(sent_hw, _)) = self.ckpt_inflight.get(&task) {
-                    if unit_hw >= sent_hw {
-                        self.ckpt_inflight.remove(&task);
+                // A late ack for a completed task has no record to land on.
+                if let Some(exec) = self.running.get_mut(&task) {
+                    if exec.in_flight.is_some_and(|(sent_hw, _)| unit_hw >= sent_hw) {
+                        exec.in_flight = None;
                     }
-                }
-                // Only tasks still alive here keep an acked mark: a late
-                // ack for a completed task must not grow the map forever.
-                if self.running.contains_key(&task) {
-                    let e = self.ckpt_acked.entry(task).or_insert(0);
-                    *e = (*e).max(unit_hw);
+                    exec.acked_mark = exec.acked_mark.max(unit_hw);
                 }
             }
             Msg::NoWork => {
@@ -823,8 +802,12 @@ impl Actor<Msg> for ServerActor {
             }
             Msg::TaskDoneAck { task, job } => {
                 self.note_reply(_from, ctx.now(), false);
-                self.plog.ack((job.client.as_peer(), job.seq));
-                self.offer_dequeue(&job);
+                // The slot goes, the record stays: a job re-executed here
+                // backs its archive off from the old attempt count.
+                self.plog.ack(log_key(&job));
+                if let Some(offer) = self.offers.get(&job) {
+                    self.offer_after.remove(&(offer.eligible_at, job));
+                }
                 self.completing.remove(&task);
             }
             Msg::NeedArchives { jobs } => {
@@ -837,9 +820,7 @@ impl Actor<Msg> for ServerActor {
                 // reclaim the archives and the offer window frees up.
                 self.note_reply(_from, ctx.now(), true);
                 for job in &jobs {
-                    self.plog.ack((job.client.as_peer(), job.seq));
-                    self.result_sent_at.remove(job);
-                    self.offer_dequeue(job);
+                    self.acked(job);
                 }
                 // One retain over the batch instead of one O(completing)
                 // retain per settled job.
@@ -888,30 +869,23 @@ impl Actor<Msg> for ServerActor {
         }
     }
 
-    fn on_crash(&mut self, now: SimTime) -> DurableImage {
-        let mut plog = self.plog.clone();
+    fn on_crash(self: Box<Self>, now: SimTime) -> DurableImage {
+        let ServerActor { mut plog, running, links, boot_at, mut metrics, mut volatility, .. } =
+            *self;
         plog.survive_crash(now);
-        let mut metrics = self.metrics;
         metrics.lost_executions +=
-            self.running.keys().filter(|id| !self.checkpoints.contains_key(id)).count() as u64;
+            running.values().filter(|e| e.local_mark.is_none()).count() as u64;
         // Partial progress dies with the crash: charge the units this
         // incarnation computed but never completed (a resumed successor
         // re-pays only what was not checkpointed — the accounting shows
         // exactly that recompute as spent twice).
-        metrics.units_spent += self
-            .running
-            .values()
-            .map(|e| (e.progress_units(now) - e.banked_units) as u64)
-            .sum::<u64>();
+        metrics.units_spent +=
+            running.values().map(|e| (e.progress_units(now) - e.banked_units) as u64).sum::<u64>();
         // The node's own crash history feeds the adaptive policy.
-        let mut volatility = self.volatility.clone();
-        volatility.record_crash(now.since(self.boot_at));
-        DurableImage::of(ServerDurable {
-            plog,
-            checkpoints: self.checkpoints.clone(),
-            metrics,
-            volatility,
-            homes: self.links.iter().map(|l| l.current()).collect(),
-        })
+        volatility.record_crash(now.since(boot_at));
+        let checkpoints =
+            running.into_values().filter_map(|e| Some((e.desc, e.local_mark?))).collect();
+        let homes = links.iter().map(|l| l.current()).collect();
+        DurableImage::of(ServerDurable { plog, checkpoints, metrics, volatility, homes })
     }
 }

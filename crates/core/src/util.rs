@@ -50,8 +50,8 @@ impl Directory {
     }
 
     /// All coordinator ids (the common order base set).
-    pub fn coord_ids(&self) -> Vec<u64> {
-        self.coords.keys().map(|c| c.0).collect()
+    pub fn coord_ids(&self) -> Vec<CoordId> {
+        self.coords.keys().copied().collect()
     }
 
     /// Number of shards (1 for a flat directory).
@@ -247,7 +247,7 @@ mod tests {
         let d = Directory::new([(CoordId(2), NodeId(5)), (CoordId(1), NodeId(4))]);
         assert_eq!(d.node_of(CoordId(1)), Some(NodeId(4)));
         assert_eq!(d.node_of(CoordId(9)), None);
-        assert_eq!(d.coord_ids(), vec![1, 2]);
+        assert_eq!(d.coord_ids(), vec![CoordId(1), CoordId(2)]);
         assert_eq!(d.len(), 2);
         assert!(!d.is_empty());
     }

@@ -101,8 +101,10 @@ pub trait Actor<M>: Any {
     /// A previously set timer fired.
     fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, id: TimerId, kind: u64);
 
-    /// The node is crashing; return whatever survives on disk.
-    fn on_crash(&mut self, _now: SimTime) -> DurableImage {
+    /// The node is crashing; return whatever survives on disk.  The actor
+    /// is consumed — the kernel drops it either way — so the image takes
+    /// the durable fields by move.
+    fn on_crash(self: Box<Self>, _now: SimTime) -> DurableImage {
         DurableImage::none()
     }
 }

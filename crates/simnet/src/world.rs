@@ -509,7 +509,7 @@ impl<M: WireSized + 'static> World<M> {
                 if !slot.up {
                     return;
                 }
-                if let Some(mut actor) = slot.actor.take() {
+                if let Some(actor) = slot.actor.take() {
                     slot.durable = actor.on_crash(now);
                 }
                 slot.up = false;

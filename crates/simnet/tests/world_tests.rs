@@ -54,7 +54,7 @@ impl Actor<Msg> for Pong {
         self.timer_fired += 1;
     }
 
-    fn on_crash(&mut self, _now: SimTime) -> DurableImage {
+    fn on_crash(self: Box<Self>, _now: SimTime) -> DurableImage {
         DurableImage::of(self.restore_marker + 1)
     }
 }

@@ -1014,6 +1014,24 @@ impl CoordinatorDb {
         self.jobs.get(job).is_some_and(|r| !r.finished && r.pending > 0)
     }
 
+    /// The common tail of the three recovery paths: one new instance per
+    /// job of `jobs` that has none queued, after one op for the lookup that
+    /// found them.
+    fn reinstance(&mut self, jobs: impl IntoIterator<Item = JobKey>) -> (Vec<TaskId>, Charge) {
+        let mut created = Vec::new();
+        let mut charge = Charge::ops(1);
+        for job in jobs {
+            if self.has_live_pending(&job) {
+                continue;
+            }
+            if let Some(id) = self.create_instance(job) {
+                created.push(id);
+                charge += Charge::ops(2);
+            }
+        }
+        (created, charge)
+    }
+
     /// Whether this coordinator's silence from a server says anything about
     /// `row`, an instance indexed on it: yes for a row dispatched from here
     /// (the server answered *us* to get it), and for a replicated row whose
@@ -1057,18 +1075,7 @@ impl CoordinatorDb {
                 self.by_server.remove(&server);
             }
         }
-        let mut created = Vec::new();
-        let mut charge = Charge::ops(1);
-        for job in victims {
-            if self.has_live_pending(&job) {
-                continue;
-            }
-            if let Some(id) = self.create_instance(job) {
-                created.push(id);
-                charge += Charge::ops(2);
-            }
-        }
-        (created, charge)
+        self.reinstance(victims)
     }
 
     /// The instances indexed on `server` (ongoing there as far as this
@@ -1130,21 +1137,12 @@ impl CoordinatorDb {
                     .collect()
             })
             .unwrap_or_default();
-        let mut created = Vec::new();
-        let mut charge = Charge::ops(1);
-        for (old, job) in lost {
-            if let Some(set) = self.by_server.get_mut(&server) {
-                set.remove(&old);
-            }
-            if self.has_live_pending(&job) {
-                continue;
-            }
-            if let Some(id) = self.create_instance(job) {
-                created.push(id);
-                charge += Charge::ops(2);
+        if let Some(set) = self.by_server.get_mut(&server) {
+            for (old, _) in &lost {
+                set.remove(old);
             }
         }
-        (created, charge)
+        self.reinstance(lost.into_iter().map(|(_, job)| job))
     }
 
     /// Predecessor coordinator suspected: replicated *ongoing* tasks of
@@ -1152,7 +1150,7 @@ impl CoordinatorDb {
     /// scheduled until the coordinator replica suspects the disconnection
     /// of its predecessor").
     pub fn release_origin(&mut self, origin: CoordId) -> (Vec<TaskId>, Charge) {
-        let held: Vec<JobKey> = self
+        let held: BTreeSet<JobKey> = self
             .tasks
             .values()
             .filter(|r| {
@@ -1162,21 +1160,8 @@ impl CoordinatorDb {
                     && !self.is_finished(&r.desc.job)
             })
             .map(|r| r.desc.job)
-            .collect::<BTreeSet<_>>()
-            .into_iter()
             .collect();
-        let mut created = Vec::new();
-        let mut charge = Charge::ops(1);
-        for job in held {
-            if self.has_live_pending(&job) {
-                continue;
-            }
-            if let Some(id) = self.create_instance(job) {
-                created.push(id);
-                charge += Charge::ops(2);
-            }
-        }
-        (created, charge)
+        self.reinstance(held)
     }
 
     // --- client result collection --------------------------------------------
