@@ -188,7 +188,7 @@ pub struct ClientActor {
     /// Telemetry snapshots pulled from coordinators via
     /// [`Msg::StatusRequest`], keyed by coordinator id.  A volatile cache:
     /// not part of the durable image.
-    snapshots: BTreeMap<u64, TelemetrySnapshot>,
+    snapshots: BTreeMap<CoordId, TelemetrySnapshot>,
     /// Highest [`Msg::StatusReply`] nonce successfully decoded — lets a
     /// live-grid poller tell a fresh snapshot from a cached one.
     status_nonce_hw: u64,
@@ -248,6 +248,15 @@ impl ClientActor {
     /// Results received so far.
     pub fn results_count(&self) -> usize {
         self.results.len()
+    }
+
+    /// Per-entity records resident here, the submission log and the held
+    /// results excluded: they follow the work in flight, not the jobs this
+    /// client ever submitted.
+    #[doc(hidden)]
+    pub fn resident_records(&self) -> usize {
+        (self.unacked_results.len() + self.sent_at.len())
+            + (self.frontier.len() + self.barriers.len())
     }
 
     /// The coordinator currently preferred, if any.
@@ -676,12 +685,12 @@ impl ClientActor {
 
     /// The last telemetry snapshot received from `coord`, if any.
     pub fn telemetry_of(&self, coord: CoordId) -> Option<&TelemetrySnapshot> {
-        self.snapshots.get(&coord.0)
+        self.snapshots.get(&coord)
     }
 
     /// Every telemetry snapshot held, keyed by coordinator id.
     pub fn telemetry_snapshots(&self) -> impl Iterator<Item = (CoordId, &TelemetrySnapshot)> {
-        self.snapshots.iter().map(|(&c, s)| (CoordId(c), s))
+        self.snapshots.iter().map(|(&c, s)| (c, s))
     }
 
     /// Highest status-request nonce a decoded [`Msg::StatusReply`]
@@ -785,7 +794,7 @@ impl Actor<Msg> for ClientActor {
                 // counted and dropped without touching the cache.
                 match TelemetrySnapshot::open(&sealed.materialize()) {
                     Ok(snap) => {
-                        self.snapshots.insert(coord.0, snap);
+                        self.snapshots.insert(coord, snap);
                         self.status_nonce_hw = self.status_nonce_hw.max(nonce);
                     }
                     Err(_) => self.metrics.bad_frames += 1,

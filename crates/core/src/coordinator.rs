@@ -132,7 +132,7 @@ impl CoordMetrics {
 
 /// One watched missing archive: a job this coordinator knows finished
 /// whose archive it neither holds nor knows delivered.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct Missing {
     /// First noticed; the re-execution horizon counts from here.
     since: SimTime,
@@ -285,26 +285,39 @@ impl CoordinatorActor {
         self.my_shard
     }
 
-    /// True when this coordinator's shard owns `client`'s job space.
-    fn owns(&self, client: ClientKey) -> bool {
-        self.params.directory.shard_of(client) == self.my_shard
-    }
-
-    /// Answers a mis-routed client with the shard map; the client
-    /// restricts its coordinator list to its owning group and re-sends.
-    fn redirect(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId) {
+    /// True — after answering with the shard map — when this coordinator's
+    /// shard does not own `client`'s job space; the client restricts its
+    /// coordinator list to its owning group and re-sends.
+    fn redirects(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, client: ClientKey) -> bool {
+        if self.params.directory.shard_of(client) == self.my_shard {
+            return false;
+        }
         self.metrics.shard_redirects += 1;
         ctx.send(from, Msg::ShardMap { groups: self.params.directory.shard_groups() });
+        true
     }
 
-    /// [`Self::note_client`] plus the connect-time shard-map push: on a
-    /// sharded plane a client's first contact here is answered with the
+    /// Records that `client`'s traffic lands here.  On first contact any
+    /// parked missing-archive watches for their jobs re-arm — this
+    /// coordinator now serves them, so their unrecovered work enters the
+    /// re-execution pipeline with its original stamps (a failover pays no
+    /// fresh horizon) — and on a sharded plane the client is sent the shard
     /// map, so its beats, submissions, and collection pulls settle on this
     /// group (and its failover list never wanders into foreign shards).
     /// A 1-group map says what the bootstrap list already said; sending it
     /// would only move the golden trace.
     fn greet_client(&mut self, ctx: &mut Ctx<'_, Msg>, client: ClientKey, from: NodeId) {
-        if self.note_client(client) && self.params.directory.shard_count() > 1 {
+        if !self.clients.insert(client) {
+            return;
+        }
+        let lo = JobKey { client, seq: 0 };
+        let hi = JobKey { client, seq: u64::MAX };
+        for (job, m) in self.missing.range_mut(lo..=hi) {
+            if std::mem::take(&mut m.parked) {
+                self.missing_order.insert((m.since, *job));
+            }
+        }
+        if self.params.directory.shard_count() > 1 {
             ctx.send(from, Msg::ShardMap { groups: self.params.directory.shard_groups() });
         }
     }
@@ -334,6 +347,13 @@ impl CoordinatorActor {
         let coord_max = self.db.client_max(job.client);
         let ack = Msg::SubmitAck { job, coord_max, epoch: self.epoch };
         self.deferred.send_at(ctx, done, to, ack, K_SEND, 0);
+    }
+
+    /// Per-entity records resident here outside the database: they follow
+    /// the recoveries in flight, not the jobs this coordinator ever saw.
+    #[doc(hidden)]
+    pub fn resident_records(&self) -> usize {
+        self.missing.len() + self.missing_order.len() + self.snap_rx.len()
     }
 
     /// Read access to the database (harness inspection).
@@ -439,35 +459,11 @@ impl CoordinatorActor {
         }
     }
 
-    /// Records that `client`'s traffic lands here, and on first contact
-    /// re-arms any parked missing-archive watches for their jobs: this
-    /// coordinator now serves them, so their unrecovered work enters the
-    /// re-execution pipeline (with the original stamps — a failover pays
-    /// no fresh horizon).  Returns `true` on first contact.
-    fn note_client(&mut self, client: ClientKey) -> bool {
-        if !self.clients.insert(client) {
-            return false;
-        }
-        let lo = JobKey { client, seq: 0 };
-        let hi = JobKey { client, seq: u64::MAX };
-        for (job, m) in self.missing.range_mut(lo..=hi) {
-            if std::mem::take(&mut m.parked) {
-                self.missing_order.insert((m.since, *job));
-            }
-        }
-        true
-    }
-
     /// Full resync of the watch list against the database's missing set
     /// (startup, where the restored database may hold entries that predate
-    /// this incarnation's journal).
+    /// this incarnation's journal): O(missing), never a finished-jobs scan.
     fn refresh_missing(&mut self, now: SimTime) {
-        // The database maintains the missing set incrementally, so this is
-        // O(missing) with an O(1) early exit — never a finished-jobs scan.
         let _ = self.db.drain_missing_added();
-        if !self.db.has_missing_archives() {
-            return;
-        }
         let jobs: Vec<JobKey> = self.db.missing_archives_iter().collect();
         for job in jobs {
             self.watch_missing(job, now);
@@ -686,7 +682,6 @@ impl CoordinatorActor {
         ctx: &mut Ctx<'_, Msg>,
         from: NodeId,
         client: ClientKey,
-        max_seq: u64,
         collected: Vec<u64>,
         catalog_seq: u64,
     ) {
@@ -695,7 +690,11 @@ impl CoordinatorActor {
         if !collected.is_empty() {
             let now = ctx.now();
             for &seq in &collected {
-                self.spans.mark(JobKey { client, seq }, SpanEdge::Collected, now);
+                let job = JobKey { client, seq };
+                self.spans.mark(job, SpanEdge::Collected, now);
+                // Delivered: nothing is left to recover, whatever this
+                // coordinator had noticed missing before the client spoke.
+                self.settle(&job);
             }
             charge += self.db.mark_collected(client, &collected);
         }
@@ -719,7 +718,6 @@ impl CoordinatorActor {
         let changed = (delta.added.len() + delta.removed.len()) as u64;
         charge += Charge::ops(1 + changed / 4);
         let done = self.pay(ctx, charge);
-        let _ = max_seq; // the client decides resend/fast-forward from coord_max
         let epoch = self.epoch;
         self.metrics.sync_replies += 1;
         self.metrics.catalog_bytes += delta.added.encoded_len() + delta.removed.encoded_len();
@@ -1065,8 +1063,7 @@ impl Actor<Msg> for CoordinatorActor {
         *self.rx_counts.entry(msg.kind()).or_insert(0) += 1;
         match msg {
             Msg::Submit { spec } => {
-                if !self.owns(spec.key.client) {
-                    self.redirect(ctx, from);
+                if self.redirects(ctx, from, spec.key.client) {
                     return;
                 }
                 self.greet_client(ctx, spec.key.client, from);
@@ -1083,8 +1080,7 @@ impl Actor<Msg> for CoordinatorActor {
             }
             Msg::SubmitBatch { mut specs } => {
                 let Some(job) = specs.last().map(|s| s.key) else { return };
-                if !self.owns(job.client) {
-                    self.redirect(ctx, from);
+                if self.redirects(ctx, from, job.client) {
                     return;
                 }
                 self.greet_client(ctx, job.client, from);
@@ -1100,16 +1096,16 @@ impl Actor<Msg> for CoordinatorActor {
                 };
                 self.ack_submission(ctx, from, job, done);
             }
-            Msg::ClientBeat { client, max_seq, collected, catalog_seq } => {
-                if !self.owns(client) {
-                    self.redirect(ctx, from);
+            // (`max_seq` is unread: the client decides resend/fast-forward
+            // from the `coord_max` of the reply.)
+            Msg::ClientBeat { client, max_seq: _, collected, catalog_seq } => {
+                if self.redirects(ctx, from, client) {
                     return;
                 }
-                self.handle_client_beat(ctx, from, client, max_seq, collected, catalog_seq);
+                self.handle_client_beat(ctx, from, client, collected, catalog_seq);
             }
             Msg::ResultsRequest { client, want } => {
-                if !self.owns(client) {
-                    self.redirect(ctx, from);
+                if self.redirects(ctx, from, client) {
                     return;
                 }
                 let jobs = want.into_iter().map(|seq| JobKey { client, seq });

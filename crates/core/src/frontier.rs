@@ -93,6 +93,11 @@ impl PullFrontier {
         Self::default()
     }
 
+    /// Outstanding seqs.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
     /// True when `seq` is outstanding.
     pub fn contains(&self, seq: u64) -> bool {
         self.entries.contains_key(&seq)

@@ -144,7 +144,7 @@ impl Exec {
 }
 
 /// Delivery state of one unacknowledged result archive.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Default)]
 struct Offer {
     /// Times the archive left for a coordinator (0 = never sent).
     attempts: u32,
@@ -317,6 +317,23 @@ impl ServerActor {
     /// acknowledgement (harness inspection).
     pub fn unacked_results(&self) -> usize {
         self.plog.unacked_len()
+    }
+
+    /// Per-entity records resident here, the result log excluded: they
+    /// follow the work in flight, not the jobs this server ever ran.
+    #[doc(hidden)]
+    pub fn resident_records(&self) -> usize {
+        debug_assert!(self.offers_match_the_unacked_log());
+        (self.running.len() + self.backlog.len() + self.restored.len())
+            + (self.completing.len() + self.offers.len() + self.offer_after.len())
+    }
+
+    /// The delivery records and the offer order are one set seen two ways,
+    /// and it covers the unacknowledged log.
+    fn offers_match_the_unacked_log(&self) -> bool {
+        self.offers.len() == self.offer_after.len()
+            && self.offers.iter().all(|(job, o)| self.offer_after.contains(&(o.eligible_at, *job)))
+            && self.plog.iter_unacked().all(|e| self.offers.contains_key(&e.value.job))
     }
 
     /// The shard owning `job` (0 on a 1-shard grid).
@@ -647,19 +664,9 @@ impl ServerActor {
                 // Reading the archive back from the local log.
                 let read_done = ctx.disk_read(stored.archive.len() + 64);
                 self.metrics.archives_resent += 1;
-                self.deferred.send_at(
-                    ctx,
-                    read_done,
-                    node,
-                    Msg::TaskDone {
-                        server: self.params.id,
-                        task: stored.task,
-                        job: stored.job,
-                        archive: stored.archive,
-                    },
-                    K_SEND,
-                    0,
-                );
+                let StoredResult { task, job, archive } = stored;
+                let done = Msg::TaskDone { server: self.params.id, task, job, archive };
+                self.deferred.send_at(ctx, read_done, node, done, K_SEND, 0);
             }
         }
     }
@@ -733,9 +740,6 @@ impl ServerActor {
             // Checkpoints must be durable to be worth anything.
             ctx.disk_write(bytes, true);
         }
-        if frames.is_empty() {
-            return;
-        }
         for frame in frames {
             // Each frame goes to its job's shard: a resume point is only
             // useful on the coordinator group that can re-dispatch the task.
@@ -802,12 +806,7 @@ impl Actor<Msg> for ServerActor {
             }
             Msg::TaskDoneAck { task, job } => {
                 self.note_reply(_from, ctx.now(), false);
-                // The slot goes, the record stays: a job re-executed here
-                // backs its archive off from the old attempt count.
-                self.plog.ack(log_key(&job));
-                if let Some(offer) = self.offers.get(&job) {
-                    self.offer_after.remove(&(offer.eligible_at, job));
-                }
+                self.acked(&job);
                 self.completing.remove(&task);
             }
             Msg::NeedArchives { jobs } => {

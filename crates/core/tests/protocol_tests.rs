@@ -11,7 +11,7 @@ use rpcv_core::util::CallSpec;
 use rpcv_log::LogStrategy;
 use rpcv_simnet::{Actor, Control, Ctx, NodeId, SimDuration, SimTime, TimerId};
 use rpcv_wire::Blob;
-use rpcv_xw::{JobKey, JobSpec};
+use rpcv_xw::{CoordId, JobKey, JobSpec, TaskDesc, TaskId};
 
 fn plan(n: usize, exec_secs: f64, param_bytes: u64, result_bytes: u64) -> Vec<CallSpec> {
     (0..n)
@@ -263,11 +263,12 @@ fn actors_are_inspectable() {
     assert!(grid.world.actor::<ServerActor>(grid.client_node).is_none());
 }
 
-/// Stands in for a client at the frame level: forwards what the harness
-/// injects to the coordinator, records what comes back.
+/// Stands in for a client (or a coordinator) at the frame level: forwards
+/// what the harness injects to the coordinator, records what the grid
+/// sends it and when.
 struct Probe {
     coord: NodeId,
-    heard: Vec<Msg>,
+    heard: Vec<(SimTime, Msg)>,
 }
 
 impl Actor<Msg> for Probe {
@@ -276,7 +277,7 @@ impl Actor<Msg> for Probe {
         if from == NodeId::EXTERNAL {
             ctx.send(self.coord, msg);
         } else {
-            self.heard.push(msg);
+            self.heard.push((ctx.now(), msg));
         }
     }
     fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _id: TimerId, _kind: u64) {}
@@ -294,7 +295,7 @@ fn gapped_submit_is_refused_and_acked_with_the_contiguous_prefix() {
     }
     grid.world.run_until(SimTime::from_secs(5));
     let acks: Vec<(u64, u64)> = (grid.world.actor::<Probe>(node).unwrap().heard.iter())
-        .filter_map(|m| match m {
+        .filter_map(|(_, m)| match m {
             Msg::SubmitAck { job, coord_max, .. } => Some((job.seq, *coord_max)),
             _ => None,
         })
@@ -303,4 +304,52 @@ fn gapped_submit_is_refused_and_acked_with_the_contiguous_prefix() {
     // prefix it did not extend); once 2 fills the hole, 3 registers.
     assert_eq!(acks, [(1, 1), (3, 1), (2, 2), (3, 3)]);
     assert_eq!(grid.coordinator(0).unwrap().db().stats().jobs, 3);
+}
+
+#[test]
+fn reexecuted_job_backs_off_from_its_own_first_send() {
+    // A delivery record lives exactly as long as its unacknowledged log
+    // entry.  A job completed and acknowledged, then executed again on the
+    // same server (a second instance after a wrong suspicion — routine
+    // under churn), starts its backoff over: the unanswered archive is
+    // re-offered one attempt-1 horizon (2 × 2 heartbeats) after it left,
+    // not an attempt-2 horizon (2² × 2 heartbeats) as if the acknowledged
+    // delivery had been a lost one.
+    let mut grid = SimGrid::build(GridSpec::confined(1, 1));
+    let (coord, server) = (grid.coords[0].1, grid.servers[0].1);
+    grid.world.install(coord, move |_| Box::new(Probe { coord, heard: Vec::new() }));
+    let job = JobKey::new(grid.client_key, 1);
+    let instance = |n: u64| TaskDesc {
+        id: TaskId::compose(CoordId(1), n),
+        job,
+        attempt: n as u32 - 1,
+        service: "bench".into(),
+        cmdline: String::new(),
+        params: Blob::synthetic(64, 1),
+        exec_cost: 1.0,
+        result_size_hint: 64,
+        work_units: 1,
+    };
+    let at = SimTime::from_secs;
+    grid.world.inject(at(1), server, Msg::Assign { task: instance(1), resume: None });
+    grid.world.inject(at(4), server, Msg::TaskDoneAck { task: instance(1).id, job });
+    grid.world.inject(at(6), server, Msg::Assign { task: instance(2), resume: None });
+    grid.world.run_until(at(60));
+    let heard = &grid.world.actor::<Probe>(coord).unwrap().heard;
+    let sent: Vec<SimTime> = (heard.iter())
+        .filter_map(|(t, m)| matches!(m, Msg::TaskDone { .. }).then_some(*t))
+        .collect();
+    assert_eq!(sent.len(), 2, "both instances delivered their archive");
+    let reoffered = (heard.iter())
+        .find(|(t, m)| {
+            *t > sent[1] && matches!(m, Msg::ServerBeat { offered, .. } if offered.contains(&job))
+        })
+        .map(|(t, _)| *t)
+        .expect("the unanswered archive is offered again");
+    // First beat past the horizon: 20 s after the send, within one beat.
+    let waited = reoffered.since(sent[1]);
+    assert!(
+        waited > SimDuration::from_secs(20) && waited <= SimDuration::from_secs(26),
+        "re-offered {waited} after the second send"
+    );
 }

@@ -928,11 +928,6 @@ impl CoordinatorDb {
         self.missing.iter().copied()
     }
 
-    /// O(1) fast path for the common nothing-missing case.
-    pub fn has_missing_archives(&self) -> bool {
-        !self.missing.is_empty()
-    }
-
     /// Drains the journal of additions to the missing set since the last
     /// call.  Keys may have left `missing` again in the meantime —
     /// consumers must tolerate stale entries (they do their own lookups).

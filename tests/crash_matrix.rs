@@ -168,6 +168,53 @@ fn failover_after_collection_never_reexecutes_collected_jobs() {
     assert_eq!(g.client_results(), 8);
 }
 
+/// The client's own word settles the watch list.  The successor learns
+/// "finished" from the t=20 s delta, one beat before the client tells the
+/// primary "collected" — so it watches four archives it neither holds nor
+/// knows delivered.  The primary dies with that knowledge; the client fails
+/// over and re-announces what it holds.  That re-ack takes the jobs out of
+/// the database's missing set *and* off the watch list at once: an entry
+/// left behind would fire `reexecute_job` a horizon later (t ≈ 80 s) —
+/// refused, the job is `Collected`, but one database op each, for every
+/// result re-announced after every failover.
+#[test]
+fn client_reack_after_failover_settles_the_successors_watch_list() {
+    let mut cfg = ProtocolConfig::confined()
+        .with_heartbeat(SimDuration::from_secs(1))
+        .with_suspicion(SimDuration::from_secs(5))
+        .with_replication_period(SimDuration::from_secs(20));
+    cfg.missing_archive_timeout = SimDuration::from_secs(10);
+    // One wave, finishing ~0.7 s before the first replication round.
+    let plan: Vec<CallSpec> =
+        (0..4).map(|i| CallSpec::new("b", Blob::synthetic(10_000, i), 18.3, 128)).collect();
+    let mut g = SimGrid::build(GridSpec::confined(2, 4).with_cfg(cfg).with_plan(plan));
+
+    g.world.run_until(SimTime::from_millis(20_500));
+    let successor = g.coordinator(1).expect("successor up");
+    assert_eq!(successor.db().finished_count(), 4, "the delta taught the successor the results");
+    assert_eq!(successor.metrics.collected_marks_applied, 0, "but not their collection");
+    assert_eq!(successor.resident_records(), 8, "four watches, each in the ordered view");
+
+    g.world.run_until(SimTime::from_secs(30));
+    assert_eq!(g.client_results(), 4);
+    assert_eq!(g.coordinator(0).unwrap().db().stats().collected, 0, "archives retained, flagged");
+    let tasks_before = g.coordinator(1).unwrap().db().stats().tasks;
+    g.world.crash_now(g.coords[0].1);
+
+    // Suspicion (5 s), the switch, one sync to learn the new incarnation,
+    // one beat to re-announce — long before the successor's own t=40 s
+    // round could have asked a live primary for the archives.
+    g.world.run_until(SimTime::from_secs(39));
+    let successor = g.coordinator(1).expect("successor up");
+    assert_eq!(successor.db().stats().collected, 4, "the re-ack is terminal knowledge");
+    assert_eq!(successor.resident_records(), 0, "and nothing stays watched");
+
+    g.world.run_until(SimTime::from_secs(150));
+    let successor = g.coordinator(1).expect("successor up");
+    assert_eq!(successor.metrics.reexecutions, 0);
+    assert_eq!(successor.db().stats().tasks, tasks_before, "no instance minted after failover");
+}
+
 /// Pruned-feed failover: the successor is cut off before the first
 /// replication round, so the primary — seeing no live successor — runs
 /// its delivered prefix through retention and its delta feed develops a
@@ -411,6 +458,7 @@ fn delivered_results_settle_stranded_server_logs() {
     g.world.run_until(SimTime::from_secs(40));
     let server = g.server(0).unwrap();
     assert_eq!(server.unacked_results(), 0, "offer settled, log reclaimable");
+    assert_eq!(server.resident_records(), 0, "and no delivery record outlives the entry");
     assert_eq!(server.metrics.archives_resent, 0, "settled, never re-requested");
     let coord = g.coordinator(0).unwrap();
     assert_eq!(coord.db().stats().duplicate_results, 0, "no duplicate delivery either");

@@ -511,3 +511,66 @@ fn protocol_traces_are_pinned() {
         "(c) sharded + checkpoints + wiped server"
     );
 }
+
+#[test]
+fn node_resident_state_tracks_live_work_not_lifetime_jobs() {
+    // What a volunteer host keeps per call — beside its bounded log — lives
+    // as long as the call is in flight.  Ten times the jobs through the
+    // same fault-free grid leave every node holding exactly what the
+    // shorter run left: nothing.
+    let drained = |jobs: u64| -> Vec<usize> {
+        let plan = (0..jobs).map(|i| CallSpec::new("b", Blob::synthetic(100, i), 0.5, 64));
+        let spec = GridSpec::confined(2, 4).with_seed(7).with_plan(plan.collect());
+        let mut grid = SimGrid::build(spec);
+        grid.run_until_done(SimTime::from_secs(3600)).expect("completes");
+        grid.world.run_for(SimDuration::from_secs(60));
+        let servers = (0..4).map(|i| grid.server(i).unwrap().resident_records());
+        let coords = (0..2).map(|i| grid.coordinator(i).unwrap().resident_records());
+        servers.chain(coords).chain([grid.client().unwrap().resident_records()]).collect()
+    };
+    assert_eq!(drained(20), [0; 7]);
+    assert_eq!(drained(200), [0; 7]);
+}
+
+#[test]
+fn every_unacked_result_has_exactly_one_offer_slot() {
+    // `ServerActor::resident_records` asserts (debug builds) that delivery
+    // records, offer slots and the unacknowledged log agree; read it where
+    // the three are rebuilt or torn down together.  The coordinator's acks
+    // are cut off, so both servers pile up delivered-but-unacknowledged
+    // archives; one of them restarts from its disk on top.
+    let plan = (0..6).map(|i| CallSpec::new("b", Blob::synthetic(100, i), 2.0, 64)).collect();
+    let cfg = ProtocolConfig::confined().with_heartbeat(SimDuration::from_secs(1));
+    let mut grid = SimGrid::build(GridSpec::confined(1, 2).with_cfg(cfg).with_plan(plan));
+    let coord = grid.coords[0].1;
+    let nodes: Vec<_> = grid.servers.iter().map(|&(_, n)| n).collect();
+    for &to in &nodes {
+        grid.world.schedule_control(
+            SimTime::from_millis(2500),
+            Control::Block { from: coord, to, bidir: false },
+        );
+        grid.world.schedule_control(
+            SimTime::from_secs(20),
+            Control::Unblock { from: coord, to, bidir: false },
+        );
+    }
+    grid.world.schedule_control(SimTime::from_secs(10), Control::Crash(nodes[0]));
+    grid.world.schedule_control(SimTime::from_secs(12), Control::Restart(nodes[0]));
+    // Restored: one record and one slot per surviving archive, nothing else
+    // (what was running or completing died with the process).
+    grid.world.run_until(SimTime::from_secs(13));
+    let restored = grid.server(0).unwrap();
+    assert!(
+        restored.unacked_results() > 0,
+        "the outage stranded an archive on the restarted server"
+    );
+    assert_eq!(restored.resident_records(), 2 * restored.unacked_results());
+    // Healed: every offer comes back `ArchivesSettled` (the coordinator
+    // stored the archives all along) and the records go with the entries.
+    grid.run_until_done(SimTime::from_secs(600)).expect("completes");
+    grid.world.run_for(SimDuration::from_secs(30));
+    for i in 0..2 {
+        let server = grid.server(i).unwrap();
+        assert_eq!((server.unacked_results(), server.resident_records()), (0, 0), "server {i}");
+    }
+}
