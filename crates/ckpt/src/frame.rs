@@ -177,5 +177,11 @@ mod tests {
         let f = frame();
         assert!(f.transfer_bytes() >= 4096, "modelled state must be charged");
         assert!(to_bytes(&f).len() < 64, "the frame itself stays small");
+        // Golden bytes: a field swapped in both directions still round-trips.
+        let bytes = to_bytes(&f);
+        assert_eq!(
+            (bytes.len(), rpcv_wire::crc64(&bytes), f.transfer_bytes()),
+            (27, 0x2e7f_59dd_968c_6d34, 4123)
+        );
     }
 }

@@ -696,7 +696,27 @@ impl WireDecode for Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpcv_wire::{from_bytes, to_bytes};
+    use rpcv_simnet::SimTime;
+    use rpcv_store::{DeltaRow, TaskRecord};
+    use rpcv_wire::{crc64, from_bytes, to_bytes};
+    use rpcv_xw::TaskState;
+
+    /// One row of every `DeltaRow` tag, with a task in every `TaskState`.
+    fn delta_rows() -> Vec<DeltaRow> {
+        let job = JobKey::new(ClientKey::new(1, 2), 1);
+        let task = |n, state| {
+            DeltaRow::Task(TaskRecord { id: TaskId(n), job, attempt: 1, state, origin: CoordId(1) })
+        };
+        vec![
+            DeltaRow::Job(JobSpec::new(job, "svc", Blob::synthetic(700, 6)).with_work_units(60)),
+            task(7, TaskState::Pending),
+            task(8, TaskState::Ongoing { server: ServerId(3), since: SimTime::from_secs(9) }),
+            task(9, TaskState::Finished { result_size: 64 }),
+            DeltaRow::Mark { client: job.client, mark: 1 },
+            DeltaRow::Collected { job },
+            DeltaRow::Ckpt { job, unit_hw: 24, blob: Blob::synthetic(2000, 4) },
+        ]
+    }
 
     fn samples() -> Vec<Msg> {
         vec![
@@ -781,7 +801,7 @@ mod tests {
                     from: CoordId(1),
                     base_version: 3,
                     head_version: 4,
-                    rows: vec![],
+                    rows: delta_rows(),
                 },
                 want_archives: vec![JobKey::new(ClientKey::new(1, 2), 1)],
             },
@@ -845,6 +865,52 @@ mod tests {
             let back: Msg = from_bytes(&bytes).unwrap();
             assert_eq!(back, msg, "roundtrip failed for {}", msg.kind());
         }
+    }
+
+    /// `(kind, frame bytes, CRC-64 of the frame, wire_size)` per sample.
+    /// A round-trip passes when a field moves in *both* directions; these
+    /// constants do not.  A deliberate format change re-captures the table
+    /// the failure prints.
+    const GOLDEN: &[(&str, usize, u64, u64)] = &[
+        ("ClientBeat", 8, 0x3e12_02cb_f0ae_95ce, 8),
+        ("Submit", 23, 0x574b_8f12_69f6_51d3, 123),
+        ("SubmitBatch", 2, 0xebc2_beb3_e8eb_b89d, 2),
+        ("ResultsRequest", 6, 0xe3dd_3123_57ee_1ce9, 6),
+        ("SubmitAck", 6, 0xdaa7_d287_0e58_7306, 6),
+        ("ClientSyncReply", 13, 0x37ea_dbed_4dca_277e, 13),
+        ("ResultsReply", 10, 0xea44_39c5_62e1_5606, 10),
+        ("ServerBeat", 9, 0x9d6d_04b0_d20d_5b1d, 9),
+        ("TaskDone", 10, 0x6a45_e3e8_aeda_24fe, 5010),
+        ("Assign", 31, 0x15a4_df4d_e443_eefb, 2331),
+        ("CkptOffer", 22, 0xf1d4_80b3_e088_89e9, 2022),
+        ("CkptAck", 6, 0x1ba6_4308_798b_d777, 6),
+        ("NoWork", 1, 0x1c88_102d_3339_2364, 1),
+        ("TaskDoneAck", 5, 0x0def_e848_1097_1402, 5),
+        ("NeedArchives", 5, 0x4792_3e87_e82e_2fd5, 5),
+        ("ArchivesSettled", 5, 0x447e_9f22_a146_0cc3, 5),
+        ("ReplDelta", 81, 0x700d_480c_a87b_4f29, 2781),
+        ("ReplAck", 3, 0xaebd_37ba_9a11_e683, 3),
+        ("ReplArchives", 9, 0x2ec7_790b_55cc_d300, 73),
+        ("ApiSubmit", 18, 0xd241_925c_163e_9284, 18),
+        ("Batch", 12, 0x2be7_e468_3078_7c73, 12),
+        ("Corrupt", 2, 0xac29_2542_1609_1c6e, 2),
+        ("SnapshotRequest", 2, 0xfe7f_ba5a_b3cd_95b9, 2),
+        ("SnapshotChunk", 73, 0xa815_20a2_8e39_aef8, 5073),
+        ("ShardMap", 8, 0x9ed3_b648_afea_a779, 8),
+        ("StatusRequest", 2, 0x1ae5_cb5a_614c_f6a4, 2),
+        ("StatusReply", 45, 0x3a41_e998_690d_f553, 45),
+    ];
+
+    #[test]
+    fn sample_frames_are_byte_pinned() {
+        let got: Vec<(&str, usize, u64, u64)> = samples()
+            .iter()
+            .map(|m| {
+                let bytes = to_bytes(m);
+                (m.kind(), bytes.len(), crc64(&bytes), m.wire_size())
+            })
+            .collect();
+        assert_eq!(got, GOLDEN, "captured now: {got:?}");
     }
 
     #[test]

@@ -168,6 +168,12 @@ mod tests {
         let s = snap();
         assert!(s.transfer_bytes() >= 4096 + 1000, "params + ckpt state");
         assert!(s.transfer_bytes() < 4096 + 1000 + 256, "frame overhead stays small");
+        // Golden bytes: a field swapped in both directions still round-trips.
+        let bytes = to_bytes(&s);
+        assert_eq!(
+            (bytes.len(), rpcv_wire::crc64(&bytes), s.transfer_bytes()),
+            (51, 0xff2d_fdcb_2eaa_f4b3, 5147)
+        );
     }
 
     #[test]

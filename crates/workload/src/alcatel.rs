@@ -348,8 +348,18 @@ mod tests {
     fn config_roundtrips() {
         let mut rng = DetRng::new(1);
         let cfg = NetworkConfig::generate(&mut rng, 30);
-        let back: NetworkConfig = from_bytes(&to_bytes(&cfg)).unwrap();
+        let bytes = to_bytes(&cfg);
+        let back: NetworkConfig = from_bytes(&bytes).unwrap();
         assert_eq!(back, cfg);
+        let report = evaluate(&cfg);
+        let report_bytes = to_bytes(&report);
+        assert_eq!(from_bytes::<EvalReport>(&report_bytes).unwrap(), report);
+        // Golden bytes: a field swapped in both directions still round-trips.
+        assert_eq!((bytes.len(), rpcv_wire::crc64(&bytes)), (1203, 0xe7e2_a12b_f615_4f19));
+        assert_eq!(
+            (report_bytes.len(), rpcv_wire::crc64(&report_bytes)),
+            (242, 0x1f0e_033d_a0b2_2b61)
+        );
     }
 
     #[test]

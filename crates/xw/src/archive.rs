@@ -104,6 +104,8 @@ mod tests {
         assert_eq!(back, a);
         assert_eq!(back.content_bytes(), 5 + 4096);
         assert_eq!(back.len(), 2);
+        // Golden bytes: a field swapped in both directions still round-trips.
+        assert_eq!((frame.len(), rpcv_wire::crc64(&frame)), (46, 0xb66a_7365_4282_cac0));
     }
 
     #[test]
