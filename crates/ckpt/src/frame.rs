@@ -9,9 +9,7 @@
 //! with the typed [`rpcv_wire::WireError::DigestMismatch`], never silently
 //! dropped (the coordinator counts rejections).
 
-use rpcv_wire::{
-    verify_digest, Blob, Reader, SizeWriter, WireDecode, WireEncode, WireError, WireWrite, Writer,
-};
+use rpcv_wire::{to_bytes, verify_digest, wire_record, Blob, WireEncode, WireError};
 use rpcv_xw::{JobKey, TaskId};
 
 /// One checkpoint as shipped server → coordinator.
@@ -47,24 +45,16 @@ impl CheckpointFrame {
         blob: Blob,
     ) -> Self {
         let mut f = CheckpointFrame { job, task, attempt, unit_hw, units_total, blob, digest: 0 };
-        f.digest = f.body_digest();
+        f.digest = rpcv_wire::crc64(&f.body());
         f
     }
 
-    /// CRC-64 over the canonical body encoding (the digest field excluded).
-    fn body_digest(&self) -> u64 {
-        let mut w = Writer::new();
-        self.encode_body(&mut w);
-        rpcv_wire::crc64(w.as_slice())
-    }
-
-    fn encode_body<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        self.job.encode(w);
-        self.task.encode(w);
-        w.put_uvarint(self.attempt as u64);
-        w.put_uvarint(self.unit_hw as u64);
-        w.put_uvarint(self.units_total as u64);
-        self.blob.encode(w);
+    /// The canonical body encoding: the frame minus its trailing digest
+    /// field (the one thing the digest cannot cover).
+    fn body(&self) -> Vec<u8> {
+        let mut bytes = to_bytes(self);
+        bytes.truncate(bytes.len() - self.digest.encoded_len() as usize);
+        bytes
     }
 
     /// Re-derives the body digest and compares it to the declared one —
@@ -73,9 +63,7 @@ impl CheckpointFrame {
     /// archives).  Also rejects a high-water mark past the declared total
     /// (a frame that passed CRC but lies about progress).
     pub fn verify(&self) -> Result<(), WireError> {
-        let mut w = Writer::new();
-        self.encode_body(&mut w);
-        verify_digest(w.as_slice(), self.digest)?;
+        verify_digest(&self.body(), self.digest)?;
         if self.unit_hw > self.units_total {
             return Err(WireError::LengthOverflow {
                 len: self.unit_hw as u64,
@@ -84,43 +72,14 @@ impl CheckpointFrame {
         }
         Ok(())
     }
-
-    /// Modelled transfer size: frame bytes plus the synthetic-blob payload
-    /// (the network must charge the full state size even when the blob is
-    /// modelled).
-    pub fn transfer_bytes(&self) -> u64 {
-        let mut w = SizeWriter::default();
-        self.encode(&mut w);
-        let extra = if self.blob.is_synthetic() { self.blob.len() } else { 0 };
-        w.len() + extra
-    }
 }
 
-impl WireEncode for CheckpointFrame {
-    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        self.encode_body(w);
-        w.put_uvarint(self.digest);
-    }
-}
-
-impl WireDecode for CheckpointFrame {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(CheckpointFrame {
-            job: JobKey::decode(r)?,
-            task: TaskId::decode(r)?,
-            attempt: u32::decode(r)?,
-            unit_hw: u32::decode(r)?,
-            units_total: u32::decode(r)?,
-            blob: Blob::decode(r)?,
-            digest: r.get_uvarint()?,
-        })
-    }
-}
+wire_record!(CheckpointFrame { job, task, attempt, unit_hw, units_total, blob, digest });
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpcv_wire::{from_bytes, to_bytes};
+    use rpcv_wire::from_bytes;
     use rpcv_xw::{ClientKey, CoordId};
 
     fn frame() -> CheckpointFrame {
@@ -175,12 +134,11 @@ mod tests {
     #[test]
     fn transfer_charges_synthetic_state() {
         let f = frame();
-        assert!(f.transfer_bytes() >= 4096, "modelled state must be charged");
-        assert!(to_bytes(&f).len() < 64, "the frame itself stays small");
         // Golden bytes: a field swapped in both directions still round-trips.
+        // The charge is the 27 B frame + the 4096 B of modelled state.
         let bytes = to_bytes(&f);
         assert_eq!(
-            (bytes.len(), rpcv_wire::crc64(&bytes), f.transfer_bytes()),
+            (bytes.len(), rpcv_wire::crc64(&bytes), f.transfer_len()),
             (27, 0x2e7f_59dd_968c_6d34, 4123)
         );
     }

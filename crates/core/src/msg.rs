@@ -10,7 +10,7 @@
 use rpcv_ckpt::CheckpointFrame;
 use rpcv_simnet::WireSized;
 use rpcv_store::ReplicationDelta;
-use rpcv_wire::{Blob, Reader, WireDecode, WireEncode, WireError, WireWrite};
+use rpcv_wire::{wire_enum, wire_record, Blob, Reader, WireDecode, WireEncode, WireError};
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, ServiceName, TaskDesc, TaskId};
 
 /// A finished RPC's result as shipped to the client.
@@ -22,18 +22,7 @@ pub struct RpcResult {
     pub archive: Blob,
 }
 
-impl WireEncode for RpcResult {
-    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        self.job.encode(w);
-        self.archive.encode(w);
-    }
-}
-
-impl WireDecode for RpcResult {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(RpcResult { job: JobKey::decode(r)?, archive: Blob::decode(r)? })
-    }
-}
+wire_record!(RpcResult { job, archive });
 
 /// Resume directive riding an [`Msg::Assign`]: the assigned instance
 /// starts from `unit_hw` with `blob` as its restored state, instead of
@@ -48,18 +37,7 @@ pub struct ResumeFrom {
     pub blob: Blob,
 }
 
-impl WireEncode for ResumeFrom {
-    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        w.put_uvarint(self.unit_hw as u64);
-        self.blob.encode(w);
-    }
-}
-
-impl WireDecode for ResumeFrom {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ResumeFrom { unit_hw: u32::decode(r)?, blob: Blob::decode(r)? })
-    }
-}
+wire_record!(ResumeFrom { unit_hw, blob });
 
 /// Every RPC-V protocol message.
 #[derive(Debug, Clone, PartialEq)]
@@ -367,329 +345,63 @@ pub enum Msg {
     },
 }
 
-const TAGS: &[(&str, u8)] = &[
-    ("ClientBeat", 0),
-    ("Submit", 1),
-    ("SubmitBatch", 2),
-    ("ResultsRequest", 3),
-    ("SubmitAck", 4),
-    ("ClientSyncReply", 5),
-    ("ResultsReply", 6),
-    ("ServerBeat", 7),
-    ("TaskDone", 8),
-    ("Assign", 9),
-    ("NoWork", 10),
-    ("TaskDoneAck", 11),
-    ("NeedArchives", 12),
-    ("ReplDelta", 13),
-    ("ReplAck", 14),
-    ("ApiSubmit", 15),
-    ("ReplArchives", 16),
-    ("ArchivesSettled", 17),
-    ("CkptOffer", 18),
-    ("CkptAck", 19),
-    ("Batch", 20),
-    ("Corrupt", 21),
-    ("SnapshotRequest", 22),
-    ("SnapshotChunk", 23),
-    ("ShardMap", 24),
-    ("StatusRequest", 25),
-    ("StatusReply", 26),
-];
+wire_enum!(Msg {
+    0 => ClientBeat { client, max_seq, collected, catalog_seq },
+    1 => Submit { spec },
+    2 => SubmitBatch { specs },
+    3 => ResultsRequest { client, want },
+    4 => SubmitAck { job, coord_max, epoch },
+    5 => ClientSyncReply { coord_max, epoch, catalog_base, catalog_head, available, removed },
+    6 => ResultsReply { results },
+    7 => ServerBeat { server, want_work, running, offered },
+    8 => TaskDone { server, task, job, archive },
+    9 => Assign { task, resume },
+    10 => NoWork {},
+    11 => TaskDoneAck { task, job },
+    12 => NeedArchives { jobs },
+    13 => ReplDelta { delta, want_archives },
+    14 => ReplAck { from, head_version },
+    15 => ApiSubmit { service, params, exec_cost, result_size, replication, work_units },
+    16 => ReplArchives { from, results },
+    17 => ArchivesSettled { jobs },
+    18 => CkptOffer { server, frame },
+    19 => CkptAck { task, job, unit_hw },
+    20 => Batch { parts = decode_flat_parts },
+    21 => Corrupt { len },
+    22 => SnapshotRequest { from },
+    23 => SnapshotChunk { from, version, seq, total, extra, payload },
+    24 => ShardMap { groups },
+    25 => StatusRequest { nonce },
+    26 => StatusReply { coord, nonce, sealed },
+});
 
-impl Msg {
-    /// Message kind name (for traces).
-    pub fn kind(&self) -> &'static str {
-        TAGS[self.tag() as usize].0
-    }
-
-    fn tag(&self) -> u8 {
-        match self {
-            Msg::ClientBeat { .. } => 0,
-            Msg::Submit { .. } => 1,
-            Msg::SubmitBatch { .. } => 2,
-            Msg::ResultsRequest { .. } => 3,
-            Msg::SubmitAck { .. } => 4,
-            Msg::ClientSyncReply { .. } => 5,
-            Msg::ResultsReply { .. } => 6,
-            Msg::ServerBeat { .. } => 7,
-            Msg::TaskDone { .. } => 8,
-            Msg::Assign { .. } => 9,
-            Msg::NoWork => 10,
-            Msg::TaskDoneAck { .. } => 11,
-            Msg::NeedArchives { .. } => 12,
-            Msg::ReplDelta { .. } => 13,
-            Msg::ReplAck { .. } => 14,
-            Msg::ApiSubmit { .. } => 15,
-            Msg::ReplArchives { .. } => 16,
-            Msg::ArchivesSettled { .. } => 17,
-            Msg::CkptOffer { .. } => 18,
-            Msg::CkptAck { .. } => 19,
-            Msg::Batch { .. } => 20,
-            Msg::Corrupt { .. } => 21,
-            Msg::SnapshotRequest { .. } => 22,
-            Msg::SnapshotChunk { .. } => 23,
-            Msg::ShardMap { .. } => 24,
-            Msg::StatusRequest { .. } => 25,
-            Msg::StatusReply { .. } => 26,
+/// A batch's parts, refusing a nested batch *before* descending into it:
+/// a batch inside a batch would let corrupted or hostile bytes choose the
+/// decoder's recursion depth, and the protocol never produces one.
+fn decode_flat_parts(r: &mut Reader<'_>) -> Result<Vec<Msg>, WireError> {
+    let len = r.get_seq_len()?;
+    let mut parts = Vec::with_capacity(len.min(4096));
+    for _ in 0..len {
+        // 20 is `Batch`'s row in the table above.
+        if r.clone().get_u8()? == 20 {
+            return Err(WireError::Nested { ty: "Msg::Batch" });
         }
+        parts.push(Msg::decode(r)?);
     }
-
-    /// Extra transfer bytes for modelled (synthetic) payloads: their wire
-    /// frame is a few bytes, but the network must charge the full payload.
-    fn payload_extra(&self) -> u64 {
-        fn extra(b: &Blob) -> u64 {
-            if b.is_synthetic() {
-                b.len()
-            } else {
-                0
-            }
-        }
-        match self {
-            Msg::Submit { spec } => extra(&spec.params),
-            Msg::SubmitBatch { specs } => specs.iter().map(|s| extra(&s.params)).sum(),
-            Msg::ResultsReply { results } => results.iter().map(|r| extra(&r.archive)).sum(),
-            Msg::TaskDone { archive, .. } => extra(archive),
-            Msg::Assign { task, resume } => {
-                extra(&task.params) + resume.as_ref().map_or(0, |r| extra(&r.blob))
-            }
-            Msg::CkptOffer { frame, .. } => extra(&frame.blob),
-            Msg::ReplDelta { delta, .. } => {
-                delta.jobs().map(|j| extra(&j.params)).sum::<u64>()
-                    + delta.ckpts().map(|(_, _, b)| extra(b)).sum::<u64>()
-            }
-            Msg::ReplArchives { results, .. } => results.iter().map(|r| extra(&r.archive)).sum(),
-            Msg::ApiSubmit { params, .. } => extra(params),
-            Msg::Batch { parts } => parts.iter().map(Msg::payload_extra).sum(),
-            // `extra` carries the chunk's apportioned share of the
-            // frame's modelled payloads (computed by the sender from
-            // `Snapshot::transfer_bytes`), on top of any synthetic chunk
-            // body.
-            Msg::SnapshotChunk { extra: apportioned, payload, .. } => *apportioned + extra(payload),
-            _ => 0,
-        }
-    }
+    Ok(parts)
 }
 
 impl WireSized for Msg {
+    /// The bytes a send is charged: the frame plus the modelled payloads
+    /// it stands for, from one counting pass, plus — for a snapshot chunk,
+    /// which is never batched — its apportioned share of the payloads the
+    /// whole snapshot stands for.
     fn wire_size(&self) -> u64 {
-        self.encoded_len() + self.payload_extra()
-    }
-}
-
-impl WireEncode for Msg {
-    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        w.put_u8(self.tag());
-        match self {
-            Msg::ClientBeat { client, max_seq, collected, catalog_seq } => {
-                client.encode(w);
-                w.put_uvarint(*max_seq);
-                collected.encode(w);
-                w.put_uvarint(*catalog_seq);
-            }
-            Msg::Submit { spec } => spec.encode(w),
-            Msg::SubmitBatch { specs } => specs.encode(w),
-            Msg::ResultsRequest { client, want } => {
-                client.encode(w);
-                want.encode(w);
-            }
-            Msg::SubmitAck { job, coord_max, epoch } => {
-                job.encode(w);
-                w.put_uvarint(*coord_max);
-                w.put_uvarint(*epoch);
-            }
-            Msg::ClientSyncReply {
-                coord_max,
-                epoch,
-                catalog_base,
-                catalog_head,
-                available,
-                removed,
-            } => {
-                w.put_uvarint(*coord_max);
-                w.put_uvarint(*epoch);
-                w.put_uvarint(*catalog_base);
-                w.put_uvarint(*catalog_head);
-                available.encode(w);
-                removed.encode(w);
-            }
-            Msg::ResultsReply { results } => results.encode(w),
-            Msg::ServerBeat { server, want_work, running, offered } => {
-                server.encode(w);
-                w.put_uvarint(*want_work as u64);
-                running.encode(w);
-                offered.encode(w);
-            }
-            Msg::TaskDone { server, task, job, archive } => {
-                server.encode(w);
-                task.encode(w);
-                job.encode(w);
-                archive.encode(w);
-            }
-            Msg::Assign { task, resume } => {
-                task.encode(w);
-                resume.encode(w);
-            }
-            Msg::CkptOffer { server, frame } => {
-                server.encode(w);
-                frame.encode(w);
-            }
-            Msg::CkptAck { task, job, unit_hw } => {
-                task.encode(w);
-                job.encode(w);
-                w.put_uvarint(*unit_hw as u64);
-            }
-            Msg::NoWork => {}
-            Msg::TaskDoneAck { task, job } => {
-                task.encode(w);
-                job.encode(w);
-            }
-            Msg::NeedArchives { jobs } => jobs.encode(w),
-            Msg::ArchivesSettled { jobs } => jobs.encode(w),
-            Msg::ReplDelta { delta, want_archives } => {
-                delta.encode(w);
-                want_archives.encode(w);
-            }
-            Msg::ReplAck { from, head_version } => {
-                from.encode(w);
-                w.put_uvarint(*head_version);
-            }
-            Msg::ApiSubmit { service, params, exec_cost, result_size, replication, work_units } => {
-                service.encode(w);
-                params.encode(w);
-                w.put_f64(*exec_cost);
-                w.put_uvarint(*result_size);
-                w.put_uvarint(*replication as u64);
-                w.put_uvarint(*work_units as u64);
-            }
-            Msg::ReplArchives { from, results } => {
-                from.encode(w);
-                results.encode(w);
-            }
-            Msg::Batch { parts } => parts.encode(w),
-            Msg::Corrupt { len } => w.put_uvarint(*len),
-            Msg::SnapshotRequest { from } => from.encode(w),
-            Msg::SnapshotChunk { from, version, seq, total, extra, payload } => {
-                from.encode(w);
-                w.put_uvarint(*version);
-                w.put_uvarint(*seq as u64);
-                w.put_uvarint(*total as u64);
-                w.put_uvarint(*extra);
-                payload.encode(w);
-            }
-            Msg::ShardMap { groups } => groups.encode(w),
-            Msg::StatusRequest { nonce } => w.put_uvarint(*nonce),
-            Msg::StatusReply { coord, nonce, sealed } => {
-                coord.encode(w);
-                w.put_uvarint(*nonce);
-                sealed.encode(w);
-            }
-        }
-    }
-}
-
-impl WireDecode for Msg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.get_u8()?;
-        Ok(match tag {
-            0 => Msg::ClientBeat {
-                client: ClientKey::decode(r)?,
-                max_seq: r.get_uvarint()?,
-                collected: Vec::<u64>::decode(r)?,
-                catalog_seq: r.get_uvarint()?,
-            },
-            1 => Msg::Submit { spec: JobSpec::decode(r)? },
-            2 => Msg::SubmitBatch { specs: Vec::<JobSpec>::decode(r)? },
-            3 => {
-                Msg::ResultsRequest { client: ClientKey::decode(r)?, want: Vec::<u64>::decode(r)? }
-            }
-            4 => Msg::SubmitAck {
-                job: JobKey::decode(r)?,
-                coord_max: r.get_uvarint()?,
-                epoch: r.get_uvarint()?,
-            },
-            5 => Msg::ClientSyncReply {
-                coord_max: r.get_uvarint()?,
-                epoch: r.get_uvarint()?,
-                catalog_base: r.get_uvarint()?,
-                catalog_head: r.get_uvarint()?,
-                available: Vec::<(u64, u64)>::decode(r)?,
-                removed: Vec::<u64>::decode(r)?,
-            },
-            6 => Msg::ResultsReply { results: Vec::<RpcResult>::decode(r)? },
-            7 => Msg::ServerBeat {
-                server: ServerId::decode(r)?,
-                want_work: u32::decode(r)?,
-                running: Vec::<TaskId>::decode(r)?,
-                offered: Vec::<JobKey>::decode(r)?,
-            },
-            8 => Msg::TaskDone {
-                server: ServerId::decode(r)?,
-                task: TaskId::decode(r)?,
-                job: JobKey::decode(r)?,
-                archive: Blob::decode(r)?,
-            },
-            9 => {
-                Msg::Assign { task: TaskDesc::decode(r)?, resume: Option::<ResumeFrom>::decode(r)? }
-            }
-            10 => Msg::NoWork,
-            11 => Msg::TaskDoneAck { task: TaskId::decode(r)?, job: JobKey::decode(r)? },
-            12 => Msg::NeedArchives { jobs: Vec::<JobKey>::decode(r)? },
-            13 => Msg::ReplDelta {
-                delta: ReplicationDelta::decode(r)?,
-                want_archives: Vec::<JobKey>::decode(r)?,
-            },
-            14 => Msg::ReplAck { from: CoordId::decode(r)?, head_version: r.get_uvarint()? },
-            15 => Msg::ApiSubmit {
-                service: ServiceName::decode(r)?,
-                params: Blob::decode(r)?,
-                exec_cost: r.get_f64()?,
-                result_size: r.get_uvarint()?,
-                replication: u32::decode(r)?,
-                work_units: u32::decode(r)?,
-            },
-            16 => Msg::ReplArchives {
-                from: CoordId::decode(r)?,
-                results: Vec::<RpcResult>::decode(r)?,
-            },
-            17 => Msg::ArchivesSettled { jobs: Vec::<JobKey>::decode(r)? },
-            18 => {
-                Msg::CkptOffer { server: ServerId::decode(r)?, frame: CheckpointFrame::decode(r)? }
-            }
-            19 => Msg::CkptAck {
-                task: TaskId::decode(r)?,
-                job: JobKey::decode(r)?,
-                unit_hw: u32::decode(r)?,
-            },
-            20 => {
-                let parts = Vec::<Msg>::decode(r)?;
-                // A batch inside a batch would let corrupted or hostile
-                // bytes drive unbounded decode recursion; the protocol
-                // never produces one, so reject it as a typed error.
-                if parts.iter().any(|p| matches!(p, Msg::Batch { .. })) {
-                    return Err(WireError::Nested { ty: "Msg::Batch" });
-                }
-                Msg::Batch { parts }
-            }
-            21 => Msg::Corrupt { len: r.get_uvarint()? },
-            22 => Msg::SnapshotRequest { from: CoordId::decode(r)? },
-            23 => Msg::SnapshotChunk {
-                from: CoordId::decode(r)?,
-                version: r.get_uvarint()?,
-                seq: u32::decode(r)?,
-                total: u32::decode(r)?,
-                extra: r.get_uvarint()?,
-                payload: Blob::decode(r)?,
-            },
-            24 => Msg::ShardMap { groups: Vec::<Vec<CoordId>>::decode(r)? },
-            25 => Msg::StatusRequest { nonce: r.get_uvarint()? },
-            26 => Msg::StatusReply {
-                coord: CoordId::decode(r)?,
-                nonce: r.get_uvarint()?,
-                sealed: Blob::decode(r)?,
-            },
-            tag => return Err(WireError::InvalidTag { ty: "Msg", tag: tag as u64 }),
-        })
+        let apportioned = match self {
+            Msg::SnapshotChunk { extra, .. } => *extra,
+            _ => 0,
+        };
+        self.transfer_len() + apportioned
     }
 }
 
@@ -854,8 +566,8 @@ mod tests {
         let mut tags: Vec<u8> = samples().iter().map(|m| m.tag()).collect();
         tags.sort_unstable();
         tags.dedup();
-        assert_eq!(tags.len(), TAGS.len(), "every tag needs a roundtrip sample");
-        assert_eq!(*tags.last().unwrap() as usize, TAGS.len() - 1, "tags must be dense");
+        assert_eq!(tags.len(), Msg::KINDS.len(), "every tag needs a roundtrip sample");
+        assert_eq!(*tags.last().unwrap() as usize, Msg::KINDS.len() - 1, "tags must be dense");
     }
 
     #[test]
@@ -1002,7 +714,7 @@ mod tests {
 
     #[test]
     fn kind_names_are_unique() {
-        let mut names: Vec<&str> = samples().iter().map(|m| m.kind()).collect();
+        let mut names: Vec<&str> = Msg::KINDS.iter().map(|&(_, name)| name).collect();
         names.sort_unstable();
         let before = names.len();
         names.dedup();

@@ -17,7 +17,7 @@
 //! version order, which guarantees a job row always precedes the task and
 //! collected rows that reference it.
 
-use rpcv_wire::{Blob, Reader, WireDecode, WireEncode, WireError, WireWrite};
+use rpcv_wire::{wire_enum, wire_record, Blob};
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, TaskId, TaskState};
 
 /// Replicated view of one task row.
@@ -35,32 +35,12 @@ pub struct TaskRecord {
     pub origin: CoordId,
 }
 
-impl WireEncode for TaskRecord {
-    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        self.id.encode(w);
-        self.job.encode(w);
-        w.put_uvarint(self.attempt as u64);
-        self.state.encode(w);
-        self.origin.encode(w);
-    }
-}
-
-impl WireDecode for TaskRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(TaskRecord {
-            id: TaskId::decode(r)?,
-            job: JobKey::decode(r)?,
-            attempt: u32::decode(r)?,
-            state: TaskState::decode(r)?,
-            origin: CoordId::decode(r)?,
-        })
-    }
-}
+wire_record!(TaskRecord { id, job, attempt, state, origin });
 
 /// One typed row of a replication delta, in the sender's version order.
 ///
-/// Wire shape: a one-byte tag (`0` job, `1` task, `2` mark, `3` collected)
-/// followed by the row payload.
+/// Wire shape: a one-byte tag followed by the row payload — the
+/// `wire_enum!` table below is the format.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeltaRow {
     /// A job description created since the base version — carries the RPC
@@ -101,53 +81,13 @@ pub enum DeltaRow {
     },
 }
 
-impl WireEncode for DeltaRow {
-    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        match self {
-            DeltaRow::Job(spec) => {
-                w.put_u8(0);
-                spec.encode(w);
-            }
-            DeltaRow::Task(rec) => {
-                w.put_u8(1);
-                rec.encode(w);
-            }
-            DeltaRow::Mark { client, mark } => {
-                w.put_u8(2);
-                client.encode(w);
-                w.put_uvarint(*mark);
-            }
-            DeltaRow::Collected { job } => {
-                w.put_u8(3);
-                job.encode(w);
-            }
-            DeltaRow::Ckpt { job, unit_hw, blob } => {
-                w.put_u8(4);
-                job.encode(w);
-                w.put_uvarint(*unit_hw as u64);
-                blob.encode(w);
-            }
-        }
-    }
-}
-
-impl WireDecode for DeltaRow {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.get_u8()?;
-        Ok(match tag {
-            0 => DeltaRow::Job(JobSpec::decode(r)?),
-            1 => DeltaRow::Task(TaskRecord::decode(r)?),
-            2 => DeltaRow::Mark { client: ClientKey::decode(r)?, mark: r.get_uvarint()? },
-            3 => DeltaRow::Collected { job: JobKey::decode(r)? },
-            4 => DeltaRow::Ckpt {
-                job: JobKey::decode(r)?,
-                unit_hw: u32::decode(r)?,
-                blob: Blob::decode(r)?,
-            },
-            tag => return Err(WireError::InvalidTag { ty: "DeltaRow", tag: tag as u64 }),
-        })
-    }
-}
+wire_enum!(DeltaRow {
+    0 => Job { 0: spec },
+    1 => Task { 0: rec },
+    2 => Mark { client, mark },
+    3 => Collected { job },
+    4 => Ckpt { job, unit_hw, blob },
+});
 
 /// A versioned state delta from one coordinator to another.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -213,46 +153,14 @@ impl ReplicationDelta {
             _ => None,
         })
     }
-
-    /// Modelled payload bytes: frame plus the parameter payloads carried by
-    /// the job descriptions and the resume-state blobs carried by the
-    /// checkpoint rows (synthetic blobs keep the frame itself tiny, but
-    /// the *transfer* must be charged for the full payload size).
-    pub fn transfer_bytes(&self) -> u64 {
-        self.encoded_len()
-            + self.jobs().map(|j| j.params.len()).sum::<u64>()
-            + self
-                .ckpts()
-                .filter(|(_, _, b)| b.is_synthetic())
-                .map(|(_, _, b)| b.len())
-                .sum::<u64>()
-    }
 }
 
-impl WireEncode for ReplicationDelta {
-    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        self.from.encode(w);
-        w.put_uvarint(self.base_version);
-        w.put_uvarint(self.head_version);
-        self.rows.encode(w);
-    }
-}
-
-impl WireDecode for ReplicationDelta {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ReplicationDelta {
-            from: CoordId::decode(r)?,
-            base_version: r.get_uvarint()?,
-            head_version: r.get_uvarint()?,
-            rows: Vec::<DeltaRow>::decode(r)?,
-        })
-    }
-}
+wire_record!(ReplicationDelta { from, base_version, head_version, rows });
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpcv_wire::{from_bytes, to_bytes, Blob};
+    use rpcv_wire::{from_bytes, to_bytes, WireEncode, WireError};
 
     fn delta() -> ReplicationDelta {
         ReplicationDelta {
@@ -303,13 +211,14 @@ mod tests {
     }
 
     #[test]
-    fn transfer_bytes_counts_params_and_ckpt_state() {
+    fn transfer_counts_params_and_ckpt_state() {
         let d = delta();
-        assert!(
-            d.transfer_bytes() >= 5000 + 2000,
-            "must include the params payload and the checkpoint state"
+        assert_eq!(
+            d.transfer_len(),
+            d.encoded_len() + 5000 + 2000,
+            "the frame, the params payload and the checkpoint state"
         );
-        assert!(d.transfer_bytes() < 5000 + 2000 + 200, "frame overhead should stay small");
+        assert!(d.encoded_len() < 200, "frame overhead should stay small");
     }
 
     #[test]
@@ -331,7 +240,7 @@ mod tests {
         };
         // A collection ack is a tag plus a job key: a steady-state round
         // acknowledging a whole collection window stays well under 1 KB.
-        assert!(d.transfer_bytes() < 1024, "got {}", d.transfer_bytes());
+        assert!(d.transfer_len() < 1024, "got {}", d.transfer_len());
     }
 
     #[test]

@@ -136,8 +136,9 @@ impl WireEncode for Blob {
     /// Wire form preserves the representation: synthetic blobs travel as
     /// `{len, seed}` (9–21 bytes) rather than as generated content.  Both
     /// simulator and threaded runtime therefore agree on wire sizes being
-    /// the *modelled* payload size, which is accounted separately via
-    /// [`Blob::len`]; the frame itself stays cheap.
+    /// the *modelled* payload size, which a synthetic blob reports to the
+    /// writer ([`WireWrite::modelled`]) beside its frame bytes; the frame
+    /// itself stays cheap.
     fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
         match self {
             Blob::Inline(b) => {
@@ -148,6 +149,7 @@ impl WireEncode for Blob {
                 w.put_u8(TAG_SYNTHETIC);
                 w.put_uvarint(*len);
                 w.put_uvarint(*seed);
+                w.modelled(*len);
             }
         }
     }
@@ -220,6 +222,9 @@ mod tests {
             // For the inline form encode() really produces the bytes, so
             // compare against them.  For synthetic, encoded form is tiny.
             assert_eq!(to_bytes(&b).len() as u64, b.encoded_len());
+            // Only the synthetic form stands for bytes it does not carry.
+            let stood_for = if b.is_synthetic() { b.len() } else { 0 };
+            assert_eq!(b.transfer_len(), b.encoded_len() + stood_for);
         }
     }
 

@@ -50,6 +50,11 @@ pub trait WireWrite {
         }
     }
 
+    /// Notes that the frame stands for `len` payload bytes it does not
+    /// carry (a synthetic [`crate::Blob`]).  Only a meter cares:
+    /// [`SizeWriter`] accumulates them, every other writer ignores them.
+    fn modelled(&mut self, _len: u64) {}
+
     /// Appends a single byte.
     fn put_u8(&mut self, v: u8) {
         self.put_raw(&[v]);
@@ -133,10 +138,12 @@ impl WireWrite for Writer {
     }
 }
 
-/// Counting encoder: measures the encoded size without producing bytes.
+/// Counting encoder: measures the encoded size without producing bytes,
+/// and — in the same pass — the modelled payload the frame stands for.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SizeWriter {
     n: u64,
+    modelled: u64,
 }
 
 impl SizeWriter {
@@ -154,6 +161,12 @@ impl SizeWriter {
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
+
+    /// Payload bytes the counted frame stands for without carrying them
+    /// (the sum of every [`WireWrite::modelled`] note).
+    pub fn modelled_len(&self) -> u64 {
+        self.modelled
+    }
 }
 
 impl WireWrite for SizeWriter {
@@ -163,6 +176,10 @@ impl WireWrite for SizeWriter {
 
     fn put_synthetic(&mut self, len: u64, _seed: u64) {
         self.n += len; // the whole point: O(1) for modelled payloads
+    }
+
+    fn modelled(&mut self, len: u64) {
+        self.modelled += len;
     }
 
     fn put_uvarint(&mut self, v: u64) {
@@ -288,6 +305,17 @@ pub trait WireEncode {
         let mut s = SizeWriter::new();
         self.encode(&mut s);
         s.len()
+    }
+
+    /// Bytes a transfer of this value is charged: the frame plus the
+    /// modelled payloads it stands for (synthetic blobs travel as a few
+    /// bytes, but the network moves their full length).  One counting
+    /// pass yields both terms, so no record keeps a second walk over its
+    /// blobs that could disagree with its encoder.
+    fn transfer_len(&self) -> u64 {
+        let mut s = SizeWriter::new();
+        self.encode(&mut s);
+        s.len() + s.modelled_len()
     }
 }
 

@@ -17,6 +17,8 @@
 //!   paper sweeps parameter sizes up to 100 MB) without allocating them,
 //!   while still being materializable to deterministic bytes for the real
 //!   threaded runtime;
+//! * [`record`] — [`wire_record!`] and [`wire_enum!`]: one field list per
+//!   record, both codec directions derived from it;
 //! * [`digest`] — CRC-64 (ECMA/XZ polynomial) and the splitmix64 mixer used
 //!   for deterministic seed derivation;
 //! * [`frame`] — digest-sealed frames: the shared CRC-64 verification
@@ -25,26 +27,20 @@
 //! ## Example
 //!
 //! ```
-//! use rpcv_wire::{to_bytes, from_bytes, WireEncode, WireDecode, Reader, WireError, WireWrite};
+//! use rpcv_wire::{from_bytes, to_bytes, wire_record, Blob, WireEncode};
 //!
 //! #[derive(Debug, PartialEq)]
-//! struct Call { seq: u64, service: String }
+//! struct Call { seq: u64, service: String, params: Blob }
 //!
-//! impl WireEncode for Call {
-//!     fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-//!         w.put_uvarint(self.seq);
-//!         w.put_str(&self.service);
-//!     }
-//! }
-//! impl WireDecode for Call {
-//!     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-//!         Ok(Call { seq: r.get_uvarint()?, service: r.get_string()? })
-//!     }
-//! }
+//! // The field list, in wire order, is the format — in both directions.
+//! wire_record!(Call { seq, service, params });
 //!
-//! let call = Call { seq: 7, service: "netsim/eval".into() };
+//! let call = Call { seq: 7, service: "netsim/eval".into(), params: Blob::synthetic(1 << 20, 3) };
 //! let bytes = to_bytes(&call);
 //! assert_eq!(from_bytes::<Call>(&bytes).unwrap(), call);
+//! // The frame is a few bytes; the transfer is charged the payload it stands for.
+//! assert_eq!(call.encoded_len(), bytes.len() as u64);
+//! assert_eq!(call.transfer_len(), bytes.len() as u64 + (1 << 20));
 //! ```
 
 #![warn(missing_docs)]
@@ -54,6 +50,7 @@ pub mod codec;
 pub mod digest;
 pub mod error;
 pub mod frame;
+pub mod record;
 pub mod varint;
 
 pub use blob::Blob;

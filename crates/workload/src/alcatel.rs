@@ -20,7 +20,7 @@
 
 use rpcv_core::util::CallSpec;
 use rpcv_simnet::DetRng;
-use rpcv_wire::{from_bytes, to_bytes, Blob, Reader, WireDecode, WireEncode, WireError, WireWrite};
+use rpcv_wire::{from_bytes, to_bytes, wire_record, Blob};
 use rpcv_xw::{ServiceCtx, ServiceError, ServiceRegistry};
 
 /// The registered service name.
@@ -39,25 +39,7 @@ pub struct Link {
     pub bandwidth_mbps: f64,
 }
 
-impl WireEncode for Link {
-    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        w.put_uvarint(self.a as u64);
-        w.put_uvarint(self.b as u64);
-        w.put_f64(self.attenuation_db);
-        w.put_f64(self.bandwidth_mbps);
-    }
-}
-
-impl WireDecode for Link {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Link {
-            a: u32::decode(r)?,
-            b: u32::decode(r)?,
-            attenuation_db: r.get_f64()?,
-            bandwidth_mbps: r.get_f64()?,
-        })
-    }
-}
+wire_record!(Link { a, b, attenuation_db, bandwidth_mbps });
 
 /// A commutation-network configuration to validate.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,30 +52,7 @@ pub struct NetworkConfig {
     pub pairs: Vec<(u32, u32)>,
 }
 
-impl WireEncode for NetworkConfig {
-    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        w.put_uvarint(self.switches as u64);
-        self.links.encode(w);
-        w.put_uvarint(self.pairs.len() as u64);
-        for &(a, b) in &self.pairs {
-            w.put_uvarint(a as u64);
-            w.put_uvarint(b as u64);
-        }
-    }
-}
-
-impl WireDecode for NetworkConfig {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let switches = u32::decode(r)?;
-        let links = Vec::<Link>::decode(r)?;
-        let n = r.get_seq_len()?;
-        let mut pairs = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            pairs.push((u32::decode(r)?, u32::decode(r)?));
-        }
-        Ok(NetworkConfig { switches, links, pairs })
-    }
-}
+wire_record!(NetworkConfig { switches, links, pairs });
 
 impl NetworkConfig {
     /// Generates a random configuration: a connected switch mesh with
@@ -154,21 +113,7 @@ pub struct EvalReport {
     pub bandwidth_mbps: Vec<f64>,
 }
 
-impl WireEncode for EvalReport {
-    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        self.signal_loss_db.encode(w);
-        self.bandwidth_mbps.encode(w);
-    }
-}
-
-impl WireDecode for EvalReport {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(EvalReport {
-            signal_loss_db: Vec::<f64>::decode(r)?,
-            bandwidth_mbps: Vec::<f64>::decode(r)?,
-        })
-    }
-}
+wire_record!(EvalReport { signal_loss_db, bandwidth_mbps });
 
 /// Really evaluates a configuration (the service body).
 pub fn evaluate(config: &NetworkConfig) -> EvalReport {

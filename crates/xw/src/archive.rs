@@ -7,9 +7,7 @@
 //! their framing must detect corruption: the frame ends with a CRC-64 over
 //! everything before it.
 
-use rpcv_wire::{
-    open_frame, seal_frame, Blob, Reader, WireDecode, WireEncode, WireError, WireWrite, Writer,
-};
+use rpcv_wire::{from_bytes, open_frame, seal_frame, to_bytes, wire_record, Blob, WireError};
 
 /// One file inside an archive.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,18 +18,7 @@ pub struct ArchiveEntry {
     pub data: Blob,
 }
 
-impl WireEncode for ArchiveEntry {
-    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        w.put_str(&self.path);
-        self.data.encode(w);
-    }
-}
-
-impl WireDecode for ArchiveEntry {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ArchiveEntry { path: r.get_string()?, data: Blob::decode(r)? })
-    }
-}
+wire_record!(ArchiveEntry { path, data });
 
 /// An ordered set of output files.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -70,18 +57,12 @@ impl Archive {
     /// [`seal_frame`] layout, so archives and checkpoints verify the same
     /// way).
     pub fn pack(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.entries.encode(&mut w);
-        seal_frame(w.into_vec())
+        seal_frame(to_bytes(&self.entries))
     }
 
     /// Unpacks and verifies a frame produced by [`Archive::pack`].
     pub fn unpack(frame: &[u8]) -> Result<Archive, WireError> {
-        let body = open_frame(frame)?;
-        let mut r = Reader::new(body);
-        let entries = Vec::<ArchiveEntry>::decode(&mut r)?;
-        r.expect_end()?;
-        Ok(Archive { entries })
+        Ok(Archive { entries: from_bytes(open_frame(frame)?)? })
     }
 }
 

@@ -10,7 +10,7 @@
 //! instances created independently by different coordinator replicas never
 //! collide.
 
-use rpcv_wire::{Reader, WireDecode, WireEncode, WireError, WireWrite};
+use rpcv_wire::{wire_record, Reader, WireDecode, WireEncode, WireError, WireWrite};
 
 macro_rules! id_u64 {
     ($(#[$doc:meta])* $name:ident) => {
@@ -18,16 +18,7 @@ macro_rules! id_u64 {
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub u64);
 
-        impl WireEncode for $name {
-            fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-                w.put_uvarint(self.0);
-            }
-        }
-        impl WireDecode for $name {
-            fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-                Ok($name(r.get_uvarint()?))
-            }
-        }
+        wire_record!($name { 0 });
         impl std::fmt::Display for $name {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
                 write!(f, "{}#{}", stringify!($name), self.0)
@@ -177,17 +168,7 @@ impl ClientKey {
     }
 }
 
-impl WireEncode for ClientKey {
-    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        self.user.encode(w);
-        self.session.encode(w);
-    }
-}
-impl WireDecode for ClientKey {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ClientKey { user: UserId::decode(r)?, session: SessionId::decode(r)? })
-    }
-}
+wire_record!(ClientKey { user, session });
 
 impl std::fmt::Display for ClientKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -211,17 +192,7 @@ impl JobKey {
     }
 }
 
-impl WireEncode for JobKey {
-    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        self.client.encode(w);
-        w.put_uvarint(self.seq);
-    }
-}
-impl WireDecode for JobKey {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(JobKey { client: ClientKey::decode(r)?, seq: r.get_uvarint()? })
-    }
-}
+wire_record!(JobKey { client, seq });
 
 impl std::fmt::Display for JobKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -253,16 +224,7 @@ impl TaskId {
     }
 }
 
-impl WireEncode for TaskId {
-    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        w.put_uvarint(self.0);
-    }
-}
-impl WireDecode for TaskId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(TaskId(r.get_uvarint()?))
-    }
-}
+wire_record!(TaskId { 0 });
 
 impl std::fmt::Display for TaskId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -4,7 +4,7 @@
 //! command line and an optional directory archive (the called executable is
 //! transferred automatically on the server side if necessary)" (§4.2).
 
-use rpcv_wire::{Blob, Reader, WireDecode, WireEncode, WireError, WireWrite};
+use rpcv_wire::{wire_record, Blob};
 
 use crate::ids::{JobKey, ServiceName};
 
@@ -90,39 +90,22 @@ impl JobSpec {
     }
 }
 
-impl WireEncode for JobSpec {
-    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        self.key.encode(w);
-        self.service.encode(w);
-        w.put_str(&self.cmdline);
-        self.params.encode(w);
-        w.put_f64(self.exec_cost);
-        w.put_uvarint(self.result_size_hint);
-        w.put_uvarint(self.replication as u64);
-        w.put_uvarint(self.work_units as u64);
-    }
-}
-
-impl WireDecode for JobSpec {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(JobSpec {
-            key: JobKey::decode(r)?,
-            service: ServiceName::decode(r)?,
-            cmdline: r.get_string()?,
-            params: Blob::decode(r)?,
-            exec_cost: r.get_f64()?,
-            result_size_hint: r.get_uvarint()?,
-            replication: u32::decode(r)?,
-            work_units: u32::decode(r)?,
-        })
-    }
-}
+wire_record!(JobSpec {
+    key,
+    service,
+    cmdline,
+    params,
+    exec_cost,
+    result_size_hint,
+    replication,
+    work_units
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::ClientKey;
-    use rpcv_wire::{from_bytes, to_bytes};
+    use rpcv_wire::{from_bytes, to_bytes, WireEncode};
 
     fn job() -> JobSpec {
         JobSpec::new(JobKey::new(ClientKey::new(1, 2), 3), "netsim/eval", Blob::synthetic(1024, 9))
@@ -167,10 +150,11 @@ mod tests {
     fn wire_size_tracks_params() {
         let small = JobSpec::new(JobKey::default(), "s", Blob::synthetic(10, 0));
         let big = JobSpec::new(JobKey::default(), "s", Blob::synthetic(1_000_000, 0));
-        // Synthetic blobs keep the *frame* small; the modelled payload size
-        // is accounted via params_len, not encoded_len.
+        // Synthetic blobs keep the *frame* small; the modelled payload is
+        // what the transfer is charged on top of it.
         assert!(big.encoded_len() < 100);
         assert_eq!(big.params_len(), 1_000_000);
+        assert_eq!(big.transfer_len(), big.encoded_len() + 1_000_000);
         assert!(small.encoded_len() <= big.encoded_len());
     }
 }

@@ -8,7 +8,7 @@
 //! all of these safe.
 
 use rpcv_simnet::SimTime;
-use rpcv_wire::{Blob, Reader, WireDecode, WireEncode, WireError, WireWrite};
+use rpcv_wire::{wire_record, Blob, Reader, WireDecode, WireEncode, WireError, WireWrite};
 
 use crate::ids::{JobKey, ServerId, ServiceName, TaskId};
 
@@ -125,35 +125,17 @@ impl TaskDesc {
     }
 }
 
-impl WireEncode for TaskDesc {
-    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        self.id.encode(w);
-        self.job.encode(w);
-        w.put_uvarint(self.attempt as u64);
-        self.service.encode(w);
-        w.put_str(&self.cmdline);
-        self.params.encode(w);
-        w.put_f64(self.exec_cost);
-        w.put_uvarint(self.result_size_hint);
-        w.put_uvarint(self.work_units as u64);
-    }
-}
-
-impl WireDecode for TaskDesc {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(TaskDesc {
-            id: TaskId::decode(r)?,
-            job: JobKey::decode(r)?,
-            attempt: u32::decode(r)?,
-            service: ServiceName::decode(r)?,
-            cmdline: r.get_string()?,
-            params: Blob::decode(r)?,
-            exec_cost: r.get_f64()?,
-            result_size_hint: r.get_uvarint()?,
-            work_units: u32::decode(r)?,
-        })
-    }
-}
+wire_record!(TaskDesc {
+    id,
+    job,
+    attempt,
+    service,
+    cmdline,
+    params,
+    exec_cost,
+    result_size_hint,
+    work_units
+});
 
 #[cfg(test)]
 mod tests {

@@ -193,7 +193,7 @@ fn sealed_status_frames_absorb_every_byte_flip() {
 
 /// Batch mutants exercise the nested-container guard: flips either decode
 /// (flat batches), fail typed, or are rejected as nested — never panic,
-/// and a hand-built nested batch is always refused.
+/// and a hand-built nested batch is always refused, at any depth.
 #[test]
 fn batch_mutants_and_nesting_are_safe() {
     let key = ClientKey::new(1, 2);
@@ -211,4 +211,10 @@ fn batch_mutants_and_nesting_are_safe() {
     }
     let nested = Msg::Batch { parts: vec![batch] };
     assert_eq!(from_bytes::<Msg>(&to_bytes(&nested)), Err(WireError::Nested { ty: "Msg::Batch" }),);
+    // Refused before descending: hostile bytes do not get to choose the
+    // decoder's recursion depth.  100 000 × `Batch[1 part]` around a
+    // `NoWork` overflowed the stack when the guard ran after the recursion.
+    let mut deep = [20u8, 1].repeat(100_000);
+    deep.push(10);
+    assert_eq!(from_bytes::<Msg>(&deep), Err(WireError::Nested { ty: "Msg::Batch" }));
 }
