@@ -14,7 +14,7 @@ use rpcv_detect::{CoordinatorList, HeartbeatMonitor};
 use rpcv_obs::{Histogram, SpanBook, SpanEdge, TelemetrySnapshot};
 use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimTime, TimerId, WireSized};
 use rpcv_store::{Applied, Charge, CoordinatorDb, ReplicationDelta, Snapshot};
-use rpcv_wire::WireEncode;
+use rpcv_wire::{SizeWriter, WireEncode};
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId};
 
 use crate::config::ProtocolConfig;
@@ -869,10 +869,13 @@ impl CoordinatorActor {
         let version = snap.version;
         // Building the image reads every live row, like a from-zero delta.
         let done = ctx.db(1 + snap.len() as u64, 0);
-        // The frame inlines only row metadata; the synthetic payload bytes
-        // it summarizes (job parameters, checkpoint state) are apportioned
-        // across the chunks so the network charges the true transfer.
-        let modelled_extra = snap.transfer_bytes().saturating_sub(snap.encoded_len());
+        // The frame carries row metadata and inline payloads; the synthetic
+        // payload bytes it stands for (job parameters, checkpoint state) are
+        // apportioned across the chunks so the network charges the true
+        // transfer — each payload once, whichever form it has.
+        let mut meter = SizeWriter::new();
+        snap.encode(&mut meter);
+        let modelled_extra = meter.modelled_len();
         let frame = snap.seal();
         let total = frame.chunks(CHUNK).len() as u32;
         let share = modelled_extra / total as u64;

@@ -9,8 +9,8 @@ use rpcv_core::msg::Msg;
 use rpcv_core::server::ServerActor;
 use rpcv_core::util::CallSpec;
 use rpcv_log::LogStrategy;
-use rpcv_simnet::{Actor, Control, Ctx, NodeId, SimDuration, SimTime, TimerId};
-use rpcv_wire::Blob;
+use rpcv_simnet::{Actor, Control, Ctx, NodeId, SimDuration, SimTime, TimerId, WireSized};
+use rpcv_wire::{Blob, WireEncode};
 use rpcv_xw::{CoordId, JobKey, JobSpec, TaskDesc, TaskId};
 
 fn plan(n: usize, exec_secs: f64, param_bytes: u64, result_bytes: u64) -> Vec<CallSpec> {
@@ -352,4 +352,41 @@ fn reexecuted_job_backs_off_from_its_own_first_send() {
         waited > SimDuration::from_secs(20) && waited <= SimDuration::from_secs(26),
         "re-offered {waited} after the second send"
     );
+}
+
+#[test]
+fn snapshot_chunks_charge_only_the_payload_they_stand_for() {
+    // An inline payload travels inside the sealed frame and is charged
+    // there; only a synthetic one is bytes the chunks must be charged on
+    // top.  Job 1 is delivered and retired (the retention floor); jobs 2
+    // and 3 stay live on the one server, one with 3000 inline parameter
+    // bytes, one standing for 5000 synthetic ones.
+    let cfg = ProtocolConfig::confined()
+        .with_heartbeat(SimDuration::from_secs(1))
+        .with_suspicion(SimDuration::from_secs(4))
+        .with_replication_period(SimDuration::from_secs(4));
+    let plan = vec![
+        CallSpec::new("bench", Blob::synthetic(100, 1), 1.0, 64),
+        CallSpec::new("bench", Blob::from_vec(vec![7; 3000]), 1e6, 64),
+        CallSpec::new("bench", Blob::synthetic(5000, 3), 1e6, 64),
+    ];
+    let mut grid = SimGrid::build(GridSpec::confined(2, 1).with_cfg(cfg).with_plan(plan));
+    let (primary, (succ_id, successor)) = (grid.coords[0].1, grid.coords[1]);
+    // A silent successor: suspected, so retention runs unconstrained.
+    grid.world.install(successor, move |_| Box::new(Probe { coord: primary, heard: Vec::new() }));
+    let at = SimTime::from_secs;
+    grid.world.run_until(at(25));
+    grid.world.actor_mut::<CoordinatorActor>(primary).unwrap().gc_now();
+    grid.world.run_until(at(35));
+    assert!(grid.coordinator(0).unwrap().db().delta_floor() > 0, "job 1 retired");
+    // It comes back holding nothing: base 0 is below the floor.
+    grid.world.inject(at(35), successor, Msg::ReplAck { from: succ_id, head_version: 0 });
+    grid.world.run_until(at(45));
+    let heard = &grid.world.actor::<Probe>(successor).unwrap().heard;
+    let stood_for: Vec<u64> = (heard.iter())
+        .filter(|(_, m)| matches!(m, Msg::SnapshotChunk { .. }))
+        .map(|(_, m)| m.wire_size() - m.encoded_len())
+        .collect();
+    assert!(!stood_for.is_empty(), "the round below the floor ships a snapshot");
+    assert_eq!(stood_for.iter().sum::<u64>(), 5000, "per chunk: {stood_for:?}");
 }

@@ -17,7 +17,7 @@
 //!
 //! [`CoordinatorDb::prune_retired`]: crate::CoordinatorDb::prune_retired
 
-use rpcv_wire::{from_bytes, open_frame, seal_frame, to_bytes, wire_record, WireEncode, WireError};
+use rpcv_wire::{from_bytes, open_frame, seal_frame, to_bytes, wire_record, WireError};
 use rpcv_xw::{ClientKey, CoordId};
 
 use crate::delta::DeltaRow;
@@ -56,22 +56,6 @@ impl Snapshot {
     /// Number of live rows carried.
     pub fn len(&self) -> usize {
         self.rows.len()
-    }
-
-    /// Modelled payload bytes: frame plus the parameter payloads of the
-    /// job rows and the synthetic resume-state blobs of the checkpoint
-    /// rows.
-    pub fn transfer_bytes(&self) -> u64 {
-        let extra: u64 = self
-            .rows
-            .iter()
-            .map(|r| match r {
-                DeltaRow::Job(spec) => spec.params.len(),
-                DeltaRow::Ckpt { blob, .. } if blob.is_synthetic() => blob.len(),
-                _ => 0,
-            })
-            .sum();
-        self.encoded_len() + extra
     }
 
     /// Encodes and seals the image: `body ‖ crc64(body)`, ready to be

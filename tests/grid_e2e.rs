@@ -468,7 +468,7 @@ fn protocol_traces_are_pinned() {
     assert_eq!(grid.client_results(), 40);
     assert_eq!(
         pin(&grid),
-        (0x0f79_f78c_e6c1_88de, 310_087, 118_209),
+        (0x135c_85b1_a068_fa55, 310_087, 118_209),
         "(b) real-life + churn + coordinator restart"
     );
 
