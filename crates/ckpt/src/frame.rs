@@ -9,7 +9,8 @@
 //! with the typed [`rpcv_wire::WireError::DigestMismatch`], never silently
 //! dropped (the coordinator counts rejections).
 
-use rpcv_wire::{to_bytes, verify_digest, wire_record, Blob, WireEncode, WireError};
+use rpcv_wire::varint::uvarint_len;
+use rpcv_wire::{to_bytes, verify_digest, wire_record, Blob, WireError};
 use rpcv_xw::{JobKey, TaskId};
 
 /// One checkpoint as shipped server → coordinator.
@@ -53,7 +54,7 @@ impl CheckpointFrame {
     /// field (the one thing the digest cannot cover).
     fn body(&self) -> Vec<u8> {
         let mut bytes = to_bytes(self);
-        bytes.truncate(bytes.len() - self.digest.encoded_len() as usize);
+        bytes.truncate(bytes.len() - uvarint_len(self.digest));
         bytes
     }
 
@@ -79,7 +80,7 @@ wire_record!(CheckpointFrame { job, task, attempt, unit_hw, units_total, blob, d
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpcv_wire::from_bytes;
+    use rpcv_wire::{from_bytes, WireEncode};
     use rpcv_xw::{ClientKey, CoordId};
 
     fn frame() -> CheckpointFrame {

@@ -712,6 +712,27 @@ mod tests {
         assert!(m.encoded_len() < 600, "the frame itself stays near the chunk size");
     }
 
+    /// `(tag, name)` of every row of the table under `heading` in
+    /// `docs/ARCHITECTURE.md`.
+    fn documented(heading: &str) -> Vec<(u8, &'static str)> {
+        let doc: &'static str = include_str!("../../../docs/ARCHITECTURE.md");
+        let section = doc.split(heading).nth(1).expect("the heading is there");
+        let table = section.split("\n#").next().expect("split yields a first piece");
+        (table.lines())
+            .filter_map(|line| {
+                let mut cells = line.split('|').map(str::trim);
+                let tag = cells.nth(1)?.parse().ok()?;
+                Some((tag, cells.next()?.trim_matches('`')))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn documented_tag_tables_match_the_code() {
+        assert_eq!(documented("\n### Message tags\n"), Msg::KINDS);
+        assert_eq!(documented("\n### Replication rows\n"), DeltaRow::KINDS);
+    }
+
     #[test]
     fn kind_names_are_unique() {
         let mut names: Vec<&str> = Msg::KINDS.iter().map(|&(_, name)| name).collect();

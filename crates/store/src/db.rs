@@ -1171,28 +1171,11 @@ impl CoordinatorDb {
             .filter_map(|(job, row)| Some((job.seq, row.archive.as_ref()?)))
     }
 
-    /// Results for `client` not yet collected: `(seq, size)` pairs.
-    pub fn uncollected_results(&self, client: ClientKey) -> Vec<(u64, u64)> {
-        self.client_archives(client)
-            .filter(|(_, a)| !a.collected)
-            .map(|(seq, a)| (seq, a.payload.len()))
-            .collect()
-    }
-
-    /// Every retained result for `client`, collected or not — the catalog
-    /// advertised in sync replies.  A restarted client that lost its disk
-    /// re-fetches collected-but-retained results from here ("Any instance
-    /// of the client program may connect the Coordinator ... and retrieve
-    /// results and RPC status using the unique IDs", §4.2); only archives
-    /// already garbage-collected are truly gone.
-    pub fn results_catalog(&self, client: ClientKey) -> Vec<(u64, u64)> {
-        self.results_catalog_scan(client)
-    }
-
-    /// Scan-based reference definition of the full result catalog, kept for
-    /// the equivalence property tests (a client merging
-    /// [`Self::results_catalog_since`] deltas from base 0 must converge to
-    /// exactly this).
+    /// Scan-based reference definition of the full result catalog — every
+    /// retained result for `client`, collected or not; only archives
+    /// already garbage-collected are truly gone — kept for the equivalence
+    /// property tests (a client merging [`Self::results_catalog_since`]
+    /// deltas from base 0 must converge to exactly this).
     #[doc(hidden)]
     pub fn results_catalog_scan(&self, client: ClientKey) -> Vec<(u64, u64)> {
         self.client_archives(client).map(|(seq, a)| (seq, a.payload.len())).collect()
@@ -2407,11 +2390,11 @@ mod tests {
         let t = t.unwrap();
         d.complete_task(t.id, t.job, Blob::synthetic(500, 0), ServerId(1));
         let client = ClientKey::new(1, 1);
-        let rs = d.uncollected_results(client);
-        assert_eq!(rs, vec![(1, 500)]);
+        assert_eq!(d.results_catalog_since(client, 0).added, vec![(1, 500)]);
         assert!(d.archive(&t.job).is_some());
+        assert!(d.collected_flagged().is_empty());
         d.mark_collected(client, &[1]);
-        assert!(d.uncollected_results(client).is_empty());
+        assert_eq!(d.collected_flagged(), vec![t.job]);
         let (freed, _) = d.gc_collected();
         assert_eq!(freed, 500);
         assert!(d.archive(&t.job).is_none());
@@ -3061,7 +3044,7 @@ mod tests {
         d.check_invariants();
         assert!(!d.knows_job(&stray));
         assert_eq!(d.archive(&stray).map(Blob::len), Some(48));
-        assert_eq!(d.results_catalog(client), vec![(7, 48)]);
+        assert_eq!(d.results_catalog_scan(client), vec![(7, 48)]);
         assert_eq!((d.finished_count(), d.archived_count(), d.stats().jobs), (1, 1, 1));
         assert!(!d.wants_archive(&stray), "unregistered: nothing to want");
         d.mark_collected(client, &[7]);
@@ -3117,7 +3100,7 @@ mod tests {
         let k = JobKey::new(client, 1);
         assert!(!b.knows_job(&k));
         assert_eq!(b.archive(&k).map(Blob::len), Some(64));
-        assert_eq!(b.results_catalog(client), vec![(1, 64)]);
+        assert_eq!(b.results_catalog_scan(client), vec![(1, 64)]);
         assert!(b.has_collected_knowledge(&k), "summarized by the watermark");
         assert_eq!((b.archived_count(), b.finished_count()), (1, 1));
     }

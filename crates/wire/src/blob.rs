@@ -72,11 +72,6 @@ impl Blob {
         self.len() == 0
     }
 
-    /// True for the modelled representation.
-    pub fn is_synthetic(&self) -> bool {
-        matches!(self, Blob::Synthetic { .. })
-    }
-
     /// Produces the real bytes.
     ///
     /// `Inline` is a cheap refcount clone; `Synthetic` generates its
@@ -223,7 +218,7 @@ mod tests {
             // compare against them.  For synthetic, encoded form is tiny.
             assert_eq!(to_bytes(&b).len() as u64, b.encoded_len());
             // Only the synthetic form stands for bytes it does not carry.
-            let stood_for = if b.is_synthetic() { b.len() } else { 0 };
+            let stood_for = if matches!(b, Blob::Synthetic { .. }) { b.len() } else { 0 };
             assert_eq!(b.transfer_len(), b.encoded_len() + stood_for);
         }
     }

@@ -475,19 +475,6 @@ impl<A: WireDecode, B: WireDecode> WireDecode for (A, B) {
     }
 }
 
-impl<A: WireEncode, B: WireEncode, C: WireEncode> WireEncode for (A, B, C) {
-    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-        self.0.encode(w);
-        self.1.encode(w);
-        self.2.encode(w);
-    }
-}
-impl<A: WireDecode, B: WireDecode, C: WireDecode> WireDecode for (A, B, C) {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,7 +519,6 @@ mod tests {
         roundtrip(Some(42u32));
         roundtrip(Option::<u32>::None);
         roundtrip((1u8, String::from("x")));
-        roundtrip((1u8, 2u16, 3u32));
         roundtrip(vec![Some((1u64, String::from("a"))), None]);
     }
 

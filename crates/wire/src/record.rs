@@ -1,13 +1,10 @@
 //! One declaration per wire record: [`wire_record!`](crate::wire_record)
 //! and [`wire_enum!`](crate::wire_enum) derive both codec directions from
 //! a single field list, so a record cannot be encoded one way and decoded
-//! another.  Each field goes through its own
-//! [`WireEncode`](crate::WireEncode) / [`WireDecode`](crate::WireDecode)
-//! impl, in the order written — the list *is* the wire format.
-//!
-//! Codecs stay hand-written where the decoder validates what it reads or
-//! the format is not a field list ([`Blob`](crate::Blob), the primitives
-//! and containers in [`codec`](crate::codec)).
+//! another.  Each field goes through its own codec impl, in the order
+//! written — the list *is* the wire format.  Codecs stay hand-written
+//! where the decoder validates what it reads or the format is not a field
+//! list ([`Blob`](crate::Blob), the primitives in [`codec`](crate::codec)).
 
 /// Derives `WireEncode` + `WireDecode` for a struct from its fields in wire
 /// order: `wire_record!(Call { seq, service });` (a tuple struct lists its

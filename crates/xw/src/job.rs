@@ -83,11 +83,6 @@ impl JobSpec {
         self.work_units = n.max(1);
         self
     }
-
-    /// Parameter payload size in bytes.
-    pub fn params_len(&self) -> u64 {
-        self.params.len()
-    }
 }
 
 wire_record!(JobSpec {
@@ -130,7 +125,7 @@ mod tests {
         assert_eq!(j.result_size_hint, 256);
         assert_eq!(j.replication, 2);
         assert_eq!(j.work_units, 8);
-        assert_eq!(j.params_len(), 1024);
+        assert_eq!(j.params.len(), 1024);
     }
 
     #[test]
@@ -153,7 +148,6 @@ mod tests {
         // Synthetic blobs keep the *frame* small; the modelled payload is
         // what the transfer is charged on top of it.
         assert!(big.encoded_len() < 100);
-        assert_eq!(big.params_len(), 1_000_000);
         assert_eq!(big.transfer_len(), big.encoded_len() + 1_000_000);
         assert!(small.encoded_len() <= big.encoded_len());
     }

@@ -113,11 +113,6 @@ pub struct TaskDesc {
 }
 
 impl TaskDesc {
-    /// Parameter payload size.
-    pub fn params_len(&self) -> u64 {
-        self.params.len()
-    }
-
     /// Work-unit count with the ≥ 1 floor applied (a descriptor decoded
     /// from an old peer may carry 0).
     pub fn units(&self) -> u32 {
@@ -177,7 +172,6 @@ mod tests {
         };
         let back: TaskDesc = from_bytes(&to_bytes(&d)).unwrap();
         assert_eq!(back, d);
-        assert_eq!(back.params_len(), 2048);
         assert_eq!(back.units(), 16);
     }
 
