@@ -1,17 +1,14 @@
 //! # rpcv-bench — experiment harnesses
 //!
-//! One bench target per figure of the paper's evaluation section (run with
-//! `cargo bench -p rpcv-bench --bench fig<N>_...`, or all of them via
-//! `cargo bench`).  Each harness regenerates the figure's series: it prints
-//! the rows to stdout and writes a CSV under `target/figures/`.
-//!
-//! Beyond the figures, three invariant benches publish a `BENCH_*.json`
-//! artifact at the repo root through one [`Artifact`] each: `--bench scale`
-//! sweeps grid sizes (schema in ROADMAP.md "Performance notes"), `--bench
-//! ckpt` sweeps checkpoint policies against heterogeneous volatility
-//! (wasted work vs checkpoint bytes paid) and `--bench chaos` runs the
-//! seeded fault-plan safety sweep.  None of them asserts anything about its
-//! own numbers: [`Artifact::finish`] hands the file it wrote to
+//! Four benches publish a committed `BENCH_*.json` artifact at the repo
+//! root, each through one [`Artifact`]: `--bench paper` regenerates the
+//! paper's whole evaluation (Figs. 4–11, plus our ablations) in a few
+//! seconds of virtual time, `--bench scale` sweeps grid sizes (schema in
+//! ROADMAP.md "Performance notes"), `--bench ckpt` sweeps checkpoint
+//! policies against heterogeneous volatility (wasted work vs checkpoint
+//! bytes paid) and `--bench chaos` runs the seeded fault-plan safety sweep.
+//! None of them asserts anything about its own numbers:
+//! [`Artifact::finish`] hands the file it wrote to
 //! `scripts/check_bench_flatness.py`, the one place a gate is written (CI
 //! runs the same script on the committed files).  `--bench micro` keeps the
 //! machine-independent ratio groups (`store_scale`, `pull_window`,
@@ -30,55 +27,6 @@ pub fn out_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/figures");
     let _ = fs::create_dir_all(&dir);
     dir
-}
-
-/// Collects one figure's series and emits stdout + CSV.
-pub struct Figure {
-    name: String,
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Figure {
-    /// New figure with column names.
-    pub fn new(name: &str, columns: &[&str]) -> Self {
-        println!("# {name}");
-        println!("# {}", columns.join(", "));
-        Figure {
-            name: name.to_owned(),
-            header: columns.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Adds a row (floats formatted compactly).
-    pub fn row(&mut self, values: &[f64]) {
-        let formatted: Vec<String> = values.iter().map(|v| fmt_val(*v)).collect();
-        println!("{}", formatted.join("\t"));
-        self.rows.push(formatted);
-    }
-
-    /// Adds a row with a leading string cell (labelled events).
-    pub fn row_labelled(&mut self, label: &str, values: &[f64]) {
-        let mut formatted = vec![label.to_owned()];
-        formatted.extend(values.iter().map(|v| fmt_val(*v)));
-        println!("{}", formatted.join("\t"));
-        self.rows.push(formatted);
-    }
-
-    /// Writes the CSV and reports the path.
-    pub fn finish(self) {
-        let mut csv = String::new();
-        let _ = writeln!(csv, "{}", self.header.join(","));
-        for row in &self.rows {
-            let _ = writeln!(csv, "{}", row.join(","));
-        }
-        let path = out_dir().join(format!("{}.csv", self.name));
-        match fs::write(&path, csv) {
-            Ok(()) => println!("# wrote {}\n", path.display()),
-            Err(e) => println!("# could not write {}: {e}\n", path.display()),
-        }
-    }
 }
 
 /// One typed cell of an [`Artifact`] row.
@@ -210,32 +158,13 @@ impl Artifact {
     }
 }
 
-fn fmt_val(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:.4}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn figure_writes_csv() {
-        let mut f = Figure::new("selftest", &["x", "y"]);
-        f.row(&[1.0, 2.5]);
-        f.row_labelled("ev", &[3.0]);
-        f.finish();
-        let path = out_dir().join("selftest.csv");
-        let content = fs::read_to_string(&path).unwrap();
-        assert!(content.starts_with("x,y\n"));
-        assert!(content.contains("1,2.5000"));
-        assert!(content.contains("ev,3"));
-        let _ = fs::remove_file(path);
-
-        // An artifact: one value of each type, both files byte for byte.
+    fn artifact_renders_csv_and_json_byte_for_byte() {
+        // One value of each type.
         let mut a = Artifact::new("selftest", "selftest_rows", 7, true, "cells");
         for (seed, intensity, survived, policy, hist) in [
             (11400714822622042882, 0.5, true, "adaptive", "{\"count\": 1, \"buckets\": [[27, 1]]}"),

@@ -1,5 +1,5 @@
 //! The gate, seen failing.  `scripts/check_bench_flatness.py` is the only
-//! place a gate on the three `BENCH_*.json` artifacts is written; a gate
+//! place a gate on the four `BENCH_*.json` artifacts is written; a gate
 //! nobody has seen fail is not evidence.  The committed artifacts must pass
 //! `--committed` unedited, and one textual mutation per gate family, on a
 //! temp copy, must make the script exit non-zero *with that gate's message*.
@@ -36,8 +36,8 @@ fn every_gate_family_fails_on_its_mutation() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         fs::read_to_string(root.join(format!("BENCH_{bench}.json"))).unwrap()
     };
-    let (scale, ckpt, chaos) = (read("scale"), read("ckpt"), read("chaos"));
-    for (bench, doc) in [("scale", &scale), ("ckpt", &ckpt), ("chaos", &chaos)] {
+    let (scale, ckpt, chaos, paper) = (read("scale"), read("ckpt"), read("chaos"), read("paper"));
+    for (bench, doc) in [("scale", &scale), ("ckpt", &ckpt), ("chaos", &chaos), ("paper", &paper)] {
         let (passed, err) = gate(bench, doc);
         assert!(passed, "committed BENCH_{bench}.json must pass unedited: {err}");
     }
@@ -58,6 +58,16 @@ fn every_gate_family_fails_on_its_mutation() {
     moved("\"shards\": 4", "sim_events_per_sec", |v| v / 2.0, "below the near-linear floor");
     let worse = edit(&ckpt, "\"adaptive\"", "wasted_units", |_| 9999.0);
     must_fail("ckpt", worse, "must beat from-scratch");
+    // One cell of a paper figure moved: (row marker, its new y, that band's message).
+    let cell = |marker: &str, f: fn(f64) -> f64, message: &str| {
+        must_fail("paper", edit(&paper, marker, "y", f), message)
+    };
+    // Fig. 4's blocking pessimistic at 100 MB reads what optimistic does.
+    cell(r#""blocking_pessimistic", "x": 100000000"#, |_| 136.064, "outside the paper's ~+30 %");
+    cell(r#""fig7", "series": "faulty_servers", "x": 0,"#, |_| 80.0, "outside the paper's 69-71 s");
+    cell(r#""lri_replica", "x": 50,"#, |v| v + 1.0, "of one replication period earlier");
+    cell(r#""fig10", "series": "client", "x": 60,"#, |_| 0.0, "dips across a failover");
+    cell(r#""partitioned", "x": 109,"#, |_| 999.0, "delivered 999/1000 results");
     // One token swapped: (artifact, from, to, the gate's message).
     for (bench, from, to, message) in [
         ("scale", "\"completed\": true", "\"completed\": false", "did not complete"),
@@ -65,8 +75,13 @@ fn every_gate_family_fails_on_its_mutation() {
         ("chaos", "\"results\": 24", "\"results\": 23", "delivered 23/24 results"),
         ("chaos", "\"smoke\": false", "\"smoke\": true", "is a smoke run"),
         ("chaos", "\"bench\": \"chaos\"", "\"bench\": \"ckpt\"", "carries the bench tag"),
+        ("paper", "\"bench\": \"paper\"", "\"bench\": \"scale\"", "carries the bench tag"),
     ] {
-        let doc = if bench == "scale" { &scale } else { &chaos };
+        let doc = match bench {
+            "scale" => &scale,
+            "chaos" => &chaos,
+            _ => &paper,
+        };
         assert!(doc.contains(from), "{bench}: nothing to mutate for {message:?}");
         must_fail(bench, doc.replacen(from, to, 1), message);
     }
