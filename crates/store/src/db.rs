@@ -3063,6 +3063,36 @@ mod tests {
     }
 
     #[test]
+    fn result_under_an_unlearned_instance_id_enters_the_feed() {
+        // C1 registers the job, its job row reaches C2, C1 dispatches — and
+        // the server delivers to C2 before C1's task row got there.  C2
+        // stores the archive; the ring must learn the job finished from
+        // C2's feed, or it stays "ongoing" at every peer for good.
+        let key = JobKey::new(ClientKey::new(1, 1), 1);
+        let mut c1 = db();
+        c1.register_job(job(1));
+        let mut jobs_only = c1.delta_since(0);
+        jobs_only.rows.retain(|r| matches!(r, DeltaRow::Job(_)));
+        let mut c2 = CoordinatorDb::new(CoordId(2));
+        c2.apply_delta(&jobs_only);
+        let (t, _) = c1.next_pending(ServerId(5), T0);
+        let (o, _) = c2.complete_task(t.unwrap().id, key, Blob::synthetic(64, 1), ServerId(5));
+        assert_eq!(o, CompleteOutcome::NewResult);
+        c2.check_invariants();
+        // The dispatcher's own row arrives late and changes nothing.
+        c2.apply_delta(&c1.delta_since(0));
+        c2.check_invariants();
+        assert_eq!(c2.finished_count(), 1);
+        // C1 (and any third peer) learns it from C2's feed.
+        let mut c3 = CoordinatorDb::new(CoordId(3));
+        for peer in [&mut c1, &mut c3] {
+            peer.apply_delta(&c2.delta_since(0));
+            assert_eq!(peer.missing_archives(), vec![key], "finished, archive to pull");
+            peer.check_invariants();
+        }
+    }
+
+    #[test]
     fn catalog_tombstone_outlives_the_pruned_job_until_acked() {
         let client = ClientKey::new(1, 1);
         let mut d = db();

@@ -6,6 +6,8 @@
 
 use proptest::prelude::*;
 use rpcv::core::chaos::{ChaosConfig, ChaosOracle};
+use rpcv::simnet::SimTime;
+use rpcv::wire::mix64;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -76,6 +78,69 @@ proptest! {
         prop_assert_eq!(a.bad_frames, b.bad_frames);
         prop_assert_eq!(a.violations, b.violations);
     }
+}
+
+/// One plan of the soak's cell: the standard cell (flat) or two shards ×
+/// four clients, given 900 s of virtual time.  `Err` is the one-line repro.
+fn soak_plan(sharded: bool, seed: u64, intensity: f64) -> Result<(), String> {
+    let mut cfg = ChaosConfig::new(seed, intensity);
+    cfg.horizon = SimTime::from_secs(900);
+    if sharded {
+        cfg = cfg.with_shards(2, 4);
+    }
+    let report = ChaosOracle::new(cfg).run();
+    if report.survived() {
+        return Ok(());
+    }
+    let plane = if sharded { "sharded" } else { "flat" };
+    Err(format!("{plane} ({seed:#x}, {intensity}): {:?}", report.violations))
+}
+
+/// Plans the soak found, kept: `(sharded, seed, intensity)`.  The first
+/// three ended with every node alive, healed and idle and one job
+/// undeliverable for good — a coordinator restarted with its monitor empty
+/// never suspected the server it had forwarded to (flat), and a result
+/// completed under an instance id its coordinator had not learned yet never
+/// entered the replication feed (sharded).  The last one passed only while
+/// a connect-time redirect delayed client 2's first submission.
+const NAMED_PLANS: &[(bool, u64, f64)] = &[
+    (false, 0x3659_9a4d_9611_35b4, 0.727),
+    (false, 0xc473_1438_e4e2_1a79, 0.817),
+    (true, 0xb8b1_f126_0cbe_76f0, 0.913),
+    (true, 0x20cd_7553_4647_4b30, 0.56),
+];
+
+#[test]
+fn named_plans_deliver_every_job() {
+    let failed: Vec<String> = NAMED_PLANS
+        .iter()
+        .filter_map(|&(sharded, seed, intensity)| soak_plan(sharded, seed, intensity).err())
+        .collect();
+    assert!(failed.is_empty(), "{} named plans failed:\n{}", failed.len(), failed.join("\n"));
+}
+
+/// The wide sweep: 12 000 plans per plane derived from a counter, every
+/// failure printed as a one-line repro (≈ 4 min in release; CI runs it as
+/// a job of its own).  A plan it finds moves into [`NAMED_PLANS`].
+#[test]
+#[ignore = "soak: cargo test --release --test chaos_oracle -- --ignored"]
+fn oracle_soak() {
+    const N: u64 = 12_000;
+    let mut failed = Vec::new();
+    for sharded in [false, true] {
+        for i in 0..N {
+            let seed = mix64(i ^ 0xABCD_EF01);
+            let intensity = 0.05 + 0.95 * ((mix64(seed) % 1000) as f64 / 1000.0);
+            failed.extend(soak_plan(sharded, seed, intensity).err());
+        }
+    }
+    assert!(
+        failed.is_empty(),
+        "{} of {} plans failed:\n{}",
+        failed.len(),
+        2 * N,
+        failed.join("\n")
+    );
 }
 
 /// The open-loop cell: four clients offer ≈ 290 short calls over a minute

@@ -963,6 +963,66 @@ fn current_coordinator_recovers_a_task_whose_dispatcher_never_heard_the_server_a
     assert_eq!(current.db().stats().tasks, 2, "one replacement instance, minted where it beat");
 }
 
+/// A restarted coordinator still answers for what it forwarded before the
+/// crash.  Two coordinators each dispatch the same replicated `Pending` row
+/// to a server of their own inside one replication period (neither has
+/// heard of the other's dispatch yet), both coordinators bounce, both
+/// executions die, and each server re-homes to the *other* coordinator —
+/// which indexes the task on the server it did not dispatch to.  Nobody's
+/// beat reconciliation can find the loss, so the only recovery is each
+/// dispatcher suspecting the server it forwarded to: its monitor must not
+/// restart empty while its dispatch index restarts full.
+#[test]
+fn restarted_dispatchers_suspect_the_servers_they_forwarded_to() {
+    use rpcv::simnet::Control::{Block, Unblock};
+    // 4 s rounds: peer suspicion is 12 s, so a 2 s coordinator bounce never
+    // releases an origin and server suspicion is the one recovery path.
+    let cfg = fast_cfg().with_replication_period(SimDuration::from_secs(4));
+    let mut g =
+        SimGrid::build(GridSpec::confined(2, 2).with_cfg(cfg).with_plan(vec![call(1, 20.0)]));
+    let (c1, c2) = (g.coords[0].1, g.coords[1].1);
+    let ((s1_id, s1), (s2_id, s2)) = (g.servers[0], g.servers[1]);
+    let cut = |from, to| Block { from, to, bidir: true };
+    let heal = |from, to| Unblock { from, to, bidir: true };
+    let at = SimTime::from_secs_f64;
+    // Server 1 reaches coordinator 1 only after the t = 4 s round carried
+    // the row to coordinator 2 as `Pending`; server 2 gives up on
+    // coordinator 1 and takes the same row from coordinator 2 at t ≈ 6 s.
+    g.world.schedule_control(SimTime::ZERO, cut(s1, c1));
+    g.world.schedule_control(SimTime::ZERO, cut(s2, c1));
+    g.world.schedule_control(at(4.5), heal(s1, c1));
+    g.world.schedule_control(at(7.5), heal(s2, c1));
+    g.world.run_until(at(10.0));
+    let dispatched = |g: &SimGrid, c: usize, s| g.coordinator(c).unwrap().db().indexed_on(s);
+    assert_eq!(dispatched(&g, 0, s1_id).len(), 1, "coordinator 1 dispatched to server 1");
+    assert_eq!(dispatched(&g, 0, s1_id), dispatched(&g, 1, s2_id), "the same instance, twice");
+    // Both coordinators bounce, then both executions die, and from the
+    // bounce on each server cannot reach the coordinator that dispatched to
+    // it until it has re-homed.
+    for c in [c1, c2] {
+        g.world.schedule_control(at(10.0), rpcv::simnet::Control::Crash(c));
+        g.world.schedule_control(at(12.0), rpcv::simnet::Control::Restart(c));
+    }
+    for (s, dispatcher) in [(s1, c1), (s2, c2)] {
+        g.world.schedule_control(at(10.0), cut(s, dispatcher));
+        g.world.schedule_control(at(13.0), rpcv::simnet::Control::Crash(s));
+        g.world.schedule_control(at(14.0), rpcv::simnet::Control::Restart(s));
+        g.world.schedule_control(at(25.0), heal(s, dispatcher));
+    }
+    g.world.run_until(at(25.0));
+    let heard = |g: &SimGrid, c: usize, s| g.coordinator(c).unwrap().db().server_heard(s);
+    assert!(heard(&g, 1, s1_id) >= Some(at(24.0)), "server 1 re-homed to coordinator 2");
+    assert!(heard(&g, 0, s2_id) >= Some(at(24.0)), "server 2 re-homed to coordinator 1");
+
+    g.run_until_done(SimTime::from_secs(600)).expect("the forwarded call is re-instanced");
+    assert_eq!(g.client_results(), 1);
+    for i in 0..2 {
+        let c = g.coordinator(i).unwrap();
+        assert_eq!(c.metrics.server_suspicions, 1, "coordinator {i} suspected its own server");
+        assert_eq!(c.metrics.coordinator_suspicions, 0, "coordinator {i} released no origin");
+    }
+}
+
 /// A `Submit` lost on the way to a coordinator that keeps serving — no
 /// crash, no suspicion, nothing a failover would repair: three calls, the
 /// client→coordinator direction cut for 0.5 s around the second.  Had the
