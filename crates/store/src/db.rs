@@ -897,8 +897,29 @@ impl CoordinatorDb {
                 Provenance::LOCAL,
             );
             row.version = v;
-        } else if !self.knows_job(&job) {
-            return (CompleteOutcome::UnknownJob, Charge::ops(1));
+        } else {
+            let unknown = (CompleteOutcome::UnknownJob, Charge::ops(1));
+            let Some(owner) = self.jobs.get_mut(&job) else { return unknown };
+            let Some(spec) = owner.spec.as_ref() else { return unknown };
+            // The job is known, the instance is not: its dispatcher's row
+            // has not replicated here yet (and, as `Ongoing`, will change
+            // nothing when it does).  Mint the row `Finished`, or the
+            // result below would be stored with no versioned row and no
+            // peer would ever learn the job finished.
+            let desc = Self::describe(spec, task, owner.next_attempt);
+            owner.next_attempt += 1;
+            owner.tasks.push(task);
+            let version = Self::touch(
+                &mut self.changed,
+                &mut self.version,
+                0,
+                Changed::Task(task),
+                Provenance::LOCAL,
+            );
+            let state = TaskState::Finished { result_size: size };
+            let origin = task.coord();
+            self.tasks
+                .insert(task, TaskRow { desc, state, origin, locally_dispatched: false, version });
         }
         // A known task may report a job key that is not registered here
         // (mismatched pair): the archive is stored all the same, in a stub
@@ -2027,6 +2048,11 @@ impl CoordinatorDb {
                     assert_eq!(spec.key, *k);
                     registered += 1;
                     versioned += stamped(row.version, Changed::Job(*k));
+                    // What this node knows finished, the ring can learn:
+                    // from a `Finished` instance row, or the collected row.
+                    let told = row.collected_pos != 0
+                        || tasks.iter().any(|t| matches!(t.state, TaskState::Finished { .. }));
+                    assert!(!row.finished || told, "{k:?}: finished, and no feed row says so");
                 }
                 None => {
                     assert!(tasks.is_empty() && row.ckpt.is_none(), "{k:?}: stub owns rows");

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rpcv_simnet::{SimDuration, SimTime};
 use rpcv_store::{CoordinatorDb, DeltaRow, Snapshot};
 use rpcv_wire::Blob;
-use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, TaskState};
+use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, TaskId, TaskState};
 
 fn job(seq: u64, size: u64) -> JobSpec {
     JobSpec::new(JobKey::new(ClientKey::new(1, 1), seq), "svc", Blob::synthetic(size, seq))
@@ -16,7 +16,7 @@ fn job(seq: u64, size: u64) -> JobSpec {
 
 /// One local (non-replication) operation of the op generator shared by
 /// `indexed_views_match_scan_definitions` and the ring twins: actions
-/// 0–3 and 5–9 of its `(seq, action, aux)` tuples.  The op's instant is
+/// 0–3, 5–9 and 12 of its `(seq, action, aux)` tuples.  The op's instant is
 /// drawn with it (not monotone): dispatch stamps and "heard here" stamps
 /// fall on either side of each other, which is what the suspicion rule
 /// reads.
@@ -50,7 +50,16 @@ fn local_op(db: &mut CoordinatorDb, seq: u64, action: u8, aux: u8) {
             }
         }
         7 => {
-            db.store_archive(JobKey::new(client, seq), Blob::synthetic(8, seq));
+            // An archive hand-off answers a pull, and a pull names a job
+            // the puller's own feed says finished — or the hand-off is
+            // refused.  (A job nobody finished is never handed an archive.)
+            let key = JobKey::new(client, seq);
+            let finished = |t: &rpcv_store::TaskRecord| {
+                t.job == key && matches!(t.state, TaskState::Finished { .. })
+            };
+            if !db.wants_archive(&key) || db.delta_since(0).tasks().any(finished) {
+                db.store_archive(key, Blob::synthetic(8, seq));
+            }
         }
         8 => {
             let server = ServerId((aux % 3) as u64 + 1);
@@ -64,6 +73,13 @@ fn local_op(db: &mut CoordinatorDb, seq: u64, action: u8, aux: u8) {
                     db.reconcile_server(server, &running, now, SimDuration::ZERO);
                 }
             }
+        }
+        12 => {
+            // A result under an instance id this database has not learned
+            // (its dispatcher's row is still on its way), for a possibly
+            // known job.
+            let id = TaskId::compose(CoordId(9), seq << 8 | aux as u64);
+            db.complete_task(id, JobKey::new(client, seq), Blob::synthetic(16, seq), ServerId(9));
         }
         _ => {
             // Checkpoint upload for a (possibly finished, possibly
@@ -278,7 +294,7 @@ proptest! {
     /// feed again; and an entry a feed skips is never the only copy.
     #[test]
     fn filtered_feeds_match_unfiltered_twins(
-        ops in proptest::collection::vec((1u64..25, 0u8..12, 0u8..8), 1..60),
+        ops in proptest::collection::vec((1u64..25, 0u8..13, 0u8..8), 1..60),
     ) {
         for k in [2usize, 3] {
             let mut ring = Ring::new(k, true);
@@ -406,7 +422,7 @@ proptest! {
     /// a replica that matches a from-scratch application row-for-row.
     #[test]
     fn indexed_views_match_scan_definitions(
-        ops in proptest::collection::vec((1u64..25, 0u8..12, 0u8..8), 1..60),
+        ops in proptest::collection::vec((1u64..25, 0u8..13, 0u8..8), 1..60),
         snap_at in 0usize..60,
     ) {
         let client = ClientKey::new(1, 1);
@@ -500,6 +516,14 @@ proptest! {
             // Feed the mirror only what changed since its last sync.
             mirror.apply_delta(&a.delta_since(mirror_base));
             mirror_base = a.version();
+            // Whatever archive the sender holds undelivered, the mirror
+            // learned the job finished and lists the archive to pull.
+            for seq in 1..25 {
+                let key = JobKey::new(client, seq);
+                if a.knows_job(&key) && a.archive(&key).is_some() && !a.has_collected_knowledge(&key) {
+                    prop_assert!(mirror.is_missing_archive(&key), "{:?} finished, unfed", key);
+                }
+            }
             bases.push(a.version());
             if step == snap_at {
                 snap = Some(Snapshot::open(&a.snapshot().seal()).unwrap());
