@@ -1059,6 +1059,15 @@ impl Actor<Msg> for CoordinatorActor {
         ctx.set_timer(self.params.cfg.heartbeat, K_SCAN);
         ctx.set_timer(self.params.cfg.replication_period, K_REPL);
         self.refresh_missing(ctx.now());
+        // The dispatch index is durable, the monitor is not: a server this
+        // coordinator forwarded work to before the crash may beat another
+        // coordinator by now and never be heard here again.  Watching it
+        // from the restart on keeps "suspect ⇒ re-instance everything
+        // forwarded to it" true; one that still beats here is re-observed
+        // within the timeout.
+        for server in self.db.indexed_servers() {
+            self.server_mon.observe(server, ctx.now());
+        }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {

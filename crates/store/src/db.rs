@@ -1101,6 +1101,13 @@ impl CoordinatorDb {
         self.by_server.get(&server).map(|set| set.iter().copied().collect()).unwrap_or_default()
     }
 
+    /// The servers some instance is indexed on: every server this
+    /// coordinator still answers for, whoever it beats now.
+    #[doc(hidden)]
+    pub fn indexed_servers(&self) -> impl Iterator<Item = ServerId> + '_ {
+        self.by_server.keys().copied()
+    }
+
     /// When `server` last spoke to this coordinator, if ever.
     #[doc(hidden)]
     pub fn server_heard(&self, server: ServerId) -> Option<SimTime> {

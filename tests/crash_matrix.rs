@@ -928,12 +928,13 @@ fn left_behind_coordinator_mints_nothing_for_a_departed_servers_new_tasks() {
     assert_eq!(executed, 4, "nothing ran twice");
 }
 
-/// The other half of the rule: the coordinator a server *currently* beats
-/// recovers everything on it, including a task it only knows through
-/// replication — here one whose dispatcher crashed, restarted with a fresh
-/// monitor and never heard the server again, so nobody else ever will.
+/// The other half of the rule: a task is recovered by whoever can still
+/// testify about its server — the coordinator the server *currently* beats,
+/// and the dispatcher, even one that crashed, restarted and never heard the
+/// server again: it watches every server its durable dispatch index names
+/// from the restart on, so its silence is suspicion, not ignorance.
 #[test]
-fn current_coordinator_recovers_a_task_whose_dispatcher_never_heard_the_server_again() {
+fn restarted_dispatcher_suspects_a_server_that_left_it() {
     // 10 s rounds put the peer-suspicion horizon at 30 s: the dispatcher is
     // back before its successor writes it off, so `release_origin` never
     // fires and server suspicion is the only recovery path left.
@@ -953,14 +954,17 @@ fn current_coordinator_recovers_a_task_whose_dispatcher_never_heard_the_server_a
     assert_eq!(g.server(victim).unwrap().running_count(), 1);
     g.world.crash_now(victim_node);
 
-    g.run_until_done(SimTime::from_secs(600)).expect("the current coordinator recovers the call");
+    g.run_until_done(SimTime::from_secs(600)).expect("the call is recovered");
     assert_eq!(g.client_results(), 1);
     let (old, current) = (g.coordinator(0).unwrap(), g.coordinator(1).unwrap());
     assert!(old.db().server_heard(victim_id) < Some(SimTime::from_secs(12)));
-    assert_eq!(old.metrics.server_suspicions, 0, "the restarted dispatcher monitors nobody");
+    assert_eq!(old.metrics.server_suspicions, 1, "it suspects the server it had forwarded to");
     assert_eq!(old.metrics.coordinator_suspicions + current.metrics.coordinator_suspicions, 0);
-    assert_eq!(current.metrics.server_suspicions, 1);
-    assert_eq!(current.db().stats().tasks, 2, "one replacement instance, minted where it beat");
+    // The dispatcher's replacement (minted while the server still ran —
+    // the price of not knowing) and the one minted where the server beat
+    // when it really died.
+    assert!(current.metrics.server_suspicions >= 1);
+    assert_eq!(current.db().stats().tasks, 3);
 }
 
 /// A restarted coordinator still answers for what it forwarded before the
@@ -996,6 +1000,8 @@ fn restarted_dispatchers_suspect_the_servers_they_forwarded_to() {
     let dispatched = |g: &SimGrid, c: usize, s| g.coordinator(c).unwrap().db().indexed_on(s);
     assert_eq!(dispatched(&g, 0, s1_id).len(), 1, "coordinator 1 dispatched to server 1");
     assert_eq!(dispatched(&g, 0, s1_id), dispatched(&g, 1, s2_id), "the same instance, twice");
+    let suspicions = |g: &SimGrid, c: usize| g.coordinator(c).unwrap().metrics.server_suspicions;
+    let before = [suspicions(&g, 0), suspicions(&g, 1)];
     // Both coordinators bounce, then both executions die, and from the
     // bounce on each server cannot reach the coordinator that dispatched to
     // it until it has re-homed.
@@ -1016,10 +1022,10 @@ fn restarted_dispatchers_suspect_the_servers_they_forwarded_to() {
 
     g.run_until_done(SimTime::from_secs(600)).expect("the forwarded call is re-instanced");
     assert_eq!(g.client_results(), 1);
-    for i in 0..2 {
-        let c = g.coordinator(i).unwrap();
-        assert_eq!(c.metrics.server_suspicions, 1, "coordinator {i} suspected its own server");
-        assert_eq!(c.metrics.coordinator_suspicions, 0, "coordinator {i} released no origin");
+    for (i, before) in before.into_iter().enumerate() {
+        assert_eq!(suspicions(&g, i), before + 1, "coordinator {i} suspected its own server");
+        let released = g.coordinator(i).unwrap().metrics.coordinator_suspicions;
+        assert_eq!(released, 0, "coordinator {i} released no origin");
     }
 }
 

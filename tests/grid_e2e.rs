@@ -468,7 +468,7 @@ fn protocol_traces_are_pinned() {
     assert_eq!(grid.client_results(), 40);
     assert_eq!(
         pin(&grid),
-        (0x135c_85b1_a068_fa55, 310_087, 118_209),
+        (0x81d4_5423_75d0_01fe, 308_395, 117_559),
         "(b) real-life + churn + coordinator restart"
     );
 
