@@ -135,7 +135,8 @@ pub struct ClientParams {
 /// The client state machine.
 pub struct ClientActor {
     params: ClientParams,
-    /// The preferred coordinator and the list it was picked from.
+    /// The preferred coordinator and the list it was picked from: the
+    /// directory's group owning this client's job space.
     link: CoordLink<CoordId>,
     log: SenderLog<JobSpec>,
     next_plan_idx: usize,
@@ -168,11 +169,6 @@ pub struct ClientActor {
     /// advertises (every collected-but-unreclaimed result), nor the
     /// in-backoff backlog.
     frontier: PullFrontier,
-    /// The shard group this client restricted itself to after a pushed
-    /// [`Msg::ShardMap`] (`None` until one arrives — the bootstrap list is
-    /// flat).  Kept to make repeated pushes of the same map idempotent:
-    /// rebuilding the coordinator list would discard suspicion state.
-    shard_members: Option<Vec<CoordId>>,
     /// Catalog high-water mark at the current coordinator incarnation: the
     /// highest catalog version already merged.  Echoed in every beat so
     /// the sync reply carries only what changed since.
@@ -218,7 +214,8 @@ impl ClientActor {
     }
 
     fn fresh(params: ClientParams) -> Self {
-        let link = CoordLink::new(params.directory.coord_ids(), params.cfg.coord_retry);
+        let members = params.directory.group_of(params.key).iter().copied();
+        let link = CoordLink::new(members, params.cfg.coord_retry);
         let log = SenderLog::new(params.cfg.log_strategy, GcPolicy::unbounded());
         ClientActor {
             params,
@@ -233,7 +230,6 @@ impl ClientActor {
             acked_max: 0,
             progress_at: SimTime::ZERO,
             frontier: PullFrontier::new(),
-            shard_members: None,
             catalog_hw: 0,
             last_pull: None,
             in_flight_submissions: 0,
@@ -627,57 +623,6 @@ impl ClientActor {
         RetryPolicy::of(self.params.cfg.heartbeat, ctx.spec().nic_bw_in)
     }
 
-    /// Applies a pushed shard map: computes this client's shard from the
-    /// shared hash and restricts the coordinator list to the owning group,
-    /// so beats, submissions, and collection pulls go straight to it.
-    /// Idempotent — a repeated push of the same group is a no-op (the
-    /// working list carries suspicion state worth keeping).  When the push
-    /// re-targets us off a foreign-shard coordinator, the in-flight
-    /// submission bookkeeping addressed the wrong plane and is wiped, so
-    /// the first sync with the owning group replays immediately.
-    fn apply_shard_map(&mut self, ctx: &mut Ctx<'_, Msg>, groups: Vec<Vec<CoordId>>) {
-        if groups.len() <= 1 {
-            return;
-        }
-        let shard = self.params.key.shard_of(groups.len());
-        let members = &groups[shard];
-        if self.shard_members.as_ref() == Some(members) {
-            return;
-        }
-        self.link.restrict(members.iter().copied());
-        self.shard_members = Some(members.clone());
-        if self.link.current().is_none() {
-            self.sent_at.clear();
-            self.sent_hw = 0;
-            // Contact the owning group right away: the beat doubles as the
-            // synchronization handshake.
-            self.beat(ctx);
-            // Replay the unacked prefix in the same turn, *ahead* of
-            // whatever the submission pump sends next: the wrong shard
-            // consumed (and dropped) these entries, and a later submission
-            // that reached the owning coordinator first would be refused
-            // as a gap.  Anything beyond the window rides the replay that
-            // continues on each acknowledgement.
-            let now = ctx.now();
-            let specs: Vec<JobSpec> = self
-                .log
-                .entries_after(self.log.acked_hw())
-                .take(64)
-                .map(|e| e.value.clone())
-                .collect();
-            if !specs.is_empty() {
-                for spec in &specs {
-                    self.sent_at.insert(spec.key.seq, now);
-                    self.sent_hw = self.sent_hw.max(spec.key.seq);
-                }
-                self.metrics.log_replays += 1;
-                if let Some(node) = self.coordinator(now) {
-                    ctx.send(node, Msg::SubmitBatch { specs });
-                }
-            }
-        }
-    }
-
     /// A received result's archive (for the API layer).
     pub fn result_archive(&self, seq: u64) -> Option<&Blob> {
         self.results.get(&seq).map(|r| &r.archive)
@@ -775,9 +720,6 @@ impl Actor<Msg> for ClientActor {
                 if self.in_flight_submissions == 0 {
                     self.submit_next(ctx);
                 }
-            }
-            Msg::ShardMap { groups } => {
-                self.apply_shard_map(ctx, groups);
             }
             Msg::StatusRequest { nonce } => {
                 // Introspection trigger (injected by a harness or the API

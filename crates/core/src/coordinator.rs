@@ -83,9 +83,6 @@ rpcv_simnet::counters! {
         pub snapshots_sent,
         /// Snapshots reassembled, verified and applied here.
         pub snapshots_applied,
-        /// Client messages answered with the shard map because this
-        /// coordinator's shard does not own the sender's job space.
-        pub shard_redirects,
         /// Live-introspection requests answered with a sealed snapshot.
         pub status_replies,
         /// Writes issued to the archive store (result archives, checkpoint
@@ -241,15 +238,12 @@ impl CoordinatorActor {
         // itself only, with its own successor chain, delta feed, retention
         // floor, and snapshot path.  On a flat (1-shard) directory the
         // group is the whole plane — the historical ring, unchanged.
-        let my_shard = params.directory.shard_of_coord(params.me).unwrap_or(0);
-        let ring = match params.directory.shard_of_coord(params.me) {
-            Some(s) => params.directory.group(s).to_vec(),
-            None => params.directory.coord_ids(),
-        };
-        let coords = CoordinatorList::new(
-            ring.into_iter().filter(|&c| c != params.me),
-            params.cfg.coord_retry,
-        );
+        let my_shard = params
+            .directory
+            .shard_of_coord(params.me)
+            .expect("the directory lists this coordinator");
+        let ring = params.directory.group(my_shard).iter().copied();
+        let coords = CoordinatorList::new(ring.filter(|&c| c != params.me), params.cfg.coord_retry);
         let db = CoordinatorDb::new(params.me);
         let suspicion = params.cfg.suspicion;
         // Coordinator-to-coordinator traffic only flows at the replication
@@ -285,28 +279,15 @@ impl CoordinatorActor {
         self.my_shard
     }
 
-    /// True — after answering with the shard map — when this coordinator's
-    /// shard does not own `client`'s job space; the client restricts its
-    /// coordinator list to its owning group and re-sends.
-    fn redirects(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, client: ClientKey) -> bool {
-        if self.params.directory.shard_of(client) == self.my_shard {
-            return false;
-        }
-        self.metrics.shard_redirects += 1;
-        ctx.send(from, Msg::ShardMap { groups: self.params.directory.shard_groups() });
-        true
-    }
-
     /// Records that `client`'s traffic lands here.  On first contact any
     /// parked missing-archive watches for their jobs re-arm — this
     /// coordinator now serves them, so their unrecovered work enters the
     /// re-execution pipeline with its original stamps (a failover pays no
-    /// fresh horizon) — and on a sharded plane the client is sent the shard
-    /// map, so its beats, submissions, and collection pulls settle on this
-    /// group (and its failover list never wanders into foreign shards).
-    /// A 1-group map says what the bootstrap list already said; sending it
-    /// would only move the golden trace.
-    fn greet_client(&mut self, ctx: &mut Ctx<'_, Msg>, client: ClientKey, from: NodeId) {
+    /// fresh horizon).
+    fn greet_client(&mut self, client: ClientKey) {
+        // Which group owns a client is the directory's decision, read by
+        // the client from the same list: it addresses no other group.
+        debug_assert_eq!(self.params.directory.shard_of(client), self.my_shard);
         if !self.clients.insert(client) {
             return;
         }
@@ -317,17 +298,13 @@ impl CoordinatorActor {
                 self.missing_order.insert((m.since, *job));
             }
         }
-        if self.params.directory.shard_count() > 1 {
-            ctx.send(from, Msg::ShardMap { groups: self.params.directory.shard_groups() });
-        }
     }
 
     /// How many leading entries of `specs` — one client's submissions in
     /// seq order — extend its contiguous registration `1..=client_max`
     /// (duplicates below the mark count: re-registering is idempotent).
-    /// A hole ends the prefix on every plane: links lose frames and a
-    /// wrong-shard coordinator consumes submissions without registering
-    /// them, and registering past the hole would let the high-water
+    /// A hole ends the prefix: links lose frames, and registering past
+    /// the hole would let the high-water
     /// acknowledgement (`coord_max`) talk the client into dropping the
     /// missing entries from its log.  The caller registers the prefix
     /// only; its ack reports the true contiguous mark and the client's
@@ -685,7 +662,7 @@ impl CoordinatorActor {
         collected: Vec<u64>,
         catalog_seq: u64,
     ) {
-        self.greet_client(ctx, client, from);
+        self.greet_client(client);
         let mut charge = Charge::ZERO;
         if !collected.is_empty() {
             let now = ctx.now();
@@ -1075,10 +1052,7 @@ impl Actor<Msg> for CoordinatorActor {
         *self.rx_counts.entry(msg.kind()).or_insert(0) += 1;
         match msg {
             Msg::Submit { spec } => {
-                if self.redirects(ctx, from, spec.key.client) {
-                    return;
-                }
-                self.greet_client(ctx, spec.key.client, from);
+                self.greet_client(spec.key.client);
                 let job = spec.key;
                 let gap = self.contiguous_prefix(job.client, std::slice::from_ref(&spec)) == 0;
                 let done = if gap {
@@ -1092,10 +1066,7 @@ impl Actor<Msg> for CoordinatorActor {
             }
             Msg::SubmitBatch { mut specs } => {
                 let Some(job) = specs.last().map(|s| s.key) else { return };
-                if self.redirects(ctx, from, job.client) {
-                    return;
-                }
-                self.greet_client(ctx, job.client, from);
+                self.greet_client(job.client);
                 specs.truncate(self.contiguous_prefix(job.client, &specs));
                 let done = if specs.is_empty() {
                     ctx.now()
@@ -1111,15 +1082,9 @@ impl Actor<Msg> for CoordinatorActor {
             // (`max_seq` is unread: the client decides resend/fast-forward
             // from the `coord_max` of the reply.)
             Msg::ClientBeat { client, max_seq: _, collected, catalog_seq } => {
-                if self.redirects(ctx, from, client) {
-                    return;
-                }
                 self.handle_client_beat(ctx, from, client, collected, catalog_seq);
             }
             Msg::ResultsRequest { client, want } => {
-                if self.redirects(ctx, from, client) {
-                    return;
-                }
                 let jobs = want.into_iter().map(|seq| JobKey { client, seq });
                 self.serve_archives(ctx, from, jobs, |results| Some(Msg::ResultsReply { results }));
             }

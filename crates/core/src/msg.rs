@@ -268,19 +268,6 @@ pub enum Msg {
         payload: Blob,
     },
 
-    /// The coordinator plane's shard map, pushed to a client at connect
-    /// (and to any client that addressed a coordinator outside its owning
-    /// shard).  `groups[s]` lists shard `s`'s coordinator replicas in
-    /// preference order; the receiver computes its own shard as
-    /// `hash(ClientKey) % groups.len()` ([`rpcv_xw::ClientKey::shard_of`])
-    /// and restricts its coordinator list to that group.  Never sent on a
-    /// 1-shard grid, so the degenerate case stays wire-identical to the
-    /// pre-shard protocol.
-    ShardMap {
-        /// Per-shard coordinator groups, indexed by shard.
-        groups: Vec<Vec<CoordId>>,
-    },
-
     // ----- external (API / workload) ----------------------------------------------
     /// Injected by the GridRPC API layer or a workload driver: submit this
     /// job through the client actor.
@@ -370,7 +357,6 @@ wire_enum!(Msg {
     21 => Corrupt { len },
     22 => SnapshotRequest { from },
     23 => SnapshotChunk { from, version, seq, total, extra, payload },
-    24 => ShardMap { groups },
     25 => StatusRequest { nonce },
     26 => StatusReply { coord, nonce, sealed },
 });
@@ -549,9 +535,6 @@ mod tests {
                 extra: 5000,
                 payload: Blob::from_vec(vec![9; 64]),
             },
-            Msg::ShardMap {
-                groups: vec![vec![CoordId(1), CoordId(2)], vec![CoordId(3), CoordId(4)]],
-            },
             Msg::StatusRequest { nonce: 7 },
             Msg::StatusReply {
                 coord: CoordId(2),
@@ -561,13 +544,19 @@ mod tests {
         ]
     }
 
+    /// Tags that named a message once and are never reused (the note under
+    /// "Message tags" in `docs/ARCHITECTURE.md` says what 24 was).
+    const RETIRED_TAGS: &[u8] = &[24];
+
     #[test]
     fn samples_cover_every_tag() {
         let mut tags: Vec<u8> = samples().iter().map(|m| m.tag()).collect();
         tags.sort_unstable();
         tags.dedup();
-        assert_eq!(tags.len(), Msg::KINDS.len(), "every tag needs a roundtrip sample");
-        assert_eq!(*tags.last().unwrap() as usize, Msg::KINDS.len() - 1, "tags must be dense");
+        let table: Vec<u8> = Msg::KINDS.iter().map(|&(tag, _)| tag).collect();
+        assert_eq!(tags, table, "every tag needs a roundtrip sample");
+        let dense: Vec<u8> = (0..=26).filter(|tag| !RETIRED_TAGS.contains(tag)).collect();
+        assert_eq!(table, dense, "tags are dense but for the retired ones, which stay retired");
     }
 
     #[test]
@@ -608,7 +597,6 @@ mod tests {
         ("Corrupt", 2, 0xac29_2542_1609_1c6e, 2),
         ("SnapshotRequest", 2, 0xfe7f_ba5a_b3cd_95b9, 2),
         ("SnapshotChunk", 73, 0xa815_20a2_8e39_aef8, 5073),
-        ("ShardMap", 8, 0x9ed3_b648_afea_a779, 8),
         ("StatusRequest", 2, 0x1ae5_cb5a_614c_f6a4, 2),
         ("StatusReply", 45, 0x3a41_e998_690d_f553, 45),
     ];
@@ -674,10 +662,12 @@ mod tests {
 
     #[test]
     fn invalid_tag_rejected() {
-        assert!(matches!(
-            from_bytes::<Msg>(&[200]),
-            Err(WireError::InvalidTag { ty: "Msg", tag: 200 })
-        ));
+        for tag in [200].into_iter().chain(RETIRED_TAGS.iter().copied()) {
+            assert_eq!(
+                from_bytes::<Msg>(&[tag, 0]),
+                Err(WireError::InvalidTag { ty: "Msg", tag: tag as u64 })
+            );
+        }
     }
 
     #[test]

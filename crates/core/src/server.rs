@@ -513,7 +513,7 @@ impl ServerActor {
                 (std::mem::take(&mut running[s]), std::mem::take(&mut offered[s]));
             self.beat_shard(ctx, s, if is_target { want } else { 0 }, running, offered);
         }
-        if want_target.is_some() && shards > 1 {
+        if want_target.is_some() {
             self.work_shard = (self.work_shard + 1) % shards;
         }
     }

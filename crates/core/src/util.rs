@@ -17,9 +17,12 @@ use crate::msg::Msg;
 /// communicated messages, etc...)", extended with the shard plane: the job
 /// space is hash-partitioned by [`ClientKey::shard_of`] across `S`
 /// independent coordinator groups, each a full replicated ring with its own
-/// change index, delta floor, and snapshot feed.  A directory built with
-/// [`Directory::new`] has a single group holding every coordinator — the
-/// degenerate 1-shard grid, bit-compatible with the pre-shard protocol.
+/// change index, delta floor, and snapshot feed.  Every component is built
+/// with the same list and reads its own part of it — a coordinator its
+/// ring, a server one link per group, a client the one group that owns it
+/// — so which group owns a client is decided here and nowhere else, and
+/// nothing about the map ever crosses the wire.  One group is the paper's
+/// flat plane.
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
     coords: BTreeMap<CoordId, NodeId>,
@@ -29,13 +32,6 @@ pub struct Directory {
 }
 
 impl Directory {
-    /// Directory over `(coordinator, node)` pairs, all in one shard.
-    pub fn new(entries: impl IntoIterator<Item = (CoordId, NodeId)>) -> Self {
-        let coords: BTreeMap<CoordId, NodeId> = entries.into_iter().collect();
-        let groups = vec![coords.keys().copied().collect()];
-        Directory { coords, groups }
-    }
-
     /// Directory over per-shard coordinator groups: `groups[s]` owns the
     /// clients with `key.shard_of(groups.len()) == s`.
     pub fn sharded(groups: Vec<Vec<(CoordId, NodeId)>>) -> Self {
@@ -47,11 +43,6 @@ impl Directory {
     /// Address of a coordinator.
     pub fn node_of(&self, c: CoordId) -> Option<NodeId> {
         self.coords.get(&c).copied()
-    }
-
-    /// All coordinator ids (the common order base set).
-    pub fn coord_ids(&self) -> Vec<CoordId> {
-        self.coords.keys().copied().collect()
     }
 
     /// Number of shards (1 for a flat directory).
@@ -69,25 +60,15 @@ impl Directory {
         &self.groups[s]
     }
 
+    /// The group owning `client`'s job space: the only coordinators that
+    /// client ever addresses.
+    pub fn group_of(&self, client: ClientKey) -> &[CoordId] {
+        self.group(self.shard_of(client))
+    }
+
     /// The shard index `c` belongs to (`None` for an unknown coordinator).
     pub fn shard_of_coord(&self, c: CoordId) -> Option<usize> {
         self.groups.iter().position(|g| g.contains(&c))
-    }
-
-    /// The shard-map wire payload: per-shard member lists, as pushed to
-    /// clients at connect via `Msg::ShardMap`.
-    pub fn shard_groups(&self) -> Vec<Vec<CoordId>> {
-        self.groups.clone()
-    }
-
-    /// Number of coordinators.
-    pub fn len(&self) -> usize {
-        self.coords.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.coords.is_empty()
     }
 }
 
@@ -243,23 +224,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn directory_lookup() {
-        let d = Directory::new([(CoordId(2), NodeId(5)), (CoordId(1), NodeId(4))]);
+    fn one_group_is_the_flat_plane() {
+        let d = Directory::sharded(vec![vec![(CoordId(2), NodeId(5)), (CoordId(1), NodeId(4))]]);
         assert_eq!(d.node_of(CoordId(1)), Some(NodeId(4)));
         assert_eq!(d.node_of(CoordId(9)), None);
-        assert_eq!(d.coord_ids(), vec![CoordId(1), CoordId(2)]);
-        assert_eq!(d.len(), 2);
-        assert!(!d.is_empty());
-    }
-
-    #[test]
-    fn flat_directory_is_one_shard() {
-        let d = Directory::new([(CoordId(1), NodeId(4)), (CoordId(2), NodeId(5))]);
         assert_eq!(d.shard_count(), 1);
         assert_eq!(d.shard_of(ClientKey::new(7, 3)), 0);
-        assert_eq!(d.group(0), &[CoordId(1), CoordId(2)]);
+        assert_eq!(d.group_of(ClientKey::new(7, 3)), &[CoordId(2), CoordId(1)], "listed order");
         assert_eq!(d.shard_of_coord(CoordId(2)), Some(0));
-        assert_eq!(d.node_of(CoordId(2)), Some(NodeId(5)));
     }
 
     #[test]
@@ -269,17 +241,14 @@ mod tests {
             vec![(CoordId(3), NodeId(6)), (CoordId(4), NodeId(7))],
         ]);
         assert_eq!(d.shard_count(), 2);
-        assert_eq!(d.len(), 4);
         assert_eq!(d.group(1), &[CoordId(3), CoordId(4)]);
         assert_eq!(d.shard_of_coord(CoordId(3)), Some(1));
         assert_eq!(d.shard_of_coord(CoordId(9)), None);
-        // Routing agrees with the shared client-side hash.
+        assert_eq!(d.node_of(CoordId(4)), Some(NodeId(7)));
+        // Ownership agrees with the shared client-side hash.
         let k = ClientKey::new(11, 1);
         assert_eq!(d.shard_of(k), k.shard_of(2));
-        assert_eq!(
-            d.shard_groups(),
-            vec![vec![CoordId(1), CoordId(2)], vec![CoordId(3), CoordId(4)]]
-        );
+        assert_eq!(d.group_of(k), d.group(k.shard_of(2)));
     }
 
     #[test]

@@ -218,15 +218,6 @@ impl<K: Ord + Copy> CoordLink<K> {
     pub fn is_eligible(&self, k: K, now: SimTime) -> bool {
         self.coords.is_eligible(k, now)
     }
-
-    /// Replaces the membership with `members`, all trusted (a pushed shard
-    /// map).  The current pick and its window survive iff it is a member.
-    pub fn restrict(&mut self, members: impl IntoIterator<Item = K>) {
-        self.coords = CoordinatorList::new(members, self.coords.retry_after);
-        if self.current.is_some_and(|c| !self.coords.entries.contains_key(&c)) {
-            self.current = None;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -335,21 +326,6 @@ mod tests {
         assert_eq!(l.pick(S(1000)), Some(3), "an eligible override is kept");
         l.heard(S(1000), false);
         assert_eq!(l.give_up_if_silent(S(1006), window), Some(3));
-    }
-
-    #[test]
-    fn restrict_keeps_a_member_pick_and_drops_a_foreign_one() {
-        let mut l = link();
-        assert_eq!(l.pick(S(0)), Some(1));
-        l.restrict([1, 2]);
-        assert_eq!(l.current(), Some(1));
-        assert_eq!(l.give_up_if_silent(S(31), SimDuration::from_secs(30)), Some(1), "window kept");
-        let mut l = link();
-        assert_eq!(l.pick(S(0)), Some(1));
-        l.restrict([2, 3]);
-        assert_eq!(l.current(), None);
-        assert_eq!(l.pick(S(1)), Some(2));
-        assert!(!l.is_eligible(1, S(1)), "dropped from the membership");
     }
 
     #[test]

@@ -507,7 +507,7 @@ fn protocol_traces_are_pinned() {
     assert_eq!((0..6).map(|c| grid.client_results_at(c)).sum::<usize>(), 24);
     assert_eq!(
         pin(&grid),
-        (0x69bf_9edb_55be_7f43, 8_028, 2_878),
+        (0xc906_af2f_b6f2_5d1a, 10_158, 3_732),
         "(c) sharded + checkpoints + wiped server"
     );
 }

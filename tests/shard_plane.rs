@@ -6,9 +6,9 @@
 //! replication feed, retention and snapshot bootstrap, and fails over
 //! independently.  These tests pin the two load-bearing properties:
 //!
-//! 1. **Partitioning** — jobs live on exactly their owning shard; a
-//!    mis-routed client is redirected by a `ShardMap` push and completes
-//!    against its own group.
+//! 1. **Partitioning** — jobs live on exactly their owning shard; every
+//!    client reads its group off the directory it was built with and never
+//!    addresses another.
 //! 2. **Isolation** — a primary crash in one shard fails over only that
 //!    shard: every other shard keeps dispatching exactly one instance per
 //!    job, with zero cross-shard re-execution.
@@ -65,29 +65,38 @@ fn sharded_grid_partitions_jobs_and_completes() {
     }
 
     // Shard-major layout: coordinator 2s is shard s's preferred primary.
-    let mut redirects = 0;
+    // A client addresses its own group's primary and nobody else (the
+    // owner's `debug_assert!` in `greet_client` ran on every client frame
+    // of this run), so in a fault-free run a replica sees no client frame
+    // at all and a primary registers exactly its own clients' submissions,
+    // first time: nothing was consumed by a wrong shard, and nothing is
+    // left for a replay to repair.
+    const CLIENT_FRAMES: [&str; 4] = ["ClientBeat", "Submit", "SubmitBatch", "ResultsRequest"];
     for (s, members) in per_shard.iter().enumerate() {
         let primary = g.coordinator(s * 2).expect("shard primary up");
         assert_eq!(primary.shard(), s);
         let db = primary.db();
-        assert_eq!(
-            db.stats().jobs,
-            (members.len() * JOBS_EACH) as u64,
-            "shard {s} holds exactly its clients' jobs"
-        );
+        let owned_jobs = (members.len() * JOBS_EACH) as u64;
+        assert_eq!(db.stats().jobs, owned_jobs, "shard {s} holds exactly its clients' jobs");
         for i in 0..CLIENTS {
             let expect = if members.contains(&i) { JOBS_EACH as u64 } else { 0 };
             assert_eq!(db.client_max(g.clients[i].0), expect, "client {i} on shard {s}");
         }
         assert_eq!(primary.metrics.reexecutions, 0, "shard {s}");
         assert_eq!(db.stats().duplicate_results, 0, "shard {s}");
-        redirects += primary.metrics.shard_redirects;
+        let rx = |c: usize, kind| g.coordinator(c).unwrap().rx_counts.get(kind).copied();
+        assert_eq!(rx(s * 2, "Submit"), Some(owned_jobs), "shard {s}: one `Submit` per job");
+        assert_eq!(rx(s * 2, "SubmitBatch"), None, "shard {s}: nothing to replay");
+        for kind in CLIENT_FRAMES {
+            assert_eq!(rx(s * 2 + 1, kind), None, "shard {s}'s replica received a {kind}");
+        }
+        for &i in members {
+            let client = g.client_at(i).unwrap();
+            assert_eq!(client.current_coordinator(), Some(g.coords[s * 2].0), "client {i}");
+            let m = &client.metrics;
+            assert_eq!((m.coordinator_switches, m.log_replays), (0, 0), "client {i}");
+        }
     }
-    // Bootstrap is a flat list, so clients of the non-first shard discover
-    // their group through at least one ShardMap redirect — and once
-    // redirected they stay put (the map push is idempotent).
-    assert!(redirects >= 1, "mis-routed first contacts must be redirected");
-    assert!(redirects <= (CLIENTS * 4) as u64, "redirects must not flap, got {redirects}");
 
     // One execution per job grid-wide.
     let executed: u64 = (0..6).map(|i| g.server(i).unwrap().metrics.executed).sum();
@@ -173,16 +182,14 @@ fn shard_primary_crash_fails_over_only_that_shard() {
     );
 }
 
-/// Degenerate case: `with_shards(1)` is the flat plane — a single group,
-/// no redirects, no `ShardMap` traffic — and behaves identically to an
-/// unsharded build of the same spec.
+/// Degenerate case: `with_shards(1)` is the flat plane — a single group —
+/// and behaves identically to an unsharded build of the same spec.
 #[test]
 fn one_shard_grid_is_the_flat_plane() {
-    let run = |spec: GridSpec| -> (Option<SimTime>, usize, u64) {
+    let run = |spec: GridSpec| {
         let mut g = SimGrid::build(spec);
         let done = g.run_until_done(SimTime::from_secs(1800));
-        let redirects = g.coordinator(0).unwrap().metrics.shard_redirects;
-        (done, g.client_results(), redirects)
+        (done, g.client_results(), g.world.trace().hash(), g.world.events_processed())
     };
     let spec = || {
         GridSpec::confined(2, 4)
@@ -190,10 +197,7 @@ fn one_shard_grid_is_the_flat_plane() {
             .with_plan(plan(8, 2.0))
             .with_seed(0xD15C)
     };
-    let (done_flat, results_flat, redirects_flat) = run(spec());
-    let (done_sharded, results_sharded, redirects_sharded) = run(spec().with_shards(1));
-    assert_eq!(done_flat, done_sharded, "with_shards(1) must be bit-identical");
-    assert_eq!(results_flat, results_sharded);
-    assert_eq!(redirects_flat, 0);
-    assert_eq!(redirects_sharded, 0, "no redirect traffic on a 1-shard grid");
+    let flat = run(spec());
+    assert_eq!(flat, run(spec().with_shards(1)), "with_shards(1) must be bit-identical");
+    assert_eq!((flat.0.is_some(), flat.1), (true, 8));
 }
