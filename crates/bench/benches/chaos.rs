@@ -14,18 +14,22 @@
 //! plan mixing all fault families.  The bench only records verdicts; the
 //! gate is `scripts/check_bench_flatness.py`, which `Artifact::finish`
 //! runs on the file just written (and CI on the committed one) and whose
-//! status this bench exits with — one `"survived": false` fails it.  Run
-//! with `-- --smoke` for the tiny CI variant — smoke artifacts must not be
-//! committed.
+//! status this bench exits with — one `"survived": false` fails it.
 //!
-//! Every field in the artifact is virtual-time deterministic: the same
-//! toolchain regenerates it byte-identically, so a diff in review *is*
-//! a behavior change.
+//! Every field in the artifact is virtual-time deterministic and the full
+//! sweep takes half a second, so there is no smoke variant: the same
+//! toolchain regenerates the file byte-identically (CI reruns the bench and
+//! requires no diff), and a diff in review *is* a behavior change.  The
+//! wide sweep — 12 000 plans per plane — is `tests/chaos_oracle.rs`'s
+//! `oracle_soak`.
 
 use std::fmt::Write as _;
 
 use rpcv_bench::{Artifact, Value};
 use rpcv_core::chaos::ChaosOracle;
+
+/// Plans in the sweep (the committed artifact's contract).
+const PLANS: usize = 64;
 
 /// Intensity ladder the sweep cycles through: from light background
 /// noise to every-family-at-maximum mayhem.
@@ -58,11 +62,9 @@ fn hist_json(h: &rpcv_obs::Histogram) -> String {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let plans = if smoke { 6 } else { 64 };
-    let mut art = Artifact::new("chaos", "chaos_sweep", 2, smoke, "plans");
+    let mut art = Artifact::new("chaos", "chaos_sweep", 2, false, "plans");
     let (mut survived, mut corrupt, mut dup, mut bad) = (0u64, 0u64, 0u64, 0u64);
-    for i in 0..plans {
+    for i in 0..PLANS {
         let seed = seed_of(i as u64);
         let intensity = LADDER[i % LADDER.len()];
         let r = ChaosOracle::seeded(seed, intensity).run();
@@ -93,12 +95,12 @@ fn main() {
         bad += r.bad_frames;
     }
     println!(
-        "# chaos sweep: {survived}/{plans} plans survived \
+        "# chaos sweep: {survived}/{PLANS} plans survived \
          ({corrupt} corrupt, {dup} dup, {bad} poison frames absorbed)"
     );
     art.finish(&[
         "\"totals\": {".to_owned(),
-        format!("  \"plans\": {plans},"),
+        format!("  \"plans\": {PLANS},"),
         format!("  \"survived\": {survived},"),
         format!("  \"corrupt_frames\": {corrupt},"),
         format!("  \"dup_frames\": {dup},"),

@@ -30,8 +30,8 @@
 //! (Below that, adaptation is dominated by the one-off cost of *learning*
 //! each node's regime; the sweep still reports those cells.)  Results go to
 //! stdout, `target/figures/ckpt_policies.csv` and the repo-root
-//! `BENCH_ckpt.json`; run with `-- --smoke` for the tiny CI variant — smoke
-//! artifacts must not be committed.
+//! `BENCH_ckpt.json`.  Virtual time only and a fraction of a second, so
+//! there is no smoke variant: CI reruns the sweep and requires no diff.
 
 use rpcv_bench::{Artifact, Value};
 use rpcv_ckpt::{AdaptiveCheckpoint, CheckpointPolicy};
@@ -137,43 +137,23 @@ fn run_cell(
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let shapes: Vec<Shape> = if smoke {
-        vec![Shape {
-            servers: 4,
-            volatile: 2,
-            jobs: 8,
-            exec_secs: 40.0,
-            units: 40,
-            faults_per_min: 4.0,
-        }]
-    } else {
-        vec![
-            Shape {
-                servers: 8,
-                volatile: 4,
-                jobs: 36,
-                exec_secs: 60.0,
-                units: 60,
-                faults_per_min: 2.0, // light churn: ~120 s volatile lifetime
-            },
-            Shape {
-                servers: 8,
-                volatile: 4,
-                jobs: 36,
-                exec_secs: 60.0,
-                units: 60,
-                faults_per_min: 8.0, // heavy churn: ~30 s volatile lifetime
-            },
-        ]
+    let shape = |faults_per_min| Shape {
+        servers: 8,
+        volatile: 4,
+        jobs: 36,
+        exec_secs: 60.0,
+        units: 60,
+        faults_per_min,
     };
+    // Light churn (~120 s volatile lifetime), then heavy (~30 s).
+    let shapes = [shape(2.0), shape(8.0)];
     let adaptive = CheckpointPolicy::Adaptive(AdaptiveCheckpoint {
         min: SimDuration::from_secs(2),
         max: SimDuration::from_secs(60),
         prior: SimDuration::from_secs(30),
         lifetime_divisor: 6,
     });
-    let mut art = Artifact::new("ckpt", "ckpt_policies", 1, smoke, "cells");
+    let mut art = Artifact::new("ckpt", "ckpt_policies", 1, false, "cells");
     for shape in shapes {
         for (policy, label) in [
             (CheckpointPolicy::Disabled, "off"),

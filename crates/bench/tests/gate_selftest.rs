@@ -73,7 +73,7 @@ fn every_gate_family_fails_on_its_mutation() {
         ("scale", "\"completed\": true", "\"completed\": false", "did not complete"),
         ("chaos", "\"survived\": true", "\"survived\": false", "violated a safety invariant"),
         ("chaos", "\"results\": 24", "\"results\": 23", "delivered 23/24 results"),
-        ("chaos", "\"smoke\": false", "\"smoke\": true", "is a smoke run"),
+        ("scale", "\"smoke\": false", "\"smoke\": true", "is a smoke run"),
         ("chaos", "\"bench\": \"chaos\"", "\"bench\": \"ckpt\"", "carries the bench tag"),
         ("paper", "\"bench\": \"paper\"", "\"bench\": \"scale\"", "carries the bench tag"),
     ] {

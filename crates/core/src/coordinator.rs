@@ -303,12 +303,11 @@ impl CoordinatorActor {
     /// How many leading entries of `specs` — one client's submissions in
     /// seq order — extend its contiguous registration `1..=client_max`
     /// (duplicates below the mark count: re-registering is idempotent).
-    /// A hole ends the prefix: links lose frames, and registering past
-    /// the hole would let the high-water
-    /// acknowledgement (`coord_max`) talk the client into dropping the
-    /// missing entries from its log.  The caller registers the prefix
-    /// only; its ack reports the true contiguous mark and the client's
-    /// replay refills the hole in order.
+    /// A hole ends the prefix: links lose frames, and registering past the
+    /// hole would let the high-water acknowledgement (`coord_max`) talk
+    /// the client into dropping the missing entries from its log.  The
+    /// caller registers the prefix only; its ack reports the true
+    /// contiguous mark and the client's replay refills the hole in order.
     fn contiguous_prefix(&self, client: ClientKey, specs: &[JobSpec]) -> usize {
         let mut next = self.db.client_max(client) + 1;
         let extends = |s: &&JobSpec| {

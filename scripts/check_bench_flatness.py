@@ -91,10 +91,10 @@ Dispatches on the artifact's "bench" tag:
   always gated as --committed, and CI regenerates it and requires no diff.
 
 With --committed, additionally reject smoke artifacts: only full sweeps
-may be committed (a local `--smoke` run overwrites the same file).  For
-chaos, --committed also requires the full 64-plan ladder.  With
---regenerated (CI, right after a `--smoke` bench run), require a smoke
-artifact instead: validation must see the run CI just executed, not the
+may be committed (a local `scale -- --smoke` run overwrites the same file;
+the other three benches have no smoke variant).  For chaos, --committed
+also requires the full 64-plan ladder.  With --regenerated (CI, right after
+the scale bench's `--smoke` run), require a smoke artifact instead: validation must see the run CI just executed, not the
 committed file the bench failed to overwrite.  Either way a file named
 BENCH_<tag>.json must carry that bench tag — a harness writing to the
 wrong path cannot pass as the artifact it overwrote.
