@@ -898,28 +898,19 @@ impl CoordinatorDb {
             );
             row.version = v;
         } else {
-            let unknown = (CompleteOutcome::UnknownJob, Charge::ops(1));
-            let Some(owner) = self.jobs.get_mut(&job) else { return unknown };
-            let Some(spec) = owner.spec.as_ref() else { return unknown };
+            let Some(owner) = self.jobs.get(&job).filter(|r| r.spec.is_some()) else {
+                return (CompleteOutcome::UnknownJob, Charge::ops(1));
+            };
             // The job is known, the instance is not: its dispatcher's row
             // has not replicated here yet (and, as `Ongoing`, will change
-            // nothing when it does).  Mint the row `Finished`, or the
-            // result below would be stored with no versioned row and no
-            // peer would ever learn the job finished.
-            let desc = Self::describe(spec, task, owner.next_attempt);
-            owner.next_attempt += 1;
-            owner.tasks.push(task);
-            let version = Self::touch(
-                &mut self.changed,
-                &mut self.version,
-                0,
-                Changed::Task(task),
-                Provenance::LOCAL,
-            );
+            // nothing when it does).  Merge the row `Finished` as this
+            // coordinator's own, or the result below would be stored with
+            // no versioned row and no peer would ever learn the job
+            // finished.
+            let attempt = owner.next_attempt;
             let state = TaskState::Finished { result_size: size };
-            let origin = task.coord();
-            self.tasks
-                .insert(task, TaskRow { desc, state, origin, locally_dispatched: false, version });
+            let row = TaskRecord { id: task, job, attempt, state, origin: task.coord() };
+            self.apply_task_row(&row, Provenance::LOCAL);
         }
         // A known task may report a job key that is not registered here
         // (mismatched pair): the archive is stored all the same, in a stub

@@ -96,13 +96,13 @@ fn soak_plan(sharded: bool, seed: u64, intensity: f64) -> Result<(), String> {
     Err(format!("{plane} ({seed:#x}, {intensity}): {:?}", report.violations))
 }
 
-/// Plans the soak found, kept: `(sharded, seed, intensity)`.  The first
-/// three ended with every node alive, healed and idle and one job
-/// undeliverable for good — a coordinator restarted with its monitor empty
-/// never suspected the server it had forwarded to (flat), and a result
-/// completed under an instance id its coordinator had not learned yet never
-/// entered the replication feed (sharded).  The last one passed only while
-/// a connect-time redirect delayed client 2's first submission.
+/// Plans the soak found, kept: `(sharded, seed, intensity)`.  Each once
+/// ended with every node alive, healed and idle and one job undeliverable
+/// for good.  Flat: both coordinators dispatch one replicated `Pending` row,
+/// bounce, and each server re-homes to the other — a restarted coordinator
+/// must watch the servers it forwarded to.  Sharded: a server delivers to a
+/// coordinator that knows the job but not yet the instance — the result
+/// must enter the replication feed all the same.
 const NAMED_PLANS: &[(bool, u64, f64)] = &[
     (false, 0x3659_9a4d_9611_35b4, 0.727),
     (false, 0xc473_1438_e4e2_1a79, 0.817),

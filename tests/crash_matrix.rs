@@ -978,7 +978,7 @@ fn restarted_dispatcher_suspects_a_server_that_left_it() {
 /// restart empty while its dispatch index restarts full.
 #[test]
 fn restarted_dispatchers_suspect_the_servers_they_forwarded_to() {
-    use rpcv::simnet::Control::{Block, Unblock};
+    use rpcv::simnet::Control::{Block, Crash, Restart, Unblock};
     // 4 s rounds: peer suspicion is 12 s, so a 2 s coordinator bounce never
     // releases an origin and server suspicion is the one recovery path.
     let cfg = fast_cfg().with_replication_period(SimDuration::from_secs(4));
@@ -1006,13 +1006,13 @@ fn restarted_dispatchers_suspect_the_servers_they_forwarded_to() {
     // bounce on each server cannot reach the coordinator that dispatched to
     // it until it has re-homed.
     for c in [c1, c2] {
-        g.world.schedule_control(at(10.0), rpcv::simnet::Control::Crash(c));
-        g.world.schedule_control(at(12.0), rpcv::simnet::Control::Restart(c));
+        g.world.schedule_control(at(10.0), Crash(c));
+        g.world.schedule_control(at(12.0), Restart(c));
     }
     for (s, dispatcher) in [(s1, c1), (s2, c2)] {
         g.world.schedule_control(at(10.0), cut(s, dispatcher));
-        g.world.schedule_control(at(13.0), rpcv::simnet::Control::Crash(s));
-        g.world.schedule_control(at(14.0), rpcv::simnet::Control::Restart(s));
+        g.world.schedule_control(at(13.0), Crash(s));
+        g.world.schedule_control(at(14.0), Restart(s));
         g.world.schedule_control(at(25.0), heal(s, dispatcher));
     }
     g.world.run_until(at(25.0));
