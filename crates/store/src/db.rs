@@ -3031,6 +3031,30 @@ mod tests {
     }
 
     #[test]
+    fn retired_knowledge_survives_the_second_hop() {
+        // Two successive wipes: `b` learns `a`'s retired prefix from a
+        // bootstrap and prunes nothing itself (no floor of its own), then
+        // is the only place the wiped `a` can relearn it from.
+        let client = ClientKey::new(1, 1);
+        let mut a = db();
+        run_to_collected(&mut a, 3);
+        a.prune_retired(a.version());
+        let mut b = CoordinatorDb::new(CoordId(2));
+        b.apply_snapshot(&a.snapshot());
+        assert_eq!((b.retired_count(), b.delta_floor()), (3, 0));
+        let mut a2 = db();
+        a2.apply_delta(&b.feed_for(CoordId(1), 0));
+        a2.check_invariants();
+        assert_eq!(a2.retired_watermark(client), a.retired_watermark(client));
+        for seq in 1..=3 {
+            let k = JobKey::new(client, seq);
+            assert_eq!(a2.has_collected_knowledge(&k), a.has_collected_knowledge(&k), "{k:?}");
+        }
+        let (fresh, _) = a2.register_job(job(2));
+        assert!(!fresh, "retired seqs refuse re-registration after any number of hops");
+    }
+
+    #[test]
     fn pruning_a_job_with_queued_instances_keeps_the_queue_honest() {
         // A collected job can still have live Pending queue entries (a
         // recovery instance raced the collection).  Pruning must run the

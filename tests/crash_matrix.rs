@@ -721,6 +721,78 @@ fn wiped_primary_relearns_its_own_rows_from_the_replica() {
     }
 }
 
+/// Two successive wipes.  The replica retires the delivered prefix it
+/// learned; the primary loses its disk and relearns the prefix from the
+/// replica (the `pruned_replica` arm above) — as retired watermarks, with
+/// no row of its own to prune, so its feed never develops a floor.  Then
+/// the *replica* loses its disk, and the primary is the only place the
+/// prefix lives on.  The watermarks must make the second hop too: a
+/// replica that comes back without them would accept a re-registration of
+/// delivered seqs.
+#[test]
+fn retired_prefix_survives_two_successive_coordinator_wipes() {
+    let mut cfg = ProtocolConfig::confined()
+        .with_heartbeat(SimDuration::from_secs(1))
+        .with_suspicion(SimDuration::from_secs(5))
+        .with_replication_period(SimDuration::from_secs(4));
+    cfg.missing_archive_timeout = SimDuration::from_secs(10);
+    let plan: Vec<CallSpec> =
+        (0..8).map(|i| CallSpec::new("b", Blob::synthetic(10_000, i), 2.0, 128)).collect();
+    let mut g = SimGrid::build(GridSpec::confined(2, 4).with_cfg(cfg).with_plan(plan));
+    let (c0, c1) = (g.coords[0].1, g.coords[1].1);
+    let executed = |g: &SimGrid| -> u64 {
+        (0..4).map(|i| g.server(i).map_or(0, |s| s.metrics.executed)).sum()
+    };
+
+    g.run_until_done(SimTime::from_secs(1800)).expect("workload completes");
+    g.world.run_until(SimTime::from_secs(45));
+    assert_eq!(g.coordinator(1).unwrap().db().retired_count(), 8, "the replica retired it all");
+
+    // First hop: the wiped primary is reseeded by the replica.  The client
+    // is down throughout, so the ring is the only source of knowledge.
+    let client = g.client_node;
+    g.world.crash_now(client);
+    g.world.crash_now(c0);
+    g.world.wipe_durable(c0);
+    g.world.restart_now(c0);
+    g.world.run_until(SimTime::from_secs(105));
+    {
+        let primary = g.coordinator(0).expect("primary up");
+        assert_eq!(primary.db().retired_count(), 8, "first hop");
+        assert_eq!(primary.db().delta_floor(), 0, "learned, not pruned: no floor of its own");
+    }
+
+    // Second hop: the wiped replica is reseeded by the primary.
+    g.world.crash_now(c1);
+    g.world.wipe_durable(c1);
+    g.world.restart_now(c1);
+    g.world.run_until(SimTime::from_secs(165));
+    {
+        let primary = g.coordinator(0).expect("primary up");
+        let replica = g.coordinator(1).expect("replica up");
+        assert_eq!(
+            (primary.db().retired_count(), replica.db().retired_count()),
+            (8, 8),
+            "the retired prefix makes the second hop"
+        );
+        for seq in 1..=8u64 {
+            let job = rpcv::xw::JobKey::new(g.client_key, seq);
+            assert!(replica.db().has_collected_knowledge(&job), "delivered {job:?} relearned");
+        }
+    }
+
+    g.world.restart_now(client);
+    g.world.run_until(SimTime::from_secs(300)); // far past the re-execution horizon
+    let primary = g.coordinator(0).expect("primary up");
+    let replica = g.coordinator(1).expect("replica up");
+    for coord in [primary, replica] {
+        assert!(!coord.rx_counts.contains_key("SubmitBatch"), "no client replay");
+        assert_eq!(coord.metrics.reexecutions, 0);
+    }
+    assert_eq!(executed(&g), 8, "collected work must not run again");
+    assert_eq!(g.client_results(), 8);
+}
+
 /// Group commit must not widen the ack window: a `TaskDoneAck` leaves at
 /// its *own* write's return, so when the primary dies while a batch of
 /// archives rides an op that has not even started, no server of that
