@@ -13,17 +13,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use rpcv_detect::{CoordinatorList, HeartbeatMonitor};
 use rpcv_obs::{Histogram, SpanBook, SpanEdge, TelemetrySnapshot};
 use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimTime, TimerId, WireSized};
-use rpcv_store::{Applied, Charge, CoordinatorDb, ReplicationDelta, Snapshot};
-use rpcv_wire::{SizeWriter, WireEncode};
+use rpcv_store::{Applied, Charge, CoordinatorDb, ReplicationDelta};
+use rpcv_wire::WireEncode;
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId};
 
 use crate::config::ProtocolConfig;
 use crate::msg::{Msg, RpcResult};
 use crate::util::{Deferred, Directory};
-
-/// One peer's in-flight snapshot reassembly: `(version, total, chunks by
-/// seq)`.  Volatile — a crash mid-transfer just restarts the exchange.
-type SnapReassembly = (u64, u32, BTreeMap<u32, Vec<u8>>);
 
 const K_SCAN: u64 = 1;
 const K_REPL: u64 = 2;
@@ -38,7 +34,8 @@ pub struct ReplRound {
     pub started: SimTime,
     /// Acknowledgement arrival.
     pub acked_at: Option<SimTime>,
-    /// Delta rows carried (jobs, tasks, marks, collection acks).
+    /// Delta rows carried (jobs, tasks, marks, collection acks, checkpoints;
+    /// a from-zero round leads with the retired watermarks).
     pub records: u64,
     /// Modelled bytes transferred.
     pub bytes: u64,
@@ -78,11 +75,10 @@ rpcv_simnet::counters! {
         /// Frames that arrived unreadable (wire corruption) and were dropped
         /// without touching protocol state.
         pub bad_frames,
-        /// Snapshot transfers sent (successor's base fell below the retention
-        /// floor, or it explicitly requested a reseed).
+        /// Rounds that had to start over from zero: the successor's acked
+        /// base was below the retention floor (it fell behind, was written
+        /// off, or asked for a reseed after losing its disk).
         pub snapshots_sent,
-        /// Snapshots reassembled, verified and applied here.
-        pub snapshots_applied,
         /// Live-introspection requests answered with a sealed snapshot.
         pub status_replies,
         /// Writes issued to the archive store (result archives, checkpoint
@@ -183,10 +179,8 @@ pub struct CoordinatorActor {
     /// Highest delta head applied *from* each predecessor (the peer's own
     /// version space).  A delta whose `base_version` is ahead of this has
     /// a gap — rows the sender pruned believing we held them — and must
-    /// not be applied; we ask for a snapshot reseed instead.
+    /// not be applied; we ask to be reseeded from zero instead.
     applied_head: BTreeMap<CoordId, u64>,
-    /// Snapshot reassembly buffers, one per sending peer.
-    snap_rx: BTreeMap<CoordId, SnapReassembly>,
     /// Outstanding replication round: `(successor, head, started)`.
     inflight_repl: Option<(CoordId, u64, SimTime)>,
     /// Missing-archive watch list, mirroring the database's missing set:
@@ -235,8 +229,8 @@ impl CoordinatorActor {
 
     fn fresh(params: CoordParams) -> Self {
         // The ring is shard-local: each shard's group replicates among
-        // itself only, with its own successor chain, delta feed, retention
-        // floor, and snapshot path.  On a flat (1-shard) directory the
+        // itself only, with its own successor chain, delta feed and
+        // retention floor.  On a flat (1-shard) directory the
         // group is the whole plane — the historical ring, unchanged.
         let my_shard = params
             .directory
@@ -260,7 +254,6 @@ impl CoordinatorActor {
             clients: BTreeSet::new(),
             acked_version: BTreeMap::new(),
             applied_head: BTreeMap::new(),
-            snap_rx: BTreeMap::new(),
             inflight_repl: None,
             missing: BTreeMap::new(),
             missing_order: BTreeSet::new(),
@@ -329,7 +322,7 @@ impl CoordinatorActor {
     /// the recoveries in flight, not the jobs this coordinator ever saw.
     #[doc(hidden)]
     pub fn resident_records(&self) -> usize {
-        self.missing.len() + self.missing_order.len() + self.snap_rx.len()
+        self.missing.len() + self.missing_order.len()
     }
 
     /// Read access to the database (harness inspection).
@@ -714,12 +707,12 @@ impl CoordinatorActor {
         );
     }
 
-    /// The common tail of applying a delta or a snapshot from `peer`
-    /// (head `head` in the peer's version space): jobs the frame taught us
-    /// were collected leave the missing-archive watch list for good —
-    /// delivered work must not sit in the re-execution pipeline — the
-    /// applied head moves, the store's charge is paid, and the head is
-    /// acknowledged once the write lands.
+    /// The tail of applying a feed from `peer` (head `head` in the peer's
+    /// version space): jobs the frame taught us were delivered — by a
+    /// collection ack or under a retired watermark — leave the
+    /// missing-archive watch list for good (delivered work must not sit in
+    /// the re-execution pipeline), the applied head moves, the store's
+    /// charge is paid, and the head is acknowledged once the write lands.
     fn finish_apply(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -759,10 +752,10 @@ impl CoordinatorActor {
         // peer (its retention pruned rows believing we held them — a stale
         // ack record after its failover, or we are a fresh joiner).
         // Applying it would silently skip history, so drop it unacked and
-        // ask to be reseeded from a snapshot.
+        // ask to be reseeded from zero.
         let applied = self.applied_head.get(&peer).copied().unwrap_or(0);
         if delta.base_version > applied {
-            ctx.note("replication gap: requesting snapshot reseed");
+            ctx.note("replication gap: requesting reseed");
             ctx.send(from, Msg::SnapshotRequest { from: self.params.me });
             return;
         }
@@ -788,7 +781,7 @@ impl CoordinatorActor {
                 ctx.note("coordinator suspects ring successor");
                 self.coords.suspect(succ, now);
                 // Its ack record is stale the moment it's suspected: if it
-                // ever becomes our successor again, reseed via snapshot
+                // ever becomes our successor again, reseed it from zero
                 // rather than assume it still holds everything it acked.
                 self.acked_version.remove(&succ);
                 self.inflight_repl = None;
@@ -801,16 +794,15 @@ impl CoordinatorActor {
         };
         let Some(node) = self.params.directory.node_of(succ) else { return };
         let base = self.acked_version.get(&succ).copied().unwrap_or(0);
-        // Retention pruned rows past `base`: `delta_since(base)` would be
-        // incomplete, so this round ships a full snapshot instead and the
-        // successor tails the feed from its version.
-        if base < self.db.delta_floor() {
-            self.send_snapshot(ctx, succ, node);
-            return;
-        }
         // The successor's own rows stay home: what it taught us it holds,
         // so the feed skips those entries straight off the change index.
+        // A base retention pruned past cannot be tailed: the store serves
+        // it from zero, complete, and the successor tails on from its head.
         let delta = self.db.feed_for(succ, base);
+        if base < self.db.delta_floor() {
+            self.metrics.snapshots_sent += 1;
+            ctx.note("replication: successor base below retention floor; reseeding from zero");
+        }
         // Building the delta reads every shipped row (and only those: the
         // version index makes this O(changed), not O(tables), and a
         // skipped entry is never looked up).
@@ -832,110 +824,6 @@ impl CoordinatorActor {
             bytes,
         });
         self.deferred.send_at_sized(ctx, done, node, msg, bytes, K_SEND, 0);
-    }
-
-    /// Ships a sealed snapshot of the live state to `succ`, chunked.  The
-    /// successor reassembles, verifies the CRC-64 tail, applies, and acks
-    /// `snapshot.version` like a regular delta head; subsequent rounds tail
-    /// the normal feed from there.
-    fn send_snapshot(&mut self, ctx: &mut Ctx<'_, Msg>, succ: CoordId, node: NodeId) {
-        const CHUNK: usize = 64 * 1024;
-        let now = ctx.now();
-        let snap = self.db.snapshot();
-        let version = snap.version;
-        // Building the image reads every live row, like a from-zero delta.
-        let done = ctx.db(1 + snap.len() as u64, 0);
-        // The frame carries row metadata and inline payloads; the synthetic
-        // payload bytes it stands for (job parameters, checkpoint state) are
-        // apportioned across the chunks so the network charges the true
-        // transfer — each payload once, whichever form it has.
-        let mut meter = SizeWriter::new();
-        snap.encode(&mut meter);
-        let modelled_extra = meter.modelled_len();
-        let frame = snap.seal();
-        let total = frame.chunks(CHUNK).len() as u32;
-        let share = modelled_extra / total as u64;
-        for (i, part) in frame.chunks(CHUNK).enumerate() {
-            let seq = i as u32;
-            let extra =
-                if seq + 1 == total { modelled_extra - share * (total as u64 - 1) } else { share };
-            let msg = Msg::SnapshotChunk {
-                from: self.params.me,
-                version,
-                seq,
-                total,
-                extra,
-                payload: rpcv_wire::Blob::copy_from_slice(part),
-            };
-            let bytes = msg.wire_size();
-            self.deferred.send_at_sized(ctx, done, node, msg, bytes, K_SEND, 0);
-        }
-        self.inflight_repl = Some((succ, version, now));
-        self.metrics.snapshots_sent += 1;
-        ctx.note("replication: successor base below retention floor; snapshot sent");
-    }
-
-    /// One reassembled, verified snapshot: apply and ack its version.
-    fn apply_snapshot_frame(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: NodeId,
-        peer: CoordId,
-        frame: &[u8],
-    ) {
-        let snap = match Snapshot::open(frame) {
-            Ok(snap) => snap,
-            Err(e) => {
-                // Corruption anywhere in the transfer surfaces here as a
-                // typed digest/decode error: count, drop, change nothing.
-                ctx.note(format!("snapshot rejected: {e}"));
-                self.metrics.bad_frames += 1;
-                return;
-            }
-        };
-        let version = snap.version;
-        let applied = self.db.apply_snapshot_owned(snap);
-        // The watermarks may have retired jobs we were watching for
-        // archives: delivered work leaves the re-execution pipeline.
-        let stale: Vec<JobKey> =
-            self.missing.keys().filter(|j| !self.db.wants_archive(j)).copied().collect();
-        for job in stale {
-            self.settle(&job);
-        }
-        self.metrics.snapshots_applied += 1;
-        self.finish_apply(ctx, from, peer, version, applied);
-    }
-
-    #[allow(clippy::too_many_arguments)] // mirrors the wire fields of `Msg::SnapshotChunk`
-    fn handle_snapshot_chunk(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: NodeId,
-        peer: CoordId,
-        version: u64,
-        seq: u32,
-        total: u32,
-        payload: rpcv_wire::Blob,
-    ) {
-        let now = ctx.now();
-        self.peer_mon.observe(peer, now);
-        self.coords.trust(peer);
-        self.released.remove(&peer);
-        if total == 0 || seq >= total {
-            self.metrics.bad_frames += 1;
-            return;
-        }
-        let buf = self.snap_rx.entry(peer).or_insert_with(|| (version, total, BTreeMap::new()));
-        // A newer transfer obsoletes a half-assembled older one.
-        if buf.0 != version || buf.1 != total {
-            *buf = (version, total, BTreeMap::new());
-        }
-        buf.2.insert(seq, payload.materialize().to_vec());
-        if buf.2.len() as u32 == total {
-            let (_, _, chunks) = self.snap_rx.remove(&peer).unwrap();
-            let frame: Vec<u8> = chunks.into_values().flatten().collect();
-            self.apply_snapshot_frame(ctx, from, peer, &frame);
-        }
     }
 
     fn scan(&mut self, ctx: &mut Ctx<'_, Msg>) {
@@ -975,8 +863,8 @@ impl CoordinatorActor {
         }
         // Retention: retire the delivered prefix whose rows the ring
         // successor has acknowledged.  With no successor there is nothing
-        // to keep a feed complete for — any future joiner bootstraps via
-        // snapshot — so everything delivered is prunable.
+        // to keep a feed complete for — any future joiner is bootstrapped
+        // from zero — so everything delivered is prunable.
         let min_acked = match self.coords.successor_of(self.params.me, now) {
             Some(succ) => self.acked_version.get(&succ).copied().unwrap_or(0),
             None => u64::MAX,
@@ -1138,9 +1026,8 @@ impl Actor<Msg> for CoordinatorActor {
             }
             Msg::SnapshotRequest { from: peer } => {
                 self.peer_mon.observe(peer, ctx.now());
-                // Forget what we believed the requester held; the next
-                // round to it starts from base 0, which the retention
-                // floor immediately routes down the snapshot path.
+                // Forget what we believed the requester held: the next
+                // round to it starts from base 0, complete.
                 self.acked_version.remove(&peer);
                 if let Some((succ, _, _)) = self.inflight_repl {
                     if succ == peer {
@@ -1149,13 +1036,9 @@ impl Actor<Msg> for CoordinatorActor {
                 }
                 self.replicate(ctx);
             }
-            Msg::SnapshotChunk { from: peer, version, seq, total, extra: _, payload } => {
-                self.handle_snapshot_chunk(ctx, from, peer, version, seq, total, payload);
-            }
             Msg::StatusRequest { nonce } => {
                 // Live introspection: fill a snapshot, seal it (same
-                // CRC-64 frame discipline as checkpoints and snapshots),
-                // and reply.  Building the snapshot reads the stats tables
+                // CRC-64 frame discipline as checkpoints), and reply.  Building the snapshot reads the stats tables
                 // — charged as one indexed read.
                 self.metrics.status_replies += 1;
                 let snap = self.telemetry_snapshot();

@@ -235,37 +235,15 @@ pub enum Msg {
         /// The archives.
         results: Vec<RpcResult>,
     },
-    /// "My delta feed has a gap I cannot apply — seed me from a snapshot."
+    /// "My delta feed has a gap I cannot apply — reseed me from zero."
     /// Sent when a received delta's `base_version` is ahead of what the
     /// receiver has applied from this peer (the sender pruned rows the
-    /// receiver never saw, or the receiver is a fresh joiner).  The sender
+    /// receiver never saw, or the receiver lost its disk).  The sender
     /// answers by clearing its ack record for the requester, which makes
-    /// its next replication round take the snapshot path.
+    /// its next replication round a from-zero [`Msg::ReplDelta`].
     SnapshotRequest {
         /// Requesting coordinator.
         from: CoordId,
-    },
-    /// One chunk of a sealed [`Snapshot`](rpcv_store::Snapshot) frame.
-    /// The receiver reassembles `total` chunks in `seq` order, opens the
-    /// frame (CRC-64 verified end to end), applies it, and acknowledges
-    /// `version` with a regular [`Msg::ReplAck`]; the sender then tails
-    /// the normal delta feed from there.
-    SnapshotChunk {
-        /// Sending coordinator.
-        from: CoordId,
-        /// Snapshot version (the tail-from point); identifies the frame
-        /// all chunks of one transfer share.
-        version: u64,
-        /// This chunk's index, `0..total`.
-        seq: u32,
-        /// Total chunks in the transfer.
-        total: u32,
-        /// Modelled payload bytes apportioned to this chunk (the synthetic
-        /// job-parameter and checkpoint-state bytes the frame summarizes
-        /// but does not inline).
-        extra: u64,
-        /// This chunk's slice of the sealed frame.
-        payload: Blob,
     },
 
     // ----- external (API / workload) ----------------------------------------------
@@ -298,8 +276,8 @@ pub enum Msg {
     },
     /// Reply to [`Msg::StatusRequest`]: the coordinator's
     /// `TelemetrySnapshot`, wire-encoded and CRC-64 sealed (the same
-    /// `seal_frame` discipline as checkpoints and store snapshots), so a
-    /// corrupted snapshot can never masquerade as telemetry.
+    /// `seal_frame` discipline as checkpoints), so a corrupted snapshot
+    /// can never masquerade as telemetry.
     StatusReply {
         /// Answering coordinator.
         coord: CoordId,
@@ -356,7 +334,6 @@ wire_enum!(Msg {
     20 => Batch { parts = decode_flat_parts },
     21 => Corrupt { len },
     22 => SnapshotRequest { from },
-    23 => SnapshotChunk { from, version, seq, total, extra, payload },
     25 => StatusRequest { nonce },
     26 => StatusReply { coord, nonce, sealed },
 });
@@ -379,15 +356,9 @@ fn decode_flat_parts(r: &mut Reader<'_>) -> Result<Vec<Msg>, WireError> {
 
 impl WireSized for Msg {
     /// The bytes a send is charged: the frame plus the modelled payloads
-    /// it stands for, from one counting pass, plus — for a snapshot chunk,
-    /// which is never batched — its apportioned share of the payloads the
-    /// whole snapshot stands for.
+    /// it stands for, from one counting pass.
     fn wire_size(&self) -> u64 {
-        let apportioned = match self {
-            Msg::SnapshotChunk { extra, .. } => *extra,
-            _ => 0,
-        };
-        self.transfer_len() + apportioned
+        self.transfer_len()
     }
 }
 
@@ -406,6 +377,7 @@ mod tests {
             DeltaRow::Task(TaskRecord { id: TaskId(n), job, attempt: 1, state, origin: CoordId(1) })
         };
         vec![
+            DeltaRow::Retired { client: ClientKey::new(2, 2), through: 5 },
             DeltaRow::Job(JobSpec::new(job, "svc", Blob::synthetic(700, 6)).with_work_units(60)),
             task(7, TaskState::Pending),
             task(8, TaskState::Ongoing { server: ServerId(3), since: SimTime::from_secs(9) }),
@@ -497,7 +469,7 @@ mod tests {
             Msg::ReplDelta {
                 delta: ReplicationDelta {
                     from: CoordId(1),
-                    base_version: 3,
+                    base_version: 0,
                     head_version: 4,
                     rows: delta_rows(),
                 },
@@ -527,14 +499,6 @@ mod tests {
             },
             Msg::Corrupt { len: 77 },
             Msg::SnapshotRequest { from: CoordId(2) },
-            Msg::SnapshotChunk {
-                from: CoordId(1),
-                version: 42,
-                seq: 1,
-                total: 3,
-                extra: 5000,
-                payload: Blob::from_vec(vec![9; 64]),
-            },
             Msg::StatusRequest { nonce: 7 },
             Msg::StatusReply {
                 coord: CoordId(2),
@@ -544,9 +508,9 @@ mod tests {
         ]
     }
 
-    /// Tags that named a message once and are never reused (the note under
-    /// "Message tags" in `docs/ARCHITECTURE.md` says what 24 was).
-    const RETIRED_TAGS: &[u8] = &[24];
+    /// Tags that named a message once and are never reused (the notes under
+    /// "Message tags" in `docs/ARCHITECTURE.md` say what they were).
+    const RETIRED_TAGS: &[u8] = &[23, 24];
 
     #[test]
     fn samples_cover_every_tag() {
@@ -590,14 +554,13 @@ mod tests {
         ("TaskDoneAck", 5, 0x0def_e848_1097_1402, 5),
         ("NeedArchives", 5, 0x4792_3e87_e82e_2fd5, 5),
         ("ArchivesSettled", 5, 0x447e_9f22_a146_0cc3, 5),
-        ("ReplDelta", 81, 0x700d_480c_a87b_4f29, 2781),
+        ("ReplDelta", 85, 0x4d45_dbc9_b744_6c2d, 2785),
         ("ReplAck", 3, 0xaebd_37ba_9a11_e683, 3),
         ("ReplArchives", 9, 0x2ec7_790b_55cc_d300, 73),
         ("ApiSubmit", 18, 0xd241_925c_163e_9284, 18),
         ("Batch", 12, 0x2be7_e468_3078_7c73, 12),
         ("Corrupt", 2, 0xac29_2542_1609_1c6e, 2),
         ("SnapshotRequest", 2, 0xfe7f_ba5a_b3cd_95b9, 2),
-        ("SnapshotChunk", 73, 0xa815_20a2_8e39_aef8, 5073),
         ("StatusRequest", 2, 0x1ae5_cb5a_614c_f6a4, 2),
         ("StatusReply", 45, 0x3a41_e998_690d_f553, 45),
     ];
@@ -687,20 +650,6 @@ mod tests {
         } else {
             panic!("roundtrip changed the variant");
         }
-    }
-
-    #[test]
-    fn snapshot_chunk_charges_apportioned_payload() {
-        let m = Msg::SnapshotChunk {
-            from: CoordId(1),
-            version: 7,
-            seq: 0,
-            total: 1,
-            extra: 100_000,
-            payload: Blob::from_vec(vec![0; 512]),
-        };
-        assert!(m.wire_size() >= 100_512, "chunk body + apportioned bytes");
-        assert!(m.encoded_len() < 600, "the frame itself stays near the chunk size");
     }
 
     /// `(tag, name)` of every row of the table under `heading` in

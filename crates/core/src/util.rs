@@ -17,7 +17,7 @@ use crate::msg::Msg;
 /// communicated messages, etc...)", extended with the shard plane: the job
 /// space is hash-partitioned by [`ClientKey::shard_of`] across `S`
 /// independent coordinator groups, each a full replicated ring with its own
-/// change index, delta floor, and snapshot feed.  Every component is built
+/// change index, feed and retention floor.  Every component is built
 /// with the same list and reads its own part of it — a coordinator its
 /// ring, a server one link per group, a client the one group that owns it
 /// — so which group owns a client is decided here and nowhere else, and

@@ -355,12 +355,13 @@ fn reexecuted_job_backs_off_from_its_own_first_send() {
 }
 
 #[test]
-fn snapshot_chunks_charge_only_the_payload_they_stand_for() {
-    // An inline payload travels inside the sealed frame and is charged
-    // there; only a synthetic one is bytes the chunks must be charged on
-    // top.  Job 1 is delivered and retired (the retention floor); jobs 2
-    // and 3 stay live on the one server, one with 3000 inline parameter
-    // bytes, one standing for 5000 synthetic ones.
+fn the_round_below_the_floor_is_one_frame_charged_once() {
+    // A bootstrap is a regular round: one `ReplDelta`, metered by the one
+    // counting pass.  An inline payload travels inside the frame and is
+    // charged there; only a synthetic one is bytes charged on top.  Job 1
+    // is delivered and retired (the retention floor); jobs 2 and 3 stay
+    // live on the one server, one with 3000 inline parameter bytes, one
+    // standing for 5000 synthetic ones.
     let cfg = ProtocolConfig::confined()
         .with_heartbeat(SimDuration::from_secs(1))
         .with_suspicion(SimDuration::from_secs(4))
@@ -383,10 +384,18 @@ fn snapshot_chunks_charge_only_the_payload_they_stand_for() {
     grid.world.inject(at(35), successor, Msg::ReplAck { from: succ_id, head_version: 0 });
     grid.world.run_until(at(45));
     let heard = &grid.world.actor::<Probe>(successor).unwrap().heard;
-    let stood_for: Vec<u64> = (heard.iter())
-        .filter(|(_, m)| matches!(m, Msg::SnapshotChunk { .. }))
-        .map(|(_, m)| m.wire_size() - m.encoded_len())
+    let boots: Vec<&Msg> = (heard.iter())
+        .filter_map(|(t, m)| (*t > at(35) && matches!(m, Msg::ReplDelta { .. })).then_some(m))
         .collect();
-    assert!(!stood_for.is_empty(), "the round below the floor ships a snapshot");
-    assert_eq!(stood_for.iter().sum::<u64>(), 5000, "per chunk: {stood_for:?}");
+    let [boot] = boots[..] else { panic!("one round in flight at a time, got {}", boots.len()) };
+    let Msg::ReplDelta { delta, .. } = boot else { unreachable!() };
+    assert_eq!(delta.base_version, 0, "served from zero");
+    assert_eq!(delta.retired().map(|(_, w)| w).collect::<Vec<_>>(), vec![1], "job 1's watermark");
+    assert_eq!(delta.jobs().count(), 2, "the two live jobs");
+    assert_eq!(boot.wire_size() - boot.encoded_len(), 5000, "each payload charged once");
+    assert!(boot.encoded_len() > 3000, "the inline payload rides in the frame");
+    let primary = grid.coordinator(0).unwrap();
+    assert_eq!(primary.metrics.snapshots_sent, 1);
+    let round = primary.metrics.repl_rounds.last().unwrap();
+    assert_eq!((round.bytes, round.records), (boot.wire_size(), delta.len() as u64), "and logged");
 }

@@ -8,7 +8,6 @@ use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, TaskDesc, TaskId, T
 
 use crate::charge::Charge;
 use crate::delta::{DeltaRow, ReplicationDelta, TaskRecord};
-use crate::snapshot::Snapshot;
 
 /// One stored task row.
 #[derive(Debug, Clone)]
@@ -59,7 +58,7 @@ impl TaskIds {
 /// * an archive (with its finished flag, catalog entry and collected
 ///   knowledge) stored by [`CoordinatorDb::complete_task`] for a known
 ///   task whose reported job key is not registered here, or left behind
-///   when a snapshot's retired watermark prunes a lagging replica's
+///   when a bootstrap feed's retired watermark prunes a lagging replica's
 ///   not-yet-collected job;
 /// * a catalog tombstone (`catalog_pos`) that outlives
 ///   [`CoordinatorDb::prune_retired`] until the client acknowledges it
@@ -163,7 +162,7 @@ impl Provenance {
     /// Written by this coordinator's own operation.
     const LOCAL: Provenance = Provenance(u64::MAX);
 
-    /// Last written while applying a delta or snapshot from `peer`.
+    /// Last written while applying a feed from `peer`.
     fn peer(peer: CoordId) -> Self {
         Provenance(peer.0)
     }
@@ -219,13 +218,15 @@ pub enum CompleteOutcome {
     UnknownJob,
 }
 
-/// What applying one replication frame (delta or snapshot) did.
+/// What applying one replication feed did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Applied {
     /// Storage cost of the merge.
     pub charge: Charge,
-    /// Collection acknowledgements that were news here, in frame order:
-    /// delivered work the owner takes out of its re-execution pipeline.
+    /// Jobs the feed taught this database were delivered — a collection
+    /// acknowledgement that was news, or a resident job a retired watermark
+    /// pruned — in frame order: work the owner takes out of its
+    /// re-execution pipeline.
     pub newly_collected: Vec<JobKey>,
 }
 
@@ -336,8 +337,8 @@ pub struct CoordinatorDb {
     /// [`Self::stats`] so observers see monotone counts across pruning.
     retired_tasks: u64,
     /// Highest change-index version ever pruned: `delta_since(base)` is
-    /// complete only for `base >= delta_floor` — a lower base needs the
-    /// `{snapshot, tail}` bootstrap instead.
+    /// complete only for `base >= delta_floor` — [`Self::feed_for`] serves
+    /// a lower base from zero instead.
     delta_floor: u64,
 }
 
@@ -1437,34 +1438,47 @@ impl CoordinatorDb {
     /// known client each round).  Rows come out in version order, which
     /// guarantees a job row precedes its task and collected rows.
     ///
-    /// This is the *complete* feed — snapshots, bootstraps and the scan
-    /// references are all defined by it.  The steady-state round to a ring
-    /// peer is [`Self::feed_for`], the same builder with that peer's own
-    /// rows left out.
+    /// This is the *complete* feed — bootstraps and the scan references
+    /// are all defined by it — for `base == 0` and for every `base` at or
+    /// above [`Self::delta_floor`].  From zero it leads with one
+    /// [`DeltaRow::Retired`] row per client, the summary of everything
+    /// retention pruned: whoever applies it holds all this database knows.
+    /// The round to a ring peer is [`Self::feed_for`], the same builder
+    /// with that peer's own rows left out.
     pub fn delta_since(&self, base: u64) -> ReplicationDelta {
         self.build_delta(base, None)
     }
 
-    /// The incremental feed for ring peer `to`: [`Self::delta_since`]`(base)`
-    /// minus the entries last written by a delta or snapshot *from* `to` —
-    /// a row is never sent back to the peer it was learned from (that peer
-    /// holds it at an equal or higher state, so re-applying it there is a
-    /// no-op the sender would still pay to read, size and ship).  Skipped
-    /// entries cost one index step each: no row lookup, no clone.
+    /// The feed for ring peer `to`, which acknowledged `base`:
+    /// [`Self::delta_since`]`(base)` minus the entries last written by a
+    /// feed *from* `to` — a row is never sent back to the peer it was
+    /// learned from (that peer holds it at an equal or higher state, so
+    /// re-applying it there is a no-op the sender would still pay to read,
+    /// size and ship).  Skipped entries cost one index step each: no row
+    /// lookup, no clone.
     ///
-    /// A bootstrap feed is complete: from `base == 0` nothing is skipped.
-    /// That is what keeps a disk wipe safe — a wiped peer lost its
-    /// applied-head record along with its rows, so it refuses every
-    /// `base > 0` feed as a gap and the reseed it asks for (from-zero
-    /// delta or [`Self::snapshot`]) carries every row, its own included.
+    /// A base below [`Self::delta_floor`] cannot be tailed — retention
+    /// pruned rows past it — so the feed starts over from zero
+    /// (`base_version` says which base was served).  And a from-zero feed
+    /// is a bootstrap, complete by definition: nothing is skipped and the
+    /// retired watermarks lead.  That is what keeps a disk wipe safe — a
+    /// wiped peer lost its applied-head record along with its rows, so it
+    /// refuses every `base > 0` feed as a gap, and the reseed it asks for
+    /// carries every row, its own included, and every watermark, however
+    /// this database came to know it.
     pub fn feed_for(&self, to: CoordId, base: u64) -> ReplicationDelta {
+        let base = if base < self.delta_floor { 0 } else { base };
         self.build_delta(base, (base > 0).then_some(Provenance::peer(to)))
     }
 
-    /// The one feed builder: rows changed since `base`, in version order,
-    /// leaving out entries whose provenance is `skip`.
+    /// The one feed builder: the retired watermarks when `base` is 0, then
+    /// the rows changed since `base`, in version order, leaving out entries
+    /// whose provenance is `skip`.
     fn build_delta(&self, base: u64, skip: Option<Provenance>) -> ReplicationDelta {
         let mut rows = Vec::new();
+        if base == 0 {
+            rows.extend(self.retired_rows());
+        }
         for (_, entry) in
             self.changed.range((std::ops::Bound::Excluded(base), std::ops::Bound::Unbounded))
         {
@@ -1512,6 +1526,11 @@ impl CoordinatorDb {
         ReplicationDelta { from: self.me, base_version: base, head_version: self.version, rows }
     }
 
+    /// One [`DeltaRow::Retired`] row per client with a retired prefix.
+    fn retired_rows(&self) -> impl Iterator<Item = DeltaRow> + '_ {
+        self.retired_below.iter().map(|(&client, &through)| DeltaRow::Retired { client, through })
+    }
+
     /// Full-table-scan reference definition of [`Self::delta_since`], kept
     /// for the equivalence property tests and the micro-bench comparison.
     /// (Marks, collection acknowledgements and checkpoints carry no
@@ -1520,6 +1539,7 @@ impl CoordinatorDb {
     /// pre-index implementation would.)
     #[doc(hidden)]
     pub fn delta_since_scan(&self, base: u64) -> ReplicationDelta {
+        let retired = self.retired_rows().filter(|_| base == 0);
         let jobs = self
             .jobs
             .values()
@@ -1549,7 +1569,13 @@ impl CoordinatorDb {
             from: self.me,
             base_version: base,
             head_version: self.version,
-            rows: jobs.chain(tasks).chain(marks).chain(collected).chain(ckpts).collect(),
+            rows: retired
+                .chain(jobs)
+                .chain(tasks)
+                .chain(marks)
+                .chain(collected)
+                .chain(ckpts)
+                .collect(),
         }
     }
 
@@ -1706,9 +1732,9 @@ impl CoordinatorDb {
         self.apply_rows(delta.from, delta.rows.into_iter())
     }
 
-    /// Shared row-application loop behind the delta and snapshot apply
-    /// paths: rows are merged under the receiver's own version counter,
-    /// and every row the merge writes is stamped as learned from `peer`.
+    /// The row-application loop: rows are merged under the receiver's own
+    /// version counter, and every row the merge writes is stamped as
+    /// learned from `peer`.
     fn apply_rows(&mut self, peer: CoordId, rows: impl Iterator<Item = DeltaRow>) -> Applied {
         let from = Provenance::peer(peer);
         let mut applied = Applied { charge: Charge::ops(1), newly_collected: Vec::new() };
@@ -1740,13 +1766,16 @@ impl CoordinatorDb {
                         Charge::ops(1)
                     }
                 }
+                DeltaRow::Retired { client, through } => {
+                    self.retire_through(client, through, from, &mut applied.newly_collected)
+                }
             };
         }
         self.maybe_compact_pending();
         applied
     }
 
-    // --- retention and snapshots -------------------------------------------
+    // --- retention and bootstrap -------------------------------------------
 
     /// Retires delivered jobs whose every row has replicated: for each
     /// client, walks the contiguous-collected prefix above the retired
@@ -1762,8 +1791,7 @@ impl CoordinatorDb {
     /// resubmit one.
     ///
     /// Pruning raises [`Self::delta_floor`]; a consumer whose base falls
-    /// below the floor must bootstrap from `{snapshot, tail}` instead of
-    /// a delta ([`Self::snapshot`] / [`Self::apply_snapshot`]).
+    /// below the floor is bootstrapped from zero ([`Self::feed_for`]).
     ///
     /// O(clients) when nothing is retirable; otherwise O(rows pruned).
     /// Returns the number of jobs retired.
@@ -1813,7 +1841,7 @@ impl CoordinatorDb {
     ///
     /// Two attributes are *not* a retired job's to take along and stay
     /// behind in a stub row: its catalog tombstone (the client has not
-    /// acknowledged the removal yet) and — when a snapshot's watermark
+    /// acknowledged the removal yet) and — when a feed's watermark
     /// retires a lagging replica's job that was never collected here — a
     /// still-retained archive with its catalog entry and GC flag.
     fn prune_job(&mut self, k: &JobKey) {
@@ -1870,10 +1898,17 @@ impl CoordinatorDb {
         }
     }
 
-    /// Raises `client`'s retired prefix to `w` on the authority of a
-    /// snapshot sender, pruning any still-resident rows of the retired
-    /// jobs (a lagging replica may hold rows the sender already pruned).
-    fn retire_through(&mut self, client: ClientKey, w: u64, from: Provenance) -> Charge {
+    /// Raises `client`'s retired prefix to `w` on the authority of a feed's
+    /// [`DeltaRow::Retired`] row, pruning any still-resident rows of the
+    /// retired jobs (a lagging replica may hold rows the sender already
+    /// pruned).  Pruned jobs not known delivered before join `news`.
+    fn retire_through(
+        &mut self,
+        client: ClientKey,
+        w: u64,
+        from: Provenance,
+        news: &mut Vec<JobKey>,
+    ) -> Charge {
         let start = self.retired_watermark(client);
         if w <= start {
             return Charge::ops(1);
@@ -1882,6 +1917,9 @@ impl CoordinatorDb {
         for seq in start + 1..=w {
             let k = JobKey { client, seq };
             if self.knows_job(&k) {
+                if !self.has_collected_knowledge(&k) {
+                    news.push(k);
+                }
                 self.prune_job(&k);
                 ops += 1;
             }
@@ -1896,56 +1934,16 @@ impl CoordinatorDb {
         Charge::ops(ops)
     }
 
-    /// Captures a complete, versioned image of the live state: every live
-    /// row (exactly [`Self::delta_since`]`(0)` — one row per live table
-    /// entry post-retention) plus the retired watermarks that summarize
-    /// everything pruned.  O(live state).  The receiver applies it with
-    /// [`Self::apply_snapshot`], acknowledges [`Snapshot::version`] and
-    /// tails the regular delta feed from there.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            from: self.me,
-            version: self.version,
-            retired: self.retired_below.iter().map(|(&c, &w)| (c, w)).collect(),
-            rows: self.delta_since(0).rows,
-        }
-    }
-
-    /// Applies a snapshot from a peer: the retired watermarks first (so
-    /// rows the sender pruned cannot linger here as zombies), then the
-    /// live rows under the regular delta merge rules.  Idempotent, and
-    /// safe to apply over existing state — versions are re-stamped under
-    /// this receiver's own counter.
-    pub fn apply_snapshot(&mut self, snap: &Snapshot) -> Charge {
-        self.apply_image(snap.from, &snap.retired, snap.rows.iter().cloned()).charge
-    }
-
-    /// [`Self::apply_snapshot`] for a caller that owns the image (see
-    /// [`Self::apply_delta_owned`]).
-    pub fn apply_snapshot_owned(&mut self, snap: Snapshot) -> Applied {
-        self.apply_image(snap.from, &snap.retired, snap.rows.into_iter())
-    }
-
-    /// The snapshot merge: the retired watermarks first (so rows the
-    /// sender pruned cannot linger here as zombies), then the live rows.
-    fn apply_image(
-        &mut self,
-        peer: CoordId,
-        retired: &[(ClientKey, u64)],
-        rows: impl Iterator<Item = DeltaRow>,
-    ) -> Applied {
-        let mut charge = Charge::ops(1);
-        for &(client, w) in retired {
-            charge += self.retire_through(client, w, Provenance::peer(peer));
-        }
-        let mut applied = self.apply_rows(peer, rows);
-        applied.charge += charge;
-        applied
+    /// [`Self::delta_since`]`(0)` under its old name: the complete feed a
+    /// peer that holds nothing is bootstrapped from.
+    pub fn snapshot(&self) -> ReplicationDelta {
+        self.delta_since(0)
     }
 
     /// Highest change-index version ever pruned (0 = nothing pruned).
-    /// [`Self::delta_since`] is complete only for bases at or above this
-    /// floor; a consumer below it must bootstrap via [`Self::snapshot`].
+    /// [`Self::delta_since`] is complete only from zero and for bases at
+    /// or above this floor; [`Self::feed_for`] restarts a consumer below it
+    /// from zero.
     pub fn delta_floor(&self) -> u64 {
         self.delta_floor
     }
@@ -2155,6 +2153,7 @@ fn desc_params(desc: &TaskDesc) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpcv_wire::{from_bytes, to_bytes};
 
     fn job(seq: u64) -> JobSpec {
         JobSpec::new(JobKey::new(ClientKey::new(1, 1), seq), "svc", Blob::synthetic(1000, seq))
@@ -2978,15 +2977,17 @@ mod tests {
         // Live work on top of the retired prefix.
         a.register_job(job(4));
         a.register_job(job(5));
-        let snap = Snapshot::open(&a.snapshot().seal()).unwrap();
-        assert_eq!(snap.retired, vec![(client, 3)]);
+        // Through the wire: the bootstrap is the frame any round is.
+        let boot: ReplicationDelta = from_bytes(&to_bytes(&a.delta_since(0))).unwrap();
+        assert_eq!(boot.retired().collect::<Vec<_>>(), vec![(client, 3)]);
+        assert_eq!(boot.rows[0], DeltaRow::Retired { client, through: 3 }, "watermarks lead");
         // Tail: changes after the capture.
-        let tail_base = snap.version;
+        let tail_base = boot.head_version;
         while let (Some(t), _) = a.next_pending(ServerId(2), T0) {
             a.complete_task(t.id, t.job, Blob::synthetic(64, t.job.seq), ServerId(2));
         }
         let mut b = CoordinatorDb::new(CoordId(2));
-        b.apply_snapshot(&snap);
+        b.apply_delta(&boot);
         assert_eq!(b.retired_watermark(client), 3);
         assert!(b.has_collected_knowledge(&JobKey::new(client, 2)));
         assert_eq!(b.client_max(client), 5);
@@ -3014,7 +3015,7 @@ mod tests {
     #[test]
     fn snapshot_prunes_a_lagging_receiver_past_the_senders_floor() {
         // The receiver holds rows the sender already retired: applying
-        // the snapshot's watermark must prune them here too, not leave
+        // the bootstrap's watermark must prune them here too, not leave
         // zombies outside the feed.
         let mut a = db();
         run_to_collected(&mut a, 2);
@@ -3022,7 +3023,8 @@ mod tests {
         b.apply_delta(&a.delta_since(0)); // b holds live rows for 1..=2
         assert_eq!(b.stats().jobs, 2);
         a.prune_retired(a.version());
-        b.apply_snapshot(&a.snapshot());
+        let applied = b.apply_delta_owned(a.feed_for(CoordId(2), 0));
+        assert_eq!(applied.newly_collected, vec![], "both were known delivered already");
         assert_eq!(b.retired_watermark(ClientKey::new(1, 1)), 2);
         assert!(!b.knows_job(&JobKey::new(ClientKey::new(1, 1), 1)));
         assert_eq!(b.resident_rows(), 1, "only the mark row remains");
@@ -3040,7 +3042,7 @@ mod tests {
         run_to_collected(&mut a, 3);
         a.prune_retired(a.version());
         let mut b = CoordinatorDb::new(CoordId(2));
-        b.apply_snapshot(&a.snapshot());
+        b.apply_delta(&a.feed_for(CoordId(2), 0));
         assert_eq!((b.retired_count(), b.delta_floor()), (3, 0));
         let mut a2 = db();
         a2.apply_delta(&b.feed_for(CoordId(1), 0));
@@ -3173,9 +3175,14 @@ mod tests {
         let (t, _) = b.next_pending(ServerId(1), T0);
         let t = t.unwrap();
         b.complete_task(t.id, t.job, Blob::synthetic(64, 1), ServerId(1));
-        b.apply_snapshot(&a.snapshot());
-        b.check_invariants();
         let k = JobKey::new(client, 1);
+        let applied = b.apply_delta_owned(a.feed_for(CoordId(2), 0));
+        assert_eq!(
+            applied.newly_collected,
+            vec![k],
+            "delivered is news here: the owner settles it"
+        );
+        b.check_invariants();
         assert!(!b.knows_job(&k));
         assert_eq!(b.archive(&k).map(Blob::len), Some(64));
         assert_eq!(b.results_catalog_scan(client), vec![(1, 64)]);

@@ -16,6 +16,12 @@
 //! delivered.  Rows are typed ([`DeltaRow`]) and emitted in the sender's
 //! version order, which guarantees a job row always precedes the task and
 //! collected rows that reference it.
+//!
+//! A feed from base 0 is the bootstrap of a peer that holds nothing (a
+//! joiner, a wiped disk, a base that fell below the retention floor), so
+//! it is *complete*: it leads with one [`DeltaRow::Retired`] row per
+//! client — the summary of everything retention pruned — ahead of every
+//! live row.  A feed from a base above 0 carries none.
 
 use rpcv_wire::{wire_enum, wire_record, Blob};
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, TaskId, TaskState};
@@ -79,6 +85,17 @@ pub enum DeltaRow {
         /// Opaque resume state.
         blob: Blob,
     },
+    /// Every seq `1..=through` of `client` was delivered and had its rows
+    /// pruned at the sender.  Only a from-zero feed carries these, before
+    /// any other row: the receiver treats the prefix as collected knowledge
+    /// without ever holding a row for it, and prunes any row of it that it
+    /// still holds, so nothing the sender retired lingers as a zombie.
+    Retired {
+        /// The client.
+        client: ClientKey,
+        /// Its retired watermark at the sender.
+        through: u64,
+    },
 }
 
 wire_enum!(DeltaRow {
@@ -87,6 +104,7 @@ wire_enum!(DeltaRow {
     2 => Mark { client, mark },
     3 => Collected { job },
     4 => Ckpt { job, unit_hw, blob },
+    5 => Retired { client, through },
 });
 
 /// A versioned state delta from one coordinator to another.
@@ -153,6 +171,14 @@ impl ReplicationDelta {
             _ => None,
         })
     }
+
+    /// Retired watermarks carried: `(client, through)`.
+    pub fn retired(&self) -> impl Iterator<Item = (ClientKey, u64)> + '_ {
+        self.rows.iter().filter_map(|r| match r {
+            DeltaRow::Retired { client, through } => Some((*client, *through)),
+            _ => None,
+        })
+    }
 }
 
 wire_record!(ReplicationDelta { from, base_version, head_version, rows });
@@ -165,9 +191,10 @@ mod tests {
     fn delta() -> ReplicationDelta {
         ReplicationDelta {
             from: CoordId(1),
-            base_version: 10,
+            base_version: 0,
             head_version: 25,
             rows: vec![
+                DeltaRow::Retired { client: ClientKey::new(2, 1), through: 3 },
                 DeltaRow::Job(JobSpec::new(
                     JobKey::new(ClientKey::new(1, 1), 4),
                     "svc",
@@ -194,14 +221,22 @@ mod tests {
     #[test]
     fn roundtrip() {
         let d = delta();
-        let back: ReplicationDelta = from_bytes(&to_bytes(&d)).unwrap();
+        let bytes = to_bytes(&d);
+        let back: ReplicationDelta = from_bytes(&bytes).unwrap();
         assert_eq!(back, d);
+        // Golden bytes: a field swapped in both directions still round-trips.
+        assert_eq!(
+            (bytes.len(), rpcv_wire::crc64(&bytes), d.transfer_len()),
+            (63, 0xddd7_7185_18a2_afc5, 7063),
+            "one row of every tag, in a from-zero feed: 63 B + 5000 B params + 2000 B ckpt state"
+        );
     }
 
     #[test]
     fn typed_accessors_partition_the_rows() {
         let d = delta();
-        assert_eq!(d.len(), 5);
+        assert_eq!(d.len(), 6);
+        assert_eq!(d.retired().collect::<Vec<_>>(), vec![(ClientKey::new(2, 1), 3)]);
         assert_eq!(d.jobs().count(), 1);
         assert_eq!(d.tasks().count(), 1);
         assert_eq!(d.marks().collect::<Vec<_>>(), vec![(ClientKey::new(1, 1), 4)]);

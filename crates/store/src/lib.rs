@@ -29,9 +29,7 @@
 pub mod charge;
 pub mod db;
 pub mod delta;
-pub mod snapshot;
 
 pub use charge::Charge;
 pub use db::{Applied, CatalogDelta, CompleteOutcome, CoordinatorDb, TaskRow};
 pub use delta::{DeltaRow, ReplicationDelta, TaskRecord};
-pub use snapshot::Snapshot;

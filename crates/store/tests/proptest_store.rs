@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use rpcv_simnet::{SimDuration, SimTime};
-use rpcv_store::{CoordinatorDb, DeltaRow, Snapshot};
-use rpcv_wire::Blob;
+use rpcv_store::{CoordinatorDb, DeltaRow, ReplicationDelta};
+use rpcv_wire::{from_bytes, to_bytes, Blob};
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, TaskId, TaskState};
 
 fn job(seq: u64, size: u64) -> JobSpec {
@@ -131,11 +131,11 @@ fn suspect_checked(db: &mut CoordinatorDb, server: ServerId) {
 }
 
 /// A ring of coordinator databases replicating the way `CoordinatorActor`
-/// does — successor feed from the acked base, snapshot below the retention
-/// floor, gap refusal above the consumer's applied head, ack records
-/// dropped on suspicion — with the feed either echo-free
-/// ([`CoordinatorDb::feed_for`]) or the complete reference
-/// ([`CoordinatorDb::delta_since`]).
+/// does — successor feed from the acked base (from zero when the store
+/// finds the base below its retention floor), gap refusal above the
+/// consumer's applied head, ack records dropped on suspicion — with the
+/// feed either echo-free ([`CoordinatorDb::feed_for`]) or the complete
+/// reference ([`CoordinatorDb::delta_since`]) from the same base.
 struct Ring {
     filtered: bool,
     members: Vec<CoordinatorDb>,
@@ -192,28 +192,20 @@ impl Ring {
         let retired = |m: &CoordinatorDb| m.retired_watermark(client);
         let reseeded = retired(&self.members[j]).max(retired(&self.members[i]));
         let sender = &self.members[i];
-        let head = if base < sender.delta_floor() {
-            let snap = Snapshot::open(&sender.snapshot().seal()).unwrap();
-            let version = snap.version;
-            self.members[j].apply_snapshot_owned(snap);
-            version
-        } else if base > self.applied[j][i] {
+        let mut feed = sender.feed_for(Self::id(j), base);
+        if !self.filtered {
+            feed = sender.delta_since(feed.base_version);
+        }
+        if feed.base_version > self.applied[j][i] {
             // Gap: the consumer refuses the feed and asks for a reseed.
             self.acked[i][j] = 0;
             return;
-        } else {
-            let feed = if self.filtered {
-                sender.feed_for(Self::id(j), base)
-            } else {
-                sender.delta_since(base)
-            };
-            let head = feed.head_version;
-            self.members[j].apply_delta_owned(feed);
-            head
-        };
-        // A reseed — any round from base 0 — is complete: what the sender
-        // retired, the receiver holds retired too, however the sender
-        // came to know it.
+        }
+        let (base, head) = (feed.base_version, feed.head_version);
+        self.members[j].apply_delta_owned(feed);
+        // A reseed — any round served from base 0 — is complete: what the
+        // sender retired, the receiver holds retired too, however the
+        // sender came to know it.
         if base == 0 {
             assert_eq!(retired(&self.members[j]), reseeded, "reseed {i} -> {j} lost the watermark");
         }
@@ -310,6 +302,7 @@ fn holds(peer: &CoordinatorDb, row: &DeltaRow) -> bool {
         DeltaRow::Ckpt { job, unit_hw, .. } => {
             retired(job) || peer.ckpt_high_water(job).is_some_and(|hw| hw >= *unit_hw)
         }
+        DeltaRow::Retired { client, through } => peer.retired_watermark(*client) >= *through,
     }
 }
 
@@ -452,8 +445,11 @@ proptest! {
     /// per-server index continuously, every suspicion against the rule's
     /// definition (`suspect_checked`), and `delta_since(base)` for every
     /// base version the run passed through.
-    /// A mid-run sealed snapshot plus the tail of the feed must bootstrap
+    /// A mid-run from-zero feed plus the tail of the feed must bootstrap
     /// a replica that matches a from-scratch application row-for-row.
+    /// The feed's shape is held too: retired watermarks lead, only a
+    /// from-zero feed carries them, and applying one twice — or over a
+    /// replica that is ahead — changes nothing.
     #[test]
     fn indexed_views_match_scan_definitions(
         ops in proptest::collection::vec((1u64..25, 0u8..13, 0u8..8), 1..60),
@@ -474,9 +470,11 @@ proptest! {
         let mut cat_hw = 0u64;
         let now = SimTime::ZERO;
         let mut bases = vec![0u64];
-        // Mid-run snapshot (taken at a generated step, through the sealed
-        // wire frame): the `snapshot + tail` bootstrap source below.
-        let mut snap: Option<Snapshot> = None;
+        // Mid-run from-zero feed (taken at a generated step, through the
+        // wire): the `bootstrap + tail` source below.
+        let through_the_wire =
+            |feed: ReplicationDelta| from_bytes::<ReplicationDelta>(&to_bytes(&feed)).unwrap();
+        let mut snap: Option<ReplicationDelta> = None;
         for (step, (seq, action, aux)) in ops.into_iter().enumerate() {
             match action {
                 4 => {
@@ -500,9 +498,9 @@ proptest! {
                 10 => {
                     // Retention, gated exactly as the coordinator gates
                     // it: never past what the slowest feed consumer (the
-                    // mirror, or the snapshot bootstrap base) holds.
+                    // mirror, or the mid-run bootstrap's tail base) holds.
                     let min_acked =
-                        mirror_base.min(snap.as_ref().map_or(u64::MAX, |s| s.version));
+                        mirror_base.min(snap.as_ref().map_or(u64::MAX, |s| s.head_version));
                     a.prune_retired(min_acked);
                     prop_assert!(a.delta_floor() <= min_acked, "floor never passes the gate");
                 }
@@ -560,7 +558,7 @@ proptest! {
             }
             bases.push(a.version());
             if step == snap_at {
-                snap = Some(Snapshot::open(&a.snapshot().seal()).unwrap());
+                snap = Some(through_the_wire(a.delta_since(0)));
             }
         }
         // Indexed delta == scan delta for every base the run saw (and the
@@ -570,6 +568,15 @@ proptest! {
                 let idx = a.delta_since(base);
                 let scan = a.delta_since_scan(base);
                 prop_assert_eq!(idx.head_version, scan.head_version);
+                // Watermarks lead the feed, and only a from-zero feed
+                // carries them: everything this database retired.
+                for feed in [&idx, &scan] {
+                    let lead = feed.rows.iter().take_while(|r| matches!(r, DeltaRow::Retired { .. }));
+                    prop_assert_eq!(lead.count(), feed.retired().count());
+                    let w = a.retired_watermark(client);
+                    let all: Vec<_> = (base == 0 && w > 0).then_some((client, w)).into_iter().collect();
+                    prop_assert_eq!(feed.retired().collect::<Vec<_>>(), all);
+                }
                 let mut ij: Vec<_> = idx.jobs().map(|s| s.key).collect();
                 let mut sj: Vec<_> = scan.jobs().map(|s| s.key).collect();
                 ij.sort();
@@ -616,17 +623,23 @@ proptest! {
         }
         // Three independent bootstrap paths onto the same sender:
         //  * mirror — incremental deltas from version 0 (no gaps);
-        //  * full   — the sender's *current* snapshot (post-retention,
-        //    this is the protocol's from-scratch application path);
-        //  * boot   — the mid-run snapshot plus the tail of the regular
-        //    feed from its version (the joining-replica exchange).
+        //  * full   — the sender's *current* from-zero feed
+        //    (post-retention, this is the protocol's from-scratch
+        //    application path);
+        //  * boot   — the mid-run from-zero feed plus the tail of the
+        //    regular feed from its head (the joining-replica exchange).
+        let feed = through_the_wire(a.delta_since(0));
         let mut full = CoordinatorDb::new(CoordId(3));
-        full.apply_snapshot(&Snapshot::open(&a.snapshot().seal()).unwrap());
-        let snap = snap.unwrap_or_else(|| a.snapshot());
-        prop_assert!(a.delta_floor() <= snap.version, "tail base stayed above the floor");
+        full.apply_delta(&feed);
+        let once = (full.version(), full.delta_since(0));
+        full.apply_delta(&feed);
+        // Applied twice, a from-zero feed changes nothing.
+        prop_assert_eq!((full.version(), full.delta_since(0)), once);
+        let snap = snap.unwrap_or_else(|| feed.clone());
+        prop_assert!(a.delta_floor() <= snap.head_version, "tail base stayed above the floor");
         let mut boot = CoordinatorDb::new(CoordId(4));
-        boot.apply_snapshot(&snap);
-        boot.apply_delta(&a.delta_since(snap.version));
+        boot.apply_delta(&snap);
+        boot.apply_delta(&a.delta_since(snap.head_version));
         // Lifetime knowledge is path-independent: jobs ever registered,
         // results ever delivered, the client's replay fence.
         prop_assert_eq!(mirror.stats().jobs, full.stats().jobs);
@@ -652,8 +665,13 @@ proptest! {
         mirror.prune_retired(u64::MAX);
         boot.prune_retired(u64::MAX);
         full.prune_retired(u64::MAX);
-        for replica in [&mirror, &boot, &full] {
+        for replica in [&mut mirror, &mut boot, &mut full] {
             replica.check_invariants();
+            // Each is now level with or ahead of the sender (its own
+            // watermark may be higher): the sender's feed is old news.
+            let ahead = (replica.version(), replica.delta_since(0));
+            replica.apply_delta(&feed);
+            prop_assert_eq!((replica.version(), replica.delta_since(0)), ahead);
         }
         let rows = |d: &CoordinatorDb| {
             let delta = d.delta_since(0);

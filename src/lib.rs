@@ -40,19 +40,20 @@
 //! see `examples/quickstart.rs`): [`core::runtime::LiveGrid`] plus
 //! [`core::api::GridClient`].
 //!
-//! ## Bounded coordinator memory: snapshot bootstrap
+//! ## Bounded coordinator memory: retention and bootstrap
 //!
 //! A coordinator's change index holds O(live jobs), not O(lifetime
 //! jobs): once a client durably collected a delivered prefix and every
 //! ring replica acked past it, [`store::CoordinatorDb::prune_retired`]
 //! retires those rows down to one per-client watermark.  A replica
-//! whose feed base predates the resulting *delta floor* can no longer
-//! catch up row-by-row — it bootstraps from a CRC-64-sealed
-//! [`store::Snapshot`] of the live state plus the version tail, and
-//! lands row-for-row identical to the live feed's view:
+//! whose feed base predates the resulting *delta floor* can no longer be
+//! tailed — [`store::CoordinatorDb::feed_for`] serves it from zero
+//! instead: the same [`store::ReplicationDelta`] any round is, led by the
+//! retired watermarks.  It lands row-for-row identical to the live
+//! feed's view, and can bootstrap the next replica in turn:
 //!
 //! ```
-//! use rpcv::store::{CoordinatorDb, Snapshot};
+//! use rpcv::store::{CoordinatorDb, DeltaRow};
 //! use rpcv::simnet::SimTime;
 //! use rpcv::wire::Blob;
 //! use rpcv::xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId};
@@ -78,15 +79,16 @@
 //! assert!(primary.delta_floor() > 0);
 //! primary.register_job(job(4)); // live work continues on top
 //!
-//! // A replica asking for the feed from version 0 is below the floor —
-//! // the wire answer is a sealed snapshot (plus the version tail).
-//! let base = 0;
-//! assert!(base < primary.delta_floor());
-//! let snap = Snapshot::open(&primary.snapshot().seal()).expect("CRC-64 seal verifies");
+//! // A replica whose acked base (say 2) is below the floor cannot be
+//! // tailed: the feed starts over from zero, watermarks first.
+//! let boot = primary.feed_for(CoordId(2), 2);
+//! assert_eq!(boot.base_version, 0);
+//! assert_eq!(boot.rows[0], DeltaRow::Retired { client, through: 3 });
 //!
 //! let mut replica = CoordinatorDb::new(CoordId(2));
-//! replica.apply_snapshot(&snap);
-//! replica.apply_delta(&primary.delta_since(snap.version));
+//! replica.apply_delta(&boot);
+//! primary.register_job(job(5));
+//! replica.apply_delta(&primary.feed_for(CoordId(2), boot.head_version)); // the tail
 //!
 //! // Row-for-row: same watermark, same delivered knowledge, same live set.
 //! assert_eq!(replica.retired_watermark(client), 3);
@@ -95,6 +97,15 @@
 //! assert_eq!(replica.resident_rows(), primary.resident_rows());
 //! let (tid, _) = replica.reexecute_job(JobKey::new(client, 1));
 //! assert!(tid.is_none(), "delivered work is never re-executed");
+//!
+//! // The second hop: the replica pruned nothing itself (no floor of its
+//! // own), yet what it learned retired it passes on — a primary that
+//! // lost its disk comes back refusing the delivered seqs.
+//! assert_eq!(replica.delta_floor(), 0);
+//! let mut reborn = CoordinatorDb::new(CoordId(1));
+//! reborn.apply_delta(&replica.feed_for(CoordId(1), 0));
+//! assert_eq!(reborn.retired_watermark(client), 3);
+//! assert!(!reborn.register_job(job(2)).0, "retired seqs refuse re-registration");
 //! ```
 
 pub use rpcv_ckpt as ckpt;

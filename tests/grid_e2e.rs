@@ -468,7 +468,7 @@ fn protocol_traces_are_pinned() {
     assert_eq!(grid.client_results(), 40);
     assert_eq!(
         pin(&grid),
-        (0x81d4_5423_75d0_01fe, 308_395, 117_559),
+        (0xcde4_1cbc_555f_f276, 308_374, 117_550),
         "(b) real-life + churn + coordinator restart"
     );
 
