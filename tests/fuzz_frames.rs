@@ -10,8 +10,9 @@ use rpcv::core::grid::{GridSpec, SimGrid};
 use rpcv::core::msg::{Msg, RpcResult};
 use rpcv::obs::TelemetrySnapshot;
 use rpcv::simnet::{SimDuration, SimTime};
+use rpcv::store::{DeltaRow, ReplicationDelta, TaskRecord};
 use rpcv::wire::{from_bytes, open_frame, seal_frame, to_bytes, Blob, WireError};
-use rpcv::xw::{ClientKey, CoordId, JobKey, ServerId, TaskId};
+use rpcv::xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, TaskId, TaskState};
 
 /// Small representative frames (no `Batch`, no `Corrupt`: a mutant that
 /// keeps its tag byte keeps its variant, so every Ok-decoding mutant of
@@ -49,6 +50,38 @@ fn corpus() -> Vec<Msg> {
         Msg::TaskDoneAck { task: TaskId(7), job: JobKey::new(key, 1) },
         Msg::NeedArchives { jobs: vec![JobKey::new(key, 1)] },
         Msg::CkptAck { task: TaskId(7), job: JobKey::new(key, 1), unit_hw: 24 },
+        // The coordinator ↔ coordinator frame, as a bootstrap sends it: a
+        // from-zero feed with one row of every `DeltaRow` tag.
+        Msg::ReplDelta {
+            delta: ReplicationDelta {
+                from: CoordId(2),
+                base_version: 0,
+                head_version: 9,
+                rows: vec![
+                    DeltaRow::Retired { client: key, through: 2 },
+                    DeltaRow::Job(JobSpec::new(
+                        JobKey::new(key, 3),
+                        "svc",
+                        Blob::synthetic(700, 6),
+                    )),
+                    DeltaRow::Task(TaskRecord {
+                        id: TaskId(7),
+                        job: JobKey::new(key, 3),
+                        attempt: 0,
+                        state: TaskState::Finished { result_size: 64 },
+                        origin: CoordId(2),
+                    }),
+                    DeltaRow::Mark { client: key, mark: 3 },
+                    DeltaRow::Collected { job: JobKey::new(key, 3) },
+                    DeltaRow::Ckpt {
+                        job: JobKey::new(key, 3),
+                        unit_hw: 24,
+                        blob: Blob::synthetic(2000, 4),
+                    },
+                ],
+            },
+            want_archives: vec![JobKey::new(key, 3)],
+        },
     ]
 }
 
@@ -102,8 +135,9 @@ fn every_sealed_byte_flip_is_rejected() {
 /// Every sealed-frame mutant is delivered to a live client, coordinator
 /// and server.  Because the envelope rejects every single-byte flip,
 /// *every* mutant arrives as poison — so the `bad_frames` accounting is
-/// exact: one count per delivery, `mutants × targets` in total, and no
-/// actor ever panics.
+/// exact: one count per delivery, `mutants × targets` in total, no actor
+/// ever panics, and the coordinator's database — what a mutant of the
+/// replication feed would have written to — does not move.
 #[test]
 fn actors_absorb_every_mutant_without_panicking() {
     let spec = GridSpec::confined(1, 2);
@@ -132,8 +166,10 @@ fn actors_absorb_every_mutant_without_panicking() {
     }
     g.world.run_until(at + SimDuration::from_secs(30));
 
+    let coord = g.coordinator(0).expect("coordinator up");
+    assert_eq!((coord.db().version(), coord.db().retired_count()), (0, 0), "state untouched");
     let counted = g.client().expect("client up").metrics.bad_frames
-        + g.coordinator(0).expect("coordinator up").metrics.bad_frames
+        + coord.metrics.bad_frames
         + g.server(0).expect("server up").metrics.bad_frames
         + g.server(1).expect("server up").metrics.bad_frames;
     assert!(poison > 0, "the corpus must produce some poison");
