@@ -1934,8 +1934,9 @@ impl CoordinatorDb {
         Charge::ops(ops)
     }
 
-    /// [`Self::delta_since`]`(0)` under its old name: the complete feed a
-    /// peer that holds nothing is bootstrapped from.
+    /// Alias of [`Self::delta_since`]`(0)`, the complete feed a peer that
+    /// holds nothing is bootstrapped from; the frozen `benchmark/` package
+    /// spells this name.
     pub fn snapshot(&self) -> ReplicationDelta {
         self.delta_since(0)
     }
