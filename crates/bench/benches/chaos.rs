@@ -16,8 +16,7 @@
 //! runs on the file just written (and CI on the committed one) and whose
 //! status this bench exits with — one `"survived": false` fails it.
 //!
-//! Every field in the artifact is virtual-time deterministic and the full
-//! sweep takes half a second, so there is no smoke variant: the same
+//! Every field in the artifact is virtual-time deterministic: the same
 //! toolchain regenerates the file byte-identically (CI reruns the bench and
 //! requires no diff), and a diff in review *is* a behavior change.  The
 //! wide sweep — 12 000 plans per plane — is `tests/chaos_oracle.rs`'s
@@ -62,7 +61,7 @@ fn hist_json(h: &rpcv_obs::Histogram) -> String {
 }
 
 fn main() {
-    let mut art = Artifact::new("chaos", "chaos_sweep", 2, false, "plans");
+    let mut art = Artifact::new("chaos", "chaos_sweep", 2, "plans");
     let (mut survived, mut corrupt, mut dup, mut bad) = (0u64, 0u64, 0u64, 0u64);
     for i in 0..PLANS {
         let seed = seed_of(i as u64);

@@ -30,8 +30,8 @@
 //! (Below that, adaptation is dominated by the one-off cost of *learning*
 //! each node's regime; the sweep still reports those cells.)  Results go to
 //! stdout, `target/figures/ckpt_policies.csv` and the repo-root
-//! `BENCH_ckpt.json`.  Virtual time only and a fraction of a second, so
-//! there is no smoke variant: CI reruns the sweep and requires no diff.
+//! `BENCH_ckpt.json`.  Virtual time only: CI reruns the sweep and requires
+//! no diff.
 
 use rpcv_bench::{Artifact, Value};
 use rpcv_ckpt::{AdaptiveCheckpoint, CheckpointPolicy};
@@ -153,7 +153,7 @@ fn main() {
         prior: SimDuration::from_secs(30),
         lifetime_divisor: 6,
     });
-    let mut art = Artifact::new("ckpt", "ckpt_policies", 1, false, "cells");
+    let mut art = Artifact::new("ckpt", "ckpt_policies", 1, "cells");
     for shape in shapes {
         for (policy, label) in [
             (CheckpointPolicy::Disabled, "off"),

@@ -3,11 +3,10 @@
 //! Every figure is regenerated in virtual time and published through one
 //! [`Artifact`] into the committed `BENCH_paper.json` (plus
 //! `target/figures/paper.csv`) as long-format rows `{figure, series, x, y}`,
-//! so one header serves them all.  The whole run costs a few seconds, so
-//! there is no smoke variant and no size knob: [`Artifact::finish`] gates
-//! the file as `--committed`, and because every cell is a virtual-time
-//! reading the same toolchain regenerates it byte for byte — a diff in
-//! review *is* a behaviour change (CI reruns the bench and requires none).
+//! so one header serves them all.  [`Artifact::finish`] gates the file, and
+//! because every cell is a virtual-time reading the same toolchain
+//! regenerates it byte for byte — a diff in review *is* a behaviour change
+//! (CI reruns the bench and requires none).
 //!
 //! The gate (`scripts/check_bench_flatness.py`, `paper` branch) holds each
 //! figure to the shape the *paper reports*, not to what we happen to read;
@@ -474,7 +473,7 @@ fn ablations(art: &mut Artifact) {
 }
 
 fn main() {
-    let mut art = Artifact::new("paper", "paper", 1, false, "rows");
+    let mut art = Artifact::new("paper", "paper", 1, "rows");
     let strategies = [
         ("optimistic", LogStrategy::Optimistic),
         ("nonblocking_pessimistic", LogStrategy::NonBlockingPessimistic),

@@ -6,13 +6,11 @@
 //! (servers × jobs × clients), runs each full workload to completion on
 //! the deterministic simulator, and reports, per cell:
 //!
-//! * `events_per_sec` — simulator kernel throughput (events / wall second),
-//! * `wall_seconds` / `sim_seconds` — real and virtual run time,
+//! * `sim_seconds` — virtual run time,
 //! * `sim_events_per_sec` — the *grid's* event throughput in simulated
 //!   time (events / sim second): the scale-out observable — sharding the
 //!   coordinator plane compresses the same workload into fewer simulated
-//!   seconds, so this grows near-linearly in S where wall-clock
-//!   throughput (a host property) cannot,
+//!   seconds, so this grows near-linearly in S,
 //! * `delta_bytes_per_round` — mean replication payload per round: the
 //!   direct observable of the O(changed) invariant (a full-table
 //!   replicator makes this grow linearly with run length).  The delta now
@@ -36,9 +34,9 @@
 //! * completion counts, so a silently-stalled run cannot masquerade as a
 //!   fast one.
 //!
-//! Every cell runs with kernel profiling *enabled* (`World::set_profiling`)
-//! so the 300k events/sec floor is asserted with the telemetry plane's
-//! hot-path cost included, not in a stripped build.
+//! Every column is a virtual-time or counting quantity, so the file
+//! regenerates byte for byte on any machine: host-clock cost (events per
+//! wall second, ns per event) is measured by `benchmark/`, nowhere here.
 //!
 //! The `clients` axis splits the same total job count across N concurrent
 //! submitters sharing the coordinators, so a cell isolates the cost of
@@ -57,22 +55,18 @@
 //! `scripts/check_bench_flatness.py`.  Simulated time
 //! is the right axis for the scale-out claim: the kernel interleaves
 //! every shard on one host thread, so partitioning the plane shows up
-//! as the same workload compressing into ~1/S the simulated seconds —
-//! wall-clock `events_per_sec` measures the *host's* per-event cost
-//! (which S cannot improve on a serial simulator) and keeps its own
-//! 300k floor as the kernel-throughput contract.
+//! as the same workload compressing into ~1/S the simulated seconds (the
+//! host's per-event cost is something S cannot improve on a serial
+//! simulator).
 //!
 //! Results go to stdout, `target/figures/scale_trajectory.csv`, and —
 //! the part future PRs consume — `BENCH_scale.json` at the repo root.
 //! Nothing is asserted here: every gate named above is written once, in
 //! `scripts/check_bench_flatness.py`, which `Artifact::finish` runs on the
 //! file it just wrote and whose status this bench exits with.
-//! Run `cargo bench -p rpcv-bench --bench scale` for the full sweep or
-//! `-- --smoke` for the tiny CI variant.  The JSON schema
-//! (`schema_version: 5`) is documented in ROADMAP.md ("Performance
+//! Run `cargo bench -p rpcv-bench --bench scale`.  The JSON schema
+//! (`schema_version: 6`) is documented in ROADMAP.md ("Performance
 //! notes").
-
-use std::time::Instant;
 
 use rpcv_bench::{Artifact, Value};
 use rpcv_core::coordinator::CoordinatorActor;
@@ -81,8 +75,7 @@ use rpcv_simnet::{SimDuration, SimTime};
 use rpcv_workload::SyntheticBench;
 
 /// Runs one grid cell; returns its row — `BENCH_scale.json`'s keys and the
-/// CSV header, named here once — and the `(events, wall seconds)` the totals
-/// line sums.  On a sharded cell the payload/residency metrics are per
+/// CSV header, named here once.  On a sharded cell the payload/residency metrics are per
 /// busiest shard: each shard's value is computed from its own members and
 /// the worst shard is reported, so a single overloaded group cannot hide
 /// behind S-1 idle ones.
@@ -91,7 +84,7 @@ fn run_cell(
     jobs: usize,
     clients: usize,
     shards: usize,
-) -> (Vec<(&'static str, Value<'static>)>, u64, f64) {
+) -> Vec<(&'static str, Value<'static>)> {
     let bench = SyntheticBench {
         calls: jobs,
         param_bytes: 256,
@@ -110,15 +103,11 @@ fn run_cell(
     // the coordinators a modern database so kernel + index costs dominate.
     spec.coord_host = spec.coord_host.with_db_per_op(SimDuration::from_micros(100));
     let mut grid = SimGrid::build(spec);
-    // Telemetry on: the 300k floor must hold with the kernel profiler
-    // sampling every dispatch, not in a stripped configuration.
-    grid.world.set_profiling(true);
 
     let horizon = SimTime::from_secs(20_000);
     let chunk = SimDuration::from_secs(10);
     let gc_every = SimDuration::from_secs(50);
     let mut next_gc = SimTime::ZERO + gc_every;
-    let started = Instant::now();
     let all_done = |grid: &SimGrid| {
         (0..grid.client_count())
             .all(|i| grid.client_at(i).is_some_and(|c| c.metrics.done_at.is_some()))
@@ -144,28 +133,8 @@ fn run_cell(
             }
         }
     };
-    let wall_seconds = started.elapsed().as_secs_f64();
     let events = grid.world.events_processed();
     let sim_seconds = grid.world.now().as_secs_f64();
-    eprintln!(
-        "# cell {servers}x{jobs}x{clients}x{shards}: {events} events in {wall_seconds:.1}s ({:.0} ev/s)",
-        events as f64 / wall_seconds.max(1e-9)
-    );
-    if std::env::var_os("RPCV_SCALE_DEBUG").is_some() {
-        // The telemetry plane replaced the old ad-hoc counter dump: one
-        // aggregated TelemetrySnapshot per shard (counters add, histograms
-        // merge across the shard's members), rendered as stable JSON.
-        let members = grid.coords.len() / shards.max(1);
-        for s in 0..shards {
-            let mut reg = rpcv_obs::TelemetrySnapshot::new();
-            for i in s * members..(s + 1) * members {
-                if let Some(c) = grid.coordinator(i) {
-                    reg.merge(&c.telemetry_snapshot());
-                }
-            }
-            eprintln!("# telemetry shard {s}: {}", reg.to_json());
-        }
-    }
     // Replication and catalog traffic are snapshotted *here*, before the
     // settle window below: settle triggers archive GC, whose removal
     // tombstones ride the ring in bursts proportional to lifetime jobs and
@@ -224,14 +193,12 @@ fn run_cell(
             job_hist.merge(&c.metrics.job_latency());
         }
     }
-    let row = vec![
+    vec![
         ("servers", Value::U64(servers as u64)),
         ("jobs", Value::U64(jobs as u64)),
         ("clients", Value::U64(clients as u64)),
         ("shards", Value::U64(shards as u64)),
         ("events_processed", Value::U64(events)),
-        ("wall_seconds", Value::F64(wall_seconds, 3)),
-        ("events_per_sec", Value::F64(events as f64 / wall_seconds.max(1e-9), 0)),
         ("sim_seconds", Value::F64(sim_seconds, 1)),
         ("sim_events_per_sec", Value::F64(events as f64 / sim_seconds.max(1e-9), 0)),
         ("jobs_completed", Value::U64(results as u64)),
@@ -242,84 +209,37 @@ fn run_cell(
         ("job_p50_ms", Value::F64(job_hist.p50_nanos() as f64 / 1e6, 3)),
         ("job_p99_ms", Value::F64(job_hist.p99_nanos() as f64 / 1e6, 3)),
         ("completed", Value::Bool(done)),
-    ];
-    (row, events, wall_seconds)
+    ]
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
     // (servers, jobs, clients, shards): the clients axis splits the same
     // job total across concurrent submitters; the shards axis partitions
     // the coordinator plane into that many replicated groups.
-    // Smoke includes one pair differing only in job count — (5, 2000, 4)
-    // vs (5, 6000, 4) — so the flatness gates compare something real in
-    // CI, not a vacuous loop, plus a 2-shard twin of (5, 2000, 4) so the
-    // shards axis is exercised on every CI run.  The pair runs on 5
-    // servers so both cells are execution-throughput-bound (makespan
-    // scales with jobs, completion rate cancels); on latency-bound
-    // cells bytes/beat and bytes/round just track the completion rate
-    // and the 3x-jobs twin reads 3x hotter without any O(history) bug.
-    // The full sweep appends the headline ladder: (200, 30000, 192) at
-    // 1, 2 and 4 shards — 192 clients hash evenly across four groups
-    // and are enough concurrent submitters to saturate a single one, so
-    // the 1-shard anchor is the congested case sharding is for.
-    // The full sweep's jobs-only pair is 30 000 vs 100 000 jobs at
-    // 200×16: since the archive disk group-commits, 10 000 jobs drain in
-    // 30 sim-s — over before the cell reaches steady state (no GC round
-    // yet, ramp-up beats dilute the per-beat mean: 294 B/beat against
-    // 890 B at 100 000 jobs, while bytes per catalogued result, 2.8 vs
-    // 4.3, and per delta row, 106 vs 88, are flat).  At 30 000 jobs both
-    // twins are steady-state runs and sit inside the 2× bound unedited.
-    // RPCV_SCALE_CELLS="200x20000x16;50x10000x1x4" overrides the sweep
-    // for ad-hoc probing — SxJxC or SxJxCxH, shards defaulting to 1 (an
-    // override run prints its rows, writes nothing and is not gated; the
-    // committed artifact only ever reflects the canonical sweeps).
-    let override_cells: Option<Vec<(usize, usize, usize, usize)>> =
-        std::env::var("RPCV_SCALE_CELLS").ok().map(|s| {
-            s.split(';')
-                .filter(|c| !c.is_empty())
-                .map(|c| {
-                    let mut it = c.split('x').map(|n| n.parse().expect("RPCV_SCALE_CELLS number"));
-                    let cell = (
-                        it.next().expect("servers"),
-                        it.next().expect("jobs"),
-                        it.next().expect("clients"),
-                        it.next().unwrap_or(1),
-                    );
-                    assert!(it.next().is_none(), "cell must be SxJxC or SxJxCxH");
-                    cell
-                })
-                .collect()
-        });
-    let cells_spec: &[(usize, usize, usize, usize)] = if let Some(cells) = &override_cells {
-        cells
-    } else if smoke {
-        &[(10, 200, 1, 1), (5, 2_000, 4, 1), (5, 6_000, 4, 1), (50, 1_000, 16, 1), (5, 2_000, 4, 2)]
-    } else {
-        &[
-            (50, 10_000, 1, 1),
-            (200, 30_000, 4, 1),
-            (200, 30_000, 16, 1),
-            (200, 100_000, 16, 1),
-            (1_000, 100_000, 1, 1),
-            (200, 30_000, 192, 1),
-            (200, 30_000, 192, 2),
-            (200, 30_000, 192, 4),
-        ]
-    };
-    let mut art = Artifact::new("scale", "scale_trajectory", 5, smoke, "grid");
-    let (mut events, mut wall) = (0u64, 0.0f64);
-    for &(servers, jobs, clients, shards) in cells_spec {
-        let (row, cell_events, cell_wall) = run_cell(servers, jobs, clients, shards);
-        art.row(&row);
-        events += cell_events;
-        wall += cell_wall;
+    // The headline ladder is (200, 30000, 192) at 1, 2 and 4 shards — 192
+    // clients hash evenly across four groups and are enough concurrent
+    // submitters to saturate a single one, so the 1-shard anchor is the
+    // congested case sharding is for.
+    // The jobs-only pair is 30 000 vs 100 000 jobs at 200×16: since the
+    // archive disk group-commits, 10 000 jobs drain in 30 sim-s — over
+    // before the cell reaches steady state (no GC round yet, ramp-up beats
+    // dilute the per-beat mean: 294 B/beat against 890 B at 100 000 jobs,
+    // while bytes per catalogued result, 2.8 vs 4.3, and per delta row,
+    // 106 vs 88, are flat).  At 30 000 jobs both twins are steady-state
+    // runs and sit inside the 2× bound unedited.
+    let cells = [
+        (50, 10_000, 1, 1),
+        (200, 30_000, 4, 1),
+        (200, 30_000, 16, 1),
+        (200, 100_000, 16, 1),
+        (1_000, 100_000, 1, 1),
+        (200, 30_000, 192, 1),
+        (200, 30_000, 192, 2),
+        (200, 30_000, 192, 4),
+    ];
+    let mut art = Artifact::new("scale", "scale_trajectory", 6, "grid");
+    for (servers, jobs, clients, shards) in cells {
+        art.row(&run_cell(servers, jobs, clients, shards));
     }
-    if override_cells.is_none() {
-        art.finish(&[format!(
-            "\"totals\": {{\"events_processed\": {events}, \"wall_seconds\": {wall:.3}, \
-             \"events_per_sec\": {:.0}}}",
-            events as f64 / wall.max(1e-9),
-        )]);
-    }
+    art.finish(&[]);
 }

@@ -7,14 +7,13 @@
 //! ROADMAP.md "Performance notes"), `--bench ckpt` sweeps checkpoint
 //! policies against heterogeneous volatility (wasted work vs checkpoint
 //! bytes paid) and `--bench chaos` runs the seeded fault-plan safety sweep.
-//! None of them asserts anything about its own numbers:
+//! Every published cell is a virtual-time or counting quantity, so each file
+//! regenerates byte for byte (CI reruns all four and requires no diff);
+//! host-clock measurement lives in `benchmark/` and nowhere in this crate.
+//! None of the benches asserts anything about its own numbers:
 //! [`Artifact::finish`] hands the file it wrote to
 //! `scripts/check_bench_flatness.py`, the one place a gate is written (CI
-//! runs the same script on the committed files).  `--bench micro` keeps the
-//! machine-independent ratio groups (`store_scale`, `pull_window`,
-//! `queue_push_pop`: each index against its retained full-scan or heap
-//! reference) and the Alcatel evaluator; absolute per-primitive costs are
-//! measured by `benchmark/`'s layer drivers.
+//! runs the same script on the committed files).
 
 use std::fmt::Write as _;
 use std::fs;
@@ -73,7 +72,6 @@ impl Value<'_> {
 pub struct Artifact {
     bench: &'static str,
     figure: &'static str,
-    smoke: bool,
     csv: String,
     /// The document so far: the prologue, then one row object per line.
     json: String,
@@ -86,15 +84,14 @@ impl Artifact {
         bench: &'static str,
         figure: &'static str,
         schema_version: u32,
-        smoke: bool,
         rows_key: &str,
     ) -> Self {
         println!("# {figure}");
         let json = format!(
             "{{\n  \"bench\": \"{bench}\",\n  \"schema_version\": {schema_version},\n  \
-             \"smoke\": {smoke},\n  \"{rows_key}\": ["
+             \"{rows_key}\": ["
         );
-        Artifact { bench, figure, smoke, csv: String::new(), json }
+        Artifact { bench, figure, csv: String::new(), json }
     }
 
     /// Adds a row and prints it; the first row's column names are the header.
@@ -119,7 +116,7 @@ impl Artifact {
     }
 
     /// Writes `<figures>/<figure>.csv` and `<root>/BENCH_<bench>.json` — the
-    /// `bench` / `schema_version` / `smoke` prologue, one row object per
+    /// `bench` / `schema_version` prologue, one row object per
     /// line, then `totals` (pre-formatted lines; may be empty) — and returns
     /// the JSON's path.
     fn render(&self, totals: &[String], figures: &Path, root: &Path) -> io::Result<PathBuf> {
@@ -135,8 +132,7 @@ impl Artifact {
     }
 
     /// Publishes the artifact, then gates it: runs
-    /// `scripts/check_bench_flatness.py` on the JSON just written
-    /// (`--regenerated` for a smoke run, `--committed` otherwise) and exits
+    /// `scripts/check_bench_flatness.py` on the JSON just written and exits
     /// with its status.  A file that cannot be written, or a gate that cannot
     /// be run (no `python3`), is a failure: a point that silently fails to
     /// land would let CI validate a stale committed file.
@@ -144,9 +140,8 @@ impl Artifact {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let gated = self.render(totals, &out_dir(), &root).and_then(|json| {
             println!("# wrote {} and {}.csv; gating", json.display(), self.figure);
-            let mode = if self.smoke { "--regenerated" } else { "--committed" };
             let script = root.join("scripts/check_bench_flatness.py");
-            Command::new("python3").arg(script).arg(mode).arg(json).status()
+            Command::new("python3").arg(script).arg(json).status()
         });
         match gated {
             Ok(status) => std::process::exit(status.code().unwrap_or(1)),
@@ -165,7 +160,7 @@ mod tests {
     #[test]
     fn artifact_renders_csv_and_json_byte_for_byte() {
         // One value of each type.
-        let mut a = Artifact::new("selftest", "selftest_rows", 7, true, "cells");
+        let mut a = Artifact::new("selftest", "selftest_rows", 7, "cells");
         for (seed, intensity, survived, policy, hist) in [
             (11400714822622042882, 0.5, true, "adaptive", "{\"count\": 1, \"buckets\": [[27, 1]]}"),
             (3, 12.8484, false, "off", "{}"),
@@ -190,7 +185,7 @@ mod tests {
         );
         assert_eq!(
             fs::read_to_string(&json).unwrap(),
-            "{\n  \"bench\": \"selftest\",\n  \"schema_version\": 7,\n  \"smoke\": true,\n  \"cells\": [\n    \
+            "{\n  \"bench\": \"selftest\",\n  \"schema_version\": 7,\n  \"cells\": [\n    \
              {\"seed\": 11400714822622042882, \"intensity\": 0.50, \"survived\": true, \
              \"policy\": \"adaptive\", \"hist\": {\"count\": 1, \"buckets\": [[27, 1]]}},\n    \
              {\"seed\": 3, \"intensity\": 12.85, \"survived\": false, \"policy\": \"off\", \

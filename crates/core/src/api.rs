@@ -168,13 +168,16 @@ impl<'g> GridClient<'g> {
     /// `grpc_wait_all`).
     pub fn wait_all(&self, timeout: StdDuration) -> Result<(), GridError> {
         let deadline = Instant::now() + timeout;
-        let expected = self.submitted - self.cancelled.len() as u64;
+        // The handles themselves, not a count: a cancelled call's result
+        // still arrives (at-least-once) and must not stand in for a live one.
+        let live: Vec<u64> =
+            (1..=self.submitted).filter(|seq| !self.cancelled.contains(seq)).collect();
         loop {
-            let have = self
-                .grid
-                .with_client_at(self.client_idx, |c| c.results_count() as u64)
-                .unwrap_or(0);
-            if have >= expected {
+            let waited = live.clone();
+            let done = self.grid.with_client_at(self.client_idx, move |c| {
+                waited.iter().all(|&seq| c.result_archive(seq).is_some())
+            });
+            if done == Some(true) {
                 return Ok(());
             }
             if Instant::now() >= deadline {

@@ -4,19 +4,6 @@ use rpcv_ckpt::CheckpointPolicy;
 use rpcv_log::LogStrategy;
 use rpcv_simnet::SimDuration;
 
-/// How servers execute tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Charge the declared `exec_cost` to the simulated CPU and synthesize
-    /// a result of the declared size (experiments).
-    #[default]
-    Simulated,
-    /// Really invoke the registered service function (the result archive is
-    /// the service's actual output); the declared cost still shapes the
-    /// task's timeline so long-running jobs can be modelled.
-    Real,
-}
-
 /// All protocol timing/policy knobs with the paper's defaults.
 #[derive(Debug, Clone)]
 pub struct ProtocolConfig {
@@ -32,10 +19,6 @@ pub struct ProtocolConfig {
     pub coord_retry: SimDuration,
     /// Client logging strategy (Fig. 4).
     pub log_strategy: LogStrategy,
-    /// Server execution mode.
-    pub exec_mode: ExecMode,
-    /// Concurrent tasks per server (paper: effectively 1).
-    pub server_capacity: u32,
     /// How long a replicated-finished job may lack its archive before the
     /// coordinator schedules a re-execution (at-least-once recovery).
     pub missing_archive_timeout: SimDuration,
@@ -56,8 +39,6 @@ impl Default for ProtocolConfig {
             replication_period: SimDuration::from_secs(5),
             coord_retry: SimDuration::from_secs(60),
             log_strategy: LogStrategy::NonBlockingPessimistic,
-            exec_mode: ExecMode::Simulated,
-            server_capacity: 1,
             missing_archive_timeout: SimDuration::from_secs(60),
             checkpoint: CheckpointPolicy::Disabled,
         }
@@ -100,12 +81,6 @@ impl ProtocolConfig {
         self
     }
 
-    /// Builder: execution mode.
-    pub fn with_exec_mode(mut self, m: ExecMode) -> Self {
-        self.exec_mode = m;
-        self
-    }
-
     /// Builder: fixed-interval server checkpointing (extension) —
     /// shorthand for `with_checkpoint_policy(CheckpointPolicy::Fixed(_))`.
     pub fn with_checkpointing(mut self, interval: SimDuration) -> Self {
@@ -140,13 +115,11 @@ mod tests {
             .with_suspicion(SimDuration::from_secs(7))
             .with_replication_period(SimDuration::from_secs(9))
             .with_log_strategy(LogStrategy::Optimistic)
-            .with_exec_mode(ExecMode::Real)
             .with_checkpointing(SimDuration::from_secs(20));
         assert_eq!(c.heartbeat, SimDuration::from_secs(1));
         assert_eq!(c.suspicion, SimDuration::from_secs(7));
         assert_eq!(c.replication_period, SimDuration::from_secs(9));
         assert_eq!(c.log_strategy, LogStrategy::Optimistic);
-        assert_eq!(c.exec_mode, ExecMode::Real);
         assert_eq!(c.checkpoint, CheckpointPolicy::Fixed(SimDuration::from_secs(20)));
         let adaptive = rpcv_ckpt::AdaptiveCheckpoint::default_grid();
         let c = c.with_checkpoint_policy(CheckpointPolicy::Adaptive(adaptive));

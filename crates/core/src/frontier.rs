@@ -175,7 +175,7 @@ impl PullFrontier {
 
     /// Walk-everything reference definition of the list [`Self::window`]
     /// returns at `now` (without recording the requests), kept for the
-    /// equivalence property test and the micro-bench comparison.
+    /// equivalence property test.
     #[doc(hidden)]
     pub fn window_scan(&self, now: SimTime, policy: RetryPolicy) -> Vec<u64> {
         let mut budget = WINDOW_BYTES;

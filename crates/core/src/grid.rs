@@ -52,7 +52,8 @@ pub struct GridSpec {
     pub link: LinkParams,
     /// Optional coordinator↔coordinator link override.
     pub coord_link: Option<LinkParams>,
-    /// Services available on every server.
+    /// Services available on every server (none ⇒ simulated execution, see
+    /// [`ServerParams::registry`]).
     pub registry: ServiceRegistry,
     /// Sandbox limits on every server.
     pub limits: SandboxLimits,
@@ -313,9 +314,8 @@ impl SimGrid {
 
     /// Grid-wide telemetry: every live coordinator's snapshot aggregated
     /// (counters add, histograms merge), each live server's and client's
-    /// metrics folded in under the `server.` / `client.` prefixes, the
-    /// network counters under `net.`, and — when kernel profiling is on —
-    /// the per-actor-class event accounting under `kernel.`.
+    /// metrics folded in under the `server.` / `client.` prefixes, and the
+    /// network counters under `net.`.
     ///
     /// Deterministic: two same-seed runs produce byte-identical snapshots
     /// (and therefore byte-identical [`TelemetrySnapshot::to_json`]).
@@ -337,17 +337,6 @@ impl SimGrid {
             }
         }
         reg.add_counters("net", self.world.stats().counters());
-        if let Some(p) = self.world.profile() {
-            let totals = [("samples", p.samples()), ("controls", p.controls())];
-            reg.add_counters("kernel", totals);
-            for (class, counts) in p.classes() {
-                reg.add_counters(&format!("kernel.{class}"), counts.counters());
-            }
-            let depth = reg.hist_mut("kernel.queue_depth");
-            for (b, n) in p.depth_buckets() {
-                depth.merge_bucket(b, n);
-            }
-        }
         reg
     }
 }

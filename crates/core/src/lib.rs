@@ -67,7 +67,7 @@ pub mod util;
 
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosOracle, ChaosReport, MsgChaos};
 pub use client::{ClientActor, ClientMetrics, ClientParams};
-pub use config::{ExecMode, ProtocolConfig};
+pub use config::ProtocolConfig;
 pub use coordinator::{CoordMetrics, CoordParams, CoordinatorActor, ReplRound};
 pub use grid::{GridSpec, SimGrid};
 pub use msg::{Msg, ResumeFrom, RpcResult};

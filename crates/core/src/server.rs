@@ -35,7 +35,7 @@ use rpcv_xw::{
     CoordId, JobKey, SandboxLimits, ServerId, ServiceRegistry, TaskDesc, TaskId, WorkerExecutor,
 };
 
-use crate::config::{ExecMode, ProtocolConfig};
+use crate::config::ProtocolConfig;
 use crate::frontier::RetryPolicy;
 use crate::msg::Msg;
 use crate::util::{Deferred, Directory};
@@ -108,7 +108,7 @@ struct Exec {
     secs_per_unit: f64,
     /// When the (remaining) execution started.
     started: SimTime,
-    /// Result archive if the service really ran (ExecMode::Real).
+    /// Result archive if the service really ran (a server built with services).
     real_archive: Option<Blob>,
     /// Unit mark of the locally durable snapshot (same-node resume after a
     /// restart); `None` until the first checkpoint tick.
@@ -182,7 +182,11 @@ pub struct ServerParams {
     pub cfg: ProtocolConfig,
     /// Coordinator directory.
     pub directory: Directory,
-    /// Stateless services this server can run.
+    /// Stateless services this server can run.  With none, executions are
+    /// simulated: the declared `exec_cost` is charged to the CPU and a
+    /// result of the declared size synthesized (experiments).  With any, the
+    /// named service is really invoked and its output is the result archive;
+    /// the declared cost still shapes the task's timeline.
     pub registry: ServiceRegistry,
     /// Sandbox limits.
     pub limits: SandboxLimits,
@@ -210,8 +214,9 @@ pub struct ServerActor {
     /// then waits for the periodic beat.
     nowork_streak: usize,
     plog: PeerLog<StoredResult>,
-    running: BTreeMap<TaskId, Exec>,
-    /// Assignments accepted beyond current capacity (a beat/assignment
+    /// The one task in execution (the paper's worker runs one at a time).
+    running: Option<Exec>,
+    /// Assignments accepted while a task runs (a beat/assignment
     /// race can over-assign; the worker queues and drains them rather than
     /// dropping work that the coordinator believes is ongoing here), each
     /// with the resume bank it arrived with.
@@ -294,7 +299,7 @@ impl ServerActor {
             work_shard,
             nowork_streak: 0,
             plog: PeerLog::new(GcPolicy::unbounded()),
-            running: BTreeMap::new(),
+            running: None,
             backlog: VecDeque::new(),
             restored: Vec::new(),
             completing: BTreeMap::new(),
@@ -310,7 +315,7 @@ impl ServerActor {
 
     /// Number of currently running tasks.
     pub fn running_count(&self) -> usize {
-        self.running.len()
+        usize::from(self.running.is_some())
     }
 
     /// Result archives retained in the log without a coordinator
@@ -324,7 +329,7 @@ impl ServerActor {
     #[doc(hidden)]
     pub fn resident_records(&self) -> usize {
         debug_assert!(self.offers_match_the_unacked_log());
-        (self.running.len() + self.backlog.len() + self.restored.len())
+        (self.running_count() + self.backlog.len() + self.restored.len())
             + (self.completing.len() + self.offers.len() + self.offer_after.len())
     }
 
@@ -377,7 +382,7 @@ impl ServerActor {
         let owner = task.coord();
         let link = &mut self.links[s];
         if link.current() == Some(owner)
-            || !(self.running.is_empty() && self.backlog.is_empty())
+            || !(self.running.is_none() && self.backlog.is_empty())
             || !link.is_eligible(owner, now)
         {
             return;
@@ -398,10 +403,10 @@ impl ServerActor {
         // answers next (idempotent — the merge is monotone).  Other shards'
         // marks stay acknowledged: their coordinators are not in question.
         let directory = &self.params.directory;
-        for e in self.running.values_mut() {
-            if directory.shard_of(e.desc.job.client) == s {
-                (e.acked_mark, e.in_flight) = (0, None);
-            }
+        if let Some(e) =
+            self.running.as_mut().filter(|e| directory.shard_of(e.desc.job.client) == s)
+        {
+            (e.acked_mark, e.in_flight) = (0, None);
         }
     }
 
@@ -435,16 +440,15 @@ impl ServerActor {
         }
     }
 
-    /// Task slots free for new work.
+    /// Task slots free for new work: one, unless a task runs or waits.
     fn spare_capacity(&self) -> u32 {
-        let capacity = self.params.cfg.server_capacity as usize;
-        capacity.saturating_sub(self.running.len() + self.backlog.len()) as u32
+        u32::from(self.running.is_none() && self.backlog.is_empty())
     }
 
     /// Every task this server answers for — running, queued, or finished
     /// but not yet acknowledged — with its owning shard, in beat order.
     fn held_tasks(&self) -> impl Iterator<Item = (usize, TaskId)> + '_ {
-        let running = self.running.iter().map(|(id, e)| (e.desc.job.client, *id));
+        let running = self.running.iter().map(|e| (e.desc.job.client, e.desc.id));
         let backlog = self.backlog.iter().map(|(t, _)| (t.job.client, t.id));
         let completing = self.completing.iter().map(|(id, job)| (job.client, *id));
         (running.chain(backlog).chain(completing))
@@ -547,10 +551,10 @@ impl ServerActor {
 
     fn start_task(&mut self, ctx: &mut Ctx<'_, Msg>, desc: TaskDesc, banked_units: u32) {
         let now = ctx.now();
-        if self.running.contains_key(&desc.id) {
+        if self.running.as_ref().is_some_and(|e| e.desc.id == desc.id) {
             return;
         }
-        if self.running.len() >= self.params.cfg.server_capacity as usize {
+        if self.running.is_some() {
             // Over-assignment race: queue locally and drain after the
             // current execution — the coordinator believes this instance is
             // ongoing here, so dropping it would stall the job until a
@@ -568,8 +572,8 @@ impl ServerActor {
         if banked_units > 0 {
             self.metrics.units_resumed += banked_units as u64;
         }
-        let real_archive = match self.params.cfg.exec_mode {
-            ExecMode::Real => Some(match self.executor.execute(&desc) {
+        let real_archive = (!self.params.registry.is_empty()).then(|| {
+            match self.executor.execute(&desc) {
                 Ok(a) => Blob::from_vec(a.pack()),
                 Err(e) => {
                     // Execution failures (unknown service, sandbox kill)
@@ -579,39 +583,28 @@ impl ServerActor {
                     a.push("error.txt", Blob::from_vec(e.to_string().into_bytes()));
                     Blob::from_vec(a.pack())
                 }
-            }),
-            ExecMode::Simulated => None,
-        };
+            }
+        });
         let done_at = ctx.cpu(remaining);
         ctx.set_timer_at(done_at, K_EXEC);
         self.arm_checkpoint_timer(ctx);
-        self.running.insert(
-            desc.id,
-            Exec {
-                desc,
-                units_total,
-                banked_units,
-                secs_per_unit,
-                started: now,
-                real_archive,
-                local_mark: None,
-                acked_mark: 0,
-                in_flight: None,
-            },
-        );
+        self.running = Some(Exec {
+            desc,
+            units_total,
+            banked_units,
+            secs_per_unit,
+            started: now,
+            real_archive,
+            local_mark: None,
+            acked_mark: 0,
+            in_flight: None,
+        });
     }
 
-    /// Finds the execution finishing closest to `now` (the K_EXEC timer
-    /// does not carry the task id; completion order resolves it).
+    /// Takes the running execution if it has finished by `now`.
     fn pop_finished(&mut self, now: SimTime) -> Option<Exec> {
-        let id = self
-            .running
-            .iter()
-            .filter(|(_, e)| e.progress_units(now) >= e.units_total)
-            .map(|(&id, _)| id)
-            .next()?;
         self.running
-            .remove(&id)
+            .take_if(|e| e.progress_units(now) >= e.units_total)
             .inspect(|e| self.metrics.units_spent += (e.units_total - e.banked_units) as u64)
     }
 
@@ -693,65 +686,57 @@ impl ServerActor {
         256 + desc.result_size_hint / 4 + desc.params.len() / 64
     }
 
-    /// Snapshots every running task at its current unit boundary: the
-    /// snapshot is made locally durable (same-node resume), and every mark
-    /// that moved past what this server already shipped is uploaded to the
-    /// coordinator as a sealed [`CheckpointFrame`] (different-node resume
-    /// after a suspicion).  Unmoved marks cost nothing on the wire.
+    /// Snapshots the running task at its current unit boundary: the
+    /// snapshot is made locally durable (same-node resume), and a mark
+    /// that moved past what the coordinator acknowledged is uploaded as a
+    /// sealed [`CheckpointFrame`] (different-node resume after a
+    /// suspicion).  An unmoved mark costs nothing on the wire.
     fn checkpoint_running(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let now = ctx.now();
-        let mut bytes = 0;
-        let mut frames: Vec<CheckpointFrame> = Vec::new();
         let retry_horizon = self.params.cfg.heartbeat * 4;
-        for (id, exec) in &mut self.running {
-            let progress = exec.progress_units(now).min(exec.units_total.saturating_sub(1));
-            let hw = progress.max(exec.local_mark.unwrap_or(0));
-            // Local snapshot (and its disk write) only when a whole unit
-            // finished since the last one.
-            if exec.local_mark != Some(hw) {
-                exec.local_mark = Some(hw);
-                bytes += Self::ckpt_state_bytes(&exec.desc);
-            }
-            // The upload decision runs for *every* task, moved or not:
-            // ship marks past the last *acknowledged* one.  An upload with
-            // an acknowledgement plausibly still travelling is not
-            // re-sent; one lost to a coordinator crash is retried once the
-            // horizon passes — even when the mark itself can never move
-            // again (the task's last unit boundary) — and a coordinator
-            // switch (which zeroes the acked mark) re-announces it here.
-            let in_flight = exec
-                .in_flight
-                .is_some_and(|(sent_hw, at)| sent_hw >= hw && now.since(at) <= retry_horizon);
-            if hw > exec.acked_mark && hw > 0 && !in_flight {
-                let state_bytes = Self::ckpt_state_bytes(&exec.desc);
-                let blob =
-                    Blob::synthetic(state_bytes, Blob::derive_seed(exec.desc.id.0, hw as u64));
-                frames.push(CheckpointFrame::seal(
-                    exec.desc.job,
-                    *id,
-                    exec.desc.attempt,
-                    hw,
-                    exec.units_total,
-                    blob,
-                ));
-            }
+        let Some(exec) = &mut self.running else { return };
+        let state_bytes = Self::ckpt_state_bytes(&exec.desc);
+        let progress = exec.progress_units(now).min(exec.units_total.saturating_sub(1));
+        let hw = progress.max(exec.local_mark.unwrap_or(0));
+        // Local snapshot (and its disk write — checkpoints must be durable
+        // to be worth anything) only when a whole unit finished since the
+        // last one.
+        if exec.local_mark != Some(hw) {
+            exec.local_mark = Some(hw);
+            ctx.disk_write(state_bytes, true);
         }
-        if bytes > 0 {
-            // Checkpoints must be durable to be worth anything.
-            ctx.disk_write(bytes, true);
+        // The upload decision runs moved or not: ship a mark past the last
+        // *acknowledged* one.  An upload with an acknowledgement plausibly
+        // still travelling is not re-sent; one lost to a coordinator crash
+        // is retried once the horizon passes — even when the mark itself
+        // can never move again (the task's last unit boundary) — and a
+        // coordinator switch (which zeroes the acked mark) re-announces it
+        // here.
+        let in_flight = exec
+            .in_flight
+            .is_some_and(|(sent_hw, at)| sent_hw >= hw && now.since(at) <= retry_horizon);
+        if hw <= exec.acked_mark || hw == 0 || in_flight {
+            return;
         }
-        for frame in frames {
-            // Each frame goes to its job's shard: a resume point is only
-            // useful on the coordinator group that can re-dispatch the task.
-            let shard = self.shard_of(&frame.job);
-            let Some(node) = self.coordinator_for(shard, now) else { continue };
-            if let Some(exec) = self.running.get_mut(&frame.task) {
-                exec.in_flight = Some((frame.unit_hw, now));
-            }
-            self.metrics.ckpt_uploads += 1;
-            self.metrics.ckpt_bytes += frame.blob.len();
-            ctx.send(node, Msg::CkptOffer { server: self.params.id, frame });
+        let blob = Blob::synthetic(state_bytes, Blob::derive_seed(exec.desc.id.0, hw as u64));
+        let frame = CheckpointFrame::seal(
+            exec.desc.job,
+            exec.desc.id,
+            exec.desc.attempt,
+            hw,
+            exec.units_total,
+            blob,
+        );
+        // The frame goes to its job's shard: a resume point is only useful
+        // on the coordinator group that can re-dispatch the task.
+        let shard = self.shard_of(&frame.job);
+        let Some(node) = self.coordinator_for(shard, now) else { return };
+        if let Some(exec) = &mut self.running {
+            exec.in_flight = Some((frame.unit_hw, now));
         }
+        self.metrics.ckpt_uploads += 1;
+        self.metrics.ckpt_bytes += frame.blob.len();
+        ctx.send(node, Msg::CkptOffer { server: self.params.id, frame });
     }
 }
 
@@ -782,7 +767,7 @@ impl Actor<Msg> for ServerActor {
                 self.note_reply(_from, ctx.now(), true);
                 self.metrics.ckpt_acks += 1;
                 // A late ack for a completed task has no record to land on.
-                if let Some(exec) = self.running.get_mut(&task) {
+                if let Some(exec) = self.running.as_mut().filter(|e| e.desc.id == task) {
                     if exec.in_flight.is_some_and(|(sent_hw, _)| unit_hw >= sent_hw) {
                         exec.in_flight = None;
                     }
@@ -859,7 +844,7 @@ impl Actor<Msg> for ServerActor {
             }
             K_CKPT => {
                 self.ckpt_armed = false;
-                if !self.running.is_empty() {
+                if self.running.is_some() {
                     self.checkpoint_running(ctx);
                     self.arm_checkpoint_timer(ctx);
                 }
@@ -872,18 +857,17 @@ impl Actor<Msg> for ServerActor {
         let ServerActor { mut plog, running, links, boot_at, mut metrics, mut volatility, .. } =
             *self;
         plog.survive_crash(now);
-        metrics.lost_executions +=
-            running.values().filter(|e| e.local_mark.is_none()).count() as u64;
+        metrics.lost_executions += running.iter().filter(|e| e.local_mark.is_none()).count() as u64;
         // Partial progress dies with the crash: charge the units this
         // incarnation computed but never completed (a resumed successor
         // re-pays only what was not checkpointed — the accounting shows
         // exactly that recompute as spent twice).
         metrics.units_spent +=
-            running.values().map(|e| (e.progress_units(now) - e.banked_units) as u64).sum::<u64>();
+            running.iter().map(|e| (e.progress_units(now) - e.banked_units) as u64).sum::<u64>();
         // The node's own crash history feeds the adaptive policy.
         volatility.record_crash(now.since(boot_at));
         let checkpoints =
-            running.into_values().filter_map(|e| Some((e.desc, e.local_mark?))).collect();
+            running.into_iter().filter_map(|e| Some((e.desc, e.local_mark?))).collect();
         let homes = links.iter().map(|l| l.current()).collect();
         DurableImage::of(ServerDurable { plog, checkpoints, metrics, volatility, homes })
     }

@@ -119,16 +119,6 @@ impl Histogram {
         self.quantile_nanos(0.99)
     }
 
-    /// Adds `n` pre-bucketed samples directly to bucket `b` (used to absorb
-    /// external log2 histograms like the kernel's queue-depth profile).
-    /// The sum is approximated by the bucket's lower bound.
-    pub fn merge_bucket(&mut self, b: usize, n: u64) {
-        let b = b.min(BUCKETS - 1);
-        self.buckets[b] += n;
-        self.count += n;
-        self.sum = self.sum.saturating_add(Self::bucket_floor(b).saturating_mul(n));
-    }
-
     /// Folds another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {

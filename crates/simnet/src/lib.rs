@@ -73,7 +73,6 @@ pub mod chaos;
 pub mod disk;
 pub mod net;
 pub mod node;
-pub mod profile;
 pub(crate) mod queue;
 pub mod realtime;
 pub mod resource;
@@ -87,7 +86,6 @@ pub use chaos::{ChaosProfile, ChaosTargets, FaultCounts, FaultPlan};
 pub use disk::{Disk, DiskSpec, WriteOutcome};
 pub use net::{LinkParams, NetModel};
 pub use node::{HostResources, HostSpec, NodeId};
-pub use profile::{ClassProfile, KernelProfile, ProfiledEvent};
 #[doc(hidden)]
 pub use queue::QueueAudit;
 pub use realtime::{spawn_realtime, Command, RealtimeHandle};

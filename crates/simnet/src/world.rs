@@ -5,7 +5,6 @@ use std::collections::BTreeSet;
 use crate::actor::{Actor, Ctx, DurableImage, Effect, FrameOps, TimerId, WireSized};
 use crate::net::{LinkParams, NetModel};
 use crate::node::{HostResources, HostSpec, NodeId};
-use crate::profile::{KernelProfile, ProfiledEvent};
 use crate::queue::{EventQueue, QueueAudit};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
@@ -75,9 +74,6 @@ type Factory<M> = Box<dyn FnMut(DurableImage) -> Box<dyn Actor<M> + Send> + Send
 
 struct NodeSlot<M> {
     spec: HostSpec,
-    /// Index of `spec.name` in [`World::class_names`], resolved once at
-    /// [`World::add_host`] so per-event profiling never compares strings.
-    class: usize,
     up: bool,
     inc: u32,
     actor: Option<Box<dyn Actor<M> + Send>>,
@@ -98,8 +94,6 @@ pub struct World<M> {
     seq: u64,
     queue: EventQueue<EventKind<M>>,
     nodes: Vec<NodeSlot<M>>,
-    /// Distinct host-spec names (actor classes), in first-seen order.
-    class_names: Vec<String>,
     net: NetModel,
     trace: Trace,
     stats: NetStats,
@@ -108,7 +102,6 @@ pub struct World<M> {
     effects: Vec<Effect<M>>,
     events_processed: u64,
     frame_ops: Option<Box<dyn FrameOps<M>>>,
-    profile: Option<Box<KernelProfile>>,
 }
 
 impl<M: WireSized + 'static> World<M> {
@@ -119,7 +112,6 @@ impl<M: WireSized + 'static> World<M> {
             seq: 0,
             queue: EventQueue::new(),
             nodes: Vec::new(),
-            class_names: Vec::new(),
             net: NetModel::default(),
             trace: Trace::new(),
             stats: NetStats::default(),
@@ -128,7 +120,6 @@ impl<M: WireSized + 'static> World<M> {
             effects: Vec::new(),
             events_processed: 0,
             frame_ops: None,
-            profile: None,
         }
     }
 
@@ -209,20 +200,6 @@ impl<M: WireSized + 'static> World<M> {
         self.queue.audit()
     }
 
-    /// Enables (or disables) opt-in kernel profiling.  Enabling starts a
-    /// fresh [`KernelProfile`]; disabling discards it.  The profile is
-    /// strictly observational: it never touches the trace, the queue, or
-    /// any RNG, so the reference trace hash is identical either way.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.profile = on.then(|| Box::new(KernelProfile::for_classes(&self.class_names)));
-    }
-
-    /// The kernel profile accumulated since [`Self::set_profiling`], if
-    /// profiling is on.
-    pub fn profile(&self) -> Option<&KernelProfile> {
-        self.profile.as_deref()
-    }
-
     /// Virtual busy-time per actor class (host-spec name), summed over each
     /// node's NIC/db/CPU resource occupancy — the disk is **excluded**; it
     /// has its own readout, [`Self::class_disk_busy_time`].  Computed lazily
@@ -260,21 +237,8 @@ impl<M: WireSized + 'static> World<M> {
         let id = NodeId(self.nodes.len() as u32);
         let rng = self.master_rng.derive(id.0 as u64);
         let res = HostResources::new(&spec);
-        let class = match self.class_names.iter().position(|n| *n == spec.name) {
-            Some(i) => i,
-            None => {
-                self.class_names.push(spec.name.clone());
-                let class = self.class_names.len() - 1;
-                if let Some(p) = self.profile.as_deref_mut() {
-                    let in_profile = p.add_class(&spec.name);
-                    debug_assert_eq!(in_profile, class, "profile and world number classes alike");
-                }
-                class
-            }
-        };
         self.nodes.push(NodeSlot {
             spec,
-            class,
             up: true,
             inc: 0,
             actor: None,
@@ -411,20 +375,6 @@ impl<M: WireSized + 'static> World<M> {
         debug_assert!(at >= self.now, "time must be monotone");
         self.now = at;
         self.events_processed += 1;
-        // Opt-in profiling: one branch when off; when on, strictly
-        // observational bookkeeping (no trace, queue, or RNG access).
-        if self.profile.is_some() {
-            let (node, ev) = match &kind {
-                EventKind::Start { node, .. } => (Some(*node), ProfiledEvent::Start),
-                EventKind::Deliver { to, .. } => (Some(*to), ProfiledEvent::Deliver),
-                EventKind::Handle { to, .. } => (Some(*to), ProfiledEvent::Handle),
-                EventKind::Timer { node, .. } => (Some(*node), ProfiledEvent::Timer),
-                EventKind::Control(_) => (None, ProfiledEvent::Control),
-            };
-            let class = node.and_then(|n| self.nodes.get(n.0 as usize)).map(|s| s.class);
-            let depth = self.queue.len();
-            self.profile.as_deref_mut().unwrap().observe(depth, class, ev);
-        }
         match kind {
             EventKind::Start { node, inc } => {
                 let slot = &self.nodes[node.0 as usize];

@@ -1532,7 +1532,7 @@ impl CoordinatorDb {
     }
 
     /// Full-table-scan reference definition of [`Self::delta_since`], kept
-    /// for the equivalence property tests and the micro-bench comparison.
+    /// for the equivalence property tests.
     /// (Marks, collection acknowledgements and checkpoints carry no
     /// per-row version in this definition, so it re-sends every known
     /// client's mark, every collected job and every checkpoint row, as a

@@ -11,7 +11,7 @@
 use std::time::Duration;
 
 use rpcv::core::api::GridClient;
-use rpcv::core::config::{ExecMode, ProtocolConfig};
+use rpcv::core::config::ProtocolConfig;
 use rpcv::core::grid::GridSpec;
 use rpcv::core::runtime::LiveGrid;
 use rpcv::core::util::CallSpec;
@@ -25,7 +25,6 @@ fn main() {
     AlcatelApp::register(&mut registry);
 
     let cfg = ProtocolConfig::confined()
-        .with_exec_mode(ExecMode::Real)
         .with_heartbeat(SimDuration::from_millis(500))
         .with_suspicion(SimDuration::from_secs(3));
     let spec = GridSpec::confined(2, 6).with_cfg(cfg).with_registry(registry);

@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use rpcv::core::api::GridClient;
-use rpcv::core::config::{ExecMode, ProtocolConfig};
+use rpcv::core::config::ProtocolConfig;
 use rpcv::core::grid::GridSpec;
 use rpcv::core::runtime::LiveGrid;
 use rpcv::core::util::CallSpec;
@@ -31,7 +31,6 @@ fn main() {
     // 2. A grid: 2 coordinators, 4 servers, real service execution.
     //    Aggressive timers + 30× time compression keep the demo snappy.
     let cfg = ProtocolConfig::confined()
-        .with_exec_mode(ExecMode::Real)
         .with_heartbeat(SimDuration::from_millis(500))
         .with_suspicion(SimDuration::from_secs(3));
     let spec = GridSpec::confined(2, 4).with_cfg(cfg).with_registry(registry);

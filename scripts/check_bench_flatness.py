@@ -13,13 +13,6 @@ Dispatches on the artifact's "bench" tag:
   tracks the completion rate, not the backlog, and a regression to
   full-catalog replies makes it grow with the job count.
 
-  Also enforces the kernel-throughput floor per cell: a full sweep must
-  hold >= 300k events/sec in EVERY cell (the calendar-queue kernel's
-  contract); smoke sweeps get a softer floor since CI runners are small
-  and the cells tiny.  An artifact whose grid rows lack the
-  events_per_sec/wall_seconds columns is rejected outright — the floor
-  must never silently pass by absence.
-
   Schema v3 adds the bounded-memory gate: every cell reports
   resident_rows, the post-settle change-index residency of the busiest
   coordinator, and for the same jobs-only cell pairs residency must not
@@ -36,23 +29,22 @@ Dispatches on the artifact's "bench" tag:
   throughput in SIMULATED time: for cell pairs matched on
   servers×jobs×clients where only the shard count differs from 1, the
   S-shard cell must process >= 0.7·S× the 1-shard cell's events per
-  sim-second (full sweeps; smoke cells are too small to saturate a
-  coordinator group, so smoke only asserts sharding is not a
-  regression, >= 0.8×).  Simulated time carries the scale-out claim
+  sim-second.  Simulated time carries the scale-out claim
   because the kernel is serial — it interleaves every shard on one host
   thread, so S shards can never cut the host's per-event wall cost;
   what they cut is the simulated seconds the same workload occupies.
-  Wall-clock events_per_sec stays gated by the 300k kernel floor
-  above.  v3 artifacts are rejected — regenerate.
 
   Schema v5 adds the telemetry plane's latency columns: every cell
   reports job_p50_ms / job_p99_ms, the end-to-end job latency quantiles
   in VIRTUAL time (submission requested -> result held) read from the
   per-client log2 histograms.  Both must be present, positive, and
-  ordered (p99 >= p50); the throughput floors above are asserted on the
-  same rows, so the 300k floor now provably holds with telemetry (kernel
-  profiling + span bookkeeping) enabled.  v4 artifacts are rejected —
-  regenerate.
+  ordered (p99 >= p50).
+
+  Schema v6 drops the host-clock columns (wall_seconds, events_per_sec,
+  the totals line): every remaining column is a virtual-time or counting
+  quantity, so the file regenerates byte for byte and CI diffs the full
+  sweep.  Host-clock cost is measured by benchmark/, never gated here.
+  v5 artifacts are rejected — regenerate.
 
 * ckpt — validate the checkpoint-policy sweep's schema and its headline:
   every cell completed, checkpointing policies report the bytes they paid,
@@ -86,27 +78,19 @@ Dispatches on the artifact's "bench" tag:
   the scripted faults in order, the client's count never dips, every result
   held, the run ends on Lille.  Fig. 11: the partitioned run delivers every
   result at >= half the reference's pace.  The ablation_* figures in the same
-  file are ours, not the paper's, and carry no gate.  The run is a few
-  seconds of virtual time only, so there is no smoke variant: the file is
-  always gated as --committed, and CI regenerates it and requires no diff.
+  file are ours, not the paper's, and carry no gate.
 
-With --committed, additionally reject smoke artifacts: only full sweeps
-may be committed (a local `scale -- --smoke` run overwrites the same file;
-the other three benches have no smoke variant).  For chaos, --committed
-also requires the full 64-plan ladder.  With --regenerated (CI, right after
-the scale bench's `--smoke` run), require a smoke artifact instead: validation must see the run CI just executed, not the
-committed file the bench failed to overwrite.  Either way a file named
-BENCH_<tag>.json must carry that bench tag — a harness writing to the
-wrong path cannot pass as the artifact it overwrote.
+All four files hold virtual-time readings only: CI regenerates each and
+requires no diff.  A file named BENCH_<tag>.json must carry that bench tag —
+a harness writing to the wrong path cannot pass as the artifact it overwrote.
 
 This script is the only place a gate on the four artifacts is written: the
 benches assert nothing about their own numbers — `rpcv_bench::Artifact::finish`
-runs this file on the JSON it just wrote (--regenerated for a smoke run,
---committed otherwise) and exits with its status — and CI runs it on the
-committed files.  crates/bench/tests/gate_selftest.rs shows every gate family
-failing on a mutated copy.
+runs this file on the JSON it just wrote and exits with its status — and CI
+runs it on the committed files.  crates/bench/tests/gate_selftest.rs shows
+every gate family failing on a mutated copy.
 
-Usage: check_bench_flatness.py [--committed|--regenerated] BENCH_{scale,ckpt,chaos,paper}.json
+Usage: check_bench_flatness.py BENCH_{scale,ckpt,chaos,paper}.json
 """
 
 import json
@@ -115,25 +99,16 @@ import re
 import sys
 
 
-# Kernel-throughput floors (events / wall second, per cell).  The full
-# sweep's floor is the calendar-queue contract; the smoke floor is soft
-# because CI runners are slow, shared and the cells too small to amortize
-# startup.
-SCALE_FLOOR_FULL = 300_000
-SCALE_FLOOR_SMOKE = 30_000
-
-
 def check_scale(doc: dict, path: str) -> None:
-    assert doc["schema_version"] == 5, \
-        f"{path}: scale schema is {doc['schema_version']}, expected 5 — " \
-        f"regenerate the artifact (v5 added the job_p50_ms/job_p99_ms latency columns)"
+    assert doc["schema_version"] == 6, \
+        f"{path}: scale schema is {doc['schema_version']}, expected 6 — " \
+        f"regenerate the artifact (v6 dropped the host-clock columns)"
     grid = doc["grid"]
-    floor = SCALE_FLOOR_SMOKE if doc["smoke"] else SCALE_FLOOR_FULL
     for cell in grid:
         label = (f'{cell.get("servers")}x{cell.get("jobs")}'
                  f'x{cell.get("clients")}x{cell.get("shards")}')
-        for col in ("events_per_sec", "wall_seconds", "sim_events_per_sec",
-                    "resident_rows", "shards", "job_p50_ms", "job_p99_ms"):
+        for col in ("sim_events_per_sec", "resident_rows", "shards",
+                    "job_p50_ms", "job_p99_ms"):
             assert col in cell, \
                 f"{path}: cell {label} lacks the {col} column — " \
                 f"regenerate the artifact; its gate cannot be checked"
@@ -145,9 +120,6 @@ def check_scale(doc: dict, path: str) -> None:
         assert cell["repl_rounds"] > 0, f"{path}: cell {label} ran no replication rounds"
         assert cell["delta_bytes_per_round"] > 0, f"{path}: cell {label} replicated nothing"
         assert cell["resident_rows"] >= 1, f"{path}: cell {label} has bad residency"
-        assert cell["events_per_sec"] >= floor, \
-            f"{path}: cell {label} ran at {cell['events_per_sec']:.0f} events/sec, " \
-            f"below the {floor} floor — kernel throughput regressed"
         assert cell["job_p50_ms"] > 0, \
             f"{path}: cell {label} reports no job latency — the telemetry " \
             f"plane's histograms are empty on a completed cell"
@@ -177,8 +149,7 @@ def check_scale(doc: dict, path: str) -> None:
                     f"coordinator memory is not bounded: {a} -> {b}"
     assert pairs >= 1, "sweep must include a cell pair differing only in job count"
     # The scale-out headline: S shards must buy near-linear throughput
-    # in simulated time at a fixed servers×jobs×clients cell (full
-    # sweeps), and must never regress it (smoke).
+    # in simulated time at a fixed servers×jobs×clients cell.
     ladder = 0
     for a in grid:
         for b in grid:
@@ -186,8 +157,7 @@ def check_scale(doc: dict, path: str) -> None:
                     == (b["servers"], b["jobs"], b["clients"]) \
                     and a["shards"] == 1 and b["shards"] > 1:
                 ladder += 1
-                need = a["sim_events_per_sec"] * (
-                    0.8 if doc["smoke"] else 0.7 * b["shards"])
+                need = a["sim_events_per_sec"] * 0.7 * b["shards"]
                 assert b["sim_events_per_sec"] >= need, \
                     f"{path}: shard scale-out below the near-linear floor: " \
                     f'{a["servers"]}x{a["jobs"]}x{a["clients"]} runs ' \
@@ -196,14 +166,12 @@ def check_scale(doc: dict, path: str) -> None:
                     f"shards (need >= {need:.0f})"
     assert ladder >= 1, \
         "sweep must include a shards ladder over a fixed servers×jobs×clients cell"
-    slowest = min(c["events_per_sec"] for c in grid)
     peak = max(c["resident_rows"] for c in grid)
     widest = max(c["shards"] for c in grid)
     worst_p99 = max(c["job_p99_ms"] for c in grid)
     print(f"{path}: delta + catalog + residency flatness OK across {pairs} jobs-only "
           f"cell pair(s); {ladder} shard-ladder pair(s) hold the scale-out "
           f"floor (widest {widest} shards); peak residency {peak} rows; "
-          f"slowest cell {slowest:.0f} events/sec (floor {floor}, telemetry on); "
           f"worst job p99 {worst_p99:.1f} ms")
 
 
@@ -238,16 +206,14 @@ def check_ckpt(doc: dict, path: str) -> None:
           f"adaptive wins the budget-matched comparison in {checked} group(s))")
 
 
-def check_chaos(doc: dict, path: str, committed: bool) -> None:
+def check_chaos(doc: dict, path: str) -> None:
     assert doc["schema_version"] == 2, \
         f"{path}: chaos schema is {doc['schema_version']}, expected 2 — " \
         f"regenerate the artifact (v2 embeds the per-plan recovery-gap histogram)"
     plans = doc["plans"]
     totals = doc["totals"]
-    assert len(plans) >= 1, "chaos sweep must contain at least one plan"
-    if committed:
-        assert len(plans) >= 64, \
-            f"committed {path} holds {len(plans)} plans — the full sweep runs >= 64"
+    assert len(plans) >= 64, \
+        f"{path} holds {len(plans)} plans — the full sweep runs >= 64"
     for p in plans:
         tag = f'seed {p["seed"]:#x} @ {p["intensity"]}'
         assert p["survived"] is True, \
@@ -381,29 +347,19 @@ def check_paper(doc: dict, path: str) -> None:
 
 
 def main() -> None:
-    flags = ("--committed", "--regenerated")
-    args = [a for a in sys.argv[1:] if a not in flags]
-    committed = "--committed" in sys.argv[1:]
-    regenerated = "--regenerated" in sys.argv[1:]
-    path = args[0] if args else "BENCH_scale.json"
+    (path,) = sys.argv[1:]
     with open(path) as f:
         doc = json.load(f)
     named = re.fullmatch(r"BENCH_(\w+)\.json", os.path.basename(path))
     if named:
         assert doc["bench"] == named.group(1), \
             f"{path} carries the bench tag {doc['bench']!r}"
-    if committed:
-        assert doc["smoke"] is False, \
-            f"committed {path} is a smoke run — regenerate with the full sweep"
-    if regenerated:
-        assert doc["smoke"] is True, \
-            f"{path} is not the smoke run CI just executed — the bench did not overwrite it"
     if doc["bench"] == "scale":
         check_scale(doc, path)
     elif doc["bench"] == "ckpt":
         check_ckpt(doc, path)
     elif doc["bench"] == "chaos":
-        check_chaos(doc, path, committed)
+        check_chaos(doc, path)
     elif doc["bench"] == "paper":
         check_paper(doc, path)
     else:

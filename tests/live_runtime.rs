@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use rpcv::core::api::{GridClient, GridError};
-use rpcv::core::config::{ExecMode, ProtocolConfig};
+use rpcv::core::config::ProtocolConfig;
 use rpcv::core::grid::GridSpec;
 use rpcv::core::runtime::LiveGrid;
 use rpcv::core::util::CallSpec;
@@ -23,7 +23,6 @@ fn registry() -> ServiceRegistry {
 
 fn fast_cfg() -> ProtocolConfig {
     ProtocolConfig::confined()
-        .with_exec_mode(ExecMode::Real)
         .with_heartbeat(SimDuration::from_millis(200))
         .with_suspicion(SimDuration::from_secs(2))
 }
@@ -72,6 +71,22 @@ fn cancel_is_local_only() {
         client.call_async(CallSpec::new("test/double", Blob::from_vec(to_bytes(&1u64)), 0.1, 16));
     client.cancel(h);
     assert_eq!(client.wait(h, Duration::from_secs(1)), Err(GridError::Cancelled));
+    grid.shutdown();
+}
+
+/// A cancelled call's result still arrives and is held; `wait_all` must keep
+/// waiting for the live call, not count the cancelled one's result in its place.
+#[test]
+fn wait_all_waits_for_the_uncancelled_handles() {
+    let spec = GridSpec::confined(1, 2).with_cfg(fast_cfg()).with_registry(registry());
+    let grid = LiveGrid::launch(spec, 100.0);
+    let mut client = GridClient::new(&grid);
+    let call = |v: u64, secs| CallSpec::new("test/double", Blob::from_vec(to_bytes(&v)), secs, 16);
+    let slow = client.call_async(call(1, 150.0));
+    let fast = client.call_async(call(2, 0.1));
+    client.cancel(fast);
+    client.wait_all(Duration::from_secs(60)).expect("the slow call completes");
+    assert!(client.probe(slow), "wait_all returned before the uncancelled call completed");
     grid.shutdown();
 }
 

@@ -4,9 +4,7 @@
 //! recorded over *virtual* time, the bag iterates its maps in key order,
 //! and the whole snapshot serializes without a single wall-clock or
 //! platform dependence.  So the plane inherits the model's headline
-//! guarantee — two same-seed runs produce byte-identical telemetry —
-//! and, conversely, turning the kernel profiler on must not perturb a
-//! single modelled series (observation is free).
+//! guarantee: two same-seed runs produce byte-identical telemetry.
 
 use rpcv::core::grid::{GridSpec, SimGrid};
 use rpcv::core::util::CallSpec;
@@ -18,25 +16,23 @@ fn plan(n: usize) -> Vec<CallSpec> {
     (0..n).map(|i| CallSpec::new("b", Blob::synthetic(10_000, i as u64), 2.0, 256)).collect()
 }
 
-/// One full grid run at `seed`: 2 coordinators, 3 servers, 12 calls,
-/// kernel profiling per `profiling`.  Returns the fleet-wide snapshot.
-fn run(seed: u64, profiling: bool) -> TelemetrySnapshot {
+/// One full grid run at `seed`: 2 coordinators, 3 servers, 12 calls.
+/// Returns the fleet-wide snapshot.
+fn run(seed: u64) -> TelemetrySnapshot {
     let spec = GridSpec::confined(2, 3).with_seed(seed).with_plan(plan(12));
     let mut g = SimGrid::build(spec);
-    g.world.set_profiling(profiling);
     g.run_until_done(SimTime::from_secs(1800)).expect("workload completes");
     g.telemetry()
 }
 
 /// The determinism satellite: same seed ⇒ byte-identical snapshot —
 /// structurally equal, same JSON bytes, same sealed wire bytes — across
-/// several seeds, with profiling on (the hardest case: kernel series
-/// sample real queue depths and busy time, in virtual units).
+/// several seeds.
 #[test]
 fn same_seed_runs_serialize_byte_identically() {
     for seed in [1u64, 0xC0FFEE, 0x9E37_79B9_7F4A_7C15] {
-        let a = run(seed, true);
-        let b = run(seed, true);
+        let a = run(seed);
+        let b = run(seed);
         assert!(
             !a.counters.is_empty() && !a.hists.is_empty(),
             "seed {seed:#x}: snapshot must be non-trivial"
@@ -66,39 +62,8 @@ fn same_seed_runs_serialize_byte_identically() {
 /// shift with the seed even though the workload is identical.
 #[test]
 fn different_seeds_produce_different_telemetry() {
-    let a = run(11, true);
-    let b = run(12, true);
+    let a = run(11);
+    let b = run(12);
     assert_eq!(a.counter("span.jobs"), b.counter("span.jobs"), "same workload either way");
     assert_ne!(a.to_json(), b.to_json(), "seed must leave a trace in the telemetry");
-}
-
-/// Flipping the kernel profiler on adds `kernel.*` series and changes
-/// nothing else: every modelled (non-kernel) series is identical with and
-/// without it.  This is the registry-level face of the simnet golden-hash
-/// test — observation must be free.
-#[test]
-fn profiling_adds_kernel_series_without_touching_the_model() {
-    let on = run(7, true);
-    let off = run(7, false);
-    assert!(
-        on.counters.iter().any(|(k, _)| k.starts_with("kernel.")),
-        "profiling on must export kernel series"
-    );
-    assert!(
-        !off.counters.iter().any(|(k, _)| k.starts_with("kernel."))
-            && !off.gauges.iter().any(|(k, _)| k.starts_with("kernel."))
-            && !off.hists.iter().any(|(k, _)| k.starts_with("kernel.")),
-        "profiling off must export no kernel series"
-    );
-    let strip = |s: &TelemetrySnapshot| {
-        let mut s = s.clone();
-        s.counters.retain(|k, _| !k.starts_with("kernel."));
-        s.gauges.retain(|k, _| !k.starts_with("kernel."));
-        s.hists.retain(|k, _| !k.starts_with("kernel."));
-        s
-    };
-    assert_eq!(strip(&on), strip(&off), "the profiler must not perturb modelled series");
-    // The disk series are modelled ones: present either way, equal above.
-    assert!(off.counter("coord.archive_write_ops") > 0);
-    assert_eq!(off.hist("coord.archive_write_wait"), on.hist("coord.archive_write_wait"));
 }
