@@ -845,7 +845,7 @@ impl CoordinatorActor {
                 .map_or(self.params.cfg.suspicion, |seen| now.since(seen));
             for id in created {
                 if let Some(row) = self.db.task(id) {
-                    self.spans.note_failover(row.desc.job, now, detect_gap);
+                    self.spans.note_failover(row.rec.job, now, detect_gap);
                 }
             }
             self.pay(ctx, charge);

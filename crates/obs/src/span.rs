@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use rpcv_simnet::{SimDuration, SimTime};
 use rpcv_xw::JobKey;
 
+use crate::hist::Histogram;
 use crate::snapshot::TelemetrySnapshot;
 
 /// A lifecycle edge in a job's span timeline.
@@ -36,7 +37,22 @@ pub enum SpanEdge {
     Gc,
 }
 
+/// Number of [`SpanEdge`] variants.
+const EDGES: usize = SpanEdge::ALL.len();
+
 impl SpanEdge {
+    /// Every edge, in declaration (ordinal) order.
+    pub const ALL: [SpanEdge; 8] = [
+        SpanEdge::Submitted,
+        SpanEdge::Dispatched,
+        SpanEdge::FirstUnit,
+        SpanEdge::Checkpointed,
+        SpanEdge::Finished,
+        SpanEdge::ArchiveStored,
+        SpanEdge::Collected,
+        SpanEdge::Gc,
+    ];
+
     /// Stable lowercase name used in histogram keys and JSON.
     pub const fn name(&self) -> &'static str {
         match self {
@@ -168,30 +184,59 @@ impl SpanBook {
     /// `span.failover_detect_gap` / `span.failover_recovery_gap`, and the
     /// totals in `span.jobs` / `span.failovers` / `span.reexecutions` /
     /// `span.checkpoints` counters.
+    ///
+    /// The walk folds into local histograms — one per `(a, b)` edge pair,
+    /// indexed by the two edge ordinals — and names each non-empty one
+    /// once at the end, so a fold over a plan-sized book formats a handful
+    /// of names, not one per mark pair per span.  (Merging is exact:
+    /// buckets and counts add, and the saturating sum of non-negative gaps
+    /// does not depend on grouping.)
     pub fn fold_into(&self, reg: &mut TelemetrySnapshot) {
         reg.add_counter("span.jobs", self.spans.len() as u64);
+        if self.spans.is_empty() {
+            return;
+        }
+        let mut pairs = vec![Histogram::new(); EDGES * EDGES];
+        let [mut submit_to_collect, mut detect_gap, mut recovery_gap] =
+            std::array::from_fn(|_| Histogram::new());
+        let (mut failovers, mut reexecutions, mut checkpoints) = (0, 0, 0);
         for span in self.spans.values() {
             for pair in span.marks.windows(2) {
                 let (a, ta) = pair[0];
                 let (b, tb) = pair[1];
-                let name = format!("span.{}_to_{}", a.name(), b.name());
-                reg.hist_mut(&name).record_gap(tb.since(ta));
+                pairs[a as usize * EDGES + b as usize].record_gap(tb.since(ta));
             }
             if let (Some(sub), Some(col)) =
                 (span.at(SpanEdge::Submitted), span.at(SpanEdge::Collected))
             {
-                reg.hist_mut("span.submit_to_collect").record_gap(col.since(sub));
+                submit_to_collect.record_gap(col.since(sub));
             }
-            reg.add_counter("span.failovers", span.failovers.len() as u64);
-            reg.add_counter("span.reexecutions", span.reexecutions);
-            reg.add_counter("span.checkpoints", span.checkpoints());
+            failovers += span.failovers.len() as u64;
+            reexecutions += span.reexecutions;
+            checkpoints += span.checkpoints();
             for f in &span.failovers {
-                reg.hist_mut("span.failover_detect_gap").record_gap(f.detect_gap);
+                detect_gap.record_gap(f.detect_gap);
                 if let Some(gap) = f.recovery_gap() {
-                    reg.hist_mut("span.failover_recovery_gap").record_gap(gap);
+                    recovery_gap.record_gap(gap);
                 }
             }
         }
+        for (i, h) in pairs.iter().enumerate().filter(|(_, h)| !h.is_empty()) {
+            let (a, b) = (SpanEdge::ALL[i / EDGES], SpanEdge::ALL[i % EDGES]);
+            reg.hist_mut(&format!("span.{}_to_{}", a.name(), b.name())).merge(h);
+        }
+        for (name, h) in [
+            ("span.submit_to_collect", &submit_to_collect),
+            ("span.failover_detect_gap", &detect_gap),
+            ("span.failover_recovery_gap", &recovery_gap),
+        ] {
+            if !h.is_empty() {
+                reg.hist_mut(name).merge(h);
+            }
+        }
+        reg.add_counter("span.failovers", failovers);
+        reg.add_counter("span.reexecutions", reexecutions);
+        reg.add_counter("span.checkpoints", checkpoints);
     }
 }
 
@@ -247,5 +292,71 @@ mod tests {
         assert_eq!(h.count(), 1);
         assert!(snap.hist("span.submitted_to_dispatched").is_some());
         assert!(snap.hist("span.dispatched_to_finished").is_some());
+    }
+
+    #[test]
+    fn edge_table_is_in_ordinal_order() {
+        for (i, e) in SpanEdge::ALL.iter().enumerate() {
+            assert_eq!(*e as usize, i, "{}", e.name());
+        }
+    }
+
+    #[test]
+    fn fold_matches_the_per_pair_definition() {
+        // The definition the local-table fold replaced: one named
+        // histogram lookup per mark pair per span, counters per span.
+        fn fold_by_name(book: &SpanBook, reg: &mut TelemetrySnapshot) {
+            reg.add_counter("span.jobs", book.len() as u64);
+            for (_, span) in book.iter() {
+                for pair in span.marks.windows(2) {
+                    let name = format!("span.{}_to_{}", pair[0].0.name(), pair[1].0.name());
+                    reg.hist_mut(&name).record_gap(pair[1].1.since(pair[0].1));
+                }
+                if let (Some(sub), Some(col)) =
+                    (span.at(SpanEdge::Submitted), span.at(SpanEdge::Collected))
+                {
+                    reg.hist_mut("span.submit_to_collect").record_gap(col.since(sub));
+                }
+                reg.add_counter("span.failovers", span.failovers.len() as u64);
+                reg.add_counter("span.reexecutions", span.reexecutions);
+                reg.add_counter("span.checkpoints", span.checkpoints());
+                for f in &span.failovers {
+                    reg.hist_mut("span.failover_detect_gap").record_gap(f.detect_gap);
+                    if let Some(gap) = f.recovery_gap() {
+                        reg.hist_mut("span.failover_recovery_gap").record_gap(gap);
+                    }
+                }
+            }
+        }
+        let at = SimTime::from_millis;
+        let mut book = SpanBook::new();
+        let (mut a, mut b) = (TelemetrySnapshot::new(), TelemetrySnapshot::new());
+        book.fold_into(&mut a);
+        fold_by_name(&book, &mut b);
+        assert_eq!(a.seal(), b.seal(), "empty book");
+        for seq in 1..=40u64 {
+            let k = key(seq);
+            book.mark(k, SpanEdge::Submitted, at(seq));
+            book.mark(k, SpanEdge::Dispatched, at(seq * 3));
+            if seq % 3 == 0 {
+                book.mark(k, SpanEdge::Checkpointed, at(seq * 4));
+                book.mark(k, SpanEdge::Checkpointed, at(seq * 5));
+            }
+            if seq % 4 == 0 {
+                book.note_failover(k, at(seq * 6), SimDuration::from_millis(seq));
+                if seq % 8 == 0 {
+                    book.note_recovered(k, at(seq * 7));
+                }
+            }
+            if seq % 5 != 0 {
+                book.mark(k, SpanEdge::Finished, at(seq * 9));
+                book.mark(k, SpanEdge::Collected, at(seq * 11));
+            }
+        }
+        let (mut a, mut b) = (TelemetrySnapshot::new(), TelemetrySnapshot::new());
+        book.fold_into(&mut a);
+        fold_by_name(&book, &mut b);
+        assert_eq!(a.seal(), b.seal());
+        assert_eq!(a.to_json(), b.to_json());
     }
 }

@@ -8,16 +8,20 @@ use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, TaskDesc, TaskId, T
 
 use crate::charge::Charge;
 use crate::delta::{DeltaRow, ReplicationDelta, TaskRecord};
+use crate::table::SeqTable;
 
-/// One stored task row.
+/// One stored task row: the replicated record itself plus the two local
+/// attributes.  The description a server receives is not stored — it is
+/// assembled at dispatch from the job's registered spec, which every task
+/// row's job holds ([`CoordinatorDb::check_invariants`]).
+///
+/// Layout is pinned (`row_layouts_are_pinned`): every byte here is paid
+/// twice — primary and replica — for every live instance, so a new field
+/// is a decision, not a convenience.
 #[derive(Debug, Clone)]
 pub struct TaskRow {
-    /// Instance description (what a server receives).
-    pub desc: TaskDesc,
-    /// Scheduling state.
-    pub state: TaskState,
-    /// Creating coordinator.
-    pub origin: CoordId,
+    /// What replicates: id, job, attempt, scheduling state, origin.
+    pub rec: TaskRecord,
     /// Whether *this* coordinator dispatched the instance (vs. learned of
     /// it through replication) — drives the replica scheduling rule.
     pub locally_dispatched: bool,
@@ -47,9 +51,11 @@ impl TaskIds {
     }
 }
 
-/// Everything the database holds about one job, in one B-tree entry: a
-/// job's life (register → dispatch → complete → collect → GC → prune)
-/// probes this one row where it used to probe a side table per attribute.
+/// Everything the database holds about one job, in one slot of its
+/// client's window ([`SeqTable`]): a job's life (register → dispatch →
+/// complete → collect → GC → prune) probes this one row where it used to
+/// probe a side table per attribute.  Like [`TaskRow`], its size is pinned:
+/// each byte is held by two coordinators for every live job.
 ///
 /// A row normally starts at registration (`spec` set).  Two attributes can
 /// exist *without* a registered job, and then live in a **stub** row
@@ -66,7 +72,9 @@ impl TaskIds {
 ///
 /// A stub that lost its last attribute is removed, so the table holds
 /// live jobs plus the unacknowledged tombstone window — never lifetime
-/// jobs.
+/// jobs.  A stub is the only row that may sit above its client's
+/// registration mark: the mismatched pair reports a key never registered
+/// here.
 #[derive(Debug, Clone, Default)]
 struct JobRow {
     /// The registered description (`None` = stub, see above).
@@ -262,8 +270,9 @@ pub struct CoordinatorDb {
     me: CoordId,
     version: u64,
     /// One row per job: description, flags, counters, archive, checkpoint
-    /// (see [`JobRow`] for what lives here and what a stub row is).
-    jobs: BTreeMap<JobKey, JobRow>,
+    /// (see [`JobRow`] for what lives here and what a stub row is), in a
+    /// seq-indexed window per client.
+    jobs: SeqTable<JobRow>,
     tasks: BTreeMap<TaskId, TaskRow>,
     pending: VecDeque<TaskId>,
     by_server: BTreeMap<ServerId, BTreeSet<TaskId>>,
@@ -348,7 +357,7 @@ impl CoordinatorDb {
         CoordinatorDb {
             me,
             version: 0,
-            jobs: BTreeMap::new(),
+            jobs: SeqTable::new(),
             tasks: BTreeMap::new(),
             pending: VecDeque::new(),
             by_server: BTreeMap::new(),
@@ -615,7 +624,7 @@ impl CoordinatorDb {
         }
         let tasks = &self.tasks;
         self.pending
-            .retain(|id| tasks.get(id).is_some_and(|r| matches!(r.state, TaskState::Pending)));
+            .retain(|id| tasks.get(id).is_some_and(|r| matches!(r.rec.state, TaskState::Pending)));
         debug_assert_eq!(self.pending.len(), self.queued_live);
     }
 
@@ -635,7 +644,7 @@ impl CoordinatorDb {
             Provenance::LOCAL,
         );
         self.note_mark(key.client, key.seq, Provenance::LOCAL);
-        let row = self.jobs.entry(key).or_default();
+        let row = self.jobs.get_or_default(key);
         row.spec = Some(spec);
         row.version = v;
         self.registered_rows += 1;
@@ -697,8 +706,8 @@ impl CoordinatorDb {
     }
 
     /// Builds the task description of instance `id` (attempt `attempt`) of
-    /// `spec`'s job: each payload field is cloned exactly once, straight
-    /// from the stored row.
+    /// `spec`'s job at dispatch: each payload field is cloned exactly once,
+    /// straight from the job row (task rows hold no copy of it).
     fn describe(spec: &JobSpec, id: TaskId, attempt: u32) -> TaskDesc {
         TaskDesc {
             id,
@@ -714,8 +723,7 @@ impl CoordinatorDb {
     }
 
     fn create_instance(&mut self, job: JobKey) -> Option<TaskId> {
-        let row = self.jobs.get_mut(&job)?;
-        let spec = row.spec.as_ref()?;
+        let row = self.jobs.get_mut(&job).filter(|r| r.spec.is_some())?;
         let attempt = row.next_attempt;
         row.next_attempt += 1;
         self.task_counter += 1;
@@ -727,16 +735,8 @@ impl CoordinatorDb {
             Changed::Task(id),
             Provenance::LOCAL,
         );
-        self.tasks.insert(
-            id,
-            TaskRow {
-                desc: Self::describe(spec, id, attempt),
-                state: TaskState::Pending,
-                origin: self.me,
-                locally_dispatched: false,
-                version: v,
-            },
-        );
+        let rec = TaskRecord { id, job, attempt, state: TaskState::Pending, origin: self.me };
+        self.tasks.insert(id, TaskRow { rec, locally_dispatched: false, version: v });
         row.tasks.push(id);
         Self::push_pending(
             &mut self.pending,
@@ -760,23 +760,21 @@ impl CoordinatorDb {
         while let Some(id) = self.pending.pop_front() {
             ops += 1;
             let Some(row) = self.tasks.get_mut(&id) else { continue };
-            if !matches!(row.state, TaskState::Pending) {
+            if !matches!(row.rec.state, TaskState::Pending) {
                 continue; // dead entry: stopped counting when its state moved
             }
             // A live entry leaves the queue here, dispatched or skipped.
             self.queued_live = self.queued_live.saturating_sub(1);
-            let finished = self.jobs.get_mut(&row.desc.job).is_some_and(|job| {
-                job.pending = job.pending.saturating_sub(1);
-                job.finished
-            });
-            if finished {
+            let job = self.jobs.get_mut(&row.rec.job).expect("a task row's job is registered");
+            job.pending = job.pending.saturating_sub(1);
+            if job.finished {
                 // Sibling instance already produced the result: retire the
                 // instance outright.  Its queue entry is gone, so the row
                 // must leave the `Pending` state too — a later transition
                 // (duplicate completion, replicated state upgrade) would
                 // otherwise run the entry-died accounting a second time
                 // and corrupt the maintained pending counters.
-                row.state = TaskState::Finished { result_size: 0 };
+                row.rec.state = TaskState::Finished { result_size: 0 };
                 let v = Self::touch(
                     &mut self.changed,
                     &mut self.version,
@@ -788,10 +786,11 @@ impl CoordinatorDb {
                 continue;
             }
             self.pending_live = self.pending_live.saturating_sub(1);
-            row.state = TaskState::Ongoing { server, since: now };
+            row.rec.state = TaskState::Ongoing { server, since: now };
             row.locally_dispatched = true;
-            let desc = row.desc.clone();
-            let params = desc_params(&desc);
+            let spec = job.spec.as_ref().expect("a task row's job is registered");
+            let desc = Self::describe(spec, id, row.rec.attempt);
+            let params = spec.params.len();
             let v = Self::touch(
                 &mut self.changed,
                 &mut self.version,
@@ -821,7 +820,7 @@ impl CoordinatorDb {
                 self.tasks
                     .get(id)
                     .map(|r| {
-                        matches!(r.state, TaskState::Pending) && !self.is_finished(&r.desc.job)
+                        matches!(r.rec.state, TaskState::Pending) && !self.is_finished(&r.rec.job)
                     })
                     .unwrap_or(false)
             })
@@ -838,7 +837,7 @@ impl CoordinatorDb {
     /// Stores `archive` in `row` (which holds none and is not `Collected`):
     /// catalog entry, missing-set exit, finished flag.
     fn put_archive(&mut self, job: JobKey, archive: Blob) {
-        let row = self.jobs.entry(job).or_default();
+        let row = self.jobs.get_or_default(job);
         row.archive = Some(ArchiveRow { payload: archive, collected: false });
         self.archived_rows += 1;
         Self::touch_catalog(
@@ -875,7 +874,7 @@ impl CoordinatorDb {
         let size = archive.len();
         // Clear the server index and mark the instance finished if known.
         if let Some(row) = self.tasks.get_mut(&task) {
-            match row.state {
+            match row.rec.state {
                 TaskState::Ongoing { server: s, .. } => {
                     if let Some(set) = self.by_server.get_mut(&s) {
                         set.remove(&task);
@@ -883,13 +882,13 @@ impl CoordinatorDb {
                 }
                 TaskState::Pending => {
                     // Its queue entry dies in place (never popped).
-                    if let Some(owner) = self.jobs.get_mut(&row.desc.job) {
+                    if let Some(owner) = self.jobs.get_mut(&row.rec.job) {
                         Self::entry_died(&mut self.queued_live, &mut self.pending_live, owner);
                     }
                 }
                 TaskState::Finished { .. } => {}
             }
-            row.state = TaskState::Finished { result_size: size };
+            row.rec.state = TaskState::Finished { result_size: size };
             let v = Self::touch(
                 &mut self.changed,
                 &mut self.version,
@@ -961,7 +960,7 @@ impl CoordinatorDb {
         self.jobs
             .iter()
             .filter(|(_, r)| r.finished && r.archive.is_none() && !r.collected)
-            .map(|(&k, _)| k)
+            .map(|(k, _)| k)
             .collect()
     }
 
@@ -1050,7 +1049,7 @@ impl CoordinatorDb {
     /// before it.
     fn silence_covers(row: &TaskRow, heard: Option<SimTime>) -> bool {
         row.locally_dispatched
-            || match row.state {
+            || match row.rec.state {
                 TaskState::Ongoing { since, .. } => heard.is_some_and(|at| since < at),
                 _ => true,
             }
@@ -1074,8 +1073,8 @@ impl CoordinatorDb {
                 if !Self::silence_covers(row, heard) {
                     return true;
                 }
-                if !jobs.get(&row.desc.job).is_some_and(|j| j.finished) {
-                    victims.push(row.desc.job);
+                if !jobs.get(&row.rec.job).is_some_and(|j| j.finished) {
+                    victims.push(row.rec.job);
                 }
                 false
             });
@@ -1111,8 +1110,8 @@ impl CoordinatorDb {
     /// reconciliation grace periods must count from the actual send).
     pub fn restamp_ongoing(&mut self, task: TaskId, at: SimTime) {
         if let Some(row) = self.tasks.get_mut(&task) {
-            if let TaskState::Ongoing { server, .. } = row.state {
-                row.state = TaskState::Ongoing { server, since: at };
+            if let TaskState::Ongoing { server, .. } = row.rec.state {
+                row.rec.state = TaskState::Ongoing { server, since: at };
             }
         }
     }
@@ -1143,12 +1142,12 @@ impl CoordinatorDb {
                 set.iter()
                     .filter(|id| running.binary_search(id).is_err())
                     .filter_map(|id| self.tasks.get(id))
-                    .filter(|r| match r.state {
+                    .filter(|r| match r.rec.state {
                         TaskState::Ongoing { since, .. } => now.since(since) > grace,
                         _ => false,
                     })
-                    .filter(|r| !self.is_finished(&r.desc.job))
-                    .map(|r| (r.desc.id, r.desc.job))
+                    .filter(|r| !self.is_finished(&r.rec.job))
+                    .map(|r| (r.rec.id, r.rec.job))
                     .collect()
             })
             .unwrap_or_default();
@@ -1169,26 +1168,23 @@ impl CoordinatorDb {
             .tasks
             .values()
             .filter(|r| {
-                r.origin == origin
+                r.rec.origin == origin
                     && !r.locally_dispatched
-                    && matches!(r.state, TaskState::Ongoing { .. })
-                    && !self.is_finished(&r.desc.job)
+                    && matches!(r.rec.state, TaskState::Ongoing { .. })
+                    && !self.is_finished(&r.rec.job)
             })
-            .map(|r| r.desc.job)
+            .map(|r| r.rec.job)
             .collect();
         self.reinstance(held)
     }
 
     // --- client result collection --------------------------------------------
 
-    /// `client`'s retained archives as `(seq, row)`, in seq order: a range
-    /// read over the client's contiguous key range (`JobKey` orders by
-    /// client first) — cost follows the client's own resident rows, not
-    /// the whole table.
+    /// `client`'s retained archives as `(seq, row)`, in seq order: a walk
+    /// of the client's own window — cost follows the client's own resident
+    /// rows, not the whole table.
     fn client_archives(&self, client: ClientKey) -> impl Iterator<Item = (u64, &ArchiveRow)> + '_ {
-        self.jobs
-            .range(JobKey { client, seq: 0 }..=JobKey { client, seq: u64::MAX })
-            .filter_map(|(job, row)| Some((job.seq, row.archive.as_ref()?)))
+        self.jobs.client(client).filter_map(|(seq, row)| Some((seq, row.archive.as_ref()?)))
     }
 
     /// Scan-based reference definition of the full result catalog — every
@@ -1324,7 +1320,7 @@ impl CoordinatorDb {
         self.jobs
             .iter()
             .filter(|(_, r)| r.archive.as_ref().is_some_and(|a| a.collected))
-            .map(|(k, _)| *k)
+            .map(|(k, _)| k)
             .collect()
     }
 
@@ -1422,7 +1418,7 @@ impl CoordinatorDb {
     /// order.
     #[doc(hidden)]
     pub fn ckpt_scan(&self) -> Vec<(JobKey, u32)> {
-        self.jobs.iter().filter_map(|(&j, r)| Some((j, r.ckpt.as_ref()?.unit_hw))).collect()
+        self.jobs.iter().filter_map(|(j, r)| Some((j, r.ckpt.as_ref()?.unit_hw))).collect()
     }
 
     // --- replication -----------------------------------------------------------
@@ -1493,13 +1489,7 @@ impl CoordinatorDb {
                 }
                 Changed::Task(id) => {
                     if let Some(row) = self.tasks.get(&id) {
-                        rows.push(DeltaRow::Task(TaskRecord {
-                            id: row.desc.id,
-                            job: row.desc.job,
-                            attempt: row.desc.attempt,
-                            state: row.state,
-                            origin: row.origin,
-                        }));
+                        rows.push(DeltaRow::Task(row.rec));
                     }
                 }
                 Changed::Mark(client) => {
@@ -1542,26 +1532,18 @@ impl CoordinatorDb {
         let retired = self.retired_rows().filter(|_| base == 0);
         let jobs = self
             .jobs
-            .values()
-            .filter(|r| r.version > base)
-            .filter_map(|r| r.spec.clone())
+            .iter()
+            .filter(|(_, r)| r.version > base)
+            .filter_map(|(_, r)| r.spec.clone())
             .map(DeltaRow::Job);
-        let tasks = self.tasks.values().filter(|r| r.version > base).map(|r| {
-            DeltaRow::Task(TaskRecord {
-                id: r.desc.id,
-                job: r.desc.job,
-                attempt: r.desc.attempt,
-                state: r.state,
-                origin: r.origin,
-            })
-        });
+        let tasks = self.tasks.values().filter(|r| r.version > base).map(|r| DeltaRow::Task(r.rec));
         let marks =
             self.client_max.iter().map(|(&c, r)| DeltaRow::Mark { client: c, mark: r.mark });
         let terminal = self.jobs.iter().filter(|(_, r)| r.collected);
         let flagged =
             self.jobs.iter().filter(|(_, r)| r.archive.as_ref().is_some_and(|a| a.collected));
-        let collected = terminal.chain(flagged).map(|(&job, _)| DeltaRow::Collected { job });
-        let ckpts = self.jobs.iter().filter_map(|(&job, r)| {
+        let collected = terminal.chain(flagged).map(|(job, _)| DeltaRow::Collected { job });
+        let ckpts = self.jobs.iter().filter_map(|(job, r)| {
             let ckpt = r.ckpt.as_ref()?;
             Some(DeltaRow::Ckpt { job, unit_hw: ckpt.unit_hw, blob: ckpt.blob.clone() })
         });
@@ -1591,7 +1573,7 @@ impl CoordinatorDb {
         let charge = if !self.knows_job(&key) {
             let params_len = spec.params.len();
             let v = Self::touch(&mut self.changed, &mut self.version, 0, Changed::Job(key), from);
-            let row = self.jobs.entry(key).or_default();
+            let row = self.jobs.get_or_default(key);
             row.spec = Some(spec);
             row.version = v;
             self.registered_rows += 1;
@@ -1605,16 +1587,11 @@ impl CoordinatorDb {
 
     /// Applies one replicated task row under the paper's merge rules.
     fn apply_task_row(&mut self, rec: &TaskRecord, from: Provenance) {
-        let Some(job) = self.jobs.get_mut(&rec.job) else { return };
         // Task for an unknown job: ignore (will come later).
-        let Some(spec) = job.spec.as_ref() else { return };
+        let Some(job) = self.jobs.get_mut(&rec.job).filter(|j| j.spec.is_some()) else { return };
         let mut newly_finished = false;
         match self.tasks.get_mut(&rec.id) {
             None => {
-                // The payload clones (service/cmdline/params) are only
-                // needed to mint a new row — the far more common
-                // state-update path below stays allocation-free.
-                let desc = Self::describe(spec, rec.id, rec.attempt);
                 let v = Self::touch(
                     &mut self.changed,
                     &mut self.version,
@@ -1623,16 +1600,8 @@ impl CoordinatorDb {
                     from,
                 );
                 job.next_attempt = job.next_attempt.max(rec.attempt + 1);
-                self.tasks.insert(
-                    rec.id,
-                    TaskRow {
-                        desc,
-                        state: rec.state,
-                        origin: rec.origin,
-                        locally_dispatched: false,
-                        version: v,
-                    },
-                );
+                self.tasks
+                    .insert(rec.id, TaskRow { rec: *rec, locally_dispatched: false, version: v });
                 job.tasks.push(rec.id);
                 match rec.state {
                     TaskState::Pending => Self::push_pending(
@@ -1657,15 +1626,15 @@ impl CoordinatorDb {
                 }
             }
             Some(row) => {
-                if state_rank(&rec.state) > state_rank(&row.state) {
-                    if matches!(row.state, TaskState::Pending) {
+                if state_rank(&rec.state) > state_rank(&row.rec.state) {
+                    if matches!(row.rec.state, TaskState::Pending) {
                         Self::entry_died(&mut self.queued_live, &mut self.pending_live, job);
                     }
                     // Keep the per-server index in step with the state
                     // transition (Pending→Ongoing indexes, Ongoing→Finished
                     // un-indexes; `complete_task` doing the same removal for
                     // locally finished rows is an idempotent no-op here).
-                    if let TaskState::Ongoing { server, .. } = row.state {
+                    if let TaskState::Ongoing { server, .. } = row.rec.state {
                         if let Some(set) = self.by_server.get_mut(&server) {
                             set.remove(&rec.id);
                         }
@@ -1673,7 +1642,7 @@ impl CoordinatorDb {
                     if let TaskState::Ongoing { server, .. } = rec.state {
                         self.by_server.entry(server).or_default().insert(rec.id);
                     }
-                    row.state = rec.state;
+                    row.rec.state = rec.state;
                     let v = Self::touch(
                         &mut self.changed,
                         &mut self.version,
@@ -1855,7 +1824,7 @@ impl CoordinatorDb {
             self.changed.remove(&task.version);
             self.delta_floor = self.delta_floor.max(task.version);
             self.retired_tasks += 1;
-            match task.state {
+            match task.rec.state {
                 TaskState::Ongoing { server, .. } => {
                     if let Some(set) = self.by_server.get_mut(&server) {
                         set.remove(&id);
@@ -1975,7 +1944,7 @@ impl CoordinatorDb {
         let mut pending = 0;
         let mut ongoing = 0;
         for r in self.tasks.values() {
-            match r.state {
+            match r.rec.state {
                 TaskState::Pending => pending += 1,
                 TaskState::Ongoing { .. } => ongoing += 1,
                 TaskState::Finished { .. } => {}
@@ -2016,21 +1985,36 @@ impl CoordinatorDb {
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let mut by_job: BTreeMap<JobKey, Vec<&TaskRow>> = BTreeMap::new();
-        for t in self.tasks.values() {
-            by_job.entry(t.desc.job).or_default().push(t);
+        for (id, t) in &self.tasks {
+            assert_eq!(*id, t.rec.id, "task row filed under another id");
+            // Dispatch assembles the description from the job's spec.
+            assert!(self.knows_job(&t.rec.job), "{id:?}: task row of an unregistered job");
+            by_job.entry(t.rec.job).or_default().push(t);
+        }
+        // Each client's window is chunk-exact — no chunk held empty, so it
+        // starts on an occupied slot — and, seqs being contiguous by
+        // protocol, reaches no higher than the client's registration mark
+        // but through a stub: the mismatched pair's never-registered key.
+        for (client, last) in self.jobs.audit() {
+            let mark = self.client_max(client);
+            if last > mark {
+                let registered_above =
+                    self.jobs.client(client).any(|(seq, r)| seq > mark && r.spec.is_some());
+                assert!(!registered_above, "{client:?}: registered row above mark {mark}");
+            }
         }
         let (mut registered, mut finished, mut collected, mut archived, mut ckpts) =
             (0, 0, 0, 0, 0);
         let (mut queued_live, mut pending_live, mut versioned) = (0, 0, 0);
-        for (k, row) in &self.jobs {
+        for (k, row) in self.jobs.iter() {
             assert!(!row.is_vacant(), "{k:?}: vacant stub left in the table");
-            let tasks = by_job.remove(k).unwrap_or_default();
+            let tasks = by_job.remove(&k).unwrap_or_default();
             let mut ids: Vec<TaskId> = row.tasks.iter().collect();
             ids.sort_unstable();
-            assert_eq!(ids, tasks.iter().map(|t| t.desc.id).collect::<Vec<_>>(), "{k:?}: tasks");
-            let live = tasks.iter().filter(|t| matches!(t.state, TaskState::Pending)).count();
+            assert_eq!(ids, tasks.iter().map(|t| t.rec.id).collect::<Vec<_>>(), "{k:?}: tasks");
+            let live = tasks.iter().filter(|t| matches!(t.rec.state, TaskState::Pending)).count();
             assert_eq!(row.pending as usize, live, "{k:?}: live queue entries");
-            assert!(tasks.iter().all(|t| t.desc.attempt < row.next_attempt), "{k:?}: attempts");
+            assert!(tasks.iter().all(|t| t.rec.attempt < row.next_attempt), "{k:?}: attempts");
             queued_live += live;
             if !row.finished {
                 pending_live += live;
@@ -2042,13 +2026,13 @@ impl CoordinatorDb {
             };
             match &row.spec {
                 Some(spec) => {
-                    assert_eq!(spec.key, *k);
+                    assert_eq!(spec.key, k);
                     registered += 1;
-                    versioned += stamped(row.version, Changed::Job(*k));
+                    versioned += stamped(row.version, Changed::Job(k));
                     // What this node knows finished, the ring can learn:
                     // from a `Finished` instance row, or the collected row.
-                    let told = row.collected_pos != 0
-                        || tasks.iter().any(|t| matches!(t.state, TaskState::Finished { .. }));
+                    let told =
+                        row.collected_pos != 0 || tasks.iter().any(|t| t.rec.state.is_finished());
                     assert!(!row.finished || told, "{k:?}: finished, and no feed row says so");
                 }
                 None => {
@@ -2057,11 +2041,11 @@ impl CoordinatorDb {
                 }
             }
             if row.collected_pos != 0 {
-                versioned += stamped(row.collected_pos, Changed::Collected(*k));
+                versioned += stamped(row.collected_pos, Changed::Collected(k));
             }
             if let Some(ckpt) = &row.ckpt {
                 ckpts += 1;
-                versioned += stamped(ckpt.version, Changed::Ckpt(*k));
+                versioned += stamped(ckpt.version, Changed::Ckpt(k));
                 assert!(!row.finished || ckpt.blob.is_empty(), "{k:?}: finished job kept state");
             }
             finished += row.finished as u64;
@@ -2069,9 +2053,9 @@ impl CoordinatorDb {
             archived += row.archive.is_some() as u64;
             assert!(!(row.collected && row.archive.is_some()), "{k:?}: collected yet retained");
             let flagged = row.archive.as_ref().is_some_and(|a| a.collected);
-            assert_eq!(self.collected_flagged.contains(k), flagged, "{k:?}: GC worklist");
+            assert_eq!(self.collected_flagged.contains(&k), flagged, "{k:?}: GC worklist");
             let missing = row.finished && row.archive.is_none() && !row.collected;
-            assert_eq!(self.missing.contains(k), missing, "{k:?}: missing worklist");
+            assert_eq!(self.missing.contains(&k), missing, "{k:?}: missing worklist");
             if row.catalog_pos != 0 {
                 let (here, other) = if row.archive.is_some() {
                     (&self.catalog, &self.catalog_removed)
@@ -2085,14 +2069,13 @@ impl CoordinatorDb {
                 assert!(row.archive.is_none(), "{k:?}: archive without a catalog entry");
             }
         }
-        assert!(by_job.is_empty(), "task rows without a job row: {:?}", by_job.keys());
         // The per-server index holds only instances still ongoing on that
         // server: suspicion and reconciliation un-index the rows they gave
         // up on, and a row suspicion left behind must still be there for
         // the reconcile to find.
         for (server, set) in &self.by_server {
             for id in set {
-                let state = self.tasks.get(id).map(|t| t.state);
+                let state = self.tasks.get(id).map(|t| t.rec.state);
                 assert!(
                     matches!(state, Some(TaskState::Ongoing { server: s, .. }) if s == *server),
                     "{id:?} indexed on {server:?} in state {state:?}"
@@ -2108,7 +2091,7 @@ impl CoordinatorDb {
             assert_ne!(entry.from, Provenance::peer(self.me), "v{v}: learned from itself");
             if let Changed::Task(id) = entry.row {
                 let own_dispatch = self.tasks.get(&id).is_some_and(|t| {
-                    t.locally_dispatched && matches!(t.state, TaskState::Ongoing { .. })
+                    t.locally_dispatched && matches!(t.rec.state, TaskState::Ongoing { .. })
                 });
                 assert!(
                     !own_dispatch || entry.from == Provenance::LOCAL,
@@ -2116,7 +2099,7 @@ impl CoordinatorDb {
                 );
             }
         }
-        let catalogued = self.jobs.values().filter(|r| r.catalog_pos != 0).count();
+        let catalogued = self.jobs.iter().filter(|(_, r)| r.catalog_pos != 0).count();
         assert_eq!(self.catalog.len() + self.catalog_removed.len(), catalogued, "catalog size");
         assert_eq!(self.registered_rows, registered, "registered counter");
         assert_eq!(self.finished_rows, finished, "finished counter");
@@ -2145,10 +2128,6 @@ fn state_rank(s: &TaskState) -> u8 {
         TaskState::Ongoing { .. } => 1,
         TaskState::Finished { .. } => 2,
     }
-}
-
-fn desc_params(desc: &TaskDesc) -> u64 {
-    desc.params.len()
 }
 
 #[cfg(test)]
@@ -2258,8 +2237,8 @@ mod tests {
         let old_task = d
             .tasks
             .values()
-            .find(|r| r.desc.job == job1 && matches!(r.state, TaskState::Ongoing { .. }))
-            .map(|r| r.desc.id)
+            .find(|r| r.rec.job == job1 && matches!(r.rec.state, TaskState::Ongoing { .. }))
+            .map(|r| r.rec.id)
             .unwrap();
         let (o, _) = d.complete_task(old_task, job1, Blob::synthetic(64, 0), ServerId(5));
         assert_eq!(o, CompleteOutcome::NewResult);
@@ -2292,7 +2271,7 @@ mod tests {
         // beat-driven reconcile and gets no replacement.
         let (created, _) = here.server_suspected(server);
         assert_eq!(created.len(), 1);
-        assert_eq!(here.task(created[0]).unwrap().desc.job.seq, 1);
+        assert_eq!(here.task(created[0]).unwrap().rec.job.seq, 1);
         assert_eq!(here.indexed_on(server), vec![later.unwrap().id]);
         // The peer, which the server beats now, recovers both.
         there.reconcile_server(server, &there.indexed_on(server), at(13), grace);
@@ -2400,7 +2379,7 @@ mod tests {
         let mut backup = CoordinatorDb::new(CoordId(2));
         backup.apply_delta(&full); // finished
         backup.apply_delta(&stale); // must not downgrade
-        assert!(backup.task(t.id).map(|r| r.state.is_finished()).unwrap_or(false));
+        assert!(backup.task(t.id).map(|r| r.rec.state.is_finished()).unwrap_or(false));
         // And nothing became schedulable.
         let (none, _) = backup.next_pending(ServerId(3), T0);
         assert!(none.is_none());
@@ -3189,5 +3168,76 @@ mod tests {
         assert_eq!(b.results_catalog_scan(client), vec![(1, 64)]);
         assert!(b.has_collected_knowledge(&k), "summarized by the watermark");
         assert_eq!((b.archived_count(), b.finished_count()), (1, 1));
+    }
+
+    #[test]
+    fn row_layouts_are_pinned() {
+        // Every byte of these rows is held twice — by the primary and by
+        // its replica — for every live job and instance: a new field is a
+        // decision, and moving either number needs a reason.
+        assert!(
+            std::mem::size_of::<TaskRow>() <= 88,
+            "TaskRow: {}",
+            std::mem::size_of::<TaskRow>()
+        );
+        assert!(std::mem::size_of::<JobRow>() <= 232, "JobRow: {}", std::mem::size_of::<JobRow>());
+        // A vacant window slot costs the row's bytes and nothing more.
+        assert_eq!(std::mem::size_of::<Option<JobRow>>(), std::mem::size_of::<JobRow>());
+    }
+
+    #[test]
+    fn a_restamped_job_arriving_after_higher_seqs_fills_its_slot() {
+        // `b` learns `a`'s jobs without seq 3, then seq 3 in a later round:
+        // seq 3's row carries `b`'s newest version, so `b`'s from-zero feed
+        // delivers it after seqs 4..=70 (many chunks' worth).  A replica
+        // fed that lands row for row where in-order application does.
+        let client = ClientKey::new(1, 1);
+        let late = JobKey::new(client, 3);
+        let mut a = db();
+        for seq in 1..=70 {
+            a.register_job(job(seq));
+        }
+        for _ in 0..5 {
+            complete_one(&mut a, 64);
+        }
+        let _ = a.next_pending(ServerId(2), T0);
+        a.mark_collected(client, &[1, 2]);
+        a.gc_collected();
+        let mut first = a.delta_since(0);
+        first.rows.retain(|r| match r {
+            DeltaRow::Job(spec) => spec.key != late,
+            DeltaRow::Task(rec) => rec.job != late,
+            DeltaRow::Collected { job } | DeltaRow::Ckpt { job, .. } => *job != late,
+            _ => true,
+        });
+        let mut b = CoordinatorDb::new(CoordId(2));
+        b.apply_delta(&first);
+        b.apply_delta(&a.delta_since(0));
+        let feed = b.delta_since(0);
+        let at =
+            |k: JobKey| feed.rows.iter().position(|r| matches!(r, DeltaRow::Job(s) if s.key == k));
+        assert!(at(late) > at(JobKey::new(client, 70)), "seq 3 rides after the higher seqs");
+        let mut in_order = CoordinatorDb::new(CoordId(3));
+        in_order.apply_delta(&a.delta_since(0));
+        let mut out_of_order = CoordinatorDb::new(CoordId(3));
+        out_of_order.apply_delta(&feed);
+        let rows = |d: &CoordinatorDb| {
+            let delta = d.delta_since(0);
+            let mut jobs: Vec<JobSpec> = delta.jobs().cloned().collect();
+            jobs.sort_by_key(|s| s.key);
+            let mut tasks: Vec<TaskRecord> = delta.tasks().copied().collect();
+            tasks.sort_by_key(|t| t.id);
+            let mut collected: Vec<JobKey> = delta.collected().collect();
+            collected.sort();
+            (jobs, tasks, delta.marks().collect::<Vec<_>>(), collected, d.ckpt_scan())
+        };
+        for d in [&in_order, &out_of_order] {
+            d.check_invariants();
+        }
+        assert_eq!(rows(&out_of_order), rows(&in_order));
+        assert_eq!(out_of_order.missing_archives_scan(), in_order.missing_archives_scan());
+        assert_eq!(out_of_order.stats(), in_order.stats());
+        assert_eq!(out_of_order.pending_count(), in_order.pending_count());
+        assert_eq!(out_of_order.contig_watermark(client), in_order.contig_watermark(client));
     }
 }

@@ -26,8 +26,9 @@
 use rpcv_wire::{wire_enum, wire_record, Blob};
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, TaskId, TaskState};
 
-/// Replicated view of one task row.
-#[derive(Debug, Clone, PartialEq)]
+/// Replicated view of one task row — and, with two local attributes, the
+/// stored row itself ([`crate::TaskRow`]), so a feed row is a plain copy.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskRecord {
     /// Instance id.
     pub id: TaskId,

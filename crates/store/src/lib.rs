@@ -29,6 +29,7 @@
 pub mod charge;
 pub mod db;
 pub mod delta;
+mod table;
 
 pub use charge::Charge;
 pub use db::{Applied, CatalogDelta, CompleteOutcome, CoordinatorDb, TaskRow};

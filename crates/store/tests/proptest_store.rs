@@ -105,19 +105,19 @@ fn suspect_checked(db: &mut CoordinatorDb, server: ServerId) {
     let (mut covered_jobs, mut skipped) = (Vec::new(), Vec::new());
     for id in db.indexed_on(server) {
         let row = db.task(id).expect("indexed rows are live");
-        let TaskState::Ongoing { server: on, since } = row.state else {
-            panic!("{id:?} indexed on {server:?} in state {:?}", row.state)
+        let TaskState::Ongoing { server: on, since } = row.rec.state else {
+            panic!("{id:?} indexed on {server:?} in state {:?}", row.rec.state)
         };
         assert_eq!(on, server);
         if row.locally_dispatched || heard.is_some_and(|at| since < at) {
-            covered_jobs.push(row.desc.job);
+            covered_jobs.push(row.rec.job);
         } else {
             skipped.push(id);
         }
     }
     let (created, _) = db.server_suspected(server);
     assert_eq!(db.indexed_on(server), skipped, "silence un-indexes what it covers, nothing else");
-    let minted_for: Vec<JobKey> = created.iter().map(|id| db.task(*id).unwrap().desc.job).collect();
+    let minted_for: Vec<JobKey> = created.iter().map(|id| db.task(*id).unwrap().rec.job).collect();
     let mut distinct = minted_for.clone();
     distinct.sort_unstable();
     distinct.dedup();
@@ -295,7 +295,9 @@ fn holds(peer: &CoordinatorDb, row: &DeltaRow) -> bool {
         DeltaRow::Job(spec) => peer.knows_job(&spec.key) || retired(&spec.key),
         DeltaRow::Task(rec) => {
             retired(&rec.job)
-                || peer.task(rec.id).is_some_and(|t| state_rank(&t.state) >= state_rank(&rec.state))
+                || peer
+                    .task(rec.id)
+                    .is_some_and(|t| state_rank(&t.rec.state) >= state_rank(&rec.state))
         }
         DeltaRow::Mark { client, mark } => peer.client_max(*client) >= *mark,
         DeltaRow::Collected { job } => peer.has_collected_knowledge(job),

@@ -1,16 +1,19 @@
-//! Allocation budget gate: heap traffic per simulated event, end to end.
+//! Allocation budget gate: heap traffic per simulated event, and the heap
+//! a run still holds per delivered call, end to end.
 //!
 //! The kernel dispatch path and the coordinator store are built not to
 //! allocate in steady state (events live in an arena and are ordered
 //! through handles, the effect buffer and the calendar buckets are
 //! recycled, a job's attributes share one row).  This test runs one small
 //! fault-free grid under a counting global allocator and holds
-//! allocations-per-event and allocated-bytes-per-event under ceilings
-//! pinned 10 % above the measured numbers.  The simulation is
-//! single-threaded and deterministic, so the counts repeat exactly on any
-//! machine; a change that lifts either number past its ceiling put an
-//! allocation back on a per-event path (or legitimately needs to re-pin,
-//! with the new numbers recorded in CHANGES.md).
+//! allocations-per-event, allocated-bytes-per-event and live bytes per
+//! delivered call (what the run's allocations still hold at `done`, frees
+//! and `realloc` deltas netted out) under ceilings pinned 10 % above the
+//! measured numbers.  The simulation is single-threaded and deterministic,
+//! so the counts repeat exactly on any machine; a change that lifts a
+//! number past its ceiling put an allocation back on a per-event path or
+//! grew a per-job row (or legitimately needs to re-pin, with the new
+//! numbers recorded in CHANGES.md).
 //!
 //! One test only: the counter is per-thread, but a second test's grid
 //! would still share the process allocator's state.
@@ -26,22 +29,35 @@ use rpcv::wire::Blob;
 thread_local! {
     /// `(allocations, bytes)` made by this thread while counting is on.
     static COUNT: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// Net heap bytes this thread gained while counting was on: blocks
+    /// allocated, minus blocks freed, plus every `realloc`'s size delta.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
     static COUNTING: Cell<bool> = const { Cell::new(false) };
 }
 
 struct Counting;
 
-fn note(bytes: usize) {
+fn counting() -> bool {
     // `try_with`: the allocator also runs during thread teardown, after
     // the thread-locals are gone.
-    let _ = COUNTING.try_with(|on| {
-        if on.get() {
-            let _ = COUNT.try_with(|c| {
-                let (n, b) = c.get();
-                c.set((n + 1, b + bytes as u64));
-            });
-        }
-    });
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
+
+/// One allocation of `bytes` (a fresh block, or a `realloc`'s new one).
+fn note(bytes: usize) {
+    if counting() {
+        let _ = COUNT.try_with(|c| {
+            let (n, b) = c.get();
+            c.set((n + 1, b + bytes as u64));
+        });
+    }
+}
+
+/// The live heap moved by `delta` bytes.
+fn held(delta: i64) {
+    if counting() {
+        let _ = LIVE.try_with(|l| l.set(l.get() + delta));
+    }
 }
 
 // SAFETY: every method forwards to `System` with its arguments unchanged,
@@ -50,11 +66,13 @@ fn note(bytes: usize) {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        held(layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        held(-(layout.size() as i64));
         // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -62,6 +80,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A growing `Vec` is heap traffic too: count the new block.
         note(new_size);
+        held(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `System` with this `layout`; the caller
         // upholds the rest of `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -71,14 +90,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Ceilings: what this cell measured when they were pinned — 13 797
-/// allocations and 5 902 736 bytes over 19 574 events, i.e. 0.70
-/// allocations and 302 bytes per event — plus 10 %.  (The parent commit,
-/// whose server kept its one running task in a map, measured 13 805
-/// allocations and 5 921 872 bytes on the same cell: 0.71 and 303 per
-/// event.)
+/// Ceilings: what this cell measured when they were pinned — 13 769
+/// allocations and 5 299 392 bytes over 19 574 events, i.e. 0.70
+/// allocations and 271 bytes per event, and 2 348 888 bytes live at done,
+/// 2 936 per delivered call — plus 10 %.  (The parent commit, whose job
+/// table was a `BTreeMap<JobKey, JobRow>` and whose task rows carried a
+/// copy of their job's description, measured 13 797 allocations, 5 902 736
+/// bytes (0.70 and 302 per event) and 2 946 776 bytes live, 3 683 per call:
+/// above the live ceiling.)
 const MAX_ALLOCS_PER_EVENT: f64 = 0.78;
-const MAX_BYTES_PER_EVENT: f64 = 332.0;
+const MAX_BYTES_PER_EVENT: f64 = 298.0;
+const MAX_LIVE_BYTES_PER_CALL: f64 = 3230.0;
 
 #[test]
 fn steady_state_allocations_per_event_stay_within_budget() {
@@ -101,9 +123,12 @@ fn steady_state_allocations_per_event_stay_within_budget() {
     let events = grid.world.events_processed() as f64;
     let (allocs, bytes) = COUNT.with(Cell::get);
     let (per_event, bytes_per_event) = (allocs as f64 / events, bytes as f64 / events);
+    let live = LIVE.with(Cell::get);
+    let live_per_call = live as f64 / 800.0;
     println!(
         "alloc budget: {events} events, {allocs} allocations ({per_event:.2}/event), \
-         {bytes} bytes ({bytes_per_event:.0}/event)"
+         {bytes} bytes ({bytes_per_event:.0}/event), {live} bytes live at done \
+         ({live_per_call:.0}/call)"
     );
     assert!(
         per_event <= MAX_ALLOCS_PER_EVENT,
@@ -112,5 +137,9 @@ fn steady_state_allocations_per_event_stay_within_budget() {
     assert!(
         bytes_per_event <= MAX_BYTES_PER_EVENT,
         "{bytes_per_event:.0} allocated bytes/event exceeds the {MAX_BYTES_PER_EVENT} budget"
+    );
+    assert!(
+        live_per_call <= MAX_LIVE_BYTES_PER_CALL,
+        "{live_per_call:.0} live bytes/call exceeds the {MAX_LIVE_BYTES_PER_CALL} budget"
     );
 }
