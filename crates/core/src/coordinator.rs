@@ -93,9 +93,14 @@ rpcv_simnet::counters! {
     + {
         /// Replication rounds in start order.
         pub repl_rounds: Vec<ReplRound>,
-        /// Completed-task count over time: `(time, total-finished)` staircase,
-        /// the series Figs. 9–11 plot.
-        pub completion_timeline: Vec<(SimTime, u64)>,
+        /// Finished-job count at the last completion event (a `TaskDone`,
+        /// an applied feed, a `ReplArchives`).
+        pub last_finished: u64,
+        /// Sum of the drops in that count from one completion event to the
+        /// next.  A disk wipe can revert a finished job for re-execution, so
+        /// the count may dip; the chaos oracle holds every dip to a counted
+        /// re-execution.
+        pub completion_dips: u64,
         /// Issue → return of each archive write: what a deferred reply (e.g.
         /// `TaskDoneAck`) waited on the disk for.
         pub archive_write_wait: Histogram,
@@ -406,9 +411,11 @@ impl CoordinatorActor {
         self.deferred.send_at(ctx, done, to, msg, K_SEND, 0);
     }
 
-    fn record_completion(&mut self, now: SimTime) {
+    fn record_completion(&mut self) {
         let finished = self.db.finished_count();
-        self.metrics.completion_timeline.push((now, finished));
+        let m = &mut self.metrics;
+        m.completion_dips += m.last_finished.saturating_sub(finished);
+        m.last_finished = finished;
     }
 
     /// Stamps `job` as missing-since-`now` unless already watched (parked
@@ -493,22 +500,15 @@ impl CoordinatorActor {
                     settled.push(job);
                 }
             }
-            // Both halves of the verdict leave in a single frame: one
-            // datagram (header + transfer) instead of two back-to-back
-            // sends to the same server.  The receiver unpacks the parts
-            // in order, so behaviour matches the separate sends exactly.
-            let mut parts = Vec::new();
+            // Each half of the verdict is its own frame.  The lists are
+            // disjoint and the server's two handlers touch disjoint state,
+            // so the order the frames arrive in does not matter.
             if !needed.is_empty() {
-                parts.push(Msg::NeedArchives { jobs: needed });
+                ctx.send(from, Msg::NeedArchives { jobs: needed });
+                replied = true;
             }
             if !settled.is_empty() {
-                parts.push(Msg::ArchivesSettled { jobs: settled });
-            }
-            if parts.len() > 1 {
-                ctx.send(from, Msg::Batch { parts });
-                replied = true;
-            } else if let Some(only) = parts.pop() {
-                ctx.send(from, only);
+                ctx.send(from, Msg::ArchivesSettled { jobs: settled });
                 replied = true;
             }
         }
@@ -582,7 +582,7 @@ impl CoordinatorActor {
         if self.db.archive(&job).is_some() {
             self.spans.mark(job, SpanEdge::ArchiveStored, now);
         }
-        self.record_completion(now);
+        self.record_completion();
         self.deferred.send_at(ctx, done, from, Msg::TaskDoneAck { task, job }, K_SEND, 0);
     }
 
@@ -729,7 +729,7 @@ impl CoordinatorActor {
         *e = (*e).max(head);
         let done = self.pay(ctx, applied.charge);
         self.refresh_missing_new(ctx.now());
-        self.record_completion(ctx.now());
+        self.record_completion();
         let ack = Msg::ReplAck { from: self.params.me, head_version: head };
         self.deferred.send_at(ctx, done, from, ack, K_SEND, 0);
     }
@@ -996,7 +996,7 @@ impl Actor<Msg> for CoordinatorActor {
                     charge += self.db.store_archive(r.job, r.archive);
                 }
                 self.pay(ctx, charge);
-                self.record_completion(ctx.now());
+                self.record_completion();
             }
             Msg::ReplAck { from: peer, head_version } => {
                 self.peer_mon.observe(peer, ctx.now());
@@ -1017,11 +1017,6 @@ impl Actor<Msg> for CoordinatorActor {
                             round.acked_at = Some(acked_at);
                         }
                     }
-                }
-            }
-            Msg::Batch { parts } => {
-                for part in parts {
-                    self.on_message(ctx, from, part);
                 }
             }
             Msg::SnapshotRequest { from: peer } => {

@@ -10,7 +10,7 @@
 use rpcv_ckpt::CheckpointFrame;
 use rpcv_simnet::WireSized;
 use rpcv_store::ReplicationDelta;
-use rpcv_wire::{wire_enum, wire_record, Blob, Reader, WireDecode, WireEncode, WireError};
+use rpcv_wire::{wire_enum, wire_record, Blob, WireEncode};
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, ServiceName, TaskDesc, TaskId};
 
 /// A finished RPC's result as shipped to the client.
@@ -287,19 +287,7 @@ pub enum Msg {
         sealed: Blob,
     },
 
-    // ----- framing ----------------------------------------------------------------
-    /// Several messages for the same destination sealed into one frame:
-    /// one datagram (one header, one transfer) where the protocol would
-    /// otherwise emit back-to-back sends from a single handler — e.g. a
-    /// beat reply carrying both the needed and the settled half of an
-    /// archive-offer verdict.  Receivers process parts in order exactly as
-    /// if they had arrived as separate messages.  Parts are never nested
-    /// batches.
-    Batch {
-        /// The bundled messages, in send order.
-        parts: Vec<Msg>,
-    },
-
+    // ----- decode failure ---------------------------------------------------------
     /// A frame whose bytes failed to decode at the receiver.  The chaos
     /// plane's bit-flipper substitutes this poison value when corruption
     /// breaks the encoding entirely; every actor counts it in its
@@ -331,28 +319,11 @@ wire_enum!(Msg {
     17 => ArchivesSettled { jobs },
     18 => CkptOffer { server, frame },
     19 => CkptAck { task, job, unit_hw },
-    20 => Batch { parts = decode_flat_parts },
     21 => Corrupt { len },
     22 => SnapshotRequest { from },
     25 => StatusRequest { nonce },
     26 => StatusReply { coord, nonce, sealed },
 });
-
-/// A batch's parts, refusing a nested batch *before* descending into it:
-/// a batch inside a batch would let corrupted or hostile bytes choose the
-/// decoder's recursion depth, and the protocol never produces one.
-fn decode_flat_parts(r: &mut Reader<'_>) -> Result<Vec<Msg>, WireError> {
-    let len = r.get_seq_len()?;
-    let mut parts = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        // 20 is `Batch`'s row in the table above.
-        if r.clone().get_u8()? == 20 {
-            return Err(WireError::Nested { ty: "Msg::Batch" });
-        }
-        parts.push(Msg::decode(r)?);
-    }
-    Ok(parts)
-}
 
 impl WireSized for Msg {
     /// The bytes a send is charged: the frame plus the modelled payloads
@@ -367,7 +338,7 @@ mod tests {
     use super::*;
     use rpcv_simnet::SimTime;
     use rpcv_store::{DeltaRow, TaskRecord};
-    use rpcv_wire::{crc64, from_bytes, to_bytes};
+    use rpcv_wire::{crc64, from_bytes, to_bytes, WireError};
     use rpcv_xw::TaskState;
 
     /// One row of every `DeltaRow` tag, with a task in every `TaskState`.
@@ -491,12 +462,6 @@ mod tests {
                 replication: 1,
                 work_units: 4,
             },
-            Msg::Batch {
-                parts: vec![
-                    Msg::NeedArchives { jobs: vec![JobKey::new(ClientKey::new(1, 2), 1)] },
-                    Msg::ArchivesSettled { jobs: vec![JobKey::new(ClientKey::new(1, 2), 2)] },
-                ],
-            },
             Msg::Corrupt { len: 77 },
             Msg::SnapshotRequest { from: CoordId(2) },
             Msg::StatusRequest { nonce: 7 },
@@ -510,7 +475,7 @@ mod tests {
 
     /// Tags that named a message once and are never reused (the notes under
     /// "Message tags" in `docs/ARCHITECTURE.md` say what they were).
-    const RETIRED_TAGS: &[u8] = &[23, 24];
+    const RETIRED_TAGS: &[u8] = &[20, 23, 24];
 
     #[test]
     fn samples_cover_every_tag() {
@@ -558,7 +523,6 @@ mod tests {
         ("ReplAck", 3, 0xaebd_37ba_9a11_e683, 3),
         ("ReplArchives", 9, 0x2ec7_790b_55cc_d300, 73),
         ("ApiSubmit", 18, 0xd241_925c_163e_9284, 18),
-        ("Batch", 12, 0x2be7_e468_3078_7c73, 12),
         ("Corrupt", 2, 0xac29_2542_1609_1c6e, 2),
         ("SnapshotRequest", 2, 0xfe7f_ba5a_b3cd_95b9, 2),
         ("StatusRequest", 2, 0x1ae5_cb5a_614c_f6a4, 2),
@@ -606,22 +570,6 @@ mod tests {
             catalog_seq: 1_000_000,
         };
         assert!(m.wire_size() < 32, "beats must stay cheap, got {}", m.wire_size());
-    }
-
-    #[test]
-    fn nested_batch_rejected() {
-        let inner = Msg::Batch { parts: vec![Msg::NoWork] };
-        let outer = Msg::Batch { parts: vec![Msg::NoWork, inner] };
-        let bytes = to_bytes(&outer);
-        assert_eq!(
-            from_bytes::<Msg>(&bytes),
-            Err(WireError::Nested { ty: "Msg::Batch" }),
-            "a batch containing a batch must be a typed decode error"
-        );
-        // A flat batch still roundtrips.
-        let flat = Msg::Batch { parts: vec![Msg::NoWork, Msg::Corrupt { len: 3 }] };
-        let back: Msg = from_bytes(&to_bytes(&flat)).unwrap();
-        assert_eq!(back, flat);
     }
 
     #[test]

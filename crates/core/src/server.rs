@@ -163,9 +163,9 @@ fn log_key(job: &JobKey) -> (u64, u64) {
 /// State that survives a server crash.
 struct ServerDurable {
     plog: PeerLog<StoredResult>,
-    /// The locally durable snapshots of the tasks that were running (the
-    /// checkpoint extension), each with its banked unit mark, in id order.
-    checkpoints: Vec<(TaskDesc, u32)>,
+    /// The locally durable snapshot of the task that was running (the
+    /// checkpoint extension), with its banked unit mark.
+    checkpoint: Option<(TaskDesc, u32)>,
     metrics: ServerMetrics,
     volatility: VolatilityObserver,
     /// Each shard link's current coordinator: a restart resumes talking
@@ -221,10 +221,10 @@ pub struct ServerActor {
     /// dropping work that the coordinator believes is ongoing here), each
     /// with the resume bank it arrived with.
     backlog: VecDeque<(TaskDesc, u32)>,
-    /// Snapshots restored from the durable image, resumed (and drained) by
+    /// The snapshot restored from the durable image, resumed (and taken) by
     /// `on_start`: a restart on the *same* node continues from its own
-    /// checkpoints without waiting for the coordinator.
-    restored: Vec<(TaskDesc, u32)>,
+    /// checkpoint without waiting for the coordinator.
+    restored: Option<(TaskDesc, u32)>,
     /// Tasks whose execution finished here but whose result delivery is
     /// not acknowledged yet.  Beats keep reporting them as running: a
     /// periodic beat in the durability/transfer window would otherwise
@@ -263,7 +263,7 @@ impl ServerActor {
             let mut actor = ServerActor::fresh(params.clone());
             if let Some(d) = image.take::<ServerDurable>() {
                 actor.plog = d.plog;
-                actor.restored = d.checkpoints;
+                actor.restored = d.checkpoint;
                 actor.metrics = d.metrics;
                 actor.volatility = d.volatility;
                 // Home is remembered, trust is not: the pick stays unjudged
@@ -301,7 +301,7 @@ impl ServerActor {
             plog: PeerLog::new(GcPolicy::unbounded()),
             running: None,
             backlog: VecDeque::new(),
-            restored: Vec::new(),
+            restored: None,
             completing: BTreeMap::new(),
             ckpt_armed: false,
             volatility: VolatilityObserver::new(),
@@ -329,7 +329,7 @@ impl ServerActor {
     #[doc(hidden)]
     pub fn resident_records(&self) -> usize {
         debug_assert!(self.offers_match_the_unacked_log());
-        (self.running_count() + self.backlog.len() + self.restored.len())
+        (self.running_count() + self.backlog.len() + usize::from(self.restored.is_some()))
             + (self.completing.len() + self.offers.len() + self.offer_after.len())
     }
 
@@ -743,7 +743,7 @@ impl ServerActor {
 impl Actor<Msg> for ServerActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         self.boot_at = ctx.now();
-        for (desc, banked_units) in std::mem::take(&mut self.restored) {
+        if let Some((desc, banked_units)) = self.restored.take() {
             self.metrics.resumed += 1;
             self.start_task(ctx, desc, banked_units);
         }
@@ -811,11 +811,6 @@ impl Actor<Msg> for ServerActor {
                 let settled: BTreeSet<JobKey> = jobs.into_iter().collect();
                 self.completing.retain(|_, j| !settled.contains(j));
             }
-            Msg::Batch { parts } => {
-                for part in parts {
-                    self.on_message(ctx, _from, part);
-                }
-            }
             Msg::Corrupt { .. } => {
                 // Unreadable bytes: count and drop.  No protocol state may
                 // change off a frame that failed to decode.
@@ -866,9 +861,8 @@ impl Actor<Msg> for ServerActor {
             running.iter().map(|e| (e.progress_units(now) - e.banked_units) as u64).sum::<u64>();
         // The node's own crash history feeds the adaptive policy.
         volatility.record_crash(now.since(boot_at));
-        let checkpoints =
-            running.into_iter().filter_map(|e| Some((e.desc, e.local_mark?))).collect();
+        let checkpoint = running.and_then(|e| Some((e.desc, e.local_mark?)));
         let homes = links.iter().map(|l| l.current()).collect();
-        DurableImage::of(ServerDurable { plog, checkpoints, metrics, volatility, homes })
+        DurableImage::of(ServerDurable { plog, checkpoint, metrics, volatility, homes })
     }
 }

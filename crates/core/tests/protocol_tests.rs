@@ -355,6 +355,91 @@ fn reexecuted_job_backs_off_from_its_own_first_send() {
 }
 
 #[test]
+fn a_split_offer_is_answered_needed_first_then_settled() {
+    // One server offers two archives: the coordinator lacks job 1's and
+    // already stores job 2's (its `TaskDone` arrived).  Each half of the
+    // verdict is its own frame to that server, the needed half first.
+    let spec = GridSpec::confined(1, 1).with_plan(plan(2, 1.0, 100, 100));
+    let mut grid = SimGrid::build(spec);
+    let ((server, node), coord, key) = (grid.servers[0], grid.coords[0].1, grid.client_key);
+    grid.world.install(node, move |_| Box::new(Probe { coord, heard: Vec::new() }));
+    let job = |seq| JobKey::new(key, seq);
+    let at = SimTime::from_secs;
+    let (task, archive) = (TaskId::compose(CoordId(9), 1), Blob::synthetic(100, 2));
+    grid.world.inject(at(5), node, Msg::TaskDone { server, task, job: job(2), archive });
+    let offered = vec![job(1), job(2)];
+    let beat = Msg::ServerBeat { server, want_work: 0, running: vec![], offered };
+    grid.world.inject(at(8), node, beat);
+    grid.world.run_until(at(10));
+    let heard = &grid.world.actor::<Probe>(node).unwrap().heard;
+    let answers: Vec<&Msg> = heard.iter().filter_map(|(t, m)| (*t >= at(8)).then_some(m)).collect();
+    let need = Msg::NeedArchives { jobs: vec![job(1)] };
+    let settled = Msg::ArchivesSettled { jobs: vec![job(2)] };
+    assert_eq!(answers, [&need, &settled]);
+}
+
+#[test]
+fn a_server_ends_alike_whichever_answer_arrives_first() {
+    // A server holds two unacknowledged results.  It hears that job 1's
+    // archive is needed and job 2's is settled, in one order or the other.
+    // The two handlers touch disjoint state, so both runs end alike: job 2
+    // acknowledged and no longer reported running, job 1 resent once and
+    // still reported running until its ack.
+    let run = |settled_first: bool| {
+        // A long suspicion: the harness's answers credit no coordinator.
+        let cfg = ProtocolConfig::confined().with_suspicion(SimDuration::from_secs(120));
+        let mut grid = SimGrid::build(GridSpec::confined(1, 1).with_cfg(cfg));
+        let (coord, server, key) = (grid.coords[0].1, grid.servers[0].1, grid.client_key);
+        grid.world.install(coord, move |_| Box::new(Probe { coord, heard: Vec::new() }));
+        let task = |n: u64| TaskDesc {
+            id: TaskId::compose(CoordId(1), n),
+            job: JobKey::new(key, n),
+            attempt: 0,
+            service: "bench".into(),
+            cmdline: String::new(),
+            params: Blob::synthetic(64, n),
+            exec_cost: 1.0,
+            result_size_hint: 64,
+            work_units: 1,
+        };
+        let at = SimTime::from_secs;
+        for n in [1, 2] {
+            grid.world.inject(at(n), server, Msg::Assign { task: task(n), resume: None });
+        }
+        // Past job 1's first-send horizon, so the request is not in flight.
+        let need = Msg::NeedArchives { jobs: vec![task(1).job] };
+        let settled = Msg::ArchivesSettled { jobs: vec![task(2).job] };
+        let answers = if settled_first { [settled, need] } else { [need, settled] };
+        for answer in answers {
+            grid.world.inject(at(26), server, answer);
+        }
+        grid.world.run_until(at(60));
+        let heard = &grid.world.actor::<Probe>(coord).unwrap().heard;
+        let after: Vec<(SimTime, Msg)> =
+            heard.iter().filter(|(t, _)| *t >= at(26)).cloned().collect();
+        let s = grid.server(0).unwrap();
+        (after, s.unacked_results(), s.metrics.archives_resent, task(1))
+    };
+    let (after, unacked, resent, task1) = run(false);
+    assert_eq!(run(true), (after.clone(), unacked, resent, task1.clone()));
+    assert_eq!((unacked, resent), (1, 1), "job 2 acknowledged, job 1 resent");
+    let resends: Vec<JobKey> = (after.iter())
+        .filter_map(|(_, m)| match m {
+            Msg::TaskDone { job, .. } => Some(*job),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(resends, [task1.job]);
+    let beats: Vec<&Vec<TaskId>> = (after.iter())
+        .filter_map(|(_, m)| match m {
+            Msg::ServerBeat { running, .. } => Some(running),
+            _ => None,
+        })
+        .collect();
+    assert!(!beats.is_empty() && beats.iter().all(|r| **r == [task1.id]), "{beats:?}");
+}
+
+#[test]
 fn the_round_below_the_floor_is_one_frame_charged_once() {
     // A bootstrap is a regular round: one `ReplDelta`, metered by the one
     // counting pass.  An inline payload travels inside the frame and is

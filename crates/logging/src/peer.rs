@@ -5,7 +5,11 @@
 //! client-style high-water-mark synchronization does not apply: "Since
 //! servers may have non-contiguous timestamps for a given client, the
 //! synchronization is more complicated, involving a peer-wise comparison
-//! of logs" (§4.2).  [`PeerLog::diff_missing`] is that comparison.
+//! of logs" (§4.2).  The server's half of that comparison is
+//! [`PeerLog::iter_unacked`], offered in every beat; the coordinator's
+//! half runs in `CoordinatorActor::handle_server_beat` (`rpcv-core`),
+//! which splits the offer with `CoordinatorDb::wants_archive` into the
+//! archives it needs and the ones already settled.
 //!
 //! Server logging is *necessarily pessimistic*: "The file archives built
 //! as the results of the executions represents the server logs.  Thus the
@@ -107,28 +111,6 @@ impl<T: Clone> PeerLog<T> {
         }
     }
 
-    /// All retained keys, in order (the server's half of the peer-wise
-    /// comparison: it offers this list to the coordinator).
-    pub fn keys(&self) -> Vec<PeerKey> {
-        self.entries.keys().copied().collect()
-    }
-
-    /// Peer-wise comparison: of the keys the *coordinator* reports
-    /// missing, which do we still hold?  Those archives are re-sent; any
-    /// requested key we no longer hold must be re-executed (at-least-once).
-    pub fn diff_missing(&self, requested: &[PeerKey]) -> (Vec<PeerKey>, Vec<PeerKey>) {
-        let mut have = Vec::new();
-        let mut gone = Vec::new();
-        for &k in requested {
-            if self.entries.contains_key(&k) {
-                have.push(k);
-            } else {
-                gone.push(k);
-            }
-        }
-        (have, gone)
-    }
-
     /// Crash semantics: archives not yet durable are lost.
     pub fn survive_crash(&mut self, now: SimTime) -> usize {
         let before = self.entries.len();
@@ -212,26 +194,6 @@ mod tests {
         assert_eq!(log.len(), 1);
         assert_eq!(log.bytes(), 700);
         assert_eq!(log.get((1, 1)).unwrap().value, "v2");
-    }
-
-    #[test]
-    fn diff_missing_splits_correctly() {
-        let (mut log, mut disk) = setup();
-        log.append((1, 1), "a".into(), 10, SimTime::ZERO, &mut disk);
-        log.append((1, 3), "b".into(), 10, SimTime::ZERO, &mut disk);
-        log.append((2, 7), "c".into(), 10, SimTime::ZERO, &mut disk);
-        let (have, gone) = log.diff_missing(&[(1, 1), (1, 2), (2, 7), (9, 9)]);
-        assert_eq!(have, vec![(1, 1), (2, 7)]);
-        assert_eq!(gone, vec![(1, 2), (9, 9)]);
-    }
-
-    #[test]
-    fn keys_are_ordered_and_non_contiguous() {
-        let (mut log, mut disk) = setup();
-        for key in [(2u64, 9u64), (1, 4), (1, 1), (3, 2)] {
-            log.append(key, "x".into(), 10, SimTime::ZERO, &mut disk);
-        }
-        assert_eq!(log.keys(), vec![(1, 1), (1, 4), (2, 9), (3, 2)]);
     }
 
     #[test]

@@ -74,28 +74,6 @@ proptest! {
         prop_assert_eq!(unacked_before, unacked_after);
     }
 
-    /// Peer-wise diff is a partition of the request: `have ∪ gone ==
-    /// requested`, `have ∩ gone == ∅`, and membership is correct.
-    #[test]
-    fn peer_diff_partitions(
-        stored in proptest::collection::btree_set((0u64..10, 0u64..30), 0..40),
-        requested in proptest::collection::vec((0u64..10, 0u64..30), 0..40),
-    ) {
-        let mut log: PeerLog<u64> = PeerLog::new(GcPolicy::unbounded());
-        let mut disk = Disk::new(DiskSpec::default());
-        for &k in &stored {
-            log.append(k, 0, 10, SimTime::ZERO, &mut disk);
-        }
-        let (have, gone) = log.diff_missing(&requested);
-        prop_assert_eq!(have.len() + gone.len(), requested.len());
-        for k in &have {
-            prop_assert!(stored.contains(k));
-        }
-        for k in &gone {
-            prop_assert!(!stored.contains(k));
-        }
-    }
-
     /// The maintained unacked index equals its scan reference through
     /// arbitrary append/ack/crash/GC interleavings (the index serves the
     /// server's per-beat archive offer, so a divergence would silently

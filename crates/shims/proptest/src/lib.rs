@@ -7,8 +7,7 @@
 //! * the [`proptest!`] macro (with optional `#![proptest_config(..)]`);
 //! * [`Strategy`] implementations for integer/float ranges, `&str`
 //!   patterns of the `.{a,b}` form, tuples, [`collection::vec`],
-//!   [`collection::btree_set`], [`option::of`], [`any`], and
-//!   [`sample::Index`];
+//!   [`option::of`], [`any`], and [`sample::Index`];
 //! * [`prop_assert!`] / [`prop_assert_eq!`] / [`prop_assert_ne!`] and
 //!   [`TestCaseError`].
 //!
@@ -388,10 +387,9 @@ pub fn any<T: Arbitrary>() -> Any<T> {
 // collection / option / sample modules
 // ---------------------------------------------------------------------------
 
-/// Collection strategies (`vec`, `btree_set`).
+/// Collection strategies (`vec`).
 pub mod collection {
     use super::{Strategy, TestRng};
-    use std::collections::BTreeSet;
     use std::ops::Range;
 
     /// Strategy for `Vec<S::Value>` with a length drawn from `len`.
@@ -411,35 +409,6 @@ pub mod collection {
             assert!(self.len.start < self.len.end, "empty length range strategy");
             let span = (self.len.end - self.len.start) as u64;
             let n = self.len.start + rng.below(span) as usize;
-            (0..n).map(|_| self.element.generate(rng)).collect()
-        }
-    }
-
-    /// Strategy for `BTreeSet<S::Value>` targeting `size` elements.
-    pub struct BTreeSetStrategy<S> {
-        element: S,
-        size: Range<usize>,
-    }
-
-    /// Set of `element` values; duplicates merge, so the final size may be
-    /// below the drawn target (matching real proptest semantics closely
-    /// enough for these suites).
-    pub fn btree_set<S: Strategy>(element: S, size: Range<usize>) -> BTreeSetStrategy<S>
-    where
-        S::Value: Ord,
-    {
-        BTreeSetStrategy { element, size }
-    }
-
-    impl<S: Strategy> Strategy for BTreeSetStrategy<S>
-    where
-        S::Value: Ord,
-    {
-        type Value = BTreeSet<S::Value>;
-        fn generate(&self, rng: &mut TestRng) -> Self::Value {
-            assert!(self.size.start < self.size.end, "empty size range strategy");
-            let span = (self.size.end - self.size.start) as u64;
-            let n = self.size.start + rng.below(span) as usize;
             (0..n).map(|_| self.element.generate(rng)).collect()
         }
     }

@@ -47,13 +47,6 @@ pub enum WireError {
         /// Digest recomputed over the payload.
         actual: u64,
     },
-    /// A container type was nested inside itself where the protocol
-    /// forbids it (e.g. a batch frame inside a batch frame, which would
-    /// let a hostile peer build decode-time recursion bombs).
-    Nested {
-        /// The self-nested type.
-        ty: &'static str,
-    },
 }
 
 impl fmt::Display for WireError {
@@ -76,9 +69,6 @@ impl fmt::Display for WireError {
             WireError::DigestMismatch { expected, actual } => {
                 write!(f, "digest mismatch: frame declares {expected:#018x}, payload hashes to {actual:#018x}")
             }
-            WireError::Nested { ty } => {
-                write!(f, "{ty} may not be nested inside itself")
-            }
         }
     }
 }
@@ -98,9 +88,6 @@ mod tests {
         assert!(e.to_string().contains("99"));
         let e = WireError::DigestMismatch { expected: 1, actual: 2 };
         assert!(e.to_string().contains("mismatch"));
-        let e = WireError::Nested { ty: "Msg::Batch" };
-        assert!(e.to_string().contains("Msg::Batch"));
-        assert!(e.to_string().contains("nested"));
     }
 
     #[test]

@@ -30,42 +30,33 @@ macro_rules! wire_record {
 /// `KINDS` table, from one row per variant:
 ///
 /// ```
-/// use rpcv_wire::{from_bytes, to_bytes, wire_enum, Reader, WireDecode, WireError};
+/// use rpcv_wire::{from_bytes, to_bytes, wire_enum, WireError};
 ///
 /// #[derive(Debug, PartialEq)]
 /// enum Shape {
 ///     Dot,
 ///     Circle { centre: (i32, i32), radius: u32 },
 ///     Label(String),
-///     Pair { parts: Vec<Shape> },
 /// }
 ///
 /// wire_enum!(Shape {
 ///     0 => Dot {},                    // unit variant
 ///     1 => Circle { centre, radius }, // struct variant
 ///     2 => Label { 0: text },         // tuple variant: position, then a binding name
-///     3 => Pair { parts = two },      // `= path`: this field's decoder
 /// });
 ///
-/// fn two(r: &mut Reader<'_>) -> Result<Vec<Shape>, WireError> {
-///     match Vec::decode(r)? {
-///         parts if parts.len() == 2 => Ok(parts),
-///         parts => Err(WireError::LengthOverflow { len: parts.len() as u64, max: 2 }),
-///     }
-/// }
-///
-/// let pair = Shape::Pair { parts: vec![Shape::Dot, Shape::Label("a".into())] };
-/// assert_eq!(to_bytes(&pair), [3, 2, 0, 2, 1, b'a']);
-/// assert_eq!(from_bytes::<Shape>(&to_bytes(&pair)).unwrap(), pair);
-/// assert_eq!((pair.tag(), pair.kind()), (3, "Pair"));
+/// let label = Shape::Label("a".into());
+/// assert_eq!(to_bytes(&label), [2, 1, b'a']);
+/// assert_eq!(from_bytes::<Shape>(&to_bytes(&label)).unwrap(), label);
+/// assert_eq!((label.tag(), label.kind()), (2, "Label"));
 /// assert_eq!(Shape::KINDS[1], (1, "Circle"));
-/// assert!(from_bytes::<Shape>(&[3, 1, 0]).is_err(), "the field's own decoder ran");
+/// assert!(from_bytes::<Shape>(&[2, 2, b'a']).is_err(), "a truncated field fails typed");
 /// assert_eq!(from_bytes::<Shape>(&[9]), Err(WireError::InvalidTag { ty: "Shape", tag: 9 }));
 /// ```
 #[macro_export]
 macro_rules! wire_enum {
     ($ty:ident { $(
-        $tag:literal => $variant:ident { $($field:tt $(: $bind:ident)? $(= $dec:path)?),* $(,)? }
+        $tag:literal => $variant:ident { $($field:tt $(: $bind:ident)?),* $(,)? }
     ),+ $(,)? }) => {
         impl $ty {
             /// `(wire tag, variant name)` of every variant.
@@ -95,7 +86,7 @@ macro_rules! wire_enum {
         impl $crate::WireDecode for $ty {
             fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::WireError> {
                 Ok(match r.get_u8()? {
-                    $($tag => Self::$variant { $($field: $crate::wire_enum!(@get r $($dec)?)),* },)+
+                    $($tag => Self::$variant { $($field: $crate::WireDecode::decode(r)?),* },)+
                     tag => {
                         return Err($crate::WireError::InvalidTag {
                             ty: stringify!($ty),
@@ -108,6 +99,4 @@ macro_rules! wire_enum {
     };
     (@put $w:ident $field:ident) => { $crate::WireEncode::encode($field, $w) };
     (@put $w:ident $field:tt $bind:ident) => { $crate::WireEncode::encode($bind, $w) };
-    (@get $r:ident) => { $crate::WireDecode::decode($r)? };
-    (@get $r:ident $dec:path) => { $dec($r)? };
 }

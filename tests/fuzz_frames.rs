@@ -6,6 +6,7 @@
 //! actor's `bad_frames` metric, never a panic, never a partial state
 //! change, and never a garbled-but-decodable forgery.
 
+use proptest::prelude::*;
 use rpcv::core::grid::{GridSpec, SimGrid};
 use rpcv::core::msg::{Msg, RpcResult};
 use rpcv::obs::TelemetrySnapshot;
@@ -14,10 +15,8 @@ use rpcv::store::{DeltaRow, ReplicationDelta, TaskRecord};
 use rpcv::wire::{from_bytes, open_frame, seal_frame, to_bytes, Blob, WireError};
 use rpcv::xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, TaskId, TaskState};
 
-/// Small representative frames (no `Batch`, no `Corrupt`: a mutant that
-/// keeps its tag byte keeps its variant, so every Ok-decoding mutant of
-/// this corpus is a plain frame and the poison accounting below is
-/// exact).
+/// Small representative frames (no `Corrupt`: that is the poison the
+/// flips below must produce, so the poison accounting stays exact).
 fn corpus() -> Vec<Msg> {
     let key = ClientKey::new(1, 2);
     vec![
@@ -49,6 +48,7 @@ fn corpus() -> Vec<Msg> {
         Msg::NoWork,
         Msg::TaskDoneAck { task: TaskId(7), job: JobKey::new(key, 1) },
         Msg::NeedArchives { jobs: vec![JobKey::new(key, 1)] },
+        Msg::ArchivesSettled { jobs: vec![JobKey::new(key, 2)] },
         Msg::CkptAck { task: TaskId(7), job: JobKey::new(key, 1), unit_hw: 24 },
         // The coordinator ↔ coordinator frame, as a bootstrap sends it: a
         // from-zero feed with one row of every `DeltaRow` tag.
@@ -227,30 +227,30 @@ fn sealed_status_frames_absorb_every_byte_flip() {
     assert!(rejected > 0);
 }
 
-/// Batch mutants exercise the nested-container guard: flips either decode
-/// (flat batches), fail typed, or are rejected as nested — never panic,
-/// and a hand-built nested batch is always refused, at any depth.
-#[test]
-fn batch_mutants_and_nesting_are_safe() {
-    let key = ClientKey::new(1, 2);
-    let batch = Msg::Batch {
-        parts: vec![
-            Msg::NeedArchives { jobs: vec![JobKey::new(key, 1)] },
-            Msg::ArchivesSettled { jobs: vec![JobKey::new(key, 2)] },
-        ],
-    };
-    let bytes = to_bytes(&batch);
-    for i in 0..bytes.len() {
-        let mut mutant = bytes.clone();
-        mutant[i] ^= 0xFF;
-        let _ = from_bytes::<Msg>(&mutant); // must not panic
+/// Tags that named a message once and are never reused.
+const RETIRED_TAGS: [u8; 3] = [20, 23, 24];
+
+proptest! {
+    /// Garbage after any tag byte — every live tag and every retired one —
+    /// decodes to a frame of that tag or fails with a typed error, and never
+    /// panics.  No `Msg` holds a `Msg`, so the types bound the decoder's
+    /// recursion depth: no tail can choose it.  CI runs this deep
+    /// (`PROPTEST_CASES=4096`).
+    #[test]
+    fn garbage_after_any_tag_decodes_or_fails_typed(
+        tail in proptest::collection::vec(any::<u8>(), 0..257),
+    ) {
+        let live = Msg::KINDS.iter().map(|&(tag, _)| tag);
+        for tag in live.chain(RETIRED_TAGS) {
+            let frame: Vec<u8> = std::iter::once(tag).chain(tail.iter().copied()).collect();
+            let retired = RETIRED_TAGS.contains(&tag);
+            match from_bytes::<Msg>(&frame) {
+                Ok(msg) => prop_assert!(!retired && msg.tag() == tag, "tag {tag} read as {msg:?}"),
+                Err(e) => {
+                    let unknown = e == WireError::InvalidTag { ty: "Msg", tag: tag as u64 };
+                    prop_assert!(unknown == retired, "tag {tag}: {e}");
+                }
+            }
+        }
     }
-    let nested = Msg::Batch { parts: vec![batch] };
-    assert_eq!(from_bytes::<Msg>(&to_bytes(&nested)), Err(WireError::Nested { ty: "Msg::Batch" }),);
-    // Refused before descending: hostile bytes do not get to choose the
-    // decoder's recursion depth.  100 000 × `Batch[1 part]` around a
-    // `NoWork` overflowed the stack when the guard ran after the recursion.
-    let mut deep = [20u8, 1].repeat(100_000);
-    deep.push(10);
-    assert_eq!(from_bytes::<Msg>(&deep), Err(WireError::Nested { ty: "Msg::Batch" }));
 }
