@@ -26,10 +26,12 @@ use crate::calibration::MARSHAL_BW;
 use crate::config::ProtocolConfig;
 use crate::frontier::{PullFrontier, RetryPolicy};
 use crate::msg::Msg;
-use crate::util::{CallSpec, Deferred, Directory};
+use crate::util::{CallSpec, Directory};
 
 const K_BEAT: u64 = 1;
-const K_SEND: u64 = 2;
+/// A logged submission whose communication may start now (its log write or
+/// marshalling finished): the send's NIC end closes the interaction.
+const K_SUBMIT: u64 = 2;
 const K_NEXT: u64 = 3;
 
 /// Observation record for one submission.
@@ -178,8 +180,10 @@ pub struct ClientActor {
     /// Submissions whose interaction has not completed yet (keeps the
     /// sequential submission pump alive across API-driven plan growth).
     in_flight_submissions: usize,
-    deferred: Deferred,
-    /// Submission metadata for deferred sends: token (seq) → barrier time.
+    /// Armed `K_SUBMIT` timers: the coordinator each submission goes to and
+    /// its seq (the spec is read back from the log when the timer fires).
+    submitting: BTreeMap<TimerId, (NodeId, u64)>,
+    /// seq → the log write's durability, which the interaction also waits for.
     barriers: BTreeMap<u64, SimTime>,
     /// Telemetry snapshots pulled from coordinators via
     /// [`Msg::StatusRequest`], keyed by coordinator id.  A volatile cache:
@@ -233,7 +237,7 @@ impl ClientActor {
             catalog_hw: 0,
             last_pull: None,
             in_flight_submissions: 0,
-            deferred: Deferred::new(),
+            submitting: BTreeMap::new(),
             barriers: BTreeMap::new(),
             snapshots: BTreeMap::new(),
             status_nonce_hw: 0,
@@ -252,7 +256,7 @@ impl ClientActor {
     #[doc(hidden)]
     pub fn resident_records(&self) -> usize {
         (self.unacked_results.len() + self.sent_at.len())
-            + (self.frontier.len() + self.barriers.len())
+            + (self.frontier.len() + self.barriers.len() + self.submitting.len())
     }
 
     /// The coordinator currently preferred, if any.
@@ -291,18 +295,20 @@ impl ClientActor {
             .insert(seq, SubmitTiming { requested_at: now, interaction_end: None });
         let comm_start = out.timing.comm_may_start_at.max(marshal_done);
         // Mark the submission as in flight from the moment it is scheduled
-        // (the deferred send may fire a little later); a crash wipes this
-        // map, so restored log entries correctly look never-sent.
+        // (the send may leave a little later); a crash wipes this map, so
+        // restored log entries correctly look never-sent.
         self.sent_at.insert(seq, now);
         self.sent_hw = self.sent_hw.max(seq);
         if out.timing.barrier {
             self.barriers.insert(seq, out.timing.durable_at);
         }
         if let Some(node) = self.coordinator(now) {
-            if let Some(comm_end) =
-                self.deferred.send_at(ctx, comm_start, node, Msg::Submit { spec }, K_SEND, seq)
-            {
+            if comm_start <= now {
+                let comm_end = ctx.send(node, Msg::Submit { spec });
                 self.finish_submission(ctx, seq, comm_end);
+            } else {
+                let id = ctx.set_timer_at(comm_start, K_SUBMIT);
+                self.submitting.insert(id, (node, seq));
             }
         } else {
             // No coordinator known: the interaction ends locally; the log
@@ -569,7 +575,7 @@ impl ClientActor {
             let bytes: u64 = specs.iter().map(|s| s.params.len() + 64).sum();
             let read_done = ctx.disk_read(bytes);
             if let Some(node) = self.coordinator(now) {
-                self.deferred.send_at(ctx, read_done, node, Msg::SubmitBatch { specs }, K_SEND, 0);
+                ctx.send_at(read_done, node, Msg::SubmitBatch { specs });
             }
         }
     }
@@ -761,11 +767,11 @@ impl Actor<Msg> for ClientActor {
                 self.beat(ctx);
                 ctx.set_timer(self.params.cfg.heartbeat, K_BEAT);
             }
-            K_SEND => {
-                if let Some((comm_end, token)) = self.deferred.fire(ctx, id) {
-                    if token != 0 {
-                        self.finish_submission(ctx, token, comm_end);
-                    }
+            K_SUBMIT => {
+                if let Some((node, seq)) = self.submitting.remove(&id) {
+                    let spec = self.log.get(seq).expect("a submitting seq is logged").value.clone();
+                    let comm_end = ctx.send(node, Msg::Submit { spec });
+                    self.finish_submission(ctx, seq, comm_end);
                 }
             }
             K_NEXT => self.submit_next(ctx),

@@ -12,18 +12,17 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use rpcv_detect::{CoordinatorList, HeartbeatMonitor};
 use rpcv_obs::{Histogram, SpanBook, SpanEdge, TelemetrySnapshot};
-use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimTime, TimerId, WireSized};
+use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimTime, TimerId};
 use rpcv_store::{Applied, Charge, CoordinatorDb, ReplicationDelta};
 use rpcv_wire::WireEncode;
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId};
 
 use crate::config::ProtocolConfig;
 use crate::msg::{Msg, RpcResult};
-use crate::util::{Deferred, Directory};
+use crate::util::Directory;
 
 const K_SCAN: u64 = 1;
 const K_REPL: u64 = 2;
-const K_SEND: u64 = 3;
 
 /// One replication round's observations (drives Fig. 5).
 #[derive(Debug, Clone, Copy)]
@@ -197,7 +196,6 @@ pub struct CoordinatorActor {
     missing_order: BTreeSet<(SimTime, JobKey)>,
     /// Origins already released after predecessor suspicion.
     released: BTreeSet<CoordId>,
-    deferred: Deferred,
     /// Boot epoch: regenerated on every (re)start so clients can tell
     /// state-losing restarts from reordered stale replies.
     epoch: u64,
@@ -210,7 +208,9 @@ pub struct CoordinatorActor {
     /// crash exactly as far as the state they describe does).
     spans: SpanBook,
     /// Virtual instant of the latest handled event — gives harness-invoked
-    /// methods (e.g. [`Self::gc_now`]) a clock without a `Ctx`.
+    /// methods (e.g. [`Self::gc_now`]) a clock without a `Ctx`.  A reply
+    /// leaving through [`Ctx::send_at`] is a kernel event the actor does
+    /// not handle, so it does not move this clock.
     clock: SimTime,
 }
 
@@ -263,7 +263,6 @@ impl CoordinatorActor {
             missing: BTreeMap::new(),
             missing_order: BTreeSet::new(),
             released: BTreeSet::new(),
-            deferred: Deferred::new(),
             epoch: 0,
             metrics: CoordMetrics::default(),
             rx_counts: BTreeMap::new(),
@@ -320,7 +319,7 @@ impl CoordinatorActor {
     fn ack_submission(&mut self, ctx: &mut Ctx<'_, Msg>, to: NodeId, job: JobKey, done: SimTime) {
         let coord_max = self.db.client_max(job.client);
         let ack = Msg::SubmitAck { job, coord_max, epoch: self.epoch };
-        self.deferred.send_at(ctx, done, to, ack, K_SEND, 0);
+        ctx.send_at(done, to, ack);
     }
 
     /// Per-entity records resident here outside the database: they follow
@@ -408,7 +407,7 @@ impl CoordinatorActor {
         let ops = 1 + 2 * results.len() as u64;
         let Some(msg) = reply(results) else { return };
         let done = ctx.db(ops, 0).max(ctx.disk_read(payload));
-        self.deferred.send_at(ctx, done, to, msg, K_SEND, 0);
+        ctx.send_at(done, to, msg);
     }
 
     fn record_completion(&mut self) {
@@ -546,14 +545,7 @@ impl CoordinatorActor {
                     // The assignment leaves once the database write lands;
                     // the reconciliation grace must count from then.
                     self.db.restamp_ongoing(desc.id, done);
-                    self.deferred.send_at(
-                        ctx,
-                        done,
-                        from,
-                        Msg::Assign { task: desc, resume },
-                        K_SEND,
-                        0,
-                    );
+                    ctx.send_at(done, from, Msg::Assign { task: desc, resume });
                     replied = true;
                 }
                 None => break,
@@ -583,7 +575,7 @@ impl CoordinatorActor {
             self.spans.mark(job, SpanEdge::ArchiveStored, now);
         }
         self.record_completion();
-        self.deferred.send_at(ctx, done, from, Msg::TaskDoneAck { task, job }, K_SEND, 0);
+        ctx.send_at(done, from, Msg::TaskDoneAck { task, job });
     }
 
     fn handle_ckpt_offer(
@@ -636,14 +628,7 @@ impl CoordinatorActor {
             ctx.note("checkpoint offer held: job unknown here (awaiting replication)");
             return;
         };
-        self.deferred.send_at(
-            ctx,
-            done,
-            from,
-            Msg::CkptAck { task: frame.task, job: frame.job, unit_hw: hw },
-            K_SEND,
-            0,
-        );
+        ctx.send_at(done, from, Msg::CkptAck { task: frame.task, job: frame.job, unit_hw: hw });
     }
 
     fn handle_client_beat(
@@ -690,8 +675,7 @@ impl CoordinatorActor {
         let epoch = self.epoch;
         self.metrics.sync_replies += 1;
         self.metrics.catalog_bytes += delta.added.encoded_len() + delta.removed.encoded_len();
-        self.deferred.send_at(
-            ctx,
+        ctx.send_at(
             done,
             from,
             Msg::ClientSyncReply {
@@ -702,8 +686,6 @@ impl CoordinatorActor {
                 available: delta.added,
                 removed: delta.removed,
             },
-            K_SEND,
-            0,
         );
     }
 
@@ -731,7 +713,7 @@ impl CoordinatorActor {
         self.refresh_missing_new(ctx.now());
         self.record_completion();
         let ack = Msg::ReplAck { from: self.params.me, head_version: head };
-        self.deferred.send_at(ctx, done, from, ack, K_SEND, 0);
+        ctx.send_at(done, from, ack);
     }
 
     fn handle_repl_delta(
@@ -813,9 +795,8 @@ impl CoordinatorActor {
         self.inflight_repl = Some((succ, head, now));
         // Ask the peer for archives we know exist but do not hold.
         let want_archives: Vec<JobKey> = self.db.missing_archives_iter().take(64).collect();
-        let msg = Msg::ReplDelta { delta, want_archives };
-        // One encode-count serves both the transfer metric and the send.
-        let bytes = msg.wire_size();
+        // The size the send charges is the transfer metric: one encode-count.
+        let bytes = ctx.send_at(done, node, Msg::ReplDelta { delta, want_archives });
         self.metrics.repl_rounds.push(ReplRound {
             to: succ,
             started: now,
@@ -823,7 +804,6 @@ impl CoordinatorActor {
             records,
             bytes,
         });
-        self.deferred.send_at_sized(ctx, done, node, msg, bytes, K_SEND, 0);
     }
 
     fn scan(&mut self, ctx: &mut Ctx<'_, Msg>) {
@@ -1039,14 +1019,7 @@ impl Actor<Msg> for CoordinatorActor {
                 let snap = self.telemetry_snapshot();
                 let sealed = rpcv_wire::Blob::from_vec(snap.seal());
                 let done = ctx.db(1, 0);
-                self.deferred.send_at(
-                    ctx,
-                    done,
-                    from,
-                    Msg::StatusReply { coord: self.params.me, nonce, sealed },
-                    K_SEND,
-                    0,
-                );
+                ctx.send_at(done, from, Msg::StatusReply { coord: self.params.me, nonce, sealed });
             }
             Msg::Corrupt { .. } => {
                 // Unreadable bytes: count and drop.  No protocol state may
@@ -1057,7 +1030,7 @@ impl Actor<Msg> for CoordinatorActor {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, id: TimerId, kind: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _id: TimerId, kind: u64) {
         self.clock = ctx.now();
         match kind {
             K_SCAN => {
@@ -1067,9 +1040,6 @@ impl Actor<Msg> for CoordinatorActor {
             K_REPL => {
                 self.replicate(ctx);
                 ctx.set_timer(self.params.cfg.replication_period, K_REPL);
-            }
-            K_SEND => {
-                let _ = self.deferred.fire(ctx, id);
             }
             _ => {}
         }

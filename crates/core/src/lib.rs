@@ -72,4 +72,4 @@ pub use coordinator::{CoordMetrics, CoordParams, CoordinatorActor, ReplRound};
 pub use grid::{GridSpec, SimGrid};
 pub use msg::{Msg, ResumeFrom, RpcResult};
 pub use server::{ServerActor, ServerMetrics, ServerParams};
-pub use util::{CallSpec, Deferred, Directory};
+pub use util::{CallSpec, Directory};

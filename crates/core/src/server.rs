@@ -38,11 +38,10 @@ use rpcv_xw::{
 use crate::config::ProtocolConfig;
 use crate::frontier::RetryPolicy;
 use crate::msg::Msg;
-use crate::util::{Deferred, Directory};
+use crate::util::Directory;
 
 const K_BEAT: u64 = 1;
 const K_EXEC: u64 = 2;
-const K_SEND: u64 = 3;
 const K_CKPT: u64 = 4;
 /// One-shot beat (e.g. right after a completion): does NOT re-arm the
 /// periodic schedule — re-arming from every nudge would multiply the
@@ -249,7 +248,6 @@ pub struct ServerActor {
     /// completion bursts nearly every entry is in backoff, so the filter
     /// scan was O(unacked) of rejections on every beat and nudge.
     offer_after: BTreeSet<(SimTime, JobKey)>,
-    deferred: Deferred,
     /// Public observations.
     pub metrics: ServerMetrics,
 }
@@ -308,7 +306,6 @@ impl ServerActor {
             boot_at: SimTime::ZERO,
             offers: BTreeMap::new(),
             offer_after: BTreeSet::new(),
-            deferred: Deferred::new(),
             metrics: ServerMetrics::default(),
         }
     }
@@ -628,7 +625,7 @@ impl ServerActor {
                 self.sent(ctx, job, size);
                 let done =
                     Msg::TaskDone { server: self.params.id, task: exec.desc.id, job, archive };
-                self.deferred.send_at(ctx, durable_at, node, done, K_SEND, exec.desc.id.0);
+                ctx.send_at(durable_at, node, done);
             }
             None => self.file_offer(job),
         }
@@ -659,7 +656,7 @@ impl ServerActor {
                 self.metrics.archives_resent += 1;
                 let StoredResult { task, job, archive } = stored;
                 let done = Msg::TaskDone { server: self.params.id, task, job, archive };
-                self.deferred.send_at(ctx, read_done, node, done, K_SEND, 0);
+                ctx.send_at(read_done, node, done);
             }
         }
     }
@@ -820,7 +817,7 @@ impl Actor<Msg> for ServerActor {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, id: TimerId, kind: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _id: TimerId, kind: u64) {
         match kind {
             K_BEAT => {
                 // A fresh heartbeat starts a fresh rotation lap.
@@ -833,9 +830,6 @@ impl Actor<Msg> for ServerActor {
                 if let Some(exec) = self.pop_finished(ctx.now()) {
                     self.complete(ctx, exec);
                 }
-            }
-            K_SEND => {
-                let _ = self.deferred.fire(ctx, id);
             }
             K_CKPT => {
                 self.ckpt_armed = false;

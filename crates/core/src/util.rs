@@ -1,13 +1,11 @@
-//! Shared actor machinery: deferred sends, the coordinator directory, and
-//! workload call specs.
+//! Shared actor machinery: the coordinator directory and workload call
+//! specs.
 
 use std::collections::BTreeMap;
 
-use rpcv_simnet::{Ctx, NodeId, SimTime, TimerId, WireSized};
+use rpcv_simnet::NodeId;
 use rpcv_wire::Blob;
 use rpcv_xw::{ClientKey, CoordId, ServiceName};
-
-use crate::msg::Msg;
 
 /// Maps coordinator identities to their network addresses, partitioned into
 /// replication shards.
@@ -69,103 +67,6 @@ impl Directory {
     /// The shard index `c` belongs to (`None` for an unknown coordinator).
     pub fn shard_of_coord(&self, c: CoordId) -> Option<usize> {
         self.groups.iter().position(|g| g.contains(&c))
-    }
-}
-
-/// One deferred send: destination, message, token, wire size.
-type Pending = (NodeId, Msg, u64, u64);
-
-/// Messages scheduled for a future instant (e.g. a reply that may only
-/// leave once the database operation backing it completed).
-///
-/// A backlogged coordinator holds thousands of these, so — like the kernel
-/// event queue — the message is written once into a slab and the ordered
-/// index moves 12-byte `timer id → slot` pairs, not whole `Msg` values.
-#[derive(Debug, Default)]
-pub struct Deferred {
-    slab: Vec<Option<Pending>>,
-    /// Vacant slab positions, reused LIFO.
-    free: Vec<u32>,
-    /// timer id → slab position.
-    index: BTreeMap<u64, u32>,
-}
-
-impl Deferred {
-    /// Empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sends `msg` to `to` at `at` (immediately if `at` is not in the
-    /// future).  `kind` is the actor's deferred-send timer kind; `token`
-    /// is an actor-defined correlation value returned by [`Self::fire`].
-    ///
-    /// Returns the sender-side completion time if the send happened
-    /// immediately, `None` if it was deferred.
-    pub fn send_at(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        at: SimTime,
-        to: NodeId,
-        msg: Msg,
-        kind: u64,
-        token: u64,
-    ) -> Option<SimTime> {
-        let size = msg.wire_size();
-        self.send_at_sized(ctx, at, to, msg, size, kind, token)
-    }
-
-    /// [`Self::send_at`] with a caller-computed wire size, so a message
-    /// whose size was already measured (replication deltas record it as a
-    /// transfer metric) is not encode-counted a second time at send.
-    #[allow(clippy::too_many_arguments)] // mirrors `send_at` + the size; a struct would obscure the call sites
-    pub fn send_at_sized(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        at: SimTime,
-        to: NodeId,
-        msg: Msg,
-        size: u64,
-        kind: u64,
-        token: u64,
-    ) -> Option<SimTime> {
-        if at <= ctx.now() {
-            return Some(ctx.send_sized(to, msg, size));
-        }
-        let id = ctx.set_timer_at(at, kind);
-        let item = Some((to, msg, token, size));
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = item;
-                slot
-            }
-            None => {
-                self.slab.push(item);
-                (self.slab.len() - 1) as u32
-            }
-        };
-        self.index.insert(id.0, slot);
-        None
-    }
-
-    /// Fires a deferred send; returns `(comm_end, token)` if `id` belonged
-    /// to this queue.
-    pub fn fire(&mut self, ctx: &mut Ctx<'_, Msg>, id: TimerId) -> Option<(SimTime, u64)> {
-        let slot = self.index.remove(&id.0)?;
-        let (to, msg, token, size) =
-            self.slab[slot as usize].take().expect("indexed slots hold a message");
-        self.free.push(slot);
-        Some((ctx.send_sized(to, msg, size), token))
-    }
-
-    /// Number of queued sends.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
     }
 }
 

@@ -134,10 +134,16 @@ pub enum Effect<M> {
         /// Pre-allocated id.
         id: TimerId,
     },
-    /// Disarm a timer.
-    TimerCancel {
-        /// Id returned by the corresponding set.
-        id: TimerId,
+    /// Send `msg` to `to` at the future instant `at` (see [`Ctx::send_at`]).
+    SendAt {
+        /// Instant the send happens.
+        at: SimTime,
+        /// Destination node.
+        to: NodeId,
+        /// The message.
+        msg: M,
+        /// Wire size, measured when the send was scheduled.
+        size: u64,
     },
 }
 
@@ -193,12 +199,9 @@ impl<'a, M: WireSized> Ctx<'a, M> {
         self.send_sized(to, msg, size)
     }
 
-    /// Like [`Self::send`], but with the wire size supplied by the caller.
-    ///
-    /// `wire_size` is an O(message) encode-count; layers that already
-    /// computed it (e.g. to record transfer metrics for the same frame)
-    /// pass it in instead of paying for a second full walk of the payload.
-    pub fn send_sized(&mut self, to: NodeId, msg: M, size: u64) -> SimTime {
+    /// The send itself, `size` already measured (an O(message) encode-count
+    /// paid once per frame, by [`Self::send`] or [`Self::send_at`]).
+    pub(crate) fn send_sized(&mut self, to: NodeId, msg: M, size: u64) -> SimTime {
         debug_assert_eq!(size, msg.wire_size(), "caller-supplied wire size must be exact");
         self.stats.sent += 1;
         self.stats.bytes_sent += size;
@@ -279,6 +282,22 @@ impl<'a, M: WireSized> Ctx<'a, M> {
         occ.end
     }
 
+    /// Sends `msg` to `to` at instant `at` (a reply that may only leave once
+    /// the write behind it landed); returns the charged wire size.  An `at`
+    /// not in the future is exactly [`Self::send`]; otherwise the kernel
+    /// holds the frame until `at` and sends it then — NIC, link draws and
+    /// trace as a timer whose handler calls `send` — unless the node crashed
+    /// or restarted in between: a dead process sends nothing.
+    pub fn send_at(&mut self, at: SimTime, to: NodeId, msg: M) -> u64 {
+        let size = msg.wire_size();
+        if at <= self.now {
+            self.send_sized(to, msg, size);
+        } else {
+            self.effects.push(Effect::SendAt { at, to, msg, size });
+        }
+        size
+    }
+
     /// Arms a timer `delay` from now; `kind` is returned to
     /// [`Actor::on_timer`].
     pub fn set_timer(&mut self, delay: SimDuration, kind: u64) -> TimerId {
@@ -291,11 +310,6 @@ impl<'a, M: WireSized> Ctx<'a, M> {
         let id = TimerId(*self.timer_seq);
         self.effects.push(Effect::TimerSet { at: at.max(self.now), kind, id });
         id
-    }
-
-    /// Disarms a timer (no-op if it already fired).
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.effects.push(Effect::TimerCancel { id });
     }
 
     /// Writes `bytes` to the local disk.

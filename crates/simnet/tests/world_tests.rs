@@ -1,5 +1,7 @@
-//! World-level behaviour: delivery, timers, crash/restart, partitions,
-//! resource contention, and the determinism invariant.
+//! World-level behaviour: delivery, timers, scheduled sends, crash/restart,
+//! partitions, resource contention, and the determinism invariant.
+
+use std::collections::BTreeMap;
 
 use rpcv_simnet::*;
 
@@ -80,6 +82,17 @@ fn messages_bounce_between_actors() {
     assert_eq!(pa.received.len(), 1);
     assert_eq!(pa.received[0].0, NodeId::EXTERNAL);
     assert!(pb.received.is_empty());
+}
+
+/// Runs its closure on every start and ignores everything else.
+struct OnStart<F>(F);
+
+impl<F: FnMut(&mut Ctx<'_, Msg>) + Send + 'static> Actor<Msg> for OnStart<F> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        (self.0)(ctx);
+    }
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _f: NodeId, _m: Msg) {}
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _id: TimerId, _k: u64) {}
 }
 
 /// Actor that fires a message to a fixed peer on start, creating real
@@ -190,47 +203,28 @@ fn scheduled_controls_apply_in_order() {
     assert!(w.is_up(b));
 }
 
-/// Timers: set, fire, cancel; crash invalidates pending timers.
+/// Timers: set and fire; crash invalidates pending timers.
 struct TimerBox {
     fired: Vec<u64>,
-    cancel_target: Option<TimerId>,
 }
 
 impl Actor<Msg> for TimerBox {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        ctx.set_timer(SimDuration::from_secs(1), 1);
-        let id = ctx.set_timer(SimDuration::from_secs(2), 2);
-        ctx.set_timer(SimDuration::from_secs(3), 3);
-        self.cancel_target = Some(id);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: NodeId, _msg: Msg) {
-        // Message = order to cancel timer "2".
-        if let Some(id) = self.cancel_target.take() {
-            ctx.cancel_timer(id);
+        for kind in 1..=3 {
+            ctx.set_timer(SimDuration::from_secs(kind), kind);
         }
     }
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, _msg: Msg) {}
     fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _id: TimerId, kind: u64) {
         self.fired.push(kind);
     }
 }
 
 #[test]
-fn timer_cancellation() {
-    let mut w = World::<Msg>::new(17);
-    let a = w.add_host(HostSpec::named("a"));
-    w.install(a, |_| Box::new(TimerBox { fired: Vec::new(), cancel_target: None }));
-    // Cancel timer 2 before it fires.
-    w.inject(SimTime::from_millis(500), a, Msg { hops: 0, size: 1 });
-    w.run_until_idle(SimTime::from_secs(10));
-    let t: &TimerBox = w.actor(a).unwrap();
-    assert_eq!(t.fired, vec![1, 3], "timer 2 must have been cancelled");
-}
-
-#[test]
 fn crash_invalidates_pending_timers() {
     let mut w = World::<Msg>::new(19);
     let a = w.add_host(HostSpec::named("a"));
-    w.install(a, |_| Box::new(TimerBox { fired: Vec::new(), cancel_target: None }));
+    w.install(a, |_| Box::new(TimerBox { fired: Vec::new() }));
     w.schedule_control(SimTime::from_millis(1500), Control::Crash(a));
     w.schedule_control(SimTime::from_millis(1600), Control::Restart(a));
     w.run_until_idle(SimTime::from_secs(30));
@@ -292,18 +286,17 @@ fn determinism_same_seed_same_trace_hash() {
 
 /// Actor for the pinned reference run: mixes zero-size messages (which
 /// deliver and handle at the same instant — the inline-dispatch fast
-/// path), control-sized and bulk frames, timers with cancellation, and
-/// bounce chains, so every kernel path contributes to the trace.
+/// path), control-sized and bulk frames, timers (the crashed side's go
+/// stale), and bounce chains, so every kernel path contributes to the
+/// trace.
 struct Churn {
     peer: NodeId,
-    cancel_target: Option<TimerId>,
 }
 
 impl Actor<Msg> for Churn {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         ctx.set_timer(SimDuration::from_millis(700), 1);
-        let id = ctx.set_timer(SimDuration::from_secs(2), 2);
-        self.cancel_target = Some(id);
+        ctx.set_timer(SimDuration::from_secs(2), 2);
         ctx.set_timer(SimDuration::from_secs(4), 3);
         // Zero-size frames handle at their delivery instant; the bulk frame
         // exercises NIC serialization.
@@ -315,11 +308,6 @@ impl Actor<Msg> for Churn {
         if from != NodeId::EXTERNAL && msg.hops > 0 {
             ctx.send(from, Msg { hops: msg.hops - 1, size: msg.size });
         }
-        if msg.hops == 5 {
-            if let Some(id) = self.cancel_target.take() {
-                ctx.cancel_timer(id);
-            }
-        }
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _id: TimerId, kind: u64) {
         if kind == 1 {
@@ -329,10 +317,9 @@ impl Actor<Msg> for Churn {
 }
 
 /// Regression guard for the event-kernel fast paths (same-instant inline
-/// dispatch, cancelled-timer purging): they are pure optimizations and
-/// must not change the observable event sequence.  The constants were
-/// captured from the pre-optimization kernel; a mismatch means the fast
-/// path changed scheduling order, not just cost.
+/// dispatch): they are pure optimizations and must not change the
+/// observable event sequence.  A mismatch means the kernel changed
+/// scheduling order, not just cost.
 #[test]
 fn reference_trace_is_stable_across_kernel_optimizations() {
     let run = || {
@@ -340,8 +327,8 @@ fn reference_trace_is_stable_across_kernel_optimizations() {
         let a = w.add_host(HostSpec::named("a"));
         let b = w.add_host(HostSpec::named("b"));
         w.net_mut().set_link_bidir(a, b, LinkParams { loss: 0.2, ..LinkParams::lan() });
-        w.install(b, move |_| Box::new(Churn { peer: a, cancel_target: None }));
-        w.install(a, move |_| Box::new(Churn { peer: b, cancel_target: None }));
+        w.install(b, move |_| Box::new(Churn { peer: a }));
+        w.install(a, move |_| Box::new(Churn { peer: b }));
         w.schedule_control(SimTime::from_millis(1200), Control::Crash(b));
         w.schedule_control(SimTime::from_millis(1800), Control::Restart(b));
         w.run_until_idle(SimTime::from_secs(60));
@@ -358,8 +345,10 @@ fn reference_trace_is_stable_across_kernel_optimizations() {
     );
 }
 
-// Golden values captured from the seed kernel (pre-fast-path).
-const REF_HASH: u64 = 11447109914663400899;
+// Golden values captured from the seed kernel (pre-fast-path); the hash
+// re-captured on the last kernel with timer cancellation, `Churn` no longer
+// cancelling its 2 s timer.
+const REF_HASH: u64 = 8213274418894078761;
 const REF_EVENTS: u64 = 64;
 const REF_SENT: u64 = 28;
 const REF_DELIVERED: u64 = 25;
@@ -371,8 +360,8 @@ fn class_busy_time_reflects_resource_occupancy_per_class() {
     let mut w = World::<Msg>::new(0xFEED);
     let a = w.add_host(HostSpec::named("left"));
     let b = w.add_host(HostSpec::named("right"));
-    w.install(b, move |_| Box::new(Churn { peer: a, cancel_target: None }));
-    w.install(a, move |_| Box::new(Churn { peer: b, cancel_target: None }));
+    w.install(b, move |_| Box::new(Churn { peer: a }));
+    w.install(a, move |_| Box::new(Churn { peer: b }));
     w.run_until_idle(SimTime::from_secs(60));
     let busy = w.class_busy_time();
     // The 5 MB bulk frame serializes through each side's NIC, so both
@@ -384,22 +373,18 @@ fn class_busy_time_reflects_resource_occupancy_per_class() {
 /// and CPU only, so a disk-bound class reads idle there.
 #[test]
 fn disk_busy_time_is_reported_apart_from_the_other_resources() {
-    struct Scribe;
-    impl Actor<Msg> for Scribe {
-        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-            // Three writes in one instant: the first's op, then one op the
-            // other two share.
-            for _ in 0..3 {
-                ctx.disk_write(1000, false);
-            }
-        }
-        fn on_message(&mut self, _: &mut Ctx<'_, Msg>, _: NodeId, _: Msg) {}
-        fn on_timer(&mut self, _: &mut Ctx<'_, Msg>, _: TimerId, _: u64) {}
-    }
     let mut w = World::<Msg>::new(5);
     let a = w.add_host(HostSpec::named("scribe"));
     w.add_host(HostSpec::named("idle"));
-    w.install(a, |_| Box::new(Scribe));
+    // Three writes in one instant: the first's op, then one op the other
+    // two share.
+    w.install(a, |_| {
+        Box::new(OnStart(|ctx: &mut Ctx<'_, Msg>| {
+            for _ in 0..3 {
+                ctx.disk_write(1000, false);
+            }
+        }))
+    });
     w.run_until_idle(SimTime::from_secs(1));
     let disk = w.class_disk_busy_time();
     let two_ops = SimDuration::from_millis(8) + SimDuration::for_bytes(1000, 500.0e6) * 3;
@@ -669,22 +654,155 @@ fn nic_contention_serializes_concurrent_sends() {
     let c = w.add_host(HostSpec::named("c"));
     w.install(b, |_| Box::new(Pong::new(0)));
     w.install(c, |_| Box::new(Pong::new(0)));
-    struct Fan {
-        peers: Vec<NodeId>,
-    }
-    impl Actor<Msg> for Fan {
-        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    w.install(a, move |_| {
+        Box::new(OnStart(move |ctx: &mut Ctx<'_, Msg>| {
             for i in 0..10 {
-                let to = self.peers[i % 2];
-                ctx.send(to, Msg { hops: 0, size: 1_250_000 });
+                ctx.send([b, c][i % 2], Msg { hops: 0, size: 1_250_000 });
             }
-        }
-        fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _f: NodeId, _m: Msg) {}
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _id: TimerId, _k: u64) {}
-    }
-    w.install(a, move |_| Box::new(Fan { peers: vec![b, c] }));
+        }))
+    });
     let last = w.run_until_idle(SimTime::from_secs(60));
     let secs = last.as_secs_f64();
     // 12.5 MB total at 12.5 MB/s out + 0.1 s receive tail ≈ 1.1 s.
     assert!((1.0..1.3).contains(&secs), "expected ~1.1s, got {secs}");
+}
+
+#[test]
+fn a_send_scheduled_before_a_crash_never_leaves() {
+    let mut w = World::<Msg>::new(151);
+    let a = w.add_host(HostSpec::named("a"));
+    let b = w.add_host(HostSpec::named("b"));
+    w.set_trace_recording(true);
+    w.install(b, |_| Box::new(Recorder { seen: Vec::new() }));
+    // Every incarnation of `a` schedules one frame 2 s after its start: the
+    // first dies at 1 s, the restart at 1.5 s schedules its own for 3.5 s.
+    w.install(a, move |_| {
+        Box::new(OnStart(move |ctx: &mut Ctx<'_, Msg>| {
+            ctx.send_at(ctx.now() + SimDuration::from_secs(2), b, Msg { hops: 0, size: 20_000 });
+        }))
+    });
+    w.schedule_control(SimTime::from_secs(1), Control::Crash(a));
+    w.schedule_control(SimTime::from_millis(1500), Control::Restart(a));
+    w.run_until_idle(SimTime::from_secs(10));
+    assert_eq!((w.stats().sent, w.stats().delivered), (1, 1));
+    let ms = SimTime::from_millis;
+    let at_a: Vec<_> =
+        w.trace().events().iter().filter(|e| e.node == a).map(|e| (e.at, e.kind)).collect();
+    assert_eq!(
+        at_a,
+        [
+            (ms(1000), TraceKind::Crash),
+            (ms(1500), TraceKind::Restart),
+            (ms(3500), TraceKind::Timer),
+            (ms(3500), TraceKind::Send),
+        ],
+        "the dead incarnation's 2 s frame leaves nothing, not even a trace entry"
+    );
+}
+
+#[test]
+fn a_send_at_already_due_is_a_send() {
+    // `a` starts at 1 s and sends one bulk frame: with `send`, or with a
+    // `send_at` for an instant already past or this very one.
+    let run = |due: Option<SimTime>| {
+        let mut w = World::<Msg>::new(157);
+        let a = w.add_host(HostSpec::named("a"));
+        let b = w.add_host(HostSpec::named("b"));
+        w.net_mut().set_link_bidir(a, b, LinkParams::wan());
+        w.set_trace_recording(true);
+        w.install(b, |_| Box::new(Recorder { seen: Vec::new() }));
+        w.run_until(SimTime::from_secs(1));
+        w.install(a, move |_| {
+            Box::new(OnStart(move |ctx: &mut Ctx<'_, Msg>| {
+                let msg = Msg { hops: 0, size: 50_000 };
+                if let Some(at) = due {
+                    assert_eq!(ctx.send_at(at, b, msg), 50_000, "the charged size");
+                } else {
+                    ctx.send(b, msg);
+                }
+            }))
+        });
+        w.run_until_idle(SimTime::from_secs(10));
+        let trace: Vec<_> = w.trace().events().iter().map(|e| (e.at, e.node, e.kind)).collect();
+        (w.trace().hash(), w.events_processed(), *w.stats(), trace)
+    };
+    let sent = run(None);
+    assert_eq!(sent.2.bytes_sent, 50_000);
+    for due in [SimTime::ZERO, SimTime::from_secs(1)] {
+        assert_eq!(run(Some(due)), sent, "send_at({due}) at 1 s: no timer, same arrival");
+    }
+}
+
+/// Replies to every frame after a hop-dependent delay (none for one hop
+/// count in three) — through [`Ctx::send_at`], or, in the reference twin,
+/// as a timer whose id maps to the frame and whose `on_timer` sends it.
+struct Delayed {
+    peer: NodeId,
+    /// The reference twin's armed timers: id → (destination, frame).
+    timers: Option<BTreeMap<TimerId, (NodeId, Msg)>>,
+}
+
+impl Delayed {
+    fn send_later(&mut self, ctx: &mut Ctx<'_, Msg>, at: SimTime, to: NodeId, msg: Msg) {
+        let Some(timers) = &mut self.timers else {
+            ctx.send_at(at, to, msg);
+            return;
+        };
+        if at > ctx.now() {
+            timers.insert(ctx.set_timer_at(at, 0), (to, msg));
+        } else {
+            ctx.send(to, msg);
+        }
+    }
+}
+
+impl Actor<Msg> for Delayed {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        for i in 0..4 {
+            let at = ctx.now() + SimDuration::from_millis(300 * i);
+            let size = if i % 2 == 0 { 200 } else { 40_000 };
+            self.send_later(ctx, at, self.peer, Msg { hops: 6 + i, size });
+        }
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
+        if from != NodeId::EXTERNAL && msg.hops > 0 {
+            let at = ctx.now() + SimDuration::from_millis(msg.hops % 3 * 70);
+            self.send_later(ctx, at, from, Msg { hops: msg.hops - 1, size: msg.size });
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, id: TimerId, _kind: u64) {
+        if let Some((to, msg)) = self.timers.as_mut().and_then(|t| t.remove(&id)) {
+            ctx.send(to, msg);
+        }
+    }
+}
+
+#[test]
+fn send_at_matches_a_timer_that_sends() {
+    let run = |seed: u64, reference: bool| {
+        let mut w = World::<Msg>::new(seed);
+        let a = w.add_host(HostSpec::named("a"));
+        let b = w.add_host(HostSpec::named("b"));
+        let link = LinkParams::wan().with_loss(0.1).with_dup(0.2);
+        w.net_mut().set_link_bidir(a, b, link.with_reorder(0.3, SimDuration::from_millis(50)));
+        w.set_frame_ops(TestOps);
+        let timers = move || reference.then(BTreeMap::new);
+        w.install(a, move |_| Box::new(Delayed { peer: b, timers: timers() }));
+        w.install(b, move |_| Box::new(Delayed { peer: a, timers: timers() }));
+        // b dies with its 600 ms and 900 ms start frames scheduled and is
+        // back before they come due: the new incarnation must not send them.
+        w.schedule_control(SimTime::from_millis(450), Control::Crash(b));
+        w.schedule_control(SimTime::from_millis(500), Control::Restart(b));
+        w.run_until_idle(SimTime::from_secs(60));
+        (w.trace().hash(), w.events_processed(), *w.stats())
+    };
+    let mut faults = [0; 4];
+    for seed in 0..16 {
+        let scheduled = run(seed, false);
+        assert_eq!(scheduled, run(seed, true), "seed {seed}");
+        let s = scheduled.2;
+        let seen = [s.dropped_loss, s.duplicated, s.reordered, s.dropped_down];
+        faults.iter_mut().zip(seen).for_each(|(n, k)| *n += k);
+    }
+    assert!(faults.iter().all(|&n| n > 0), "every fault the twins must agree under: {faults:?}");
 }
