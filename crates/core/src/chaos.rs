@@ -536,8 +536,8 @@ mod tests {
         assert_eq!(a.done_at, b.done_at);
         assert_eq!((a.garbled, a.poisoned, a.bad_frames), (b.garbled, b.poisoned, b.bad_frames));
         // The full telemetry plane is part of the determinism contract:
-        // byte-identical snapshot JSON across same-seed runs.
-        assert_eq!(a.telemetry.to_json(), b.telemetry.to_json());
+        // byte-identical sealed snapshots across same-seed runs.
+        assert_eq!(a.telemetry.seal(), b.telemetry.seal());
         assert_eq!(a.recovery_gaps, b.recovery_gaps);
     }
 }

@@ -435,26 +435,13 @@ impl CoordinatorActor {
     }
 
     /// Full resync of the watch list against the database's missing set
-    /// (startup, where the restored database may hold entries that predate
-    /// this incarnation's journal): O(missing), never a finished-jobs scan.
+    /// (startup, where the restored database may hold entries no
+    /// incarnation of this actor watched yet): O(missing), never a
+    /// finished-jobs scan.
     fn refresh_missing(&mut self, now: SimTime) {
-        let _ = self.db.drain_missing_added();
         let jobs: Vec<JobKey> = self.db.missing_archives_iter().collect();
         for job in jobs {
             self.watch_missing(job, now);
-        }
-    }
-
-    /// Incremental refresh from the database's addition journal: O(newly
-    /// missing) per applied delta instead of O(missing).
-    fn refresh_missing_new(&mut self, now: SimTime) {
-        for job in self.db.drain_missing_added() {
-            // A key can leave the missing set again within the same delta
-            // (a later collected row); stamping it would strand a stale
-            // watch entry until its horizon fires a refused re-execution.
-            if self.db.is_missing_archive(&job) {
-                self.watch_missing(job, now);
-            }
         }
     }
 
@@ -693,8 +680,9 @@ impl CoordinatorActor {
     /// version space): jobs the frame taught us were delivered — by a
     /// collection ack or under a retired watermark — leave the
     /// missing-archive watch list for good (delivered work must not sit in
-    /// the re-execution pipeline), the applied head moves, the store's
-    /// charge is paid, and the head is acknowledged once the write lands.
+    /// the re-execution pipeline), jobs it left missing here join it, the
+    /// applied head moves, the store's charge is paid, and the head is
+    /// acknowledged once the write lands.
     fn finish_apply(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -710,7 +698,14 @@ impl CoordinatorActor {
         let e = self.applied_head.entry(peer).or_insert(0);
         *e = (*e).max(head);
         let done = self.pay(ctx, applied.charge);
-        self.refresh_missing_new(ctx.now());
+        for job in applied.newly_missing {
+            // A key can leave the missing set again within the same frame
+            // (a later collected row); stamping it would strand a stale
+            // watch entry until its horizon fires a refused re-execution.
+            if self.db.is_missing_archive(&job) {
+                self.watch_missing(job, ctx.now());
+            }
+        }
         self.record_completion();
         let ack = Msg::ReplAck { from: self.params.me, head_version: head };
         ctx.send_at(done, from, ack);

@@ -318,7 +318,7 @@ impl SimGrid {
     /// network counters under `net.`.
     ///
     /// Deterministic: two same-seed runs produce byte-identical snapshots
-    /// (and therefore byte-identical [`TelemetrySnapshot::to_json`]).
+    /// (and therefore byte-identical [`TelemetrySnapshot::seal`] frames).
     pub fn telemetry(&self) -> TelemetrySnapshot {
         let mut reg = TelemetrySnapshot::new();
         for i in 0..self.coords.len() {

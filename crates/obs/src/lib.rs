@@ -9,9 +9,10 @@
 //! - [`TelemetrySnapshot`] — the one bag: named counters, gauges and log2
 //!   [`Histogram`]s over **virtual** time, stored in `BTreeMap`s so
 //!   traversal order (and hence every serialized byte) is
-//!   machine-independent.  It is filled by name and published as stable
-//!   JSON for humans and tooling, or through the wire codec plus a CRC-64
-//!   seal for `Msg::StatusReply` frames.  Same seed ⇒ byte-identical bytes.
+//!   machine-independent.  It is filled by name and published one way:
+//!   through the wire codec plus a CRC-64 seal
+//!   ([`TelemetrySnapshot::seal`]), the payload of `Msg::StatusReply`
+//!   frames.  Same seed ⇒ byte-identical bytes.
 //! - [`SpanBook`] — per-job lifecycle spans (submitted → dispatched →
 //!   first-unit → checkpointed×N → finished → archive-stored → collected →
 //!   gc'd) with failover annotations, folded into per-edge histograms.

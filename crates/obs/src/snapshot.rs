@@ -2,10 +2,10 @@
 //!
 //! A [`TelemetrySnapshot`] holds counters, gauges and [`Histogram`]s keyed
 //! by dotted names (`coord.reexecutions`, `db.pending`,
-//! `span.submit_to_collect`, …) in `BTreeMap`s, so every traversal — the
-//! stable JSON for humans and tooling, the wire codec plus a CRC-64 seal
-//! for `Msg::StatusReply` frames — is byte-stable: two same-seed runs
-//! produce byte-identical snapshots.  Actors keep their typed metrics
+//! `span.submit_to_collect`, …) in `BTreeMap`s, so its one byte rendering
+//! — the wire codec plus a CRC-64 seal ([`TelemetrySnapshot::seal`]), the
+//! payload of `Msg::StatusReply` frames — is byte-stable: two same-seed
+//! runs produce byte-identical snapshots.  Actors keep their typed metrics
 //! structs and pour them in on demand ([`TelemetrySnapshot::add_counters`]
 //! over the struct's `counters()`); nothing in the hot path allocates or
 //! hashes a string.
@@ -28,19 +28,6 @@ pub struct TelemetrySnapshot {
     pub gauges: BTreeMap<String, i64>,
     /// Latency histograms by name.
     pub hists: BTreeMap<String, Histogram>,
-}
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl TelemetrySnapshot {
@@ -109,47 +96,6 @@ impl TelemetrySnapshot {
         for (k, h) in &other.hists {
             self.hist_mut(k).merge(h);
         }
-    }
-
-    /// Stable JSON rendering: keys sorted, integers only, no whitespace
-    /// dependence on platform.  Histograms render their count, sum and
-    /// deterministic p50/p99 (nanoseconds) plus the non-zero buckets as
-    /// `[index, occupancy]` pairs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            push_json_str(&mut out, k);
-            out.push_str(&format!(": {v}"));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            push_json_str(&mut out, k);
-            out.push_str(&format!(": {v}"));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (k, h)) in self.hists.iter().enumerate() {
-            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            push_json_str(&mut out, k);
-            out.push_str(&format!(
-                ": {{\"count\": {}, \"sum_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"buckets\": [",
-                h.count(),
-                h.sum_nanos(),
-                h.p50_nanos(),
-                h.p99_nanos()
-            ));
-            for (j, (b, n)) in h.nonzero().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("[{b}, {n}]"));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n  }\n}\n");
-        out
     }
 
     /// Encodes and seals the snapshot into a CRC-64 framed byte vector
@@ -245,13 +191,11 @@ mod tests {
     }
 
     #[test]
-    fn json_is_stable_and_sorted() {
-        let a = sample().to_json();
-        let b = sample().to_json();
-        assert_eq!(a, b);
-        assert!(a.contains("\"coord.reexecutions\": 3"));
-        assert!(a.find("coord.reexecutions").unwrap() < a.find("db.jobs").unwrap());
-        assert!(a.contains("\"p50_ns\""));
+    fn sealed_bytes_are_stable_and_sorted() {
+        let a = sample().seal();
+        assert_eq!(a, sample().seal());
+        let at = |key: &[u8]| a.windows(key.len()).position(|w| w == key);
+        assert!(at(b"coord.reexecutions").unwrap() < at(b"db.jobs").unwrap());
     }
 
     #[test]

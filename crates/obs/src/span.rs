@@ -53,7 +53,7 @@ impl SpanEdge {
         SpanEdge::Gc,
     ];
 
-    /// Stable lowercase name used in histogram keys and JSON.
+    /// Stable lowercase name used in histogram keys.
     pub const fn name(&self) -> &'static str {
         match self {
             SpanEdge::Submitted => "submitted",
@@ -95,10 +95,9 @@ impl FailoverNote {
 pub struct JobSpan {
     /// Edge marks in observation order (virtual time is non-decreasing).
     pub marks: Vec<(SpanEdge, SimTime)>,
-    /// Failover annotations, in suspicion order.
+    /// Failover annotations, in suspicion order: one per replacement
+    /// instance queued for this job.
     pub failovers: Vec<FailoverNote>,
-    /// Replacement task instances created for this job.
-    pub reexecutions: u64,
 }
 
 impl JobSpan {
@@ -143,7 +142,6 @@ impl SpanBook {
     pub fn note_failover(&mut self, key: JobKey, suspected_at: SimTime, detect_gap: SimDuration) {
         let span = self.spans.entry(key).or_default();
         span.failovers.push(FailoverNote { suspected_at, detect_gap, recovered_at: None });
-        span.reexecutions += 1;
     }
 
     /// Stamps the earliest unresolved failover of `key` as recovered at
@@ -182,8 +180,8 @@ impl SpanBook {
     /// recorded into `span.{a}_to_{b}`; the end-to-end submit→collect
     /// latency lands in `span.submit_to_collect`, failover annotations in
     /// `span.failover_detect_gap` / `span.failover_recovery_gap`, and the
-    /// totals in `span.jobs` / `span.failovers` / `span.reexecutions` /
-    /// `span.checkpoints` counters.
+    /// totals in `span.jobs` / `span.failovers` / `span.checkpoints`
+    /// counters.
     ///
     /// The walk folds into local histograms — one per `(a, b)` edge pair,
     /// indexed by the two edge ordinals — and names each non-empty one
@@ -199,7 +197,7 @@ impl SpanBook {
         let mut pairs = vec![Histogram::new(); EDGES * EDGES];
         let [mut submit_to_collect, mut detect_gap, mut recovery_gap] =
             std::array::from_fn(|_| Histogram::new());
-        let (mut failovers, mut reexecutions, mut checkpoints) = (0, 0, 0);
+        let (mut failovers, mut checkpoints) = (0, 0);
         for span in self.spans.values() {
             for pair in span.marks.windows(2) {
                 let (a, ta) = pair[0];
@@ -212,7 +210,6 @@ impl SpanBook {
                 submit_to_collect.record_gap(col.since(sub));
             }
             failovers += span.failovers.len() as u64;
-            reexecutions += span.reexecutions;
             checkpoints += span.checkpoints();
             for f in &span.failovers {
                 detect_gap.record_gap(f.detect_gap);
@@ -235,7 +232,6 @@ impl SpanBook {
             }
         }
         reg.add_counter("span.failovers", failovers);
-        reg.add_counter("span.reexecutions", reexecutions);
         reg.add_counter("span.checkpoints", checkpoints);
     }
 }
@@ -274,7 +270,7 @@ mod tests {
         assert_eq!(span.failovers[0].recovered_at, Some(SimTime::from_secs(12)));
         assert_eq!(span.failovers[0].recovery_gap(), Some(SimDuration::from_secs(2)));
         assert_eq!(span.failovers[1].recovered_at, None);
-        assert_eq!(span.reexecutions, 2);
+        assert_eq!(span.failovers.len(), 2);
     }
 
     #[test]
@@ -318,7 +314,6 @@ mod tests {
                     reg.hist_mut("span.submit_to_collect").record_gap(col.since(sub));
                 }
                 reg.add_counter("span.failovers", span.failovers.len() as u64);
-                reg.add_counter("span.reexecutions", span.reexecutions);
                 reg.add_counter("span.checkpoints", span.checkpoints());
                 for f in &span.failovers {
                     reg.hist_mut("span.failover_detect_gap").record_gap(f.detect_gap);
@@ -357,6 +352,5 @@ mod tests {
         book.fold_into(&mut a);
         fold_by_name(&book, &mut b);
         assert_eq!(a.seal(), b.seal());
-        assert_eq!(a.to_json(), b.to_json());
     }
 }

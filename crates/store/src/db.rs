@@ -84,9 +84,8 @@ struct JobRow {
     /// Next attempt number (folded with replicated attempt numbers on
     /// delta application).
     next_attempt: u32,
-    /// Live FCFS-queue entries (instances still `Pending`), to adjust
-    /// [`CoordinatorDb::pending_count`] in O(1) when the whole job flips
-    /// (un)finished.
+    /// Live FCFS-queue entries (instances still `Pending`): whether the job
+    /// already has a queued instance (`has_live_pending`) is one probe.
     pending: u32,
     /// A result exists somewhere (archive stored here, or replicated
     /// finished-knowledge).
@@ -236,6 +235,12 @@ pub struct Applied {
     /// pruned — in frame order: work the owner takes out of its
     /// re-execution pipeline.
     pub newly_collected: Vec<JobKey>,
+    /// Jobs the feed taught this database were finished while their
+    /// archive is not held here — each entered the missing set during this
+    /// apply, in frame order.  A later row of the same frame may have taken
+    /// a job out again (a collection acknowledgement), so the owner checks
+    /// [`CoordinatorDb::is_missing_archive`] before watching it.
+    pub newly_missing: Vec<JobKey>,
 }
 
 rpcv_simnet::counters! {
@@ -293,12 +298,6 @@ pub struct CoordinatorDb {
     /// A worklist, not an attribute: membership ≡ the row is finished,
     /// holds no archive and is not `Collected`.
     missing: BTreeSet<JobKey>,
-    /// Append-only journal of additions to `missing` since the last
-    /// [`Self::drain_missing_added`]: the owner's watch list updates from
-    /// the drained increment instead of re-walking the whole missing set
-    /// after every applied delta.  (Entries may have left `missing` again
-    /// by drain time; consumers tolerate stale keys.)
-    missing_added: Vec<JobKey>,
     /// Retained archives whose client acknowledged collection (the
     /// GC-eligible worklist).  Maintained at flag/reclaim transitions so
     /// explicit GC is O(flagged), never a table scan; scan reference:
@@ -317,19 +316,9 @@ pub struct CoordinatorDb {
     /// Queue entries whose task is still in the `Pending` state (dead
     /// entries — popped-state rows — are what compaction drops).
     queued_live: usize,
-    /// Dispatchable queue entries: live entries of unfinished jobs.  This
-    /// *is* `pending_count()`, maintained instead of recomputed.
-    pending_live: usize,
-    /// Registered jobs resident (rows with a description).
-    registered_rows: u64,
-    /// Rows carrying the finished flag.
+    /// Rows carrying the finished flag: [`Self::finished_count`] is read
+    /// after every completion and applied feed.
     finished_rows: u64,
-    /// Rows in the `Collected` terminal state.
-    collected_rows: u64,
-    /// Rows holding an archive.
-    archived_rows: u64,
-    /// Rows holding a checkpoint.
-    ckpt_rows: u64,
     /// Per-client contiguous-collected watermark: the largest `w` such
     /// that every seq `1..=w` reached the `Collected` terminal state.
     /// Collection knowledge at or below the watermark is summarized here,
@@ -367,17 +356,11 @@ impl CoordinatorDb {
             duplicate_results: 0,
             changed: BTreeMap::new(),
             missing: BTreeSet::new(),
-            missing_added: Vec::new(),
             collected_flagged: BTreeSet::new(),
             catalog: BTreeMap::new(),
             catalog_removed: BTreeMap::new(),
             queued_live: 0,
-            pending_live: 0,
-            registered_rows: 0,
             finished_rows: 0,
-            collected_rows: 0,
-            archived_rows: 0,
-            ckpt_rows: 0,
             collected_contig: BTreeMap::new(),
             retired_below: BTreeMap::new(),
             retired_tasks: 0,
@@ -544,15 +527,7 @@ impl CoordinatorDb {
         // never be re-executed or re-acquired just because the archive is
         // elsewhere (or gone).
         row.collected = true;
-        self.collected_rows += 1;
-        Self::mark_finished(
-            row,
-            job,
-            &mut self.finished_rows,
-            &mut self.pending_live,
-            &mut self.missing,
-            &mut self.missing_added,
-        );
+        Self::mark_finished(row, job, &mut self.finished_rows, &mut self.missing);
         self.missing.remove(&job);
         Self::touch_collected(&mut self.changed, &mut self.version, row, job, from);
         self.advance_collected_contig(job.client);
@@ -561,50 +536,36 @@ impl CoordinatorDb {
 
     /// A queue entry of `job` left the `Pending` state without being
     /// popped: the entry is now dead and stops counting.
-    fn entry_died(queued_live: &mut usize, pending_live: &mut usize, row: &mut JobRow) {
+    fn entry_died(queued_live: &mut usize, row: &mut JobRow) {
         *queued_live = queued_live.saturating_sub(1);
         row.pending = row.pending.saturating_sub(1);
-        if !row.finished {
-            *pending_live = pending_live.saturating_sub(1);
-        }
     }
 
     /// Enqueues a freshly inserted `Pending` task of `row`'s job.
     fn push_pending(
         pending: &mut VecDeque<TaskId>,
         queued_live: &mut usize,
-        pending_live: &mut usize,
         row: &mut JobRow,
         id: TaskId,
     ) {
         pending.push_back(id);
         *queued_live += 1;
         row.pending += 1;
-        if !row.finished {
-            *pending_live += 1;
-        }
     }
 
-    /// Records `job` as finished, retiring its still-queued live instances
-    /// from the dispatchable count and flagging the archive as missing when
-    /// it is not held here.
+    /// Records `job` as finished, flagging the archive as missing when it
+    /// is not held here.  Returns true when `job` entered the missing set.
     fn mark_finished(
         row: &mut JobRow,
         job: JobKey,
         finished_rows: &mut u64,
-        pending_live: &mut usize,
         missing: &mut BTreeSet<JobKey>,
-        missing_added: &mut Vec<JobKey>,
-    ) {
+    ) -> bool {
         if row.finished {
-            return;
+            return false;
         }
         row.finished = true;
         *finished_rows += 1;
-        *pending_live = pending_live.saturating_sub(row.pending as usize);
-        if row.archive.is_none() && missing.insert(job) {
-            missing_added.push(job);
-        }
         // The result exists, so the resume state is dead weight: drop
         // the blob in place.  The varint mark and the row's version
         // stay — the monotone merge and `ckpt_scan` still see the
@@ -612,6 +573,7 @@ impl CoordinatorDb {
         if let Some(ckpt) = row.ckpt.as_mut() {
             ckpt.blob = Blob::empty();
         }
+        row.archive.is_none() && missing.insert(job)
     }
 
     /// Drops dead entries (tasks no longer `Pending`) once they outnumber
@@ -647,7 +609,6 @@ impl CoordinatorDb {
         let row = self.jobs.get_or_default(key);
         row.spec = Some(spec);
         row.version = v;
-        self.registered_rows += 1;
         for _ in 0..replication {
             self.create_instance(key);
         }
@@ -738,13 +699,7 @@ impl CoordinatorDb {
         let rec = TaskRecord { id, job, attempt, state: TaskState::Pending, origin: self.me };
         self.tasks.insert(id, TaskRow { rec, locally_dispatched: false, version: v });
         row.tasks.push(id);
-        Self::push_pending(
-            &mut self.pending,
-            &mut self.queued_live,
-            &mut self.pending_live,
-            row,
-            id,
-        );
+        Self::push_pending(&mut self.pending, &mut self.queued_live, row, id);
         Some(id)
     }
 
@@ -773,7 +728,7 @@ impl CoordinatorDb {
                 // must leave the `Pending` state too — a later transition
                 // (duplicate completion, replicated state upgrade) would
                 // otherwise run the entry-died accounting a second time
-                // and corrupt the maintained pending counters.
+                // and corrupt the live-entry counts.
                 row.rec.state = TaskState::Finished { result_size: 0 };
                 let v = Self::touch(
                     &mut self.changed,
@@ -785,7 +740,6 @@ impl CoordinatorDb {
                 row.version = v;
                 continue;
             }
-            self.pending_live = self.pending_live.saturating_sub(1);
             row.rec.state = TaskState::Ongoing { server, since: now };
             row.locally_dispatched = true;
             let spec = job.spec.as_ref().expect("a task row's job is registered");
@@ -805,28 +759,6 @@ impl CoordinatorDb {
         (None, Charge::ops(ops))
     }
 
-    /// Number of dispatchable pending tasks (a maintained counter — O(1)).
-    pub fn pending_count(&self) -> usize {
-        self.pending_live
-    }
-
-    /// Scan-based reference definition of [`Self::pending_count`], kept for
-    /// the equivalence property tests and perf comparisons.
-    #[doc(hidden)]
-    pub fn pending_count_scan(&self) -> usize {
-        self.pending
-            .iter()
-            .filter(|id| {
-                self.tasks
-                    .get(id)
-                    .map(|r| {
-                        matches!(r.rec.state, TaskState::Pending) && !self.is_finished(&r.rec.job)
-                    })
-                    .unwrap_or(false)
-            })
-            .count()
-    }
-
     /// True when `job` carries the finished flag.
     fn is_finished(&self, job: &JobKey) -> bool {
         self.jobs.get(job).is_some_and(|r| r.finished)
@@ -839,7 +771,6 @@ impl CoordinatorDb {
     fn put_archive(&mut self, job: JobKey, archive: Blob) {
         let row = self.jobs.get_or_default(job);
         row.archive = Some(ArchiveRow { payload: archive, collected: false });
-        self.archived_rows += 1;
         Self::touch_catalog(
             &mut self.catalog,
             &mut self.catalog_removed,
@@ -850,14 +781,7 @@ impl CoordinatorDb {
         if row.finished {
             self.missing.remove(&job);
         }
-        Self::mark_finished(
-            row,
-            job,
-            &mut self.finished_rows,
-            &mut self.pending_live,
-            &mut self.missing,
-            &mut self.missing_added,
-        );
+        Self::mark_finished(row, job, &mut self.finished_rows, &mut self.missing);
     }
 
     /// Registers a task result arriving from `server`.
@@ -883,7 +807,7 @@ impl CoordinatorDb {
                 TaskState::Pending => {
                     // Its queue entry dies in place (never popped).
                     if let Some(owner) = self.jobs.get_mut(&row.rec.job) {
-                        Self::entry_died(&mut self.queued_live, &mut self.pending_live, owner);
+                        Self::entry_died(&mut self.queued_live, owner);
                     }
                 }
                 TaskState::Finished { .. } => {}
@@ -938,13 +862,6 @@ impl CoordinatorDb {
     /// Iterator form of [`Self::missing_archives`] (no allocation).
     pub fn missing_archives_iter(&self) -> impl Iterator<Item = JobKey> + '_ {
         self.missing.iter().copied()
-    }
-
-    /// Drains the journal of additions to the missing set since the last
-    /// call.  Keys may have left `missing` again in the meantime —
-    /// consumers must tolerate stale entries (they do their own lookups).
-    pub fn drain_missing_added(&mut self) -> Vec<JobKey> {
-        std::mem::take(&mut self.missing_added)
     }
 
     /// Whether `job` is currently in the missing-archive set.
@@ -1002,9 +919,6 @@ impl CoordinatorDb {
         if row.finished {
             row.finished = false;
             self.finished_rows -= 1;
-            // Still-queued live instances of the job become dispatchable
-            // again, exactly as the scan-based count would see them.
-            self.pending_live += row.pending as usize;
             self.missing.remove(&job);
         }
         let id = self.create_instance(job);
@@ -1288,11 +1202,7 @@ impl CoordinatorDb {
             let Some(row) = self.jobs.get_mut(&k) else { continue };
             let Some(archive) = row.archive.take() else { continue };
             freed += archive.payload.len();
-            self.archived_rows -= 1;
-            if !row.collected {
-                row.collected = true;
-                self.collected_rows += 1;
-            }
+            row.collected = true;
             // The entry flips to a removal record for catalog deltas.
             Self::touch_catalog(
                 &mut self.catalog,
@@ -1347,10 +1257,7 @@ impl CoordinatorDb {
             Self::touch(&mut self.changed, &mut self.version, old, Changed::Ckpt(job), from);
         match row.ckpt.as_mut() {
             Some(ckpt) => **ckpt = CkptRow { unit_hw, blob, version },
-            None => {
-                row.ckpt = Some(Box::new(CkptRow { unit_hw, blob, version }));
-                self.ckpt_rows += 1;
-            }
+            None => row.ckpt = Some(Box::new(CkptRow { unit_hw, blob, version })),
         }
         true
     }
@@ -1576,7 +1483,6 @@ impl CoordinatorDb {
             let row = self.jobs.get_or_default(key);
             row.spec = Some(spec);
             row.version = v;
-            self.registered_rows += 1;
             Charge::db(1, params_len)
         } else {
             Charge::ops(1)
@@ -1586,9 +1492,12 @@ impl CoordinatorDb {
     }
 
     /// Applies one replicated task row under the paper's merge rules.
-    fn apply_task_row(&mut self, rec: &TaskRecord, from: Provenance) {
+    /// Returns true when the row's job entered the missing set.
+    fn apply_task_row(&mut self, rec: &TaskRecord, from: Provenance) -> bool {
         // Task for an unknown job: ignore (will come later).
-        let Some(job) = self.jobs.get_mut(&rec.job).filter(|j| j.spec.is_some()) else { return };
+        let Some(job) = self.jobs.get_mut(&rec.job).filter(|j| j.spec.is_some()) else {
+            return false;
+        };
         let mut newly_finished = false;
         match self.tasks.get_mut(&rec.id) {
             None => {
@@ -1604,13 +1513,9 @@ impl CoordinatorDb {
                     .insert(rec.id, TaskRow { rec: *rec, locally_dispatched: false, version: v });
                 job.tasks.push(rec.id);
                 match rec.state {
-                    TaskState::Pending => Self::push_pending(
-                        &mut self.pending,
-                        &mut self.queued_live,
-                        &mut self.pending_live,
-                        job,
-                        rec.id,
-                    ),
+                    TaskState::Pending => {
+                        Self::push_pending(&mut self.pending, &mut self.queued_live, job, rec.id)
+                    }
                     TaskState::Ongoing { server, .. } => {
                         // Held until release_origin — but indexed by server,
                         // so the beat-driven reconciliation can reclaim it if
@@ -1628,7 +1533,7 @@ impl CoordinatorDb {
             Some(row) => {
                 if state_rank(&rec.state) > state_rank(&row.rec.state) {
                     if matches!(row.rec.state, TaskState::Pending) {
-                        Self::entry_died(&mut self.queued_live, &mut self.pending_live, job);
+                        Self::entry_died(&mut self.queued_live, job);
                     }
                     // Keep the per-server index in step with the state
                     // transition (Pending→Ongoing indexes, Ongoing→Finished
@@ -1666,16 +1571,8 @@ impl CoordinatorDb {
         // as Finished{0}, and without this mark the re-executor never
         // relearns the job is done — so it never lists the archive as
         // missing and never pulls it from the peer that has it.
-        if newly_finished {
-            Self::mark_finished(
-                job,
-                rec.job,
-                &mut self.finished_rows,
-                &mut self.pending_live,
-                &mut self.missing,
-                &mut self.missing_added,
-            );
-        }
+        newly_finished
+            && Self::mark_finished(job, rec.job, &mut self.finished_rows, &mut self.missing)
     }
 
     /// Applies a delta from a peer; returns the cost.
@@ -1695,8 +1592,8 @@ impl CoordinatorDb {
 
     /// [`Self::apply_delta`] for a caller that owns the frame: job
     /// descriptions and checkpoint state move into the tables instead of
-    /// being cloned, and the collection acknowledgements that were news
-    /// come back with the cost.
+    /// being cloned, and the news — deliveries learned, archives now
+    /// missing — comes back with the cost.
     pub fn apply_delta_owned(&mut self, delta: ReplicationDelta) -> Applied {
         self.apply_rows(delta.from, delta.rows.into_iter())
     }
@@ -1706,12 +1603,18 @@ impl CoordinatorDb {
     /// learned from `peer`.
     fn apply_rows(&mut self, peer: CoordId, rows: impl Iterator<Item = DeltaRow>) -> Applied {
         let from = Provenance::peer(peer);
-        let mut applied = Applied { charge: Charge::ops(1), newly_collected: Vec::new() };
+        let mut applied = Applied {
+            charge: Charge::ops(1),
+            newly_collected: Vec::new(),
+            newly_missing: Vec::new(),
+        };
         for row in rows {
             applied.charge += match row {
                 DeltaRow::Job(spec) => self.apply_job_row(spec, from),
                 DeltaRow::Task(rec) => {
-                    self.apply_task_row(&rec, from);
+                    if self.apply_task_row(&rec, from) {
+                        applied.newly_missing.push(rec.job);
+                    }
                     Charge::ops(1)
                 }
                 DeltaRow::Mark { client, mark } => {
@@ -1834,9 +1737,6 @@ impl CoordinatorDb {
                     // Its queue entry dies in place exactly like a
                     // popped-state row's; compaction drops it later.
                     self.queued_live = self.queued_live.saturating_sub(1);
-                    if !gone.finished {
-                        self.pending_live = self.pending_live.saturating_sub(1);
-                    }
                 }
                 TaskState::Finished { .. } => {}
             }
@@ -1845,18 +1745,13 @@ impl CoordinatorDb {
             self.changed.remove(&gone.collected_pos);
             self.delta_floor = self.delta_floor.max(gone.collected_pos);
         }
-        if gone.collected {
-            self.collected_rows -= 1;
-        }
         if let Some(ckpt) = gone.ckpt {
             self.changed.remove(&ckpt.version);
             self.delta_floor = self.delta_floor.max(ckpt.version);
-            self.ckpt_rows -= 1;
         }
         if gone.spec.is_some() {
             self.changed.remove(&gone.version);
             self.delta_floor = self.delta_floor.max(gone.version);
-            self.registered_rows -= 1;
         }
         if gone.finished {
             self.finished_rows -= 1;
@@ -1939,30 +1834,34 @@ impl CoordinatorDb {
         self.tasks.get(&id)
     }
 
-    /// Counters for reporting.
+    /// Counters for reporting: one walk of the task table and one of the
+    /// job table (no hot path reads them).
     pub fn stats(&self) -> DbStats {
-        let mut pending = 0;
-        let mut ongoing = 0;
-        for r in self.tasks.values() {
-            match r.rec.state {
-                TaskState::Pending => pending += 1,
-                TaskState::Ongoing { .. } => ongoing += 1,
-                TaskState::Finished { .. } => {}
-            }
-        }
         // Jobs / tasks / collected are lifetime counts: retention prunes
         // the rows of delivered jobs, and observers (completion
         // timelines, safety oracles) rely on these never dipping.
-        DbStats {
-            jobs: self.registered_rows + self.retired_count(),
+        let retired = self.retired_count();
+        let mut stats = DbStats {
+            jobs: retired,
             tasks: self.tasks.len() as u64 + self.retired_tasks,
-            pending,
-            ongoing,
-            archived: self.archived_rows,
             duplicate_results: self.duplicate_results,
-            collected: self.collected_rows + self.retired_count(),
-            ckpts: self.ckpt_rows,
+            collected: retired,
+            ..DbStats::default()
+        };
+        for r in self.tasks.values() {
+            match r.rec.state {
+                TaskState::Pending => stats.pending += 1,
+                TaskState::Ongoing { .. } => stats.ongoing += 1,
+                TaskState::Finished { .. } => {}
+            }
         }
+        for (_, r) in self.jobs.iter() {
+            stats.jobs += r.spec.is_some() as u64;
+            stats.archived += r.archive.is_some() as u64;
+            stats.collected += r.collected as u64;
+            stats.ckpts += r.ckpt.is_some() as u64;
+        }
+        stats
     }
 
     /// Jobs finished (archive present, replicated-finished, or retired
@@ -1971,17 +1870,12 @@ impl CoordinatorDb {
         self.finished_rows + self.retired_count()
     }
 
-    /// Jobs with an archive actually present here.
-    pub fn archived_count(&self) -> u64 {
-        self.archived_rows
-    }
-
     /// Recount-based audit of everything [`JobRow`] maintains
     /// incrementally — per-row flags and counters against the task table,
-    /// the table-wide counters (what `stats()`, `finished_count()` and
-    /// `archived_count()` report) against a walk of the rows, and every
-    /// side index against the row attribute it mirrors.  For the
-    /// equivalence property tests; panics on the first violation.
+    /// the table-wide counts (what `stats()` and `finished_count()` report)
+    /// against a walk of the rows, and every side index against the row
+    /// attribute it mirrors.  For the equivalence property tests; panics on
+    /// the first violation.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let mut by_job: BTreeMap<JobKey, Vec<&TaskRow>> = BTreeMap::new();
@@ -2005,7 +1899,7 @@ impl CoordinatorDb {
         }
         let (mut registered, mut finished, mut collected, mut archived, mut ckpts) =
             (0, 0, 0, 0, 0);
-        let (mut queued_live, mut pending_live, mut versioned) = (0, 0, 0);
+        let (mut queued_live, mut versioned) = (0, 0);
         for (k, row) in self.jobs.iter() {
             assert!(!row.is_vacant(), "{k:?}: vacant stub left in the table");
             let tasks = by_job.remove(&k).unwrap_or_default();
@@ -2016,9 +1910,6 @@ impl CoordinatorDb {
             assert_eq!(row.pending as usize, live, "{k:?}: live queue entries");
             assert!(tasks.iter().all(|t| t.rec.attempt < row.next_attempt), "{k:?}: attempts");
             queued_live += live;
-            if !row.finished {
-                pending_live += live;
-            }
             let stamped = |v: u64, what: Changed| {
                 let entry = self.changed.get(&v).map(|e| e.row);
                 assert_eq!(entry, Some(what), "{k:?}: change-index entry");
@@ -2101,13 +1992,8 @@ impl CoordinatorDb {
         }
         let catalogued = self.jobs.iter().filter(|(_, r)| r.catalog_pos != 0).count();
         assert_eq!(self.catalog.len() + self.catalog_removed.len(), catalogued, "catalog size");
-        assert_eq!(self.registered_rows, registered, "registered counter");
         assert_eq!(self.finished_rows, finished, "finished counter");
-        assert_eq!(self.collected_rows, collected, "collected counter");
-        assert_eq!(self.archived_rows, archived, "archived counter");
-        assert_eq!(self.ckpt_rows, ckpts, "checkpoint counter");
         assert_eq!(self.queued_live, queued_live, "live queue entries");
-        assert_eq!(self.pending_live, pending_live, "dispatchable queue entries");
         assert_eq!(
             self.changed.len(),
             versioned + self.tasks.len() + self.client_max.len(),
@@ -2118,7 +2004,6 @@ impl CoordinatorDb {
         assert_eq!((stats.jobs, stats.collected), (registered + retired, collected + retired));
         assert_eq!((stats.archived, stats.ckpts), (archived, ckpts));
         assert_eq!(self.finished_count(), finished + retired);
-        assert_eq!(self.archived_count(), archived);
     }
 }
 
@@ -2147,6 +2032,13 @@ mod tests {
     }
 
     const T0: SimTime = SimTime::ZERO;
+
+    /// Dispatchable instances: what `next_pending` hands out, drained on a
+    /// clone.
+    fn dispatchable(d: &CoordinatorDb) -> usize {
+        let mut d = d.clone();
+        std::iter::from_fn(|| d.next_pending(ServerId(0), T0).0).count()
+    }
 
     #[test]
     fn register_creates_task_and_is_idempotent() {
@@ -2205,7 +2097,7 @@ mod tests {
         );
         assert_eq!(o2, CompleteOutcome::Duplicate);
         assert_eq!(d.stats().duplicate_results, 1);
-        assert_eq!(d.archived_count(), 1);
+        assert_eq!(d.stats().archived, 1);
     }
 
     #[test]
@@ -2427,7 +2319,7 @@ mod tests {
         assert!(!d.wants_archive(&t.job), "no archive re-acquisition either");
         let c = d.store_archive(t.job, Blob::synthetic(500, 0));
         assert_eq!(c.disk_bytes, 0, "re-store is a no-op");
-        assert_eq!(d.archived_count(), 0);
+        assert_eq!(d.stats().archived, 0);
         // A late duplicate from a still-running replica instance is
         // recognized as a duplicate, not a fresh result.
         let (o, _) = d.complete_task(t.id, t.job, Blob::synthetic(500, 1), ServerId(2));
@@ -2494,8 +2386,7 @@ mod tests {
         // Regression: `next_pending`'s finished-job skip consumed the
         // queue entry but left the task row `Pending`; a later replicated
         // state upgrade then re-ran the entry-died accounting, stealing a
-        // fresh instance's counts and desynchronizing `pending_count`
-        // from its scan reference.
+        // fresh instance's live-entry counts.
         let job1 = JobKey::new(ClientKey::new(1, 1), 1);
         let mut a = db();
         a.register_job(job(1).with_replication(2)); // T1, T2 queued at A
@@ -2510,11 +2401,11 @@ mod tests {
         // A pops T2's still-live entry and skips it (job finished).
         let (none, _) = a.next_pending(ServerId(9), T0);
         assert!(none.is_none());
-        assert_eq!(a.pending_count(), a.pending_count_scan());
+        a.check_invariants();
         // A re-executes the missing-archive job: fresh instance T3.
         let (t3, _) = a.reexecute_job(job1);
         assert!(t3.is_some());
-        assert_eq!(a.pending_count(), 1);
+        assert_eq!(dispatchable(&a), 1);
         // An off-line server delivers T2's result late to B (at-least-once
         // duplicate; B still marks the instance Finished).  The replicated
         // upgrade must not steal T3's pending accounting at A.
@@ -2526,14 +2417,15 @@ mod tests {
         let (o, _) = b.complete_task(t2_id, job1, Blob::synthetic(8, 2), ServerId(1));
         assert_eq!(o, CompleteOutcome::Duplicate);
         a.apply_delta(&b.delta_since(v_b));
-        assert_eq!(a.pending_count(), a.pending_count_scan(), "maintained == scan");
+        a.check_invariants();
+        assert_eq!(dispatchable(&a), 1);
         // Another re-execution round: with corrupted counters this is
-        // where the maintained count and the scan diverged.
+        // where the live-entry counts and a recount diverged.
         let first_missing = a.missing_archives().first().copied();
         if let Some(j) = first_missing {
             a.reexecute_job(j);
         }
-        assert_eq!(a.pending_count(), a.pending_count_scan(), "post-reexec: maintained == scan");
+        a.check_invariants();
         assert_eq!(a.missing_archives(), a.missing_archives_scan());
     }
 
@@ -2597,7 +2489,7 @@ mod tests {
         assert_eq!(c1.disk_bytes, 100);
         let c2 = d.store_archive(key, Blob::synthetic(100, 0));
         assert_eq!(c2.disk_bytes, 0, "second store is a no-op");
-        assert_eq!(d.archived_count(), 1);
+        assert_eq!(d.stats().archived, 1);
     }
 
     #[test]
@@ -2662,7 +2554,7 @@ mod tests {
     }
 
     #[test]
-    fn collected_rows_are_incremental_and_idempotent() {
+    fn collection_acks_are_incremental_and_idempotent() {
         let client = ClientKey::new(1, 1);
         let mut primary = db();
         primary.register_job(job(1));
@@ -2706,6 +2598,27 @@ mod tests {
         // Acks for jobs never heard of are dropped, not recorded.
         backup.mark_collected(client, &[99]);
         assert!(!backup.is_collected(&JobKey { client, seq: 99 }));
+    }
+
+    #[test]
+    fn a_feed_reports_the_archives_it_left_missing() {
+        let client = ClientKey::new(1, 1);
+        let mut primary = db();
+        primary.register_job(job(1));
+        let key = complete_one(&mut primary, 100);
+        let feed = primary.delta_since(0);
+        // Finished elsewhere, archive not held here: news exactly once.
+        let mut backup = CoordinatorDb::new(CoordId(2));
+        assert_eq!(backup.apply_delta_owned(feed.clone()).newly_missing, vec![key]);
+        assert!(backup.is_missing_archive(&key));
+        assert_eq!(backup.apply_delta_owned(feed).newly_missing, vec![], "old news");
+        // Finished, then collected, in one frame: reported, yet not missing.
+        primary.mark_collected(client, &[1]);
+        let mut late = CoordinatorDb::new(CoordId(3));
+        let applied = late.apply_delta_owned(primary.delta_since(0));
+        assert_eq!((applied.newly_missing, applied.newly_collected), (vec![key], vec![key]));
+        assert!(!late.is_missing_archive(&key));
+        late.check_invariants();
     }
 
     #[test]
@@ -2814,7 +2727,7 @@ mod tests {
         assert_eq!(freed, 0);
         assert_eq!(charge.db_ops, 1);
         // Re-execution of the re-acquirable survivor keeps the sets honest.
-        assert_eq!(d.archived_count(), 1);
+        assert_eq!(d.stats().archived, 1);
         d.mark_collected(client, &[2]);
         assert_eq!(d.collected_flagged(), d.collected_flagged_scan());
         d.gc_collected();
@@ -2923,7 +2836,8 @@ mod tests {
         // New work above the watermark proceeds normally.
         let (fresh, _) = d.register_job(job(3));
         assert!(fresh);
-        assert_eq!(d.pending_count(), d.pending_count_scan());
+        assert_eq!(dispatchable(&d), 1);
+        d.check_invariants();
     }
 
     #[test]
@@ -3009,7 +2923,7 @@ mod tests {
         assert!(!b.knows_job(&JobKey::new(ClientKey::new(1, 1), 1)));
         assert_eq!(b.resident_rows(), 1, "only the mark row remains");
         assert_eq!(b.stats().jobs, 2, "lifetime count intact");
-        assert_eq!(b.pending_count(), b.pending_count_scan());
+        b.check_invariants();
     }
 
     #[test]
@@ -3051,12 +2965,12 @@ mod tests {
         d.gc_collected();
         assert_eq!(d.contig_watermark(client), 1);
         assert_eq!(d.prune_retired(d.version()), 1);
-        assert_eq!(d.pending_count(), 0);
-        assert_eq!(d.pending_count(), d.pending_count_scan());
+        assert_eq!(dispatchable(&d), 0);
+        d.check_invariants();
         // The stale queue entries drain without dispatching anything.
         let (none, _) = d.next_pending(ServerId(2), T0);
         assert!(none.is_none());
-        assert_eq!(d.pending_count(), d.pending_count_scan());
+        d.check_invariants();
     }
     #[test]
     fn mismatched_task_job_pair_archives_into_a_stub_row() {
@@ -3075,7 +2989,7 @@ mod tests {
         assert!(!d.knows_job(&stray));
         assert_eq!(d.archive(&stray).map(Blob::len), Some(48));
         assert_eq!(d.results_catalog_scan(client), vec![(7, 48)]);
-        assert_eq!((d.finished_count(), d.archived_count(), d.stats().jobs), (1, 1, 1));
+        assert_eq!((d.finished_count(), d.stats().archived, d.stats().jobs), (1, 1, 1));
         assert!(!d.wants_archive(&stray), "unregistered: nothing to want");
         d.mark_collected(client, &[7]);
         assert_eq!(d.collected_flagged(), vec![stray]);
@@ -3167,7 +3081,7 @@ mod tests {
         assert_eq!(b.archive(&k).map(Blob::len), Some(64));
         assert_eq!(b.results_catalog_scan(client), vec![(1, 64)]);
         assert!(b.has_collected_knowledge(&k), "summarized by the watermark");
-        assert_eq!((b.archived_count(), b.finished_count()), (1, 1));
+        assert_eq!((b.stats().archived, b.finished_count()), (1, 1));
     }
 
     #[test]
@@ -3237,7 +3151,7 @@ mod tests {
         assert_eq!(rows(&out_of_order), rows(&in_order));
         assert_eq!(out_of_order.missing_archives_scan(), in_order.missing_archives_scan());
         assert_eq!(out_of_order.stats(), in_order.stats());
-        assert_eq!(out_of_order.pending_count(), in_order.pending_count());
+        assert_eq!(dispatchable(&out_of_order), dispatchable(&in_order));
         assert_eq!(out_of_order.contig_watermark(client), in_order.contig_watermark(client));
     }
 }

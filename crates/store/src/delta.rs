@@ -265,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn collected_rows_are_cheap_on_the_wire() {
+    fn collection_acks_are_cheap_on_the_wire() {
         let d = ReplicationDelta {
             from: CoordId(1),
             base_version: 0,

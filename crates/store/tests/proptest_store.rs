@@ -130,6 +130,20 @@ fn suspect_checked(db: &mut CoordinatorDb, server: ServerId) {
     }
 }
 
+/// Applies `feed` to `db` and holds the news channel to its definition:
+/// every job that entered the missing set is in `newly_missing`, and no
+/// job reported there was missing before the apply.
+fn apply_checked(db: &mut CoordinatorDb, feed: ReplicationDelta) {
+    let before: std::collections::BTreeSet<JobKey> = db.missing_archives_iter().collect();
+    let news = db.apply_delta_owned(feed).newly_missing;
+    for job in db.missing_archives_iter().filter(|j| !before.contains(j)) {
+        assert!(news.contains(&job), "{job:?} entered the missing set unreported");
+    }
+    for job in &news {
+        assert!(!before.contains(job), "{job:?} reported, but was missing already");
+    }
+}
+
 /// A ring of coordinator databases replicating the way `CoordinatorActor`
 /// does — successor feed from the acked base (from zero when the store
 /// finds the base below its retention floor), gap refusal above the
@@ -443,8 +457,9 @@ proptest! {
     /// GC, re-execution, server beats and suspicion, checkpoint upload,
     /// retention pruning), the incremental structures must agree with
     /// their full-scan reference definitions at every step —
-    /// `pending_count`/`missing_archives`/`collected_flagged` and the
-    /// per-server index continuously, every suspicion against the rule's
+    /// `missing_archives`/`collected_flagged` and the per-server index
+    /// continuously, every apply's `newly_missing` against the missing set
+    /// it moved (`apply_checked`), every suspicion against the rule's
     /// definition (`suspect_checked`), and `delta_since(base)` for every
     /// base version the run passed through.
     /// A mid-run from-zero feed plus the tail of the feed must bootstrap
@@ -495,7 +510,7 @@ proptest! {
                     if let (Some(d), _) = b.next_pending(ServerId(5), now) {
                         b.complete_task(d.id, d.job, Blob::synthetic(16, seq), ServerId(5));
                     }
-                    a.apply_delta(&b.delta_since(0));
+                    apply_checked(&mut a, b.delta_since(0));
                 }
                 10 => {
                     // Retention, gated exactly as the coordinator gates
@@ -508,7 +523,7 @@ proptest! {
                 }
                 11 => {
                     let (_, _) = a.next_pending(ServerId(2), now);
-                    a.apply_delta(&b.delta_since((aux as u64) * 5));
+                    apply_checked(&mut a, b.delta_since((aux as u64) * 5));
                 }
                 _ => local_op(&mut a, seq, action, aux),
             }
@@ -519,7 +534,6 @@ proptest! {
             b.check_invariants();
             mirror.check_invariants();
             // Continuous equivalence of the maintained structures.
-            prop_assert_eq!(a.pending_count(), a.pending_count_scan());
             prop_assert_eq!(a.missing_archives(), a.missing_archives_scan());
             prop_assert_eq!(a.collected_flagged(), a.collected_flagged_scan());
             // Merge the incremental catalog delta exactly as a client does
@@ -548,7 +562,7 @@ proptest! {
             let from_zero: Vec<(u64, u64)> = from_zero.into_iter().collect();
             prop_assert_eq!(from_zero, a.results_catalog_scan(client));
             // Feed the mirror only what changed since its last sync.
-            mirror.apply_delta(&a.delta_since(mirror_base));
+            apply_checked(&mut mirror, a.delta_since(mirror_base));
             mirror_base = a.version();
             // Whatever archive the sender holds undelivered, the mirror
             // learned the job finished and lists the archive to pull.
@@ -632,16 +646,16 @@ proptest! {
         //    regular feed from its head (the joining-replica exchange).
         let feed = through_the_wire(a.delta_since(0));
         let mut full = CoordinatorDb::new(CoordId(3));
-        full.apply_delta(&feed);
+        apply_checked(&mut full, feed.clone());
         let once = (full.version(), full.delta_since(0));
-        full.apply_delta(&feed);
+        apply_checked(&mut full, feed.clone());
         // Applied twice, a from-zero feed changes nothing.
         prop_assert_eq!((full.version(), full.delta_since(0)), once);
         let snap = snap.unwrap_or_else(|| feed.clone());
         prop_assert!(a.delta_floor() <= snap.head_version, "tail base stayed above the floor");
         let mut boot = CoordinatorDb::new(CoordId(4));
-        boot.apply_delta(&snap);
-        boot.apply_delta(&a.delta_since(snap.head_version));
+        apply_checked(&mut boot, snap.clone());
+        apply_checked(&mut boot, a.delta_since(snap.head_version));
         // Lifetime knowledge is path-independent: jobs ever registered,
         // results ever delivered, the client's replay fence.
         prop_assert_eq!(mirror.stats().jobs, full.stats().jobs);
@@ -672,7 +686,7 @@ proptest! {
             // Each is now level with or ahead of the sender (its own
             // watermark may be higher): the sender's feed is old news.
             let ahead = (replica.version(), replica.delta_since(0));
-            replica.apply_delta(&feed);
+            apply_checked(replica, feed.clone());
             prop_assert_eq!((replica.version(), replica.delta_since(0)), ahead);
         }
         let rows = |d: &CoordinatorDb| {

@@ -153,18 +153,15 @@ impl ClientKey {
     ///
     /// Every party (clients, servers, coordinators, the store-level routing
     /// proptest) must agree on this function, so it lives next to the key it
-    /// hashes.  The mixer is the splitmix64 finalizer — deterministic, stable
-    /// across platforms, and unbiased enough that sequentially numbered users
-    /// spread across shards instead of striping.
+    /// hashes.  The mixer is the splitmix64 finalizer
+    /// ([`rpcv_wire::mix64`]) — deterministic, stable across platforms, and
+    /// unbiased enough that sequentially numbered users spread across shards
+    /// instead of striping.
     pub fn shard_of(&self, shards: usize) -> usize {
         if shards <= 1 {
             return 0;
         }
-        let mut x = self.as_peer().wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        (x % shards as u64) as usize
+        (rpcv_wire::mix64(self.as_peer()) % shards as u64) as usize
     }
 }
 
@@ -278,6 +275,17 @@ mod tests {
         let a = ClientKey::new(1, 2).as_peer();
         let b = ClientKey::new(2, 1).as_peer();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn shard_assignment_is_pinned() {
+        // Every party routes by this function: a client must never move.
+        const TWO: [usize; 16] = [1, 1, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 1, 1, 1];
+        const FOUR: [usize; 16] = [3, 1, 2, 3, 2, 2, 0, 0, 3, 3, 1, 1, 0, 1, 3, 1];
+        for (shards, table) in [(2, TWO), (4, FOUR)] {
+            let got: Vec<usize> = (1..=16).map(|u| ClientKey::new(u, 1).shard_of(shards)).collect();
+            assert_eq!(got, table, "{shards} shards");
+        }
     }
 
     #[test]

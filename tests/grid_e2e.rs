@@ -98,7 +98,7 @@ fn results_survive_client_disconnection() {
     grid.world.schedule_control(SimTime::from_secs(120), Control::Restart(client));
     grid.world.run_until(SimTime::from_secs(100));
     // Executions continued server-side while the client was gone.
-    let archived = grid.coordinator(0).unwrap().db().archived_count();
+    let archived = grid.coordinator(0).unwrap().db().stats().archived;
     assert!(archived >= 4, "server side must have progressed, got {archived}");
     grid.run_until_done(SimTime::from_secs(3600)).expect("reconnected client completes");
     assert_eq!(grid.client_results(), 6);
@@ -238,7 +238,7 @@ fn archive_writes_coalesce_past_the_old_knee() {
     let (grid, jobs) = offered_cell(400, 400);
     let primary = grid.coordinator(0).unwrap();
     let m = &primary.metrics;
-    assert_eq!((m.archive_writes, primary.db().archived_count()), (jobs, jobs));
+    assert_eq!((m.archive_writes, primary.db().stats().archived), (jobs, jobs));
     assert!(
         m.archive_write_ops * 2 < jobs,
         "{} disk ops for {jobs} archives: the write queue did not coalesce",
