@@ -15,6 +15,7 @@
 //! paper's, and ride along ungated.
 
 use rpcv_bench::{Artifact, Value};
+use rpcv_ckpt::CheckpointPolicy;
 use rpcv_core::config::ProtocolConfig;
 use rpcv_core::grid::{GridSpec, SimGrid};
 use rpcv_log::LogStrategy;
@@ -438,7 +439,9 @@ fn ablations(art: &mut Artifact) {
         ("ablation_heartbeat_period", &[1, 2, 5, 10, 20], |s| (base().with_heartbeat(secs(s)), 1)),
         // Lost-work recovery; 0 means off.
         ("ablation_checkpoint_interval", &[0, 5, 15, 30, 60], |s| {
-            (if s == 0 { base() } else { base().with_checkpointing(secs(s)) }, 1)
+            let policy =
+                if s == 0 { CheckpointPolicy::Disabled } else { CheckpointPolicy::Fixed(secs(s)) };
+            (base().with_checkpoint_policy(policy), 1)
         }),
         // Instances per job: anticipating failures.
         ("ablation_redundant_replication", &[1, 2, 3], |n| (base(), n as u32)),

@@ -123,67 +123,25 @@ impl FrameOps<Msg> for MsgChaos {
     }
 }
 
-/// One oracle run: a confined grid, a workload, and a seeded fault plan.
-#[derive(Debug, Clone)]
-pub struct ChaosConfig {
-    /// Master seed: drives the grid, the fault plan and every chaos draw.
-    pub seed: u64,
-    /// Fault intensity in `[0, 1]` (see [`ChaosProfile::from_intensity`]).
-    pub intensity: f64,
-    /// Coordinator count *per shard* (≥ 2 so partitions can split the
-    /// group).
-    pub n_coordinators: usize,
-    /// Coordinator shards (1 = the flat plane; the chaos invariants are
-    /// shard-count independent).
-    pub shards: usize,
-    /// Server count.
-    pub n_servers: usize,
-    /// Jobs submitted in total, split round-robin across the clients.
-    pub jobs: usize,
-    /// Client count (> 1 exercises cross-shard traffic: each client hashes
-    /// to one shard, so a sharded oracle needs several).
-    pub clients: usize,
-    /// Per-job execution cost in seconds.
-    pub exec_cost: f64,
-    /// Fault window start.
-    pub fault_from: SimTime,
-    /// Fault window end: every episode is healed by this instant.
-    pub fault_until: SimTime,
-    /// Give-up horizon for the whole run.
-    pub horizon: SimTime,
-}
+// The standard oracle cell.  The fault window is sized to the workload's
+// fault-free makespan (~40 s), so completion happens *under* active chaos —
+// not after it — and the post-heal recovery makespan is a real
+// measurement, not zero.
 
-impl ChaosConfig {
-    /// The standard oracle cell: 3 coordinators, 8 servers, 24 jobs of
-    /// 12 s each, faults over `[2 s, 60 s]`, an hour of virtual time to
-    /// finish.  The fault window is sized to the workload's fault-free
-    /// makespan (~40 s), so completion happens *under* active chaos —
-    /// not after it — and the post-heal recovery makespan is a real
-    /// measurement, not zero.
-    pub fn new(seed: u64, intensity: f64) -> Self {
-        ChaosConfig {
-            seed,
-            intensity,
-            n_coordinators: 3,
-            shards: 1,
-            n_servers: 8,
-            jobs: 24,
-            clients: 1,
-            exec_cost: 12.0,
-            fault_from: SimTime::from_secs(2),
-            fault_until: SimTime::from_secs(60),
-            horizon: SimTime::from_secs(3600),
-        }
-    }
-
-    /// Builder: a sharded oracle cell — `shards` coordinator groups and
-    /// enough clients that several shards see traffic (both floor at 1).
-    pub fn with_shards(mut self, shards: usize, clients: usize) -> Self {
-        self.shards = shards.max(1);
-        self.clients = clients.max(1);
-        self
-    }
-}
+/// Coordinators per shard (≥ 2 so partitions can split the group).
+const COORDINATORS: usize = 3;
+/// Servers.
+const SERVERS: usize = 8;
+/// Jobs submitted in total, split round-robin across the clients.
+const JOBS: usize = 24;
+/// Per-job execution cost in seconds.
+const EXEC_COST: f64 = 12.0;
+/// Fault window start.
+const FAULT_FROM: SimTime = SimTime::from_secs(2);
+/// Fault window end: every episode is healed by this instant.
+const FAULT_UNTIL: SimTime = SimTime::from_secs(60);
+/// Give-up horizon for the whole run.
+const HORIZON: SimTime = SimTime::from_secs(3600);
 
 /// What one oracle run observed.  `violations` is empty iff every safety
 /// invariant held.
@@ -231,37 +189,48 @@ impl ChaosReport {
     }
 }
 
-/// Runs a grid under a seeded fault plan and checks the post-heal safety
-/// invariants.
+/// Runs the standard cell under a seeded fault plan and checks the
+/// post-heal safety invariants.
+#[derive(Debug, Clone)]
 pub struct ChaosOracle {
-    cfg: ChaosConfig,
+    /// Master seed: drives the grid, the fault plan and every chaos draw.
+    seed: u64,
+    /// Fault intensity in `[0, 1]` (see [`ChaosProfile::from_intensity`]).
+    intensity: f64,
+    /// Coordinator shards (1 = the flat plane; the chaos invariants are
+    /// shard-count independent).
+    shards: usize,
+    /// Client count (> 1 exercises cross-shard traffic: each client hashes
+    /// to one shard, so a sharded oracle needs several).
+    clients: usize,
 }
 
 impl ChaosOracle {
-    /// An oracle for one configuration.
-    pub fn new(cfg: ChaosConfig) -> Self {
-        ChaosOracle { cfg }
+    /// The standard cell, flat and with one client, at `(seed, intensity)`.
+    pub fn seeded(seed: u64, intensity: f64) -> Self {
+        ChaosOracle { seed, intensity, shards: 1, clients: 1 }
     }
 
-    /// Shorthand: the standard cell at `(seed, intensity)`.
-    pub fn seeded(seed: u64, intensity: f64) -> Self {
-        ChaosOracle::new(ChaosConfig::new(seed, intensity))
+    /// Builder: a sharded oracle cell — `shards` coordinator groups and
+    /// enough clients that several shards see traffic (both floor at 1).
+    pub fn with_shards(mut self, shards: usize, clients: usize) -> Self {
+        self.shards = shards.max(1);
+        self.clients = clients.max(1);
+        self
     }
 
     /// Builds the grid, applies the plan, runs to completion plus a
     /// settle window, and audits every invariant.
     pub fn run(&self) -> ChaosReport {
-        let cfg = &self.cfg;
         // The workload splits round-robin across the clients; each client
         // submits its own contiguous seq space.  One client is exactly the
         // historical single-plan oracle.
-        let n_clients = cfg.clients.max(1);
-        let mut plans: Vec<Vec<CallSpec>> = vec![Vec::new(); n_clients];
-        for i in 0..cfg.jobs {
-            plans[i % n_clients].push(CallSpec::new(
+        let mut plans: Vec<Vec<CallSpec>> = vec![Vec::new(); self.clients];
+        for i in 0..JOBS {
+            plans[i % self.clients].push(CallSpec::new(
                 "chaos",
                 Blob::synthetic(2048, i as u64),
-                cfg.exec_cost,
+                EXEC_COST,
                 256,
             ));
         }
@@ -272,10 +241,10 @@ impl ChaosOracle {
             .with_heartbeat(SimDuration::from_secs(1))
             .with_suspicion(SimDuration::from_secs(5))
             .with_replication_period(SimDuration::from_secs(2));
-        let spec = GridSpec::confined(cfg.n_coordinators, cfg.n_servers)
-            .with_seed(cfg.seed)
+        let spec = GridSpec::confined(COORDINATORS, SERVERS)
+            .with_seed(self.seed)
             .with_cfg(proto)
-            .with_shards(cfg.shards)
+            .with_shards(self.shards)
             .with_client_plans(plans.clone());
         let base_link = spec.link;
         let mut g = SimGrid::build(spec);
@@ -287,23 +256,17 @@ impl ChaosOracle {
             servers: g.servers.iter().map(|&(_, n)| n).collect(),
             clients: g.clients.iter().map(|&(_, n)| n).collect(),
         };
-        let profile = ChaosProfile::from_intensity(cfg.intensity);
-        let plan = FaultPlan::generate(
-            cfg.seed,
-            profile,
-            &targets,
-            base_link,
-            cfg.fault_from,
-            cfg.fault_until,
-        );
+        let profile = ChaosProfile::from_intensity(self.intensity);
+        let plan =
+            FaultPlan::generate(self.seed, profile, &targets, base_link, FAULT_FROM, FAULT_UNTIL);
         plan.apply(&mut g.world);
 
         let mut violations = Vec::new();
-        let done = g.run_until_done(cfg.horizon);
+        let done = g.run_until_done(HORIZON);
         if done.is_none() {
             violations.push(format!(
                 "plan did not complete within {}s of virtual time",
-                cfg.horizon.as_secs_f64()
+                HORIZON.as_secs_f64()
             ));
         }
         // Settle window: lets a client that crashed inside the disk
@@ -434,12 +397,12 @@ impl ChaosOracle {
             }
         }
         ChaosReport {
-            seed: cfg.seed,
-            intensity: cfg.intensity,
+            seed: self.seed,
+            intensity: self.intensity,
             violations,
             counts: plan.counts(),
             stats,
-            jobs: cfg.jobs as u64,
+            jobs: JOBS as u64,
             results,
             garbled,
             poisoned,

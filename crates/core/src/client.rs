@@ -219,7 +219,7 @@ impl ClientActor {
 
     fn fresh(params: ClientParams) -> Self {
         let members = params.directory.group_of(params.key).iter().copied();
-        let link = CoordLink::new(members, params.cfg.coord_retry);
+        let link = CoordLink::new(members);
         let log = SenderLog::new(params.cfg.log_strategy, GcPolicy::unbounded());
         ClientActor {
             params,
@@ -527,7 +527,7 @@ impl ClientActor {
     /// continues it without waiting for a heartbeat.
     fn replay_missing(&mut self, ctx: &mut Ctx<'_, Msg>, coord_max: u64) {
         let now = ctx.now();
-        let policy = RetryPolicy::of(self.params.cfg.heartbeat, ctx.spec().nic_bw_out);
+        let policy = RetryPolicy::of(self.params.cfg.heartbeat, ctx.spec().nic_bw);
         // Registration can lag by the whole in-flight volume (NIC queues on
         // both sides plus the coordinator's database).  Entries never sent
         // to the *current* coordinator incarnation (an epoch change wiped
@@ -626,7 +626,7 @@ impl ClientActor {
     /// archive legitimately spends transfer-time in flight — on top of an
     /// exponential backoff from two heartbeats.
     fn retry_policy(&self, ctx: &Ctx<'_, Msg>) -> RetryPolicy {
-        RetryPolicy::of(self.params.cfg.heartbeat, ctx.spec().nic_bw_in)
+        RetryPolicy::of(self.params.cfg.heartbeat, ctx.spec().nic_bw)
     }
 
     /// A received result's archive (for the API layer).

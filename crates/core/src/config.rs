@@ -14,14 +14,8 @@ pub struct ProtocolConfig {
     /// Coordinator replication period (confined: per heartbeat; real-life
     /// experiments: 60 s).
     pub replication_period: SimDuration,
-    /// How long a suspected coordinator stays out of the preferred list
-    /// before being retried.
-    pub coord_retry: SimDuration,
     /// Client logging strategy (Fig. 4).
     pub log_strategy: LogStrategy,
-    /// How long a replicated-finished job may lack its archive before the
-    /// coordinator schedules a re-execution (at-least-once recovery).
-    pub missing_archive_timeout: SimDuration,
     /// EXTENSION (paper §6 future work): the server task-checkpointing
     /// policy.  When enabled, servers snapshot running tasks (fixed
     /// interval, or adapted to the node's observed volatility), upload the
@@ -37,9 +31,7 @@ impl Default for ProtocolConfig {
             heartbeat: SimDuration::from_secs(5),
             suspicion: SimDuration::from_secs(30),
             replication_period: SimDuration::from_secs(5),
-            coord_retry: SimDuration::from_secs(60),
             log_strategy: LogStrategy::NonBlockingPessimistic,
-            missing_archive_timeout: SimDuration::from_secs(60),
             checkpoint: CheckpointPolicy::Disabled,
         }
     }
@@ -81,13 +73,6 @@ impl ProtocolConfig {
         self
     }
 
-    /// Builder: fixed-interval server checkpointing (extension) —
-    /// shorthand for `with_checkpoint_policy(CheckpointPolicy::Fixed(_))`.
-    pub fn with_checkpointing(mut self, interval: SimDuration) -> Self {
-        self.checkpoint = CheckpointPolicy::Fixed(interval);
-        self
-    }
-
     /// Builder: full checkpoint policy (extension).
     pub fn with_checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint = policy;
@@ -100,12 +85,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_defaults() {
+    fn defaults_are_the_papers() {
         let c = ProtocolConfig::confined();
         assert_eq!(c.heartbeat, SimDuration::from_secs(5));
         assert_eq!(c.suspicion, SimDuration::from_secs(30));
         assert_eq!(c.log_strategy, LogStrategy::NonBlockingPessimistic);
         assert_eq!(ProtocolConfig::real_life().replication_period, SimDuration::from_secs(60));
+        assert_eq!(rpcv_detect::COORD_RETRY, SimDuration::from_secs(60));
+        assert_eq!(crate::coordinator::REEXEC_FLOOR, SimDuration::from_secs(60));
     }
 
     #[test]
@@ -115,7 +102,7 @@ mod tests {
             .with_suspicion(SimDuration::from_secs(7))
             .with_replication_period(SimDuration::from_secs(9))
             .with_log_strategy(LogStrategy::Optimistic)
-            .with_checkpointing(SimDuration::from_secs(20));
+            .with_checkpoint_policy(CheckpointPolicy::Fixed(SimDuration::from_secs(20)));
         assert_eq!(c.heartbeat, SimDuration::from_secs(1));
         assert_eq!(c.suspicion, SimDuration::from_secs(7));
         assert_eq!(c.replication_period, SimDuration::from_secs(9));

@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use rpcv_detect::{CoordinatorList, HeartbeatMonitor};
 use rpcv_obs::{Histogram, SpanBook, SpanEdge, TelemetrySnapshot};
-use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimTime, TimerId};
+use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimDuration, SimTime, TimerId};
 use rpcv_store::{Applied, Charge, CoordinatorDb, ReplicationDelta};
 use rpcv_wire::WireEncode;
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId};
@@ -23,6 +23,11 @@ use crate::util::Directory;
 
 const K_SCAN: u64 = 1;
 const K_REPL: u64 = 2;
+
+/// How long a replicated-finished job may lack its archive before it is
+/// re-executed (at-least-once recovery), at the least: the horizon is this
+/// or three replication periods, whichever is longer.
+pub(crate) const REEXEC_FLOOR: SimDuration = SimDuration::from_secs(60);
 
 /// One replication round's observations (drives Fig. 5).
 #[derive(Debug, Clone, Copy)]
@@ -242,7 +247,7 @@ impl CoordinatorActor {
             .shard_of_coord(params.me)
             .expect("the directory lists this coordinator");
         let ring = params.directory.group(my_shard).iter().copied();
-        let coords = CoordinatorList::new(ring.filter(|&c| c != params.me), params.cfg.coord_retry);
+        let coords = CoordinatorList::new(ring.filter(|&c| c != params.me));
         let db = CoordinatorDb::new(params.me);
         let suspicion = params.cfg.suspicion;
         // Coordinator-to-coordinator traffic only flows at the replication
@@ -857,8 +862,7 @@ impl CoordinatorActor {
         if self.missing_order.is_empty() {
             return;
         }
-        let reexec_horizon =
-            self.params.cfg.missing_archive_timeout.max(self.params.cfg.replication_period * 3);
+        let reexec_horizon = REEXEC_FLOOR.max(self.params.cfg.replication_period * 3);
         let mut overdue: Vec<JobKey> = self
             .missing_order
             .iter()

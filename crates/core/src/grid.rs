@@ -77,7 +77,7 @@ impl GridSpec {
             coord_host: calibration::confined_coordinator(),
             server_host: calibration::confined_server(),
             client_host: calibration::confined_client(),
-            link: calibration::lan_link(),
+            link: LinkParams::lan(),
             coord_link: None,
             registry: ServiceRegistry::new(),
             limits: SandboxLimits::default(),
@@ -93,8 +93,8 @@ impl GridSpec {
             coord_host: calibration::reallife_coordinator(),
             server_host: calibration::internet_desktop(),
             client_host: calibration::internet_desktop(),
-            link: calibration::wan_link(),
-            coord_link: Some(calibration::wan_link()),
+            link: LinkParams::wan(),
+            coord_link: Some(LinkParams::wan()),
             ..Self::confined(n_coordinators, n_servers)
         }
     }

@@ -65,7 +65,7 @@ pub mod runtime;
 pub mod server;
 pub mod util;
 
-pub use chaos::{ChaosConfig, ChaosCounters, ChaosOracle, ChaosReport, MsgChaos};
+pub use chaos::{ChaosCounters, ChaosOracle, ChaosReport, MsgChaos};
 pub use client::{ClientActor, ClientMetrics, ClientParams};
 pub use config::ProtocolConfig;
 pub use coordinator::{CoordMetrics, CoordParams, CoordinatorActor, ReplRound};

@@ -283,9 +283,7 @@ impl ServerActor {
     fn fresh(params: ServerParams) -> Self {
         let shards = params.directory.shard_count();
         let links = (0..shards)
-            .map(|s| {
-                CoordLink::new(params.directory.group(s).iter().copied(), params.cfg.coord_retry)
-            })
+            .map(|s| CoordLink::new(params.directory.group(s).iter().copied()))
             .collect();
         let work_shard = (params.id.0 as usize) % shards;
         let executor = WorkerExecutor::new(params.registry.clone(), params.limits);
@@ -419,7 +417,7 @@ impl ServerActor {
     /// (capped: coordinators flap, and a stranded result blocks the client
     /// forever if the horizon runs away).
     fn sent(&mut self, ctx: &Ctx<'_, Msg>, job: JobKey, size: u64) {
-        let policy = RetryPolicy::of(self.params.cfg.heartbeat, ctx.spec().nic_bw_out);
+        let policy = RetryPolicy::of(self.params.cfg.heartbeat, ctx.spec().nic_bw);
         let offer = self.offers.entry(job).or_default();
         self.offer_after.remove(&(offer.eligible_at, job));
         offer.attempts += 1;

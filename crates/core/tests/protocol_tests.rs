@@ -1,6 +1,7 @@
 //! End-to-end protocol tests on the deterministic simulator: completion,
 //! every fault class, failover, partition, at-least-once invariants.
 
+use rpcv_ckpt::CheckpointPolicy;
 use rpcv_core::client::ClientActor;
 use rpcv_core::config::ProtocolConfig;
 use rpcv_core::coordinator::CoordinatorActor;
@@ -166,7 +167,8 @@ fn checkpointing_extension_resumes_across_server_restart() {
     // One long task declaring 100 work units; the server crashes at 60 s
     // and restarts quickly.  With checkpointing the units banked before
     // the crash survive the restart.
-    let cfg = ProtocolConfig::confined().with_checkpointing(SimDuration::from_secs(10));
+    let cfg = ProtocolConfig::confined()
+        .with_checkpoint_policy(CheckpointPolicy::Fixed(SimDuration::from_secs(10)));
     let call = CallSpec::new("bench", Blob::synthetic(100, 0), 100.0, 100).with_work_units(100);
     let spec = GridSpec::confined(1, 1).with_cfg(cfg).with_plan(vec![call]);
     let mut grid = SimGrid::build(spec);
@@ -183,7 +185,8 @@ fn checkpointing_extension_resumes_across_server_restart() {
     assert!(done < SimTime::from_secs(125), "took {done}");
     // And an atomic (1-unit) task under the same policy banks nothing —
     // the unit axis is what makes a task checkpointable.
-    let cfg = ProtocolConfig::confined().with_checkpointing(SimDuration::from_secs(10));
+    let cfg = ProtocolConfig::confined()
+        .with_checkpoint_policy(CheckpointPolicy::Fixed(SimDuration::from_secs(10)));
     let spec = GridSpec::confined(1, 1).with_cfg(cfg).with_plan(plan(1, 30.0, 100, 100));
     let mut grid = SimGrid::build(spec);
     let s0 = grid.servers[0].1;

@@ -16,8 +16,14 @@ use std::collections::BTreeMap;
 
 use rpcv_simnet::{SimDuration, SimTime};
 
-/// Per-coordinator local view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How long a suspected coordinator stays out of the preferred choice
+/// before it is retried (suspicion must be revisable: the detector is
+/// unreliable).
+pub const COORD_RETRY: SimDuration = SimDuration::from_secs(60);
+
+/// Per-coordinator local view, ordered by preference: trusted first, then
+/// the oldest suspicion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Standing {
     Trusted,
     /// Suspected at the given instant; retried after the backoff.
@@ -31,16 +37,12 @@ enum Standing {
 #[derive(Debug, Clone)]
 pub struct CoordinatorList<K: Ord + Copy> {
     entries: BTreeMap<K, Standing>,
-    /// A suspected coordinator becomes eligible again after this long
-    /// (suspicion must be revisable: the detector is unreliable).
-    retry_after: SimDuration,
 }
 
 impl<K: Ord + Copy> CoordinatorList<K> {
     /// List over the initial repository snapshot.
-    pub fn new(initial: impl IntoIterator<Item = K>, retry_after: SimDuration) -> Self {
-        let entries = initial.into_iter().map(|k| (k, Standing::Trusted)).collect();
-        CoordinatorList { entries, retry_after }
+    pub fn new(initial: impl IntoIterator<Item = K>) -> Self {
+        CoordinatorList { entries: initial.into_iter().map(|k| (k, Standing::Trusted)).collect() }
     }
 
     /// Number of known coordinators.
@@ -72,51 +74,27 @@ impl<K: Ord + Copy> CoordinatorList<K> {
         }
     }
 
-    /// Whether `k` is currently eligible (trusted, or suspicion expired).
+    /// Whether `k` is currently eligible (trusted, or suspected at least
+    /// [`COORD_RETRY`] ago).
     pub fn is_eligible(&self, k: K, now: SimTime) -> bool {
         match self.entries.get(&k) {
             None => false,
             Some(Standing::Trusted) => true,
-            Some(Standing::Suspected(at)) => now.since(*at) >= self.retry_after,
+            Some(Standing::Suspected(at)) => now.since(*at) >= COORD_RETRY,
         }
     }
 
-    /// The preferred coordinator: first eligible in common order.
+    /// The preferred coordinator: the first trusted one in common order.
     ///
-    /// Falls back to the least-recently-suspected coordinator when every
-    /// one is suspected — the component must keep trying *somebody*, since
-    /// suspicion may be wrong and giving up violates the progress
-    /// condition.
-    pub fn preferred(&self, now: SimTime) -> Option<K> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        self.entries.iter().find(|(_, s)| matches!(s, Standing::Trusted)).map(|(&k, _)| k).or_else(
-            || {
-                self.entries
-                    .iter()
-                    .filter_map(|(&k, s)| match s {
-                        Standing::Suspected(at) if now.since(*at) >= self.retry_after => {
-                            Some((k, *at))
-                        }
-                        _ => None,
-                    })
-                    .min_by_key(|&(_, at)| at)
-                    .map(|(k, _)| k)
-                    .or_else(|| {
-                        // Everything recently suspected: retry the oldest
-                        // suspicion anyway.
-                        self.entries
-                            .iter()
-                            .map(|(&k, s)| match s {
-                                Standing::Suspected(at) => (k, *at),
-                                Standing::Trusted => (k, SimTime::ZERO),
-                            })
-                            .min_by_key(|&(_, at)| at)
-                            .map(|(k, _)| k)
-                    })
-            },
-        )
+    /// Falls back to the oldest suspicion when every one is suspected —
+    /// the component must keep trying *somebody*, since suspicion may be
+    /// wrong and giving up violates the progress condition.  The oldest
+    /// suspicion is also the first to expire, so a member whose retry came
+    /// due is picked before one still held out.  A tie goes to the first in
+    /// common order.
+    pub fn preferred(&self) -> Option<K> {
+        // `Standing` orders by exactly this preference.
+        self.entries.iter().min_by_key(|&(_, s)| s).map(|(&k, _)| k)
     }
 
     /// The next eligible coordinator after `k` in common order, excluding
@@ -155,12 +133,8 @@ pub struct CoordLink<K: Ord + Copy> {
 
 impl<K: Ord + Copy> CoordLink<K> {
     /// Link over `members`, nobody picked yet.
-    pub fn new(members: impl IntoIterator<Item = K>, retry_after: SimDuration) -> Self {
-        CoordLink {
-            coords: CoordinatorList::new(members, retry_after),
-            current: None,
-            last_heard: None,
-        }
+    pub fn new(members: impl IntoIterator<Item = K>) -> Self {
+        CoordLink { coords: CoordinatorList::new(members), current: None, last_heard: None }
     }
 
     /// The coordinator to address at `now`: the current pick while it is
@@ -170,7 +144,7 @@ impl<K: Ord + Copy> CoordLink<K> {
         match self.current {
             Some(c) if self.coords.is_eligible(c, now) => Some(c),
             _ => {
-                let picked = self.coords.preferred(now)?;
+                let picked = self.coords.preferred()?;
                 self.current = Some(picked);
                 self.last_heard = Some(now);
                 Some(picked)
@@ -227,7 +201,7 @@ mod tests {
     const S: fn(u64) -> SimTime = SimTime::from_secs;
 
     fn list() -> CoordinatorList<u32> {
-        CoordinatorList::new([3, 1, 2], SimDuration::from_secs(60))
+        CoordinatorList::new([3, 1, 2])
     }
 
     #[test]
@@ -238,11 +212,11 @@ mod tests {
     #[test]
     fn preferred_is_first_trusted() {
         let mut l = list();
-        assert_eq!(l.preferred(S(0)), Some(1));
+        assert_eq!(l.preferred(), Some(1));
         l.suspect(1, S(0));
-        assert_eq!(l.preferred(S(1)), Some(2));
+        assert_eq!(l.preferred(), Some(2));
         l.suspect(2, S(1));
-        assert_eq!(l.preferred(S(2)), Some(3));
+        assert_eq!(l.preferred(), Some(3));
     }
 
     #[test]
@@ -251,10 +225,10 @@ mod tests {
         l.suspect(1, S(0));
         assert!(!l.is_eligible(1, S(59)));
         assert!(l.is_eligible(1, S(60)));
-        assert_eq!(l.preferred(S(61)), Some(2), "trusted beats retry-eligible");
+        assert_eq!(l.preferred(), Some(2), "trusted beats retry-eligible");
         l.suspect(2, S(0));
         l.suspect(3, S(0));
-        assert_eq!(l.preferred(S(61)), Some(1), "oldest suspicion retried first");
+        assert_eq!(l.preferred(), Some(1), "oldest suspicion retried first");
     }
 
     #[test]
@@ -264,7 +238,21 @@ mod tests {
         l.suspect(2, S(5));
         l.suspect(3, S(20));
         // None eligible, but progress requires an answer: oldest suspicion.
-        assert_eq!(l.preferred(S(21)), Some(2));
+        assert_eq!(l.preferred(), Some(2));
+    }
+
+    #[test]
+    fn no_trusted_member_falls_back_to_the_oldest_suspicion() {
+        let mut l = CoordinatorList::new([4, 3, 2, 1]);
+        l.suspect(1, S(50));
+        l.suspect(3, S(10));
+        l.suspect(2, S(10));
+        l.suspect(4, S(20));
+        // Whichever suspicions have expired, the oldest one wins, and a tie
+        // goes to the first in common order.
+        assert_eq!(l.preferred(), Some(2));
+        l.suspect(2, S(80));
+        assert_eq!(l.preferred(), Some(3));
     }
 
     #[test]
@@ -290,11 +278,11 @@ mod tests {
         let mut l = list();
         l.suspect(1, S(0));
         l.trust(1);
-        assert_eq!(l.preferred(S(1)), Some(1));
+        assert_eq!(l.preferred(), Some(1));
     }
 
     fn link() -> CoordLink<u32> {
-        CoordLink::new([3, 1, 2], SimDuration::from_secs(60))
+        CoordLink::new([3, 1, 2])
     }
 
     #[test]
@@ -330,9 +318,9 @@ mod tests {
 
     #[test]
     fn empty_list_behaviour() {
-        let l: CoordinatorList<u32> = CoordinatorList::new([], SimDuration::from_secs(1));
+        let l: CoordinatorList<u32> = CoordinatorList::new([]);
         assert!(l.is_empty());
-        assert_eq!(l.preferred(S(0)), None);
+        assert_eq!(l.preferred(), None);
         assert_eq!(l.successor_of(1, S(0)), None);
     }
 }

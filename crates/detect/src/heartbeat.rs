@@ -37,11 +37,6 @@ impl<K: Ord + Copy> HeartbeatMonitor<K> {
         }
     }
 
-    /// The paper's confined-experiment setting: suspect after 30 s.
-    pub fn paper_default() -> Self {
-        HeartbeatMonitor::new(SimDuration::from_secs(30))
-    }
-
     /// Records any sign of life from `k` at `now` (heartbeats, but also any
     /// application message — connection-less protocols must exploit every
     /// observation).
@@ -122,9 +117,14 @@ mod tests {
 
     const S: fn(u64) -> SimTime = SimTime::from_secs;
 
+    /// The paper's confined-experiment setting: suspect after 30 s.
+    fn monitor<K: Ord + Copy>() -> HeartbeatMonitor<K> {
+        HeartbeatMonitor::new(SimDuration::from_secs(30))
+    }
+
     #[test]
     fn fresh_component_not_suspected() {
-        let mut m: HeartbeatMonitor<u32> = HeartbeatMonitor::paper_default();
+        let mut m: HeartbeatMonitor<u32> = monitor();
         assert!(!m.is_suspect(1, S(1000)));
         assert!(m.suspects(S(1000)).is_empty());
         assert!(m.is_empty());
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn silence_triggers_suspicion_after_timeout() {
-        let mut m = HeartbeatMonitor::paper_default();
+        let mut m = monitor();
         m.observe(7u32, S(0));
         assert!(!m.is_suspect(7, S(30)), "exactly at timeout: not yet");
         assert!(m.is_suspect(7, S(31)));
@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn new_observation_clears_suspicion() {
-        let mut m = HeartbeatMonitor::paper_default();
+        let mut m = monitor();
         m.observe(7u32, S(0));
         assert!(m.is_suspect(7, S(40)));
         m.observe(7, S(40));
@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn observations_never_move_backwards() {
-        let mut m = HeartbeatMonitor::paper_default();
+        let mut m = monitor();
         m.observe(1u32, S(50));
         m.observe(1, S(10)); // reordered message
         assert_eq!(m.last_seen(1), Some(S(50)));
@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn forget_removes() {
-        let mut m = HeartbeatMonitor::paper_default();
+        let mut m = monitor();
         m.observe(1u32, S(0));
         m.observe(2, S(0));
         m.forget(1);
@@ -179,7 +179,7 @@ mod tests {
     fn suspicion_survives_repeated_scans_until_reobserved() {
         // The heap pops a deadline only once; the suspected set must keep
         // reporting it across scans, and a fresh beat must clear it.
-        let mut m = HeartbeatMonitor::paper_default();
+        let mut m = monitor();
         m.observe(5u32, S(0));
         assert_eq!(m.suspects(S(40)), vec![5]);
         assert_eq!(m.suspects(S(41)), vec![5], "still suspect on the next scan");
@@ -193,7 +193,7 @@ mod tests {
     fn earlier_probe_after_later_scan_is_consistent() {
         // A scan at t=40 marks the component; probing an earlier instant
         // must not report it (set membership is filtered by `now`).
-        let mut m = HeartbeatMonitor::paper_default();
+        let mut m = monitor();
         m.observe(9u32, S(0));
         assert_eq!(m.suspects(S(40)), vec![9]);
         assert!(m.suspects(S(20)).is_empty());

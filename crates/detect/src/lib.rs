@@ -23,5 +23,5 @@
 pub mod coordlist;
 pub mod heartbeat;
 
-pub use coordlist::{CoordLink, CoordinatorList};
+pub use coordlist::{CoordLink, CoordinatorList, COORD_RETRY};
 pub use heartbeat::HeartbeatMonitor;

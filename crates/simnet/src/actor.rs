@@ -9,7 +9,7 @@ use std::any::Any;
 
 use crate::disk::WriteOutcome;
 use crate::net::NetModel;
-use crate::node::{HostResources, HostSpec, NodeId};
+use crate::node::{HostResources, HostSpec, NodeId, DB_BW};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{NetStats, Trace, TraceKind};
@@ -205,7 +205,7 @@ impl<'a, M: WireSized> Ctx<'a, M> {
         debug_assert_eq!(size, msg.wire_size(), "caller-supplied wire size must be exact");
         self.stats.sent += 1;
         self.stats.bytes_sent += size;
-        let service = self.spec.nic_per_op + SimDuration::for_bytes(size, self.spec.nic_bw_out);
+        let service = self.spec.nic_per_op + SimDuration::for_bytes(size, self.spec.nic_bw);
         let occ = if size <= CONTROL_FRAME_BYTES {
             // Control frames interleave with bulk transfers instead of
             // queueing behind them.
@@ -338,13 +338,14 @@ impl<'a, M: WireSized> Ctx<'a, M> {
     /// Charges `ops` database operations moving `bytes` of payload;
     /// returns completion time.
     pub fn db(&mut self, ops: u64, bytes: u64) -> SimTime {
-        let service = self.spec.db_per_op * ops + SimDuration::for_bytes(bytes, self.spec.db_bw);
+        let service = self.spec.db_per_op * ops + SimDuration::for_bytes(bytes, DB_BW);
         self.res.db.acquire(self.now, service).end
     }
 
-    /// Charges `work` CPU work-units; returns completion time.
+    /// Charges `work` CPU work-units (one per second); returns completion
+    /// time.
     pub fn cpu(&mut self, work: f64) -> SimTime {
-        let service = SimDuration::from_secs_f64(work / self.spec.cpu_speed.max(1e-12));
+        let service = SimDuration::from_secs_f64(work);
         self.res.cpu.acquire(self.now, service).end
     }
 

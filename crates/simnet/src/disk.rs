@@ -12,8 +12,8 @@
 //!   modelled here;
 //! * **optimistic** never waits (background, low priority).
 //!
-//! The model: writes enter a write-back cache at `cache_bw`; the cache
-//! drains to the platter at `platter_bw`; when a write does not fit in the
+//! The model: writes enter a write-back cache at [`CACHE_BW`]; the cache
+//! drains to the platter at [`PLATTER_BW`]; when a write does not fit in the
 //! remaining cache space it stalls until enough has drained.  Durability is
 //! reached when the write has fully drained.  A blocking write (fsync)
 //! returns at its durability point; a cached write returns at cache-insert
@@ -29,11 +29,11 @@
 //! > (`op_start > now`); otherwise it opens a new op at
 //! > `max(now, write_frontier)`.
 //!
-//! An op pays `per_op` (seek + syscall) once; its writes append their bytes
+//! An op pays [`PER_OP`] (seek + syscall) once; its writes append their bytes
 //! in arrival order, and each write's `returned_at`/`durable_at` is its own
 //! position in that batch.  A write to an idle disk opens an op that starts
 //! at `now`, so nothing can ever join it — not even a write issued at the
-//! same instant — and it costs exactly one `per_op` plus its transfer.  At
+//! same instant — and it costs exactly one [`PER_OP`] plus its transfer.  At
 //! most one op is ever pending (every write issued while it waits joins
 //! it), so the batch is whatever arrived during the previous op: there is
 //! no batch size, no flush timer and no knob, and the frontier is never
@@ -43,34 +43,26 @@
 
 use crate::time::{SimDuration, SimTime};
 
-/// Disk cost-model parameters.
-#[derive(Debug, Clone)]
-pub struct DiskSpec {
-    /// Fixed cost per operation (seek + syscall + sync overhead).
-    pub per_op: SimDuration,
-    /// Platter (drain) bandwidth, bytes/sec.
-    pub platter_bw: f64,
-    /// Write-back cache size in bytes.
-    pub cache_bytes: u64,
-    /// Cache insertion bandwidth (memcpy speed), bytes/sec.
-    pub cache_bw: f64,
-    /// Fractional deterministic jitter on `per_op` (cache/scheduler noise;
-    /// 0.0 = none).  This is the paper's "small and variable overhead due
-    /// to disc cache management" seen by non-blocking pessimistic logging.
-    pub per_op_jitter: f64,
-}
+// The paper's 2004-era IDE disk (DESIGN.md §6): every simulated disk has
+// this geometry; only the noise on the per-op cost differs between hosts.
 
-impl Default for DiskSpec {
-    /// Calibrated to the paper's 2004-era IDE disk (DESIGN.md §6).
-    fn default() -> Self {
-        DiskSpec {
-            per_op: SimDuration::from_millis(4),
-            platter_bw: 40.0e6,
-            cache_bytes: 64 * 1024,
-            cache_bw: 500.0e6,
-            per_op_jitter: 0.0,
-        }
-    }
+/// Fixed cost per operation (seek + syscall + sync overhead).
+pub const PER_OP: SimDuration = SimDuration::from_millis(4);
+/// Platter (drain) bandwidth, bytes/sec.
+pub const PLATTER_BW: f64 = 40.0e6;
+/// Write-back cache size in bytes.
+pub const CACHE_BYTES: u64 = 64 * 1024;
+/// Cache insertion bandwidth (memcpy speed), bytes/sec.
+pub const CACHE_BW: f64 = 500.0e6;
+
+/// Disk cost-model parameters.
+#[derive(Debug, Clone, Default)]
+pub struct DiskSpec {
+    /// Fractional deterministic jitter on [`PER_OP`] (cache/scheduler
+    /// noise; 0.0 = none).  This is the paper's "small and variable
+    /// overhead due to disc cache management" seen by non-blocking
+    /// pessimistic logging.
+    pub per_op_jitter: f64,
 }
 
 /// Completion report for a disk write.
@@ -130,7 +122,7 @@ impl Disk {
     /// Per-op cost with deterministic jitter applied.
     fn op_cost(&mut self) -> SimDuration {
         if self.spec.per_op_jitter <= 0.0 {
-            return self.spec.per_op;
+            return PER_OP;
         }
         // xorshift64* stream, uniform in [0, 1).
         self.jitter_state ^= self.jitter_state >> 12;
@@ -138,9 +130,7 @@ impl Disk {
         self.jitter_state ^= self.jitter_state >> 27;
         let u = (self.jitter_state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64
             / (1u64 << 53) as f64;
-        SimDuration::from_secs_f64(
-            self.spec.per_op.as_secs_f64() * (1.0 + self.spec.per_op_jitter * u),
-        )
+        SimDuration::from_secs_f64(PER_OP.as_secs_f64() * (1.0 + self.spec.per_op_jitter * u))
     }
 
     /// The cost model in use.
@@ -173,7 +163,7 @@ impl Disk {
 
     fn advance(&mut self, now: SimTime) {
         let elapsed = now.since(self.as_of).as_secs_f64();
-        self.cache_fill = (self.cache_fill - elapsed * self.spec.platter_bw).max(0.0);
+        self.cache_fill = (self.cache_fill - elapsed * PLATTER_BW).max(0.0);
         self.as_of = now;
     }
 
@@ -203,20 +193,20 @@ impl Disk {
             self.op_cost()
         };
 
-        let free = (self.spec.cache_bytes as f64 - self.cache_fill).max(0.0);
+        let free = (CACHE_BYTES as f64 - self.cache_fill).max(0.0);
         let fast_bytes = (bytes as f64).min(free);
         let slow_bytes = bytes as f64 - fast_bytes;
-        let t_fast = SimDuration::from_secs_f64(fast_bytes / self.spec.cache_bw);
-        let t_slow = SimDuration::from_secs_f64(slow_bytes / self.spec.platter_bw);
+        let t_fast = SimDuration::from_secs_f64(fast_bytes / CACHE_BW);
+        let t_slow = SimDuration::from_secs_f64(slow_bytes / PLATTER_BW);
         let insert_done = start + op_cost + t_fast + t_slow;
         self.busy_total += insert_done.since(start);
         // While inserting, the platter drained concurrently.
         self.advance(insert_done);
-        self.cache_fill = (self.cache_fill + fast_bytes).min(self.spec.cache_bytes as f64);
+        self.cache_fill = (self.cache_fill + fast_bytes).min(CACHE_BYTES as f64);
 
         // Durable once everything currently in the cache has drained
         // (slow-path bytes hit the platter during insertion already).
-        let drain = SimDuration::from_secs_f64(self.cache_fill / self.spec.platter_bw);
+        let drain = SimDuration::from_secs_f64(self.cache_fill / PLATTER_BW);
         let durable_at = insert_done + drain;
         self.drain_done = self.drain_done.max(durable_at);
         self.write_frontier = insert_done;
@@ -235,7 +225,7 @@ impl Disk {
     pub fn read(&mut self, now: SimTime, bytes: u64) -> SimTime {
         self.advance(now);
         self.ops += 1;
-        let service = self.op_cost() + SimDuration::for_bytes(bytes, self.spec.platter_bw);
+        let service = self.op_cost() + SimDuration::for_bytes(bytes, PLATTER_BW);
         self.busy_total += service;
         let end = self.drain_done.max(now) + service;
         self.drain_done = end;
@@ -258,19 +248,9 @@ impl Disk {
 mod tests {
     use super::*;
 
-    fn spec() -> DiskSpec {
-        DiskSpec {
-            per_op: SimDuration::from_millis(4),
-            platter_bw: 40.0e6,
-            cache_bytes: 64 * 1024,
-            cache_bw: 500.0e6,
-            per_op_jitter: 0.0,
-        }
-    }
-
     #[test]
     fn small_write_returns_fast_durable_later() {
-        let mut d = Disk::new(spec());
+        let mut d = Disk::new(DiskSpec::default());
         let out = d.write_cached(SimTime::ZERO, 1000);
         // Returns after per-op + memcpy; durable after platter drain.
         assert!(out.returned_at < out.durable_at);
@@ -280,7 +260,7 @@ mod tests {
 
     #[test]
     fn sync_write_waits_for_durability() {
-        let mut d = Disk::new(spec());
+        let mut d = Disk::new(DiskSpec::default());
         let out = d.write_sync(SimTime::ZERO, 1_000_000);
         assert_eq!(out.returned_at, out.durable_at);
         // 1 MB > cache, so duration is platter-bound: ≈ 25 ms + per-op.
@@ -289,19 +269,19 @@ mod tests {
 
     #[test]
     fn large_write_stalls_on_cache() {
-        let mut d = Disk::new(spec());
+        let mut d = Disk::new(DiskSpec::default());
         // First write fills the cache.
         let a = d.write_cached(SimTime::ZERO, 64 * 1024);
         // Immediately issue another large write: must stall for drain.
         let b = d.write_cached(a.returned_at, 64 * 1024);
         let insert_gap = b.returned_at.since(a.returned_at);
-        // The stall should be roughly cache_size/platter_bw ≈ 1.6 ms.
+        // The stall should be roughly CACHE_BYTES / PLATTER_BW ≈ 1.6 ms.
         assert!(insert_gap > SimDuration::from_millis(1), "gap {insert_gap}");
     }
 
     #[test]
     fn idle_time_drains_cache() {
-        let mut d = Disk::new(spec());
+        let mut d = Disk::new(DiskSpec::default());
         d.write_cached(SimTime::ZERO, 64 * 1024);
         // After a long idle period the cache is empty: no stall.
         let late = SimTime::from_secs(10);
@@ -313,7 +293,7 @@ mod tests {
 
     #[test]
     fn durability_ordering_is_monotone() {
-        let mut d = Disk::new(spec());
+        let mut d = Disk::new(DiskSpec::default());
         let mut prev = SimTime::ZERO;
         let mut t = SimTime::ZERO;
         for _ in 0..20 {
@@ -326,7 +306,7 @@ mod tests {
 
     #[test]
     fn read_serializes_after_writes() {
-        let mut d = Disk::new(spec());
+        let mut d = Disk::new(DiskSpec::default());
         let w = d.write_cached(SimTime::ZERO, 1_000_000);
         let r = d.read(w.returned_at, 1_000_000);
         assert!(r >= w.durable_at);
@@ -334,7 +314,7 @@ mod tests {
 
     #[test]
     fn reset_clears_transients_and_counts_persist() {
-        let mut d = Disk::new(spec());
+        let mut d = Disk::new(DiskSpec::default());
         d.write_cached(SimTime::ZERO, 5000);
         assert_eq!(d.ops(), 1);
         d.reset(SimTime::from_secs(1));
@@ -347,7 +327,7 @@ mod tests {
 
     #[test]
     fn writes_issued_during_an_op_share_the_next_one() {
-        let mut d = Disk::new(spec());
+        let mut d = Disk::new(DiskSpec::default());
         let a = d.write_cached(MS(0), 1000);
         // Three writes while `a` executes: one op, bytes in arrival order.
         let b = d.write_cached(MS(1), 1000);
@@ -365,7 +345,7 @@ mod tests {
 
     #[test]
     fn an_op_issued_this_instant_cannot_be_joined() {
-        let mut d = Disk::new(spec());
+        let mut d = Disk::new(DiskSpec::default());
         // Idle disk: the first write's op starts now, so the second write
         // of the same instant opens the next op — which the third joins.
         d.write_cached(MS(0), 100);
@@ -378,7 +358,7 @@ mod tests {
 
     #[test]
     fn a_started_op_takes_no_more_writes() {
-        let mut d = Disk::new(spec());
+        let mut d = Disk::new(DiskSpec::default());
         let a = d.write_cached(MS(0), 100);
         let b = d.write_cached(MS(1), 100); // pending behind `a`
         assert_eq!(d.ops(), 2);
@@ -391,7 +371,7 @@ mod tests {
 
     #[test]
     fn reset_forgets_the_pending_batch() {
-        let mut d = Disk::new(spec());
+        let mut d = Disk::new(DiskSpec::default());
         d.write_cached(MS(0), 100);
         d.write_cached(MS(1), 100); // pending op, starts at ~4 ms
         d.reset(MS(2));

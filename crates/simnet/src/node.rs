@@ -23,18 +23,20 @@ impl std::fmt::Display for NodeId {
     }
 }
 
+/// Database engine payload bandwidth of every host, bytes/sec.
+pub(crate) const DB_BW: f64 = 80.0e6;
+
 /// Static cost-model parameters of a host.
 ///
 /// Defaults correspond to the paper's confined-cluster nodes (Athlon XP
-/// 1800+, IDE disk, 100 Mbit/s switched Ethernet — DESIGN.md §6).
+/// 1800+, IDE disk, 100 Mbit/s switched Ethernet — DESIGN.md §6).  Every
+/// CPU executes one workload work-unit per second.
 #[derive(Debug, Clone)]
 pub struct HostSpec {
     /// Human-readable name for traces.
     pub name: String,
-    /// Outbound NIC bandwidth, bytes/sec.
-    pub nic_bw_out: f64,
-    /// Inbound NIC bandwidth, bytes/sec.
-    pub nic_bw_in: f64,
+    /// NIC bandwidth in each direction, bytes/sec.
+    pub nic_bw: f64,
     /// Fixed per-message send cost (connection-less interaction: every
     /// message opens a connection, transfers, and closes — paper §2.2).
     pub nic_per_op: SimDuration,
@@ -42,26 +44,16 @@ pub struct HostSpec {
     pub disk: DiskSpec,
     /// Database engine: fixed cost per logical operation.
     pub db_per_op: SimDuration,
-    /// Database engine: payload bandwidth, bytes/sec.
-    pub db_bw: f64,
-    /// CPU throughput in abstract work-units per second.
-    ///
-    /// Workloads express computation in work-units; a host with
-    /// `cpu_speed = 1.0` executes one unit per second.
-    pub cpu_speed: f64,
 }
 
 impl Default for HostSpec {
     fn default() -> Self {
         HostSpec {
             name: String::new(),
-            nic_bw_out: 12.5e6,
-            nic_bw_in: 12.5e6,
+            nic_bw: 12.5e6,
             nic_per_op: SimDuration::ZERO,
             disk: DiskSpec::default(),
             db_per_op: SimDuration::from_millis(3),
-            db_bw: 80.0e6,
-            cpu_speed: 1.0,
         }
     }
 }
@@ -74,8 +66,7 @@ impl HostSpec {
 
     /// Builder: NIC bandwidth (both directions), bytes/sec.
     pub fn with_nic_bw(mut self, bytes_per_sec: f64) -> Self {
-        self.nic_bw_out = bytes_per_sec;
-        self.nic_bw_in = bytes_per_sec;
+        self.nic_bw = bytes_per_sec;
         self
     }
 
@@ -94,12 +85,6 @@ impl HostSpec {
     /// Builder: disk model.
     pub fn with_disk(mut self, disk: DiskSpec) -> Self {
         self.disk = disk;
-        self
-    }
-
-    /// Builder: CPU speed in work-units/sec.
-    pub fn with_cpu_speed(mut self, speed: f64) -> Self {
-        self.cpu_speed = speed;
         self
     }
 }
@@ -153,15 +138,11 @@ mod tests {
 
     #[test]
     fn builders_apply() {
-        let spec = HostSpec::named("coord")
-            .with_nic_bw(1.0e6)
-            .with_db_per_op(SimDuration::from_millis(1))
-            .with_cpu_speed(2.0);
+        let spec =
+            HostSpec::named("coord").with_nic_bw(1.0e6).with_db_per_op(SimDuration::from_millis(1));
         assert_eq!(spec.name, "coord");
-        assert_eq!(spec.nic_bw_out, 1.0e6);
-        assert_eq!(spec.nic_bw_in, 1.0e6);
+        assert_eq!(spec.nic_bw, 1.0e6);
         assert_eq!(spec.db_per_op, SimDuration::from_millis(1));
-        assert_eq!(spec.cpu_speed, 2.0);
     }
 
     #[test]

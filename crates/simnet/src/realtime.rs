@@ -2,9 +2,10 @@
 //!
 //! The deterministic event loop stays single-threaded; this driver maps
 //! virtual time onto real time (optionally scaled) and multiplexes external
-//! commands — message injections, fault controls, state inspection — into
-//! the loop through a channel.  The protocol actors are byte-for-byte the
-//! same code that runs under the simulator; only the clock changes.
+//! commands — closures run against the world: message injections, fault
+//! controls, state inspection — into the loop through a channel.  The
+//! protocol actors are byte-for-byte the same code that runs under the
+//! simulator; only the clock changes.
 
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
@@ -20,16 +21,9 @@ pub type WorldFn<M> = Box<dyn FnOnce(&mut World<M>) + Send>;
 
 /// Commands accepted by a running driver.
 pub enum Command<M> {
-    /// Deliver `msg` to `to` as an external stimulus.
-    Inject {
-        /// Destination node.
-        to: NodeId,
-        /// Message.
-        msg: M,
-    },
-    /// Apply a fault/topology control.
-    Control(Control),
-    /// Run a closure against the world (inspection or mutation).
+    /// Run a closure against the world (inspection or mutation) once the
+    /// world has caught up with the wall clock, so `world.now()` is the
+    /// instant the command is served.
     With(WorldFn<M>),
     /// Stop the driver and return the world.
     Shutdown,
@@ -46,15 +40,20 @@ impl<M> Clone for RealtimeHandle<M> {
     }
 }
 
-impl<M: Send + 'static> RealtimeHandle<M> {
+impl<M: WireSized + Send + 'static> RealtimeHandle<M> {
     /// Injects a message (ignored if the driver already stopped).
     pub fn inject(&self, to: NodeId, msg: M) {
-        let _ = self.tx.send(Command::Inject { to, msg });
+        self.run(move |w| w.inject(w.now(), to, msg));
     }
 
     /// Applies a control action.
     pub fn control(&self, ctl: Control) {
-        let _ = self.tx.send(Command::Control(ctl));
+        self.run(move |w| w.schedule_control(w.now(), ctl));
+    }
+
+    /// Runs `f` against the world without waiting for it.
+    fn run(&self, f: impl FnOnce(&mut World<M>) + Send + 'static) {
+        let _ = self.tx.send(Command::With(Box::new(f)));
     }
 
     /// Runs `f` on the driver thread and returns its result, or `None` if
@@ -125,14 +124,11 @@ where
                 }
                 None => rx.recv().ok(),
             };
-            let at = virt_now();
-            world.run_until(at);
+            world.run_until(virt_now());
             match cmd {
-                Some(Command::Inject { to, msg }) => world.inject(at, to, msg),
-                Some(Command::Control(ctl)) => world.schedule_control(at, ctl),
                 Some(Command::With(f)) => f(&mut world),
                 Some(Command::Shutdown) | None => {
-                    // Draining to `at` itself consumes wall time, which is
+                    // Draining to the clock itself consumes wall time, which is
                     // virtual time here: follow-on events (a relayed send
                     // one link latency out) can become due while the drain
                     // runs.  A pure-sim run would deliver them, so keep

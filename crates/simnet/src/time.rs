@@ -27,7 +27,7 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Instant `secs` seconds after the origin.
-    pub fn from_secs(secs: u64) -> Self {
+    pub const fn from_secs(secs: u64) -> Self {
         SimTime(secs * NANOS_PER_SEC)
     }
 
@@ -37,7 +37,7 @@ impl SimTime {
     }
 
     /// Instant `ms` milliseconds after the origin.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimTime(ms * NANOS_PER_MILLI)
     }
 
@@ -57,7 +57,7 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Span of `secs` seconds.
-    pub fn from_secs(secs: u64) -> Self {
+    pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs * NANOS_PER_SEC)
     }
 
@@ -67,12 +67,12 @@ impl SimDuration {
     }
 
     /// Span of `ms` milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * NANOS_PER_MILLI)
     }
 
     /// Span of `us` microseconds.
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimDuration(us * NANOS_PER_MICRO)
     }
 

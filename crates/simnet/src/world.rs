@@ -398,7 +398,7 @@ impl<M: WireSized + 'static> World<M> {
                 }
                 // Receiver-side NIC serialization, then handler.  Control
                 // frames interleave (see CONTROL_FRAME_BYTES).
-                let service = SimDuration::for_bytes(size, slot.spec.nic_bw_in);
+                let service = SimDuration::for_bytes(size, slot.spec.nic_bw);
                 let at = if size <= crate::actor::CONTROL_FRAME_BYTES {
                     self.now + service
                 } else {

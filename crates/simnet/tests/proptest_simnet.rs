@@ -2,6 +2,7 @@
 //! topologies/fault schedules, resource-model monotonicity.
 
 use proptest::prelude::*;
+use rpcv_simnet::disk::{CACHE_BW, CACHE_BYTES, PER_OP, PLATTER_BW};
 use rpcv_simnet::*;
 
 #[derive(Debug, Clone)]
@@ -60,7 +61,7 @@ impl FrameOps<M> for MOps {
 /// The op-per-write disk this crate shipped before group commit — the
 /// parent's `Disk::write_cached` body, kept here as the reference the
 /// group-commit queue is compared against: every write pays its own
-/// `per_op`, serialized behind the previous write's return.
+/// [`PER_OP`], serialized behind the previous write's return.
 struct OpPerWriteDisk {
     spec: DiskSpec,
     cache_fill: f64,
@@ -84,37 +85,35 @@ impl OpPerWriteDisk {
 
     fn op_cost(&mut self) -> SimDuration {
         if self.spec.per_op_jitter <= 0.0 {
-            return self.spec.per_op;
+            return PER_OP;
         }
         self.jitter_state ^= self.jitter_state >> 12;
         self.jitter_state ^= self.jitter_state << 25;
         self.jitter_state ^= self.jitter_state >> 27;
         let u = (self.jitter_state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64
             / (1u64 << 53) as f64;
-        SimDuration::from_secs_f64(
-            self.spec.per_op.as_secs_f64() * (1.0 + self.spec.per_op_jitter * u),
-        )
+        SimDuration::from_secs_f64(PER_OP.as_secs_f64() * (1.0 + self.spec.per_op_jitter * u))
     }
 
     fn advance(&mut self, now: SimTime) {
         let elapsed = now.since(self.as_of).as_secs_f64();
-        self.cache_fill = (self.cache_fill - elapsed * self.spec.platter_bw).max(0.0);
+        self.cache_fill = (self.cache_fill - elapsed * PLATTER_BW).max(0.0);
         self.as_of = now;
     }
 
     fn write_cached(&mut self, now: SimTime, bytes: u64) -> WriteOutcome {
         let now = now.max(self.write_frontier);
         self.advance(now);
-        let free = (self.spec.cache_bytes as f64 - self.cache_fill).max(0.0);
+        let free = (CACHE_BYTES as f64 - self.cache_fill).max(0.0);
         let fast_bytes = (bytes as f64).min(free);
         let slow_bytes = bytes as f64 - fast_bytes;
-        let t_fast = SimDuration::from_secs_f64(fast_bytes / self.spec.cache_bw);
-        let t_slow = SimDuration::from_secs_f64(slow_bytes / self.spec.platter_bw);
+        let t_fast = SimDuration::from_secs_f64(fast_bytes / CACHE_BW);
+        let t_slow = SimDuration::from_secs_f64(slow_bytes / PLATTER_BW);
         let insert_done = now + self.op_cost() + t_fast + t_slow;
         self.busy_total += insert_done.since(now);
         self.advance(insert_done);
-        self.cache_fill = (self.cache_fill + fast_bytes).min(self.spec.cache_bytes as f64);
-        let drain = SimDuration::from_secs_f64(self.cache_fill / self.spec.platter_bw);
+        self.cache_fill = (self.cache_fill + fast_bytes).min(CACHE_BYTES as f64);
+        let drain = SimDuration::from_secs_f64(self.cache_fill / PLATTER_BW);
         self.write_frontier = insert_done;
         WriteOutcome { returned_at: insert_done, durable_at: insert_done + drain }
     }
@@ -286,7 +285,7 @@ proptest! {
         jitter in 0u64..2,
         writes in proptest::collection::vec((0u64..5000, 1u64..2_000_000), 1..40),
     ) {
-        let spec = DiskSpec { per_op_jitter: jitter as f64 * 0.5, ..DiskSpec::default() };
+        let spec = DiskSpec { per_op_jitter: jitter as f64 * 0.5 };
 
         let (mut d, mut r) = (Disk::new(spec.clone()), OpPerWriteDisk::new(spec.clone()));
         let mut at = SimTime::ZERO;
@@ -330,7 +329,7 @@ proptest! {
         jitter in 0u64..2,
         writes in proptest::collection::vec((200u64..2000, 1u64..4096), 50..400),
     ) {
-        let spec = DiskSpec { per_op_jitter: jitter as f64 * 0.5, ..DiskSpec::default() };
+        let spec = DiskSpec { per_op_jitter: jitter as f64 * 0.5 };
         let op_max = SimDuration::from_micros(6_500);
         let (mut d, mut r) = (Disk::new(spec.clone()), OpPerWriteDisk::new(spec));
         let mut at = SimTime::ZERO;

@@ -66,12 +66,6 @@ impl JobSpec {
         self
     }
 
-    /// Builder: command line.
-    pub fn with_cmdline(mut self, cmdline: impl Into<String>) -> Self {
-        self.cmdline = cmdline.into();
-        self
-    }
-
     /// Builder: redundant-replication factor (extension).
     pub fn with_replication(mut self, n: u32) -> Self {
         self.replication = n.max(1);
@@ -103,12 +97,17 @@ mod tests {
     use rpcv_wire::{from_bytes, to_bytes, WireEncode};
 
     fn job() -> JobSpec {
-        JobSpec::new(JobKey::new(ClientKey::new(1, 2), 3), "netsim/eval", Blob::synthetic(1024, 9))
-            .with_exec_cost(10.0)
-            .with_result_size(256)
-            .with_cmdline("eval --config net.cfg")
-            .with_replication(2)
-            .with_work_units(8)
+        let mut j = JobSpec::new(
+            JobKey::new(ClientKey::new(1, 2), 3),
+            "netsim/eval",
+            Blob::synthetic(1024, 9),
+        )
+        .with_exec_cost(10.0)
+        .with_result_size(256)
+        .with_replication(2)
+        .with_work_units(8);
+        j.cmdline = "eval --config net.cfg".into();
+        j
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! one surviving seed is luck, a property is a guarantee.
 
 use proptest::prelude::*;
-use rpcv::core::chaos::{ChaosConfig, ChaosOracle};
-use rpcv::simnet::SimTime;
+use rpcv::core::chaos::ChaosOracle;
 use rpcv::wire::mix64;
 
 proptest! {
@@ -55,8 +54,7 @@ proptest! {
         intensity_pct in 5u32..=100,
     ) {
         let intensity = intensity_pct as f64 / 100.0;
-        let cfg = ChaosConfig::new(seed, intensity).with_shards(2, 4);
-        let report = ChaosOracle::new(cfg).run();
+        let report = ChaosOracle::seeded(seed, intensity).with_shards(2, 4).run();
         prop_assert!(
             report.survived(),
             "sharded seed {seed:#x} intensity {intensity:.2} violated: {:?}",
@@ -81,14 +79,13 @@ proptest! {
 }
 
 /// One plan of the soak's cell: the standard cell (flat) or two shards ×
-/// four clients, given 900 s of virtual time.  `Err` is the one-line repro.
+/// four clients.  `Err` is the one-line repro.
 fn soak_plan(sharded: bool, seed: u64, intensity: f64) -> Result<(), String> {
-    let mut cfg = ChaosConfig::new(seed, intensity);
-    cfg.horizon = SimTime::from_secs(900);
+    let mut oracle = ChaosOracle::seeded(seed, intensity);
     if sharded {
-        cfg = cfg.with_shards(2, 4);
+        oracle = oracle.with_shards(2, 4);
     }
-    let report = ChaosOracle::new(cfg).run();
+    let report = oracle.run();
     if report.survived() {
         return Ok(());
     }

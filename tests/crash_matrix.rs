@@ -114,17 +114,13 @@ fn double_crash_optimistic_reexecutes_submissions() {
 /// zero jobs and re-acquire zero archives.
 #[test]
 fn failover_after_collection_never_reexecutes_collected_jobs() {
-    let mut cfg = ProtocolConfig::confined()
+    let cfg = ProtocolConfig::confined()
         .with_heartbeat(SimDuration::from_secs(1))
         .with_suspicion(SimDuration::from_secs(5))
         // One long replication period: the whole submit→execute→collect
         // cycle fits before the first round, so the successor learns
         // "finished" and "collected" from the very same delta.
         .with_replication_period(SimDuration::from_secs(20));
-    // A short missing-archive timeout so a re-execution leak would fire
-    // well inside the test horizon (the effective horizon still scales to
-    // 3 replication periods = 60 s).
-    cfg.missing_archive_timeout = SimDuration::from_secs(10);
     let plan: Vec<CallSpec> =
         (0..8).map(|i| CallSpec::new("b", Blob::synthetic(10_000, i), 2.0, 128)).collect();
     let mut g = SimGrid::build(GridSpec::confined(2, 4).with_cfg(cfg).with_plan(plan));
@@ -179,11 +175,10 @@ fn failover_after_collection_never_reexecutes_collected_jobs() {
 /// result re-announced after every failover.
 #[test]
 fn client_reack_after_failover_settles_the_successors_watch_list() {
-    let mut cfg = ProtocolConfig::confined()
+    let cfg = ProtocolConfig::confined()
         .with_heartbeat(SimDuration::from_secs(1))
         .with_suspicion(SimDuration::from_secs(5))
         .with_replication_period(SimDuration::from_secs(20));
-    cfg.missing_archive_timeout = SimDuration::from_secs(10);
     // One wave, finishing ~0.7 s before the first replication round.
     let plan: Vec<CallSpec> =
         (0..4).map(|i| CallSpec::new("b", Blob::synthetic(10_000, i), 18.3, 128)).collect();
@@ -224,12 +219,10 @@ fn client_reack_after_failover_settles_the_successors_watch_list() {
 /// re-execute zero collected jobs when the primary then dies for good.
 #[test]
 fn pruned_feed_successor_bootstraps_via_snapshot() {
-    let mut cfg = ProtocolConfig::confined()
+    let cfg = ProtocolConfig::confined()
         .with_heartbeat(SimDuration::from_secs(1))
         .with_suspicion(SimDuration::from_secs(4))
         .with_replication_period(SimDuration::from_secs(4));
-    cfg.coord_retry = SimDuration::from_secs(10);
-    cfg.missing_archive_timeout = SimDuration::from_secs(10);
     let plan: Vec<CallSpec> =
         (0..8).map(|i| CallSpec::new("b", Blob::synthetic(10_000, i), 2.0, 128)).collect();
     let mut g = SimGrid::build(GridSpec::confined(2, 4).with_cfg(cfg).with_plan(plan));
@@ -268,7 +261,9 @@ fn pruned_feed_successor_bootstraps_via_snapshot() {
         SimTime::from_secs(35),
         rpcv::simnet::Control::Unblock { from: c0, to: c1, bidir: true },
     );
-    g.world.run_until(SimTime::from_secs(70));
+    // The primary suspected its successor during the block and retries it
+    // `COORD_RETRY` (60 s) after that suspicion.
+    g.world.run_until(SimTime::from_secs(110));
     assert!(g.coordinator(0).unwrap().metrics.snapshots_sent >= 1, "a round below the floor");
     let tasks_before = {
         let successor = g.coordinator(1).expect("successor up");
@@ -303,11 +298,10 @@ fn pruned_feed_successor_bootstraps_via_snapshot() {
 /// ending fully re-seeded with zero re-executions.
 #[test]
 fn wiped_successor_detects_feed_gap_and_requests_snapshot() {
-    let mut cfg = ProtocolConfig::confined()
+    let cfg = ProtocolConfig::confined()
         .with_heartbeat(SimDuration::from_secs(1))
         .with_suspicion(SimDuration::from_secs(4))
         .with_replication_period(SimDuration::from_secs(4));
-    cfg.missing_archive_timeout = SimDuration::from_secs(10);
     let plan: Vec<CallSpec> =
         (0..8).map(|i| CallSpec::new("b", Blob::synthetic(10_000, i), 2.0, 128)).collect();
     let mut g = SimGrid::build(GridSpec::confined(2, 4).with_cfg(cfg).with_plan(plan));
@@ -645,11 +639,10 @@ fn wiped_primary_relearns_its_own_rows_from_the_replica() {
         // nothing to prune behind, the feed has no floor.  Short periods:
         // acks flow and the replica retires what it learned.
         let (period, wipe_at) = if pruned_replica { (4, 45) } else { (20, 35) };
-        let mut cfg = ProtocolConfig::confined()
+        let cfg = ProtocolConfig::confined()
             .with_heartbeat(SimDuration::from_secs(1))
             .with_suspicion(SimDuration::from_secs(5))
             .with_replication_period(SimDuration::from_secs(period));
-        cfg.missing_archive_timeout = SimDuration::from_secs(10);
         let plan: Vec<CallSpec> =
             (0..8).map(|i| CallSpec::new("b", Blob::synthetic(10_000, i), 2.0, 128)).collect();
         let mut g = SimGrid::build(GridSpec::confined(2, 4).with_cfg(cfg).with_plan(plan));
@@ -728,11 +721,10 @@ fn wiped_primary_relearns_its_own_rows_from_the_replica() {
 /// delivered seqs.
 #[test]
 fn retired_prefix_survives_two_successive_coordinator_wipes() {
-    let mut cfg = ProtocolConfig::confined()
+    let cfg = ProtocolConfig::confined()
         .with_heartbeat(SimDuration::from_secs(1))
         .with_suspicion(SimDuration::from_secs(5))
         .with_replication_period(SimDuration::from_secs(4));
-    cfg.missing_archive_timeout = SimDuration::from_secs(10);
     let plan: Vec<CallSpec> =
         (0..8).map(|i| CallSpec::new("b", Blob::synthetic(10_000, i), 2.0, 128)).collect();
     let mut g = SimGrid::build(GridSpec::confined(2, 4).with_cfg(cfg).with_plan(plan));

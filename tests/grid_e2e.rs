@@ -1,6 +1,7 @@
 //! Cross-crate end-to-end tests on the deterministic simulator, driven
 //! through the `rpcv` facade exactly as a downstream user would.
 
+use rpcv::ckpt::CheckpointPolicy;
 use rpcv::core::config::ProtocolConfig;
 use rpcv::core::grid::{GridSpec, SimGrid};
 use rpcv::core::msg::Msg;
@@ -133,7 +134,7 @@ fn replica_never_reexecutes_while_primary_serves() {
     // (at scale the un-gated scan re-executed the whole backlog — the
     // "fault-free storm" the scale sweep's residency/flatness gates now
     // pin down).  Hold finished work uncollected well past
-    // reexec_horizon (missing_archive_timeout = 60s confined) by taking
+    // the re-execution horizon (60 s on the confined grid) by taking
     // the client away: the quiet grid must dispatch exactly one
     // instance per job and re-execute nothing anywhere.
     let jobs = 40;
@@ -478,7 +479,7 @@ fn protocol_traces_are_pinned() {
     // another restarted with its disk (it resumes its own snapshot).
     let cfg = ProtocolConfig::confined()
         .with_heartbeat(SimDuration::from_secs(1))
-        .with_checkpointing(SimDuration::from_secs(5));
+        .with_checkpoint_policy(CheckpointPolicy::Fixed(SimDuration::from_secs(5)));
     let plans = (0..6u64)
         .map(|c| {
             (0..4u64)
