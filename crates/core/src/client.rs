@@ -13,14 +13,15 @@
 //! * survive crashes: restart from the durable log, roll forward past
 //!   whatever the coordinator already registered.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use rpcv_detect::CoordLink;
-use rpcv_log::{GcPolicy, SenderLog};
+use rpcv_log::{GcPolicy, SenderLog, SeqWindow};
 use rpcv_obs::{Histogram, TelemetrySnapshot};
 use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimTime, TimerId};
 use rpcv_wire::Blob;
-use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec};
+use rpcv_xw::{ClientKey, CoordId, JobKey};
 
 use crate::calibration::MARSHAL_BW;
 use crate::config::ProtocolConfig;
@@ -115,8 +116,8 @@ struct ResultRec {
 
 /// State that survives a client crash (its disk).
 struct ClientDurable {
-    log: SenderLog<JobSpec>,
-    results: BTreeMap<u64, ResultRec>,
+    log: SenderLog<CallSpec>,
+    results: SeqWindow<ResultRec>,
     metrics: ClientMetrics,
 }
 
@@ -130,8 +131,9 @@ pub struct ClientParams {
     /// Coordinator directory.
     pub directory: Directory,
     /// The workload: calls submitted sequentially (each when the previous
-    /// submission interaction completes).
-    pub plan: Vec<CallSpec>,
+    /// submission interaction completes).  One copy, shared by the factory
+    /// and every incarnation; call `i` is submitted as seq `i + 1`.
+    pub plan: Arc<[CallSpec]>,
 }
 
 /// The client state machine.
@@ -140,15 +142,23 @@ pub struct ClientActor {
     /// The preferred coordinator and the list it was picked from: the
     /// directory's group owning this client's job space.
     link: CoordLink<CoordId>,
-    log: SenderLog<JobSpec>,
+    /// Every submitted call, at its seq: the log holds the call, not the
+    /// submission — [`CallSpec::job`] rebuilds that wherever one is sent.
+    log: SenderLog<CallSpec>,
+    /// Plan calls submitted (or rolled forward past) so far.
     next_plan_idx: usize,
-    results: BTreeMap<u64, ResultRec>,
+    /// Calls made through the API ([`Msg::ApiSubmit`]) that are not logged
+    /// yet: the plan's tail, queued only until [`Self::submit_next`] logs
+    /// them, since the log is where a submitted call lives.
+    api_queue: VecDeque<CallSpec>,
+    /// Held results, at their seqs.
+    results: SeqWindow<ResultRec>,
     /// Seqs of held results not yet acknowledged to the current
     /// coordinator incarnation — the index behind the per-beat collected
     /// list, so a steady-state beat is O(unacked), never a walk of the
     /// whole result history (the client-side mirror of `PeerLog`'s
     /// unacked index).
-    unacked_results: std::collections::BTreeSet<u64>,
+    unacked_results: BTreeSet<u64>,
     /// When each submission above the acknowledged mark last left this
     /// client (replay throttle); [`Self::ack_up_to`] drops the rest.
     sent_at: BTreeMap<u64, SimTime>,
@@ -178,7 +188,7 @@ pub struct ClientActor {
     /// Last ResultsRequest instant (pull pacing).
     last_pull: Option<SimTime>,
     /// Submissions whose interaction has not completed yet (keeps the
-    /// sequential submission pump alive across API-driven plan growth).
+    /// sequential submission pump alive across API calls).
     in_flight_submissions: usize,
     /// Armed `K_SUBMIT` timers: the coordinator each submission goes to and
     /// its seq (the spec is read back from the log when the timer fires).
@@ -209,7 +219,7 @@ impl ClientActor {
                 actor.log = d.log;
                 // Acknowledgements are volatile: every held result is
                 // re-announced to whoever answers the restart.
-                actor.unacked_results = d.results.keys().copied().collect();
+                actor.unacked_results = d.results.iter().map(|(seq, _)| seq).collect();
                 actor.results = d.results;
                 actor.metrics = d.metrics;
             }
@@ -226,8 +236,9 @@ impl ClientActor {
             link,
             log,
             next_plan_idx: 0,
-            results: BTreeMap::new(),
-            unacked_results: std::collections::BTreeSet::new(),
+            api_queue: VecDeque::new(),
+            results: SeqWindow::new(),
+            unacked_results: BTreeSet::new(),
             sent_at: BTreeMap::new(),
             sent_hw: 0,
             coord_epoch: None,
@@ -269,26 +280,32 @@ impl ClientActor {
         self.params.directory.node_of(self.link.pick(now)?)
     }
 
+    /// The submission of the logged call at `seq`.
+    fn submission(&self, seq: u64) -> Msg {
+        let call = &self.log.get(seq).expect("a submitted seq is logged").value;
+        Msg::Submit { spec: call.job(JobKey { client: self.params.key, seq }) }
+    }
+
+    /// Logs and sends the next call: the plan's next one, else the oldest
+    /// queued API call.
     fn submit_next(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let Some(call) = self.params.plan.get(self.next_plan_idx).cloned() else { return };
+        let call = match self.params.plan.get(self.next_plan_idx) {
+            Some(call) => {
+                self.next_plan_idx += 1;
+                call.clone()
+            }
+            None => match self.api_queue.pop_front() {
+                Some(call) => call,
+                None => return,
+            },
+        };
         let now = ctx.now();
         let seq = self.log.peek_seq();
-        self.next_plan_idx += 1;
         self.in_flight_submissions += 1;
-        let spec = JobSpec {
-            key: JobKey { client: self.params.key, seq },
-            service: call.service,
-            cmdline: String::new(),
-            params: call.params,
-            exec_cost: call.exec_cost,
-            result_size_hint: call.result_size,
-            replication: call.replication,
-            work_units: call.work_units,
-        };
         // Marshalling cost, then the strategy-mediated log write.
-        let marshal_done = ctx.cpu(spec.params.len() as f64 / MARSHAL_BW);
-        let logged_bytes = spec.params.len() + 64; // params + call frame
-        let out = self.log.append(spec.clone(), logged_bytes, now, ctx.disk_mut());
+        let marshal_done = ctx.cpu(call.params.len() as f64 / MARSHAL_BW);
+        let logged_bytes = call.params.len() + 64; // params + call frame
+        let out = self.log.append(call, logged_bytes, now, ctx.disk_mut());
         debug_assert_eq!(out.seq, seq);
         self.metrics
             .submissions
@@ -304,7 +321,7 @@ impl ClientActor {
         }
         if let Some(node) = self.coordinator(now) {
             if comm_start <= now {
-                let comm_end = ctx.send(node, Msg::Submit { spec });
+                let comm_end = ctx.send(node, self.submission(seq));
                 self.finish_submission(ctx, seq, comm_end);
             } else {
                 let id = ctx.set_timer_at(comm_start, K_SUBMIT);
@@ -327,8 +344,8 @@ impl ClientActor {
         }
         self.in_flight_submissions = self.in_flight_submissions.saturating_sub(1);
         // Sequential submission: the next call starts when this interaction
-        // completes.  Always schedule the continuation — the plan may grow
-        // (API submissions) between now and the timer firing.
+        // completes.  Always schedule the continuation — an API call may
+        // arrive between now and the timer firing.
         ctx.set_timer_at(end, K_NEXT);
     }
 
@@ -349,7 +366,7 @@ impl ClientActor {
         let collected: Vec<u64> = self
             .unacked_results
             .iter()
-            .filter(|s| self.results.get(s).is_some_and(|r| r.durable_at <= now))
+            .filter(|&&s| self.results.get(s).is_some_and(|r| r.durable_at <= now))
             .copied()
             .take(MAX_COLLECTED_PER_BEAT)
             .collect();
@@ -377,24 +394,28 @@ impl ClientActor {
         // that one write's durability.
         let bytes: u64 = results
             .iter()
-            .filter(|r| !self.results.contains_key(&r.job.seq))
+            .filter(|r| !self.results.contains(r.job.seq))
             .map(|r| r.archive.len() + 32)
             .sum();
         let durable_at = if bytes > 0 { ctx.disk_write(bytes, false).durable_at } else { now };
         for r in results {
             let seq = r.job.seq;
             self.frontier.remove(seq);
-            if self.results.contains_key(&seq) {
+            if self.results.contains(seq) {
                 continue;
             }
             self.results.insert(seq, ResultRec { archive: r.archive, durable_at });
             self.unacked_results.insert(seq);
             self.metrics.results_received.insert(seq, now);
         }
+        // Done once every call made (the plan, then the API's) is logged
+        // and each logged seq has its result.
+        let calls = self.log.max_seq();
         if self.metrics.done_at.is_none()
             && self.next_plan_idx >= self.params.plan.len()
-            && self.results.len() >= self.params.plan.len()
-            && !self.params.plan.is_empty()
+            && self.api_queue.is_empty()
+            && calls > 0
+            && self.results.len() as u64 >= calls
         {
             self.metrics.done_at = Some(now);
             ctx.note("client workload complete");
@@ -433,7 +454,7 @@ impl ClientActor {
                 // acknowledgements, and without them it would queue the
                 // delivered jobs for pointless re-execution.  Re-acking is
                 // idempotent on the coordinator side.
-                self.unacked_results = self.results.keys().copied().collect();
+                self.unacked_results = self.results.iter().map(|(seq, _)| seq).collect();
             }
             self.coord_epoch = current;
             self.acked_max = 0;
@@ -504,7 +525,7 @@ impl ClientActor {
         if !rebased && catalog_base <= self.catalog_hw && catalog_head >= self.catalog_hw {
             let policy = self.retry_policy(ctx);
             for &(seq, size) in &available {
-                if !self.results.contains_key(&seq) {
+                if !self.results.contains(seq) {
                     self.frontier.announce(seq, size, policy);
                 }
             }
@@ -541,26 +562,26 @@ impl ClientActor {
             // is exactly the unacked set — a maintained O(1) counter.
             self.log.unacked_bytes()
         } else {
-            self.log.entries_after(coord_max).map(|e| e.size).sum()
+            self.log.entries_after(coord_max).map(|(_, e)| e.size).sum()
         };
         let stalled = now.since(self.progress_at) > policy.horizon(0, pending_bytes);
         let mut budget: i64 = 32 * 1024 * 1024;
-        let mut specs: Vec<JobSpec> = Vec::new();
+        let mut specs = Vec::new();
         // Without a stall, an entry already sent to this incarnation is
         // never replayable — skip the whole contiguous sent prefix instead
         // of re-testing every in-flight entry on every acknowledgement.
         let scan_from = if stalled { coord_max } else { coord_max.max(self.sent_hw) };
-        for e in self.log.entries_after(scan_from) {
+        for (seq, e) in self.log.entries_after(scan_from) {
             if specs.len() >= 64 || budget < 0 {
                 break;
             }
-            let replayable = match self.sent_at.get(&e.seq) {
+            let replayable = match self.sent_at.get(&seq) {
                 Some(&sent) => stalled && now.since(sent) > policy.horizon(0, e.size),
                 None => true,
             };
             if replayable {
                 budget -= e.size as i64;
-                specs.push(e.value.clone());
+                specs.push(e.value.job(JobKey { client: self.params.key, seq }));
             }
         }
         if !specs.is_empty() {
@@ -614,7 +635,7 @@ impl ClientActor {
         // horizon is never walked.
         let want = self.frontier.window(now, self.retry_policy(ctx));
         if !want.is_empty() {
-            debug_assert!(want.iter().all(|s| !self.results.contains_key(s)), "held result pulled");
+            debug_assert!(want.iter().all(|&s| !self.results.contains(s)), "held result pulled");
             self.last_pull = Some(now);
             if let Some(node) = self.coordinator(now) {
                 ctx.send(node, Msg::ResultsRequest { client: self.params.key, want });
@@ -631,7 +652,7 @@ impl ClientActor {
 
     /// A received result's archive (for the API layer).
     pub fn result_archive(&self, seq: u64) -> Option<&Blob> {
-        self.results.get(&seq).map(|r| &r.archive)
+        self.results.get(seq).map(|r| &r.archive)
     }
 
     /// The last telemetry snapshot received from `coord`, if any.
@@ -716,7 +737,7 @@ impl Actor<Msg> for ClientActor {
                 self.pull_missing(ctx, true);
             }
             Msg::ApiSubmit { service, params, exec_cost, result_size, replication, work_units } => {
-                self.params.plan.push(
+                self.api_queue.push_back(
                     CallSpec::new(service, params, exec_cost, result_size)
                         .with_replication(replication)
                         .with_work_units(work_units),
@@ -769,8 +790,7 @@ impl Actor<Msg> for ClientActor {
             }
             K_SUBMIT => {
                 if let Some((node, seq)) = self.submitting.remove(&id) {
-                    let spec = self.log.get(seq).expect("a submitting seq is logged").value.clone();
-                    let comm_end = ctx.send(node, Msg::Submit { spec });
+                    let comm_end = ctx.send(node, self.submission(seq));
                     self.finish_submission(ctx, seq, comm_end);
                 }
             }
@@ -784,5 +804,24 @@ impl Actor<Msg> for ClientActor {
         log.survive_crash(now);
         results.retain(|_, r| r.durable_at <= now);
         DurableImage::of(ClientDurable { log, results, metrics })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    #[test]
+    fn client_row_layouts_are_pinned() {
+        // The client's twin of the store's `row_layouts_are_pinned`: one
+        // log row per call it ever made and one result row per result it
+        // holds, neither collected yet — a new field is a decision.
+        type LogRow = rpcv_log::SenderEntry<CallSpec>;
+        assert!(size_of::<LogRow>() <= 88, "log row: {}", size_of::<LogRow>());
+        assert!(size_of::<ResultRec>() <= 32, "result row: {}", size_of::<ResultRec>());
+        // A vacant window slot costs the row's bytes and nothing more.
+        assert_eq!(size_of::<Option<LogRow>>(), size_of::<LogRow>());
+        assert_eq!(size_of::<Option<ResultRec>>(), size_of::<ResultRec>());
     }
 }

@@ -167,7 +167,7 @@ pub struct SimGrid {
 
 impl SimGrid {
     /// Assembles and installs every actor.
-    pub fn build(spec: GridSpec) -> SimGrid {
+    pub fn build(mut spec: GridSpec) -> SimGrid {
         let mut world = World::<Msg>::new(spec.seed);
         *world.net_mut() = rpcv_simnet::NetModel::new(spec.link);
 
@@ -239,7 +239,7 @@ impl SimGrid {
                 key,
                 cfg: spec.cfg.clone(),
                 directory: directory.clone(),
-                plan: spec.plans.get(i).cloned().unwrap_or_default(),
+                plan: spec.plans.get_mut(i).map(std::mem::take).unwrap_or_default().into(),
             };
             world.install(node, ClientActor::factory(client_params));
         }

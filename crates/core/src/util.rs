@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use rpcv_simnet::NodeId;
 use rpcv_wire::Blob;
-use rpcv_xw::{ClientKey, CoordId, ServiceName};
+use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServiceName};
 
 /// Maps coordinator identities to their network addresses, partitioned into
 /// replication shards.
@@ -117,6 +117,21 @@ impl CallSpec {
     pub fn with_work_units(mut self, n: u32) -> Self {
         self.work_units = n.max(1);
         self
+    }
+
+    /// The submission of this call under `key` (no command line: a call is
+    /// a service invocation).
+    pub(crate) fn job(&self, key: JobKey) -> JobSpec {
+        JobSpec {
+            key,
+            service: self.service.clone(),
+            cmdline: String::new(),
+            params: self.params.clone(),
+            exec_cost: self.exec_cost,
+            result_size_hint: self.result_size,
+            replication: self.replication,
+            work_units: self.work_units,
+        }
     }
 }
 

@@ -17,6 +17,9 @@
 //! * [`LogStrategy`] — optimistic, blocking pessimistic and non-blocking
 //!   pessimistic write disciplines, with exact durability semantics driven
 //!   by the disk model of `rpcv-simnet`;
+//! * [`SeqWindow`] — rows keyed by a dense seq, in fixed chunks: the
+//!   sender log's storage, and the coordinator's job table's (one window
+//!   per client);
 //! * [`GcPolicy`] — bounded-capacity garbage collection ("Since logging
 //!   capacities are bounded, we should decide whether flushing some
 //!   logs ... or stopping computations", §4.2).
@@ -25,8 +28,10 @@ pub mod gc;
 pub mod peer;
 pub mod sender;
 pub mod strategy;
+pub mod window;
 
 pub use gc::{GcOutcome, GcPolicy};
 pub use peer::{PeerKey, PeerLog};
 pub use sender::{AppendOutcome, SenderEntry, SenderLog};
 pub use strategy::LogStrategy;
+pub use window::SeqWindow;

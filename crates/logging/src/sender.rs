@@ -1,18 +1,19 @@
 //! The client-side sender log: monotone timestamps, crash survival,
 //! synchronization against the coordinator's high-water mark.
-
-use std::collections::BTreeMap;
+//!
+//! Timestamps are dense by protocol (each append takes the next one), so
+//! the log is a [`SeqWindow`]: the seq is the index and a row holds only
+//! what an entry says about it.
 
 use rpcv_simnet::{Disk, SimTime};
 
 use crate::gc::{GcOutcome, GcPolicy};
 use crate::strategy::{LogStrategy, StrategyOutcome};
+use crate::window::SeqWindow;
 
-/// One logged submission.
+/// One logged submission; its timestamp is the seq it is stored under.
 #[derive(Debug, Clone)]
 pub struct SenderEntry<T> {
-    /// The submission timestamp (unique counter value, paper §4.2).
-    pub seq: u64,
     /// Logged value (the RPC call).
     pub value: T,
     /// Bytes this entry occupies in the log.
@@ -38,7 +39,7 @@ pub struct AppendOutcome {
 pub struct SenderLog<T> {
     strategy: LogStrategy,
     gc: GcPolicy,
-    entries: BTreeMap<u64, SenderEntry<T>>,
+    entries: SeqWindow<SenderEntry<T>>,
     next_seq: u64,
     bytes: u64,
     /// Highest timestamp every entry at or below which is already acked —
@@ -51,13 +52,13 @@ pub struct SenderLog<T> {
     unacked_bytes: u64,
 }
 
-impl<T: Clone> SenderLog<T> {
+impl<T> SenderLog<T> {
     /// Empty log using `strategy` and `gc`.
     pub fn new(strategy: LogStrategy, gc: GcPolicy) -> Self {
         SenderLog {
             strategy,
             gc,
-            entries: BTreeMap::new(),
+            entries: SeqWindow::new(),
             next_seq: 1,
             bytes: 0,
             acked_hw: 0,
@@ -105,10 +106,8 @@ impl<T: Clone> SenderLog<T> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let timing = self.strategy.write(disk, now, size);
-        self.entries.insert(
-            seq,
-            SenderEntry { seq, value, size, durable_at: timing.durable_at, acked: false },
-        );
+        self.entries
+            .insert(seq, SenderEntry { value, size, durable_at: timing.durable_at, acked: false });
         self.bytes += size;
         self.unacked_bytes += size;
         AppendOutcome { seq, timing }
@@ -120,7 +119,7 @@ impl<T: Clone> SenderLog<T> {
     }
 
     /// Bytes retained in unacknowledged entries (maintained counter —
-    /// O(1); equals `entries_after(acked_hw()).map(|e| e.size).sum()`).
+    /// O(1); equals `entries_after(acked_hw()).map(|(_, e)| e.size).sum()`).
     pub fn unacked_bytes(&self) -> u64 {
         self.unacked_bytes
     }
@@ -144,15 +143,15 @@ impl<T: Clone> SenderLog<T> {
         self.acked_hw = up_to;
     }
 
-    /// Entries strictly after `seq`, in order — the resend set for
-    /// client→coordinator synchronization.
-    pub fn entries_after(&self, seq: u64) -> impl Iterator<Item = &SenderEntry<T>> {
-        self.entries.range(seq + 1..).map(|(_, e)| e)
+    /// Entries strictly after `seq` as `(seq, entry)`, in order — the
+    /// resend set for client→coordinator synchronization.
+    pub fn entries_after(&self, seq: u64) -> impl Iterator<Item = (u64, &SenderEntry<T>)> {
+        self.entries.range(seq + 1..=u64::MAX)
     }
 
     /// Looks up one entry.
     pub fn get(&self, seq: u64) -> Option<&SenderEntry<T>> {
-        self.entries.get(&seq)
+        self.entries.get(seq)
     }
 
     /// Crash semantics: entries whose write had not drained by `now` are
@@ -162,9 +161,10 @@ impl<T: Clone> SenderLog<T> {
     pub fn survive_crash(&mut self, now: SimTime) -> usize {
         let before = self.entries.len();
         self.entries.retain(|_, e| e.durable_at <= now);
-        self.bytes = self.entries.values().map(|e| e.size).sum();
-        self.unacked_bytes = self.entries.values().filter(|e| !e.acked).map(|e| e.size).sum();
-        self.next_seq = self.entries.keys().next_back().map_or(1, |&s| s + 1);
+        self.bytes = self.entries.iter().map(|(_, e)| e.size).sum();
+        self.unacked_bytes =
+            self.entries.iter().filter(|(_, e)| !e.acked).map(|(_, e)| e.size).sum();
+        self.next_seq = self.entries.last_seq().map_or(1, |s| s + 1);
         // The restarted counter may re-allocate timestamps at or below the
         // old mark (acked-but-undurable entries died with the cache); the
         // per-entry flags survive, so restarting the resume point only
@@ -182,12 +182,13 @@ impl<T: Clone> SenderLog<T> {
         if self.bytes <= self.gc.max_bytes {
             return out;
         }
-        let eligible: Vec<u64> = self.entries.values().filter(|e| e.acked).map(|e| e.seq).collect();
+        let eligible: Vec<u64> =
+            self.entries.iter().filter(|(_, e)| e.acked).map(|(seq, _)| seq).collect();
         for seq in eligible {
             if self.bytes <= self.gc.target_bytes() {
                 break;
             }
-            if let Some(e) = self.entries.remove(&seq) {
+            if let Some(e) = self.entries.remove(seq) {
                 self.bytes -= e.size;
                 out.dropped += 1;
                 out.bytes_freed += e.size;
@@ -196,9 +197,9 @@ impl<T: Clone> SenderLog<T> {
         out
     }
 
-    /// Iterates all retained entries in timestamp order.
-    pub fn iter(&self) -> impl Iterator<Item = &SenderEntry<T>> {
-        self.entries.values()
+    /// Iterates all retained entries as `(seq, entry)` in timestamp order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &SenderEntry<T>)> {
+        self.entries.iter()
     }
 }
 
@@ -241,7 +242,7 @@ mod tests {
         assert!(log.get(1).unwrap().acked);
         assert!(log.get(2).unwrap().acked);
         assert!(!log.get(3).unwrap().acked);
-        let resend: Vec<u64> = log.entries_after(2).map(|e| e.seq).collect();
+        let resend: Vec<u64> = log.entries_after(2).map(|(seq, _)| seq).collect();
         assert_eq!(resend, vec![3, 4]);
         assert_eq!(log.entries_after(99).count(), 0);
     }

@@ -1,9 +1,101 @@
 //! Property tests for the logging substrate: no submission is ever lost or
 //! duplicated by sync/GC/crash interactions.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
-use rpcv_log::{GcPolicy, LogStrategy, PeerLog, SenderLog};
-use rpcv_simnet::{Disk, DiskSpec, SimTime};
+use rpcv_log::{AppendOutcome, GcOutcome, GcPolicy, LogStrategy, PeerLog, SenderEntry, SenderLog};
+use rpcv_simnet::{Disk, DiskSpec, SimDuration, SimTime};
+
+/// The sender log as an ordered map, one node per entry: the definition
+/// the seq-window [`SenderLog`] is held to, op for op, by
+/// `sender_log_matches_ordered_map_reference`.
+struct RefSenderLog {
+    strategy: LogStrategy,
+    gc: GcPolicy,
+    entries: BTreeMap<u64, SenderEntry<u64>>,
+    next_seq: u64,
+    bytes: u64,
+    acked_hw: u64,
+    unacked_bytes: u64,
+}
+
+impl RefSenderLog {
+    fn new(strategy: LogStrategy, gc: GcPolicy) -> Self {
+        RefSenderLog {
+            strategy,
+            gc,
+            entries: BTreeMap::new(),
+            next_seq: 1,
+            bytes: 0,
+            acked_hw: 0,
+            unacked_bytes: 0,
+        }
+    }
+
+    fn append(&mut self, value: u64, size: u64, now: SimTime, disk: &mut Disk) -> AppendOutcome {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let timing = self.strategy.write(disk, now, size);
+        let entry = SenderEntry { value, size, durable_at: timing.durable_at, acked: false };
+        self.entries.insert(seq, entry);
+        self.bytes += size;
+        self.unacked_bytes += size;
+        AppendOutcome { seq, timing }
+    }
+
+    fn ack_up_to(&mut self, up_to: u64) {
+        if up_to <= self.acked_hw {
+            return;
+        }
+        for e in self.entries.range_mut(self.acked_hw + 1..=up_to).map(|(_, e)| e) {
+            if !e.acked {
+                e.acked = true;
+                self.unacked_bytes -= e.size;
+            }
+        }
+        self.acked_hw = up_to;
+    }
+
+    fn fast_forward(&mut self, seq: u64) {
+        self.next_seq = self.next_seq.max(seq + 1);
+    }
+
+    fn survive_crash(&mut self, now: SimTime) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|_, e| e.durable_at <= now);
+        self.bytes = self.entries.values().map(|e| e.size).sum();
+        self.unacked_bytes = self.entries.values().filter(|e| !e.acked).map(|e| e.size).sum();
+        self.next_seq = self.entries.keys().next_back().map_or(1, |&s| s + 1);
+        self.acked_hw = 0;
+        before - self.entries.len()
+    }
+
+    fn collect_garbage(&mut self) -> GcOutcome {
+        let mut out = GcOutcome::default();
+        if self.bytes <= self.gc.max_bytes {
+            return out;
+        }
+        let eligible: Vec<u64> =
+            self.entries.iter().filter(|(_, e)| e.acked).map(|(&seq, _)| seq).collect();
+        for seq in eligible {
+            if self.bytes <= self.gc.target_bytes() {
+                break;
+            }
+            if let Some(e) = self.entries.remove(&seq) {
+                self.bytes -= e.size;
+                out.dropped += 1;
+                out.bytes_freed += e.size;
+            }
+        }
+        out
+    }
+}
+
+/// What a sender-log entry says, comparable.
+fn row(e: &SenderEntry<u64>) -> (u64, u64, SimTime, bool) {
+    (e.value, e.size, e.durable_at, e.acked)
+}
 
 proptest! {
     /// Timestamps are unique and dense regardless of strategy.
@@ -29,11 +121,11 @@ proptest! {
         for i in 0..n {
             log.append(i, 10, SimTime::ZERO, &mut disk);
         }
-        let after: Vec<u64> = log.entries_after(k).map(|e| e.seq).collect();
+        let after: Vec<u64> = log.entries_after(k).map(|(seq, _)| seq).collect();
         for &s in &after {
             prop_assert!(s > k);
         }
-        let total_before = log.iter().filter(|e| e.seq <= k).count();
+        let total_before = log.iter().filter(|&(seq, _)| seq <= k).count();
         prop_assert_eq!(total_before + after.len(), n as usize);
     }
 
@@ -67,11 +159,63 @@ proptest! {
         }
         log.ack_up_to(acked_upto);
         let unacked_before: Vec<u64> =
-            log.iter().filter(|e| !e.acked).map(|e| e.seq).collect();
+            log.iter().filter(|(_, e)| !e.acked).map(|(seq, _)| seq).collect();
         log.collect_garbage();
         let unacked_after: Vec<u64> =
-            log.iter().filter(|e| !e.acked).map(|e| e.seq).collect();
+            log.iter().filter(|(_, e)| !e.acked).map(|(seq, _)| seq).collect();
         prop_assert_eq!(unacked_before, unacked_after);
+    }
+
+    /// The seq-window sender log is the ordered-map log: random appends
+    /// (every strategy, sizes from a few bytes to megabytes, so optimistic
+    /// writes are still in the cache when a crash lands), acks, roll
+    /// forwards, crashes and bounded collections leave both with the same
+    /// counters and the same entry at every seq, after every op.
+    #[test]
+    fn sender_log_matches_ordered_map_reference(
+        strat_idx in 0usize..3,
+        budget in 1_000u64..4_000_000,
+        ops in proptest::collection::vec((0u8..6, 0u64..64, 0u64..3, 0u64..400), 1..120),
+    ) {
+        let (strategy, gc) = (LogStrategy::ALL[strat_idx], GcPolicy::bounded(budget));
+        let mut log = SenderLog::new(strategy, gc);
+        let mut reference = RefSenderLog::new(strategy, gc);
+        let (mut disk, mut ref_disk) =
+            (Disk::new(DiskSpec::default()), Disk::new(DiskSpec::default()));
+        let mut now = SimTime::ZERO;
+        for (i, (action, arg, size_class, dt_ms)) in ops.into_iter().enumerate() {
+            now += SimDuration::from_millis(dt_ms);
+            let max = reference.next_seq - 1;
+            match action {
+                0 | 1 => {
+                    let size = [arg, 64 * 1024 + arg, 4_000_000 + arg][size_class as usize];
+                    let a = log.append(i as u64, size, now, &mut disk);
+                    prop_assert_eq!(a, reference.append(i as u64, size, now, &mut ref_disk));
+                }
+                2 => {
+                    log.ack_up_to(arg % (max + 3));
+                    reference.ack_up_to(arg % (max + 3));
+                }
+                3 => {
+                    log.fast_forward(arg % (max + 4));
+                    reference.fast_forward(arg % (max + 4));
+                }
+                4 => prop_assert_eq!(log.survive_crash(now), reference.survive_crash(now)),
+                _ => prop_assert_eq!(log.collect_garbage(), reference.collect_garbage()),
+            }
+            prop_assert_eq!(log.len(), reference.entries.len());
+            prop_assert_eq!(log.bytes(), reference.bytes);
+            prop_assert_eq!(log.unacked_bytes(), reference.unacked_bytes);
+            prop_assert_eq!(log.acked_hw(), reference.acked_hw);
+            prop_assert_eq!(log.max_seq(), reference.next_seq - 1);
+            for seq in 0..=log.max_seq() + 1 {
+                prop_assert_eq!(log.get(seq).map(row), reference.entries.get(&seq).map(row));
+                let after: Vec<_> = log.entries_after(seq).map(|(s, e)| (s, row(e))).collect();
+                let expect: Vec<_> =
+                    reference.entries.range(seq + 1..).map(|(&s, e)| (s, row(e))).collect();
+                prop_assert_eq!(after, expect);
+            }
+        }
     }
 
     /// The maintained unacked index equals its scan reference through

@@ -90,17 +90,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Ceilings: what this cell measured when they were pinned — 13 392
-/// allocations and 5 030 816 bytes over 19 574 events, i.e. 0.68
-/// allocations and 257 bytes per event, and 2 227 992 bytes live at done,
-/// 2 785 per delivered call — plus 10 %, rounded up.  (The commit before,
-/// whose actors held every reply that waits on a database or disk write in
-/// a slab behind an ordered timer-id index until a timer sent it, measured
-/// 13 754 allocations, 5 262 656 bytes (0.70 and 269 per event) and
-/// 2 330 456 bytes live, 2 913 per call.)
+/// Ceilings: what this cell measured when they were pinned — 13 364
+/// allocations and 4 827 288 bytes over 19 574 events, i.e. 0.68
+/// allocations and 247 bytes per event, and 2 024 464 bytes live at done,
+/// 2 531 per delivered call — plus 10 %, rounded up.  (The commit before,
+/// whose client logged a copy of each submitted job in an ordered map,
+/// held its results in another and kept a second copy of its plan,
+/// measured 13 392 allocations, 5 007 496 bytes (0.68 and 256 per event)
+/// and 2 204 672 bytes live, 2 756 per call.)
 const MAX_ALLOCS_PER_EVENT: f64 = 0.76;
-const MAX_BYTES_PER_EVENT: f64 = 283.0;
-const MAX_LIVE_BYTES_PER_CALL: f64 = 3064.0;
+const MAX_BYTES_PER_EVENT: f64 = 272.0;
+const MAX_LIVE_BYTES_PER_CALL: f64 = 2784.0;
 
 #[test]
 fn steady_state_allocations_per_event_stay_within_budget() {

@@ -1160,3 +1160,46 @@ fn gapped_submit_batch_registers_only_the_contiguous_prefix() {
     g.world.run_until(SimTime::from_secs(4));
     assert_eq!(registered(&g), (3, 3), "only the entries before the hole register");
 }
+
+/// An API-driven client restarts between two bursts of calls.  Its
+/// factory's plan is empty — every call it makes arrives as an
+/// `ApiSubmit` — so the calls made after the restart exist only in the
+/// restarted actor.  Each must still be submitted at the seq after the
+/// restored log's highest, carrying its own call: every call here asks
+/// for its own result size, which the held archive reports back.
+#[test]
+fn api_calls_made_after_a_client_restart_are_submitted() {
+    use rpcv::core::msg::Msg;
+    use rpcv::simnet::Control;
+    let (n, m) = (4u64, 3u64);
+    let mut g = SimGrid::build(GridSpec::confined(1, 4).with_cfg(fast_cfg()));
+    let client = g.client_node;
+    let call = |k: u64| Msg::ApiSubmit {
+        service: "b".into(),
+        params: Blob::synthetic(512, k),
+        exec_cost: 1.0,
+        result_size: 100 + k,
+        replication: 1,
+        work_units: 1,
+    };
+    for k in 1..=n {
+        g.world.inject(SimTime::from_millis(1_000 + 100 * k), client, call(k));
+    }
+    g.world.run_until(SimTime::from_secs(60));
+    let held = |g: &SimGrid| -> Vec<u64> {
+        g.client().expect("client up").metrics.results_received.keys().copied().collect()
+    };
+    assert_eq!(held(&g), (1..=n).collect::<Vec<_>>(), "the first burst is delivered");
+    g.world.schedule_control(SimTime::from_secs(61), Control::Crash(client));
+    g.world.schedule_control(SimTime::from_secs(62), Control::Restart(client));
+    for k in n + 1..=n + m {
+        g.world.inject(SimTime::from_millis(65_000 + 100 * k), client, call(k));
+    }
+    g.world.run_until(SimTime::from_secs(300));
+    assert_eq!(held(&g), (1..=n + m).collect::<Vec<_>>(), "every call, once, in call order");
+    let c = g.client().expect("client up");
+    assert_eq!(c.results_count() as u64, n + m);
+    for seq in 1..=n + m {
+        assert_eq!(c.result_archive(seq).map(|b| b.len()), Some(100 + seq), "seq {seq}'s own call");
+    }
+}
