@@ -87,12 +87,17 @@ rpcv_simnet::counters! {
     }
 }
 
-/// A result retained in the server's (pessimistic) log.
+/// A result retained in the server's (pessimistic) log until a coordinator
+/// acknowledges it.
 #[derive(Debug, Clone)]
 struct StoredResult {
     task: TaskId,
     job: JobKey,
     archive: Blob,
+    /// Its delivery record.  It rides the durable log with the archive but
+    /// is reset when the log is restored: after a restart every surviving
+    /// archive is eligible for (re)offer immediately.
+    offer: Offer,
 }
 
 /// A running execution, progressing through declared work units.
@@ -143,7 +148,7 @@ impl Exec {
 }
 
 /// Delivery state of one unacknowledged result archive.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, Copy)]
 struct Offer {
     /// Times the archive left for a coordinator (0 = never sent).
     attempts: u32,
@@ -238,12 +243,9 @@ pub struct ServerActor {
     volatility: VolatilityObserver,
     /// When this incarnation started (uptime accounting for volatility).
     boot_at: SimTime,
-    /// One record per unacknowledged archive in the log, created by
-    /// [`Self::file_offer`] / [`Self::sent`], destroyed by [`Self::acked`].
-    /// Volatile: after a restart every surviving archive is eligible for
-    /// (re)offer immediately.
-    offers: BTreeMap<JobKey, Offer>,
-    /// `offers` in `eligible_at` order.  Beats read eligible offers with a
+    /// The log's entries in `eligible_at` order, one slot per entry, filed
+    /// by [`Self::complete`], [`Self::sent`] and the factory, removed by
+    /// [`Self::acked`].  Beats read eligible offers with a
     /// bounded prefix scan instead of filtering the whole unacked set — at
     /// completion bursts nearly every entry is in backoff, so the filter
     /// scan was O(unacked) of rejections on every beat and nudge.
@@ -271,9 +273,9 @@ impl ServerActor {
                 for (link, home) in actor.links.iter_mut().zip(d.homes) {
                     link.set_current(home);
                 }
-                let jobs: Vec<JobKey> = actor.plog.iter_unacked().map(|e| e.value.job).collect();
-                for job in jobs {
-                    actor.file_offer(job);
+                for e in actor.plog.iter_unacked_mut() {
+                    e.value.offer = Offer::default();
+                    actor.offer_after.insert((SimTime::ZERO, e.value.job));
                 }
             }
             Box::new(actor)
@@ -302,7 +304,6 @@ impl ServerActor {
             ckpt_armed: false,
             volatility: VolatilityObserver::new(),
             boot_at: SimTime::ZERO,
-            offers: BTreeMap::new(),
             offer_after: BTreeSet::new(),
             metrics: ServerMetrics::default(),
         }
@@ -323,17 +324,8 @@ impl ServerActor {
     /// follow the work in flight, not the jobs this server ever ran.
     #[doc(hidden)]
     pub fn resident_records(&self) -> usize {
-        debug_assert!(self.offers_match_the_unacked_log());
         (self.running_count() + self.backlog.len() + usize::from(self.restored.is_some()))
-            + (self.completing.len() + self.offers.len() + self.offer_after.len())
-    }
-
-    /// The delivery records and the offer order are one set seen two ways,
-    /// and it covers the unacknowledged log.
-    fn offers_match_the_unacked_log(&self) -> bool {
-        self.offers.len() == self.offer_after.len()
-            && self.offers.iter().all(|(job, o)| self.offer_after.contains(&(o.eligible_at, *job)))
-            && self.plog.iter_unacked().all(|e| self.offers.contains_key(&e.value.job))
+            + (self.completing.len() + self.offer_after.len())
     }
 
     /// The shard owning `job` (0 on a 1-shard grid).
@@ -405,20 +397,14 @@ impl ServerActor {
         }
     }
 
-    /// `job`'s archive sits unacknowledged in the log: files its offer
-    /// where its record says (eligible at once if it was never sent).
-    fn file_offer(&mut self, job: JobKey) {
-        let offer = self.offers.entry(job).or_default();
-        self.offer_after.insert((offer.eligible_at, job));
-    }
-
     /// `job`'s `size`-byte archive just left for a coordinator: counts the
     /// attempt and re-files the offer behind the backed-off horizon
     /// (capped: coordinators flap, and a stranded result blocks the client
     /// forever if the horizon runs away).
     fn sent(&mut self, ctx: &Ctx<'_, Msg>, job: JobKey, size: u64) {
         let policy = RetryPolicy::of(self.params.cfg.heartbeat, ctx.spec().nic_bw);
-        let offer = self.offers.entry(job).or_default();
+        let Some(entry) = self.plog.get_mut(log_key(&job)) else { return };
+        let offer = &mut entry.value.offer;
         self.offer_after.remove(&(offer.eligible_at, job));
         offer.attempts += 1;
         offer.eligible_at = ctx.now() + policy.horizon(offer.attempts, size);
@@ -426,12 +412,10 @@ impl ServerActor {
     }
 
     /// A coordinator acknowledged `job`'s archive (stored it, or said it
-    /// never will need it): the log entry is reclaimable and its delivery
-    /// record and offer slot go with it.
+    /// never will need it): the log entry goes, and its offer slot with it.
     fn acked(&mut self, job: &JobKey) {
-        self.plog.ack(log_key(job));
-        if let Some(offer) = self.offers.remove(job) {
-            self.offer_after.remove(&(offer.eligible_at, *job));
+        if let Some(entry) = self.plog.ack(log_key(job)) {
+            self.offer_after.remove(&(entry.value.offer.eligible_at, *job));
         }
     }
 
@@ -608,7 +592,10 @@ impl ServerActor {
         let archive =
             exec.real_archive.unwrap_or_else(|| self.executor.simulate_result(&exec.desc));
         let job = exec.desc.job;
-        let stored = StoredResult { task: exec.desc.id, job, archive: archive.clone() };
+        // A re-execution replacing a still-unacknowledged entry keeps its
+        // delivery record: the earlier archive's send is still backing off.
+        let offer = self.plog.get(log_key(&job)).map_or_else(Offer::default, |e| e.value.offer);
+        let stored = StoredResult { task: exec.desc.id, job, archive: archive.clone(), offer };
         // Necessarily pessimistic: the archive only counts once durable.
         let size = archive.len();
         let durable_at = self.plog.append(log_key(&job), stored, size + 64, now, ctx.disk_mut());
@@ -625,7 +612,9 @@ impl ServerActor {
                     Msg::TaskDone { server: self.params.id, task: exec.desc.id, job, archive };
                 ctx.send_at(durable_at, node, done);
             }
-            None => self.file_offer(job),
+            None => {
+                self.offer_after.insert((offer.eligible_at, job));
+            }
         }
         // Drain the local backlog before asking for more work.
         if let Some((desc, banked)) = self.backlog.pop_front() {
@@ -643,16 +632,18 @@ impl ServerActor {
             // the archive even if a mis-addressed request slipped in.
             let shard = self.shard_of(&job);
             let Some(node) = self.coordinator_for(shard, now) else { continue };
+            // An acknowledged archive has left the log and is not resent:
+            // the asking coordinator recovers it over the ring or
+            // re-executes it.
             if let Some(entry) = self.plog.get(log_key(&job)) {
-                if self.offers.get(&job).is_some_and(|o| now <= o.eligible_at) {
+                if now <= entry.value.offer.eligible_at {
                     continue; // still in flight; the coordinator asked on stale info
                 }
-                let stored = entry.value.clone();
-                self.sent(ctx, job, stored.archive.len());
+                let StoredResult { task, job, archive, .. } = entry.value.clone();
+                self.sent(ctx, job, archive.len());
                 // Reading the archive back from the local log.
-                let read_done = ctx.disk_read(stored.archive.len() + 64);
+                let read_done = ctx.disk_read(archive.len() + 64);
                 self.metrics.archives_resent += 1;
-                let StoredResult { task, job, archive } = stored;
                 let done = Msg::TaskDone { server: self.params.id, task, job, archive };
                 ctx.send_at(read_done, node, done);
             }

@@ -10,17 +10,18 @@
 //!   monotone counter value ("all client RPC submissions are associated
 //!   with a unique counter value", §4.2), synchronized against the
 //!   coordinator's maximum known timestamp;
-//! * [`PeerLog`] — the *server* log: result archives keyed by
-//!   `(client, seq)`; "servers may have non-contiguous timestamps for a
-//!   given client, the synchronization is more complicated, involving a
-//!   peer-wise comparison of logs" (§4.2);
+//! * [`PeerLog`] — the *server* log: the result archives no coordinator
+//!   has acknowledged, keyed by `(client, seq)`; "servers may have
+//!   non-contiguous timestamps for a given client, the synchronization is
+//!   more complicated, involving a peer-wise comparison of logs" (§4.2).
+//!   An acknowledgement removes its entry;
 //! * [`LogStrategy`] — optimistic, blocking pessimistic and non-blocking
 //!   pessimistic write disciplines, with exact durability semantics driven
 //!   by the disk model of `rpcv-simnet`;
 //! * [`SeqWindow`] — rows keyed by a dense seq, in fixed chunks: the
 //!   sender log's storage, and the coordinator's job table's (one window
 //!   per client);
-//! * [`GcPolicy`] — bounded-capacity garbage collection ("Since logging
+//! * [`GcPolicy`] — the sender log's bounded-capacity garbage collection ("Since logging
 //!   capacities are bounded, we should decide whether flushing some
 //!   logs ... or stopping computations", §4.2).
 

@@ -1,10 +1,13 @@
 //! Property tests for the logging substrate: no submission is ever lost or
-//! duplicated by sync/GC/crash interactions.
+//! duplicated by sync/GC/crash interactions, and each log matches its
+//! reference model op for op.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use rpcv_log::{AppendOutcome, GcOutcome, GcPolicy, LogStrategy, PeerLog, SenderEntry, SenderLog};
+use rpcv_log::{
+    AppendOutcome, GcOutcome, GcPolicy, LogStrategy, PeerKey, PeerLog, SenderEntry, SenderLog,
+};
 use rpcv_simnet::{Disk, DiskSpec, SimDuration, SimTime};
 
 /// The sender log as an ordered map, one node per entry: the definition
@@ -218,44 +221,43 @@ proptest! {
         }
     }
 
-    /// The maintained unacked index equals its scan reference through
-    /// arbitrary append/ack/crash/GC interleavings (the index serves the
-    /// server's per-beat archive offer, so a divergence would silently
-    /// strand or duplicate result deliveries).
+    /// The peer log holds exactly the archives no coordinator
+    /// acknowledged: random appends (repeated keys, sizes from a few bytes
+    /// to megabytes, instants that leave writes in flight when a crash
+    /// lands), acks and crashes leave it equal to an ordered map of
+    /// `key → (value, durable_at)`, after every op.
     #[test]
-    fn peer_unacked_index_matches_scan(ops in proptest::collection::vec(
-        ((0u64..4, 0u64..8), 0u8..4), 1..80)) {
-        let mut log: PeerLog<u64> = PeerLog::new(GcPolicy::bounded(200));
+    fn peer_log_holds_exactly_the_unacknowledged_entries(ops in proptest::collection::vec(
+        ((0u64..3, 0u64..8), 0u8..4, 0u64..3, 0u64..400), 1..120)) {
+        let mut log: PeerLog<u64> = PeerLog::new(GcPolicy::unbounded());
+        let mut model: BTreeMap<PeerKey, (u64, SimTime)> = BTreeMap::new();
         let mut disk = Disk::new(DiskSpec::default());
-        let mut t = SimTime::ZERO;
-        for (key, action) in ops {
+        let mut now = SimTime::ZERO;
+        for (i, (key, action, size_class, dt_ms)) in ops.into_iter().enumerate() {
+            now += SimDuration::from_millis(dt_ms);
             match action {
                 0 | 1 => {
-                    t = log.append(key, 0, 30, t, &mut disk);
+                    let size = [30 + dt_ms, 64 * 1024 + dt_ms, 4_000_000 + dt_ms][size_class as usize];
+                    let durable_at = log.append(key, i as u64, size, now, &mut disk);
+                    prop_assert!(durable_at > now);
+                    model.insert(key, (i as u64, durable_at));
                 }
-                2 => log.ack(key),
+                2 => {
+                    let acked = log.ack(key).map(|e| (e.value, e.durable_at));
+                    prop_assert_eq!(acked, model.remove(&key));
+                }
                 _ => {
-                    // Crash at the current durable horizon, then GC.
-                    log.survive_crash(t);
-                    log.collect_garbage();
+                    let before = model.len();
+                    model.retain(|_, &mut (_, durable_at)| durable_at <= now);
+                    prop_assert_eq!(log.survive_crash(now), before - model.len());
                 }
             }
-            let via_index: Vec<_> = log.iter_unacked().map(|e| e.key).collect();
-            prop_assert_eq!(&via_index, &log.unacked_scan());
-            prop_assert_eq!(log.unacked_len(), via_index.len());
+            let held: Vec<_> = log.iter_unacked().map(|e| (e.value, e.durable_at)).collect();
+            prop_assert_eq!(held, model.values().copied().collect::<Vec<_>>());
+            prop_assert_eq!(log.unacked_len(), model.len());
+            for k in (0..3).flat_map(|c| (0..8).map(move |s| (c, s))) {
+                prop_assert_eq!(log.get(k).map(|e| (e.value, e.durable_at)), model.get(&k).copied());
+            }
         }
-    }
-
-    /// Peer log byte accounting stays consistent through replaces and GC.
-    #[test]
-    fn peer_bytes_consistent(ops in proptest::collection::vec(
-        ((0u64..5, 0u64..5), 1u64..1000), 1..60)) {
-        let mut log: PeerLog<u64> = PeerLog::new(GcPolicy::unbounded());
-        let mut disk = Disk::new(DiskSpec::default());
-        for (key, size) in ops {
-            log.append(key, 0, size, SimTime::ZERO, &mut disk);
-        }
-        let expected: u64 = log.iter().map(|e| e.size).sum();
-        prop_assert_eq!(log.bytes(), expected);
     }
 }
