@@ -193,8 +193,6 @@ pub struct ClientActor {
     /// Armed `K_SUBMIT` timers: the coordinator each submission goes to and
     /// its seq (the spec is read back from the log when the timer fires).
     submitting: BTreeMap<TimerId, (NodeId, u64)>,
-    /// seq → the log write's durability, which the interaction also waits for.
-    barriers: BTreeMap<u64, SimTime>,
     /// Telemetry snapshots pulled from coordinators via
     /// [`Msg::StatusRequest`], keyed by coordinator id.  A volatile cache:
     /// not part of the durable image.
@@ -249,7 +247,6 @@ impl ClientActor {
             last_pull: None,
             in_flight_submissions: 0,
             submitting: BTreeMap::new(),
-            barriers: BTreeMap::new(),
             snapshots: BTreeMap::new(),
             status_nonce_hw: 0,
             metrics: ClientMetrics::default(),
@@ -267,7 +264,7 @@ impl ClientActor {
     #[doc(hidden)]
     pub fn resident_records(&self) -> usize {
         (self.unacked_results.len() + self.sent_at.len())
-            + (self.frontier.len() + self.barriers.len() + self.submitting.len())
+            + (self.frontier.len() + self.submitting.len())
     }
 
     /// The coordinator currently preferred, if any.
@@ -316,9 +313,6 @@ impl ClientActor {
         // restored log entries correctly look never-sent.
         self.sent_at.insert(seq, now);
         self.sent_hw = self.sent_hw.max(seq);
-        if out.timing.barrier {
-            self.barriers.insert(seq, out.timing.durable_at);
-        }
         if let Some(node) = self.coordinator(now) {
             if comm_start <= now {
                 let comm_end = ctx.send(node, self.submission(seq));
@@ -337,8 +331,7 @@ impl ClientActor {
     fn finish_submission(&mut self, ctx: &mut Ctx<'_, Msg>, seq: u64, comm_end: SimTime) {
         self.sent_at.insert(seq, ctx.now());
         self.sent_hw = self.sent_hw.max(seq);
-        let barrier = self.barriers.remove(&seq);
-        let end = barrier.map_or(comm_end, |b| b.max(comm_end));
+        let end = self.log.interaction_end(seq, comm_end);
         if let Some(t) = self.metrics.submissions.get_mut(&seq) {
             t.interaction_end = Some(end);
         }
@@ -422,8 +415,8 @@ impl ClientActor {
         }
     }
 
-    /// The coordinator registered everything up to `coord_max`: the log may
-    /// reclaim it, and its send stamps have no reader left (the replay scans
+    /// The coordinator registered everything up to `coord_max`: the log
+    /// marks it acknowledged, and its send stamps have no reader left (the replay scans
     /// above the mark, the refusal test reads `coord_max + 1` and beyond).
     /// Popped from the front — `split_off` would allocate a root per ack.
     fn ack_up_to(&mut self, coord_max: u64) {

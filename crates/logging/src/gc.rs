@@ -1,78 +1,20 @@
-//! Log garbage collection policies.
+//! The log capacity policy.
 //!
-//! Paper §4.2: "The garbage collection is a fundamental mechanism
-//! associated with message logging.  Since logging capacities are bounded,
-//! we should decide whether flushing some logs, that may be potentially
-//! useful for avoiding re-executions, or stopping computations, reducing
-//! the system resource utilization.  The garbage collection is distributed
-//! among all the components and can be triggered locally according to some
-//! conditions, or explicitly by the user."
+//! Paper §4.2: "Since logging capacities are bounded, we should decide
+//! whether flushing some logs, that may be potentially useful for avoiding
+//! re-executions, or stopping computations, reducing the system resource
+//! utilization."  This reproduction does not model that trade-off: the
+//! server's [`PeerLog`](crate::PeerLog) drops an entry on acknowledgement,
+//! and the client's [`SenderLog`](crate::SenderLog) keeps every surviving
+//! entry.  No log reads its policy.
 
-/// Capacity policy for a log.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GcPolicy {
-    /// Collection triggers when retained bytes exceed this.
-    pub max_bytes: u64,
-    /// Fraction of `max_bytes` to free down to (hysteresis, 0..=1).
-    pub target_fraction: f64,
-}
+/// Capacity policy for a log: unbounded, the only one there is.
+#[derive(Debug, Clone, Copy)]
+pub struct GcPolicy;
 
 impl GcPolicy {
     /// Never collects.
     pub fn unbounded() -> Self {
-        GcPolicy { max_bytes: u64::MAX, target_fraction: 1.0 }
-    }
-
-    /// Collects above `max_bytes`, freeing down to 50%.
-    pub fn bounded(max_bytes: u64) -> Self {
-        GcPolicy { max_bytes, target_fraction: 0.5 }
-    }
-
-    /// Byte level collection aims for.
-    pub fn target_bytes(&self) -> u64 {
-        if self.max_bytes == u64::MAX {
-            return u64::MAX;
-        }
-        (self.max_bytes as f64 * self.target_fraction.clamp(0.0, 1.0)) as u64
-    }
-}
-
-impl Default for GcPolicy {
-    fn default() -> Self {
-        GcPolicy::unbounded()
-    }
-}
-
-/// What a collection pass freed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GcOutcome {
-    /// Entries removed.
-    pub dropped: u64,
-    /// Bytes reclaimed.
-    pub bytes_freed: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn unbounded_never_targets() {
-        let p = GcPolicy::unbounded();
-        assert_eq!(p.target_bytes(), u64::MAX);
-    }
-
-    #[test]
-    fn bounded_halves() {
-        let p = GcPolicy::bounded(1000);
-        assert_eq!(p.target_bytes(), 500);
-    }
-
-    #[test]
-    fn fraction_is_clamped() {
-        let p = GcPolicy { max_bytes: 100, target_fraction: 7.0 };
-        assert_eq!(p.target_bytes(), 100);
-        let p = GcPolicy { max_bytes: 100, target_fraction: -1.0 };
-        assert_eq!(p.target_bytes(), 0);
+        GcPolicy
     }
 }

@@ -21,9 +21,8 @@
 //! * [`SeqWindow`] — rows keyed by a dense seq, in fixed chunks: the
 //!   sender log's storage, and the coordinator's job table's (one window
 //!   per client);
-//! * [`GcPolicy`] — the sender log's bounded-capacity garbage collection ("Since logging
-//!   capacities are bounded, we should decide whether flushing some
-//!   logs ... or stopping computations", §4.2).
+//! * [`GcPolicy`] — the capacity policy both logs take and neither reads:
+//!   the paper's bounded-capacity collection (§4.2) is not modelled.
 
 pub mod gc;
 pub mod peer;
@@ -31,7 +30,7 @@ pub mod sender;
 pub mod strategy;
 pub mod window;
 
-pub use gc::{GcOutcome, GcPolicy};
+pub use gc::GcPolicy;
 pub use peer::{PeerKey, PeerLog};
 pub use sender::{AppendOutcome, SenderEntry, SenderLog};
 pub use strategy::LogStrategy;

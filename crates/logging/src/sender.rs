@@ -7,7 +7,7 @@
 
 use rpcv_simnet::{Disk, SimTime};
 
-use crate::gc::{GcOutcome, GcPolicy};
+use crate::gc::GcPolicy;
 use crate::strategy::{LogStrategy, StrategyOutcome};
 use crate::window::SeqWindow;
 
@@ -38,10 +38,8 @@ pub struct AppendOutcome {
 #[derive(Debug, Clone)]
 pub struct SenderLog<T> {
     strategy: LogStrategy,
-    gc: GcPolicy,
     entries: SeqWindow<SenderEntry<T>>,
     next_seq: u64,
-    bytes: u64,
     /// Highest timestamp every entry at or below which is already acked —
     /// the resume point for [`Self::ack_up_to`], which would otherwise
     /// re-walk the whole acknowledged prefix on every acknowledgement
@@ -53,14 +51,13 @@ pub struct SenderLog<T> {
 }
 
 impl<T> SenderLog<T> {
-    /// Empty log using `strategy` and `gc`.
-    pub fn new(strategy: LogStrategy, gc: GcPolicy) -> Self {
+    /// Empty log using `strategy`.  The policy is unread: the log keeps
+    /// every entry that survives a crash.
+    pub fn new(strategy: LogStrategy, _gc: GcPolicy) -> Self {
         SenderLog {
             strategy,
-            gc,
             entries: SeqWindow::new(),
             next_seq: 1,
-            bytes: 0,
             acked_hw: 0,
             unacked_bytes: 0,
         }
@@ -74,11 +71,6 @@ impl<T> SenderLog<T> {
     /// True when no entries are retained.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Bytes currently retained.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
     }
 
     /// Highest timestamp ever allocated (0 if none).
@@ -108,7 +100,6 @@ impl<T> SenderLog<T> {
         let timing = self.strategy.write(disk, now, size);
         self.entries
             .insert(seq, SenderEntry { value, size, durable_at: timing.durable_at, acked: false });
-        self.bytes += size;
         self.unacked_bytes += size;
         AppendOutcome { seq, timing }
     }
@@ -140,7 +131,9 @@ impl<T> SenderLog<T> {
                 self.unacked_bytes -= e.size;
             }
         }
-        self.acked_hw = up_to;
+        // Never past the last allocated seq: an append must land above the
+        // mark, or the next ack would skip it.
+        self.acked_hw = up_to.min(self.max_seq());
     }
 
     /// Entries strictly after `seq` as `(seq, entry)`, in order — the
@@ -154,6 +147,14 @@ impl<T> SenderLog<T> {
         self.entries.get(seq)
     }
 
+    /// When the interaction that sent `seq` completes, its communication
+    /// having ended at `comm_end`: the strategy's rule applied to the
+    /// logged row's durability.
+    pub fn interaction_end(&self, seq: u64, comm_end: SimTime) -> SimTime {
+        let e = self.entries.get(seq).expect("a sent submission is logged");
+        self.strategy.interaction_end(e.durable_at, comm_end)
+    }
+
     /// Crash semantics: entries whose write had not drained by `now` are
     /// lost; the timestamp counter restarts after the highest *surviving*
     /// entry (re-executions re-submit with fresh timestamps, preserving
@@ -161,7 +162,6 @@ impl<T> SenderLog<T> {
     pub fn survive_crash(&mut self, now: SimTime) -> usize {
         let before = self.entries.len();
         self.entries.retain(|_, e| e.durable_at <= now);
-        self.bytes = self.entries.iter().map(|(_, e)| e.size).sum();
         self.unacked_bytes =
             self.entries.iter().filter(|(_, e)| !e.acked).map(|(_, e)| e.size).sum();
         self.next_seq = self.entries.last_seq().map_or(1, |s| s + 1);
@@ -171,30 +171,6 @@ impl<T> SenderLog<T> {
         // costs one re-walk of the acknowledged prefix at the next ack.
         self.acked_hw = 0;
         before - self.entries.len()
-    }
-
-    /// Runs garbage collection under the configured policy.
-    ///
-    /// Only acknowledged entries are eligible: dropping an un-registered
-    /// submission would violate the no-lost-call invariant.
-    pub fn collect_garbage(&mut self) -> GcOutcome {
-        let mut out = GcOutcome::default();
-        if self.bytes <= self.gc.max_bytes {
-            return out;
-        }
-        let eligible: Vec<u64> =
-            self.entries.iter().filter(|(_, e)| e.acked).map(|(seq, _)| seq).collect();
-        for seq in eligible {
-            if self.bytes <= self.gc.target_bytes() {
-                break;
-            }
-            if let Some(e) = self.entries.remove(seq) {
-                self.bytes -= e.size;
-                out.dropped += 1;
-                out.bytes_freed += e.size;
-            }
-        }
-        out
     }
 
     /// Iterates all retained entries as `(seq, entry)` in timestamp order.
@@ -221,7 +197,7 @@ mod tests {
         }
         assert_eq!(log.max_seq(), 5);
         assert_eq!(log.len(), 5);
-        assert_eq!(log.bytes(), 500);
+        assert_eq!(log.unacked_bytes(), 500);
     }
 
     #[test]
@@ -280,37 +256,5 @@ mod tests {
         // blocked on durability, so everything survives.
         assert_eq!(log.survive_crash(t), 0);
         assert_eq!(log.len(), 5);
-    }
-
-    #[test]
-    fn gc_only_drops_acked() {
-        let gc = GcPolicy::bounded(250);
-        let mut log: SenderLog<String> = SenderLog::new(LogStrategy::Optimistic, gc);
-        let mut disk = Disk::new(DiskSpec::default());
-        for i in 0..5 {
-            log.append(format!("m{i}"), 100, SimTime::ZERO, &mut disk);
-        }
-        // Nothing acked: GC must not drop anything even though over budget.
-        let out = log.collect_garbage();
-        assert_eq!(out.dropped, 0);
-        assert_eq!(log.len(), 5);
-        // Ack 3 of them: GC may now free down to the target.
-        log.ack_up_to(3);
-        let out = log.collect_garbage();
-        assert!(out.dropped >= 2, "dropped {}", out.dropped);
-        assert!(log.bytes() <= 250);
-        // Unacked entries always retained.
-        assert!(log.get(4).is_some());
-        assert!(log.get(5).is_some());
-    }
-
-    #[test]
-    fn survive_crash_recomputes_bytes() {
-        let (mut log, mut disk) = mklog(LogStrategy::Optimistic);
-        log.append("a".into(), 100, SimTime::ZERO, &mut disk);
-        let late = SimTime::from_secs(100);
-        log.append("b".into(), 900, late, &mut disk);
-        log.survive_crash(late); // second not yet durable
-        assert_eq!(log.bytes(), 100);
     }
 }

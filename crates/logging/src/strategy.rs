@@ -1,6 +1,6 @@
 //! The three logging strategies of the paper (§4.2, Fig. 4).
 
-use rpcv_simnet::{Disk, SimTime, WriteOutcome};
+use rpcv_simnet::{Disk, SimTime};
 
 /// When the disk cost of logging a sent message is paid.
 ///
@@ -52,32 +52,28 @@ impl LogStrategy {
     /// the strategy's timing semantics.
     pub fn write(&self, disk: &mut Disk, now: SimTime, bytes: u64) -> StrategyOutcome {
         match self {
-            LogStrategy::Optimistic => {
-                // Background, low priority: the caller proceeds right away;
-                // durability arrives whenever the cache drains.
-                let out: WriteOutcome = disk.write_cached(now, bytes);
-                StrategyOutcome {
-                    comm_may_start_at: now,
-                    durable_at: out.durable_at,
-                    barrier: false,
-                }
+            LogStrategy::Optimistic | LogStrategy::NonBlockingPessimistic => {
+                // Background: the caller proceeds right away; durability
+                // arrives whenever the cache drains.  The two differ only at
+                // the interaction's end ([`Self::interaction_end`]).
+                let out = disk.write_cached(now, bytes);
+                StrategyOutcome { comm_may_start_at: now, durable_at: out.durable_at }
             }
             LogStrategy::BlockingPessimistic => {
                 let out = disk.write_sync(now, bytes);
-                StrategyOutcome {
-                    comm_may_start_at: out.durable_at,
-                    durable_at: out.durable_at,
-                    barrier: false,
-                }
+                StrategyOutcome { comm_may_start_at: out.durable_at, durable_at: out.durable_at }
             }
-            LogStrategy::NonBlockingPessimistic => {
-                let out = disk.write_cached(now, bytes);
-                StrategyOutcome {
-                    comm_may_start_at: now,
-                    durable_at: out.durable_at,
-                    barrier: true,
-                }
-            }
+        }
+    }
+
+    /// When an interaction completes, given its communication's end and
+    /// its log write's durability: non-blocking pessimistic logging "blocks
+    /// the end of communication until the completion of the logging
+    /// operation"; the other two never wait at the end.
+    pub fn interaction_end(&self, durable_at: SimTime, comm_end: SimTime) -> SimTime {
+        match self {
+            LogStrategy::NonBlockingPessimistic => comm_end.max(durable_at),
+            LogStrategy::Optimistic | LogStrategy::BlockingPessimistic => comm_end,
         }
     }
 }
@@ -89,21 +85,6 @@ pub struct StrategyOutcome {
     pub comm_may_start_at: SimTime,
     /// When the entry is durable on disk.
     pub durable_at: SimTime,
-    /// Whether the end of the interaction must wait for `durable_at`
-    /// (non-blocking pessimistic semantics).
-    pub barrier: bool,
-}
-
-impl StrategyOutcome {
-    /// When the whole interaction completes, given the communication's own
-    /// completion time.
-    pub fn interaction_end(&self, comm_end: SimTime) -> SimTime {
-        if self.barrier {
-            comm_end.max(self.durable_at)
-        } else {
-            comm_end
-        }
-    }
 }
 
 #[cfg(test)]
@@ -121,11 +102,10 @@ mod tests {
         let now = SimTime::from_secs(1);
         let out = LogStrategy::Optimistic.write(&mut d, now, 10_000_000);
         assert_eq!(out.comm_may_start_at, now);
-        assert!(!out.barrier);
         assert!(out.durable_at > now);
         // Interaction ends exactly at comm end.
         let comm_end = now + rpcv_simnet::SimDuration::from_secs(1);
-        assert_eq!(out.interaction_end(comm_end), comm_end);
+        assert_eq!(LogStrategy::Optimistic.interaction_end(out.durable_at, comm_end), comm_end);
     }
 
     #[test]
@@ -142,15 +122,15 @@ mod tests {
     fn nonblocking_overlaps_but_barriers_the_end() {
         let mut d = disk();
         let now = SimTime::ZERO;
-        let out = LogStrategy::NonBlockingPessimistic.write(&mut d, now, 10_000_000);
+        let nb = LogStrategy::NonBlockingPessimistic;
+        let out = nb.write(&mut d, now, 10_000_000);
         assert_eq!(out.comm_may_start_at, now, "communication starts immediately");
-        assert!(out.barrier);
         // Fast communication: the barrier dominates.
         let fast_comm = now + rpcv_simnet::SimDuration::from_millis(1);
-        assert_eq!(out.interaction_end(fast_comm), out.durable_at);
+        assert_eq!(nb.interaction_end(out.durable_at, fast_comm), out.durable_at);
         // Slow communication: the log write hides inside it.
         let slow_comm = now + rpcv_simnet::SimDuration::from_secs(10);
-        assert_eq!(out.interaction_end(slow_comm), slow_comm);
+        assert_eq!(nb.interaction_end(out.durable_at, slow_comm), slow_comm);
     }
 
     #[test]
@@ -172,9 +152,10 @@ mod tests {
         let mut d3 = disk();
         let nb = LogStrategy::NonBlockingPessimistic.write(&mut d3, now, bytes);
         let comm_end = now + rpcv_simnet::SimDuration::from_secs(4); // 50MB @ 12.5MB/s
-        let t_opt = opt.interaction_end(comm_end);
-        let t_blk = blk.interaction_end(comm_end + (blk.comm_may_start_at - now));
-        let t_nb = nb.interaction_end(comm_end);
+        let t_opt = LogStrategy::Optimistic.interaction_end(opt.durable_at, comm_end);
+        let blk_end = comm_end + (blk.comm_may_start_at - now);
+        let t_blk = LogStrategy::BlockingPessimistic.interaction_end(blk.durable_at, blk_end);
+        let t_nb = LogStrategy::NonBlockingPessimistic.interaction_end(nb.durable_at, comm_end);
         assert!(t_opt <= t_nb);
         assert!(t_nb < t_blk);
     }

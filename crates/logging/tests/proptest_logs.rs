@@ -1,13 +1,11 @@
 //! Property tests for the logging substrate: no submission is ever lost or
-//! duplicated by sync/GC/crash interactions, and each log matches its
+//! duplicated by sync/crash interactions, and each log matches its
 //! reference model op for op.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use rpcv_log::{
-    AppendOutcome, GcOutcome, GcPolicy, LogStrategy, PeerKey, PeerLog, SenderEntry, SenderLog,
-};
+use rpcv_log::{AppendOutcome, GcPolicy, LogStrategy, PeerKey, PeerLog, SenderEntry, SenderLog};
 use rpcv_simnet::{Disk, DiskSpec, SimDuration, SimTime};
 
 /// The sender log as an ordered map, one node per entry: the definition
@@ -15,22 +13,18 @@ use rpcv_simnet::{Disk, DiskSpec, SimDuration, SimTime};
 /// `sender_log_matches_ordered_map_reference`.
 struct RefSenderLog {
     strategy: LogStrategy,
-    gc: GcPolicy,
     entries: BTreeMap<u64, SenderEntry<u64>>,
     next_seq: u64,
-    bytes: u64,
     acked_hw: u64,
     unacked_bytes: u64,
 }
 
 impl RefSenderLog {
-    fn new(strategy: LogStrategy, gc: GcPolicy) -> Self {
+    fn new(strategy: LogStrategy) -> Self {
         RefSenderLog {
             strategy,
-            gc,
             entries: BTreeMap::new(),
             next_seq: 1,
-            bytes: 0,
             acked_hw: 0,
             unacked_bytes: 0,
         }
@@ -42,7 +36,6 @@ impl RefSenderLog {
         let timing = self.strategy.write(disk, now, size);
         let entry = SenderEntry { value, size, durable_at: timing.durable_at, acked: false };
         self.entries.insert(seq, entry);
-        self.bytes += size;
         self.unacked_bytes += size;
         AppendOutcome { seq, timing }
     }
@@ -57,7 +50,7 @@ impl RefSenderLog {
                 self.unacked_bytes -= e.size;
             }
         }
-        self.acked_hw = up_to;
+        self.acked_hw = up_to.min(self.next_seq - 1);
     }
 
     fn fast_forward(&mut self, seq: u64) {
@@ -67,31 +60,10 @@ impl RefSenderLog {
     fn survive_crash(&mut self, now: SimTime) -> usize {
         let before = self.entries.len();
         self.entries.retain(|_, e| e.durable_at <= now);
-        self.bytes = self.entries.values().map(|e| e.size).sum();
         self.unacked_bytes = self.entries.values().filter(|e| !e.acked).map(|e| e.size).sum();
         self.next_seq = self.entries.keys().next_back().map_or(1, |&s| s + 1);
         self.acked_hw = 0;
         before - self.entries.len()
-    }
-
-    fn collect_garbage(&mut self) -> GcOutcome {
-        let mut out = GcOutcome::default();
-        if self.bytes <= self.gc.max_bytes {
-            return out;
-        }
-        let eligible: Vec<u64> =
-            self.entries.iter().filter(|(_, e)| e.acked).map(|(&seq, _)| seq).collect();
-        for seq in eligible {
-            if self.bytes <= self.gc.target_bytes() {
-                break;
-            }
-            if let Some(e) = self.entries.remove(&seq) {
-                self.bytes -= e.size;
-                out.dropped += 1;
-                out.bytes_freed += e.size;
-            }
-        }
-        out
     }
 }
 
@@ -148,41 +120,20 @@ proptest! {
         prop_assert_eq!(log.len(), n);
     }
 
-    /// GC never drops unacked entries and always respects the target.
-    #[test]
-    fn gc_preserves_unacked(
-        n in 1usize..100,
-        acked_upto in 0u64..120,
-        budget in 50u64..2000,
-    ) {
-        let mut log = SenderLog::new(LogStrategy::Optimistic, GcPolicy::bounded(budget));
-        let mut disk = Disk::new(DiskSpec::default());
-        for i in 0..n {
-            log.append(i as u64, 50, SimTime::ZERO, &mut disk);
-        }
-        log.ack_up_to(acked_upto);
-        let unacked_before: Vec<u64> =
-            log.iter().filter(|(_, e)| !e.acked).map(|(seq, _)| seq).collect();
-        log.collect_garbage();
-        let unacked_after: Vec<u64> =
-            log.iter().filter(|(_, e)| !e.acked).map(|(seq, _)| seq).collect();
-        prop_assert_eq!(unacked_before, unacked_after);
-    }
-
     /// The seq-window sender log is the ordered-map log: random appends
     /// (every strategy, sizes from a few bytes to megabytes, so optimistic
     /// writes are still in the cache when a crash lands), acks, roll
-    /// forwards, crashes and bounded collections leave both with the same
-    /// counters and the same entry at every seq, after every op.
+    /// forwards and crashes leave both with the same counters and the same
+    /// entry at every seq, and every entry at or below `acked_hw()` acked
+    /// (the resume point `ack_up_to` skips to), after every op.
     #[test]
     fn sender_log_matches_ordered_map_reference(
         strat_idx in 0usize..3,
-        budget in 1_000u64..4_000_000,
-        ops in proptest::collection::vec((0u8..6, 0u64..64, 0u64..3, 0u64..400), 1..120),
+        ops in proptest::collection::vec((0u8..5, 0u64..64, 0u64..3, 0u64..400), 1..120),
     ) {
-        let (strategy, gc) = (LogStrategy::ALL[strat_idx], GcPolicy::bounded(budget));
-        let mut log = SenderLog::new(strategy, gc);
-        let mut reference = RefSenderLog::new(strategy, gc);
+        let strategy = LogStrategy::ALL[strat_idx];
+        let mut log = SenderLog::new(strategy, GcPolicy::unbounded());
+        let mut reference = RefSenderLog::new(strategy);
         let (mut disk, mut ref_disk) =
             (Disk::new(DiskSpec::default()), Disk::new(DiskSpec::default()));
         let mut now = SimTime::ZERO;
@@ -203,14 +154,14 @@ proptest! {
                     log.fast_forward(arg % (max + 4));
                     reference.fast_forward(arg % (max + 4));
                 }
-                4 => prop_assert_eq!(log.survive_crash(now), reference.survive_crash(now)),
-                _ => prop_assert_eq!(log.collect_garbage(), reference.collect_garbage()),
+                _ => prop_assert_eq!(log.survive_crash(now), reference.survive_crash(now)),
             }
             prop_assert_eq!(log.len(), reference.entries.len());
-            prop_assert_eq!(log.bytes(), reference.bytes);
             prop_assert_eq!(log.unacked_bytes(), reference.unacked_bytes);
             prop_assert_eq!(log.acked_hw(), reference.acked_hw);
             prop_assert_eq!(log.max_seq(), reference.next_seq - 1);
+            let hw = log.acked_hw();
+            prop_assert!(log.iter().take_while(|&(s, _)| s <= hw).all(|(_, e)| e.acked), "{}", hw);
             for seq in 0..=log.max_seq() + 1 {
                 prop_assert_eq!(log.get(seq).map(row), reference.entries.get(&seq).map(row));
                 let after: Vec<_> = log.entries_after(seq).map(|(s, e)| (s, row(e))).collect();

@@ -1,31 +1,29 @@
 //! Offline stand-in for the crates.io `bytes` crate.
 //!
 //! The build environment has no registry access, so this workspace vendors
-//! the tiny slice of the `bytes` API that `rpcv-wire` actually uses: a
-//! cheaply-clonable, immutable, reference-counted byte buffer plus a
-//! mutable builder ([`BytesMut`]) that freezes into one without copying.
-//! Swapping the real crate back in requires no source changes in the
-//! workspace.
+//! the slice of the `bytes` API that `rpcv-wire`'s `Blob` uses: a
+//! cheaply-clonable, immutable, reference-counted byte buffer, built from a
+//! vector or a slice and read as a slice.  Swapping the real crate back in
+//! requires no source changes in the workspace.
 //!
 //! Two allocation properties matter to the simulator's hot send path and
 //! are pinned by tests:
 //!
-//! * `Bytes::from(vec)` and `BytesMut::freeze` take ownership of the
-//!   vector's allocation — no copy.  (The previous representation was
-//!   `Arc<[u8]>`, where `From<Vec<u8>>` must re-allocate to prepend the
-//!   refcount header, copying every sealed frame once.)
+//! * `Bytes::from(vec)` takes ownership of the vector's allocation — no
+//!   copy.  (The previous representation was `Arc<[u8]>`, where
+//!   `From<Vec<u8>>` must re-allocate to prepend the refcount header,
+//!   copying every sealed frame once.)
 //! * `Bytes::new()` / `Bytes::default()` are free: empty buffers share a
 //!   static slice instead of allocating a fresh Arc header each
 //!   (`Blob::default` and empty-payload frames hit this constantly).
 
-use std::borrow::Borrow;
 use std::fmt;
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 use std::sync::Arc;
 
 #[derive(Clone)]
 enum Repr {
-    /// Borrowed static storage (the shared empty, `&'static str` literals).
+    /// Borrowed static storage (the shared empty).
     Static(&'static [u8]),
     /// Shared ownership of a heap vector; keeps the vector's allocation.
     Shared(Arc<Vec<u8>>),
@@ -41,31 +39,12 @@ impl Bytes {
         Bytes(Repr::Static(&[]))
     }
 
-    /// Borrows static storage without copying.
-    pub fn from_static(data: &'static [u8]) -> Self {
-        Bytes(Repr::Static(data))
-    }
-
     /// Copies a slice into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        if data.is_empty() {
-            return Bytes::new();
-        }
-        Bytes(Repr::Shared(Arc::new(data.to_vec())))
+        Bytes::from(data.to_vec())
     }
 
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
-    }
-
-    /// View as a slice.
-    pub fn as_slice(&self) -> &[u8] {
+    fn as_slice(&self) -> &[u8] {
         match &self.0 {
             Repr::Static(s) => s,
             Repr::Shared(v) => v,
@@ -86,18 +65,6 @@ impl Deref for Bytes {
     }
 }
 
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl Borrow<[u8]> for Bytes {
-    fn borrow(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
 impl From<Vec<u8>> for Bytes {
     /// Takes ownership of the vector's allocation — no copy.
     fn from(v: Vec<u8>) -> Self {
@@ -108,52 +75,19 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
-impl From<&[u8]> for Bytes {
-    fn from(s: &[u8]) -> Self {
-        Bytes::copy_from_slice(s)
-    }
-}
-
-impl From<&'static str> for Bytes {
-    fn from(s: &'static str) -> Self {
-        Bytes::from_static(s.as_bytes())
-    }
-}
-
-impl FromIterator<u8> for Bytes {
-    fn from_iter<T: IntoIterator<Item = u8>>(iter: T) -> Self {
-        Bytes::from(iter.into_iter().collect::<Vec<u8>>())
-    }
-}
-
-// Equality/ordering/hashing are content-based: a `Static` and a `Shared`
-// holding equal bytes are indistinguishable.
+// Equality is content-based: a `Static` and a `Shared` holding equal bytes
+// are indistinguishable.
 impl PartialEq for Bytes {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
     }
 }
 impl Eq for Bytes {}
-impl PartialOrd for Bytes {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Bytes {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
-impl std::hash::Hash for Bytes {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
-    }
-}
 
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "b\"")?;
-        for &b in self.as_slice().iter().take(32) {
+        for &b in self.iter().take(32) {
             if (0x20..0x7f).contains(&b) {
                 write!(f, "{}", b as char)?;
             } else {
@@ -164,107 +98,6 @@ impl fmt::Debug for Bytes {
             write!(f, "… len={}", self.len())?;
         }
         write!(f, "\"")
-    }
-}
-
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_slice() == other
-    }
-}
-
-impl PartialEq<Vec<u8>> for Bytes {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-/// Growable byte buffer that freezes into a [`Bytes`] without copying —
-/// the in-place build path for sealed frames.
-#[derive(Default, Debug, Clone, PartialEq, Eq)]
-pub struct BytesMut {
-    buf: Vec<u8>,
-}
-
-impl BytesMut {
-    /// Empty builder.
-    pub fn new() -> Self {
-        BytesMut { buf: Vec::new() }
-    }
-
-    /// Pre-sized builder (use the encoder's size pass to avoid regrowth).
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut { buf: Vec::with_capacity(cap) }
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Current capacity.
-    pub fn capacity(&self) -> usize {
-        self.buf.capacity()
-    }
-
-    /// Reserves room for at least `additional` more bytes.
-    pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
-    }
-
-    /// Appends a slice.
-    pub fn extend_from_slice(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
-    }
-
-    /// Appends one byte.
-    pub fn put_u8(&mut self, b: u8) {
-        self.buf.push(b);
-    }
-
-    /// Clears content, keeping the allocation for reuse.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
-    /// Converts into an immutable [`Bytes`], handing over the allocation.
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.buf)
-    }
-
-    /// Consumes the builder, returning the backing vector.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
-    }
-}
-
-impl From<Vec<u8>> for BytesMut {
-    fn from(buf: Vec<u8>) -> Self {
-        BytesMut { buf }
-    }
-}
-
-impl Extend<u8> for BytesMut {
-    fn extend<T: IntoIterator<Item = u8>>(&mut self, iter: T) {
-        self.buf.extend(iter);
     }
 }
 
@@ -279,13 +112,7 @@ mod tests {
         assert_eq!(b, c);
         assert_eq!(&b[..], &[1, 2, 3]);
         assert_eq!(b.len(), 3);
-        assert!(!b.is_empty());
-    }
-
-    #[test]
-    fn empty() {
-        assert!(Bytes::new().is_empty());
-        assert_eq!(Bytes::default().len(), 0);
+        assert_eq!(Bytes::copy_from_slice(&[1, 2, 3]), b);
     }
 
     #[test]
@@ -304,33 +131,6 @@ mod tests {
         let v = vec![7u8; 64];
         let ptr = v.as_ptr();
         let b = Bytes::from(v);
-        assert_eq!(b.as_slice().as_ptr(), ptr, "From<Vec> must not copy");
-    }
-
-    #[test]
-    fn static_and_shared_compare_by_content() {
-        let s = Bytes::from_static(b"abc");
-        let h = Bytes::from(b"abc".to_vec());
-        assert_eq!(s, h);
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h1 = DefaultHasher::new();
-        let mut h2 = DefaultHasher::new();
-        s.hash(&mut h1);
-        h.hash(&mut h2);
-        assert_eq!(h1.finish(), h2.finish());
-    }
-
-    #[test]
-    fn bytes_mut_builds_in_place() {
-        let mut m = BytesMut::with_capacity(16);
-        m.extend_from_slice(b"hello ");
-        m.put_u8(b'w');
-        m.extend_from_slice(b"orld");
-        assert_eq!(m.len(), 11);
-        let ptr = m.as_ptr();
-        let b = m.freeze();
-        assert_eq!(&b[..], b"hello world");
-        assert_eq!(b.as_slice().as_ptr(), ptr, "freeze must not copy");
+        assert_eq!(b.as_ptr(), ptr, "From<Vec> must not copy");
     }
 }

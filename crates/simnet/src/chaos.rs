@@ -469,7 +469,6 @@ mod tests {
                         blocked.remove(&(from.0, to.0));
                     }
                     Control::SetDefaultLink { params } => default = params,
-                    Control::SetLink { .. } => {}
                 }
             }
             assert!(crashed.is_empty(), "seed {seed}: {crashed:?} left down");

@@ -398,15 +398,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Earliest queued instant; may advance internal bookkeeping but never
-    /// observable order.
-    pub(crate) fn next_at(&mut self) -> Option<SimTime> {
-        match self {
-            EventQueue::Calendar(q) => q.next_at(),
-            EventQueue::Reference(q) => q.heap.peek().map(|Reverse(e)| e.at),
-        }
-    }
-
     /// Earliest queued instant without mutation (slower for the calendar:
     /// a bucket scan instead of a promotion).
     pub(crate) fn peek_next_time(&self) -> Option<SimTime> {
@@ -555,10 +546,8 @@ mod tests {
         }
         while !q.is_empty() {
             let scanned = q.peek_next_time().unwrap();
-            let lazy = q.next_at().unwrap();
             let (at, _, _) = q.pop().unwrap();
             assert_eq!(scanned, at);
-            assert_eq!(lazy, at);
         }
         assert_eq!(q.peek_next_time(), None);
     }

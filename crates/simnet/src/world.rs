@@ -47,17 +47,6 @@ pub enum Control {
         /// Apply to both directions.
         bidir: bool,
     },
-    /// Replace link parameters for a directed pair (or both directions).
-    SetLink {
-        /// Source side.
-        from: NodeId,
-        /// Destination side.
-        to: NodeId,
-        /// New parameters.
-        params: LinkParams,
-        /// Apply to both directions.
-        bidir: bool,
-    },
 }
 
 /// What the queue holds.  `SendAt` is a [`Ctx::send_at`] frame waiting for
@@ -404,19 +393,7 @@ impl<M: WireSized + 'static> World<M> {
                 } else {
                     slot.res.nic_in.acquire(self.now, service).end
                 };
-                let kind = EventKind::Handle { to, from, msg };
-                // Fast path: when handling lands at this same instant and
-                // no other event is queued for it, the pushed entry would
-                // be popped right back (it gets the largest seq, and the
-                // queue head is strictly later) — dispatch inline and skip
-                // the heap round trip.  Ordering, trace, and the event
-                // count are identical to the slow path.
-                if at == self.now && self.queue.next_at().is_none_or(|t| t > self.now) {
-                    self.seq += 1;
-                    self.dispatch(at, kind);
-                } else {
-                    self.push_event(at, kind);
-                }
+                self.push_event(at, EventKind::Handle { to, from, msg });
             }
             EventKind::Handle { to, from, msg } => {
                 let slot = &self.nodes[to.0 as usize];
@@ -494,13 +471,6 @@ impl<M: WireSized + 'static> World<M> {
                     self.net.unblock_bidir(from, to);
                 } else {
                     self.net.unblock(from, to);
-                }
-            }
-            Control::SetLink { from, to, params, bidir } => {
-                if bidir {
-                    self.net.set_link_bidir(from, to, params);
-                } else {
-                    self.net.set_link(from, to, params);
                 }
             }
             Control::WipeDurable(node) => self.wipe_durable(node),

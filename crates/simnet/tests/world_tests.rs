@@ -285,9 +285,9 @@ fn determinism_same_seed_same_trace_hash() {
 }
 
 /// Actor for the pinned reference run: mixes zero-size messages (which
-/// deliver and handle at the same instant — the inline-dispatch fast
-/// path), control-sized and bulk frames, timers (the crashed side's go
-/// stale), and bounce chains, so every kernel path contributes to the
+/// deliver and handle at the same instant, a `Handle` queued behind its
+/// `Deliver`), control-sized and bulk frames, timers (the crashed side's
+/// go stale), and bounce chains, so every kernel path contributes to the
 /// trace.
 struct Churn {
     peer: NodeId,
@@ -316,10 +316,10 @@ impl Actor<Msg> for Churn {
     }
 }
 
-/// Regression guard for the event-kernel fast paths (same-instant inline
-/// dispatch): they are pure optimizations and must not change the
-/// observable event sequence.  A mismatch means the kernel changed
-/// scheduling order, not just cost.
+/// Regression guard for the event kernel: a change to how events are
+/// queued is a pure optimization and must not change the observable event
+/// sequence.  A mismatch means the kernel changed scheduling order, not
+/// just cost.
 #[test]
 fn reference_trace_is_stable_across_kernel_optimizations() {
     let run = || {
@@ -341,13 +341,13 @@ fn reference_trace_is_stable_across_kernel_optimizations() {
     assert_eq!(
         (hash, events, stats.sent, stats.delivered),
         (REF_HASH, REF_EVENTS, REF_SENT, REF_DELIVERED),
-        "kernel fast paths changed the observable event sequence"
+        "the kernel changed the observable event sequence"
     );
 }
 
-// Golden values captured from the seed kernel (pre-fast-path); the hash
-// re-captured on the last kernel with timer cancellation, `Churn` no longer
-// cancelling its 2 s timer.
+// Golden values captured from the seed kernel; the hash re-captured on the
+// last kernel with timer cancellation, `Churn` no longer cancelling its 2 s
+// timer.
 const REF_HASH: u64 = 8213274418894078761;
 const REF_EVENTS: u64 = 64;
 const REF_SENT: u64 = 28;

@@ -23,16 +23,6 @@ impl WorkerExecutor {
         WorkerExecutor { registry, limits }
     }
 
-    /// The active sandbox limits.
-    pub fn limits(&self) -> SandboxLimits {
-        self.limits
-    }
-
-    /// The service registry.
-    pub fn registry(&self) -> &ServiceRegistry {
-        &self.registry
-    }
-
     /// Really executes the task (threaded runtime): invokes the service and
     /// packs its output into a result archive.
     pub fn execute(&self, task: &TaskDesc) -> Result<Archive, ServiceError> {
