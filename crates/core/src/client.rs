@@ -145,8 +145,6 @@ pub struct ClientActor {
     /// Every submitted call, at its seq: the log holds the call, not the
     /// submission — [`CallSpec::job`] rebuilds that wherever one is sent.
     log: SenderLog<CallSpec>,
-    /// Plan calls submitted (or rolled forward past) so far.
-    next_plan_idx: usize,
     /// Calls made through the API ([`Msg::ApiSubmit`]) that are not logged
     /// yet: the plan's tail, queued only until [`Self::submit_next`] logs
     /// them, since the log is where a submitted call lives.
@@ -161,12 +159,10 @@ pub struct ClientActor {
     unacked_results: BTreeSet<u64>,
     /// When each submission above the acknowledged mark last left this
     /// client (replay throttle); [`Self::ack_up_to`] drops the rest.
+    /// Submission is sequential, so every logged entry between the mark
+    /// and the last key has a stamp — the replay scan skips that whole
+    /// in-flight run instead of re-checking it entry by entry.
     sent_at: BTreeMap<u64, SimTime>,
-    /// Highest seq ever sent to the current coordinator incarnation.
-    /// Submission is sequential, so every logged entry at or below this
-    /// mark has a `sent_at` stamp — the replay scan skips the whole
-    /// in-flight prefix instead of re-checking it entry by entry.
-    sent_hw: u64,
     /// `(coordinator, boot epoch)` of the last reply, plus the highest
     /// `coord_max` observed within it.
     coord_epoch: Option<(CoordId, u64)>,
@@ -187,11 +183,9 @@ pub struct ClientActor {
     catalog_hw: u64,
     /// Last ResultsRequest instant (pull pacing).
     last_pull: Option<SimTime>,
-    /// Submissions whose interaction has not completed yet (keeps the
-    /// sequential submission pump alive across API calls).
-    in_flight_submissions: usize,
     /// Armed `K_SUBMIT` timers: the coordinator each submission goes to and
-    /// its seq (the spec is read back from the log when the timer fires).
+    /// its seq (the spec is read back from the log when the timer fires) —
+    /// the submissions whose interaction has not completed yet.
     submitting: BTreeMap<TimerId, (NodeId, u64)>,
     /// Telemetry snapshots pulled from coordinators via
     /// [`Msg::StatusRequest`], keyed by coordinator id.  A volatile cache:
@@ -213,7 +207,6 @@ impl ClientActor {
         move |image| {
             let mut actor = ClientActor::fresh(params.clone());
             if let Some(d) = image.take::<ClientDurable>() {
-                actor.next_plan_idx = d.log.max_seq() as usize;
                 actor.log = d.log;
                 // Acknowledgements are volatile: every held result is
                 // re-announced to whoever answers the restart.
@@ -233,19 +226,16 @@ impl ClientActor {
             params,
             link,
             log,
-            next_plan_idx: 0,
             api_queue: VecDeque::new(),
             results: SeqWindow::new(),
             unacked_results: BTreeSet::new(),
             sent_at: BTreeMap::new(),
-            sent_hw: 0,
             coord_epoch: None,
             acked_max: 0,
             progress_at: SimTime::ZERO,
             frontier: PullFrontier::new(),
             catalog_hw: 0,
             last_pull: None,
-            in_flight_submissions: 0,
             submitting: BTreeMap::new(),
             snapshots: BTreeMap::new(),
             status_nonce_hw: 0,
@@ -284,13 +274,12 @@ impl ClientActor {
     }
 
     /// Logs and sends the next call: the plan's next one, else the oldest
-    /// queued API call.
+    /// queued API call.  Plan call `i` is seq `i + 1` and an API call is
+    /// logged only once the plan is spent, so the log's highest seq is the
+    /// index of the plan's next call.
     fn submit_next(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let call = match self.params.plan.get(self.next_plan_idx) {
-            Some(call) => {
-                self.next_plan_idx += 1;
-                call.clone()
-            }
+        let call = match self.params.plan.get(self.log.max_seq() as usize) {
+            Some(call) => call.clone(),
             None => match self.api_queue.pop_front() {
                 Some(call) => call,
                 None => return,
@@ -298,7 +287,6 @@ impl ClientActor {
         };
         let now = ctx.now();
         let seq = self.log.peek_seq();
-        self.in_flight_submissions += 1;
         // Marshalling cost, then the strategy-mediated log write.
         let marshal_done = ctx.cpu(call.params.len() as f64 / MARSHAL_BW);
         let logged_bytes = call.params.len() + 64; // params + call frame
@@ -312,7 +300,6 @@ impl ClientActor {
         // (the send may leave a little later); a crash wipes this map, so
         // restored log entries correctly look never-sent.
         self.sent_at.insert(seq, now);
-        self.sent_hw = self.sent_hw.max(seq);
         if let Some(node) = self.coordinator(now) {
             if comm_start <= now {
                 let comm_end = ctx.send(node, self.submission(seq));
@@ -330,12 +317,10 @@ impl ClientActor {
 
     fn finish_submission(&mut self, ctx: &mut Ctx<'_, Msg>, seq: u64, comm_end: SimTime) {
         self.sent_at.insert(seq, ctx.now());
-        self.sent_hw = self.sent_hw.max(seq);
         let end = self.log.interaction_end(seq, comm_end);
         if let Some(t) = self.metrics.submissions.get_mut(&seq) {
             t.interaction_end = Some(end);
         }
-        self.in_flight_submissions = self.in_flight_submissions.saturating_sub(1);
         // Sequential submission: the next call starts when this interaction
         // completes.  Always schedule the continuation — an API call may
         // arrive between now and the timer firing.
@@ -405,7 +390,7 @@ impl ClientActor {
         // and each logged seq has its result.
         let calls = self.log.max_seq();
         if self.metrics.done_at.is_none()
-            && self.next_plan_idx >= self.params.plan.len()
+            && calls >= self.params.plan.len() as u64
             && self.api_queue.is_empty()
             && calls > 0
             && self.results.len() as u64 >= calls
@@ -416,8 +401,9 @@ impl ClientActor {
     }
 
     /// The coordinator registered everything up to `coord_max`: the log
-    /// marks it acknowledged, and its send stamps have no reader left (the replay scans
-    /// above the mark, the refusal test reads `coord_max + 1` and beyond).
+    /// marks it acknowledged, and its send stamps have no reader left (the
+    /// replay scans above the mark, the refusal test reads `coord_max + 1`
+    /// and beyond).
     /// Popped from the front — `split_off` would allocate a root per ack.
     fn ack_up_to(&mut self, coord_max: u64) {
         self.log.ack_up_to(coord_max);
@@ -439,7 +425,6 @@ impl ClientActor {
             // flight to it are genuine.)
             if self.coord_epoch.is_some() {
                 self.sent_at.clear();
-                self.sent_hw = 0;
                 self.frontier.forget_requests();
                 // Re-announce every durably held result as collected: a
                 // promoted successor (or a restarted primary whose last GC
@@ -467,6 +452,30 @@ impl ClientActor {
         true
     }
 
+    /// A coordinator's mark — the `coord_max` and boot epoch a
+    /// [`Msg::SubmitAck`] or a [`Msg::ClientSyncReply`] carries — read the
+    /// one way both replies need.  `None` when the reply is a stale
+    /// reordering to ignore; else whether it rebased this client onto a new
+    /// coordinator incarnation.
+    fn on_mark(&mut self, now: SimTime, epoch: u64, coord_max: u64) -> Option<bool> {
+        self.link.heard(now, true);
+        let prev_incarnation = self.coord_epoch;
+        if !self.reconcile_epoch(now, epoch, coord_max) {
+            return None;
+        }
+        if coord_max > self.log.max_seq() {
+            // The coordinator knows submissions our (optimistic) log lost:
+            // roll forward past them — their calls were submitted with
+            // exactly these timestamps before the crash.
+            self.log.fast_forward(coord_max);
+        }
+        // Ack before any replay: the replay's backlog estimate reads the
+        // maintained unacked counter, which is exact once the mark is
+        // applied.
+        self.ack_up_to(coord_max);
+        Some(prev_incarnation.is_some() && prev_incarnation != self.coord_epoch)
+    }
+
     // One parameter per `ClientSyncReply` field: the signature *is* the
     // wire frame, destructured at the dispatch site.
     #[allow(clippy::too_many_arguments)]
@@ -480,32 +489,13 @@ impl ClientActor {
         available: Vec<(u64, u64)>,
         removed: Vec<u64>,
     ) {
-        let now = ctx.now();
-        self.link.heard(now, true);
-        let prev_incarnation = self.coord_epoch;
-        if !self.reconcile_epoch(now, epoch, coord_max) {
-            return;
-        }
         // Did *this very reply* rebase us onto a new coordinator
         // incarnation?  Then its catalog delta was computed against the
         // old incarnation's high-water mark and may silently omit history
         // below that mark — discard it; the next beat (carrying the reset
         // mark) fetches the full catalog.
-        let rebased = prev_incarnation.is_some() && prev_incarnation != self.coord_epoch;
-        let local_max = self.log.max_seq();
-        if coord_max > local_max {
-            // The coordinator knows submissions our (optimistic) log lost:
-            // roll forward past them — their plan entries were submitted
-            // with exactly these timestamps before the crash.
-            self.log.fast_forward(coord_max);
-            self.next_plan_idx = self.next_plan_idx.max(coord_max as usize);
-        }
-        // Ack first: the replay's backlog estimate reads the maintained
-        // unacked counter, which is exact once the mark is applied.
-        self.ack_up_to(coord_max);
-        if coord_max < local_max {
-            self.replay_missing(ctx, coord_max);
-        }
+        let Some(rebased) = self.on_mark(ctx.now(), epoch, coord_max) else { return };
+        self.replay_missing(ctx, coord_max);
         // Merge the catalog *delta* — O(changed), never a rescan, and
         // only if it is *contiguous*: its base must not be ahead of our
         // mark (`catalog_base <= catalog_hw`), else the span between the
@@ -540,6 +530,9 @@ impl ClientActor {
     /// registering.  The replay is windowed; each acknowledgement
     /// continues it without waiting for a heartbeat.
     fn replay_missing(&mut self, ctx: &mut Ctx<'_, Msg>, coord_max: u64) {
+        if coord_max >= self.log.max_seq() {
+            return; // the coordinator holds the whole log
+        }
         let now = ctx.now();
         let policy = RetryPolicy::of(self.params.cfg.heartbeat, ctx.spec().nic_bw);
         // Registration can lag by the whole in-flight volume (NIC queues on
@@ -563,7 +556,8 @@ impl ClientActor {
         // Without a stall, an entry already sent to this incarnation is
         // never replayable — skip the whole contiguous sent prefix instead
         // of re-testing every in-flight entry on every acknowledgement.
-        let scan_from = if stalled { coord_max } else { coord_max.max(self.sent_hw) };
+        let sent_hw = self.sent_at.last_key_value().map_or(0, |(&seq, _)| seq);
+        let scan_from = if stalled { coord_max } else { coord_max.max(sent_hw) };
         for (seq, e) in self.log.entries_after(scan_from) {
             if specs.len() >= 64 || budget < 0 {
                 break;
@@ -580,7 +574,6 @@ impl ClientActor {
         if !specs.is_empty() {
             for spec in &specs {
                 self.sent_at.insert(spec.key.seq, now);
-                self.sent_hw = self.sent_hw.max(spec.key.seq);
             }
             self.metrics.log_replays += 1;
             // Reading the replayed entries back from the local log is one
@@ -676,33 +669,26 @@ impl Actor<Msg> for ClientActor {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
         match msg {
-            Msg::SubmitAck { job, coord_max, epoch } => {
-                if job.client == self.params.key {
-                    self.link.heard(ctx.now(), true);
-                    if self.reconcile_epoch(ctx.now(), epoch, coord_max) {
-                        self.ack_up_to(coord_max);
-                        // A refusal: `job` reached the coordinator behind a
-                        // hole (a frame lost, or overtaken within the link's
-                        // jitter), so nothing we believed in flight above
-                        // the mark is registered.  Forget those stamps: the
-                        // replay below refills the hole now, not after a
-                        // stall during which every later submission would
-                        // be refused too.  Once, per hole: a refusal says
-                        // the hole's copy is lost or late only if that copy
-                        // left before the refused frame did — everything a
-                        // refill re-sent shares one stamp, so the refusals
-                        // still in flight behind the first one are spent.
-                        let hole_sent = self.sent_at.get(&(coord_max + 1));
-                        if coord_max < job.seq && hole_sent < self.sent_at.get(&job.seq) {
-                            self.sent_at.split_off(&(coord_max + 1));
-                            self.sent_hw = coord_max;
-                        }
-                        // Continuation replay: the acknowledged batch may
-                        // have been one window of a longer resync.
-                        if coord_max < self.log.max_seq() {
-                            self.replay_missing(ctx, coord_max);
-                        }
+            Msg::SubmitAck { job, coord_max, epoch } if job.client == self.params.key => {
+                if self.on_mark(ctx.now(), epoch, coord_max).is_some() {
+                    // A refusal: `job` reached the coordinator behind a hole
+                    // (a frame lost, or overtaken within the link's jitter),
+                    // so nothing we believed in flight above the mark is
+                    // registered.  Forget those stamps — the ack left no
+                    // other: the replay below refills the hole now, not
+                    // after a stall during which every later submission
+                    // would be refused too.  Once, per hole: a refusal says
+                    // the hole's copy is lost or late only if that copy left
+                    // before the refused frame did — everything a refill
+                    // re-sent shares one stamp, so the refusals still in
+                    // flight behind the first one are spent.
+                    let hole_sent = self.sent_at.get(&(coord_max + 1));
+                    if coord_max < job.seq && hole_sent < self.sent_at.get(&job.seq) {
+                        self.sent_at.clear();
                     }
+                    // Continuation replay: the acknowledged batch may have
+                    // been one window of a longer resync.
+                    self.replay_missing(ctx, coord_max);
                 }
             }
             Msg::ClientSyncReply {
@@ -737,7 +723,7 @@ impl Actor<Msg> for ClientActor {
                 );
                 // Restart the pump only when no completion continuation is
                 // pending; otherwise that continuation submits this call.
-                if self.in_flight_submissions == 0 {
+                if self.submitting.is_empty() {
                     self.submit_next(ctx);
                 }
             }
@@ -811,7 +797,7 @@ mod tests {
         // log row per call it ever made and one result row per result it
         // holds, neither collected yet — a new field is a decision.
         type LogRow = rpcv_log::SenderEntry<CallSpec>;
-        assert!(size_of::<LogRow>() <= 88, "log row: {}", size_of::<LogRow>());
+        assert!(size_of::<LogRow>() <= 80, "log row: {}", size_of::<LogRow>());
         assert!(size_of::<ResultRec>() <= 32, "result row: {}", size_of::<ResultRec>());
         // A vacant window slot costs the row's bytes and nothing more.
         assert_eq!(size_of::<Option<LogRow>>(), size_of::<LogRow>());

@@ -20,8 +20,6 @@ pub struct SenderEntry<T> {
     pub size: u64,
     /// When the entry is (or became) durable.
     pub durable_at: SimTime,
-    /// Set once the coordinator acknowledged registering this submission.
-    pub acked: bool,
 }
 
 /// Timing outcome of an append, combining strategy semantics with the
@@ -40,10 +38,8 @@ pub struct SenderLog<T> {
     strategy: LogStrategy,
     entries: SeqWindow<SenderEntry<T>>,
     next_seq: u64,
-    /// Highest timestamp every entry at or below which is already acked —
-    /// the resume point for [`Self::ack_up_to`], which would otherwise
-    /// re-walk the whole acknowledged prefix on every acknowledgement
-    /// (O(total log) per ack, quadratic over a long run).
+    /// The acknowledgement: an entry is acked iff its seq is at or below
+    /// this mark.  Never above [`Self::max_seq`].
     acked_hw: u64,
     /// Maintained sum of `size` over unacknowledged entries, so the
     /// resend-backlog estimate is O(1) instead of a suffix walk per ack.
@@ -98,13 +94,14 @@ impl<T> SenderLog<T> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let timing = self.strategy.write(disk, now, size);
-        self.entries
-            .insert(seq, SenderEntry { value, size, durable_at: timing.durable_at, acked: false });
+        self.entries.insert(seq, SenderEntry { value, size, durable_at: timing.durable_at });
         self.unacked_bytes += size;
         AppendOutcome { seq, timing }
     }
 
-    /// Highest timestamp at or below which everything is acknowledged.
+    /// Highest timestamp at or below which everything is acknowledged —
+    /// the only acknowledgement state: an entry is acked iff its seq is at
+    /// or below this mark.
     pub fn acked_hw(&self) -> u64 {
         self.acked_hw
     }
@@ -118,22 +115,18 @@ impl<T> SenderLog<T> {
     /// Marks all entries with `seq <= up_to` as registered on the
     /// coordinator (its synchronization replies carry its max timestamp).
     ///
-    /// O(newly acked): acknowledgements arrive with monotonically growing
-    /// high-water marks, so only the range above the previous mark is
-    /// walked.
+    /// O(newly acked): only the range above the previous mark is walked,
+    /// to subtract its bytes from the unacked counter.
     pub fn ack_up_to(&mut self, up_to: u64) {
+        // Never past the last allocated seq: an append must land above the
+        // mark, or it would read as acked.
+        let up_to = up_to.min(self.max_seq());
         if up_to <= self.acked_hw {
             return;
         }
-        for (_, e) in self.entries.range_mut(self.acked_hw + 1..=up_to) {
-            if !e.acked {
-                e.acked = true;
-                self.unacked_bytes -= e.size;
-            }
-        }
-        // Never past the last allocated seq: an append must land above the
-        // mark, or the next ack would skip it.
-        self.acked_hw = up_to.min(self.max_seq());
+        let newly: u64 = self.entries.range(self.acked_hw + 1..=up_to).map(|(_, e)| e.size).sum();
+        self.unacked_bytes -= newly;
+        self.acked_hw = up_to;
     }
 
     /// Entries strictly after `seq` as `(seq, entry)`, in order — the
@@ -158,18 +151,14 @@ impl<T> SenderLog<T> {
     /// Crash semantics: entries whose write had not drained by `now` are
     /// lost; the timestamp counter restarts after the highest *surviving*
     /// entry (re-executions re-submit with fresh timestamps, preserving
-    /// at-least-once semantics).
+    /// at-least-once semantics), and the mark drops to it if it was
+    /// higher — a re-allocated timestamp is a new, unacknowledged entry.
     pub fn survive_crash(&mut self, now: SimTime) -> usize {
         let before = self.entries.len();
         self.entries.retain(|_, e| e.durable_at <= now);
-        self.unacked_bytes =
-            self.entries.iter().filter(|(_, e)| !e.acked).map(|(_, e)| e.size).sum();
         self.next_seq = self.entries.last_seq().map_or(1, |s| s + 1);
-        // The restarted counter may re-allocate timestamps at or below the
-        // old mark (acked-but-undurable entries died with the cache); the
-        // per-entry flags survive, so restarting the resume point only
-        // costs one re-walk of the acknowledged prefix at the next ack.
-        self.acked_hw = 0;
+        self.acked_hw = self.acked_hw.min(self.max_seq());
+        self.unacked_bytes = self.entries_after(self.acked_hw).map(|(_, e)| e.size).sum();
         before - self.entries.len()
     }
 
@@ -215,9 +204,7 @@ mod tests {
             log.append(format!("m{i}"), 10, SimTime::ZERO, &mut disk);
         }
         log.ack_up_to(2);
-        assert!(log.get(1).unwrap().acked);
-        assert!(log.get(2).unwrap().acked);
-        assert!(!log.get(3).unwrap().acked);
+        assert_eq!((log.acked_hw(), log.unacked_bytes()), (2, 20));
         let resend: Vec<u64> = log.entries_after(2).map(|(seq, _)| seq).collect();
         assert_eq!(resend, vec![3, 4]);
         assert_eq!(log.entries_after(99).count(), 0);

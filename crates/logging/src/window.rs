@@ -148,25 +148,6 @@ impl<T> SeqWindow<T> {
             })
     }
 
-    /// Mutable form of [`Self::range`].
-    pub fn range_mut(
-        &mut self,
-        seqs: RangeInclusive<u64>,
-    ) -> impl Iterator<Item = (u64, &mut T)> + '_ {
-        let (lo, hi) = (*seqs.start(), *seqs.end());
-        (lo <= hi)
-            .then(|| self.chunks.range_mut(lo / CHUNK as u64..=hi / CHUNK as u64))
-            .into_iter()
-            .flatten()
-            .flat_map(move |(&c, chunk)| {
-                let base = c * CHUNK as u64;
-                chunk.rows.iter_mut().enumerate().filter_map(move |(s, r)| {
-                    let seq = base + s as u64;
-                    (lo..=hi).contains(&seq).then_some((seq, r.as_mut()?))
-                })
-            })
-    }
-
     /// Every occupied slot as `(seq, row)`, ascending.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
         self.range(0..=u64::MAX)

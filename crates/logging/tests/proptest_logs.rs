@@ -8,15 +8,25 @@ use proptest::prelude::*;
 use rpcv_log::{AppendOutcome, GcPolicy, LogStrategy, PeerKey, PeerLog, SenderEntry, SenderLog};
 use rpcv_simnet::{Disk, DiskSpec, SimDuration, SimTime};
 
-/// The sender log as an ordered map, one node per entry: the definition
-/// the seq-window [`SenderLog`] is held to, op for op, by
+/// The sender log as an ordered map, one node per entry, each carrying its
+/// own acknowledgement flag, and a crash that restarts the resume point at
+/// 0: the definition the seq-window [`SenderLog`] — whose only
+/// acknowledgement is its mark — is held to, op for op, by
 /// `sender_log_matches_ordered_map_reference`.
 struct RefSenderLog {
     strategy: LogStrategy,
-    entries: BTreeMap<u64, SenderEntry<u64>>,
+    entries: BTreeMap<u64, RefEntry>,
     next_seq: u64,
     acked_hw: u64,
     unacked_bytes: u64,
+}
+
+/// A reference row: what a [`SenderEntry`] says, plus its flag.
+struct RefEntry {
+    value: u64,
+    size: u64,
+    durable_at: SimTime,
+    acked: bool,
 }
 
 impl RefSenderLog {
@@ -34,7 +44,7 @@ impl RefSenderLog {
         let seq = self.next_seq;
         self.next_seq += 1;
         let timing = self.strategy.write(disk, now, size);
-        let entry = SenderEntry { value, size, durable_at: timing.durable_at, acked: false };
+        let entry = RefEntry { value, size, durable_at: timing.durable_at, acked: false };
         self.entries.insert(seq, entry);
         self.unacked_bytes += size;
         AppendOutcome { seq, timing }
@@ -68,8 +78,13 @@ impl RefSenderLog {
 }
 
 /// What a sender-log entry says, comparable.
-fn row(e: &SenderEntry<u64>) -> (u64, u64, SimTime, bool) {
-    (e.value, e.size, e.durable_at, e.acked)
+fn row(e: &SenderEntry<u64>) -> (u64, u64, SimTime) {
+    (e.value, e.size, e.durable_at)
+}
+
+/// What a reference row says, its flag aside.
+fn ref_row(e: &RefEntry) -> (u64, u64, SimTime) {
+    (e.value, e.size, e.durable_at)
 }
 
 proptest! {
@@ -124,8 +139,8 @@ proptest! {
     /// (every strategy, sizes from a few bytes to megabytes, so optimistic
     /// writes are still in the cache when a crash lands), acks, roll
     /// forwards and crashes leave both with the same counters and the same
-    /// entry at every seq, and every entry at or below `acked_hw()` acked
-    /// (the resume point `ack_up_to` skips to), after every op.
+    /// entry at every seq, and every reference row's flag saying exactly
+    /// `seq <= acked_hw()`, after every op.
     #[test]
     fn sender_log_matches_ordered_map_reference(
         strat_idx in 0usize..3,
@@ -158,15 +173,16 @@ proptest! {
             }
             prop_assert_eq!(log.len(), reference.entries.len());
             prop_assert_eq!(log.unacked_bytes(), reference.unacked_bytes);
-            prop_assert_eq!(log.acked_hw(), reference.acked_hw);
             prop_assert_eq!(log.max_seq(), reference.next_seq - 1);
             let hw = log.acked_hw();
-            prop_assert!(log.iter().take_while(|&(s, _)| s <= hw).all(|(_, e)| e.acked), "{}", hw);
+            for (&seq, e) in &reference.entries {
+                prop_assert!(e.acked == (seq <= hw), "seq {} against mark {}", seq, hw);
+            }
             for seq in 0..=log.max_seq() + 1 {
-                prop_assert_eq!(log.get(seq).map(row), reference.entries.get(&seq).map(row));
+                prop_assert_eq!(log.get(seq).map(row), reference.entries.get(&seq).map(ref_row));
                 let after: Vec<_> = log.entries_after(seq).map(|(s, e)| (s, row(e))).collect();
                 let expect: Vec<_> =
-                    reference.entries.range(seq + 1..).map(|(&s, e)| (s, row(e))).collect();
+                    reference.entries.range(seq + 1..).map(|(&s, e)| (s, ref_row(e))).collect();
                 prop_assert_eq!(after, expect);
             }
         }

@@ -9,22 +9,8 @@ use crate::error::WireError;
 /// Maximum encoded size of a 64-bit varint.
 pub const MAX_VARINT_LEN: usize = 10;
 
-/// Appends `v` to `out` in LEB128 (7 bits per byte, MSB = continuation).
-pub fn write_uvarint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Encodes `v` into a stack array; returns the buffer and encoded length.
-///
-/// The allocation-free twin of [`write_uvarint`] for per-field hot paths.
+/// Encodes `v` in LEB128 (7 bits per byte, MSB = continuation) into a
+/// stack array; returns the buffer and encoded length.
 #[inline]
 pub fn encode_uvarint(mut v: u64) -> ([u8; MAX_VARINT_LEN], usize) {
     let mut buf = [0u8; MAX_VARINT_LEN];
@@ -41,7 +27,7 @@ pub fn encode_uvarint(mut v: u64) -> ([u8; MAX_VARINT_LEN], usize) {
     }
 }
 
-/// Number of bytes [`write_uvarint`] produces for `v`.
+/// Number of bytes [`encode_uvarint`] produces for `v`.
 #[inline]
 pub fn uvarint_len(v: u64) -> usize {
     // 1 + floor(bits/7); bits==0 still takes one byte.
@@ -88,6 +74,20 @@ pub fn unzigzag(v: u64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The growable-buffer LEB128 encoder: the reference
+    /// [`encode_uvarint`] is held to.
+    fn write_uvarint(out: &mut Vec<u8>, mut v: u64) {
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                out.push(byte);
+                return;
+            }
+            out.push(byte | 0x80);
+        }
+    }
 
     #[test]
     fn roundtrip_edges() {

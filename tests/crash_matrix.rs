@@ -1203,3 +1203,40 @@ fn api_calls_made_after_a_client_restart_are_submitted() {
         assert_eq!(c.result_archive(seq).map(|b| b.len()), Some(100 + seq), "seq {seq}'s own call");
     }
 }
+
+/// An optimistic client crashes before its first call's log write drains,
+/// so the restarted log is empty — but the call left, and the coordinator
+/// registered it as seq 1.  The acknowledgement sent before the crash
+/// lands on the restarted client before its first sync reply does, and a
+/// second call is made between the two.  That acknowledgement must roll
+/// the log forward past seq 1, exactly as a sync reply would: otherwise
+/// the second call is logged at seq 1, on top of the first call's
+/// registration, and never runs.
+#[test]
+fn a_submit_ack_above_the_restarted_log_rolls_it_forward() {
+    use rpcv::core::msg::Msg;
+    use rpcv::simnet::Control;
+    let cfg = fast_cfg().with_log_strategy(LogStrategy::Optimistic);
+    let mut g = SimGrid::build(GridSpec::confined(1, 2).with_cfg(cfg));
+    let client = g.client_node;
+    let call = |result_size: u64| Msg::ApiSubmit {
+        service: "b".into(),
+        params: Blob::synthetic(512, result_size),
+        exec_cost: 1.0,
+        result_size,
+        replication: 1,
+        work_units: 1,
+    };
+    let t0 = SimTime::from_millis(10_500);
+    let at = |ms: u64| t0 + SimDuration::from_millis(ms);
+    g.world.inject(t0, client, call(101));
+    g.world.schedule_control(at(1), Control::Crash(client));
+    g.world.schedule_control(at(2), Control::Restart(client));
+    // After the pre-crash SubmitAck lands (≈ +14.4 ms), before the
+    // restart beat's sync reply (≈ +17.4 ms).
+    g.world.inject(at(15), client, call(102));
+    g.world.run_until(SimTime::from_secs(120));
+    let c = g.client().expect("client up");
+    let held: Vec<_> = (1..=2).map(|seq| c.result_archive(seq).map(|b| b.len())).collect();
+    assert_eq!(held, [Some(101), Some(102)], "each call runs once, at its own seq");
+}
