@@ -10,9 +10,11 @@ use std::any::Any;
 use crate::disk::WriteOutcome;
 use crate::net::NetModel;
 use crate::node::{HostResources, HostSpec, NodeId, DB_BW};
+use crate::queue::EventQueue;
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{NetStats, Trace, TraceKind};
+use crate::world::{enqueue, EventKind};
 
 /// Messages must report their wire size so transfers can be charged.
 pub trait WireSized {
@@ -109,60 +111,24 @@ pub trait Actor<M>: Any {
     }
 }
 
-/// Buffered side effects of one handler invocation.
-#[derive(Debug)]
-pub enum Effect<M> {
-    /// Deliver `msg` to `to` at `arrival` (times already resolved).
-    Deliver {
-        /// Destination node.
-        to: NodeId,
-        /// Origin node.
-        from: NodeId,
-        /// The message.
-        msg: M,
-        /// Arrival instant at the destination NIC.
-        arrival: SimTime,
-        /// Wire size (for NIC-in charging).
-        size: u64,
-    },
-    /// Arm a timer.
-    TimerSet {
-        /// Fire instant.
-        at: SimTime,
-        /// Actor-defined discriminator.
-        kind: u64,
-        /// Pre-allocated id.
-        id: TimerId,
-    },
-    /// Send `msg` to `to` at the future instant `at` (see [`Ctx::send_at`]).
-    SendAt {
-        /// Instant the send happens.
-        at: SimTime,
-        /// Destination node.
-        to: NodeId,
-        /// The message.
-        msg: M,
-        /// Wire size, measured when the send was scheduled.
-        size: u64,
-    },
-}
-
 /// Handler-side view of the world.
 ///
 /// All methods are deterministic functions of the node's resources and RNG
-/// stream; message sends and timer operations are buffered as [`Effect`]s
-/// and applied by the driver after the handler returns.
+/// stream.  A send or a timer enters the kernel queue when the handler makes
+/// it, stamped with the world's next sequence number, so events a handler
+/// makes keep the order it made them in.
 pub struct Ctx<'a, M> {
     pub(crate) now: SimTime,
     pub(crate) node: NodeId,
+    pub(crate) inc: u32,
     pub(crate) rng: &'a mut DetRng,
     pub(crate) res: &'a mut HostResources,
     pub(crate) spec: &'a HostSpec,
     pub(crate) net: &'a NetModel,
-    pub(crate) effects: &'a mut Vec<Effect<M>>,
+    pub(crate) queue: &'a mut EventQueue<EventKind<M>>,
+    pub(crate) seq: &'a mut u64,
     pub(crate) trace: &'a mut Trace,
     pub(crate) stats: &'a mut NetStats,
-    pub(crate) timer_seq: &'a mut u64,
     pub(crate) frame_ops: &'a mut Option<Box<dyn FrameOps<M>>>,
 }
 
@@ -270,15 +236,9 @@ impl<'a, M: WireSized> Ctx<'a, M> {
             let arrival2 = occ.end + link.latency + jitter2;
             self.stats.duplicated += 1;
             self.trace.push(self.now, self.node, TraceKind::Dup, "");
-            self.effects.push(Effect::Deliver {
-                to,
-                from: self.node,
-                msg: copy,
-                arrival: arrival2,
-                size,
-            });
+            self.push(arrival2, EventKind::Deliver { to, from: self.node, msg: copy, size });
         }
-        self.effects.push(Effect::Deliver { to, from: self.node, msg, arrival, size });
+        self.push(arrival, EventKind::Deliver { to, from: self.node, msg, size });
         occ.end
     }
 
@@ -293,7 +253,7 @@ impl<'a, M: WireSized> Ctx<'a, M> {
         if at <= self.now {
             self.send_sized(to, msg, size);
         } else {
-            self.effects.push(Effect::SendAt { at, to, msg, size });
+            self.push(at, EventKind::SendAt { node: self.node, inc: self.inc, to, msg, size });
         }
         size
     }
@@ -304,12 +264,17 @@ impl<'a, M: WireSized> Ctx<'a, M> {
         self.set_timer_at(self.now + delay, kind)
     }
 
-    /// Arms a timer at an absolute instant.
+    /// Arms a timer at an absolute instant (an instant already past fires
+    /// now).  The id is the sequence number of the queued event, so ids are
+    /// unique and increase in the order timers are set.
     pub fn set_timer_at(&mut self, at: SimTime, kind: u64) -> TimerId {
-        *self.timer_seq += 1;
-        let id = TimerId(*self.timer_seq);
-        self.effects.push(Effect::TimerSet { at: at.max(self.now), kind, id });
-        id
+        let timer = EventKind::Timer { node: self.node, inc: self.inc, kind };
+        TimerId(self.push(at.max(self.now), timer))
+    }
+
+    /// Queues `kind` at `at`; returns its sequence number.
+    fn push(&mut self, at: SimTime, kind: EventKind<M>) -> u64 {
+        enqueue(self.queue, self.seq, at, kind)
     }
 
     /// Writes `bytes` to the local disk.

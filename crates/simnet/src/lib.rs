@@ -81,7 +81,7 @@ pub mod time;
 pub mod trace;
 pub mod world;
 
-pub use actor::{Actor, Ctx, DurableImage, Effect, FrameOps, TimerId, WireSized};
+pub use actor::{Actor, Ctx, DurableImage, FrameOps, TimerId, WireSized};
 pub use chaos::{ChaosProfile, ChaosTargets, FaultCounts, FaultPlan};
 pub use disk::{Disk, DiskSpec, WriteOutcome};
 pub use net::{LinkParams, NetModel};

@@ -1,6 +1,6 @@
 //! The simulation world: event queue, nodes, dispatch loop, fault control.
 
-use crate::actor::{Actor, Ctx, DurableImage, Effect, FrameOps, TimerId, WireSized};
+use crate::actor::{Actor, Ctx, DurableImage, FrameOps, TimerId, WireSized};
 use crate::net::{LinkParams, NetModel};
 use crate::node::{HostResources, HostSpec, NodeId};
 use crate::queue::{EventQueue, QueueAudit};
@@ -50,14 +50,28 @@ pub enum Control {
 }
 
 /// What the queue holds.  `SendAt` is a [`Ctx::send_at`] frame waiting for
-/// its instant: `node` sends it then if it still runs incarnation `inc`.
-enum EventKind<M> {
+/// its instant: `node` sends it then if it still runs incarnation `inc`.  A
+/// timer's id is its event's sequence number.
+pub(crate) enum EventKind<M> {
     Start { node: NodeId, inc: u32 },
     Deliver { to: NodeId, from: NodeId, msg: M, size: u64 },
     Handle { to: NodeId, from: NodeId, msg: M },
-    Timer { node: NodeId, inc: u32, id: TimerId, kind: u64 },
+    Timer { node: NodeId, inc: u32, kind: u64 },
     SendAt { node: NodeId, inc: u32, to: NodeId, msg: M, size: u64 },
     Control(Control),
+}
+
+/// The one way an event enters the queue: it takes the world's next
+/// sequence number, which is returned.
+pub(crate) fn enqueue<M>(
+    queue: &mut EventQueue<EventKind<M>>,
+    seq: &mut u64,
+    at: SimTime,
+    kind: EventKind<M>,
+) -> u64 {
+    *seq += 1;
+    queue.push(at, *seq, kind);
+    *seq
 }
 
 type Factory<M> = Box<dyn FnMut(DurableImage) -> Box<dyn Actor<M> + Send> + Send>;
@@ -82,9 +96,7 @@ pub struct World<M> {
     net: NetModel,
     trace: Trace,
     stats: NetStats,
-    timer_seq: u64,
     master_rng: DetRng,
-    effects: Vec<Effect<M>>,
     events_processed: u64,
     frame_ops: Option<Box<dyn FrameOps<M>>>,
 }
@@ -100,9 +112,7 @@ impl<M: WireSized + 'static> World<M> {
             net: NetModel::default(),
             trace: Trace::new(),
             stats: NetStats::default(),
-            timer_seq: 0,
             master_rng: DetRng::new(seed),
-            effects: Vec::new(),
             events_processed: 0,
             frame_ops: None,
         }
@@ -304,14 +314,13 @@ impl<M: WireSized + 'static> World<M> {
     }
 
     fn push_event(&mut self, at: SimTime, kind: EventKind<M>) {
-        self.seq += 1;
-        self.queue.push(at.max(self.now), self.seq, kind);
+        enqueue(&mut self.queue, &mut self.seq, at.max(self.now), kind);
     }
 
     /// Runs all events up to and including `t`; leaves `now == t`.
     pub fn run_until(&mut self, t: SimTime) {
-        while let Some((at, _, kind)) = self.queue.pop_at_most(t) {
-            self.dispatch(at, kind);
+        while let Some((at, seq, kind)) = self.queue.pop_at_most(t) {
+            self.dispatch(at, seq, kind);
         }
         self.now = self.now.max(t);
     }
@@ -330,9 +339,9 @@ impl<M: WireSized + 'static> World<M> {
     /// `run_until`).
     pub fn run_until_idle(&mut self, max: SimTime) -> SimTime {
         let mut last = self.now;
-        while let Some((at, _, kind)) = self.queue.pop_at_most(max) {
+        while let Some((at, seq, kind)) = self.queue.pop_at_most(max) {
             last = at;
-            self.dispatch(at, kind);
+            self.dispatch(at, seq, kind);
         }
         self.now = self.now.max(max);
         last
@@ -341,8 +350,8 @@ impl<M: WireSized + 'static> World<M> {
     /// Processes a single event; returns false if the queue is empty.
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {
-            Some((at, _, kind)) => {
-                self.dispatch(at, kind);
+            Some((at, seq, kind)) => {
+                self.dispatch(at, seq, kind);
                 true
             }
             None => false,
@@ -352,16 +361,16 @@ impl<M: WireSized + 'static> World<M> {
     /// Crashes a node immediately.
     pub fn crash_now(&mut self, node: NodeId) {
         self.seq += 1;
-        self.dispatch(self.now, EventKind::Control(Control::Crash(node)));
+        self.dispatch(self.now, self.seq, EventKind::Control(Control::Crash(node)));
     }
 
     /// Restarts a node immediately.
     pub fn restart_now(&mut self, node: NodeId) {
         self.seq += 1;
-        self.dispatch(self.now, EventKind::Control(Control::Restart(node)));
+        self.dispatch(self.now, self.seq, EventKind::Control(Control::Restart(node)));
     }
 
-    fn dispatch(&mut self, at: SimTime, kind: EventKind<M>) {
+    fn dispatch(&mut self, at: SimTime, seq: u64, kind: EventKind<M>) {
         debug_assert!(at >= self.now, "time must be monotone");
         self.now = at;
         self.events_processed += 1;
@@ -375,16 +384,11 @@ impl<M: WireSized + 'static> World<M> {
                 // Frames addressed outside the world (an actor replying to
                 // an externally injected message, or a garbled destination)
                 // vanish like frames to a dead host — never a panic.
-                let Some(slot) = self.nodes.get_mut(to.0 as usize) else {
+                let Some(slot) = self.nodes.get_mut(to.0 as usize).filter(|s| s.up) else {
                     self.stats.dropped_down += 1;
                     self.trace.push(self.now, to, TraceKind::DropDown, "");
                     return;
                 };
-                if !slot.up {
-                    self.stats.dropped_down += 1;
-                    self.trace.push(self.now, to, TraceKind::DropDown, "");
-                    return;
-                }
                 // Receiver-side NIC serialization, then handler.  Control
                 // frames interleave (see CONTROL_FRAME_BYTES).
                 let service = SimDuration::for_bytes(size, slot.spec.nic_bw);
@@ -406,10 +410,10 @@ impl<M: WireSized + 'static> World<M> {
                 self.trace.push(self.now, to, TraceKind::Deliver, "");
                 self.with_actor(to, |actor, ctx| actor.on_message(ctx, from, msg));
             }
-            EventKind::Timer { node, inc, id, kind } => {
+            EventKind::Timer { node, inc, kind } => {
                 if self.is_current(node, inc) {
                     self.trace.push(self.now, node, TraceKind::Timer, "");
-                    self.with_actor(node, |actor, ctx| actor.on_timer(ctx, id, kind));
+                    self.with_actor(node, |actor, ctx| actor.on_timer(ctx, TimerId(seq), kind));
                 }
             }
             EventKind::SendAt { node, inc, to, msg, size } => {
@@ -489,42 +493,24 @@ impl<M: WireSized + 'static> World<M> {
         self.nodes[node.0 as usize].actor = Some(actor);
     }
 
-    /// Runs `f` with a [`Ctx`] borrowing the node's resources, then applies
-    /// the effects it buffered.
+    /// Runs `f` with a [`Ctx`] borrowing the node's resources and the
+    /// kernel queue its sends and timers enter.
     fn with_ctx(&mut self, node: NodeId, f: impl FnOnce(&mut Ctx<'_, M>)) {
-        debug_assert!(self.effects.is_empty());
         let slot = &mut self.nodes[node.0 as usize];
-        let inc = slot.inc;
         f(&mut Ctx {
             now: self.now,
             node,
+            inc: slot.inc,
             rng: &mut slot.rng,
             res: &mut slot.res,
             spec: &slot.spec,
             net: &self.net,
-            effects: &mut self.effects,
+            queue: &mut self.queue,
+            seq: &mut self.seq,
             trace: &mut self.trace,
             stats: &mut self.stats,
-            timer_seq: &mut self.timer_seq,
             frame_ops: &mut self.frame_ops,
         });
-        // Drain and put the buffer back: its capacity is reused by every
-        // later handler instead of being reallocated per event.
-        let mut effects = std::mem::take(&mut self.effects);
-        for eff in effects.drain(..) {
-            match eff {
-                Effect::Deliver { to, from, msg, arrival, size } => {
-                    self.push_event(arrival, EventKind::Deliver { to, from, msg, size });
-                }
-                Effect::TimerSet { at, kind, id } => {
-                    self.push_event(at, EventKind::Timer { node, inc, id, kind });
-                }
-                Effect::SendAt { at, to, msg, size } => {
-                    self.push_event(at, EventKind::SendAt { node, inc, to, msg, size });
-                }
-            }
-        }
-        self.effects = effects;
     }
 }
 
