@@ -1240,3 +1240,30 @@ fn a_submit_ack_above_the_restarted_log_rolls_it_forward() {
     let held: Vec<_> = (1..=2).map(|seq| c.result_archive(seq).map(|b| b.len())).collect();
     assert_eq!(held, [Some(101), Some(102)], "each call runs once, at its own seq");
 }
+
+/// A GridRPC handle is numbered in call order, and the client numbers a
+/// call's seq in the order it handles the call, so the two orders must
+/// agree.  Two calls made at one instant, a large one first: the large
+/// call's parameters must not make the small one overtake it and take
+/// seq 1, or each handle is bound to the other call's result.
+#[test]
+fn calls_made_at_one_instant_take_seqs_in_call_order() {
+    use rpcv::core::msg::Msg;
+    let mut g = SimGrid::build(GridSpec::confined(1, 2).with_cfg(fast_cfg()));
+    let client = g.client_node;
+    let call = |param_bytes: u64, result_size: u64| Msg::ApiSubmit {
+        service: "b".into(),
+        params: Blob::synthetic(param_bytes, result_size),
+        exec_cost: 1.0,
+        result_size,
+        replication: 1,
+        work_units: 1,
+    };
+    let t0 = SimTime::from_millis(10_500);
+    g.world.inject(t0, client, call(8_192, 101));
+    g.world.inject(t0, client, call(256, 102));
+    g.world.run_until(SimTime::from_secs(120));
+    let c = g.client().expect("client up");
+    let held: Vec<_> = (1..=2).map(|seq| c.result_archive(seq).map(|b| b.len())).collect();
+    assert_eq!(held, [Some(101), Some(102)], "seq k is the k-th call made");
+}
