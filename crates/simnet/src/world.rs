@@ -275,10 +275,12 @@ impl<M: WireSized + 'static> World<M> {
         self.push_event(at, EventKind::Control(ctl));
     }
 
-    /// Injects a message to `to` at `at` as if from an external observer.
+    /// Hands `msg` to `to`'s actor at `at`, from [`NodeId::EXTERNAL`].  An
+    /// injected stimulus is a local call (a GridRPC API call, a test's
+    /// probe), not a frame off the wire: it is handled at its instant, in
+    /// injection order, with no wire-size count and no receiver-NIC hop.
     pub fn inject(&mut self, at: SimTime, to: NodeId, msg: M) {
-        let size = msg.wire_size();
-        self.push_event(at, EventKind::Deliver { to, from: NodeId::EXTERNAL, msg, size });
+        self.push_event(at, EventKind::Handle { to, from: NodeId::EXTERNAL, msg });
     }
 
     /// True if the node's process is running.
@@ -400,8 +402,7 @@ impl<M: WireSized + 'static> World<M> {
                 self.push_event(at, EventKind::Handle { to, from, msg });
             }
             EventKind::Handle { to, from, msg } => {
-                let slot = &self.nodes[to.0 as usize];
-                if !slot.up || slot.actor.is_none() {
+                if !self.nodes.get(to.0 as usize).is_some_and(|s| s.up && s.actor.is_some()) {
                     self.stats.dropped_down += 1;
                     self.trace.push(self.now, to, TraceKind::DropDown, "");
                     return;
