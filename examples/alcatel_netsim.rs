@@ -4,7 +4,9 @@
 //! (§5.2) on a live grid with real service execution: every task decodes a
 //! random switch-network configuration, runs Dijkstra (signal loss) and
 //! widest-path (bandwidth) per terminal pair, and returns a marshalled
-//! report.  A coordinator is killed and restarted mid-run.
+//! report.  A coordinator is killed and restarted mid-run.  Each handle's
+//! report must equal its own configuration evaluated locally: a handle
+//! bound to another call's result fails the run.
 //!
 //! Run with: `cargo run --release --example alcatel_netsim`
 
@@ -16,8 +18,8 @@ use rpcv::core::grid::GridSpec;
 use rpcv::core::runtime::LiveGrid;
 use rpcv::core::util::CallSpec;
 use rpcv::simnet::SimDuration;
-use rpcv::wire::{from_bytes, Blob};
-use rpcv::workload::alcatel::{AlcatelApp, EvalReport};
+use rpcv::wire::from_bytes;
+use rpcv::workload::alcatel::{self, AlcatelApp, EvalReport};
 use rpcv::xw::ServiceRegistry;
 
 fn main() {
@@ -42,6 +44,7 @@ fn main() {
             c
         })
         .collect();
+    let configs = app.configs();
     println!("submitting {} network-validation tasks", plan.len());
     let handles: Vec<_> = plan.into_iter().map(|c| client.call_async(c)).collect();
 
@@ -61,6 +64,11 @@ fn main() {
         let archive = rpcv::xw::Archive::unpack(&blob.materialize()).expect("archive");
         let report: EvalReport =
             from_bytes(&archive.entries[0].data.materialize()).expect("report");
+        assert_eq!(
+            report,
+            alcatel::evaluate(&configs[i]),
+            "handle {i} holds its own call's report"
+        );
         let pairs = report.signal_loss_db.len();
         let ok = report
             .signal_loss_db
@@ -83,8 +91,3 @@ fn main() {
     println!("at-least-once duplicates dropped by the coordinator: {dup}");
     grid.shutdown();
 }
-
-// Quiet the unused-import lint when Blob is only used in type positions on
-// some toolchains.
-#[allow(unused)]
-fn _blob_hint(_: Blob) {}
