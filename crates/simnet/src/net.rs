@@ -124,11 +124,6 @@ impl NetModel {
         self.default = params;
     }
 
-    /// The current default link parameters.
-    pub fn default_link(&self) -> LinkParams {
-        self.default
-    }
-
     /// Sets parameters for the directed pair `(from, to)`.
     pub fn set_link(&mut self, from: NodeId, to: NodeId, params: LinkParams) {
         self.overrides.insert((from, to), params);
@@ -169,11 +164,6 @@ impl NetModel {
             return None;
         }
         Some(*self.overrides.get(&(from, to)).unwrap_or(&self.default))
-    }
-
-    /// Number of currently blocked directed pairs.
-    pub fn blocked_count(&self) -> usize {
-        self.blocked.len()
     }
 }
 
@@ -216,7 +206,7 @@ mod tests {
         assert!(net.link(N(2), N(3)).is_some());
         assert!(net.link(N(3), N(2)).is_none(), "other direction stays blocked");
         net.unblock_bidir(N(2), N(3));
-        assert_eq!(net.blocked_count(), 0);
+        assert!(net.link(N(2), N(3)).is_some() && net.link(N(3), N(2)).is_some());
     }
 
     #[test]
@@ -241,8 +231,7 @@ mod tests {
         let mut net = NetModel::new(LinkParams::lan());
         net.set_link(N(0), N(1), LinkParams::wan());
         net.set_default(LinkParams::lan().with_loss(0.5));
-        assert_eq!(net.default_link().loss, 0.5);
-        assert_eq!(net.link(N(1), N(2)).unwrap().loss, 0.5);
+        assert_eq!(net.link(N(1), N(2)), Some(LinkParams::lan().with_loss(0.5)));
         // The dedicated pair keeps its override through the burst.
         assert_eq!(net.link(N(0), N(1)).unwrap().loss, 0.0);
         assert_eq!(net.link(N(0), N(1)).unwrap().latency, SimDuration::from_millis(50));

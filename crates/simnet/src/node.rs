@@ -152,6 +152,6 @@ mod tests {
         use crate::time::{SimDuration as D, SimTime as T};
         res.cpu.acquire(T::ZERO, D::from_secs(100));
         res.reset(T::from_secs(1));
-        assert!(res.cpu.idle_at(T::from_secs(1)));
+        assert_eq!(res.cpu.acquire(T::from_secs(1), D::ZERO).start, T::from_secs(1));
     }
 }

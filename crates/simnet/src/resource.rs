@@ -40,11 +40,6 @@ impl Resource {
         Occupancy { start, end }
     }
 
-    /// Whether an operation issued at `now` would start immediately.
-    pub fn idle_at(&self, now: SimTime) -> bool {
-        self.available_at <= now
-    }
-
     /// Total service time ever queued (utilization accounting).
     pub fn busy_total(&self) -> SimDuration {
         self.busy_total
@@ -90,8 +85,8 @@ mod tests {
         r.acquire(S(0), D(1));
         let b = r.acquire(S(10), D(1));
         assert_eq!(b.start, S(10));
-        assert!(r.idle_at(S(12)));
-        assert!(!r.idle_at(S(10)));
+        assert!(r.clone().acquire(S(10), D(1)).start > S(10), "busy at 10");
+        assert_eq!(r.acquire(S(12), D(1)).start, S(12), "idle at 12");
     }
 
     #[test]
