@@ -64,11 +64,9 @@ fn main() {
         let archive = rpcv::xw::Archive::unpack(&blob.materialize()).expect("archive");
         let report: EvalReport =
             from_bytes(&archive.entries[0].data.materialize()).expect("report");
-        assert_eq!(
-            report,
-            alcatel::evaluate(&configs[i]),
-            "handle {i} holds its own call's report"
-        );
+        // `assert!`, not `assert_eq!`: a mismatch would print two reports
+        // of hundreds of floats.
+        assert!(report == alcatel::evaluate(&configs[i]), "handle {i} holds another call's report");
         let pairs = report.signal_loss_db.len();
         let ok = report
             .signal_loss_db
