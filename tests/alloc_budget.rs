@@ -3,8 +3,8 @@
 //!
 //! The kernel dispatch path and the coordinator store are built not to
 //! allocate in steady state (events live in an arena and are ordered
-//! through handles, the effect buffer and the calendar buckets are
-//! recycled, a job's attributes share one row).  This test runs one small
+//! through handles, a handler pushes its events straight into that arena,
+//! the calendar buckets are recycled, a job's attributes share one row).  This test runs one small
 //! fault-free grid under a counting global allocator and holds
 //! allocations-per-event, allocated-bytes-per-event and live bytes per
 //! delivered call (what the run's allocations still hold at `done`, frees
