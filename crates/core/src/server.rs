@@ -104,8 +104,6 @@ struct StoredResult {
 #[derive(Debug, Clone)]
 struct Exec {
     desc: TaskDesc,
-    /// Declared unit count (≥ 1).
-    units_total: u32,
     /// Units already banked by a resume point when this execution started.
     banked_units: u32,
     /// Seconds of simulated CPU per unit.
@@ -143,7 +141,7 @@ impl Exec {
     fn progress_units(&self, now: SimTime) -> u32 {
         let elapsed = now.since(self.started).as_secs_f64() + 1e-6;
         let done = (elapsed / self.secs_per_unit.max(1e-12)) as u64;
-        (self.banked_units as u64 + done).min(self.units_total as u64) as u32
+        (self.banked_units as u64 + done).min(self.desc.units() as u64) as u32
     }
 }
 
@@ -152,10 +150,10 @@ impl Exec {
 struct Offer {
     /// Times the archive left for a coordinator (0 = never sent).
     attempts: u32,
-    /// The instant after which it may be (re)offered/(re)sent — its key in
-    /// `offer_after`: the last send plus a size-aware, exponentially
-    /// backed-off horizon, so a multi-second archive transfer is not
-    /// re-sent on every beat (`SimTime::ZERO` for an archive never sent).
+    /// The instant after which it may be (re)offered/(re)sent: the last
+    /// send plus a size-aware, exponentially backed-off horizon, so a
+    /// multi-second archive transfer is not re-sent on every beat
+    /// (`SimTime::ZERO` for an archive never sent).
     eligible_at: SimTime,
 }
 
@@ -208,10 +206,11 @@ pub struct ServerActor {
     /// Last beat sent per shard: a link quiet by *our* choice must re-arm
     /// its suspicion window before being judged again.
     last_sent: Vec<Option<SimTime>>,
-    /// Rotating work-request target: each beat asks exactly one shard for
-    /// new work (over-asking every shard would systematically over-assign),
-    /// advancing per request; servers start offset by id so an idle fleet
-    /// spreads its pull pressure across all shards at once.
+    /// Rotating work-request target (a shard index): each beat asks
+    /// exactly one shard for new work (over-asking every shard would
+    /// systematically over-assign), advancing per request; servers start
+    /// offset by id so an idle fleet spreads its pull pressure across all
+    /// shards at once.
     work_shard: usize,
     /// Consecutive `NoWork` replies this rotation lap: an idle server
     /// immediately retries the next shard until one lap comes up empty,
@@ -243,13 +242,6 @@ pub struct ServerActor {
     volatility: VolatilityObserver,
     /// When this incarnation started (uptime accounting for volatility).
     boot_at: SimTime,
-    /// The log's entries in `eligible_at` order, one slot per entry, filed
-    /// by [`Self::complete`], [`Self::sent`] and the factory, removed by
-    /// [`Self::acked`].  Beats read eligible offers with a
-    /// bounded prefix scan instead of filtering the whole unacked set — at
-    /// completion bursts nearly every entry is in backoff, so the filter
-    /// scan was O(unacked) of rejections on every beat and nudge.
-    offer_after: BTreeSet<(SimTime, JobKey)>,
     /// Public observations.
     pub metrics: ServerMetrics,
 }
@@ -275,7 +267,6 @@ impl ServerActor {
                 }
                 for e in actor.plog.iter_unacked_mut() {
                     e.value.offer = Offer::default();
-                    actor.offer_after.insert((SimTime::ZERO, e.value.job));
                 }
             }
             Box::new(actor)
@@ -304,7 +295,6 @@ impl ServerActor {
             ckpt_armed: false,
             volatility: VolatilityObserver::new(),
             boot_at: SimTime::ZERO,
-            offer_after: BTreeSet::new(),
             metrics: ServerMetrics::default(),
         }
     }
@@ -325,7 +315,7 @@ impl ServerActor {
     #[doc(hidden)]
     pub fn resident_records(&self) -> usize {
         (self.running_count() + self.backlog.len() + usize::from(self.restored.is_some()))
-            + (self.completing.len() + self.offer_after.len())
+            + self.completing.len()
     }
 
     /// The shard owning `job` (0 on a 1-shard grid).
@@ -398,25 +388,21 @@ impl ServerActor {
     }
 
     /// `job`'s `size`-byte archive just left for a coordinator: counts the
-    /// attempt and re-files the offer behind the backed-off horizon
-    /// (capped: coordinators flap, and a stranded result blocks the client
-    /// forever if the horizon runs away).
+    /// attempt and pushes the offer behind the backed-off horizon (capped:
+    /// coordinators flap, and a stranded result blocks the client forever
+    /// if the horizon runs away).
     fn sent(&mut self, ctx: &Ctx<'_, Msg>, job: JobKey, size: u64) {
         let policy = RetryPolicy::of(self.params.cfg.heartbeat, ctx.spec().nic_bw);
         let Some(entry) = self.plog.get_mut(log_key(&job)) else { return };
         let offer = &mut entry.value.offer;
-        self.offer_after.remove(&(offer.eligible_at, job));
         offer.attempts += 1;
         offer.eligible_at = ctx.now() + policy.horizon(offer.attempts, size);
-        self.offer_after.insert((offer.eligible_at, job));
     }
 
     /// A coordinator acknowledged `job`'s archive (stored it, or said it
-    /// never will need it): the log entry goes, and its offer slot with it.
+    /// never will need it): the log entry goes, and its offer with it.
     fn acked(&mut self, job: &JobKey) {
-        if let Some(entry) = self.plog.ack(log_key(job)) {
-            self.offer_after.remove(&(entry.value.offer.eligible_at, *job));
-        }
+        self.plog.ack(log_key(job));
     }
 
     /// Task slots free for new work: one, unless a task runs or waits.
@@ -434,19 +420,26 @@ impl ServerActor {
             .map(|(client, id)| (self.params.directory.shard_of(client), id))
     }
 
-    /// One beat to shard `s`'s coordinator, after judging the link.
-    fn beat_shard(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        s: usize,
-        want_work: u32,
-        running: Vec<TaskId>,
-        mut offered: Vec<JobKey>,
-    ) {
+    /// One beat to shard `s`'s coordinator, after judging the link: the
+    /// tasks this server holds for the shard and its eligible offers (the
+    /// peer-wise comparison half — archives whose delivery is plausibly
+    /// still in flight wait out their horizon), asking for `want_work` new
+    /// tasks.  A beat with nothing to report and no work to ask for is not
+    /// sent.
+    fn beat_shard(&mut self, ctx: &mut Ctx<'_, Msg>, s: usize, want_work: u32) {
         let now = ctx.now();
-        // Log-key order: the window is byte-identical to a filter over the
-        // unacked log whenever at most 64 entries are eligible.
-        offered.sort_unstable_by_key(log_key);
+        let running: Vec<TaskId> =
+            self.held_tasks().filter(|&(shard, _)| shard == s).map(|(_, id)| id).collect();
+        // The log iterates in key order, so the offer needs no sort.
+        let offered: Vec<JobKey> = (self.plog.iter_unacked())
+            .map(|e| &e.value)
+            .filter(|r| r.offer.eligible_at < now && self.shard_of(&r.job) == s)
+            .map(|r| r.job)
+            .take(64)
+            .collect();
+        if running.is_empty() && offered.is_empty() && want_work == 0 {
+            return;
+        }
         // A link we have not beaten within the suspicion window was quiet
         // by *our* choice (no state held there, rotation elsewhere) —
         // judging its stale reply stamp would condemn a healthy
@@ -461,71 +454,17 @@ impl ServerActor {
         self.last_sent[s] = Some(now);
     }
 
+    /// One beat per shard holding state here, plus — when capacity is
+    /// spare — the rotating work-request target (asking every shard at
+    /// once would systematically over-assign S instances per slot).
     fn beat(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let now = ctx.now();
-        let shards = self.links.len();
         let want = self.spare_capacity();
-        // Partition held state by owning shard: each shard's coordinator
-        // sees exactly the tasks and offers it is responsible for.
-        let mut running: Vec<Vec<TaskId>> = vec![Vec::new(); shards];
-        for (s, id) in self.held_tasks() {
-            running[s].push(id);
+        for s in 0..self.links.len() {
+            self.beat_shard(ctx, s, if s == self.work_shard { want } else { 0 });
         }
-        // Offer unacknowledged archives (the peer-wise comparison half),
-        // excluding those whose delivery is plausibly still in flight.
-        // Served from the time-indexed offer queue: the beat pays only for
-        // entries whose backoff horizon has expired, not an O(unacked)
-        // filter scan rejecting every in-flight archive.
-        let mut offered: Vec<Vec<JobKey>> = vec![Vec::new(); shards];
-        for &(at, job) in self.offer_after.iter().take(64) {
-            if at >= now {
-                break;
-            }
-            offered[self.shard_of(&job)].push(job);
+        if want > 0 {
+            self.work_shard = (self.work_shard + 1) % self.links.len();
         }
-        // One beat per shard holding state here, plus — when capacity is
-        // spare — the rotating work-request target (asking every shard at
-        // once would systematically over-assign S instances per slot).
-        let want_target = (want > 0).then_some(self.work_shard % shards);
-        for s in 0..shards {
-            let is_target = want_target == Some(s);
-            if running[s].is_empty() && offered[s].is_empty() && !is_target {
-                continue;
-            }
-            let (running, offered) =
-                (std::mem::take(&mut running[s]), std::mem::take(&mut offered[s]));
-            self.beat_shard(ctx, s, if is_target { want } else { 0 }, running, offered);
-        }
-        if want_target.is_some() {
-            self.work_shard = (self.work_shard + 1) % shards;
-        }
-    }
-
-    /// The `NoWork`-continuation: one targeted want-beat to the current
-    /// rotation shard, carrying that shard's running/offered state like
-    /// any beat (an empty running list would read as "lost everything"
-    /// to the coordinator's reconciler).  Strictly one message deep —
-    /// re-running the full `beat` fan-out here would let every sync-beat
-    /// `NoWork` reply spawn up to S more beats, an exponential storm on
-    /// an idle sharded grid.  Unreachable on a 1-shard grid (the streak
-    /// cap is 0 retries there).
-    fn request_work(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let want = self.spare_capacity();
-        if want == 0 {
-            return;
-        }
-        let now = ctx.now();
-        let s = self.work_shard % self.links.len();
-        let running =
-            self.held_tasks().filter(|&(shard, _)| shard == s).map(|(_, id)| id).collect();
-        let offered = (self.offer_after.iter())
-            .take_while(|&&(at, _)| at < now)
-            .map(|&(_, job)| job)
-            .filter(|job| self.shard_of(job) == s)
-            .take(64)
-            .collect();
-        self.beat_shard(ctx, s, want, running, offered);
-        self.work_shard = (self.work_shard + 1) % self.links.len();
     }
 
     fn start_task(&mut self, ctx: &mut Ctx<'_, Msg>, desc: TaskDesc, banked_units: u32) {
@@ -569,7 +508,6 @@ impl ServerActor {
         self.arm_checkpoint_timer(ctx);
         self.running = Some(Exec {
             desc,
-            units_total,
             banked_units,
             secs_per_unit,
             started: now,
@@ -583,8 +521,8 @@ impl ServerActor {
     /// Takes the running execution if it has finished by `now`.
     fn pop_finished(&mut self, now: SimTime) -> Option<Exec> {
         self.running
-            .take_if(|e| e.progress_units(now) >= e.units_total)
-            .inspect(|e| self.metrics.units_spent += (e.units_total - e.banked_units) as u64)
+            .take_if(|e| e.progress_units(now) >= e.desc.units())
+            .inspect(|e| self.metrics.units_spent += (e.desc.units() - e.banked_units) as u64)
     }
 
     fn complete(&mut self, ctx: &mut Ctx<'_, Msg>, exec: Exec) {
@@ -605,16 +543,10 @@ impl ServerActor {
         self.completing.insert(exec.desc.id, job);
         let shard = self.shard_of(&job);
         self.carry_home(shard, exec.desc.id, now);
-        match self.coordinator_for(shard, now) {
-            Some(node) => {
-                self.sent(ctx, job, size);
-                let done =
-                    Msg::TaskDone { server: self.params.id, task: exec.desc.id, job, archive };
-                ctx.send_at(durable_at, node, done);
-            }
-            None => {
-                self.offer_after.insert((offer.eligible_at, job));
-            }
+        if let Some(node) = self.coordinator_for(shard, now) {
+            self.sent(ctx, job, size);
+            let done = Msg::TaskDone { server: self.params.id, task: exec.desc.id, job, archive };
+            ctx.send_at(durable_at, node, done);
         }
         // Drain the local backlog before asking for more work.
         if let Some((desc, banked)) = self.backlog.pop_front() {
@@ -682,7 +614,7 @@ impl ServerActor {
         let retry_horizon = self.params.cfg.heartbeat * 4;
         let Some(exec) = &mut self.running else { return };
         let state_bytes = Self::ckpt_state_bytes(&exec.desc);
-        let progress = exec.progress_units(now).min(exec.units_total.saturating_sub(1));
+        let progress = exec.progress_units(now).min(exec.desc.units().saturating_sub(1));
         let hw = progress.max(exec.local_mark.unwrap_or(0));
         // Local snapshot (and its disk write — checkpoints must be durable
         // to be worth anything) only when a whole unit finished since the
@@ -710,7 +642,7 @@ impl ServerActor {
             exec.desc.id,
             exec.desc.attempt,
             hw,
-            exec.units_total,
+            exec.desc.units(),
             blob,
         );
         // The frame goes to its job's shard: a resume point is only useful
@@ -765,12 +697,16 @@ impl Actor<Msg> for ServerActor {
                 // An idle server rotates its work request across shards:
                 // NoWork retargets the next shard right away with a single
                 // targeted beat, bounded to one lap per heartbeat so an
-                // empty grid is not a beat storm.  On a 1-shard grid the
-                // streak cap is 0 retries — exactly the historical "wait
-                // for the next heartbeat".
-                if self.spare_capacity() > 0 && self.nowork_streak + 1 < self.links.len() {
+                // empty grid is not a beat storm.  Strictly one message
+                // deep — re-running the full `beat` fan-out here would let
+                // every sync-beat `NoWork` reply spawn up to S more beats.
+                // On a 1-shard grid the streak cap is 0 retries — exactly
+                // the historical "wait for the next heartbeat".
+                let (want, shards) = (self.spare_capacity(), self.links.len());
+                if want > 0 && self.nowork_streak + 1 < shards {
                     self.nowork_streak += 1;
-                    self.request_work(ctx);
+                    self.beat_shard(ctx, self.work_shard, want);
+                    self.work_shard = (self.work_shard + 1) % shards;
                 } else {
                     self.nowork_streak = 0;
                 }

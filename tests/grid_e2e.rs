@@ -534,11 +534,11 @@ fn node_resident_state_tracks_live_work_not_lifetime_jobs() {
 }
 
 #[test]
-fn every_unacked_result_has_exactly_one_offer_slot() {
-    // A log entry carries its own delivery record; the offer order holds
-    // one slot per entry.  Read both where they are rebuilt or torn down
-    // together.  The coordinator's acks are cut off, so both servers pile up delivered-but-unacknowledged
-    // archives; one of them restarts from its disk on top.
+fn restored_server_holds_its_unacked_log_and_nothing_else() {
+    // A log entry carries its own delivery record, so a restart rebuilds
+    // nothing beside the log.  The coordinator's acks are cut off, so both
+    // servers pile up delivered-but-unacknowledged archives; one of them
+    // restarts from its disk on top.
     let plan = (0..6).map(|i| CallSpec::new("b", Blob::synthetic(100, i), 2.0, 64)).collect();
     let cfg = ProtocolConfig::confined().with_heartbeat(SimDuration::from_secs(1));
     let mut grid = SimGrid::build(GridSpec::confined(1, 2).with_cfg(cfg).with_plan(plan));
@@ -556,17 +556,17 @@ fn every_unacked_result_has_exactly_one_offer_slot() {
     }
     grid.world.schedule_control(SimTime::from_secs(10), Control::Crash(nodes[0]));
     grid.world.schedule_control(SimTime::from_secs(12), Control::Restart(nodes[0]));
-    // Restored: one slot per surviving archive, nothing else (what was
-    // running or completing died with the process).
+    // Restored: the surviving archives and nothing else (what was running
+    // or completing died with the process).
     grid.world.run_until(SimTime::from_secs(13));
     let restored = grid.server(0).unwrap();
     assert!(
         restored.unacked_results() > 0,
         "the outage stranded an archive on the restarted server"
     );
-    assert_eq!(restored.resident_records(), restored.unacked_results());
+    assert_eq!(restored.resident_records(), 0);
     // Healed: every offer comes back `ArchivesSettled` (the coordinator
-    // stored the archives all along) and the slots go with the entries.
+    // stored the archives all along) and the log drains.
     grid.run_until_done(SimTime::from_secs(600)).expect("completes");
     grid.world.run_for(SimDuration::from_secs(30));
     for i in 0..2 {
