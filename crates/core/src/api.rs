@@ -216,15 +216,8 @@ impl<'g> GridClient<'g> {
             let fresh = self
                 .grid
                 .with_client_at(self.client_idx, move |c| {
-                    if c.status_nonce() >= nonce {
-                        c.current_coordinator()
-                            .and_then(|id| c.telemetry_of(id).map(|s| (id, s.clone())))
-                            .or_else(|| {
-                                c.telemetry_snapshots().next().map(|(id, s)| (id, s.clone()))
-                            })
-                    } else {
-                        None
-                    }
+                    let (got, coord, snap) = c.status()?;
+                    (*got >= nonce).then(|| (*coord, snap.clone()))
                 })
                 .flatten();
             if let Some(got) = fresh {

@@ -187,13 +187,11 @@ pub struct ClientActor {
     /// its seq (the spec is read back from the log when the timer fires) —
     /// the submissions whose interaction has not completed yet.
     submitting: BTreeMap<TimerId, (NodeId, u64)>,
-    /// Telemetry snapshots pulled from coordinators via
-    /// [`Msg::StatusRequest`], keyed by coordinator id.  A volatile cache:
-    /// not part of the durable image.
-    snapshots: BTreeMap<CoordId, TelemetrySnapshot>,
-    /// Highest [`Msg::StatusReply`] nonce successfully decoded — lets a
-    /// live-grid poller tell a fresh snapshot from a cached one.
-    status_nonce_hw: u64,
+    /// The freshest [`Msg::StatusReply`] decoded: its nonce (lets a
+    /// live-grid poller tell a fresh snapshot from an earlier pull's), the
+    /// answering coordinator and its snapshot.  Volatile: not part of the
+    /// durable image.
+    status: Option<(u64, CoordId, TelemetrySnapshot)>,
     /// Public observations.
     pub metrics: ClientMetrics,
 }
@@ -237,8 +235,7 @@ impl ClientActor {
             catalog_hw: 0,
             last_pull: None,
             submitting: BTreeMap::new(),
-            snapshots: BTreeMap::new(),
-            status_nonce_hw: 0,
+            status: None,
             metrics: ClientMetrics::default(),
         }
     }
@@ -641,20 +638,10 @@ impl ClientActor {
         self.results.get(seq).map(|r| &r.archive)
     }
 
-    /// The last telemetry snapshot received from `coord`, if any.
-    pub fn telemetry_of(&self, coord: CoordId) -> Option<&TelemetrySnapshot> {
-        self.snapshots.get(&coord)
-    }
-
-    /// Every telemetry snapshot held, keyed by coordinator id.
-    pub fn telemetry_snapshots(&self) -> impl Iterator<Item = (CoordId, &TelemetrySnapshot)> {
-        self.snapshots.iter().map(|(&c, s)| (c, s))
-    }
-
-    /// Highest status-request nonce a decoded [`Msg::StatusReply`]
-    /// acknowledged (0 before the first reply).
-    pub fn status_nonce(&self) -> u64 {
-        self.status_nonce_hw
+    /// The freshest decoded [`Msg::StatusReply`] — `(nonce, coordinator,
+    /// snapshot)` — if any arrived.
+    pub fn status(&self) -> Option<&(u64, CoordId, TelemetrySnapshot)> {
+        self.status.as_ref()
     }
 }
 
@@ -739,11 +726,14 @@ impl Actor<Msg> for ClientActor {
                 self.link.heard(ctx.now(), false);
                 // The seal (CRC-64 tail) plus the strict histogram decoder
                 // reject anything corrupted in flight; a bad frame is
-                // counted and dropped without touching the cache.
+                // counted and dropped without touching the held reply.  A
+                // late reply to an earlier pull does not replace a fresher
+                // one.
                 match TelemetrySnapshot::open(&sealed.materialize()) {
                     Ok(snap) => {
-                        self.snapshots.insert(coord, snap);
-                        self.status_nonce_hw = self.status_nonce_hw.max(nonce);
+                        if self.status.as_ref().is_none_or(|&(held, ..)| nonce >= held) {
+                            self.status = Some((nonce, coord, snap));
+                        }
                     }
                     Err(_) => self.metrics.bad_frames += 1,
                 }

@@ -7,10 +7,12 @@
 //! guarantee: two same-seed runs produce byte-identical telemetry.
 
 use rpcv::core::grid::{GridSpec, SimGrid};
+use rpcv::core::msg::Msg;
 use rpcv::core::util::CallSpec;
 use rpcv::obs::TelemetrySnapshot;
 use rpcv::simnet::SimTime;
 use rpcv::wire::Blob;
+use rpcv::xw::CoordId;
 
 fn plan(n: usize) -> Vec<CallSpec> {
     (0..n).map(|i| CallSpec::new("b", Blob::synthetic(10_000, i as u64), 2.0, 256)).collect()
@@ -64,4 +66,23 @@ fn different_seeds_produce_different_telemetry() {
     let b = run(12);
     assert_eq!(a.counter("span.jobs"), b.counter("span.jobs"), "same workload either way");
     assert_ne!(a, b, "seed must leave a trace in the telemetry");
+}
+
+/// The client keeps the freshest status reply, whoever answered it: a
+/// late reply to an earlier pull, even from another coordinator, does not
+/// replace it.
+#[test]
+fn a_late_status_reply_does_not_replace_a_fresher_one() {
+    let mut g = SimGrid::build(GridSpec::confined(2, 0));
+    let reply = |coord: u64, nonce: u64| {
+        let mut snap = TelemetrySnapshot::new();
+        snap.add_counter("coord.status_replies", nonce);
+        Msg::StatusReply { coord: CoordId(coord), nonce, sealed: Blob::from_vec(snap.seal()) }
+    };
+    let client = g.client_node;
+    g.world.inject(SimTime::from_secs(1), client, reply(2, 2));
+    g.world.inject(SimTime::from_secs(2), client, reply(1, 1));
+    g.world.run_until(SimTime::from_secs(3));
+    let (nonce, coord, snap) = g.client().and_then(|c| c.status().cloned()).expect("a reply held");
+    assert_eq!((nonce, coord, snap.counter("coord.status_replies")), (2, CoordId(2), 2));
 }
