@@ -372,7 +372,10 @@ impl ChaosOracle {
         if garbled > 0 {
             violations.push(format!("{garbled} corrupted frames slipped past the digest envelope"));
         }
-        let bad_frames = self.total_bad_frames(&g);
+        let telemetry = g.telemetry();
+        let bad_frames = telemetry.counter("client.bad_frames")
+            + telemetry.counter("coord.bad_frames")
+            + telemetry.counter("server.bad_frames");
         if bad_frames > poisoned {
             violations.push(format!(
                 "actors counted {bad_frames} bad frames but only {poisoned} were poisoned"
@@ -383,7 +386,6 @@ impl ChaosOracle {
             Some(d) if d > plan.heal_by() => d.since(plan.heal_by()),
             _ => SimDuration::ZERO,
         };
-        let telemetry = g.telemetry();
         let mut recovery_gaps = Histogram::new();
         for (i, _) in g.coords.iter().enumerate() {
             if let Some(c) = g.coordinator(i) {
@@ -420,26 +422,6 @@ impl ChaosOracle {
             match g.server(i) {
                 Some(s) => total += s.metrics.executed,
                 None => violations.push(format!("server {i} is down after the plan healed")),
-            }
-        }
-        total
-    }
-
-    fn total_bad_frames(&self, g: &SimGrid) -> u64 {
-        let mut total = 0;
-        for (i, _) in g.clients.iter().enumerate() {
-            if let Some(c) = g.client_at(i) {
-                total += c.metrics.bad_frames;
-            }
-        }
-        for (i, _) in g.coords.iter().enumerate() {
-            if let Some(c) = g.coordinator(i) {
-                total += c.metrics.bad_frames;
-            }
-        }
-        for (i, _) in g.servers.iter().enumerate() {
-            if let Some(s) = g.server(i) {
-                total += s.metrics.bad_frames;
             }
         }
         total

@@ -50,8 +50,6 @@ pub struct GridSpec {
     pub client_host: HostSpec,
     /// Default link parameters.
     pub link: LinkParams,
-    /// Optional coordinator↔coordinator link override.
-    pub coord_link: Option<LinkParams>,
     /// Services available on every server (none ⇒ simulated execution, see
     /// [`ServerParams::registry`]).
     pub registry: ServiceRegistry,
@@ -78,7 +76,6 @@ impl GridSpec {
             server_host: calibration::confined_server(),
             client_host: calibration::confined_client(),
             link: LinkParams::lan(),
-            coord_link: None,
             registry: ServiceRegistry::new(),
             limits: SandboxLimits::default(),
             clients: 1,
@@ -94,7 +91,6 @@ impl GridSpec {
             server_host: calibration::internet_desktop(),
             client_host: calibration::internet_desktop(),
             link: LinkParams::wan(),
-            coord_link: Some(LinkParams::wan()),
             ..Self::confined(n_coordinators, n_servers)
         }
     }
@@ -188,13 +184,6 @@ impl SimGrid {
                 group.push((CoordId(i as u64 + 1), node));
             }
             groups.push(group);
-        }
-        if let Some(link) = spec.coord_link {
-            for (i, &(_, a)) in coords.iter().enumerate() {
-                for &(_, b) in coords.iter().skip(i + 1) {
-                    world.net_mut().set_link_bidir(a, b, link);
-                }
-            }
         }
         let directory = Directory::sharded(groups);
 

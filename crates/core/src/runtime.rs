@@ -57,15 +57,6 @@ impl LiveGrid {
         self.clients.len()
     }
 
-    /// Runs a closure against the world on the driver thread.
-    pub fn with<R, F>(&self, f: F) -> Option<R>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut World<Msg>) -> R + Send + 'static,
-    {
-        self.handle.with(f)
-    }
-
     /// Reads the first client actor (single-client shorthand).
     pub fn with_client<R, F>(&self, f: F) -> Option<R>
     where
