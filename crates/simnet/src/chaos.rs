@@ -25,13 +25,15 @@
 //! * **wipe**    — `Crash(n) WipeDurable(n) Restart(n)`: a server loses its
 //!   disk and restarts from scratch (never aimed at clients, whose durable
 //!   log is the protocol's exactly-once anchor, by §4.1's own model).
-//! * **partition** — `Block(a,b)* … Unblock(a,b)*`: a node cut through the
-//!   grid (sometimes through the coordinator group, leaving the primary on
-//!   the minority side) that heals after a hold.
+//! * **partition** — `Cut(c, n)ⁿ … Heal(c)`: a node cut through the grid
+//!   (sometimes through the coordinator group, leaving the primary on the
+//!   minority side) that heals after a hold.  Each of the `n` targets is
+//!   placed on its side of cut `c` at the open, so an episode costs `n + 1`
+//!   controls, not a `Block`/`Unblock` per minority × majority pair.
 //! * **burst**   — `SetDefaultLink(degraded) … SetDefaultLink(base)`: the
 //!   whole fabric degrades (loss/dup/corrupt/reorder), then restores.
 
-use crate::net::LinkParams;
+use crate::net::{CutId, LinkParams};
 use crate::node::NodeId;
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
@@ -130,6 +132,11 @@ pub struct FaultCounts {
     pub heals: u32,
     /// Link-degradation bursts scheduled.
     pub bursts: u32,
+}
+
+/// Folds `words` into one well-mixed `u64`.
+fn fold_hash(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0, |h, w| DetRng::new(h ^ w).next_u64())
 }
 
 /// A timed schedule of [`Control`] actions, replayable from its seed(s).
@@ -291,34 +298,36 @@ impl FaultPlan {
         }
 
         // Partition churn: a node cut, sometimes straight through the
-        // coordinator group with the primary on the minority side.
+        // coordinator group with the primary on the minority side.  A cut's
+        // id hashes the plan's inputs with the episode's index and times,
+        // so two generated plans sharing a world collide only if they are
+        // the same plan.
+        let plan_key = fold_hash(
+            [seed, from.0, until.0].into_iter().chain(population.iter().map(|n| n.0 as u64)),
+        );
         for i in 0..profile.partitions {
-            let all = targets.all();
-            if all.len() < 2 {
+            if population.len() < 2 {
                 break;
             }
             let at = open_at(&mut rng);
             let dur = hold(&mut rng, &profile);
             let minority: Vec<NodeId> =
-                if i == 0 && targets.coordinators.len() >= 2 && all.len() >= 3 {
+                if i == 0 && targets.coordinators.len() >= 2 && population.len() >= 3 {
                     // Guaranteed coordinator split: the boot-time primary is
                     // isolated on the minority side (Fig. 11's hard case).
                     vec![targets.coordinators[0]]
                 } else {
-                    let mut pool = all.clone();
+                    let mut pool = population.clone();
                     rng.shuffle(&mut pool);
-                    let cut = 1 + rng.below((pool.len() / 2).max(1) as u64) as usize;
-                    pool.truncate(cut);
+                    let size = 1 + rng.below((pool.len() / 2).max(1) as u64) as usize;
+                    pool.truncate(size);
                     pool
                 };
-            let majority: Vec<NodeId> =
-                all.iter().copied().filter(|n| !minority.contains(n)).collect();
-            for &a in &minority {
-                for &b in &majority {
-                    plan.push(at, Control::Block { from: a, to: b, bidir: true });
-                    plan.push(at + dur, Control::Unblock { from: a, to: b, bidir: true });
-                }
+            let cut = CutId(fold_hash([plan_key, i as u64, at.0, dur.0]));
+            for &node in &population {
+                plan.push(at, Control::Cut { cut, node, minority: minority.contains(&node) });
             }
+            plan.push(at + dur, Control::Heal { cut });
             plan.counts.partitions += 1;
             plan.counts.heals += 1;
         }
@@ -394,6 +403,8 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::NetModel;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn targets() -> ChaosTargets {
         ChaosTargets {
@@ -443,13 +454,13 @@ mod tests {
         for seed in 0..32 {
             let p = plan(seed, 1.0);
             assert!(p.heal_by() <= SimTime::from_secs(90));
-            // Crash/restart and block/unblock pair up exactly.
+            // Crash/restart and cut/heal pair up exactly.
             let c = p.counts();
             assert_eq!(c.crashes, c.restarts);
             assert_eq!(c.partitions, c.heals);
-            let mut crashed: std::collections::BTreeSet<u32> = Default::default();
-            let mut blocked: std::collections::BTreeSet<(u32, u32)> = Default::default();
-            let mut default = LinkParams::lan();
+            let mut crashed: BTreeSet<u32> = Default::default();
+            let mut open: BTreeSet<CutId> = Default::default();
+            let mut net = NetModel::new(LinkParams::lan());
             for &(_, ctl) in p.schedule() {
                 match ctl {
                     Control::Crash(n) => {
@@ -462,33 +473,111 @@ mod tests {
                     Control::WipeDurable(n) => {
                         assert!(crashed.contains(&n.0), "wipe must target a down node");
                     }
-                    Control::Block { from, to, .. } => {
-                        blocked.insert((from.0, to.0));
+                    Control::Cut { cut, node, minority } => {
+                        open.insert(cut);
+                        net.cut(cut, node, minority);
                     }
-                    Control::Unblock { from, to, .. } => {
-                        blocked.remove(&(from.0, to.0));
+                    Control::Heal { cut } => {
+                        assert!(open.remove(&cut), "seed {seed}: heal of a cut never opened");
+                        net.heal(cut);
                     }
-                    Control::SetDefaultLink { params } => default = params,
+                    Control::SetDefaultLink { params } => net.set_default(params),
+                    Control::Block { .. } | Control::Unblock { .. } => {
+                        panic!("seed {seed}: generated plans cut, they never block a pair")
+                    }
                 }
             }
             assert!(crashed.is_empty(), "seed {seed}: {crashed:?} left down");
-            assert!(blocked.is_empty(), "seed {seed}: partitions left open");
-            assert_eq!(default, LinkParams::lan(), "seed {seed}: burst not restored");
+            assert!(open.is_empty(), "seed {seed}: partitions left open");
+            let all = targets().all();
+            for &a in &all {
+                for &b in &all {
+                    let link = net.link(a, b);
+                    assert_eq!(link, Some(LinkParams::lan()), "seed {seed}: {a:?}→{b:?} cut");
+                }
+            }
         }
     }
 
     #[test]
     fn first_partition_splits_the_coordinator_group() {
-        let p = plan(3, 0.8);
         // The boot-time primary (coordinator 0) must get cut off from its
-        // peer coordinator in at least one partition episode.
+        // peer coordinator at some instant, read once every control due at
+        // that instant has applied.
         let primary = targets().coordinators[0];
         let peer = targets().coordinators[1];
-        let split = p.schedule().iter().any(|&(_, ctl)| {
-            matches!(ctl, Control::Block { from, to, .. }
-                if (from == primary && to == peer) || (from == peer && to == primary))
-        });
-        assert!(split, "no coordinator-group split scheduled");
+        for seed in 0..32 {
+            let p = plan(seed, 0.8);
+            let mut net = NetModel::new(LinkParams::lan());
+            let mut split = false;
+            for (i, &(at, ctl)) in p.schedule().iter().enumerate() {
+                match ctl {
+                    Control::Cut { cut, node, minority } => net.cut(cut, node, minority),
+                    Control::Heal { cut } => net.heal(cut),
+                    _ => {}
+                }
+                let instant_done = p.schedule().get(i + 1).is_none_or(|&(next, _)| next > at);
+                if instant_done && net.link(primary, peer).is_none() {
+                    assert!(net.link(peer, primary).is_none(), "seed {seed}: one-way split");
+                    split = true;
+                }
+            }
+            assert!(split, "seed {seed}: no coordinator-group split scheduled");
+        }
+    }
+
+    #[test]
+    fn a_partition_costs_one_control_per_target_plus_its_heal() {
+        let n = targets().all().len();
+        for seed in 0..32 {
+            let p = plan(seed, 1.0);
+            let mut per_cut: BTreeMap<CutId, (usize, usize)> = Default::default();
+            for &(_, ctl) in p.schedule() {
+                match ctl {
+                    Control::Cut { cut, .. } => per_cut.entry(cut).or_default().0 += 1,
+                    Control::Heal { cut } => per_cut.entry(cut).or_default().1 += 1,
+                    _ => {}
+                }
+            }
+            assert_eq!(per_cut.len(), p.counts().partitions as usize, "seed {seed}");
+            for (cut, counts) in per_cut {
+                assert_eq!(counts, (n, 1), "seed {seed}: {cut:?}");
+            }
+        }
+        // A later control must not grow the kernel's queue slot.
+        assert!(std::mem::size_of::<Control>() <= 64, "{} B", std::mem::size_of::<Control>());
+    }
+
+    #[test]
+    fn plans_sharing_a_world_share_no_cut() {
+        let cuts = |p: &FaultPlan| -> BTreeSet<CutId> {
+            p.schedule()
+                .iter()
+                .filter_map(|&(_, ctl)| match ctl {
+                    Control::Heal { cut } => Some(cut),
+                    _ => None,
+                })
+                .collect()
+        };
+        let base = cuts(&plan(7, 1.0));
+        assert_eq!(base, cuts(&plan(7, 1.0)), "a plan replays its cut ids");
+        let mut fewer = targets();
+        fewer.clients.clear();
+        let others = [
+            plan(8, 1.0),
+            plan(7, 0.5),
+            FaultPlan::generate(
+                7,
+                ChaosProfile::from_intensity(1.0),
+                &fewer,
+                LinkParams::lan(),
+                SimTime::from_secs(2),
+                SimTime::from_secs(90),
+            ),
+        ];
+        for other in &others {
+            assert!(base.is_disjoint(&cuts(other)), "cut ids collide across plans");
+        }
     }
 
     const S: fn(u64) -> SimTime = SimTime::from_secs;

@@ -84,7 +84,7 @@ pub mod world;
 pub use actor::{Actor, Ctx, DurableImage, FrameOps, TimerId, WireSized};
 pub use chaos::{ChaosProfile, ChaosTargets, FaultCounts, FaultPlan};
 pub use disk::{Disk, DiskSpec, WriteOutcome};
-pub use net::{LinkParams, NetModel};
+pub use net::{CutId, LinkParams, NetModel};
 pub use node::{HostResources, HostSpec, NodeId};
 #[doc(hidden)]
 pub use queue::QueueAudit;

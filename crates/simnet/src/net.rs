@@ -11,7 +11,9 @@
 //! * transfer serialization happens on the *end-host NICs* (sender out,
 //!   receiver in), which is where 100 Mbit/s Ethernet and ADSL-era Internet
 //!   actually bottleneck — see [`crate::world::World`];
-//! * pairs can be blocked (partitions, Fig. 11) and restored dynamically.
+//! * pairs can be blocked (partitions, Fig. 11) and restored dynamically,
+//!   one directed pair at a time or a whole partition episode at once as a
+//!   [`CutId`]-named cut.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -101,20 +103,54 @@ impl Default for LinkParams {
     }
 }
 
+/// Names one partition episode's cut (see [`NetModel::cut`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct CutId(pub u64);
+
+/// One partition episode: which side each member node is on, and when.
+#[derive(Debug, Clone)]
+struct Cut {
+    id: CutId,
+    /// `(node, stamp << 1 | minority)`, sorted by node.
+    sides: Vec<(NodeId, u64)>,
+    /// Stamp of the first member's open.
+    opened: u64,
+    healed: Option<u64>,
+}
+
+impl Cut {
+    fn side(&self, node: NodeId) -> Option<u64> {
+        let i = self.sides.binary_search_by_key(&node, |&(n, _)| n).ok()?;
+        Some(self.sides[i].1)
+    }
+}
+
 /// Mutable network topology/policy.
 ///
-/// Resolution order for `(from, to)`: blocked? → pair override → default.
+/// Resolution order for `(from, to)`: blocked or cut apart? → pair
+/// override → default.  Pair blocks and cuts are separate layers: a heal
+/// never lifts a pair block, an unblock never lifts a cut.
 #[derive(Debug, Clone)]
 pub struct NetModel {
     default: LinkParams,
     overrides: BTreeMap<(NodeId, NodeId), LinkParams>,
     blocked: BTreeSet<(NodeId, NodeId)>,
+    /// Open cuts, and healed ones an open cut opened before.
+    cuts: Vec<Cut>,
+    /// Orders every cut and heal.
+    stamp: u64,
 }
 
 impl NetModel {
     /// Network where every pair uses `default`.
     pub fn new(default: LinkParams) -> Self {
-        NetModel { default, overrides: BTreeMap::new(), blocked: BTreeSet::new() }
+        NetModel {
+            default,
+            overrides: BTreeMap::new(),
+            blocked: BTreeSet::new(),
+            cuts: Vec::new(),
+            stamp: 0,
+        }
     }
 
     /// Replaces the default parameters every non-overridden pair resolves
@@ -158,9 +194,71 @@ impl NetModel {
         self.unblock(b, a);
     }
 
+    /// Puts `node` on one side of cut `cut`, opening the cut if it is not
+    /// open.  Once every member is placed, the cut separates each minority
+    /// member from each majority member in both directions, exactly as if
+    /// every such pair had been [`block_bidir`](Self::block_bidir)ed.
+    pub fn cut(&mut self, cut: CutId, node: NodeId, minority: bool) {
+        self.stamp += 1;
+        let i = match self.cuts.iter().rposition(|c| c.id == cut && c.healed.is_none()) {
+            Some(i) => i,
+            None => {
+                let opened = self.stamp;
+                self.cuts.push(Cut { id: cut, sides: Vec::new(), opened, healed: None });
+                self.cuts.len() - 1
+            }
+        };
+        let side = self.stamp << 1 | minority as u64;
+        let sides = &mut self.cuts[i].sides;
+        match sides.binary_search_by_key(&node, |&(n, _)| n) {
+            Ok(j) => sides[j].1 = side,
+            Err(j) => sides.insert(j, (node, side)),
+        }
+    }
+
+    /// Heals cut `cut`: every pair it separates reopens, as if each had
+    /// been [`unblock_bidir`](Self::unblock_bidir)ed — including a pair an
+    /// earlier, still-open cut also separates.
+    pub fn heal(&mut self, cut: CutId) {
+        self.stamp += 1;
+        if let Some(c) = self.cuts.iter_mut().rev().find(|c| c.id == cut) {
+            c.healed = Some(self.stamp);
+        }
+        // A healed cut decides a pair only against an open cut opened
+        // before the heal; once no such cut is left it decides nothing.
+        let first_open = self.cuts.iter().filter(|c| c.healed.is_none()).map(|c| c.opened).min();
+        self.cuts.retain(|c| match (c.healed, first_open) {
+            (None, _) => true,
+            (Some(healed), Some(opened)) => healed > opened,
+            (Some(_), None) => false,
+        });
+    }
+
+    /// True when the latest cut event on `{a, b}` among the cuts that
+    /// separate it was an open (the per-pair set's last-write-wins).
+    fn cut_apart(&self, a: NodeId, b: NodeId) -> bool {
+        let mut latest = 0;
+        let mut apart = false;
+        for c in &self.cuts {
+            let (Some(sa), Some(sb)) = (c.side(a), c.side(b)) else { continue };
+            if (sa ^ sb) & 1 == 0 {
+                continue;
+            }
+            let (at, open) = match c.healed {
+                Some(healed) => (healed, false),
+                None => (sa.max(sb) >> 1, true),
+            };
+            if at > latest {
+                latest = at;
+                apart = open;
+            }
+        }
+        apart
+    }
+
     /// Resolves the directed link; `None` means partitioned.
     pub fn link(&self, from: NodeId, to: NodeId) -> Option<LinkParams> {
-        if self.blocked.contains(&(from, to)) {
+        if self.blocked.contains(&(from, to)) || self.cut_apart(from, to) {
             return None;
         }
         Some(*self.overrides.get(&(from, to)).unwrap_or(&self.default))
@@ -207,6 +305,27 @@ mod tests {
         assert!(net.link(N(3), N(2)).is_none(), "other direction stays blocked");
         net.unblock_bidir(N(2), N(3));
         assert!(net.link(N(2), N(3)).is_some() && net.link(N(3), N(2)).is_some());
+    }
+
+    #[test]
+    fn cuts_separate_sides_and_leave_nothing_once_healed() {
+        let mut net = NetModel::default();
+        let (a, b) = (CutId(1), CutId(2));
+        net.cut(a, N(0), true);
+        net.cut(a, N(1), false);
+        net.cut(a, N(2), false);
+        assert!(net.link(N(0), N(1)).is_none() && net.link(N(2), N(0)).is_none());
+        assert!(net.link(N(1), N(2)).is_some(), "same side");
+        assert!(net.link(N(0), N(3)).is_some(), "not a member");
+        // `b` also separates {0, 1}; `a`'s later heal reopens it anyway,
+        // as its per-pair unblock would, and stays while `b` is open.
+        net.cut(b, N(1), true);
+        net.cut(b, N(0), false);
+        net.heal(a);
+        assert!(net.link(N(0), N(1)).is_some());
+        assert_eq!(net.cuts.len(), 2);
+        net.heal(b);
+        assert!(net.cuts.is_empty(), "healed cuts outlive no open one");
     }
 
     #[test]

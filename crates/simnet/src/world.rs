@@ -1,7 +1,7 @@
 //! The simulation world: event queue, nodes, dispatch loop, fault control.
 
 use crate::actor::{Actor, Ctx, DurableImage, FrameOps, TimerId, WireSized};
-use crate::net::{LinkParams, NetModel};
+use crate::net::{CutId, LinkParams, NetModel};
 use crate::node::{HostResources, HostSpec, NodeId};
 use crate::queue::{EventQueue, QueueAudit};
 use crate::rng::DetRng;
@@ -46,6 +46,22 @@ pub enum Control {
         to: NodeId,
         /// Apply to both directions.
         bidir: bool,
+    },
+    /// Put `node` on one side of partition `cut` ([`NetModel::cut`]): a
+    /// partition over `n` nodes is `n` of these at its open and one
+    /// [`Control::Heal`] at its close.
+    Cut {
+        /// The partition episode.
+        cut: CutId,
+        /// The member placed.
+        node: NodeId,
+        /// Which side it is on.
+        minority: bool,
+    },
+    /// Close partition `cut` ([`NetModel::heal`]).
+    Heal {
+        /// The partition episode.
+        cut: CutId,
     },
 }
 
@@ -478,6 +494,8 @@ impl<M: WireSized + 'static> World<M> {
                     self.net.unblock(from, to);
                 }
             }
+            Control::Cut { cut, node, minority } => self.net.cut(cut, node, minority),
+            Control::Heal { cut } => self.net.heal(cut),
             Control::WipeDurable(node) => self.wipe_durable(node),
             Control::SetDefaultLink { params } => self.net.set_default(params),
         }

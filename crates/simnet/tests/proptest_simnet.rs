@@ -233,6 +233,66 @@ fn apply_qop(w: &mut World<M>, nodes: &[NodeId], op: (u64, u64, u64)) {
     }
 }
 
+/// One network under partition cuts beside a reference that takes each
+/// cut's per-pair expansion: placing a node blocks it, both ways, against
+/// every member already on the other side; a heal unblocks every pair the
+/// cut separates.  Cuts must reproduce these per-pair semantics exactly,
+/// the set's last-write-wins on overlapping episodes included.
+struct CutsVsPairs {
+    nodes: Vec<NodeId>,
+    cuts: NetModel,
+    pairs: NetModel,
+    /// Members placed so far, per cut id; `None` once healed.
+    members: Vec<Option<Vec<(NodeId, bool)>>>,
+}
+
+impl CutsVsPairs {
+    fn open(&self) -> Vec<usize> {
+        (0..self.members.len()).filter(|&c| self.members[c].is_some()).collect()
+    }
+
+    fn new_cut(&mut self) -> usize {
+        self.members.push(Some(Vec::new()));
+        self.members.len() - 1
+    }
+
+    fn place(&mut self, c: usize, node: NodeId, minority: bool) -> Result<(), TestCaseError> {
+        self.cuts.cut(CutId(c as u64), node, minority);
+        let members = self.members[c].as_mut().expect("placing into an open cut");
+        for &(m, side) in members.iter() {
+            if side != minority {
+                self.pairs.block_bidir(node, m);
+            }
+        }
+        members.push((node, minority));
+        self.agree()
+    }
+
+    fn heal(&mut self, c: usize) -> Result<(), TestCaseError> {
+        self.cuts.heal(CutId(c as u64));
+        let members = self.members[c].take().expect("healing an open cut");
+        for &(a, side_a) in &members {
+            for &(b, side_b) in &members {
+                if side_a != side_b {
+                    self.pairs.unblock_bidir(a, b);
+                }
+            }
+        }
+        self.agree()
+    }
+
+    /// Every ordered pair resolves alike in both networks.
+    fn agree(&self) -> Result<(), TestCaseError> {
+        for &a in &self.nodes {
+            for &b in &self.nodes {
+                let (cut, pair) = (self.cuts.link(a, b), self.pairs.link(a, b));
+                prop_assert!(cut == pair, "{:?}→{:?}: cuts {:?}, pairs {:?}", a, b, cut, pair);
+            }
+        }
+        Ok(())
+    }
+}
+
 proptest! {
     /// The determinism invariant: identical configuration ⇒ identical
     /// trace hash and statistics, under arbitrary node counts, loss rates
@@ -471,5 +531,87 @@ proptest! {
         prop_assert_eq!((a.live_slots, a.handles), (0, 0));
         prop_assert_eq!(a.free_slots, a.chunks * a.chunk_slots);
         prop_assert!(a.chunks <= 1, "drained chunks must be returned: {:?}", a);
+    }
+
+    /// A partition as cut controls ≡ the same partition as one
+    /// `block_bidir` per minority × majority pair and one `unblock_bidir`
+    /// per pair at its heal, checked on every ordered pair after every
+    /// control: overlapping cuts over ≤ 12 nodes, single placements and
+    /// whole opens interleaved with heals, a cut healed in the op that
+    /// opened it (and one opened right after a heal), a node on different
+    /// sides of two live cuts.
+    #[test]
+    fn partition_cuts_match_per_pair_expansion(
+        n in 2u32..13,
+        ops in proptest::collection::vec((0u64..4, any::<u64>()), 1..60),
+    ) {
+        let nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
+        let mut net = CutsVsPairs {
+            nodes: nodes.clone(),
+            cuts: NetModel::default(),
+            pairs: NetModel::default(),
+            members: Vec::new(),
+        };
+        for &(kind, bits) in &ops {
+            let open = net.open();
+            match kind {
+                // One node onto one side of an open cut, or of a new one.
+                0 | 1 => {
+                    let c = if open.is_empty() || bits & 1 == 1 {
+                        net.new_cut()
+                    } else {
+                        open[(bits >> 1) as usize % open.len()]
+                    };
+                    let placed = net.members[c].as_ref().unwrap().clone();
+                    let free: Vec<NodeId> = nodes
+                        .iter()
+                        .copied()
+                        .filter(|&x| placed.iter().all(|&(m, _)| m != x))
+                        .collect();
+                    if !free.is_empty() {
+                        let node = free[(bits >> 8) as usize % free.len()];
+                        net.place(c, node, (bits >> 16) & 1 == 1)?;
+                    }
+                }
+                // A whole cut at once, as a plan opens one: each node is a
+                // member or not, minority or majority, by two bits; a third
+                // heals it in the same op.
+                2 => {
+                    let c = net.new_cut();
+                    for (i, &node) in nodes.iter().enumerate() {
+                        if (bits >> (2 * i)) & 1 == 1 {
+                            net.place(c, node, (bits >> (2 * i + 1)) & 1 == 1)?;
+                        }
+                    }
+                    if (bits >> 40) & 1 == 1 {
+                        net.heal(c)?;
+                    }
+                }
+                // Heal an open cut; a bit opens a fresh one-node-per-side
+                // cut right after it.
+                _ => {
+                    if !open.is_empty() {
+                        net.heal(open[bits as usize % open.len()])?;
+                    }
+                    if (bits >> 40) & 1 == 1 {
+                        let c = net.new_cut();
+                        let a = nodes[(bits >> 8) as usize % nodes.len()];
+                        let b = nodes[(bits >> 16) as usize % nodes.len()];
+                        net.place(c, a, true)?;
+                        if b != a {
+                            net.place(c, b, false)?;
+                        }
+                    }
+                }
+            }
+        }
+        for c in net.open() {
+            net.heal(c)?;
+        }
+        for &a in &nodes {
+            for &b in &nodes {
+                prop_assert!(net.cuts.link(a, b).is_some(), "{:?}→{:?} still cut", a, b);
+            }
+        }
     }
 }
