@@ -37,6 +37,7 @@ use rpcv_obs::{Histogram, TelemetrySnapshot};
 use rpcv_simnet::chaos::{ChaosProfile, ChaosTargets, FaultCounts, FaultPlan};
 use rpcv_simnet::{DetRng, FrameOps, NetStats, SimDuration, SimTime};
 use rpcv_wire::{from_bytes, open_frame, seal_frame, to_bytes, Blob};
+use rpcv_xw::{result_seed, JobKey};
 
 use crate::config::ProtocolConfig;
 use crate::grid::{GridSpec, SimGrid};
@@ -282,10 +283,12 @@ impl ChaosOracle {
         // Exactly-once delivery: every owning client holds exactly its own
         // planned seqs, each exactly once (`results_received` is keyed by
         // seq, so a duplicate delivery could only ever overwrite — the
-        // dedup guard in `ingest_results` is what this audits end to end).
-        // On a sharded plane this is also the cross-shard leak check: a
-        // result delivered to the wrong shard's client would surface as a
-        // count or seq mismatch on both sides.
+        // dedup guard in `ingest_results` is what this audits end to end),
+        // and each seq holds its own call's result: a server's bytes derive
+        // from the job key, whichever instance ran.  On a sharded plane
+        // this is also the cross-shard leak check: a result delivered to
+        // the wrong shard's client would surface as a count or seq
+        // mismatch on both sides.
         let mut results = 0;
         for (i, plan) in plans.iter().enumerate() {
             match g.client_at(i) {
@@ -303,6 +306,14 @@ impl ChaosOracle {
                     if seqs != want {
                         violations
                             .push(format!("client {i} result seqs {seqs:?} != 1..={}", plan.len()));
+                    }
+                    let client = g.clients[i].0;
+                    for (seq, call) in (1..).zip(plan) {
+                        let want = result_seed(JobKey::new(client, seq));
+                        let want = Blob::synthetic(call.result_size, want);
+                        if c.result_archive(seq).is_some_and(|held| !held.content_eq(&want)) {
+                            violations.push(format!("client {i} seq {seq} holds another result"));
+                        }
                     }
                 }
                 None => violations.push(format!("client {i} is down after the plan healed")),

@@ -132,21 +132,6 @@ impl CoordMetrics {
     }
 }
 
-/// One watched missing archive: a job this coordinator knows finished
-/// whose archive it neither holds nor knows delivered.
-#[derive(Debug)]
-struct Missing {
-    /// First noticed; the re-execution horizon counts from here.
-    since: SimTime,
-    /// Overdue, but its client is *not* served here (no traffic from it
-    /// yet): a replica must not re-execute work the live primary is already
-    /// recovering — delivery is the primary's job until the client's
-    /// traffic actually lands here.  A parked entry keeps its stamp and
-    /// re-arms the moment the client's first message arrives (failover),
-    /// so promotion pays no fresh horizon.
-    parked: bool,
-}
-
 /// State surviving a coordinator crash: the database (MySQL + archive
 /// filesystem are durable); volatile suspicion state is rebuilt.
 struct CoordDurable {
@@ -192,13 +177,6 @@ pub struct CoordinatorActor {
     applied_head: BTreeMap<CoordId, u64>,
     /// Outstanding replication round: `(successor, head, started)`.
     inflight_repl: Option<(CoordId, u64, SimTime)>,
-    /// Missing-archive watch list, mirroring the database's missing set:
-    /// created by [`Self::watch_missing`], destroyed by [`Self::settle`].
-    missing: BTreeMap<JobKey, Missing>,
-    /// The un-parked entries of `missing` in stamp order, so the periodic
-    /// scan reads only entries whose re-execution horizon could have passed
-    /// instead of filtering the whole watch list every heartbeat.
-    missing_order: BTreeSet<(SimTime, JobKey)>,
     /// Origins already released after predecessor suspicion.
     released: BTreeSet<CoordId>,
     /// Boot epoch: regenerated on every (re)start so clients can tell
@@ -265,8 +243,6 @@ impl CoordinatorActor {
             acked_version: BTreeMap::new(),
             applied_head: BTreeMap::new(),
             inflight_repl: None,
-            missing: BTreeMap::new(),
-            missing_order: BTreeSet::new(),
             released: BTreeSet::new(),
             epoch: 0,
             metrics: CoordMetrics::default(),
@@ -281,24 +257,16 @@ impl CoordinatorActor {
         self.my_shard
     }
 
-    /// Records that `client`'s traffic lands here.  On first contact any
-    /// parked missing-archive watches for their jobs re-arm — this
-    /// coordinator now serves them, so their unrecovered work enters the
-    /// re-execution pipeline with its original stamps (a failover pays no
-    /// fresh horizon).
+    /// Records that `client`'s traffic lands here.  On first contact the
+    /// database un-parks the client's missing archives — this coordinator
+    /// now serves them, so their unrecovered work enters the re-execution
+    /// pipeline with its original stamps (a failover pays no fresh horizon).
     fn greet_client(&mut self, client: ClientKey) {
         // Which group owns a client is the directory's decision, read by
         // the client from the same list: it addresses no other group.
         debug_assert_eq!(self.params.directory.shard_of(client), self.my_shard);
-        if !self.clients.insert(client) {
-            return;
-        }
-        let lo = JobKey { client, seq: 0 };
-        let hi = JobKey { client, seq: u64::MAX };
-        for (job, m) in self.missing.range_mut(lo..=hi) {
-            if std::mem::take(&mut m.parked) {
-                self.missing_order.insert((m.since, *job));
-            }
+        if self.clients.insert(client) {
+            self.db.unpark_missing(client);
         }
     }
 
@@ -325,13 +293,6 @@ impl CoordinatorActor {
         let coord_max = self.db.client_max(job.client);
         let ack = Msg::SubmitAck { job, coord_max, epoch: self.epoch };
         ctx.send_at(done, to, ack);
-    }
-
-    /// Per-entity records resident here outside the database: they follow
-    /// the recoveries in flight, not the jobs this coordinator ever saw.
-    #[doc(hidden)]
-    pub fn resident_records(&self) -> usize {
-        self.missing.len() + self.missing_order.len()
     }
 
     /// Read access to the database (harness inspection).
@@ -420,34 +381,6 @@ impl CoordinatorActor {
         let m = &mut self.metrics;
         m.completion_dips += m.last_finished.saturating_sub(finished);
         m.last_finished = finished;
-    }
-
-    /// Stamps `job` as missing-since-`now` unless already watched (parked
-    /// or not — an entry keeps its older stamp).
-    fn watch_missing(&mut self, job: JobKey, now: SimTime) {
-        if let std::collections::btree_map::Entry::Vacant(e) = self.missing.entry(job) {
-            e.insert(Missing { since: now, parked: false });
-            self.missing_order.insert((now, job));
-        }
-    }
-
-    /// `job` leaves the watch list for good: its archive was recovered, its
-    /// result delivered, or its re-execution is about to be queued.
-    fn settle(&mut self, job: &JobKey) {
-        if let Some(m) = self.missing.remove(job) {
-            self.missing_order.remove(&(m.since, *job));
-        }
-    }
-
-    /// Full resync of the watch list against the database's missing set
-    /// (startup, where the restored database may hold entries no
-    /// incarnation of this actor watched yet): O(missing), never a
-    /// finished-jobs scan.
-    fn refresh_missing(&mut self, now: SimTime) {
-        let jobs: Vec<JobKey> = self.db.missing_archives_iter().collect();
-        for job in jobs {
-            self.watch_missing(job, now);
-        }
     }
 
     fn handle_server_beat(
@@ -561,7 +494,6 @@ impl CoordinatorActor {
         self.server_mon.observe(server, now);
         let (_outcome, charge) = self.db.complete_task(task, job, archive, server);
         let done = self.pay(ctx, charge);
-        self.settle(&job);
         self.spans.mark(job, SpanEdge::Finished, now);
         if self.db.archive(&job).is_some() {
             self.spans.mark(job, SpanEdge::ArchiveStored, now);
@@ -636,11 +568,7 @@ impl CoordinatorActor {
         if !collected.is_empty() {
             let now = ctx.now();
             for &seq in &collected {
-                let job = JobKey { client, seq };
-                self.spans.mark(job, SpanEdge::Collected, now);
-                // Delivered: nothing is left to recover, whatever this
-                // coordinator had noticed missing before the client spoke.
-                self.settle(&job);
+                self.spans.mark(JobKey { client, seq }, SpanEdge::Collected, now);
             }
             charge += self.db.mark_collected(client, &collected);
         }
@@ -682,12 +610,9 @@ impl CoordinatorActor {
     }
 
     /// The tail of applying a feed from `peer` (head `head` in the peer's
-    /// version space): jobs the frame taught us were delivered — by a
-    /// collection ack or under a retired watermark — leave the
-    /// missing-archive watch list for good (delivered work must not sit in
-    /// the re-execution pipeline), jobs it left missing here join it, the
-    /// applied head moves, the store's charge is paid, and the head is
-    /// acknowledged once the write lands.
+    /// version space): the deliveries it taught are counted, the applied
+    /// head moves, the store's charge is paid, and the head is acknowledged
+    /// once the write lands.
     fn finish_apply(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -696,21 +621,10 @@ impl CoordinatorActor {
         head: u64,
         applied: Applied,
     ) {
-        for job in &applied.newly_collected {
-            self.settle(job);
-        }
         self.metrics.collected_marks_applied += applied.newly_collected.len() as u64;
         let e = self.applied_head.entry(peer).or_insert(0);
         *e = (*e).max(head);
         let done = self.pay(ctx, applied.charge);
-        for job in applied.newly_missing {
-            // A key can leave the missing set again within the same frame
-            // (a later collected row); stamping it would strand a stale
-            // watch entry until its horizon fires a refused re-execution.
-            if self.db.is_missing_archive(&job) {
-                self.watch_missing(job, ctx.now());
-            }
-        }
         self.record_completion();
         let ack = Msg::ReplAck { from: self.params.me, head_version: head };
         ctx.send_at(done, from, ack);
@@ -742,7 +656,7 @@ impl CoordinatorActor {
             return;
         }
         let head = delta.head_version;
-        let applied = self.db.apply_delta_owned(delta);
+        let applied = self.db.apply_delta_owned(delta, now);
         self.finish_apply(ctx, from, peer, head, applied);
         // Serve requested archives from our store (capped per round); a
         // round that finds none sends nothing.
@@ -856,36 +770,12 @@ impl CoordinatorActor {
         // Unrecoverable archives ⇒ at-least-once re-execution.  The
         // horizon must outlast the archive pull over the replication ring
         // (one round to ask, one to receive), else re-execution races the
-        // recovery it is meant to back up.  The stamp-ordered mirror makes
-        // this a prefix read of entries whose horizon passed — O(overdue),
-        // not a filter over the whole watch list every heartbeat.
-        if self.missing_order.is_empty() {
-            return;
-        }
+        // recovery it is meant to back up.  Jobs whose client is not served
+        // here are parked instead: the coordinator that serves it owns
+        // recovery, and re-executing here would duplicate work grid-wide
+        // every horizon.
         let reexec_horizon = REEXEC_FLOOR.max(self.params.cfg.replication_period * 3);
-        let mut overdue: Vec<JobKey> = self
-            .missing_order
-            .iter()
-            .take_while(|&&(since, _)| now.since(since) > reexec_horizon)
-            .map(|&(_, j)| j)
-            .collect();
-        // Key order, exactly as the old whole-list filter produced it (the
-        // re-execution order assigns task ids, so it must not change).
-        overdue.sort_unstable();
-        for job in overdue {
-            if !self.clients.contains(&job.client) {
-                // Not serving this job's client: the coordinator that is
-                // owns recovery, and re-executing here would duplicate
-                // work grid-wide every horizon.  Park the watch; it
-                // re-arms (original stamp) when the client's traffic
-                // lands here after a failover.
-                if let Some(m) = self.missing.get_mut(&job) {
-                    m.parked = true;
-                    self.missing_order.remove(&(m.since, job));
-                }
-                continue;
-            }
-            self.settle(&job);
+        for job in self.db.overdue_missing(now, reexec_horizon, &self.clients) {
             let (created, charge) = self.db.reexecute_job(job);
             if created.is_some() {
                 self.metrics.reexecutions += 1;
@@ -901,7 +791,8 @@ impl Actor<Msg> for CoordinatorActor {
         self.epoch = ctx.rng().next_u64() | 1;
         ctx.set_timer(self.params.cfg.heartbeat, K_SCAN);
         ctx.set_timer(self.params.cfg.replication_period, K_REPL);
-        self.refresh_missing(ctx.now());
+        // No recovery this incarnation owes has started yet.
+        self.db.rearm_missing(ctx.now());
         // The dispatch index is durable, the monitor is not: a server this
         // coordinator forwarded work to before the crash may beat another
         // coordinator by now and never be heard here again.  Watching it
@@ -970,7 +861,6 @@ impl Actor<Msg> for CoordinatorActor {
                 self.peer_mon.observe(peer, ctx.now());
                 let mut charge = Charge::ZERO;
                 for r in results {
-                    self.settle(&r.job);
                     self.spans.mark(r.job, SpanEdge::ArchiveStored, ctx.now());
                     charge += self.db.store_archive(r.job, r.archive);
                 }

@@ -73,11 +73,6 @@ impl TelemetrySnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Current value of gauge `name`, if set.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
     /// The histogram under `name`, if any.
     pub fn hist(&self, name: &str) -> Option<&Histogram> {
         self.hists.get(name)
@@ -174,7 +169,7 @@ mod tests {
         snap.set_gauge("a.g", -4);
         snap.set_gauge("a.g", 9);
         assert_eq!((snap.counter("a.x"), snap.counter("a.y")), (5, 1));
-        assert_eq!(snap.gauge("a.g"), Some(9));
+        assert_eq!(snap.gauges.get("a.g"), Some(&9));
         assert_eq!(snap.counter("missing"), 0);
     }
 

@@ -73,11 +73,6 @@ impl TestCaseError {
     pub fn fail(message: impl Into<String>) -> Self {
         TestCaseError { message: message.into() }
     }
-
-    /// `proptest` API compatibility alias.
-    pub fn reject(message: impl Into<String>) -> Self {
-        Self::fail(message)
-    }
 }
 
 impl fmt::Display for TestCaseError {
@@ -285,17 +280,6 @@ impl_tuple_strategy!(A, B);
 impl_tuple_strategy!(A, B, C);
 impl_tuple_strategy!(A, B, C, D);
 
-/// Constant strategy, always yielding clones of one value.
-#[derive(Debug, Clone)]
-pub struct Just<T: Clone + fmt::Debug>(pub T);
-
-impl<T: Clone + fmt::Debug> Strategy for Just<T> {
-    type Value = T;
-    fn generate(&self, _rng: &mut TestRng) -> T {
-        self.0.clone()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // any::<T>() / Arbitrary
 // ---------------------------------------------------------------------------
@@ -325,7 +309,7 @@ macro_rules! impl_arbitrary_int {
         }
     )*};
 }
-impl_arbitrary_int!(u8, u16, u32, u64, usize);
+impl_arbitrary_int!(u8, u32, u64);
 
 macro_rules! impl_arbitrary_sint {
     ($($t:ty),*) => {$(
@@ -343,30 +327,7 @@ macro_rules! impl_arbitrary_sint {
         }
     )*};
 }
-impl_arbitrary_sint!(i8, i16, i32, i64, isize);
-
-impl Arbitrary for bool {
-    fn arbitrary(rng: &mut TestRng) -> bool {
-        rng.below(2) == 1
-    }
-}
-
-impl Arbitrary for f64 {
-    fn arbitrary(rng: &mut TestRng) -> f64 {
-        match rng.below(8) {
-            0 => 0.0,
-            1 => 1.0,
-            2 => -1.0,
-            _ => rng.unit_f64() * 2e6 - 1e6,
-        }
-    }
-}
-
-impl Arbitrary for char {
-    fn arbitrary(rng: &mut TestRng) -> char {
-        random_char(rng)
-    }
-}
+impl_arbitrary_sint!(i64);
 
 /// Strategy returned by [`any`].
 pub struct Any<T>(std::marker::PhantomData<T>);
@@ -571,8 +532,8 @@ macro_rules! prop_assert_ne {
 pub mod prelude {
     pub use crate as prop;
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, proptest, Arbitrary, Just,
-        ProptestConfig, Strategy, TestCaseError,
+        any, prop_assert, prop_assert_eq, prop_assert_ne, proptest, Arbitrary, ProptestConfig,
+        Strategy, TestCaseError,
     };
 }
 

@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use rpcv_simnet::SimTime;
+use rpcv_simnet::{SimDuration, SimTime};
 use rpcv_wire::Blob;
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, TaskDesc, TaskId, TaskState};
 
@@ -198,6 +198,42 @@ struct ArchiveRow {
     collected: bool,
 }
 
+/// One entry of the missing-archive worklist.
+#[derive(Debug, Clone, Copy)]
+struct Watch {
+    /// Entered (or last re-armed): the re-execution horizon counts from here.
+    since: SimTime,
+    /// Overdue while its client is not served here: the client's own
+    /// coordinator recovers it, until the client's first message lands
+    /// here (failover) and un-parks it under the same stamp.
+    parked: bool,
+}
+
+/// The missing-archive worklist, which is the at-least-once re-execution
+/// watch too: each finished job whose archive is not held here, with its
+/// [`Watch`], and the un-parked entries once more in `(since, job)` order so
+/// the periodic overdue read is a prefix, never a filter over the set.
+#[derive(Debug, Clone, Default)]
+struct ReexecWatch {
+    entries: BTreeMap<JobKey, Watch>,
+    due: BTreeSet<(SimTime, JobKey)>,
+}
+
+impl ReexecWatch {
+    /// A job enters once, when a feed teaches it finished.
+    fn enter(&mut self, job: JobKey, now: SimTime) {
+        self.entries.insert(job, Watch { since: now, parked: false });
+        self.due.insert((now, job));
+    }
+
+    /// `job` leaves (archive stored, delivery learned, re-executed, pruned).
+    fn leave(&mut self, job: &JobKey) {
+        if let Some(w) = self.entries.remove(job) {
+            self.due.remove(&(w.since, *job));
+        }
+    }
+}
+
 /// Incremental view of one client's result catalog since a version the
 /// client already holds: the additions and removals to merge, plus the new
 /// high-water mark to beat with next time.  This is what
@@ -235,12 +271,6 @@ pub struct Applied {
     /// pruned — in frame order: work the owner takes out of its
     /// re-execution pipeline.
     pub newly_collected: Vec<JobKey>,
-    /// Jobs the feed taught this database were finished while their
-    /// archive is not held here — each entered the missing set during this
-    /// apply, in frame order.  A later row of the same frame may have taken
-    /// a job out again (a collection acknowledgement), so the owner checks
-    /// [`CoordinatorDb::is_missing_archive`] before watching it.
-    pub newly_missing: Vec<JobKey>,
 }
 
 rpcv_simnet::counters! {
@@ -294,10 +324,11 @@ pub struct CoordinatorDb {
     /// O(changed) [`Self::delta_since`] and the echo-free [`Self::feed_for`].
     changed: BTreeMap<u64, ChangeEntry>,
     /// Finished jobs whose archive is not held here — maintained at every
-    /// archive/finished transition so the periodic refresh never scans.
-    /// A worklist, not an attribute: membership ≡ the row is finished,
-    /// holds no archive and is not `Collected`.
-    missing: BTreeSet<JobKey>,
+    /// archive/finished transition so neither the archive pull nor the
+    /// re-execution scan walks the table.  A worklist, not an attribute:
+    /// membership ≡ the row is finished, holds no archive and is not
+    /// `Collected`.  Entries enter only in [`Self::apply_delta_owned`].
+    missing: ReexecWatch,
     /// Retained archives whose client acknowledged collection (the
     /// GC-eligible worklist).  Maintained at flag/reclaim transitions so
     /// explicit GC is O(flagged), never a table scan; scan reference:
@@ -355,7 +386,7 @@ impl CoordinatorDb {
             task_counter: 0,
             duplicate_results: 0,
             changed: BTreeMap::new(),
-            missing: BTreeSet::new(),
+            missing: ReexecWatch::default(),
             collected_flagged: BTreeSet::new(),
             catalog: BTreeMap::new(),
             catalog_removed: BTreeMap::new(),
@@ -527,8 +558,8 @@ impl CoordinatorDb {
         // never be re-executed or re-acquired just because the archive is
         // elsewhere (or gone).
         row.collected = true;
-        Self::mark_finished(row, job, &mut self.finished_rows, &mut self.missing);
-        self.missing.remove(&job);
+        Self::mark_finished(row, &mut self.finished_rows);
+        self.missing.leave(&job);
         Self::touch_collected(&mut self.changed, &mut self.version, row, job, from);
         self.advance_collected_contig(job.client);
         true
@@ -553,14 +584,10 @@ impl CoordinatorDb {
         row.pending += 1;
     }
 
-    /// Records `job` as finished, flagging the archive as missing when it
-    /// is not held here.  Returns true when `job` entered the missing set.
-    fn mark_finished(
-        row: &mut JobRow,
-        job: JobKey,
-        finished_rows: &mut u64,
-        missing: &mut BTreeSet<JobKey>,
-    ) -> bool {
+    /// Records `row`'s job as finished.  Returns true when the flag is news
+    /// and the archive is not held here: the job belongs on the missing
+    /// worklist, unless the caller is about to store the archive.
+    fn mark_finished(row: &mut JobRow, finished_rows: &mut u64) -> bool {
         if row.finished {
             return false;
         }
@@ -573,7 +600,7 @@ impl CoordinatorDb {
         if let Some(ckpt) = row.ckpt.as_mut() {
             ckpt.blob = Blob::empty();
         }
-        row.archive.is_none() && missing.insert(job)
+        row.archive.is_none()
     }
 
     /// Drops dead entries (tasks no longer `Pending`) once they outnumber
@@ -779,9 +806,9 @@ impl CoordinatorDb {
             job,
         );
         if row.finished {
-            self.missing.remove(&job);
+            self.missing.leave(&job);
         }
-        Self::mark_finished(row, job, &mut self.finished_rows, &mut self.missing);
+        Self::mark_finished(row, &mut self.finished_rows);
     }
 
     /// Registers a task result arriving from `server`.
@@ -856,17 +883,70 @@ impl CoordinatorDb {
     /// from servers during synchronization.  Served from a maintained set:
     /// O(missing), not O(finished).
     pub fn missing_archives(&self) -> Vec<JobKey> {
-        self.missing.iter().copied().collect()
+        self.missing_archives_iter().collect()
     }
 
     /// Iterator form of [`Self::missing_archives`] (no allocation).
     pub fn missing_archives_iter(&self) -> impl Iterator<Item = JobKey> + '_ {
-        self.missing.iter().copied()
+        self.missing.entries.keys().copied()
     }
 
-    /// Whether `job` is currently in the missing-archive set.
-    pub fn is_missing_archive(&self, job: &JobKey) -> bool {
-        self.missing.contains(job)
+    /// When `job` entered the missing set (or was last re-armed), if in it.
+    pub fn missing_since(&self, job: &JobKey) -> Option<SimTime> {
+        self.missing.entries.get(job).map(|w| w.since)
+    }
+
+    /// Re-arms every missing entry at `now`, restamped and un-parked: what a
+    /// (re)started coordinator owes before any client has spoken to it.
+    pub fn rearm_missing(&mut self, now: SimTime) {
+        let m = &mut self.missing;
+        m.due.clear();
+        for (job, w) in &mut m.entries {
+            *w = Watch { since: now, parked: false };
+            m.due.insert((now, *job));
+        }
+    }
+
+    /// Un-parks `client`'s missing entries with their original stamps: its
+    /// traffic now lands here, so their recovery is this coordinator's.
+    pub fn unpark_missing(&mut self, client: ClientKey) {
+        let m = &mut self.missing;
+        let (lo, hi) = (JobKey { client, seq: 0 }, JobKey { client, seq: u64::MAX });
+        for (job, w) in m.entries.range_mut(lo..=hi) {
+            if std::mem::take(&mut w.parked) {
+                m.due.insert((w.since, *job));
+            }
+        }
+    }
+
+    /// The un-parked missing entries older than `horizon` at `now`, in key
+    /// order (the order re-execution assigns task ids in), parking instead
+    /// those whose client is not in `served`.  They stay in the set until
+    /// [`Self::reexecute_job`] takes them out.  O(overdue).
+    pub fn overdue_missing(
+        &mut self,
+        now: SimTime,
+        horizon: SimDuration,
+        served: &BTreeSet<ClientKey>,
+    ) -> Vec<JobKey> {
+        let m = &mut self.missing;
+        let mut overdue: Vec<JobKey> = m
+            .due
+            .iter()
+            .take_while(|&&(since, _)| now.since(since) > horizon)
+            .map(|&(_, job)| job)
+            .collect();
+        overdue.sort_unstable();
+        overdue.retain(|job| {
+            if served.contains(&job.client) {
+                return true;
+            }
+            let w = m.entries.get_mut(job).expect("due entries are in the set");
+            w.parked = true;
+            m.due.remove(&(w.since, *job));
+            false
+        });
+        overdue
     }
 
     /// Scan-based reference definition of [`Self::missing_archives`], kept
@@ -919,7 +999,7 @@ impl CoordinatorDb {
         if row.finished {
             row.finished = false;
             self.finished_rows -= 1;
-            self.missing.remove(&job);
+            self.missing.leave(&job);
         }
         let id = self.create_instance(job);
         (id, Charge::ops(2))
@@ -1492,7 +1572,8 @@ impl CoordinatorDb {
     }
 
     /// Applies one replicated task row under the paper's merge rules.
-    /// Returns true when the row's job entered the missing set.
+    /// Returns true when the row taught this database that its job finished
+    /// while the archive is not held here.
     fn apply_task_row(&mut self, rec: &TaskRecord, from: Provenance) -> bool {
         // Task for an unknown job: ignore (will come later).
         let Some(job) = self.jobs.get_mut(&rec.job).filter(|j| j.spec.is_some()) else {
@@ -1571,8 +1652,7 @@ impl CoordinatorDb {
         // as Finished{0}, and without this mark the re-executor never
         // relearns the job is done — so it never lists the archive as
         // missing and never pulls it from the peer that has it.
-        newly_finished
-            && Self::mark_finished(job, rec.job, &mut self.finished_rows, &mut self.missing)
+        newly_finished && Self::mark_finished(job, &mut self.finished_rows)
     }
 
     /// Applies a delta from a peer; returns the cost.
@@ -1586,34 +1666,38 @@ impl CoordinatorDb {
     /// as it was on the sender.  Rows are applied in the sender's version
     /// order, which places every job before the task/collected rows that
     /// reference it.
+    /// Archives it leaves missing are stamped [`SimTime::ZERO`], which is
+    /// safe for a caller that never asks [`Self::overdue_missing`].
     pub fn apply_delta(&mut self, delta: &ReplicationDelta) -> Charge {
-        self.apply_rows(delta.from, delta.rows.iter().cloned()).charge
+        self.apply_rows(delta.from, delta.rows.iter().cloned(), SimTime::ZERO).charge
     }
 
-    /// [`Self::apply_delta`] for a caller that owns the frame: job
-    /// descriptions and checkpoint state move into the tables instead of
-    /// being cloned, and the news — deliveries learned, archives now
-    /// missing — comes back with the cost.
-    pub fn apply_delta_owned(&mut self, delta: ReplicationDelta) -> Applied {
-        self.apply_rows(delta.from, delta.rows.into_iter())
+    /// [`Self::apply_delta`] for a caller that owns the frame, at `now`:
+    /// job descriptions and checkpoint state move into the tables instead
+    /// of being cloned, archives the feed leaves missing enter the worklist
+    /// stamped `now`, and the deliveries learned come back with the cost.
+    pub fn apply_delta_owned(&mut self, delta: ReplicationDelta, now: SimTime) -> Applied {
+        self.apply_rows(delta.from, delta.rows.into_iter(), now)
     }
 
     /// The row-application loop: rows are merged under the receiver's own
-    /// version counter, and every row the merge writes is stamped as
-    /// learned from `peer`.
-    fn apply_rows(&mut self, peer: CoordId, rows: impl Iterator<Item = DeltaRow>) -> Applied {
+    /// version counter, every row the merge writes is stamped as learned
+    /// from `peer`, and every job it finishes without an archive enters the
+    /// missing worklist at `now`.
+    fn apply_rows(
+        &mut self,
+        peer: CoordId,
+        rows: impl Iterator<Item = DeltaRow>,
+        now: SimTime,
+    ) -> Applied {
         let from = Provenance::peer(peer);
-        let mut applied = Applied {
-            charge: Charge::ops(1),
-            newly_collected: Vec::new(),
-            newly_missing: Vec::new(),
-        };
+        let mut applied = Applied { charge: Charge::ops(1), newly_collected: Vec::new() };
         for row in rows {
             applied.charge += match row {
                 DeltaRow::Job(spec) => self.apply_job_row(spec, from),
                 DeltaRow::Task(rec) => {
                     if self.apply_task_row(&rec, from) {
-                        applied.newly_missing.push(rec.job);
+                        self.missing.enter(rec.job, now);
                     }
                     Charge::ops(1)
                 }
@@ -1755,7 +1839,7 @@ impl CoordinatorDb {
         }
         if gone.finished {
             self.finished_rows -= 1;
-            self.missing.remove(k);
+            self.missing.leave(k);
         }
         if vacant {
             self.jobs.remove(k);
@@ -1899,7 +1983,7 @@ impl CoordinatorDb {
         }
         let (mut registered, mut finished, mut collected, mut archived, mut ckpts) =
             (0, 0, 0, 0, 0);
-        let (mut queued_live, mut versioned) = (0, 0);
+        let (mut queued_live, mut versioned, mut missing_rows) = (0, 0, 0);
         for (k, row) in self.jobs.iter() {
             assert!(!row.is_vacant(), "{k:?}: vacant stub left in the table");
             let tasks = by_job.remove(&k).unwrap_or_default();
@@ -1946,7 +2030,8 @@ impl CoordinatorDb {
             let flagged = row.archive.as_ref().is_some_and(|a| a.collected);
             assert_eq!(self.collected_flagged.contains(&k), flagged, "{k:?}: GC worklist");
             let missing = row.finished && row.archive.is_none() && !row.collected;
-            assert_eq!(self.missing.contains(&k), missing, "{k:?}: missing worklist");
+            assert_eq!(self.missing.entries.contains_key(&k), missing, "{k:?}: missing worklist");
+            missing_rows += missing as usize;
             if row.catalog_pos != 0 {
                 let (here, other) = if row.archive.is_some() {
                     (&self.catalog, &self.catalog_removed)
@@ -1990,6 +2075,12 @@ impl CoordinatorDb {
                 );
             }
         }
+        // The due order holds exactly the un-parked entries, by their stamps.
+        let m = &self.missing;
+        assert_eq!(m.entries.len(), missing_rows, "missing worklist holds rows only");
+        let unparked = m.entries.iter().filter(|(_, w)| !w.parked);
+        assert!(unparked.clone().all(|(k, w)| m.due.contains(&(w.since, *k))), "due order");
+        assert_eq!(m.due.len(), unparked.count(), "due order holds the un-parked entries");
         let catalogued = self.jobs.iter().filter(|(_, r)| r.catalog_pos != 0).count();
         assert_eq!(self.catalog.len() + self.catalog_removed.len(), catalogued, "catalog size");
         assert_eq!(self.finished_rows, finished, "finished counter");
@@ -2232,7 +2323,7 @@ mod tests {
         let mut replica = CoordinatorDb::new(CoordId(2));
         replica.register_job(job(9)); // one row of its own
         let base = replica.version();
-        replica.apply_delta_owned(primary.delta_since(0));
+        replica.apply_delta_owned(primary.delta_since(0), T0);
         // Job, task and mark all came from `peer`: nothing goes back there,
         // everything goes on to a third member, and a from-zero feed —
         // what a wiped `peer` would be reseeded from — is complete.
@@ -2601,23 +2692,66 @@ mod tests {
     }
 
     #[test]
-    fn a_feed_reports_the_archives_it_left_missing() {
-        let client = ClientKey::new(1, 1);
+    fn the_missing_worklist_is_the_reexecution_watch() {
+        let at = SimTime::from_secs;
+        let (mine, theirs) = (ClientKey::new(1, 1), ClientKey::new(2, 1));
+        let (a, b, c) = (JobKey::new(mine, 1), JobKey::new(mine, 2), JobKey::new(theirs, 1));
         let mut primary = db();
-        primary.register_job(job(1));
-        let key = complete_one(&mut primary, 100);
-        let feed = primary.delta_since(0);
-        // Finished elsewhere, archive not held here: news exactly once.
+        for key in [c, b, a] {
+            primary.register_job(JobSpec::new(key, "svc", Blob::synthetic(10, key.seq)));
+        }
+        // Finished elsewhere in two waves (`c` and `b`, then `a`); the
+        // archives stay there.
+        complete_one(&mut primary, 64);
+        complete_one(&mut primary, 64);
+        let first = primary.delta_since(0);
         let mut backup = CoordinatorDb::new(CoordId(2));
-        assert_eq!(backup.apply_delta_owned(feed.clone()).newly_missing, vec![key]);
-        assert!(backup.is_missing_archive(&key));
-        assert_eq!(backup.apply_delta_owned(feed).newly_missing, vec![], "old news");
-        // Finished, then collected, in one frame: reported, yet not missing.
-        primary.mark_collected(client, &[1]);
+        backup.apply_delta_owned(first.clone(), at(10));
+        complete_one(&mut primary, 64);
+        backup.apply_delta_owned(primary.delta_since(first.head_version), at(20));
+        // An apply stamps what it adds with its own `now`; an entry already
+        // in keeps its stamp.
+        backup.apply_delta_owned(primary.delta_since(0), at(30));
+        let stamps = |d: &CoordinatorDb| -> Vec<(JobKey, SimTime)> {
+            d.missing_archives_iter().map(|j| (j, d.missing_since(&j).unwrap())).collect()
+        };
+        assert_eq!(stamps(&backup), [(a, at(20)), (b, at(10)), (c, at(10))]);
+        let served = BTreeSet::from([mine]);
+        let horizon = SimDuration::from_secs(15);
+        assert!(backup.overdue_missing(at(25), horizon, &served).is_empty(), "none overdue yet");
+        // Overdue entries come back in key order, not stamp order; one
+        // whose client is not served here is parked under its stamp.
+        assert_eq!(backup.overdue_missing(at(40), horizon, &served), [a, b]);
+        assert!(backup.missing.entries[&c].parked);
+        assert_eq!(backup.missing_since(&c), Some(at(10)));
+        assert_eq!(backup.overdue_missing(at(40), horizon, &served), [a, b], "taking is reading");
+        backup.check_invariants();
+        // Un-parking restores the original stamp: a failover pays no fresh
+        // horizon.
+        backup.unpark_missing(theirs);
+        assert!(!backup.missing.entries[&c].parked);
+        assert_eq!(
+            backup.overdue_missing(at(40), horizon, &BTreeSet::from([mine, theirs])),
+            [a, b, c]
+        );
+        // Re-arming restamps and un-parks every entry.
+        backup.overdue_missing(at(40), horizon, &served);
+        backup.rearm_missing(at(50));
+        assert_eq!(stamps(&backup), [(a, at(50)), (b, at(50)), (c, at(50))]);
+        assert!(backup.missing.entries.values().all(|w| !w.parked));
+        assert!(backup.overdue_missing(at(60), horizon, &served).is_empty());
+        backup.check_invariants();
+        // A re-execution takes its entry out of both views.
+        backup.reexecute_job(a);
+        assert_eq!(backup.missing_archives(), [b, c]);
+        backup.check_invariants();
+        // Finished, then collected, in one frame: the entry leaves within
+        // the apply that added it.
+        primary.mark_collected(mine, &[1]);
         let mut late = CoordinatorDb::new(CoordId(3));
-        let applied = late.apply_delta_owned(primary.delta_since(0));
-        assert_eq!((applied.newly_missing, applied.newly_collected), (vec![key], vec![key]));
-        assert!(!late.is_missing_archive(&key));
+        let applied = late.apply_delta_owned(primary.delta_since(0), at(70));
+        assert_eq!(applied.newly_collected, [a]);
+        assert_eq!(late.missing_since(&a), None);
         late.check_invariants();
     }
 
@@ -2917,7 +3051,7 @@ mod tests {
         b.apply_delta(&a.delta_since(0)); // b holds live rows for 1..=2
         assert_eq!(b.stats().jobs, 2);
         a.prune_retired(a.version());
-        let applied = b.apply_delta_owned(a.feed_for(CoordId(2), 0));
+        let applied = b.apply_delta_owned(a.feed_for(CoordId(2), 0), T0);
         assert_eq!(applied.newly_collected, vec![], "both were known delivered already");
         assert_eq!(b.retired_watermark(ClientKey::new(1, 1)), 2);
         assert!(!b.knows_job(&JobKey::new(ClientKey::new(1, 1), 1)));
@@ -3070,7 +3204,7 @@ mod tests {
         let t = t.unwrap();
         b.complete_task(t.id, t.job, Blob::synthetic(64, 1), ServerId(1));
         let k = JobKey::new(client, 1);
-        let applied = b.apply_delta_owned(a.feed_for(CoordId(2), 0));
+        let applied = b.apply_delta_owned(a.feed_for(CoordId(2), 0), T0);
         assert_eq!(
             applied.newly_collected,
             vec![k],

@@ -130,17 +130,18 @@ fn suspect_checked(db: &mut CoordinatorDb, server: ServerId) {
     }
 }
 
-/// Applies `feed` to `db` and holds the news channel to its definition:
-/// every job that entered the missing set is in `newly_missing`, and no
-/// job reported there was missing before the apply.
-fn apply_checked(db: &mut CoordinatorDb, feed: ReplicationDelta) {
-    let before: std::collections::BTreeSet<JobKey> = db.missing_archives_iter().collect();
-    let news = db.apply_delta_owned(feed).newly_missing;
-    for job in db.missing_archives_iter().filter(|j| !before.contains(j)) {
-        assert!(news.contains(&job), "{job:?} entered the missing set unreported");
-    }
-    for job in &news {
-        assert!(!before.contains(job), "{job:?} reported, but was missing already");
+/// Applies `feed` to `db` at `now` and holds the missing worklist's stamps
+/// to their definition: every entry the apply added carries `now`, and
+/// every entry already present keeps its own.
+fn apply_checked(db: &mut CoordinatorDb, feed: ReplicationDelta, now: SimTime) {
+    let stamps = |db: &CoordinatorDb| -> std::collections::BTreeMap<JobKey, SimTime> {
+        db.missing_archives_iter().map(|j| (j, db.missing_since(&j).unwrap())).collect()
+    };
+    let before = stamps(db);
+    db.apply_delta_owned(feed, now);
+    for (job, since) in stamps(db) {
+        let want = before.get(&job).copied().unwrap_or(now);
+        assert_eq!(since, want, "{job:?}: stamped at {since:?}, entered at {want:?}");
     }
 }
 
@@ -216,7 +217,7 @@ impl Ring {
             return;
         }
         let (base, head) = (feed.base_version, feed.head_version);
-        self.members[j].apply_delta_owned(feed);
+        self.members[j].apply_delta_owned(feed, SimTime::ZERO);
         // A reseed — any round served from base 0 — is complete: what the
         // sender retired, the receiver holds retired too, however the
         // sender came to know it.
@@ -458,8 +459,8 @@ proptest! {
     /// retention pruning), the incremental structures must agree with
     /// their full-scan reference definitions at every step —
     /// `missing_archives`/`collected_flagged` and the per-server index
-    /// continuously, every apply's `newly_missing` against the missing set
-    /// it moved (`apply_checked`), every suspicion against the rule's
+    /// continuously, the stamps of every apply's missing entries
+    /// (`apply_checked`), every suspicion against the rule's
     /// definition (`suspect_checked`), and `delta_since(base)` for every
     /// base version the run passed through.
     /// A mid-run from-zero feed plus the tail of the feed must bootstrap
@@ -493,6 +494,7 @@ proptest! {
             |feed: ReplicationDelta| from_bytes::<ReplicationDelta>(&to_bytes(&feed)).unwrap();
         let mut snap: Option<ReplicationDelta> = None;
         for (step, (seq, action, aux)) in ops.into_iter().enumerate() {
+            let at = SimTime::from_secs(step as u64 + 1);
             match action {
                 4 => {
                     // Peer work replicated in: held ongoing tasks, foreign
@@ -510,7 +512,7 @@ proptest! {
                     if let (Some(d), _) = b.next_pending(ServerId(5), now) {
                         b.complete_task(d.id, d.job, Blob::synthetic(16, seq), ServerId(5));
                     }
-                    apply_checked(&mut a, b.delta_since(0));
+                    apply_checked(&mut a, b.delta_since(0), at);
                 }
                 10 => {
                     // Retention, gated exactly as the coordinator gates
@@ -523,7 +525,7 @@ proptest! {
                 }
                 11 => {
                     let (_, _) = a.next_pending(ServerId(2), now);
-                    apply_checked(&mut a, b.delta_since((aux as u64) * 5));
+                    apply_checked(&mut a, b.delta_since((aux as u64) * 5), at);
                 }
                 _ => local_op(&mut a, seq, action, aux),
             }
@@ -562,14 +564,14 @@ proptest! {
             let from_zero: Vec<(u64, u64)> = from_zero.into_iter().collect();
             prop_assert_eq!(from_zero, a.results_catalog_scan(client));
             // Feed the mirror only what changed since its last sync.
-            apply_checked(&mut mirror, a.delta_since(mirror_base));
+            apply_checked(&mut mirror, a.delta_since(mirror_base), at);
             mirror_base = a.version();
             // Whatever archive the sender holds undelivered, the mirror
             // learned the job finished and lists the archive to pull.
             for seq in 1..25 {
                 let key = JobKey::new(client, seq);
                 if a.knows_job(&key) && a.archive(&key).is_some() && !a.has_collected_knowledge(&key) {
-                    prop_assert!(mirror.is_missing_archive(&key), "{:?} finished, unfed", key);
+                    prop_assert!(mirror.missing_since(&key).is_some(), "{:?} finished, unfed", key);
                 }
             }
             bases.push(a.version());
@@ -645,17 +647,18 @@ proptest! {
         //  * boot   — the mid-run from-zero feed plus the tail of the
         //    regular feed from its head (the joining-replica exchange).
         let feed = through_the_wire(a.delta_since(0));
+        let end = SimTime::from_secs(1_000);
         let mut full = CoordinatorDb::new(CoordId(3));
-        apply_checked(&mut full, feed.clone());
+        apply_checked(&mut full, feed.clone(), end);
         let once = (full.version(), full.delta_since(0));
-        apply_checked(&mut full, feed.clone());
+        apply_checked(&mut full, feed.clone(), end + SimDuration::from_secs(1));
         // Applied twice, a from-zero feed changes nothing.
         prop_assert_eq!((full.version(), full.delta_since(0)), once);
         let snap = snap.unwrap_or_else(|| feed.clone());
         prop_assert!(a.delta_floor() <= snap.head_version, "tail base stayed above the floor");
         let mut boot = CoordinatorDb::new(CoordId(4));
-        apply_checked(&mut boot, snap.clone());
-        apply_checked(&mut boot, a.delta_since(snap.head_version));
+        apply_checked(&mut boot, snap.clone(), end);
+        apply_checked(&mut boot, a.delta_since(snap.head_version), end + SimDuration::from_secs(1));
         // Lifetime knowledge is path-independent: jobs ever registered,
         // results ever delivered, the client's replay fence.
         prop_assert_eq!(mirror.stats().jobs, full.stats().jobs);
@@ -686,7 +689,7 @@ proptest! {
             // Each is now level with or ahead of the sender (its own
             // watermark may be higher): the sender's feed is old news.
             let ahead = (replica.version(), replica.delta_since(0));
-            apply_checked(replica, feed.clone());
+            apply_checked(replica, feed.clone(), end + SimDuration::from_secs(2));
             prop_assert_eq!((replica.version(), replica.delta_since(0)), ahead);
         }
         let rows = |d: &CoordinatorDb| {

@@ -35,4 +35,4 @@ pub use ids::{ClientKey, CoordId, JobKey, ServerId, ServiceName, SessionId, Task
 pub use job::JobSpec;
 pub use service::{SandboxLimits, ServiceCtx, ServiceError, ServiceRegistry};
 pub use task::{TaskDesc, TaskState};
-pub use worker::WorkerExecutor;
+pub use worker::{result_seed, WorkerExecutor};

@@ -37,8 +37,9 @@ impl Default for SandboxLimits {
 /// Per-invocation context handed to services.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceCtx {
-    /// Deterministic seed derived from the task identity; lets services
-    /// generate reproducible synthetic output.
+    /// Deterministic seed derived from the call's job key
+    /// ([`crate::worker::result_seed`]); lets services generate
+    /// reproducible synthetic output, the same for every instance of a job.
     pub seed: u64,
     /// Active sandbox limits.
     pub limits: SandboxLimits,

@@ -7,8 +7,18 @@
 use rpcv_wire::Blob;
 
 use crate::archive::Archive;
+use crate::ids::JobKey;
 use crate::service::{SandboxLimits, ServiceCtx, ServiceError, ServiceRegistry};
 use crate::task::TaskDesc;
+
+/// The seed a call's result derives from: its job key's, so every instance
+/// of one job — an at-least-once re-execution included — returns the same
+/// bytes, and two calls return different ones.  Bit 63 is set, so every
+/// seed is a 10-byte varint: a synthetic result's frame is as long whichever
+/// call it answers.
+pub fn result_seed(job: JobKey) -> u64 {
+    Blob::derive_seed(job.client.as_peer(), job.seq) | 1 << 63
+}
 
 /// Executes tasks on a server.
 #[derive(Debug, Clone)]
@@ -26,8 +36,7 @@ impl WorkerExecutor {
     /// Really executes the task (threaded runtime): invokes the service and
     /// packs its output into a result archive.
     pub fn execute(&self, task: &TaskDesc) -> Result<Archive, ServiceError> {
-        let seed = task.id.0 ^ task.job.seq.rotate_left(32);
-        let ctx = ServiceCtx { seed, limits: self.limits };
+        let ctx = ServiceCtx { seed: result_seed(task.job), limits: self.limits };
         let out = self.registry.invoke(&task.service, &task.params, &ctx)?;
         let mut archive = Archive::new();
         archive.push("result.bin", out);
@@ -45,11 +54,11 @@ impl WorkerExecutor {
     }
 
     /// Produces the modelled result payload for simulated execution:
-    /// deterministic bytes derived from the task identity, of the declared
-    /// size.
+    /// deterministic bytes derived from the call ([`result_seed`]), of the
+    /// declared size.
     pub fn simulate_result(&self, task: &TaskDesc) -> Blob {
         let (_, size) = self.simulate(task);
-        Blob::synthetic(size, task.id.0 ^ 0xA5A5_5A5A_DEAD_BEEF)
+        Blob::synthetic(size, result_seed(task.job))
     }
 }
 
@@ -117,14 +126,19 @@ mod tests {
 
     #[test]
     fn simulated_result_is_deterministic_per_task() {
+        // Two instances of one job return the same bytes; two jobs do not.
         let ex = executor();
         let t = task("double");
         let a = ex.simulate_result(&t);
-        let b = ex.simulate_result(&t);
-        assert!(a.content_eq(&b));
-        let mut t2 = t.clone();
-        t2.id = TaskId::compose(CoordId(0), 2);
-        assert!(!ex.simulate_result(&t2).content_eq(&a));
+        let mut again = t.clone();
+        again.id = TaskId::compose(CoordId(1), 7);
+        again.attempt = 1;
+        assert!(ex.simulate_result(&again).content_eq(&a));
+        for other in [JobKey::new(ClientKey::new(1, 1), 2), JobKey::new(ClientKey::new(2, 1), 1)] {
+            let mut t2 = t.clone();
+            t2.job = other;
+            assert!(!ex.simulate_result(&t2).content_eq(&a), "{other:?}");
+        }
     }
 
     #[test]

@@ -169,8 +169,8 @@ fn failover_after_collection_never_reexecutes_collected_jobs() {
 /// primary "collected" — so it watches four archives it neither holds nor
 /// knows delivered.  The primary dies with that knowledge; the client fails
 /// over and re-announces what it holds.  That re-ack takes the jobs out of
-/// the database's missing set *and* off the watch list at once: an entry
-/// left behind would fire `reexecute_job` a horizon later (t ≈ 80 s) —
+/// the database's missing set, which is the watch list: an entry left
+/// behind would fire `reexecute_job` a horizon later (t ≈ 80 s) —
 /// refused, the job is `Collected`, but one database op each, for every
 /// result re-announced after every failover.
 #[test]
@@ -188,7 +188,7 @@ fn client_reack_after_failover_settles_the_successors_watch_list() {
     let successor = g.coordinator(1).expect("successor up");
     assert_eq!(successor.db().finished_count(), 4, "the delta taught the successor the results");
     assert_eq!(successor.metrics.collected_marks_applied, 0, "but not their collection");
-    assert_eq!(successor.resident_records(), 8, "four watches, each in the ordered view");
+    assert_eq!(successor.db().missing_archives().len(), 4, "four watched archives");
 
     g.world.run_until(SimTime::from_secs(30));
     assert_eq!(g.client_results(), 4);
@@ -202,7 +202,7 @@ fn client_reack_after_failover_settles_the_successors_watch_list() {
     g.world.run_until(SimTime::from_secs(39));
     let successor = g.coordinator(1).expect("successor up");
     assert_eq!(successor.db().stats().collected, 4, "the re-ack is terminal knowledge");
-    assert_eq!(successor.resident_records(), 0, "and nothing stays watched");
+    assert_eq!(successor.db().missing_archives().len(), 0, "and nothing stays watched");
 
     g.world.run_until(SimTime::from_secs(150));
     let successor = g.coordinator(1).expect("successor up");
