@@ -136,9 +136,9 @@ fn run_cell(
     let events = grid.world.events_processed();
     let sim_seconds = grid.world.now().as_secs_f64();
     // Replication and catalog traffic are snapshotted *here*, before the
-    // settle window below: settle triggers archive GC, whose removal
-    // tombstones ride the ring in bursts proportional to lifetime jobs and
-    // would otherwise drown the steady-state delta signal.  Per shard the
+    // settle window below: settle's archive GC and the retention pass
+    // behind it come in bursts proportional to lifetime jobs and would
+    // otherwise drown the steady-state delta signal.  Per shard the
     // delta feed is read at the shard's preferred primary (coordinator
     // s·members in the shard-major layout) and the busiest shard's
     // per-round figure is reported.

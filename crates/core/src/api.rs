@@ -67,6 +67,8 @@ pub struct GridClient<'g> {
     grid: &'g LiveGrid,
     client_idx: usize,
     client_node: NodeId,
+    /// The client's plan length: API call `k` is logged at `plan_len + k`.
+    plan_len: u64,
     submitted: u64,
     cancelled: Vec<u64>,
     status_nonce: u64,
@@ -85,6 +87,7 @@ impl<'g> GridClient<'g> {
     /// Assumes this is the only submitter for that client actor (the
     /// sequential timestamp mapping requires it — one `GridClient` per
     /// client session, exactly like one GridRPC session per client).
+    /// Handles number after the client's plan, which the actor logs first.
     ///
     /// # Panics
     ///
@@ -95,6 +98,7 @@ impl<'g> GridClient<'g> {
             grid,
             client_idx: i,
             client_node: grid.clients[i].1,
+            plan_len: grid.plan_lens.get(i).copied().unwrap_or(0),
             submitted: 0,
             cancelled: Vec::new(),
             status_nonce: 0,
@@ -111,7 +115,7 @@ impl<'g> GridClient<'g> {
     /// handle immediately.
     pub fn call_async(&mut self, call: CallSpec) -> RpcHandle {
         self.submitted += 1;
-        let seq = self.submitted;
+        let seq = self.plan_len + self.submitted;
         self.grid.handle().inject(
             self.client_node,
             crate::msg::Msg::ApiSubmit {
@@ -170,8 +174,8 @@ impl<'g> GridClient<'g> {
         let deadline = Instant::now() + timeout;
         // The handles themselves, not a count: a cancelled call's result
         // still arrives (at-least-once) and must not stand in for a live one.
-        let live: Vec<u64> =
-            (1..=self.submitted).filter(|seq| !self.cancelled.contains(seq)).collect();
+        let calls = self.plan_len + 1..=self.plan_len + self.submitted;
+        let live: Vec<u64> = calls.filter(|seq| !self.cancelled.contains(seq)).collect();
         loop {
             let waited = live.clone();
             let done = self.grid.with_client_at(self.client_idx, move |c| {

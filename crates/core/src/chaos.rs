@@ -17,7 +17,7 @@
 //! * the flip somehow survives both envelope and decoder → the receiver
 //!   gets a **garbled but well-formed** message; the `garbled` counter
 //!   exists to *prove this never happens* (a garbled frame is a
-//!   Byzantine lie — e.g. a forged catalog removal — that no protocol
+//!   Byzantine lie — e.g. a forged catalog entry — that no protocol
 //!   defense downstream can be expected to absorb).
 //!
 //! [`ChaosOracle`] then asserts the safety invariants the paper's

@@ -473,9 +473,8 @@ impl ClientActor {
         Some(prev_incarnation.is_some() && prev_incarnation != self.coord_epoch)
     }
 
-    // One parameter per `ClientSyncReply` field: the signature *is* the
-    // wire frame, destructured at the dispatch site.
-    #[allow(clippy::too_many_arguments)]
+    // One parameter per read `ClientSyncReply` field: the signature *is*
+    // the wire frame, destructured at the dispatch site.
     fn handle_sync_reply(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -484,7 +483,6 @@ impl ClientActor {
         catalog_base: u64,
         catalog_head: u64,
         available: Vec<(u64, u64)>,
-        removed: Vec<u64>,
     ) {
         // Did *this very reply* rebase us onto a new coordinator
         // incarnation?  Then its catalog delta was computed against the
@@ -500,17 +498,13 @@ impl ClientActor {
         // reordered pre-rebase reply landing after the mark was reset is
         // exactly such a gapped delta.  A reply older than what we
         // already merged (`catalog_head < catalog_hw`) is skipped
-        // wholesale: its additions are already here and replaying its
-        // removals could undo a newer addition.
+        // wholesale: its additions are already here.
         if !rebased && catalog_base <= self.catalog_hw && catalog_head >= self.catalog_hw {
             let policy = self.retry_policy(ctx);
             for &(seq, size) in &available {
                 if !self.results.contains(seq) {
                     self.frontier.announce(seq, size, policy);
                 }
-            }
-            for &seq in &removed {
-                self.frontier.remove(seq);
             }
             self.catalog_hw = catalog_head;
         }
@@ -684,7 +678,7 @@ impl Actor<Msg> for ClientActor {
                 catalog_base,
                 catalog_head,
                 available,
-                removed,
+                removed: _,
             } => {
                 self.handle_sync_reply(
                     ctx,
@@ -693,7 +687,6 @@ impl Actor<Msg> for ClientActor {
                     catalog_base,
                     catalog_head,
                     available,
-                    removed,
                 );
             }
             Msg::ResultsReply { results } => {

@@ -51,9 +51,10 @@ rpcv_simnet::counters! {
     pub struct CoordMetrics {
         /// Client sync replies sent (one per handled beat).
         pub sync_replies,
-        /// Total wire bytes of the catalog delta portions (available +
-        /// removed) across all sync replies — divide by `sync_replies` for the
-        /// per-beat catalog cost the scale bench watches.
+        /// Total wire bytes of the catalog delta portions (available plus
+        /// the always-empty removed list) across all sync replies — divide
+        /// by `sync_replies` for the per-beat catalog cost the scale bench
+        /// watches.
         pub catalog_bytes,
         /// Server suspicions raised.
         pub server_suspicions,
@@ -572,14 +573,6 @@ impl CoordinatorActor {
             }
             charge += self.db.mark_collected(client, &collected);
         }
-        // The beat acknowledges everything up to `catalog_seq`: removal
-        // tombstones at or below it have served their single consumer and
-        // are dropped, keeping the catalog index bounded by live entries
-        // plus the un-acked window.
-        let pruned = self.db.prune_catalog_acked(client, catalog_seq);
-        if pruned > 0 {
-            charge += Charge::ops(1 + pruned / 4);
-        }
         let coord_max = self.db.client_max(client);
         // The catalog *delta* since the client's high-water mark: a range
         // read over the per-client catalog change index, so a steady-state
@@ -589,12 +582,14 @@ impl CoordinatorActor {
         // plus the extra round trip is Fig. 6's "additional overhead" of
         // coordinator-side logs.
         let delta = self.db.results_catalog_since(client, catalog_seq);
-        let changed = (delta.added.len() + delta.removed.len()) as u64;
-        charge += Charge::ops(1 + changed / 4);
+        charge += Charge::ops(1 + delta.added.len() as u64 / 4);
         let done = self.pay(ctx, charge);
         let epoch = self.epoch;
+        // GC leaves no catalog record, so `removed` is always empty; its
+        // length prefix is still carried.
+        let removed: Vec<u64> = Vec::new();
         self.metrics.sync_replies += 1;
-        self.metrics.catalog_bytes += delta.added.encoded_len() + delta.removed.encoded_len();
+        self.metrics.catalog_bytes += delta.added.encoded_len() + removed.encoded_len();
         ctx.send_at(
             done,
             from,
@@ -604,7 +599,7 @@ impl CoordinatorActor {
                 catalog_base: catalog_seq,
                 catalog_head: delta.head,
                 available: delta.added,
-                removed: delta.removed,
+                removed,
             },
         );
     }

@@ -127,8 +127,7 @@ impl PullFrontier {
         }
     }
 
-    /// `seq` left the frontier: its result arrived, or the catalog withdrew
-    /// it.
+    /// `seq` left the frontier: its result arrived.
     pub fn remove(&mut self, seq: u64) {
         let Some(entry) = self.entries.remove(&seq) else { return };
         let waiting = entry.request.is_some_and(|req| self.backoff.remove(&(req.retry_at, seq)));

@@ -116,7 +116,9 @@ pub enum Msg {
         /// client's `catalog_seq` — a delta, not the full catalog; the
         /// client *merges* instead of rescanning.
         available: Vec<(u64, u64)>,
-        /// Result seqs reclaimed (garbage-collected) since `catalog_seq`.
+        /// Always empty: GC reclaims only results the client acknowledged
+        /// holding, so there is nothing to withdraw.  The field stays on
+        /// the wire until the frame is next reshaped.
         removed: Vec<u64>,
     },
     /// Reply to [`Msg::ResultsRequest`].

@@ -32,6 +32,8 @@ pub struct LiveGrid {
     pub coords: Vec<(CoordId, NodeId)>,
     /// Servers in id order.
     pub servers: Vec<(ServerId, NodeId)>,
+    /// Each client's plan length: its API calls are logged after its plan.
+    pub(crate) plan_lens: Vec<u64>,
 }
 
 impl LiveGrid {
@@ -40,10 +42,20 @@ impl LiveGrid {
     /// `time_scale` compresses time: `60.0` runs one virtual minute per
     /// wall-clock second.
     pub fn launch(spec: GridSpec, time_scale: f64) -> LiveGrid {
+        let plan_lens = spec.plans.iter().map(|p| p.len() as u64).collect();
         let sim = SimGrid::build(spec);
         let SimGrid { world, clients, client_node, client_key, coords, servers, .. } = sim;
         let (handle, join) = spawn_realtime(world, time_scale);
-        LiveGrid { handle, join: Some(join), clients, client_node, client_key, coords, servers }
+        LiveGrid {
+            handle,
+            join: Some(join),
+            clients,
+            client_node,
+            client_key,
+            coords,
+            servers,
+            plan_lens,
+        }
     }
 
     /// The raw command handle.

@@ -8,8 +8,8 @@ use rpcv_simnet::{SimDuration, SimTime};
 
 proptest! {
     /// Index/scan equivalence: under arbitrary interleavings of catalog
-    /// deltas (new seqs, re-announcements with a *changed* size,
-    /// removals), result ingests, epoch resets and clock advances, every
+    /// deltas (new seqs, re-announcements with a *changed* size), result
+    /// ingests, epoch resets and clock advances, every
     /// pull's indexed window equals the retained walk element for element
     /// — including the 64-entry cap and the byte budget (sizes reach
     /// 8 MB, so five entries exhaust 32 MB), and however long entries sat
@@ -33,7 +33,7 @@ proptest! {
                         f.announce(s, size_of(class), policy);
                     }
                 }
-                // Removal (catalog GC) or ingest (result arrived).
+                // Ingest (result arrived).
                 3 => f.remove(seq),
                 4 => {
                     for s in seq..seq + ms % 70 {

@@ -173,11 +173,6 @@ impl<M: WireSized + 'static> World<M> {
         &mut self.net
     }
 
-    /// Read access to the network model.
-    pub fn net(&self) -> &NetModel {
-        &self.net
-    }
-
     /// Trace accumulator.
     pub fn trace(&self) -> &Trace {
         &self.trace

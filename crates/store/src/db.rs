@@ -57,24 +57,18 @@ impl TaskIds {
 /// probe a side table per attribute.  Like [`TaskRow`], its size is pinned:
 /// each byte is held by two coordinators for every live job.
 ///
-/// A row normally starts at registration (`spec` set).  Two attributes can
-/// exist *without* a registered job, and then live in a **stub** row
-/// (`spec == None`):
-///
-/// * an archive (with its finished flag, catalog entry and collected
-///   knowledge) stored by [`CoordinatorDb::complete_task`] for a known
-///   task whose reported job key is not registered here, or left behind
-///   when a bootstrap feed's retired watermark prunes a lagging replica's
-///   not-yet-collected job;
-/// * a catalog tombstone (`catalog_pos`) that outlives
-///   [`CoordinatorDb::prune_retired`] until the client acknowledges it
-///   ([`CoordinatorDb::prune_catalog_acked`]).
+/// A row normally starts at registration (`spec` set).  One attribute can
+/// exist *without* a registered job, and then lives in a **stub** row
+/// (`spec == None`): an archive (with its finished flag, catalog entry and
+/// collected knowledge) stored by [`CoordinatorDb::complete_task`] for a
+/// known task whose reported job key is not registered here, or left
+/// behind when a bootstrap feed's retired watermark prunes a lagging
+/// replica's not-yet-collected job.
 ///
 /// A stub that lost its last attribute is removed, so the table holds
-/// live jobs plus the unacknowledged tombstone window — never lifetime
-/// jobs.  A stub is the only row that may sit above its client's
-/// registration mark: the mismatched pair reports a key never registered
-/// here.
+/// live jobs — never lifetime jobs.  A stub is the only row that may sit
+/// above its client's registration mark: the mismatched pair reports a
+/// key never registered here.
 #[derive(Debug, Clone, Default)]
 struct JobRow {
     /// The registered description (`None` = stub, see above).
@@ -98,9 +92,6 @@ struct JobRow {
     /// Change-index version of the collected-knowledge row (0 = no
     /// collection acknowledged yet); moved, never duplicated, on re-stamp.
     collected_pos: u64,
-    /// Version of the job's single catalog-index entry (0 = none): in
-    /// `catalog` while the archive is held, in `catalog_removed` after.
-    catalog_pos: u64,
     /// Task instances, so retention prunes them without a table scan.
     tasks: TaskIds,
     /// The result archive, while retained.
@@ -120,7 +111,6 @@ impl JobRow {
     fn is_vacant(&self) -> bool {
         self.spec.is_none()
             && self.archive.is_none()
-            && self.catalog_pos == 0
             && self.collected_pos == 0
             && !self.finished
             && !self.collected
@@ -191,11 +181,15 @@ struct CkptRow {
     version: u64,
 }
 
+/// A held result archive.  The job's catalog entry lives exactly as long
+/// as this row does.
 #[derive(Debug, Clone)]
 struct ArchiveRow {
     payload: Blob,
     /// The client acknowledged collection: GC-eligible.
     collected: bool,
+    /// Version of the job's entry in the catalog index.
+    catalog_pos: u64,
 }
 
 /// One entry of the missing-archive worklist.
@@ -235,10 +229,13 @@ impl ReexecWatch {
 }
 
 /// Incremental view of one client's result catalog since a version the
-/// client already holds: the additions and removals to merge, plus the new
-/// high-water mark to beat with next time.  This is what
+/// client already holds: the additions to merge, plus the new high-water
+/// mark to beat with next time.  This is what
 /// [`CoordinatorDb::results_catalog_since`] returns and what
 /// `ClientSyncReply` ships instead of the full catalog.
+///
+/// A reclaimed archive leaves no record: GC only reclaims what the client
+/// acknowledged holding, so the client has nothing to withdraw.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CatalogDelta {
     /// Version high-water mark after this delta; the client echoes it in
@@ -246,8 +243,6 @@ pub struct CatalogDelta {
     pub head: u64,
     /// Results that became available since the base: `(seq, size)`.
     pub added: Vec<(u64, u64)>,
-    /// Result seqs no longer retained (garbage-collected after collection).
-    pub removed: Vec<u64>,
 }
 
 /// Result of registering a completed task.
@@ -334,16 +329,10 @@ pub struct CoordinatorDb {
     /// explicit GC is O(flagged), never a table scan; scan reference:
     /// [`Self::collected_flagged_scan`].
     collected_flagged: BTreeSet<JobKey>,
-    /// Per-client catalog change index: `(client, version) → seq`, one
-    /// entry per *live* archive, re-stamped with a fresh version on every
-    /// catalog transition.  Backs O(changed)
-    /// [`Self::results_catalog_since`].
+    /// Per-client catalog index: `(client, version) → seq`, one entry per
+    /// held archive, stamped when the archive is stored and dropped when
+    /// GC reclaims it.  Backs O(changed) [`Self::results_catalog_since`].
     catalog: BTreeMap<(ClientKey, u64), u64>,
-    /// Removal tombstones: `(client, version) → seq` for archives
-    /// garbage-collected after collection.  Kept separate from the live
-    /// index so acknowledged tombstones can be pruned in O(pruned)
-    /// ([`Self::prune_catalog_acked`]) without walking live entries.
-    catalog_removed: BTreeMap<(ClientKey, u64), u64>,
     /// Queue entries whose task is still in the `Pending` state (dead
     /// entries — popped-state rows — are what compaction drops).
     queued_live: usize,
@@ -389,7 +378,6 @@ impl CoordinatorDb {
             missing: ReexecWatch::default(),
             collected_flagged: BTreeSet::new(),
             catalog: BTreeMap::new(),
-            catalog_removed: BTreeMap::new(),
             queued_live: 0,
             finished_rows: 0,
             collected_contig: BTreeMap::new(),
@@ -447,32 +435,6 @@ impl CoordinatorDb {
     /// The registered description of `job`, if any (stub rows have none).
     fn spec(&self, job: &JobKey) -> Option<&JobSpec> {
         self.jobs.get(job)?.spec.as_ref()
-    }
-
-    /// Re-stamps `job`'s single catalog-index entry with a fresh version
-    /// after an archive transition, moving it between the live index and
-    /// the tombstone index.  Every call follows a flip of
-    /// `row.archive` (stored ↔ reclaimed), so the previous entry — if one
-    /// exists — sits in the index the new one does *not* go to.
-    fn touch_catalog(
-        catalog: &mut BTreeMap<(ClientKey, u64), u64>,
-        catalog_removed: &mut BTreeMap<(ClientKey, u64), u64>,
-        version: &mut u64,
-        row: &mut JobRow,
-        job: JobKey,
-    ) {
-        let (to, from) = if row.archive.is_some() {
-            (catalog, catalog_removed)
-        } else {
-            (catalog_removed, catalog)
-        };
-        if row.catalog_pos != 0 {
-            let moved = from.remove(&(job.client, row.catalog_pos));
-            debug_assert!(moved.is_some(), "catalog entry sits opposite its new index");
-        }
-        *version += 1;
-        to.insert((job.client, *version), job.seq);
-        row.catalog_pos = *version;
     }
 
     /// Re-stamps `job`'s single collected-knowledge row in the change
@@ -796,15 +758,11 @@ impl CoordinatorDb {
     /// Stores `archive` in `row` (which holds none and is not `Collected`):
     /// catalog entry, missing-set exit, finished flag.
     fn put_archive(&mut self, job: JobKey, archive: Blob) {
+        self.version += 1;
+        self.catalog.insert((job.client, self.version), job.seq);
         let row = self.jobs.get_or_default(job);
-        row.archive = Some(ArchiveRow { payload: archive, collected: false });
-        Self::touch_catalog(
-            &mut self.catalog,
-            &mut self.catalog_removed,
-            &mut self.version,
-            row,
-            job,
-        );
+        row.archive =
+            Some(ArchiveRow { payload: archive, collected: false, catalog_pos: self.version });
         if row.finished {
             self.missing.leave(&job);
         }
@@ -1191,58 +1149,23 @@ impl CoordinatorDb {
         self.client_archives(client).map(|(seq, a)| (seq, a.payload.len())).collect()
     }
 
-    /// Incremental result catalog: everything that changed in `client`'s
-    /// catalog since version `since` (0 = full catalog).  A range read over
-    /// the per-client catalog change index — O(changed · log n), never a
+    /// Incremental result catalog: the archives stored for `client` since
+    /// version `since` (0 = full catalog) and still held.  A range read
+    /// over the per-client catalog index — O(changed · log n), never a
     /// rescan of the archive table.  The client echoes the returned `head`
     /// in its next beat, so a steady-state beat carries only the results
-    /// that finished (or were reclaimed) since the previous one.
+    /// that finished since the previous one.
     pub fn results_catalog_since(&self, client: ClientKey, since: u64) -> CatalogDelta {
         let mut delta = CatalogDelta { head: self.version, ..CatalogDelta::default() };
         if since >= self.version {
             return delta;
         }
-        let lo = (client, since + 1);
-        let hi = (client, u64::MAX);
-        for (&(_, _), &seq) in self.catalog.range(lo..=hi) {
+        for (_, &seq) in self.catalog.range((client, since + 1)..=(client, u64::MAX)) {
             if let Some(payload) = self.archive(&JobKey { client, seq }) {
                 delta.added.push((seq, payload.len()));
             }
         }
-        for (&(_, _), &seq) in self.catalog_removed.range(lo..=hi) {
-            delta.removed.push(seq);
-        }
         delta
-    }
-
-    /// Drops removal tombstones `client` has already merged (catalog
-    /// versions ≤ `upto`, its acknowledged high-water mark).  The catalog
-    /// index is single-consumer — client `C` is the only reader of `C`'s
-    /// range — so an acknowledged removal record can never be needed
-    /// again; without pruning, the index (and every post-epoch-change
-    /// full catalog fetch) would grow with the lifetime GC count instead
-    /// of staying bounded by live entries + the un-acked window.
-    /// Returns the number of tombstones dropped.
-    pub fn prune_catalog_acked(&mut self, client: ClientKey, upto: u64) -> u64 {
-        if upto == 0 {
-            return 0;
-        }
-        let mut dropped = 0;
-        while let Some(entry) = self.catalog_removed.range((client, 1)..=(client, upto)).next() {
-            let (&at, &seq) = entry;
-            self.catalog_removed.remove(&at);
-            dropped += 1;
-            // The tombstone was the last thing a pruned job's stub row
-            // held: the row leaves with it.
-            let job = JobKey { client, seq };
-            if let Some(row) = self.jobs.get_mut(&job) {
-                row.catalog_pos = 0;
-                if row.is_vacant() {
-                    self.jobs.remove(&job);
-                }
-            }
-        }
-        dropped
     }
 
     /// The archive payload for one job.
@@ -1283,14 +1206,7 @@ impl CoordinatorDb {
             let Some(archive) = row.archive.take() else { continue };
             freed += archive.payload.len();
             row.collected = true;
-            // The entry flips to a removal record for catalog deltas.
-            Self::touch_catalog(
-                &mut self.catalog,
-                &mut self.catalog_removed,
-                &mut self.version,
-                row,
-                k,
-            );
+            self.catalog.remove(&(k.client, archive.catalog_pos));
             self.advance_collected_contig(k.client);
         }
         (freed, Charge::ops(victims.len() as u64 + 1))
@@ -1795,16 +1711,14 @@ impl CoordinatorDb {
     /// change index, maintaining the secondary indexes and the pending
     /// accounting, and raises the delta floor past the pruned versions.
     ///
-    /// Two attributes are *not* a retired job's to take along and stay
-    /// behind in a stub row: its catalog tombstone (the client has not
-    /// acknowledged the removal yet) and — when a feed's watermark
-    /// retires a lagging replica's job that was never collected here — a
-    /// still-retained archive with its catalog entry and GC flag.
+    /// One attribute is *not* a retired job's to take along and stays
+    /// behind in a stub row: when a feed's watermark retires a lagging
+    /// replica's job that was never collected here, a still-retained
+    /// archive with its catalog entry and GC flag.
     fn prune_job(&mut self, k: &JobKey) {
         let Some(row) = self.jobs.get_mut(k) else { return };
         let gone = std::mem::take(row);
         row.archive = gone.archive;
-        row.catalog_pos = gone.catalog_pos;
         let vacant = row.is_vacant();
         for id in gone.tasks.iter() {
             let Some(task) = self.tasks.remove(&id) else { continue };
@@ -2032,17 +1946,9 @@ impl CoordinatorDb {
             let missing = row.finished && row.archive.is_none() && !row.collected;
             assert_eq!(self.missing.entries.contains_key(&k), missing, "{k:?}: missing worklist");
             missing_rows += missing as usize;
-            if row.catalog_pos != 0 {
-                let (here, other) = if row.archive.is_some() {
-                    (&self.catalog, &self.catalog_removed)
-                } else {
-                    (&self.catalog_removed, &self.catalog)
-                };
-                let at = (k.client, row.catalog_pos);
-                assert_eq!(here.get(&at), Some(&k.seq), "{k:?}: catalog entry");
-                assert!(!other.contains_key(&at), "{k:?}: catalog entry in both indexes");
-            } else {
-                assert!(row.archive.is_none(), "{k:?}: archive without a catalog entry");
+            if let Some(a) = &row.archive {
+                let entry = self.catalog.get(&(k.client, a.catalog_pos));
+                assert_eq!(entry, Some(&k.seq), "{k:?}: catalog entry");
             }
         }
         // The per-server index holds only instances still ongoing on that
@@ -2081,8 +1987,7 @@ impl CoordinatorDb {
         let unparked = m.entries.iter().filter(|(_, w)| !w.parked);
         assert!(unparked.clone().all(|(k, w)| m.due.contains(&(w.since, *k))), "due order");
         assert_eq!(m.due.len(), unparked.count(), "due order holds the un-parked entries");
-        let catalogued = self.jobs.iter().filter(|(_, r)| r.catalog_pos != 0).count();
-        assert_eq!(self.catalog.len() + self.catalog_removed.len(), catalogued, "catalog size");
+        assert_eq!(self.catalog.len() as u64, archived, "one catalog entry per held archive");
         assert_eq!(self.finished_rows, finished, "finished counter");
         assert_eq!(self.queued_live, queued_live, "live queue entries");
         assert_eq!(
@@ -2425,7 +2330,7 @@ mod tests {
         d.register_job(job(2));
         let mut hw = 0;
         let d0 = d.results_catalog_since(client, hw);
-        assert!(d0.added.is_empty() && d0.removed.is_empty());
+        assert!(d0.added.is_empty());
         hw = d0.head;
         // First result lands: delta carries exactly it.
         let (t, _) = d.next_pending(ServerId(1), T0);
@@ -2433,25 +2338,16 @@ mod tests {
         d.complete_task(t.id, t.job, Blob::synthetic(100, 0), ServerId(1));
         let d1 = d.results_catalog_since(client, hw);
         assert_eq!(d1.added, vec![(1, 100)]);
-        assert!(d1.removed.is_empty());
         hw = d1.head;
         // Nothing changed: empty delta, head stable for the catalog.
         let d2 = d.results_catalog_since(client, hw);
-        assert!(d2.added.is_empty() && d2.removed.is_empty());
-        // Collect + GC: the same seq comes back as a removal.
+        assert!(d2.added.is_empty());
+        // Collect + GC: the seq leaves the catalog and the delta is empty.
         d.mark_collected(client, &[1]);
         d.gc_collected();
-        let d3 = d.results_catalog_since(client, hw);
-        assert!(d3.added.is_empty());
-        assert_eq!(d3.removed, vec![1]);
-        // From base 0 the merged delta equals the scan reference.
-        let full = d.results_catalog_since(client, 0);
-        let mut merged: std::collections::BTreeMap<u64, u64> = full.added.into_iter().collect();
-        for s in full.removed {
-            merged.remove(&s);
-        }
-        let merged: Vec<(u64, u64)> = merged.into_iter().collect();
-        assert_eq!(merged, d.results_catalog_scan(client));
+        assert!(d.results_catalog_since(client, hw).added.is_empty());
+        // From base 0 the delta equals the scan reference.
+        assert_eq!(d.results_catalog_since(client, 0).added, d.results_catalog_scan(client));
     }
 
     #[test]
@@ -2518,34 +2414,6 @@ mod tests {
         }
         a.check_invariants();
         assert_eq!(a.missing_archives(), a.missing_archives_scan());
-    }
-
-    #[test]
-    fn acked_tombstones_are_pruned() {
-        let client = ClientKey::new(1, 1);
-        let mut d = db();
-        for seq in 1..=3 {
-            d.register_job(job(seq));
-        }
-        while let (Some(t), _) = d.next_pending(ServerId(1), T0) {
-            d.complete_task(t.id, t.job, Blob::synthetic(100, t.job.seq), ServerId(1));
-        }
-        let hw = d.results_catalog_since(client, 0).head;
-        d.mark_collected(client, &[1, 2]);
-        d.gc_collected();
-        // The removals are still pending delivery: pruning at the old
-        // high-water mark must not drop them.
-        assert_eq!(d.prune_catalog_acked(client, hw), 0);
-        let delta = d.results_catalog_since(client, hw);
-        assert_eq!(delta.removed, vec![1, 2]);
-        // Once the client beats with the new head, the tombstones die.
-        assert_eq!(d.prune_catalog_acked(client, delta.head), 2);
-        assert_eq!(d.prune_catalog_acked(client, delta.head), 0, "idempotent");
-        // Post-prune, a from-zero fetch ships only live entries.
-        let full = d.results_catalog_since(client, 0);
-        assert_eq!(full.added, vec![(3, 100)]);
-        assert!(full.removed.is_empty());
-        assert_eq!(full.added, d.results_catalog_scan(client));
     }
 
     #[test]
@@ -3171,21 +3039,32 @@ mod tests {
     }
 
     #[test]
-    fn catalog_tombstone_outlives_the_pruned_job_until_acked() {
+    fn gc_forgets_the_catalog_entry_and_retirement_leaves_no_stub() {
         let client = ClientKey::new(1, 1);
         let mut d = db();
-        run_to_collected(&mut d, 2);
-        let head = d.version();
-        assert_eq!(d.prune_retired(head), 2);
+        for seq in 1..=3 {
+            d.register_job(job(seq));
+        }
+        while let (Some(t), _) = d.next_pending(ServerId(1), T0) {
+            d.complete_task(t.id, t.job, Blob::synthetic(100, t.job.seq), ServerId(1));
+        }
+        d.mark_collected(client, &[1, 2]);
+        let before = d.results_catalog_since(client, 0).head;
+        d.gc_collected();
         d.check_invariants();
-        assert_eq!(d.resident_rows(), 1, "only the mark row is versioned");
-        // The client has not merged the removals yet: they must still be
-        // served, although every row of both jobs is gone.
-        assert_eq!(d.results_catalog_since(client, 0).removed, vec![1, 2]);
-        assert!(!d.knows_job(&JobKey::new(client, 1)));
-        assert_eq!(d.prune_catalog_acked(client, head), 2);
-        assert!(d.results_catalog_since(client, 0).removed.is_empty());
+        // GC took no version and left no record: seqs 1 and 2 are in no
+        // delta, from zero or from the pre-GC head.
+        assert_eq!(d.version(), before);
+        assert_eq!(d.catalog.len(), 1, "only job 3's entry is live");
+        assert_eq!(d.results_catalog_since(client, 0).added, vec![(3, 100)]);
+        assert!(d.results_catalog_since(client, before).added.is_empty());
+        // Retiring the delivered jobs removes their rows outright.
+        assert_eq!(d.prune_retired(d.version()), 2);
         d.check_invariants();
+        for seq in 1..=2 {
+            assert!(d.jobs.get(&JobKey::new(client, seq)).is_none(), "seq {seq}: stub row left");
+        }
+        assert_eq!(d.results_catalog_since(client, 0).added, d.results_catalog_scan(client));
     }
 
     #[test]

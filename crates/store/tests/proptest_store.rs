@@ -482,7 +482,7 @@ proptest! {
         let mut mirror = CoordinatorDb::new(CoordId(3));
         let mut mirror_base = 0u64;
         // Client-side catalog mirror fed exclusively with incremental
-        // catalog deltas (the ClientSyncReply path) — it must track the
+        // catalog deltas (the ClientSyncReply path) — it must cover the
         // full-scan catalog through stores, collections and GCs.
         let mut cat_mirror: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
         let mut cat_hw = 0u64;
@@ -539,30 +539,30 @@ proptest! {
             prop_assert_eq!(a.missing_archives(), a.missing_archives_scan());
             prop_assert_eq!(a.collected_flagged(), a.collected_flagged_scan());
             // Merge the incremental catalog delta exactly as a client does
-            // and compare against the full-scan reference catalog.
+            // (additions only: GC leaves no record) and compare against the
+            // full-scan reference catalog.  The mirror holds every
+            // catalogued result at its size; anything more is a result GC
+            // reclaimed, which the store knows was delivered.
             let cd = a.results_catalog_since(client, cat_hw);
             prop_assert!(cd.head >= cat_hw);
-            for &(seq, size) in &cd.added {
-                cat_mirror.insert(seq, size);
-            }
-            for &seq in &cd.removed {
-                cat_mirror.remove(&seq);
-            }
+            cat_mirror.extend(cd.added.iter().copied());
             cat_hw = cd.head;
-            let merged: Vec<(u64, u64)> = cat_mirror.iter().map(|(&s, &z)| (s, z)).collect();
-            prop_assert_eq!(merged, a.results_catalog_scan(client));
-            // The next beat acknowledges `cat_hw`: acked tombstones are
-            // pruned (single consumer) and the merge must stay exact.
-            a.prune_catalog_acked(client, cat_hw);
-            // A from-scratch merge (base 0) must also equal the scan.
-            let full = a.results_catalog_since(client, 0);
-            let mut from_zero: std::collections::BTreeMap<u64, u64> =
-                full.added.iter().copied().collect();
-            for seq in &full.removed {
-                from_zero.remove(seq);
+            let scan = a.results_catalog_scan(client);
+            for &(seq, size) in &scan {
+                prop_assert!(cat_mirror.get(&seq) == Some(&size), "seq {} not mirrored", seq);
             }
-            let from_zero: Vec<(u64, u64)> = from_zero.into_iter().collect();
-            prop_assert_eq!(from_zero, a.results_catalog_scan(client));
+            for &seq in cat_mirror.keys() {
+                let held = scan.iter().any(|&(s, _)| s == seq);
+                prop_assert!(
+                    held || a.has_collected_knowledge(&JobKey::new(client, seq)),
+                    "seq {} left the catalog undelivered",
+                    seq
+                );
+            }
+            // A from-scratch merge (base 0) equals the scan.
+            let mut from_zero = a.results_catalog_since(client, 0).added;
+            from_zero.sort_unstable();
+            prop_assert_eq!(from_zero, scan);
             // Feed the mirror only what changed since its last sync.
             apply_checked(&mut mirror, a.delta_since(mirror_base), at);
             mirror_base = a.version();
@@ -792,12 +792,9 @@ proptest! {
         for c in 1u64..9 {
             let owner = &parts[ck(c).shard_of(shards)];
             let merge = |db: &CoordinatorDb| {
-                let d = db.results_catalog_since(ck(c), 0);
-                let mut m: std::collections::BTreeMap<u64, u64> = d.added.iter().copied().collect();
-                for seq in &d.removed {
-                    m.remove(seq);
-                }
-                m.into_iter().collect::<Vec<(u64, u64)>>()
+                let mut m = db.results_catalog_since(ck(c), 0).added;
+                m.sort_unstable();
+                m
             };
             prop_assert_eq!(merge(owner), merge(&flat));
         }

@@ -360,27 +360,18 @@ macro_rules! impl_uint {
         }
     )*};
 }
-impl_uint!(u8, u16, u32, u64, usize);
+impl_uint!(u8, u32, u64);
 
-macro_rules! impl_int {
-    ($($t:ty),*) => {$(
-        impl WireEncode for $t {
-            fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
-                w.put_ivarint(*self as i64);
-            }
-        }
-        impl WireDecode for $t {
-            fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-                let v = r.get_ivarint()?;
-                <$t>::try_from(v).map_err(|_| WireError::LengthOverflow {
-                    len: v as u64,
-                    max: <$t>::MAX as u64,
-                })
-            }
-        }
-    )*};
+impl WireEncode for i64 {
+    fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
+        w.put_ivarint(*self);
+    }
 }
-impl_int!(i16, i32, i64);
+impl WireDecode for i64 {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.get_ivarint()
+    }
+}
 
 impl WireEncode for bool {
     fn encode<W: WireWrite + ?Sized>(&self, w: &mut W) {
@@ -490,12 +481,9 @@ mod tests {
     fn primitives_roundtrip() {
         roundtrip(0u8);
         roundtrip(255u8);
-        roundtrip(u16::MAX);
         roundtrip(u32::MAX);
         roundtrip(u64::MAX);
-        roundtrip(usize::MAX);
         roundtrip(i64::MIN);
-        roundtrip(i32::MIN);
         roundtrip(-1i64);
         roundtrip(true);
         roundtrip(false);

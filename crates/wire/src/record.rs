@@ -35,7 +35,7 @@ macro_rules! wire_record {
 /// #[derive(Debug, PartialEq)]
 /// enum Shape {
 ///     Dot,
-///     Circle { centre: (i32, i32), radius: u32 },
+///     Circle { centre: (i64, i64), radius: u32 },
 ///     Label(String),
 /// }
 ///

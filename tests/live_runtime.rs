@@ -44,6 +44,26 @@ fn call_roundtrip_with_real_execution() {
 }
 
 #[test]
+fn api_handles_number_after_the_clients_plan() {
+    // The client logs its plan first, so its API calls take the seqs after
+    // it: a handle numbered from 1 would name the plan's result (10).
+    let double = |v: u64| CallSpec::new("test/double", Blob::from_vec(to_bytes(&v)), 0.1, 16);
+    let spec = GridSpec::confined(1, 2)
+        .with_cfg(fast_cfg())
+        .with_registry(registry())
+        .with_plan(vec![double(5)]);
+    let grid = LiveGrid::launch(spec, 100.0);
+    let mut client = GridClient::new(&grid);
+    let result = client.call(double(21), Duration::from_secs(30)).expect("blocking call");
+    assert_eq!(decode_result(result), 42);
+    let h = client.call_async(double(4));
+    client.wait_all(Duration::from_secs(30)).expect("the API call completes");
+    assert!(client.probe(h));
+    assert_eq!(decode_result(client.wait(h, Duration::from_secs(5)).unwrap()), 8);
+    grid.shutdown();
+}
+
+#[test]
 fn async_calls_probe_and_wait_all() {
     let spec = GridSpec::confined(1, 3).with_cfg(fast_cfg()).with_registry(registry());
     let grid = LiveGrid::launch(spec, 100.0);
