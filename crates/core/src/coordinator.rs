@@ -616,7 +616,7 @@ impl CoordinatorActor {
         head: u64,
         applied: Applied,
     ) {
-        self.metrics.collected_marks_applied += applied.newly_collected.len() as u64;
+        self.metrics.collected_marks_applied += applied.newly_collected;
         let e = self.applied_head.entry(peer).or_insert(0);
         *e = (*e).max(head);
         let done = self.pay(ctx, applied.charge);
@@ -718,8 +718,8 @@ impl CoordinatorActor {
     fn scan(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let now = ctx.now();
         // Server suspicion ⇒ new instances of everything it was running.
-        // `suspects` pops only expired deadlines off the monitor's heap
-        // and returns without allocating in the common all-alive case.
+        // `suspects` reads only the monitor's silent prefix and returns
+        // without allocating in the common all-alive case.
         for s in self.server_mon.suspects(now) {
             ctx.note("coordinator suspects server");
             self.metrics.server_suspicions += 1;

@@ -9,7 +9,8 @@
 //! * [`HeartbeatMonitor`] — timeout-based suspicion over periodic "heart
 //!   beat" signals (§4.2: a beat every 5 s, suspicion after 30 s of
 //!   silence, in the confined experiments): how a coordinator judges its
-//!   servers and its ring peers;
+//!   servers and its ring peers.  It keeps one entry per component, also
+//!   ordered by last observation, so a scan reads only the silent prefix;
 //! * [`CoordinatorList`] — the "finite list of known coordinators" every
 //!   component carries, with local suspicion updates and the common-order
 //!   successor relationship used by the passive-replication ring;

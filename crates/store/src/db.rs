@@ -261,11 +261,10 @@ pub enum CompleteOutcome {
 pub struct Applied {
     /// Storage cost of the merge.
     pub charge: Charge,
-    /// Jobs the feed taught this database were delivered — a collection
+    /// Jobs the feed taught this database were delivered: a collection
     /// acknowledgement that was news, or a resident job a retired watermark
-    /// pruned — in frame order: work the owner takes out of its
-    /// re-execution pipeline.
-    pub newly_collected: Vec<JobKey>,
+    /// pruned.
+    pub newly_collected: u64,
 }
 
 rpcv_simnet::counters! {
@@ -1607,7 +1606,7 @@ impl CoordinatorDb {
         now: SimTime,
     ) -> Applied {
         let from = Provenance::peer(peer);
-        let mut applied = Applied { charge: Charge::ops(1), newly_collected: Vec::new() };
+        let mut applied = Applied { charge: Charge::ops(1), newly_collected: 0 };
         for row in rows {
             applied.charge += match row {
                 DeltaRow::Job(spec) => self.apply_job_row(spec, from),
@@ -1623,7 +1622,7 @@ impl CoordinatorDb {
                 }
                 DeltaRow::Collected { job } => {
                     if self.note_collected(job, from) {
-                        applied.newly_collected.push(job);
+                        applied.newly_collected += 1;
                     }
                     Charge::ops(1)
                 }
@@ -1763,13 +1762,13 @@ impl CoordinatorDb {
     /// Raises `client`'s retired prefix to `w` on the authority of a feed's
     /// [`DeltaRow::Retired`] row, pruning any still-resident rows of the
     /// retired jobs (a lagging replica may hold rows the sender already
-    /// pruned).  Pruned jobs not known delivered before join `news`.
+    /// pruned).  Pruned jobs not known delivered before count into `news`.
     fn retire_through(
         &mut self,
         client: ClientKey,
         w: u64,
         from: Provenance,
-        news: &mut Vec<JobKey>,
+        news: &mut u64,
     ) -> Charge {
         let start = self.retired_watermark(client);
         if w <= start {
@@ -1780,7 +1779,7 @@ impl CoordinatorDb {
             let k = JobKey { client, seq };
             if self.knows_job(&k) {
                 if !self.has_collected_knowledge(&k) {
-                    news.push(k);
+                    *news += 1;
                 }
                 self.prune_job(&k);
                 ops += 1;
@@ -2618,7 +2617,7 @@ mod tests {
         primary.mark_collected(mine, &[1]);
         let mut late = CoordinatorDb::new(CoordId(3));
         let applied = late.apply_delta_owned(primary.delta_since(0), at(70));
-        assert_eq!(applied.newly_collected, [a]);
+        assert_eq!(applied.newly_collected, 1);
         assert_eq!(late.missing_since(&a), None);
         late.check_invariants();
     }
@@ -2920,7 +2919,7 @@ mod tests {
         assert_eq!(b.stats().jobs, 2);
         a.prune_retired(a.version());
         let applied = b.apply_delta_owned(a.feed_for(CoordId(2), 0), T0);
-        assert_eq!(applied.newly_collected, vec![], "both were known delivered already");
+        assert_eq!(applied.newly_collected, 0, "both were known delivered already");
         assert_eq!(b.retired_watermark(ClientKey::new(1, 1)), 2);
         assert!(!b.knows_job(&JobKey::new(ClientKey::new(1, 1), 1)));
         assert_eq!(b.resident_rows(), 1, "only the mark row remains");
@@ -3084,11 +3083,7 @@ mod tests {
         b.complete_task(t.id, t.job, Blob::synthetic(64, 1), ServerId(1));
         let k = JobKey::new(client, 1);
         let applied = b.apply_delta_owned(a.feed_for(CoordId(2), 0), T0);
-        assert_eq!(
-            applied.newly_collected,
-            vec![k],
-            "delivered is news here: the owner settles it"
-        );
+        assert_eq!(applied.newly_collected, 1, "delivered is news here");
         b.check_invariants();
         assert!(!b.knows_job(&k));
         assert_eq!(b.archive(&k).map(Blob::len), Some(64));
