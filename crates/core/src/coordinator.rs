@@ -703,7 +703,7 @@ impl CoordinatorActor {
         let head = delta.head_version;
         self.inflight_repl = Some((succ, head, now));
         // Ask the peer for archives we know exist but do not hold.
-        let want_archives: Vec<JobKey> = self.db.missing_archives_iter().take(64).collect();
+        let want_archives: Vec<JobKey> = self.db.missing_archives().take(64).collect();
         // The size the send charges is the transfer metric: one encode-count.
         let bytes = ctx.send_at(done, node, Msg::ReplDelta { delta, want_archives });
         self.metrics.repl_rounds.push(ReplRound {

@@ -1,6 +1,6 @@
 //! The coordinator database: jobs, tasks, archives, scheduling queue.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use rpcv_simnet::{SimDuration, SimTime};
 use rpcv_wire::Blob;
@@ -78,9 +78,6 @@ struct JobRow {
     /// Next attempt number (folded with replicated attempt numbers on
     /// delta application).
     next_attempt: u32,
-    /// Live FCFS-queue entries (instances still `Pending`): whether the job
-    /// already has a queued instance (`has_live_pending`) is one probe.
-    pending: u32,
     /// A result exists somewhere (archive stored here, or replicated
     /// finished-knowledge).
     finished: bool,
@@ -303,7 +300,10 @@ pub struct CoordinatorDb {
     /// seq-indexed window per client.
     jobs: SeqTable<JobRow>,
     tasks: BTreeMap<TaskId, TaskRow>,
-    pending: VecDeque<TaskId>,
+    /// The FCFS queue: exactly the `Pending` task rows, keyed by the row's
+    /// version.  A row is stamped just before it is queued and keeps that
+    /// version while it stays `Pending`, so version order is queue order.
+    pending: BTreeMap<u64, TaskId>,
     by_server: BTreeMap<ServerId, BTreeSet<TaskId>>,
     /// When each server last spoke *here* (stamped by
     /// [`Self::reconcile_server`], i.e. on every beat): what this
@@ -332,9 +332,6 @@ pub struct CoordinatorDb {
     /// held archive, stamped when the archive is stored and dropped when
     /// GC reclaims it.  Backs O(changed) [`Self::results_catalog_since`].
     catalog: BTreeMap<(ClientKey, u64), u64>,
-    /// Queue entries whose task is still in the `Pending` state (dead
-    /// entries — popped-state rows — are what compaction drops).
-    queued_live: usize,
     /// Rows carrying the finished flag: [`Self::finished_count`] is read
     /// after every completion and applied feed.
     finished_rows: u64,
@@ -367,7 +364,7 @@ impl CoordinatorDb {
             version: 0,
             jobs: SeqTable::new(),
             tasks: BTreeMap::new(),
-            pending: VecDeque::new(),
+            pending: BTreeMap::new(),
             by_server: BTreeMap::new(),
             server_heard: BTreeMap::new(),
             client_max: BTreeMap::new(),
@@ -377,7 +374,6 @@ impl CoordinatorDb {
             missing: ReexecWatch::default(),
             collected_flagged: BTreeSet::new(),
             catalog: BTreeMap::new(),
-            queued_live: 0,
             finished_rows: 0,
             collected_contig: BTreeMap::new(),
             retired_below: BTreeMap::new(),
@@ -526,25 +522,6 @@ impl CoordinatorDb {
         true
     }
 
-    /// A queue entry of `job` left the `Pending` state without being
-    /// popped: the entry is now dead and stops counting.
-    fn entry_died(queued_live: &mut usize, row: &mut JobRow) {
-        *queued_live = queued_live.saturating_sub(1);
-        row.pending = row.pending.saturating_sub(1);
-    }
-
-    /// Enqueues a freshly inserted `Pending` task of `row`'s job.
-    fn push_pending(
-        pending: &mut VecDeque<TaskId>,
-        queued_live: &mut usize,
-        row: &mut JobRow,
-        id: TaskId,
-    ) {
-        pending.push_back(id);
-        *queued_live += 1;
-        row.pending += 1;
-    }
-
     /// Records `row`'s job as finished.  Returns true when the flag is news
     /// and the archive is not held here: the job belongs on the missing
     /// worklist, unless the caller is about to store the archive.
@@ -562,20 +539,6 @@ impl CoordinatorDb {
             ckpt.blob = Blob::empty();
         }
         row.archive.is_none()
-    }
-
-    /// Drops dead entries (tasks no longer `Pending`) once they outnumber
-    /// live ones: the FCFS queue stays within 2× of its useful length, so
-    /// `next_pending` never grinds through an old stale prefix.
-    fn maybe_compact_pending(&mut self) {
-        let len = self.pending.len();
-        if len < 64 || (len - self.queued_live) * 2 <= len {
-            return;
-        }
-        let tasks = &self.tasks;
-        self.pending
-            .retain(|id| tasks.get(id).is_some_and(|r| matches!(r.rec.state, TaskState::Pending)));
-        debug_assert_eq!(self.pending.len(), self.queued_live);
     }
 
     // --- job registration -------------------------------------------------
@@ -687,7 +650,7 @@ impl CoordinatorDb {
         let rec = TaskRecord { id, job, attempt, state: TaskState::Pending, origin: self.me };
         self.tasks.insert(id, TaskRow { rec, locally_dispatched: false, version: v });
         row.tasks.push(id);
-        Self::push_pending(&mut self.pending, &mut self.queued_live, row, id);
+        self.pending.insert(v, id);
         Some(id)
     }
 
@@ -698,25 +661,15 @@ impl CoordinatorDb {
     /// Skips tasks of already-finished jobs (a sibling instance or another
     /// replica's execution produced the result first).
     pub fn next_pending(&mut self, server: ServerId, now: SimTime) -> (Option<TaskDesc>, Charge) {
-        self.maybe_compact_pending();
         let mut ops = 1; // the queue lookup itself
-        while let Some(id) = self.pending.pop_front() {
+        while let Some((_, id)) = self.pending.pop_first() {
             ops += 1;
-            let Some(row) = self.tasks.get_mut(&id) else { continue };
-            if !matches!(row.rec.state, TaskState::Pending) {
-                continue; // dead entry: stopped counting when its state moved
-            }
-            // A live entry leaves the queue here, dispatched or skipped.
-            self.queued_live = self.queued_live.saturating_sub(1);
+            let row = self.tasks.get_mut(&id).expect("a queued task row exists");
             let job = self.jobs.get_mut(&row.rec.job).expect("a task row's job is registered");
-            job.pending = job.pending.saturating_sub(1);
             if job.finished {
                 // Sibling instance already produced the result: retire the
                 // instance outright.  Its queue entry is gone, so the row
-                // must leave the `Pending` state too — a later transition
-                // (duplicate completion, replicated state upgrade) would
-                // otherwise run the entry-died accounting a second time
-                // and corrupt the live-entry counts.
+                // leaves the `Pending` state too.
                 row.rec.state = TaskState::Finished { result_size: 0 };
                 let v = Self::touch(
                     &mut self.changed,
@@ -789,10 +742,7 @@ impl CoordinatorDb {
                     }
                 }
                 TaskState::Pending => {
-                    // Its queue entry dies in place (never popped).
-                    if let Some(owner) = self.jobs.get_mut(&row.rec.job) {
-                        Self::entry_died(&mut self.queued_live, owner);
-                    }
+                    self.pending.remove(&row.version);
                 }
                 TaskState::Finished { .. } => {}
             }
@@ -828,7 +778,6 @@ impl CoordinatorDb {
             return (CompleteOutcome::Duplicate, Charge::ops(2));
         }
         self.put_archive(job, archive);
-        self.maybe_compact_pending();
         let _ = server;
         // 2 db ops (task + job rows) plus the archive write to the
         // filesystem store.
@@ -838,13 +787,8 @@ impl CoordinatorDb {
     /// Jobs finished according to replicated state but whose archive we do
     /// not hold (archives are never replicated) — these are requested back
     /// from servers during synchronization.  Served from a maintained set:
-    /// O(missing), not O(finished).
-    pub fn missing_archives(&self) -> Vec<JobKey> {
-        self.missing_archives_iter().collect()
-    }
-
-    /// Iterator form of [`Self::missing_archives`] (no allocation).
-    pub fn missing_archives_iter(&self) -> impl Iterator<Item = JobKey> + '_ {
+    /// O(missing), not O(finished), in key order.
+    pub fn missing_archives(&self) -> impl Iterator<Item = JobKey> + '_ {
         self.missing.entries.keys().copied()
     }
 
@@ -969,7 +913,12 @@ impl CoordinatorDb {
     /// release) can all conclude the same job needs a new instance in the
     /// same failover window; one queued instance is recovery enough.
     fn has_live_pending(&self, job: &JobKey) -> bool {
-        self.jobs.get(job).is_some_and(|r| !r.finished && r.pending > 0)
+        self.jobs.get(job).is_some_and(|r| {
+            !r.finished
+                && r.tasks.iter().any(|id| {
+                    self.tasks.get(&id).is_some_and(|t| matches!(t.rec.state, TaskState::Pending))
+                })
+        })
     }
 
     /// The common tail of the three recovery paths: one new instance per
@@ -1510,7 +1459,7 @@ impl CoordinatorDb {
                 job.tasks.push(rec.id);
                 match rec.state {
                     TaskState::Pending => {
-                        Self::push_pending(&mut self.pending, &mut self.queued_live, job, rec.id)
+                        self.pending.insert(v, rec.id);
                     }
                     TaskState::Ongoing { server, .. } => {
                         // Held until release_origin — but indexed by server,
@@ -1529,7 +1478,7 @@ impl CoordinatorDb {
             Some(row) => {
                 if state_rank(&rec.state) > state_rank(&row.rec.state) {
                     if matches!(row.rec.state, TaskState::Pending) {
-                        Self::entry_died(&mut self.queued_live, job);
+                        self.pending.remove(&row.version);
                     }
                     // Keep the per-server index in step with the state
                     // transition (Pending→Ongoing indexes, Ongoing→Finished
@@ -1642,7 +1591,6 @@ impl CoordinatorDb {
                 }
             };
         }
-        self.maybe_compact_pending();
         applied
     }
 
@@ -1707,8 +1655,8 @@ impl CoordinatorDb {
     }
 
     /// Removes every row of retired job `k` from the tables and the
-    /// change index, maintaining the secondary indexes and the pending
-    /// accounting, and raises the delta floor past the pruned versions.
+    /// change index, maintaining the secondary indexes and the FCFS queue,
+    /// and raises the delta floor past the pruned versions.
     ///
     /// One attribute is *not* a retired job's to take along and stays
     /// behind in a stub row: when a feed's watermark retires a lagging
@@ -1731,9 +1679,7 @@ impl CoordinatorDb {
                     }
                 }
                 TaskState::Pending => {
-                    // Its queue entry dies in place exactly like a
-                    // popped-state row's; compaction drops it later.
-                    self.queued_live = self.queued_live.saturating_sub(1);
+                    self.pending.remove(&task.version);
                 }
                 TaskState::Finished { .. } => {}
             }
@@ -1896,17 +1842,14 @@ impl CoordinatorDb {
         }
         let (mut registered, mut finished, mut collected, mut archived, mut ckpts) =
             (0, 0, 0, 0, 0);
-        let (mut queued_live, mut versioned, mut missing_rows) = (0, 0, 0);
+        let (mut versioned, mut missing_rows) = (0, 0);
         for (k, row) in self.jobs.iter() {
             assert!(!row.is_vacant(), "{k:?}: vacant stub left in the table");
             let tasks = by_job.remove(&k).unwrap_or_default();
             let mut ids: Vec<TaskId> = row.tasks.iter().collect();
             ids.sort_unstable();
             assert_eq!(ids, tasks.iter().map(|t| t.rec.id).collect::<Vec<_>>(), "{k:?}: tasks");
-            let live = tasks.iter().filter(|t| matches!(t.rec.state, TaskState::Pending)).count();
-            assert_eq!(row.pending as usize, live, "{k:?}: live queue entries");
             assert!(tasks.iter().all(|t| t.rec.attempt < row.next_attempt), "{k:?}: attempts");
-            queued_live += live;
             let stamped = |v: u64, what: Changed| {
                 let entry = self.changed.get(&v).map(|e| e.row);
                 assert_eq!(entry, Some(what), "{k:?}: change-index entry");
@@ -1988,7 +1931,13 @@ impl CoordinatorDb {
         assert_eq!(m.due.len(), unparked.count(), "due order holds the un-parked entries");
         assert_eq!(self.catalog.len() as u64, archived, "one catalog entry per held archive");
         assert_eq!(self.finished_rows, finished, "finished counter");
-        assert_eq!(self.queued_live, queued_live, "live queue entries");
+        let queue: BTreeMap<u64, TaskId> = self
+            .tasks
+            .values()
+            .filter(|t| matches!(t.rec.state, TaskState::Pending))
+            .map(|t| (t.version, t.rec.id))
+            .collect();
+        assert_eq!(self.pending, queue, "the queue holds exactly the pending rows, by version");
         assert_eq!(
             self.changed.len(),
             versioned + self.tasks.len() + self.client_max.len(),
@@ -2027,6 +1976,11 @@ mod tests {
     }
 
     const T0: SimTime = SimTime::ZERO;
+
+    /// The missing-archive worklist, collected.
+    fn missing(d: &CoordinatorDb) -> Vec<JobKey> {
+        d.missing_archives().collect()
+    }
 
     /// Dispatchable instances: what `next_pending` hands out, drained on a
     /// clone.
@@ -2203,7 +2157,7 @@ mod tests {
         let (t, _) = backup.next_pending(ServerId(7), T0);
         assert_eq!(t.unwrap().job.seq, 1);
         // Released instance carries the backup's id space.
-        assert!(backup.missing_archives().contains(&JobKey::new(ClientKey::new(1, 1), 2)));
+        assert!(missing(&backup).contains(&JobKey::new(ClientKey::new(1, 1), 2)));
     }
 
     #[test]
@@ -2273,6 +2227,29 @@ mod tests {
     }
 
     #[test]
+    fn a_dispatch_pays_nothing_for_rows_a_peer_moved_on() {
+        // The replica queues the peer's eight pending rows, learns the peer
+        // dispatched them, then learns one fresh pending row: the queue holds
+        // that row alone, so dispatching it is the lookup and the row.
+        let mut primary = db();
+        let mut replica = CoordinatorDb::new(CoordId(2));
+        for seq in 1..=8 {
+            primary.register_job(job(seq));
+        }
+        replica.apply_delta(&primary.delta_since(0));
+        let base = primary.version();
+        while primary.next_pending(ServerId(1), T0).0.is_some() {}
+        replica.apply_delta(&primary.delta_since(base));
+        let base = primary.version();
+        primary.register_job(job(9));
+        replica.apply_delta(&primary.delta_since(base));
+        replica.check_invariants();
+        let (t, charge) = replica.next_pending(ServerId(2), T0);
+        assert_eq!(t.map(|t| t.job), Some(job(9).key));
+        assert_eq!(charge, Charge::db(2, job(9).params.len()));
+    }
+
+    #[test]
     fn result_collection_and_gc() {
         let mut d = db();
         d.register_job(job(1));
@@ -2307,8 +2284,8 @@ mod tests {
         d.gc_collected();
         assert!(d.is_collected(&t.job));
         assert_eq!(d.stats().collected, 1);
-        assert!(d.missing_archives().is_empty(), "collected ⇒ not missing");
-        assert_eq!(d.missing_archives(), d.missing_archives_scan());
+        assert!(missing(&d).is_empty(), "collected ⇒ not missing");
+        assert_eq!(missing(&d), d.missing_archives_scan());
         let (tid, _) = d.reexecute_job(t.job);
         assert!(tid.is_none(), "re-execution refused for collected jobs");
         assert!(!d.wants_archive(&t.job), "no archive re-acquisition either");
@@ -2370,9 +2347,9 @@ mod tests {
     #[test]
     fn skipped_sibling_instance_is_retired_not_left_pending() {
         // Regression: `next_pending`'s finished-job skip consumed the
-        // queue entry but left the task row `Pending`; a later replicated
-        // state upgrade then re-ran the entry-died accounting, stealing a
-        // fresh instance's live-entry counts.
+        // queue entry but left the task row `Pending`, a row the queue no
+        // longer held; a later replicated state upgrade then took a fresh
+        // instance's place in the queue's accounting.
         let job1 = JobKey::new(ClientKey::new(1, 1), 1);
         let mut a = db();
         a.register_job(job(1).with_replication(2)); // T1, T2 queued at A
@@ -2394,7 +2371,7 @@ mod tests {
         assert_eq!(dispatchable(&a), 1);
         // An off-line server delivers T2's result late to B (at-least-once
         // duplicate; B still marks the instance Finished).  The replicated
-        // upgrade must not steal T3's pending accounting at A.
+        // upgrade must not take T3's queue entry at A.
         let t2_id = if t1.id == TaskId::compose(CoordId(1), 1) {
             TaskId::compose(CoordId(1), 2)
         } else {
@@ -2405,14 +2382,14 @@ mod tests {
         a.apply_delta(&b.delta_since(v_b));
         a.check_invariants();
         assert_eq!(dispatchable(&a), 1);
-        // Another re-execution round: with corrupted counters this is
-        // where the live-entry counts and a recount diverged.
-        let first_missing = a.missing_archives().first().copied();
+        // Another re-execution round: with a corrupted queue this is where
+        // the queue and a recount of the pending rows diverged.
+        let first_missing = missing(&a).first().copied();
         if let Some(j) = first_missing {
             a.reexecute_job(j);
         }
         a.check_invariants();
-        assert_eq!(a.missing_archives(), a.missing_archives_scan());
+        assert_eq!(missing(&a), a.missing_archives_scan());
     }
 
     #[test]
@@ -2426,7 +2403,7 @@ mod tests {
         primary.complete_task(t.id, t.job, Blob::synthetic(10, 0), ServerId(1));
         let mut backup = CoordinatorDb::new(CoordId(2));
         backup.apply_delta(&primary.delta_since(0));
-        assert_eq!(backup.missing_archives(), vec![t.job]);
+        assert_eq!(missing(&backup), vec![t.job]);
         let (tid, _) = backup.reexecute_job(t.job);
         assert!(tid.is_some());
         let (next, _) = backup.next_pending(ServerId(8), T0);
@@ -2435,7 +2412,7 @@ mod tests {
         backup.store_archive(t.job, Blob::synthetic(10, 0));
         let (none, _) = backup.reexecute_job(t.job);
         assert!(none.is_none());
-        assert!(backup.missing_archives().is_empty());
+        assert!(missing(&backup).is_empty());
     }
 
     #[test]
@@ -2483,8 +2460,8 @@ mod tests {
         let mut backup = CoordinatorDb::new(CoordId(2));
         backup.apply_delta(&delta);
         assert!(backup.is_collected(&key));
-        assert!(backup.missing_archives().is_empty(), "delivered is not missing");
-        assert_eq!(backup.missing_archives(), backup.missing_archives_scan());
+        assert!(missing(&backup).is_empty(), "delivered is not missing");
+        assert_eq!(missing(&backup), backup.missing_archives_scan());
         assert!(!backup.wants_archive(&key), "no archive re-acquisition");
         let (tid, _) = backup.reexecute_job(key);
         assert!(tid.is_none(), "re-execution refused for replicated-collected jobs");
@@ -2508,7 +2485,7 @@ mod tests {
         backup.apply_delta(&primary.delta_since(0));
         assert!(backup.is_collected(&key), "no archive here ⇒ terminal collected");
         assert!(!backup.wants_archive(&key));
-        assert!(backup.missing_archives().is_empty());
+        assert!(missing(&backup).is_empty());
     }
 
     #[test]
@@ -2546,11 +2523,11 @@ mod tests {
         let mut backup = CoordinatorDb::new(CoordId(2));
         // Replicate *without* the collection (the primary died first).
         backup.apply_delta(&primary.delta_since(0));
-        assert_eq!(backup.missing_archives(), vec![key]);
+        assert_eq!(missing(&backup), vec![key]);
         backup.mark_collected(client, &[1]);
         assert!(backup.is_collected(&key));
-        assert!(backup.missing_archives().is_empty());
-        assert_eq!(backup.missing_archives(), backup.missing_archives_scan());
+        assert!(missing(&backup).is_empty());
+        assert_eq!(missing(&backup), backup.missing_archives_scan());
         let (tid, _) = backup.reexecute_job(key);
         assert!(tid.is_none());
         // Acks for jobs never heard of are dropped, not recorded.
@@ -2580,7 +2557,7 @@ mod tests {
         // in keeps its stamp.
         backup.apply_delta_owned(primary.delta_since(0), at(30));
         let stamps = |d: &CoordinatorDb| -> Vec<(JobKey, SimTime)> {
-            d.missing_archives_iter().map(|j| (j, d.missing_since(&j).unwrap())).collect()
+            d.missing_archives().map(|j| (j, d.missing_since(&j).unwrap())).collect()
         };
         assert_eq!(stamps(&backup), [(a, at(20)), (b, at(10)), (c, at(10))]);
         let served = BTreeSet::from([mine]);
@@ -2610,7 +2587,7 @@ mod tests {
         backup.check_invariants();
         // A re-execution takes its entry out of both views.
         backup.reexecute_job(a);
-        assert_eq!(backup.missing_archives(), [b, c]);
+        assert_eq!(missing(&backup), [b, c]);
         backup.check_invariants();
         // Finished, then collected, in one frame: the entry leaves within
         // the apply that added it.
@@ -2817,7 +2794,7 @@ mod tests {
         // Delivered knowledge holds without any per-job row.
         assert!(d.has_collected_knowledge(&k1));
         assert!(!d.wants_archive(&k1));
-        assert_eq!(d.missing_archives(), vec![]);
+        assert_eq!(missing(&d), vec![]);
         // The client's replay protocol can't resubmit: the mark survived.
         assert_eq!(d.client_max(client), 2);
         let (fresh, _) = d.register_job(job(1));
@@ -2893,9 +2870,9 @@ mod tests {
         assert_eq!(b.ckpt_scan(), a.ckpt_scan());
         // Archives never replicate (paper §4.2): the bootstrapped side
         // knows the finished jobs whose payloads it still has to fetch.
-        assert_eq!(b.missing_archives(), b.missing_archives_scan());
-        assert_eq!(b.missing_archives().len(), 2);
-        assert_eq!(a.missing_archives(), vec![]);
+        assert_eq!(missing(&b), b.missing_archives_scan());
+        assert_eq!(missing(&b).len(), 2);
+        assert_eq!(missing(&a), vec![]);
         for seq in 4..=5 {
             let k = JobKey::new(client, seq);
             assert!(b.task(a.delta_since(0).tasks().find(|t| t.job == k).unwrap().id).is_some());
@@ -2954,8 +2931,8 @@ mod tests {
     #[test]
     fn pruning_a_job_with_queued_instances_keeps_the_queue_honest() {
         // A collected job can still have live Pending queue entries (a
-        // recovery instance raced the collection).  Pruning must run the
-        // entry-died accounting or compaction's invariant trips.
+        // recovery instance raced the collection).  Pruning must take them
+        // out of the queue with their rows.
         let client = ClientKey::new(1, 1);
         let mut d = db();
         d.register_job(job(1).with_replication(3)); // 3 queued instances
@@ -2968,7 +2945,7 @@ mod tests {
         assert_eq!(d.prune_retired(d.version()), 1);
         assert_eq!(dispatchable(&d), 0);
         d.check_invariants();
-        // The stale queue entries drain without dispatching anything.
+        // Nothing is left to dispatch.
         let (none, _) = d.next_pending(ServerId(2), T0);
         assert!(none.is_none());
         d.check_invariants();
@@ -3032,7 +3009,7 @@ mod tests {
         let mut c3 = CoordinatorDb::new(CoordId(3));
         for peer in [&mut c1, &mut c3] {
             peer.apply_delta(&c2.delta_since(0));
-            assert_eq!(peer.missing_archives(), vec![key], "finished, archive to pull");
+            assert_eq!(missing(peer), vec![key], "finished, archive to pull");
             peer.check_invariants();
         }
     }

@@ -36,7 +36,7 @@ fn local_op(db: &mut CoordinatorDb, seq: u64, action: u8, aux: u8) {
             }
         }
         5 => {
-            let first_missing = db.missing_archives_iter().next();
+            let first_missing = db.missing_archives().next();
             if let Some(j) = first_missing {
                 db.reexecute_job(j);
             }
@@ -135,7 +135,7 @@ fn suspect_checked(db: &mut CoordinatorDb, server: ServerId) {
 /// every entry already present keeps its own.
 fn apply_checked(db: &mut CoordinatorDb, feed: ReplicationDelta, now: SimTime) {
     let stamps = |db: &CoordinatorDb| -> std::collections::BTreeMap<JobKey, SimTime> {
-        db.missing_archives_iter().map(|j| (j, db.missing_since(&j).unwrap())).collect()
+        db.missing_archives().map(|j| (j, db.missing_since(&j).unwrap())).collect()
     };
     let before = stamps(db);
     db.apply_delta_owned(feed, now);
@@ -536,7 +536,7 @@ proptest! {
             b.check_invariants();
             mirror.check_invariants();
             // Continuous equivalence of the maintained structures.
-            prop_assert_eq!(a.missing_archives(), a.missing_archives_scan());
+            prop_assert_eq!(a.missing_archives().collect::<Vec<_>>(), a.missing_archives_scan());
             prop_assert_eq!(a.collected_flagged(), a.collected_flagged_scan());
             // Merge the incremental catalog delta exactly as a client does
             // (additions only: GC leaves no record) and compare against the

@@ -188,7 +188,7 @@ fn client_reack_after_failover_settles_the_successors_watch_list() {
     let successor = g.coordinator(1).expect("successor up");
     assert_eq!(successor.db().finished_count(), 4, "the delta taught the successor the results");
     assert_eq!(successor.metrics.collected_marks_applied, 0, "but not their collection");
-    assert_eq!(successor.db().missing_archives().len(), 4, "four watched archives");
+    assert_eq!(successor.db().missing_archives().count(), 4, "four watched archives");
 
     g.world.run_until(SimTime::from_secs(30));
     assert_eq!(g.client_results(), 4);
@@ -202,7 +202,7 @@ fn client_reack_after_failover_settles_the_successors_watch_list() {
     g.world.run_until(SimTime::from_secs(39));
     let successor = g.coordinator(1).expect("successor up");
     assert_eq!(successor.db().stats().collected, 4, "the re-ack is terminal knowledge");
-    assert_eq!(successor.db().missing_archives().len(), 0, "and nothing stays watched");
+    assert_eq!(successor.db().missing_archives().count(), 0, "and nothing stays watched");
 
     g.world.run_until(SimTime::from_secs(150));
     let successor = g.coordinator(1).expect("successor up");

@@ -469,7 +469,7 @@ fn protocol_traces_are_pinned() {
     assert_eq!(grid.client_results(), 40);
     assert_eq!(
         pin(&grid),
-        (0xcde4_1cbc_555f_f276, 308_374, 117_550),
+        (0xfea0_b014_74d1_b9eb, 308_374, 117_550),
         "(b) real-life + churn + coordinator restart"
     );
 
@@ -526,7 +526,7 @@ fn node_resident_state_tracks_live_work_not_lifetime_jobs() {
         grid.run_until_done(SimTime::from_secs(3600)).expect("completes");
         grid.world.run_for(SimDuration::from_secs(60));
         let servers = (0..4).map(|i| grid.server(i).unwrap().resident_records());
-        let coords = (0..2).map(|i| grid.coordinator(i).unwrap().db().missing_archives().len());
+        let coords = (0..2).map(|i| grid.coordinator(i).unwrap().db().missing_archives().count());
         servers.chain(coords).chain([grid.client().unwrap().resident_records()]).collect()
     };
     assert_eq!(drained(20), [0; 7]);
