@@ -30,6 +30,8 @@
 //!   minority side) that heals after a hold.  Each of the `n` targets is
 //!   placed on its side of cut `c` at the open, so an episode costs `n + 1`
 //!   controls, not a `Block`/`Unblock` per minority × majority pair.
+//!   Overlapping episodes nest: a pair stays cut until the last open cut
+//!   that separates it heals.
 //! * **burst**   — `SetDefaultLink(degraded) … SetDefaultLink(base)`: the
 //!   whole fabric degrades (loss/dup/corrupt/reorder), then restores.
 

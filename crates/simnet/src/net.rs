@@ -13,7 +13,8 @@
 //!   actually bottleneck — see [`crate::world::World`];
 //! * pairs can be blocked (partitions, Fig. 11) and restored dynamically,
 //!   one directed pair at a time or a whole partition episode at once as a
-//!   [`CutId`]-named cut.
+//!   [`CutId`]-named cut.  Cuts nest: a pair stays apart while any open
+//!   cut separates it, and a healed cut leaves nothing behind.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -107,21 +108,23 @@ impl Default for LinkParams {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CutId(pub u64);
 
-/// One partition episode: which side each member node is on, and when.
+/// One open partition episode: which side each member node is on.
 #[derive(Debug, Clone)]
 struct Cut {
     id: CutId,
-    /// `(node, stamp << 1 | minority)`, sorted by node.
-    sides: Vec<(NodeId, u64)>,
-    /// Stamp of the first member's open.
-    opened: u64,
-    healed: Option<u64>,
+    /// `(node, minority)`, sorted by node.
+    sides: Vec<(NodeId, bool)>,
 }
 
 impl Cut {
-    fn side(&self, node: NodeId) -> Option<u64> {
+    fn side(&self, node: NodeId) -> Option<bool> {
         let i = self.sides.binary_search_by_key(&node, |&(n, _)| n).ok()?;
         Some(self.sides[i].1)
+    }
+
+    /// True when `a` and `b` are members on opposite sides.
+    fn separates(&self, a: NodeId, b: NodeId) -> bool {
+        matches!((self.side(a), self.side(b)), (Some(x), Some(y)) if x != y)
     }
 }
 
@@ -129,28 +132,20 @@ impl Cut {
 ///
 /// Resolution order for `(from, to)`: blocked or cut apart? → pair
 /// override → default.  Pair blocks and cuts are separate layers: a heal
-/// never lifts a pair block, an unblock never lifts a cut.
+/// never lifts a pair block, an unblock never lifts a cut.  Only open cuts
+/// are held.
 #[derive(Debug, Clone)]
 pub struct NetModel {
     default: LinkParams,
     overrides: BTreeMap<(NodeId, NodeId), LinkParams>,
     blocked: BTreeSet<(NodeId, NodeId)>,
-    /// Open cuts, and healed ones an open cut opened before.
     cuts: Vec<Cut>,
-    /// Orders every cut and heal.
-    stamp: u64,
 }
 
 impl NetModel {
     /// Network where every pair uses `default`.
     pub fn new(default: LinkParams) -> Self {
-        NetModel {
-            default,
-            overrides: BTreeMap::new(),
-            blocked: BTreeSet::new(),
-            cuts: Vec::new(),
-            stamp: 0,
-        }
+        NetModel { default, overrides: BTreeMap::new(), blocked: BTreeSet::new(), cuts: Vec::new() }
     }
 
     /// Replaces the default parameters every non-overridden pair resolves
@@ -195,70 +190,32 @@ impl NetModel {
     }
 
     /// Puts `node` on one side of cut `cut`, opening the cut if it is not
-    /// open.  Once every member is placed, the cut separates each minority
-    /// member from each majority member in both directions, exactly as if
-    /// every such pair had been [`block_bidir`](Self::block_bidir)ed.
+    /// open.  While the cut is open it separates each minority member from
+    /// each majority member in both directions.
     pub fn cut(&mut self, cut: CutId, node: NodeId, minority: bool) {
-        self.stamp += 1;
-        let i = match self.cuts.iter().rposition(|c| c.id == cut && c.healed.is_none()) {
+        let i = match self.cuts.iter().position(|c| c.id == cut) {
             Some(i) => i,
             None => {
-                let opened = self.stamp;
-                self.cuts.push(Cut { id: cut, sides: Vec::new(), opened, healed: None });
+                self.cuts.push(Cut { id: cut, sides: Vec::new() });
                 self.cuts.len() - 1
             }
         };
-        let side = self.stamp << 1 | minority as u64;
         let sides = &mut self.cuts[i].sides;
         match sides.binary_search_by_key(&node, |&(n, _)| n) {
-            Ok(j) => sides[j].1 = side,
-            Err(j) => sides.insert(j, (node, side)),
+            Ok(j) => sides[j].1 = minority,
+            Err(j) => sides.insert(j, (node, minority)),
         }
     }
 
-    /// Heals cut `cut`: every pair it separates reopens, as if each had
-    /// been [`unblock_bidir`](Self::unblock_bidir)ed — including a pair an
-    /// earlier, still-open cut also separates.
+    /// Heals cut `cut`: it is dropped, and a pair it separated reopens
+    /// unless another open cut still separates it.
     pub fn heal(&mut self, cut: CutId) {
-        self.stamp += 1;
-        if let Some(c) = self.cuts.iter_mut().rev().find(|c| c.id == cut) {
-            c.healed = Some(self.stamp);
-        }
-        // A healed cut decides a pair only against an open cut opened
-        // before the heal; once no such cut is left it decides nothing.
-        let first_open = self.cuts.iter().filter(|c| c.healed.is_none()).map(|c| c.opened).min();
-        self.cuts.retain(|c| match (c.healed, first_open) {
-            (None, _) => true,
-            (Some(healed), Some(opened)) => healed > opened,
-            (Some(_), None) => false,
-        });
-    }
-
-    /// True when the latest cut event on `{a, b}` among the cuts that
-    /// separate it was an open (the per-pair set's last-write-wins).
-    fn cut_apart(&self, a: NodeId, b: NodeId) -> bool {
-        let mut latest = 0;
-        let mut apart = false;
-        for c in &self.cuts {
-            let (Some(sa), Some(sb)) = (c.side(a), c.side(b)) else { continue };
-            if (sa ^ sb) & 1 == 0 {
-                continue;
-            }
-            let (at, open) = match c.healed {
-                Some(healed) => (healed, false),
-                None => (sa.max(sb) >> 1, true),
-            };
-            if at > latest {
-                latest = at;
-                apart = open;
-            }
-        }
-        apart
+        self.cuts.retain(|c| c.id != cut);
     }
 
     /// Resolves the directed link; `None` means partitioned.
     pub fn link(&self, from: NodeId, to: NodeId) -> Option<LinkParams> {
-        if self.blocked.contains(&(from, to)) || self.cut_apart(from, to) {
+        if self.blocked.contains(&(from, to)) || self.cuts.iter().any(|c| c.separates(from, to)) {
             return None;
         }
         Some(*self.overrides.get(&(from, to)).unwrap_or(&self.default))
@@ -317,15 +274,17 @@ mod tests {
         assert!(net.link(N(0), N(1)).is_none() && net.link(N(2), N(0)).is_none());
         assert!(net.link(N(1), N(2)).is_some(), "same side");
         assert!(net.link(N(0), N(3)).is_some(), "not a member");
-        // `b` also separates {0, 1}; `a`'s later heal reopens it anyway,
-        // as its per-pair unblock would, and stays while `b` is open.
+        // `b` also separates {0, 1}: `a`'s heal reopens {0, 2} only, and
+        // {0, 1} stays cut while `b` is open.
         net.cut(b, N(1), true);
         net.cut(b, N(0), false);
         net.heal(a);
-        assert!(net.link(N(0), N(1)).is_some());
-        assert_eq!(net.cuts.len(), 2);
+        assert!(net.link(N(0), N(1)).is_none() && net.link(N(1), N(0)).is_none());
+        assert!(net.link(N(0), N(2)).is_some() && net.link(N(2), N(0)).is_some());
+        assert_eq!(net.cuts.len(), 1, "a healed cut is dropped");
         net.heal(b);
-        assert!(net.cuts.is_empty(), "healed cuts outlive no open one");
+        assert!(net.link(N(0), N(1)).is_some() && net.link(N(1), N(0)).is_some());
+        assert!(net.cuts.is_empty());
     }
 
     #[test]

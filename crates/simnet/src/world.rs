@@ -49,7 +49,8 @@ pub enum Control {
     },
     /// Put `node` on one side of partition `cut` ([`NetModel::cut`]): a
     /// partition over `n` nodes is `n` of these at its open and one
-    /// [`Control::Heal`] at its close.
+    /// [`Control::Heal`] at its close.  Partitions nest: a pair is cut while
+    /// any open partition separates it.
     Cut {
         /// The partition episode.
         cut: CutId,
@@ -58,7 +59,8 @@ pub enum Control {
         /// Which side it is on.
         minority: bool,
     },
-    /// Close partition `cut` ([`NetModel::heal`]).
+    /// Close partition `cut` ([`NetModel::heal`]): the pairs it separated
+    /// reopen, except those another open partition still separates.
     Heal {
         /// The partition episode.
         cut: CutId,

@@ -1,6 +1,8 @@
 //! Property tests for the simulator kernel: determinism under arbitrary
 //! topologies/fault schedules, resource-model monotonicity.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use rpcv_simnet::disk::{CACHE_BW, CACHE_BYTES, PER_OP, PLATTER_BW};
 use rpcv_simnet::*;
@@ -233,20 +235,20 @@ fn apply_qop(w: &mut World<M>, nodes: &[NodeId], op: (u64, u64, u64)) {
     }
 }
 
-/// One network under partition cuts beside a reference that takes each
-/// cut's per-pair expansion: placing a node blocks it, both ways, against
-/// every member already on the other side; a heal unblocks every pair the
-/// cut separates.  Cuts must reproduce these per-pair semantics exactly,
-/// the set's last-write-wins on overlapping episodes included.
-struct CutsVsPairs {
+/// One network under partition cuts beside a reference that counts, per
+/// ordered pair, the open cuts that separate it: placing a node counts it,
+/// both ways, against every member already on the other side; a heal
+/// uncounts every pair the cut separates.  A pair is cut exactly while its
+/// count is above 0, so overlapping episodes nest.
+struct CutsVsCounts {
     nodes: Vec<NodeId>,
     cuts: NetModel,
-    pairs: NetModel,
+    apart: BTreeMap<(NodeId, NodeId), u32>,
     /// Members placed so far, per cut id; `None` once healed.
     members: Vec<Option<Vec<(NodeId, bool)>>>,
 }
 
-impl CutsVsPairs {
+impl CutsVsCounts {
     fn open(&self) -> Vec<usize> {
         (0..self.members.len()).filter(|&c| self.members[c].is_some()).collect()
     }
@@ -261,7 +263,8 @@ impl CutsVsPairs {
         let members = self.members[c].as_mut().expect("placing into an open cut");
         for &(m, side) in members.iter() {
             if side != minority {
-                self.pairs.block_bidir(node, m);
+                *self.apart.entry((node, m)).or_default() += 1;
+                *self.apart.entry((m, node)).or_default() += 1;
             }
         }
         members.push((node, minority));
@@ -274,19 +277,21 @@ impl CutsVsPairs {
         for &(a, side_a) in &members {
             for &(b, side_b) in &members {
                 if side_a != side_b {
-                    self.pairs.unblock_bidir(a, b);
+                    *self.apart.get_mut(&(a, b)).expect("a counted pair") -= 1;
                 }
             }
         }
         self.agree()
     }
 
-    /// Every ordered pair resolves alike in both networks.
+    /// Every ordered pair is cut exactly while some open cut separates it.
     fn agree(&self) -> Result<(), TestCaseError> {
         for &a in &self.nodes {
             for &b in &self.nodes {
-                let (cut, pair) = (self.cuts.link(a, b), self.pairs.link(a, b));
-                prop_assert!(cut == pair, "{:?}→{:?}: cuts {:?}, pairs {:?}", a, b, cut, pair);
+                let apart = self.apart.get(&(a, b)).copied().unwrap_or(0);
+                let want = (apart == 0).then(LinkParams::default);
+                let link = self.cuts.link(a, b);
+                prop_assert!(link == want, "{:?}→{:?}: {:?} under {} cut(s)", a, b, link, apart);
             }
         }
         Ok(())
@@ -533,23 +538,22 @@ proptest! {
         prop_assert!(a.chunks <= 1, "drained chunks must be returned: {:?}", a);
     }
 
-    /// A partition as cut controls ≡ the same partition as one
-    /// `block_bidir` per minority × majority pair and one `unblock_bidir`
-    /// per pair at its heal, checked on every ordered pair after every
-    /// control: overlapping cuts over ≤ 12 nodes, single placements and
-    /// whole opens interleaved with heals, a cut healed in the op that
-    /// opened it (and one opened right after a heal), a node on different
-    /// sides of two live cuts.
+    /// A pair is cut exactly while at least one open cut puts its nodes on
+    /// opposite sides, checked against a per-pair count of the separating
+    /// open cuts on every ordered pair after every control: overlapping
+    /// cuts over ≤ 12 nodes, single placements and whole opens interleaved
+    /// with heals, a cut healed in the op that opened it (and one opened
+    /// right after a heal), a node on different sides of two live cuts.
     #[test]
-    fn partition_cuts_match_per_pair_expansion(
+    fn partition_cuts_match_per_pair_counts(
         n in 2u32..13,
         ops in proptest::collection::vec((0u64..4, any::<u64>()), 1..60),
     ) {
         let nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
-        let mut net = CutsVsPairs {
+        let mut net = CutsVsCounts {
             nodes: nodes.clone(),
             cuts: NetModel::default(),
-            pairs: NetModel::default(),
+            apart: BTreeMap::new(),
             members: Vec::new(),
         };
         for &(kind, bits) in &ops {
