@@ -669,7 +669,7 @@ impl CoordinatorDb {
             if job.finished {
                 // Sibling instance already produced the result: retire the
                 // instance outright.  Its queue entry is gone, so the row
-                // leaves the `Pending` state too.
+                // leaves `Pending` too: the queue holds every `Pending` row.
                 row.rec.state = TaskState::Finished { result_size: 0 };
                 let v = Self::touch(
                     &mut self.changed,
