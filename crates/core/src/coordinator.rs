@@ -183,6 +183,9 @@ pub struct CoordinatorActor {
     /// Boot epoch: regenerated on every (re)start so clients can tell
     /// state-losing restarts from reordered stale replies.
     epoch: u64,
+    /// The database is created at this boot (first boot, or a lost disk):
+    /// `on_start` gives it the boot instant as its incarnation.
+    blank_disk: bool,
     /// Public observations.
     pub metrics: CoordMetrics,
     /// Received-message counts by kind (observability; catching traffic
@@ -211,6 +214,7 @@ impl CoordinatorActor {
                 actor.applied_head = d.applied_head;
                 actor.metrics = d.metrics;
                 actor.spans = d.spans;
+                actor.blank_disk = false;
             }
             Box::new(actor)
         }
@@ -246,6 +250,7 @@ impl CoordinatorActor {
             inflight_repl: None,
             released: BTreeSet::new(),
             epoch: 0,
+            blank_disk: true,
             metrics: CoordMetrics::default(),
             rx_counts: BTreeMap::new(),
             spans: SpanBook::new(),
@@ -643,11 +648,16 @@ impl CoordinatorActor {
         // peer (its retention pruned rows believing we held them — a stale
         // ack record after its failover, or we are a fresh joiner).
         // Applying it would silently skip history, so drop it unacked and
-        // ask to be reseeded from zero.
+        // ask to be reseeded from zero — as for an incremental delta that
+        // names another incarnation of ours: it was built for a database
+        // we no longer are (its sender has not heard of our disk loss) and
+        // may skip rows only that database held.
         let applied = self.applied_head.get(&peer).copied().unwrap_or(0);
-        if delta.base_version > applied {
+        let incarnation = self.db.incarnation();
+        let foreign = delta.base_version > 0 && delta.incarnation_of(self.params.me) != incarnation;
+        if delta.base_version > applied || foreign {
             ctx.note("replication gap: requesting reseed");
-            ctx.send(from, Msg::SnapshotRequest { from: self.params.me });
+            ctx.send(from, Msg::SnapshotRequest { from: self.params.me, incarnation });
             return;
         }
         let head = delta.head_version;
@@ -685,8 +695,9 @@ impl CoordinatorActor {
         };
         let Some(node) = self.params.directory.node_of(succ) else { return };
         let base = self.acked_version.get(&succ).copied().unwrap_or(0);
-        // The successor's own rows stay home: what it taught us it holds,
-        // so the feed skips those entries straight off the change index.
+        // The successor's own rows stay home: what it wrote, in the
+        // incarnation it confirmed, it holds, so the feed skips those
+        // entries straight off the change index.
         // A base retention pruned past cannot be tailed: the store serves
         // it from zero, complete, and the successor tails on from its head.
         let delta = self.db.feed_for(succ, base);
@@ -784,6 +795,9 @@ impl Actor<Msg> for CoordinatorActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         self.clock = ctx.now();
         self.epoch = ctx.rng().next_u64() | 1;
+        if std::mem::take(&mut self.blank_disk) {
+            self.db = CoordinatorDb::with_incarnation(self.params.me, ctx.now().0);
+        }
         ctx.set_timer(self.params.cfg.heartbeat, K_SCAN);
         ctx.set_timer(self.params.cfg.replication_period, K_REPL);
         // No recovery this incarnation owes has started yet.
@@ -883,11 +897,13 @@ impl Actor<Msg> for CoordinatorActor {
                     }
                 }
             }
-            Msg::SnapshotRequest { from: peer } => {
+            Msg::SnapshotRequest { from: peer, incarnation } => {
                 self.peer_mon.observe(peer, ctx.now());
                 // Forget what we believed the requester held: the next
-                // round to it starts from base 0, complete.
+                // round to it starts from base 0, complete, and names the
+                // incarnation it announced.
                 self.acked_version.remove(&peer);
+                self.db.note_incarnation(peer, incarnation);
                 if let Some((succ, _, _)) = self.inflight_repl {
                     if succ == peer {
                         self.inflight_repl = None;

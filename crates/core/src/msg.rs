@@ -240,12 +240,18 @@ pub enum Msg {
     /// "My delta feed has a gap I cannot apply — reseed me from zero."
     /// Sent when a received delta's `base_version` is ahead of what the
     /// receiver has applied from this peer (the sender pruned rows the
-    /// receiver never saw, or the receiver lost its disk).  The sender
-    /// answers by clearing its ack record for the requester, which makes
-    /// its next replication round a from-zero [`Msg::ReplDelta`].
+    /// receiver never saw, or the receiver lost its disk), or when an
+    /// incremental delta names another incarnation of the receiver than
+    /// its own (the sender has not heard of its disk loss).  The sender
+    /// answers by clearing its ack record for the requester and noting
+    /// the announced incarnation, which makes its next replication round a
+    /// from-zero [`Msg::ReplDelta`] that names it.
     SnapshotRequest {
         /// Requesting coordinator.
         from: CoordId,
+        /// Its incarnation: the boot instant of its database (0 at first
+        /// boot).
+        incarnation: u64,
     },
 
     // ----- external (API / workload) ----------------------------------------------
@@ -322,7 +328,7 @@ wire_enum!(Msg {
     18 => CkptOffer { server, frame },
     19 => CkptAck { task, job, unit_hw },
     21 => Corrupt { len },
-    22 => SnapshotRequest { from },
+    22 => SnapshotRequest { from, incarnation },
     25 => StatusRequest { nonce },
     26 => StatusReply { coord, nonce, sealed },
 });
@@ -343,18 +349,23 @@ mod tests {
     use rpcv_wire::{crc64, from_bytes, to_bytes, WireError};
     use rpcv_xw::TaskState;
 
-    /// One row of every `DeltaRow` tag, with a task in every `TaskState`.
+    /// One row of every `DeltaRow` tag, with a task in every `TaskState`,
+    /// in a feed from `CoordId(1)` to `CoordId(2)`: it names the
+    /// receiver's incarnation and relays the tasks `CoordId(3)` wrote.
     fn delta_rows() -> Vec<DeltaRow> {
         let job = JobKey::new(ClientKey::new(1, 2), 1);
         let task = |n, state| {
             DeltaRow::Task(TaskRecord { id: TaskId(n), job, attempt: 1, state, origin: CoordId(1) })
         };
         vec![
+            DeltaRow::Writer { coord: CoordId(2), incarnation: 35_000_000_000 },
             DeltaRow::Retired { client: ClientKey::new(2, 2), through: 5 },
             DeltaRow::Job(JobSpec::new(job, "svc", Blob::synthetic(700, 6)).with_work_units(60)),
+            DeltaRow::Writer { coord: CoordId(3), incarnation: 0 },
             task(7, TaskState::Pending),
             task(8, TaskState::Ongoing { server: ServerId(3), since: SimTime::from_secs(9) }),
             task(9, TaskState::Finished { result_size: 64 }),
+            DeltaRow::Writer { coord: CoordId(1), incarnation: 0 },
             DeltaRow::Mark { client: job.client, mark: 1 },
             DeltaRow::Collected { job },
             DeltaRow::Ckpt { job, unit_hw: 24, blob: Blob::synthetic(2000, 4) },
@@ -465,7 +476,7 @@ mod tests {
                 work_units: 4,
             },
             Msg::Corrupt { len: 77 },
-            Msg::SnapshotRequest { from: CoordId(2) },
+            Msg::SnapshotRequest { from: CoordId(2), incarnation: 35_000_000_000 },
             Msg::StatusRequest { nonce: 7 },
             Msg::StatusReply {
                 coord: CoordId(2),
@@ -521,12 +532,12 @@ mod tests {
         ("TaskDoneAck", 5, 0x0def_e848_1097_1402, 5),
         ("NeedArchives", 5, 0x4792_3e87_e82e_2fd5, 5),
         ("ArchivesSettled", 5, 0x447e_9f22_a146_0cc3, 5),
-        ("ReplDelta", 85, 0x4d45_dbc9_b744_6c2d, 2785),
+        ("ReplDelta", 99, 0x0917_8e1b_3d33_7630, 2799),
         ("ReplAck", 3, 0xaebd_37ba_9a11_e683, 3),
         ("ReplArchives", 9, 0x2ec7_790b_55cc_d300, 73),
         ("ApiSubmit", 18, 0xd241_925c_163e_9284, 18),
         ("Corrupt", 2, 0xac29_2542_1609_1c6e, 2),
-        ("SnapshotRequest", 2, 0xfe7f_ba5a_b3cd_95b9, 2),
+        ("SnapshotRequest", 8, 0x7fc6_86a4_1440_1a5f, 8),
         ("StatusRequest", 2, 0x1ae5_cb5a_614c_f6a4, 2),
         ("StatusReply", 45, 0x3a41_e998_690d_f553, 45),
     ];

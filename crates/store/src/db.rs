@@ -140,29 +140,28 @@ enum Changed {
     Ckpt(JobKey),
 }
 
-/// Where a change-index entry's current contents came from.  A row learned
-/// from a ring peer is one that peer already holds (at an equal or higher
-/// state), so the incremental feed *to that same peer* skips it — a wave is
-/// never forwarded on the edge it arrived on.  Any local mutation re-stamps
-/// the row as [`Provenance::LOCAL`], which puts it back on every feed.
+/// Who wrote a change-index entry's current contents: the coordinator
+/// whose own operation produced the row's current state, in the
+/// incarnation it did so.  A writer holds its row at an equal or higher
+/// state for as long as that incarnation lasts (row states only move up,
+/// and a pruned row is covered by the retired watermark), so the
+/// incremental feed to a peer skips the rows that peer wrote in the
+/// incarnation it confirmed — a row is never carried back to where it
+/// started, however many hops it took around the ring.  Any local mutation
+/// re-stamps the row [`Provenance::LOCAL`], which puts it back on every
+/// feed.
 ///
-/// One word per index entry: the teaching peer's id, or [`Self::LOCAL`].
-/// (A coordinator whose id *is* the sentinel would read as local and merely
-/// get its echoes back — the safe direction.)
+/// An index into the database's interned `(writer, incarnation)` pairs, so
+/// an index entry pays four bytes for it, not sixteen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Provenance(u64);
+struct Provenance(u32);
 
 impl Provenance {
-    /// Written by this coordinator's own operation.
-    const LOCAL: Provenance = Provenance(u64::MAX);
-
-    /// Last written while applying a feed from `peer`.
-    fn peer(peer: CoordId) -> Self {
-        Provenance(peer.0)
-    }
+    /// Written by this coordinator's own operation, in its incarnation.
+    const LOCAL: Provenance = Provenance(0);
 }
 
-/// One change-index entry: the row it points at, and who wrote it last.
+/// One change-index entry: the row it points at, and who wrote it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ChangeEntry {
     row: Changed,
@@ -294,6 +293,17 @@ rpcv_simnet::counters! {
 #[derive(Debug, Clone)]
 pub struct CoordinatorDb {
     me: CoordId,
+    /// This database's incarnation: the boot instant it was created at (0
+    /// at first boot).  A disk wipe creates a new one.
+    incarnation: u64,
+    /// The interned `(writer, incarnation)` pairs a [`Provenance`] indexes;
+    /// slot 0 is this coordinator's own, and no other slot names it.  One
+    /// slot per pair ever met: ring members × their incarnations.
+    writers: Vec<(CoordId, u64)>,
+    /// The incarnation each peer confirmed — announced on a reseed request,
+    /// or named for itself on its own feed — and the one this database's
+    /// feed to it names.  Absent is 0.
+    incarnations: BTreeMap<CoordId, u64>,
     version: u64,
     /// One row per job: description, flags, counters, archive, checkpoint
     /// (see [`JobRow`] for what lives here and what a stub row is), in a
@@ -357,10 +367,20 @@ pub struct CoordinatorDb {
 }
 
 impl CoordinatorDb {
-    /// Empty database owned by coordinator `me`.
+    /// Empty database owned by coordinator `me`, at its first boot
+    /// (incarnation 0).
     pub fn new(me: CoordId) -> Self {
+        Self::with_incarnation(me, 0)
+    }
+
+    /// Empty database owned by coordinator `me`, created in `incarnation`:
+    /// the boot instant of a coordinator that lost its disk.
+    pub fn with_incarnation(me: CoordId, incarnation: u64) -> Self {
         CoordinatorDb {
             me,
+            incarnation,
+            writers: vec![(me, incarnation)],
+            incarnations: BTreeMap::new(),
             version: 0,
             jobs: SeqTable::new(),
             tasks: BTreeMap::new(),
@@ -390,6 +410,42 @@ impl CoordinatorDb {
     /// Current replication version.
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// This database's incarnation (0 at first boot).
+    pub fn incarnation(&self) -> u64 {
+        self.incarnation
+    }
+
+    /// Records that `peer` confirmed `incarnation` (incarnations are boot
+    /// instants, so a lower one is stale and changes nothing).  The feed to
+    /// `peer` names it from now on, and skips only rows `peer` wrote in it.
+    pub fn note_incarnation(&mut self, peer: CoordId, incarnation: u64) {
+        if peer != self.me && incarnation > self.incarnation_known(peer) {
+            self.incarnations.insert(peer, incarnation);
+        }
+    }
+
+    /// The incarnation `peer` confirmed to this database (0 if none).
+    fn incarnation_known(&self, peer: CoordId) -> u64 {
+        self.incarnations.get(&peer).copied().unwrap_or(0)
+    }
+
+    /// The interned provenance of rows `writer` wrote in `incarnation`; a
+    /// row this coordinator holds is its own in any case.
+    fn writer(&mut self, writer: CoordId, incarnation: u64) -> Provenance {
+        if writer == self.me {
+            return Provenance::LOCAL;
+        }
+        let pair = (writer, incarnation);
+        let slot = match self.writers.iter().position(|&w| w == pair) {
+            Some(slot) => slot,
+            None => {
+                self.writers.push(pair);
+                self.writers.len() - 1
+            }
+        };
+        Provenance(slot as u32)
     }
 
     /// Advances the version counter and moves a row's single change-index
@@ -1297,32 +1353,63 @@ impl CoordinatorDb {
     }
 
     /// The feed for ring peer `to`, which acknowledged `base`:
-    /// [`Self::delta_since`]`(base)` minus the entries last written by a
-    /// feed *from* `to` — a row is never sent back to the peer it was
-    /// learned from (that peer holds it at an equal or higher state, so
-    /// re-applying it there is a no-op the sender would still pay to read,
-    /// size and ship).  Skipped entries cost one index step each: no row
-    /// lookup, no clone.
+    /// [`Self::delta_since`]`(base)` minus the entries `to` itself wrote in
+    /// the incarnation it confirmed ([`Self::note_incarnation`]) — a row is
+    /// never carried back to the coordinator it started from (that peer
+    /// holds it at an equal or higher state, so re-applying it there is a
+    /// no-op the sender would still pay to read, size and ship).  Skipped
+    /// entries cost one index step each: no row lookup, no clone.  The
+    /// feed names the writer of every relayed row ([`DeltaRow::Writer`]),
+    /// so the receiver keeps the provenance for the next hop; rows `to`
+    /// wrote in an earlier incarnation travel as this coordinator's own.
     ///
     /// A base below [`Self::delta_floor`] cannot be tailed — retention
     /// pruned rows past it — so the feed starts over from zero
     /// (`base_version` says which base was served).  And a from-zero feed
     /// is a bootstrap, complete by definition: nothing is skipped and the
     /// retired watermarks lead.  That is what keeps a disk wipe safe — a
-    /// wiped peer lost its applied-head record along with its rows, so it
-    /// refuses every `base > 0` feed as a gap, and the reseed it asks for
-    /// carries every row, its own included, and every watermark, however
-    /// this database came to know it.
+    /// wiped peer lost its applied-head record along with its rows, and its
+    /// new database has a new incarnation.  It refuses every `base > 0`
+    /// feed that is a gap or names another incarnation than its own, so no
+    /// feed it accepts skips a row only its lost disk held; the reseed it
+    /// asks for announces the new incarnation and carries every row, its
+    /// own included, and every watermark, however this database came to
+    /// know it.
     pub fn feed_for(&self, to: CoordId, base: u64) -> ReplicationDelta {
         let base = if base < self.delta_floor { 0 } else { base };
-        self.build_delta(base, (base > 0).then_some(Provenance::peer(to)))
+        self.build_delta(base, Some(to))
     }
 
     /// The one feed builder: the retired watermarks when `base` is 0, then
-    /// the rows changed since `base`, in version order, leaving out entries
-    /// whose provenance is `skip`.
-    fn build_delta(&self, base: u64, skip: Option<Provenance>) -> ReplicationDelta {
+    /// the rows changed since `base`, in version order.  Fed to peer `to`,
+    /// it opens with the two ends' incarnations (each when not 0), leaves
+    /// out (when `base > 0`) the entries `to` wrote in the incarnation it
+    /// confirmed, and marks the writer wherever it changes; fed to no one
+    /// in particular, every row is this coordinator's own and it marks
+    /// nothing.
+    fn build_delta(&self, base: u64, to: Option<CoordId>) -> ReplicationDelta {
         let mut rows = Vec::new();
+        // `skip`: the rows the receiver wrote in the incarnation it
+        // confirmed.  `theirs`: the rows it wrote in any other (in every
+        // one, from zero), which travel as ours.
+        let (mut current, mut skip, mut theirs) = (Provenance::LOCAL, None, Vec::new());
+        if let Some(to) = to {
+            let known = self.incarnation_known(to);
+            if known != 0 {
+                rows.push(DeltaRow::Writer { coord: to, incarnation: known });
+            }
+            if self.incarnation != 0 {
+                rows.push(DeltaRow::Writer { coord: self.me, incarnation: self.incarnation });
+            }
+            for (slot, &(_, inc)) in self.writers.iter().enumerate().filter(|(_, w)| w.0 == to) {
+                let from = Provenance(slot as u32);
+                if base > 0 && inc == known {
+                    skip = Some(from);
+                } else {
+                    theirs.push(from);
+                }
+            }
+        }
         if base == 0 {
             rows.extend(self.retired_rows());
         }
@@ -1332,39 +1419,39 @@ impl CoordinatorDb {
             if Some(entry.from) == skip {
                 continue;
             }
-            match entry.row {
-                Changed::Job(key) => {
-                    if let Some(spec) = self.spec(&key) {
-                        rows.push(DeltaRow::Job(spec.clone()));
-                    }
-                }
-                Changed::Task(id) => {
-                    if let Some(row) = self.tasks.get(&id) {
-                        rows.push(DeltaRow::Task(row.rec));
-                    }
-                }
-                Changed::Mark(client) => {
-                    if let Some(row) = self.client_max.get(&client) {
-                        rows.push(DeltaRow::Mark { client, mark: row.mark });
-                    }
-                }
-                Changed::Collected(job) => {
-                    if self.has_collected_knowledge(&job) {
-                        rows.push(DeltaRow::Collected { job });
-                    }
-                }
-                Changed::Ckpt(job) => {
-                    if let Some(ckpt) = self.jobs.get(&job).and_then(|r| r.ckpt.as_ref()) {
-                        rows.push(DeltaRow::Ckpt {
-                            job,
-                            unit_hw: ckpt.unit_hw,
-                            blob: ckpt.blob.clone(),
-                        });
-                    }
-                }
+            let Some(row) = self.feed_row(entry.row) else { continue };
+            let from = if to.is_none() || theirs.contains(&entry.from) {
+                Provenance::LOCAL
+            } else {
+                entry.from
+            };
+            if from != current {
+                let (coord, incarnation) = self.writers[from.0 as usize];
+                rows.push(DeltaRow::Writer { coord, incarnation });
+                current = from;
             }
+            rows.push(row);
         }
         ReplicationDelta { from: self.me, base_version: base, head_version: self.version, rows }
+    }
+
+    /// The current contents of the row a change-index entry points at, as
+    /// a feed row (`None` when nothing of it is left to send).
+    fn feed_row(&self, changed: Changed) -> Option<DeltaRow> {
+        match changed {
+            Changed::Job(key) => self.spec(&key).map(|spec| DeltaRow::Job(spec.clone())),
+            Changed::Task(id) => self.tasks.get(&id).map(|row| DeltaRow::Task(row.rec)),
+            Changed::Mark(client) => {
+                self.client_max.get(&client).map(|row| DeltaRow::Mark { client, mark: row.mark })
+            }
+            Changed::Collected(job) => {
+                self.has_collected_knowledge(&job).then_some(DeltaRow::Collected { job })
+            }
+            Changed::Ckpt(job) => {
+                let ckpt = self.jobs.get(&job)?.ckpt.as_ref()?;
+                Some(DeltaRow::Ckpt { job, unit_hw: ckpt.unit_hw, blob: ckpt.blob.clone() })
+            }
+        }
     }
 
     /// One [`DeltaRow::Retired`] row per client with a retired prefix.
@@ -1412,7 +1499,7 @@ impl CoordinatorDb {
         }
     }
 
-    /// Applies one replicated job description learned from `from`.
+    /// Applies one replicated job description written by `from`.
     fn apply_job_row(&mut self, spec: JobSpec, from: Provenance) -> Charge {
         let key = spec.key;
         if key.seq <= self.retired_watermark(key.client) {
@@ -1545,19 +1632,31 @@ impl CoordinatorDb {
     }
 
     /// The row-application loop: rows are merged under the receiver's own
-    /// version counter, every row the merge writes is stamped as learned
-    /// from `peer`, and every job it finishes without an archive enters the
-    /// missing worklist at `now`.
+    /// version counter, every row the merge writes is stamped with the
+    /// writer the feed names for it (unmarked rows are `peer`'s own), and
+    /// every job it finishes without an archive enters the missing worklist
+    /// at `now`.
     fn apply_rows(
         &mut self,
         peer: CoordId,
         rows: impl Iterator<Item = DeltaRow>,
         now: SimTime,
     ) -> Applied {
-        let from = Provenance::peer(peer);
+        let mut sender = self.writer(peer, 0);
+        let mut from = sender;
         let mut applied = Applied { charge: Charge::ops(1), newly_collected: 0 };
         for row in rows {
             applied.charge += match row {
+                DeltaRow::Writer { coord, incarnation } => {
+                    // What the receiver wrote comes back as the sender's; a
+                    // marker naming the sender confirms its incarnation.
+                    from = if coord == self.me { sender } else { self.writer(coord, incarnation) };
+                    if coord == peer {
+                        self.note_incarnation(peer, incarnation);
+                        sender = from;
+                    }
+                    Charge::ZERO
+                }
                 DeltaRow::Job(spec) => self.apply_job_row(spec, from),
                 DeltaRow::Task(rec) => {
                     if self.apply_task_row(&rec, from) {
@@ -1603,7 +1702,7 @@ impl CoordinatorDb {
     /// exceeds `min_acked` (the feed consumer's acknowledged version — a
     /// replica with `acked ≥ v` already holds every row stamped ≤ `v`:
     /// it was sent the row, or [`Self::feed_for`] skipped it because the
-    /// replica is the one that taught it).
+    /// replica wrote it in the incarnation that acknowledged).
     /// Client marks are never pruned: the retained mark keeps
     /// `client_max ≥ seq` for every retired job, so the owning client's
     /// log GC/replay protocol (replay only above `coord_max`) can never
@@ -1906,13 +2005,20 @@ impl CoordinatorDb {
                 );
             }
         }
-        // Provenance: an entry is local or names a *peer*, and a row whose
-        // last mutation can only have been this coordinator's own keeps no
-        // peer stamp — a task still in the `Ongoing` state this node
-        // dispatched it into was last written by that dispatch (the merge
-        // only ever moves an ongoing row to finished).
+        // Provenance: the interned writers are distinct, slot 0 alone names
+        // this coordinator (in its own incarnation), and a row whose last
+        // mutation can only have been this coordinator's own stays local —
+        // a task still in the `Ongoing` state this node dispatched it into
+        // was last written by that dispatch (the merge only ever moves an
+        // ongoing row to finished).
+        assert_eq!(self.writers[0], (self.me, self.incarnation), "slot 0 is this coordinator");
+        for (slot, w) in self.writers.iter().enumerate().skip(1) {
+            assert_ne!(w.0, self.me, "slot {slot} names this coordinator");
+            assert!(!self.writers[..slot].contains(w), "slot {slot} interned twice");
+        }
+        assert!(!self.incarnations.contains_key(&self.me), "its own incarnation is no peer's");
         for (v, entry) in &self.changed {
-            assert_ne!(entry.from, Provenance::peer(self.me), "v{v}: learned from itself");
+            assert!((entry.from.0 as usize) < self.writers.len(), "v{v}: unknown writer");
             if let Changed::Task(id) = entry.row {
                 let own_dispatch = self.tasks.get(&id).is_some_and(|t| {
                     t.locally_dispatched && matches!(t.rec.state, TaskState::Ongoing { .. })
@@ -2174,7 +2280,7 @@ mod tests {
     }
 
     #[test]
-    fn feed_never_returns_a_row_to_the_peer_that_taught_it() {
+    fn feed_never_returns_a_row_to_its_writer() {
         let (peer, other) = (CoordId(1), CoordId(3));
         let mut primary = db();
         primary.register_job(job(1));
@@ -2182,12 +2288,15 @@ mod tests {
         replica.register_job(job(9)); // one row of its own
         let base = replica.version();
         replica.apply_delta_owned(primary.delta_since(0), T0);
-        // Job, task and mark all came from `peer`: nothing goes back there,
-        // everything goes on to a third member, and a from-zero feed —
-        // what a wiped `peer` would be reseeded from — is complete.
+        // Job, task and mark were all written by `peer`: nothing goes back
+        // there, everything goes on to a third member under a marker
+        // naming the writer, and a from-zero feed — what a wiped `peer`
+        // would be reseeded from — is complete, its rows the replica's own.
         assert!(replica.feed_for(peer, base).is_empty());
         assert_eq!(replica.feed_for(peer, base).head_version, replica.version());
-        assert_eq!(replica.feed_for(other, base), replica.delta_since(base));
+        let relayed = replica.feed_for(other, base);
+        assert_eq!(relayed.rows[0], DeltaRow::Writer { coord: peer, incarnation: 0 });
+        assert_eq!(relayed.rows[1..], replica.delta_since(base).rows[..]);
         assert_eq!(replica.feed_for(peer, 0), replica.delta_since(0));
         // A local mutation re-stamps a learned row as the replica's own:
         // dispatching the peer's task (after job 9's) puts it on the feed.
@@ -2198,6 +2307,81 @@ mod tests {
         assert_eq!(feed.tasks().last().map(|r| r.id), Some(learned.id));
         assert_eq!(feed.jobs().count(), 0, "the job row is still the peer's");
         replica.check_invariants();
+    }
+
+    #[test]
+    fn a_relayed_row_stops_one_hop_short_of_its_writer() {
+        // The ring 1 → 2 → 3 → 1: member 1's rows reach member 3 through
+        // member 2, and member 3's round to member 1 leaves them out.
+        let ids = [CoordId(1), CoordId(2), CoordId(3)];
+        let mut m: Vec<CoordinatorDb> = ids.iter().map(|&id| CoordinatorDb::new(id)).collect();
+        m[0].register_job(job(1));
+        let feed = m[0].feed_for(ids[1], 0);
+        assert!(!feed.rows.iter().any(|r| matches!(r, DeltaRow::Writer { .. })), "own rows");
+        m[1].apply_delta_owned(feed, T0);
+        let relay = m[1].feed_for(ids[2], 0);
+        assert_eq!(relay.rows[0], DeltaRow::Writer { coord: ids[0], incarnation: 0 });
+        assert_eq!(relay.len(), 3, "job, task and mark; the marker is not a row");
+        assert!(m[2].register_job(job(2)).0, "member 3's own job");
+        let base = m[2].version();
+        m[2].apply_delta_owned(relay, T0);
+        let back = m[2].feed_for(ids[0], base);
+        assert!(back.is_empty(), "member 1 wrote all of it: {back:?}");
+        // A feed to no one in particular marks nothing.
+        let complete = m[2].delta_since(base);
+        assert_eq!((complete.len(), complete.rows.len()), (2, 2), "job and task: {complete:?}");
+        m.iter().for_each(CoordinatorDb::check_invariants);
+    }
+
+    #[test]
+    fn a_row_its_writer_lost_to_a_wipe_is_carried_back_to_it() {
+        // The ring 1 → 2 → 3 → 1.  Member 3 writes a row, and member 1
+        // learns it.
+        let ids = [CoordId(1), CoordId(2), CoordId(3)];
+        let mut m: Vec<CoordinatorDb> = ids.iter().map(|&id| CoordinatorDb::new(id)).collect();
+        let key = job(1).key;
+        m[1].register_job(job(2)); // so the reseed below is no empty one
+        m[2].register_job(job(1));
+        let feed = m[2].feed_for(ids[0], 0);
+        m[0].apply_delta_owned(feed, T0);
+        // Member 3 loses its disk while the row is on its way round.  Its
+        // reseed request announces the new incarnation to member 2, which
+        // holds nothing of the row yet.
+        let wiped_at = 40_000_000_000;
+        m[2] = CoordinatorDb::with_incarnation(ids[2], wiped_at);
+        m[1].note_incarnation(ids[2], wiped_at);
+        let reseed = m[1].feed_for(ids[2], 0);
+        assert_eq!(reseed.incarnation_of(ids[2]), wiped_at, "the reseed names it");
+        let acked = reseed.head_version;
+        assert!(acked > 0);
+        m[2].apply_delta_owned(reseed, T0);
+        // Member 1 relays the row, naming its writer in the lost
+        // incarnation; member 2's next round to member 3 carries it.
+        let relay = m[0].feed_for(ids[1], 0);
+        assert_eq!(relay.rows[0], DeltaRow::Writer { coord: ids[2], incarnation: 0 });
+        m[1].apply_delta_owned(relay, T0);
+        let tail = m[1].feed_for(ids[2], acked);
+        assert_eq!(tail.incarnation_of(ids[2]), wiped_at);
+        assert!(tail.jobs().any(|s| s.key == key), "the lost row goes back: {tail:?}");
+        let acked = tail.head_version;
+        m[2].apply_delta_owned(tail, T0);
+        assert!(m[2].knows_job(&key), "member 3 holds its row again");
+        // What the new incarnation writes stops short of it as before: it
+        // dispatches the task, and the round reaches member 2 through
+        // member 1 under the new incarnation's marker.
+        let (task, _) = m[2].next_pending(ServerId(1), T0);
+        let task = task.expect("the pending instance").id;
+        let (before, feed) = (m[0].version(), m[2].feed_for(ids[0], 0));
+        assert_eq!(feed.incarnation_of(ids[2]), wiped_at, "a sender names its own");
+        m[0].apply_delta_owned(feed, T0);
+        assert_eq!(m[0].incarnation_known(ids[2]), wiped_at);
+        let (before2, feed) = (m[1].version(), m[0].feed_for(ids[1], before));
+        m[1].apply_delta_owned(feed, T0);
+        let ongoing = |t: &TaskRow| matches!(t.rec.state, TaskState::Ongoing { .. });
+        assert!(m[1].task(task).is_some_and(ongoing), "member 2 learned the dispatch");
+        let tail = m[1].feed_for(ids[2], acked.max(before2));
+        assert!(tail.tasks().all(|t| t.id != task), "the dispatch stays home: {tail:?}");
+        m.iter().for_each(CoordinatorDb::check_invariants);
     }
 
     #[test]
@@ -3080,6 +3264,10 @@ mod tests {
             std::mem::size_of::<TaskRow>()
         );
         assert!(std::mem::size_of::<JobRow>() <= 232, "JobRow: {}", std::mem::size_of::<JobRow>());
+        // One change-index entry per live row: the writer's incarnation is
+        // an interned index, so naming it costs no entry a byte.
+        let entry = std::mem::size_of::<ChangeEntry>();
+        assert!(entry <= 40, "ChangeEntry: {entry}");
         // A vacant window slot costs the row's bytes and nothing more.
         assert_eq!(std::mem::size_of::<Option<JobRow>>(), std::mem::size_of::<JobRow>());
     }

@@ -22,6 +22,10 @@
 //! it is *complete*: it leads with one [`DeltaRow::Retired`] row per
 //! client — the summary of everything retention pruned — ahead of every
 //! live row.  A feed from a base above 0 carries none.
+//!
+//! A feed to a ring peer also names who wrote what it relays, with
+//! [`DeltaRow::Writer`] markers, so the row never travels the last hop
+//! back to its writer; markers are not rows.
 
 use rpcv_wire::{wire_enum, wire_record, Blob};
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, TaskId, TaskState};
@@ -97,6 +101,20 @@ pub enum DeltaRow {
         /// Its retired watermark at the sender.
         through: u64,
     },
+    /// A marker, not a row: the rows after it, up to the next marker, were
+    /// written by `coord` in its incarnation `incarnation` — the
+    /// coordinator whose own operation produced their current state.  A
+    /// feed opens with the receiver's incarnation as the sender knows it
+    /// and the sender's own, each only when not 0, and names the writer of
+    /// relayed rows only where it changes; unmarked rows are the sender's
+    /// own, and so are rows the receiver itself wrote.  So a 2-member ring
+    /// whose coordinators never lost a disk carries none.
+    Writer {
+        /// The writing coordinator.
+        coord: CoordId,
+        /// Its incarnation: the boot instant its database was created at.
+        incarnation: u64,
+    },
 }
 
 wire_enum!(DeltaRow {
@@ -106,6 +124,7 @@ wire_enum!(DeltaRow {
     3 => Collected { job },
     4 => Ckpt { job, unit_hw, blob },
     5 => Retired { client, through },
+    6 => Writer { coord, incarnation },
 });
 
 /// A versioned state delta from one coordinator to another.
@@ -125,12 +144,25 @@ pub struct ReplicationDelta {
 impl ReplicationDelta {
     /// True when the delta carries no changes.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
-    /// Number of rows carried.
+    /// Number of rows carried; [`DeltaRow::Writer`] markers are not rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows.iter().filter(|r| !matches!(r, DeltaRow::Writer { .. })).count()
+    }
+
+    /// The incarnation this feed names for `coord`, 0 when it names none.
+    /// Only the markers ahead of the first row name incarnations: the
+    /// receiver's as the sender knows it, then the sender's own.
+    pub fn incarnation_of(&self, coord: CoordId) -> u64 {
+        (self.rows.iter())
+            .map_while(|r| match *r {
+                DeltaRow::Writer { coord, incarnation } => Some((coord, incarnation)),
+                _ => None,
+            })
+            .find(|&(c, _)| c == coord)
+            .map_or(0, |(_, incarnation)| incarnation)
     }
 
     /// Job descriptions carried.
@@ -201,13 +233,15 @@ mod tests {
                     "svc",
                     Blob::synthetic(5000, 2),
                 )),
+                DeltaRow::Writer { coord: CoordId(3), incarnation: 0 },
                 DeltaRow::Task(TaskRecord {
-                    id: TaskId::compose(CoordId(1), 9),
+                    id: TaskId::compose(CoordId(3), 9),
                     job: JobKey::new(ClientKey::new(1, 1), 4),
                     attempt: 0,
                     state: TaskState::Pending,
-                    origin: CoordId(1),
+                    origin: CoordId(3),
                 }),
+                DeltaRow::Writer { coord: CoordId(1), incarnation: 0 },
                 DeltaRow::Mark { client: ClientKey::new(1, 1), mark: 4 },
                 DeltaRow::Collected { job: JobKey::new(ClientKey::new(1, 1), 3) },
                 DeltaRow::Ckpt {
@@ -228,15 +262,15 @@ mod tests {
         // Golden bytes: a field swapped in both directions still round-trips.
         assert_eq!(
             (bytes.len(), rpcv_wire::crc64(&bytes), d.transfer_len()),
-            (63, 0xddd7_7185_18a2_afc5, 7063),
-            "one row of every tag, in a from-zero feed: 63 B + 5000 B params + 2000 B ckpt state"
+            (70, 0xdc81_a4b9_1d3c_b53b, 7070),
+            "one row of every tag, in a from-zero feed: 70 B + 5000 B params + 2000 B ckpt state"
         );
     }
 
     #[test]
     fn typed_accessors_partition_the_rows() {
         let d = delta();
-        assert_eq!(d.len(), 6);
+        assert_eq!((d.len(), d.rows.len()), (6, 8), "two markers, which are no rows");
         assert_eq!(d.retired().collect::<Vec<_>>(), vec![(ClientKey::new(2, 1), 3)]);
         assert_eq!(d.jobs().count(), 1);
         assert_eq!(d.tasks().count(), 1);

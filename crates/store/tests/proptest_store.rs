@@ -147,10 +147,12 @@ fn apply_checked(db: &mut CoordinatorDb, feed: ReplicationDelta, now: SimTime) {
 
 /// A ring of coordinator databases replicating the way `CoordinatorActor`
 /// does — successor feed from the acked base (from zero when the store
-/// finds the base below its retention floor), gap refusal above the
-/// consumer's applied head, ack records dropped on suspicion — with the
-/// feed either echo-free ([`CoordinatorDb::feed_for`]) or the complete
-/// reference ([`CoordinatorDb::delta_since`]) from the same base.
+/// finds the base below its retention floor), refusal of a gap above the
+/// consumer's applied head and of an incremental feed naming another
+/// incarnation of the consumer (whose reseed request announces its own),
+/// ack records dropped on suspicion — with the feed either echo-free
+/// ([`CoordinatorDb::feed_for`]) or the complete reference
+/// ([`CoordinatorDb::delta_since`]) from the same base.
 struct Ring {
     filtered: bool,
     members: Vec<CoordinatorDb>,
@@ -166,6 +168,9 @@ struct Ring {
     /// authority that is not this property's subject — so a wiped member
     /// stops minting (no registration, re-execution or suspicion).
     wiped: Vec<bool>,
+    /// The last incarnation a wipe minted: incarnations are boot instants,
+    /// so each wipe's is higher than any before it.
+    minted: u64,
 }
 
 impl Ring {
@@ -177,6 +182,7 @@ impl Ring {
             applied: vec![vec![0; k]; k],
             down: None,
             wiped: vec![false; k],
+            minted: 0,
         }
     }
 
@@ -208,16 +214,28 @@ impl Ring {
         let reseeded = retired(&self.members[j]).max(retired(&self.members[i]));
         let sender = &self.members[i];
         let mut feed = sender.feed_for(Self::id(j), base);
+        let (named, own) = (feed.incarnation_of(Self::id(j)), sender.incarnation());
         if !self.filtered {
             feed = sender.delta_since(feed.base_version);
         }
-        if feed.base_version > self.applied[j][i] {
-            // Gap: the consumer refuses the feed and asks for a reseed.
+        let incarnation = self.members[j].incarnation();
+        let foreign = feed.base_version > 0 && named != incarnation;
+        if feed.base_version > self.applied[j][i] || foreign {
+            // Gap, or a feed built for a database the consumer no longer
+            // is: it refuses the feed and asks for a reseed, announcing
+            // its incarnation.
             self.acked[i][j] = 0;
+            self.members[i].note_incarnation(Self::id(j), incarnation);
             return;
         }
         let (base, head) = (feed.base_version, feed.head_version);
         self.members[j].apply_delta_owned(feed, SimTime::ZERO);
+        if !self.filtered {
+            // The complete reference carries no markers: its consumer
+            // learns the incarnation the echo-free feed names for its
+            // sender by hand.
+            self.members[j].note_incarnation(Self::id(i), own);
+        }
         // A reseed — any round served from base 0 — is complete: what the
         // sender retired, the receiver holds retired too, however the
         // sender came to know it.
@@ -242,9 +260,11 @@ impl Ring {
     }
 
     /// `d` loses its disk: database, ack records and applied heads go
-    /// together; its peers are not told.
+    /// together, and the new database has a new incarnation; its peers are
+    /// not told.
     fn wipe(&mut self, d: usize) {
-        self.members[d] = CoordinatorDb::new(Self::id(d));
+        self.minted += 1;
+        self.members[d] = CoordinatorDb::with_incarnation(Self::id(d), self.minted);
         self.acked[d].fill(0);
         self.applied[d].fill(0);
         self.wiped[d] = true;
@@ -320,7 +340,14 @@ fn holds(peer: &CoordinatorDb, row: &DeltaRow) -> bool {
             retired(job) || peer.ckpt_high_water(job).is_some_and(|hw| hw >= *unit_hw)
         }
         DeltaRow::Retired { client, through } => peer.retired_watermark(*client) >= *through,
+        DeltaRow::Writer { .. } => true, // a marker, not a row
     }
+}
+
+/// `feed` without its [`DeltaRow::Writer`] markers: the rows it carries.
+fn rows(mut feed: ReplicationDelta) -> ReplicationDelta {
+    feed.rows.retain(|r| !matches!(r, DeltaRow::Writer { .. }));
+    feed
 }
 
 proptest! {
@@ -353,14 +380,16 @@ proptest! {
                     prop_assert_eq!(m.delta_since(0), twin.members[i].delta_since(0));
                     for p in (0..k).filter(|&p| p != i) {
                         let to = Ring::id(p);
-                        prop_assert_eq!(m.feed_for(to, 0), m.delta_since(0));
+                        prop_assert_eq!(rows(m.feed_for(to, 0)), m.delta_since(0));
                         if local_op {
-                            prop_assert_eq!(m.feed_for(to, before[i]), m.delta_since(before[i]));
+                            let feed = rows(m.feed_for(to, before[i]));
+                            prop_assert_eq!(feed, m.delta_since(before[i]));
                         }
                         // A feed `p` would accept leaves out only rows `p` holds.
                         let base = ring.acked[i][p];
-                        if base > 0 && base <= ring.applied[p][i] {
-                            let sent = m.feed_for(to, base);
+                        let sent = m.feed_for(to, base);
+                        let own = sent.incarnation_of(to) == ring.members[p].incarnation();
+                        if base > 0 && base <= ring.applied[p][i] && own {
                             for row in m.delta_since(base).rows {
                                 prop_assert!(
                                     sent.rows.contains(&row) || holds(&ring.members[p], &row),

@@ -782,6 +782,77 @@ fn retired_prefix_survives_two_successive_coordinator_wipes() {
     assert_eq!(g.client_results(), 8);
 }
 
+/// A stale complete frame must not open the door to an incremental round
+/// built for the database a wipe destroyed.  The replica captures a
+/// from-zero feed for the primary right after an acked round; the primary
+/// then registers new jobs, the replica learns them, and the primary loses
+/// its disk (the client is down, so the ring is the only place the jobs
+/// live on).  A stale duplicate of the captured frame reaches the restarted
+/// primary first and raises its applied head to exactly the replica's
+/// acked base, so the replica's next round passes the gap check — and it
+/// leaves out every row the primary wrote, the new jobs included.  It also
+/// names the incarnation the replica knows the primary under, which is not
+/// the new one: the primary refuses it and is reseeded.
+#[test]
+fn a_stale_complete_frame_cannot_admit_a_round_for_the_wiped_database() {
+    use rpcv::core::msg::Msg;
+    let cfg = ProtocolConfig::confined()
+        .with_heartbeat(SimDuration::from_secs(1))
+        .with_suspicion(SimDuration::from_secs(5))
+        .with_replication_period(SimDuration::from_secs(4));
+    let plan: Vec<CallSpec> =
+        (0..8).map(|i| CallSpec::new("b", Blob::synthetic(10_000, i), 2.0, 128)).collect();
+    let mut g = SimGrid::build(GridSpec::confined(2, 4).with_cfg(cfg).with_plan(plan));
+    let ((primary_id, c0), client) = (g.coords[0], g.client_node);
+    g.run_until_done(SimTime::from_secs(1800)).expect("workload completes");
+    // Between two rounds: the replica's last one is acked, and nothing has
+    // moved its version since.
+    g.world.run_until(SimTime::from_millis(40_500));
+    let stale = g.coordinator(1).unwrap().db().feed_for(primary_id, 0);
+    for k in 0..4u64 {
+        let call = Msg::ApiSubmit {
+            service: "b".into(),
+            params: Blob::synthetic(10_000, 100 + k),
+            exec_cost: 2.0,
+            result_size: 128,
+            replication: 1,
+            work_units: 4,
+        };
+        g.world.inject(SimTime::from_millis(40_600 + 10 * k), client, call);
+    }
+    let fresh: Vec<_> = (9..=12u64).map(|seq| rpcv::xw::JobKey::new(g.client_key, seq)).collect();
+    g.world.run_until(SimTime::from_millis(45_000));
+    assert!(fresh.iter().all(|j| g.coordinator(1).unwrap().db().knows_job(j)), "replica learned");
+
+    g.world.crash_now(client);
+    g.world.crash_now(c0);
+    g.world.wipe_durable(c0);
+    g.world.restart_now(c0);
+    let head = stale.head_version;
+    g.world.inject(
+        SimTime::from_millis(45_100),
+        c0,
+        Msg::ReplDelta { delta: stale, want_archives: vec![] },
+    );
+    g.world.run_until(SimTime::from_secs(70));
+    let primary = g.coordinator(0).expect("primary up");
+    let replica = g.coordinator(1).expect("replica up");
+    assert!(head > 0, "the stale frame raised the applied head");
+    let reseeds = replica.rx_counts.get("SnapshotRequest").copied().unwrap_or(0);
+    assert!(reseeds >= 1, "the wiped primary refuses the round built for its old database");
+    for job in &fresh {
+        assert!(primary.db().knows_job(job), "{job:?} came back to the wiped primary");
+    }
+    assert_eq!(primary.db().client_max(g.client_key), 12, "replay fence relearned");
+
+    // The client returns: nothing to replay, and every call is delivered.
+    g.world.restart_now(client);
+    g.world.run_until(SimTime::from_secs(300));
+    let primary = g.coordinator(0).expect("primary up");
+    assert!(!primary.rx_counts.contains_key("SubmitBatch"), "no client replay");
+    assert_eq!(g.client_results(), 12);
+}
+
 /// Group commit must not widen the ack window: a `TaskDoneAck` leaves at
 /// its *own* write's return, so when the primary dies while a batch of
 /// archives rides an op that has not even started, no server of that

@@ -82,6 +82,31 @@ fn corpus() -> Vec<Msg> {
             },
             want_archives: vec![JobKey::new(key, 3)],
         },
+        // An incremental round on a ring of three: it names its receiver's
+        // incarnation (coordinator 3 lost its disk once), relays a row
+        // coordinator 1 wrote, and marks the switch back to its own rows.
+        Msg::ReplDelta {
+            delta: ReplicationDelta {
+                from: CoordId(2),
+                base_version: 9,
+                head_version: 12,
+                rows: vec![
+                    DeltaRow::Writer { coord: CoordId(3), incarnation: 35_000_000_000 },
+                    DeltaRow::Writer { coord: CoordId(1), incarnation: 0 },
+                    DeltaRow::Task(TaskRecord {
+                        id: TaskId(8),
+                        job: JobKey::new(key, 4),
+                        attempt: 1,
+                        state: TaskState::Ongoing { server: ServerId(3), since: SimTime(9) },
+                        origin: CoordId(1),
+                    }),
+                    DeltaRow::Writer { coord: CoordId(2), incarnation: 0 },
+                    DeltaRow::Mark { client: key, mark: 4 },
+                ],
+            },
+            want_archives: vec![],
+        },
+        Msg::SnapshotRequest { from: CoordId(3), incarnation: 35_000_000_000 },
     ]
 }
 

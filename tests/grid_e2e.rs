@@ -198,6 +198,45 @@ fn replica_feed_carries_no_echo_while_primary_serves() {
     );
 }
 
+#[test]
+fn third_member_feed_carries_no_echo_while_primary_serves() {
+    // The 3-member twin of the gate above: the primary's rows reach the
+    // third member through the second, and the third member's rounds back
+    // to the primary — the last hop of the ring — must be all but empty.
+    // A row stops one hop short of the coordinator that wrote it, however
+    // many hops it took.  Under the old rule ("skip what the successor
+    // taught you") the third member echoed every row: the second member
+    // taught it all of them.
+    let jobs = 400;
+    let mut grid = SimGrid::build(GridSpec::confined(3, 4).with_seed(7));
+    for i in 0..jobs {
+        grid.world.inject(
+            SimTime::from_millis(250 * i),
+            grid.client_node,
+            Msg::ApiSubmit {
+                service: "b".into(),
+                params: Blob::synthetic(100, i),
+                exec_cost: 0.5,
+                result_size: 64,
+                replication: 1,
+                work_units: 1,
+            },
+        );
+    }
+    grid.world.run_until(SimTime::from_secs(150));
+    assert_eq!(grid.client_results() as u64, jobs);
+    let rows = |i: usize| {
+        let rounds = &grid.coordinator(i).unwrap().metrics.repl_rounds;
+        rounds.iter().map(|r| r.records).sum::<u64>()
+    };
+    let (primary_rows, third_rows) = (rows(0), rows(2));
+    assert!(primary_rows >= 3 * jobs, "job, task and ack rows replicate: {primary_rows}");
+    assert!(
+        third_rows * 20 <= primary_rows,
+        "the third member echoed {third_rows} rows against the primary's {primary_rows}"
+    );
+}
+
 /// An open-loop cell for the archive-path gates: 2 coordinators (100 µs
 /// database, as the scale bench runs them, so the archive disk — not the
 /// modelled MySQL — is the resource under test), `servers` servers, 16
