@@ -40,6 +40,7 @@ use rpcv_wire::{from_bytes, open_frame, seal_frame, to_bytes, Blob};
 use rpcv_xw::{result_seed, JobKey};
 
 use crate::config::ProtocolConfig;
+use crate::coordinator::CoordinatorActor;
 use crate::grid::{GridSpec, SimGrid};
 use crate::msg::Msg;
 use crate::util::CallSpec;
@@ -143,6 +144,11 @@ const FAULT_FROM: SimTime = SimTime::from_secs(2);
 const FAULT_UNTIL: SimTime = SimTime::from_secs(60);
 /// Give-up horizon for the whole run.
 const HORIZON: SimTime = SimTime::from_secs(3600);
+/// The cell's explicit-GC user (paper §4.2: GC "triggered ... explicitly
+/// by the user"): until the plan completes, every live coordinator reclaims
+/// the archives its clients confirmed collecting once per this much virtual
+/// time, so retention retires delivered work while the faults play out.
+const GC_EVERY: SimDuration = SimDuration::from_millis(500);
 
 /// What one oracle run observed.  `violations` is empty iff every safety
 /// invariant held.
@@ -168,6 +174,9 @@ pub struct ChaosReport {
     pub poisoned: u64,
     /// Poison frames counted by actors (`Σ bad_frames`).
     pub bad_frames: u64,
+    /// Jobs retired (delivered, then pruned by retention) summed over the
+    /// live coordinators at the end: zero says the cell's GC never ran.
+    pub retired: u64,
     /// When the plan finished, if it did.
     pub done_at: Option<SimTime>,
     /// Virtual time from full heal to completion (zero when the workload
@@ -263,7 +272,7 @@ impl ChaosOracle {
         plan.apply(&mut g.world);
 
         let mut violations = Vec::new();
-        let done = g.run_until_done(HORIZON);
+        let done = run_until_done_with_gc(&mut g);
         if done.is_none() {
             violations.push(format!(
                 "plan did not complete within {}s of virtual time",
@@ -332,11 +341,13 @@ impl ChaosOracle {
             ));
         }
 
+        let mut retired = 0;
         for (i, _) in g.coords.iter().enumerate() {
             let Some(c) = g.coordinator(i) else {
                 violations.push(format!("coordinator {i} is down after the plan healed"));
                 continue;
             };
+            retired += c.db().retired_count();
             // The finished count may dip — a disk wipe can destroy the
             // only copy of an uncollected result archive, and the
             // coordinator then reverts the job for at-least-once
@@ -420,6 +431,7 @@ impl ChaosOracle {
             garbled,
             poisoned,
             bad_frames,
+            retired,
             done_at: done,
             recovery_makespan,
             telemetry,
@@ -436,6 +448,32 @@ impl ChaosOracle {
             }
         }
         total
+    }
+}
+
+/// Garbage collection on every live coordinator, as the cell's user asks
+/// for it.
+fn gc_all(g: &mut SimGrid) {
+    for &(_, node) in &g.coords {
+        if let Some(c) = g.world.actor_mut::<CoordinatorActor>(node) {
+            c.gc_now();
+        }
+    }
+}
+
+/// [`SimGrid::run_until_done`] with the cell's user in the loop: a GC
+/// after every [`GC_EVERY`] of virtual time, until every client's plan
+/// completed (`Some(instant)`) or [`HORIZON`] passed (`None`).
+fn run_until_done_with_gc(g: &mut SimGrid) -> Option<SimTime> {
+    loop {
+        if let Some(done) = g.all_plans_done() {
+            return Some(done);
+        }
+        if g.world.now() >= HORIZON {
+            return None;
+        }
+        g.world.run_for(GC_EVERY);
+        gc_all(g);
     }
 }
 

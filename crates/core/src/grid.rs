@@ -264,7 +264,7 @@ impl SimGrid {
 
     /// When every planned client finished (the latest `done_at`), or
     /// `None` while any is still working (or down).
-    fn all_plans_done(&self) -> Option<SimTime> {
+    pub(crate) fn all_plans_done(&self) -> Option<SimTime> {
         if self.planned.is_empty() {
             return None;
         }

@@ -93,18 +93,26 @@ fn soak_plan(sharded: bool, seed: u64, intensity: f64) -> Result<(), String> {
     Err(format!("{plane} ({seed:#x}, {intensity}): {:?}", report.violations))
 }
 
-/// Plans the soak found, kept: `(sharded, seed, intensity)`.  Each once
-/// ended with every node alive, healed and idle and one job undeliverable
-/// for good.  Flat: both coordinators dispatch one replicated `Pending` row,
-/// bounce, and each server re-homes to the other — a restarted coordinator
-/// must watch the servers it forwarded to.  Sharded: a server delivers to a
-/// coordinator that knows the job but not yet the instance — the result
-/// must enter the replication feed all the same.
+/// Plans the soak found, kept: `(sharded, seed, intensity)`.  Each of the
+/// first four once ended with every node alive, healed and idle and one job
+/// undeliverable for good.  Flat: both coordinators dispatch one replicated
+/// `Pending` row, bounce, and each server re-homes to the other — a
+/// restarted coordinator must watch the servers it forwarded to.  Sharded:
+/// a server delivers to a coordinator that knows the job but not yet the
+/// instance — the result must enter the replication feed all the same.
+/// The last three re-executed delivered jobs after the heal once the cell
+/// ran GC: a member learned a retired watermark from a from-zero round, and
+/// its incremental rounds never passed it on, so its successor dispatched
+/// jobs the client had already collected — a watermark must travel on
+/// every feed stamped past it.
 const NAMED_PLANS: &[(bool, u64, f64)] = &[
     (false, 0x3659_9a4d_9611_35b4, 0.727),
     (false, 0xc473_1438_e4e2_1a79, 0.817),
     (true, 0xb8b1_f126_0cbe_76f0, 0.913),
     (true, 0x20cd_7553_4647_4b30, 0.56),
+    (false, 0x520f_8113_8fcf_601e, 0.55635),
+    (false, 0x19a1_4d6d_14fa_fa1f, 0.2229),
+    (false, 0x311e_9c1b_be07_8343, 0.1108),
 ];
 
 #[test]
