@@ -38,8 +38,8 @@ pub struct ReplRound {
     pub started: SimTime,
     /// Acknowledgement arrival.
     pub acked_at: Option<SimTime>,
-    /// Delta rows carried (jobs, tasks, marks, collection acks, checkpoints;
-    /// a from-zero round leads with the retired watermarks).
+    /// Delta rows carried (jobs, tasks, marks, collection acks, checkpoints,
+    /// retired watermarks).
     pub records: u64,
     /// Modelled bytes transferred.
     pub bytes: u64,
@@ -80,9 +80,10 @@ rpcv_simnet::counters! {
         /// Frames that arrived unreadable (wire corruption) and were dropped
         /// without touching protocol state.
         pub bad_frames,
-        /// Rounds that had to start over from zero: the successor's acked
-        /// base was below the retention floor (it fell behind, was written
-        /// off, or asked for a reseed after losing its disk).
+        /// Rounds built from base 0 that carry rows: the successor holds no
+        /// acknowledged base here — it is a first-time successor, or it
+        /// asked for a reseed (a gap, or a feed naming an incarnation it
+        /// no longer is, as after losing its disk).
         pub snapshots_sent,
         /// Live-introspection requests answered with a sealed snapshot.
         pub status_replies,
@@ -681,10 +682,12 @@ impl CoordinatorActor {
             if now.since(started) > ack_horizon {
                 ctx.note("coordinator suspects ring successor");
                 self.coords.suspect(succ, now);
-                // Its ack record is stale the moment it's suspected: if it
-                // ever becomes our successor again, reseed it from zero
-                // rather than assume it still holds everything it acked.
-                self.acked_version.remove(&succ);
+                // Its ack record stays: it never exceeds what the peer
+                // durably applied, so when the peer is our successor again
+                // it is tailed from there.  A peer that cannot take that
+                // tail — it lost its disk, or never applied the base —
+                // refuses it and asks for a reseed, and that request is
+                // where the record goes.
                 self.inflight_repl = None;
             } else {
                 return; // one round in flight at a time
@@ -697,13 +700,12 @@ impl CoordinatorActor {
         let base = self.acked_version.get(&succ).copied().unwrap_or(0);
         // The successor's own rows stay home: what it wrote, in the
         // incarnation it confirmed, it holds, so the feed skips those
-        // entries straight off the change index.
-        // A base retention pruned past cannot be tailed: the store serves
-        // it from zero, complete, and the successor tails on from its head.
+        // entries straight off the change index.  A tail from any base it
+        // acknowledged is complete: what retention pruned since rides it
+        // as the re-stamped retired watermarks.
         let delta = self.db.feed_for(succ, base);
-        if base < self.db.delta_floor() {
+        if base == 0 && !delta.is_empty() {
             self.metrics.snapshots_sent += 1;
-            ctx.note("replication: successor base below retention floor; reseeding from zero");
         }
         // Building the delta reads every shipped row (and only those: the
         // version index makes this O(changed), not O(tables), and a

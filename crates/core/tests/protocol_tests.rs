@@ -446,13 +446,13 @@ fn a_server_ends_alike_whichever_answer_arrives_first() {
 }
 
 #[test]
-fn the_round_below_the_floor_is_one_frame_charged_once() {
+fn the_round_from_zero_is_one_frame_charged_once() {
     // A bootstrap is a regular round: one `ReplDelta`, metered by the one
     // counting pass.  An inline payload travels inside the frame and is
     // charged there; only a synthetic one is bytes charged on top.  Job 1
-    // is delivered and retired (the retention floor); jobs 2 and 3 stay
-    // live on the one server, one with 3000 inline parameter bytes, one
-    // standing for 5000 synthetic ones.
+    // is delivered and retired (its watermark rides the feed); jobs 2 and
+    // 3 stay live on the one server, one with 3000 inline parameter bytes,
+    // one standing for 5000 synthetic ones.
     let cfg = ProtocolConfig::confined()
         .with_heartbeat(SimDuration::from_secs(1))
         .with_suspicion(SimDuration::from_secs(4))
@@ -470,8 +470,10 @@ fn the_round_below_the_floor_is_one_frame_charged_once() {
     grid.world.run_until(at(25));
     grid.world.actor_mut::<CoordinatorActor>(primary).unwrap().gc_now();
     grid.world.run_until(at(35));
-    assert!(grid.coordinator(0).unwrap().db().delta_floor() > 0, "job 1 retired");
-    // It comes back holding nothing: base 0 is below the floor.
+    assert_eq!(grid.coordinator(0).unwrap().db().retired_count(), 1, "job 1 retired");
+    let seeded = grid.coordinator(0).unwrap().metrics.snapshots_sent;
+    // It comes back holding nothing: acknowledging base 0, it is served
+    // from zero.
     grid.world.inject(at(35), successor, Msg::ReplAck { from: succ_id, head_version: 0 });
     grid.world.run_until(at(45));
     let heard = &grid.world.actor::<Probe>(successor).unwrap().heard;
@@ -486,7 +488,7 @@ fn the_round_below_the_floor_is_one_frame_charged_once() {
     assert_eq!(boot.wire_size() - boot.encoded_len(), 5000, "each payload charged once");
     assert!(boot.encoded_len() > 3000, "the inline payload rides in the frame");
     let primary = grid.coordinator(0).unwrap();
-    assert_eq!(primary.metrics.snapshots_sent, 1);
+    assert_eq!(primary.metrics.snapshots_sent, seeded + 1, "one more round from zero");
     let round = primary.metrics.repl_rounds.last().unwrap();
     assert_eq!((round.bytes, round.records), (boot.wire_size(), delta.len() as u64), "and logged");
 }

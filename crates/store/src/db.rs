@@ -61,12 +61,11 @@ impl TaskIds {
 /// exist *without* a registered job, and then lives in a **stub** row
 /// (`spec == None`): an archive (with its finished flag, catalog entry and
 /// collected knowledge) stored by [`CoordinatorDb::complete_task`] for a
-/// known task whose reported job key is not registered here, or left
-/// behind when a bootstrap feed's retired watermark prunes a lagging
-/// replica's not-yet-collected job.
+/// known task whose reported job key is not registered here.
 ///
-/// A stub that lost its last attribute is removed, so the table holds
-/// live jobs — never lifetime jobs.  A stub is the only row that may sit
+/// The table holds live jobs — never lifetime jobs: no row, stub or not,
+/// sits at or below its client's retired watermark (retirement takes the
+/// whole row, archive included).  A stub is the only row that may sit
 /// above its client's registration mark: the mismatched pair reports a
 /// key never registered here.
 #[derive(Debug, Clone, Default)]
@@ -114,9 +113,10 @@ impl JobRow {
     }
 }
 
-/// Per-client registration high-water mark, versioned so replication
-/// deltas can carry only the marks that changed since the base version
-/// (instead of re-sending every known client's mark each round).
+/// A per-client watermark — the registration high-water mark, or the
+/// retired prefix — versioned so replication deltas carry only the
+/// watermarks that moved since the base version (instead of re-sending
+/// every known client's each round).
 #[derive(Debug, Clone, Copy)]
 struct MarkRow {
     mark: u64,
@@ -138,6 +138,9 @@ enum Changed {
     /// The job's checkpoint high-water mark moved — replicated so a
     /// promoted successor inherits the resume point.
     Ckpt(JobKey),
+    /// The client's retired watermark rose — replicated so every peer
+    /// that tails this feed learns what retention pruned.
+    Retired(ClientKey),
 }
 
 /// Who wrote a change-index entry's current contents: the coordinator
@@ -351,19 +354,18 @@ pub struct CoordinatorDb {
     /// which is what lets retention drop the per-job rows.
     collected_contig: BTreeMap<ClientKey, u64>,
     /// Per-client retired prefix: every seq `1..=r` had *all* of its rows
-    /// (job, tasks, collected, ckpt) pruned from the tables and the
-    /// change index.  Invariant: `retired_below ≤ collected_contig` —
+    /// (job, tasks, collected, ckpt, archive) pruned from the tables and
+    /// the change index.  Invariant: `retired_below ≤ collected_contig` —
     /// only delivered work retires.  `Σ retired_below` is the lifetime
     /// retired-job count (seqs are 1-based and contiguous), so the
-    /// cumulative stats need no separate counter for jobs.
-    retired_below: BTreeMap<ClientKey, u64>,
+    /// cumulative stats need no separate counter for jobs.  Each watermark
+    /// is a versioned row ([`Changed::Retired`]), re-stamped whenever it
+    /// rises, so a feed from any base carries every watermark stamped
+    /// above it.
+    retired_below: BTreeMap<ClientKey, MarkRow>,
     /// Task rows pruned by retention (lifetime), folded back into
     /// [`Self::stats`] so observers see monotone counts across pruning.
     retired_tasks: u64,
-    /// Highest change-index version ever pruned: `delta_since(base)` is
-    /// complete only for `base >= delta_floor` — [`Self::feed_for`] serves
-    /// a lower base from zero instead.
-    delta_floor: u64,
 }
 
 impl CoordinatorDb {
@@ -398,7 +400,6 @@ impl CoordinatorDb {
             collected_contig: BTreeMap::new(),
             retired_below: BTreeMap::new(),
             retired_tasks: 0,
-            delta_floor: 0,
         }
     }
 
@@ -524,7 +525,22 @@ impl CoordinatorDb {
     /// all of its rows pruned (0 if none).  Always ≤
     /// [`Self::contig_watermark`].
     pub fn retired_watermark(&self, client: ClientKey) -> u64 {
-        self.retired_below.get(&client).copied().unwrap_or(0)
+        self.retired_below.get(&client).map_or(0, |r| r.mark)
+    }
+
+    /// Raises `client`'s retired prefix to `through` (above the current
+    /// one) and re-stamps its watermark row, written by `from`: every feed
+    /// whose base lies below the new stamp carries it.
+    fn raise_retired(&mut self, client: ClientKey, through: u64, from: Provenance) {
+        let row = self.retired_below.entry(client).or_insert(MarkRow { mark: 0, version: 0 });
+        row.mark = through;
+        row.version = Self::touch(
+            &mut self.changed,
+            &mut self.version,
+            row.version,
+            Changed::Retired(client),
+            from,
+        );
     }
 
     /// Advances `client`'s contiguous-collected watermark over any newly
@@ -828,8 +844,9 @@ impl CoordinatorDb {
         }
         // A known task may report a job key that is not registered here
         // (mismatched pair): the archive is stored all the same, in a stub
-        // row.
-        if self.jobs.get(&job).is_some_and(|r| r.archive.is_some() || r.collected) {
+        // row — unless the key is retired, i.e. delivered already.
+        let retired = job.seq <= self.retired_watermark(job.client);
+        if retired || self.jobs.get(&job).is_some_and(|r| r.archive.is_some() || r.collected) {
             self.duplicate_results += 1;
             return (CompleteOutcome::Duplicate, Charge::ops(2));
         }
@@ -1334,20 +1351,22 @@ impl CoordinatorDb {
     ///
     /// A range read over the version-ordered change index: only rows with
     /// `version > base` are visited — O(changed · log n), independent of
-    /// table size.  Client marks and collection acknowledgements are
-    /// versioned like any other row, so a steady-state round carries only
-    /// the marks that actually moved and the collections acknowledged
-    /// since the last round (the full-table predecessor re-sent every
-    /// known client each round).  Rows come out in version order, which
-    /// guarantees a job row precedes its task and collected rows.
+    /// table size.  Client marks, collection acknowledgements and retired
+    /// watermarks are versioned like any other row, so a steady-state
+    /// round carries only the marks that actually moved, the collections
+    /// acknowledged and the watermarks raised since the last round (the
+    /// full-table predecessor re-sent every known client each round).
+    /// Rows come out in version order, which guarantees a job row precedes
+    /// its task and collected rows.
     ///
     /// This is the *complete* feed — bootstraps and the scan references
-    /// are all defined by it — for `base == 0` and for every `base` at or
-    /// above [`Self::delta_floor`].  From zero it leads with one
-    /// [`DeltaRow::Retired`] row per client, the summary of everything
-    /// retention pruned: whoever applies it holds all this database knows.
-    /// The round to a ring peer is [`Self::feed_for`], the same builder
-    /// with that peer's own rows left out.
+    /// are all defined by it — from every base: a row retention pruned
+    /// left the index, but the [`DeltaRow::Retired`] watermark that covers
+    /// it was re-stamped above every version pruned, so a feed from any
+    /// base carries every watermark stamped above it, and whoever held
+    /// `base` and applies the feed holds all this database knows.  The
+    /// round to a ring peer is [`Self::feed_for`], the same builder with
+    /// that peer's own rows left out.
     pub fn delta_since(&self, base: u64) -> ReplicationDelta {
         self.build_delta(base, None)
     }
@@ -1363,30 +1382,25 @@ impl CoordinatorDb {
     /// so the receiver keeps the provenance for the next hop; rows `to`
     /// wrote in an earlier incarnation travel as this coordinator's own.
     ///
-    /// A base below [`Self::delta_floor`] cannot be tailed — retention
-    /// pruned rows past it — so the feed starts over from zero
-    /// (`base_version` says which base was served).  And a from-zero feed
-    /// is a bootstrap, complete by definition: nothing is skipped and the
-    /// retired watermarks lead.  That is what keeps a disk wipe safe — a
-    /// wiped peer lost its applied-head record along with its rows, and its
-    /// new database has a new incarnation.  It refuses every `base > 0`
-    /// feed that is a gap or names another incarnation than its own, so no
-    /// feed it accepts skips a row only its lost disk held; the reseed it
-    /// asks for announces the new incarnation and carries every row, its
-    /// own included, and every watermark, however this database came to
-    /// know it.
+    /// A from-zero feed is a bootstrap, complete by definition: nothing is
+    /// skipped.  That is what keeps a disk wipe safe — a wiped peer lost
+    /// its applied-head record along with its rows, and its new database
+    /// has a new incarnation.  It refuses every `base > 0` feed that is a
+    /// gap or names another incarnation than its own, so no feed it accepts
+    /// skips a row only its lost disk held; the reseed it asks for
+    /// announces the new incarnation and carries every row, its own
+    /// included, and every watermark, however this database came to know
+    /// it.
     pub fn feed_for(&self, to: CoordId, base: u64) -> ReplicationDelta {
-        let base = if base < self.delta_floor { 0 } else { base };
         self.build_delta(base, Some(to))
     }
 
-    /// The one feed builder: the retired watermarks when `base` is 0, then
-    /// the rows changed since `base`, in version order.  Fed to peer `to`,
-    /// it opens with the two ends' incarnations (each when not 0), leaves
-    /// out (when `base > 0`) the entries `to` wrote in the incarnation it
-    /// confirmed, and marks the writer wherever it changes; fed to no one
-    /// in particular, every row is this coordinator's own and it marks
-    /// nothing.
+    /// The one feed builder: the rows changed since `base`, in version
+    /// order.  Fed to peer `to`, it opens with the two ends' incarnations
+    /// (each when not 0), leaves out (when `base > 0`) the entries `to`
+    /// wrote in the incarnation it confirmed, and marks the writer wherever
+    /// it changes; fed to no one in particular, every row is this
+    /// coordinator's own and it marks nothing.
     fn build_delta(&self, base: u64, to: Option<CoordId>) -> ReplicationDelta {
         let mut rows = Vec::new();
         // `skip`: the rows the receiver wrote in the incarnation it
@@ -1409,9 +1423,6 @@ impl CoordinatorDb {
                     theirs.push(from);
                 }
             }
-        }
-        if base == 0 {
-            rows.extend(self.retired_rows());
         }
         for (_, entry) in
             self.changed.range((std::ops::Bound::Excluded(base), std::ops::Bound::Unbounded))
@@ -1451,12 +1462,11 @@ impl CoordinatorDb {
                 let ckpt = self.jobs.get(&job)?.ckpt.as_ref()?;
                 Some(DeltaRow::Ckpt { job, unit_hw: ckpt.unit_hw, blob: ckpt.blob.clone() })
             }
+            Changed::Retired(client) => {
+                let row = self.retired_below.get(&client)?;
+                Some(DeltaRow::Retired { client, through: row.mark })
+            }
         }
-    }
-
-    /// One [`DeltaRow::Retired`] row per client with a retired prefix.
-    fn retired_rows(&self) -> impl Iterator<Item = DeltaRow> + '_ {
-        self.retired_below.iter().map(|(&client, &through)| DeltaRow::Retired { client, through })
     }
 
     /// Full-table-scan reference definition of [`Self::delta_since`], kept
@@ -1464,10 +1474,13 @@ impl CoordinatorDb {
     /// (Marks, collection acknowledgements and checkpoints carry no
     /// per-row version in this definition, so it re-sends every known
     /// client's mark, every collected job and every checkpoint row, as a
-    /// pre-index implementation would.)
+    /// pre-index implementation would.  A retired watermark is one row per
+    /// client, emitted when it was stamped above `base`.)
     #[doc(hidden)]
     pub fn delta_since_scan(&self, base: u64) -> ReplicationDelta {
-        let retired = self.retired_rows().filter(|_| base == 0);
+        let retired = (self.retired_below.iter())
+            .filter(|(_, r)| r.version > base)
+            .map(|(&client, r)| DeltaRow::Retired { client, through: r.mark });
         let jobs = self
             .jobs
             .iter()
@@ -1708,8 +1721,9 @@ impl CoordinatorDb {
     /// log GC/replay protocol (replay only above `coord_max`) can never
     /// resubmit one.
     ///
-    /// Pruning raises [`Self::delta_floor`]; a consumer whose base falls
-    /// below the floor is bootstrapped from zero ([`Self::feed_for`]).
+    /// Pruning re-stamps the client's retired watermark row, so a consumer
+    /// tailing the feed from any base it acknowledged learns the pruned
+    /// prefix as one [`DeltaRow::Retired`] row.
     ///
     /// O(clients) when nothing is retirable; otherwise O(rows pruned).
     /// Returns the number of jobs retired.
@@ -1733,7 +1747,7 @@ impl CoordinatorDb {
                 pruned += 1;
             }
             if r > start {
-                self.retired_below.insert(client, r);
+                self.raise_retired(client, r, Provenance::LOCAL);
             }
         }
         pruned
@@ -1753,23 +1767,18 @@ impl CoordinatorDb {
             && row.tasks.iter().filter_map(|id| self.tasks.get(&id)).all(|t| t.version <= min_acked)
     }
 
-    /// Removes every row of retired job `k` from the tables and the
-    /// change index, maintaining the secondary indexes and the FCFS queue,
-    /// and raises the delta floor past the pruned versions.
-    ///
-    /// One attribute is *not* a retired job's to take along and stays
-    /// behind in a stub row: when a feed's watermark retires a lagging
-    /// replica's job that was never collected here, a still-retained
-    /// archive with its catalog entry and GC flag.
+    /// Removes job `k`'s row and every row of it — tasks, collected
+    /// knowledge, checkpoint, and a still-retained archive with its
+    /// catalog entry and GC flag — from the tables and the change index,
+    /// maintaining the secondary indexes and the FCFS queue.  A retired
+    /// job was delivered: when a feed's watermark retires a lagging
+    /// replica's job that was never collected here, the client holds the
+    /// result all the same, so the archive goes with the rest.
     fn prune_job(&mut self, k: &JobKey) {
-        let Some(row) = self.jobs.get_mut(k) else { return };
-        let gone = std::mem::take(row);
-        row.archive = gone.archive;
-        let vacant = row.is_vacant();
+        let Some(gone) = self.jobs.remove(k) else { return };
         for id in gone.tasks.iter() {
             let Some(task) = self.tasks.remove(&id) else { continue };
             self.changed.remove(&task.version);
-            self.delta_floor = self.delta_floor.max(task.version);
             self.retired_tasks += 1;
             match task.rec.state {
                 TaskState::Ongoing { server, .. } => {
@@ -1785,29 +1794,29 @@ impl CoordinatorDb {
         }
         if gone.collected_pos != 0 {
             self.changed.remove(&gone.collected_pos);
-            self.delta_floor = self.delta_floor.max(gone.collected_pos);
         }
         if let Some(ckpt) = gone.ckpt {
             self.changed.remove(&ckpt.version);
-            self.delta_floor = self.delta_floor.max(ckpt.version);
         }
         if gone.spec.is_some() {
             self.changed.remove(&gone.version);
-            self.delta_floor = self.delta_floor.max(gone.version);
+        }
+        if let Some(archive) = gone.archive {
+            self.catalog.remove(&(k.client, archive.catalog_pos));
+            self.collected_flagged.remove(k);
         }
         if gone.finished {
             self.finished_rows -= 1;
             self.missing.leave(k);
         }
-        if vacant {
-            self.jobs.remove(k);
-        }
     }
 
     /// Raises `client`'s retired prefix to `w` on the authority of a feed's
-    /// [`DeltaRow::Retired`] row, pruning any still-resident rows of the
-    /// retired jobs (a lagging replica may hold rows the sender already
-    /// pruned).  Pruned jobs not known delivered before count into `news`.
+    /// [`DeltaRow::Retired`] row written by `from`, pruning every
+    /// still-resident row of the retired jobs (a lagging replica may hold
+    /// rows the sender already pruned), and re-stamps the watermark so this
+    /// database's own feeds pass it on.  Pruned jobs not known delivered
+    /// before count into `news`.
     fn retire_through(
         &mut self,
         client: ClientKey,
@@ -1815,29 +1824,28 @@ impl CoordinatorDb {
         from: Provenance,
         news: &mut u64,
     ) -> Charge {
-        let start = self.retired_watermark(client);
-        if w <= start {
+        if w <= self.retired_watermark(client) {
             return Charge::ops(1);
         }
-        let mut ops = 1;
-        for seq in start + 1..=w {
+        // No row sits at or below the current watermark, so the window's
+        // rows up to `w` are exactly the ones to prune.
+        let doomed: Vec<u64> =
+            self.jobs.client(client).map(|(seq, _)| seq).take_while(|&seq| seq <= w).collect();
+        for &seq in &doomed {
             let k = JobKey { client, seq };
-            if self.knows_job(&k) {
-                if !self.has_collected_knowledge(&k) {
-                    *news += 1;
-                }
-                self.prune_job(&k);
-                ops += 1;
+            if self.knows_job(&k) && !self.has_collected_knowledge(&k) {
+                *news += 1;
             }
+            self.prune_job(&k);
         }
-        self.retired_below.insert(client, w);
+        self.raise_retired(client, w, from);
         let c = self.collected_contig.entry(client).or_insert(0);
         *c = (*c).max(w);
         // Terminal-collected rows just above the new prefix may have
         // become contiguous with it.
         self.advance_collected_contig(client);
         self.note_mark(client, w, from);
-        Charge::ops(ops)
+        Charge::ops(1 + doomed.len() as u64)
     }
 
     /// Alias of [`Self::delta_since`]`(0)`, the complete feed a peer that
@@ -1847,17 +1855,10 @@ impl CoordinatorDb {
         self.delta_since(0)
     }
 
-    /// Highest change-index version ever pruned (0 = nothing pruned).
-    /// [`Self::delta_since`] is complete only from zero and for bases at
-    /// or above this floor; [`Self::feed_for`] restarts a consumer below it
-    /// from zero.
-    pub fn delta_floor(&self) -> u64 {
-        self.delta_floor
-    }
-
     /// Live change-index entries — one per resident row.  The
     /// bounded-memory gate: steady state tracks *live* jobs (plus one
-    /// mark row per client), not lifetime jobs.
+    /// mark row and at most one watermark row per client), not lifetime
+    /// jobs.
     pub fn resident_rows(&self) -> u64 {
         self.changed.len() as u64
     }
@@ -1866,7 +1867,7 @@ impl CoordinatorDb {
     /// 1-based and contiguous below each retired watermark, so the sum of
     /// watermarks *is* the count.
     pub fn retired_count(&self) -> u64 {
-        self.retired_below.values().sum()
+        self.retired_below.values().map(|r| r.mark).sum()
     }
 
     // --- introspection ------------------------------------------------------
@@ -1944,6 +1945,10 @@ impl CoordinatorDb {
         let (mut versioned, mut missing_rows) = (0, 0);
         for (k, row) in self.jobs.iter() {
             assert!(!row.is_vacant(), "{k:?}: vacant stub left in the table");
+            // Retirement takes the whole row: nothing stays resident below
+            // the watermark.
+            let w = self.retired_watermark(k.client);
+            assert!(k.seq > w, "{k:?}: row resident at or below the retired watermark {w}");
             let tasks = by_job.remove(&k).unwrap_or_default();
             let mut ids: Vec<TaskId> = row.tasks.iter().collect();
             ids.sort_unstable();
@@ -2044,9 +2049,17 @@ impl CoordinatorDb {
             .map(|t| (t.version, t.rec.id))
             .collect();
         assert_eq!(self.pending, queue, "the queue holds exactly the pending rows, by version");
+        for (&client, r) in &self.retired_below {
+            let entry = self.changed.get(&r.version).map(|e| e.row);
+            assert_eq!(entry, Some(Changed::Retired(client)), "{client:?}: watermark entry");
+            assert!(
+                r.mark <= self.contig_watermark(client),
+                "{client:?}: retired undelivered work"
+            );
+        }
         assert_eq!(
             self.changed.len(),
-            versioned + self.tasks.len() + self.client_max.len(),
+            versioned + self.tasks.len() + self.client_max.len() + self.retired_below.len(),
             "one change-index entry per live row"
         );
         let stats = self.stats();
@@ -2950,15 +2963,17 @@ mod tests {
         // Nothing acked: nothing prunable.
         assert_eq!(d.prune_retired(0), 0);
         assert_eq!(d.resident_rows(), rows_before);
-        assert_eq!(d.delta_floor(), 0);
+        assert_eq!(d.retired_count(), 0);
         // Everything acked: the whole delivered prefix retires.
         let head = d.version();
         assert_eq!(d.prune_retired(head), 3);
         assert_eq!(d.retired_watermark(ClientKey::new(1, 1)), 3);
-        assert!(d.delta_floor() > 0);
-        // Only the mark row remains resident.
-        assert_eq!(d.resident_rows(), 1);
+        // Only the mark row and the watermark row remain resident, and the
+        // watermark rides the tail from the acked head.
+        assert_eq!(d.resident_rows(), 2);
         assert_eq!(d.delta_since(0).marks().count(), 1);
+        let tail = d.delta_since(head);
+        assert_eq!(tail.rows, vec![DeltaRow::Retired { client: ClientKey::new(1, 1), through: 3 }]);
         // Lifetime counters never dip.
         assert_eq!(d.finished_count(), 3);
         assert_eq!(d.stats().jobs, 3);
@@ -3029,14 +3044,18 @@ mod tests {
         let client = ClientKey::new(1, 1);
         let mut a = db();
         run_to_collected(&mut a, 3);
-        a.prune_retired(a.version());
+        let acked = a.version();
+        a.prune_retired(acked);
         // Live work on top of the retired prefix.
         a.register_job(job(4));
         a.register_job(job(5));
         // Through the wire: the bootstrap is the frame any round is.
         let boot: ReplicationDelta = from_bytes(&to_bytes(&a.delta_since(0))).unwrap();
         assert_eq!(boot.retired().collect::<Vec<_>>(), vec![(client, 3)]);
-        assert_eq!(boot.rows[0], DeltaRow::Retired { client, through: 3 }, "watermarks lead");
+        // A feed carries every watermark stamped above its base: the tail
+        // from the head the pruning waited on carries it too.
+        let since_ack = a.delta_since(acked);
+        assert_eq!(since_ack.retired().collect::<Vec<_>>(), vec![(client, 3)]);
         // Tail: changes after the capture.
         let tail_base = boot.head_version;
         while let (Some(t), _) = a.next_pending(ServerId(2), T0) {
@@ -3069,7 +3088,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_prunes_a_lagging_receiver_past_the_senders_floor() {
+    fn a_watermark_prunes_a_lagging_receivers_rows() {
         // The receiver holds rows the sender already retired: applying
         // the bootstrap's watermark must prune them here too, not leave
         // zombies outside the feed.
@@ -3083,7 +3102,7 @@ mod tests {
         assert_eq!(applied.newly_collected, 0, "both were known delivered already");
         assert_eq!(b.retired_watermark(ClientKey::new(1, 1)), 2);
         assert!(!b.knows_job(&JobKey::new(ClientKey::new(1, 1), 1)));
-        assert_eq!(b.resident_rows(), 1, "only the mark row remains");
+        assert_eq!(b.resident_rows(), 2, "only the mark and watermark rows remain");
         assert_eq!(b.stats().jobs, 2, "lifetime count intact");
         b.check_invariants();
     }
@@ -3091,15 +3110,15 @@ mod tests {
     #[test]
     fn retired_knowledge_survives_the_second_hop() {
         // Two successive wipes: `b` learns `a`'s retired prefix from a
-        // bootstrap and prunes nothing itself (no floor of its own), then
-        // is the only place the wiped `a` can relearn it from.
+        // bootstrap and prunes nothing itself, then is the only place the
+        // wiped `a` can relearn it from.
         let client = ClientKey::new(1, 1);
         let mut a = db();
         run_to_collected(&mut a, 3);
         a.prune_retired(a.version());
         let mut b = CoordinatorDb::new(CoordId(2));
         b.apply_delta(&a.feed_for(CoordId(2), 0));
-        assert_eq!((b.retired_count(), b.delta_floor()), (3, 0));
+        assert_eq!((b.retired_count(), b.resident_rows()), (3, 2), "learned: mark and watermark");
         let mut a2 = db();
         a2.apply_delta(&b.feed_for(CoordId(1), 0));
         a2.check_invariants();
@@ -3228,11 +3247,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_watermark_leaves_an_uncollected_archive_behind() {
+    fn a_watermark_reclaims_an_uncollected_archive() {
         // The receiver stored job 1's archive but never learned it was
-        // collected; the sender retired it.  The watermark prunes the
-        // job's rows here — the retained archive stays servable and
-        // GC-able, as it always did.
+        // collected; the sender retired it.  Retired means collected at the
+        // writer: the client holds the result, so the watermark takes the
+        // job's archive with its catalog entry here too — nothing stays
+        // resident below the watermark.
         let client = ClientKey::new(1, 1);
         let mut a = db();
         run_to_collected(&mut a, 1);
@@ -3246,11 +3266,82 @@ mod tests {
         let applied = b.apply_delta_owned(a.feed_for(CoordId(2), 0), T0);
         assert_eq!(applied.newly_collected, 1, "delivered is news here");
         b.check_invariants();
-        assert!(!b.knows_job(&k));
-        assert_eq!(b.archive(&k).map(Blob::len), Some(64));
-        assert_eq!(b.results_catalog_scan(client), vec![(1, 64)]);
+        assert!(!b.knows_job(&k) && b.jobs.get(&k).is_none(), "no stub row");
+        assert_eq!(b.archive(&k), None);
+        assert_eq!(b.results_catalog_scan(client), vec![]);
         assert!(b.has_collected_knowledge(&k), "summarized by the watermark");
-        assert_eq!((b.stats().archived, b.finished_count()), (1, 1));
+        assert_eq!((b.stats().archived, b.finished_count()), (0, 1));
+        // A known task reporting the retired key (a mismatched pair) is a
+        // duplicate result, not a stub row below the watermark.
+        b.register_job(job(2));
+        let (t2, _) = b.next_pending(ServerId(1), T0);
+        let (o, _) = b.complete_task(t2.unwrap().id, k, Blob::synthetic(64, 1), ServerId(1));
+        assert_eq!(o, CompleteOutcome::Duplicate);
+        assert!(b.jobs.get(&k).is_none());
+        b.check_invariants();
+    }
+
+    #[test]
+    fn gc_after_a_watermark_leaves_no_stub() {
+        // The receiver holds job 1's archive flagged for GC (its client
+        // acked here) when the sender's watermark retires the job.  GC must
+        // not turn what is left into a resident `Collected` stub below the
+        // watermark: the row, its archive and its GC flag are gone already.
+        let client = ClientKey::new(1, 1);
+        let k = JobKey::new(client, 1);
+        let mut a = db();
+        run_to_collected(&mut a, 1);
+        a.prune_retired(a.version());
+        let mut b = CoordinatorDb::new(CoordId(2));
+        b.register_job(job(1));
+        let (t, _) = b.next_pending(ServerId(1), T0);
+        b.complete_task(t.unwrap().id, k, Blob::synthetic(64, 1), ServerId(1));
+        b.mark_collected(client, &[1]);
+        assert_eq!(b.collected_flagged(), vec![k]);
+        b.apply_delta_owned(a.feed_for(CoordId(2), 0), T0);
+        assert_eq!(b.collected_flagged(), vec![], "the GC flag left with the row");
+        assert_eq!(b.gc_collected().0, 0, "nothing left to reclaim");
+        b.check_invariants();
+        assert!(b.jobs.get(&k).is_none(), "stub row left below the watermark");
+        assert_eq!(b.resident_rows(), 2, "only the mark and watermark rows remain");
+    }
+
+    #[test]
+    fn an_incremental_feed_relays_a_watermark_learned_from_zero() {
+        // A 3-ring a → b → c.  `c` tails `b` from an acked base; `b` then
+        // learns `a`'s watermark from a from-zero round and prunes its rows
+        // of the retired jobs.  `b`'s next incremental feed must hand the
+        // watermark on: `c` holds those rows too, and would otherwise keep
+        // them live — undelivered, dispatchable — for good.
+        let client = ClientKey::new(1, 1);
+        let mut a = db();
+        let mut b = CoordinatorDb::new(CoordId(2));
+        let mut c = CoordinatorDb::new(CoordId(3));
+        for seq in 1..=2 {
+            a.register_job(job(seq));
+        }
+        b.apply_delta(&a.feed_for(CoordId(2), 0));
+        c.apply_delta_owned(b.feed_for(CoordId(3), 0), T0);
+        let c_acked = b.version();
+        while let (Some(t), _) = a.next_pending(ServerId(1), T0) {
+            a.complete_task(t.id, t.job, Blob::synthetic(64, t.job.seq), ServerId(1));
+        }
+        a.mark_collected(client, &[1, 2]);
+        a.gc_collected();
+        a.prune_retired(a.version());
+        assert_eq!(a.retired_watermark(client), 2);
+        // `b` was written off and back: `a` reseeds it from zero.
+        b.apply_delta(&a.feed_for(CoordId(2), 0));
+        assert_eq!(b.retired_watermark(client), 2);
+        let tail = b.feed_for(CoordId(3), c_acked);
+        assert_eq!(tail.retired().collect::<Vec<_>>(), vec![(client, 2)]);
+        let applied = c.apply_delta_owned(tail, T0);
+        assert_eq!(applied.newly_collected, 2, "delivered is news at the third member");
+        assert_eq!(c.retired_watermark(client), 2);
+        assert_eq!(dispatchable(&c), 0, "nothing delivered stays dispatchable");
+        for d in [&a, &b, &c] {
+            d.check_invariants();
+        }
     }
 
     #[test]

@@ -17,11 +17,12 @@
 //! version order, which guarantees a job row always precedes the task and
 //! collected rows that reference it.
 //!
-//! A feed from base 0 is the bootstrap of a peer that holds nothing (a
-//! joiner, a wiped disk, a base that fell below the retention floor), so
-//! it is *complete*: it leads with one [`DeltaRow::Retired`] row per
-//! client — the summary of everything retention pruned — ahead of every
-//! live row.  A feed from a base above 0 carries none.
+//! What retention pruned travels as one [`DeltaRow::Retired`] watermark
+//! row per client, versioned and re-stamped whenever the watermark rises
+//! like any other row: a feed carries every watermark stamped above its
+//! base.  So a feed from base 0 — the bootstrap of a peer that holds
+//! nothing (a joiner, a wiped disk) — is *complete*, and so is a tail from
+//! any base the receiver acknowledged.
 //!
 //! A feed to a ring peer also names who wrote what it relays, with
 //! [`DeltaRow::Writer`] markers, so the row never travels the last hop
@@ -91,8 +92,9 @@ pub enum DeltaRow {
         blob: Blob,
     },
     /// Every seq `1..=through` of `client` was delivered and had its rows
-    /// pruned at the sender.  Only a from-zero feed carries these, before
-    /// any other row: the receiver treats the prefix as collected knowledge
+    /// pruned at the sender.  A versioned row like the others, in version
+    /// order: a feed carries it when the sender raised the watermark since
+    /// the base.  The receiver treats the prefix as collected knowledge
     /// without ever holding a row for it, and prunes any row of it that it
     /// still holds, so nothing the sender retired lingers as a zombie.
     Retired {

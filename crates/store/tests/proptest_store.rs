@@ -146,13 +146,12 @@ fn apply_checked(db: &mut CoordinatorDb, feed: ReplicationDelta, now: SimTime) {
 }
 
 /// A ring of coordinator databases replicating the way `CoordinatorActor`
-/// does — successor feed from the acked base (from zero when the store
-/// finds the base below its retention floor), refusal of a gap above the
+/// does — successor feed from the acked base, refusal of a gap above the
 /// consumer's applied head and of an incremental feed naming another
-/// incarnation of the consumer (whose reseed request announces its own),
-/// ack records dropped on suspicion — with the feed either echo-free
-/// ([`CoordinatorDb::feed_for`]) or the complete reference
-/// ([`CoordinatorDb::delta_since`]) from the same base.
+/// incarnation of the consumer (whose reseed request announces its own and
+/// is where the ack record goes), ack records kept through suspicion — with
+/// the feed either echo-free ([`CoordinatorDb::feed_for`]) or the complete
+/// reference ([`CoordinatorDb::delta_since`]) from the same base.
 struct Ring {
     filtered: bool,
     members: Vec<CoordinatorDb>,
@@ -162,6 +161,10 @@ struct Ring {
     applied: Vec<Vec<u64>>,
     /// A crashed member: skipped by the ring until it returns.
     down: Option<usize>,
+    /// `(i, j)`: `i` wrote off its successor `j` — a suspicion without a
+    /// crash, as across a partition: `i` skips `j` until it trusts it
+    /// again, and `j` keeps running.
+    cut: Option<(usize, usize)>,
     /// Members that lost their disk.  A wiped database restarts its task
     /// counter, and instance ids minted again would alias the first
     /// incarnation's rows at the peers — a hazard of wiping the id
@@ -181,6 +184,7 @@ impl Ring {
             acked: vec![vec![0; k]; k],
             applied: vec![vec![0; k]; k],
             down: None,
+            cut: None,
             wiped: vec![false; k],
             minted: 0,
         }
@@ -190,10 +194,10 @@ impl Ring {
         CoordId(i as u64 + 1)
     }
 
-    /// `i`'s live ring successor.
+    /// `i`'s live ring successor, skipping one it wrote off.
     fn successor(&self, i: usize) -> Option<usize> {
         let k = self.members.len();
-        (1..k).map(|d| (i + d) % k).find(|&j| Some(j) != self.down)
+        (1..k).map(|d| (i + d) % k).find(|&j| Some(j) != self.down && self.cut != Some((i, j)))
     }
 
     /// The version retention at `i` may prune up to.
@@ -242,20 +246,37 @@ impl Ring {
         if base == 0 {
             assert_eq!(retired(&self.members[j]), reseeded, "reseed {i} -> {j} lost the watermark");
         }
+        // And so is a tail from any base the receiver acknowledged: every
+        // job the sender pruned is held as delivered, or covered by a
+        // watermark, at the receiver once it applied the round — however
+        // the ring was reshaped since, and however the sender learned it.
+        for seq in 1..=retired(&self.members[i]) {
+            let job = JobKey::new(client, seq);
+            assert!(
+                self.members[j].has_collected_knowledge(&job),
+                "{job:?}: retired at {i}, neither held delivered nor covered at {j} (base {base})"
+            );
+        }
         self.applied[j][i] = self.applied[j][i].max(head);
         if ack {
             self.acked[i][j] = self.acked[i][j].max(head);
         }
     }
 
-    /// `d` crashes (its peers suspect it and drop its ack records), or the
-    /// crashed member returns with its durable state.
+    /// `d` crashes (its peers suspect it and keep their ack records), or
+    /// the crashed member returns with its durable state — and is tailed
+    /// from the records kept.
     fn toggle_down(&mut self, d: usize) {
         if self.down.take().is_none() {
             self.down = Some(d);
-            for row in &mut self.acked {
-                row[d] = 0;
-            }
+        }
+    }
+
+    /// `i` writes off its successor (keeping its ack record, as for a
+    /// crash), or the member written off is trusted again.
+    fn toggle_cut(&mut self, i: usize) {
+        if self.cut.take().is_none() {
+            self.cut = self.successor(i).map(|j| (i, j));
         }
     }
 
@@ -300,7 +321,8 @@ impl Ring {
             4 => (0..k).for_each(|m| self.exchange(m, true)),
             11 => match aux {
                 0..=3 => self.exchange(i, aux < 2),
-                4 | 5 => self.toggle_down(i),
+                4 => self.toggle_down(i),
+                5 => self.toggle_cut(i),
                 _ => self.wipe(i),
             },
             _ if Some(i) == self.down => {}
@@ -350,13 +372,49 @@ fn rows(mut feed: ReplicationDelta) -> ReplicationDelta {
     feed
 }
 
+/// The ring run behind the retired-watermark relay, kept as a fixed case
+/// of `filtered_feeds_match_unfiltered_twins`'s generator (3-ring 0 → 1 →
+/// 2): 0 writes off 1, takes job 1 to delivered with 2 as its successor
+/// and retires it; 2 loses its disk and is reseeded by 1, which holds job 1
+/// undelivered; 0 trusts 1 again and hands it the watermark; then 1's
+/// round to 2 — a tail from the reseed's head — must carry it, or 2 keeps
+/// job 1 live and dispatchable after its client collected it.
+#[test]
+fn a_tail_relays_a_watermark_its_sender_learned_after_the_base() {
+    let ops = [
+        (1, 0, 2),  // 0 registers job 1
+        (1, 4, 0),  // a round goes round: 1 and 2 hold it pending
+        (1, 11, 5), // 0 writes off 1
+        (3, 3, 0),  // 0 completes it,
+        (1, 6, 2),  // its client collects it, GC reclaims the archive,
+        (3, 11, 0), // 2 learns it delivered,
+        (3, 10, 0), // and 0 retires it
+        (2, 11, 6), // 2 loses its disk
+        (1, 11, 0), // 1's tail names 2's old incarnation: refused
+        (1, 11, 0), // 1 reseeds 2: job 1 pending again at 2
+        (1, 11, 5), // 0 trusts 1 again
+        (3, 11, 0), // 0 → 1, from 1's acked base: the watermark
+        (1, 11, 0), // 1 → 2, from 2's acked base: the watermark again
+    ];
+    for filtered in [true, false] {
+        let mut ring = Ring::new(3, filtered);
+        for &(seq, action, aux) in &ops {
+            ring.step(seq, action, aux);
+            ring.members.iter().for_each(CoordinatorDb::check_invariants);
+        }
+        let job = JobKey::new(ClientKey::new(1, 1), 1);
+        assert!(ring.members.iter().all(|m| m.retired_watermark(job.client) == 1));
+    }
+}
+
 proptest! {
     /// Echo-free replication is invisible to the replicated state: a
     /// 2-ring and a 3-ring exchanging *filtered* feeds hold, member for
     /// member and row for row, exactly what twin rings exchanging the
     /// complete reference feed hold — after every step of an arbitrary
     /// run of local operations, replication rounds (acked or not),
-    /// retention, crashes that reshape the ring, and disk wipes.  Along
+    /// retention, crashes and suspicions that reshape the ring, and disk
+    /// wipes.  Along
     /// the way the rules themselves are pinned: a from-zero feed is
     /// complete; whatever a local operation stamps is on every peer's
     /// feed again; and an entry a feed skips is never the only copy.
@@ -494,9 +552,10 @@ proptest! {
     /// base version the run passed through.
     /// A mid-run from-zero feed plus the tail of the feed must bootstrap
     /// a replica that matches a from-scratch application row-for-row.
-    /// The feed's shape is held too: retired watermarks lead, only a
-    /// from-zero feed carries them, and applying one twice — or over a
-    /// replica that is ahead — changes nothing.
+    /// The feed's shape is held too: a feed carries every watermark
+    /// stamped above its base (a from-zero feed, every watermark), and
+    /// applying one twice — or over a replica that is ahead — changes
+    /// nothing.
     #[test]
     fn indexed_views_match_scan_definitions(
         ops in proptest::collection::vec((1u64..25, 0u8..13, 0u8..8), 1..60),
@@ -549,8 +608,16 @@ proptest! {
                     // mirror, or the mid-run bootstrap's tail base) holds.
                     let min_acked =
                         mirror_base.min(snap.as_ref().map_or(u64::MAX, |s| s.head_version));
+                    // Retention never prunes a row stamped past the gate:
+                    // above it, only the watermarks move.
+                    let above = |d: &CoordinatorDb| {
+                        let mut feed = d.delta_since(min_acked);
+                        feed.rows.retain(|r| !matches!(r, DeltaRow::Retired { .. }));
+                        feed.rows
+                    };
+                    let kept = above(&a);
                     a.prune_retired(min_acked);
-                    prop_assert!(a.delta_floor() <= min_acked, "floor never passes the gate");
+                    prop_assert!(above(&a) == kept, "retention pruned past the gate");
                 }
                 11 => {
                     let (_, _) = a.next_pending(ServerId(2), now);
@@ -615,14 +682,17 @@ proptest! {
                 let idx = a.delta_since(base);
                 let scan = a.delta_since_scan(base);
                 prop_assert_eq!(idx.head_version, scan.head_version);
-                // Watermarks lead the feed, and only a from-zero feed
-                // carries them: everything this database retired.
-                for feed in [&idx, &scan] {
-                    let lead = feed.rows.iter().take_while(|r| matches!(r, DeltaRow::Retired { .. }));
-                    prop_assert_eq!(lead.count(), feed.retired().count());
+                // A feed carries every watermark stamped above its base
+                // (the scan reference reads the stamps off the rows) — from
+                // zero, everything this database retired.
+                prop_assert_eq!(
+                    idx.retired().collect::<Vec<_>>(),
+                    scan.retired().collect::<Vec<_>>()
+                );
+                if base == 0 {
                     let w = a.retired_watermark(client);
-                    let all: Vec<_> = (base == 0 && w > 0).then_some((client, w)).into_iter().collect();
-                    prop_assert_eq!(feed.retired().collect::<Vec<_>>(), all);
+                    let all: Vec<_> = (w > 0).then_some((client, w)).into_iter().collect();
+                    prop_assert_eq!(idx.retired().collect::<Vec<_>>(), all);
                 }
                 let mut ij: Vec<_> = idx.jobs().map(|s| s.key).collect();
                 let mut sj: Vec<_> = scan.jobs().map(|s| s.key).collect();
@@ -684,7 +754,6 @@ proptest! {
         // Applied twice, a from-zero feed changes nothing.
         prop_assert_eq!((full.version(), full.delta_since(0)), once);
         let snap = snap.unwrap_or_else(|| feed.clone());
-        prop_assert!(a.delta_floor() <= snap.head_version, "tail base stayed above the floor");
         let mut boot = CoordinatorDb::new(CoordId(4));
         apply_checked(&mut boot, snap.clone(), end);
         apply_checked(&mut boot, a.delta_since(snap.head_version), end + SimDuration::from_secs(1));

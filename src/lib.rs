@@ -45,12 +45,13 @@
 //! A coordinator's change index holds O(live jobs), not O(lifetime
 //! jobs): once a client durably collected a delivered prefix and every
 //! ring replica acked past it, [`store::CoordinatorDb::prune_retired`]
-//! retires those rows down to one per-client watermark.  A replica
-//! whose feed base predates the resulting *delta floor* can no longer be
-//! tailed — [`store::CoordinatorDb::feed_for`] serves it from zero
-//! instead: the same [`store::ReplicationDelta`] any round is, led by the
-//! retired watermarks.  It lands row-for-row identical to the live
-//! feed's view, and can bootstrap the next replica in turn:
+//! retires those rows down to one per-client watermark.  The watermark is
+//! itself a versioned row, re-stamped whenever it rises, so
+//! [`store::CoordinatorDb::feed_for`] tails a replica from whatever base
+//! it acknowledged — however far retention has pruned past it — and the
+//! [`store::ReplicationDelta`] carries the watermark like any other row.
+//! The replica lands row-for-row identical to the live feed's view, and
+//! can bootstrap the next replica in turn:
 //!
 //! ```
 //! use rpcv::store::{CoordinatorDb, DeltaRow};
@@ -72,23 +73,24 @@
 //! primary.mark_collected(client, &[1, 2, 3]);
 //! primary.gc_collected();
 //!
-//! // Every consumer acked the head: the delivered prefix retires and
-//! // the change index shrinks to the per-client watermark row.
-//! assert_eq!(primary.prune_retired(primary.version()), 3);
-//! assert_eq!(primary.resident_rows(), 1);
-//! assert!(primary.delta_floor() > 0);
+//! // A replica tails the primary from the head it acknowledged.
+//! let mut replica = CoordinatorDb::new(CoordId(2));
+//! let seed = primary.feed_for(CoordId(2), 0);
+//! replica.apply_delta(&seed);
+//! let acked = seed.head_version;
+//!
+//! // Every consumer acked the head: the delivered prefix retires and the
+//! // change index shrinks to the per-client mark and watermark rows.
+//! assert_eq!(primary.prune_retired(acked), 3);
+//! assert_eq!(primary.resident_rows(), 2);
 //! primary.register_job(job(4)); // live work continues on top
 //!
-//! // A replica whose acked base (say 2) is below the floor cannot be
-//! // tailed: the feed starts over from zero, watermarks first.
-//! let boot = primary.feed_for(CoordId(2), 2);
-//! assert_eq!(boot.base_version, 0);
-//! assert_eq!(boot.rows[0], DeltaRow::Retired { client, through: 3 });
-//!
-//! let mut replica = CoordinatorDb::new(CoordId(2));
-//! replica.apply_delta(&boot);
-//! primary.register_job(job(5));
-//! replica.apply_delta(&primary.feed_for(CoordId(2), boot.head_version)); // the tail
+//! // Nothing restarts from zero: the pruning re-stamped the watermark row,
+//! // and a feed carries every watermark stamped above its base.
+//! let tail = primary.feed_for(CoordId(2), acked);
+//! assert_eq!(tail.base_version, acked);
+//! assert!(tail.rows.contains(&DeltaRow::Retired { client, through: 3 }));
+//! replica.apply_delta(&tail);
 //!
 //! // Row-for-row: same watermark, same delivered knowledge, same live set.
 //! assert_eq!(replica.retired_watermark(client), 3);
@@ -98,10 +100,9 @@
 //! let (tid, _) = replica.reexecute_job(JobKey::new(client, 1));
 //! assert!(tid.is_none(), "delivered work is never re-executed");
 //!
-//! // The second hop: the replica pruned nothing itself (no floor of its
-//! // own), yet what it learned retired it passes on — a primary that
-//! // lost its disk comes back refusing the delivered seqs.
-//! assert_eq!(replica.delta_floor(), 0);
+//! // The second hop: the replica retired nothing on its own, yet what it
+//! // learned retired it passes on — a primary that lost its disk comes
+//! // back refusing the delivered seqs.
 //! let mut reborn = CoordinatorDb::new(CoordId(1));
 //! reborn.apply_delta(&replica.feed_for(CoordId(1), 0));
 //! assert_eq!(reborn.retired_watermark(client), 3);

@@ -13,6 +13,7 @@ use rpcv::core::grid::{GridSpec, SimGrid};
 use rpcv::core::util::CallSpec;
 use rpcv::log::LogStrategy;
 use rpcv::simnet::{SimDuration, SimTime};
+use rpcv::store::DeltaRow;
 use rpcv::wire::Blob;
 
 fn plan(n: usize) -> Vec<CallSpec> {
@@ -212,11 +213,11 @@ fn client_reack_after_failover_settles_the_successors_watch_list() {
 
 /// Pruned-feed failover: the successor is cut off before the first
 /// replication round, so the primary — seeing no live successor — runs
-/// its delivered prefix through retention and its delta feed develops a
-/// floor.  After the heal the successor's base (0) is below that floor:
-/// the round must be served from zero, retired watermarks included, and
-/// the successor bootstrapped from `{from-zero feed, tail}` must
-/// re-execute zero collected jobs when the primary then dies for good.
+/// its delivered prefix through retention.  After the heal the successor,
+/// which never acknowledged a round, is served from zero, retired
+/// watermark included, and the successor bootstrapped from `{from-zero
+/// feed, tail}` must re-execute zero collected jobs when the primary then
+/// dies for good.
 #[test]
 fn pruned_feed_successor_bootstraps_via_snapshot() {
     let cfg = ProtocolConfig::confined()
@@ -243,8 +244,7 @@ fn pruned_feed_successor_bootstraps_via_snapshot() {
     g.world.run_until(SimTime::from_secs(35));
     {
         let primary = g.coordinator(0).expect("primary up");
-        assert!(primary.db().delta_floor() > 0, "retention must have pruned the delivered work");
-        assert_eq!(primary.db().retired_count(), 8, "all delivered jobs retired");
+        assert_eq!(primary.db().retired_count(), 8, "retention pruned all the delivered work");
         assert!(
             primary.db().resident_rows() < 8,
             "resident rows track live work, got {}",
@@ -255,8 +255,8 @@ fn pruned_feed_successor_bootstraps_via_snapshot() {
         assert_eq!(primary.db().finished_count(), 8);
     }
 
-    // Heal: the ring re-forms, and the successor's base 0 < floor makes
-    // the round a bootstrap.
+    // Heal: the ring re-forms, and the successor's base 0 makes the round
+    // a bootstrap.
     g.world.schedule_control(
         SimTime::from_secs(35),
         rpcv::simnet::Control::Unblock { from: c0, to: c1, bidir: true },
@@ -264,7 +264,7 @@ fn pruned_feed_successor_bootstraps_via_snapshot() {
     // The primary suspected its successor during the block and retries it
     // `COORD_RETRY` (60 s) after that suspicion.
     g.world.run_until(SimTime::from_secs(110));
-    assert!(g.coordinator(0).unwrap().metrics.snapshots_sent >= 1, "a round below the floor");
+    assert!(g.coordinator(0).unwrap().metrics.snapshots_sent >= 1, "a round from zero");
     let tasks_before = {
         let successor = g.coordinator(1).expect("successor up");
         assert_eq!(successor.metrics.bad_frames, 0);
@@ -292,10 +292,11 @@ fn pruned_feed_successor_bootstraps_via_snapshot() {
 }
 
 /// Gap detection: the successor loses its durable state entirely (crash +
-/// wipe) while the primary's ack record for it still points past the
-/// retention floor.  The next delta arrives with a base the successor
-/// never applied — it must refuse it unacked and request a reseed,
-/// ending fully re-seeded with zero re-executions.
+/// wipe) while the primary's ack record for it still points at the base
+/// the lost disk applied, past the rows retention pruned.  The next delta
+/// arrives with a base the successor never applied — it must refuse it
+/// unacked and request a reseed, ending fully re-seeded with zero
+/// re-executions.
 #[test]
 fn wiped_successor_detects_feed_gap_and_requests_snapshot() {
     let cfg = ProtocolConfig::confined()
@@ -312,7 +313,7 @@ fn wiped_successor_detects_feed_gap_and_requests_snapshot() {
     g.world.actor_mut::<rpcv::core::coordinator::CoordinatorActor>(c0).unwrap().gc_now();
     // Let replication acks catch up and retention prune the primary.
     g.world.run_until(SimTime::from_secs(45));
-    assert!(g.coordinator(0).unwrap().db().delta_floor() > 0, "feed must have a floor");
+    assert!(g.coordinator(0).unwrap().db().retired_count() > 0, "retention must have pruned");
 
     // The successor loses everything; the primary's ack record is stale.
     g.world.crash_now(c1);
@@ -338,6 +339,76 @@ fn wiped_successor_detects_feed_gap_and_requests_snapshot() {
     let successor = g.coordinator(1).expect("successor up");
     assert_eq!(successor.metrics.reexecutions, 0);
     assert_eq!(successor.db().stats().pending, 0);
+    assert_eq!(g.client_results(), 8);
+}
+
+/// A successor cut off for longer than the ack horizon is suspected, and
+/// the primary keeps its ack record: the record never exceeds what the
+/// successor durably applied.  Meanwhile the primary — no live successor —
+/// retires the whole delivered prefix.  After the heal the successor is
+/// tailed from the kept record: no round to it starts from base 0, it asks
+/// for no reseed, the tail carries the retired watermark, and the ring
+/// converges with zero re-executions when the primary then dies for good.
+#[test]
+fn a_written_off_successor_is_tailed_from_its_kept_ack_record() {
+    let cfg = ProtocolConfig::confined()
+        .with_heartbeat(SimDuration::from_secs(1))
+        .with_suspicion(SimDuration::from_secs(4))
+        .with_replication_period(SimDuration::from_secs(4));
+    let plan: Vec<CallSpec> =
+        (0..8).map(|i| CallSpec::new("b", Blob::synthetic(10_000, i), 2.0, 128)).collect();
+    let mut g = SimGrid::build(GridSpec::confined(2, 4).with_cfg(cfg).with_plan(plan));
+    let (c0, c1) = (g.coords[0].1, g.coords[1].1);
+
+    g.run_until_done(SimTime::from_secs(1800)).expect("workload completes");
+    g.world.run_until(SimTime::from_secs(14));
+    let (seeded, acked_rounds) = {
+        let primary = g.coordinator(0).expect("primary up");
+        let acked = primary.metrics.repl_rounds.iter().filter(|r| r.acked_at.is_some()).count();
+        (primary.metrics.snapshots_sent, acked)
+    };
+    assert!(acked_rounds >= 2, "the successor acknowledged the feed before the cut");
+    // Cut far past the ack horizon (max(suspicion, period) = 4 s).
+    g.world.schedule_control(
+        SimTime::from_secs(14),
+        rpcv::simnet::Control::Block { from: c0, to: c1, bidir: true },
+    );
+    g.world.run_until(SimTime::from_secs(25));
+    g.world.actor_mut::<rpcv::core::coordinator::CoordinatorActor>(c0).unwrap().gc_now();
+    g.world.run_until(SimTime::from_secs(40));
+    assert_eq!(g.coordinator(0).unwrap().db().retired_count(), 8, "retired with no successor");
+    g.world.schedule_control(
+        SimTime::from_secs(40),
+        rpcv::simnet::Control::Unblock { from: c0, to: c1, bidir: true },
+    );
+    // The primary retries its successor `COORD_RETRY` (60 s) after the
+    // suspicion.
+    g.world.run_until(SimTime::from_secs(110));
+    let tasks_before = {
+        let primary = g.coordinator(0).expect("primary up");
+        let successor = g.coordinator(1).expect("successor up");
+        assert_eq!(primary.metrics.snapshots_sent, seeded, "no round from zero after the heal");
+        assert!(!primary.rx_counts.contains_key("SnapshotRequest"), "the tail was accepted");
+        assert!(
+            primary.metrics.repl_rounds.iter().filter(|r| r.acked_at.is_some()).count()
+                > acked_rounds,
+            "the successor acknowledges again"
+        );
+        assert_eq!(successor.db().retired_count(), 8, "the tail carried the watermark");
+        for seq in 1..=8u64 {
+            let job = rpcv::xw::JobKey::new(g.client_key, seq);
+            assert!(successor.db().has_collected_knowledge(&job), "delivered {job:?} known");
+        }
+        assert_eq!(successor.db().resident_rows(), primary.db().resident_rows(), "converged");
+        successor.db().stats().tasks
+    };
+
+    g.world.crash_now(c0);
+    g.world.run_until(SimTime::from_secs(200)); // far past the re-execution horizon
+    let successor = g.coordinator(1).expect("successor up");
+    assert_eq!(successor.metrics.reexecutions, 0, "delivered work must never be re-executed");
+    let stats = successor.db().stats();
+    assert_eq!((stats.tasks, stats.pending, stats.ongoing), (tasks_before, 0, 0));
     assert_eq!(g.client_results(), 8);
 }
 
@@ -627,9 +698,10 @@ fn blocking_pessimistic_never_loses_completed_submissions() {
 /// a from-zero delta skips nothing, and a wiped consumer's applied head
 /// went with its rows, so it refuses any `base > 0` round as a gap and is
 /// reseeded.  Both reseed shapes: the from-zero round the replica sends
-/// unasked while its feed has no floor, and the one it sends on request
-/// once its retention pruned the delivered prefix (live rows gone, the
-/// watermarks stand for them).  Either way no job is lost and no
+/// unasked while the primary has acknowledged nothing past 0, and the one
+/// it sends on request once the primary acknowledged more and the
+/// replica's retention pruned the delivered prefix (live rows gone, the
+/// watermark stands for them).  Either way no job is lost and no
 /// collected work runs again.
 #[test]
 fn wiped_primary_relearns_its_own_rows_from_the_replica() {
@@ -657,12 +729,20 @@ fn wiped_primary_relearns_its_own_rows_from_the_replica() {
         g.world.run_until(SimTime::from_secs(wipe_at));
         {
             let replica = g.coordinator(1).expect("replica up");
-            assert_eq!(replica.db().delta_floor() > 0, pruned_replica, "replica feed floor");
+            assert_eq!(replica.db().retired_count() > 0, pruned_replica, "replica retired");
             assert_eq!(replica.db().stats().jobs, 8, "the replica holds the primary's rows");
             // Its first round was built empty and its second still had base
-            // 0 (complete by definition); every round since skipped it all.
+            // 0 (complete by definition); every round since skipped all of
+            // the primary's rows.  None of them goes back: what a feed to
+            // the primary carries is the replica's own retired watermark —
+            // news to a primary that never ran GC, so retired nothing.
+            let own = u64::from(pruned_replica);
             let rounds = &replica.metrics.repl_rounds;
-            assert!(rounds.iter().skip(2).all(|r| r.records == 0), "the replica echoes nothing");
+            assert!(rounds.iter().skip(2).all(|r| r.records <= own), "at most the watermark");
+            let back = replica.db().feed_for(g.coords[0].0, 1);
+            let not_own =
+                |r: &DeltaRow| !matches!(r, DeltaRow::Retired { .. } | DeltaRow::Writer { .. });
+            assert!(!back.rows.iter().any(not_own), "none of the primary's rows go back");
         }
         assert_eq!(executed(&g), 8);
 
@@ -684,7 +764,8 @@ fn wiped_primary_relearns_its_own_rows_from_the_replica() {
                 assert!(replica.metrics.snapshots_sent >= 1, "a round below the floor");
                 assert_eq!(primary.db().retired_count(), 8, "the delivered prefix came back");
             } else {
-                assert_eq!((reseeds, replica.metrics.snapshots_sent), (0, 0), "from-zero delta");
+                let unasked = (reseeds, replica.metrics.snapshots_sent);
+                assert_eq!(unasked, (0, 1), "one round from zero, sent unasked");
                 assert_eq!(primary.metrics.collected_marks_applied, 8, "acks came off the feed");
                 assert_eq!(primary.db().stats().tasks, 8, "task rows came off the feed");
             }
@@ -712,9 +793,8 @@ fn wiped_primary_relearns_its_own_rows_from_the_replica() {
 
 /// Two successive wipes.  The replica retires the delivered prefix it
 /// learned; the primary loses its disk and relearns the prefix from the
-/// replica (the `pruned_replica` arm above) — as retired watermarks, with
-/// no row of its own to prune, so its feed never develops a floor and the
-/// reseed it sends next counts as no round below one.  Then
+/// replica (the `pruned_replica` arm above) — as a retired watermark, with
+/// no row of its own to prune.  Then
 /// the *replica* loses its disk, and the primary is the only place the
 /// prefix lives on.  The watermarks must make the second hop too: a
 /// replica that comes back without them would accept a re-registration of
@@ -748,7 +828,7 @@ fn retired_prefix_survives_two_successive_coordinator_wipes() {
     {
         let primary = g.coordinator(0).expect("primary up");
         assert_eq!(primary.db().retired_count(), 8, "first hop");
-        assert_eq!(primary.db().delta_floor(), 0, "learned, not pruned: no floor of its own");
+        assert_eq!(primary.db().resident_rows(), 2, "learned, not pruned: mark and watermark");
     }
 
     // Second hop: the wiped replica is reseeded by the primary.

@@ -508,7 +508,7 @@ fn protocol_traces_are_pinned() {
     assert_eq!(grid.client_results(), 40);
     assert_eq!(
         pin(&grid),
-        (0xfea0_b014_74d1_b9eb, 308_374, 117_550),
+        (0x0618_f6ed_16b3_dcf0, 308_374, 117_550),
         "(b) real-life + churn + coordinator restart"
     );
 
@@ -547,7 +547,7 @@ fn protocol_traces_are_pinned() {
     assert_eq!((0..6).map(|c| grid.client_results_at(c)).sum::<usize>(), 24);
     assert_eq!(
         pin(&grid),
-        (0xc906_af2f_b6f2_5d1a, 10_158, 3_732),
+        (0xede1_14df_0fdc_9417, 10_158, 3_732),
         "(c) sharded + checkpoints + wiped server"
     );
 }
