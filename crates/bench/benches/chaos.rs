@@ -7,7 +7,10 @@
 //! bursts (loss / duplication / corruption / reordering), driven through
 //! the [`ChaosOracle`] which audits the post-heal safety invariants —
 //! exactly-once delivery, no re-execution of collected work, monotone
-//! metrics, every corrupted frame accounted as a typed drop.
+//! metrics, every corrupted frame accounted as a typed drop.  The cell
+//! plays the paper's explicit-GC user, so retention retires delivered work
+//! under the chaos; each plan records the archive bytes its GC reclaimed
+//! and the jobs retention retired.
 //!
 //! The artifact (`BENCH_chaos.json`) commits to **100% survival** over
 //! the full sweep: ≥ 64 seeded plans cycling the intensity ladder, every
@@ -63,6 +66,7 @@ fn hist_json(h: &rpcv_obs::Histogram) -> String {
 fn main() {
     let mut art = Artifact::new("chaos", "chaos_sweep", 2, "plans");
     let (mut survived, mut corrupt, mut dup, mut bad) = (0u64, 0u64, 0u64, 0u64);
+    let (mut gc_freed, mut retired) = (0u64, 0u64);
     for i in 0..PLANS {
         let seed = seed_of(i as u64);
         let intensity = LADDER[i % LADDER.len()];
@@ -85,6 +89,8 @@ fn main() {
             ("bad_frames", Value::U64(r.bad_frames)),
             ("jobs", Value::U64(r.jobs)),
             ("results", Value::U64(r.results)),
+            ("gc_freed_bytes", Value::U64(r.gc_freed)),
+            ("retired_jobs", Value::U64(r.retired)),
             ("recovery_makespan_s", Value::F64(r.recovery_makespan.as_secs_f64(), 3)),
             ("recovery_gap_hist", Value::Json(hist_json(&r.recovery_gaps))),
         ]);
@@ -92,10 +98,13 @@ fn main() {
         corrupt += r.stats.corrupted;
         dup += r.stats.duplicated;
         bad += r.bad_frames;
+        gc_freed += r.gc_freed;
+        retired += r.retired;
     }
     println!(
         "# chaos sweep: {survived}/{PLANS} plans survived \
-         ({corrupt} corrupt, {dup} dup, {bad} poison frames absorbed)"
+         ({corrupt} corrupt, {dup} dup, {bad} poison frames absorbed, \
+         {gc_freed} B reclaimed by GC, {retired} jobs retired)"
     );
     art.finish(&[
         "\"totals\": {".to_owned(),
@@ -103,7 +112,9 @@ fn main() {
         format!("  \"survived\": {survived},"),
         format!("  \"corrupt_frames\": {corrupt},"),
         format!("  \"dup_frames\": {dup},"),
-        format!("  \"bad_frames\": {bad}"),
+        format!("  \"bad_frames\": {bad},"),
+        format!("  \"gc_freed_bytes\": {gc_freed},"),
+        format!("  \"retired_jobs\": {retired}"),
         "}".to_owned(),
     ]);
 }

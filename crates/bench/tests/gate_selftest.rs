@@ -85,6 +85,24 @@ fn every_gate_family_fails_on_its_mutation() {
         assert!(doc.contains(from), "{bench}: nothing to mutate for {message:?}");
         must_fail(bench, doc.replacen(from, to, 1), message);
     }
+    // A sweep whose cell stopped calling GC (every plan, and so the
+    // total, reclaims nothing), and one where retention stopped too.
+    let zeroed = |doc: &str, key: &str| -> String {
+        let key = format!("\"{key}\": ");
+        let lines: Vec<String> = (doc.lines())
+            .map(|l| match l.find(&key) {
+                Some(at) => {
+                    let (head, rest) = l.split_at(at + key.len());
+                    let end = rest.find([',', '}']).unwrap_or(rest.len());
+                    format!("{head}0{}", &rest[end..])
+                }
+                None => l.to_owned(),
+            })
+            .collect();
+        lines.join("\n")
+    };
+    must_fail("chaos", zeroed(&chaos, "gc_freed_bytes"), "its cell never ran GC");
+    must_fail("chaos", zeroed(&chaos, "retired_jobs"), "retired no job");
     // 63 plans with consistent totals: only the 64-plan-ladder gate can object.
     let short = chaos
         .replacen(chaos.lines().nth(5).unwrap(), "", 1)

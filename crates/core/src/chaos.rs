@@ -175,8 +175,12 @@ pub struct ChaosReport {
     /// Poison frames counted by actors (`Σ bad_frames`).
     pub bad_frames: u64,
     /// Jobs retired (delivered, then pruned by retention) summed over the
-    /// live coordinators at the end: zero says the cell's GC never ran.
+    /// live coordinators at the end.
     pub retired: u64,
+    /// Archive bytes the cell's GC user reclaimed: zero says it never ran.
+    /// (Retirement alone does not say so: a replica that never held an
+    /// archive retires what it learned delivered without any GC.)
+    pub gc_freed: u64,
     /// When the plan finished, if it did.
     pub done_at: Option<SimTime>,
     /// Virtual time from full heal to completion (zero when the workload
@@ -272,7 +276,8 @@ impl ChaosOracle {
         plan.apply(&mut g.world);
 
         let mut violations = Vec::new();
-        let done = run_until_done_with_gc(&mut g);
+        let mut gc_freed = 0;
+        let done = run_until_done_with_gc(&mut g, &mut gc_freed);
         if done.is_none() {
             violations.push(format!(
                 "plan did not complete within {}s of virtual time",
@@ -432,6 +437,7 @@ impl ChaosOracle {
             poisoned,
             bad_frames,
             retired,
+            gc_freed,
             done_at: done,
             recovery_makespan,
             telemetry,
@@ -451,20 +457,11 @@ impl ChaosOracle {
     }
 }
 
-/// Garbage collection on every live coordinator, as the cell's user asks
-/// for it.
-fn gc_all(g: &mut SimGrid) {
-    for &(_, node) in &g.coords {
-        if let Some(c) = g.world.actor_mut::<CoordinatorActor>(node) {
-            c.gc_now();
-        }
-    }
-}
-
-/// [`SimGrid::run_until_done`] with the cell's user in the loop: a GC
-/// after every [`GC_EVERY`] of virtual time, until every client's plan
-/// completed (`Some(instant)`) or [`HORIZON`] passed (`None`).
-fn run_until_done_with_gc(g: &mut SimGrid) -> Option<SimTime> {
+/// [`SimGrid::run_until_done`] with the cell's user in the loop: a GC on
+/// every live coordinator after every [`GC_EVERY`] of virtual time, until
+/// every client's plan completed (`Some(instant)`) or [`HORIZON`] passed
+/// (`None`).  The archive bytes reclaimed add up in `freed`.
+fn run_until_done_with_gc(g: &mut SimGrid, freed: &mut u64) -> Option<SimTime> {
     loop {
         if let Some(done) = g.all_plans_done() {
             return Some(done);
@@ -473,7 +470,11 @@ fn run_until_done_with_gc(g: &mut SimGrid) -> Option<SimTime> {
             return None;
         }
         g.world.run_for(GC_EVERY);
-        gc_all(g);
+        for &(_, node) in &g.coords {
+            if let Some(c) = g.world.actor_mut::<CoordinatorActor>(node) {
+                *freed += c.gc_now();
+            }
+        }
     }
 }
 

@@ -58,9 +58,13 @@ Dispatches on the artifact's "bench" tag:
 * chaos — validate the seeded fault-schedule sweep: every plan survived
   (all safety-oracle invariants held), every plan actually mixed all four
   fault families (crash-restart storms, disk wipes, partition churn, wire
-  bursts), and the sweep as a whole exercised the wire-fault plane
+  bursts), the sweep as a whole exercised the wire-fault plane
   (corrupted and duplicated frames > 0, with corrupt frames accounted as
-  typed `bad_frames` drops).
+  typed `bad_frames` drops), and the cell's explicit-GC user ran and
+  retention retired delivered work: the per-plan `gc_freed_bytes` and
+  `retired_jobs` each sum to a nonzero total.  A sweep whose cell stops
+  calling GC reclaims nothing (retirement alone would not show it: a
+  replica that never held an archive retires without any GC).
 
 * paper — hold the regenerated evaluation of the paper (Figs. 4-11, long
   format: one `{figure, series, x, y}` row per cell, schema 1) to the shapes
@@ -235,9 +239,15 @@ def check_chaos(doc: dict, path: str) -> None:
         f"{path}: totals disagree with the plan list: {totals}"
     assert totals["corrupt_frames"] > 0 and totals["dup_frames"] > 0, \
         f"{path}: the sweep never exercised the wire-fault plane: {totals}"
+    for key, what in (("gc_freed_bytes", "reclaimed no archive — its cell never ran GC"),
+                      ("retired_jobs", "retired no job")):
+        assert totals[key] > 0, f"{path}: the sweep {what}: {totals}"
+        assert totals[key] == sum(p[key] for p in plans), \
+            f"{path}: {key} total disagrees with the plan list: {totals}"
     recovered = sum(1 for p in plans if p["recovery_makespan_s"] > 0)
     print(f"{path}: chaos sweep OK ({len(plans)} plans, 100% survival, "
           f"{totals['corrupt_frames']} corrupt / {totals['dup_frames']} dup frames absorbed, "
+          f"{totals['gc_freed_bytes']} B reclaimed by GC, {totals['retired_jobs']} jobs retired, "
           f"{recovered} plan(s) measured a post-heal recovery makespan)")
 
 
