@@ -764,9 +764,9 @@ impl CoordinatorActor {
             }
         }
         // Retention: retire the delivered prefix whose rows the ring
-        // successor has acknowledged.  With no successor there is nothing
-        // to keep a feed complete for — any future joiner is bootstrapped
-        // from zero — so everything delivered is prunable.
+        // successor has acknowledged.  With no successor everything
+        // delivered is prunable: a successor that returns is tailed with
+        // the re-stamped watermark, and a joiner is bootstrapped from zero.
         let min_acked = match self.coords.successor_of(self.params.me, now) {
             Some(succ) => self.acked_version.get(&succ).copied().unwrap_or(0),
             None => u64::MAX,

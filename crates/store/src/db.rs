@@ -103,7 +103,8 @@ impl JobRow {
         self.spec.is_some() && self.archive.is_none() && !self.collected
     }
 
-    /// True when a stub holds nothing any more and can leave the table.
+    /// True when a stub holds nothing any more: no such row may stay in
+    /// the table.
     fn is_vacant(&self) -> bool {
         self.spec.is_none()
             && self.archive.is_none()

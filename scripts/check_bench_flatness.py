@@ -241,7 +241,7 @@ def check_chaos(doc: dict, path: str) -> None:
         f"{path}: the sweep never exercised the wire-fault plane: {totals}"
     for key, what in (("gc_freed_bytes", "reclaimed no archive — its cell never ran GC"),
                       ("retired_jobs", "retired no job")):
-        assert totals[key] > 0, f"{path}: the sweep {what}: {totals}"
+        assert totals.get(key, 0) > 0, f"{path}: the sweep {what}: {totals}"
         assert totals[key] == sum(p[key] for p in plans), \
             f"{path}: {key} total disagrees with the plan list: {totals}"
     recovered = sum(1 for p in plans if p["recovery_makespan_s"] > 0)

@@ -761,7 +761,7 @@ fn wiped_primary_relearns_its_own_rows_from_the_replica() {
             let reseeds = replica.rx_counts.get("SnapshotRequest").copied().unwrap_or(0);
             if pruned_replica {
                 assert!(reseeds >= 1, "the wiped primary must refuse the gapped feed");
-                assert!(replica.metrics.snapshots_sent >= 1, "a round below the floor");
+                assert!(replica.metrics.snapshots_sent >= 1, "a round from zero");
                 assert_eq!(primary.db().retired_count(), 8, "the delivered prefix came back");
             } else {
                 let unasked = (reseeds, replica.metrics.snapshots_sent);
