@@ -10,8 +10,7 @@
 //! chunk at each end.  A vacant slot reads as absent, and a row arriving out
 //! of seq order simply fills its slot.  Chunks rather than one doubling
 //! buffer: a doubling buffer of large rows leaves its outgrown copies
-//! touched in the heap, and a chunk map lets a stray seq cost one chunk,
-//! never a window stretched across the gap.
+//! touched in the heap.
 
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
@@ -88,28 +87,12 @@ impl<T> SeqWindow<T> {
         self.get(seq).is_some()
     }
 
-    /// Chunk `c`, allocated empty if it was not held.
-    fn open(chunks: &mut BTreeMap<u64, Box<Chunk<T>>>, c: u64) -> &mut Chunk<T> {
-        chunks
-            .entry(c)
-            .or_insert_with(|| Box::new(Chunk { live: 0, rows: std::array::from_fn(|_| None) }))
-    }
-
-    /// The row at `seq`, `make`'s row filling the slot if it was vacant.
-    pub fn get_or_insert_with(&mut self, seq: u64, make: impl FnOnce() -> T) -> &mut T {
-        let (c, s) = split(seq);
-        let chunk = Self::open(&mut self.chunks, c);
-        if chunk.rows[s].is_none() {
-            chunk.live += 1;
-            self.len += 1;
-        }
-        chunk.rows[s].get_or_insert_with(make)
-    }
-
-    /// Puts `row` at `seq`, returning the row it replaced.
+    /// Puts `row` at `seq` (allocating its chunk if it was not held),
+    /// returning the row it replaced.
     pub fn insert(&mut self, seq: u64, row: T) -> Option<T> {
         let (c, s) = split(seq);
-        let chunk = Self::open(&mut self.chunks, c);
+        let chunk = (self.chunks.entry(c))
+            .or_insert_with(|| Box::new(Chunk { live: 0, rows: std::array::from_fn(|_| None) }));
         let old = chunk.rows[s].replace(row);
         if old.is_none() {
             chunk.live += 1;

@@ -57,22 +57,16 @@ impl TaskIds {
 /// probe a side table per attribute.  Like [`TaskRow`], its size is pinned:
 /// each byte is held by two coordinators for every live job.
 ///
-/// A row normally starts at registration (`spec` set).  One attribute can
-/// exist *without* a registered job, and then lives in a **stub** row
-/// (`spec == None`): an archive (with its finished flag, catalog entry and
-/// collected knowledge) stored by [`CoordinatorDb::complete_task`] for a
-/// known task whose reported job key is not registered here.
-///
-/// The table holds live jobs — never lifetime jobs: no row, stub or not,
-/// sits at or below its client's retired watermark (retirement takes the
-/// whole row, archive included).  A stub is the only row that may sit
-/// above its client's registration mark: the mismatched pair reports a
-/// key never registered here.
-#[derive(Debug, Clone, Default)]
+/// A row starts at registration (local or replicated) and holds nothing
+/// without it: every attribute belongs to a registered job.  The table
+/// holds live jobs — never lifetime jobs: no row sits at or below its
+/// client's retired watermark (retirement takes the whole row, archive
+/// included), and none above its client's registration mark.
+#[derive(Debug, Clone)]
 struct JobRow {
-    /// The registered description (`None` = stub, see above).
-    spec: Option<JobSpec>,
-    /// Change-index version of the job row (0 while a stub).
+    /// The registered description.
+    spec: JobSpec,
+    /// Change-index version of the job row.
     version: u64,
     /// Next attempt number (folded with replicated attempt numbers on
     /// delta application).
@@ -97,20 +91,25 @@ struct JobRow {
 }
 
 impl JobRow {
-    /// Known, not held, and not already delivered to the client: an
-    /// archive for this job would be news.
-    fn wants_archive(&self) -> bool {
-        self.spec.is_some() && self.archive.is_none() && !self.collected
+    /// The row of `spec`'s job, registered at change-index `version`.
+    fn new(spec: JobSpec, version: u64) -> Self {
+        JobRow {
+            spec,
+            version,
+            next_attempt: 0,
+            finished: false,
+            collected: false,
+            collected_pos: 0,
+            tasks: TaskIds::default(),
+            archive: None,
+            ckpt: None,
+        }
     }
 
-    /// True when a stub holds nothing any more: no such row may stay in
-    /// the table.
-    fn is_vacant(&self) -> bool {
-        self.spec.is_none()
-            && self.archive.is_none()
-            && self.collected_pos == 0
-            && !self.finished
-            && !self.collected
+    /// Not held, and not already delivered to the client: an archive for
+    /// this job would be news.
+    fn wants_archive(&self) -> bool {
+        self.archive.is_none() && !self.collected
     }
 }
 
@@ -310,8 +309,7 @@ pub struct CoordinatorDb {
     incarnations: BTreeMap<CoordId, u64>,
     version: u64,
     /// One row per job: description, flags, counters, archive, checkpoint
-    /// (see [`JobRow`] for what lives here and what a stub row is), in a
-    /// seq-indexed window per client.
+    /// (see [`JobRow`]), in a seq-indexed window per client.
     jobs: SeqTable<JobRow>,
     tasks: BTreeMap<TaskId, TaskRow>,
     /// The FCFS queue: exactly the `Pending` task rows, keyed by the row's
@@ -325,6 +323,12 @@ pub struct CoordinatorDb {
     /// per server ever heard — fleet-sized, not lifetime.
     server_heard: BTreeMap<ServerId, SimTime>,
     client_max: BTreeMap<ClientKey, MarkRow>,
+    /// The last instance counter minted ([`TaskId::compose`]).  It starts
+    /// at the incarnation, so a wiped coordinator never mints an id its
+    /// earlier incarnations handed out: their ranges could meet only if
+    /// one minted more than one instance per nanosecond it lived.  The
+    /// counter has 48 bits: a boot instant past 2^48 ns (≈ 78 h of run
+    /// time) overflows it, which `compose`'s debug assertion catches.
     task_counter: u64,
     duplicate_results: u64,
     /// Version-ordered change index: one entry per live row, keyed by the
@@ -377,7 +381,8 @@ impl CoordinatorDb {
     }
 
     /// Empty database owned by coordinator `me`, created in `incarnation`:
-    /// the boot instant of a coordinator that lost its disk.
+    /// the boot instant (in ns) of a coordinator that lost its disk, and
+    /// where its instance counter starts.
     pub fn with_incarnation(me: CoordId, incarnation: u64) -> Self {
         CoordinatorDb {
             me,
@@ -391,7 +396,7 @@ impl CoordinatorDb {
             by_server: BTreeMap::new(),
             server_heard: BTreeMap::new(),
             client_max: BTreeMap::new(),
-            task_counter: 0,
+            task_counter: incarnation,
             duplicate_results: 0,
             changed: BTreeMap::new(),
             missing: ReexecWatch::default(),
@@ -485,11 +490,6 @@ impl CoordinatorDb {
         }
     }
 
-    /// The registered description of `job`, if any (stub rows have none).
-    fn spec(&self, job: &JobKey) -> Option<&JobSpec> {
-        self.jobs.get(job)?.spec.as_ref()
-    }
-
     /// Re-stamps `job`'s single collected-knowledge row in the change
     /// index (0 = first acknowledgement), so replication deltas carry it.
     fn touch_collected(
@@ -581,9 +581,6 @@ impl CoordinatorDb {
             Self::touch_collected(&mut self.changed, &mut self.version, row, job, from);
             return true;
         }
-        if row.spec.is_none() {
-            return false;
-        }
         // No archive held: delivered knowledge is terminal — the job must
         // never be re-executed or re-acquired just because the archive is
         // elsewhere (or gone).
@@ -616,9 +613,9 @@ impl CoordinatorDb {
 
     // --- job registration -------------------------------------------------
 
-    /// Inserts `spec` as a new registered job (upgrading a stub row if one
-    /// exists) and creates its `spec.replication` task instances.  The
-    /// caller checked the job is neither registered nor retired.
+    /// Inserts `spec` as a new registered job and creates its
+    /// `spec.replication` task instances.  The caller checked the job is
+    /// neither registered nor retired.
     fn insert_job(&mut self, spec: JobSpec) {
         let key = spec.key;
         let replication = spec.replication.max(1);
@@ -630,9 +627,7 @@ impl CoordinatorDb {
             Provenance::LOCAL,
         );
         self.note_mark(key.client, key.seq, Provenance::LOCAL);
-        let row = self.jobs.get_or_default(key);
-        row.spec = Some(spec);
-        row.version = v;
+        self.jobs.insert(key, JobRow::new(spec, v));
         for _ in 0..replication {
             self.create_instance(key);
         }
@@ -679,9 +674,9 @@ impl CoordinatorDb {
         (new_count, charge)
     }
 
-    /// True if the job is known (registered — a stub row does not count).
+    /// True if the job is known (registered).
     pub fn knows_job(&self, key: &JobKey) -> bool {
-        self.spec(key).is_some()
+        self.jobs.get(key).is_some()
     }
 
     /// Highest registered submission timestamp for `client` (0 if none) —
@@ -708,7 +703,7 @@ impl CoordinatorDb {
     }
 
     fn create_instance(&mut self, job: JobKey) -> Option<TaskId> {
-        let row = self.jobs.get_mut(&job).filter(|r| r.spec.is_some())?;
+        let row = self.jobs.get_mut(&job)?;
         let attempt = row.next_attempt;
         row.next_attempt += 1;
         self.task_counter += 1;
@@ -756,9 +751,8 @@ impl CoordinatorDb {
             }
             row.rec.state = TaskState::Ongoing { server, since: now };
             row.locally_dispatched = true;
-            let spec = job.spec.as_ref().expect("a task row's job is registered");
-            let desc = Self::describe(spec, id, row.rec.attempt);
-            let params = spec.params.len();
+            let desc = Self::describe(&job.spec, id, row.rec.attempt);
+            let params = job.spec.params.len();
             let v = Self::touch(
                 &mut self.changed,
                 &mut self.version,
@@ -780,12 +774,12 @@ impl CoordinatorDb {
 
     // --- completion ---------------------------------------------------------
 
-    /// Stores `archive` in `row` (which holds none and is not `Collected`):
-    /// catalog entry, missing-set exit, finished flag.
+    /// Stores `archive` in `job`'s resident row (which holds none and is
+    /// not `Collected`): catalog entry, missing-set exit, finished flag.
     fn put_archive(&mut self, job: JobKey, archive: Blob) {
         self.version += 1;
         self.catalog.insert((job.client, self.version), job.seq);
-        let row = self.jobs.get_or_default(job);
+        let row = self.jobs.get_mut(&job).expect("an archive's job is resident");
         row.archive =
             Some(ArchiveRow { payload: archive, collected: false, catalog_pos: self.version });
         if row.finished {
@@ -797,7 +791,10 @@ impl CoordinatorDb {
     /// Registers a task result arriving from `server`.
     ///
     /// At-least-once semantics: the first result for a job wins; duplicates
-    /// from racing instances are counted and dropped.
+    /// from racing instances are counted and dropped.  An instance id names
+    /// one job ring-wide (ids are never minted twice, wipes included), so
+    /// a known task reporting another job comes from a faulty server: it
+    /// is refused as [`CompleteOutcome::UnknownJob`] and changes nothing.
     pub fn complete_task(
         &mut self,
         task: TaskId,
@@ -808,6 +805,9 @@ impl CoordinatorDb {
         let size = archive.len();
         // Clear the server index and mark the instance finished if known.
         if let Some(row) = self.tasks.get_mut(&task) {
+            if row.rec.job != job {
+                return (CompleteOutcome::UnknownJob, Charge::ops(1));
+            }
             match row.rec.state {
                 TaskState::Ongoing { server: s, .. } => {
                     if let Some(set) = self.by_server.get_mut(&s) {
@@ -829,7 +829,7 @@ impl CoordinatorDb {
             );
             row.version = v;
         } else {
-            let Some(owner) = self.jobs.get(&job).filter(|r| r.spec.is_some()) else {
+            let Some(owner) = self.jobs.get(&job) else {
                 return (CompleteOutcome::UnknownJob, Charge::ops(1));
             };
             // The job is known, the instance is not: its dispatcher's row
@@ -843,11 +843,9 @@ impl CoordinatorDb {
             let row = TaskRecord { id: task, job, attempt, state, origin: task.coord() };
             self.apply_task_row(&row, Provenance::LOCAL);
         }
-        // A known task may report a job key that is not registered here
-        // (mismatched pair): the archive is stored all the same, in a stub
-        // row — unless the key is retired, i.e. delivered already.
-        let retired = job.seq <= self.retired_watermark(job.client);
-        if retired || self.jobs.get(&job).is_some_and(|r| r.archive.is_some() || r.collected) {
+        // Either way the job is resident (a task row's job always is), and
+        // an archive held or delivered already makes this one a duplicate.
+        if !self.wants_archive(&job) {
             self.duplicate_results += 1;
             return (CompleteOutcome::Duplicate, Charge::ops(2));
         }
@@ -1260,7 +1258,7 @@ impl CoordinatorDb {
     /// any order, therefore yields a non-decreasing resume mark).  Returns
     /// true when the row moved (and was re-stamped into the change index).
     fn note_ckpt(&mut self, job: JobKey, unit_hw: u32, blob: Blob, from: Provenance) -> bool {
-        let Some(row) = self.jobs.get_mut(&job).filter(|r| r.spec.is_some()) else {
+        let Some(row) = self.jobs.get_mut(&job) else {
             return false; // a job row always precedes its ckpt rows
         };
         let old = match row.ckpt.as_ref() {
@@ -1283,7 +1281,7 @@ impl CoordinatorDb {
     /// The registered work-unit count of `job` (the authority a checkpoint
     /// upload's self-declared progress is checked against).
     pub fn job_work_units(&self, job: &JobKey) -> Option<u32> {
-        self.spec(job).map(|s| s.work_units.max(1))
+        self.jobs.get(job).map(|r| r.spec.work_units.max(1))
     }
 
     /// True when `job` already has its result (finished or `Collected`):
@@ -1451,7 +1449,7 @@ impl CoordinatorDb {
     /// a feed row (`None` when nothing of it is left to send).
     fn feed_row(&self, changed: Changed) -> Option<DeltaRow> {
         match changed {
-            Changed::Job(key) => self.spec(&key).map(|spec| DeltaRow::Job(spec.clone())),
+            Changed::Job(key) => self.jobs.get(&key).map(|r| DeltaRow::Job(r.spec.clone())),
             Changed::Task(id) => self.tasks.get(&id).map(|row| DeltaRow::Task(row.rec)),
             Changed::Mark(client) => {
                 self.client_max.get(&client).map(|row| DeltaRow::Mark { client, mark: row.mark })
@@ -1486,8 +1484,7 @@ impl CoordinatorDb {
             .jobs
             .iter()
             .filter(|(_, r)| r.version > base)
-            .filter_map(|(_, r)| r.spec.clone())
-            .map(DeltaRow::Job);
+            .map(|(_, r)| DeltaRow::Job(r.spec.clone()));
         let tasks = self.tasks.values().filter(|r| r.version > base).map(|r| DeltaRow::Task(r.rec));
         let marks =
             self.client_max.iter().map(|(&c, r)| DeltaRow::Mark { client: c, mark: r.mark });
@@ -1525,9 +1522,7 @@ impl CoordinatorDb {
         let charge = if !self.knows_job(&key) {
             let params_len = spec.params.len();
             let v = Self::touch(&mut self.changed, &mut self.version, 0, Changed::Job(key), from);
-            let row = self.jobs.get_or_default(key);
-            row.spec = Some(spec);
-            row.version = v;
+            self.jobs.insert(key, JobRow::new(spec, v));
             Charge::db(1, params_len)
         } else {
             Charge::ops(1)
@@ -1541,7 +1536,7 @@ impl CoordinatorDb {
     /// while the archive is not held here.
     fn apply_task_row(&mut self, rec: &TaskRecord, from: Provenance) -> bool {
         // Task for an unknown job: ignore (will come later).
-        let Some(job) = self.jobs.get_mut(&rec.job).filter(|j| j.spec.is_some()) else {
+        let Some(job) = self.jobs.get_mut(&rec.job) else {
             return false;
         };
         let mut newly_finished = false;
@@ -1759,9 +1754,8 @@ impl CoordinatorDb {
     /// holds all of them and the rows can be dropped from the feed.
     fn job_prunable(&self, k: &JobKey, min_acked: u64) -> bool {
         let Some(row) = self.jobs.get(k) else { return false };
-        // Only delivered, registered work retires.
+        // Only delivered work retires.
         row.collected
-            && row.spec.is_some()
             && row.version <= min_acked
             && row.collected_pos <= min_acked
             && row.ckpt.as_ref().is_none_or(|c| c.version <= min_acked)
@@ -1799,9 +1793,7 @@ impl CoordinatorDb {
         if let Some(ckpt) = gone.ckpt {
             self.changed.remove(&ckpt.version);
         }
-        if gone.spec.is_some() {
-            self.changed.remove(&gone.version);
-        }
+        self.changed.remove(&gone.version);
         if let Some(archive) = gone.archive {
             self.catalog.remove(&(k.client, archive.catalog_pos));
             self.collected_flagged.remove(k);
@@ -1834,7 +1826,7 @@ impl CoordinatorDb {
             self.jobs.client(client).map(|(seq, _)| seq).take_while(|&seq| seq <= w).collect();
         for &seq in &doomed {
             let k = JobKey { client, seq };
-            if self.knows_job(&k) && !self.has_collected_knowledge(&k) {
+            if !self.has_collected_knowledge(&k) {
                 *news += 1;
             }
             self.prune_job(&k);
@@ -1900,7 +1892,7 @@ impl CoordinatorDb {
             }
         }
         for (_, r) in self.jobs.iter() {
-            stats.jobs += r.spec.is_some() as u64;
+            stats.jobs += 1;
             stats.archived += r.archive.is_some() as u64;
             stats.collected += r.collected as u64;
             stats.ckpts += r.ckpt.is_some() as u64;
@@ -1931,21 +1923,15 @@ impl CoordinatorDb {
         }
         // Each client's window is chunk-exact — no chunk held empty, so it
         // starts on an occupied slot — and, seqs being contiguous by
-        // protocol, reaches no higher than the client's registration mark
-        // but through a stub: the mismatched pair's never-registered key.
+        // protocol, reaches no higher than the client's registration mark.
         for (client, last) in self.jobs.audit() {
             let mark = self.client_max(client);
-            if last > mark {
-                let registered_above =
-                    self.jobs.client(client).any(|(seq, r)| seq > mark && r.spec.is_some());
-                assert!(!registered_above, "{client:?}: registered row above mark {mark}");
-            }
+            assert!(last <= mark, "{client:?}: row {last} above mark {mark}");
         }
         let (mut registered, mut finished, mut collected, mut archived, mut ckpts) =
             (0, 0, 0, 0, 0);
         let (mut versioned, mut missing_rows) = (0, 0);
         for (k, row) in self.jobs.iter() {
-            assert!(!row.is_vacant(), "{k:?}: vacant stub left in the table");
             // Retirement takes the whole row: nothing stays resident below
             // the watermark.
             let w = self.retired_watermark(k.client);
@@ -1960,22 +1946,13 @@ impl CoordinatorDb {
                 assert_eq!(entry, Some(what), "{k:?}: change-index entry");
                 1
             };
-            match &row.spec {
-                Some(spec) => {
-                    assert_eq!(spec.key, k);
-                    registered += 1;
-                    versioned += stamped(row.version, Changed::Job(k));
-                    // What this node knows finished, the ring can learn:
-                    // from a `Finished` instance row, or the collected row.
-                    let told =
-                        row.collected_pos != 0 || tasks.iter().any(|t| t.rec.state.is_finished());
-                    assert!(!row.finished || told, "{k:?}: finished, and no feed row says so");
-                }
-                None => {
-                    assert!(tasks.is_empty() && row.ckpt.is_none(), "{k:?}: stub owns rows");
-                    assert_eq!((row.version, row.next_attempt), (0, 0), "{k:?}: stub state");
-                }
-            }
+            assert_eq!(row.spec.key, k);
+            registered += 1;
+            versioned += stamped(row.version, Changed::Job(k));
+            // What this node knows finished, the ring can learn: from a
+            // `Finished` instance row, or the collected row.
+            let told = row.collected_pos != 0 || tasks.iter().any(|t| t.rec.state.is_finished());
+            assert!(!row.finished || told, "{k:?}: finished, and no feed row says so");
             if row.collected_pos != 0 {
                 versioned += stamped(row.collected_pos, Changed::Collected(k));
             }
@@ -3155,37 +3132,50 @@ mod tests {
         d.check_invariants();
     }
     #[test]
-    fn mismatched_task_job_pair_archives_into_a_stub_row() {
-        // A known task reporting a job key that is not registered here:
-        // the archive is stored all the same (it precedes its job row),
-        // lives through flag → GC like any other, and a later
-        // registration adopts what the stub already knows.
+    fn a_task_reporting_another_job_is_refused() {
+        // An instance id names one job ring-wide, so a known task reporting
+        // another job's key comes from a faulty server: the result is
+        // refused and nothing moves — whether the reported key is
+        // registered here or not.
         let client = ClientKey::new(1, 1);
-        let stray = JobKey::new(client, 7);
+        let (stray, other) = (JobKey::new(client, 7), JobKey::new(client, 2));
         let mut d = db();
         d.register_job(job(1));
+        d.register_job(job(2));
         let (t, _) = d.next_pending(ServerId(1), T0);
-        let (o, _) = d.complete_task(t.unwrap().id, stray, Blob::synthetic(48, 7), ServerId(1));
+        let t = t.unwrap();
+        let (before, version) = (d.task(t.id).unwrap().rec, d.version());
+        for reported in [stray, other] {
+            let (o, _) = d.complete_task(t.id, reported, Blob::synthetic(48, 7), ServerId(1));
+            assert_eq!(o, CompleteOutcome::UnknownJob, "{reported:?}");
+            d.check_invariants();
+        }
+        assert!(!d.knows_job(&stray) && d.jobs.get(&stray).is_none(), "no row for the stray key");
+        assert_eq!(d.results_catalog_scan(client), vec![], "no catalog entry");
+        assert_eq!((d.archive(&stray), d.archive(&other)), (None, None));
+        assert_eq!(d.task(t.id).unwrap().rec, before, "the task's state is unchanged");
+        assert_eq!(d.indexed_on(ServerId(1)), vec![t.id], "still ongoing on its server");
+        assert_eq!((d.version(), d.finished_count()), (version, 0));
+        // The true pair still lands.
+        let (o, _) = d.complete_task(t.id, t.job, Blob::synthetic(48, 1), ServerId(1));
         assert_eq!(o, CompleteOutcome::NewResult);
         d.check_invariants();
-        assert!(!d.knows_job(&stray));
-        assert_eq!(d.archive(&stray).map(Blob::len), Some(48));
-        assert_eq!(d.results_catalog_scan(client), vec![(7, 48)]);
-        assert_eq!((d.finished_count(), d.stats().archived, d.stats().jobs), (1, 1, 1));
-        assert!(!d.wants_archive(&stray), "unregistered: nothing to want");
-        d.mark_collected(client, &[7]);
-        assert_eq!(d.collected_flagged(), vec![stray]);
-        assert_eq!(d.gc_collected().0, 48);
-        assert!(d.is_collected(&stray));
-        d.check_invariants();
-        // Never prunable (no job row to retire), and a registration of
-        // the same key inherits the delivered state.
-        assert_eq!(d.prune_retired(u64::MAX), 0);
-        let (new, _) = d.register_job(job(7));
-        assert!(new);
-        assert!(d.knows_job(&stray) && d.is_collected(&stray));
-        assert_eq!(d.store_archive(stray, Blob::synthetic(48, 7)), Charge::ops(1));
-        d.check_invariants();
+    }
+
+    #[test]
+    fn a_wiped_database_mints_above_its_incarnation() {
+        // The instance counter starts at the incarnation (the boot instant
+        // in ns), so a database wiped at 35 s mints nothing its first
+        // incarnation could have handed out.
+        let wiped_at = SimTime::from_secs(35).0;
+        let mut d = CoordinatorDb::with_incarnation(CoordId(1), wiped_at);
+        d.register_job(job(1).with_replication(2));
+        let ids: Vec<TaskId> = d.delta_since(0).tasks().map(|t| t.id).collect();
+        assert_eq!(ids.len(), 2);
+        for id in ids {
+            assert_eq!(id.coord(), CoordId(1));
+            assert!(id.counter() > 35_000_000_000, "{id:?} minted at or below the incarnation");
+        }
     }
 
     #[test]
@@ -3219,7 +3209,7 @@ mod tests {
     }
 
     #[test]
-    fn gc_forgets_the_catalog_entry_and_retirement_leaves_no_stub() {
+    fn gc_forgets_the_catalog_entry_and_retirement_leaves_no_row() {
         let client = ClientKey::new(1, 1);
         let mut d = db();
         for seq in 1..=3 {
@@ -3242,7 +3232,7 @@ mod tests {
         assert_eq!(d.prune_retired(d.version()), 2);
         d.check_invariants();
         for seq in 1..=2 {
-            assert!(d.jobs.get(&JobKey::new(client, seq)).is_none(), "seq {seq}: stub row left");
+            assert!(d.jobs.get(&JobKey::new(client, seq)).is_none(), "seq {seq}: row left");
         }
         assert_eq!(d.results_catalog_since(client, 0).added, d.results_catalog_scan(client));
     }
@@ -3267,26 +3257,30 @@ mod tests {
         let applied = b.apply_delta_owned(a.feed_for(CoordId(2), 0), T0);
         assert_eq!(applied.newly_collected, 1, "delivered is news here");
         b.check_invariants();
-        assert!(!b.knows_job(&k) && b.jobs.get(&k).is_none(), "no stub row");
+        assert!(!b.knows_job(&k) && b.jobs.get(&k).is_none(), "no row");
         assert_eq!(b.archive(&k), None);
         assert_eq!(b.results_catalog_scan(client), vec![]);
         assert!(b.has_collected_knowledge(&k), "summarized by the watermark");
         assert_eq!((b.stats().archived, b.finished_count()), (0, 1));
-        // A known task reporting the retired key (a mismatched pair) is a
-        // duplicate result, not a stub row below the watermark.
+        // A known task reporting the retired key is refused like any task
+        // reporting another job: no row comes back below the watermark, and
+        // the task stays ongoing.
         b.register_job(job(2));
         let (t2, _) = b.next_pending(ServerId(1), T0);
-        let (o, _) = b.complete_task(t2.unwrap().id, k, Blob::synthetic(64, 1), ServerId(1));
-        assert_eq!(o, CompleteOutcome::Duplicate);
+        let t2 = t2.unwrap();
+        let (o, _) = b.complete_task(t2.id, k, Blob::synthetic(64, 1), ServerId(1));
+        assert_eq!(o, CompleteOutcome::UnknownJob);
         assert!(b.jobs.get(&k).is_none());
+        assert!(matches!(b.task(t2.id).unwrap().rec.state, TaskState::Ongoing { .. }));
+        assert_eq!((b.stats().archived, b.finished_count()), (0, 1));
         b.check_invariants();
     }
 
     #[test]
-    fn gc_after_a_watermark_leaves_no_stub() {
+    fn gc_after_a_watermark_leaves_no_row() {
         // The receiver holds job 1's archive flagged for GC (its client
         // acked here) when the sender's watermark retires the job.  GC must
-        // not turn what is left into a resident `Collected` stub below the
+        // not turn what is left into a resident `Collected` row below the
         // watermark: the row, its archive and its GC flag are gone already.
         let client = ClientKey::new(1, 1);
         let k = JobKey::new(client, 1);
@@ -3303,7 +3297,7 @@ mod tests {
         assert_eq!(b.collected_flagged(), vec![], "the GC flag left with the row");
         assert_eq!(b.gc_collected().0, 0, "nothing left to reclaim");
         b.check_invariants();
-        assert!(b.jobs.get(&k).is_none(), "stub row left below the watermark");
+        assert!(b.jobs.get(&k).is_none(), "row left below the watermark");
         assert_eq!(b.resident_rows(), 2, "only the mark and watermark rows remain");
     }
 

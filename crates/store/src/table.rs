@@ -6,9 +6,7 @@
 //! the client's own sender log is built on): the seq is the index, rows
 //! sit in fixed chunks, and a chunk leaves with its last row.  A row
 //! arriving out of seq order (a re-stamped job replicated after later
-//! seqs) simply fills its slot, and a stray key (a result reported under a
-//! key never registered here) costs one chunk, never a window stretched
-//! across the gap.
+//! seqs) simply fills its slot.
 
 use std::collections::BTreeMap;
 
@@ -37,12 +35,10 @@ impl<T> SeqTable<T> {
         self.windows.get_mut(&key.client)?.get_mut(key.seq)
     }
 
-    /// The row of `key`, a default one filling its slot if it was vacant.
-    pub(crate) fn get_or_default(&mut self, key: JobKey) -> &mut T
-    where
-        T: Default,
-    {
-        self.windows.entry(key.client).or_default().get_or_insert_with(key.seq, T::default)
+    /// Puts `row` in `key`'s slot, which is vacant.
+    pub(crate) fn insert(&mut self, key: JobKey, row: T) {
+        let old = self.windows.entry(key.client).or_default().insert(key.seq, row);
+        debug_assert!(old.is_none(), "{key:?}: a row inserted over a resident one");
     }
 
     /// Vacates `key`'s slot, freeing its chunk (and the client's window)
@@ -91,9 +87,9 @@ mod tests {
     fn slots_fill_out_of_order_and_iterate_by_key() {
         let mut t: SeqTable<u64> = SeqTable::new();
         for seq in [40, 3, 70, 1] {
-            *t.get_or_default(key(2, seq)) = seq;
+            t.insert(key(2, seq), seq);
         }
-        *t.get_or_default(key(1, 5)) = 5;
+        t.insert(key(1, 5), 5);
         assert_eq!(t.get(&key(2, 2)), None, "a vacant slot reads as absent");
         assert_eq!(t.get(&key(2, 40)), Some(&40));
         let keys: Vec<(u64, u64)> = t.iter().map(|(k, _)| (k.client.user.0, k.seq)).collect();
@@ -110,7 +106,7 @@ mod tests {
         let n = rpcv_log::window::CHUNK as u64;
         let mut t: SeqTable<u64> = SeqTable::new();
         for seq in 1..=n + n / 2 {
-            *t.get_or_default(key(1, seq)) = seq;
+            t.insert(key(1, seq), seq);
         }
         let window =
             |t: &SeqTable<u64>| t.windows.get(&ClientKey::new(1, 1)).map(SeqWindow::chunk_count);
@@ -125,8 +121,8 @@ mod tests {
             t.remove(&key(1, seq));
         }
         assert_eq!(window(&t), None, "the empty window is gone too");
-        // A stray far key costs one chunk, not a window across the gap.
-        *t.get_or_default(key(1, u64::MAX)) = 7;
+        // A far key costs one chunk, not a window across the gap.
+        t.insert(key(1, u64::MAX), 7);
         assert_eq!(window(&t), Some(1));
         assert_eq!(t.audit(), vec![(ClientKey::new(1, 1), u64::MAX)]);
     }

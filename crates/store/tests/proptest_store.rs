@@ -165,14 +165,9 @@ struct Ring {
     /// crash, as across a partition: `i` skips `j` until it trusts it
     /// again, and `j` keeps running.
     cut: Option<(usize, usize)>,
-    /// Members that lost their disk.  A wiped database restarts its task
-    /// counter, and instance ids minted again would alias the first
-    /// incarnation's rows at the peers — a hazard of wiping the id
-    /// authority that is not this property's subject — so a wiped member
-    /// stops minting (no registration, re-execution or suspicion).
-    wiped: Vec<bool>,
-    /// The last incarnation a wipe minted: incarnations are boot instants,
-    /// so each wipe's is higher than any before it.
+    /// The last incarnation a wipe minted: incarnations are boot instants
+    /// in ns, one second apart here, so each wipe's is higher than any
+    /// before it.
     minted: u64,
 }
 
@@ -185,7 +180,6 @@ impl Ring {
             applied: vec![vec![0; k]; k],
             down: None,
             cut: None,
-            wiped: vec![false; k],
             minted: 0,
         }
     }
@@ -284,11 +278,10 @@ impl Ring {
     /// together, and the new database has a new incarnation; its peers are
     /// not told.
     fn wipe(&mut self, d: usize) {
-        self.minted += 1;
+        self.minted += 1_000_000_000;
         self.members[d] = CoordinatorDb::with_incarnation(Self::id(d), self.minted);
         self.acked[d].fill(0);
         self.applied[d].fill(0);
-        self.wiped[d] = true;
     }
 
     /// The run starts with a retired prefix that one member only *learned*:
@@ -314,6 +307,8 @@ impl Ring {
     }
 
     /// One step of the `indexed_views_match_scan_definitions` generator.
+    /// Wiped members mint too, and no instance id ever names two jobs
+    /// across the members.
     fn step(&mut self, seq: u64, action: u8, aux: u8) {
         let k = self.members.len();
         let i = (seq as usize + aux as usize) % k;
@@ -326,12 +321,18 @@ impl Ring {
                 _ => self.wipe(i),
             },
             _ if Some(i) == self.down => {}
-            0 | 1 | 5 | 8 if self.wiped[i] => {}
             10 => {
                 let min_acked = self.min_acked(i);
                 self.members[i].prune_retired(min_acked);
             }
             _ => local_op(&mut self.members[i], seq, action, aux),
+        }
+        let mut named = std::collections::BTreeMap::new();
+        for m in &self.members {
+            for t in m.delta_since(0).tasks() {
+                let job = *named.entry(t.id).or_insert(t.job);
+                assert_eq!(job, t.job, "{:?} names two jobs", t.id);
+            }
         }
     }
 }

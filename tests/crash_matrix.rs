@@ -933,6 +933,64 @@ fn a_stale_complete_frame_cannot_admit_a_round_for_the_wiped_database() {
     assert_eq!(g.client_results(), 12);
 }
 
+/// A wiped coordinator is a new id authority, not the old one again: its
+/// task counter starts at its incarnation (the boot instant, in ns), so no
+/// instance it mints after the wipe can take an id its first incarnation
+/// handed out — ids the replica still holds, under other jobs.  Were the
+/// ids reused, a promoted successor would read one job's result as
+/// another's, and a client would wait for good on a job whose instance
+/// the ring believes finished.  Two clients keep both coordinators busy
+/// minting across the wipe; the run must deliver every call, and no id
+/// may name two jobs across the two coordinators' task rows, sampled
+/// every 500 ms (retention prunes the rows of delivered jobs).
+#[test]
+fn a_wiped_coordinator_never_remints_an_instance_id() {
+    use rpcv::xw::{JobKey, TaskId};
+    use std::collections::{BTreeMap, BTreeSet};
+    let cfg = ProtocolConfig::confined().with_heartbeat(SimDuration::from_secs(1));
+    let plans = (0..2u64)
+        .map(|c| {
+            (0..4)
+                .map(|i| CallSpec::new("b", Blob::synthetic(10_000, c * 4 + i), 30.0, 128))
+                .collect()
+        })
+        .collect();
+    let mut g = SimGrid::build(GridSpec::confined(2, 2).with_cfg(cfg).with_client_plans(plans));
+    let c0 = g.coords[0].1;
+    let mut named: BTreeMap<TaskId, BTreeSet<JobKey>> = BTreeMap::new();
+    let mut sample = |g: &SimGrid| {
+        for coord in (0..2).filter_map(|i| g.coordinator(i)) {
+            for t in coord.db().delta_since(0).tasks() {
+                named.entry(t.id).or_default().insert(t.job);
+            }
+        }
+    };
+    g.world.run_until(SimTime::from_secs(6));
+    sample(&g);
+    g.world.crash_now(c0);
+    g.world.wipe_durable(c0);
+    g.world.restart_now(c0);
+    let mut done = None;
+    while done.is_none() && g.world.now() < SimTime::from_secs(3600) {
+        done = g.run_until_done(g.world.now() + SimDuration::from_millis(500));
+        sample(&g);
+    }
+
+    // As `(counter, [(user, seq), …])`, for a readable failure.
+    let aliased: Vec<(u64, Vec<(u64, u64)>)> = named
+        .iter()
+        .filter(|(_, jobs)| jobs.len() > 1)
+        .map(|(id, jobs)| (id.counter(), jobs.iter().map(|j| (j.client.user.0, j.seq)).collect()))
+        .collect();
+    let held: Vec<usize> = (0..2).map(|c| g.client_results_at(c)).collect();
+    assert!(
+        done.is_some() && held == [4, 4] && aliased.is_empty(),
+        "done {done:?}; results held {held:?} of 4 each; {} of {} ids name two jobs: {aliased:?}",
+        aliased.len(),
+        named.len(),
+    );
+}
+
 /// Group commit must not widen the ack window: a `TaskDoneAck` leaves at
 /// its *own* write's return, so when the primary dies while a batch of
 /// archives rides an op that has not even started, no server of that
