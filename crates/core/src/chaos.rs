@@ -130,7 +130,8 @@ impl FrameOps<Msg> for MsgChaos {
 // not after it — and the post-heal recovery makespan is a real
 // measurement, not zero.
 
-/// Coordinators per shard (≥ 2 so partitions can split the group).
+/// Coordinators per shard by default (≥ 2 so partitions can split the
+/// group; see [`ChaosOracle::with_coordinators`]).
 const COORDINATORS: usize = 3;
 /// Servers.
 const SERVERS: usize = 8;
@@ -217,12 +218,14 @@ pub struct ChaosOracle {
     /// Client count (> 1 exercises cross-shard traffic: each client hashes
     /// to one shard, so a sharded oracle needs several).
     clients: usize,
+    /// Coordinators per shard: the ring size every recovery path runs on.
+    coordinators: usize,
 }
 
 impl ChaosOracle {
     /// The standard cell, flat and with one client, at `(seed, intensity)`.
     pub fn seeded(seed: u64, intensity: f64) -> Self {
-        ChaosOracle { seed, intensity, shards: 1, clients: 1 }
+        ChaosOracle { seed, intensity, shards: 1, clients: 1, coordinators: COORDINATORS }
     }
 
     /// Builder: a sharded oracle cell — `shards` coordinator groups and
@@ -230,6 +233,16 @@ impl ChaosOracle {
     pub fn with_shards(mut self, shards: usize, clients: usize) -> Self {
         self.shards = shards.max(1);
         self.clients = clients.max(1);
+        self
+    }
+
+    /// Builder: `coordinators` per shard instead of the standard cell's
+    /// three (floors at 2, so a partition can split the group).  A ring of
+    /// four or more has members that never hear a given coordinator's
+    /// rounds directly — recovery that leans on who suspects whom shows
+    /// there, and nowhere on a ring of three.
+    pub fn with_coordinators(mut self, coordinators: usize) -> Self {
+        self.coordinators = coordinators.max(2);
         self
     }
 
@@ -255,7 +268,7 @@ impl ChaosOracle {
             .with_heartbeat(SimDuration::from_secs(1))
             .with_suspicion(SimDuration::from_secs(5))
             .with_replication_period(SimDuration::from_secs(2));
-        let spec = GridSpec::confined(COORDINATORS, SERVERS)
+        let spec = GridSpec::confined(self.coordinators, SERVERS)
             .with_seed(self.seed)
             .with_cfg(proto)
             .with_shards(self.shards)

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use rpcv_detect::{CoordinatorList, HeartbeatMonitor};
 use rpcv_obs::{Histogram, SpanBook, SpanEdge, TelemetrySnapshot};
 use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimDuration, SimTime, TimerId};
-use rpcv_store::{Applied, Charge, CoordinatorDb, ReplicationDelta};
+use rpcv_store::{Applied, Charge, CompleteOutcome, CoordinatorDb, ReplicationDelta};
 use rpcv_wire::WireEncode;
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId};
 
@@ -62,6 +62,15 @@ rpcv_simnet::counters! {
         pub coordinator_suspicions,
         /// Jobs re-executed because their archive was unrecoverable.
         pub reexecutions,
+        /// Replicated running rows this coordinator adopted — on predecessor
+        /// suspicion, or on a client's first contact — instead of
+        /// re-instancing them: it watches their servers from then on.
+        pub adopted_rows,
+        /// Instances minted because a server went silent here.
+        pub suspicion_reinstances,
+        /// Instances minted because a server's beat no longer listed a task
+        /// it had been given.
+        pub reconcile_reinstances,
         /// Collection acknowledgements learned through replication deltas —
         /// jobs this coordinator, once promoted, will neither re-execute nor
         /// re-acquire because the old primary's client already collected them.
@@ -179,7 +188,8 @@ pub struct CoordinatorActor {
     applied_head: BTreeMap<CoordId, u64>,
     /// Outstanding replication round: `(successor, head, started)`.
     inflight_repl: Option<(CoordId, u64, SimTime)>,
-    /// Origins already released after predecessor suspicion.
+    /// Origins already released after predecessor suspicion: their held
+    /// running rows of clients served here were adopted, once.
     released: BTreeSet<CoordId>,
     /// Boot epoch: regenerated on every (re)start so clients can tell
     /// state-losing restarts from reordered stale replies.
@@ -267,13 +277,32 @@ impl CoordinatorActor {
     /// Records that `client`'s traffic lands here.  On first contact the
     /// database un-parks the client's missing archives — this coordinator
     /// now serves them, so their unrecovered work enters the re-execution
-    /// pipeline with its original stamps (a failover pays no fresh horizon).
-    fn greet_client(&mut self, client: ClientKey) {
+    /// pipeline with its original stamps (a failover pays no fresh horizon)
+    /// — and adopts the client's running rows other coordinators dispatched:
+    /// their dispatcher may be gone, and nobody else might ever suspect it.
+    fn greet_client(&mut self, ctx: &mut Ctx<'_, Msg>, client: ClientKey) {
         // Which group owns a client is the directory's decision, read by
         // the client from the same list: it addresses no other group.
         debug_assert_eq!(self.params.directory.shard_of(client), self.my_shard);
         if self.clients.insert(client) {
             self.db.unpark_missing(client);
+            let (watch, charge) = self.db.adopt_client(client);
+            if !watch.is_empty() {
+                self.watch_adopted(ctx.now(), &watch);
+                self.pay(ctx, charge);
+            }
+        }
+    }
+
+    /// Starts watching the servers of rows just adopted (one entry per
+    /// row): a server the monitor does not hold yet is observed now, so
+    /// its silence from here on re-instances what it runs.
+    fn watch_adopted(&mut self, now: SimTime, servers: &[ServerId]) {
+        self.metrics.adopted_rows += servers.len() as u64;
+        for &server in servers {
+            if self.server_mon.last_seen(server).is_none() {
+                self.server_mon.observe(server, now);
+            }
         }
     }
 
@@ -407,7 +436,8 @@ impl CoordinatorActor {
         // still in flight (their dispatch stamp counts from the moment the
         // Assign actually left).
         let grace = (self.params.cfg.heartbeat * 3).max(self.params.cfg.suspicion);
-        let (_lost, charge) = self.db.reconcile_server(server, &running, now, grace);
+        let (lost, charge) = self.db.reconcile_server(server, &running, now, grace);
+        self.metrics.reconcile_reinstances += lost.len() as u64;
         if charge.db_ops > 1 {
             self.pay(ctx, charge);
         }
@@ -499,8 +529,17 @@ impl CoordinatorActor {
     ) {
         let now = ctx.now();
         self.server_mon.observe(server, now);
-        let (_outcome, charge) = self.db.complete_task(task, job, archive, server);
+        let (outcome, charge) = self.db.complete_task(task, job, archive, server);
         let done = self.pay(ctx, charge);
+        // A result this coordinator cannot place — its job is not learned
+        // here yet — is not acknowledged: the server keeps it in its log,
+        // goes on listing the task as running and re-offers the archive on
+        // its beats, and `NeedArchives` pulls it once replication teaches
+        // the job.  Acking would drop what may be the only copy.  A retired
+        // or delivered job is known delivered, and is acked.
+        if outcome == CompleteOutcome::UnknownJob && !self.db.has_collected_knowledge(&job) {
+            return;
+        }
         self.spans.mark(job, SpanEdge::Finished, now);
         if self.db.archive(&job).is_some() {
             self.spans.mark(job, SpanEdge::ArchiveStored, now);
@@ -570,7 +609,7 @@ impl CoordinatorActor {
         collected: Vec<u64>,
         catalog_seq: u64,
     ) {
-        self.greet_client(client);
+        self.greet_client(ctx, client);
         let mut charge = Charge::ZERO;
         if !collected.is_empty() {
             let now = ctx.now();
@@ -642,8 +681,9 @@ impl CoordinatorActor {
         let peer = delta.from;
         self.peer_mon.observe(peer, now);
         self.coords.trust(peer);
-        // A peer we had written off is alive again: future ongoing tasks of
-        // its origin are held once more.
+        // A peer we had written off is alive again: its next suspicion
+        // adopts what it dispatched since.  Rows adopted meanwhile stay
+        // adopted — their servers' testimony holds whoever dispatched them.
         self.released.remove(&peer);
         // Gap detection: the delta claims a base we never applied from this
         // peer (its retention pruned rows believing we held them — a stale
@@ -737,6 +777,7 @@ impl CoordinatorActor {
             ctx.note("coordinator suspects server");
             self.metrics.server_suspicions += 1;
             let (created, charge) = self.db.server_suspected(s);
+            self.metrics.suspicion_reinstances += created.len() as u64;
             // Failover annotation: each re-queued job's span records the
             // true detection gap (silence observed at suspicion time —
             // bounded by the suspicion timeout plus one scan period) and
@@ -753,13 +794,16 @@ impl CoordinatorActor {
             self.pay(ctx, charge);
             self.server_mon.forget(s);
         }
-        // Predecessor suspicion ⇒ release its held ongoing tasks.
+        // Predecessor suspicion ⇒ adopt its held ongoing tasks of the
+        // clients served here, and watch their servers: silence or a beat
+        // that no longer lists a task re-instances it, nothing else does.
         for peer in self.peer_mon.suspects(now) {
             if self.released.insert(peer) {
-                ctx.note("coordinator suspects predecessor; releasing its tasks");
+                ctx.note("coordinator suspects predecessor; adopting its tasks");
                 self.metrics.coordinator_suspicions += 1;
                 self.coords.suspect(peer, now);
-                let (_created, charge) = self.db.release_origin(peer);
+                let (watch, charge) = self.db.release_origin(peer, &self.clients);
+                self.watch_adopted(now, &watch);
                 self.pay(ctx, charge);
             }
         }
@@ -820,7 +864,7 @@ impl Actor<Msg> for CoordinatorActor {
         *self.rx_counts.entry(msg.kind()).or_insert(0) += 1;
         match msg {
             Msg::Submit { spec } => {
-                self.greet_client(spec.key.client);
+                self.greet_client(ctx, spec.key.client);
                 let job = spec.key;
                 let gap = self.contiguous_prefix(job.client, std::slice::from_ref(&spec)) == 0;
                 let done = if gap {
@@ -834,7 +878,7 @@ impl Actor<Msg> for CoordinatorActor {
             }
             Msg::SubmitBatch { mut specs } => {
                 let Some(job) = specs.last().map(|s| s.key) else { return };
-                self.greet_client(job.client);
+                self.greet_client(ctx, job.client);
                 specs.truncate(self.contiguous_prefix(job.client, &specs));
                 let done = if specs.is_empty() {
                     ctx.now()

@@ -492,3 +492,43 @@ fn the_round_from_zero_is_one_frame_charged_once() {
     let round = primary.metrics.repl_rounds.last().unwrap();
     assert_eq!((round.bytes, round.records), (boot.wire_size(), delta.len() as u64), "and logged");
 }
+
+#[test]
+fn recovery_counters_split_adoption_suspicion_and_reconcile() {
+    // Two calls run on two servers when the primary dies with one of them.
+    // The client's first contact at the successor adopts both rows (release
+    // later finds nothing left to adopt); the dead server's silence
+    // re-instances its call, and the live one — bounced inside the
+    // suspicion timeout, its execution lost — stops listing its task, which
+    // its beat reconciliation re-instances.  The status snapshot (what a
+    // `pull_status` reply seals) splits the recovery by path.
+    let cfg = ProtocolConfig::confined()
+        .with_heartbeat(SimDuration::from_secs(1))
+        .with_suspicion(SimDuration::from_secs(5))
+        .with_replication_period(SimDuration::from_secs(1));
+    let mut grid =
+        SimGrid::build(GridSpec::confined(2, 4).with_cfg(cfg).with_plan(plan(2, 60.0, 100, 64)));
+    let at = SimTime::from_secs;
+    grid.world.run_until(at(7));
+    let busy: Vec<usize> =
+        (0..4).filter(|&i| grid.server(i).unwrap().running_count() == 1).collect();
+    let [dead, bounced] = busy[..] else { panic!("both calls run: {busy:?}") };
+    grid.world.crash_now(grid.coords[0].1);
+    grid.world.crash_now(grid.servers[dead].1);
+    grid.world.schedule_control(at(20), Control::Crash(grid.servers[bounced].1));
+    grid.world.schedule_control(at(21), Control::Restart(grid.servers[bounced].1));
+    grid.run_until_done(SimTime::from_secs(600)).expect("both calls are recovered");
+    assert_eq!(grid.client_results(), 2);
+
+    let c = grid.coordinator(1).unwrap();
+    let snap = rpcv_obs::TelemetrySnapshot::open(&c.telemetry_snapshot().seal()).unwrap();
+    let read = |name: &str| snap.counter(&format!("coord.{name}"));
+    assert_eq!(read("coordinator_suspicions"), 1);
+    assert_eq!(read("adopted_rows"), 2, "both rows adopted, once");
+    assert_eq!(read("suspicion_reinstances"), 1, "the dead server's call");
+    assert_eq!(read("reconcile_reinstances"), 1, "the bounced server's call");
+    let m = &c.metrics;
+    let split = (m.adopted_rows, m.suspicion_reinstances, m.reconcile_reinstances);
+    assert_eq!(split, (2, 1, 1), "the snapshot reads the actor's own counters");
+    assert_eq!(c.db().stats().tasks, 4, "one replacement per lost call, nothing on release");
+}

@@ -22,11 +22,40 @@ use crate::table::SeqTable;
 pub struct TaskRow {
     /// What replicates: id, job, attempt, scheduling state, origin.
     pub rec: TaskRecord,
-    /// Whether *this* coordinator dispatched the instance (vs. learned of
-    /// it through replication) — drives the replica scheduling rule.
-    pub locally_dispatched: bool,
+    /// Who answers for the instance here — drives the replica scheduling
+    /// rule and what this coordinator's silence from its server covers.
+    pub custody: Custody,
     /// Version stamp of the last mutation (replication watermark).
     pub version: u64,
+}
+
+/// Where a task row belongs at this coordinator (local, durable with the
+/// row, never replicated).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Custody {
+    /// Learned through replication and not dispatched here: another
+    /// coordinator answers for it.
+    Held,
+    /// This coordinator dispatched the instance (the server answered *us*
+    /// to get it).
+    Dispatched,
+    /// A replicated `Ongoing` row this coordinator took over from a
+    /// suspected origin, or from the coordinator its client left: it
+    /// watches the row's server as if it had dispatched it, and re-instances
+    /// the row only when that server goes silent or stops listing it.
+    /// Always `Ongoing` and indexed on its server: a row leaving the index
+    /// goes back to [`Custody::Held`].
+    Adopted,
+}
+
+impl TaskRow {
+    /// The row left its server's index (finished, or given up on): an
+    /// adopted row has nothing left to watch.
+    fn unwatch(&mut self) {
+        if self.custody == Custody::Adopted {
+            self.custody = Custody::Held;
+        }
+    }
 }
 
 /// A job's task-instance ids.  Nearly every job has exactly one instance
@@ -716,7 +745,7 @@ impl CoordinatorDb {
             Provenance::LOCAL,
         );
         let rec = TaskRecord { id, job, attempt, state: TaskState::Pending, origin: self.me };
-        self.tasks.insert(id, TaskRow { rec, locally_dispatched: false, version: v });
+        self.tasks.insert(id, TaskRow { rec, custody: Custody::Held, version: v });
         row.tasks.push(id);
         self.pending.insert(v, id);
         Some(id)
@@ -750,7 +779,7 @@ impl CoordinatorDb {
                 continue;
             }
             row.rec.state = TaskState::Ongoing { server, since: now };
-            row.locally_dispatched = true;
+            row.custody = Custody::Dispatched;
             let desc = Self::describe(&job.spec, id, row.rec.attempt);
             let params = job.spec.params.len();
             let v = Self::touch(
@@ -819,6 +848,7 @@ impl CoordinatorDb {
                 }
                 TaskState::Finished { .. } => {}
             }
+            row.unwatch();
             row.rec.state = TaskState::Finished { result_size: size };
             let v = Self::touch(
                 &mut self.changed,
@@ -981,9 +1011,9 @@ impl CoordinatorDb {
     // --- fault handling -----------------------------------------------------
 
     /// True when `job` already has a dispatchable queued instance.  The
-    /// recovery paths (server suspicion, beat reconciliation, predecessor
-    /// release) can all conclude the same job needs a new instance in the
-    /// same failover window; one queued instance is recovery enough.
+    /// two recovery paths (server suspicion, beat reconciliation) can both
+    /// conclude the same job needs a new instance in the same failover
+    /// window; one queued instance is recovery enough.
     fn has_live_pending(&self, job: &JobKey) -> bool {
         self.jobs.get(job).is_some_and(|r| {
             !r.finished
@@ -993,9 +1023,9 @@ impl CoordinatorDb {
         })
     }
 
-    /// The common tail of the three recovery paths: one new instance per
-    /// job of `jobs` that has none queued, after one op for the lookup that
-    /// found them.
+    /// The common tail of the two recovery paths, and the one place they
+    /// mint: one new instance per job of `jobs` that has none queued, after
+    /// one op for the lookup that found them.
     fn reinstance(&mut self, jobs: impl IntoIterator<Item = JobKey>) -> (Vec<TaskId>, Charge) {
         let mut created = Vec::new();
         let mut charge = Charge::ops(1);
@@ -1013,14 +1043,14 @@ impl CoordinatorDb {
 
     /// Whether this coordinator's silence from a server says anything about
     /// `row`, an instance indexed on it: yes for a row dispatched from here
-    /// (the server answered *us* to get it), and for a replicated row whose
-    /// dispatch predates the server's last word here (it held the task
-    /// while it was still talking to us).  A task some other coordinator
-    /// gave the server after it stopped talking to us is that
-    /// coordinator's to watch — silence testifies only about what came
-    /// before it.
+    /// (the server answered *us* to get it) or adopted here (we watch its
+    /// server since), and for a replicated row whose dispatch predates the
+    /// server's last word here (it held the task while it was still talking
+    /// to us).  A task some other coordinator gave the server after it
+    /// stopped talking to us is that coordinator's to watch — silence
+    /// testifies only about what came before it.
     fn silence_covers(row: &TaskRow, heard: Option<SimTime>) -> bool {
-        row.locally_dispatched
+        row.custody != Custody::Held
             || match row.rec.state {
                 TaskState::Ongoing { since, .. } => heard.is_some_and(|at| since < at),
                 _ => true,
@@ -1030,21 +1060,22 @@ impl CoordinatorDb {
     /// Server suspected: schedule new instances of its ongoing tasks
     /// ("when a coordinator suspects a server failure, it schedules new
     /// instances of all RPC calls forwarded to the suspect") — of those the
-    /// suspicion covers (dispatched from here, or dispatched anywhere before
-    /// the server last spoke here — `silence_covers`); the rest stay indexed
-    /// for the beat-driven [`Self::reconcile_server`].  The old instances
-    /// stay ongoing — off-line computing means the server may still
-    /// deliver them later; duplicates are dropped at completion.
+    /// suspicion covers (dispatched or adopted here, or dispatched anywhere
+    /// before the server last spoke here — `silence_covers`); the rest stay
+    /// indexed for the beat-driven [`Self::reconcile_server`].  The old
+    /// instances stay ongoing — off-line computing means the server may
+    /// still deliver them later; duplicates are dropped at completion.
     pub fn server_suspected(&mut self, server: ServerId) -> (Vec<TaskId>, Charge) {
         let heard = self.server_heard.get(&server).copied();
-        let (tasks, jobs) = (&self.tasks, &self.jobs);
+        let (tasks, jobs) = (&mut self.tasks, &self.jobs);
         let mut victims: Vec<JobKey> = Vec::new();
         if let Some(set) = self.by_server.get_mut(&server) {
             set.retain(|id| {
-                let Some(row) = tasks.get(id) else { return false };
+                let Some(row) = tasks.get_mut(id) else { return false };
                 if !Self::silence_covers(row, heard) {
                     return true;
                 }
+                row.unwatch();
                 if !jobs.get(&row.rec.job).is_some_and(|j| j.finished) {
                     victims.push(row.rec.job);
                 }
@@ -1126,28 +1157,79 @@ impl CoordinatorDb {
         if let Some(set) = self.by_server.get_mut(&server) {
             for (old, _) in &lost {
                 set.remove(old);
+                if let Some(row) = self.tasks.get_mut(old) {
+                    row.unwatch();
+                }
             }
         }
         self.reinstance(lost.into_iter().map(|(_, job)| job))
     }
 
-    /// Predecessor coordinator suspected: replicated *ongoing* tasks of
-    /// that origin become schedulable here ("ongoing tasks are not
-    /// scheduled until the coordinator replica suspects the disconnection
-    /// of its predecessor").
-    pub fn release_origin(&mut self, origin: CoordId) -> (Vec<TaskId>, Charge) {
-        let held: BTreeSet<JobKey> = self
-            .tasks
-            .values()
-            .filter(|r| {
-                r.rec.origin == origin
-                    && !r.locally_dispatched
-                    && matches!(r.rec.state, TaskState::Ongoing { .. })
-                    && !self.is_finished(&r.rec.job)
-            })
-            .map(|r| r.rec.job)
-            .collect();
-        self.reinstance(held)
+    /// Predecessor coordinator suspected: its replicated *ongoing* tasks
+    /// stop being held ("ongoing tasks are not scheduled until the
+    /// coordinator replica suspects the disconnection of its predecessor")
+    /// — without minting anything.  The servers running them are usually
+    /// alive (the suspicion is a partition, or they fail over and deliver),
+    /// so the rows of `origin` still indexed on a server, whose job is
+    /// unfinished and whose client is in `served`, are adopted: their
+    /// servers' silence or beats re-instance what is really lost
+    /// ([`Self::server_suspected`], [`Self::reconcile_server`]).  A client
+    /// served elsewhere is recovered by the coordinator it talks to, which
+    /// adopts on its first contact ([`Self::adopt_client`]).  Returns the
+    /// adopted rows' servers, one per row, in server order: what the caller
+    /// must watch.  One op for the walk of the server index, one per row.
+    pub fn release_origin(
+        &mut self,
+        origin: CoordId,
+        served: &BTreeSet<ClientKey>,
+    ) -> (Vec<ServerId>, Charge) {
+        let (tasks, jobs) = (&mut self.tasks, &self.jobs);
+        let mut watch = Vec::new();
+        for (&server, set) in &self.by_server {
+            for id in set {
+                let Some(row) = tasks.get_mut(id) else { continue };
+                let job = row.rec.job;
+                if row.custody == Custody::Held
+                    && row.rec.origin == origin
+                    && served.contains(&job.client)
+                    && !jobs.get(&job).is_some_and(|j| j.finished)
+                {
+                    row.custody = Custody::Adopted;
+                    watch.push(server);
+                }
+            }
+        }
+        let charge = Charge::ops(1 + watch.len() as u64);
+        (watch, charge)
+    }
+
+    /// `client`'s traffic now lands here: its held `Ongoing` rows of other
+    /// origins, still indexed on a server and of unfinished jobs, are
+    /// adopted.  Its former coordinator may be dead, and on a ring of four
+    /// or more the one that suspects it may serve nobody — so the
+    /// coordinator the client talks to answers for its running work from
+    /// now on.  Returns the adopted rows' servers as
+    /// [`Self::release_origin`] does; one op per row, nothing when none is
+    /// adopted.  O(the client's resident rows).
+    pub fn adopt_client(&mut self, client: ClientKey) -> (Vec<ServerId>, Charge) {
+        let (tasks, by_server) = (&mut self.tasks, &self.by_server);
+        let mut watch = Vec::new();
+        for (_, job) in self.jobs.client(client).filter(|(_, j)| !j.finished) {
+            for id in job.tasks.iter() {
+                let Some(row) = tasks.get_mut(&id) else { continue };
+                let TaskState::Ongoing { server, .. } = row.rec.state else { continue };
+                if row.custody == Custody::Held
+                    && row.rec.origin != self.me
+                    && by_server.get(&server).is_some_and(|set| set.contains(&id))
+                {
+                    row.custody = Custody::Adopted;
+                    watch.push(server);
+                }
+            }
+        }
+        watch.sort_unstable();
+        let charge = Charge::ops(watch.len() as u64);
+        (watch, charge)
     }
 
     // --- client result collection --------------------------------------------
@@ -1551,21 +1633,21 @@ impl CoordinatorDb {
                 );
                 job.next_attempt = job.next_attempt.max(rec.attempt + 1);
                 self.tasks
-                    .insert(rec.id, TaskRow { rec: *rec, locally_dispatched: false, version: v });
+                    .insert(rec.id, TaskRow { rec: *rec, custody: Custody::Held, version: v });
                 job.tasks.push(rec.id);
                 match rec.state {
                     TaskState::Pending => {
                         self.pending.insert(v, rec.id);
                     }
                     TaskState::Ongoing { server, .. } => {
-                        // Held until release_origin — but indexed by server,
-                        // so the beat-driven reconciliation can reclaim it if
-                        // that server reports the task lost.  Without the
-                        // index, a task dispatched by a live-but-demoted
-                        // predecessor is unrecoverable: the dispatcher no
-                        // longer hears the server's beats, and this node
-                        // would hold the row forever out of respect for the
-                        // live peer.
+                        // Held (until adopted) — but indexed by server, so
+                        // the beat-driven reconciliation can reclaim it if
+                        // that server reports the task lost, and adoption
+                        // finds it.  Without the index, a task dispatched by
+                        // a live-but-demoted predecessor is unrecoverable:
+                        // the dispatcher no longer hears the server's beats,
+                        // and this node would hold the row forever out of
+                        // respect for the live peer.
                         self.by_server.entry(server).or_default().insert(rec.id);
                     }
                     TaskState::Finished { .. } => newly_finished = true,
@@ -1584,6 +1666,7 @@ impl CoordinatorDb {
                         if let Some(set) = self.by_server.get_mut(&server) {
                             set.remove(&rec.id);
                         }
+                        row.unwatch();
                     }
                     if let TaskState::Ongoing { server, .. } = rec.state {
                         self.by_server.entry(server).or_default().insert(rec.id);
@@ -1618,8 +1701,11 @@ impl CoordinatorDb {
     /// Applies a delta from a peer; returns the cost.
     ///
     /// Merge rules (paper §4.2): finished is terminal; ongoing from the
-    /// peer is *held* (not schedulable) until [`Self::release_origin`];
-    /// pending becomes locally schedulable.  State precedence
+    /// peer is *held* — never schedulable here; once its origin is
+    /// suspected ([`Self::release_origin`]) or its client's traffic moves
+    /// here ([`Self::adopt_client`]) it is adopted, and re-instanced only
+    /// when its server's silence or beats show it lost; pending becomes
+    /// locally schedulable.  State precedence
     /// finished > ongoing > pending prevents downgrades from stale deltas.
     /// Collection acknowledgements are terminal knowledge: a collected job
     /// is exempt from re-execution and archive re-acquisition here exactly
@@ -1988,6 +2074,17 @@ impl CoordinatorDb {
                 );
             }
         }
+        // An adopted row is watched through its server: it is `Ongoing`,
+        // and indexed there.
+        for (id, t) in &self.tasks {
+            if t.custody == Custody::Adopted {
+                let TaskState::Ongoing { server, .. } = t.rec.state else {
+                    panic!("{id:?} adopted in state {:?}", t.rec.state)
+                };
+                let indexed = self.by_server.get(&server).is_some_and(|set| set.contains(id));
+                assert!(indexed, "{id:?} adopted, not indexed on {server:?}");
+            }
+        }
         // Provenance: the interned writers are distinct, slot 0 alone names
         // this coordinator (in its own incarnation), and a row whose last
         // mutation can only have been this coordinator's own stays local —
@@ -2004,7 +2101,8 @@ impl CoordinatorDb {
             assert!((entry.from.0 as usize) < self.writers.len(), "v{v}: unknown writer");
             if let Changed::Task(id) = entry.row {
                 let own_dispatch = self.tasks.get(&id).is_some_and(|t| {
-                    t.locally_dispatched && matches!(t.rec.state, TaskState::Ongoing { .. })
+                    t.custody == Custody::Dispatched
+                        && matches!(t.rec.state, TaskState::Ongoing { .. })
                 });
                 assert!(
                     !own_dispatch || entry.from == Provenance::LOCAL,
@@ -2248,13 +2346,88 @@ mod tests {
             seen.push(t.job.seq);
         }
         assert_eq!(seen, vec![3], "only the pending task is schedulable on a replica");
-        // Predecessor suspected: held ongoing task released as new instance.
-        let (released, _) = backup.release_origin(CoordId(1));
-        assert_eq!(released.len(), 1);
+        assert!(missing(&backup).contains(&JobKey::new(ClientKey::new(1, 1), 2)));
+        // Held, the row is no business of the backup's silence: it never
+        // heard server 1.
+        let held = backup.indexed_on(ServerId(1));
+        assert_eq!(held.len(), 1);
+        assert!(backup.clone().server_suspected(ServerId(1)).0.is_empty());
+        // Predecessor suspected: a client served elsewhere keeps the row
+        // held; for a served client the row is adopted and nothing is minted.
+        let tasks = backup.stats().tasks;
+        assert!(backup.release_origin(CoordId(1), &BTreeSet::new()).0.is_empty());
+        assert_eq!(backup.task(held[0]).unwrap().custody, Custody::Held);
+        let served = BTreeSet::from([ClientKey::new(1, 1)]);
+        let (watch, charge) = backup.release_origin(CoordId(1), &served);
+        assert_eq!((watch, charge), (vec![ServerId(1)], Charge::ops(2)));
+        assert_eq!(backup.task(held[0]).unwrap().custody, Custody::Adopted);
+        assert_eq!(
+            (backup.stats().tasks, dispatchable(&backup)),
+            (tasks, 0),
+            "release mints nothing"
+        );
+        assert!(backup.release_origin(CoordId(1), &served).0.is_empty(), "adopted once");
+        backup.check_invariants();
+        // Its server goes silent: the adopted row is re-instanced in the
+        // backup's id space, and leaves the index with nothing to watch.
+        let (created, _) = backup.server_suspected(ServerId(1));
+        assert_eq!(created.len(), 1);
+        assert_eq!(created[0].coord(), CoordId(2));
+        assert_eq!(backup.task(held[0]).unwrap().custody, Custody::Held);
         let (t, _) = backup.next_pending(ServerId(7), T0);
         assert_eq!(t.unwrap().job.seq, 1);
-        // Released instance carries the backup's id space.
-        assert!(missing(&backup).contains(&JobKey::new(ClientKey::new(1, 1), 2)));
+        backup.check_invariants();
+    }
+
+    #[test]
+    fn a_clients_first_contact_adopts_its_running_rows() {
+        let client = ClientKey::new(1, 1);
+        let mut there = CoordinatorDb::new(CoordId(2));
+        for seq in 1..=3 {
+            there.register_job(job(seq));
+        }
+        // Job 1 runs on server 5, job 2 finished on server 6, job 3 waits.
+        let running = there.next_pending(ServerId(5), T0).0.unwrap().id;
+        let (done, _) = there.next_pending(ServerId(6), T0);
+        let done = done.unwrap();
+        there.complete_task(done.id, done.job, Blob::synthetic(8, 2), ServerId(6));
+        let mut here = db();
+        here.apply_delta(&there.delta_since(0));
+        // A row this coordinator minted and the peer dispatched is held
+        // here too, but it is no other origin's: first contact leaves it.
+        here.register_job(job(4));
+        there.apply_delta(&here.delta_since(0));
+        let _ = there.next_pending(ServerId(7), T0); // job 3
+        let (relayed, _) = there.next_pending(ServerId(7), T0);
+        assert_eq!(relayed.unwrap().job.seq, 4);
+        here.apply_delta(&there.delta_since(0));
+        // Another client's running row stays held.
+        let other = JobSpec::new(JobKey::new(ClientKey::new(2, 1), 1), "svc", Blob::empty());
+        there.register_job(other);
+        let theirs = there.next_pending(ServerId(8), T0).0.unwrap().id;
+        here.apply_delta(&there.delta_since(0));
+        assert_eq!(here.indexed_servers().count(), 3);
+
+        let tasks = here.stats().tasks;
+        let (watch, charge) = here.adopt_client(client);
+        // Jobs 1 and 3, minted and dispatched by the peer; job 4 runs on
+        // server 7 too, but this node minted it.
+        assert_eq!(watch, vec![ServerId(5), ServerId(7)]);
+        assert_eq!(charge, Charge::ops(2));
+        let custody = |d: &CoordinatorDb, id: TaskId| d.task(id).unwrap().custody;
+        assert_eq!(custody(&here, running), Custody::Adopted);
+        assert_eq!(custody(&here, theirs), Custody::Held);
+        let own = here.indexed_on(ServerId(7)).into_iter().find(|id| id.coord() == CoordId(1));
+        assert_eq!(custody(&here, own.unwrap()), Custody::Held);
+        assert_eq!(here.stats().tasks, tasks, "adoption mints nothing");
+        // A second contact adopts nothing and costs nothing.
+        assert_eq!(here.adopt_client(client), (vec![], Charge::ZERO));
+        here.check_invariants();
+        // Silence now covers an adopted row (server 5 never spoke here).
+        let (created, _) = here.server_suspected(ServerId(5));
+        assert_eq!(created.len(), 1);
+        assert_eq!(custody(&here, running), Custody::Held);
+        here.check_invariants();
     }
 
     #[test]

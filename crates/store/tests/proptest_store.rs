@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rpcv_simnet::{SimDuration, SimTime};
-use rpcv_store::{CoordinatorDb, DeltaRow, ReplicationDelta};
+use rpcv_store::{CoordinatorDb, Custody, DeltaRow, ReplicationDelta};
 use rpcv_wire::{from_bytes, to_bytes, Blob};
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, TaskId, TaskState};
 
@@ -16,7 +16,7 @@ fn job(seq: u64, size: u64) -> JobSpec {
 
 /// One local (non-replication) operation of the op generator shared by
 /// `indexed_views_match_scan_definitions` and the ring twins: actions
-/// 0–3, 5–9 and 12 of its `(seq, action, aux)` tuples.  The op's instant is
+/// 0–3, 5–9, 12 and 13 of its `(seq, action, aux)` tuples.  The op's instant is
 /// drawn with it (not monotone): dispatch stamps and "heard here" stamps
 /// fall on either side of each other, which is what the suspicion rule
 /// reads.
@@ -74,6 +74,12 @@ fn local_op(db: &mut CoordinatorDb, seq: u64, action: u8, aux: u8) {
                 }
             }
         }
+        13 => match aux {
+            // An origin is suspected (the client served here or not), or
+            // the client's first contact lands here.
+            0..=5 => adopt_checked(db, Some(CoordId((aux % 3) as u64 + 1)), aux < 3),
+            _ => adopt_checked(db, None, true),
+        },
         12 => {
             // A result under an instance id this database has not learned
             // (its dispatcher's row is still on its way), for a possibly
@@ -109,7 +115,7 @@ fn suspect_checked(db: &mut CoordinatorDb, server: ServerId) {
             panic!("{id:?} indexed on {server:?} in state {:?}", row.rec.state)
         };
         assert_eq!(on, server);
-        if row.locally_dispatched || heard.is_some_and(|at| since < at) {
+        if row.custody != Custody::Held || heard.is_some_and(|at| since < at) {
             covered_jobs.push(row.rec.job);
         } else {
             skipped.push(id);
@@ -127,6 +133,47 @@ fn suspect_checked(db: &mut CoordinatorDb, server: ServerId) {
             covered_jobs.contains(job),
             "{job:?} re-instanced on silence that does not cover it"
         );
+    }
+}
+
+/// [`CoordinatorDb::release_origin`] of `origin` (with the client served
+/// here or not), or with `origin` `None` [`CoordinatorDb::adopt_client`],
+/// against the definition of adoption, read off the rows: of the rows
+/// indexed on a server, exactly the held ones of `origin` — or, on first
+/// contact, of any origin but this coordinator — whose client is served
+/// and whose job is unfinished become adopted, one returned server per
+/// row.  No other row's custody moves, and nothing is minted.
+fn adopt_checked(db: &mut CoordinatorDb, origin: Option<CoordId>, served: bool) {
+    let client = ClientKey::new(1, 1);
+    let finished = |job: &JobKey| !db.wants_archive(job) || db.missing_since(job).is_some();
+    let mut want = Vec::new();
+    let mut before = std::collections::BTreeMap::new();
+    for server in db.indexed_servers() {
+        for id in db.indexed_on(server) {
+            let row = db.task(id).expect("indexed rows are live");
+            let of_origin = origin.map_or(row.rec.origin != db.me(), |o| row.rec.origin == o);
+            if row.custody == Custody::Held && of_origin && served && !finished(&row.rec.job) {
+                want.push((server, id));
+            }
+        }
+    }
+    for t in db.delta_since(0).tasks() {
+        before.insert(t.id, db.task(t.id).unwrap().custody);
+    }
+    let tasks = db.stats().tasks;
+    let served: std::collections::BTreeSet<ClientKey> =
+        served.then_some(client).into_iter().collect();
+    let (mut watch, _) = match origin {
+        Some(o) => db.release_origin(o, &served),
+        None => db.adopt_client(client),
+    };
+    watch.sort_unstable();
+    assert_eq!(watch, want.iter().map(|&(s, _)| s).collect::<Vec<_>>(), "one server per row");
+    assert_eq!(db.stats().tasks, tasks, "adoption mints nothing");
+    for (id, was) in before {
+        let adopted = want.iter().any(|&(_, w)| w == id);
+        let now = db.task(id).unwrap().custody;
+        assert_eq!(now, if adopted { Custody::Adopted } else { was }, "{id:?}");
     }
 }
 
@@ -422,7 +469,7 @@ proptest! {
     #[test]
     fn filtered_feeds_match_unfiltered_twins(
         retired in 0u64..4,
-        ops in proptest::collection::vec((1u64..25, 0u8..13, 0u8..8), 1..60),
+        ops in proptest::collection::vec((1u64..25, 0u8..14, 0u8..8), 1..60),
     ) {
         for k in [2usize, 3] {
             let mut ring = Ring::new(k, true);
@@ -543,13 +590,14 @@ proptest! {
 
     /// Index/scan equivalence: for arbitrary op sequences (registration,
     /// dispatch, completion, replication from a peer, archive hand-off,
-    /// GC, re-execution, server beats and suspicion, checkpoint upload,
-    /// retention pruning), the incremental structures must agree with
-    /// their full-scan reference definitions at every step —
+    /// GC, re-execution, server beats and suspicion, adoption, checkpoint
+    /// upload, retention pruning), the incremental structures must agree
+    /// with their full-scan reference definitions at every step —
     /// `missing_archives`/`collected_flagged` and the per-server index
     /// continuously, the stamps of every apply's missing entries
-    /// (`apply_checked`), every suspicion against the rule's
-    /// definition (`suspect_checked`), and `delta_since(base)` for every
+    /// (`apply_checked`), every suspicion and adoption against its rule's
+    /// definition (`suspect_checked`, `adopt_checked`), and
+    /// `delta_since(base)` for every
     /// base version the run passed through.
     /// A mid-run from-zero feed plus the tail of the feed must bootstrap
     /// a replica that matches a from-scratch application row-for-row.
@@ -559,7 +607,7 @@ proptest! {
     /// nothing.
     #[test]
     fn indexed_views_match_scan_definitions(
-        ops in proptest::collection::vec((1u64..25, 0u8..13, 0u8..8), 1..60),
+        ops in proptest::collection::vec((1u64..25, 0u8..14, 0u8..8), 1..60),
         snap_at in 0usize..60,
     ) {
         let client = ClientKey::new(1, 1);

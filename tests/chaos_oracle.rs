@@ -78,22 +78,34 @@ proptest! {
     }
 }
 
-/// One plan of the soak's cell: the standard cell (flat) or two shards ×
-/// four clients.  `Err` is the one-line repro.
-fn soak_plan(sharded: bool, seed: u64, intensity: f64) -> Result<(), String> {
-    let mut oracle = ChaosOracle::seeded(seed, intensity);
-    if sharded {
-        oracle = oracle.with_shards(2, 4);
-    }
+/// A plane of the soak: a shape of the standard cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Plane {
+    /// The standard cell: one shard of three coordinators, one client.
+    Flat,
+    /// Two shards × four clients.
+    Sharded,
+    /// One shard of four coordinators: members that never hear a given
+    /// coordinator's rounds directly.
+    Ring4,
+}
+
+/// One plan of the soak's cell on `plane`.  `Err` is the one-line repro.
+fn soak_plan(plane: Plane, seed: u64, intensity: f64) -> Result<(), String> {
+    let oracle = ChaosOracle::seeded(seed, intensity);
+    let oracle = match plane {
+        Plane::Flat => oracle,
+        Plane::Sharded => oracle.with_shards(2, 4),
+        Plane::Ring4 => oracle.with_coordinators(4),
+    };
     let report = oracle.run();
     if report.survived() {
         return Ok(());
     }
-    let plane = if sharded { "sharded" } else { "flat" };
-    Err(format!("{plane} ({seed:#x}, {intensity}): {:?}", report.violations))
+    Err(format!("{plane:?} ({seed:#x}, {intensity}): {:?}", report.violations))
 }
 
-/// Plans the soak found, kept: `(sharded, seed, intensity)`.  Each of the
+/// Plans the soak found, kept: `(plane, seed, intensity)`.  Each of the
 /// first four once ended with every node alive, healed and idle and one job
 /// undeliverable for good.  Flat: both coordinators dispatch one replicated
 /// `Pending` row, bounce, and each server re-homes to the other — a
@@ -105,45 +117,47 @@ fn soak_plan(sharded: bool, seed: u64, intensity: f64) -> Result<(), String> {
 /// its incremental rounds never passed it on, so its successor dispatched
 /// jobs the client had already collected — a watermark must travel on
 /// every feed stamped past it.
-const NAMED_PLANS: &[(bool, u64, f64)] = &[
-    (false, 0x3659_9a4d_9611_35b4, 0.727),
-    (false, 0xc473_1438_e4e2_1a79, 0.817),
-    (true, 0xb8b1_f126_0cbe_76f0, 0.913),
-    (true, 0x20cd_7553_4647_4b30, 0.56),
-    (false, 0x520f_8113_8fcf_601e, 0.55635),
-    (false, 0x19a1_4d6d_14fa_fa1f, 0.2229),
-    (false, 0x311e_9c1b_be07_8343, 0.1108),
+const NAMED_PLANS: &[(Plane, u64, f64)] = &[
+    (Plane::Flat, 0x3659_9a4d_9611_35b4, 0.727),
+    (Plane::Flat, 0xc473_1438_e4e2_1a79, 0.817),
+    (Plane::Sharded, 0xb8b1_f126_0cbe_76f0, 0.913),
+    (Plane::Sharded, 0x20cd_7553_4647_4b30, 0.56),
+    (Plane::Flat, 0x520f_8113_8fcf_601e, 0.55635),
+    (Plane::Flat, 0x19a1_4d6d_14fa_fa1f, 0.2229),
+    (Plane::Flat, 0x311e_9c1b_be07_8343, 0.1108),
 ];
 
 #[test]
 fn named_plans_deliver_every_job() {
     let failed: Vec<String> = NAMED_PLANS
         .iter()
-        .filter_map(|&(sharded, seed, intensity)| soak_plan(sharded, seed, intensity).err())
+        .filter_map(|&(plane, seed, intensity)| soak_plan(plane, seed, intensity).err())
         .collect();
     assert!(failed.is_empty(), "{} named plans failed:\n{}", failed.len(), failed.join("\n"));
 }
 
 /// The wide sweep: 12 000 plans per plane derived from a counter, every
-/// failure printed as a one-line repro (≈ 4 min in release; CI runs it as
-/// a job of its own).  A plan it finds moves into [`NAMED_PLANS`].
+/// failure printed as a one-line repro (≈ 5 min in release for the three
+/// planes; CI runs it as a job of its own).
+/// A plan it finds moves into [`NAMED_PLANS`].
 #[test]
 #[ignore = "soak: cargo test --release --test chaos_oracle -- --ignored"]
 fn oracle_soak() {
     const N: u64 = 12_000;
+    const PLANES: [Plane; 3] = [Plane::Flat, Plane::Sharded, Plane::Ring4];
     let mut failed = Vec::new();
-    for sharded in [false, true] {
+    for plane in PLANES {
         for i in 0..N {
             let seed = mix64(i ^ 0xABCD_EF01);
             let intensity = 0.05 + 0.95 * ((mix64(seed) % 1000) as f64 / 1000.0);
-            failed.extend(soak_plan(sharded, seed, intensity).err());
+            failed.extend(soak_plan(plane, seed, intensity).err());
         }
     }
     assert!(
         failed.is_empty(),
         "{} of {} plans failed:\n{}",
         failed.len(),
-        2 * N,
+        PLANES.len() as u64 * N,
         failed.join("\n")
     );
 }

@@ -1476,3 +1476,140 @@ fn calls_made_at_one_instant_take_seqs_in_call_order() {
     let held: Vec<_> = (1..=2).map(|seq| c.result_archive(seq).map(|b| b.len())).collect();
     assert_eq!(held, [Some(101), Some(102)], "seq k is the k-th call made");
 }
+
+/// Work units the servers of `g` computed, summed (completions and crashed
+/// partial progress both count).
+fn units_spent(g: &SimGrid) -> u64 {
+    (0..g.servers.len()).filter_map(|i| g.server(i)).map(|s| s.metrics.units_spent).sum()
+}
+
+/// An origin cut off from its ring successor — and from nobody else — for
+/// longer than peer suspicion is alive: its client and servers never notice,
+/// and the servers deliver what it dispatched.  The successor serves no
+/// client, so suspecting the origin adopts nothing and mints nothing.
+/// Minting on release put a second instance of every running call in the
+/// successor's feed, and after the heal the origin dispatched each to an
+/// idle server: every call ran twice.
+#[test]
+fn a_partitioned_origins_running_calls_are_computed_once() {
+    use rpcv::simnet::Control::{Block, Unblock};
+    let plan = (0..4).map(|i| call(i, 90.0).with_work_units(10)).collect();
+    let mut g = SimGrid::build(GridSpec::confined(2, 8).with_cfg(fast_cfg()).with_plan(plan));
+    let (origin, successor) = (g.coords[0].1, g.coords[1].1);
+    // Cut once every call runs and its row has replicated; healed 15 s
+    // later, three peer-suspicion horizons on.
+    g.world.schedule_control(
+        SimTime::from_secs(5),
+        Block { from: origin, to: successor, bidir: true },
+    );
+    g.world.schedule_control(
+        SimTime::from_secs(20),
+        Unblock { from: origin, to: successor, bidir: true },
+    );
+
+    g.run_until_done(SimTime::from_secs(600)).expect("every call is delivered");
+    // Long enough for any second copy to run to completion and be counted.
+    g.world.run_for(SimDuration::from_secs(120));
+    let client = g.client().expect("client up");
+    let seqs: Vec<u64> = client.metrics.results_received.keys().copied().collect();
+    assert_eq!(seqs, vec![1, 2, 3, 4], "each call delivered once");
+    let released = g.coordinator(1).unwrap().metrics.coordinator_suspicions;
+    assert!(released >= 1, "the successor wrote the origin off");
+    assert_eq!(units_spent(&g), 4 * 10, "no call is computed twice");
+}
+
+/// On a ring of four, the origin and its successor die for good together
+/// with the servers running the calls.  The two survivors never heard the
+/// origin's rounds directly; the one it replicated to last (the successor's
+/// successor) serves the client after its failover, and the client's
+/// first contact there adopts the calls' rows: their dead servers' silence
+/// re-instances them.  (Holding the rows until the client's first contact
+/// instead — minting for served clients on release, parking the rest —
+/// strands both calls here: the member that suspects the origin serves
+/// nobody.)
+#[test]
+fn a_four_ring_recovers_when_the_origin_and_its_successor_die_with_their_servers() {
+    let plan = (0..2).map(|i| call(i, 30.0)).collect();
+    let mut g = SimGrid::build(GridSpec::confined(4, 4).with_cfg(fast_cfg()).with_plan(plan));
+    g.world.run_until(SimTime::from_secs(8));
+    let busy: Vec<usize> = (0..4).filter(|&i| g.server(i).unwrap().running_count() == 1).collect();
+    assert_eq!(busy.len(), 2, "both calls run");
+    for node in [g.coords[0].1, g.coords[1].1] {
+        g.world.crash_now(node);
+    }
+    for &i in &busy {
+        g.world.crash_now(g.servers[i].1);
+    }
+    g.run_until_done(SimTime::from_secs(600)).expect("the survivors recover both calls");
+    let client = g.client().expect("client up");
+    let seqs: Vec<u64> = client.metrics.results_received.keys().copied().collect();
+    assert_eq!(seqs, vec![1, 2], "each call delivered once");
+}
+
+/// The known cost of adoption: a call whose server died with its origin is
+/// re-instanced one server-suspicion timeout after the adoption, no longer
+/// at the release itself.  The client fails over first (client suspicion
+/// 5 s, peer suspicion 9 s), so the replacement comes within release +
+/// suspicion + one scan.
+#[test]
+fn a_dead_origins_dead_servers_are_recovered_within_one_suspicion_of_release() {
+    let cfg = fast_cfg().with_replication_period(SimDuration::from_secs(3));
+    let plan = (0..2).map(|i| call(i, 60.0)).collect();
+    let mut g = SimGrid::build(GridSpec::confined(2, 4).with_cfg(cfg).with_plan(plan));
+    g.world.run_until(SimTime::from_secs(7));
+    let busy: Vec<usize> = (0..4).filter(|&i| g.server(i).unwrap().running_count() == 1).collect();
+    assert_eq!(busy.len(), 2, "both calls run");
+    assert_eq!(g.coordinator(1).unwrap().db().indexed_servers().count(), 2, "rows replicated");
+    g.world.crash_now(g.coords[0].1);
+    for &i in &busy {
+        g.world.crash_now(g.servers[i].1);
+    }
+    let (mut released, mut recovered) = (None, None);
+    while recovered.is_none() && g.world.now() < SimTime::from_secs(120) {
+        g.world.run_for(SimDuration::from_millis(100));
+        let c = g.coordinator(1).unwrap();
+        if released.is_none() && c.metrics.coordinator_suspicions > 0 {
+            released = Some(g.world.now());
+        }
+        if c.db().stats().tasks >= 4 {
+            recovered = Some(g.world.now());
+        }
+    }
+    let released = released.expect("the successor suspects the origin");
+    let recovered = recovered.expect("both calls are re-instanced");
+    let bound = released + SimDuration::from_secs(5) + SimDuration::from_secs(1);
+    assert!(recovered <= bound, "re-instanced at {recovered:?}, released at {released:?}");
+    g.run_until_done(SimTime::from_secs(600)).expect("both calls are delivered");
+    assert_eq!(g.client_results(), 2);
+}
+
+/// A result that reaches a coordinator before its job does is not
+/// acknowledged.  The server loses its coordinator (a one-way cut) while
+/// the call runs and delivers to the other, which learns the job only at
+/// the next replication round.  Acked, the result left the server's log
+/// and was lost: the coordinator then learned the dispatch, found the
+/// server no longer listing it, and had the call computed again.  Unacked,
+/// the server keeps listing the task and re-offers the archive, and the
+/// coordinator pulls it once it knows the job.
+#[test]
+fn a_result_for_a_job_not_yet_learned_is_kept_until_it_is_pulled() {
+    use rpcv::simnet::Control::Block;
+    let cfg = fast_cfg().with_replication_period(SimDuration::from_secs(10));
+    let plan = vec![call(1, 8.0).with_work_units(4)];
+    let mut g = SimGrid::build(GridSpec::confined(2, 1).with_cfg(cfg).with_plan(plan));
+    let (c0, (_, server)) = (g.coords[0].1, g.servers[0]);
+    // The Assign has landed; from now on the server hears nothing from
+    // coordinator 0, gives up on it at ≈ 7 s and beats coordinator 1,
+    // whose first round from coordinator 0 lands at ≈ 10 s.
+    g.world.schedule_control(SimTime::from_secs(2), Block { from: c0, to: server, bidir: false });
+    g.world.run_until(SimTime::from_secs(10));
+    assert_eq!(g.server(0).unwrap().metrics.executed, 1, "done before the job replicated");
+    assert!(!g.coordinator(1).unwrap().db().knows_job(&rpcv::xw::JobKey::new(g.client_key, 1)));
+
+    g.run_until_done(SimTime::from_secs(600)).expect("the call is delivered");
+    g.world.run_for(SimDuration::from_secs(60));
+    assert_eq!(g.client_results(), 1);
+    let s = g.server(0).unwrap();
+    assert!(s.metrics.archives_resent >= 1, "the archive was pulled from the server's log");
+    assert_eq!(units_spent(&g), 4, "the call is computed once");
+}

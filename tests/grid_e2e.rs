@@ -508,7 +508,7 @@ fn protocol_traces_are_pinned() {
     assert_eq!(grid.client_results(), 40);
     assert_eq!(
         pin(&grid),
-        (0x0618_f6ed_16b3_dcf0, 308_374, 117_550),
+        (0x06be_8f71_cb1b_ce8a, 309_762, 118_097),
         "(b) real-life + churn + coordinator restart"
     );
 
