@@ -58,13 +58,13 @@ rpcv_simnet::counters! {
         pub catalog_bytes,
         /// Server suspicions raised.
         pub server_suspicions,
-        /// Coordinator (predecessor) suspicions raised.
+        /// Peer coordinator suspicions raised: each silence of a peer
+        /// counts once per sign of life (the peer is forgotten until then).
         pub coordinator_suspicions,
         /// Jobs re-executed because their archive was unrecoverable.
         pub reexecutions,
-        /// Replicated running rows this coordinator adopted — on predecessor
-        /// suspicion, or on a client's first contact — instead of
-        /// re-instancing them: it watches their servers from then on.
+        /// Replicated running rows adopted under the custody rule instead
+        /// of re-instanced: this coordinator watches their servers since.
         pub adopted_rows,
         /// Instances minted because a server went silent here.
         pub suspicion_reinstances,
@@ -169,8 +169,8 @@ pub struct CoordinatorActor {
     params: CoordParams,
     db: CoordinatorDb,
     /// This coordinator's shard index in the directory (0 on a flat map).
-    /// The replication ring, successor choice, and release scope below are
-    /// all restricted to this shard's group — shards never exchange state.
+    /// The replication ring, successor choice and write-offs are all
+    /// restricted to this shard's group — shards never exchange state.
     my_shard: usize,
     coords: CoordinatorList<CoordId>,
     server_mon: HeartbeatMonitor<ServerId>,
@@ -188,9 +188,6 @@ pub struct CoordinatorActor {
     applied_head: BTreeMap<CoordId, u64>,
     /// Outstanding replication round: `(successor, head, started)`.
     inflight_repl: Option<(CoordId, u64, SimTime)>,
-    /// Origins already released after predecessor suspicion: their held
-    /// running rows of clients served here were adopted, once.
-    released: BTreeSet<CoordId>,
     /// Boot epoch: regenerated on every (re)start so clients can tell
     /// state-losing restarts from reordered stale replies.
     epoch: u64,
@@ -259,7 +256,6 @@ impl CoordinatorActor {
             acked_version: BTreeMap::new(),
             applied_head: BTreeMap::new(),
             inflight_repl: None,
-            released: BTreeSet::new(),
             epoch: 0,
             blank_disk: true,
             metrics: CoordMetrics::default(),
@@ -286,24 +282,25 @@ impl CoordinatorActor {
         debug_assert_eq!(self.params.directory.shard_of(client), self.my_shard);
         if self.clients.insert(client) {
             self.db.unpark_missing(client);
-            let (watch, charge) = self.db.adopt_client(client);
-            if !watch.is_empty() {
-                self.watch_adopted(ctx.now(), &watch);
-                self.pay(ctx, charge);
-            }
+            let charge = self.adopt(ctx.now(), 0, Some(client));
+            self.pay(ctx, charge);
         }
     }
 
-    /// Starts watching the servers of rows just adopted (one entry per
-    /// row): a server the monitor does not hold yet is observed now, so
-    /// its silence from here on re-instances what it runs.
-    fn watch_adopted(&mut self, now: SimTime, servers: &[ServerId]) {
-        self.metrics.adopted_rows += servers.len() as u64;
-        for &server in servers {
+    /// The custody rule over the rows stamped above `since`; the servers
+    /// of adopted rows the monitor does not hold yet are observed now, so
+    /// their silence re-instances what they run.  Returns the charge.
+    fn adopt(&mut self, now: SimTime, since: u64, contact: Option<ClientKey>) -> Charge {
+        let coords = &self.coords;
+        let (watch, charge) =
+            self.db.adopt(since, contact, &self.clients, |peer| coords.is_suspected(peer));
+        self.metrics.adopted_rows += watch.len() as u64;
+        for server in watch {
             if self.server_mon.last_seen(server).is_none() {
                 self.server_mon.observe(server, now);
             }
         }
+        charge
     }
 
     /// How many leading entries of `specs` — one client's submissions in
@@ -679,12 +676,11 @@ impl CoordinatorActor {
     ) {
         let now = ctx.now();
         let peer = delta.from;
+        // A peer we had written off is alive again.  Rows adopted meanwhile
+        // stay adopted — their servers' testimony holds whoever dispatched
+        // them.
         self.peer_mon.observe(peer, now);
         self.coords.trust(peer);
-        // A peer we had written off is alive again: its next suspicion
-        // adopts what it dispatched since.  Rows adopted meanwhile stay
-        // adopted — their servers' testimony holds whoever dispatched them.
-        self.released.remove(&peer);
         // Gap detection: the delta claims a base we never applied from this
         // peer (its retention pruned rows believing we held them — a stale
         // ack record after its failover, or we are a fresh joiner).
@@ -701,8 +697,11 @@ impl CoordinatorActor {
             ctx.send(from, Msg::SnapshotRequest { from: self.params.me, incarnation });
             return;
         }
-        let head = delta.head_version;
-        let applied = self.db.apply_delta_owned(delta, now);
+        let (head, since) = (delta.head_version, self.db.version());
+        let mut applied = self.db.apply_delta_owned(delta, now);
+        // A row the feed stamped may be a written-off peer's, arriving
+        // after the suspicion and the first contact: the rule runs on it.
+        applied.charge += self.adopt(now, since, None);
         self.finish_apply(ctx, from, peer, head, applied);
         // Serve requested archives from our store (capped per round); a
         // round that finds none sends nothing.
@@ -794,18 +793,18 @@ impl CoordinatorActor {
             self.pay(ctx, charge);
             self.server_mon.forget(s);
         }
-        // Predecessor suspicion ⇒ adopt its held ongoing tasks of the
-        // clients served here, and watch their servers: silence or a beat
-        // that no longer lists a task re-instances it, nothing else does.
+        // Peer suspicion ⇒ write it off (and forget it until its next sign
+        // of life, as a server) and adopt the held ongoing tasks it
+        // dispatched for clients served here: their servers' silence or
+        // beats re-instance them, nothing else does.
         for peer in self.peer_mon.suspects(now) {
-            if self.released.insert(peer) {
-                ctx.note("coordinator suspects predecessor; adopting its tasks");
-                self.metrics.coordinator_suspicions += 1;
-                self.coords.suspect(peer, now);
-                let (watch, charge) = self.db.release_origin(peer, &self.clients);
-                self.watch_adopted(now, &watch);
-                self.pay(ctx, charge);
-            }
+            ctx.note("coordinator suspects predecessor; adopting its tasks");
+            self.metrics.coordinator_suspicions += 1;
+            self.peer_mon.forget(peer);
+            self.coords.suspect(peer, now);
+            // One op for the walk of every row, one per row adopted.
+            let charge = self.adopt(now, 0, None);
+            self.pay(ctx, Charge::ops(1) + charge);
         }
         // Retention: retire the delivered prefix whose rows the ring
         // successor has acknowledged.  With no successor everything

@@ -59,6 +59,11 @@ impl<K: Ord + Copy> CoordinatorList<K> {
         }
     }
 
+    /// Whether `k` stands suspected: written off until a sign of life.
+    pub fn is_suspected(&self, k: K) -> bool {
+        matches!(self.entries.get(&k), Some(Standing::Suspected(_)))
+    }
+
     /// Whether `k` is currently eligible (trusted, or suspected at least
     /// [`COORD_RETRY`] ago).
     pub fn is_eligible(&self, k: K, now: SimTime) -> bool {

@@ -39,10 +39,11 @@ pub enum Custody {
     /// This coordinator dispatched the instance (the server answered *us*
     /// to get it).
     Dispatched,
-    /// A replicated `Ongoing` row this coordinator took over from a
-    /// suspected origin, or from the coordinator its client left: it
-    /// watches the row's server as if it had dispatched it, and re-instances
-    /// the row only when that server goes silent or stops listing it.
+    /// A replicated `Ongoing` row this coordinator answers for under the
+    /// custody rule ([`CoordinatorDb::adopt`]): its dispatcher is written
+    /// off here, or its client made first contact here.  It watches the
+    /// row's server as if it had dispatched it, and re-instances the row
+    /// only when that server goes silent or stops listing it.
     /// Always `Ongoing` and indexed on its server: a row leaving the index
     /// goes back to [`Custody::Held`].
     Adopted,
@@ -1165,71 +1166,56 @@ impl CoordinatorDb {
         self.reinstance(lost.into_iter().map(|(_, job)| job))
     }
 
-    /// Predecessor coordinator suspected: its replicated *ongoing* tasks
-    /// stop being held ("ongoing tasks are not scheduled until the
-    /// coordinator replica suspects the disconnection of its predecessor")
-    /// — without minting anything.  The servers running them are usually
-    /// alive (the suspicion is a partition, or they fail over and deliver),
-    /// so the rows of `origin` still indexed on a server, whose job is
-    /// unfinished and whose client is in `served`, are adopted: their
-    /// servers' silence or beats re-instance what is really lost
-    /// ([`Self::server_suspected`], [`Self::reconcile_server`]).  A client
-    /// served elsewhere is recovered by the coordinator it talks to, which
-    /// adopts on its first contact ([`Self::adopt_client`]).  Returns the
-    /// adopted rows' servers, one per row, in server order: what the caller
-    /// must watch.  One op for the walk of the server index, one per row.
-    pub fn release_origin(
+    /// The custody rule, over the task rows stamped above `since` (0: every
+    /// row): a `Held` `Ongoing` row still indexed on its server, of an
+    /// unfinished job whose client is in `served`, is adopted when its
+    /// dispatcher (the writer of its `Ongoing` state) is another
+    /// coordinator, and that dispatcher is `written_off` here or the row's
+    /// client is `contact`, the one making first contact.  Nothing is
+    /// minted: the servers are usually alive, so their silence or beats
+    /// re-instance what is lost ([`Self::server_suspected`],
+    /// [`Self::reconcile_server`]).  The caller runs it wherever an input
+    /// changes: a peer written off, a first contact (every row), a feed
+    /// applied (the rows it stamped).  Returns the adopted rows' servers,
+    /// one per row, in server order, and one op per row.
+    pub fn adopt(
         &mut self,
-        origin: CoordId,
+        since: u64,
+        contact: Option<ClientKey>,
         served: &BTreeSet<ClientKey>,
+        written_off: impl Fn(CoordId) -> bool,
     ) -> (Vec<ServerId>, Charge) {
-        let (tasks, jobs) = (&mut self.tasks, &self.jobs);
+        let (tasks, jobs, by_server) = (&mut self.tasks, &self.jobs, &self.by_server);
         let mut watch = Vec::new();
-        for (&server, set) in &self.by_server {
-            for id in set {
-                let Some(row) = tasks.get_mut(id) else { continue };
-                let job = row.rec.job;
-                if row.custody == Custody::Held
-                    && row.rec.origin == origin
-                    && served.contains(&job.client)
-                    && !jobs.get(&job).is_some_and(|j| j.finished)
-                {
-                    row.custody = Custody::Adopted;
-                    watch.push(server);
-                }
-            }
-        }
-        let charge = Charge::ops(1 + watch.len() as u64);
-        (watch, charge)
-    }
-
-    /// `client`'s traffic now lands here: its held `Ongoing` rows of other
-    /// origins, still indexed on a server and of unfinished jobs, are
-    /// adopted.  Its former coordinator may be dead, and on a ring of four
-    /// or more the one that suspects it may serve nobody — so the
-    /// coordinator the client talks to answers for its running work from
-    /// now on.  Returns the adopted rows' servers as
-    /// [`Self::release_origin`] does; one op per row, nothing when none is
-    /// adopted.  O(the client's resident rows).
-    pub fn adopt_client(&mut self, client: ClientKey) -> (Vec<ServerId>, Charge) {
-        let (tasks, by_server) = (&mut self.tasks, &self.by_server);
-        let mut watch = Vec::new();
-        for (_, job) in self.jobs.client(client).filter(|(_, j)| !j.finished) {
-            for id in job.tasks.iter() {
-                let Some(row) = tasks.get_mut(&id) else { continue };
-                let TaskState::Ongoing { server, .. } = row.rec.state else { continue };
-                if row.custody == Custody::Held
-                    && row.rec.origin != self.me
-                    && by_server.get(&server).is_some_and(|set| set.contains(&id))
-                {
-                    row.custody = Custody::Adopted;
-                    watch.push(server);
-                }
+        for (_, entry) in
+            self.changed.range((std::ops::Bound::Excluded(since), std::ops::Bound::Unbounded))
+        {
+            let Changed::Task(id) = entry.row else { continue };
+            let Some(row) = tasks.get_mut(&id) else { continue };
+            let TaskState::Ongoing { server, .. } = row.rec.state else { continue };
+            let (dispatcher, job) = (self.writers[entry.from.0 as usize].0, row.rec.job);
+            if row.custody == Custody::Held
+                && dispatcher != self.me
+                && (written_off(dispatcher) || contact == Some(job.client))
+                && served.contains(&job.client)
+                && by_server.get(&server).is_some_and(|set| set.contains(&id))
+                && !jobs.get(&job).is_some_and(|j| j.finished)
+            {
+                row.custody = Custody::Adopted;
+                watch.push(server);
             }
         }
         watch.sort_unstable();
         let charge = Charge::ops(watch.len() as u64);
         (watch, charge)
+    }
+
+    /// The coordinator that wrote `task`'s current state (its dispatcher,
+    /// while the row is `Ongoing`), if the row is live here.
+    #[doc(hidden)]
+    pub fn writer_of(&self, task: TaskId) -> Option<CoordId> {
+        let entry = self.changed.get(&self.tasks.get(&task)?.version)?;
+        Some(self.writers[entry.from.0 as usize].0)
     }
 
     // --- client result collection --------------------------------------------
@@ -1701,10 +1687,10 @@ impl CoordinatorDb {
     /// Applies a delta from a peer; returns the cost.
     ///
     /// Merge rules (paper §4.2): finished is terminal; ongoing from the
-    /// peer is *held* — never schedulable here; once its origin is
-    /// suspected ([`Self::release_origin`]) or its client's traffic moves
-    /// here ([`Self::adopt_client`]) it is adopted, and re-instanced only
-    /// when its server's silence or beats show it lost; pending becomes
+    /// peer is *held* — never schedulable here; once the custody rule
+    /// ([`Self::adopt`]) makes this coordinator answer for it, it is
+    /// adopted, and re-instanced only when its server's silence or beats
+    /// show it lost; pending becomes
     /// locally schedulable.  State precedence
     /// finished > ongoing > pending prevents downgrades from stale deltas.
     /// Collection acknowledgements are terminal knowledge: a collected job
@@ -2352,21 +2338,25 @@ mod tests {
         let held = backup.indexed_on(ServerId(1));
         assert_eq!(held.len(), 1);
         assert!(backup.clone().server_suspected(ServerId(1)).0.is_empty());
-        // Predecessor suspected: a client served elsewhere keeps the row
-        // held; for a served client the row is adopted and nothing is minted.
+        // The dispatcher written off: a client served elsewhere keeps the
+        // row held; for a served client the row is adopted and nothing is
+        // minted.
         let tasks = backup.stats().tasks;
-        assert!(backup.release_origin(CoordId(1), &BTreeSet::new()).0.is_empty());
+        let primary_gone = |c: CoordId| c == CoordId(1);
+        assert!(backup.adopt(0, None, &BTreeSet::new(), primary_gone).0.is_empty());
         assert_eq!(backup.task(held[0]).unwrap().custody, Custody::Held);
         let served = BTreeSet::from([ClientKey::new(1, 1)]);
-        let (watch, charge) = backup.release_origin(CoordId(1), &served);
-        assert_eq!((watch, charge), (vec![ServerId(1)], Charge::ops(2)));
+        assert!(backup.adopt(0, None, &served, |_| false).0.is_empty(), "the dispatcher lives");
+        let (watch, charge) = backup.adopt(0, None, &served, primary_gone);
+        assert_eq!((watch, charge), (vec![ServerId(1)], Charge::ops(1)));
         assert_eq!(backup.task(held[0]).unwrap().custody, Custody::Adopted);
         assert_eq!(
             (backup.stats().tasks, dispatchable(&backup)),
             (tasks, 0),
-            "release mints nothing"
+            "adoption mints nothing"
         );
-        assert!(backup.release_origin(CoordId(1), &served).0.is_empty(), "adopted once");
+        // A second evaluation adopts nothing new and charges nothing.
+        assert_eq!(backup.adopt(0, None, &served, primary_gone), (vec![], Charge::ZERO));
         backup.check_invariants();
         // Its server goes silent: the adopted row is re-instanced in the
         // backup's id space, and leaves the index with nothing to watch.
@@ -2393,8 +2383,8 @@ mod tests {
         there.complete_task(done.id, done.job, Blob::synthetic(8, 2), ServerId(6));
         let mut here = db();
         here.apply_delta(&there.delta_since(0));
-        // A row this coordinator minted and the peer dispatched is held
-        // here too, but it is no other origin's: first contact leaves it.
+        // A row this coordinator minted and the peer dispatched is the
+        // peer's to answer for: first contact adopts it too.
         here.register_job(job(4));
         there.apply_delta(&here.delta_since(0));
         let _ = there.next_pending(ServerId(7), T0); // job 3
@@ -2409,19 +2399,20 @@ mod tests {
         assert_eq!(here.indexed_servers().count(), 3);
 
         let tasks = here.stats().tasks;
-        let (watch, charge) = here.adopt_client(client);
-        // Jobs 1 and 3, minted and dispatched by the peer; job 4 runs on
-        // server 7 too, but this node minted it.
-        assert_eq!(watch, vec![ServerId(5), ServerId(7)]);
-        assert_eq!(charge, Charge::ops(2));
+        let served = BTreeSet::from([client]);
+        let (watch, charge) = here.adopt(0, Some(client), &served, |_| false);
+        // Jobs 1, 3 and 4, all dispatched by the peer (job 4 minted here).
+        assert_eq!(watch, vec![ServerId(5), ServerId(7), ServerId(7)]);
+        assert_eq!(charge, Charge::ops(3));
         let custody = |d: &CoordinatorDb, id: TaskId| d.task(id).unwrap().custody;
         assert_eq!(custody(&here, running), Custody::Adopted);
         assert_eq!(custody(&here, theirs), Custody::Held);
         let own = here.indexed_on(ServerId(7)).into_iter().find(|id| id.coord() == CoordId(1));
-        assert_eq!(custody(&here, own.unwrap()), Custody::Held);
+        assert_eq!(here.writer_of(own.unwrap()), Some(CoordId(2)));
+        assert_eq!(custody(&here, own.unwrap()), Custody::Adopted);
         assert_eq!(here.stats().tasks, tasks, "adoption mints nothing");
         // A second contact adopts nothing and costs nothing.
-        assert_eq!(here.adopt_client(client), (vec![], Charge::ZERO));
+        assert_eq!(here.adopt(0, Some(client), &served, |_| false), (vec![], Charge::ZERO));
         here.check_invariants();
         // Silence now covers an adopted row (server 5 never spoke here).
         let (created, _) = here.server_suspected(ServerId(5));

@@ -1,6 +1,8 @@
 //! Property tests for the coordinator database: replication convergence,
 //! scheduling safety, at-least-once accounting.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use rpcv_simnet::{SimDuration, SimTime};
 use rpcv_store::{CoordinatorDb, Custody, DeltaRow, ReplicationDelta};
@@ -16,7 +18,8 @@ fn job(seq: u64, size: u64) -> JobSpec {
 
 /// One local (non-replication) operation of the op generator shared by
 /// `indexed_views_match_scan_definitions` and the ring twins: actions
-/// 0–3, 5–9, 12 and 13 of its `(seq, action, aux)` tuples.  The op's instant is
+/// 0–3, 5–9, 12 and 13 of its `(seq, action, aux)` tuples (the ring plays
+/// 13, the custody inputs, itself).  The op's instant is
 /// drawn with it (not monotone): dispatch stamps and "heard here" stamps
 /// fall on either side of each other, which is what the suspicion rule
 /// reads.
@@ -75,10 +78,13 @@ fn local_op(db: &mut CoordinatorDb, seq: u64, action: u8, aux: u8) {
             }
         }
         13 => match aux {
-            // An origin is suspected (the client served here or not), or
-            // the client's first contact lands here.
-            0..=5 => adopt_checked(db, Some(CoordId((aux % 3) as u64 + 1)), aux < 3),
-            _ => adopt_checked(db, None, true),
+            // A coordinator is written off (the client served here or
+            // not), or the client's first contact lands here.
+            0..=5 => {
+                let written_off = BTreeSet::from([CoordId((aux % 3) as u64 + 1)]);
+                adopt_checked(db, 0, false, aux < 3, &written_off);
+            }
+            _ => adopt_checked(db, 0, true, true, &BTreeSet::new()),
         },
         12 => {
             // A result under an instance id this database has not learned
@@ -136,14 +142,21 @@ fn suspect_checked(db: &mut CoordinatorDb, server: ServerId) {
     }
 }
 
-/// [`CoordinatorDb::release_origin`] of `origin` (with the client served
-/// here or not), or with `origin` `None` [`CoordinatorDb::adopt_client`],
-/// against the definition of adoption, read off the rows: of the rows
-/// indexed on a server, exactly the held ones of `origin` — or, on first
-/// contact, of any origin but this coordinator — whose client is served
-/// and whose job is unfinished become adopted, one returned server per
-/// row.  No other row's custody moves, and nothing is minted.
-fn adopt_checked(db: &mut CoordinatorDb, origin: Option<CoordId>, served: bool) {
+/// The custody rule ([`CoordinatorDb::adopt`]) over the rows stamped
+/// above `since`, with the client making first contact (`contact`) or not
+/// and served here or not, against its definition read off the rows: of the
+/// rows indexed on a server and stamped above `since`, exactly the held
+/// ones written by another coordinator — one in `written_off`, or any on
+/// first contact — whose client is served and whose job is unfinished
+/// become adopted, one returned server per row.  No other row's custody
+/// moves, and nothing is minted.
+fn adopt_checked(
+    db: &mut CoordinatorDb,
+    since: u64,
+    contact: bool,
+    served: bool,
+    written_off: &BTreeSet<CoordId>,
+) {
     let client = ClientKey::new(1, 1);
     let finished = |job: &JobKey| !db.wants_archive(job) || db.missing_since(job).is_some();
     let mut want = Vec::new();
@@ -151,8 +164,14 @@ fn adopt_checked(db: &mut CoordinatorDb, origin: Option<CoordId>, served: bool) 
     for server in db.indexed_servers() {
         for id in db.indexed_on(server) {
             let row = db.task(id).expect("indexed rows are live");
-            let of_origin = origin.map_or(row.rec.origin != db.me(), |o| row.rec.origin == o);
-            if row.custody == Custody::Held && of_origin && served && !finished(&row.rec.job) {
+            let writer = db.writer_of(id).expect("a live row has a writer");
+            if row.custody == Custody::Held
+                && row.version > since
+                && writer != db.me()
+                && (contact || written_off.contains(&writer))
+                && served
+                && !finished(&row.rec.job)
+            {
                 want.push((server, id));
             }
         }
@@ -161,13 +180,9 @@ fn adopt_checked(db: &mut CoordinatorDb, origin: Option<CoordId>, served: bool) 
         before.insert(t.id, db.task(t.id).unwrap().custody);
     }
     let tasks = db.stats().tasks;
-    let served: std::collections::BTreeSet<ClientKey> =
-        served.then_some(client).into_iter().collect();
-    let (mut watch, _) = match origin {
-        Some(o) => db.release_origin(o, &served),
-        None => db.adopt_client(client),
-    };
-    watch.sort_unstable();
+    let served: BTreeSet<ClientKey> = served.then_some(client).into_iter().collect();
+    let contact = contact.then_some(client);
+    let (watch, _) = db.adopt(since, contact, &served, |c| written_off.contains(&c));
     assert_eq!(watch, want.iter().map(|&(s, _)| s).collect::<Vec<_>>(), "one server per row");
     assert_eq!(db.stats().tasks, tasks, "adoption mints nothing");
     for (id, was) in before {
@@ -197,8 +212,15 @@ fn apply_checked(db: &mut CoordinatorDb, feed: ReplicationDelta, now: SimTime) {
 /// consumer's applied head and of an incremental feed naming another
 /// incarnation of the consumer (whose reseed request announces its own and
 /// is where the ack record goes), ack records kept through suspicion — with
-/// the feed either echo-free ([`CoordinatorDb::feed_for`]) or the complete
-/// reference ([`CoordinatorDb::delta_since`]) from the same base.
+/// the feed either echo-free ([`CoordinatorDb::feed_for`]) or complete
+/// (`complete_feed`: every row [`CoordinatorDb::delta_since`] carries from
+/// the same base, under the same writer markers).
+///
+/// Each member evaluates the custody rule where the actor does: over every
+/// row when it writes a peer off (a crash or a cut) and at the client's
+/// first contact, and over the rows a feed stamped as it applies the feed.
+/// After every step no member holds an indexed `Held` row of the client it
+/// serves, of an unfinished job, written by a peer it wrote off.
 struct Ring {
     filtered: bool,
     members: Vec<CoordinatorDb>,
@@ -216,6 +238,9 @@ struct Ring {
     /// in ns, one second apart here, so each wipe's is higher than any
     /// before it.
     minted: u64,
+    /// `served[i]`: the client's traffic lands at `i` (volatile: a crash or
+    /// a wipe forgets it).
+    served: Vec<bool>,
 }
 
 impl Ring {
@@ -228,6 +253,7 @@ impl Ring {
             down: None,
             cut: None,
             minted: 0,
+            served: vec![false; k],
         }
     }
 
@@ -259,9 +285,9 @@ impl Ring {
         let reseeded = retired(&self.members[j]).max(retired(&self.members[i]));
         let sender = &self.members[i];
         let mut feed = sender.feed_for(Self::id(j), base);
-        let (named, own) = (feed.incarnation_of(Self::id(j)), sender.incarnation());
+        let named = feed.incarnation_of(Self::id(j));
         if !self.filtered {
-            feed = sender.delta_since(feed.base_version);
+            feed = complete_feed(sender, Self::id(j), feed.base_version);
         }
         let incarnation = self.members[j].incarnation();
         let foreign = feed.base_version > 0 && named != incarnation;
@@ -273,14 +299,9 @@ impl Ring {
             self.members[i].note_incarnation(Self::id(j), incarnation);
             return;
         }
-        let (base, head) = (feed.base_version, feed.head_version);
+        let (base, head, since) = (feed.base_version, feed.head_version, self.members[j].version());
         self.members[j].apply_delta_owned(feed, SimTime::ZERO);
-        if !self.filtered {
-            // The complete reference carries no markers: its consumer
-            // learns the incarnation the echo-free feed names for its
-            // sender by hand.
-            self.members[j].note_incarnation(Self::id(i), own);
-        }
+        self.adopt(j, since, false);
         // A reseed — any round served from base 0 — is complete: what the
         // sender retired, the receiver holds retired too, however the
         // sender came to know it.
@@ -310,6 +331,8 @@ impl Ring {
     fn toggle_down(&mut self, d: usize) {
         if self.down.take().is_none() {
             self.down = Some(d);
+            self.served[d] = false;
+            (0..self.members.len()).filter(|&m| m != d).for_each(|m| self.adopt(m, 0, false));
         }
     }
 
@@ -318,6 +341,54 @@ impl Ring {
     fn toggle_cut(&mut self, i: usize) {
         if self.cut.take().is_none() {
             self.cut = self.successor(i).map(|j| (i, j));
+            self.adopt(i, 0, false);
+        }
+    }
+
+    /// The peers `m` has written off: the crashed member, and a successor
+    /// it cut.
+    fn written_off(&self, m: usize) -> BTreeSet<CoordId> {
+        let down = self.down.filter(|&d| d != m);
+        let cut = self.cut.filter(|&(i, _)| i == m).map(|(_, j)| j);
+        down.into_iter().chain(cut).map(Self::id).collect()
+    }
+
+    /// `m` evaluates the custody rule over its rows stamped above `since`,
+    /// held to the rule's definition.
+    fn adopt(&mut self, m: usize, since: u64, contact: bool) {
+        let written_off = self.written_off(m);
+        adopt_checked(&mut self.members[m], since, contact, self.served[m], &written_off);
+    }
+
+    /// Whatever changed the custody rule's inputs at `m`, the rule was
+    /// evaluated: no indexed `Held` row of the client `m` serves was written
+    /// by a peer `m` wrote off, unless its job finished here.  (A job
+    /// re-executed after it finished counts: its old instances need nobody,
+    /// the fresh one is `m`'s own.)
+    fn assert_custody(&self, m: usize) {
+        let db = &self.members[m];
+        if !self.served[m] {
+            return;
+        }
+        let written_off = self.written_off(m);
+        let tasks = db.delta_since(0);
+        let finished = |job: &JobKey| {
+            let done = |t: &rpcv_store::TaskRecord| {
+                t.job == *job && matches!(t.state, TaskState::Finished { .. })
+            };
+            !db.wants_archive(job) || db.missing_since(job).is_some() || tasks.tasks().any(done)
+        };
+        for server in db.indexed_servers() {
+            for id in db.indexed_on(server) {
+                let row = db.task(id).unwrap();
+                let writer = db.writer_of(id).unwrap();
+                assert!(
+                    row.custody != Custody::Held
+                        || !written_off.contains(&writer)
+                        || finished(&row.rec.job),
+                    "{id:?} at {m}: held, written by {writer:?}, which {m} wrote off"
+                );
+            }
         }
     }
 
@@ -325,6 +396,7 @@ impl Ring {
     /// together, and the new database has a new incarnation; its peers are
     /// not told.
     fn wipe(&mut self, d: usize) {
+        self.served[d] = false;
         self.minted += 1_000_000_000;
         self.members[d] = CoordinatorDb::with_incarnation(Self::id(d), self.minted);
         self.acked[d].fill(0);
@@ -372,8 +444,15 @@ impl Ring {
                 let min_acked = self.min_acked(i);
                 self.members[i].prune_retired(min_acked);
             }
+            // The client's first contact lands at `i`.
+            13 if !self.served[i] => {
+                self.served[i] = true;
+                self.adopt(i, 0, true);
+            }
+            13 => {}
             _ => local_op(&mut self.members[i], seq, action, aux),
         }
+        (0..k).for_each(|m| self.assert_custody(m));
         let mut named = std::collections::BTreeMap::new();
         for m in &self.members {
             for t in m.delta_since(0).tasks() {
@@ -412,6 +491,29 @@ fn holds(peer: &CoordinatorDb, row: &DeltaRow) -> bool {
         DeltaRow::Retired { client, through } => peer.retired_watermark(*client) >= *through,
         DeltaRow::Writer { .. } => true, // a marker, not a row
     }
+}
+
+/// `sender`'s complete feed to `to` from `base`: every row
+/// [`CoordinatorDb::delta_since`] carries from `base`, under the writer
+/// markers the echo-free feed would give them — the from-zero feed (which
+/// skips nothing) without its rows at or below `base`.
+fn complete_feed(sender: &CoordinatorDb, to: CoordId, base: u64) -> ReplicationDelta {
+    let mut feed = sender.feed_for(to, 0);
+    let tail = sender.delta_since(base).rows.len();
+    let mut drop =
+        feed.rows.iter().filter(|r| !matches!(r, DeltaRow::Writer { .. })).count() - tail;
+    feed.rows.retain(|r| {
+        let dropped = drop > 0 && !matches!(r, DeltaRow::Writer { .. });
+        drop -= usize::from(dropped);
+        !dropped
+    });
+    feed.base_version = base;
+    feed
+}
+
+/// Every live task row's custody, in id order.
+fn custodies(db: &CoordinatorDb) -> Vec<(TaskId, Custody)> {
+    db.delta_since(0).tasks().map(|t| (t.id, db.task(t.id).unwrap().custody)).collect()
 }
 
 /// `feed` without its [`DeltaRow::Writer`] markers: the rows it carries.
@@ -459,10 +561,10 @@ proptest! {
     /// Echo-free replication is invisible to the replicated state: a
     /// 2-ring and a 3-ring exchanging *filtered* feeds hold, member for
     /// member and row for row, exactly what twin rings exchanging the
-    /// complete reference feed hold — after every step of an arbitrary
-    /// run of local operations, replication rounds (acked or not),
-    /// retention, crashes and suspicions that reshape the ring, and disk
-    /// wipes.  Along
+    /// complete feed hold, custody included — after every step of an
+    /// arbitrary run of local operations, replication rounds (acked or
+    /// not), retention, crashes and suspicions that reshape the ring, first
+    /// contacts, and disk wipes.  Along
     /// the way the rules themselves are pinned: a from-zero feed is
     /// complete; whatever a local operation stamps is on every peer's
     /// feed again; and an entry a feed skips is never the only copy.
@@ -484,6 +586,7 @@ proptest! {
                 for (i, m) in ring.members.iter().enumerate() {
                     m.check_invariants();
                     prop_assert_eq!(m.delta_since(0), twin.members[i].delta_since(0));
+                    prop_assert_eq!(custodies(m), custodies(&twin.members[i]));
                     for p in (0..k).filter(|&p| p != i) {
                         let to = Ring::id(p);
                         prop_assert_eq!(rows(m.feed_for(to, 0)), m.delta_since(0));

@@ -1613,3 +1613,80 @@ fn a_result_for_a_job_not_yet_learned_is_kept_until_it_is_pulled() {
     assert!(s.metrics.archives_resent >= 1, "the archive was pulled from the server's log");
     assert_eq!(units_spent(&g), 4, "the call is computed once");
 }
+
+/// A call's origin and its dispatcher are different coordinators, and the
+/// dispatcher leaves for good with the server running the call.  The
+/// origin serves the client: the running row is its own instance, but the
+/// departed coordinator wrote its `Ongoing` state, so custody follows the
+/// dispatcher.  The origin adopts the row when it writes the dispatcher
+/// off, and the dead server's silence re-instances the call.  (Keyed on
+/// the instance's origin, neither survivor ever answers for the row: the
+/// origin skips its own instance, and the third member serves nobody.)
+#[test]
+fn a_departed_dispatchers_running_call_is_recovered_by_its_origin() {
+    let mut g = split_fleet(3, vec![call(1, 30.0)]);
+    g.world.run_until(SimTime::from_secs_f64(15.5));
+    let busy = (0..3).find(|&i| g.server(i).unwrap().running_count() == 1).expect("dispatched");
+    let dispatcher = g.coordinator(0).unwrap();
+    assert_eq!(dispatcher.metrics.relayed_dispatches, 1, "minted by 2, dispatched by 1");
+    g.world.crash_now(g.coords[0].1);
+    g.world.crash_now(g.servers[busy].1);
+
+    let done = g.run_until_done(SimTime::from_secs(900));
+    let adopted: Vec<u64> =
+        (1..3).map(|i| g.coordinator(i).unwrap().metrics.adopted_rows).collect();
+    assert!(done.is_some(), "the call is stranded; rows adopted at the survivors: {adopted:?}");
+    assert_eq!(g.client_results(), 1);
+    assert_eq!(adopted, vec![1, 0], "the origin, which serves the client, adopts the row");
+}
+
+/// Adoption is re-evaluated when a feed brings a row in, not only when a
+/// peer is written off or a client arrives.  On a ring of three, 2 writes
+/// off 1 across a cut while it serves no client, and the client then moves
+/// to 2, which holds the second call `Pending`.  1 dispatches that call
+/// and its `Ongoing` row reaches 2 only through 3, once 3 writes 1 off
+/// too: after both the release and the first contact.  Then 1 and the
+/// server running the call leave for good.  2 serves the client and wrote
+/// the dispatcher off, so it adopts the row as the feed applies it, and
+/// the server's silence re-instances the call for the one server left.
+/// (Evaluated only on suspicion and first contact, the row stays held at
+/// both survivors for good.)
+#[test]
+fn a_row_fed_in_after_the_release_and_the_first_contact_is_adopted() {
+    use rpcv::simnet::Control::{Block, Crash};
+    let plan = vec![call(1, 10.0), call(2, 120.0)];
+    let mut g = SimGrid::build(GridSpec::confined(3, 2).with_cfg(fast_cfg()).with_plan(plan));
+    let [(_, c1), (_, c2), (_, c3)] = [g.coords[0], g.coords[1], g.coords[2]];
+    let [(s1, n1), (_, n2)] = [g.servers[0], g.servers[1]];
+    let client = g.client_node;
+    // One server computes: call 1 runs, call 2 waits `Pending` and
+    // replicates so.  The second server joins after 1 is gone.
+    g.world.schedule_control(SimTime::ZERO, Crash(n2));
+    let cut = |g: &mut SimGrid, at: u64, a, b| {
+        g.world.schedule_control(SimTime::from_secs(at), Block { from: a, to: b, bidir: true })
+    };
+    cut(&mut g, 5, c1, c2);
+    cut(&mut g, 20, client, c1);
+    cut(&mut g, 30, c1, c3);
+
+    g.world.run_until(SimTime::from_secs(30));
+    let (at1, at2) = (g.coordinator(0).unwrap(), g.coordinator(1).unwrap());
+    let running = at1.db().indexed_on(s1);
+    assert_eq!(running.len(), 1, "1 dispatched call 2 after call 1");
+    let row = at2.db().task(running[0]).expect("2 learned the row before the cut");
+    assert_eq!(row.rec.state, rpcv::xw::TaskState::Pending, "and holds it pending");
+    assert!(at2.metrics.coordinator_suspicions >= 1, "2 wrote 1 off");
+    assert!(at2.rx_counts.contains_key("ClientBeat"), "the client moved to 2");
+
+    g.world.run_until(SimTime::from_secs(40));
+    let row = g.coordinator(1).unwrap().db().task(running[0]).unwrap();
+    assert!(matches!(row.rec.state, rpcv::xw::TaskState::Ongoing { .. }), "fed in through 3");
+    g.world.crash_now(c1);
+    g.world.crash_now(n1);
+    g.world.restart_now(n2);
+
+    let done = g.run_until_done(SimTime::from_secs(900));
+    let custody = |i: usize| g.coordinator(i).unwrap().db().task(running[0]).unwrap().custody;
+    assert!(done.is_some(), "call 2 is stranded; custody {:?} / {:?}", custody(1), custody(2));
+    assert_eq!(g.client_results(), 2);
+}
