@@ -66,7 +66,7 @@ fn every_gate_family_fails_on_its_mutation() {
     cell(r#""fig7", "series": "faulty_servers", "x": 0,"#, |_| 80.0, "outside the paper's 69-71 s");
     cell(r#""lri_replica", "x": 50,"#, |v| v + 1.0, "of one replication period earlier");
     cell(r#""fig10", "series": "client", "x": 60,"#, |_| 0.0, "dips across a failover");
-    cell(r#""partitioned", "x": 109,"#, |_| 999.0, "delivered 999/1000 results");
+    cell(r#""partitioned", "x": 112,"#, |_| 999.0, "delivered 999/1000 results");
     // One token swapped: (artifact, from, to, the gate's message).
     for (bench, from, to, message) in [
         ("scale", "\"completed\": true", "\"completed\": false", "did not complete"),

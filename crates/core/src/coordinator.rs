@@ -84,8 +84,14 @@ rpcv_simnet::counters! {
         pub resumes_dispatched,
         /// Assignments of a task another coordinator minted (learned through
         /// replication and relayed from here): the work its server will carry
-        /// home.  Zero on a grid whose servers and clients share a coordinator.
+        /// home.  Each is a row that ripened here — a later feed still showed
+        /// it `Pending` — or whose writer was written off.  Zero on a grid
+        /// whose servers and clients share a coordinator.
         pub relayed_dispatches,
+        /// Another coordinator's `Pending` rows that a later feed showed
+        /// taken elsewhere before they ripened here: the second dispatches
+        /// of one instance the one-round wait avoided.
+        pub superseded_pending,
         /// Frames that arrived unreadable (wire corruption) and were dropped
         /// without touching protocol state.
         pub bad_frames,
@@ -659,6 +665,7 @@ impl CoordinatorActor {
         applied: Applied,
     ) {
         self.metrics.collected_marks_applied += applied.newly_collected;
+        self.metrics.superseded_pending += applied.superseded;
         let e = self.applied_head.entry(peer).or_insert(0);
         *e = (*e).max(head);
         let done = self.pay(ctx, applied.charge);
@@ -721,6 +728,12 @@ impl CoordinatorActor {
             if now.since(started) > ack_horizon {
                 ctx.note("coordinator suspects ring successor");
                 self.coords.suspect(succ, now);
+                // A write-off is an input of the custody rule wherever it
+                // is made: a member cut off from the ring may never hear
+                // the writer of a row it holds, and this is where it
+                // writes that writer off.  One op for the walk.
+                let charge = self.adopt(now, 0, None);
+                self.pay(ctx, Charge::ops(1) + charge);
                 // Its ack record stays: it never exceeds what the peer
                 // durably applied, so when the peer is our successor again
                 // it is tailed from there.  A peer that cannot take that

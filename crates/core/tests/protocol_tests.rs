@@ -532,3 +532,26 @@ fn recovery_counters_split_adoption_suspicion_and_reconcile() {
     assert_eq!(split, (2, 1, 1), "the snapshot reads the actor's own counters");
     assert_eq!(c.db().stats().tasks, 4, "one replacement per lost call, nothing on release");
 }
+
+#[test]
+fn a_replica_counts_the_pending_rows_their_writer_dispatched_first() {
+    // One server, beating the primary.  The t = 1 s round carries call 2 to
+    // the replica `Pending` while call 1 runs; the server takes call 2
+    // before the next round, which shows it taken, so the replica never
+    // queued it as its own to dispatch.  The status snapshot counts the
+    // second dispatch that did not happen.
+    let cfg = ProtocolConfig::confined()
+        .with_heartbeat(SimDuration::from_secs(1))
+        .with_suspicion(SimDuration::from_secs(5))
+        .with_replication_period(SimDuration::from_secs(1));
+    let mut grid =
+        SimGrid::build(GridSpec::confined(2, 1).with_cfg(cfg).with_plan(plan(2, 1.5, 100, 64)));
+    grid.run_until_done(SimTime::from_secs(600)).expect("both calls complete");
+    assert_eq!(grid.client_results(), 2);
+    assert_eq!(grid.server(0).unwrap().metrics.executed, 2, "each call ran once");
+    let c = grid.coordinator(1).unwrap();
+    let snap = rpcv_obs::TelemetrySnapshot::open(&c.telemetry_snapshot().seal()).unwrap();
+    assert_eq!(snap.counter("coord.superseded_pending"), 1, "call 2, taken at the primary");
+    assert_eq!(c.metrics.superseded_pending, 1, "the snapshot reads the actor's own counter");
+    assert_eq!(c.metrics.relayed_dispatches, 0);
+}

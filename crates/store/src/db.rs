@@ -257,6 +257,37 @@ impl ReexecWatch {
     }
 }
 
+/// The FCFS queue: exactly the `Pending` task rows, keyed by the row's
+/// version, in two disjoint parts.  A row is stamped just before it is
+/// queued and keeps that version while it stays `Pending`, so version
+/// order is queue order in both.
+///
+/// A `Pending` row is dispatched where it was written, and elsewhere only
+/// once its writer had a whole replication round to claim it: a feed
+/// brings another coordinator's row in *unripe*, and it ripens when the
+/// next feed is applied here and still shows it `Pending`, or when its
+/// writer is written off here ([`CoordinatorDb::adopt`]).  A row a later
+/// feed shows taken leaves the queue unripe — one instance, one
+/// dispatcher.  The clock is the feed itself, which every round sends,
+/// empty or not: no timer.
+#[derive(Debug, Clone, Default)]
+struct Queue {
+    /// Dispatchable here: popped by [`CoordinatorDb::next_pending`].
+    ripe: BTreeMap<u64, TaskId>,
+    /// Brought in by a feed and written by another coordinator, which may
+    /// still dispatch them: held back until they ripen.
+    unripe: BTreeMap<u64, TaskId>,
+}
+
+impl Queue {
+    /// Takes the `Pending` row stamped `version` off the queue, ripe or not.
+    fn remove(&mut self, version: u64) {
+        if self.ripe.remove(&version).is_none() {
+            self.unripe.remove(&version);
+        }
+    }
+}
+
 /// Incremental view of one client's result catalog since a version the
 /// client already holds: the additions to merge, plus the new high-water
 /// mark to beat with next time.  This is what
@@ -294,6 +325,10 @@ pub struct Applied {
     /// acknowledgement that was news, or a resident job a retired watermark
     /// pruned.
     pub newly_collected: u64,
+    /// Rows that were unripe when the feed arrived and that it showed taken
+    /// elsewhere (dispatched, finished or retired): each is a second
+    /// dispatch of one instance that did not happen.
+    pub superseded: u64,
 }
 
 rpcv_simnet::counters! {
@@ -342,10 +377,9 @@ pub struct CoordinatorDb {
     /// (see [`JobRow`]), in a seq-indexed window per client.
     jobs: SeqTable<JobRow>,
     tasks: BTreeMap<TaskId, TaskRow>,
-    /// The FCFS queue: exactly the `Pending` task rows, keyed by the row's
-    /// version.  A row is stamped just before it is queued and keeps that
-    /// version while it stays `Pending`, so version order is queue order.
-    pending: BTreeMap<u64, TaskId>,
+    /// The FCFS queue: exactly the `Pending` task rows, ripe or not (see
+    /// [`Queue`]).
+    pending: Queue,
     by_server: BTreeMap<ServerId, BTreeSet<TaskId>>,
     /// When each server last spoke *here* (stamped by
     /// [`Self::reconcile_server`], i.e. on every beat): what this
@@ -422,7 +456,7 @@ impl CoordinatorDb {
             version: 0,
             jobs: SeqTable::new(),
             tasks: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            pending: Queue::default(),
             by_server: BTreeMap::new(),
             server_heard: BTreeMap::new(),
             client_max: BTreeMap::new(),
@@ -748,19 +782,20 @@ impl CoordinatorDb {
         let rec = TaskRecord { id, job, attempt, state: TaskState::Pending, origin: self.me };
         self.tasks.insert(id, TaskRow { rec, custody: Custody::Held, version: v });
         row.tasks.push(id);
-        self.pending.insert(v, id);
+        self.pending.ripe.insert(v, id);
         Some(id)
     }
 
     // --- scheduling --------------------------------------------------------
 
     /// FCFS dispatch: next runnable pending task for `server`, or `None`.
+    /// Only ripe rows are runnable: a peer's row waits out one feed here.
     ///
     /// Skips tasks of already-finished jobs (a sibling instance or another
     /// replica's execution produced the result first).
     pub fn next_pending(&mut self, server: ServerId, now: SimTime) -> (Option<TaskDesc>, Charge) {
         let mut ops = 1; // the queue lookup itself
-        while let Some((_, id)) = self.pending.pop_first() {
+        while let Some((_, id)) = self.pending.ripe.pop_first() {
             ops += 1;
             let row = self.tasks.get_mut(&id).expect("a queued task row exists");
             let job = self.jobs.get_mut(&row.rec.job).expect("a task row's job is registered");
@@ -844,9 +879,7 @@ impl CoordinatorDb {
                         set.remove(&task);
                     }
                 }
-                TaskState::Pending => {
-                    self.pending.remove(&row.version);
-                }
+                TaskState::Pending => self.pending.remove(row.version),
                 TaskState::Finished { .. } => {}
             }
             row.unwatch();
@@ -1166,9 +1199,13 @@ impl CoordinatorDb {
         self.reinstance(lost.into_iter().map(|(_, job)| job))
     }
 
-    /// The custody rule, over the task rows stamped above `since` (0: every
-    /// row): a `Held` `Ongoing` row still indexed on its server, of an
-    /// unfinished job whose client is in `served`, is adopted when its
+    /// The custody rule, keyed on each task row's writer (the coordinator
+    /// that wrote its current state), for both row states a peer can hand
+    /// over.  An unripe `Pending` row (a peer's, not yet dispatchable
+    /// here) ripens when its writer is `written_off` here.  Over the task
+    /// rows stamped above `since` (0:
+    /// every row), a `Held` `Ongoing` row still indexed on its server, of
+    /// an unfinished job whose client is in `served`, is adopted when its
     /// dispatcher (the writer of its `Ongoing` state) is another
     /// coordinator, and that dispatcher is `written_off` here or the row's
     /// client is `contact`, the one making first contact.  Nothing is
@@ -1176,8 +1213,9 @@ impl CoordinatorDb {
     /// re-instance what is lost ([`Self::server_suspected`],
     /// [`Self::reconcile_server`]).  The caller runs it wherever an input
     /// changes: a peer written off, a first contact (every row), a feed
-    /// applied (the rows it stamped).  Returns the adopted rows' servers,
-    /// one per row, in server order, and one op per row.
+    /// applied (the rows it stamped; the unripe ones are exactly those).
+    /// Returns the adopted rows' servers, one per row, in server order,
+    /// and one op per row adopted (ripening moves an index entry only).
     pub fn adopt(
         &mut self,
         since: u64,
@@ -1185,6 +1223,15 @@ impl CoordinatorDb {
         served: &BTreeSet<ClientKey>,
         written_off: impl Fn(CoordId) -> bool,
     ) -> (Vec<ServerId>, Charge) {
+        let (changed, writers) = (&self.changed, &self.writers);
+        let Queue { ripe, unripe } = &mut self.pending;
+        unripe.retain(|v, id| {
+            if !written_off(writers[changed[v].from.0 as usize].0) {
+                return true;
+            }
+            ripe.insert(*v, *id);
+            false
+        });
         let (tasks, jobs, by_server) = (&mut self.tasks, &self.jobs, &self.by_server);
         let mut watch = Vec::new();
         for (_, entry) in
@@ -1208,6 +1255,12 @@ impl CoordinatorDb {
         watch.sort_unstable();
         let charge = Charge::ops(watch.len() as u64);
         (watch, charge)
+    }
+
+    /// The `Pending` rows held back until they ripen, in queue order.
+    #[doc(hidden)]
+    pub fn unripe_rows(&self) -> Vec<TaskId> {
+        self.pending.unripe.values().copied().collect()
     }
 
     /// The coordinator that wrote `task`'s current state (its dispatcher,
@@ -1622,8 +1675,10 @@ impl CoordinatorDb {
                     .insert(rec.id, TaskRow { rec: *rec, custody: Custody::Held, version: v });
                 job.tasks.push(rec.id);
                 match rec.state {
+                    // A feed's row is another coordinator's: it waits for
+                    // that coordinator's next round.
                     TaskState::Pending => {
-                        self.pending.insert(v, rec.id);
+                        self.pending.unripe.insert(v, rec.id);
                     }
                     TaskState::Ongoing { server, .. } => {
                         // Held (until adopted) — but indexed by server, so
@@ -1642,7 +1697,7 @@ impl CoordinatorDb {
             Some(row) => {
                 if state_rank(&rec.state) > state_rank(&row.rec.state) {
                     if matches!(row.rec.state, TaskState::Pending) {
-                        self.pending.remove(&row.version);
+                        self.pending.remove(row.version);
                     }
                     // Keep the per-server index in step with the state
                     // transition (Pending→Ongoing indexes, Ongoing→Finished
@@ -1690,8 +1745,9 @@ impl CoordinatorDb {
     /// peer is *held* — never schedulable here; once the custody rule
     /// ([`Self::adopt`]) makes this coordinator answer for it, it is
     /// adopted, and re-instanced only when its server's silence or beats
-    /// show it lost; pending becomes
-    /// locally schedulable.  State precedence
+    /// show it lost; pending becomes locally schedulable one feed later
+    /// (it is queued unripe until the next feed), or once the rule finds its
+    /// writer written off.  State precedence
     /// finished > ongoing > pending prevents downgrades from stale deltas.
     /// Collection acknowledgements are terminal knowledge: a collected job
     /// is exempt from re-execution and archive re-acquisition here exactly
@@ -1712,20 +1768,26 @@ impl CoordinatorDb {
         self.apply_rows(delta.from, delta.rows.into_iter(), now)
     }
 
-    /// The row-application loop: rows are merged under the receiver's own
-    /// version counter, every row the merge writes is stamped with the
-    /// writer the feed names for it (unmarked rows are `peer`'s own), and
-    /// every job it finishes without an archive enters the missing worklist
-    /// at `now`.
+    /// The row-application loop: the rows an earlier feed queued unripe
+    /// ripen first (their writers had a round to claim them), then rows are
+    /// merged under the receiver's own version counter, every row the merge
+    /// writes is stamped with the writer the feed names for it (unmarked
+    /// rows are `peer`'s own), and every job it finishes without an archive
+    /// enters the missing worklist at `now`.
     fn apply_rows(
         &mut self,
         peer: CoordId,
         rows: impl Iterator<Item = DeltaRow>,
         now: SimTime,
     ) -> Applied {
+        // Ripening keeps each row's version key, so FCFS order holds.
+        let ripened = std::mem::take(&mut self.pending.unripe);
+        for (&v, &id) in &ripened {
+            self.pending.ripe.insert(v, id);
+        }
         let mut sender = self.writer(peer, 0);
         let mut from = sender;
-        let mut applied = Applied { charge: Charge::ops(1), newly_collected: 0 };
+        let mut applied = Applied { charge: Charge::ops(1), newly_collected: 0, superseded: 0 };
         for row in rows {
             applied.charge += match row {
                 DeltaRow::Writer { coord, incarnation } => {
@@ -1771,6 +1833,8 @@ impl CoordinatorDb {
                 }
             };
         }
+        applied.superseded =
+            ripened.keys().filter(|v| !self.pending.ripe.contains_key(v)).count() as u64;
         applied
     }
 
@@ -1853,9 +1917,7 @@ impl CoordinatorDb {
                         set.remove(&id);
                     }
                 }
-                TaskState::Pending => {
-                    self.pending.remove(&task.version);
-                }
+                TaskState::Pending => self.pending.remove(task.version),
                 TaskState::Finished { .. } => {}
             }
         }
@@ -2104,13 +2166,24 @@ impl CoordinatorDb {
         assert_eq!(m.due.len(), unparked.count(), "due order holds the un-parked entries");
         assert_eq!(self.catalog.len() as u64, archived, "one catalog entry per held archive");
         assert_eq!(self.finished_rows, finished, "finished counter");
+        // The two parts of the queue are disjoint, hold exactly the pending
+        // rows between them, by version, and a row waits to ripen only while
+        // another coordinator's write is its last.
         let queue: BTreeMap<u64, TaskId> = self
             .tasks
             .values()
             .filter(|t| matches!(t.rec.state, TaskState::Pending))
             .map(|t| (t.version, t.rec.id))
             .collect();
-        assert_eq!(self.pending, queue, "the queue holds exactly the pending rows, by version");
+        let Queue { ripe, unripe } = &self.pending;
+        assert!(ripe.keys().all(|v| !unripe.contains_key(v)), "a row both ripe and unripe");
+        let mut both = ripe.clone();
+        both.extend(unripe);
+        assert_eq!(both, queue, "the queue holds exactly the pending rows, by version");
+        for (v, id) in unripe {
+            let from = self.changed.get(v).map(|e| e.from);
+            assert_ne!(from, Some(Provenance::LOCAL), "{id:?}: unripe, and written here");
+        }
         for (&client, r) in &self.retired_below {
             let entry = self.changed.get(&r.version).map(|e| e.row);
             assert_eq!(entry, Some(Changed::Retired(client)), "{client:?}: watermark entry");
@@ -2325,6 +2398,11 @@ mod tests {
 
         let mut backup = CoordinatorDb::new(CoordId(2));
         backup.apply_delta(&delta);
+        // The primary's pending row waits out its next round: the primary
+        // may still dispatch it, and that round would say so.
+        assert_eq!(backup.unripe_rows().len(), 1);
+        assert_eq!(dispatchable(&backup), 0, "a live peer's pending row is unripe");
+        backup.apply_delta(&primary.delta_since(primary.version()));
         // Pending task (job 3) schedulable on the backup.
         // Ongoing task (job 1) held. Finished (job 2) never scheduled.
         let mut seen = Vec::new();
@@ -2387,6 +2465,7 @@ mod tests {
         // peer's to answer for: first contact adopts it too.
         here.register_job(job(4));
         there.apply_delta(&here.delta_since(0));
+        there.apply_delta(&here.delta_since(here.version())); // job 4 ripens
         let _ = there.next_pending(ServerId(7), T0); // job 3
         let (relayed, _) = there.next_pending(ServerId(7), T0);
         assert_eq!(relayed.unwrap().job.seq, 4);
@@ -2454,7 +2533,9 @@ mod tests {
         assert_eq!(relayed.rows[1..], replica.delta_since(base).rows[..]);
         assert_eq!(replica.feed_for(peer, 0), replica.delta_since(0));
         // A local mutation re-stamps a learned row as the replica's own:
-        // dispatching the peer's task (after job 9's) puts it on the feed.
+        // dispatching the peer's task (after job 9's, once the peer is
+        // written off) puts it on the feed.
+        assert_eq!(replica.adopt(0, None, &BTreeSet::new(), |c| c == peer), (vec![], Charge::ZERO));
         let _ = replica.next_pending(ServerId(1), T0);
         let learned = replica.next_pending(ServerId(1), T0).0.expect("the peer's task");
         assert_eq!(learned.job.seq, 1);
@@ -2578,14 +2659,55 @@ mod tests {
         replica.apply_delta(&primary.delta_since(0));
         let base = primary.version();
         while primary.next_pending(ServerId(1), T0).0.is_some() {}
-        replica.apply_delta(&primary.delta_since(base));
+        let applied = replica.apply_delta_owned(primary.delta_since(base), T0);
+        assert_eq!(applied.superseded, 8, "all eight were taken before they ripened");
         let base = primary.version();
         primary.register_job(job(9));
         replica.apply_delta(&primary.delta_since(base));
+        replica.apply_delta(&primary.delta_since(primary.version())); // job 9 ripens
         replica.check_invariants();
         let (t, charge) = replica.next_pending(ServerId(2), T0);
         assert_eq!(t.map(|t| t.job), Some(job(9).key));
         assert_eq!(charge, Charge::db(2, job(9).params.len()));
+    }
+
+    #[test]
+    fn a_peers_pending_row_ripens_after_one_round_or_a_write_off() {
+        let peer = CoordId(1);
+        let mut primary = db();
+        let mut replica = CoordinatorDb::new(CoordId(2));
+        for seq in 1..=3 {
+            primary.register_job(job(seq));
+        }
+        replica.apply_delta(&primary.delta_since(0));
+        let own = JobSpec::new(JobKey::new(ClientKey::new(2, 1), 1), "svc", Blob::empty());
+        replica.register_job(own.clone());
+        // The replica's own row is dispatchable at once, the peer's wait.
+        assert_eq!(replica.unripe_rows().len(), 3);
+        assert_eq!(dispatchable(&replica), 1);
+        replica.check_invariants();
+        // The peer dispatches job 1 before its next round, which shows it
+        // taken; the other two ripen, ahead of the replica's own (FCFS).
+        let base = primary.version();
+        let _ = primary.next_pending(ServerId(1), T0);
+        let applied = replica.apply_delta_owned(primary.delta_since(base), T0);
+        assert_eq!(applied.superseded, 1);
+        replica.check_invariants();
+        let mut d = replica.clone();
+        let order: Vec<JobKey> =
+            std::iter::from_fn(|| d.next_pending(ServerId(0), T0).0).map(|t| t.job).collect();
+        assert_eq!(order, [job(2).key, job(3).key, own.key]);
+        // A row whose writer is written off here ripens at once.
+        let base = primary.version();
+        primary.register_job(job(4));
+        replica.apply_delta(&primary.delta_since(base));
+        let served = BTreeSet::new();
+        let _ = replica.adopt(0, None, &served, |_| false);
+        assert_eq!(replica.unripe_rows().len(), 1, "a live writer's row stays unripe");
+        assert_eq!(replica.adopt(0, None, &served, |c| c == peer), (vec![], Charge::ZERO));
+        assert!(replica.unripe_rows().is_empty(), "its writer written off, it ripens");
+        assert_eq!(dispatchable(&replica), 4);
+        replica.check_invariants();
     }
 
     #[test]
@@ -2694,7 +2816,9 @@ mod tests {
         a.register_job(job(1).with_replication(2)); // T1, T2 queued at A
         let mut b = CoordinatorDb::new(CoordId(2));
         b.apply_delta(&a.delta_since(0));
-        // B executes T1; A learns the job finished (archive missing at A).
+        // T1 and T2 ripen at B; B executes T1; A learns the job finished
+        // (archive missing at A).
+        b.apply_delta(&a.delta_since(a.version()));
         let (t1, _) = b.next_pending(ServerId(1), T0);
         let t1 = t1.unwrap();
         b.complete_task(t1.id, job1, Blob::synthetic(8, 1), ServerId(1));

@@ -149,7 +149,8 @@ fn suspect_checked(db: &mut CoordinatorDb, server: ServerId) {
 /// ones written by another coordinator — one in `written_off`, or any on
 /// first contact — whose client is served and whose job is unfinished
 /// become adopted, one returned server per row.  No other row's custody
-/// moves, and nothing is minted.
+/// moves, and nothing is minted.  Of the unripe `Pending` rows, exactly
+/// those written by a coordinator in `written_off` ripen.
 fn adopt_checked(
     db: &mut CoordinatorDb,
     since: u64,
@@ -179,10 +180,13 @@ fn adopt_checked(
     for t in db.delta_since(0).tasks() {
         before.insert(t.id, db.task(t.id).unwrap().custody);
     }
+    let mut unripe = db.unripe_rows();
+    unripe.retain(|&id| !written_off.contains(&db.writer_of(id).expect("a live row")));
     let tasks = db.stats().tasks;
     let served: BTreeSet<ClientKey> = served.then_some(client).into_iter().collect();
     let contact = contact.then_some(client);
     let (watch, _) = db.adopt(since, contact, &served, |c| written_off.contains(&c));
+    assert_eq!(db.unripe_rows(), unripe, "what ripens is what a written-off peer wrote");
     assert_eq!(watch, want.iter().map(|&(s, _)| s).collect::<Vec<_>>(), "one server per row");
     assert_eq!(db.stats().tasks, tasks, "adoption mints nothing");
     for (id, was) in before {
@@ -220,7 +224,9 @@ fn apply_checked(db: &mut CoordinatorDb, feed: ReplicationDelta, now: SimTime) {
 /// row when it writes a peer off (a crash or a cut) and at the client's
 /// first contact, and over the rows a feed stamped as it applies the feed.
 /// After every step no member holds an indexed `Held` row of the client it
-/// serves, of an unfinished job, written by a peer it wrote off.
+/// serves, of an unfinished job, written by a peer it wrote off.  No local
+/// operation dispatches (or otherwise moves) an unripe row, and every row
+/// unripe when a feed arrives is dispatchable, or taken, once it applied.
 struct Ring {
     filtered: bool,
     members: Vec<CoordinatorDb>,
@@ -300,7 +306,12 @@ impl Ring {
             return;
         }
         let (base, head, since) = (feed.base_version, feed.head_version, self.members[j].version());
+        let unripe = self.members[j].unripe_rows();
         self.members[j].apply_delta_owned(feed, SimTime::ZERO);
+        let after = self.members[j].unripe_rows();
+        for id in unripe {
+            assert!(!after.contains(&id), "{id:?} at {j}: still unripe after the next feed");
+        }
         self.adopt(j, since, false);
         // A reseed — any round served from base 0 — is complete: what the
         // sender retired, the receiver holds retired too, however the
@@ -450,7 +461,11 @@ impl Ring {
                 self.adopt(i, 0, true);
             }
             13 => {}
-            _ => local_op(&mut self.members[i], seq, action, aux),
+            _ => {
+                let unripe = self.members[i].unripe_rows();
+                local_op(&mut self.members[i], seq, action, aux);
+                assert_eq!(self.members[i].unripe_rows(), unripe, "a local op took an unripe row");
+            }
         }
         (0..k).for_each(|m| self.assert_custody(m));
         let mut named = std::collections::BTreeMap::new();
@@ -561,10 +576,10 @@ proptest! {
     /// Echo-free replication is invisible to the replicated state: a
     /// 2-ring and a 3-ring exchanging *filtered* feeds hold, member for
     /// member and row for row, exactly what twin rings exchanging the
-    /// complete feed hold, custody included — after every step of an
-    /// arbitrary run of local operations, replication rounds (acked or
-    /// not), retention, crashes and suspicions that reshape the ring, first
-    /// contacts, and disk wipes.  Along
+    /// complete feed hold, custody and unripe rows included — after every
+    /// step of an arbitrary run of local operations, replication rounds
+    /// (acked or not), retention, crashes and suspicions that reshape the
+    /// ring, first contacts, and disk wipes.  Along
     /// the way the rules themselves are pinned: a from-zero feed is
     /// complete; whatever a local operation stamps is on every peer's
     /// feed again; and an entry a feed skips is never the only copy.
@@ -587,6 +602,7 @@ proptest! {
                     m.check_invariants();
                     prop_assert_eq!(m.delta_since(0), twin.members[i].delta_since(0));
                     prop_assert_eq!(custodies(m), custodies(&twin.members[i]));
+                    prop_assert_eq!(m.unripe_rows(), twin.members[i].unripe_rows());
                     for p in (0..k).filter(|&p| p != i) {
                         let to = Ring::id(p);
                         prop_assert_eq!(rows(m.feed_for(to, 0)), m.delta_since(0));

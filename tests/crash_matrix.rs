@@ -1239,8 +1239,9 @@ fn restarted_dispatcher_suspects_a_server_that_left_it() {
 
 /// A restarted coordinator still answers for what it forwarded before the
 /// crash.  Two coordinators each dispatch the same replicated `Pending` row
-/// to a server of their own inside one replication period (neither has
-/// heard of the other's dispatch yet), both coordinators bounce, both
+/// to a server of their own inside one replication period (the row ripened
+/// at the replica, which dispatched first, and neither has heard of the
+/// other's dispatch yet), both coordinators bounce, both
 /// executions die, and each server re-homes to the *other* coordinator —
 /// which indexes the task on the server it did not dispatch to.  Nobody's
 /// beat reconciliation can find the loss, so the only recovery is each
@@ -1259,13 +1260,15 @@ fn restarted_dispatchers_suspect_the_servers_they_forwarded_to() {
     let cut = |from, to| Block { from, to, bidir: true };
     let heal = |from, to| Unblock { from, to, bidir: true };
     let at = SimTime::from_secs_f64;
-    // Server 1 reaches coordinator 1 only after the t = 4 s round carried
-    // the row to coordinator 2 as `Pending`; server 2 gives up on
-    // coordinator 1 and takes the same row from coordinator 2 at t ≈ 6 s.
-    g.world.schedule_control(SimTime::ZERO, cut(s1, c1));
+    // The t = 4 s round carries the row to coordinator 2 as `Pending`, and
+    // the t = 8 s round, still showing it `Pending`, ripens it there.
+    // Server 2 gives up on coordinator 1 and takes the row from
+    // coordinator 2 at t ≈ 9 s; server 1 is down until 9.5 s and takes it
+    // from coordinator 1, whose next word from coordinator 2 is at 12 s.
+    g.world.schedule_control(SimTime::ZERO, Crash(s1));
     g.world.schedule_control(SimTime::ZERO, cut(s2, c1));
-    g.world.schedule_control(at(4.5), heal(s1, c1));
     g.world.schedule_control(at(7.5), heal(s2, c1));
+    g.world.schedule_control(at(9.5), Restart(s1));
     g.world.run_until(at(10.0));
     let dispatched = |g: &SimGrid, c: usize, s| g.coordinator(c).unwrap().db().indexed_on(s);
     assert_eq!(dispatched(&g, 0, s1_id).len(), 1, "coordinator 1 dispatched to server 1");
@@ -1689,4 +1692,145 @@ fn a_row_fed_in_after_the_release_and_the_first_contact_is_adopted() {
     let custody = |i: usize| g.coordinator(i).unwrap().db().task(running[0]).unwrap().custody;
     assert!(done.is_some(), "call 2 is stranded; custody {:?} / {:?}", custody(1), custody(2));
     assert_eq!(g.client_results(), 2);
+}
+
+/// Submits `execs.len()` calls of the given lengths at `at`, in order.
+fn submit_at(g: &mut SimGrid, at: SimTime, execs: &[f64]) {
+    for (i, &exec_cost) in execs.iter().enumerate() {
+        let call = rpcv::core::msg::Msg::ApiSubmit {
+            service: "b".into(),
+            params: Blob::synthetic(512, i as u64),
+            exec_cost,
+            result_size: 64,
+            replication: 1,
+            work_units: 1,
+        };
+        g.world.inject(at, g.client_node, call);
+    }
+}
+
+/// Every instance some coordinator of `g` has indexed on a server, with
+/// the servers (indices into `g.servers`) it is indexed on across all the
+/// coordinators: one each, unless two coordinators dispatched it.
+fn dispatched_to(g: &SimGrid) -> std::collections::BTreeMap<rpcv::xw::TaskId, Vec<usize>> {
+    let mut on = std::collections::BTreeMap::<_, Vec<usize>>::new();
+    for c in (0..g.coords.len()).filter_map(|i| g.coordinator(i)) {
+        for (s, &(id, _)) in g.servers.iter().enumerate() {
+            for task in c.db().indexed_on(id) {
+                let servers = on.entry(task).or_default();
+                if !servers.contains(&s) {
+                    servers.push(s);
+                }
+            }
+        }
+    }
+    on
+}
+
+/// One instance, one dispatcher.  Two live coordinators split the fleet:
+/// the client and server 1 at coordinator 1, servers 2 and 3 at
+/// coordinator 2 (cut from coordinator 1 from the start, they settle
+/// there before the calls).  The t = 8 s round carries a 3 s call and two
+/// 20 s calls to coordinator 2 as `Pending`; server 1 takes the short call
+/// at once and the first long one at t ≈ 11 s, before coordinator 2's next
+/// round could tell coordinator 1 of any dispatch there.  A replica that
+/// dispatched a live peer's `Pending` row at once would have handed both
+/// to its own servers too.  Here coordinator 2 waits a round: the t = 12 s
+/// round shows two rows taken and one still `Pending`, which coordinator
+/// 2 then dispatches.  No instance is ever on two servers, and each call
+/// runs once.
+#[test]
+fn a_live_peers_pending_row_is_dispatched_once() {
+    use rpcv::simnet::Control::Block;
+    let cfg = fast_cfg().with_replication_period(SimDuration::from_secs(4));
+    let mut g = SimGrid::build(GridSpec::confined(2, 3).with_cfg(cfg));
+    let c1 = g.coords[0].1;
+    for &(_, s) in &g.servers[1..] {
+        g.world.schedule_control(SimTime::ZERO, Block { from: s, to: c1, bidir: true });
+    }
+    let execs = [3.0, 20.0, 20.0];
+    submit_at(&mut g, SimTime::from_secs(7), &execs);
+    let mut t = SimTime::from_secs(7);
+    while g.client_results() < execs.len() && t < SimTime::from_secs(120) {
+        t += SimDuration::from_millis(250);
+        g.world.run_until(t);
+        for (task, servers) in dispatched_to(&g) {
+            assert_eq!(servers.len(), 1, "{task:?} dispatched to servers {servers:?} by {t:?}");
+        }
+    }
+    assert_eq!(g.client_results(), execs.len());
+    let executed: u64 = (0..3).map(|i| g.server(i).unwrap().metrics.executed).sum();
+    assert_eq!(executed, execs.len() as u64, "each call ran once");
+    let replica = &g.coordinator(1).unwrap().metrics;
+    assert_eq!(replica.relayed_dispatches, 1, "the row that ripened there");
+    assert_eq!(replica.superseded_pending, 2, "the rows server 1 took");
+}
+
+/// The one-round wait never strands a call.  Two live, linked
+/// coordinators; every server is cut from the client's coordinator for
+/// good, so nothing is dispatched where the calls are minted.  Each call
+/// ripens at the replica one round after it arrived there, and is
+/// delivered within its execution, the two rounds that carry it over and
+/// ripen it, the two that bring its result back (finished, then its
+/// archive pulled) and two beats.  A replica that waited for the minter
+/// to be written off would never dispatch them.
+#[test]
+fn calls_minted_where_no_server_beats_are_still_delivered() {
+    use rpcv::simnet::Control::Block;
+    let (period, beat) = (SimDuration::from_secs(4), SimDuration::from_secs(1));
+    let cfg = fast_cfg().with_replication_period(period);
+    let mut g = SimGrid::build(GridSpec::confined(2, 2).with_cfg(cfg));
+    let c1 = g.coords[0].1;
+    for &(_, s) in &g.servers {
+        g.world.schedule_control(SimTime::ZERO, Block { from: s, to: c1, bidir: true });
+    }
+    let (submitted, execs) = (SimTime::from_secs(7), [10.0, 10.0]);
+    submit_at(&mut g, submitted, &execs);
+    let exec = SimDuration::from_secs(10);
+    let bound = submitted + exec + period * 4 + beat * 2;
+    while g.client_results() < execs.len() && g.world.now() < bound {
+        g.world.run_for(SimDuration::from_millis(250));
+    }
+    let received = &g.client().unwrap().metrics.results_received;
+    assert_eq!(received.len(), execs.len(), "delivered by {bound:?}: {received:?}");
+    assert_eq!(g.coordinator(1).unwrap().metrics.relayed_dispatches, 2);
+}
+
+/// The progress condition holds for a row still unripe when its holder is
+/// partitioned off ("as long as there is a path between the client and the
+/// servers").  A ring of four: both servers beat coordinator 3, and the
+/// client, after submitting two calls at coordinator 1, reaches only
+/// coordinator 3.  The calls travel 1 → 2 → 3 and arrive at 3 `Pending`,
+/// written by 1, so unripe; at t = 30 s coordinator 3 is cut from every
+/// peer, so no later feed ripens them, and 1, which never spoke to 3, is
+/// never suspected by silence there.  Coordinator 3 writes 1 off when 1,
+/// its ring successor by then, leaves a round unacknowledged, and that
+/// write-off ripens the rows: the rule runs wherever a peer is written off.
+#[test]
+fn a_row_unripe_when_its_holder_is_partitioned_off_is_dispatched_there() {
+    use rpcv::simnet::Control::Block;
+    let cfg = fast_cfg().with_replication_period(SimDuration::from_secs(4));
+    let mut g = SimGrid::build(GridSpec::confined(4, 2).with_cfg(cfg));
+    let c: Vec<_> = g.coords.iter().map(|&(_, n)| n).collect();
+    let others = [c[0], c[1], c[3]];
+    let cut = |from, to| Block { from, to, bidir: true };
+    for &(_, s) in &g.servers {
+        for &k in &others {
+            g.world.schedule_control(SimTime::ZERO, cut(s, k));
+        }
+    }
+    submit_at(&mut g, SimTime::from_secs(20), &[10.0, 10.0]);
+    for &k in &others {
+        g.world.schedule_control(SimTime::from_secs(21), cut(g.client_node, k));
+        g.world.schedule_control(SimTime::from_secs(30), cut(c[2], k));
+    }
+    g.world.run_until(SimTime::from_secs(30));
+    assert_eq!(g.coordinator(2).unwrap().db().unripe_rows().len(), 2, "both calls unripe at 3");
+    while g.client_results() < 2 && g.world.now() < SimTime::from_secs(120) {
+        g.world.run_for(SimDuration::from_millis(500));
+    }
+    assert_eq!(g.client_results(), 2, "delivered through coordinator 3 by 120 s");
+    let holder = g.coordinator(2).unwrap();
+    assert_eq!(holder.metrics.relayed_dispatches, 2);
+    assert_eq!(holder.metrics.coordinator_suspicions, 2, "silence wrote off 2 and 4 only");
 }
