@@ -154,7 +154,7 @@ impl CoordMetrics {
 struct CoordDurable {
     db: CoordinatorDb,
     acked_version: BTreeMap<CoordId, u64>,
-    applied_head: BTreeMap<CoordId, u64>,
+    applied_head: BTreeMap<(CoordId, u64), u64>,
     metrics: CoordMetrics,
     spans: SpanBook,
 }
@@ -187,11 +187,13 @@ pub struct CoordinatorActor {
     clients: BTreeSet<ClientKey>,
     /// Per-successor acknowledged replication version.
     acked_version: BTreeMap<CoordId, u64>,
-    /// Highest delta head applied *from* each predecessor (the peer's own
-    /// version space).  A delta whose `base_version` is ahead of this has
-    /// a gap — rows the sender pruned believing we held them — and must
-    /// not be applied; we ask to be reseeded from zero instead.
-    applied_head: BTreeMap<CoordId, u64>,
+    /// Highest delta head applied *from* each predecessor, per incarnation
+    /// its feeds name (the version space of that database).  A delta whose
+    /// `base_version` is ahead of this has a gap — rows the sender pruned
+    /// believing we held them, or a base acknowledged to a database the
+    /// sender has since lost — and must not be applied; we ask to be
+    /// reseeded from zero instead.
+    applied_head: BTreeMap<(CoordId, u64), u64>,
     /// Outstanding replication round: `(successor, head, started)`.
     inflight_repl: Option<(CoordId, u64, SimTime)>,
     /// Boot epoch: regenerated on every (re)start so clients can tell
@@ -652,15 +654,16 @@ impl CoordinatorActor {
         );
     }
 
-    /// The tail of applying a feed from `peer` (head `head` in the peer's
-    /// version space): the deliveries it taught are counted, the applied
+    /// The tail of applying a feed from `peer` (a coordinator, and the
+    /// incarnation its feed names; head `head` in that database's version
+    /// space): the deliveries it taught are counted, the applied
     /// head moves, the store's charge is paid, and the head is acknowledged
     /// once the write lands.
     fn finish_apply(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         from: NodeId,
-        peer: CoordId,
+        peer: (CoordId, u64),
         head: u64,
         applied: Applied,
     ) {
@@ -695,8 +698,12 @@ impl CoordinatorActor {
         // ask to be reseeded from zero — as for an incremental delta that
         // names another incarnation of ours: it was built for a database
         // we no longer are (its sender has not heard of our disk loss) and
-        // may skip rows only that database held.
-        let applied = self.applied_head.get(&peer).copied().unwrap_or(0);
+        // may skip rows only that database held.  The head applied is kept
+        // per incarnation of the sender: an ack that reached it across a
+        // disk loss names a base in its old version space, which the new
+        // database's feeds, naming their own incarnation, never find here.
+        let sender = (peer, delta.incarnation_of(peer));
+        let applied = self.applied_head.get(&sender).copied().unwrap_or(0);
         let incarnation = self.db.incarnation();
         let foreign = delta.base_version > 0 && delta.incarnation_of(self.params.me) != incarnation;
         if delta.base_version > applied || foreign {
@@ -709,7 +716,7 @@ impl CoordinatorActor {
         // A row the feed stamped may be a written-off peer's, arriving
         // after the suspicion and the first contact: the rule runs on it.
         applied.charge += self.adopt(now, since, None);
-        self.finish_apply(ctx, from, peer, head, applied);
+        self.finish_apply(ctx, from, sender, head, applied);
         // Serve requested archives from our store (capped per round); a
         // round that finds none sends nothing.
         let me = self.params.me;
@@ -807,7 +814,7 @@ impl CoordinatorActor {
             self.server_mon.forget(s);
         }
         // Peer suspicion ⇒ write it off (and forget it until its next sign
-        // of life, as a server) and adopt the held ongoing tasks it
+        // of life, as a server) and adopt the unwatched ongoing tasks it
         // dispatched for clients served here: their servers' silence or
         // beats re-instance them, nothing else does.
         for peer in self.peer_mon.suspects(now) {

@@ -22,40 +22,23 @@ use crate::table::SeqTable;
 pub struct TaskRow {
     /// What replicates: id, job, attempt, scheduling state, origin.
     pub rec: TaskRecord,
-    /// Who answers for the instance here — drives the replica scheduling
-    /// rule and what this coordinator's silence from its server covers.
-    pub custody: Custody,
+    /// This coordinator answers for the instance here (local, durable with
+    /// the row, never replicated): it dispatched it (the server answered
+    /// *us* to get it), or adopted it under the custody rule
+    /// ([`CoordinatorDb::adopt`]).  Its server's silence covers a watched
+    /// row, which is re-instanced when that server goes silent or stops
+    /// listing it.  Watched ⇒ `Ongoing` and indexed on its server;
+    /// `Ongoing`, indexed and written here ⇒ watched.
+    pub watched: bool,
     /// Version stamp of the last mutation (replication watermark).
     pub version: u64,
 }
 
-/// Where a task row belongs at this coordinator (local, durable with the
-/// row, never replicated).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Custody {
-    /// Learned through replication and not dispatched here: another
-    /// coordinator answers for it.
-    Held,
-    /// This coordinator dispatched the instance (the server answered *us*
-    /// to get it).
-    Dispatched,
-    /// A replicated `Ongoing` row this coordinator answers for under the
-    /// custody rule ([`CoordinatorDb::adopt`]): its dispatcher is written
-    /// off here, or its client made first contact here.  It watches the
-    /// row's server as if it had dispatched it, and re-instances the row
-    /// only when that server goes silent or stops listing it.
-    /// Always `Ongoing` and indexed on its server: a row leaving the index
-    /// goes back to [`Custody::Held`].
-    Adopted,
-}
-
 impl TaskRow {
-    /// The row left its server's index (finished, or given up on): an
-    /// adopted row has nothing left to watch.
+    /// The row left its server's index (finished, or given up on): nothing
+    /// is left to watch.
     fn unwatch(&mut self) {
-        if self.custody == Custody::Adopted {
-            self.custody = Custody::Held;
-        }
+        self.watched = false;
     }
 }
 
@@ -257,37 +240,6 @@ impl ReexecWatch {
     }
 }
 
-/// The FCFS queue: exactly the `Pending` task rows, keyed by the row's
-/// version, in two disjoint parts.  A row is stamped just before it is
-/// queued and keeps that version while it stays `Pending`, so version
-/// order is queue order in both.
-///
-/// A `Pending` row is dispatched where it was written, and elsewhere only
-/// once its writer had a whole replication round to claim it: a feed
-/// brings another coordinator's row in *unripe*, and it ripens when the
-/// next feed is applied here and still shows it `Pending`, or when its
-/// writer is written off here ([`CoordinatorDb::adopt`]).  A row a later
-/// feed shows taken leaves the queue unripe — one instance, one
-/// dispatcher.  The clock is the feed itself, which every round sends,
-/// empty or not: no timer.
-#[derive(Debug, Clone, Default)]
-struct Queue {
-    /// Dispatchable here: popped by [`CoordinatorDb::next_pending`].
-    ripe: BTreeMap<u64, TaskId>,
-    /// Brought in by a feed and written by another coordinator, which may
-    /// still dispatch them: held back until they ripen.
-    unripe: BTreeMap<u64, TaskId>,
-}
-
-impl Queue {
-    /// Takes the `Pending` row stamped `version` off the queue, ripe or not.
-    fn remove(&mut self, version: u64) {
-        if self.ripe.remove(&version).is_none() {
-            self.unripe.remove(&version);
-        }
-    }
-}
-
 /// Incremental view of one client's result catalog since a version the
 /// client already holds: the additions to merge, plus the new high-water
 /// mark to beat with next time.  This is what
@@ -377,9 +329,25 @@ pub struct CoordinatorDb {
     /// (see [`JobRow`]), in a seq-indexed window per client.
     jobs: SeqTable<JobRow>,
     tasks: BTreeMap<TaskId, TaskRow>,
-    /// The FCFS queue: exactly the `Pending` task rows, ripe or not (see
-    /// [`Queue`]).
-    pending: Queue,
+    /// The FCFS queue: the dispatchable `Pending` rows, popped by
+    /// [`Self::next_pending`] and keyed by version.  A row is stamped just
+    /// before it is queued and keeps that version while it stays
+    /// `Pending`, so version order is queue order.
+    ///
+    /// A `Pending` row is dispatched where it was written, and elsewhere
+    /// only once its writer had a whole replication round to claim it: a
+    /// feed's `Pending` rows are not queued but *unripe* — exactly the
+    /// `Pending` rows stamped inside [`Self::fed`] and not queued, since an
+    /// apply ripens every earlier unripe row before it stamps its own and
+    /// no local operation stamps a `Pending` row outside the queue.  They
+    /// ripen when the next feed is applied here and still shows them
+    /// `Pending`, or when their writer is written off here
+    /// ([`Self::adopt`]); a row a later feed shows taken never enters —
+    /// one instance, one dispatcher.  The clock is the feed itself, which
+    /// every round sends, empty or not: no timer.
+    pending: BTreeMap<u64, TaskId>,
+    /// `(lo, hi]`: the versions the last applied feed stamped.
+    fed: (u64, u64),
     by_server: BTreeMap<ServerId, BTreeSet<TaskId>>,
     /// When each server last spoke *here* (stamped by
     /// [`Self::reconcile_server`], i.e. on every beat): what this
@@ -456,7 +424,8 @@ impl CoordinatorDb {
             version: 0,
             jobs: SeqTable::new(),
             tasks: BTreeMap::new(),
-            pending: Queue::default(),
+            pending: BTreeMap::new(),
+            fed: (0, 0),
             by_server: BTreeMap::new(),
             server_heard: BTreeMap::new(),
             client_max: BTreeMap::new(),
@@ -780,9 +749,9 @@ impl CoordinatorDb {
             Provenance::LOCAL,
         );
         let rec = TaskRecord { id, job, attempt, state: TaskState::Pending, origin: self.me };
-        self.tasks.insert(id, TaskRow { rec, custody: Custody::Held, version: v });
+        self.tasks.insert(id, TaskRow { rec, watched: false, version: v });
         row.tasks.push(id);
-        self.pending.ripe.insert(v, id);
+        self.pending.insert(v, id);
         Some(id)
     }
 
@@ -795,7 +764,7 @@ impl CoordinatorDb {
     /// replica's execution produced the result first).
     pub fn next_pending(&mut self, server: ServerId, now: SimTime) -> (Option<TaskDesc>, Charge) {
         let mut ops = 1; // the queue lookup itself
-        while let Some((_, id)) = self.pending.ripe.pop_first() {
+        while let Some((_, id)) = self.pending.pop_first() {
             ops += 1;
             let row = self.tasks.get_mut(&id).expect("a queued task row exists");
             let job = self.jobs.get_mut(&row.rec.job).expect("a task row's job is registered");
@@ -815,7 +784,7 @@ impl CoordinatorDb {
                 continue;
             }
             row.rec.state = TaskState::Ongoing { server, since: now };
-            row.custody = Custody::Dispatched;
+            row.watched = true;
             let desc = Self::describe(&job.spec, id, row.rec.attempt);
             let params = job.spec.params.len();
             let v = Self::touch(
@@ -879,7 +848,9 @@ impl CoordinatorDb {
                         set.remove(&task);
                     }
                 }
-                TaskState::Pending => self.pending.remove(row.version),
+                TaskState::Pending => {
+                    self.pending.remove(&row.version);
+                }
                 TaskState::Finished { .. } => {}
             }
             row.unwatch();
@@ -1084,7 +1055,7 @@ impl CoordinatorDb {
     /// stopped talking to us is that coordinator's to watch — silence
     /// testifies only about what came before it.
     fn silence_covers(row: &TaskRow, heard: Option<SimTime>) -> bool {
-        row.custody != Custody::Held
+        row.watched
             || match row.rec.state {
                 TaskState::Ongoing { since, .. } => heard.is_some_and(|at| since < at),
                 _ => true,
@@ -1201,11 +1172,11 @@ impl CoordinatorDb {
 
     /// The custody rule, keyed on each task row's writer (the coordinator
     /// that wrote its current state), for both row states a peer can hand
-    /// over.  An unripe `Pending` row (a peer's, not yet dispatchable
-    /// here) ripens when its writer is `written_off` here.  Over the task
-    /// rows stamped above `since` (0:
-    /// every row), a `Held` `Ongoing` row still indexed on its server, of
-    /// an unfinished job whose client is in `served`, is adopted when its
+    /// over, in one walk of the task rows stamped above `since` (0: every
+    /// row).  An unripe `Pending` row (a peer's, not yet dispatchable here)
+    /// ripens when its writer is `written_off` here.  An unwatched
+    /// `Ongoing` row still indexed on its server, of an unfinished job
+    /// whose client is in `served`, is adopted (watched) when its
     /// dispatcher (the writer of its `Ongoing` state) is another
     /// coordinator, and that dispatcher is `written_off` here or the row's
     /// client is `contact`, the one making first contact.  Nothing is
@@ -1213,9 +1184,10 @@ impl CoordinatorDb {
     /// re-instance what is lost ([`Self::server_suspected`],
     /// [`Self::reconcile_server`]).  The caller runs it wherever an input
     /// changes: a peer written off, a first contact (every row), a feed
-    /// applied (the rows it stamped; the unripe ones are exactly those).
-    /// Returns the adopted rows' servers, one per row, in server order,
-    /// and one op per row adopted (ripening moves an index entry only).
+    /// applied (the rows it stamped, above the version it found: every
+    /// unripe row is one of those).  Returns the adopted rows' servers, one
+    /// per row, in server order, and one op per row adopted (ripening
+    /// moves an index entry only).
     pub fn adopt(
         &mut self,
         since: u64,
@@ -1223,33 +1195,31 @@ impl CoordinatorDb {
         served: &BTreeSet<ClientKey>,
         written_off: impl Fn(CoordId) -> bool,
     ) -> (Vec<ServerId>, Charge) {
-        let (changed, writers) = (&self.changed, &self.writers);
-        let Queue { ripe, unripe } = &mut self.pending;
-        unripe.retain(|v, id| {
-            if !written_off(writers[changed[v].from.0 as usize].0) {
-                return true;
-            }
-            ripe.insert(*v, *id);
-            false
-        });
+        debug_assert!(since <= self.fed.0, "the walk must cover every unripe row");
         let (tasks, jobs, by_server) = (&mut self.tasks, &self.jobs, &self.by_server);
         let mut watch = Vec::new();
-        for (_, entry) in
+        for (&v, entry) in
             self.changed.range((std::ops::Bound::Excluded(since), std::ops::Bound::Unbounded))
         {
             let Changed::Task(id) = entry.row else { continue };
             let Some(row) = tasks.get_mut(&id) else { continue };
-            let TaskState::Ongoing { server, .. } = row.rec.state else { continue };
-            let (dispatcher, job) = (self.writers[entry.from.0 as usize].0, row.rec.job);
-            if row.custody == Custody::Held
-                && dispatcher != self.me
-                && (written_off(dispatcher) || contact == Some(job.client))
-                && served.contains(&job.client)
-                && by_server.get(&server).is_some_and(|set| set.contains(&id))
-                && !jobs.get(&job).is_some_and(|j| j.finished)
-            {
-                row.custody = Custody::Adopted;
-                watch.push(server);
+            let (writer, job) = (self.writers[entry.from.0 as usize].0, row.rec.job);
+            match row.rec.state {
+                TaskState::Pending if written_off(writer) => {
+                    self.pending.insert(v, id);
+                }
+                TaskState::Ongoing { server, .. }
+                    if !row.watched
+                        && writer != self.me
+                        && (written_off(writer) || contact == Some(job.client))
+                        && served.contains(&job.client)
+                        && by_server.get(&server).is_some_and(|set| set.contains(&id))
+                        && !jobs.get(&job).is_some_and(|j| j.finished) =>
+                {
+                    row.watched = true;
+                    watch.push(server);
+                }
+                _ => {}
             }
         }
         watch.sort_unstable();
@@ -1257,10 +1227,21 @@ impl CoordinatorDb {
         (watch, charge)
     }
 
+    /// The unripe rows: the `Pending` rows the last applied feed stamped
+    /// that are not queued, as `(version, id)` in queue order.
+    fn unripe(&self) -> impl Iterator<Item = (u64, TaskId)> + '_ {
+        let pending = |id| self.tasks.get(id).is_some_and(|t| t.rec.state == TaskState::Pending);
+        let fed = (std::ops::Bound::Excluded(self.fed.0), std::ops::Bound::Included(self.fed.1));
+        self.changed.range(fed).filter_map(move |(&v, e)| match e.row {
+            Changed::Task(id) if pending(&id) && !self.pending.contains_key(&v) => Some((v, id)),
+            _ => None,
+        })
+    }
+
     /// The `Pending` rows held back until they ripen, in queue order.
     #[doc(hidden)]
     pub fn unripe_rows(&self) -> Vec<TaskId> {
-        self.pending.unripe.values().copied().collect()
+        self.unripe().map(|(_, id)| id).collect()
     }
 
     /// The coordinator that wrote `task`'s current state (its dispatcher,
@@ -1671,17 +1652,14 @@ impl CoordinatorDb {
                     from,
                 );
                 job.next_attempt = job.next_attempt.max(rec.attempt + 1);
-                self.tasks
-                    .insert(rec.id, TaskRow { rec: *rec, custody: Custody::Held, version: v });
+                self.tasks.insert(rec.id, TaskRow { rec: *rec, watched: false, version: v });
                 job.tasks.push(rec.id);
                 match rec.state {
-                    // A feed's row is another coordinator's: it waits for
-                    // that coordinator's next round.
-                    TaskState::Pending => {
-                        self.pending.unripe.insert(v, rec.id);
-                    }
+                    // A feed's row is another coordinator's: unripe, not
+                    // queued, until that coordinator's next round.
+                    TaskState::Pending => {}
                     TaskState::Ongoing { server, .. } => {
-                        // Held (until adopted) — but indexed by server, so
+                        // Unwatched (until adopted) — but indexed by server, so
                         // the beat-driven reconciliation can reclaim it if
                         // that server reports the task lost, and adoption
                         // finds it.  Without the index, a task dispatched by
@@ -1697,7 +1675,7 @@ impl CoordinatorDb {
             Some(row) => {
                 if state_rank(&rec.state) > state_rank(&row.rec.state) {
                     if matches!(row.rec.state, TaskState::Pending) {
-                        self.pending.remove(row.version);
+                        self.pending.remove(&row.version);
                     }
                     // Keep the per-server index in step with the state
                     // transition (Pending→Ongoing indexes, Ongoing→Finished
@@ -1746,7 +1724,7 @@ impl CoordinatorDb {
     /// ([`Self::adopt`]) makes this coordinator answer for it, it is
     /// adopted, and re-instanced only when its server's silence or beats
     /// show it lost; pending becomes locally schedulable one feed later
-    /// (it is queued unripe until the next feed), or once the rule finds its
+    /// (it is unripe until the next feed), or once the rule finds its
     /// writer written off.  State precedence
     /// finished > ongoing > pending prevents downgrades from stale deltas.
     /// Collection acknowledgements are terminal knowledge: a collected job
@@ -1768,7 +1746,7 @@ impl CoordinatorDb {
         self.apply_rows(delta.from, delta.rows.into_iter(), now)
     }
 
-    /// The row-application loop: the rows an earlier feed queued unripe
+    /// The row-application loop: the rows the previous feed left unripe
     /// ripen first (their writers had a round to claim them), then rows are
     /// merged under the receiver's own version counter, every row the merge
     /// writes is stamped with the writer the feed names for it (unmarked
@@ -1781,10 +1759,9 @@ impl CoordinatorDb {
         now: SimTime,
     ) -> Applied {
         // Ripening keeps each row's version key, so FCFS order holds.
-        let ripened = std::mem::take(&mut self.pending.unripe);
-        for (&v, &id) in &ripened {
-            self.pending.ripe.insert(v, id);
-        }
+        let ripened: Vec<(u64, TaskId)> = self.unripe().collect();
+        self.pending.extend(ripened.iter().copied());
+        let lo = self.version;
         let mut sender = self.writer(peer, 0);
         let mut from = sender;
         let mut applied = Applied { charge: Charge::ops(1), newly_collected: 0, superseded: 0 };
@@ -1833,8 +1810,9 @@ impl CoordinatorDb {
                 }
             };
         }
+        self.fed = (lo, self.version);
         applied.superseded =
-            ripened.keys().filter(|v| !self.pending.ripe.contains_key(v)).count() as u64;
+            ripened.iter().filter(|(v, _)| !self.pending.contains_key(v)).count() as u64;
         applied
     }
 
@@ -1917,7 +1895,9 @@ impl CoordinatorDb {
                         set.remove(&id);
                     }
                 }
-                TaskState::Pending => self.pending.remove(task.version),
+                TaskState::Pending => {
+                    self.pending.remove(&task.version);
+                }
                 TaskState::Finished { .. } => {}
             }
         }
@@ -2122,23 +2102,21 @@ impl CoordinatorDb {
                 );
             }
         }
-        // An adopted row is watched through its server: it is `Ongoing`,
-        // and indexed there.
+        // A row is watched through its server: watched, it is `Ongoing`
+        // and indexed there; `Ongoing`, indexed there and written here (a
+        // dispatch from here, which only a finish re-stamps), it is watched.
         for (id, t) in &self.tasks {
-            if t.custody == Custody::Adopted {
-                let TaskState::Ongoing { server, .. } = t.rec.state else {
-                    panic!("{id:?} adopted in state {:?}", t.rec.state)
-                };
-                let indexed = self.by_server.get(&server).is_some_and(|set| set.contains(id));
-                assert!(indexed, "{id:?} adopted, not indexed on {server:?}");
+            let indexed = |server| self.by_server.get(&server).is_some_and(|s| s.contains(id));
+            let local = self.changed.get(&t.version).map(|e| e.from) == Some(Provenance::LOCAL);
+            match t.rec.state {
+                TaskState::Ongoing { server, .. } if indexed(server) => {
+                    assert!(t.watched || !local, "{id:?} dispatched here, not watched");
+                }
+                state => assert!(!t.watched, "{id:?} watched, unindexed, in state {state:?}"),
             }
         }
-        // Provenance: the interned writers are distinct, slot 0 alone names
-        // this coordinator (in its own incarnation), and a row whose last
-        // mutation can only have been this coordinator's own stays local —
-        // a task still in the `Ongoing` state this node dispatched it into
-        // was last written by that dispatch (the merge only ever moves an
-        // ongoing row to finished).
+        // Provenance: the interned writers are distinct, and slot 0 alone
+        // names this coordinator (in its own incarnation).
         assert_eq!(self.writers[0], (self.me, self.incarnation), "slot 0 is this coordinator");
         for (slot, w) in self.writers.iter().enumerate().skip(1) {
             assert_ne!(w.0, self.me, "slot {slot} names this coordinator");
@@ -2147,16 +2125,6 @@ impl CoordinatorDb {
         assert!(!self.incarnations.contains_key(&self.me), "its own incarnation is no peer's");
         for (v, entry) in &self.changed {
             assert!((entry.from.0 as usize) < self.writers.len(), "v{v}: unknown writer");
-            if let Changed::Task(id) = entry.row {
-                let own_dispatch = self.tasks.get(&id).is_some_and(|t| {
-                    t.custody == Custody::Dispatched
-                        && matches!(t.rec.state, TaskState::Ongoing { .. })
-                });
-                assert!(
-                    !own_dispatch || entry.from == Provenance::LOCAL,
-                    "{id:?}: locally dispatched row kept a peer provenance"
-                );
-            }
         }
         // The due order holds exactly the un-parked entries, by their stamps.
         let m = &self.missing;
@@ -2166,24 +2134,22 @@ impl CoordinatorDb {
         assert_eq!(m.due.len(), unparked.count(), "due order holds the un-parked entries");
         assert_eq!(self.catalog.len() as u64, archived, "one catalog entry per held archive");
         assert_eq!(self.finished_rows, finished, "finished counter");
-        // The two parts of the queue are disjoint, hold exactly the pending
-        // rows between them, by version, and a row waits to ripen only while
+        // The queue and the unripe rows hold exactly the pending rows
+        // between them, by version, and a row waits to ripen only while
         // another coordinator's write is its last.
         let queue: BTreeMap<u64, TaskId> = self
             .tasks
             .values()
-            .filter(|t| matches!(t.rec.state, TaskState::Pending))
+            .filter(|t| t.rec.state == TaskState::Pending)
             .map(|t| (t.version, t.rec.id))
             .collect();
-        let Queue { ripe, unripe } = &self.pending;
-        assert!(ripe.keys().all(|v| !unripe.contains_key(v)), "a row both ripe and unripe");
-        let mut both = ripe.clone();
-        both.extend(unripe);
-        assert_eq!(both, queue, "the queue holds exactly the pending rows, by version");
-        for (v, id) in unripe {
-            let from = self.changed.get(v).map(|e| e.from);
+        let mut both = self.pending.clone();
+        for (v, id) in self.unripe() {
+            let from = self.changed.get(&v).map(|e| e.from);
             assert_ne!(from, Some(Provenance::LOCAL), "{id:?}: unripe, and written here");
+            both.insert(v, id);
         }
+        assert_eq!(both, queue, "the queue holds pending rows, the rest are unripe");
         for (&client, r) in &self.retired_below {
             let entry = self.changed.get(&r.version).map(|e| e.row);
             assert_eq!(entry, Some(Changed::Retired(client)), "{client:?}: watermark entry");
@@ -2422,12 +2388,12 @@ mod tests {
         let tasks = backup.stats().tasks;
         let primary_gone = |c: CoordId| c == CoordId(1);
         assert!(backup.adopt(0, None, &BTreeSet::new(), primary_gone).0.is_empty());
-        assert_eq!(backup.task(held[0]).unwrap().custody, Custody::Held);
+        assert!(!backup.task(held[0]).unwrap().watched);
         let served = BTreeSet::from([ClientKey::new(1, 1)]);
         assert!(backup.adopt(0, None, &served, |_| false).0.is_empty(), "the dispatcher lives");
         let (watch, charge) = backup.adopt(0, None, &served, primary_gone);
         assert_eq!((watch, charge), (vec![ServerId(1)], Charge::ops(1)));
-        assert_eq!(backup.task(held[0]).unwrap().custody, Custody::Adopted);
+        assert!(backup.task(held[0]).unwrap().watched);
         assert_eq!(
             (backup.stats().tasks, dispatchable(&backup)),
             (tasks, 0),
@@ -2441,7 +2407,7 @@ mod tests {
         let (created, _) = backup.server_suspected(ServerId(1));
         assert_eq!(created.len(), 1);
         assert_eq!(created[0].coord(), CoordId(2));
-        assert_eq!(backup.task(held[0]).unwrap().custody, Custody::Held);
+        assert!(!backup.task(held[0]).unwrap().watched);
         let (t, _) = backup.next_pending(ServerId(7), T0);
         assert_eq!(t.unwrap().job.seq, 1);
         backup.check_invariants();
@@ -2483,12 +2449,12 @@ mod tests {
         // Jobs 1, 3 and 4, all dispatched by the peer (job 4 minted here).
         assert_eq!(watch, vec![ServerId(5), ServerId(7), ServerId(7)]);
         assert_eq!(charge, Charge::ops(3));
-        let custody = |d: &CoordinatorDb, id: TaskId| d.task(id).unwrap().custody;
-        assert_eq!(custody(&here, running), Custody::Adopted);
-        assert_eq!(custody(&here, theirs), Custody::Held);
+        let watched = |d: &CoordinatorDb, id: TaskId| d.task(id).unwrap().watched;
+        assert!(watched(&here, running));
+        assert!(!watched(&here, theirs));
         let own = here.indexed_on(ServerId(7)).into_iter().find(|id| id.coord() == CoordId(1));
         assert_eq!(here.writer_of(own.unwrap()), Some(CoordId(2)));
-        assert_eq!(custody(&here, own.unwrap()), Custody::Adopted);
+        assert!(watched(&here, own.unwrap()));
         assert_eq!(here.stats().tasks, tasks, "adoption mints nothing");
         // A second contact adopts nothing and costs nothing.
         assert_eq!(here.adopt(0, Some(client), &served, |_| false), (vec![], Charge::ZERO));
@@ -2496,7 +2462,7 @@ mod tests {
         // Silence now covers an adopted row (server 5 never spoke here).
         let (created, _) = here.server_suspected(ServerId(5));
         assert_eq!(created.len(), 1);
-        assert_eq!(custody(&here, running), Custody::Held);
+        assert!(!watched(&here, running));
         here.check_invariants();
     }
 
@@ -2707,6 +2673,32 @@ mod tests {
         assert_eq!(replica.adopt(0, None, &served, |c| c == peer), (vec![], Charge::ZERO));
         assert!(replica.unripe_rows().is_empty(), "its writer written off, it ripens");
         assert_eq!(dispatchable(&replica), 4);
+        replica.check_invariants();
+    }
+
+    #[test]
+    fn a_row_finished_here_while_unripe_never_enters_the_queue() {
+        let mut primary = db();
+        let mut replica = CoordinatorDb::new(CoordId(2));
+        primary.register_job(job(1));
+        primary.register_job(job(2));
+        replica.apply_delta(&primary.delta_since(0));
+        let unripe = replica.unripe_rows();
+        assert_eq!(unripe.len(), 2);
+        // A server hands job 1's result here before the writer's next round.
+        let done = replica.complete_task(unripe[0], job(1).key, Blob::synthetic(8, 1), ServerId(3));
+        assert_eq!(done.0, CompleteOutcome::NewResult);
+        assert_eq!(replica.unripe_rows(), [unripe[1]]);
+        assert_eq!(dispatchable(&replica), 0);
+        replica.check_invariants();
+        // The next feed ripens only the row still pending.
+        let applied = replica.apply_delta_owned(primary.delta_since(primary.version()), T0);
+        assert_eq!(applied.superseded, 0);
+        assert!(replica.unripe_rows().is_empty());
+        replica.check_invariants();
+        let (t, _) = replica.next_pending(ServerId(4), T0);
+        assert_eq!(t.map(|t| t.id), Some(unripe[1]));
+        assert_eq!(replica.next_pending(ServerId(4), T0).0, None, "job 1 never queued");
         replica.check_invariants();
     }
 

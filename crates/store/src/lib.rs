@@ -32,5 +32,5 @@ pub mod delta;
 mod table;
 
 pub use charge::Charge;
-pub use db::{Applied, CatalogDelta, CompleteOutcome, CoordinatorDb, Custody, TaskRow};
+pub use db::{Applied, CatalogDelta, CompleteOutcome, CoordinatorDb, TaskRow};
 pub use delta::{DeltaRow, ReplicationDelta, TaskRecord};

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use rpcv_simnet::{SimDuration, SimTime};
-use rpcv_store::{CoordinatorDb, Custody, DeltaRow, ReplicationDelta};
+use rpcv_store::{CoordinatorDb, DeltaRow, ReplicationDelta};
 use rpcv_wire::{from_bytes, to_bytes, Blob};
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, TaskId, TaskState};
 
@@ -108,8 +108,9 @@ fn local_op(db: &mut CoordinatorDb, seq: u64, action: u8, aux: u8) {
 
 /// [`CoordinatorDb::server_suspected`] against the definition of its rule,
 /// read off the rows: of the instances indexed on the server, this
-/// coordinator's silence covers those it dispatched itself and those
-/// dispatched — by anyone — before the server last spoke *here*.  Exactly
+/// coordinator's silence covers those it watches (dispatched or adopted
+/// here) and those dispatched — by anyone — before the server last spoke
+/// *here*.  Exactly
 /// those leave the index, the rest stay for the beat-driven reconcile,
 /// and every instance minted replaces a covered one (one per job).
 fn suspect_checked(db: &mut CoordinatorDb, server: ServerId) {
@@ -121,7 +122,7 @@ fn suspect_checked(db: &mut CoordinatorDb, server: ServerId) {
             panic!("{id:?} indexed on {server:?} in state {:?}", row.rec.state)
         };
         assert_eq!(on, server);
-        if row.custody != Custody::Held || heard.is_some_and(|at| since < at) {
+        if row.watched || heard.is_some_and(|at| since < at) {
             covered_jobs.push(row.rec.job);
         } else {
             skipped.push(id);
@@ -145,11 +146,11 @@ fn suspect_checked(db: &mut CoordinatorDb, server: ServerId) {
 /// The custody rule ([`CoordinatorDb::adopt`]) over the rows stamped
 /// above `since`, with the client making first contact (`contact`) or not
 /// and served here or not, against its definition read off the rows: of the
-/// rows indexed on a server and stamped above `since`, exactly the held
-/// ones written by another coordinator — one in `written_off`, or any on
-/// first contact — whose client is served and whose job is unfinished
-/// become adopted, one returned server per row.  No other row's custody
-/// moves, and nothing is minted.  Of the unripe `Pending` rows, exactly
+/// rows indexed on a server and stamped above `since`, exactly the
+/// unwatched ones written by another coordinator — one in `written_off`, or
+/// any on first contact — whose client is served and whose job is
+/// unfinished become watched, one returned server per row.  No other row's
+/// custody moves, and nothing is minted.  Of the unripe `Pending` rows, exactly
 /// those written by a coordinator in `written_off` ripen.
 fn adopt_checked(
     db: &mut CoordinatorDb,
@@ -166,7 +167,7 @@ fn adopt_checked(
         for id in db.indexed_on(server) {
             let row = db.task(id).expect("indexed rows are live");
             let writer = db.writer_of(id).expect("a live row has a writer");
-            if row.custody == Custody::Held
+            if !row.watched
                 && row.version > since
                 && writer != db.me()
                 && (contact || written_off.contains(&writer))
@@ -178,7 +179,7 @@ fn adopt_checked(
         }
     }
     for t in db.delta_since(0).tasks() {
-        before.insert(t.id, db.task(t.id).unwrap().custody);
+        before.insert(t.id, db.task(t.id).unwrap().watched);
     }
     let mut unripe = db.unripe_rows();
     unripe.retain(|&id| !written_off.contains(&db.writer_of(id).expect("a live row")));
@@ -191,8 +192,7 @@ fn adopt_checked(
     assert_eq!(db.stats().tasks, tasks, "adoption mints nothing");
     for (id, was) in before {
         let adopted = want.iter().any(|&(_, w)| w == id);
-        let now = db.task(id).unwrap().custody;
-        assert_eq!(now, if adopted { Custody::Adopted } else { was }, "{id:?}");
+        assert_eq!(db.task(id).unwrap().watched, adopted || was, "{id:?}");
     }
 }
 
@@ -223,8 +223,8 @@ fn apply_checked(db: &mut CoordinatorDb, feed: ReplicationDelta, now: SimTime) {
 /// Each member evaluates the custody rule where the actor does: over every
 /// row when it writes a peer off (a crash or a cut) and at the client's
 /// first contact, and over the rows a feed stamped as it applies the feed.
-/// After every step no member holds an indexed `Held` row of the client it
-/// serves, of an unfinished job, written by a peer it wrote off.  No local
+/// After every step no member holds an indexed unwatched row of the client
+/// it serves, of an unfinished job, written by a peer it wrote off.  No local
 /// operation dispatches (or otherwise moves) an unripe row, and every row
 /// unripe when a feed arrives is dispatchable, or taken, once it applied.
 struct Ring {
@@ -372,8 +372,8 @@ impl Ring {
     }
 
     /// Whatever changed the custody rule's inputs at `m`, the rule was
-    /// evaluated: no indexed `Held` row of the client `m` serves was written
-    /// by a peer `m` wrote off, unless its job finished here.  (A job
+    /// evaluated: no indexed unwatched row of the client `m` serves was
+    /// written by a peer `m` wrote off, unless its job finished here.  (A job
     /// re-executed after it finished counts: its old instances need nobody,
     /// the fresh one is `m`'s own.)
     fn assert_custody(&self, m: usize) {
@@ -394,10 +394,8 @@ impl Ring {
                 let row = db.task(id).unwrap();
                 let writer = db.writer_of(id).unwrap();
                 assert!(
-                    row.custody != Custody::Held
-                        || !written_off.contains(&writer)
-                        || finished(&row.rec.job),
-                    "{id:?} at {m}: held, written by {writer:?}, which {m} wrote off"
+                    row.watched || !written_off.contains(&writer) || finished(&row.rec.job),
+                    "{id:?} at {m}: unwatched, written by {writer:?}, which {m} wrote off"
                 );
             }
         }
@@ -526,9 +524,9 @@ fn complete_feed(sender: &CoordinatorDb, to: CoordId, base: u64) -> ReplicationD
     feed
 }
 
-/// Every live task row's custody, in id order.
-fn custodies(db: &CoordinatorDb) -> Vec<(TaskId, Custody)> {
-    db.delta_since(0).tasks().map(|t| (t.id, db.task(t.id).unwrap().custody)).collect()
+/// Every live task row's custody bit, in id order.
+fn custodies(db: &CoordinatorDb) -> Vec<(TaskId, bool)> {
+    db.delta_since(0).tasks().map(|t| (t.id, db.task(t.id).unwrap().watched)).collect()
 }
 
 /// `feed` without its [`DeltaRow::Writer`] markers: the rows it carries.

@@ -933,6 +933,52 @@ fn a_stale_complete_frame_cannot_admit_a_round_for_the_wiped_database() {
     assert_eq!(g.client_results(), 12);
 }
 
+/// An acknowledgement that reaches a coordinator across the loss of its
+/// disk names a head of the database it lost.  The wiped primary's ack
+/// record for the replica then points into the old version space, so its
+/// next round's base is that old head, and a gap check keyed on the
+/// coordinator alone admits it against the head the replica applied from
+/// the old database: every row the new database stamps below it is skipped
+/// for good.  The replica keeps its applied head per incarnation its
+/// sender's feeds name, so the round reads as a gap, the replica asks to be
+/// reseeded, and the calls made after the wipe reach it.
+#[test]
+fn a_stale_ack_across_a_wipe_cannot_hide_the_new_databases_rows() {
+    use rpcv::core::msg::Msg;
+    let cfg = ProtocolConfig::confined()
+        .with_heartbeat(SimDuration::from_secs(1))
+        .with_replication_period(SimDuration::from_secs(2));
+    let mut g = SimGrid::build(GridSpec::confined(2, 4).with_cfg(cfg).with_plan(plan(8)));
+    let ((_, c0), (replica, _), client) = (g.coords[0], g.coords[1], g.client_node);
+    g.run_until_done(SimTime::from_secs(1800)).expect("workload completes");
+    g.world.run_until(SimTime::from_millis(40_500));
+    let old_head = g.coordinator(0).unwrap().db().version();
+    g.world.crash_now(c0);
+    g.world.wipe_durable(c0);
+    g.world.restart_now(c0);
+    let stale = Msg::ReplAck { from: replica, head_version: old_head };
+    g.world.inject(SimTime::from_millis(40_500), c0, stale);
+    for k in 0..4u64 {
+        let call = Msg::ApiSubmit {
+            service: "b".into(),
+            params: Blob::synthetic(10_000, 100 + k),
+            exec_cost: 3.0,
+            result_size: 128,
+            replication: 1,
+            work_units: 4,
+        };
+        g.world.inject(SimTime::from_secs(41), client, call);
+    }
+    g.world.run_until(SimTime::from_secs(45));
+    let reseeds = g.coordinator(0).unwrap().rx_counts.get("SnapshotRequest").copied();
+    assert!(reseeds >= Some(1), "the replica refuses the round based on the stale ack");
+    let replica_db = g.coordinator(1).expect("replica up").db();
+    for seq in 9..=12u64 {
+        let job = rpcv::xw::JobKey::new(g.client_key, seq);
+        assert!(replica_db.knows_job(&job), "{job:?} never reached the replica");
+    }
+}
+
 /// A wiped coordinator is a new id authority, not the old one again: its
 /// task counter starts at its incarnation (the boot instant, in ns), so no
 /// instance it mints after the wipe can take an id its first incarnation
@@ -1689,8 +1735,8 @@ fn a_row_fed_in_after_the_release_and_the_first_contact_is_adopted() {
     g.world.restart_now(n2);
 
     let done = g.run_until_done(SimTime::from_secs(900));
-    let custody = |i: usize| g.coordinator(i).unwrap().db().task(running[0]).unwrap().custody;
-    assert!(done.is_some(), "call 2 is stranded; custody {:?} / {:?}", custody(1), custody(2));
+    let watched = |i: usize| g.coordinator(i).unwrap().db().task(running[0]).unwrap().watched;
+    assert!(done.is_some(), "call 2 is stranded; watched {} / {}", watched(1), watched(2));
     assert_eq!(g.client_results(), 2);
 }
 
