@@ -34,14 +34,6 @@ pub struct TaskRow {
     pub version: u64,
 }
 
-impl TaskRow {
-    /// The row left its server's index (finished, or given up on): nothing
-    /// is left to watch.
-    fn unwatch(&mut self) {
-        self.watched = false;
-    }
-}
-
 /// A job's task-instance ids.  Nearly every job has exactly one instance
 /// (no redundancy, no re-execution), so the first id sits inline and only
 /// further instances touch the heap.
@@ -84,21 +76,11 @@ struct JobRow {
     /// Next attempt number (folded with replicated attempt numbers on
     /// delta application).
     next_attempt: u32,
-    /// A result exists somewhere (archive stored here, or replicated
-    /// finished-knowledge).
-    finished: bool,
-    /// `Collected` terminal state: the client durably pulled the result
-    /// and no archive is retained.  Terminal means the job is exempt from
-    /// missing-archive re-execution and from archive re-acquisition — the
-    /// result was *delivered*; nothing is missing.
-    collected: bool,
-    /// Change-index version of the collected-knowledge row (0 = no
-    /// collection acknowledged yet); moved, never duplicated, on re-stamp.
-    collected_pos: u64,
     /// Task instances, so retention prunes them without a table scan.
     tasks: TaskIds,
-    /// The result archive, while retained.
-    archive: Option<ArchiveRow>,
+    /// What is known of the result; written by [`CoordinatorDb::settle`]
+    /// alone.
+    result: JobResult,
     /// Checkpoint row (boxed: only checkpointing workloads have one).
     ckpt: Option<Box<CkptRow>>,
 }
@@ -110,20 +92,73 @@ impl JobRow {
             spec,
             version,
             next_attempt: 0,
-            finished: false,
-            collected: false,
-            collected_pos: 0,
             tasks: TaskIds::default(),
-            archive: None,
+            result: JobResult::Open,
             ckpt: None,
         }
     }
+}
 
-    /// Not held, and not already delivered to the client: an archive for
-    /// this job would be news.
-    fn wants_archive(&self) -> bool {
-        self.archive.is_none() && !self.collected
+/// What a job row knows of its result: the paper's finished state, told
+/// apart by where the archive is.  [`CoordinatorDb::settle`] is the only
+/// writer.
+#[derive(Debug, Clone)]
+enum JobResult {
+    /// No result is known here.
+    Open,
+    /// A feed said the job finished, but the archive is not held here: the
+    /// missing worklist's rows.
+    Missing,
+    /// The archive is held, its catalog entry stamped `catalog_pos`.
+    Held { payload: Blob, catalog_pos: u64 },
+    /// Held, and the client acknowledged collecting it (its collected row
+    /// stamped `collected_pos`): GC-eligible.
+    Flagged { payload: Blob, catalog_pos: u64, collected_pos: u64 },
+    /// Delivered: the client durably pulled the result and no archive is
+    /// held.  Terminal — exempt from missing-archive re-execution and from
+    /// archive re-acquisition: nothing is missing.
+    Delivered { collected_pos: u64 },
+}
+
+impl JobResult {
+    /// A result exists somewhere: every state but `Open`.
+    fn finished(&self) -> bool {
+        !matches!(self, JobResult::Open)
     }
+
+    /// The archive held here, if any.
+    fn archive(&self) -> Option<&Blob> {
+        match self {
+            JobResult::Held { payload, .. } | JobResult::Flagged { payload, .. } => Some(payload),
+            _ => None,
+        }
+    }
+
+    /// The change-index version of the job's collected-knowledge row, once
+    /// the client acknowledged the result (`Flagged` or `Delivered`).
+    fn collected_pos(&self) -> Option<u64> {
+        match *self {
+            JobResult::Flagged { collected_pos, .. } | JobResult::Delivered { collected_pos } => {
+                Some(collected_pos)
+            }
+            _ => None,
+        }
+    }
+}
+
+/// What moves a job's result; [`CoordinatorDb::settle`] holds the table.
+enum Settle {
+    /// Re-execution or retirement forgets the result: `→ Open`.
+    Forget,
+    /// A feed's `Finished` row, applied at this instant: `Open → Missing`.
+    Finished(SimTime),
+    /// The archive stored here: `Open | Missing → Held`.
+    Store(Blob),
+    /// The client's acknowledgement, its collected row stamped at this
+    /// version: `Held → Flagged`, `Open | Missing → Delivered`.
+    Ack(u64),
+    /// GC reclaimed the archive: `Flagged → Delivered`.
+    Reclaim,
 }
 
 /// A per-client watermark — the registration high-water mark, or the
@@ -193,17 +228,6 @@ struct CkptRow {
     version: u64,
 }
 
-/// A held result archive.  The job's catalog entry lives exactly as long
-/// as this row does.
-#[derive(Debug, Clone)]
-struct ArchiveRow {
-    payload: Blob,
-    /// The client acknowledged collection: GC-eligible.
-    collected: bool,
-    /// Version of the job's entry in the catalog index.
-    catalog_pos: u64,
-}
-
 /// One entry of the missing-archive worklist.
 #[derive(Debug, Clone, Copy)]
 struct Watch {
@@ -236,6 +260,63 @@ impl ReexecWatch {
     fn leave(&mut self, job: &JobKey) {
         if let Some(w) = self.entries.remove(job) {
             self.due.remove(&(w.since, *job));
+        }
+    }
+}
+
+/// Where each task row's state files it: a dispatchable `Pending` row in
+/// the FCFS queue, an `Ongoing` row in its server's set.  A row moves
+/// between them by [`TaskIndex::refile`] only; dispatch pops the queue and
+/// ripening fills it.
+#[derive(Debug, Clone, Default)]
+struct TaskIndex {
+    /// The FCFS queue: the dispatchable `Pending` rows, popped by
+    /// [`CoordinatorDb::next_pending`] and keyed by version.  A row is
+    /// stamped just before it is queued and keeps that version while it
+    /// stays `Pending`, so version order is queue order.
+    ///
+    /// A `Pending` row is dispatched where it was written, and elsewhere
+    /// only once its writer had a whole replication round to claim it: a
+    /// feed's `Pending` rows are not queued but *unripe* — exactly the
+    /// `Pending` rows stamped inside [`CoordinatorDb::fed`] and not queued,
+    /// since an apply ripens every earlier unripe row before it stamps its
+    /// own and no local operation stamps a `Pending` row outside the queue.
+    /// They ripen when the next feed is applied here and still shows them
+    /// `Pending`, or when their writer is written off here
+    /// ([`CoordinatorDb::adopt`]); a row a later feed shows taken never
+    /// enters — one instance, one dispatcher.  The clock is the feed
+    /// itself, which every round sends, empty or not: no timer.
+    pending: BTreeMap<u64, TaskId>,
+    /// The instances ongoing on each server as far as this coordinator
+    /// knows, and not yet given up on.
+    by_server: BTreeMap<ServerId, BTreeSet<TaskId>>,
+}
+
+impl TaskIndex {
+    /// The one index move of a task row: takes `row` out of the index its
+    /// state files it in — its queue entry if `Pending`, its server's set
+    /// if `Ongoing` — and clears `watched`; then, given a state `to`, moves
+    /// the row to it, filing it on its server if `Ongoing`.  Whether a
+    /// `Pending` row is queued (written here) or unripe (fed) is the
+    /// caller's to decide.
+    fn refile(&mut self, row: &mut TaskRow, to: Option<TaskState>) {
+        match row.rec.state {
+            TaskState::Pending => {
+                self.pending.remove(&row.version);
+            }
+            TaskState::Ongoing { server, .. } => {
+                if let Some(set) = self.by_server.get_mut(&server) {
+                    set.remove(&row.rec.id);
+                }
+            }
+            TaskState::Finished { .. } => {}
+        }
+        row.watched = false;
+        if let Some(to) = to {
+            row.rec.state = to;
+            if let TaskState::Ongoing { server, .. } = to {
+                self.by_server.entry(server).or_default().insert(row.rec.id);
+            }
         }
     }
 }
@@ -329,26 +410,11 @@ pub struct CoordinatorDb {
     /// (see [`JobRow`]), in a seq-indexed window per client.
     jobs: SeqTable<JobRow>,
     tasks: BTreeMap<TaskId, TaskRow>,
-    /// The FCFS queue: the dispatchable `Pending` rows, popped by
-    /// [`Self::next_pending`] and keyed by version.  A row is stamped just
-    /// before it is queued and keeps that version while it stays
-    /// `Pending`, so version order is queue order.
-    ///
-    /// A `Pending` row is dispatched where it was written, and elsewhere
-    /// only once its writer had a whole replication round to claim it: a
-    /// feed's `Pending` rows are not queued but *unripe* — exactly the
-    /// `Pending` rows stamped inside [`Self::fed`] and not queued, since an
-    /// apply ripens every earlier unripe row before it stamps its own and
-    /// no local operation stamps a `Pending` row outside the queue.  They
-    /// ripen when the next feed is applied here and still shows them
-    /// `Pending`, or when their writer is written off here
-    /// ([`Self::adopt`]); a row a later feed shows taken never enters —
-    /// one instance, one dispatcher.  The clock is the feed itself, which
-    /// every round sends, empty or not: no timer.
-    pending: BTreeMap<u64, TaskId>,
+    /// Where each task row's state files it: the FCFS queue and the
+    /// per-server sets.
+    index: TaskIndex,
     /// `(lo, hi]`: the versions the last applied feed stamped.
     fed: (u64, u64),
-    by_server: BTreeMap<ServerId, BTreeSet<TaskId>>,
     /// When each server last spoke *here* (stamped by
     /// [`Self::reconcile_server`], i.e. on every beat): what this
     /// coordinator's suspicion of the server can testify about.  One entry
@@ -424,9 +490,8 @@ impl CoordinatorDb {
             version: 0,
             jobs: SeqTable::new(),
             tasks: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            index: TaskIndex::default(),
             fed: (0, 0),
-            by_server: BTreeMap::new(),
             server_heard: BTreeMap::new(),
             client_max: BTreeMap::new(),
             task_counter: incarnation,
@@ -523,30 +588,15 @@ impl CoordinatorDb {
         }
     }
 
-    /// Re-stamps `job`'s single collected-knowledge row in the change
-    /// index (0 = first acknowledgement), so replication deltas carry it.
-    fn touch_collected(
-        changed: &mut BTreeMap<u64, ChangeEntry>,
-        version: &mut u64,
-        row: &mut JobRow,
-        job: JobKey,
-        from: Provenance,
-    ) {
-        row.collected_pos =
-            Self::touch(changed, version, row.collected_pos, Changed::Collected(job), from);
-    }
-
     /// True when this coordinator knows `job`'s result was delivered to
     /// the client: the seq sits at or below the client's
-    /// contiguous-collected watermark, the retained archive carries the
-    /// collected flag (GC-eligible), or the job already reached the
-    /// `Collected` terminal state (archive reclaimed).
+    /// contiguous-collected watermark, or the job's result is `Flagged`
+    /// (GC-eligible) or `Delivered` (archive reclaimed).
     pub fn has_collected_knowledge(&self, job: &JobKey) -> bool {
         job.seq <= self.contig_watermark(job.client)
-            || self
-                .jobs
-                .get(job)
-                .is_some_and(|r| r.collected || r.archive.as_ref().is_some_and(|a| a.collected))
+            || self.jobs.get(job).is_some_and(|r| {
+                matches!(r.result, JobResult::Flagged { .. } | JobResult::Delivered { .. })
+            })
     }
 
     /// `client`'s contiguous-collected watermark: the largest `w` with
@@ -596,52 +646,76 @@ impl CoordinatorDb {
     /// delta, so this only drops acks for jobs we never heard of at all).
     /// Returns true when the knowledge is news.
     fn note_collected(&mut self, job: JobKey, from: Provenance) -> bool {
-        if job.seq <= self.contig_watermark(job.client) {
-            return false; // summarized by the watermark already
-        }
-        let Some(row) = self.jobs.get_mut(&job) else { return false };
-        if row.collected {
+        if self.has_collected_knowledge(&job) || !self.knows_job(&job) {
             return false;
         }
-        if let Some(archive) = row.archive.as_mut() {
-            if archive.collected {
-                return false;
-            }
-            // Archive retained here: flag it GC-eligible and replicate the
-            // acknowledgement.  The flag set keeps explicit GC O(flagged).
-            archive.collected = true;
-            self.collected_flagged.insert(job);
-            Self::touch_collected(&mut self.changed, &mut self.version, row, job, from);
-            return true;
-        }
-        // No archive held: delivered knowledge is terminal — the job must
-        // never be re-executed or re-acquired just because the archive is
-        // elsewhere (or gone).
-        row.collected = true;
-        Self::mark_finished(row, &mut self.finished_rows);
-        self.missing.leave(&job);
-        Self::touch_collected(&mut self.changed, &mut self.version, row, job, from);
-        self.advance_collected_contig(job.client);
+        let pos =
+            Self::touch(&mut self.changed, &mut self.version, 0, Changed::Collected(job), from);
+        self.settle(job, Settle::Ack(pos));
         true
     }
 
-    /// Records `row`'s job as finished.  Returns true when the flag is news
-    /// and the archive is not held here: the job belongs on the missing
-    /// worklist, unless the caller is about to store the archive.
-    fn mark_finished(row: &mut JobRow, finished_rows: &mut u64) -> bool {
-        if row.finished {
-            return false;
+    /// The one writer of `job`'s result ([`JobResult`]), and of everything
+    /// kept in step with it: the finished count, the missing worklist, the
+    /// GC worklist, the catalog index (a stored archive is stamped a fresh
+    /// version) and the checkpoint blob, dead weight once a result exists.
+    /// An acknowledged archive held here is flagged GC-eligible; with none
+    /// held, the acknowledgement is terminal — the job must never be
+    /// re-executed or re-acquired just because the archive is elsewhere
+    /// (or gone).
+    fn settle(&mut self, job: JobKey, how: Settle) {
+        let row = self.jobs.get_mut(&job).expect("a result's job is resident");
+        let old = std::mem::replace(&mut row.result, JobResult::Open);
+        let (was_finished, acked) = (old.finished(), old.collected_pos());
+        row.result = match (how, old) {
+            (Settle::Ack(collected_pos), JobResult::Held { payload, catalog_pos }) => {
+                self.collected_flagged.insert(job);
+                JobResult::Flagged { payload, catalog_pos, collected_pos }
+            }
+            (how, old) => {
+                match old {
+                    JobResult::Missing => self.missing.leave(&job),
+                    JobResult::Held { catalog_pos, .. }
+                    | JobResult::Flagged { catalog_pos, .. } => {
+                        self.catalog.remove(&(job.client, catalog_pos));
+                        self.collected_flagged.remove(&job);
+                    }
+                    JobResult::Open | JobResult::Delivered { .. } => {}
+                }
+                match how {
+                    Settle::Forget => JobResult::Open,
+                    Settle::Finished(now) => {
+                        self.missing.enter(job, now);
+                        JobResult::Missing
+                    }
+                    Settle::Store(payload) => {
+                        self.version += 1;
+                        self.catalog.insert((job.client, self.version), job.seq);
+                        JobResult::Held { payload, catalog_pos: self.version }
+                    }
+                    Settle::Ack(collected_pos) => JobResult::Delivered { collected_pos },
+                    Settle::Reclaim => JobResult::Delivered {
+                        collected_pos: acked.expect("a flagged row was acked"),
+                    },
+                }
+            }
+        };
+        match (was_finished, row.result.finished()) {
+            (false, true) => {
+                self.finished_rows += 1;
+                // The varint mark and the row's version stay — the monotone
+                // merge and `ckpt_scan` still see the mark; only the payload
+                // bytes are reclaimed.
+                if let Some(ckpt) = row.ckpt.as_mut() {
+                    ckpt.blob = Blob::empty();
+                }
+            }
+            (true, false) => self.finished_rows -= 1,
+            _ => {}
         }
-        row.finished = true;
-        *finished_rows += 1;
-        // The result exists, so the resume state is dead weight: drop
-        // the blob in place.  The varint mark and the row's version
-        // stay — the monotone merge and `ckpt_scan` still see the
-        // mark; only the payload bytes are reclaimed.
-        if let Some(ckpt) = row.ckpt.as_mut() {
-            ckpt.blob = Blob::empty();
+        if matches!(row.result, JobResult::Delivered { .. }) {
+            self.advance_collected_contig(job.client);
         }
-        row.archive.is_none()
     }
 
     // --- job registration -------------------------------------------------
@@ -751,7 +825,7 @@ impl CoordinatorDb {
         let rec = TaskRecord { id, job, attempt, state: TaskState::Pending, origin: self.me };
         self.tasks.insert(id, TaskRow { rec, watched: false, version: v });
         row.tasks.push(id);
-        self.pending.insert(v, id);
+        self.index.pending.insert(v, id);
         Some(id)
     }
 
@@ -764,15 +838,15 @@ impl CoordinatorDb {
     /// replica's execution produced the result first).
     pub fn next_pending(&mut self, server: ServerId, now: SimTime) -> (Option<TaskDesc>, Charge) {
         let mut ops = 1; // the queue lookup itself
-        while let Some((_, id)) = self.pending.pop_first() {
+        while let Some((_, id)) = self.index.pending.pop_first() {
             ops += 1;
             let row = self.tasks.get_mut(&id).expect("a queued task row exists");
-            let job = self.jobs.get_mut(&row.rec.job).expect("a task row's job is registered");
-            if job.finished {
+            let job = self.jobs.get(&row.rec.job).expect("a task row's job is registered");
+            if job.result.finished() {
                 // Sibling instance already produced the result: retire the
                 // instance outright.  Its queue entry is gone, so the row
                 // leaves `Pending` too: the queue holds every `Pending` row.
-                row.rec.state = TaskState::Finished { result_size: 0 };
+                self.index.refile(row, Some(TaskState::Finished { result_size: 0 }));
                 let v = Self::touch(
                     &mut self.changed,
                     &mut self.version,
@@ -783,7 +857,7 @@ impl CoordinatorDb {
                 row.version = v;
                 continue;
             }
-            row.rec.state = TaskState::Ongoing { server, since: now };
+            self.index.refile(row, Some(TaskState::Ongoing { server, since: now }));
             row.watched = true;
             let desc = Self::describe(&job.spec, id, row.rec.attempt);
             let params = job.spec.params.len();
@@ -795,32 +869,12 @@ impl CoordinatorDb {
                 Provenance::LOCAL,
             );
             row.version = v;
-            self.by_server.entry(server).or_default().insert(id);
             return (Some(desc), Charge::db(ops, params));
         }
         (None, Charge::ops(ops))
     }
 
-    /// True when `job` carries the finished flag.
-    fn is_finished(&self, job: &JobKey) -> bool {
-        self.jobs.get(job).is_some_and(|r| r.finished)
-    }
-
     // --- completion ---------------------------------------------------------
-
-    /// Stores `archive` in `job`'s resident row (which holds none and is
-    /// not `Collected`): catalog entry, missing-set exit, finished flag.
-    fn put_archive(&mut self, job: JobKey, archive: Blob) {
-        self.version += 1;
-        self.catalog.insert((job.client, self.version), job.seq);
-        let row = self.jobs.get_mut(&job).expect("an archive's job is resident");
-        row.archive =
-            Some(ArchiveRow { payload: archive, collected: false, catalog_pos: self.version });
-        if row.finished {
-            self.missing.leave(&job);
-        }
-        Self::mark_finished(row, &mut self.finished_rows);
-    }
 
     /// Registers a task result arriving from `server`.
     ///
@@ -837,24 +891,12 @@ impl CoordinatorDb {
         server: ServerId,
     ) -> (CompleteOutcome, Charge) {
         let size = archive.len();
-        // Clear the server index and mark the instance finished if known.
+        // Un-index the instance and mark it finished if known.
         if let Some(row) = self.tasks.get_mut(&task) {
             if row.rec.job != job {
                 return (CompleteOutcome::UnknownJob, Charge::ops(1));
             }
-            match row.rec.state {
-                TaskState::Ongoing { server: s, .. } => {
-                    if let Some(set) = self.by_server.get_mut(&s) {
-                        set.remove(&task);
-                    }
-                }
-                TaskState::Pending => {
-                    self.pending.remove(&row.version);
-                }
-                TaskState::Finished { .. } => {}
-            }
-            row.unwatch();
-            row.rec.state = TaskState::Finished { result_size: size };
+            self.index.refile(row, Some(TaskState::Finished { result_size: size }));
             let v = Self::touch(
                 &mut self.changed,
                 &mut self.version,
@@ -884,7 +926,7 @@ impl CoordinatorDb {
             self.duplicate_results += 1;
             return (CompleteOutcome::Duplicate, Charge::ops(2));
         }
-        self.put_archive(job, archive);
+        self.settle(job, Settle::Store(archive));
         let _ = server;
         // 2 db ops (task + job rows) plus the archive write to the
         // filesystem store.
@@ -964,7 +1006,7 @@ impl CoordinatorDb {
     pub fn missing_archives_scan(&self) -> Vec<JobKey> {
         self.jobs
             .iter()
-            .filter(|(_, r)| r.finished && r.archive.is_none() && !r.collected)
+            .filter(|(_, r)| matches!(r.result, JobResult::Missing))
             .map(|(k, _)| k)
             .collect()
     }
@@ -981,19 +1023,19 @@ impl CoordinatorDb {
             return Charge::ops(1);
         }
         let size = archive.len();
-        self.put_archive(job, archive);
+        self.settle(job, Settle::Store(archive));
         Charge::db(1, 0) + Charge::disk(size)
     }
 
     /// True when this coordinator would benefit from receiving `job`'s
     /// archive (known, not held, and not already delivered to the client).
     pub fn wants_archive(&self, job: &JobKey) -> bool {
-        self.jobs.get(job).is_some_and(JobRow::wants_archive)
+        self.jobs.get(job).is_some_and(|r| matches!(r.result, JobResult::Open | JobResult::Missing))
     }
 
     /// True when `job` reached the `Collected` terminal state.
     pub fn is_collected(&self, job: &JobKey) -> bool {
-        self.jobs.get(job).is_some_and(|r| r.collected)
+        self.jobs.get(job).is_some_and(|r| matches!(r.result, JobResult::Delivered { .. }))
     }
 
     /// Reverts a job to pending execution because its result archive is
@@ -1001,14 +1043,10 @@ impl CoordinatorDb {
     /// Refused for `Collected` jobs — the client already holds the result,
     /// so there is nothing to recover (the post-GC re-execution leak).
     pub fn reexecute_job(&mut self, job: JobKey) -> (Option<TaskId>, Charge) {
-        let Some(row) = self.jobs.get_mut(&job).filter(|r| r.wants_archive()) else {
+        if !self.wants_archive(&job) {
             return (None, Charge::ops(1));
-        };
-        if row.finished {
-            row.finished = false;
-            self.finished_rows -= 1;
-            self.missing.leave(&job);
         }
+        self.settle(job, Settle::Forget);
         let id = self.create_instance(job);
         (id, Charge::ops(2))
     }
@@ -1021,7 +1059,7 @@ impl CoordinatorDb {
     /// window; one queued instance is recovery enough.
     fn has_live_pending(&self, job: &JobKey) -> bool {
         self.jobs.get(job).is_some_and(|r| {
-            !r.finished
+            !r.result.finished()
                 && r.tasks.iter().any(|id| {
                     self.tasks.get(&id).is_some_and(|t| matches!(t.rec.state, TaskState::Pending))
                 })
@@ -1072,23 +1110,19 @@ impl CoordinatorDb {
     /// still deliver them later; duplicates are dropped at completion.
     pub fn server_suspected(&mut self, server: ServerId) -> (Vec<TaskId>, Charge) {
         let heard = self.server_heard.get(&server).copied();
-        let (tasks, jobs) = (&mut self.tasks, &self.jobs);
         let mut victims: Vec<JobKey> = Vec::new();
-        if let Some(set) = self.by_server.get_mut(&server) {
-            set.retain(|id| {
-                let Some(row) = tasks.get_mut(id) else { return false };
-                if !Self::silence_covers(row, heard) {
-                    return true;
-                }
-                row.unwatch();
-                if !jobs.get(&row.rec.job).is_some_and(|j| j.finished) {
-                    victims.push(row.rec.job);
-                }
-                false
-            });
-            if set.is_empty() {
-                self.by_server.remove(&server);
+        for id in self.indexed_on(server) {
+            let Some(row) = self.tasks.get_mut(&id) else { continue };
+            if !Self::silence_covers(row, heard) {
+                continue;
             }
+            self.index.refile(row, None);
+            if !self.jobs.get(&row.rec.job).is_some_and(|j| j.result.finished()) {
+                victims.push(row.rec.job);
+            }
+        }
+        if self.index.by_server.get(&server).is_some_and(BTreeSet::is_empty) {
+            self.index.by_server.remove(&server);
         }
         self.reinstance(victims)
     }
@@ -1097,14 +1131,18 @@ impl CoordinatorDb {
     /// coordinator knows, and not yet given up on), in id order.
     #[doc(hidden)]
     pub fn indexed_on(&self, server: ServerId) -> Vec<TaskId> {
-        self.by_server.get(&server).map(|set| set.iter().copied().collect()).unwrap_or_default()
+        self.index
+            .by_server
+            .get(&server)
+            .map(|set| set.iter().copied().collect())
+            .unwrap_or_default()
     }
 
     /// The servers some instance is indexed on: every server this
     /// coordinator still answers for, whoever it beats now.
     #[doc(hidden)]
     pub fn indexed_servers(&self) -> impl Iterator<Item = ServerId> + '_ {
-        self.by_server.keys().copied()
+        self.index.by_server.keys().copied()
     }
 
     /// When `server` last spoke to this coordinator, if ever.
@@ -1144,6 +1182,7 @@ impl CoordinatorDb {
         let mut running: Vec<TaskId> = running.to_vec();
         running.sort_unstable();
         let lost: Vec<(TaskId, JobKey)> = self
+            .index
             .by_server
             .get(&server)
             .map(|set| {
@@ -1154,17 +1193,14 @@ impl CoordinatorDb {
                         TaskState::Ongoing { since, .. } => now.since(since) > grace,
                         _ => false,
                     })
-                    .filter(|r| !self.is_finished(&r.rec.job))
+                    .filter(|r| !self.jobs.get(&r.rec.job).is_some_and(|j| j.result.finished()))
                     .map(|r| (r.rec.id, r.rec.job))
                     .collect()
             })
             .unwrap_or_default();
-        if let Some(set) = self.by_server.get_mut(&server) {
-            for (old, _) in &lost {
-                set.remove(old);
-                if let Some(row) = self.tasks.get_mut(old) {
-                    row.unwatch();
-                }
+        for (old, _) in &lost {
+            if let Some(row) = self.tasks.get_mut(old) {
+                self.index.refile(row, None);
             }
         }
         self.reinstance(lost.into_iter().map(|(_, job)| job))
@@ -1196,7 +1232,7 @@ impl CoordinatorDb {
         written_off: impl Fn(CoordId) -> bool,
     ) -> (Vec<ServerId>, Charge) {
         debug_assert!(since <= self.fed.0, "the walk must cover every unripe row");
-        let (tasks, jobs, by_server) = (&mut self.tasks, &self.jobs, &self.by_server);
+        let (tasks, jobs, by_server) = (&mut self.tasks, &self.jobs, &self.index.by_server);
         let mut watch = Vec::new();
         for (&v, entry) in
             self.changed.range((std::ops::Bound::Excluded(since), std::ops::Bound::Unbounded))
@@ -1206,7 +1242,7 @@ impl CoordinatorDb {
             let (writer, job) = (self.writers[entry.from.0 as usize].0, row.rec.job);
             match row.rec.state {
                 TaskState::Pending if written_off(writer) => {
-                    self.pending.insert(v, id);
+                    self.index.pending.insert(v, id);
                 }
                 TaskState::Ongoing { server, .. }
                     if !row.watched
@@ -1214,7 +1250,7 @@ impl CoordinatorDb {
                         && (written_off(writer) || contact == Some(job.client))
                         && served.contains(&job.client)
                         && by_server.get(&server).is_some_and(|set| set.contains(&id))
-                        && !jobs.get(&job).is_some_and(|j| j.finished) =>
+                        && !jobs.get(&job).is_some_and(|j| j.result.finished()) =>
                 {
                     row.watched = true;
                     watch.push(server);
@@ -1233,7 +1269,9 @@ impl CoordinatorDb {
         let pending = |id| self.tasks.get(id).is_some_and(|t| t.rec.state == TaskState::Pending);
         let fed = (std::ops::Bound::Excluded(self.fed.0), std::ops::Bound::Included(self.fed.1));
         self.changed.range(fed).filter_map(move |(&v, e)| match e.row {
-            Changed::Task(id) if pending(&id) && !self.pending.contains_key(&v) => Some((v, id)),
+            Changed::Task(id) if pending(&id) && !self.index.pending.contains_key(&v) => {
+                Some((v, id))
+            }
             _ => None,
         })
     }
@@ -1254,11 +1292,11 @@ impl CoordinatorDb {
 
     // --- client result collection --------------------------------------------
 
-    /// `client`'s retained archives as `(seq, row)`, in seq order: a walk
-    /// of the client's own window — cost follows the client's own resident
-    /// rows, not the whole table.
-    fn client_archives(&self, client: ClientKey) -> impl Iterator<Item = (u64, &ArchiveRow)> + '_ {
-        self.jobs.client(client).filter_map(|(seq, row)| Some((seq, row.archive.as_ref()?)))
+    /// `client`'s retained archives as `(seq, payload)`, in seq order: a
+    /// walk of the client's own window — cost follows the client's own
+    /// resident rows, not the whole table.
+    fn client_archives(&self, client: ClientKey) -> impl Iterator<Item = (u64, &Blob)> + '_ {
+        self.jobs.client(client).filter_map(|(seq, row)| Some((seq, row.result.archive()?)))
     }
 
     /// Scan-based reference definition of the full result catalog — every
@@ -1268,7 +1306,7 @@ impl CoordinatorDb {
     /// deltas from base 0 must converge to exactly this).
     #[doc(hidden)]
     pub fn results_catalog_scan(&self, client: ClientKey) -> Vec<(u64, u64)> {
-        self.client_archives(client).map(|(seq, a)| (seq, a.payload.len())).collect()
+        self.client_archives(client).map(|(seq, payload)| (seq, payload.len())).collect()
     }
 
     /// Incremental result catalog: the archives stored for `client` since
@@ -1292,7 +1330,7 @@ impl CoordinatorDb {
 
     /// The archive payload for one job.
     pub fn archive(&self, job: &JobKey) -> Option<&Blob> {
-        self.jobs.get(job)?.archive.as_ref().map(|a| &a.payload)
+        self.jobs.get(job)?.result.archive()
     }
 
     /// Marks results as collected by the client (GC eligibility), recording
@@ -1321,15 +1359,11 @@ impl CoordinatorDb {
     /// Served from the maintained collected-flag set: O(flagged), never an
     /// archive-table scan (reference: [`Self::collected_flagged_scan`]).
     pub fn gc_collected(&mut self) -> (u64, Charge) {
-        let victims = std::mem::take(&mut self.collected_flagged);
+        let victims = self.collected_flagged();
         let mut freed = 0;
         for &k in &victims {
-            let Some(row) = self.jobs.get_mut(&k) else { continue };
-            let Some(archive) = row.archive.take() else { continue };
-            freed += archive.payload.len();
-            row.collected = true;
-            self.catalog.remove(&(k.client, archive.catalog_pos));
-            self.advance_collected_contig(k.client);
+            freed += self.archive(&k).map_or(0, Blob::len);
+            self.settle(k, Settle::Reclaim);
         }
         (freed, Charge::ops(victims.len() as u64 + 1))
     }
@@ -1347,7 +1381,7 @@ impl CoordinatorDb {
     pub fn collected_flagged_scan(&self) -> Vec<JobKey> {
         self.jobs
             .iter()
-            .filter(|(_, r)| r.archive.as_ref().is_some_and(|a| a.collected))
+            .filter(|(_, r)| matches!(r.result, JobResult::Flagged { .. }))
             .map(|(k, _)| k)
             .collect()
     }
@@ -1369,8 +1403,8 @@ impl CoordinatorDb {
             None => 0,
         };
         // Finished ⇒ no resume-state payload is ever retained (mirrors
-        // the in-place clearing of `mark_finished` on the apply path).
-        let blob = if row.finished { Blob::empty() } else { blob };
+        // the in-place clearing of `settle` on the apply path).
+        let blob = if row.result.finished() { Blob::empty() } else { blob };
         let version =
             Self::touch(&mut self.changed, &mut self.version, old, Changed::Ckpt(job), from);
         match row.ckpt.as_mut() {
@@ -1386,13 +1420,6 @@ impl CoordinatorDb {
         self.jobs.get(job).map(|r| r.spec.work_units.max(1))
     }
 
-    /// True when `job` already has its result (finished or `Collected`):
-    /// nothing of it will be dispatched again, so a resume point is dead
-    /// weight.
-    fn has_result(&self, job: &JobKey) -> bool {
-        self.jobs.get(job).is_some_and(|r| r.finished || r.collected)
-    }
-
     /// Records a checkpoint uploaded by a server.  Refused (beyond the
     /// monotone rule) for jobs already finished or collected — their
     /// result exists, so a resume point is dead weight — for unknown
@@ -1402,7 +1429,7 @@ impl CoordinatorDb {
     /// successor a near-complete bank for work never computed.  Returns
     /// whether the mark advanced, plus the storage cost.
     pub fn record_checkpoint(&mut self, job: JobKey, unit_hw: u32, blob: Blob) -> (bool, Charge) {
-        if self.has_result(&job) {
+        if self.jobs.get(&job).is_some_and(|r| r.result.finished()) {
             return (false, Charge::ops(1));
         }
         match self.job_work_units(&job) {
@@ -1424,7 +1451,7 @@ impl CoordinatorDb {
     /// (finished/collected), so nothing will be dispatched anyway.
     pub fn resume_point(&self, job: &JobKey) -> Option<(u32, &Blob)> {
         let row = self.jobs.get(job)?;
-        if row.finished || row.collected {
+        if row.result.finished() {
             return None;
         }
         let ckpt = row.ckpt.as_ref()?;
@@ -1590,9 +1617,10 @@ impl CoordinatorDb {
         let tasks = self.tasks.values().filter(|r| r.version > base).map(|r| DeltaRow::Task(r.rec));
         let marks =
             self.client_max.iter().map(|(&c, r)| DeltaRow::Mark { client: c, mark: r.mark });
-        let terminal = self.jobs.iter().filter(|(_, r)| r.collected);
+        let terminal =
+            self.jobs.iter().filter(|(_, r)| matches!(r.result, JobResult::Delivered { .. }));
         let flagged =
-            self.jobs.iter().filter(|(_, r)| r.archive.as_ref().is_some_and(|a| a.collected));
+            self.jobs.iter().filter(|(_, r)| matches!(r.result, JobResult::Flagged { .. }));
         let collected = terminal.chain(flagged).map(|(job, _)| DeltaRow::Collected { job });
         let ckpts = self.jobs.iter().filter_map(|(job, r)| {
             let ckpt = r.ckpt.as_ref()?;
@@ -1641,7 +1669,6 @@ impl CoordinatorDb {
         let Some(job) = self.jobs.get_mut(&rec.job) else {
             return false;
         };
-        let mut newly_finished = false;
         match self.tasks.get_mut(&rec.id) {
             None => {
                 let v = Self::touch(
@@ -1652,57 +1679,35 @@ impl CoordinatorDb {
                     from,
                 );
                 job.next_attempt = job.next_attempt.max(rec.attempt + 1);
-                self.tasks.insert(rec.id, TaskRow { rec: *rec, watched: false, version: v });
+                // A feed's row is another coordinator's: it arrives as an
+                // unqueued (unripe) `Pending` row and takes the feed's
+                // state.  An `Ongoing` one is unwatched (until adopted) —
+                // but indexed by server, so the beat-driven reconciliation
+                // can reclaim it if that server reports the task lost, and
+                // adoption finds it.  Without the index, a task dispatched
+                // by a live-but-demoted predecessor is unrecoverable: the
+                // dispatcher no longer hears the server's beats, and this
+                // node would hold the row forever out of respect for the
+                // live peer.
+                let unripe = TaskRecord { state: TaskState::Pending, ..*rec };
+                let mut row = TaskRow { rec: unripe, watched: false, version: v };
+                self.index.refile(&mut row, Some(rec.state));
+                self.tasks.insert(rec.id, row);
                 job.tasks.push(rec.id);
-                match rec.state {
-                    // A feed's row is another coordinator's: unripe, not
-                    // queued, until that coordinator's next round.
-                    TaskState::Pending => {}
-                    TaskState::Ongoing { server, .. } => {
-                        // Unwatched (until adopted) — but indexed by server, so
-                        // the beat-driven reconciliation can reclaim it if
-                        // that server reports the task lost, and adoption
-                        // finds it.  Without the index, a task dispatched by
-                        // a live-but-demoted predecessor is unrecoverable:
-                        // the dispatcher no longer hears the server's beats,
-                        // and this node would hold the row forever out of
-                        // respect for the live peer.
-                        self.by_server.entry(server).or_default().insert(rec.id);
-                    }
-                    TaskState::Finished { .. } => newly_finished = true,
-                }
             }
             Some(row) => {
-                if state_rank(&rec.state) > state_rank(&row.rec.state) {
-                    if matches!(row.rec.state, TaskState::Pending) {
-                        self.pending.remove(&row.version);
-                    }
-                    // Keep the per-server index in step with the state
-                    // transition (Pending→Ongoing indexes, Ongoing→Finished
-                    // un-indexes; `complete_task` doing the same removal for
-                    // locally finished rows is an idempotent no-op here).
-                    if let TaskState::Ongoing { server, .. } = row.rec.state {
-                        if let Some(set) = self.by_server.get_mut(&server) {
-                            set.remove(&rec.id);
-                        }
-                        row.unwatch();
-                    }
-                    if let TaskState::Ongoing { server, .. } = rec.state {
-                        self.by_server.entry(server).or_default().insert(rec.id);
-                    }
-                    row.rec.state = rec.state;
-                    let v = Self::touch(
-                        &mut self.changed,
-                        &mut self.version,
-                        row.version,
-                        Changed::Task(rec.id),
-                        from,
-                    );
-                    row.version = v;
-                    if matches!(rec.state, TaskState::Finished { .. }) {
-                        newly_finished = true;
-                    }
+                if state_rank(&rec.state) <= state_rank(&row.rec.state) {
+                    return false;
                 }
+                self.index.refile(row, Some(rec.state));
+                let v = Self::touch(
+                    &mut self.changed,
+                    &mut self.version,
+                    row.version,
+                    Changed::Task(rec.id),
+                    from,
+                );
+                row.version = v;
             }
         }
         // Any replicated Finished row is finished-knowledge, whatever its
@@ -1711,10 +1716,10 @@ impl CoordinatorDb {
         // job*.  Discarding it wedges re-execution: the re-executing
         // coordinator's fresh instance gets retired by a peer that
         // remembers the job as finished, the retire row replicates back
-        // as Finished{0}, and without this mark the re-executor never
+        // as Finished{0}, and without this knowledge the re-executor never
         // relearns the job is done — so it never lists the archive as
         // missing and never pulls it from the peer that has it.
-        newly_finished && Self::mark_finished(job, &mut self.finished_rows)
+        rec.state.is_finished() && !job.result.finished()
     }
 
     /// Applies a delta from a peer; returns the cost.
@@ -1760,7 +1765,7 @@ impl CoordinatorDb {
     ) -> Applied {
         // Ripening keeps each row's version key, so FCFS order holds.
         let ripened: Vec<(u64, TaskId)> = self.unripe().collect();
-        self.pending.extend(ripened.iter().copied());
+        self.index.pending.extend(ripened.iter().copied());
         let lo = self.version;
         let mut sender = self.writer(peer, 0);
         let mut from = sender;
@@ -1780,7 +1785,7 @@ impl CoordinatorDb {
                 DeltaRow::Job(spec) => self.apply_job_row(spec, from),
                 DeltaRow::Task(rec) => {
                     if self.apply_task_row(&rec, from) {
-                        self.missing.enter(rec.job, now);
+                        self.settle(rec.job, Settle::Finished(now));
                     }
                     Charge::ops(1)
                 }
@@ -1812,7 +1817,7 @@ impl CoordinatorDb {
         }
         self.fed = (lo, self.version);
         applied.superseded =
-            ripened.iter().filter(|(v, _)| !self.pending.contains_key(v)).count() as u64;
+            ripened.iter().filter(|(v, _)| !self.index.pending.contains_key(v)).count() as u64;
         applied
     }
 
@@ -1869,9 +1874,9 @@ impl CoordinatorDb {
     fn job_prunable(&self, k: &JobKey, min_acked: u64) -> bool {
         let Some(row) = self.jobs.get(k) else { return false };
         // Only delivered work retires.
-        row.collected
+        matches!(row.result, JobResult::Delivered { .. })
             && row.version <= min_acked
-            && row.collected_pos <= min_acked
+            && row.result.collected_pos().is_some_and(|pos| pos <= min_acked)
             && row.ckpt.as_ref().is_none_or(|c| c.version <= min_acked)
             && row.tasks.iter().filter_map(|id| self.tasks.get(&id)).all(|t| t.version <= min_acked)
     }
@@ -1884,38 +1889,22 @@ impl CoordinatorDb {
     /// replica's job that was never collected here, the client holds the
     /// result all the same, so the archive goes with the rest.
     fn prune_job(&mut self, k: &JobKey) {
-        let Some(gone) = self.jobs.remove(k) else { return };
+        let collected_pos = self.jobs.get(k).and_then(|r| r.result.collected_pos());
+        self.settle(*k, Settle::Forget);
+        let gone = self.jobs.remove(k).expect("a pruned job is resident");
         for id in gone.tasks.iter() {
-            let Some(task) = self.tasks.remove(&id) else { continue };
+            let Some(mut task) = self.tasks.remove(&id) else { continue };
             self.changed.remove(&task.version);
             self.retired_tasks += 1;
-            match task.rec.state {
-                TaskState::Ongoing { server, .. } => {
-                    if let Some(set) = self.by_server.get_mut(&server) {
-                        set.remove(&id);
-                    }
-                }
-                TaskState::Pending => {
-                    self.pending.remove(&task.version);
-                }
-                TaskState::Finished { .. } => {}
-            }
+            self.index.refile(&mut task, None);
         }
-        if gone.collected_pos != 0 {
-            self.changed.remove(&gone.collected_pos);
+        if let Some(pos) = collected_pos {
+            self.changed.remove(&pos);
         }
         if let Some(ckpt) = gone.ckpt {
             self.changed.remove(&ckpt.version);
         }
         self.changed.remove(&gone.version);
-        if let Some(archive) = gone.archive {
-            self.catalog.remove(&(k.client, archive.catalog_pos));
-            self.collected_flagged.remove(k);
-        }
-        if gone.finished {
-            self.finished_rows -= 1;
-            self.missing.leave(k);
-        }
     }
 
     /// Raises `client`'s retired prefix to `w` on the authority of a feed's
@@ -2007,8 +1996,8 @@ impl CoordinatorDb {
         }
         for (_, r) in self.jobs.iter() {
             stats.jobs += 1;
-            stats.archived += r.archive.is_some() as u64;
-            stats.collected += r.collected as u64;
+            stats.archived += r.result.archive().is_some() as u64;
+            stats.collected += matches!(r.result, JobResult::Delivered { .. }) as u64;
             stats.ckpts += r.ckpt.is_some() as u64;
         }
         stats
@@ -2065,27 +2054,30 @@ impl CoordinatorDb {
             versioned += stamped(row.version, Changed::Job(k));
             // What this node knows finished, the ring can learn: from a
             // `Finished` instance row, or the collected row.
-            let told = row.collected_pos != 0 || tasks.iter().any(|t| t.rec.state.is_finished());
-            assert!(!row.finished || told, "{k:?}: finished, and no feed row says so");
-            if row.collected_pos != 0 {
-                versioned += stamped(row.collected_pos, Changed::Collected(k));
+            let collected_pos = row.result.collected_pos();
+            let told = collected_pos.is_some() || tasks.iter().any(|t| t.rec.state.is_finished());
+            let finished_here = row.result.finished();
+            assert!(!finished_here || told, "{k:?}: finished, and no feed row says so");
+            if let Some(pos) = collected_pos {
+                versioned += stamped(pos, Changed::Collected(k));
             }
             if let Some(ckpt) = &row.ckpt {
                 ckpts += 1;
                 versioned += stamped(ckpt.version, Changed::Ckpt(k));
-                assert!(!row.finished || ckpt.blob.is_empty(), "{k:?}: finished job kept state");
+                assert!(!finished_here || ckpt.blob.is_empty(), "{k:?}: finished job kept state");
             }
-            finished += row.finished as u64;
-            collected += row.collected as u64;
-            archived += row.archive.is_some() as u64;
-            assert!(!(row.collected && row.archive.is_some()), "{k:?}: collected yet retained");
-            let flagged = row.archive.as_ref().is_some_and(|a| a.collected);
+            finished += finished_here as u64;
+            collected += matches!(row.result, JobResult::Delivered { .. }) as u64;
+            archived += row.result.archive().is_some() as u64;
+            let flagged = matches!(row.result, JobResult::Flagged { .. });
             assert_eq!(self.collected_flagged.contains(&k), flagged, "{k:?}: GC worklist");
-            let missing = row.finished && row.archive.is_none() && !row.collected;
+            let missing = matches!(row.result, JobResult::Missing);
             assert_eq!(self.missing.entries.contains_key(&k), missing, "{k:?}: missing worklist");
             missing_rows += missing as usize;
-            if let Some(a) = &row.archive {
-                let entry = self.catalog.get(&(k.client, a.catalog_pos));
+            if let JobResult::Held { catalog_pos, .. } | JobResult::Flagged { catalog_pos, .. } =
+                row.result
+            {
+                let entry = self.catalog.get(&(k.client, catalog_pos));
                 assert_eq!(entry, Some(&k.seq), "{k:?}: catalog entry");
             }
         }
@@ -2093,7 +2085,7 @@ impl CoordinatorDb {
         // server: suspicion and reconciliation un-index the rows they gave
         // up on, and a row suspicion left behind must still be there for
         // the reconcile to find.
-        for (server, set) in &self.by_server {
+        for (server, set) in &self.index.by_server {
             for id in set {
                 let state = self.tasks.get(id).map(|t| t.rec.state);
                 assert!(
@@ -2106,7 +2098,8 @@ impl CoordinatorDb {
         // and indexed there; `Ongoing`, indexed there and written here (a
         // dispatch from here, which only a finish re-stamps), it is watched.
         for (id, t) in &self.tasks {
-            let indexed = |server| self.by_server.get(&server).is_some_and(|s| s.contains(id));
+            let indexed =
+                |server| self.index.by_server.get(&server).is_some_and(|s| s.contains(id));
             let local = self.changed.get(&t.version).map(|e| e.from) == Some(Provenance::LOCAL);
             match t.rec.state {
                 TaskState::Ongoing { server, .. } if indexed(server) => {
@@ -2143,7 +2136,7 @@ impl CoordinatorDb {
             .filter(|t| t.rec.state == TaskState::Pending)
             .map(|t| (t.version, t.rec.id))
             .collect();
-        let mut both = self.pending.clone();
+        let mut both = self.index.pending.clone();
         for (v, id) in self.unripe() {
             let from = self.changed.get(&v).map(|e| e.from);
             assert_ne!(from, Some(Provenance::LOCAL), "{id:?}: unripe, and written here");
@@ -3629,13 +3622,72 @@ mod tests {
             "TaskRow: {}",
             std::mem::size_of::<TaskRow>()
         );
-        assert!(std::mem::size_of::<JobRow>() <= 232, "JobRow: {}", std::mem::size_of::<JobRow>());
+        assert!(std::mem::size_of::<JobRow>() <= 216, "JobRow: {}", std::mem::size_of::<JobRow>());
         // One change-index entry per live row: the writer's incarnation is
         // an interned index, so naming it costs no entry a byte.
         let entry = std::mem::size_of::<ChangeEntry>();
         assert!(entry <= 40, "ChangeEntry: {entry}");
         // A vacant window slot costs the row's bytes and nothing more.
         assert_eq!(std::mem::size_of::<Option<JobRow>>(), std::mem::size_of::<JobRow>());
+    }
+
+    #[test]
+    fn every_edge_of_the_result_state_table() {
+        // `b` replicates `a` and walks its jobs through each move `settle`
+        // makes; after every step the worklists, the catalog and the
+        // finished count read what the states say.
+        let client = ClientKey::new(1, 1);
+        let k = |seq| JobKey::new(client, seq);
+        let mut a = db();
+        let mut b = CoordinatorDb::new(CoordId(2));
+        for seq in 1..=5 {
+            a.register_job(job(seq));
+        }
+        for _ in 1..=3 {
+            complete_one(&mut a, 64);
+        }
+        let check = |d: &CoordinatorDb, missing: &[u64], flagged: &[u64], held: &[u64], n: u64| {
+            let keys = |seqs: &[u64]| seqs.iter().map(|&s| k(s)).collect::<Vec<_>>();
+            assert_eq!(d.missing_archives().collect::<Vec<_>>(), keys(missing), "missing");
+            assert_eq!(d.collected_flagged(), keys(flagged), "flagged");
+            let catalog: Vec<(u64, u64)> = held.iter().map(|&s| (s, 64)).collect();
+            assert_eq!(d.results_catalog_since(client, 0).added, catalog, "catalog");
+            assert_eq!(d.finished_count(), n, "finished");
+            d.check_invariants();
+        };
+        // Open → Missing: the feed's `Finished` rows of jobs 1–3.
+        b.apply_delta(&a.delta_since(0));
+        check(&b, &[1, 2, 3], &[], &[], 3);
+        // Missing → Open: re-execution.
+        let (id, _) = b.reexecute_job(k(1));
+        check(&b, &[2, 3], &[], &[], 2);
+        // Open → Held: the new instance completes here.
+        let done = b.complete_task(id.unwrap(), k(1), Blob::synthetic(64, 1), ServerId(1)).0;
+        assert_eq!(done, CompleteOutcome::NewResult);
+        check(&b, &[2, 3], &[], &[1], 3);
+        // Missing → Held: a server re-sends job 2's archive.
+        b.store_archive(k(2), Blob::synthetic(64, 2));
+        check(&b, &[3], &[], &[1, 2], 3);
+        // Held → Flagged: the client acknowledges job 1.
+        b.mark_collected(client, &[1]);
+        check(&b, &[3], &[1], &[1, 2], 3);
+        // Flagged → Delivered: GC reclaims its archive.
+        assert_eq!(b.gc_collected().0, 64);
+        check(&b, &[3], &[], &[2], 3);
+        // Missing → Delivered: the feed's `Collected` row of job 3.
+        a.mark_collected(client, &[3]);
+        b.apply_delta(&a.delta_since(0));
+        check(&b, &[], &[], &[2], 3);
+        // Open → Delivered: the client re-acks job 4, not finished here.
+        b.mark_collected(client, &[4]);
+        check(&b, &[], &[], &[2], 4);
+        // Retirement: `a`'s watermark through 3 takes `b`'s held job 2.
+        a.mark_collected(client, &[1, 2]);
+        a.gc_collected();
+        assert_eq!(a.prune_retired(a.version()), 3);
+        b.apply_delta(&a.delta_since(0));
+        assert_eq!(b.retired_watermark(client), 3);
+        check(&b, &[], &[], &[], 4);
     }
 
     #[test]
