@@ -295,10 +295,10 @@ struct TaskIndex {
 impl TaskIndex {
     /// The one index move of a task row: takes `row` out of the index its
     /// state files it in — its queue entry if `Pending`, its server's set
-    /// if `Ongoing` — and clears `watched`; then, given a state `to`, moves
-    /// the row to it, filing it on its server if `Ongoing`.  Whether a
-    /// `Pending` row is queued (written here) or unripe (fed) is the
-    /// caller's to decide.
+    /// (dropped once empty) if `Ongoing` — and clears `watched`; then,
+    /// given a state `to`, moves the row to it, filing it on its server if
+    /// `Ongoing`.  Whether a `Pending` row is queued (written here) or
+    /// unripe (fed) is the caller's to decide.
     fn refile(&mut self, row: &mut TaskRow, to: Option<TaskState>) {
         match row.rec.state {
             TaskState::Pending => {
@@ -307,6 +307,9 @@ impl TaskIndex {
             TaskState::Ongoing { server, .. } => {
                 if let Some(set) = self.by_server.get_mut(&server) {
                     set.remove(&row.rec.id);
+                    if set.is_empty() {
+                        self.by_server.remove(&server);
+                    }
                 }
             }
             TaskState::Finished { .. } => {}
@@ -1120,9 +1123,6 @@ impl CoordinatorDb {
             if !self.jobs.get(&row.rec.job).is_some_and(|j| j.result.finished()) {
                 victims.push(row.rec.job);
             }
-        }
-        if self.index.by_server.get(&server).is_some_and(BTreeSet::is_empty) {
-            self.index.by_server.remove(&server);
         }
         self.reinstance(victims)
     }
@@ -2084,8 +2084,10 @@ impl CoordinatorDb {
         // The per-server index holds only instances still ongoing on that
         // server: suspicion and reconciliation un-index the rows they gave
         // up on, and a row suspicion left behind must still be there for
-        // the reconcile to find.
+        // the reconcile to find.  No set is held empty: every server in it
+        // is one this coordinator answers for.
         for (server, set) in &self.index.by_server {
+            assert!(!set.is_empty(), "{server:?}: empty set held in the server index");
             for id in set {
                 let state = self.tasks.get(id).map(|t| t.rec.state);
                 assert!(

@@ -1348,6 +1348,40 @@ fn restarted_dispatchers_suspect_the_servers_they_forwarded_to() {
     }
 }
 
+/// A restarted coordinator watches only the servers it still has work
+/// indexed on.  Every call it dispatched completed before it crashed, so
+/// its dispatch index holds nothing; its client and servers move to the
+/// peer and never beat it again.  Had completion left each emptied server
+/// set behind, the restart would watch those servers and suspect every one
+/// of them a timeout later, for nothing.
+#[test]
+fn a_restarted_coordinator_suspects_no_server_it_has_nothing_on() {
+    let cfg = fast_cfg();
+    let suspicion = cfg.suspicion;
+    let mut g = SimGrid::build(GridSpec::confined(2, 4).with_cfg(cfg).with_plan(plan(8)));
+    let done = g.run_until_done(SimTime::from_secs(600)).expect("every call completes");
+    assert_eq!(g.client_results(), 8);
+    let boot = g.coords[0].1;
+    let (dispatched, indexed) = {
+        let db = g.coordinator(0).unwrap().db();
+        (db.stats().tasks, db.indexed_servers().count())
+    };
+    assert!(dispatched >= 8, "the boot coordinator ran the plan");
+    assert_eq!(indexed, 0, "nothing is left indexed once every call completed");
+    g.world.crash_now(boot);
+    let restart = done + SimDuration::from_secs(30);
+    g.world.run_until(restart);
+    g.world.restart_now(boot);
+    let before = g.coordinator(0).unwrap().metrics.server_suspicions;
+    g.world.run_until(restart + suspicion * 2);
+    let old = g.coordinator(0).unwrap();
+    assert!(
+        g.servers.iter().all(|&(s, _)| old.db().server_heard(s) < Some(done + suspicion)),
+        "the servers moved to the peer"
+    );
+    assert_eq!(old.metrics.server_suspicions, before, "no server suspected since the restart");
+}
+
 /// A `Submit` lost on the way to a coordinator that keeps serving — no
 /// crash, no suspicion, nothing a failover would repair: three calls, the
 /// client→coordinator direction cut for 0.5 s around the second.  Had the
