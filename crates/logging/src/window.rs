@@ -43,6 +43,13 @@ fn split(seq: u64) -> (u64, usize) {
     (seq / CHUNK as u64, (seq % CHUNK as u64) as usize)
 }
 
+/// Chunk `c` of `chunks`, allocated empty if it was not held.  The caller
+/// puts a row in it: a chunk is never left held empty.
+fn chunk_mut<T>(chunks: &mut BTreeMap<u64, Box<Chunk<T>>>, c: u64) -> &mut Chunk<T> {
+    (chunks.entry(c))
+        .or_insert_with(|| Box::new(Chunk { live: 0, rows: std::array::from_fn(|_| None) }))
+}
+
 impl<T> Default for SeqWindow<T> {
     fn default() -> Self {
         SeqWindow { chunks: BTreeMap::new(), len: 0 }
@@ -91,14 +98,25 @@ impl<T> SeqWindow<T> {
     /// returning the row it replaced.
     pub fn insert(&mut self, seq: u64, row: T) -> Option<T> {
         let (c, s) = split(seq);
-        let chunk = (self.chunks.entry(c))
-            .or_insert_with(|| Box::new(Chunk { live: 0, rows: std::array::from_fn(|_| None) }));
+        let chunk = chunk_mut(&mut self.chunks, c);
         let old = chunk.rows[s].replace(row);
         if old.is_none() {
             chunk.live += 1;
             self.len += 1;
         }
         old
+    }
+
+    /// The row at `seq`, first putting `make()` there if the slot is
+    /// vacant: one chunk lookup either way.
+    pub fn get_or_insert_with(&mut self, seq: u64, make: impl FnOnce() -> T) -> &mut T {
+        let (c, s) = split(seq);
+        let chunk = chunk_mut(&mut self.chunks, c);
+        if chunk.rows[s].is_none() {
+            chunk.live += 1;
+            self.len += 1;
+        }
+        chunk.rows[s].get_or_insert_with(make)
     }
 
     /// Vacates `seq`'s slot, freeing its chunk when that was the last row
@@ -194,5 +212,15 @@ mod tests {
         assert_eq!(w.range(lo..=hi).count(), 0, "an empty range reads nothing");
         w.retain(|seq, _| seq != 3);
         assert_eq!((w.len(), w.chunk_count(), w.audit()), (1, 1, Some(2 * CHUNK as u64)));
+    }
+
+    #[test]
+    fn get_or_insert_with_fills_a_vacant_slot_once() {
+        let mut w: SeqWindow<u64> = SeqWindow::new();
+        *w.get_or_insert_with(5, || 50) += 1;
+        assert_eq!(*w.get_or_insert_with(5, || unreachable!("slot 5 is held")), 51);
+        w.get_or_insert_with(3 * CHUNK as u64, || 7);
+        assert_eq!((w.len(), w.chunk_count(), w.audit()), (2, 2, Some(3 * CHUNK as u64)));
+        assert_eq!(w.iter().collect::<Vec<_>>(), [(5, &51), (3 * CHUNK as u64, &7)]);
     }
 }

@@ -654,11 +654,11 @@ fn failover_span_records_one_bounded_annotation() {
     // The edge timeline is intact despite the crash: dispatched exactly
     // once (the re-instance annotates, it does not restart), finished and
     // collected after the failover.
-    let edge_at = |e: SpanEdge| span.marks.iter().find(|&&(m, _)| m == e).map(|&(_, t)| t);
+    let edge_at = |e: SpanEdge| span.marks().find(|&(m, _)| m == e).map(|(_, t)| t);
     let dispatched = edge_at(SpanEdge::Dispatched).expect("dispatched edge");
     let finished = edge_at(SpanEdge::Finished).expect("finished edge");
     let collected = edge_at(SpanEdge::Collected).expect("collected edge");
-    assert_eq!(span.marks.iter().filter(|&&(m, _)| m == SpanEdge::Dispatched).count(), 1);
+    assert_eq!(span.marks().filter(|&(m, _)| m == SpanEdge::Dispatched).count(), 1);
     assert!(dispatched < note.suspected_at && note.suspected_at < finished);
     assert!(finished <= collected);
 
