@@ -3,7 +3,12 @@
 //! A sender's seqs are contiguous by protocol — a client numbers its calls
 //! 1, 2, 3, …, a coordinator registers only `client_max + 1`, and retention
 //! retires a contiguous prefix — so a row needs no per-entry key and no
-//! ordered-map node around it: the seq *is* the index.  The window groups
+//! ordered-map node around it: the seq *is* the index.  The coordinator's
+//! task rows sit in a window too, keyed by the raw instance id: ids are
+//! dense in mint order (a coordinator's counter, in its own id range) but
+//! not contiguous by protocol — a re-instanced job's new id lands far from
+//! its first, and retention frees rows in job order — so a chunk there may
+//! carry vacant slots that a sender's window would not.  The window groups
 //! its slots in fixed chunks of [`CHUNK`] rows, keyed by `seq / CHUNK`; a
 //! chunk is allocated when its first row lands and freed when its last row
 //! leaves, so a window costs its live rows plus at most a partly filled

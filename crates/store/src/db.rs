@@ -2,6 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use rpcv_log::SeqWindow;
 use rpcv_simnet::{SimDuration, SimTime};
 use rpcv_wire::Blob;
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, TaskDesc, TaskId, TaskState};
@@ -35,24 +36,36 @@ pub struct TaskRow {
 }
 
 /// A job's task-instance ids.  Nearly every job has exactly one instance
-/// (no redundancy, no re-execution), so the first id sits inline and only
-/// further instances touch the heap.
+/// (no redundancy, no re-execution), so one id sits inline and only a
+/// second instance moves the list to the heap: 16 bytes in the row, where
+/// an inline id beside an empty `Vec` took 40.
 #[derive(Debug, Clone, Default)]
-struct TaskIds {
-    first: Option<TaskId>,
-    rest: Vec<TaskId>,
+enum TaskIds {
+    #[default]
+    None,
+    One(TaskId),
+    // Boxed: a bare `Vec` would make every row's list 32 bytes to serve
+    // the rare job with a second instance.
+    #[allow(clippy::box_collection)]
+    Many(Box<Vec<TaskId>>),
 }
 
 impl TaskIds {
     fn push(&mut self, id: TaskId) {
-        match self.first {
-            None => self.first = Some(id),
-            Some(_) => self.rest.push(id),
+        match self {
+            TaskIds::None => *self = TaskIds::One(id),
+            TaskIds::One(first) => *self = TaskIds::Many(Box::new(vec![*first, id])),
+            TaskIds::Many(ids) => ids.push(id),
         }
     }
 
     fn iter(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.first.into_iter().chain(self.rest.iter().copied())
+        let ids: &[TaskId] = match self {
+            TaskIds::None => &[],
+            TaskIds::One(id) => std::slice::from_ref(id),
+            TaskIds::Many(ids) => ids,
+        };
+        ids.iter().copied()
     }
 }
 
@@ -212,11 +225,102 @@ impl Provenance {
     const LOCAL: Provenance = Provenance(0);
 }
 
-/// One change-index entry: the row it points at, and who wrote it.
+/// A client as the change index names it: its slot in the index's interned
+/// clients, four bytes where the key takes sixteen.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ClientSlot(u32);
+
+/// A [`Changed`] as the change index stores it, its client interned: 16
+/// bytes, where the key-carrying form takes 32.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PackedRow {
+    Job(ClientSlot, u64),
+    Task(TaskId),
+    Mark(ClientSlot),
+    Collected(ClientSlot, u64),
+    Ckpt(ClientSlot, u64),
+    Retired(ClientSlot),
+}
+
+/// One change-index entry: the row it points at, and who wrote it.  Both
+/// name their party by an interned slot, so an entry is 24 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ChangeEntry {
-    row: Changed,
+    row: PackedRow,
     from: Provenance,
+}
+
+/// The version-ordered change index: one entry per live row, keyed by the
+/// row's current version, carrying the row's [`Provenance`], plus the
+/// clients its entries name.  A client is interned the first time an entry
+/// names it and keeps its slot for the database's life: one slot per
+/// client ever met, fleet-sized like the marks.
+#[derive(Debug, Clone, Default)]
+struct ChangeIndex {
+    entries: BTreeMap<u64, ChangeEntry>,
+    clients: Vec<ClientKey>,
+    slots: BTreeMap<ClientKey, ClientSlot>,
+}
+
+impl ChangeIndex {
+    /// `client`'s slot, interned if new.
+    fn slot(&mut self, client: ClientKey) -> ClientSlot {
+        let next = ClientSlot(self.clients.len() as u32);
+        let slot = *self.slots.entry(client).or_insert(next);
+        if slot == next {
+            self.clients.push(client);
+        }
+        slot
+    }
+
+    fn pack(&mut self, row: Changed) -> PackedRow {
+        match row {
+            Changed::Job(k) => PackedRow::Job(self.slot(k.client), k.seq),
+            Changed::Task(id) => PackedRow::Task(id),
+            Changed::Mark(client) => PackedRow::Mark(self.slot(client)),
+            Changed::Collected(k) => PackedRow::Collected(self.slot(k.client), k.seq),
+            Changed::Ckpt(k) => PackedRow::Ckpt(self.slot(k.client), k.seq),
+            Changed::Retired(client) => PackedRow::Retired(self.slot(client)),
+        }
+    }
+
+    fn unpack(&self, row: PackedRow) -> Changed {
+        let client = |slot: ClientSlot| self.clients[slot.0 as usize];
+        let key = |slot, seq| JobKey { client: client(slot), seq };
+        match row {
+            PackedRow::Job(slot, seq) => Changed::Job(key(slot, seq)),
+            PackedRow::Task(id) => Changed::Task(id),
+            PackedRow::Mark(slot) => Changed::Mark(client(slot)),
+            PackedRow::Collected(slot, seq) => Changed::Collected(key(slot, seq)),
+            PackedRow::Ckpt(slot, seq) => Changed::Ckpt(key(slot, seq)),
+            PackedRow::Retired(slot) => Changed::Retired(client(slot)),
+        }
+    }
+
+    /// Advances the version counter and moves a row's single entry from
+    /// `old_version` (0 = new row) to the fresh version, stamped with who
+    /// wrote the row (`from`).  Takes the counter explicitly so callers
+    /// holding a `&mut` row borrow can still re-stamp it.
+    fn touch(
+        &mut self,
+        version: &mut u64,
+        old_version: u64,
+        row: Changed,
+        from: Provenance,
+    ) -> u64 {
+        if old_version != 0 {
+            self.entries.remove(&old_version);
+        }
+        *version += 1;
+        let row = self.pack(row);
+        self.entries.insert(*version, ChangeEntry { row, from });
+        *version
+    }
+
+    /// The entry at version `v`, unpacked.
+    fn get(&self, v: u64) -> Option<(Changed, Provenance)> {
+        self.entries.get(&v).map(|e| (self.unpack(e.row), e.from))
+    }
 }
 
 /// One stored checkpoint: the highest durable work-unit mark a successor
@@ -412,7 +516,9 @@ pub struct CoordinatorDb {
     /// One row per job: description, flags, counters, archive, checkpoint
     /// (see [`JobRow`]), in a seq-indexed window per client.
     jobs: SeqTable<JobRow>,
-    tasks: BTreeMap<TaskId, TaskRow>,
+    /// One row per task instance, keyed by the raw [`TaskId`]: a window,
+    /// since instance ids are dense in mint order.
+    tasks: SeqWindow<TaskRow>,
     /// Where each task row's state files it: the FCFS queue and the
     /// per-server sets.
     index: TaskIndex,
@@ -432,10 +538,9 @@ pub struct CoordinatorDb {
     /// time) overflows it, which `compose`'s debug assertion catches.
     task_counter: u64,
     duplicate_results: u64,
-    /// Version-ordered change index: one entry per live row, keyed by the
-    /// row's current version, carrying the row's [`Provenance`].  Backs
-    /// O(changed) [`Self::delta_since`] and the echo-free [`Self::feed_for`].
-    changed: BTreeMap<u64, ChangeEntry>,
+    /// Version-ordered change index ([`ChangeIndex`]).  Backs O(changed)
+    /// [`Self::delta_since`] and the echo-free [`Self::feed_for`].
+    changed: ChangeIndex,
     /// Finished jobs whose archive is not held here — maintained at every
     /// archive/finished transition so neither the archive pull nor the
     /// re-execution scan walks the table.  A worklist, not an attribute:
@@ -443,14 +548,16 @@ pub struct CoordinatorDb {
     /// `Collected`.  Entries enter only in [`Self::apply_delta_owned`].
     missing: ReexecWatch,
     /// Retained archives whose client acknowledged collection (the
-    /// GC-eligible worklist).  Maintained at flag/reclaim transitions so
+    /// GC-eligible worklist), as `client → {seq}`; a client's set leaves
+    /// with its last entry.  Maintained at flag/reclaim transitions so
     /// explicit GC is O(flagged), never a table scan; scan reference:
     /// [`Self::collected_flagged_scan`].
-    collected_flagged: BTreeSet<JobKey>,
-    /// Per-client catalog index: `(client, version) → seq`, one entry per
+    collected_flagged: BTreeMap<ClientKey, BTreeSet<u64>>,
+    /// Per-client catalog index: `client → version → seq`, one entry per
     /// held archive, stamped when the archive is stored and dropped when
-    /// GC reclaims it.  Backs O(changed) [`Self::results_catalog_since`].
-    catalog: BTreeMap<(ClientKey, u64), u64>,
+    /// GC reclaims it; a client's map leaves with its last entry.  Backs
+    /// O(changed) [`Self::results_catalog_since`].
+    catalog: BTreeMap<ClientKey, BTreeMap<u64, u64>>,
     /// Rows carrying the finished flag: [`Self::finished_count`] is read
     /// after every completion and applied feed.
     finished_rows: u64,
@@ -492,16 +599,16 @@ impl CoordinatorDb {
             incarnations: BTreeMap::new(),
             version: 0,
             jobs: SeqTable::new(),
-            tasks: BTreeMap::new(),
+            tasks: SeqWindow::new(),
             index: TaskIndex::default(),
             fed: (0, 0),
             server_heard: BTreeMap::new(),
             client_max: BTreeMap::new(),
             task_counter: incarnation,
             duplicate_results: 0,
-            changed: BTreeMap::new(),
+            changed: ChangeIndex::default(),
             missing: ReexecWatch::default(),
-            collected_flagged: BTreeSet::new(),
+            collected_flagged: BTreeMap::new(),
             catalog: BTreeMap::new(),
             finished_rows: 0,
             collected_contig: BTreeMap::new(),
@@ -556,38 +663,14 @@ impl CoordinatorDb {
         Provenance(slot as u32)
     }
 
-    /// Advances the version counter and moves a row's single change-index
-    /// entry from `old_version` (0 = new row) to the fresh version, stamped
-    /// with who wrote the row (`from`).  Takes the two fields explicitly so
-    /// callers holding a `&mut` row borrow can still re-stamp it.
-    fn touch(
-        changed: &mut BTreeMap<u64, ChangeEntry>,
-        version: &mut u64,
-        old_version: u64,
-        row: Changed,
-        from: Provenance,
-    ) -> u64 {
-        if old_version != 0 {
-            changed.remove(&old_version);
-        }
-        *version += 1;
-        changed.insert(*version, ChangeEntry { row, from });
-        *version
-    }
-
     /// Raises `client`'s registration high-water mark to `mark` (no-op if
     /// not higher), versioning the change so deltas carry only moved marks.
     fn note_mark(&mut self, client: ClientKey, mark: u64, from: Provenance) {
         let row = self.client_max.entry(client).or_insert(MarkRow { mark: 0, version: 0 });
         if mark > row.mark || row.version == 0 {
             row.mark = mark;
-            row.version = Self::touch(
-                &mut self.changed,
-                &mut self.version,
-                row.version,
-                Changed::Mark(client),
-                from,
-            );
+            row.version =
+                self.changed.touch(&mut self.version, row.version, Changed::Mark(client), from);
         }
     }
 
@@ -621,13 +704,8 @@ impl CoordinatorDb {
     fn raise_retired(&mut self, client: ClientKey, through: u64, from: Provenance) {
         let row = self.retired_below.entry(client).or_insert(MarkRow { mark: 0, version: 0 });
         row.mark = through;
-        row.version = Self::touch(
-            &mut self.changed,
-            &mut self.version,
-            row.version,
-            Changed::Retired(client),
-            from,
-        );
+        row.version =
+            self.changed.touch(&mut self.version, row.version, Changed::Retired(client), from);
     }
 
     /// Advances `client`'s contiguous-collected watermark over any newly
@@ -652,8 +730,7 @@ impl CoordinatorDb {
         if self.has_collected_knowledge(&job) || !self.knows_job(&job) {
             return false;
         }
-        let pos =
-            Self::touch(&mut self.changed, &mut self.version, 0, Changed::Collected(job), from);
+        let pos = self.changed.touch(&mut self.version, 0, Changed::Collected(job), from);
         self.settle(job, Settle::Ack(pos));
         true
     }
@@ -672,7 +749,7 @@ impl CoordinatorDb {
         let (was_finished, acked) = (old.finished(), old.collected_pos());
         row.result = match (how, old) {
             (Settle::Ack(collected_pos), JobResult::Held { payload, catalog_pos }) => {
-                self.collected_flagged.insert(job);
+                self.collected_flagged.entry(job.client).or_default().insert(job.seq);
                 JobResult::Flagged { payload, catalog_pos, collected_pos }
             }
             (how, old) => {
@@ -680,8 +757,16 @@ impl CoordinatorDb {
                     JobResult::Missing => self.missing.leave(&job),
                     JobResult::Held { catalog_pos, .. }
                     | JobResult::Flagged { catalog_pos, .. } => {
-                        self.catalog.remove(&(job.client, catalog_pos));
-                        self.collected_flagged.remove(&job);
+                        // A client's inner index leaves with its last entry.
+                        let catalog = self.catalog.get_mut(&job.client);
+                        if catalog.is_some_and(|c| c.remove(&catalog_pos).is_some() && c.is_empty())
+                        {
+                            self.catalog.remove(&job.client);
+                        }
+                        let flagged = self.collected_flagged.get_mut(&job.client);
+                        if flagged.is_some_and(|f| f.remove(&job.seq) && f.is_empty()) {
+                            self.collected_flagged.remove(&job.client);
+                        }
                     }
                     JobResult::Open | JobResult::Delivered { .. } => {}
                 }
@@ -693,7 +778,7 @@ impl CoordinatorDb {
                     }
                     Settle::Store(payload) => {
                         self.version += 1;
-                        self.catalog.insert((job.client, self.version), job.seq);
+                        self.catalog.entry(job.client).or_default().insert(self.version, job.seq);
                         JobResult::Held { payload, catalog_pos: self.version }
                     }
                     Settle::Ack(collected_pos) => JobResult::Delivered { collected_pos },
@@ -729,13 +814,7 @@ impl CoordinatorDb {
     fn insert_job(&mut self, spec: JobSpec) {
         let key = spec.key;
         let replication = spec.replication.max(1);
-        let v = Self::touch(
-            &mut self.changed,
-            &mut self.version,
-            0,
-            Changed::Job(key),
-            Provenance::LOCAL,
-        );
+        let v = self.changed.touch(&mut self.version, 0, Changed::Job(key), Provenance::LOCAL);
         self.note_mark(key.client, key.seq, Provenance::LOCAL);
         self.jobs.insert(key, JobRow::new(spec, v));
         for _ in 0..replication {
@@ -818,15 +897,9 @@ impl CoordinatorDb {
         row.next_attempt += 1;
         self.task_counter += 1;
         let id = TaskId::compose(self.me, self.task_counter);
-        let v = Self::touch(
-            &mut self.changed,
-            &mut self.version,
-            0,
-            Changed::Task(id),
-            Provenance::LOCAL,
-        );
+        let v = self.changed.touch(&mut self.version, 0, Changed::Task(id), Provenance::LOCAL);
         let rec = TaskRecord { id, job, attempt, state: TaskState::Pending, origin: self.me };
-        self.tasks.insert(id, TaskRow { rec, watched: false, version: v });
+        self.tasks.insert(id.0, TaskRow { rec, watched: false, version: v });
         row.tasks.push(id);
         self.index.pending.insert(v, id);
         Some(id)
@@ -843,15 +916,14 @@ impl CoordinatorDb {
         let mut ops = 1; // the queue lookup itself
         while let Some((_, id)) = self.index.pending.pop_first() {
             ops += 1;
-            let row = self.tasks.get_mut(&id).expect("a queued task row exists");
+            let row = self.tasks.get_mut(id.0).expect("a queued task row exists");
             let job = self.jobs.get(&row.rec.job).expect("a task row's job is registered");
             if job.result.finished() {
                 // Sibling instance already produced the result: retire the
                 // instance outright.  Its queue entry is gone, so the row
                 // leaves `Pending` too: the queue holds every `Pending` row.
                 self.index.refile(row, Some(TaskState::Finished { result_size: 0 }));
-                let v = Self::touch(
-                    &mut self.changed,
+                let v = self.changed.touch(
                     &mut self.version,
                     row.version,
                     Changed::Task(id),
@@ -864,8 +936,7 @@ impl CoordinatorDb {
             row.watched = true;
             let desc = Self::describe(&job.spec, id, row.rec.attempt);
             let params = job.spec.params.len();
-            let v = Self::touch(
-                &mut self.changed,
+            let v = self.changed.touch(
                 &mut self.version,
                 row.version,
                 Changed::Task(id),
@@ -895,13 +966,12 @@ impl CoordinatorDb {
     ) -> (CompleteOutcome, Charge) {
         let size = archive.len();
         // Un-index the instance and mark it finished if known.
-        if let Some(row) = self.tasks.get_mut(&task) {
+        if let Some(row) = self.tasks.get_mut(task.0) {
             if row.rec.job != job {
                 return (CompleteOutcome::UnknownJob, Charge::ops(1));
             }
             self.index.refile(row, Some(TaskState::Finished { result_size: size }));
-            let v = Self::touch(
-                &mut self.changed,
+            let v = self.changed.touch(
                 &mut self.version,
                 row.version,
                 Changed::Task(task),
@@ -1064,7 +1134,7 @@ impl CoordinatorDb {
         self.jobs.get(job).is_some_and(|r| {
             !r.result.finished()
                 && r.tasks.iter().any(|id| {
-                    self.tasks.get(&id).is_some_and(|t| matches!(t.rec.state, TaskState::Pending))
+                    self.tasks.get(id.0).is_some_and(|t| matches!(t.rec.state, TaskState::Pending))
                 })
         })
     }
@@ -1115,7 +1185,7 @@ impl CoordinatorDb {
         let heard = self.server_heard.get(&server).copied();
         let mut victims: Vec<JobKey> = Vec::new();
         for id in self.indexed_on(server) {
-            let Some(row) = self.tasks.get_mut(&id) else { continue };
+            let Some(row) = self.tasks.get_mut(id.0) else { continue };
             if !Self::silence_covers(row, heard) {
                 continue;
             }
@@ -1155,7 +1225,7 @@ impl CoordinatorDb {
     /// may leave well after `next_pending` when the database is backlogged;
     /// reconciliation grace periods must count from the actual send).
     pub fn restamp_ongoing(&mut self, task: TaskId, at: SimTime) {
-        if let Some(row) = self.tasks.get_mut(&task) {
+        if let Some(row) = self.tasks.get_mut(task.0) {
             if let TaskState::Ongoing { server, .. } = row.rec.state {
                 row.rec.state = TaskState::Ongoing { server, since: at };
             }
@@ -1188,7 +1258,7 @@ impl CoordinatorDb {
             .map(|set| {
                 set.iter()
                     .filter(|id| running.binary_search(id).is_err())
-                    .filter_map(|id| self.tasks.get(id))
+                    .filter_map(|id| self.tasks.get(id.0))
                     .filter(|r| match r.rec.state {
                         TaskState::Ongoing { since, .. } => now.since(since) > grace,
                         _ => false,
@@ -1199,7 +1269,7 @@ impl CoordinatorDb {
             })
             .unwrap_or_default();
         for (old, _) in &lost {
-            if let Some(row) = self.tasks.get_mut(old) {
+            if let Some(row) = self.tasks.get_mut(old.0) {
                 self.index.refile(row, None);
             }
         }
@@ -1234,11 +1304,13 @@ impl CoordinatorDb {
         debug_assert!(since <= self.fed.0, "the walk must cover every unripe row");
         let (tasks, jobs, by_server) = (&mut self.tasks, &self.jobs, &self.index.by_server);
         let mut watch = Vec::new();
-        for (&v, entry) in
-            self.changed.range((std::ops::Bound::Excluded(since), std::ops::Bound::Unbounded))
+        for (&v, entry) in self
+            .changed
+            .entries
+            .range((std::ops::Bound::Excluded(since), std::ops::Bound::Unbounded))
         {
-            let Changed::Task(id) = entry.row else { continue };
-            let Some(row) = tasks.get_mut(&id) else { continue };
+            let PackedRow::Task(id) = entry.row else { continue };
+            let Some(row) = tasks.get_mut(id.0) else { continue };
             let (writer, job) = (self.writers[entry.from.0 as usize].0, row.rec.job);
             match row.rec.state {
                 TaskState::Pending if written_off(writer) => {
@@ -1266,10 +1338,11 @@ impl CoordinatorDb {
     /// The unripe rows: the `Pending` rows the last applied feed stamped
     /// that are not queued, as `(version, id)` in queue order.
     fn unripe(&self) -> impl Iterator<Item = (u64, TaskId)> + '_ {
-        let pending = |id| self.tasks.get(id).is_some_and(|t| t.rec.state == TaskState::Pending);
+        let pending =
+            |id: TaskId| self.tasks.get(id.0).is_some_and(|t| t.rec.state == TaskState::Pending);
         let fed = (std::ops::Bound::Excluded(self.fed.0), std::ops::Bound::Included(self.fed.1));
-        self.changed.range(fed).filter_map(move |(&v, e)| match e.row {
-            Changed::Task(id) if pending(&id) && !self.index.pending.contains_key(&v) => {
+        self.changed.entries.range(fed).filter_map(move |(&v, e)| match e.row {
+            PackedRow::Task(id) if pending(id) && !self.index.pending.contains_key(&v) => {
                 Some((v, id))
             }
             _ => None,
@@ -1286,8 +1359,8 @@ impl CoordinatorDb {
     /// while the row is `Ongoing`), if the row is live here.
     #[doc(hidden)]
     pub fn writer_of(&self, task: TaskId) -> Option<CoordId> {
-        let entry = self.changed.get(&self.tasks.get(&task)?.version)?;
-        Some(self.writers[entry.from.0 as usize].0)
+        let (_, from) = self.changed.get(self.tasks.get(task.0)?.version)?;
+        Some(self.writers[from.0 as usize].0)
     }
 
     // --- client result collection --------------------------------------------
@@ -1320,7 +1393,7 @@ impl CoordinatorDb {
         if since >= self.version {
             return delta;
         }
-        for (_, &seq) in self.catalog.range((client, since + 1)..=(client, u64::MAX)) {
+        for (_, &seq) in self.catalog.get(&client).into_iter().flat_map(|c| c.range(since + 1..)) {
             if let Some(payload) = self.archive(&JobKey { client, seq }) {
                 delta.added.push((seq, payload.len()));
             }
@@ -1371,7 +1444,9 @@ impl CoordinatorDb {
     /// The GC-eligible set: retained archives whose collection the client
     /// acknowledged (maintained incrementally — O(flagged) to read).
     pub fn collected_flagged(&self) -> Vec<JobKey> {
-        self.collected_flagged.iter().copied().collect()
+        (self.collected_flagged.iter())
+            .flat_map(|(&client, seqs)| seqs.iter().map(move |&seq| JobKey { client, seq }))
+            .collect()
     }
 
     /// Scan-based reference definition of [`Self::collected_flagged`],
@@ -1405,8 +1480,7 @@ impl CoordinatorDb {
         // Finished ⇒ no resume-state payload is ever retained (mirrors
         // the in-place clearing of `settle` on the apply path).
         let blob = if row.result.finished() { Blob::empty() } else { blob };
-        let version =
-            Self::touch(&mut self.changed, &mut self.version, old, Changed::Ckpt(job), from);
+        let version = self.changed.touch(&mut self.version, old, Changed::Ckpt(job), from);
         match row.ckpt.as_mut() {
             Some(ckpt) => **ckpt = CkptRow { unit_hw, blob, version },
             None => row.ckpt = Some(Box::new(CkptRow { unit_hw, blob, version })),
@@ -1552,13 +1626,15 @@ impl CoordinatorDb {
                 }
             }
         }
-        for (_, entry) in
-            self.changed.range((std::ops::Bound::Excluded(base), std::ops::Bound::Unbounded))
+        for (_, entry) in self
+            .changed
+            .entries
+            .range((std::ops::Bound::Excluded(base), std::ops::Bound::Unbounded))
         {
             if Some(entry.from) == skip {
                 continue;
             }
-            let Some(row) = self.feed_row(entry.row) else { continue };
+            let Some(row) = self.feed_row(self.changed.unpack(entry.row)) else { continue };
             let from = if to.is_none() || theirs.contains(&entry.from) {
                 Provenance::LOCAL
             } else {
@@ -1579,7 +1655,7 @@ impl CoordinatorDb {
     fn feed_row(&self, changed: Changed) -> Option<DeltaRow> {
         match changed {
             Changed::Job(key) => self.jobs.get(&key).map(|r| DeltaRow::Job(r.spec.clone())),
-            Changed::Task(id) => self.tasks.get(&id).map(|row| DeltaRow::Task(row.rec)),
+            Changed::Task(id) => self.tasks.get(id.0).map(|row| DeltaRow::Task(row.rec)),
             Changed::Mark(client) => {
                 self.client_max.get(&client).map(|row| DeltaRow::Mark { client, mark: row.mark })
             }
@@ -1614,7 +1690,12 @@ impl CoordinatorDb {
             .iter()
             .filter(|(_, r)| r.version > base)
             .map(|(_, r)| DeltaRow::Job(r.spec.clone()));
-        let tasks = self.tasks.values().filter(|r| r.version > base).map(|r| DeltaRow::Task(r.rec));
+        let tasks = self
+            .tasks
+            .iter()
+            .map(|(_, r)| r)
+            .filter(|r| r.version > base)
+            .map(|r| DeltaRow::Task(r.rec));
         let marks =
             self.client_max.iter().map(|(&c, r)| DeltaRow::Mark { client: c, mark: r.mark });
         let terminal =
@@ -1651,7 +1732,7 @@ impl CoordinatorDb {
         }
         let charge = if !self.knows_job(&key) {
             let params_len = spec.params.len();
-            let v = Self::touch(&mut self.changed, &mut self.version, 0, Changed::Job(key), from);
+            let v = self.changed.touch(&mut self.version, 0, Changed::Job(key), from);
             self.jobs.insert(key, JobRow::new(spec, v));
             Charge::db(1, params_len)
         } else {
@@ -1669,15 +1750,9 @@ impl CoordinatorDb {
         let Some(job) = self.jobs.get_mut(&rec.job) else {
             return false;
         };
-        match self.tasks.get_mut(&rec.id) {
+        match self.tasks.get_mut(rec.id.0) {
             None => {
-                let v = Self::touch(
-                    &mut self.changed,
-                    &mut self.version,
-                    0,
-                    Changed::Task(rec.id),
-                    from,
-                );
+                let v = self.changed.touch(&mut self.version, 0, Changed::Task(rec.id), from);
                 job.next_attempt = job.next_attempt.max(rec.attempt + 1);
                 // A feed's row is another coordinator's: it arrives as an
                 // unqueued (unripe) `Pending` row and takes the feed's
@@ -1692,7 +1767,7 @@ impl CoordinatorDb {
                 let unripe = TaskRecord { state: TaskState::Pending, ..*rec };
                 let mut row = TaskRow { rec: unripe, watched: false, version: v };
                 self.index.refile(&mut row, Some(rec.state));
-                self.tasks.insert(rec.id, row);
+                self.tasks.insert(rec.id.0, row);
                 job.tasks.push(rec.id);
             }
             Some(row) => {
@@ -1700,13 +1775,8 @@ impl CoordinatorDb {
                     return false;
                 }
                 self.index.refile(row, Some(rec.state));
-                let v = Self::touch(
-                    &mut self.changed,
-                    &mut self.version,
-                    row.version,
-                    Changed::Task(rec.id),
-                    from,
-                );
+                let v =
+                    self.changed.touch(&mut self.version, row.version, Changed::Task(rec.id), from);
                 row.version = v;
             }
         }
@@ -1878,7 +1948,11 @@ impl CoordinatorDb {
             && row.version <= min_acked
             && row.result.collected_pos().is_some_and(|pos| pos <= min_acked)
             && row.ckpt.as_ref().is_none_or(|c| c.version <= min_acked)
-            && row.tasks.iter().filter_map(|id| self.tasks.get(&id)).all(|t| t.version <= min_acked)
+            && row
+                .tasks
+                .iter()
+                .filter_map(|id| self.tasks.get(id.0))
+                .all(|t| t.version <= min_acked)
     }
 
     /// Removes job `k`'s row and every row of it — tasks, collected
@@ -1893,18 +1967,18 @@ impl CoordinatorDb {
         self.settle(*k, Settle::Forget);
         let gone = self.jobs.remove(k).expect("a pruned job is resident");
         for id in gone.tasks.iter() {
-            let Some(mut task) = self.tasks.remove(&id) else { continue };
-            self.changed.remove(&task.version);
+            let Some(mut task) = self.tasks.remove(id.0) else { continue };
+            self.changed.entries.remove(&task.version);
             self.retired_tasks += 1;
             self.index.refile(&mut task, None);
         }
         if let Some(pos) = collected_pos {
-            self.changed.remove(&pos);
+            self.changed.entries.remove(&pos);
         }
         if let Some(ckpt) = gone.ckpt {
-            self.changed.remove(&ckpt.version);
+            self.changed.entries.remove(&ckpt.version);
         }
-        self.changed.remove(&gone.version);
+        self.changed.entries.remove(&gone.version);
     }
 
     /// Raises `client`'s retired prefix to `w` on the authority of a feed's
@@ -1956,7 +2030,7 @@ impl CoordinatorDb {
     /// mark row and at most one watermark row per client), not lifetime
     /// jobs.
     pub fn resident_rows(&self) -> u64 {
-        self.changed.len() as u64
+        self.changed.entries.len() as u64
     }
 
     /// Lifetime count of retired (pruned-after-delivery) jobs: seqs are
@@ -1970,7 +2044,7 @@ impl CoordinatorDb {
 
     /// Looks up one task row.
     pub fn task(&self, id: TaskId) -> Option<&TaskRow> {
-        self.tasks.get(&id)
+        self.tasks.get(id.0)
     }
 
     /// Counters for reporting: one walk of the task table and one of the
@@ -1987,7 +2061,7 @@ impl CoordinatorDb {
             collected: retired,
             ..DbStats::default()
         };
-        for r in self.tasks.values() {
+        for r in self.tasks.iter().map(|(_, r)| r) {
             match r.rec.state {
                 TaskState::Pending => stats.pending += 1,
                 TaskState::Ongoing { .. } => stats.ongoing += 1,
@@ -2018,8 +2092,10 @@ impl CoordinatorDb {
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let mut by_job: BTreeMap<JobKey, Vec<&TaskRow>> = BTreeMap::new();
-        for (id, t) in &self.tasks {
-            assert_eq!(*id, t.rec.id, "task row filed under another id");
+        // The task window is chunk-exact, as each client's job window is.
+        self.tasks.audit();
+        for (id, t) in self.tasks.iter() {
+            assert_eq!(id, t.rec.id.0, "task row filed under another id");
             // Dispatch assembles the description from the job's spec.
             assert!(self.knows_job(&t.rec.job), "{id:?}: task row of an unregistered job");
             by_job.entry(t.rec.job).or_default().push(t);
@@ -2033,7 +2109,7 @@ impl CoordinatorDb {
         }
         let (mut registered, mut finished, mut collected, mut archived, mut ckpts) =
             (0, 0, 0, 0, 0);
-        let (mut versioned, mut missing_rows) = (0, 0);
+        let (mut versioned, mut missing_rows, mut flagged_rows) = (0, 0, 0);
         for (k, row) in self.jobs.iter() {
             // Retirement takes the whole row: nothing stays resident below
             // the watermark.
@@ -2045,7 +2121,7 @@ impl CoordinatorDb {
             assert_eq!(ids, tasks.iter().map(|t| t.rec.id).collect::<Vec<_>>(), "{k:?}: tasks");
             assert!(tasks.iter().all(|t| t.rec.attempt < row.next_attempt), "{k:?}: attempts");
             let stamped = |v: u64, what: Changed| {
-                let entry = self.changed.get(&v).map(|e| e.row);
+                let entry = self.changed.get(v).map(|(row, _)| row);
                 assert_eq!(entry, Some(what), "{k:?}: change-index entry");
                 1
             };
@@ -2070,14 +2146,16 @@ impl CoordinatorDb {
             collected += matches!(row.result, JobResult::Delivered { .. }) as u64;
             archived += row.result.archive().is_some() as u64;
             let flagged = matches!(row.result, JobResult::Flagged { .. });
-            assert_eq!(self.collected_flagged.contains(&k), flagged, "{k:?}: GC worklist");
+            let listed = self.collected_flagged.get(&k.client).is_some_and(|f| f.contains(&k.seq));
+            assert_eq!(listed, flagged, "{k:?}: GC worklist");
+            flagged_rows += flagged as usize;
             let missing = matches!(row.result, JobResult::Missing);
             assert_eq!(self.missing.entries.contains_key(&k), missing, "{k:?}: missing worklist");
             missing_rows += missing as usize;
             if let JobResult::Held { catalog_pos, .. } | JobResult::Flagged { catalog_pos, .. } =
                 row.result
             {
-                let entry = self.catalog.get(&(k.client, catalog_pos));
+                let entry = self.catalog.get(&k.client).and_then(|c| c.get(&catalog_pos));
                 assert_eq!(entry, Some(&k.seq), "{k:?}: catalog entry");
             }
         }
@@ -2089,7 +2167,7 @@ impl CoordinatorDb {
         for (server, set) in &self.index.by_server {
             assert!(!set.is_empty(), "{server:?}: empty set held in the server index");
             for id in set {
-                let state = self.tasks.get(id).map(|t| t.rec.state);
+                let state = self.tasks.get(id.0).map(|t| t.rec.state);
                 assert!(
                     matches!(state, Some(TaskState::Ongoing { server: s, .. }) if s == *server),
                     "{id:?} indexed on {server:?} in state {state:?}"
@@ -2099,10 +2177,12 @@ impl CoordinatorDb {
         // A row is watched through its server: watched, it is `Ongoing`
         // and indexed there; `Ongoing`, indexed there and written here (a
         // dispatch from here, which only a finish re-stamps), it is watched.
-        for (id, t) in &self.tasks {
+        for (_, t) in self.tasks.iter() {
+            let id = &t.rec.id;
             let indexed =
                 |server| self.index.by_server.get(&server).is_some_and(|s| s.contains(id));
-            let local = self.changed.get(&t.version).map(|e| e.from) == Some(Provenance::LOCAL);
+            let local =
+                self.changed.get(t.version).map(|(_, from)| from) == Some(Provenance::LOCAL);
             match t.rec.state {
                 TaskState::Ongoing { server, .. } if indexed(server) => {
                     assert!(t.watched || !local, "{id:?} dispatched here, not watched");
@@ -2118,8 +2198,14 @@ impl CoordinatorDb {
             assert!(!self.writers[..slot].contains(w), "slot {slot} interned twice");
         }
         assert!(!self.incarnations.contains_key(&self.me), "its own incarnation is no peer's");
-        for (v, entry) in &self.changed {
+        for (v, entry) in &self.changed.entries {
             assert!((entry.from.0 as usize) < self.writers.len(), "v{v}: unknown writer");
+        }
+        // The interned clients are distinct, each filed under its own slot.
+        let index = &self.changed;
+        assert_eq!(index.clients.len(), index.slots.len(), "interned clients");
+        for (slot, client) in index.clients.iter().enumerate() {
+            assert_eq!(index.slots.get(client), Some(&ClientSlot(slot as u32)), "{client:?}");
         }
         // The due order holds exactly the un-parked entries, by their stamps.
         let m = &self.missing;
@@ -2127,26 +2213,33 @@ impl CoordinatorDb {
         let unparked = m.entries.iter().filter(|(_, w)| !w.parked);
         assert!(unparked.clone().all(|(k, w)| m.due.contains(&(w.since, *k))), "due order");
         assert_eq!(m.due.len(), unparked.count(), "due order holds the un-parked entries");
-        assert_eq!(self.catalog.len() as u64, archived, "one catalog entry per held archive");
+        // A client's catalog map and GC set leave with their last entry.
+        assert!(self.catalog.values().all(|c| !c.is_empty()), "empty catalog map held");
+        assert!(self.collected_flagged.values().all(|f| !f.is_empty()), "empty GC set held");
+        let catalogued: usize = self.catalog.values().map(BTreeMap::len).sum();
+        assert_eq!(catalogued as u64, archived, "one catalog entry per held archive");
+        let listed: usize = self.collected_flagged.values().map(BTreeSet::len).sum();
+        assert_eq!(listed, flagged_rows, "the GC worklist holds flagged rows only");
         assert_eq!(self.finished_rows, finished, "finished counter");
         // The queue and the unripe rows hold exactly the pending rows
         // between them, by version, and a row waits to ripen only while
         // another coordinator's write is its last.
         let queue: BTreeMap<u64, TaskId> = self
             .tasks
-            .values()
+            .iter()
+            .map(|(_, t)| t)
             .filter(|t| t.rec.state == TaskState::Pending)
             .map(|t| (t.version, t.rec.id))
             .collect();
         let mut both = self.index.pending.clone();
         for (v, id) in self.unripe() {
-            let from = self.changed.get(&v).map(|e| e.from);
+            let from = self.changed.get(v).map(|(_, from)| from);
             assert_ne!(from, Some(Provenance::LOCAL), "{id:?}: unripe, and written here");
             both.insert(v, id);
         }
         assert_eq!(both, queue, "the queue holds pending rows, the rest are unripe");
         for (&client, r) in &self.retired_below {
-            let entry = self.changed.get(&r.version).map(|e| e.row);
+            let entry = self.changed.get(r.version).map(|(row, _)| row);
             assert_eq!(entry, Some(Changed::Retired(client)), "{client:?}: watermark entry");
             assert!(
                 r.mark <= self.contig_watermark(client),
@@ -2154,7 +2247,7 @@ impl CoordinatorDb {
             );
         }
         assert_eq!(
-            self.changed.len(),
+            self.changed.entries.len(),
             versioned + self.tasks.len() + self.client_max.len() + self.retired_below.len(),
             "one change-index entry per live row"
         );
@@ -2292,7 +2385,8 @@ mod tests {
         let job1 = JobKey::new(ClientKey::new(1, 1), 1);
         let old_task = d
             .tasks
-            .values()
+            .iter()
+            .map(|(_, r)| r)
             .find(|r| r.rec.job == job1 && matches!(r.rec.state, TaskState::Ongoing { .. }))
             .map(|r| r.rec.id)
             .unwrap();
@@ -3624,13 +3718,56 @@ mod tests {
             "TaskRow: {}",
             std::mem::size_of::<TaskRow>()
         );
-        assert!(std::mem::size_of::<JobRow>() <= 216, "JobRow: {}", std::mem::size_of::<JobRow>());
-        // One change-index entry per live row: the writer's incarnation is
-        // an interned index, so naming it costs no entry a byte.
-        let entry = std::mem::size_of::<ChangeEntry>();
-        assert!(entry <= 40, "ChangeEntry: {entry}");
+        assert!(std::mem::size_of::<JobRow>() <= 192, "JobRow: {}", std::mem::size_of::<JobRow>());
+        let ids = std::mem::size_of::<TaskIds>();
+        assert!(ids <= 16, "TaskIds: {ids}");
+        // One change-index entry per live row: the writer and the client
+        // are interned slots, so naming them costs an entry four bytes each.
+        assert_eq!(std::mem::size_of::<ChangeEntry>(), 24);
         // A vacant window slot costs the row's bytes and nothing more.
         assert_eq!(std::mem::size_of::<Option<JobRow>>(), std::mem::size_of::<JobRow>());
+        assert_eq!(std::mem::size_of::<Option<TaskRow>>(), std::mem::size_of::<TaskRow>());
+    }
+
+    #[test]
+    fn every_change_kind_round_trips_through_its_packed_entry() {
+        // Each database interns the clients its own entries name: a clone
+        // goes on interning past what it copied, and a wiped database
+        // starts afresh.  Every kind reads back what was stamped, in each.
+        let every = |client: ClientKey| {
+            let k = JobKey::new(client, 7);
+            [
+                Changed::Job(k),
+                Changed::Task(TaskId::compose(CoordId(3), 9)),
+                Changed::Mark(client),
+                Changed::Collected(k),
+                Changed::Ckpt(k),
+                Changed::Retired(client),
+            ]
+        };
+        let round_trip = |d: &mut CoordinatorDb, client: ClientKey| {
+            for row in every(client) {
+                let v = d.changed.touch(&mut d.version, 0, row, Provenance::LOCAL);
+                assert_eq!(d.changed.get(v), Some((row, Provenance::LOCAL)), "{row:?}");
+            }
+        };
+        let (first, second, third) =
+            (ClientKey::new(1, 1), ClientKey::new(2, 1), ClientKey::new(1, 2));
+        let mut d = db();
+        round_trip(&mut d, first);
+        let mut copy = d.clone();
+        round_trip(&mut copy, second);
+        round_trip(&mut copy, first);
+        let mut wiped = CoordinatorDb::with_incarnation(CoordId(1), 5_000);
+        round_trip(&mut wiped, third);
+        round_trip(&mut wiped, first);
+        assert_eq!(d.changed.clients, [first]);
+        assert_eq!(copy.changed.clients, [first, second]);
+        assert_eq!(wiped.changed.clients, [third, first]);
+        // The original's entries still name its own clients.
+        let entries: Vec<Changed> =
+            d.changed.entries.values().map(|e| d.changed.unpack(e.row)).collect();
+        assert_eq!(entries, every(first));
     }
 
     #[test]

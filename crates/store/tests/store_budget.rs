@@ -1,0 +1,147 @@
+//! The coordinator database's memory gate: heap bytes a [`CoordinatorDb`]
+//! holds per live job.
+//!
+//! Every coordinator of a replication ring holds the whole job and task
+//! database, so each byte of a stored row is paid once per coordinator for
+//! every live job.  This test fills a primary and a replica under a
+//! counting global allocator and holds the live bytes per job (blocks
+//! allocated, minus blocks freed, plus every `realloc`'s size delta —
+//! requested sizes, not the allocator's size classes) under ceilings.  The
+//! database is deterministic, so the readings repeat exactly on any
+//! machine.  4 clients × 10 000 jobs, one instance each:
+//!
+//! - *Registered:* the primary after registration — a job row, a pending
+//!   task row, and their change-index entries.  Measured 420 B per job
+//!   when pinned; the layout before it (task rows in an ordered map, a
+//!   40-byte instance list, 40-byte change entries) read 576.
+//! - *Collected:* the same primary once every job was dispatched,
+//!   completed with a 64-byte archive and acknowledged by its client — the
+//!   catalog and GC worklists and the collected rows join.  Measured 627
+//!   B per job when pinned; before, 879.
+//! - *Replica:* a second database fed the primary's `delta_since(0)`
+//!   through `apply_delta_owned`, which holds no archive.  Measured 463 B
+//!   per job when pinned; before, 653.
+//!
+//! Each ceiling is its reading + 10 %.  One test only: the counter is
+//! per-thread, so the three readings run on one.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use rpcv_simnet::SimTime;
+use rpcv_store::CoordinatorDb;
+use rpcv_wire::Blob;
+use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, ServiceName};
+
+thread_local! {
+    /// Net heap bytes this thread gained while counting was on.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+struct Counting;
+
+/// The live heap moved by `delta` bytes.
+fn held(delta: i64) {
+    // `try_with`: the allocator also runs during thread teardown, after
+    // the thread-locals are gone.
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = LIVE.try_with(|l| l.set(l.get() + delta));
+    }
+}
+
+// SAFETY: every method forwards to `System` with its arguments unchanged,
+// so `System`'s guarantees carry over; the bookkeeping touches only
+// const-initialised, destructor-free thread-locals and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        held(layout.size() as i64);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        held(-(layout.size() as i64));
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        held(new_size as i64 - layout.size() as i64);
+        // SAFETY: `ptr` came from `System` with this `layout`; the caller
+        // upholds the rest of `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const MAX_REGISTERED_BYTES_PER_JOB: f64 = 462.0;
+const MAX_COLLECTED_BYTES_PER_JOB: f64 = 690.0;
+const MAX_REPLICA_BYTES_PER_JOB: f64 = 509.0;
+
+const CLIENTS: u64 = 4;
+const SEQS: u64 = 10_000;
+const JOBS: f64 = (CLIENTS * SEQS) as f64;
+
+/// Live bytes per job that `run` leaves behind, and what it returns.
+fn bytes_per_job<T>(run: impl FnOnce() -> T) -> (f64, T) {
+    LIVE.with(|l| l.set(0));
+    COUNTING.with(|on| on.set(true));
+    let out = run();
+    COUNTING.with(|on| on.set(false));
+    (LIVE.with(Cell::get) as f64 / JOBS, out)
+}
+
+#[test]
+fn database_bytes_per_job_stay_within_budget() {
+    // One service name for every job, as a client's plan shares it.
+    let service = ServiceName::from("svc");
+    let keys: Vec<JobKey> = (1..=SEQS)
+        .flat_map(|seq| (1..=CLIENTS).map(move |c| JobKey::new(ClientKey::new(c, 1), seq)))
+        .collect();
+    let (registered, mut primary) = bytes_per_job(|| {
+        let mut db = CoordinatorDb::new(CoordId(1));
+        for &key in &keys {
+            let spec = JobSpec::new(key, service.clone(), Blob::synthetic(1_000, key.seq));
+            assert!(db.register_job(spec).0);
+        }
+        db
+    });
+    let (collected, ()) = bytes_per_job(|| {
+        while let (Some(task), _) = primary.next_pending(ServerId(1), SimTime::ZERO) {
+            let archive = Blob::from_vec(vec![7; 64]);
+            primary.complete_task(task.id, task.job, archive, ServerId(1));
+        }
+        for c in 1..=CLIENTS {
+            primary.mark_collected(ClientKey::new(c, 1), &(1..=SEQS).collect::<Vec<_>>());
+        }
+    });
+    let collected = registered + collected;
+    assert_eq!(primary.collected_flagged().len() as f64, JOBS, "every archive is held, flagged");
+    let (replica, replica_db) = bytes_per_job(|| {
+        let mut db = CoordinatorDb::new(CoordId(2));
+        db.apply_delta_owned(primary.delta_since(0), SimTime::ZERO);
+        db
+    });
+    assert_eq!(replica_db.stats().jobs as f64, JOBS, "the replica holds every job");
+    println!(
+        "store budget: {registered:.0} B per registered job, {collected:.0} B per collected \
+         job, {replica:.0} B per replicated job"
+    );
+    assert!(
+        registered <= MAX_REGISTERED_BYTES_PER_JOB,
+        "{registered:.0} live bytes per registered job exceeds the \
+         {MAX_REGISTERED_BYTES_PER_JOB} budget"
+    );
+    assert!(
+        collected <= MAX_COLLECTED_BYTES_PER_JOB,
+        "{collected:.0} live bytes per collected job exceeds the \
+         {MAX_COLLECTED_BYTES_PER_JOB} budget"
+    );
+    assert!(
+        replica <= MAX_REPLICA_BYTES_PER_JOB,
+        "{replica:.0} live bytes per replicated job exceeds the {MAX_REPLICA_BYTES_PER_JOB} budget"
+    );
+}
