@@ -555,6 +555,16 @@ mod tests {
     }
 
     #[test]
+    fn queued_event_size_is_pinned() {
+        // Every queued event of a `World<Msg>` takes one kernel arena slot
+        // sized by the largest `Msg` variant (`Assign`): a `Msg` that grows
+        // shows up here as kernel memory per queued event.
+        let w = rpcv_simnet::World::<Msg>::new(1);
+        let slot = w.queue_audit().expect("the calendar kernel").slot_bytes;
+        assert_eq!((slot, std::mem::size_of::<Msg>()), (176, 152));
+    }
+
+    #[test]
     fn wire_size_charges_synthetic_payloads() {
         let m = Msg::TaskDone {
             server: ServerId(1),

@@ -7,10 +7,11 @@
 //! seconds out.  A single global `BinaryHeap` pays `O(log n)` sift cost —
 //! over entries carrying whole protocol messages — for every one of them.
 //! The calendar queue splits the population, and keeps the payloads out
-//! of all three levels: an event is written **once** into a chunked
-//! [`Arena`] and the levels below order 24-byte `(at, seq, slot)`
-//! [`Handle`]s, so a sift, a bucket promotion or a B-tree node split moves
-//! handles, never whole protocol messages.
+//! of all three levels: an event is written into a chunked [`Arena`] and
+//! the levels below order 24-byte `(at, seq, slot)` [`Handle`]s (the
+//! overflow level keys `(at, seq)` to the slot), so a sift, a bucket
+//! promotion or a B-tree node split moves handles, never whole protocol
+//! messages.
 //!
 //! * **`cur`** — a small binary heap holding every handle at or below the
 //!   promotion frontier (`base`, a slot index).  All pops come from here,
@@ -22,16 +23,30 @@
 //!   `cur` when the frontier reaches them, and the emptied `Vec` goes to a
 //!   small pool the next bucket to fill draws from (steady state allocates
 //!   nothing).
-//! * **overflow** — a `BTreeSet` of handles for events beyond the window
-//!   horizon (far timers).  Promotion pops exactly the slot being entered
-//!   off the front, so a far event costs one set insert + one removal —
-//!   the same `O(log n)` it cost in the old heap, amortized over far
-//!   fewer entries.
+//! * **overflow** — a `BTreeMap` from `(at, seq)` to arena slot for events
+//!   beyond the window horizon (far timers).  Promotion pops exactly the
+//!   slot being entered off the front, so a far event costs one map
+//!   insert and one removal — the same `O(log n)` it cost in the old heap,
+//!   amortized over far fewer entries.
 //!
-//! The arena hands memory back: a chunk whose last event left is released
+//! The arena hands memory back.  A chunk whose last event left is released
 //! (one empty chunk is kept as a spare so a queue hovering around a chunk
-//! boundary does not thrash), so resident memory follows the *current*
-//! backlog, not the deepest one the run ever saw.
+//! boundary does not thrash), but chunks fill in *push* order: a run that
+//! queues its far events out of time order (an open-loop plan injected
+//! client by client) leaves every chunk pinned by a few late events long
+//! after most of its slots were freed.  So after each pop the queue checks
+//! a constant bound — allocated slots ≤ 1.25 × queued events + 2 chunks
+//! ([`compaction_bound`]) — and past it compacts in place: the events of
+//! the sparsest chunks move into the free slots of the fullest, only the
+//! `slot` of their handles is rewritten (an event keeps its `(at, seq)`,
+//! so the pop order cannot change), and each evacuated chunk is released.
+//! A compaction allocates no second arena, only a flag per chunk.  It
+//! walks every handle once (and the ring's `NSLOTS` bucket headers) and
+//! leaves at most one chunk free; the bound is crossed again only after
+//! more than a quarter of the backlog plus a chunk of further pops, so
+//! relocation costs amortised `O(1)` per event.  No queue level moves a
+//! payload; only compaction relocates one.  Resident memory thus follows
+//! the *current* backlog, within the bound.
 //!
 //! **Ordering invariant** (what makes the swap trace-invisible): every
 //! entry with slot ≤ `base` lives in `cur`; the ring covers `(base,
@@ -47,7 +62,7 @@
 //! to `delta_since` in `rpcv-store`).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 use crate::time::SimTime;
 
@@ -88,6 +103,15 @@ fn slot_of(at: SimTime) -> u64 {
 
 /// Slots per arena chunk.
 const CHUNK: usize = 256;
+/// Chunks of slack the compaction bound allows beyond 1.25 × the backlog.
+const SLACK_CHUNKS: usize = 2;
+
+/// Allocated arena slots past which a pop compacts the arena: 1.25 × the
+/// `live` queued events plus [`SLACK_CHUNKS`] chunks.
+const fn compaction_bound(live: usize) -> usize {
+    live + live / 4 + SLACK_CHUNKS * CHUNK
+}
+
 /// Emptied bucket `Vec`s kept for reuse.
 const BUCKET_POOL: usize = 64;
 
@@ -172,14 +196,61 @@ impl<T> Arena<T> {
         self.chunks.len() - self.vacant.len()
     }
 
+    /// Starts a compaction: keeps the fewest, fullest chunks that can hold
+    /// every live event, makes them the only open ones, and returns the
+    /// evacuation flag of every chunk position.  Each event of a flagged
+    /// chunk must then go through [`Self::relocate`] before
+    /// [`Self::release_evacuated`].
+    fn plan_compaction(&mut self) -> Vec<bool> {
+        let used = |c: &u32| self.chunks[*c as usize].as_ref().map_or(0, |k| CHUNK - k.free.len());
+        let mut order: Vec<u32> =
+            (0..self.chunks.len() as u32).filter(|&c| self.chunks[c as usize].is_some()).collect();
+        order.sort_by_key(|c| Reverse(used(c)));
+        let keep = self.live.div_ceil(CHUNK).max(1);
+        let mut evacuate = vec![false; self.chunks.len()];
+        for &c in &order[keep..] {
+            evacuate[c as usize] = true;
+        }
+        // The sparsest kept chunk fills first.
+        self.open.clear();
+        self.open.extend(order[..keep].iter().filter(|&&c| used(&c) < CHUNK));
+        evacuate
+    }
+
+    /// Moves the event at `slot` out of an evacuated chunk into an open
+    /// one, returning its slot (unchanged if its chunk stays).
+    fn relocate(&mut self, slot: u32, evacuate: &[bool]) -> u32 {
+        let (c, s) = (slot / CHUNK as u32, slot % CHUNK as u32);
+        if !evacuate[c as usize] {
+            return slot;
+        }
+        let chunk = self.chunks[c as usize].as_mut().expect("handles point into allocated chunks");
+        let item = chunk.slots[s as usize].take().expect("handles point at live slots");
+        self.live -= 1;
+        debug_assert!(!self.open.is_empty(), "the kept chunks hold every live event");
+        self.insert(item)
+    }
+
+    /// Releases every evacuated chunk.
+    fn release_evacuated(&mut self, evacuate: &[bool]) {
+        for (c, _) in evacuate.iter().enumerate().filter(|(_, &e)| e) {
+            let chunk = self.chunks[c].take().expect("evacuated chunks were allocated");
+            debug_assert!(
+                chunk.slots.iter().all(Option::is_none),
+                "chunk {c} left an event behind"
+            );
+            self.vacant.push(c as u32);
+        }
+    }
+
     fn free_slots(&self) -> usize {
         self.chunks.iter().flatten().map(|c| c.free.len()).sum()
     }
 }
 
 /// Where one queued event sits: its `(at, seq)` rank plus its arena slot.
-/// This — not the event — is what the heap, the ring and the overflow set
-/// order and move.
+/// This — not the event — is what the heap and the ring order and move
+/// (the overflow map holds the same pair as key and value).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Handle {
     at: SimTime,
@@ -202,6 +273,10 @@ pub struct QueueAudit {
     pub chunks: usize,
     /// Slots per chunk.
     pub chunk_slots: usize,
+    /// Bytes of one arena slot: what each queued event costs the kernel.
+    pub slot_bytes: usize,
+    /// Compactions run so far.
+    pub compactions: u64,
 }
 
 /// Two-level bucketed calendar queue (see module docs).
@@ -217,10 +292,12 @@ pub(crate) struct CalendarQueue<T> {
     ring_len: usize,
     /// Promotion frontier: absolute slot index covered by `cur`.
     base: u64,
-    /// Events beyond the window horizon, sorted by `(at, seq)`.
-    overflow: BTreeSet<Handle>,
+    /// Events beyond the window horizon: `(at, seq)` → arena slot.
+    overflow: BTreeMap<(SimTime, u64), u32>,
     /// Emptied bucket `Vec`s (capacity kept) awaiting reuse.
     spare_buckets: Vec<Vec<Handle>>,
+    /// Compactions run so far.
+    compactions: u64,
 }
 
 impl<T> CalendarQueue<T> {
@@ -231,8 +308,9 @@ impl<T> CalendarQueue<T> {
             ring: (0..NSLOTS).map(|_| Vec::new()).collect(),
             ring_len: 0,
             base: 0,
-            overflow: BTreeSet::new(),
+            overflow: BTreeMap::new(),
             spare_buckets: Vec::new(),
+            compactions: 0,
         }
     }
 
@@ -255,7 +333,7 @@ impl<T> CalendarQueue<T> {
             bucket.push(h);
             self.ring_len += 1;
         } else {
-            self.overflow.insert(h);
+            self.overflow.insert((at, seq), h.slot);
         }
     }
 
@@ -272,7 +350,7 @@ impl<T> CalendarQueue<T> {
                 .find(|s| !self.ring[(s % NSLOTS) as usize].is_empty())
                 .expect("ring_len > 0 means some bucket is non-empty")
         });
-        let over_next = self.overflow.first().map(|h| slot_of(h.at));
+        let over_next = self.overflow.first_key_value().map(|(&(at, _), _)| slot_of(at));
         let s = match (ring_next, over_next) {
             (Some(r), Some(o)) => r.min(o),
             (Some(r), None) => r,
@@ -289,9 +367,9 @@ impl<T> CalendarQueue<T> {
             }
         }
         if over_next == Some(s) {
-            while self.overflow.first().is_some_and(|h| slot_of(h.at) == s) {
-                let h = self.overflow.pop_first().expect("just peeked");
-                self.cur.push(Reverse(h));
+            while self.overflow.first_key_value().is_some_and(|(&(at, _), _)| slot_of(at) == s) {
+                let ((at, seq), slot) = self.overflow.pop_first().expect("just peeked");
+                self.cur.push(Reverse(Handle { at, seq, slot }));
             }
         }
     }
@@ -304,7 +382,34 @@ impl<T> CalendarQueue<T> {
     fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         self.ensure_cur();
         let Reverse(h) = self.cur.pop()?;
-        Some((h.at, h.seq, self.arena.remove(h.slot)))
+        let item = self.arena.remove(h.slot);
+        if self.arena.allocated_chunks() * CHUNK > compaction_bound(self.arena.live) {
+            self.compact();
+        }
+        Some((h.at, h.seq, item))
+    }
+
+    /// Packs the arena into its fullest chunks: every handle into an
+    /// evacuated chunk has its event moved and its `slot` rewritten, in
+    /// place, on every level.
+    fn compact(&mut self) {
+        let evacuate = self.arena.plan_compaction();
+        let arena = &mut self.arena;
+        let mut cur = std::mem::take(&mut self.cur).into_vec();
+        for Reverse(h) in &mut cur {
+            h.slot = arena.relocate(h.slot, &evacuate);
+        }
+        // Only slots changed, and no two handles share an `(at, seq)`, so
+        // no slot ever decides an order: the vector is still a heap.
+        self.cur = BinaryHeap::from(cur);
+        for h in self.ring.iter_mut().flatten() {
+            h.slot = arena.relocate(h.slot, &evacuate);
+        }
+        for slot in self.overflow.values_mut() {
+            *slot = arena.relocate(*slot, &evacuate);
+        }
+        arena.release_evacuated(&evacuate);
+        self.compactions += 1;
     }
 
     fn pop_at_most(&mut self, t: SimTime) -> Option<(SimTime, u64, T)> {
@@ -327,7 +432,7 @@ impl<T> CalendarQueue<T> {
                 .find(|s| !self.ring[(s % NSLOTS) as usize].is_empty())
                 .and_then(|s| self.ring[(s % NSLOTS) as usize].iter().map(|h| h.at).min());
         }
-        match (best, self.overflow.first().map(|h| h.at)) {
+        match (best, self.overflow.first_key_value().map(|(&(at, _), _)| at)) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
@@ -340,6 +445,8 @@ impl<T> CalendarQueue<T> {
             free_slots: self.arena.free_slots(),
             chunks: self.arena.allocated_chunks(),
             chunk_slots: CHUNK,
+            slot_bytes: std::mem::size_of::<Option<T>>(),
+            compactions: self.compactions,
         }
     }
 }
@@ -524,6 +631,65 @@ mod tests {
         }
         assert_eq!(q.audit().unwrap().chunks, 4);
         assert!(EventQueue::<u32>::reference().audit().is_none());
+    }
+
+    #[test]
+    fn scrambled_far_pushes_compact_within_the_bound_and_keep_order() {
+        let (mut cal, mut reference) = (EventQueue::new(), EventQueue::reference());
+        // Eight "clients" of 500 far events each, pushed client-major: every
+        // chunk holds events spread over the whole 120 s, as an open-loop
+        // plan injected up front does.
+        let n = 4_000u64;
+        for i in 0..n {
+            let (client, k) = (i / 500, i % 500);
+            let at = SimTime(5 * NSLOTS * SLOT_NANOS / 4 + k * 240 * SLOT_NANOS + client * 7);
+            cal.push(at, i + 1, i as u32);
+            reference.push(at, i + 1, i as u32);
+        }
+        let mut left = n as usize;
+        while let Some(got) = cal.pop() {
+            assert_eq!(Some(got), reference.pop());
+            left -= 1;
+            let a = cal.audit().unwrap();
+            assert_eq!((a.handles, a.live_slots), (left, left));
+            assert_eq!(a.live_slots + a.free_slots, a.chunks * CHUNK);
+            assert!(a.chunks * CHUNK <= compaction_bound(left), "{a:?}");
+        }
+        assert!(reference.is_empty());
+        let a = cal.audit().unwrap();
+        assert!(a.compactions >= 3, "{a:?}");
+        assert_eq!((a.chunks, a.slot_bytes), (1, std::mem::size_of::<Option<u32>>()));
+    }
+
+    #[test]
+    fn compaction_rewrites_handles_on_every_level() {
+        let mut q = CalendarQueue::new();
+        // Interleave near (`cur` and ring) and far (overflow) events across
+        // five chunks, then drain the far ones' chunk-mates first so that
+        // live events sit on every level when the bound trips.
+        let n = 5 * CHUNK as u64;
+        for i in 0..n {
+            let at = match i % 3 {
+                0 => 0,
+                1 => (1 + i % 4000) * SLOT_NANOS,
+                _ => (NSLOTS + 10 + i) * SLOT_NANOS,
+            };
+            q.push(SimTime(at), i + 1, i as u32);
+        }
+        let mut seen = Vec::new();
+        while q.compactions == 0 {
+            let (at, seq, item) = q.pop().expect("the bound trips before the queue drains");
+            assert_eq!(item as u64 + 1, seq);
+            seen.push((at, seq));
+        }
+        assert!(!q.cur.is_empty() || q.ring_len > 0);
+        assert!(!q.overflow.is_empty());
+        while let Some((at, seq, item)) = q.pop() {
+            assert_eq!(item as u64 + 1, seq, "a relocated event is the one its handle names");
+            seen.push((at, seq));
+        }
+        assert_eq!(seen.len(), n as usize);
+        assert!(seen.windows(2).all(|w| w[0] < w[1]), "pops stay in (at, seq) order");
     }
 
     #[test]

@@ -211,12 +211,26 @@ fn build_relay_mix_chaos(seed: u64, reference: bool, chaos: bool) -> (World<M>, 
     (w, vec![a, b])
 }
 
+/// Events in one burst of [`apply_qop`]: three to five arena chunks' worth
+/// (256 slots each), so a drained burst crosses the queue's compaction
+/// bound of 1.25 × the backlog plus two chunks.
+const BURST: std::ops::Range<u64> = 3 * 256..5 * 256;
+
+fn gcd(a: u64, b: u64) -> u64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
 /// One random driver operation, decoded from a `(kind, a, b)` tuple and
 /// interpreted identically on both worlds: inject a message, process a
-/// few single steps, or run to a bounded horizon.
+/// few single steps, run to a bounded horizon, or inject a burst of far
+/// messages in scrambled time order.
 fn apply_qop(w: &mut World<M>, nodes: &[NodeId], op: (u64, u64, u64)) {
     let (kind, a, b) = op;
-    match kind % 3 {
+    match kind % 4 {
         0 => {
             let at = w.now() + SimDuration::from_millis(a % 5000);
             w.inject(at, nodes[b as usize % nodes.len()], M(b % 64));
@@ -228,9 +242,35 @@ fn apply_qop(w: &mut World<M>, nodes: &[NodeId], op: (u64, u64, u64)) {
                 }
             }
         }
-        _ => {
+        2 => {
             let t = w.now() + SimDuration::from_millis(a % 3000);
             w.run_until(t);
+        }
+        _ => {
+            // Evenly spaced instants past the ring's ≈ 4.1 s horizon, pushed
+            // in a strided order: every chunk the burst fills holds events
+            // from across its whole span, as an open-loop plan injected
+            // client by client leaves them.  The values are ≡ 2 (mod 4) and
+            // not multiples of 3, so a burst message arms one near timer
+            // and relays nothing.
+            let n = BURST.start + a % (BURST.end - BURST.start);
+            // A stride near n / φ and coprime to n permutes `0..n` and
+            // spreads every run of consecutive pushes over the whole span.
+            let mut stride = n * 618 / 1000 + b % 16;
+            while gcd(stride, n) != 1 {
+                stride += 1;
+            }
+            let gap = SimDuration::from_millis(1 + b % 40);
+            let start = w.now() + SimDuration::from_millis(4_200 + (a >> 32) % 2_000);
+            for k in 0..n {
+                let i = k * stride % n;
+                let at = start + gap * i;
+                w.inject(
+                    at,
+                    nodes[(i % nodes.len() as u64) as usize],
+                    M([2, 10, 14, 22][(i % 4) as usize]),
+                );
+            }
         }
     }
 }
@@ -492,14 +532,16 @@ proptest! {
     }
 
     /// The calendar queue is event-for-event equivalent to the reference
-    /// heap: the same random interleaving of injections, single steps and
-    /// bounded runs — with actors arming timers and scheduling sends
-    /// throughout — leaves both kernels at the same clock, event count and
-    /// trace hash after EVERY operation, not just at the end.
+    /// heap: the same random interleaving of injections, scrambled bursts
+    /// of far events, single steps and bounded runs — with actors arming
+    /// timers and scheduling sends throughout — leaves both kernels at the
+    /// same clock, event count and trace hash after EVERY operation, not
+    /// just at the end.  Each burst spans several arena chunks, so draining
+    /// it compacts the arena, and the arena audit holds across compactions.
     #[test]
     fn calendar_queue_matches_reference_heap(
         seed in any::<u64>(),
-        ops in proptest::collection::vec((0u64..3, any::<u64>(), any::<u64>()), 1..40),
+        ops in proptest::collection::vec((0u64..4, any::<u64>(), any::<u64>()), 1..40),
     ) {
         let (mut cal, nodes) = build_relay_mix(seed, false);
         let (mut heap, nodes_r) = build_relay_mix(seed, true);
@@ -536,6 +578,8 @@ proptest! {
         prop_assert_eq!((a.live_slots, a.handles), (0, 0));
         prop_assert_eq!(a.free_slots, a.chunks * a.chunk_slots);
         prop_assert!(a.chunks <= 1, "drained chunks must be returned: {:?}", a);
+        let bursts = ops.iter().filter(|&&(kind, _, _)| kind == 3).count();
+        prop_assert!(bursts == 0 || a.compactions > 0, "{} bursts drained without compacting", bursts);
     }
 
     /// A pair is cut exactly while at least one open cut puts its nodes on
