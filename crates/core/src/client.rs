@@ -14,6 +14,8 @@
 //!   whatever the coordinator already registered.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 use rpcv_detect::CoordLink;
@@ -21,7 +23,7 @@ use rpcv_log::{GcPolicy, SenderLog, SeqWindow};
 use rpcv_obs::{Histogram, TelemetrySnapshot};
 use rpcv_simnet::{Actor, Ctx, DurableImage, NodeId, SimTime, TimerId};
 use rpcv_wire::Blob;
-use rpcv_xw::{ClientKey, CoordId, JobKey};
+use rpcv_xw::{ClientKey, CoordId, JobKey, ServiceName};
 
 use crate::calibration::MARSHAL_BW;
 use crate::config::ProtocolConfig;
@@ -35,8 +37,13 @@ const K_BEAT: u64 = 1;
 const K_SUBMIT: u64 = 2;
 const K_NEXT: u64 = 3;
 
+/// Distinct service names a client keeps to share with later API calls: a
+/// grid runs a handful of services, and a name past these is logged as it
+/// came.
+const MAX_SERVICES: usize = 8;
+
 /// Observation record for one submission.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubmitTiming {
     /// When the application requested the call.
     pub requested_at: SimTime,
@@ -44,6 +51,146 @@ pub struct SubmitTiming {
     /// for non-blocking pessimistic logging, the durability barrier
     /// passed) — the quantity Fig. 4 plots.
     pub interaction_end: Option<SimTime>,
+}
+
+/// A [`SubmitTiming`] as stored: 16 B.  The interaction's end is kept one
+/// past its instant and [`NOT_ENDED`] while the interaction runs, so zero
+/// is never stored and `Option<SubmitRow>` keeps its tag there.
+#[derive(Debug, Clone, Copy)]
+struct SubmitRow {
+    requested_at: SimTime,
+    end: NonZeroU64,
+}
+
+/// [`SubmitRow::end`] of an interaction still running.
+const NOT_ENDED: NonZeroU64 = NonZeroU64::MAX;
+
+/// `end` as [`SubmitRow::end`] codes it.
+fn end_code(end: Option<SimTime>) -> NonZeroU64 {
+    end.map_or(NOT_ENDED, |t| {
+        (NonZeroU64::MIN.checked_add(t.0))
+            .filter(|&code| code != NOT_ENDED)
+            .expect("an interaction ends before the end of virtual time")
+    })
+}
+
+impl From<SubmitTiming> for SubmitRow {
+    fn from(t: SubmitTiming) -> Self {
+        SubmitRow { requested_at: t.requested_at, end: end_code(t.interaction_end) }
+    }
+}
+
+impl From<SubmitRow> for SubmitTiming {
+    fn from(row: SubmitRow) -> Self {
+        let end = (row.end != NOT_ENDED).then(|| SimTime(row.end.get() - 1));
+        SubmitTiming { requested_at: row.requested_at, interaction_end: end }
+    }
+}
+
+/// Per-seq submission timings, one 16 B row per call in a [`SeqWindow`]:
+/// a client's seqs are dense, so no key and no ordered-map node is stored
+/// per call.  Read with an ordered map's calls — `get(&seq)`, `iter()`,
+/// `values()`, `len()`, ascending seq order — but a timing is handed out
+/// by value, decoded from its row.
+#[derive(Clone, Default)]
+pub struct Submissions(SeqWindow<SubmitRow>);
+
+impl Submissions {
+    /// Submissions recorded.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when none is recorded.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The timing of the submission at `seq`.
+    pub fn get(&self, seq: &u64) -> Option<SubmitTiming> {
+        self.0.get(*seq).map(|&row| row.into())
+    }
+
+    /// Records `timing` at `seq`, returning the timing it replaced.
+    pub fn insert(&mut self, seq: u64, timing: SubmitTiming) -> Option<SubmitTiming> {
+        self.0.insert(seq, timing.into()).map(SubmitTiming::from)
+    }
+
+    /// Closes the interaction of the submission at `seq`, if recorded.
+    pub fn end_interaction(&mut self, seq: u64, end: SimTime) {
+        if let Some(row) = self.0.get_mut(seq) {
+            row.end = end_code(Some(end));
+        }
+    }
+
+    /// Every recorded `(seq, timing)`, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, SubmitTiming)> + '_ {
+        self.0.iter().map(|(seq, &row)| (seq, row.into()))
+    }
+
+    /// Every recorded timing, in seq order.
+    pub fn values(&self) -> impl Iterator<Item = SubmitTiming> + '_ {
+        self.iter().map(|(_, t)| t)
+    }
+}
+
+impl fmt::Debug for Submissions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// A result's arrival: its seq, kept so that [`Receipts::keys`] can lend
+/// it, and the instant.  16 B, and 24 B as a window slot: neither field
+/// has a value to spare for the vacant slot's tag.
+#[derive(Debug, Clone, Copy)]
+struct Receipt {
+    seq: u64,
+    at: SimTime,
+}
+
+/// Result arrival instants per seq, one row per result in a
+/// [`SeqWindow`].  Read with an ordered map's calls: `get(&seq)`,
+/// `keys()`, `iter()`, `len()`, ascending seq order.
+#[derive(Clone, Default)]
+pub struct Receipts(SeqWindow<Receipt>);
+
+impl Receipts {
+    /// Results recorded.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when none is recorded.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// When the result at `seq` arrived.
+    pub fn get(&self, seq: &u64) -> Option<&SimTime> {
+        self.0.get(*seq).map(|r| &r.at)
+    }
+
+    /// Records `at` for `seq`, returning the instant it replaced.
+    pub fn insert(&mut self, seq: u64, at: SimTime) -> Option<SimTime> {
+        self.0.insert(seq, Receipt { seq, at }).map(|r| r.at)
+    }
+
+    /// Every recorded `(seq, instant)`, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (&u64, &SimTime)> + '_ {
+        self.0.iter().map(|(_, r)| (&r.seq, &r.at))
+    }
+
+    /// Every recorded seq, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = &u64> + '_ {
+        self.iter().map(|(seq, _)| seq)
+    }
+}
+
+impl fmt::Debug for Receipts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
 }
 
 rpcv_simnet::counters! {
@@ -60,9 +207,9 @@ rpcv_simnet::counters! {
     }
     + {
         /// Per-seq submission timings.
-        pub submissions: BTreeMap<u64, SubmitTiming>,
+        pub submissions: Submissions,
         /// Result arrival times per seq.
-        pub results_received: BTreeMap<u64, SimTime>,
+        pub results_received: Receipts,
         /// When every planned call had its result.
         pub done_at: Option<SimTime>,
     }
@@ -74,7 +221,7 @@ impl ClientMetrics {
     /// contribute; in-flight ones are invisible until their result lands.
     pub fn job_latency(&self) -> Histogram {
         let mut h = Histogram::new();
-        for (seq, &received) in &self.results_received {
+        for (seq, &received) in self.results_received.iter() {
             if let Some(t) = self.submissions.get(seq) {
                 h.record_gap(received.since(t.requested_at));
             }
@@ -149,6 +296,11 @@ pub struct ClientActor {
     /// yet: the plan's tail, queued only until [`Self::submit_next`] logs
     /// them, since the log is where a submitted call lives.
     api_queue: VecDeque<CallSpec>,
+    /// The distinct service names API calls carried, at most
+    /// [`MAX_SERVICES`]: each call naming one of them is logged with this
+    /// copy, so every logged call of a service shares one allocation
+    /// however many the caller built.  Volatile: a restart rebuilds it.
+    services: Vec<ServiceName>,
     /// Held results, at their seqs.
     results: SeqWindow<ResultRec>,
     /// Seqs of held results not yet acknowledged to the current
@@ -225,6 +377,7 @@ impl ClientActor {
             link,
             log,
             api_queue: VecDeque::new(),
+            services: Vec::new(),
             results: SeqWindow::new(),
             unacked_results: BTreeSet::new(),
             sent_at: BTreeMap::new(),
@@ -315,9 +468,7 @@ impl ClientActor {
     fn finish_submission(&mut self, ctx: &mut Ctx<'_, Msg>, seq: u64, comm_end: SimTime) {
         self.sent_at.insert(seq, ctx.now());
         let end = self.log.interaction_end(seq, comm_end);
-        if let Some(t) = self.metrics.submissions.get_mut(&seq) {
-            t.interaction_end = Some(end);
-        }
+        self.metrics.submissions.end_interaction(seq, end);
         // Sequential submission: the next call starts when this interaction
         // completes.  Always schedule the continuation — an API call may
         // arrive between now and the timer firing.
@@ -627,6 +778,18 @@ impl ClientActor {
         RetryPolicy::of(self.params.cfg.heartbeat, ctx.spec().nic_bw)
     }
 
+    /// The copy of `name` this client already holds, else `name`, kept for
+    /// the calls that follow while there is room.
+    fn intern(&mut self, name: ServiceName) -> ServiceName {
+        if let Some(held) = self.services.iter().find(|&held| *held == name) {
+            return held.clone();
+        }
+        if self.services.len() < MAX_SERVICES {
+            self.services.push(name.clone());
+        }
+        name
+    }
+
     /// A received result's archive (for the API layer).
     pub fn result_archive(&self, seq: u64) -> Option<&Blob> {
         self.results.get(seq).map(|r| &r.archive)
@@ -696,6 +859,7 @@ impl Actor<Msg> for ClientActor {
                 self.pull_missing(ctx, true);
             }
             Msg::ApiSubmit { service, params, exec_cost, result_size, replication, work_units } => {
+                let service = self.intern(service);
                 self.api_queue.push_back(
                     CallSpec::new(service, params, exec_cost, result_size)
                         .with_replication(replication)
@@ -777,13 +941,45 @@ mod tests {
     #[test]
     fn client_row_layouts_are_pinned() {
         // The client's twin of the store's `row_layouts_are_pinned`: one
-        // log row per call it ever made and one result row per result it
-        // holds, neither collected yet — a new field is a decision.
+        // log row per call it ever made, one result row per result it
+        // holds, neither collected yet, and one observation row of each
+        // kind per call — a new field is a decision.
         type LogRow = rpcv_log::SenderEntry<CallSpec>;
         assert!(size_of::<LogRow>() <= 80, "log row: {}", size_of::<LogRow>());
         assert!(size_of::<ResultRec>() <= 32, "result row: {}", size_of::<ResultRec>());
-        // A vacant window slot costs the row's bytes and nothing more.
+        assert_eq!(size_of::<SubmitRow>(), 16, "submission row");
+        assert_eq!(size_of::<Receipt>(), 16, "receipt row");
+        // A vacant window slot costs the row's bytes and nothing more —
+        // but a receipt's: its seq and instant are plain words, so its
+        // slot adds the tag, 24 B in all.
         assert_eq!(size_of::<Option<LogRow>>(), size_of::<LogRow>());
         assert_eq!(size_of::<Option<ResultRec>>(), size_of::<ResultRec>());
+        assert_eq!(size_of::<Option<SubmitRow>>(), size_of::<SubmitRow>());
+        assert_eq!(size_of::<Option<Receipt>>(), 24);
+    }
+
+    #[test]
+    fn logged_api_calls_share_one_service_name() {
+        const CALLS: u64 = 12;
+        let mut grid = crate::grid::SimGrid::build(crate::grid::GridSpec::confined(1, 2));
+        let node = grid.client_node;
+        for i in 0..CALLS {
+            // Each call builds its own copy of the name, as a caller does.
+            let msg = Msg::ApiSubmit {
+                service: "svc".into(),
+                params: Blob::synthetic(100, i),
+                exec_cost: 0.5,
+                result_size: 64,
+                replication: 1,
+                work_units: 1,
+            };
+            grid.world.inject(SimTime::from_millis(10 * i), node, msg);
+        }
+        grid.world.run_until(SimTime::from_secs(60));
+        let client = grid.client().expect("the client is up");
+        let names: Vec<*const u8> =
+            client.log.iter().map(|(_, e)| e.value.service.as_str().as_ptr()).collect();
+        assert_eq!(names.len() as u64, CALLS, "every call is logged");
+        assert!(names.iter().all(|&p| p == names[0]), "one allocation for one service");
     }
 }

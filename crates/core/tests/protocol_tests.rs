@@ -223,7 +223,7 @@ fn submission_timings_recorded_per_strategy() {
         grid.run_until_done(SimTime::from_secs(600)).expect("finishes");
         let client = grid.client().unwrap();
         assert_eq!(client.metrics.submissions.len(), 4, "{}", strategy.name());
-        for (seq, t) in &client.metrics.submissions {
+        for (seq, t) in client.metrics.submissions.iter() {
             assert!(t.interaction_end.is_some(), "seq {seq} unfinished ({})", strategy.name());
             assert!(t.interaction_end.unwrap() >= t.requested_at);
         }

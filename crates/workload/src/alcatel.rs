@@ -21,7 +21,7 @@
 use rpcv_core::util::CallSpec;
 use rpcv_simnet::DetRng;
 use rpcv_wire::{from_bytes, to_bytes, wire_record, Blob};
-use rpcv_xw::{ServiceCtx, ServiceError, ServiceRegistry};
+use rpcv_xw::{ServiceCtx, ServiceError, ServiceName, ServiceRegistry};
 
 /// The registered service name.
 pub const SERVICE: &str = "alcatel/netsim";
@@ -243,15 +243,17 @@ impl AlcatelApp {
     }
 
     /// Builds the client plan: one call per configuration, parameters
-    /// really marshalled, costs derived from the configuration itself.
+    /// really marshalled, costs derived from the configuration itself,
+    /// one service name shared by every call.
     pub fn plan(&self) -> Vec<CallSpec> {
+        let service = ServiceName::from(SERVICE);
         self.configs()
             .into_iter()
             .map(|cfg| {
                 let work = cfg.work_units();
                 let params = Blob::from_vec(to_bytes(&cfg));
                 let result_size = 16 + 16 * cfg.pairs.len() as u64;
-                CallSpec::new(SERVICE, params, work, result_size)
+                CallSpec::new(service.clone(), params, work, result_size)
             })
             .collect()
     }

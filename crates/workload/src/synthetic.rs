@@ -2,6 +2,7 @@
 
 use rpcv_core::util::CallSpec;
 use rpcv_wire::Blob;
+use rpcv_xw::ServiceName;
 
 /// Builder for uniform synthetic call plans.
 #[derive(Debug, Clone)]
@@ -83,12 +84,13 @@ impl SyntheticBench {
         self
     }
 
-    /// Materializes the plan.
+    /// Materializes the plan: every call shares one service name.
     pub fn plan(&self) -> Vec<CallSpec> {
+        let service = ServiceName::from("synthetic/bench");
         (0..self.calls)
             .map(|i| {
                 CallSpec::new(
-                    "synthetic/bench",
+                    service.clone(),
                     Blob::synthetic(self.param_bytes, self.seed.wrapping_add(i as u64)),
                     self.exec_secs,
                     self.result_bytes,

@@ -49,9 +49,11 @@ id_u64! {
 /// An immutable, reference-counted string: one job's life copies its
 /// service name into the job row, every task instance, every `Assign` and
 /// every replication row, and a grid typically runs a handful of distinct
-/// services — so a clone is a refcount bump, never a heap copy.  Builds
-/// from `&str`/`String`, derefs to `str`, and travels on the wire as a
-/// plain length-prefixed string.
+/// services — so a clone is a refcount bump, never a heap copy.  Building
+/// one from `&str`/`String` (or decoding one off the wire) allocates, so a
+/// producer of many calls builds each name once and clones it per call.
+/// Derefs to `str`, and travels on the wire as a plain length-prefixed
+/// string.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServiceName(std::sync::Arc<str>);
 

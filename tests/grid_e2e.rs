@@ -293,8 +293,8 @@ fn archive_writes_coalesce_past_the_old_knee() {
     // archive backlog would add its drain time (21 s before group commit).
     for c in 0..16 {
         let cm = &grid.client_at(c).unwrap().metrics;
-        for (seq, &held) in &cm.results_received {
-            let latency = held.since(cm.submissions[seq].requested_at);
+        for (seq, &held) in cm.results_received.iter() {
+            let latency = held.since(cm.submissions.get(seq).expect("submitted").requested_at);
             assert!(latency < SimDuration::from_secs(12), "client {c} seq {seq} took {latency}");
         }
     }
