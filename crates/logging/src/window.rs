@@ -204,9 +204,43 @@ impl<T> SeqWindow<T> {
 mod tests {
     use super::*;
 
-    // Slot filling, chunk freeing and far seqs are `SeqTable`'s unit tests
-    // (`rpcv-store`); ranges, retain and the counts are held against an
-    // ordered map by `proptest_logs.rs`.  What neither reaches:
+    // Ranges, retain and the counts are held against an ordered map by
+    // `proptest_logs.rs`; slot filling, chunk freeing and far seqs here.
+    #[test]
+    fn slots_fill_out_of_order_and_iterate_by_seq() {
+        let mut w: SeqWindow<u64> = SeqWindow::new();
+        for seq in [40, 3, 70, 1] {
+            assert_eq!(w.insert(seq, seq), None);
+        }
+        assert_eq!(w.get(2), None, "a vacant slot reads as absent");
+        assert_eq!(w.get(40), Some(&40));
+        assert_eq!(w.iter().map(|(s, _)| s).collect::<Vec<_>>(), [1, 3, 40, 70]);
+        assert_eq!(w.audit(), Some(70));
+    }
+
+    #[test]
+    fn a_chunk_leaves_with_its_last_row() {
+        let n = CHUNK as u64;
+        let mut w: SeqWindow<u64> = SeqWindow::new();
+        for seq in 1..=n + n / 2 {
+            w.insert(seq, seq);
+        }
+        assert_eq!(w.chunk_count(), 2);
+        for seq in 1..n {
+            assert_eq!(w.remove(seq), Some(seq));
+        }
+        assert_eq!(w.chunk_count(), 1, "seqs 1..CHUNK filled chunk 0 alone");
+        assert_eq!(w.remove(1), None);
+        assert_eq!(w.audit(), Some(n + n / 2));
+        for seq in n..=n + n / 2 {
+            w.remove(seq);
+        }
+        assert_eq!((w.chunk_count(), w.is_empty(), w.audit()), (0, true, None));
+        // A far seq costs one chunk, not a window across the gap.
+        w.insert(u64::MAX, 7);
+        assert_eq!((w.chunk_count(), w.audit()), (1, Some(u64::MAX)));
+    }
+
     #[test]
     fn insert_returns_the_row_it_replaced_and_retain_frees_chunks() {
         let mut w: SeqWindow<u64> = SeqWindow::new();

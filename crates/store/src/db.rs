@@ -9,7 +9,6 @@ use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, TaskDesc, TaskId, T
 
 use crate::charge::Charge;
 use crate::delta::{DeltaRow, ReplicationDelta, TaskRecord};
-use crate::table::SeqTable;
 
 /// One stored task row: the replicated record itself plus the two local
 /// attributes.  The description a server receives is not stored — it is
@@ -70,14 +69,14 @@ impl TaskIds {
 }
 
 /// Everything the database holds about one job, in one slot of its
-/// client's window ([`SeqTable`]): a job's life (register → dispatch →
+/// client's window ([`ClientRow::jobs`]): a job's life (register → dispatch →
 /// complete → collect → GC → prune) probes this one row where it used to
 /// probe a side table per attribute.  Like [`TaskRow`], its size is pinned:
 /// each byte is held by two coordinators for every live job.
 ///
 /// A row starts at registration (local or replicated) and holds nothing
-/// without it: every attribute belongs to a registered job.  The table
-/// holds live jobs — never lifetime jobs: no row sits at or below its
+/// without it: every attribute belongs to a registered job.  The windows
+/// hold live jobs — never lifetime jobs: no row sits at or below its
 /// client's retired watermark (retirement takes the whole row, archive
 /// included), and none above its client's registration mark.
 #[derive(Debug, Clone)]
@@ -177,31 +176,160 @@ enum Settle {
 /// A per-client watermark — the registration high-water mark, or the
 /// retired prefix — versioned so replication deltas carry only the
 /// watermarks that moved since the base version (instead of re-sending
-/// every known client's each round).
-#[derive(Debug, Clone, Copy)]
+/// every known client's each round).  Version 0: never stamped.
+#[derive(Debug, Clone, Copy, Default)]
 struct MarkRow {
     mark: u64,
     version: u64,
 }
 
-/// What a replication-version index entry points at.  Every mutation
-/// re-stamps its row with a fresh version and moves the row's single
-/// index entry, so `changed` always holds exactly one entry per live
-/// row and `delta_since(base)` is a range read over `(base, head]`.
+/// A client as the database names it: its row's index in the
+/// [`ClientTable`], four bytes where the key takes sixteen.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ClientSlot(u32);
+
+/// Everything the database holds about one client, in one row of the
+/// [`ClientTable`]: a job's life probes its client's row once where it
+/// used to probe a side table per attribute.  A row is created by the
+/// first operation that writes something about its client, and that
+/// operation stamps its registration mark before it returns: no row is
+/// held without one.  An idle client keeps its row (fleet-sized, like the
+/// marks), emptied maps included.
+#[derive(Debug, Clone)]
+struct ClientRow {
+    key: ClientKey,
+    /// One row per live job, seq-indexed ([`JobRow`]): a client's seqs are
+    /// contiguous by protocol — gap refusal registers only `mark + 1`, and
+    /// retention retires a contiguous delivered prefix — so the seq is the
+    /// index, and a row arriving out of seq order (a re-stamped job
+    /// replicated after later seqs) simply fills its slot.
+    jobs: SeqWindow<JobRow>,
+    /// Registration high-water mark ([`Changed::Mark`]): the highest
+    /// registered submission timestamp, what client synchronization reads.
+    /// Never pruned: it keeps `mark ≥ seq` for every retired job, so the
+    /// client's log replay (only above the mark) can never resubmit one.
+    mark: MarkRow,
+    /// Retired prefix ([`Changed::Retired`]): every seq `1..=r` had *all*
+    /// of its rows (job, tasks, collected, ckpt, archive) pruned from the
+    /// tables and the change index.  `retired ≤ contig` — only delivered
+    /// work retires — and `Σ retired` over the rows is the lifetime retired
+    /// job count (seqs are 1-based and contiguous).  Re-stamped whenever it
+    /// rises, so a feed from any base carries every watermark stamped
+    /// above it.
+    retired: MarkRow,
+    /// Contiguous-collected watermark: the largest `w` such that every seq
+    /// `1..=w` reached the `Collected` terminal state.  Collection
+    /// knowledge at or below it is summarized here, which is what lets
+    /// retention drop the job rows.
+    contig: u64,
+    /// The GC-eligible worklist: seqs whose archive is held and whose
+    /// collection the client acknowledged (`Flagged`), so explicit GC is
+    /// O(flagged), never a table scan; scan reference:
+    /// [`CoordinatorDb::collected_flagged_scan`].
+    flagged: BTreeSet<u64>,
+    /// The catalog index, `version → seq`: one entry per held archive,
+    /// stamped when the archive is stored and dropped when it leaves.
+    /// Backs O(changed) [`CoordinatorDb::results_catalog_since`].
+    catalog: BTreeMap<u64, u64>,
+}
+
+/// The client table: one [`ClientRow`] per client ever met, in a `Vec`
+/// indexed by [`ClientSlot`], and the one key → slot index, which serves
+/// both lookup and every walk across clients (in key order).  The only
+/// place the database interns or keys a client.
+#[derive(Debug, Clone, Default)]
+struct ClientTable {
+    rows: Vec<ClientRow>,
+    slots: BTreeMap<ClientKey, ClientSlot>,
+}
+
+impl ClientTable {
+    /// `client`'s slot, if it has a row.  A read never creates one.
+    fn slot(&self, client: ClientKey) -> Option<ClientSlot> {
+        self.slots.get(&client).copied()
+    }
+
+    /// `client`'s row, if it has one.
+    fn get(&self, client: ClientKey) -> Option<&ClientRow> {
+        self.slot(client).map(|slot| &self[slot])
+    }
+
+    /// `client`'s slot, its row created if new.  The caller stamps the
+    /// row's registration mark before its operation returns.
+    fn intern(&mut self, client: ClientKey) -> ClientSlot {
+        let next = ClientSlot(self.rows.len() as u32);
+        let slot = *self.slots.entry(client).or_insert(next);
+        if slot == next {
+            self.rows.push(ClientRow {
+                key: client,
+                jobs: SeqWindow::new(),
+                mark: MarkRow::default(),
+                retired: MarkRow::default(),
+                contig: 0,
+                flagged: BTreeSet::new(),
+                catalog: BTreeMap::new(),
+            });
+        }
+        slot
+    }
+
+    /// The row of job `key`, if resident.
+    fn job(&self, key: &JobKey) -> Option<&JobRow> {
+        self.get(key.client)?.jobs.get(key.seq)
+    }
+
+    /// Mutable form of [`Self::job`].
+    fn job_mut(&mut self, key: &JobKey) -> Option<&mut JobRow> {
+        let slot = self.slot(key.client)?;
+        self[slot].jobs.get_mut(key.seq)
+    }
+
+    /// Every row with its slot, in key order.
+    fn iter(&self) -> impl Iterator<Item = (ClientSlot, &ClientRow)> + '_ {
+        self.slots.values().map(|&slot| (slot, &self[slot]))
+    }
+
+    /// Every job row, in `(client, seq)` order.
+    fn jobs(&self) -> impl Iterator<Item = (JobKey, &JobRow)> + '_ {
+        self.iter().flat_map(|(_, c)| {
+            c.jobs.iter().map(move |(seq, row)| (JobKey { client: c.key, seq }, row))
+        })
+    }
+}
+
+impl std::ops::Index<ClientSlot> for ClientTable {
+    type Output = ClientRow;
+
+    fn index(&self, slot: ClientSlot) -> &ClientRow {
+        &self.rows[slot.0 as usize]
+    }
+}
+
+impl std::ops::IndexMut<ClientSlot> for ClientTable {
+    fn index_mut(&mut self, slot: ClientSlot) -> &mut ClientRow {
+        &mut self.rows[slot.0 as usize]
+    }
+}
+
+/// What a replication-version index entry points at, its client named by
+/// slot.  Every mutation re-stamps its row with a fresh version and moves
+/// the row's single index entry, so `changed` always holds exactly one
+/// entry per live row and `delta_since(base)` is a range read over
+/// `(base, head]`.  16 bytes, where a key-carrying form takes 32.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Changed {
-    Job(JobKey),
+    Job(ClientSlot, u64),
     Task(TaskId),
-    Mark(ClientKey),
+    Mark(ClientSlot),
     /// The client durably acknowledged collecting this job's result —
     /// replicated so a promoted successor treats the job as delivered.
-    Collected(JobKey),
+    Collected(ClientSlot, u64),
     /// The job's checkpoint high-water mark moved — replicated so a
     /// promoted successor inherits the resume point.
-    Ckpt(JobKey),
+    Ckpt(ClientSlot, u64),
     /// The client's retired watermark rose — replicated so every peer
     /// that tails this feed learns what retention pruned.
-    Retired(ClientKey),
+    Retired(ClientSlot),
 }
 
 /// Who wrote a change-index entry's current contents: the coordinator
@@ -225,78 +353,22 @@ impl Provenance {
     const LOCAL: Provenance = Provenance(0);
 }
 
-/// A client as the change index names it: its slot in the index's interned
-/// clients, four bytes where the key takes sixteen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ClientSlot(u32);
-
-/// A [`Changed`] as the change index stores it, its client interned: 16
-/// bytes, where the key-carrying form takes 32.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PackedRow {
-    Job(ClientSlot, u64),
-    Task(TaskId),
-    Mark(ClientSlot),
-    Collected(ClientSlot, u64),
-    Ckpt(ClientSlot, u64),
-    Retired(ClientSlot),
-}
-
 /// One change-index entry: the row it points at, and who wrote it.  Both
 /// name their party by an interned slot, so an entry is 24 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ChangeEntry {
-    row: PackedRow,
+    row: Changed,
     from: Provenance,
 }
 
 /// The version-ordered change index: one entry per live row, keyed by the
-/// row's current version, carrying the row's [`Provenance`], plus the
-/// clients its entries name.  A client is interned the first time an entry
-/// names it and keeps its slot for the database's life: one slot per
-/// client ever met, fleet-sized like the marks.
+/// row's current version, carrying the row's [`Provenance`].
 #[derive(Debug, Clone, Default)]
 struct ChangeIndex {
     entries: BTreeMap<u64, ChangeEntry>,
-    clients: Vec<ClientKey>,
-    slots: BTreeMap<ClientKey, ClientSlot>,
 }
 
 impl ChangeIndex {
-    /// `client`'s slot, interned if new.
-    fn slot(&mut self, client: ClientKey) -> ClientSlot {
-        let next = ClientSlot(self.clients.len() as u32);
-        let slot = *self.slots.entry(client).or_insert(next);
-        if slot == next {
-            self.clients.push(client);
-        }
-        slot
-    }
-
-    fn pack(&mut self, row: Changed) -> PackedRow {
-        match row {
-            Changed::Job(k) => PackedRow::Job(self.slot(k.client), k.seq),
-            Changed::Task(id) => PackedRow::Task(id),
-            Changed::Mark(client) => PackedRow::Mark(self.slot(client)),
-            Changed::Collected(k) => PackedRow::Collected(self.slot(k.client), k.seq),
-            Changed::Ckpt(k) => PackedRow::Ckpt(self.slot(k.client), k.seq),
-            Changed::Retired(client) => PackedRow::Retired(self.slot(client)),
-        }
-    }
-
-    fn unpack(&self, row: PackedRow) -> Changed {
-        let client = |slot: ClientSlot| self.clients[slot.0 as usize];
-        let key = |slot, seq| JobKey { client: client(slot), seq };
-        match row {
-            PackedRow::Job(slot, seq) => Changed::Job(key(slot, seq)),
-            PackedRow::Task(id) => Changed::Task(id),
-            PackedRow::Mark(slot) => Changed::Mark(client(slot)),
-            PackedRow::Collected(slot, seq) => Changed::Collected(key(slot, seq)),
-            PackedRow::Ckpt(slot, seq) => Changed::Ckpt(key(slot, seq)),
-            PackedRow::Retired(slot) => Changed::Retired(client(slot)),
-        }
-    }
-
     /// Advances the version counter and moves a row's single entry from
     /// `old_version` (0 = new row) to the fresh version, stamped with who
     /// wrote the row (`from`).  Takes the counter explicitly so callers
@@ -312,14 +384,13 @@ impl ChangeIndex {
             self.entries.remove(&old_version);
         }
         *version += 1;
-        let row = self.pack(row);
         self.entries.insert(*version, ChangeEntry { row, from });
         *version
     }
 
-    /// The entry at version `v`, unpacked.
+    /// The entry at version `v`.
     fn get(&self, v: u64) -> Option<(Changed, Provenance)> {
-        self.entries.get(&v).map(|e| (self.unpack(e.row), e.from))
+        self.entries.get(&v).map(|e| (e.row, e.from))
     }
 }
 
@@ -513,9 +584,9 @@ pub struct CoordinatorDb {
     /// feed to it names.  Absent is 0.
     incarnations: BTreeMap<CoordId, u64>,
     version: u64,
-    /// One row per job: description, flags, counters, archive, checkpoint
-    /// (see [`JobRow`]), in a seq-indexed window per client.
-    jobs: SeqTable<JobRow>,
+    /// One row per client (see [`ClientRow`]): its marks and worklists,
+    /// and its jobs' rows in a seq-indexed window.
+    clients: ClientTable,
     /// One row per task instance, keyed by the raw [`TaskId`]: a window,
     /// since instance ids are dense in mint order.
     tasks: SeqWindow<TaskRow>,
@@ -529,7 +600,6 @@ pub struct CoordinatorDb {
     /// coordinator's suspicion of the server can testify about.  One entry
     /// per server ever heard — fleet-sized, not lifetime.
     server_heard: BTreeMap<ServerId, SimTime>,
-    client_max: BTreeMap<ClientKey, MarkRow>,
     /// The last instance counter minted ([`TaskId::compose`]).  It starts
     /// at the incarnation, so a wiped coordinator never mints an id its
     /// earlier incarnations handed out: their ranges could meet only if
@@ -547,35 +617,9 @@ pub struct CoordinatorDb {
     /// membership ≡ the row is finished, holds no archive and is not
     /// `Collected`.  Entries enter only in [`Self::apply_delta_owned`].
     missing: ReexecWatch,
-    /// Retained archives whose client acknowledged collection (the
-    /// GC-eligible worklist), as `client → {seq}`; a client's set leaves
-    /// with its last entry.  Maintained at flag/reclaim transitions so
-    /// explicit GC is O(flagged), never a table scan; scan reference:
-    /// [`Self::collected_flagged_scan`].
-    collected_flagged: BTreeMap<ClientKey, BTreeSet<u64>>,
-    /// Per-client catalog index: `client → version → seq`, one entry per
-    /// held archive, stamped when the archive is stored and dropped when
-    /// GC reclaims it; a client's map leaves with its last entry.  Backs
-    /// O(changed) [`Self::results_catalog_since`].
-    catalog: BTreeMap<ClientKey, BTreeMap<u64, u64>>,
     /// Rows carrying the finished flag: [`Self::finished_count`] is read
     /// after every completion and applied feed.
     finished_rows: u64,
-    /// Per-client contiguous-collected watermark: the largest `w` such
-    /// that every seq `1..=w` reached the `Collected` terminal state.
-    /// Collection knowledge at or below the watermark is summarized here,
-    /// which is what lets retention drop the per-job rows.
-    collected_contig: BTreeMap<ClientKey, u64>,
-    /// Per-client retired prefix: every seq `1..=r` had *all* of its rows
-    /// (job, tasks, collected, ckpt, archive) pruned from the tables and
-    /// the change index.  Invariant: `retired_below ≤ collected_contig` —
-    /// only delivered work retires.  `Σ retired_below` is the lifetime
-    /// retired-job count (seqs are 1-based and contiguous), so the
-    /// cumulative stats need no separate counter for jobs.  Each watermark
-    /// is a versioned row ([`Changed::Retired`]), re-stamped whenever it
-    /// rises, so a feed from any base carries every watermark stamped
-    /// above it.
-    retired_below: BTreeMap<ClientKey, MarkRow>,
     /// Task rows pruned by retention (lifetime), folded back into
     /// [`Self::stats`] so observers see monotone counts across pruning.
     retired_tasks: u64,
@@ -598,21 +642,16 @@ impl CoordinatorDb {
             writers: vec![(me, incarnation)],
             incarnations: BTreeMap::new(),
             version: 0,
-            jobs: SeqTable::new(),
+            clients: ClientTable::default(),
             tasks: SeqWindow::new(),
             index: TaskIndex::default(),
             fed: (0, 0),
             server_heard: BTreeMap::new(),
-            client_max: BTreeMap::new(),
             task_counter: incarnation,
             duplicate_results: 0,
             changed: ChangeIndex::default(),
             missing: ReexecWatch::default(),
-            collected_flagged: BTreeMap::new(),
-            catalog: BTreeMap::new(),
             finished_rows: 0,
-            collected_contig: BTreeMap::new(),
-            retired_below: BTreeMap::new(),
             retired_tasks: 0,
         }
     }
@@ -663,14 +702,15 @@ impl CoordinatorDb {
         Provenance(slot as u32)
     }
 
-    /// Raises `client`'s registration high-water mark to `mark` (no-op if
-    /// not higher), versioning the change so deltas carry only moved marks.
-    fn note_mark(&mut self, client: ClientKey, mark: u64, from: Provenance) {
-        let row = self.client_max.entry(client).or_insert(MarkRow { mark: 0, version: 0 });
+    /// Raises the registration high-water mark of the client in `slot` to
+    /// `mark` (no-op if not higher, once stamped), versioning the change
+    /// so deltas carry only moved marks.
+    fn note_mark(&mut self, slot: ClientSlot, mark: u64, from: Provenance) {
+        let row = &mut self.clients[slot].mark;
         if mark > row.mark || row.version == 0 {
             row.mark = mark;
             row.version =
-                self.changed.touch(&mut self.version, row.version, Changed::Mark(client), from);
+                self.changed.touch(&mut self.version, row.version, Changed::Mark(slot), from);
         }
     }
 
@@ -679,45 +719,44 @@ impl CoordinatorDb {
     /// contiguous-collected watermark, or the job's result is `Flagged`
     /// (GC-eligible) or `Delivered` (archive reclaimed).
     pub fn has_collected_knowledge(&self, job: &JobKey) -> bool {
-        job.seq <= self.contig_watermark(job.client)
-            || self.jobs.get(job).is_some_and(|r| {
-                matches!(r.result, JobResult::Flagged { .. } | JobResult::Delivered { .. })
-            })
+        self.clients.get(job.client).is_some_and(|c| {
+            job.seq <= c.contig
+                || c.jobs.get(job.seq).is_some_and(|r| {
+                    matches!(r.result, JobResult::Flagged { .. } | JobResult::Delivered { .. })
+                })
+        })
     }
 
     /// `client`'s contiguous-collected watermark: the largest `w` with
     /// every seq `1..=w` in the `Collected` terminal state (0 if none).
     pub fn contig_watermark(&self, client: ClientKey) -> u64 {
-        self.collected_contig.get(&client).copied().unwrap_or(0)
+        self.clients.get(client).map_or(0, |c| c.contig)
     }
 
     /// `client`'s retired prefix: every seq `1..=r` was delivered and had
     /// all of its rows pruned (0 if none).  Always ≤
     /// [`Self::contig_watermark`].
     pub fn retired_watermark(&self, client: ClientKey) -> u64 {
-        self.retired_below.get(&client).map_or(0, |r| r.mark)
+        self.clients.get(client).map_or(0, |c| c.retired.mark)
     }
 
-    /// Raises `client`'s retired prefix to `through` (above the current
-    /// one) and re-stamps its watermark row, written by `from`: every feed
-    /// whose base lies below the new stamp carries it.
-    fn raise_retired(&mut self, client: ClientKey, through: u64, from: Provenance) {
-        let row = self.retired_below.entry(client).or_insert(MarkRow { mark: 0, version: 0 });
+    /// Raises the retired prefix of the client in `slot` to `through`
+    /// (above the current one) and re-stamps its watermark row, written by
+    /// `from`: every feed whose base lies below the new stamp carries it.
+    fn raise_retired(&mut self, slot: ClientSlot, through: u64, from: Provenance) {
+        let row = &mut self.clients[slot].retired;
         row.mark = through;
         row.version =
-            self.changed.touch(&mut self.version, row.version, Changed::Retired(client), from);
+            self.changed.touch(&mut self.version, row.version, Changed::Retired(slot), from);
     }
 
-    /// Advances `client`'s contiguous-collected watermark over any newly
-    /// contiguous prefix of the `Collected` terminal set.
-    fn advance_collected_contig(&mut self, client: ClientKey) {
-        let mut w = self.contig_watermark(client);
-        let start = w;
-        while self.is_collected(&JobKey { client, seq: w + 1 }) {
-            w += 1;
-        }
-        if w > start {
-            self.collected_contig.insert(client, w);
+    /// Advances the contiguous-collected watermark of the client in `slot`
+    /// over any newly contiguous prefix of the `Collected` terminal set.
+    fn advance_collected_contig(&mut self, slot: ClientSlot) {
+        let c = &mut self.clients[slot];
+        let delivered = |r: &JobRow| matches!(r.result, JobResult::Delivered { .. });
+        while c.jobs.get(c.contig + 1).is_some_and(delivered) {
+            c.contig += 1;
         }
     }
 
@@ -730,7 +769,8 @@ impl CoordinatorDb {
         if self.has_collected_knowledge(&job) || !self.knows_job(&job) {
             return false;
         }
-        let pos = self.changed.touch(&mut self.version, 0, Changed::Collected(job), from);
+        let slot = self.clients.slot(job.client).expect("a known job's client has a row");
+        let pos = self.changed.touch(&mut self.version, 0, Changed::Collected(slot, job.seq), from);
         self.settle(job, Settle::Ack(pos));
         true
     }
@@ -744,12 +784,14 @@ impl CoordinatorDb {
     /// re-executed or re-acquired just because the archive is elsewhere
     /// (or gone).
     fn settle(&mut self, job: JobKey, how: Settle) {
-        let row = self.jobs.get_mut(&job).expect("a result's job is resident");
+        let slot = self.clients.slot(job.client).expect("a result's job is resident");
+        let client = &mut self.clients[slot];
+        let row = client.jobs.get_mut(job.seq).expect("a result's job is resident");
         let old = std::mem::replace(&mut row.result, JobResult::Open);
         let (was_finished, acked) = (old.finished(), old.collected_pos());
         row.result = match (how, old) {
             (Settle::Ack(collected_pos), JobResult::Held { payload, catalog_pos }) => {
-                self.collected_flagged.entry(job.client).or_default().insert(job.seq);
+                client.flagged.insert(job.seq);
                 JobResult::Flagged { payload, catalog_pos, collected_pos }
             }
             (how, old) => {
@@ -757,16 +799,8 @@ impl CoordinatorDb {
                     JobResult::Missing => self.missing.leave(&job),
                     JobResult::Held { catalog_pos, .. }
                     | JobResult::Flagged { catalog_pos, .. } => {
-                        // A client's inner index leaves with its last entry.
-                        let catalog = self.catalog.get_mut(&job.client);
-                        if catalog.is_some_and(|c| c.remove(&catalog_pos).is_some() && c.is_empty())
-                        {
-                            self.catalog.remove(&job.client);
-                        }
-                        let flagged = self.collected_flagged.get_mut(&job.client);
-                        if flagged.is_some_and(|f| f.remove(&job.seq) && f.is_empty()) {
-                            self.collected_flagged.remove(&job.client);
-                        }
+                        client.catalog.remove(&catalog_pos);
+                        client.flagged.remove(&job.seq);
                     }
                     JobResult::Open | JobResult::Delivered { .. } => {}
                 }
@@ -778,7 +812,7 @@ impl CoordinatorDb {
                     }
                     Settle::Store(payload) => {
                         self.version += 1;
-                        self.catalog.entry(job.client).or_default().insert(self.version, job.seq);
+                        client.catalog.insert(self.version, job.seq);
                         JobResult::Held { payload, catalog_pos: self.version }
                     }
                     Settle::Ack(collected_pos) => JobResult::Delivered { collected_pos },
@@ -802,7 +836,7 @@ impl CoordinatorDb {
             _ => {}
         }
         if matches!(row.result, JobResult::Delivered { .. }) {
-            self.advance_collected_contig(job.client);
+            self.advance_collected_contig(slot);
         }
     }
 
@@ -814,12 +848,22 @@ impl CoordinatorDb {
     fn insert_job(&mut self, spec: JobSpec) {
         let key = spec.key;
         let replication = spec.replication.max(1);
-        let v = self.changed.touch(&mut self.version, 0, Changed::Job(key), Provenance::LOCAL);
-        self.note_mark(key.client, key.seq, Provenance::LOCAL);
-        self.jobs.insert(key, JobRow::new(spec, v));
+        let slot = self.clients.intern(key.client);
+        self.add_job(slot, spec, Provenance::LOCAL);
         for _ in 0..replication {
             self.create_instance(key);
         }
+    }
+
+    /// Stamps and stores the row of `spec`, written by `from`, in its
+    /// client's vacant slot, then raises the client's registration mark
+    /// over it.
+    fn add_job(&mut self, slot: ClientSlot, spec: JobSpec, from: Provenance) {
+        let seq = spec.key.seq;
+        let v = self.changed.touch(&mut self.version, 0, Changed::Job(slot, seq), from);
+        let old = self.clients[slot].jobs.insert(seq, JobRow::new(spec, v));
+        debug_assert!(old.is_none(), "seq {seq}: a row inserted over a resident one");
+        self.note_mark(slot, seq, from);
     }
 
     /// True when `key` may not be registered (again): it is registered, or
@@ -865,13 +909,13 @@ impl CoordinatorDb {
 
     /// True if the job is known (registered).
     pub fn knows_job(&self, key: &JobKey) -> bool {
-        self.jobs.get(key).is_some()
+        self.clients.job(key).is_some()
     }
 
     /// Highest registered submission timestamp for `client` (0 if none) —
     /// the coordinator's half of the client synchronization handshake.
     pub fn client_max(&self, client: ClientKey) -> u64 {
-        self.client_max.get(&client).map(|r| r.mark).unwrap_or(0)
+        self.clients.get(client).map_or(0, |c| c.mark.mark)
     }
 
     /// Builds the task description of instance `id` (attempt `attempt`) of
@@ -892,7 +936,7 @@ impl CoordinatorDb {
     }
 
     fn create_instance(&mut self, job: JobKey) -> Option<TaskId> {
-        let row = self.jobs.get_mut(&job)?;
+        let row = self.clients.job_mut(&job)?;
         let attempt = row.next_attempt;
         row.next_attempt += 1;
         self.task_counter += 1;
@@ -917,7 +961,7 @@ impl CoordinatorDb {
         while let Some((_, id)) = self.index.pending.pop_first() {
             ops += 1;
             let row = self.tasks.get_mut(id.0).expect("a queued task row exists");
-            let job = self.jobs.get(&row.rec.job).expect("a task row's job is registered");
+            let job = self.clients.job(&row.rec.job).expect("a task row's job is registered");
             if job.result.finished() {
                 // Sibling instance already produced the result: retire the
                 // instance outright.  Its queue entry is gone, so the row
@@ -979,7 +1023,7 @@ impl CoordinatorDb {
             );
             row.version = v;
         } else {
-            let Some(owner) = self.jobs.get(&job) else {
+            let Some(owner) = self.clients.job(&job) else {
                 return (CompleteOutcome::UnknownJob, Charge::ops(1));
             };
             // The job is known, the instance is not: its dispatcher's row
@@ -1077,8 +1121,8 @@ impl CoordinatorDb {
     /// delivered-then-GC'd result is not missing.
     #[doc(hidden)]
     pub fn missing_archives_scan(&self) -> Vec<JobKey> {
-        self.jobs
-            .iter()
+        self.clients
+            .jobs()
             .filter(|(_, r)| matches!(r.result, JobResult::Missing))
             .map(|(k, _)| k)
             .collect()
@@ -1103,12 +1147,14 @@ impl CoordinatorDb {
     /// True when this coordinator would benefit from receiving `job`'s
     /// archive (known, not held, and not already delivered to the client).
     pub fn wants_archive(&self, job: &JobKey) -> bool {
-        self.jobs.get(job).is_some_and(|r| matches!(r.result, JobResult::Open | JobResult::Missing))
+        self.clients
+            .job(job)
+            .is_some_and(|r| matches!(r.result, JobResult::Open | JobResult::Missing))
     }
 
     /// True when `job` reached the `Collected` terminal state.
     pub fn is_collected(&self, job: &JobKey) -> bool {
-        self.jobs.get(job).is_some_and(|r| matches!(r.result, JobResult::Delivered { .. }))
+        self.clients.job(job).is_some_and(|r| matches!(r.result, JobResult::Delivered { .. }))
     }
 
     /// Reverts a job to pending execution because its result archive is
@@ -1131,7 +1177,7 @@ impl CoordinatorDb {
     /// conclude the same job needs a new instance in the same failover
     /// window; one queued instance is recovery enough.
     fn has_live_pending(&self, job: &JobKey) -> bool {
-        self.jobs.get(job).is_some_and(|r| {
+        self.clients.job(job).is_some_and(|r| {
             !r.result.finished()
                 && r.tasks.iter().any(|id| {
                     self.tasks.get(id.0).is_some_and(|t| matches!(t.rec.state, TaskState::Pending))
@@ -1190,7 +1236,7 @@ impl CoordinatorDb {
                 continue;
             }
             self.index.refile(row, None);
-            if !self.jobs.get(&row.rec.job).is_some_and(|j| j.result.finished()) {
+            if !self.clients.job(&row.rec.job).is_some_and(|j| j.result.finished()) {
                 victims.push(row.rec.job);
             }
         }
@@ -1263,7 +1309,7 @@ impl CoordinatorDb {
                         TaskState::Ongoing { since, .. } => now.since(since) > grace,
                         _ => false,
                     })
-                    .filter(|r| !self.jobs.get(&r.rec.job).is_some_and(|j| j.result.finished()))
+                    .filter(|r| !self.clients.job(&r.rec.job).is_some_and(|j| j.result.finished()))
                     .map(|r| (r.rec.id, r.rec.job))
                     .collect()
             })
@@ -1302,14 +1348,14 @@ impl CoordinatorDb {
         written_off: impl Fn(CoordId) -> bool,
     ) -> (Vec<ServerId>, Charge) {
         debug_assert!(since <= self.fed.0, "the walk must cover every unripe row");
-        let (tasks, jobs, by_server) = (&mut self.tasks, &self.jobs, &self.index.by_server);
+        let (tasks, clients, by_server) = (&mut self.tasks, &self.clients, &self.index.by_server);
         let mut watch = Vec::new();
         for (&v, entry) in self
             .changed
             .entries
             .range((std::ops::Bound::Excluded(since), std::ops::Bound::Unbounded))
         {
-            let PackedRow::Task(id) = entry.row else { continue };
+            let Changed::Task(id) = entry.row else { continue };
             let Some(row) = tasks.get_mut(id.0) else { continue };
             let (writer, job) = (self.writers[entry.from.0 as usize].0, row.rec.job);
             match row.rec.state {
@@ -1322,7 +1368,7 @@ impl CoordinatorDb {
                         && (written_off(writer) || contact == Some(job.client))
                         && served.contains(&job.client)
                         && by_server.get(&server).is_some_and(|set| set.contains(&id))
-                        && !jobs.get(&job).is_some_and(|j| j.result.finished()) =>
+                        && !clients.job(&job).is_some_and(|j| j.result.finished()) =>
                 {
                     row.watched = true;
                     watch.push(server);
@@ -1342,7 +1388,7 @@ impl CoordinatorDb {
             |id: TaskId| self.tasks.get(id.0).is_some_and(|t| t.rec.state == TaskState::Pending);
         let fed = (std::ops::Bound::Excluded(self.fed.0), std::ops::Bound::Included(self.fed.1));
         self.changed.entries.range(fed).filter_map(move |(&v, e)| match e.row {
-            PackedRow::Task(id) if pending(id) && !self.index.pending.contains_key(&v) => {
+            Changed::Task(id) if pending(id) && !self.index.pending.contains_key(&v) => {
                 Some((v, id))
             }
             _ => None,
@@ -1369,7 +1415,8 @@ impl CoordinatorDb {
     /// walk of the client's own window — cost follows the client's own
     /// resident rows, not the whole table.
     fn client_archives(&self, client: ClientKey) -> impl Iterator<Item = (u64, &Blob)> + '_ {
-        self.jobs.client(client).filter_map(|(seq, row)| Some((seq, row.result.archive()?)))
+        let jobs = self.clients.get(client).into_iter().flat_map(|c| c.jobs.iter());
+        jobs.filter_map(|(seq, row)| Some((seq, row.result.archive()?)))
     }
 
     /// Scan-based reference definition of the full result catalog — every
@@ -1393,8 +1440,9 @@ impl CoordinatorDb {
         if since >= self.version {
             return delta;
         }
-        for (_, &seq) in self.catalog.get(&client).into_iter().flat_map(|c| c.range(since + 1..)) {
-            if let Some(payload) = self.archive(&JobKey { client, seq }) {
+        let Some(c) = self.clients.get(client) else { return delta };
+        for (_, &seq) in c.catalog.range(since + 1..) {
+            if let Some(payload) = c.jobs.get(seq).and_then(|r| r.result.archive()) {
                 delta.added.push((seq, payload.len()));
             }
         }
@@ -1403,7 +1451,7 @@ impl CoordinatorDb {
 
     /// The archive payload for one job.
     pub fn archive(&self, job: &JobKey) -> Option<&Blob> {
-        self.jobs.get(job)?.result.archive()
+        self.clients.job(job)?.result.archive()
     }
 
     /// Marks results as collected by the client (GC eligibility), recording
@@ -1444,8 +1492,8 @@ impl CoordinatorDb {
     /// The GC-eligible set: retained archives whose collection the client
     /// acknowledged (maintained incrementally — O(flagged) to read).
     pub fn collected_flagged(&self) -> Vec<JobKey> {
-        (self.collected_flagged.iter())
-            .flat_map(|(&client, seqs)| seqs.iter().map(move |&seq| JobKey { client, seq }))
+        (self.clients.iter())
+            .flat_map(|(_, c)| c.flagged.iter().map(move |&seq| JobKey { client: c.key, seq }))
             .collect()
     }
 
@@ -1454,8 +1502,8 @@ impl CoordinatorDb {
     /// find by walking the archive table.
     #[doc(hidden)]
     pub fn collected_flagged_scan(&self) -> Vec<JobKey> {
-        self.jobs
-            .iter()
+        self.clients
+            .jobs()
             .filter(|(_, r)| matches!(r.result, JobResult::Flagged { .. }))
             .map(|(k, _)| k)
             .collect()
@@ -1469,7 +1517,8 @@ impl CoordinatorDb {
     /// any order, therefore yields a non-decreasing resume mark).  Returns
     /// true when the row moved (and was re-stamped into the change index).
     fn note_ckpt(&mut self, job: JobKey, unit_hw: u32, blob: Blob, from: Provenance) -> bool {
-        let Some(row) = self.jobs.get_mut(&job) else {
+        let Some(slot) = self.clients.slot(job.client) else { return false };
+        let Some(row) = self.clients[slot].jobs.get_mut(job.seq) else {
             return false; // a job row always precedes its ckpt rows
         };
         let old = match row.ckpt.as_ref() {
@@ -1480,7 +1529,8 @@ impl CoordinatorDb {
         // Finished ⇒ no resume-state payload is ever retained (mirrors
         // the in-place clearing of `settle` on the apply path).
         let blob = if row.result.finished() { Blob::empty() } else { blob };
-        let version = self.changed.touch(&mut self.version, old, Changed::Ckpt(job), from);
+        let version =
+            self.changed.touch(&mut self.version, old, Changed::Ckpt(slot, job.seq), from);
         match row.ckpt.as_mut() {
             Some(ckpt) => **ckpt = CkptRow { unit_hw, blob, version },
             None => row.ckpt = Some(Box::new(CkptRow { unit_hw, blob, version })),
@@ -1491,7 +1541,7 @@ impl CoordinatorDb {
     /// The registered work-unit count of `job` (the authority a checkpoint
     /// upload's self-declared progress is checked against).
     pub fn job_work_units(&self, job: &JobKey) -> Option<u32> {
-        self.jobs.get(job).map(|r| r.spec.work_units.max(1))
+        self.clients.job(job).map(|r| r.spec.work_units.max(1))
     }
 
     /// Records a checkpoint uploaded by a server.  Refused (beyond the
@@ -1503,7 +1553,7 @@ impl CoordinatorDb {
     /// successor a near-complete bank for work never computed.  Returns
     /// whether the mark advanced, plus the storage cost.
     pub fn record_checkpoint(&mut self, job: JobKey, unit_hw: u32, blob: Blob) -> (bool, Charge) {
-        if self.jobs.get(&job).is_some_and(|r| r.result.finished()) {
+        if self.clients.job(&job).is_some_and(|r| r.result.finished()) {
             return (false, Charge::ops(1));
         }
         match self.job_work_units(&job) {
@@ -1524,7 +1574,7 @@ impl CoordinatorDb {
     /// point — no checkpoint recorded, or the job already has its result
     /// (finished/collected), so nothing will be dispatched anyway.
     pub fn resume_point(&self, job: &JobKey) -> Option<(u32, &Blob)> {
-        let row = self.jobs.get(job)?;
+        let row = self.clients.job(job)?;
         if row.result.finished() {
             return None;
         }
@@ -1536,7 +1586,7 @@ impl CoordinatorDb {
     /// (introspection/harness use; dispatch goes through
     /// [`Self::resume_point`]).
     pub fn ckpt_high_water(&self, job: &JobKey) -> Option<u32> {
-        self.jobs.get(job)?.ckpt.as_ref().map(|c| c.unit_hw)
+        self.clients.job(job)?.ckpt.as_ref().map(|c| c.unit_hw)
     }
 
     /// Scan-based reference view of every checkpoint row, kept for the
@@ -1544,7 +1594,7 @@ impl CoordinatorDb {
     /// order.
     #[doc(hidden)]
     pub fn ckpt_scan(&self) -> Vec<(JobKey, u32)> {
-        self.jobs.iter().filter_map(|(j, r)| Some((j, r.ckpt.as_ref()?.unit_hw))).collect()
+        self.clients.jobs().filter_map(|(j, r)| Some((j, r.ckpt.as_ref()?.unit_hw))).collect()
     }
 
     // --- replication -----------------------------------------------------------
@@ -1634,7 +1684,7 @@ impl CoordinatorDb {
             if Some(entry.from) == skip {
                 continue;
             }
-            let Some(row) = self.feed_row(self.changed.unpack(entry.row)) else { continue };
+            let Some(row) = self.feed_row(entry.row) else { continue };
             let from = if to.is_none() || theirs.contains(&entry.from) {
                 Provenance::LOCAL
             } else {
@@ -1653,22 +1703,29 @@ impl CoordinatorDb {
     /// The current contents of the row a change-index entry points at, as
     /// a feed row (`None` when nothing of it is left to send).
     fn feed_row(&self, changed: Changed) -> Option<DeltaRow> {
+        let client = |slot: ClientSlot| &self.clients[slot];
+        let key = |slot, seq| JobKey { client: client(slot).key, seq };
         match changed {
-            Changed::Job(key) => self.jobs.get(&key).map(|r| DeltaRow::Job(r.spec.clone())),
-            Changed::Task(id) => self.tasks.get(id.0).map(|row| DeltaRow::Task(row.rec)),
-            Changed::Mark(client) => {
-                self.client_max.get(&client).map(|row| DeltaRow::Mark { client, mark: row.mark })
+            Changed::Job(slot, seq) => {
+                client(slot).jobs.get(seq).map(|r| DeltaRow::Job(r.spec.clone()))
             }
-            Changed::Collected(job) => {
+            Changed::Task(id) => self.tasks.get(id.0).map(|row| DeltaRow::Task(row.rec)),
+            Changed::Mark(slot) => {
+                let c = client(slot);
+                Some(DeltaRow::Mark { client: c.key, mark: c.mark.mark })
+            }
+            Changed::Collected(slot, seq) => {
+                let job = key(slot, seq);
                 self.has_collected_knowledge(&job).then_some(DeltaRow::Collected { job })
             }
-            Changed::Ckpt(job) => {
-                let ckpt = self.jobs.get(&job)?.ckpt.as_ref()?;
-                Some(DeltaRow::Ckpt { job, unit_hw: ckpt.unit_hw, blob: ckpt.blob.clone() })
+            Changed::Ckpt(slot, seq) => {
+                let ckpt = client(slot).jobs.get(seq)?.ckpt.as_ref()?;
+                let (job, unit_hw, blob) = (key(slot, seq), ckpt.unit_hw, ckpt.blob.clone());
+                Some(DeltaRow::Ckpt { job, unit_hw, blob })
             }
-            Changed::Retired(client) => {
-                let row = self.retired_below.get(&client)?;
-                Some(DeltaRow::Retired { client, through: row.mark })
+            Changed::Retired(slot) => {
+                let c = client(slot);
+                Some(DeltaRow::Retired { client: c.key, through: c.retired.mark })
             }
         }
     }
@@ -1682,12 +1739,10 @@ impl CoordinatorDb {
     /// client, emitted when it was stamped above `base`.)
     #[doc(hidden)]
     pub fn delta_since_scan(&self, base: u64) -> ReplicationDelta {
-        let retired = (self.retired_below.iter())
-            .filter(|(_, r)| r.version > base)
-            .map(|(&client, r)| DeltaRow::Retired { client, through: r.mark });
-        let jobs = self
-            .jobs
-            .iter()
+        let retired = (self.clients.iter())
+            .filter(|(_, c)| c.retired.version > base)
+            .map(|(_, c)| DeltaRow::Retired { client: c.key, through: c.retired.mark });
+        let jobs = (self.clients.jobs())
             .filter(|(_, r)| r.version > base)
             .map(|(_, r)| DeltaRow::Job(r.spec.clone()));
         let tasks = self
@@ -1697,13 +1752,13 @@ impl CoordinatorDb {
             .filter(|r| r.version > base)
             .map(|r| DeltaRow::Task(r.rec));
         let marks =
-            self.client_max.iter().map(|(&c, r)| DeltaRow::Mark { client: c, mark: r.mark });
+            (self.clients.iter()).map(|(_, c)| DeltaRow::Mark { client: c.key, mark: c.mark.mark });
         let terminal =
-            self.jobs.iter().filter(|(_, r)| matches!(r.result, JobResult::Delivered { .. }));
+            self.clients.jobs().filter(|(_, r)| matches!(r.result, JobResult::Delivered { .. }));
         let flagged =
-            self.jobs.iter().filter(|(_, r)| matches!(r.result, JobResult::Flagged { .. }));
+            self.clients.jobs().filter(|(_, r)| matches!(r.result, JobResult::Flagged { .. }));
         let collected = terminal.chain(flagged).map(|(job, _)| DeltaRow::Collected { job });
-        let ckpts = self.jobs.iter().filter_map(|(job, r)| {
+        let ckpts = self.clients.jobs().filter_map(|(job, r)| {
             let ckpt = r.ckpt.as_ref()?;
             Some(DeltaRow::Ckpt { job, unit_hw: ckpt.unit_hw, blob: ckpt.blob.clone() })
         });
@@ -1724,22 +1779,17 @@ impl CoordinatorDb {
     /// Applies one replicated job description written by `from`.
     fn apply_job_row(&mut self, spec: JobSpec, from: Provenance) -> Charge {
         let key = spec.key;
-        if key.seq <= self.retired_watermark(key.client) {
-            // A stale feed must not resurrect a retired job's rows; the
-            // mark still merges (marks are never pruned).
-            self.note_mark(key.client, key.seq, from);
+        let slot = self.clients.intern(key.client);
+        let c = &self.clients[slot];
+        // A stale feed must not resurrect a retired job's rows; the mark
+        // still merges (marks are never pruned).
+        if key.seq <= c.retired.mark || c.jobs.contains(key.seq) {
+            self.note_mark(slot, key.seq, from);
             return Charge::ops(1);
         }
-        let charge = if !self.knows_job(&key) {
-            let params_len = spec.params.len();
-            let v = self.changed.touch(&mut self.version, 0, Changed::Job(key), from);
-            self.jobs.insert(key, JobRow::new(spec, v));
-            Charge::db(1, params_len)
-        } else {
-            Charge::ops(1)
-        };
-        self.note_mark(key.client, key.seq, from);
-        charge
+        let params_len = spec.params.len();
+        self.add_job(slot, spec, from);
+        Charge::db(1, params_len)
     }
 
     /// Applies one replicated task row under the paper's merge rules.
@@ -1747,7 +1797,7 @@ impl CoordinatorDb {
     /// while the archive is not held here.
     fn apply_task_row(&mut self, rec: &TaskRecord, from: Provenance) -> bool {
         // Task for an unknown job: ignore (will come later).
-        let Some(job) = self.jobs.get_mut(&rec.job) else {
+        let Some(job) = self.clients.job_mut(&rec.job) else {
             return false;
         };
         match self.tasks.get_mut(rec.id.0) {
@@ -1860,7 +1910,8 @@ impl CoordinatorDb {
                     Charge::ops(1)
                 }
                 DeltaRow::Mark { client, mark } => {
-                    self.note_mark(client, mark, from);
+                    let slot = self.clients.intern(client);
+                    self.note_mark(slot, mark, from);
                     Charge::ZERO
                 }
                 DeltaRow::Collected { job } => {
@@ -1908,31 +1959,27 @@ impl CoordinatorDb {
     ///
     /// Pruning re-stamps the client's retired watermark row, so a consumer
     /// tailing the feed from any base it acknowledged learns the pruned
-    /// prefix as one [`DeltaRow::Retired`] row.
+    /// prefix as one [`DeltaRow::Retired`] row.  Clients are walked in key
+    /// order, which is the order their watermarks are stamped in.
     ///
     /// O(clients) when nothing is retirable; otherwise O(rows pruned).
     /// Returns the number of jobs retired.
     pub fn prune_retired(&mut self, min_acked: u64) -> u64 {
-        if self.collected_contig.is_empty() {
-            return 0;
-        }
-        let clients: Vec<ClientKey> = self.collected_contig.keys().copied().collect();
         let mut pruned = 0;
-        for client in clients {
-            let w = self.contig_watermark(client);
-            let start = self.retired_watermark(client);
+        let mut after = std::ops::Bound::Unbounded;
+        while let Some((&client, &slot)) =
+            self.clients.slots.range((after, std::ops::Bound::Unbounded)).next()
+        {
+            after = std::ops::Bound::Excluded(client);
+            let (w, start) = (self.clients[slot].contig, self.clients[slot].retired.mark);
             let mut r = start;
-            while r < w {
-                let k = JobKey { client, seq: r + 1 };
-                if !self.job_prunable(&k, min_acked) {
-                    break;
-                }
-                self.prune_job(&k);
+            while r < w && self.job_prunable(&JobKey { client, seq: r + 1 }, min_acked) {
+                self.prune_job(&JobKey { client, seq: r + 1 });
                 r += 1;
-                pruned += 1;
             }
             if r > start {
-                self.raise_retired(client, r, Provenance::LOCAL);
+                self.raise_retired(slot, r, Provenance::LOCAL);
+                pruned += r - start;
             }
         }
         pruned
@@ -1942,7 +1989,7 @@ impl CoordinatorDb {
     /// version at or below `min_acked`, i.e. the feed consumer already
     /// holds all of them and the rows can be dropped from the feed.
     fn job_prunable(&self, k: &JobKey, min_acked: u64) -> bool {
-        let Some(row) = self.jobs.get(k) else { return false };
+        let Some(row) = self.clients.job(k) else { return false };
         // Only delivered work retires.
         matches!(row.result, JobResult::Delivered { .. })
             && row.version <= min_acked
@@ -1963,9 +2010,10 @@ impl CoordinatorDb {
     /// replica's job that was never collected here, the client holds the
     /// result all the same, so the archive goes with the rest.
     fn prune_job(&mut self, k: &JobKey) {
-        let collected_pos = self.jobs.get(k).and_then(|r| r.result.collected_pos());
+        let collected_pos = self.clients.job(k).and_then(|r| r.result.collected_pos());
         self.settle(*k, Settle::Forget);
-        let gone = self.jobs.remove(k).expect("a pruned job is resident");
+        let slot = self.clients.slot(k.client).expect("a pruned job's client has a row");
+        let gone = self.clients[slot].jobs.remove(k.seq).expect("a pruned job is resident");
         for id in gone.tasks.iter() {
             let Some(mut task) = self.tasks.remove(id.0) else { continue };
             self.changed.entries.remove(&task.version);
@@ -1997,10 +2045,10 @@ impl CoordinatorDb {
         if w <= self.retired_watermark(client) {
             return Charge::ops(1);
         }
+        let slot = self.clients.intern(client);
         // No row sits at or below the current watermark, so the window's
         // rows up to `w` are exactly the ones to prune.
-        let doomed: Vec<u64> =
-            self.jobs.client(client).map(|(seq, _)| seq).take_while(|&seq| seq <= w).collect();
+        let doomed: Vec<u64> = self.clients[slot].jobs.range(0..=w).map(|(seq, _)| seq).collect();
         for &seq in &doomed {
             let k = JobKey { client, seq };
             if !self.has_collected_knowledge(&k) {
@@ -2008,13 +2056,13 @@ impl CoordinatorDb {
             }
             self.prune_job(&k);
         }
-        self.raise_retired(client, w, from);
-        let c = self.collected_contig.entry(client).or_insert(0);
-        *c = (*c).max(w);
+        self.raise_retired(slot, w, from);
+        let c = &mut self.clients[slot];
+        c.contig = c.contig.max(w);
         // Terminal-collected rows just above the new prefix may have
         // become contiguous with it.
-        self.advance_collected_contig(client);
-        self.note_mark(client, w, from);
+        self.advance_collected_contig(slot);
+        self.note_mark(slot, w, from);
         Charge::ops(1 + doomed.len() as u64)
     }
 
@@ -2037,7 +2085,7 @@ impl CoordinatorDb {
     /// 1-based and contiguous below each retired watermark, so the sum of
     /// watermarks *is* the count.
     pub fn retired_count(&self) -> u64 {
-        self.retired_below.values().map(|r| r.mark).sum()
+        self.clients.rows.iter().map(|c| c.retired.mark).sum()
     }
 
     // --- introspection ------------------------------------------------------
@@ -2068,7 +2116,7 @@ impl CoordinatorDb {
                 TaskState::Finished { .. } => {}
             }
         }
-        for (_, r) in self.jobs.iter() {
+        for (_, r) in self.clients.jobs() {
             stats.jobs += 1;
             stats.archived += r.result.archive().is_some() as u64;
             stats.collected += matches!(r.result, JobResult::Delivered { .. }) as u64;
@@ -2100,64 +2148,88 @@ impl CoordinatorDb {
             assert!(self.knows_job(&t.rec.job), "{id:?}: task row of an unregistered job");
             by_job.entry(t.rec.job).or_default().push(t);
         }
-        // Each client's window is chunk-exact — no chunk held empty, so it
-        // starts on an occupied slot — and, seqs being contiguous by
-        // protocol, reaches no higher than the client's registration mark.
-        for (client, last) in self.jobs.audit() {
-            let mark = self.client_max(client);
-            assert!(last <= mark, "{client:?}: row {last} above mark {mark}");
-        }
         let (mut registered, mut finished, mut collected, mut archived, mut ckpts) =
             (0, 0, 0, 0, 0);
-        let (mut versioned, mut missing_rows, mut flagged_rows) = (0, 0, 0);
-        for (k, row) in self.jobs.iter() {
-            // Retirement takes the whole row: nothing stays resident below
-            // the watermark.
-            let w = self.retired_watermark(k.client);
-            assert!(k.seq > w, "{k:?}: row resident at or below the retired watermark {w}");
-            let tasks = by_job.remove(&k).unwrap_or_default();
-            let mut ids: Vec<TaskId> = row.tasks.iter().collect();
-            ids.sort_unstable();
-            assert_eq!(ids, tasks.iter().map(|t| t.rec.id).collect::<Vec<_>>(), "{k:?}: tasks");
-            assert!(tasks.iter().all(|t| t.rec.attempt < row.next_attempt), "{k:?}: attempts");
-            let stamped = |v: u64, what: Changed| {
-                let entry = self.changed.get(v).map(|(row, _)| row);
-                assert_eq!(entry, Some(what), "{k:?}: change-index entry");
-                1
-            };
-            assert_eq!(row.spec.key, k);
-            registered += 1;
-            versioned += stamped(row.version, Changed::Job(k));
-            // What this node knows finished, the ring can learn: from a
-            // `Finished` instance row, or the collected row.
-            let collected_pos = row.result.collected_pos();
-            let told = collected_pos.is_some() || tasks.iter().any(|t| t.rec.state.is_finished());
-            let finished_here = row.result.finished();
-            assert!(!finished_here || told, "{k:?}: finished, and no feed row says so");
-            if let Some(pos) = collected_pos {
-                versioned += stamped(pos, Changed::Collected(k));
+        let (mut versioned, mut missing_rows, mut watermarks) = (0, 0, 0);
+        let stamped = |v: u64, what: Changed, owner: &dyn std::fmt::Debug| {
+            let entry = self.changed.get(v).map(|(row, _)| row);
+            assert_eq!(entry, Some(what), "{owner:?}: change-index entry");
+            1
+        };
+        assert_eq!(self.clients.rows.len(), self.clients.slots.len(), "one row per client");
+        for (slot, c) in self.clients.iter() {
+            let client = c.key;
+            assert_eq!(self.clients.slot(client), Some(slot), "{client:?}: filed elsewhere");
+            // Every row holds a stamped registration mark; a retired
+            // watermark is stamped once it rose, over delivered work only.
+            stamped(c.mark.version, Changed::Mark(slot), &client);
+            if c.retired.version != 0 {
+                watermarks += stamped(c.retired.version, Changed::Retired(slot), &client);
             }
-            if let Some(ckpt) = &row.ckpt {
-                ckpts += 1;
-                versioned += stamped(ckpt.version, Changed::Ckpt(k));
-                assert!(!finished_here || ckpt.blob.is_empty(), "{k:?}: finished job kept state");
+            assert!(c.retired.version != 0 || c.retired.mark == 0, "{client:?}: unstamped");
+            assert!(c.retired.mark <= c.contig, "{client:?}: retired undelivered work");
+            // The window is chunk-exact — no chunk held empty, so it starts
+            // on an occupied slot — and, seqs being contiguous by protocol,
+            // reaches no higher than the registration mark.
+            if let Some(last) = c.jobs.audit() {
+                assert!(last <= c.mark.mark, "{client:?}: row {last} above mark {:?}", c.mark);
             }
-            finished += finished_here as u64;
-            collected += matches!(row.result, JobResult::Delivered { .. }) as u64;
-            archived += row.result.archive().is_some() as u64;
-            let flagged = matches!(row.result, JobResult::Flagged { .. });
-            let listed = self.collected_flagged.get(&k.client).is_some_and(|f| f.contains(&k.seq));
-            assert_eq!(listed, flagged, "{k:?}: GC worklist");
-            flagged_rows += flagged as usize;
-            let missing = matches!(row.result, JobResult::Missing);
-            assert_eq!(self.missing.entries.contains_key(&k), missing, "{k:?}: missing worklist");
-            missing_rows += missing as usize;
-            if let JobResult::Held { catalog_pos, .. } | JobResult::Flagged { catalog_pos, .. } =
-                row.result
-            {
-                let entry = self.catalog.get(&k.client).and_then(|c| c.get(&catalog_pos));
-                assert_eq!(entry, Some(&k.seq), "{k:?}: catalog entry");
+            // The catalog and the GC set hold exactly the row states they
+            // mirror.
+            let (mut catalog, mut flagged) = (BTreeMap::new(), BTreeSet::new());
+            for (seq, row) in c.jobs.iter() {
+                let k = JobKey { client, seq };
+                // Retirement takes the whole row: nothing stays resident
+                // below the watermark.
+                let w = c.retired.mark;
+                assert!(seq > w, "{k:?}: row resident at or below the retired watermark {w}");
+                if let JobResult::Held { catalog_pos, .. }
+                | JobResult::Flagged { catalog_pos, .. } = row.result
+                {
+                    catalog.insert(catalog_pos, seq);
+                }
+                if matches!(row.result, JobResult::Flagged { .. }) {
+                    flagged.insert(seq);
+                }
+                let tasks = by_job.remove(&k).unwrap_or_default();
+                let mut ids: Vec<TaskId> = row.tasks.iter().collect();
+                ids.sort_unstable();
+                assert_eq!(ids, tasks.iter().map(|t| t.rec.id).collect::<Vec<_>>(), "{k:?}: tasks");
+                assert!(tasks.iter().all(|t| t.rec.attempt < row.next_attempt), "{k:?}: attempts");
+                assert_eq!(row.spec.key, k);
+                registered += 1;
+                versioned += stamped(row.version, Changed::Job(slot, seq), &k);
+                // What this node knows finished, the ring can learn: from a
+                // `Finished` instance row, or the collected row.
+                let collected_pos = row.result.collected_pos();
+                let told =
+                    collected_pos.is_some() || tasks.iter().any(|t| t.rec.state.is_finished());
+                let finished_here = row.result.finished();
+                assert!(!finished_here || told, "{k:?}: finished, and no feed row says so");
+                if let Some(pos) = collected_pos {
+                    versioned += stamped(pos, Changed::Collected(slot, seq), &k);
+                }
+                if let Some(ckpt) = &row.ckpt {
+                    ckpts += 1;
+                    versioned += stamped(ckpt.version, Changed::Ckpt(slot, seq), &k);
+                    assert!(
+                        !finished_here || ckpt.blob.is_empty(),
+                        "{k:?}: finished job kept state"
+                    );
+                }
+                finished += finished_here as u64;
+                collected += matches!(row.result, JobResult::Delivered { .. }) as u64;
+                archived += row.result.archive().is_some() as u64;
+                let missing = matches!(row.result, JobResult::Missing);
+                assert_eq!(
+                    self.missing.entries.contains_key(&k),
+                    missing,
+                    "{k:?}: missing worklist"
+                );
+                missing_rows += missing as usize;
             }
+            assert_eq!(c.catalog, catalog, "{client:?}: one catalog entry per held archive");
+            assert_eq!(c.flagged, flagged, "{client:?}: the GC set holds its flagged rows");
         }
         // The per-server index holds only instances still ongoing on that
         // server: suspicion and reconciliation un-index the rows they gave
@@ -2201,25 +2273,12 @@ impl CoordinatorDb {
         for (v, entry) in &self.changed.entries {
             assert!((entry.from.0 as usize) < self.writers.len(), "v{v}: unknown writer");
         }
-        // The interned clients are distinct, each filed under its own slot.
-        let index = &self.changed;
-        assert_eq!(index.clients.len(), index.slots.len(), "interned clients");
-        for (slot, client) in index.clients.iter().enumerate() {
-            assert_eq!(index.slots.get(client), Some(&ClientSlot(slot as u32)), "{client:?}");
-        }
         // The due order holds exactly the un-parked entries, by their stamps.
         let m = &self.missing;
         assert_eq!(m.entries.len(), missing_rows, "missing worklist holds rows only");
         let unparked = m.entries.iter().filter(|(_, w)| !w.parked);
         assert!(unparked.clone().all(|(k, w)| m.due.contains(&(w.since, *k))), "due order");
         assert_eq!(m.due.len(), unparked.count(), "due order holds the un-parked entries");
-        // A client's catalog map and GC set leave with their last entry.
-        assert!(self.catalog.values().all(|c| !c.is_empty()), "empty catalog map held");
-        assert!(self.collected_flagged.values().all(|f| !f.is_empty()), "empty GC set held");
-        let catalogued: usize = self.catalog.values().map(BTreeMap::len).sum();
-        assert_eq!(catalogued as u64, archived, "one catalog entry per held archive");
-        let listed: usize = self.collected_flagged.values().map(BTreeSet::len).sum();
-        assert_eq!(listed, flagged_rows, "the GC worklist holds flagged rows only");
         assert_eq!(self.finished_rows, finished, "finished counter");
         // The queue and the unripe rows hold exactly the pending rows
         // between them, by version, and a row waits to ripen only while
@@ -2238,17 +2297,9 @@ impl CoordinatorDb {
             both.insert(v, id);
         }
         assert_eq!(both, queue, "the queue holds pending rows, the rest are unripe");
-        for (&client, r) in &self.retired_below {
-            let entry = self.changed.get(r.version).map(|(row, _)| row);
-            assert_eq!(entry, Some(Changed::Retired(client)), "{client:?}: watermark entry");
-            assert!(
-                r.mark <= self.contig_watermark(client),
-                "{client:?}: retired undelivered work"
-            );
-        }
         assert_eq!(
             self.changed.entries.len(),
-            versioned + self.tasks.len() + self.client_max.len() + self.retired_below.len(),
+            versioned + self.tasks.len() + self.clients.rows.len() + watermarks,
             "one change-index entry per live row"
         );
         let stats = self.stats();
@@ -3519,7 +3570,10 @@ mod tests {
             assert_eq!(o, CompleteOutcome::UnknownJob, "{reported:?}");
             d.check_invariants();
         }
-        assert!(!d.knows_job(&stray) && d.jobs.get(&stray).is_none(), "no row for the stray key");
+        assert!(
+            !d.knows_job(&stray) && d.clients.job(&stray).is_none(),
+            "no row for the stray key"
+        );
         assert_eq!(d.results_catalog_scan(client), vec![], "no catalog entry");
         assert_eq!((d.archive(&stray), d.archive(&other)), (None, None));
         assert_eq!(d.task(t.id).unwrap().rec, before, "the task's state is unchanged");
@@ -3594,14 +3648,14 @@ mod tests {
         // GC took no version and left no record: seqs 1 and 2 are in no
         // delta, from zero or from the pre-GC head.
         assert_eq!(d.version(), before);
-        assert_eq!(d.catalog.len(), 1, "only job 3's entry is live");
+        assert_eq!(d.clients.get(client).unwrap().catalog.len(), 1, "only job 3's entry is live");
         assert_eq!(d.results_catalog_since(client, 0).added, vec![(3, 100)]);
         assert!(d.results_catalog_since(client, before).added.is_empty());
         // Retiring the delivered jobs removes their rows outright.
         assert_eq!(d.prune_retired(d.version()), 2);
         d.check_invariants();
         for seq in 1..=2 {
-            assert!(d.jobs.get(&JobKey::new(client, seq)).is_none(), "seq {seq}: row left");
+            assert!(d.clients.job(&JobKey::new(client, seq)).is_none(), "seq {seq}: row left");
         }
         assert_eq!(d.results_catalog_since(client, 0).added, d.results_catalog_scan(client));
     }
@@ -3626,7 +3680,7 @@ mod tests {
         let applied = b.apply_delta_owned(a.feed_for(CoordId(2), 0), T0);
         assert_eq!(applied.newly_collected, 1, "delivered is news here");
         b.check_invariants();
-        assert!(!b.knows_job(&k) && b.jobs.get(&k).is_none(), "no row");
+        assert!(!b.knows_job(&k) && b.clients.job(&k).is_none(), "no row");
         assert_eq!(b.archive(&k), None);
         assert_eq!(b.results_catalog_scan(client), vec![]);
         assert!(b.has_collected_knowledge(&k), "summarized by the watermark");
@@ -3639,7 +3693,7 @@ mod tests {
         let t2 = t2.unwrap();
         let (o, _) = b.complete_task(t2.id, k, Blob::synthetic(64, 1), ServerId(1));
         assert_eq!(o, CompleteOutcome::UnknownJob);
-        assert!(b.jobs.get(&k).is_none());
+        assert!(b.clients.job(&k).is_none());
         assert!(matches!(b.task(t2.id).unwrap().rec.state, TaskState::Ongoing { .. }));
         assert_eq!((b.stats().archived, b.finished_count()), (0, 1));
         b.check_invariants();
@@ -3666,7 +3720,7 @@ mod tests {
         assert_eq!(b.collected_flagged(), vec![], "the GC flag left with the row");
         assert_eq!(b.gc_collected().0, 0, "nothing left to reclaim");
         b.check_invariants();
-        assert!(b.jobs.get(&k).is_none(), "row left below the watermark");
+        assert!(b.clients.job(&k).is_none(), "row left below the watermark");
         assert_eq!(b.resident_rows(), 2, "only the mark and watermark rows remain");
     }
 
@@ -3721,6 +3775,10 @@ mod tests {
         assert!(std::mem::size_of::<JobRow>() <= 192, "JobRow: {}", std::mem::size_of::<JobRow>());
         let ids = std::mem::size_of::<TaskIds>();
         assert!(ids <= 16, "TaskIds: {ids}");
+        // One row per client ever met, on every coordinator: its key, job
+        // window, two marks, watermark and two worklists.
+        let client = std::mem::size_of::<ClientRow>();
+        assert!(client <= 136, "ClientRow: {client}");
         // One change-index entry per live row: the writer and the client
         // are interned slots, so naming them costs an entry four bytes each.
         assert_eq!(std::mem::size_of::<ChangeEntry>(), 24);
@@ -3730,44 +3788,42 @@ mod tests {
     }
 
     #[test]
-    fn every_change_kind_round_trips_through_its_packed_entry() {
-        // Each database interns the clients its own entries name: a clone
-        // goes on interning past what it copied, and a wiped database
-        // starts afresh.  Every kind reads back what was stamped, in each.
-        let every = |client: ClientKey| {
-            let k = JobKey::new(client, 7);
-            [
-                Changed::Job(k),
-                Changed::Task(TaskId::compose(CoordId(3), 9)),
-                Changed::Mark(client),
-                Changed::Collected(k),
-                Changed::Ckpt(k),
-                Changed::Retired(client),
-            ]
-        };
-        let round_trip = |d: &mut CoordinatorDb, client: ClientKey| {
-            for row in every(client) {
-                let v = d.changed.touch(&mut d.version, 0, row, Provenance::LOCAL);
-                assert_eq!(d.changed.get(v), Some((row, Provenance::LOCAL)), "{row:?}");
-            }
-        };
+    fn each_database_interns_its_own_clients() {
+        // A client is interned by the first write that names it: a clone
+        // goes on interning past what it copied, a wiped database starts
+        // afresh, and a read interns nothing.  Walks across clients follow
+        // the key whatever the slots, and every entry reads back its
+        // client through its slot.
+        let spec = |client, seq| JobSpec::new(JobKey::new(client, seq), "svc", Blob::empty());
         let (first, second, third) =
             (ClientKey::new(1, 1), ClientKey::new(2, 1), ClientKey::new(1, 2));
         let mut d = db();
-        round_trip(&mut d, first);
+        d.register_job(spec(first, 1));
         let mut copy = d.clone();
-        round_trip(&mut copy, second);
-        round_trip(&mut copy, first);
+        copy.register_job(spec(second, 1));
+        copy.register_job(spec(first, 2));
         let mut wiped = CoordinatorDb::with_incarnation(CoordId(1), 5_000);
-        round_trip(&mut wiped, third);
-        round_trip(&mut wiped, first);
-        assert_eq!(d.changed.clients, [first]);
-        assert_eq!(copy.changed.clients, [first, second]);
-        assert_eq!(wiped.changed.clients, [third, first]);
-        // The original's entries still name its own clients.
-        let entries: Vec<Changed> =
-            d.changed.entries.values().map(|e| d.changed.unpack(e.row)).collect();
-        assert_eq!(entries, every(first));
+        for seq in [40, 3] {
+            wiped.register_job(spec(third, seq));
+        }
+        wiped.register_job(spec(first, 1));
+        let k = JobKey::new(second, 1);
+        assert!(!wiped.knows_job(&k) && !wiped.has_collected_knowledge(&k));
+        assert_eq!(wiped.mark_collected(second, &[1]), Charge::ops(1));
+        assert_eq!(wiped.results_catalog_since(second, 0).added, []);
+        let keys = |d: &CoordinatorDb| d.clients.rows.iter().map(|c| c.key).collect::<Vec<_>>();
+        assert_eq!(keys(&d), [first]);
+        assert_eq!(keys(&copy), [first, second]);
+        assert_eq!(keys(&wiped), [third, first], "the reads interned nothing");
+        let jobs: Vec<(ClientKey, u64)> =
+            wiped.clients.jobs().map(|(k, _)| (k.client, k.seq)).collect();
+        assert_eq!(jobs, [(first, 1), (third, 3), (third, 40)]);
+        for (d, marks) in [(&d, vec![(first, 1)]), (&copy, vec![(second, 1), (first, 2)])] {
+            d.check_invariants();
+            assert_eq!(d.delta_since(0).marks().collect::<Vec<_>>(), marks);
+        }
+        wiped.check_invariants();
+        assert_eq!(wiped.delta_since(0).marks().collect::<Vec<_>>(), [(third, 40), (first, 1)]);
     }
 
     #[test]

@@ -29,7 +29,6 @@
 pub mod charge;
 pub mod db;
 pub mod delta;
-mod table;
 
 pub use charge::Charge;
 pub use db::{Applied, CatalogDelta, CompleteOutcome, CoordinatorDb, TaskRow};

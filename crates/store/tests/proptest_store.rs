@@ -9,26 +9,45 @@ use rpcv_store::{CoordinatorDb, DeltaRow, ReplicationDelta};
 use rpcv_wire::{from_bytes, to_bytes, Blob};
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, TaskId, TaskState};
 
-fn job(seq: u64, size: u64) -> JobSpec {
-    JobSpec::new(JobKey::new(ClientKey::new(1, 1), seq), "svc", Blob::synthetic(size, seq))
+fn spec(key: JobKey, size: u64) -> JobSpec {
+    JobSpec::new(key, "svc", Blob::synthetic(size, key.seq))
         .with_exec_cost(1.0)
         .with_result_size(32)
         .with_work_units(100)
 }
 
+fn job(seq: u64, size: u64) -> JobSpec {
+    spec(JobKey::new(ClientKey::new(1, 1), seq), size)
+}
+
+/// The clients the op generator spreads its jobs over.
+const CLIENTS: u64 = 3;
+
+/// The job op seq `s` (≥ 1) names: seq `(s − 1) / 3 + 1` of client
+/// `1 + (s − 1) % 3`, so a dense run of op seqs stays dense from 1 in every
+/// client and retention fires for each.
+fn key(s: u64) -> JobKey {
+    JobKey::new(ClientKey::new(1 + (s - 1) % CLIENTS, 1), (s - 1) / CLIENTS + 1)
+}
+
+/// Every client the op generator names, in key order.
+fn clients() -> impl Iterator<Item = ClientKey> {
+    (1..=CLIENTS).map(|c| ClientKey::new(c, 1))
+}
+
 /// One local (non-replication) operation of the op generator shared by
 /// `indexed_views_match_scan_definitions` and the ring twins: actions
 /// 0–3, 5–9, 12 and 13 of its `(seq, action, aux)` tuples (the ring plays
-/// 13, the custody inputs, itself).  The op's instant is
-/// drawn with it (not monotone): dispatch stamps and "heard here" stamps
-/// fall on either side of each other, which is what the suspicion rule
-/// reads.
+/// 13, the custody inputs, itself).  An op names the job [`key`]`(seq)`
+/// of one of three clients.  The op's instant is drawn with it (not
+/// monotone): dispatch stamps and "heard here" stamps fall on either side
+/// of each other, which is what the suspicion rule reads.
 fn local_op(db: &mut CoordinatorDb, seq: u64, action: u8, aux: u8) {
-    let client = ClientKey::new(1, 1);
+    let job = key(seq);
     let now = SimTime::from_secs(seq);
     match action {
         0 | 1 => {
-            db.register_job(job(seq, 50).with_replication(1 + (aux % 2) as u32));
+            db.register_job(spec(job, 50).with_replication(1 + (aux % 2) as u32));
         }
         2 => {
             let _ = db.next_pending(ServerId((aux % 3) as u64 + 1), now);
@@ -47,7 +66,7 @@ fn local_op(db: &mut CoordinatorDb, seq: u64, action: u8, aux: u8) {
         6 => {
             // Sometimes ack-without-GC: the flagged-but-retained
             // archive state must also surface as a collected row.
-            db.mark_collected(client, &[seq]);
+            db.mark_collected(job.client, &[job.seq]);
             if aux.is_multiple_of(2) {
                 let _ = db.gc_collected();
             }
@@ -56,12 +75,11 @@ fn local_op(db: &mut CoordinatorDb, seq: u64, action: u8, aux: u8) {
             // An archive hand-off answers a pull, and a pull names a job
             // the puller's own feed says finished — or the hand-off is
             // refused.  (A job nobody finished is never handed an archive.)
-            let key = JobKey::new(client, seq);
             let finished = |t: &rpcv_store::TaskRecord| {
-                t.job == key && matches!(t.state, TaskState::Finished { .. })
+                t.job == job && matches!(t.state, TaskState::Finished { .. })
             };
-            if !db.wants_archive(&key) || db.delta_since(0).tasks().any(finished) {
-                db.store_archive(key, Blob::synthetic(8, seq));
+            if !db.wants_archive(&job) || db.delta_since(0).tasks().any(finished) {
+                db.store_archive(job, Blob::synthetic(8, seq));
             }
         }
         8 => {
@@ -78,30 +96,27 @@ fn local_op(db: &mut CoordinatorDb, seq: u64, action: u8, aux: u8) {
             }
         }
         13 => match aux {
-            // A coordinator is written off (the client served here or
-            // not), or the client's first contact lands here.
+            // A coordinator is written off (the op's client served here
+            // or not), or the client's first contact lands here.
             0..=5 => {
                 let written_off = BTreeSet::from([CoordId((aux % 3) as u64 + 1)]);
-                adopt_checked(db, 0, false, aux < 3, &written_off);
+                let served = (aux < 3).then_some(job.client).into_iter().collect();
+                adopt_checked(db, 0, None, &served, &written_off);
             }
-            _ => adopt_checked(db, 0, true, true, &BTreeSet::new()),
+            _ => adopt_checked(db, 0, Some(job.client), &[job.client].into(), &BTreeSet::new()),
         },
         12 => {
             // A result under an instance id this database has not learned
             // (its dispatcher's row is still on its way), for a possibly
             // known job.
             let id = TaskId::compose(CoordId(9), seq << 8 | aux as u64);
-            db.complete_task(id, JobKey::new(client, seq), Blob::synthetic(16, seq), ServerId(9));
+            db.complete_task(id, job, Blob::synthetic(16, seq), ServerId(9));
         }
         _ => {
             // Checkpoint upload for a (possibly finished, possibly
             // unknown) job: the monotone merge and the finished-job
             // gate both get exercised.
-            db.record_checkpoint(
-                JobKey::new(client, seq),
-                (aux as u32 % 6) + 1,
-                Blob::synthetic(32, seq ^ 0xCC),
-            );
+            db.record_checkpoint(job, (aux as u32 % 6) + 1, Blob::synthetic(32, seq ^ 0xCC));
         }
     }
 }
@@ -144,22 +159,21 @@ fn suspect_checked(db: &mut CoordinatorDb, server: ServerId) {
 }
 
 /// The custody rule ([`CoordinatorDb::adopt`]) over the rows stamped
-/// above `since`, with the client making first contact (`contact`) or not
-/// and served here or not, against its definition read off the rows: of the
-/// rows indexed on a server and stamped above `since`, exactly the
+/// above `since`, with a client making first contact (`contact`) or none,
+/// and the clients `served` here, against its definition read off the rows:
+/// of the rows indexed on a server and stamped above `since`, exactly the
 /// unwatched ones written by another coordinator — one in `written_off`, or
-/// any on first contact — whose client is served and whose job is
+/// any of the contacting client's — whose client is served and whose job is
 /// unfinished become watched, one returned server per row.  No other row's
 /// custody moves, and nothing is minted.  Of the unripe `Pending` rows, exactly
 /// those written by a coordinator in `written_off` ripen.
 fn adopt_checked(
     db: &mut CoordinatorDb,
     since: u64,
-    contact: bool,
-    served: bool,
+    contact: Option<ClientKey>,
+    served: &BTreeSet<ClientKey>,
     written_off: &BTreeSet<CoordId>,
 ) {
-    let client = ClientKey::new(1, 1);
     let finished = |job: &JobKey| !db.wants_archive(job) || db.missing_since(job).is_some();
     let mut want = Vec::new();
     let mut before = std::collections::BTreeMap::new();
@@ -170,8 +184,8 @@ fn adopt_checked(
             if !row.watched
                 && row.version > since
                 && writer != db.me()
-                && (contact || written_off.contains(&writer))
-                && served
+                && (contact == Some(row.rec.job.client) || written_off.contains(&writer))
+                && served.contains(&row.rec.job.client)
                 && !finished(&row.rec.job)
             {
                 want.push((server, id));
@@ -184,9 +198,7 @@ fn adopt_checked(
     let mut unripe = db.unripe_rows();
     unripe.retain(|&id| !written_off.contains(&db.writer_of(id).expect("a live row")));
     let tasks = db.stats().tasks;
-    let served: BTreeSet<ClientKey> = served.then_some(client).into_iter().collect();
-    let contact = contact.then_some(client);
-    let (watch, _) = db.adopt(since, contact, &served, |c| written_off.contains(&c));
+    let (watch, _) = db.adopt(since, contact, served, |c| written_off.contains(&c));
     assert_eq!(db.unripe_rows(), unripe, "what ripens is what a written-off peer wrote");
     assert_eq!(watch, want.iter().map(|&(s, _)| s).collect::<Vec<_>>(), "one server per row");
     assert_eq!(db.stats().tasks, tasks, "adoption mints nothing");
@@ -223,7 +235,7 @@ fn apply_checked(db: &mut CoordinatorDb, feed: ReplicationDelta, now: SimTime) {
 /// Each member evaluates the custody rule where the actor does: over every
 /// row when it writes a peer off (a crash or a cut) and at the client's
 /// first contact, and over the rows a feed stamped as it applies the feed.
-/// After every step no member holds an indexed unwatched row of the client
+/// After every step no member holds an indexed unwatched row of a client
 /// it serves, of an unfinished job, written by a peer it wrote off.  No local
 /// operation dispatches (or otherwise moves) an unripe row, and every row
 /// unripe when a feed arrives is dispatchable, or taken, once it applied.
@@ -244,9 +256,9 @@ struct Ring {
     /// in ns, one second apart here, so each wipe's is higher than any
     /// before it.
     minted: u64,
-    /// `served[i]`: the client's traffic lands at `i` (volatile: a crash or
-    /// a wipe forgets it).
-    served: Vec<bool>,
+    /// `served[i]`: the clients whose traffic lands at `i` (volatile: a
+    /// crash or a wipe forgets them).
+    served: Vec<BTreeSet<ClientKey>>,
 }
 
 impl Ring {
@@ -259,7 +271,7 @@ impl Ring {
             down: None,
             cut: None,
             minted: 0,
-            served: vec![false; k],
+            served: vec![BTreeSet::new(); k],
         }
     }
 
@@ -286,9 +298,10 @@ impl Ring {
         }
         let Some(j) = self.successor(i) else { return };
         let base = self.acked[i][j];
-        let client = ClientKey::new(1, 1);
-        let retired = |m: &CoordinatorDb| m.retired_watermark(client);
-        let reseeded = retired(&self.members[j]).max(retired(&self.members[i]));
+        let retired =
+            |m: &CoordinatorDb| -> Vec<u64> { clients().map(|c| m.retired_watermark(c)).collect() };
+        let (held, known) = (retired(&self.members[j]), retired(&self.members[i]));
+        let reseeded: Vec<u64> = held.iter().zip(known).map(|(&a, b)| a.max(b)).collect();
         let sender = &self.members[i];
         let mut feed = sender.feed_for(Self::id(j), base);
         let named = feed.incarnation_of(Self::id(j));
@@ -312,23 +325,25 @@ impl Ring {
         for id in unripe {
             assert!(!after.contains(&id), "{id:?} at {j}: still unripe after the next feed");
         }
-        self.adopt(j, since, false);
+        self.adopt(j, since, None);
         // A reseed — any round served from base 0 — is complete: what the
         // sender retired, the receiver holds retired too, however the
         // sender came to know it.
         if base == 0 {
-            assert_eq!(retired(&self.members[j]), reseeded, "reseed {i} -> {j} lost the watermark");
+            assert_eq!(retired(&self.members[j]), reseeded, "reseed {i} -> {j} lost a watermark");
         }
         // And so is a tail from any base the receiver acknowledged: every
         // job the sender pruned is held as delivered, or covered by a
         // watermark, at the receiver once it applied the round — however
         // the ring was reshaped since, and however the sender learned it.
-        for seq in 1..=retired(&self.members[i]) {
-            let job = JobKey::new(client, seq);
-            assert!(
-                self.members[j].has_collected_knowledge(&job),
-                "{job:?}: retired at {i}, neither held delivered nor covered at {j} (base {base})"
-            );
+        for client in clients() {
+            for seq in 1..=self.members[i].retired_watermark(client) {
+                let job = JobKey::new(client, seq);
+                assert!(
+                    self.members[j].has_collected_knowledge(&job),
+                    "{job:?}: retired at {i}, neither held delivered nor covered at {j} (base {base})"
+                );
+            }
         }
         self.applied[j][i] = self.applied[j][i].max(head);
         if ack {
@@ -342,8 +357,8 @@ impl Ring {
     fn toggle_down(&mut self, d: usize) {
         if self.down.take().is_none() {
             self.down = Some(d);
-            self.served[d] = false;
-            (0..self.members.len()).filter(|&m| m != d).for_each(|m| self.adopt(m, 0, false));
+            self.served[d].clear();
+            (0..self.members.len()).filter(|&m| m != d).for_each(|m| self.adopt(m, 0, None));
         }
     }
 
@@ -352,7 +367,7 @@ impl Ring {
     fn toggle_cut(&mut self, i: usize) {
         if self.cut.take().is_none() {
             self.cut = self.successor(i).map(|j| (i, j));
-            self.adopt(i, 0, false);
+            self.adopt(i, 0, None);
         }
     }
 
@@ -365,22 +380,20 @@ impl Ring {
     }
 
     /// `m` evaluates the custody rule over its rows stamped above `since`,
-    /// held to the rule's definition.
-    fn adopt(&mut self, m: usize, since: u64, contact: bool) {
+    /// held to the rule's definition, with `contact`'s first contact or
+    /// none.
+    fn adopt(&mut self, m: usize, since: u64, contact: Option<ClientKey>) {
         let written_off = self.written_off(m);
-        adopt_checked(&mut self.members[m], since, contact, self.served[m], &written_off);
+        adopt_checked(&mut self.members[m], since, contact, &self.served[m], &written_off);
     }
 
     /// Whatever changed the custody rule's inputs at `m`, the rule was
-    /// evaluated: no indexed unwatched row of the client `m` serves was
+    /// evaluated: no indexed unwatched row of a client `m` serves was
     /// written by a peer `m` wrote off, unless its job finished here.  (A job
     /// re-executed after it finished counts: its old instances need nobody,
     /// the fresh one is `m`'s own.)
     fn assert_custody(&self, m: usize) {
         let db = &self.members[m];
-        if !self.served[m] {
-            return;
-        }
         let written_off = self.written_off(m);
         let tasks = db.delta_since(0);
         let finished = |job: &JobKey| {
@@ -393,8 +406,12 @@ impl Ring {
             for id in db.indexed_on(server) {
                 let row = db.task(id).unwrap();
                 let writer = db.writer_of(id).unwrap();
+                let served = self.served[m].contains(&row.rec.job.client);
                 assert!(
-                    row.watched || !written_off.contains(&writer) || finished(&row.rec.job),
+                    !served
+                        || row.watched
+                        || !written_off.contains(&writer)
+                        || finished(&row.rec.job),
                     "{id:?} at {m}: unwatched, written by {writer:?}, which {m} wrote off"
                 );
             }
@@ -405,7 +422,7 @@ impl Ring {
     /// together, and the new database has a new incarnation; its peers are
     /// not told.
     fn wipe(&mut self, d: usize) {
-        self.served[d] = false;
+        self.served[d].clear();
         self.minted += 1_000_000_000;
         self.members[d] = CoordinatorDb::with_incarnation(Self::id(d), self.minted);
         self.acked[d].fill(0);
@@ -413,7 +430,7 @@ impl Ring {
     }
 
     /// The run starts with a retired prefix that one member only *learned*:
-    /// with the last member down, member 0 takes seqs `1..=n` to
+    /// with the last member down, member 0 takes op seqs `1..=n` to
     /// delivered-and-reclaimed, an acked round goes round, and everyone up
     /// prunes what its successor acknowledged; then the last member
     /// returns and is reseeded.  It holds the watermark and pruned nothing.
@@ -453,11 +470,8 @@ impl Ring {
                 let min_acked = self.min_acked(i);
                 self.members[i].prune_retired(min_acked);
             }
-            // The client's first contact lands at `i`.
-            13 if !self.served[i] => {
-                self.served[i] = true;
-                self.adopt(i, 0, true);
-            }
+            // The op's client's first contact lands at `i`.
+            13 if self.served[i].insert(key(seq).client) => self.adopt(i, 0, Some(key(seq).client)),
             13 => {}
             _ => {
                 let unripe = self.members[i].unripe_rows();
@@ -727,7 +741,6 @@ proptest! {
         ops in proptest::collection::vec((1u64..25, 0u8..14, 0u8..8), 1..60),
         snap_at in 0usize..60,
     ) {
-        let client = ClientKey::new(1, 1);
         let mut a = CoordinatorDb::new(CoordId(1));
         let mut b = CoordinatorDb::new(CoordId(2));
         // Mirror replica fed exclusively with incremental deltas — if an
@@ -735,11 +748,13 @@ proptest! {
         // mirror diverges from the full-state reference below.
         let mut mirror = CoordinatorDb::new(CoordId(3));
         let mut mirror_base = 0u64;
-        // Client-side catalog mirror fed exclusively with incremental
-        // catalog deltas (the ClientSyncReply path) — it must cover the
-        // full-scan catalog through stores, collections and GCs.
-        let mut cat_mirror: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-        let mut cat_hw = 0u64;
+        // Client-side catalog mirrors, one per client, fed exclusively with
+        // incremental catalog deltas (the ClientSyncReply path) — each must
+        // cover its client's full-scan catalog through stores, collections
+        // and GCs.
+        let mut cat_mirror: Vec<std::collections::BTreeMap<u64, u64>> =
+            vec![std::collections::BTreeMap::new(); CLIENTS as usize];
+        let mut cat_hw = vec![0u64; CLIENTS as usize];
         let now = SimTime::ZERO;
         let mut bases = vec![0u64];
         // Mid-run from-zero feed (taken at a generated step, through the
@@ -754,12 +769,8 @@ proptest! {
                     // Peer work replicated in: held ongoing tasks, foreign
                     // origins, finished-without-archive rows, and the
                     // peer's checkpoint knowledge.
-                    b.register_job(job(100 + seq, 30));
-                    b.record_checkpoint(
-                        JobKey::new(client, 100 + seq),
-                        (aux as u32 % 5) + 1,
-                        Blob::synthetic(24, seq),
-                    );
+                    b.register_job(spec(key(100 + seq), 30));
+                    b.record_checkpoint(key(100 + seq), (aux as u32 % 5) + 1, Blob::synthetic(24, seq));
                     // (Held on a server this coordinator also hears from,
                     // stamped on either side of its last word here.)
                     let _ = b.next_pending(ServerId((aux % 3) as u64 + 1), SimTime::from_secs(seq));
@@ -805,33 +816,36 @@ proptest! {
             // full-scan reference catalog.  The mirror holds every
             // catalogued result at its size; anything more is a result GC
             // reclaimed, which the store knows was delivered.
-            let cd = a.results_catalog_since(client, cat_hw);
-            prop_assert!(cd.head >= cat_hw);
-            cat_mirror.extend(cd.added.iter().copied());
-            cat_hw = cd.head;
-            let scan = a.results_catalog_scan(client);
-            for &(seq, size) in &scan {
-                prop_assert!(cat_mirror.get(&seq) == Some(&size), "seq {} not mirrored", seq);
+            for (c, client) in clients().enumerate() {
+                let (cat_mirror, cat_hw) = (&mut cat_mirror[c], &mut cat_hw[c]);
+                let cd = a.results_catalog_since(client, *cat_hw);
+                prop_assert!(cd.head >= *cat_hw);
+                cat_mirror.extend(cd.added.iter().copied());
+                *cat_hw = cd.head;
+                let scan = a.results_catalog_scan(client);
+                for &(seq, size) in &scan {
+                    prop_assert!(cat_mirror.get(&seq) == Some(&size), "seq {} not mirrored", seq);
+                }
+                for &seq in cat_mirror.keys() {
+                    let held = scan.iter().any(|&(s, _)| s == seq);
+                    prop_assert!(
+                        held || a.has_collected_knowledge(&JobKey::new(client, seq)),
+                        "{:?} seq {} left the catalog undelivered",
+                        client,
+                        seq
+                    );
+                }
+                // A from-scratch merge (base 0) equals the scan.
+                let mut from_zero = a.results_catalog_since(client, 0).added;
+                from_zero.sort_unstable();
+                prop_assert_eq!(from_zero, scan);
             }
-            for &seq in cat_mirror.keys() {
-                let held = scan.iter().any(|&(s, _)| s == seq);
-                prop_assert!(
-                    held || a.has_collected_knowledge(&JobKey::new(client, seq)),
-                    "seq {} left the catalog undelivered",
-                    seq
-                );
-            }
-            // A from-scratch merge (base 0) equals the scan.
-            let mut from_zero = a.results_catalog_since(client, 0).added;
-            from_zero.sort_unstable();
-            prop_assert_eq!(from_zero, scan);
             // Feed the mirror only what changed since its last sync.
             apply_checked(&mut mirror, a.delta_since(mirror_base), at);
             mirror_base = a.version();
             // Whatever archive the sender holds undelivered, the mirror
             // learned the job finished and lists the archive to pull.
-            for seq in 1..25 {
-                let key = JobKey::new(client, seq);
+            for key in (1..25).map(key) {
                 if a.knows_job(&key) && a.archive(&key).is_some() && !a.has_collected_knowledge(&key) {
                     prop_assert!(mirror.missing_since(&key).is_some(), "{:?} finished, unfed", key);
                 }
@@ -849,16 +863,18 @@ proptest! {
                 let scan = a.delta_since_scan(base);
                 prop_assert_eq!(idx.head_version, scan.head_version);
                 // A feed carries every watermark stamped above its base
-                // (the scan reference reads the stamps off the rows) — from
-                // zero, everything this database retired.
-                prop_assert_eq!(
-                    idx.retired().collect::<Vec<_>>(),
-                    scan.retired().collect::<Vec<_>>()
-                );
+                // (the scan reference reads the stamps off the rows, in
+                // client order; the feed, in version order) — from zero,
+                // everything this database retired.
+                let mut retired: Vec<_> = idx.retired().collect();
+                retired.sort();
+                prop_assert_eq!(&retired, &scan.retired().collect::<Vec<_>>());
                 if base == 0 {
-                    let w = a.retired_watermark(client);
-                    let all: Vec<_> = (w > 0).then_some((client, w)).into_iter().collect();
-                    prop_assert_eq!(idx.retired().collect::<Vec<_>>(), all);
+                    let all: Vec<_> = clients()
+                        .map(|c| (c, a.retired_watermark(c)))
+                        .filter(|&(_, w)| w > 0)
+                        .collect();
+                    prop_assert_eq!(retired, all);
                 }
                 let mut ij: Vec<_> = idx.jobs().map(|s| s.key).collect();
                 let mut sj: Vec<_> = scan.jobs().map(|s| s.key).collect();
@@ -927,8 +943,10 @@ proptest! {
         // results ever delivered, the client's replay fence.
         prop_assert_eq!(mirror.stats().jobs, full.stats().jobs);
         prop_assert_eq!(boot.stats().jobs, full.stats().jobs);
-        prop_assert_eq!(mirror.client_max(client), full.client_max(client));
-        prop_assert_eq!(boot.client_max(client), full.client_max(client));
+        for client in clients() {
+            prop_assert_eq!(mirror.client_max(client), full.client_max(client));
+            prop_assert_eq!(boot.client_max(client), full.client_max(client));
+        }
         prop_assert_eq!(mirror.finished_count(), full.finished_count());
         prop_assert_eq!(boot.finished_count(), full.finished_count());
         prop_assert_eq!(mirror.stats().collected, full.stats().collected);

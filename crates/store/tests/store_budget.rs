@@ -1,5 +1,5 @@
 //! The coordinator database's memory gate: heap bytes a [`CoordinatorDb`]
-//! holds per live job.
+//! holds per live job, and per client it ever met.
 //!
 //! Every coordinator of a replication ring holds the whole job and task
 //! database, so each byte of a stored row is paid once per coordinator for
@@ -22,8 +22,19 @@
 //!   through `apply_delta_owned`, which holds no archive.  Measured 463 B
 //!   per job when pinned; before, 653.
 //!
+//! And one reading per client:
+//!
+//! - *Per client:* a third database meets a fleet of 1 000 clients with 8
+//!   jobs each, registered, delivered (dispatched, completed, collected),
+//!   GC'd and retired, so no job row is left: what stays is what the
+//!   database keeps for each client it ever met — its client-table row,
+//!   whose emptied job window, catalog and GC set keep their leaf nodes,
+//!   its two marks and their change-index entries.  Measured 789 B per
+//!   client; the per-client maps before the client table, each dropped
+//!   with its last entry, read 356.
+//!
 //! Each ceiling is its reading + 10 %.  One test only: the counter is
-//! per-thread, so the three readings run on one.
+//! per-thread, so the four readings run on one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -80,18 +91,28 @@ static ALLOCATOR: Counting = Counting;
 const MAX_REGISTERED_BYTES_PER_JOB: f64 = 462.0;
 const MAX_COLLECTED_BYTES_PER_JOB: f64 = 690.0;
 const MAX_REPLICA_BYTES_PER_JOB: f64 = 509.0;
+const MAX_BYTES_PER_CLIENT: f64 = 868.0;
 
 const CLIENTS: u64 = 4;
 const SEQS: u64 = 10_000;
 const JOBS: f64 = (CLIENTS * SEQS) as f64;
 
-/// Live bytes per job that `run` leaves behind, and what it returns.
-fn bytes_per_job<T>(run: impl FnOnce() -> T) -> (f64, T) {
+const FLEET: u64 = 1_000;
+const FLEET_SEQS: u64 = 8;
+
+/// Live bytes that `run` leaves behind, divided by `per`, and what it
+/// returns.
+fn bytes_per<T>(per: f64, run: impl FnOnce() -> T) -> (f64, T) {
     LIVE.with(|l| l.set(0));
     COUNTING.with(|on| on.set(true));
     let out = run();
     COUNTING.with(|on| on.set(false));
-    (LIVE.with(Cell::get) as f64 / JOBS, out)
+    (LIVE.with(Cell::get) as f64 / per, out)
+}
+
+/// Live bytes per job that `run` leaves behind, and what it returns.
+fn bytes_per_job<T>(run: impl FnOnce() -> T) -> (f64, T) {
+    bytes_per(JOBS, run)
 }
 
 #[test]
@@ -126,9 +147,29 @@ fn database_bytes_per_job_stay_within_budget() {
         db
     });
     assert_eq!(replica_db.stats().jobs as f64, JOBS, "the replica holds every job");
+    let (per_client, fleet_db) = bytes_per(FLEET as f64, || {
+        let mut db = CoordinatorDb::new(CoordId(3));
+        let fleet = (1..=FLEET).map(|c| ClientKey::new(c, 1));
+        for client in fleet.clone() {
+            for seq in 1..=FLEET_SEQS {
+                let spec = JobSpec::new(JobKey::new(client, seq), service.clone(), Blob::empty());
+                assert!(db.register_job(spec).0);
+            }
+        }
+        while let (Some(task), _) = db.next_pending(ServerId(1), SimTime::ZERO) {
+            db.complete_task(task.id, task.job, Blob::from_vec(vec![7; 64]), ServerId(1));
+        }
+        for client in fleet {
+            db.mark_collected(client, &(1..=FLEET_SEQS).collect::<Vec<_>>());
+        }
+        db.gc_collected();
+        assert_eq!(db.prune_retired(u64::MAX), FLEET * FLEET_SEQS, "every job retires");
+        db
+    });
+    assert_eq!(fleet_db.stats().archived, 0, "no archive is left");
     println!(
         "store budget: {registered:.0} B per registered job, {collected:.0} B per collected \
-         job, {replica:.0} B per replicated job"
+         job, {replica:.0} B per replicated job, {per_client:.0} B per client"
     );
     assert!(
         registered <= MAX_REGISTERED_BYTES_PER_JOB,
@@ -143,5 +184,9 @@ fn database_bytes_per_job_stay_within_budget() {
     assert!(
         replica <= MAX_REPLICA_BYTES_PER_JOB,
         "{replica:.0} live bytes per replicated job exceeds the {MAX_REPLICA_BYTES_PER_JOB} budget"
+    );
+    assert!(
+        per_client <= MAX_BYTES_PER_CLIENT,
+        "{per_client:.0} live bytes per client exceeds the {MAX_BYTES_PER_CLIENT} budget"
     );
 }
