@@ -25,6 +25,7 @@ use rpcv_simnet::NodeId;
 use rpcv_wire::Blob;
 use rpcv_xw::{ClientKey, CoordId};
 
+use crate::client::ClientActor;
 use crate::runtime::LiveGrid;
 use crate::util::CallSpec;
 
@@ -149,46 +150,20 @@ impl<'g> GridClient<'g> {
         if self.cancelled.contains(&h.seq) {
             return Err(GridError::Cancelled);
         }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let seq = h.seq;
-            match self.grid.with_client_at(self.client_idx, move |c| c.result_archive(seq).cloned())
-            {
-                Some(Some(blob)) => return Ok(blob),
-                Some(None) => {}
-                None => {
-                    // Client node currently down (crash window) — keep
-                    // polling: it may restart and recover its results.
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(GridError::Timeout);
-            }
-            std::thread::sleep(self.poll_interval);
-        }
+        let seq = h.seq;
+        self.poll_until(timeout, move |c| c.result_archive(seq).cloned())
     }
 
     /// Blocks until every outstanding call completed (GridRPC
     /// `grpc_wait_all`).
     pub fn wait_all(&self, timeout: StdDuration) -> Result<(), GridError> {
-        let deadline = Instant::now() + timeout;
         // The handles themselves, not a count: a cancelled call's result
         // still arrives (at-least-once) and must not stand in for a live one.
         let calls = self.plan_len + 1..=self.plan_len + self.submitted;
         let live: Vec<u64> = calls.filter(|seq| !self.cancelled.contains(seq)).collect();
-        loop {
-            let waited = live.clone();
-            let done = self.grid.with_client_at(self.client_idx, move |c| {
-                waited.iter().all(|&seq| c.result_archive(seq).is_some())
-            });
-            if done == Some(true) {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return Err(GridError::Timeout);
-            }
-            std::thread::sleep(self.poll_interval);
-        }
+        self.poll_until(timeout, move |c| {
+            live.iter().all(|&seq| c.result_archive(seq).is_some()).then_some(())
+        })
     }
 
     /// Cancels a call locally (GridRPC `grpc_cancel`).
@@ -215,16 +190,24 @@ impl<'g> GridClient<'g> {
         self.status_nonce += 1;
         let nonce = self.status_nonce;
         self.grid.handle().inject(self.client_node, crate::msg::Msg::StatusRequest { nonce });
+        self.poll_until(timeout, move |c| {
+            let (got, coord, snap) = c.status()?;
+            (*got >= nonce).then(|| (*coord, snap.clone()))
+        })
+    }
+
+    /// Reads the client with `f` every poll interval until it answers
+    /// `Some`, or fails with [`GridError::Timeout`] once `timeout` passed.
+    /// A client node that is down (its crash window) is polled on: it may
+    /// restart and recover what was asked for.
+    fn poll_until<T, F>(&self, timeout: StdDuration, f: F) -> Result<T, GridError>
+    where
+        T: Send + 'static,
+        F: Fn(&ClientActor) -> Option<T> + Clone + Send + 'static,
+    {
         let deadline = Instant::now() + timeout;
         loop {
-            let fresh = self
-                .grid
-                .with_client_at(self.client_idx, move |c| {
-                    let (got, coord, snap) = c.status()?;
-                    (*got >= nonce).then(|| (*coord, snap.clone()))
-                })
-                .flatten();
-            if let Some(got) = fresh {
+            if let Some(got) = self.grid.with_client_at(self.client_idx, f.clone()).flatten() {
                 return Ok(got);
             }
             if Instant::now() >= deadline {

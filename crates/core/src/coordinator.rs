@@ -329,11 +329,28 @@ impl CoordinatorActor {
         specs.iter().take_while(extends).count()
     }
 
-    /// Acknowledges a submission frame once its registration landed.
-    fn ack_submission(&mut self, ctx: &mut Ctx<'_, Msg>, to: NodeId, job: JobKey, done: SimTime) {
+    /// Registers a submission frame — a `Submit` is a batch of one, a
+    /// `SubmitBatch` one client's specs in seq order — and acknowledges it,
+    /// naming the frame's last job, once the registration lands.  Only the
+    /// contiguous prefix registers ([`Self::contiguous_prefix`]).
+    fn handle_submission<S>(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, specs: S)
+    where
+        S: AsRef<[JobSpec]> + IntoIterator<Item = JobSpec>,
+    {
+        let Some(job) = specs.as_ref().last().map(|s| s.key) else { return };
+        self.greet_client(ctx, job.client);
+        let prefix = self.contiguous_prefix(job.client, specs.as_ref());
+        let done = if prefix == 0 {
+            ctx.now()
+        } else {
+            for spec in &specs.as_ref()[..prefix] {
+                self.spans.mark(spec.key, SpanEdge::Submitted, ctx.now());
+            }
+            let (_new, charge) = self.db.register_jobs(specs.into_iter().take(prefix));
+            self.pay(ctx, charge)
+        };
         let coord_max = self.db.client_max(job.client);
-        let ack = Msg::SubmitAck { job, coord_max, epoch: self.epoch };
-        ctx.send_at(done, to, ack);
+        ctx.send_at(done, from, Msg::SubmitAck { job, coord_max, epoch: self.epoch });
     }
 
     /// Read access to the database (harness inspection).
@@ -882,34 +899,8 @@ impl Actor<Msg> for CoordinatorActor {
         self.clock = ctx.now();
         *self.rx_counts.entry(msg.kind()).or_insert(0) += 1;
         match msg {
-            Msg::Submit { spec } => {
-                self.greet_client(ctx, spec.key.client);
-                let job = spec.key;
-                let gap = self.contiguous_prefix(job.client, std::slice::from_ref(&spec)) == 0;
-                let done = if gap {
-                    ctx.now()
-                } else {
-                    self.spans.mark(job, SpanEdge::Submitted, ctx.now());
-                    let (_new, charge) = self.db.register_job(spec);
-                    self.pay(ctx, charge)
-                };
-                self.ack_submission(ctx, from, job, done);
-            }
-            Msg::SubmitBatch { mut specs } => {
-                let Some(job) = specs.last().map(|s| s.key) else { return };
-                self.greet_client(ctx, job.client);
-                specs.truncate(self.contiguous_prefix(job.client, &specs));
-                let done = if specs.is_empty() {
-                    ctx.now()
-                } else {
-                    for spec in &specs {
-                        self.spans.mark(spec.key, SpanEdge::Submitted, ctx.now());
-                    }
-                    let (_n, charge) = self.db.register_jobs_bulk(specs);
-                    self.pay(ctx, charge)
-                };
-                self.ack_submission(ctx, from, job, done);
-            }
+            Msg::Submit { spec } => self.handle_submission(ctx, from, [spec]),
+            Msg::SubmitBatch { specs } => self.handle_submission(ctx, from, specs),
             // (`max_seq` is unread: the client decides resend/fast-forward
             // from the `coord_max` of the reply.)
             Msg::ClientBeat { client, max_seq: _, collected, catalog_seq } => {

@@ -20,57 +20,16 @@
 //! deterministic, so the reading repeats exactly on any machine.  One
 //! test only: the counter is per-thread.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use rpcv_core::grid::{GridSpec, SimGrid};
 use rpcv_core::msg::Msg;
 use rpcv_simnet::{NodeId, SimDuration, SimTime};
 use rpcv_wire::Blob;
 
-thread_local! {
-    /// Net heap bytes this thread gained while counting was on.
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-struct Counting;
-
-/// The live heap moved by `delta` bytes.
-fn held(delta: i64) {
-    // `try_with`: the allocator also runs during thread teardown, after
-    // the thread-locals are gone.
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        let _ = LIVE.try_with(|l| l.set(l.get() + delta));
-    }
-}
-
-// SAFETY: every method forwards to `System` with its arguments unchanged,
-// so `System`'s guarantees carry over; the bookkeeping touches only
-// const-initialised, destructor-free thread-locals and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        held(layout.size() as i64);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        held(-(layout.size() as i64));
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        held(new_size as i64 - layout.size() as i64);
-        // SAFETY: `ptr` came from `System` with this `layout`; the caller
-        // upholds the rest of `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "../../../tests/support/meter.rs"]
+mod meter;
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: meter::Meter = meter::Meter;
 
 const MAX_CLIENT_BYTES_PER_CALL: f64 = 193.0;
 
@@ -113,12 +72,11 @@ fn client_bytes_per_call_stay_within_budget() {
         grid.world.crash_now(other);
         grid.world.wipe_durable(other);
     }
-    LIVE.with(|l| l.set(0));
-    COUNTING.with(|on| on.set(true));
+    meter::start();
     grid.world.crash_now(node);
     grid.world.wipe_durable(node);
-    COUNTING.with(|on| on.set(false));
-    let per_call = -LIVE.with(Cell::get) as f64 / CALLS as f64;
+    meter::stop();
+    let per_call = -meter::live() as f64 / CALLS as f64;
     println!("client budget: {per_call:.0} B per call");
     assert!(
         per_call <= MAX_CLIENT_BYTES_PER_CALL,

@@ -20,56 +20,15 @@
 //!
 //! One test only: the counter is per-thread, so both cases run on one.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use rpcv_obs::{SpanBook, SpanEdge};
 use rpcv_simnet::SimTime;
 use rpcv_xw::{ClientKey, JobKey};
 
-thread_local! {
-    /// Net heap bytes this thread gained while counting was on.
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-struct Counting;
-
-/// The live heap moved by `delta` bytes.
-fn held(delta: i64) {
-    // `try_with`: the allocator also runs during thread teardown, after
-    // the thread-locals are gone.
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        let _ = LIVE.try_with(|l| l.set(l.get() + delta));
-    }
-}
-
-// SAFETY: every method forwards to `System` with its arguments unchanged,
-// so `System`'s guarantees carry over; the bookkeeping touches only
-// const-initialised, destructor-free thread-locals and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        held(layout.size() as i64);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        held(-(layout.size() as i64));
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        held(new_size as i64 - layout.size() as i64);
-        // SAFETY: `ptr` came from `System` with this `layout`; the caller
-        // upholds the rest of `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "../../../tests/support/meter.rs"]
+mod meter;
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: meter::Meter = meter::Meter;
 
 const MAX_DENSE_BYTES_PER_SPAN: f64 = 120.0;
 const MAX_SPARSE_BYTES_PER_SPAN: f64 = 201.0;
@@ -78,12 +37,11 @@ const CLIENTS: u64 = 4;
 
 /// Live bytes per span of the book `fill` writes.
 fn bytes_per_span(fill: impl FnOnce(&mut SpanBook)) -> f64 {
-    LIVE.with(|l| l.set(0));
-    COUNTING.with(|on| on.set(true));
+    meter::start();
     let mut book = SpanBook::new();
     fill(&mut book);
-    COUNTING.with(|on| on.set(false));
-    LIVE.with(Cell::get) as f64 / book.len() as f64
+    meter::stop();
+    meter::live() as f64 / book.len() as f64
 }
 
 /// Client `c`'s job `seq`.

@@ -24,59 +24,13 @@
 //! readings repeat exactly on any machine.  One test only: the counter is
 //! per-thread.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use rpcv_simnet::*;
 
-thread_local! {
-    /// Net heap bytes this thread gained while counting was on.
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-    /// Highest `LIVE` reading since the last reset.
-    static PEAK: Cell<i64> = const { Cell::new(0) };
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-struct Counting;
-
-/// The live heap moved by `delta` bytes.
-fn held(delta: i64) {
-    // `try_with`: the allocator also runs during thread teardown, after
-    // the thread-locals are gone.
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        let _ = LIVE.try_with(|l| {
-            l.set(l.get() + delta);
-            let _ = PEAK.try_with(|p| p.set(p.get().max(l.get())));
-        });
-    }
-}
-
-// SAFETY: every method forwards to `System` with its arguments unchanged,
-// so `System`'s guarantees carry over; the bookkeeping touches only
-// const-initialised, destructor-free thread-locals and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        held(layout.size() as i64);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        held(-(layout.size() as i64));
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        held(new_size as i64 - layout.size() as i64);
-        // SAFETY: `ptr` came from `System` with this `layout`; the caller
-        // upholds the rest of `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "../../../tests/support/meter.rs"]
+mod meter;
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: meter::Meter = meter::Meter;
 
 const CLIENTS: u64 = 200;
 const ARRIVALS: u64 = 250;
@@ -106,8 +60,7 @@ fn arrival(client: u64, k: u64) -> SimTime {
 
 #[test]
 fn queue_memory_follows_the_backlog() {
-    LIVE.with(|l| l.set(0));
-    COUNTING.with(|on| on.set(true));
+    meter::start();
     let mut w = World::<Call>::new(7);
     let hosts: Vec<NodeId> =
         (0..HOSTS).map(|i| w.add_host(HostSpec::named(format!("h{i}")))).collect();
@@ -120,8 +73,7 @@ fn queue_memory_follows_the_backlog() {
             w.inject(arrival(client, k), hosts[(client % HOSTS) as usize], Call([k; 8]));
         }
     }
-    let injected = LIVE.with(Cell::get);
-    PEAK.with(|p| p.set(injected));
+    let injected = meter::mark_peak();
     let a = w.queue_audit().expect("the calendar kernel");
     let chunk_bytes = (a.chunk_slots * a.slot_bytes) as i64;
     println!(
@@ -133,18 +85,17 @@ fn queue_memory_follows_the_backlog() {
         injected
     );
     for step in 1..=13 {
-        let before = LIVE.with(Cell::get);
-        PEAK.with(|p| p.set(before));
+        let before = meter::mark_peak();
         w.run_until(SimTime::from_secs(10 * step));
         let a = w.queue_audit().expect("the calendar kernel");
         let (live, slots) = (w.queue_len(), a.chunks * a.chunk_slots);
-        let peak = PEAK.with(Cell::get);
+        let peak = meter::peak();
         println!(
             "t = {:>3} s: {live:>5} queued, {slots:>5} slots ({:>3.0} % free), heap {:>8}, \
              peak {peak:>8}, {} compactions",
             10 * step,
             100.0 * a.free_slots as f64 / slots as f64,
-            LIVE.with(Cell::get),
+            meter::live(),
             a.compactions
         );
         assert_eq!(a.live_slots + a.free_slots, slots, "{a:?}");
@@ -161,7 +112,7 @@ fn queue_memory_follows_the_backlog() {
             before
         );
     }
-    COUNTING.with(|on| on.set(false));
+    meter::stop();
     assert_eq!(w.queue_len(), 0, "the schedule drained");
     assert!(w.queue_audit().expect("the calendar kernel").compactions > 0);
 }

@@ -766,12 +766,17 @@ impl CoordinatorDb {
     /// delta, so this only drops acks for jobs we never heard of at all).
     /// Returns true when the knowledge is news.
     fn note_collected(&mut self, job: JobKey, from: Provenance) -> bool {
-        if self.has_collected_knowledge(&job) || !self.knows_job(&job) {
+        let Some(slot) = self.clients.slot(job.client) else { return false };
+        let c = &self.clients[slot];
+        // Known already: under the watermark or acked on the row (what
+        // `has_collected_knowledge` reads); unknown: no resident row.
+        let news = job.seq > c.contig
+            && c.jobs.get(job.seq).is_some_and(|r| r.result.collected_pos().is_none());
+        if !news {
             return false;
         }
-        let slot = self.clients.slot(job.client).expect("a known job's client has a row");
         let pos = self.changed.touch(&mut self.version, 0, Changed::Collected(slot, job.seq), from);
-        self.settle(job, Settle::Ack(pos));
+        self.settle_in(slot, job.seq, Settle::Ack(pos));
         true
     }
 
@@ -785,8 +790,14 @@ impl CoordinatorDb {
     /// (or gone).
     fn settle(&mut self, job: JobKey, how: Settle) {
         let slot = self.clients.slot(job.client).expect("a result's job is resident");
+        self.settle_in(slot, job.seq, how);
+    }
+
+    /// [`Self::settle`] of seq `seq` of the client in `slot`.
+    fn settle_in(&mut self, slot: ClientSlot, seq: u64, how: Settle) {
         let client = &mut self.clients[slot];
-        let row = client.jobs.get_mut(job.seq).expect("a result's job is resident");
+        let job = JobKey { client: client.key, seq };
+        let row = client.jobs.get_mut(seq).expect("a result's job is resident");
         let old = std::mem::replace(&mut row.result, JobResult::Open);
         let (was_finished, acked) = (old.finished(), old.collected_pos());
         row.result = match (how, old) {
@@ -842,19 +853,6 @@ impl CoordinatorDb {
 
     // --- job registration -------------------------------------------------
 
-    /// Inserts `spec` as a new registered job and creates its
-    /// `spec.replication` task instances.  The caller checked the job is
-    /// neither registered nor retired.
-    fn insert_job(&mut self, spec: JobSpec) {
-        let key = spec.key;
-        let replication = spec.replication.max(1);
-        let slot = self.clients.intern(key.client);
-        self.add_job(slot, spec, Provenance::LOCAL);
-        for _ in 0..replication {
-            self.create_instance(key);
-        }
-    }
-
     /// Stamps and stores the row of `spec`, written by `from`, in its
     /// client's vacant slot, then raises the client's registration mark
     /// over it.
@@ -873,38 +871,43 @@ impl CoordinatorDb {
         self.knows_job(key) || key.seq <= self.retired_watermark(key.client)
     }
 
-    /// Registers a job submitted by a client; translates it into
-    /// `spec.replication` task instances (paper: "jobs ... are translated
-    /// as tasks (instances of jobs)").  Duplicate registrations (client
-    /// resend after sync) are recognized and ignored.
-    pub fn register_job(&mut self, spec: JobSpec) -> (bool, Charge) {
-        if self.refuses_registration(&spec.key) {
-            return (false, Charge::ops(1));
-        }
-        let charge = Charge::db(1, spec.params.len()) + Charge::ops(spec.replication.max(1) as u64);
-        self.insert_job(spec);
-        (true, charge)
-    }
-
-    /// Bulk registration (client log replay during synchronization).
+    /// Registers the jobs a client submitted, in the order given; translates
+    /// each into `spec.replication` task instances (paper: "jobs ... are
+    /// translated as tasks (instances of jobs)").  Duplicate registrations
+    /// (client resend after sync) and retired seqs are recognized and
+    /// skipped.  Returns how many jobs were new.
     ///
-    /// Row inserts amortize in a bulk statement, which is what makes
-    /// client-side-log synchronization markedly cheaper than the
-    /// coordinator-side direction in Fig. 6: the charge is
-    /// `1 + ceil(n/4)` operations instead of `n`.
-    pub fn register_jobs_bulk(&mut self, specs: Vec<JobSpec>) -> (u64, Charge) {
-        let mut new_count: u64 = 0;
-        let mut bytes = 0;
+    /// A submission frame is one statement: row inserts amortize four to
+    /// an operation, which is what makes client-side-log synchronization (a
+    /// log replay, registered in bulk) markedly cheaper than the
+    /// coordinator-side direction in Fig. 6, and each instance past a job's
+    /// first costs one more.  Over the new jobs, the charge is
+    /// `1 + ⌈new/4⌉ + Σ(max(r, 1) − 1)` operations and their parameter
+    /// bytes: one operation when nothing is new, `1 + r` for one new job.
+    pub fn register_jobs(&mut self, specs: impl IntoIterator<Item = JobSpec>) -> (u64, Charge) {
+        let (mut new, mut extra, mut bytes) = (0, 0, 0);
         for spec in specs {
             if self.refuses_registration(&spec.key) {
                 continue;
             }
+            let (key, replication) = (spec.key, u64::from(spec.replication.max(1)));
+            new += 1;
+            extra += replication - 1;
             bytes += spec.params.len();
-            self.insert_job(spec);
-            new_count += 1;
+            let slot = self.clients.intern(key.client);
+            self.add_job(slot, spec, Provenance::LOCAL);
+            for _ in 0..replication {
+                self.create_instance(key);
+            }
         }
-        let charge = Charge::db(1 + new_count.div_ceil(4), bytes);
-        (new_count, charge)
+        (new, Charge::db(1 + new.div_ceil(4) + extra, bytes))
+    }
+
+    /// Registers one job: [`Self::register_jobs`] of a batch of one.
+    /// Returns whether it was new.
+    pub fn register_job(&mut self, spec: JobSpec) -> (bool, Charge) {
+        let (new, charge) = self.register_jobs([spec]);
+        (new == 1, charge)
     }
 
     /// True if the job is known (registered).
@@ -2370,6 +2373,30 @@ mod tests {
         assert_eq!(d.stats().pending, 3);
     }
 
+    /// One charge rule, `1 + ⌈new/4⌉ + Σ(max(r, 1) − 1)` operations over
+    /// the new jobs' parameter bytes, whether a job arrives alone or in a
+    /// batch: `1 + r` for one new job, one operation when nothing is new.
+    #[test]
+    fn registration_charges_one_rule() {
+        for (r, ops) in [(1, 2), (2, 3), (3, 4)] {
+            let (mut single, mut batch) = (db(), db());
+            let (_, alone) = single.register_job(job(1).with_replication(r));
+            let (n, of_one) = batch.register_jobs([job(1).with_replication(r)]);
+            assert_eq!(alone, Charge::db(ops, 1000), "r = {r}");
+            assert_eq!((n, of_one), (1, alone), "r = {r}: a batch of one");
+        }
+        let mut d = db();
+        d.register_job(job(1));
+        assert_eq!(d.register_job(job(1)), (false, Charge::ops(1)), "a refused duplicate");
+        run_to_collected(&mut d, 2);
+        d.prune_retired(d.version());
+        assert!(!d.knows_job(&JobKey::new(ClientKey::new(1, 1), 2)));
+        assert_eq!(d.register_job(job(2)), (false, Charge::ops(1)), "a retired seq");
+        assert_eq!(db().register_jobs((1..=5).map(job)), (5, Charge::db(3, 5000)));
+        let one_doubled = (1..=5).map(|seq| job(seq).with_replication(1 + u32::from(seq == 3)));
+        assert_eq!(db().register_jobs(one_doubled), (5, Charge::db(4, 5000)));
+    }
+
     #[test]
     fn fcfs_dispatch_order() {
         let mut d = db();
@@ -3396,7 +3423,7 @@ mod tests {
         assert_eq!(d.client_max(client), 2);
         let (fresh, _) = d.register_job(job(1));
         assert!(!fresh, "retired seqs refuse re-registration");
-        let (n, _) = d.register_jobs_bulk(vec![job(2)]);
+        let (n, _) = d.register_jobs([job(2)]);
         assert_eq!(n, 0);
         // A stale replication feed can't resurrect the rows either.
         let stale = ReplicationDelta {

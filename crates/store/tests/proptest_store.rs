@@ -39,15 +39,23 @@ fn clients() -> impl Iterator<Item = ClientKey> {
 /// `indexed_views_match_scan_definitions` and the ring twins: actions
 /// 0–3, 5–9, 12 and 13 of its `(seq, action, aux)` tuples (the ring plays
 /// 13, the custody inputs, itself).  An op names the job [`key`]`(seq)`
-/// of one of three clients.  The op's instant is drawn with it (not
+/// of one of three clients (action 1, a batch registration, that job and
+/// up to two more seqs of its client).  The op's instant is drawn with it (not
 /// monotone): dispatch stamps and "heard here" stamps fall on either side
 /// of each other, which is what the suspicion rule reads.
 fn local_op(db: &mut CoordinatorDb, seq: u64, action: u8, aux: u8) {
     let job = key(seq);
     let now = SimTime::from_secs(seq);
     match action {
-        0 | 1 => {
+        0 => {
             db.register_job(spec(job, 50).with_replication(1 + (aux % 2) as u32));
+        }
+        1 => {
+            // A submission frame through the batch entry: a run of 1–3
+            // consecutive seqs of the op's client.
+            let replication = 1 + (aux / 3 % 2) as u32;
+            let run = (0..=aux as u64 % 3).map(|i| key(seq + i * CLIENTS));
+            db.register_jobs(run.map(|k| spec(k, 50).with_replication(replication)));
         }
         2 => {
             let _ = db.next_pending(ServerId((aux % 3) as u64 + 1), now);

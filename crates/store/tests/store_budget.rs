@@ -36,57 +36,16 @@
 //! Each ceiling is its reading + 10 %.  One test only: the counter is
 //! per-thread, so the four readings run on one.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use rpcv_simnet::SimTime;
 use rpcv_store::CoordinatorDb;
 use rpcv_wire::Blob;
 use rpcv_xw::{ClientKey, CoordId, JobKey, JobSpec, ServerId, ServiceName};
 
-thread_local! {
-    /// Net heap bytes this thread gained while counting was on.
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-struct Counting;
-
-/// The live heap moved by `delta` bytes.
-fn held(delta: i64) {
-    // `try_with`: the allocator also runs during thread teardown, after
-    // the thread-locals are gone.
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        let _ = LIVE.try_with(|l| l.set(l.get() + delta));
-    }
-}
-
-// SAFETY: every method forwards to `System` with its arguments unchanged,
-// so `System`'s guarantees carry over; the bookkeeping touches only
-// const-initialised, destructor-free thread-locals and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        held(layout.size() as i64);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        held(-(layout.size() as i64));
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        held(new_size as i64 - layout.size() as i64);
-        // SAFETY: `ptr` came from `System` with this `layout`; the caller
-        // upholds the rest of `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "../../../tests/support/meter.rs"]
+mod meter;
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: meter::Meter = meter::Meter;
 
 const MAX_REGISTERED_BYTES_PER_JOB: f64 = 462.0;
 const MAX_COLLECTED_BYTES_PER_JOB: f64 = 690.0;
@@ -103,11 +62,10 @@ const FLEET_SEQS: u64 = 8;
 /// Live bytes that `run` leaves behind, divided by `per`, and what it
 /// returns.
 fn bytes_per<T>(per: f64, run: impl FnOnce() -> T) -> (f64, T) {
-    LIVE.with(|l| l.set(0));
-    COUNTING.with(|on| on.set(true));
+    meter::start();
     let out = run();
-    COUNTING.with(|on| on.set(false));
-    (LIVE.with(Cell::get) as f64 / per, out)
+    meter::stop();
+    (meter::live() as f64 / per, out)
 }
 
 /// Live bytes per job that `run` leaves behind, and what it returns.

@@ -18,77 +18,16 @@
 //! One test only: the counter is per-thread, but a second test's grid
 //! would still share the process allocator's state.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use rpcv::core::grid::{GridSpec, SimGrid};
 use rpcv::core::util::CallSpec;
 use rpcv::simnet::SimTime;
 use rpcv::wire::Blob;
 
-thread_local! {
-    /// `(allocations, bytes)` made by this thread while counting is on.
-    static COUNT: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-    /// Net heap bytes this thread gained while counting was on: blocks
-    /// allocated, minus blocks freed, plus every `realloc`'s size delta.
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-struct Counting;
-
-fn counting() -> bool {
-    // `try_with`: the allocator also runs during thread teardown, after
-    // the thread-locals are gone.
-    COUNTING.try_with(Cell::get).unwrap_or(false)
-}
-
-/// One allocation of `bytes` (a fresh block, or a `realloc`'s new one).
-fn note(bytes: usize) {
-    if counting() {
-        let _ = COUNT.try_with(|c| {
-            let (n, b) = c.get();
-            c.set((n + 1, b + bytes as u64));
-        });
-    }
-}
-
-/// The live heap moved by `delta` bytes.
-fn held(delta: i64) {
-    if counting() {
-        let _ = LIVE.try_with(|l| l.set(l.get() + delta));
-    }
-}
-
-// SAFETY: every method forwards to `System` with its arguments unchanged,
-// so `System`'s guarantees carry over; the bookkeeping touches only
-// const-initialised, destructor-free thread-locals and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        held(layout.size() as i64);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        held(-(layout.size() as i64));
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A growing `Vec` is heap traffic too: count the new block.
-        note(new_size);
-        held(new_size as i64 - layout.size() as i64);
-        // SAFETY: `ptr` came from `System` with this `layout`; the caller
-        // upholds the rest of `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "support/meter.rs"]
+mod meter;
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: meter::Meter = meter::Meter;
 
 /// Ceilings: what this cell measured when they were pinned — 13 448
 /// allocations and 3 780 000 bytes over 19 574 events, i.e. 0.69
@@ -118,16 +57,16 @@ fn steady_state_allocations_per_event_stay_within_budget() {
     };
     let spec = GridSpec::confined(2, 8).with_seed(7).with_client_plans(vec![plan(0), plan(1)]);
     let mut grid = SimGrid::build(spec);
-    COUNTING.with(|on| on.set(true));
+    meter::start();
     let done = grid.run_until_done(SimTime::from_secs(3600));
-    COUNTING.with(|on| on.set(false));
+    meter::stop();
     assert!(done.is_some(), "the cell completes");
     assert_eq!(grid.client_results_at(0) + grid.client_results_at(1), 800);
 
     let events = grid.world.events_processed() as f64;
-    let (allocs, bytes) = COUNT.with(Cell::get);
+    let (allocs, bytes) = meter::allocs();
     let (per_event, bytes_per_event) = (allocs as f64 / events, bytes as f64 / events);
-    let live = LIVE.with(Cell::get);
+    let live = meter::live();
     let live_per_call = live as f64 / 800.0;
     println!(
         "alloc budget: {events} events, {allocs} allocations ({per_event:.2}/event), \
